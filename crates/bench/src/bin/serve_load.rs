@@ -1296,7 +1296,8 @@ fn run_heal_drill(seed: u64) -> HealOutcome {
         governor_pressure_sheds,
         governor_shed_observed,
     ) = {
-        let arena = gen_nerf_parallel::num_threads().max(1) as u64 * (1 << 20);
+        let arena = gen_nerf_parallel::num_threads().max(1) as u64
+            * gen_nerf::pipeline::WORKER_SCRATCH_BYTES as u64;
         let budget = arena + 32 * 1024;
         let server = RenderServer::new(
             ServerConfig::default()

@@ -74,9 +74,23 @@ impl FeatureMap {
     ///
     /// Panics when `out.len() > self.channels()`.
     pub fn sample_into(&self, uv: Vec2, out: &mut [f32]) {
+        self.sample_footprint_into(&self.footprint(uv), out);
+    }
+
+    /// The bilinear footprint of `uv` on this map.
+    pub fn footprint(&self, uv: Vec2) -> BilinearFootprint {
+        BilinearFootprint::at(uv, self.width, self.height).expect("feature map is non-empty")
+    }
+
+    /// [`FeatureMap::sample_into`] through a footprint already computed
+    /// by [`FeatureMap::footprint`], so a caller that also samples the
+    /// source image (same dimensions) pays for the footprint once.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `out.len() > self.channels()`.
+    pub fn sample_footprint_into(&self, fp: &BilinearFootprint, out: &mut [f32]) {
         assert!(out.len() <= self.channels, "channel overrun");
-        let fp =
-            BilinearFootprint::at(uv, self.width, self.height).expect("feature map is non-empty");
         out.iter_mut().for_each(|v| *v = 0.0);
         for tap in fp.taps {
             let tex = self.texel(tap.x, tap.y);

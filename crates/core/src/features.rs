@@ -144,8 +144,18 @@ fn fill_point(
         if !src.camera.intrinsics.contains(uv) {
             continue;
         }
-        src.features.sample_into(uv, &mut feats[i * d..(i + 1) * d]);
-        view_colors[i] = src.image.sample(uv);
+        // One footprint serves both fetches: the encoder keeps the
+        // image's dimensions, so the taps and weights are the same.
+        let fp = src.features.footprint(uv);
+        src.features
+            .sample_footprint_into(&fp, &mut feats[i * d..(i + 1) * d]);
+        view_colors[i] = if (src.image.width(), src.image.height())
+            == (src.features.width(), src.features.height())
+        {
+            src.image.sample_footprint(&fp)
+        } else {
+            src.image.sample(uv)
+        };
         let to_point = (p - src.camera.center())
             .try_normalized()
             .unwrap_or(ray_dir);
@@ -383,6 +393,20 @@ impl AggregateArena {
         self.feats.resize(n_views * d_channels, 0.0);
         self.dir_sims.clear();
         self.dir_sims.resize(n_views, 0.0);
+    }
+
+    /// Bytes of heap the arena's buffers retain (capacities, not the
+    /// current fill) — the acquisition share of a render worker's
+    /// scratch.
+    #[cfg(test)]
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.stats.capacity_bytes()
+            + self.view_colors.capacity() * size_of::<Vec3>()
+            + self.blend_inputs.capacity() * size_of::<[f32; 2]>()
+            + self.valid.capacity() * size_of::<bool>()
+            + (self.n_valid.capacity() + self.ray_offsets.capacity()) * size_of::<usize>()
+            + (self.feats.capacity() + self.dir_sims.capacity()) * size_of::<f32>()
     }
 
     /// Channels aggregated per view.

@@ -22,7 +22,7 @@ use gen_nerf_geometry::Vec3;
 use gen_nerf_nn::attention::{AttnScratch, SelfAttention};
 use gen_nerf_nn::init::Rng;
 use gen_nerf_nn::layers::{mse_loss, Linear, Param, Relu};
-use gen_nerf_nn::mixer::RayMixer;
+use gen_nerf_nn::mixer::{MixerScratch, RayMixer};
 use gen_nerf_nn::Tensor2;
 use serde::{Deserialize, Serialize};
 
@@ -246,12 +246,30 @@ impl RayModule {
         rays_f_sigma: &[Tensor2],
         scratch: &mut RayModuleScratch,
     ) -> Vec<Vec<f32>> {
-        let live: Vec<usize> = (0..rays_f_sigma.len())
-            .filter(|&i| rays_f_sigma[i].rows() > 0)
-            .collect();
-        let mut out: Vec<Vec<f32>> = vec![Vec::new(); rays_f_sigma.len()];
-        if live.is_empty() {
-            return out;
+        self.forward_inference_stacked(rays_f_sigma, scratch);
+        let mut offset = 0;
+        rays_f_sigma
+            .iter()
+            .map(|t| {
+                let logits = (offset..offset + t.rows())
+                    .map(|k| scratch.logits[(k, 0)])
+                    .collect();
+                offset += t.rows();
+                logits
+            })
+            .collect()
+    }
+
+    /// The batched inference proper: leaves every point's density
+    /// logit in `scratch.logits`, one row per point, stacked ray-major
+    /// in input order (empty rays contribute no rows) — so row `k` is
+    /// the chunk's `k`-th point and the fused forward reads it without
+    /// a per-ray copy.
+    fn forward_inference_stacked(&self, rays_f_sigma: &[Tensor2], scratch: &mut RayModuleScratch) {
+        let total: usize = rays_f_sigma.iter().map(|t| t.rows()).sum();
+        if total == 0 {
+            scratch.logits.reset_zeroed(0, 1);
+            return;
         }
         match self {
             RayModule::Transformer { attn, proj } => {
@@ -261,66 +279,67 @@ impl RayModule {
                 // row-independent: batch them across the chunk's rays
                 // and chain the density projection as one more fused
                 // GEMM over the stacked output.
-                let refs: Vec<&Tensor2> = live.iter().map(|&i| &rays_f_sigma[i]).collect();
+                let refs: Vec<&Tensor2> = rays_f_sigma.iter().filter(|t| t.rows() > 0).collect();
                 attn.forward_inference_batch_into(&refs, &mut scratch.attn);
                 proj.forward_into(&scratch.attn.out, &mut scratch.logits);
-                let mut offset = 0;
-                for &i in &live {
-                    let n = rays_f_sigma[i].rows();
-                    out[i] = (0..n).map(|k| scratch.logits[(offset + k, 0)]).collect();
-                    offset += n;
-                }
             }
             RayModule::Mixer(mixer) => {
                 // Token phase: one GEMM per distinct ray length (a
-                // uniform chunk is a single group), preserving ray
-                // order for the fused channel/projection phase.
-                let mut by_len: std::collections::BTreeMap<usize, Vec<usize>> =
-                    std::collections::BTreeMap::new();
-                for (slot, &i) in live.iter().enumerate() {
-                    by_len.entry(rays_f_sigma[i].rows()).or_default().push(slot);
-                }
-                let mut fs: Vec<Option<Tensor2>> = vec![None; live.len()];
-                for (_, slots) in by_len {
-                    let group: Vec<&Tensor2> =
-                        slots.iter().map(|&s| &rays_f_sigma[live[s]]).collect();
-                    for (slot, f) in slots.iter().zip(mixer.mix_tokens_inference_group(&group)) {
-                        fs[*slot] = Some(f);
+                // uniform chunk is a single group), each ray's mixed
+                // features written at its own stacked offset so ray
+                // order survives for the fused channel/projection
+                // phase.
+                let RayModuleScratch {
+                    logits,
+                    stacked,
+                    mixer: mscratch,
+                    offsets,
+                    by_len,
+                    ..
+                } = scratch;
+                offsets.clear();
+                by_len.clear();
+                let mut acc = 0;
+                for (i, t) in rays_f_sigma.iter().enumerate() {
+                    offsets.push(acc);
+                    acc += t.rows();
+                    if t.rows() > 0 {
+                        by_len.push(i);
                     }
                 }
-                let fs: Vec<Tensor2> = fs.into_iter().map(|f| f.unwrap()).collect();
-                let logits = mixer.finish_inference(&Tensor2::vstack(&fs));
-                let mut offset = 0;
-                for (&i, f) in live.iter().zip(&fs) {
-                    let n = f.rows();
-                    out[i] = (0..n).map(|k| logits[(offset + k, 0)]).collect();
-                    offset += n;
+                by_len.sort_unstable_by_key(|&i| (rays_f_sigma[i].rows(), i));
+                stacked.reset_zeroed(total, mixer.dim());
+                for group in
+                    by_len.chunk_by(|&a, &b| rays_f_sigma[a].rows() == rays_f_sigma[b].rows())
+                {
+                    mixer.mix_tokens_inference_group_into(
+                        rays_f_sigma,
+                        group,
+                        offsets,
+                        mscratch,
+                        stacked,
+                    );
                 }
+                mixer.finish_inference_into(stacked, mscratch, logits);
             }
             RayModule::None { proj } => {
                 // Stack the live rays' rows into the reusable scratch
                 // tensor and project the whole chunk in one GEMM.
-                let total: usize = live.iter().map(|&i| rays_f_sigma[i].rows()).sum();
-                let d = rays_f_sigma[live[0]].cols();
+                let d = rays_f_sigma
+                    .iter()
+                    .find(|t| t.rows() > 0)
+                    .map_or(0, |t| t.cols());
                 scratch.stacked.reset_zeroed(total, d);
                 let mut r = 0;
-                for &i in &live {
-                    let t = &rays_f_sigma[i];
+                for t in rays_f_sigma {
                     for row in 0..t.rows() {
                         scratch.stacked.row_mut(r).copy_from_slice(t.row(row));
                         r += 1;
                     }
                 }
                 proj.forward_into(&scratch.stacked, &mut scratch.logits);
-                let mut offset = 0;
-                for &i in &live {
-                    let n = rays_f_sigma[i].rows();
-                    out[i] = (0..n).map(|k| scratch.logits[(offset + k, 0)]).collect();
-                    offset += n;
-                }
             }
         }
-        out
     }
 
     /// Backward pass from per-point logit gradients; returns the
@@ -367,17 +386,32 @@ pub struct MlpScratch {
     pub out: Tensor2,
 }
 
+#[cfg(test)]
+impl MlpScratch {
+    /// Bytes of heap the buffers retain.
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        self.h1.capacity_bytes() + self.h2.capacity_bytes() + self.out.capacity_bytes()
+    }
+}
+
 /// Reusable buffers for [`RayModule::forward_inference_batch_scratch`]
-/// (the attention temporaries of the transformer variant and the
-/// stacked projection inputs/outputs).
+/// (the attention temporaries of the transformer variant, the mixer's
+/// token-group operands and the stacked projection inputs/outputs).
 #[derive(Debug, Clone, Default)]
 pub struct RayModuleScratch {
     /// Attention temporaries (transformer variant).
     attn: AttnScratch,
     /// Stacked density logits of the chunk.
     logits: Tensor2,
-    /// Stacked feature rows (`None` variant).
+    /// Stacked feature rows (`None` variant) / mixed features `F`
+    /// (mixer variant).
     stacked: Tensor2,
+    /// Token-group and channel-phase temporaries (mixer variant).
+    mixer: MixerScratch,
+    /// Each ray's first stacked row (mixer variant).
+    offsets: Vec<usize>,
+    /// Live ray indices ordered by point count (mixer variant).
+    by_len: Vec<usize>,
 }
 
 /// Chunk-level scratch buffers for the fused cross-ray inference path
@@ -415,6 +449,34 @@ struct FusedScratch {
     f_sigma: Vec<Tensor2>,
     /// Ray-module temporaries.
     ray_module: RayModuleScratch,
+}
+
+#[cfg(test)]
+impl ForwardScratch {
+    /// Bytes of heap the buffers retain.
+    pub(crate) fn capacity_bytes(&self) -> usize {
+        let FusedScratch {
+            mlp,
+            blend_in,
+            blend,
+            weights,
+            f_sigma,
+            ray_module,
+        } = &self.fused;
+        self.staging.capacity_bytes()
+            + mlp.capacity_bytes()
+            + blend_in.capacity_bytes()
+            + blend.capacity_bytes()
+            + weights.capacity() * std::mem::size_of::<f32>()
+            + f_sigma.capacity() * std::mem::size_of::<Tensor2>()
+            + f_sigma.iter().map(Tensor2::capacity_bytes).sum::<usize>()
+            + ray_module.attn.capacity_bytes()
+            + ray_module.logits.capacity_bytes()
+            + ray_module.stacked.capacity_bytes()
+            + ray_module.mixer.capacity_bytes()
+            + (ray_module.offsets.capacity() + ray_module.by_len.capacity())
+                * std::mem::size_of::<usize>()
+    }
 }
 
 /// Inference output for one ray.
@@ -678,9 +740,9 @@ impl GenNerfModel {
                 slice.row_mut(r).copy_from_slice(&y.row(k)[..d_sigma]);
             }
         }
-        let logits_per_ray = self
-            .ray_module
-            .forward_inference_batch_scratch(&f_sigma[..n_rays], ray_module);
+        self.ray_module
+            .forward_inference_stacked(&f_sigma[..n_rays], ray_module);
+        let logits = &ray_module.logits;
 
         // One blend-head GEMM over every valid (point, view) pair of
         // the chunk (ray-major, point-major, view-ascending), replacing
@@ -705,18 +767,18 @@ impl GenNerfModel {
         // reduction order as `blend_color`), add the RGB residual.
         let mut outputs = Vec::with_capacity(n_rays);
         let mut pair = 0;
-        for (i, logits) in logits_per_ray.iter().enumerate() {
+        for i in 0..n_rays {
             let range = points.ray_range(i);
             let mut densities = Vec::with_capacity(range.len());
             let mut colors = Vec::with_capacity(range.len());
-            for (kk, k) in range.enumerate() {
+            for k in range {
                 let m = points.n_valid(k);
                 if m == 0 {
                     densities.push(0.0);
                     colors.push(Vec3::ZERO);
                     continue;
                 }
-                densities.push(density_from_logit(logits[kk]));
+                densities.push(density_from_logit(logits[(k, 0)]));
                 let max = (pair..pair + m)
                     .map(|p| blend_logits[(p, 0)])
                     .fold(f32::NEG_INFINITY, f32::max);

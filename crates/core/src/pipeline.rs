@@ -10,9 +10,9 @@
 //! (directions and clip ranges in parallel vectors, indexed by the
 //! row-major pixel id), and [`Renderer`] maps a per-ray shading program
 //! over the batch with [`gen_nerf_parallel`]'s deterministic fork–join:
-//! contiguous ray chunks go to worker threads, each worker accumulates
-//! a private [`RenderStats`], and chunk results are merged in ray
-//! order.
+//! each worker thread takes one contiguous ray range and walks it in
+//! cache-sized **tiles** (below), every tile accumulates a private
+//! [`RenderStats`], and tile results are merged in ray order.
 //!
 //! Parallel safety comes from [`GenNerfModel`]'s `&self` inference path
 //! (no activation caching), so all workers share one model borrow.
@@ -21,7 +21,7 @@
 //! * every per-ray random stream is seeded from `(render seed, ray
 //!   index)` — never shared across rays — so a ray's samples do not
 //!   depend on which thread ran it or in what order;
-//! * per-chunk stats are plain integer sums merged in chunk order.
+//! * per-tile stats are plain integer sums merged in tile order.
 //!
 //! Together these make the output bit-for-bit identical for any worker
 //! count, including one; `tests/batch_parallel_regression.rs` pins
@@ -29,25 +29,40 @@
 //! (the `GEN_NERF_THREADS` environment variable) and can be pinned per
 //! renderer with [`Renderer::with_threads`].
 //!
-//! # The fused chunk schedule (default)
+//! # The fused tile schedule (default)
 //!
-//! Within each worker's chunk, shading runs as a two-phase schedule
-//! instead of a per-ray program: **aggregate** every ray of the chunk
-//! into the worker's SoA [`AggregateArena`] (zero heap allocations in
-//! steady state; see `crate::features`), then **one fused forward**
+//! A worker never pushes its whole ray range through one GEMM chain:
+//! it cuts the range into **ray tiles** of at most `TILE_POINTS`
+//! sample points (`Renderer::fan_out`; the budget's derivation is on
+//! the constant) and runs the full stage chain on one tile before
+//! touching the next — the software twin of the point *patches*
+//! `gen_nerf_accel::scheduler` cuts a frame into so that a patch and
+//! its features stay on chip from feature acquisition to the last MLP
+//! layer. Here the chip is the core's L2: a tile's stats, activation
+//! and blend matrices are written and read back while still resident,
+//! where a monolithic chunk (≈ 25 MB for a 48×48 coarse-then-focus
+//! frame on one thread) streamed every layer's operands through DRAM.
+//!
+//! Within a tile, shading is a three-phase schedule instead of a
+//! per-ray program: **aggregate** every ray of the tile into the
+//! worker's SoA [`AggregateArena`] (zero heap allocations in steady
+//! state; see `crate::features`), then **one fused forward**
 //! ([`GenNerfModel::forward_rays_arena`] — a single point-MLP GEMM and
-//! a single blend-head GEMM for the whole chunk, the software analog
+//! a single blend-head GEMM for the whole tile, the software analog
 //! of the paper's PE pool, reading the arena's stats matrix as the
 //! GEMM operand **in place**), then a per-ray **composite** through
 //! per-worker scratch buffers. The arena, the forward scratch and the
 //! composite buffers live in a thread-local worker scratch, so a
-//! persistent [`Pool`] worker keeps them warm across frames. Because
-//! the dense GEMM kernel makes output rows independent of their batch
-//! (k-order accumulation, see `gen_nerf_nn::tensor` — a contract every
-//! SIMD kernel backend upholds; see `gen_nerf_nn::kernels`), the fused
-//! schedule is bit-for-bit identical to the per-ray path for any
-//! chunking — which is also what keeps the thread-count determinism
-//! above intact. The per-ray reference path survives behind
+//! persistent [`Pool`] worker keeps them warm across frames — and
+//! since they only ever hold one tile, their size is bounded by the
+//! tile budget ([`WORKER_SCRATCH_BYTES`]), not by the frame or the
+//! batch. Because the dense GEMM kernel makes output rows independent
+//! of their batch (k-order accumulation, see `gen_nerf_nn::tensor` — a
+//! contract every SIMD kernel backend upholds; see
+//! `gen_nerf_nn::kernels`), the fused schedule is bit-for-bit
+//! identical to the per-ray path for any tiling — which is also what
+//! keeps the thread-count determinism above intact. The per-ray
+//! reference path survives behind
 //! [`Renderer::with_fused`]`(false)` for regression pinning
 //! (`tests/fused_forward_regression.rs`) and perf comparison
 //! (`gen-nerf-bench`'s `perf_report`).
@@ -56,9 +71,10 @@
 //!
 //! The same batch-independence contract lifts the fused schedule from
 //! one frame to *many*: [`Renderer::render_frames`] concatenates the
-//! ray domains of several cameras and chunks the union, so rays of
+//! ray domains of several cameras and tiles the union, so rays of
 //! small concurrent frames share fused GEMMs that a single small frame
-//! could not fill. Each ray keeps its frame-local index for RNG
+//! could not fill (tiles straddle frame boundaries freely). Each ray
+//! keeps its frame-local index for RNG
 //! seeding and each frame keeps a private [`RenderStats`], so the
 //! output of every frame is bit-for-bit what a solo
 //! [`Renderer::render`] call would produce — `gen-nerf-serve` builds
@@ -76,8 +92,8 @@
 //!   approximation.
 //! * [`Renderer::with_pool`] swaps the per-call scoped-thread fan-out
 //!   for a persistent [`gen_nerf_parallel::Pool`], sparing a
-//!   steady-state serving loop the spawn/join tax per frame. Chunk
-//!   geometry is identical either way, so the executor never changes
+//!   steady-state serving loop the spawn/join tax per frame. Results
+//!   do not depend on tile geometry, so the executor never changes
 //!   pixels.
 //!
 //! # Output integrity
@@ -120,7 +136,7 @@ use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Reusable buffers for the per-ray composite phase of the fused chunk
+/// Reusable buffers for the per-ray composite phase of the fused tile
 /// schedule: one instance per worker replaces the interval-widths and
 /// hitting-weights `Vec`s the allocating [`composite`] pays per ray.
 #[derive(Debug, Clone, Default)]
@@ -152,6 +168,26 @@ thread_local! {
     static WORKER_SCRATCH: RefCell<WorkerScratch> = RefCell::new(WorkerScratch::default());
 }
 
+#[cfg(test)]
+impl WorkerScratch {
+    /// Bytes of heap the scratch retains between tiles.
+    fn capacity_bytes(&self) -> usize {
+        self.arena.capacity_bytes()
+            + self.forward.capacity_bytes()
+            + self.coarse.capacity_bytes()
+            + (self.composite.deltas.capacity() + self.composite.weights.capacity())
+                * std::mem::size_of::<f32>()
+    }
+}
+
+/// Bytes of heap the calling thread's worker scratch retains — bounded
+/// by the tile budget, not by the frames rendered (pinned against
+/// [`WORKER_SCRATCH_BYTES`] by a unit test).
+#[cfg(test)]
+fn worker_scratch_retained_bytes() -> usize {
+    with_worker_scratch(|ws| ws.capacity_bytes())
+}
+
 /// Runs `f` with the calling worker's persistent scratch.
 fn with_worker_scratch<R>(f: impl FnOnce(&mut WorkerScratch) -> R) -> R {
     WORKER_SCRATCH.with(|s| f(&mut s.borrow_mut()))
@@ -160,9 +196,10 @@ fn with_worker_scratch<R>(f: impl FnOnce(&mut WorkerScratch) -> R) -> R {
 // ---- registry handles (cold registration, cached forever) ------------
 
 /// Per-stage render-time histogram (`stage` ∈ coarse | focus |
-/// composite). Timings are recorded per *chunk* (hundreds of rays), so
-/// the observation cost disappears into the chunk's work; with
-/// telemetry disabled the `Instant` reads are skipped entirely.
+/// composite). `focus` and `composite` are observed once per *tile*
+/// (≈ 1 K sample points, tens of rays — a few hundred microseconds of
+/// work against two `Instant` reads), `coarse` once per Step ① fan-out;
+/// with telemetry disabled the `Instant` reads are skipped entirely.
 fn stage_hist(stage: &'static str) -> gen_nerf_telemetry::Histogram {
     use std::sync::OnceLock;
     static COARSE: OnceLock<gen_nerf_telemetry::Histogram> = OnceLock::new();
@@ -176,7 +213,8 @@ fn stage_hist(stage: &'static str) -> gen_nerf_telemetry::Histogram {
     *cell.get_or_init(|| gen_nerf_telemetry::histogram("render_stage_ns", &[("stage", stage)]))
 }
 
-/// Fused-schedule chunk counter (chunks executed across all workers).
+/// Fused-schedule tile counter (focus/uniform tiles executed across
+/// all workers; the name predates the tile schedule).
 fn chunks_counter() -> gen_nerf_telemetry::Counter {
     use std::sync::OnceLock;
     static C: OnceLock<gen_nerf_telemetry::Counter> = OnceLock::new();
@@ -184,7 +222,7 @@ fn chunks_counter() -> gen_nerf_telemetry::Counter {
 }
 
 /// Arena fill stats: total points aggregated into worker arenas, plus
-/// a per-chunk fill-size histogram.
+/// a per-tile fill-size histogram.
 fn arena_points_counter() -> gen_nerf_telemetry::Counter {
     use std::sync::OnceLock;
     static C: OnceLock<gen_nerf_telemetry::Counter> = OnceLock::new();
@@ -197,14 +235,39 @@ fn arena_fill_hist() -> gen_nerf_telemetry::Histogram {
     *H.get_or_init(|| gen_nerf_telemetry::histogram("core_arena_fill_points", &[]))
 }
 
+/// Sample-point budget of one ray tile (see [`Renderer::fan_out`]) —
+/// sized so a tile's buffers stay L2-resident from aggregation to
+/// composite. Per point, `ModelConfig::fast()` keeps ≈ 0.9 KB live in
+/// the worker scratch (stats row 26 floats, point-MLP activations
+/// 48 + 48 + 19, `f^σ` and the mixer's operands 5 × 16) plus ≈ 0.1 KB
+/// per source view (color, blend input and the blend head's
+/// 2 + 8 + 8 + 1 activations per valid pair): 1.5–1.9 KB at 6–8 views.
+/// Half of a 4 MiB L2 — the other half is left to the source feature
+/// maps the aggregation gathers from — holds ≈ 1 K such points, i.e.
+/// 64 rays at 16 points per ray.
+const TILE_POINTS: usize = 1024;
+
+/// Upper bound on the heap one render worker's scratch retains, for
+/// any frame size or batch: the renderer shades one ray tile of at
+/// most 1 K sample points at a time, so the scratch stops growing at
+/// one tile's buffers — 1.6 MB measured at 4 source views with
+/// `ModelConfig::fast()`, ≈ 0.1 MB more per extra view — rounded up to
+/// leave `Vec` growth its slack. A unit test pins the retained
+/// capacity under it; the serve tier's memory governor reserves this
+/// much per render worker.
+pub const WORKER_SCRATCH_BYTES: usize = 4 << 20;
+
 /// Ceiling on steady-state fused-schedule heap allocations per frame
 /// on the canonical `perf_report` workload (32×32 frame, uniform
-/// n = 12, one inline thread). The arena acquisition path landed at
-/// ~22 k (from 114,349 pre-arena); two gates enforce the ceiling —
+/// n = 12, one inline thread): the measured 2,122 plus 25 % headroom.
+/// What is left is per ray (its depths and its output vectors) and
+/// per tile (result vectors); the 21,698 before were mostly a `String`
+/// per `FlopsCounter::add`, two adds per point — the regression this
+/// ceiling exists to catch. Two gates enforce it —
 /// `tests/arena_regression.rs` in the test suite and `perf_report`
 /// (which exits non-zero past it) in CI — both reading this constant,
 /// so they can never drift apart.
-pub const STEADY_STATE_ALLOC_CEILING: u64 = 40_000;
+pub const STEADY_STATE_ALLOC_CEILING: u64 = 2_650;
 
 /// Instrumentation collected while rendering one image.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -655,7 +718,7 @@ impl<'a> Renderer<'a> {
     }
 
     /// Selects the inference schedule: `true` (the default) renders
-    /// through the fused chunk schedule
+    /// through the fused tile schedule
     /// ([`GenNerfModel::forward_rays`]); `false` selects the per-ray
     /// reference path. Output and stats are bit-for-bit identical
     /// either way — the flag exists for regression pinning and
@@ -675,7 +738,7 @@ impl<'a> Renderer<'a> {
     }
 
     /// Attaches a cooperative [`CancelToken`]: render workers poll it
-    /// at every per-ray boundary of every chunk and, once it fires,
+    /// at every per-ray boundary of every tile and, once it fires,
     /// stop evaluating the model — remaining rays resolve to the
     /// background color, so output buffers keep their full shape but
     /// the fan-out (and the [`Pool`] slice running it) drains within
@@ -739,7 +802,7 @@ impl<'a> Renderer<'a> {
     }
 
     /// Renders several cameras as **one** fused workload: the frames'
-    /// ray domains are concatenated and chunked together, so
+    /// ray domains are concatenated and tiled together, so
     /// concurrent small frames fill fused GEMM batches a lone frame
     /// could not. Every frame's image and stats are bit-for-bit
     /// identical to a solo [`Renderer::render`] of that camera (the
@@ -817,6 +880,7 @@ impl<'a> Renderer<'a> {
                 );
                 let px = self.shade_frames_fused(
                     &set,
+                    |_, _| n,
                     |f, j| set.batches[f].ranges[j].map(|(t0, t1)| Ray::uniform_depths(t0, t1, n)),
                     stats,
                 );
@@ -949,19 +1013,48 @@ impl<'a> Renderer<'a> {
         Rng::seed_from(mix_seed(self.base_seed, j as u64))
     }
 
-    /// Fans `f` out over contiguous chunks of `0..n`, in chunk order —
-    /// via the attached persistent [`Pool`] when present, otherwise
-    /// scoped threads. Both executors use identical chunk geometry, so
-    /// the choice never changes results.
-    fn fan_out<R, F>(&self, n: usize, f: F) -> Vec<R>
+    /// Fans `f` out over `0..n` as **ray tiles**: each worker gets one
+    /// contiguous range (via the attached persistent [`Pool`] when
+    /// present, otherwise scoped threads) and walks it in tiles of at
+    /// most [`TILE_POINTS`] sample points, `points_of(ray)` giving each
+    /// ray's count — a ray is indivisible, so a tile always takes at
+    /// least one. Returns one result per tile in range order, so
+    /// callers merge exactly as they would per-worker chunks. Tile
+    /// geometry never changes results (GEMM rows are batch-independent
+    /// and every per-ray decision is a function of the ray index), so
+    /// neither does the executor or the worker count.
+    fn fan_out<R, P, F>(&self, n: usize, points_of: P, f: F) -> Vec<R>
     where
         R: Send,
+        P: Fn(usize) -> usize + Sync,
         F: Fn(usize, usize) -> R + Sync,
     {
-        match self.pool {
-            Some(pool) => pool.run_chunks(n, self.threads, f),
-            None => par_chunk_ranges(n, self.threads, f),
-        }
+        let walk = |start: usize, end: usize| {
+            let mut tiles = Vec::new();
+            let mut s = start;
+            while s < end {
+                // A ray with nothing to sample still costs its
+                // per-ray bookkeeping, so it counts as one point and
+                // a run of misses cannot grow a tile without bound.
+                let mut points = points_of(s).max(1);
+                let mut e = s + 1;
+                while e < end {
+                    points += points_of(e).max(1);
+                    if points > TILE_POINTS {
+                        break;
+                    }
+                    e += 1;
+                }
+                tiles.push(f(s, e));
+                s = e;
+            }
+            tiles
+        };
+        let per_worker: Vec<Vec<R>> = match self.pool {
+            Some(pool) => pool.run_chunks(n, self.threads, walk),
+            None => par_chunk_ranges(n, self.threads, walk),
+        };
+        per_worker.into_iter().flatten().collect()
     }
 
     /// Maps `shade` over every ray of the batch, fanning contiguous
@@ -971,7 +1064,8 @@ impl<'a> Renderer<'a> {
     where
         F: Fn(usize, &mut RenderStats) -> Vec3 + Sync,
     {
-        let chunks = self.fan_out(n_rays, |start, end| {
+        let per_ray = |_| self.strategy.avg_points_per_ray();
+        let chunks = self.fan_out(n_rays, per_ray, |start, end| {
             let mut local = RenderStats::default();
             let colors: Vec<Vec3> = (start..end)
                 .map(|j| {
@@ -1022,25 +1116,33 @@ impl<'a> Renderer<'a> {
         pixels
     }
 
-    /// The fused two-phase chunk schedule over a whole frame set:
-    /// per chunk (which may span frames), `depths_for(frame, ray)`
-    /// picks each ray's samples (`None` → background), phase 1
-    /// aggregates every ray of the chunk, phase 2 runs **one** fused
-    /// forward for the whole chunk, phase 3 composites per ray.
+    /// The fused tile schedule over a whole frame set: tiles are cut
+    /// by `points_of(frame, ray)` (each ray's sample count, known
+    /// before shading) and may span frames; per tile,
+    /// `depths_for(frame, ray)` picks each ray's samples (`None` →
+    /// background), phase 1 aggregates every ray of the tile, phase 2
+    /// runs **one** fused forward for the whole tile, phase 3
+    /// composites per ray.
     /// Bit-identical to shading each frame alone (GEMM rows are
     /// batch-independent) and to [`Renderer::shade_batch`] over
     /// [`Renderer::eval_points`] with the same depth choice.
-    fn shade_frames_fused<D>(
+    fn shade_frames_fused<P, D>(
         &self,
         set: &FrameSet,
+        points_of: P,
         depths_for: D,
         stats: &mut [RenderStats],
     ) -> Vec<Vec<Vec3>>
     where
+        P: Fn(usize, usize) -> usize + Sync,
         D: Fn(usize, usize) -> Option<Vec<f32>> + Sync,
     {
         let d = self.d_channels();
-        let chunks = self.fan_out(set.total(), |start, end| {
+        let tile_points = |g: usize| {
+            let (f, j) = set.locate(g);
+            points_of(f, j)
+        };
+        let chunks = self.fan_out(set.total(), tile_points, |start, end| {
             with_worker_scratch(|ws| {
                 let telemetry = gen_nerf_telemetry::enabled();
                 let t_chunk = telemetry.then(std::time::Instant::now);
@@ -1153,21 +1255,21 @@ impl<'a> Renderer<'a> {
         valid_counts: impl Iterator<Item = usize>,
         stats: &mut RenderStats,
     ) {
-        let d = self.d_channels();
-        for m in valid_counts {
-            stats.feature_fetches += 4 * m as u64;
-            stats
-                .flops
-                .add("acquire", m as u64 * flops::bilinear_fetch(1, d));
-            // Blend head runs per valid view.
-            stats
-                .flops
-                .add("mlp", m as u64 * 2 * (2 * 8 + 8 * 8 + 8) as u64);
-        }
+        // One sum per ray, not one add per point: every term is linear
+        // in the valid-view count, so the totals are identical.
+        let valid: u64 = valid_counts.map(|m| m as u64).sum();
+        stats.feature_fetches += 4 * valid;
+        stats.flops.add(
+            "acquire",
+            valid * flops::bilinear_fetch(1, self.d_channels()),
+        );
         stats.points += n as u64;
-        stats
-            .flops
-            .add("mlp", n as u64 * 2 * self.model.config.mlp_macs_per_point());
+        // Blend head runs per valid view, the point MLP per point.
+        stats.flops.add(
+            "mlp",
+            valid * 2 * (2 * 8 + 8 * 8 + 8) as u64
+                + n as u64 * 2 * self.model.config.mlp_macs_per_point(),
+        );
         stats
             .flops
             .add("ray_module", 2 * self.model.config.ray_module_macs(n));
@@ -1297,9 +1399,9 @@ impl<'a> Renderer<'a> {
         pixels
     }
 
-    /// Hierarchical sampling on the fused chunk schedule over a frame
-    /// set: two fused forwards per chunk (coarse then fine) instead of
-    /// two GEMM chains per ray, with chunks free to span frames.
+    /// Hierarchical sampling on the fused tile schedule over a frame
+    /// set: two fused forwards per tile (coarse then fine) instead of
+    /// two GEMM chains per ray, with tiles free to span frames.
     fn render_hierarchical_frames(
         &self,
         set: &FrameSet,
@@ -1308,7 +1410,8 @@ impl<'a> Renderer<'a> {
         stats: &mut [RenderStats],
     ) -> Vec<Vec<Vec3>> {
         let d = self.d_channels();
-        let chunks = self.fan_out(set.total(), |start, end| {
+        let per_pass = |_| n_coarse.max(n_fine);
+        let chunks = self.fan_out(set.total(), per_pass, |start, end| {
             with_worker_scratch(|ws| {
                 let mut local = vec![RenderStats::default(); set.n_frames()];
                 // Coarse phase: SoA-aggregate the chunk into the
@@ -1473,7 +1576,7 @@ impl<'a> Renderer<'a> {
         }
 
         // Step ①: lightweight coarse sampling, fused across every
-        // frame that did not import a coarse pass. All of a chunk's
+        // frame that did not import a coarse pass. All of a tile's
         // rays go through one coarse GEMM chain.
         let needs: Vec<usize> = (0..set.n_frames())
             .filter(|&f| cached[f].is_none())
@@ -1489,7 +1592,8 @@ impl<'a> Renderer<'a> {
             (needs[i], g - sub_off[i])
         };
         let t_coarse = gen_nerf_telemetry::enabled().then(std::time::Instant::now);
-        let coarse_chunks = self.fan_out(sub_total, |start, end| {
+        let per_ray = |_| n_coarse;
+        let coarse_chunks = self.fan_out(sub_total, per_ray, |start, end| {
             with_worker_scratch(|ws| {
                 let mut local = vec![RenderStats::default(); set.n_frames()];
                 // Coarse SoA aggregation into the worker arena (the
@@ -1513,13 +1617,11 @@ impl<'a> Renderer<'a> {
                     let depths = Ray::uniform_depths(t0, t1, n_coarse);
                     aggregate_ray_into(&batch.rays[j], &depths, coarse_sources, dc, &mut ws.arena);
                     let range = ws.arena.ray_range(g - start);
-                    for k in range.clone() {
-                        let m = ws.arena.n_valid(k) as u64;
-                        local[f].feature_fetches += 4 * m;
-                        local[f]
-                            .flops
-                            .add("acquire", m * flops::bilinear_fetch(1, dc));
-                    }
+                    let valid: u64 = range.clone().map(|k| ws.arena.n_valid(k) as u64).sum();
+                    local[f].feature_fetches += 4 * valid;
+                    local[f]
+                        .flops
+                        .add("acquire", valid * flops::bilinear_fetch(1, dc));
                     local[f].coarse_points += range.len() as u64;
                     local[f].flops.add(
                         "mlp",
@@ -1613,6 +1715,7 @@ impl<'a> Renderer<'a> {
         // across every frame.
         let pixels = self.shade_frames_fused(
             set,
+            |f, j| counts[f][j],
             |f, j| {
                 let (t0, t1) = set.batches[f].ranges[j]?;
                 if counts[f][j] == 0 {
@@ -1651,7 +1754,8 @@ impl<'a> Renderer<'a> {
         let dc = self.model.config.coarse_channels;
 
         // Step ①: lightweight coarse sampling for every ray.
-        let coarse_chunks = self.fan_out(n_rays, |start, end| {
+        let per_ray = |_| n_coarse;
+        let coarse_chunks = self.fan_out(n_rays, per_ray, |start, end| {
             let mut local = RenderStats::default();
             let mut depths_per: Vec<Vec<f32>> = Vec::with_capacity(end - start);
             let mut aggs_per: Vec<Vec<PointAggregate>> = Vec::with_capacity(end - start);
@@ -1670,12 +1774,11 @@ impl<'a> Renderer<'a> {
                     .iter()
                     .map(|&t| aggregate_point(ray.at(t), ray.direction, coarse_sources, dc))
                     .collect();
-                for a in &aggs {
-                    local.feature_fetches += 4 * a.n_valid as u64;
-                    local
-                        .flops
-                        .add("acquire", a.n_valid as u64 * flops::bilinear_fetch(1, dc));
-                }
+                let valid: u64 = aggs.iter().map(|a| a.n_valid as u64).sum();
+                local.feature_fetches += 4 * valid;
+                local
+                    .flops
+                    .add("acquire", valid * flops::bilinear_fetch(1, dc));
                 local.coarse_points += aggs.len() as u64;
                 local.flops.add(
                     "mlp",
@@ -2111,6 +2214,41 @@ mod tests {
         assert_eq!(stats2[0].coarse_points, 0);
         assert!(stats[0].coarse_points > 0);
         assert!(stats2[0].flops.total() < stats[0].flops.total());
+    }
+
+    #[test]
+    fn worker_scratch_is_bounded_by_the_tile_not_the_frame() {
+        use gen_nerf_geometry::{Intrinsics, Pose};
+        let (ds, sources, model) = setup();
+        let pose = Pose::look_at(Vec3::new(3.4, 1.1, 0.9), Vec3::ZERO, Vec3::Y);
+        // The benchmark's strategies at its sampling rates.
+        for strategy in [
+            SamplingStrategy::Uniform { n: 16 },
+            SamplingStrategy::coarse_then_focus(16, 12),
+        ] {
+            let r = Renderer::new(
+                &model,
+                &sources,
+                strategy,
+                ds.scene.bounds,
+                ds.scene.background,
+            )
+            .with_threads(1);
+            // One thread renders inline, so this thread's scratch is
+            // the worker's. A 9× larger frame walks 9× more tiles
+            // through the same buffers.
+            let retained = |side: u32| {
+                r.render(&Camera::new(Intrinsics::from_fov(side, side, 0.6), pose));
+                worker_scratch_retained_bytes()
+            };
+            let small = retained(32);
+            let large = retained(96);
+            if !strategy.is_nonuniform() {
+                // Every full tile is the same size: nothing grew.
+                assert_eq!(small, large, "{strategy:?}");
+            }
+            assert!(large <= WORKER_SCRATCH_BYTES, "{strategy:?}: {large} B");
+        }
     }
 
     #[test]

@@ -30,6 +30,24 @@ pub struct AttnScratch {
     pub out: Tensor2,
 }
 
+impl AttnScratch {
+    /// Bytes of heap the buffers retain.
+    pub fn capacity_bytes(&self) -> usize {
+        [
+            &self.x_all,
+            &self.q,
+            &self.k,
+            &self.v,
+            &self.scores,
+            &self.ctx_all,
+            &self.out,
+        ]
+        .iter()
+        .map(|t| t.capacity_bytes())
+        .sum()
+    }
+}
+
 /// Single-head self-attention with a residual connection:
 /// `Y = X + softmax(XWq (XWk)ᵀ / √d_k) · XWv · Wo`.
 #[derive(Debug, Clone, Serialize, Deserialize)]

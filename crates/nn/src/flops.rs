@@ -54,9 +54,16 @@ impl FlopsCounter {
         Self::default()
     }
 
-    /// Adds `flops` to the named bucket.
+    /// Adds `flops` to the named bucket. Only the first add to a new
+    /// bucket allocates (its key); the render loops call this per ray
+    /// per tile, so an existing bucket must stay a plain map probe.
     pub fn add(&mut self, bucket: &str, flops: u64) {
-        *self.buckets.entry(bucket.to_string()).or_insert(0) += flops;
+        match self.buckets.get_mut(bucket) {
+            Some(v) => *v += flops,
+            None => {
+                self.buckets.insert(bucket.to_string(), flops);
+            }
+        }
     }
 
     /// Total across all buckets.
@@ -87,7 +94,7 @@ impl FlopsCounter {
     /// Merges another counter into this one.
     pub fn merge(&mut self, other: &Self) {
         for (k, v) in &other.buckets {
-            *self.buckets.entry(k.clone()).or_insert(0) += v;
+            self.add(k, *v);
         }
     }
 }

@@ -29,6 +29,33 @@ pub struct RayMixer {
     cache: Option<()>,
 }
 
+/// Reusable buffers for the mixer's batched inference
+/// ([`RayMixer::mix_tokens_inference_group_into`] /
+/// [`RayMixer::finish_inference_into`]): one instance per render
+/// worker replaces the per-group operand tensors and the three
+/// allocating layers of the channel/projection phase.
+#[derive(Debug, Clone, Default)]
+pub struct MixerScratch {
+    /// Live `n × n` block of `W₁` and its bias slice.
+    sub_w: Tensor2,
+    sub_b: Tensor2,
+    /// Stacked transposed features of one token group and their mix.
+    xt: Tensor2,
+    ht: Tensor2,
+    /// `F + φ(W₂ F)`, the projection's input.
+    g: Tensor2,
+}
+
+impl MixerScratch {
+    /// Bytes of heap the buffers retain.
+    pub fn capacity_bytes(&self) -> usize {
+        [&self.sub_w, &self.sub_b, &self.xt, &self.ht, &self.g]
+            .iter()
+            .map(|t| t.capacity_bytes())
+            .sum()
+    }
+}
+
 impl RayMixer {
     /// Creates a mixer for rays of exactly `n_points` samples with
     /// `dim`-wide density features.
@@ -137,21 +164,30 @@ impl RayMixer {
     }
 
     /// The token-mixing phase for a *group* of rays sharing one point
-    /// count: every ray's transposed features stack into a single
-    /// GEMM against the live `n × n` block of `W₁`, so a chunk of
-    /// equal-length rays pays one token GEMM instead of one per ray.
-    /// Per-ray results are bit-identical to
+    /// count, through reusable scratch: every member's transposed
+    /// features stack into a single GEMM against the live `n × n`
+    /// block of `W₁`, so a tile of equal-length rays pays one token
+    /// GEMM instead of one per ray. Member `rays[i]`'s mixed features
+    /// land in rows `offsets[i]..offsets[i] + n` of `f_out` (which the
+    /// caller has sized). Per-ray results are bit-identical to
     /// [`RayMixer::mix_tokens_inference`] (GEMM rows are independent
     /// of their batch; bias/ReLU/residual are element-wise).
     ///
     /// # Panics
     ///
-    /// Panics when rays disagree in length or exceed `n_points`.
-    pub fn mix_tokens_inference_group(&self, xs: &[&Tensor2]) -> Vec<Tensor2> {
-        let Some(first) = xs.first() else {
-            return Vec::new();
+    /// Panics when members disagree in length or exceed `n_points`.
+    pub fn mix_tokens_inference_group_into(
+        &self,
+        rays: &[Tensor2],
+        members: &[usize],
+        offsets: &[usize],
+        scratch: &mut MixerScratch,
+        f_out: &mut Tensor2,
+    ) {
+        let Some(&first) = members.first() else {
+            return;
         };
-        let n = first.rows();
+        let n = rays[first].rows();
         assert!(
             n <= self.n_points,
             "RayMixer built for {} points, got {}",
@@ -159,12 +195,28 @@ impl RayMixer {
             n
         );
         let d = self.dim();
-        let w1 = &self.token_fc.w.value;
-        let sub_w = Tensor2::from_fn(n, n, |r, c| w1[(r, c)]);
-        let sub_b = Tensor2::from_fn(1, n, |_, c| self.token_fc.b.value[(0, c)]);
-        // Stack every ray's xᵀ (d × n) into one (G·d × n) operand.
-        let mut xt = Tensor2::zeros(xs.len() * d, n);
-        for (g, x) in xs.iter().enumerate() {
+        let MixerScratch {
+            sub_w,
+            sub_b,
+            xt,
+            ht,
+            ..
+        } = scratch;
+        // Live n×n sub-block of W₁ and the matching bias slice.
+        sub_w.reset_zeroed(n, n);
+        for r in 0..n {
+            sub_w
+                .row_mut(r)
+                .copy_from_slice(&self.token_fc.w.value.row(r)[..n]);
+        }
+        sub_b.reset_zeroed(1, n);
+        sub_b
+            .row_mut(0)
+            .copy_from_slice(&self.token_fc.b.value.row(0)[..n]);
+        // Stack every member's xᵀ (d × n) into one (G·d × n) operand.
+        xt.reset_zeroed(members.len() * d, n);
+        for (g, &i) in members.iter().enumerate() {
+            let x = &rays[i];
             assert_eq!(x.rows(), n, "mixed ray lengths in one token group");
             for r in 0..n {
                 for (c, &v) in x.row(r).iter().enumerate() {
@@ -172,13 +224,18 @@ impl RayMixer {
                 }
             }
         }
-        let mut ht = xt.matmul(&sub_w);
-        ht.add_row_broadcast_in_place(&sub_b);
+        xt.matmul_into(sub_w, ht);
+        ht.add_row_broadcast_in_place(sub_b);
         ht.relu_in_place();
-        xs.iter()
-            .enumerate()
-            .map(|(g, x)| Tensor2::from_fn(n, d, |r, c| ht[(g * d + c, r)] + x[(r, c)]))
-            .collect()
+        for (g, &i) in members.iter().enumerate() {
+            let x = &rays[i];
+            for r in 0..n {
+                let out = f_out.row_mut(offsets[i] + r);
+                for (c, o) in out.iter_mut().enumerate() {
+                    *o = ht[(g * d + c, r)] + x[(r, c)];
+                }
+            }
+        }
     }
 
     /// The channel-mixing + projection phase of inference (Eq. 5):
@@ -187,11 +244,28 @@ impl RayMixer {
     /// this once for a whole chunk — the result rows are bit-identical
     /// to per-ray calls (the GEMM kernel's k-order contract).
     pub fn finish_inference(&self, f: &Tensor2) -> Tensor2 {
-        let c = self
-            .channel_act
-            .forward_inference(&self.channel_fc.forward_inference(f));
-        let g = f + &c;
-        self.proj.forward_inference(&g)
+        let mut scratch = MixerScratch::default();
+        let mut logits = Tensor2::default();
+        self.finish_inference_into(f, &mut scratch, &mut logits);
+        logits
+    }
+
+    /// [`RayMixer::finish_inference`] through reusable scratch, the
+    /// logits landing in `logits` — allocation-free once the buffers
+    /// have grown.
+    pub fn finish_inference_into(
+        &self,
+        f: &Tensor2,
+        scratch: &mut MixerScratch,
+        logits: &mut Tensor2,
+    ) {
+        let g = &mut scratch.g;
+        self.channel_fc.forward_into(f, g);
+        self.channel_act.forward_inference_in_place(g);
+        for (gv, &fv) in g.as_mut_slice().iter_mut().zip(f.as_slice()) {
+            *gv += fv;
+        }
+        self.proj.forward_into(g, logits);
     }
 
     /// Backward pass; accumulates parameter gradients and returns

@@ -124,6 +124,13 @@ impl Tensor2 {
         self.data.is_empty()
     }
 
+    /// Bytes of heap this tensor retains (its buffer's capacity, not
+    /// its current shape) — what a reused scratch tensor costs.
+    #[inline]
+    pub fn capacity_bytes(&self) -> usize {
+        self.data.capacity() * std::mem::size_of::<f32>()
+    }
+
     /// Raw data slice (row-major).
     #[inline]
     pub fn as_slice(&self) -> &[f32] {

@@ -92,6 +92,17 @@ impl Image {
     /// Bilinearly samples continuous pixel coordinates (border-clamped).
     pub fn sample(&self, uv: Vec2) -> Vec3 {
         let fp = BilinearFootprint::at(uv, self.width, self.height).expect("image is non-empty");
+        self.sample_footprint(&fp)
+    }
+
+    /// [`Image::sample`] through a footprint the caller already
+    /// computed for an image of these dimensions — lets one footprint
+    /// serve an image and the feature map encoded from it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a tap lies outside the image.
+    pub fn sample_footprint(&self, fp: &BilinearFootprint) -> Vec3 {
         let mut acc = Vec3::ZERO;
         for t in fp.taps {
             acc += self.get(t.x, t.y) * t.weight;

@@ -43,7 +43,7 @@
 //!   never reordered) and coalesces frames of sessions that share a
 //!   scene and strategy into **one** fused multi-frame render
 //!   ([`Renderer::render_frames_cached`](gen_nerf::pipeline::Renderer::render_frames_cached)),
-//!   so concurrent small requests fill the one-GEMM-per-chunk schedule a
+//!   so concurrent small requests fill the one-GEMM-per-tile schedule a
 //!   lone request cannot. The kernel batch-independence contract makes
 //!   this free of approximation: co-scheduled frames are bit-for-bit
 //!   what solo renders would produce.

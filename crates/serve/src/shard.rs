@@ -80,10 +80,12 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Fixed per-worker arena reservation charged against the process-wide
-/// memory governor when a shard spawns: scratch buffers, per-thread
-/// render state. Reserved once per shard (not per incarnation — a
-/// respawned worker reuses the same slice of the budget).
-pub(crate) const ARENA_BYTES_PER_WORKER: u64 = 1 << 20;
+/// memory governor when a shard spawns: the render worker's scratch,
+/// which the tile schedule bounds whatever the frame size or batch
+/// ([`pipeline::WORKER_SCRATCH_BYTES`], pinned by a unit test there).
+/// Reserved once per shard (not per incarnation — a respawned worker
+/// reuses the same slice of the budget).
+pub(crate) const ARENA_BYTES_PER_WORKER: u64 = pipeline::WORKER_SCRATCH_BYTES as u64;
 
 /// One admitted frame travelling from `submit` to its shard.
 pub(crate) struct QueuedFrame {

@@ -1,6 +1,6 @@
 //! Regression suite for zero-allocation SoA feature acquisition.
 //!
-//! Two contracts pinned here:
+//! Three contracts pinned here:
 //!
 //! * **Bitwise layout equivalence** — [`aggregate_points_into`] (the
 //!   SoA arena fill the fused render schedule uses) must reproduce the
@@ -12,6 +12,10 @@
 //!   renders ≡ per-ray reference renders — is pinned at scale by
 //!   `tests/fused_forward_regression.rs`, whose fused path now runs
 //!   entirely off the arena.
+//! * **The accounting** — `FlopsCounter::add` must not allocate for a
+//!   bucket that exists (the render loops call it per ray per tile),
+//!   and the per-ray sums that replaced the per-point adds must leave a
+//!   fixed frame's `RenderStats` exactly where they were.
 //! * **The allocation budget** — steady-state fused rendering must
 //!   stay under an allocations/frame ceiling, and the acquisition
 //!   phase itself must allocate **nothing** once the worker arena has
@@ -210,4 +214,68 @@ fn steady_state_arena_acquisition_allocates_nothing() {
         "steady-state arena acquisition allocated {during} times"
     );
     assert_eq!(arena.total_points(), pts.len());
+}
+
+#[test]
+fn hoisted_accounting_leaves_render_stats_unchanged() {
+    // The per-ray sums of the accounting hoist must add up to exactly
+    // what the per-point adds did: a fixed frame's counters, as the
+    // commit before the hoist reported them.
+    let ds = Dataset::build(DatasetKind::DeepVoxels, "cube", 0.05, 6, 1, 32, 7);
+    let sources = prepare_sources(&ds.source_views);
+    let model = GenNerfModel::new(ModelConfig::fast());
+    let stats_of = |strategy| {
+        Renderer::new(
+            &model,
+            &sources,
+            strategy,
+            ds.scene.bounds,
+            ds.scene.background,
+        )
+        .with_threads(1)
+        .render(&ds.eval_views[0].camera)
+        .1
+    };
+    // (strategy, points, coarse_points, feature_fetches,
+    //  flops: acquire / mlp / others / ray_module)
+    let pins = [
+        (
+            SamplingStrategy::Uniform { n: 12 },
+            (8112, 0, 170_432),
+            [4_601_664, 79_922_944, 97_344, 7_527_936],
+        ),
+        (
+            SamplingStrategy::coarse_then_focus(8, 8),
+            (5408, 5408, 188_168),
+            [3_723_048, 57_570_112, 129_792, 4_345_472],
+        ),
+    ];
+    for (strategy, counts, flops) in pins {
+        let s = stats_of(strategy);
+        assert_eq!(s.rays, 676);
+        assert_eq!(
+            (s.points, s.coarse_points, s.feature_fetches),
+            counts,
+            "{strategy:?}"
+        );
+        let buckets: Vec<(&str, u64)> = s.flops.iter().collect();
+        let names = ["acquire", "mlp", "others", "ray_module"];
+        let expect: Vec<(&str, u64)> = names.into_iter().zip(flops).collect();
+        assert_eq!(buckets, expect, "{strategy:?}");
+    }
+}
+
+#[test]
+fn flops_counter_add_to_an_existing_bucket_allocates_nothing() {
+    let mut counter = gen_nerf_nn::flops::FlopsCounter::new();
+    counter.add("mlp", 1);
+    counter.add("acquire", 1);
+    let before = local_allocations();
+    for k in 0..1000 {
+        counter.add("mlp", k);
+        counter.add("acquire", 2 * k);
+    }
+    assert_eq!(local_allocations() - before, 0);
+    assert_eq!(counter.get("mlp"), 1 + 499_500);
+    assert_eq!(counter.get("acquire"), 1 + 999_000);
 }

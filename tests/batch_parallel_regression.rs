@@ -12,6 +12,7 @@ use gen_nerf::features::prepare_sources;
 use gen_nerf::model::GenNerfModel;
 use gen_nerf::pipeline::{RenderStats, Renderer};
 use gen_nerf::trainer::{TrainConfig, Trainer};
+use gen_nerf_geometry::{Camera, Intrinsics};
 use gen_nerf_scene::metrics::psnr;
 use gen_nerf_scene::{Dataset, DatasetKind, Image};
 
@@ -106,6 +107,87 @@ fn hierarchical_parallel_matches_sequential() {
 #[test]
 fn coarse_then_focus_parallel_matches_sequential() {
     assert_bit_identical(SamplingStrategy::coarse_then_focus(8, 8));
+}
+
+/// Every counter of a [`RenderStats`], comparable.
+fn stats_key(s: &RenderStats) -> (u64, u64, u64, u64, Vec<(String, u64)>) {
+    let buckets = s.flops.iter().map(|(k, v)| (k.to_string(), v)).collect();
+    (
+        s.rays,
+        s.points,
+        s.coarse_points,
+        s.feature_fetches,
+        buckets,
+    )
+}
+
+fn bits(image: &Image) -> Vec<u32> {
+    image.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+#[test]
+fn ragged_tiles_match_the_per_ray_reference() {
+    // Tile geometry: 50×37 = 1850 rays divides into neither the
+    // workers' ranges nor the tile budget, so every worker ends on a
+    // short tile — and coarse-then-focus cuts its focus tiles by the
+    // per-ray allocation, so they are ragged in ray count too. All of
+    // it must be invisible: pixels and counters equal the per-ray
+    // reference schedule's.
+    let (ds, model) = trained_scene();
+    let sources = prepare_sources(&ds.source_views);
+    let pose = ds.eval_views[0].camera.pose;
+    let camera = Camera::new(Intrinsics::from_fov(50, 37, 0.6), pose);
+    for strategy in [
+        SamplingStrategy::Uniform { n: 10 },
+        SamplingStrategy::Hierarchical {
+            n_coarse: 6,
+            n_fine: 6,
+        },
+        SamplingStrategy::coarse_then_focus(8, 8),
+    ] {
+        let renderer = |threads: usize| {
+            Renderer::new(
+                &model,
+                &sources,
+                strategy,
+                ds.scene.bounds,
+                ds.scene.background,
+            )
+            .with_threads(threads)
+        };
+        let (ref_img, ref_stats) = renderer(1).with_fused(false).render(&camera);
+        for threads in [1usize, 2, 3] {
+            let (img, stats) = renderer(threads).render(&camera);
+            assert_eq!(
+                bits(&img),
+                bits(&ref_img),
+                "{strategy:?} at {threads} threads"
+            );
+            assert_eq!(
+                stats_key(&stats),
+                stats_key(&ref_stats),
+                "{strategy:?} at {threads} threads"
+            );
+        }
+
+        // Three frames of different shapes in one fused job: the
+        // concatenated ray domain is tiled as a whole, so tiles
+        // straddle both frame boundaries.
+        let cameras: Vec<Camera> = [(17, 13), (24, 24), (9, 31)]
+            .into_iter()
+            .map(|(w, h)| Camera::new(Intrinsics::from_fov(w, h, 0.6), pose))
+            .collect();
+        let joint = renderer(2).render_frames(&cameras);
+        for (cam, (img, stats)) in cameras.iter().zip(&joint) {
+            let (solo_img, solo_stats) = renderer(1).render(cam);
+            assert_eq!(bits(img), bits(&solo_img), "{strategy:?} joint frame");
+            assert_eq!(
+                stats_key(stats),
+                stats_key(&solo_stats),
+                "{strategy:?} joint frame"
+            );
+        }
+    }
 }
 
 #[test]

@@ -654,6 +654,17 @@ fn remove_session_resolves_every_handle_before_returning() {
     for k in 1..6 {
         handles.push(server.submit(session, FrameRequest::new(walk_pose(0, k))));
     }
+    // Rendezvous: the shard counts a batch only once every member's
+    // session state is resolved and held, so from here on the head is
+    // in flight no matter how the two threads are scheduled. Without
+    // it a removal that wins the race to the session map fails the
+    // head as "queued" like the rest.
+    let shard = server.shard_of(session);
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while server.shard_stats(shard).batches == 0 {
+        assert!(Instant::now() < deadline, "head frame never scheduled");
+        std::thread::yield_now();
+    }
     server.remove_session(session);
     let mut rendered = 0usize;
     for (k, handle) in handles.into_iter().enumerate() {
