@@ -100,6 +100,12 @@ impl FeatureMap {
         }
     }
 
+    /// Raw texel data, `height × width × channels`, channel-minor.
+    #[inline]
+    pub fn as_slice(&self) -> &[f32] {
+        &self.data
+    }
+
     /// Bytes per texel at 1 byte/channel (the INT8 layout the
     /// accelerator stores).
     pub fn texel_bytes(&self) -> u64 {

@@ -11,13 +11,14 @@
 //!
 //! # Two layouts, one arithmetic
 //!
-//! Aggregates exist in two layouts backed by a single per-point fill
-//! routine ([`aggregate_point`] and [`AggregateArena`] share it, so
-//! they are bitwise-identical by construction):
+//! Aggregates exist in two layouts with one arithmetic of record, the
+//! per-point routine `fill_point`:
 //!
 //! * [`PointAggregate`] — the standalone AoS value (five heap `Vec`s
-//!   per point). Kept as the reference/compat type for the per-ray
-//!   regression path, training targets in tests, and benches.
+//!   per point), built by [`aggregate_point`], which *is* `fill_point`.
+//!   Kept as the reference/compat type for the per-ray regression
+//!   path, training targets in tests, and benches — and as what every
+//!   test holds the arena against.
 //! * [`AggregateArena`] — the chunk-level SoA block the fused render
 //!   schedule uses: one flat stats matrix with **one row per point**
 //!   (laid out exactly as the point-MLP GEMM operand, so inference
@@ -27,11 +28,43 @@
 //!   [`AggregateArena::reset`] cycles, so steady-state acquisition
 //!   performs **zero heap allocations**.
 //!
-//! The mean/variance accumulation loops run through the active
-//! [`gen_nerf_nn::kernels::MicroKernel`] backend. Both ops are exact
-//! elementwise chains (no FMA contraction, no reductions), so every
-//! backend produces bit-identical aggregates — acquisition, unlike the
-//! GEMMs, is backend-independent.
+//! Both arena entry points ([`aggregate_ray_into`],
+//! [`aggregate_points_into`]) fill it by whichever route the process's
+//! kernel backend (`gen_nerf_nn::kernels::active_backend`) selects —
+//! there is no other switch:
+//!
+//! * **Scalar** (`GEN_NERF_KERNEL=scalar`, a host without AVX2, a
+//!   quarantined AVX2 backend, any non-x86 target): `fill_point` per
+//!   point — projection, clip, footprint and fetch per (point, view)
+//!   pair, then the statistics through the backend's
+//!   `add_assign`/`sq_diff_add`.
+//! * **AVX2**: the block kernel of the private `avx2` submodule. A
+//!   ray's points go eight at a time (one per lane; the last block
+//!   ragged), and each block is taken against **one source view at a
+//!   time** — the order of the accelerator's preprocessing unit, whose
+//!   projector and interpolator walk one view's epipolar line: one
+//!   pass projects, clips, footprints and direction-weights all eight
+//!   lanes, then gathers the four taps of every lane that sees the
+//!   view eight channels per load; a second pass folds each point's
+//!   per-view rows into its stats row. A source whose image and
+//!   feature map differ in size (or whose map is not the plain dense
+//!   buffer the kernel indexes) is handed, whole, to the per-pair
+//!   scalar routine inside the same block.
+//!
+//! The two routes produce **the same bits**. Acquisition has no
+//! reductions whose order a vector unit would change and nothing an
+//! FMA could contract: every output is a fixed chain of IEEE-754
+//! `+ − × ÷ √ floor`, each correctly rounded per lane exactly as its
+//! scalar form, and the kernel keeps the chains' order (`Vec3::dot` is
+//! `0 + x·x′ + y·y′ + z·z′` left to right, a bilinear fetch is
+//! `0 + t₀w₀ + t₁w₁ + t₂w₂ + t₃w₃`, cross-view sums run in view order)
+//! and turns the scalar code's early exits into lane masks. So
+//! acquisition, unlike the GEMMs, is backend-independent — pinned per
+//! point, over both entry points and both backends, by the property
+//! test below and by `tests/kernel_backend_regression.rs`.
+
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+mod avx2;
 
 use crate::encoder::{FeatureEncoder, FeatureMap};
 use gen_nerf_geometry::{Camera, Ray, Vec3};
@@ -110,9 +143,43 @@ pub fn assert_channels(sources: &[SourceViewData], d_channels: usize, context: &
     }
 }
 
-/// The single per-point aggregation routine both layouts share: exact
+/// Step 1 for one (point, view) pair: projects `p` onto `src` and,
+/// when the view sees it, bilinearly fetches the leading `feats.len()`
+/// feature channels into `feats` and returns the source colour and the
+/// direction similarity. `None` (nothing written) when `p` is behind
+/// the camera or outside the image.
+fn acquire_pair(
+    p: Vec3,
+    ray_dir: Vec3,
+    src: &SourceViewData,
+    feats: &mut [f32],
+) -> Option<(Vec3, f32)> {
+    let uv = src.camera.project(p)?;
+    if !src.camera.intrinsics.contains(uv) {
+        return None;
+    }
+    // One footprint serves both fetches: the encoder keeps the
+    // image's dimensions, so the taps and weights are the same.
+    let fp = src.features.footprint(uv);
+    src.features.sample_footprint_into(&fp, feats);
+    let color = if (src.image.width(), src.image.height())
+        == (src.features.width(), src.features.height())
+    {
+        src.image.sample_footprint(&fp)
+    } else {
+        src.image.sample(uv)
+    };
+    let to_point = (p - src.camera.center())
+        .try_normalized()
+        .unwrap_or(ray_dir);
+    Some((color, ray_dir.dot(to_point)))
+}
+
+/// The per-point aggregation routine — the arithmetic of record: exact
 /// seed arithmetic (per-view accumulation in view order, one division
 /// pass per statistic), written into caller-provided SoA rows.
+/// [`aggregate_point`] is this routine, and so is the arena on the
+/// scalar backend; the AVX2 block kernel must reproduce its bits.
 ///
 /// `stats`/`view_colors`/`blend_inputs`/`valid` must arrive zeroed;
 /// `feats` (`s × d`) and `dir_sims` (`s`) are fetch scratch whose stale
@@ -138,28 +205,12 @@ fn fill_point(
     let mut n_valid = 0usize;
 
     for (i, src) in sources.iter().enumerate() {
-        let Some(uv) = src.camera.project(p) else {
+        let Some((color, sim)) = acquire_pair(p, ray_dir, src, &mut feats[i * d..(i + 1) * d])
+        else {
             continue;
         };
-        if !src.camera.intrinsics.contains(uv) {
-            continue;
-        }
-        // One footprint serves both fetches: the encoder keeps the
-        // image's dimensions, so the taps and weights are the same.
-        let fp = src.features.footprint(uv);
-        src.features
-            .sample_footprint_into(&fp, &mut feats[i * d..(i + 1) * d]);
-        view_colors[i] = if (src.image.width(), src.image.height())
-            == (src.features.width(), src.features.height())
-        {
-            src.image.sample_footprint(&fp)
-        } else {
-            src.image.sample(uv)
-        };
-        let to_point = (p - src.camera.center())
-            .try_normalized()
-            .unwrap_or(ray_dir);
-        dir_sims[i] = ray_dir.dot(to_point);
+        view_colors[i] = color;
+        dir_sims[i] = sim;
         valid[i] = true;
         n_valid += 1;
     }
@@ -228,9 +279,9 @@ fn fill_point(
 /// unit direction (for direction-similarity weighting).
 ///
 /// This is the AoS compat entry point (it allocates the per-point
-/// buffers); hot paths fill an [`AggregateArena`] via
-/// [`aggregate_points_into`] instead — same arithmetic, shared
-/// implementation.
+/// buffers) and the reference: hot paths fill an [`AggregateArena`]
+/// via [`aggregate_ray_into`] / [`aggregate_points_into`] instead —
+/// the same bits, by this routine or by the block kernel.
 pub fn aggregate_point(
     p: Vec3,
     ray_dir: Vec3,
@@ -346,10 +397,15 @@ pub struct AggregateArena {
     valid_pairs: usize,
     /// `ray_offsets[r]..ray_offsets[r + 1]` is ray `r`'s point range.
     ray_offsets: Vec<usize>,
-    /// Projection/fetch scratch: the current point's per-view features.
+    /// Projection/fetch scratch: per-view features of the point (or,
+    /// under the block kernel, of each of the block's points) in
+    /// flight.
     feats: Vec<f32>,
-    /// Projection scratch: the current point's per-view similarities.
+    /// Projection scratch: the matching per-view similarities.
     dir_sims: Vec<f32>,
+    /// Block-kernel scratch: one point's per-view squared differences
+    /// from the mean feature.
+    sq_diffs: Vec<f32>,
 }
 
 impl Default for AggregateArena {
@@ -370,6 +426,7 @@ impl Default for AggregateArena {
             ray_offsets: vec![0],
             feats: Vec::new(),
             dir_sims: Vec::new(),
+            sq_diffs: Vec::new(),
         }
     }
 }
@@ -389,10 +446,18 @@ impl AggregateArena {
         self.valid_pairs = 0;
         self.ray_offsets.clear();
         self.ray_offsets.push(0);
+        // Fetch scratch for one block of points (feature rows padded
+        // to whole vectors); the per-point route uses the head of it.
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        let (points, row) = (avx2::LANES, avx2::padded(d_channels));
+        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+        let (points, row) = (1, d_channels);
         self.feats.clear();
-        self.feats.resize(n_views * d_channels, 0.0);
+        self.feats.resize(points * n_views * row, 0.0);
         self.dir_sims.clear();
-        self.dir_sims.resize(n_views, 0.0);
+        self.dir_sims.resize(points * n_views, 0.0);
+        self.sq_diffs.clear();
+        self.sq_diffs.resize(n_views * row, 0.0);
     }
 
     /// Bytes of heap the arena's buffers retain (capacities, not the
@@ -406,7 +471,8 @@ impl AggregateArena {
             + self.blend_inputs.capacity() * size_of::<[f32; 2]>()
             + self.valid.capacity() * size_of::<bool>()
             + (self.n_valid.capacity() + self.ray_offsets.capacity()) * size_of::<usize>()
-            + (self.feats.capacity() + self.dir_sims.capacity()) * size_of::<f32>()
+            + (self.feats.capacity() + self.dir_sims.capacity() + self.sq_diffs.capacity())
+                * size_of::<f32>()
     }
 
     /// Channels aggregated per view.
@@ -485,6 +551,92 @@ impl AggregateArena {
         );
         self.n_valid.push(n_valid);
         self.valid_pairs += n_valid;
+    }
+
+    /// Appends `n` points, point `k` being `point_of(k)` as (position,
+    /// viewing direction): in blocks of eight through the AVX2 kernel
+    /// when that is the active backend, one by one through
+    /// [`fill_point`] otherwise (the scalar backend — chosen, detected
+    /// or fallen back to after a quarantine — and every other
+    /// architecture). Same bits either way.
+    fn push_points(
+        &mut self,
+        n: usize,
+        point_of: impl Fn(usize) -> (Vec3, Vec3),
+        sources: &[SourceViewData],
+    ) {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if kernels::active_backend() == kernels::Backend::Avx2 {
+            for start in (0..n).step_by(avx2::LANES) {
+                let mut block = avx2::PointBlock::new();
+                for k in start..n.min(start + avx2::LANES) {
+                    let (p, dir) = point_of(k);
+                    block.push(p, dir);
+                }
+                // SAFETY: `kernels` installs the AVX2 backend only after
+                // detecting avx2 on this CPU.
+                unsafe { self.push_block(&block, sources) };
+            }
+            return;
+        }
+        for k in 0..n {
+            let (p, dir) = point_of(k);
+            self.push_point(p, dir, sources);
+        }
+    }
+
+    /// Appends a block of points through the AVX2 kernel: Step 1 one
+    /// source view at a time across the block's lanes, then Step 2 one
+    /// point at a time.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    #[target_feature(enable = "avx2")]
+    fn push_block(&mut self, block: &avx2::PointBlock, sources: &[SourceViewData]) {
+        debug_assert_eq!(sources.len(), self.n_views);
+        let (s, d) = (self.n_views, self.d);
+        let first = self.n_valid.len();
+        let end = (first + block.n) * s;
+        self.view_colors.resize(end, Vec3::ZERO);
+        self.blend_inputs.resize(end, [0.0f32; 2]);
+        self.valid.resize(end, false);
+        let mut planes = avx2::BlockPlanes {
+            d,
+            n_views: s,
+            feats: &mut self.feats,
+            dir_sims: &mut self.dir_sims,
+            view_colors: &mut self.view_colors[first * s..],
+            valid: &mut self.valid[first * s..],
+        };
+        let row = avx2::padded(d);
+        for (i, src) in sources.iter().enumerate() {
+            if avx2::takes(src, d) {
+                avx2::acquire_view(block, src, i, &mut planes);
+                continue;
+            }
+            for l in 0..block.n {
+                let (p, dir) = block.lane(l);
+                let slot = l * s + i;
+                let feats = &mut planes.feats[slot * row..slot * row + d];
+                if let Some((color, sim)) = acquire_pair(p, dir, src, feats) {
+                    planes.view_colors[slot] = color;
+                    planes.dir_sims[slot] = sim;
+                    planes.valid[slot] = true;
+                }
+            }
+        }
+        for l in 0..block.n {
+            let views = (first + l) * s..(first + l + 1) * s;
+            let n_valid = avx2::reduce_point(
+                d,
+                &self.feats[l * s * row..(l + 1) * s * row],
+                &self.dir_sims[l * s..(l + 1) * s],
+                &self.valid[views.clone()],
+                &mut self.sq_diffs,
+                self.stats.push_row_zeroed(),
+                &mut self.blend_inputs[views],
+            );
+            self.n_valid.push(n_valid);
+            self.valid_pairs += n_valid;
+        }
     }
 
     /// Appends one point copied from a standalone [`PointAggregate`] —
@@ -600,9 +752,9 @@ impl AggregateView for ArenaRayView<'_> {
 /// source view, and the ray is sealed at the end (an empty batch seals
 /// an empty ray — a background ray keeps its slot).
 ///
-/// Bitwise-identical to calling [`aggregate_point`] per point (shared
-/// fill routine; the arena proptest pins it), with zero steady-state
-/// heap allocations.
+/// Bitwise-identical to calling [`aggregate_point`] per point on
+/// every kernel backend (the module docs say why; the arena proptests
+/// pin it), with zero steady-state heap allocations.
 ///
 /// # Panics
 ///
@@ -618,9 +770,7 @@ pub fn aggregate_points_into(
 ) {
     assert_eq!(points.len(), ray_dirs.len(), "one direction per point");
     assert_arena_shape(arena, sources, d_channels);
-    for (&p, &dir) in points.iter().zip(ray_dirs) {
-        arena.push_point(p, dir, sources);
-    }
+    arena.push_points(points.len(), |k| (points[k], ray_dirs[k]), sources);
     arena.seal_ray();
 }
 
@@ -658,9 +808,11 @@ pub fn aggregate_ray_into(
     arena: &mut AggregateArena,
 ) {
     assert_arena_shape(arena, sources, d_channels);
-    for &t in depths {
-        arena.push_point(ray.at(t), ray.direction, sources);
-    }
+    arena.push_points(
+        depths.len(),
+        |k| (ray.at(depths[k]), ray.direction),
+        sources,
+    );
     arena.seal_ray();
 }
 
@@ -817,6 +969,187 @@ mod tests {
                 assert_eq!(sb, rb, "point {k} d {d} stats bits");
             }
         }
+    }
+
+    /// Six sources for the kernel-against-reference cases. The last
+    /// one's rotation is scaled ×4: the projection is unchanged (`u`
+    /// and `v` are ratios), but a point within `EPSILON` of that
+    /// camera's centre keeps a depth above `EPSILON`, so the
+    /// `try_normalized` fallback to `ray_dir` is reachable.
+    fn kernel_case_sources() -> Vec<SourceViewData> {
+        let ds = Dataset::build(DatasetKind::DeepVoxels, "cube", 0.05, 6, 1, 24, 3);
+        let mut sources = prepare_sources(&ds.source_views);
+        let m = &mut sources[5].camera.pose.rotation.m;
+        m.iter_mut().flatten().for_each(|v| *v *= 4.0);
+        sources
+    }
+
+    /// Rays that put points where the block kernel's masks matter, all
+    /// relative to `src`: behind it; along its `u = 0` / `v = 0`
+    /// image edge and just under `width` / `height`; and from its
+    /// centre outwards, starting exactly at the centre and then within
+    /// `EPSILON` of it.
+    fn edge_rays(src: &SourceViewData) -> Vec<(Ray, Vec<f32>)> {
+        let cam = &src.camera;
+        let (w, h) = (cam.intrinsics.width as f32, cam.intrinsics.height as f32);
+        let under = |x: f32| f32::from_bits(x.to_bits() - 1);
+        let along = |u: f32, v: f32| (cam.pixel_ray(u, v), vec![0.4, 1.1, 2.7, 3.0, 4.5]);
+        let forward = cam.pose.forward().normalized();
+        vec![
+            (Ray::new(cam.center(), -forward), vec![0.5, 2.0]),
+            along(0.0, 7.3),
+            along(11.6, 0.0),
+            along(under(w), 3.2),
+            along(5.9, under(h)),
+            (
+                Ray::new(cam.center(), forward),
+                vec![0.0, 2.5e-7, 5e-7, 7.5e-7, 1.5e-6, 3.0],
+            ),
+        ]
+    }
+
+    /// Every bit of an aggregate, so `-0.0` and NaN payloads count.
+    fn aggregate_bits(a: &PointAggregate) -> Vec<u32> {
+        let colors = a.view_colors.iter().flat_map(|c| [c.x, c.y, c.z]);
+        let blend = a.blend_inputs.iter().flatten().copied();
+        let flags = a.valid.iter().map(|&ok| ok as u32);
+        (a.stats.iter().copied().chain(colors).chain(blend))
+            .map(f32::to_bits)
+            .chain(flags)
+            .chain([a.n_valid as u32])
+            .collect()
+    }
+
+    /// Fills one arena through [`aggregate_ray_into`] and one through
+    /// [`aggregate_points_into`] (with a direction of its own per
+    /// point) and holds every point of both against
+    /// [`aggregate_point`].
+    fn assert_arena_matches_reference(
+        rays: &[(Ray, Vec<f32>)],
+        sources: &[SourceViewData],
+        d: usize,
+    ) {
+        let mut by_ray = AggregateArena::default();
+        let mut by_points = AggregateArena::default();
+        by_ray.reset(sources.len(), d);
+        by_points.reset(sources.len(), d);
+        let mut reference = Vec::new();
+        for (ray, depths) in rays {
+            aggregate_ray_into(ray, depths, sources, d, &mut by_ray);
+            let points: Vec<Vec3> = depths.iter().map(|&t| ray.at(t)).collect();
+            let dirs: Vec<Vec3> = (0..points.len())
+                .map(|k| (ray.direction + Vec3::new(0.3, -0.2, 0.1) * k as f32).normalized())
+                .collect();
+            aggregate_points_into(&points, &dirs, sources, d, &mut by_points);
+            for (&p, &dir) in points.iter().zip(&dirs) {
+                reference.push((
+                    aggregate_point(p, ray.direction, sources, d),
+                    aggregate_point(p, dir, sources, d),
+                ));
+            }
+        }
+        assert_eq!(by_ray.n_rays(), rays.len());
+        assert_eq!(by_ray.total_points(), reference.len());
+        assert_eq!(by_points.total_points(), reference.len());
+        for (k, (along_ray, own_dir)) in reference.iter().enumerate() {
+            assert_eq!(
+                aggregate_bits(&by_ray.export(k)),
+                aggregate_bits(along_ray),
+                "aggregate_ray_into, point {k}, d {d}, {} views",
+                sources.len()
+            );
+            assert_eq!(
+                aggregate_bits(&by_points.export(k)),
+                aggregate_bits(own_dir),
+                "aggregate_points_into, point {k}, d {d}, {} views",
+                sources.len()
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Whatever backend fills the arena — per point on the scalar
+        /// leg, eight points per source view under AVX2 — it holds the
+        /// bits of the per-point reference: ragged last blocks and
+        /// empty rays (0…19 depths), full / coarse / odd channel
+        /// widths, one to six views, and the rays of [`edge_rays`]
+        /// against one of them.
+        #[test]
+        fn prop_arena_matches_aggregate_point_on_either_backend(
+            d_pick in 0usize..3,
+            s_pick in 0usize..3,
+            edge_view in 0usize..6,
+            free in proptest::collection::vec(
+                (
+                    (-3.5f32..3.5, -3.5f32..3.5, -3.5f32..3.5),
+                    (-1.0f32..1.0, -1.0f32..1.0, -1.0f32..1.0),
+                    proptest::collection::vec(0.0f32..7.0, 0..20),
+                ),
+                1..4
+            ),
+        ) {
+            let all = kernel_case_sources();
+            let d = [3usize, 5, 12][d_pick];
+            let sources = &all[6 - [1usize, 4, 6][s_pick]..];
+            let mut rays: Vec<(Ray, Vec<f32>)> = free
+                .into_iter()
+                .map(|((ox, oy, oz), (dx, dy, dz), depths)| {
+                    let dir = Vec3::new(dx, dy, dz).try_normalized().unwrap_or(Vec3::Z);
+                    (Ray::new(Vec3::new(ox, oy, oz), dir), depths)
+                })
+                .collect();
+            rays.extend(edge_rays(&all[edge_view]));
+            assert_arena_matches_reference(&rays, sources, d);
+        }
+    }
+
+    #[test]
+    fn a_source_whose_image_and_feature_map_differ_takes_the_per_point_route() {
+        // `fill_point` footprints such an image on its own dimensions;
+        // the block kernel assumes one footprint serves both, so it
+        // must hand the whole view to the per-point routine.
+        let mut sources = kernel_case_sources();
+        sources[2].image = sources[2]
+            .image
+            .downsample2()
+            .expect("a 2×2 or larger image");
+        let rays: Vec<(Ray, Vec<f32>)> = sources.iter().flat_map(edge_rays).collect();
+        for d in [3, 12] {
+            assert_arena_matches_reference(&rays, &sources, d);
+        }
+    }
+
+    #[test]
+    fn a_dot_of_negative_zero_products_is_positive_zero_on_every_backend() {
+        // `Vec3::dot` starts from `0.0`, so three `-0.0` products sum
+        // to `+0.0`; a kernel that starts from the first product would
+        // say `-0.0`. Camera on the z axis at x = y = 0, point on that
+        // axis with x = y = -0.0, direction (+, +, -0.0): every
+        // product of `ray_dir · to_point` is `-0.0`.
+        use gen_nerf_geometry::Pose;
+        let mut sources = kernel_case_sources();
+        sources.truncate(1);
+        sources[0].camera.pose = Pose::look_at(Vec3::new(0.0, 0.0, -3.0), Vec3::ZERO, Vec3::Y);
+        let p = Vec3::new(-0.0, -0.0, 0.5);
+        let dir = Vec3::new(0.6, 0.8, -0.0);
+        let reference = aggregate_point(p, dir, &sources, 12);
+        assert_eq!(reference.n_valid, 1);
+        assert_eq!(reference.blend_inputs[0][0].to_bits(), 0.0f32.to_bits());
+        let mut arena = AggregateArena::default();
+        arena.reset(1, 12);
+        aggregate_points_into(&[p], &[dir], &sources, 12, &mut arena);
+        assert_eq!(aggregate_bits(&arena.export(0)), aggregate_bits(&reference));
+    }
+
+    #[test]
+    #[should_panic(expected = "channel overrun")]
+    fn arena_fill_past_the_encoded_channels_panics_on_every_backend() {
+        let sources = kernel_case_sources();
+        let mut arena = AggregateArena::default();
+        arena.reset(sources.len(), 13);
+        aggregate_points_into(&[Vec3::ZERO], &[Vec3::Z], &sources, 13, &mut arena);
     }
 
     #[test]

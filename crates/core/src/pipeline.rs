@@ -529,10 +529,16 @@ fn apply_armed_pixel_fault(pixels: &mut [Vec<Vec3>]) {
 /// the uncached render bit-for-bit.
 #[derive(Debug, Clone)]
 pub struct CoarseFrame {
-    /// Per-ray hitting weights from the coarse composite.
-    weights: Vec<Vec<f32>>,
+    /// Every ray's hitting weights from the coarse composite, ray-major
+    /// in one block: a frame is cached for seconds in the serving
+    /// tier, and a heap block per ray costs half again the payload in
+    /// allocator overhead that no byte budget sees.
+    weights: Vec<f32>,
+    /// `offsets[j]..offsets[j + 1]` is ray `j`'s run of `weights`
+    /// (empty for a ray that missed the scene or was cancelled).
+    offsets: Vec<u32>,
     /// Per-ray critical sample counts (Step ② input).
-    criticals: Vec<usize>,
+    criticals: Vec<u32>,
     /// FNV-1a digest over the weights' bit patterns and the critical
     /// counts, sealed at export. A cached frame sits in the serving
     /// tier's memory for seconds; the digest lets the cache importer
@@ -542,15 +548,50 @@ pub struct CoarseFrame {
 }
 
 impl CoarseFrame {
-    /// Rays covered (must match the batch it is imported into).
-    pub fn n_rays(&self) -> usize {
-        self.weights.len()
+    /// An unsealed frame with room for `n_rays` rays of at most
+    /// `weights_per_ray` weights each.
+    fn with_capacity(n_rays: usize, weights_per_ray: usize) -> Self {
+        let mut offsets = Vec::with_capacity(n_rays + 1);
+        offsets.push(0);
+        Self {
+            weights: Vec::with_capacity(n_rays * weights_per_ray),
+            offsets,
+            criticals: Vec::with_capacity(n_rays),
+            checksum: 0,
+        }
     }
 
-    /// Approximate heap footprint in bytes (for cache budgeting).
+    /// Appends the next ray's coarse outcome.
+    fn push_ray(&mut self, weights: &[f32], critical: usize) {
+        self.weights.extend_from_slice(weights);
+        let end = u32::try_from(self.weights.len()).expect("a frame's coarse weights fit in u32");
+        self.offsets.push(end);
+        self.criticals
+            .push(u32::try_from(critical).expect("criticals are a subset of the ray's weights"));
+    }
+
+    /// Seals the digest over the finished payload (export time),
+    /// handing back the room that rays without weights left unused.
+    fn seal(&mut self) {
+        self.weights.shrink_to_fit();
+        self.checksum = self.fnv1a();
+    }
+
+    /// Rays covered (must match the batch it is imported into).
+    pub fn n_rays(&self) -> usize {
+        self.criticals.len()
+    }
+
+    /// Ray `j`'s hitting weights.
+    fn ray_weights(&self, j: usize) -> &[f32] {
+        &self.weights[self.offsets[j] as usize..self.offsets[j + 1] as usize]
+    }
+
+    /// Heap footprint in bytes — what the cache budget and the memory
+    /// governor charge for holding the frame.
     pub fn approx_bytes(&self) -> usize {
-        self.weights.iter().map(|w| w.len() * 4).sum::<usize>()
-            + self.criticals.len() * std::mem::size_of::<usize>()
+        self.weights.capacity() * std::mem::size_of::<f32>()
+            + (self.offsets.capacity() + self.criticals.capacity()) * std::mem::size_of::<u32>()
     }
 
     /// FNV-1a over the payload: per ray, the weight count then each
@@ -565,7 +606,8 @@ impl CoarseFrame {
                 h = h.wrapping_mul(PRIME);
             }
         };
-        for w in &self.weights {
+        for j in 0..self.n_rays() {
+            let w = self.ray_weights(j);
             eat(w.len() as u64);
             for &v in w {
                 eat(v.to_bits() as u64);
@@ -575,11 +617,6 @@ impl CoarseFrame {
             eat(c as u64);
         }
         h
-    }
-
-    /// Seals the digest over the current payload (export time).
-    fn seal(&mut self) {
-        self.checksum = self.fnv1a();
     }
 
     /// The sealed payload digest.
@@ -595,16 +632,18 @@ impl CoarseFrame {
     }
 
     /// Fault-injection hook for the corruption chaos harness: poisons
-    /// one stored weight (NaN, chosen deterministically from `seed`)
-    /// *without* resealing, so [`CoarseFrame::integrity_ok`] fails. A
-    /// frame with no weights at all gets its seal flipped instead.
+    /// one stored weight (NaN — the first weight of a ray chosen
+    /// deterministically from `seed`) *without* resealing, so
+    /// [`CoarseFrame::integrity_ok`] fails. A frame with no weights at
+    /// all gets its seal flipped instead.
     pub fn corrupt_for_chaos(&mut self, seed: u64) {
-        if !self.weights.is_empty() {
-            let r = (seed as usize) % self.weights.len();
-            for off in 0..self.weights.len() {
-                let i = (r + off) % self.weights.len();
-                if let Some(w) = self.weights[i].first_mut() {
-                    *w = f32::NAN;
+        let n = self.n_rays();
+        if n > 0 {
+            let r = (seed as usize) % n;
+            for off in 0..n {
+                let i = (r + off) % n;
+                if !self.ray_weights(i).is_empty() {
+                    self.weights[self.offsets[i] as usize] = f32::NAN;
                     return;
                 }
             }
@@ -1669,20 +1708,19 @@ impl<'a> Renderer<'a> {
         });
         let mut fresh: Vec<Option<CoarseFrame>> = (0..set.n_frames())
             .map(|f| {
-                cached[f].is_none().then(|| CoarseFrame {
-                    weights: Vec::with_capacity(set.batches[f].len()),
-                    criticals: Vec::with_capacity(set.batches[f].len()),
-                    checksum: 0,
-                })
+                cached[f]
+                    .is_none()
+                    .then(|| CoarseFrame::with_capacity(set.batches[f].len(), n_coarse))
             })
             .collect();
         let mut g = 0usize;
         for (per_ray, local) in coarse_chunks {
             for (weights, critical) in per_ray {
                 let (f, _) = locate_sub(g);
-                let cf = fresh[f].as_mut().expect("fresh frame");
-                cf.weights.push(weights);
-                cf.criticals.push(critical);
+                fresh[f]
+                    .as_mut()
+                    .expect("fresh frame")
+                    .push_ray(&weights, critical);
                 g += 1;
             }
             for (f, l) in local.iter().enumerate() {
@@ -1707,7 +1745,12 @@ impl<'a> Renderer<'a> {
         let counts: Vec<Vec<usize>> = (0..set.n_frames())
             .map(|f| {
                 let budget = n_focused * set.batches[f].len();
-                sampling::allocate_focused(&coarse_ref[f].criticals, budget, n_cap)
+                let criticals: Vec<usize> = coarse_ref[f]
+                    .criticals
+                    .iter()
+                    .map(|&c| c as usize)
+                    .collect();
+                sampling::allocate_focused(&criticals, budget, n_cap)
             })
             .collect();
 
@@ -1727,7 +1770,7 @@ impl<'a> Renderer<'a> {
                 let mut rng = self.ray_rng(j);
                 Some(sampling::importance_sample(
                     &edges,
-                    &coarse_ref[f].weights[j],
+                    coarse_ref[f].ray_weights(j),
                     counts[f][j],
                     &mut rng,
                 ))
@@ -2202,7 +2245,13 @@ mod tests {
         let exported = r.render_frames_cached(&cameras, &[None], &mut images, &mut stats);
         let coarse = exported[0].as_ref().expect("fresh coarse exported");
         assert_eq!(coarse.n_rays(), images[0].pixel_count());
-        assert!(coarse.approx_bytes() > 0);
+        // The budgeted figure is the heap the frame really holds: three
+        // exactly-sized blocks, nothing per ray.
+        let held = 4 * (coarse.weights.capacity() + coarse.offsets.capacity())
+            + 4 * coarse.criticals.capacity();
+        assert_eq!(coarse.approx_bytes(), held);
+        assert_eq!(coarse.weights.capacity(), coarse.weights.len());
+        assert_eq!(coarse.offsets.len(), coarse.n_rays() + 1);
 
         let mut images2 = [Image::new(0, 0)];
         let mut stats2 = [RenderStats::default()];

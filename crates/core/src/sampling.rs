@@ -30,7 +30,7 @@ pub fn allocate_focused(critical: &[usize], budget: usize, n_cap: usize) -> Vec<
         return vec![0; critical.len()];
     }
     let mut counts = vec![0usize; critical.len()];
-    let mut fractional: Vec<(usize, f64)> = Vec::new();
+    let mut fractional: Vec<(usize, f64)> = Vec::with_capacity(critical.len());
     let mut assigned = 0usize;
     for (j, &cr) in critical.iter().enumerate() {
         if cr == 0 {

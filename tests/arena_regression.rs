@@ -1,17 +1,21 @@
 //! Regression suite for zero-allocation SoA feature acquisition.
 //!
-//! Three contracts pinned here:
+//! Four contracts pinned here:
 //!
 //! * **Bitwise layout equivalence** — [`aggregate_points_into`] (the
 //!   SoA arena fill the fused render schedule uses) must reproduce the
 //!   seed [`aggregate_point`] AoS path bit-for-bit, across view
 //!   counts, channel widths and partial visibility. Property-tested;
-//!   both layouts share one per-point fill routine, so this pin
-//!   catches any future divergence (e.g. a vectorization that changes
-//!   accumulation order). The render-level consequence — fused-arena
-//!   renders ≡ per-ray reference renders — is pinned at scale by
+//!   on the scalar backend both layouts run one per-point fill
+//!   routine, under AVX2 the arena runs the block kernel, which must
+//!   not diverge from it (an accumulation order, an FMA). The
+//!   render-level consequence — fused-arena renders ≡ per-ray
+//!   reference renders — is pinned at scale by
 //!   `tests/fused_forward_regression.rs`, whose fused path now runs
 //!   entirely off the arena.
+//! * **Literals, not siblings** — one fixed frame's pixel digest and
+//!   its exported `CoarseFrame`'s seal and byte count, as the commit
+//!   before the block kernel and the flat `CoarseFrame` produced them.
 //! * **The accounting** — `FlopsCounter::add` must not allocate for a
 //!   bucket that exists (the render loops call it per ray per tile),
 //!   and the per-ray sums that replaced the per-point adds must leave a
@@ -278,4 +282,94 @@ fn flops_counter_add_to_an_existing_bucket_allocates_nothing() {
     assert_eq!(local_allocations() - before, 0);
     assert_eq!(counter.get("mlp"), 1 + 499_500);
     assert_eq!(counter.get("acquire"), 1 + 999_000);
+}
+
+// ---- literals taken at the commit before the block kernel ------------
+
+/// FNV-1a over a word stream, each word eaten as 8 little-endian bytes.
+fn fnv1a(words: impl Iterator<Item = u64>) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for word in words {
+        for b in word.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// The fixed frame of the pins below: 24×24, coarse-then-focus
+/// (16, 12), one inline thread.
+fn pinned_ctf_frame() -> (Image, RenderStats, gen_nerf::pipeline::CoarseFrame) {
+    use gen_nerf_geometry::{Camera, Intrinsics, Pose};
+    let ds = Dataset::build(DatasetKind::DeepVoxels, "cube", 0.05, 6, 1, 32, 7);
+    let sources = prepare_sources(&ds.source_views);
+    let model = GenNerfModel::new(ModelConfig::fast());
+    let renderer = Renderer::new(
+        &model,
+        &sources,
+        SamplingStrategy::coarse_then_focus(16, 12),
+        ds.scene.bounds,
+        ds.scene.background,
+    )
+    .with_threads(1);
+    let pose = Pose::look_at(Vec3::new(3.4, 1.1, 0.9), Vec3::ZERO, Vec3::Y);
+    let cameras = [Camera::new(Intrinsics::from_fov(24, 24, 0.6), pose)];
+    let mut images = [Image::new(0, 0)];
+    let mut stats = [RenderStats::default()];
+    let coarse = renderer
+        .render_frames_cached(&cameras, &[None], &mut images, &mut stats)
+        .into_iter()
+        .next()
+        .flatten()
+        .expect("an uncached coarse-then-focus render exports its coarse pass");
+    let [image] = images;
+    let [stats] = stats;
+    (image, stats, coarse)
+}
+
+#[test]
+fn pinned_frame_pixels_and_coarse_frame_match_the_parent_literals() {
+    // Not a sibling comparison: these literals were produced by the
+    // commit before the block acquisition kernel and the flat
+    // `CoarseFrame`, one set per kernel backend (the GEMMs differ in
+    // the last ulps between backends; acquisition does not).
+    use gen_nerf_nn::kernels::{active_backend, Backend};
+    let (pixel_digest, coarse_checksum) = match active_backend() {
+        Backend::Scalar => (0xd88e_7ea9_552f_dc74_u64, 0x4d4c_23c5_9b6d_7053_u64),
+        Backend::Avx2 => (0xf0f2_6f38_c384_f365_u64, 0xd848_b470_f153_f7bc_u64),
+    };
+    let (image, stats, mut coarse) = pinned_ctf_frame();
+    assert_eq!((image.width(), image.height()), (24, 24));
+    assert_eq!(
+        (
+            stats.rays,
+            stats.points,
+            stats.coarse_points,
+            stats.feature_fetches
+        ),
+        (576, 6912, 9216, 280_516)
+    );
+    let got = fnv1a(image.as_slice().iter().map(|v| v.to_bits() as u64));
+    assert_eq!(got, pixel_digest, "pixel digest {got:#018x}");
+
+    // The flat layout keeps the digest's byte stream (per ray: count,
+    // weight bits; then criticals), so the seal is the parent's too.
+    assert_eq!(coarse.n_rays(), 576);
+    assert!(coarse.integrity_ok());
+    assert_eq!(
+        coarse.checksum(),
+        coarse_checksum,
+        "coarse checksum {:#018x}",
+        coarse.checksum()
+    );
+    // Exact heap size: 4 B per weight, a u32 offset per ray plus the
+    // leading 0, a u32 critical count per ray — the parent's
+    // approximate figure (Vec<Vec<f32>> payloads + usize criticals)
+    // plus those 4 bytes.
+    assert_eq!(coarse.approx_bytes(), 41_472 + 4);
+    let sealed = coarse.checksum();
+    coarse.corrupt_for_chaos(12345);
+    assert!(!coarse.integrity_ok());
+    assert_eq!(coarse.checksum(), sealed, "corruption must not reseal");
 }
