@@ -268,7 +268,8 @@ mod tests {
     fn total_flops_in_paper_ballpark() {
         // Paper Sec. 5.1: the typical 800×800 / 64-point / 6-view
         // workload is 0.328 TFLOPs. Our smaller model lands in the same
-        // order of magnitude (documented in EXPERIMENTS.md).
+        // order of magnitude (`gen-nerf-bench`'s `reproduce_all` prints
+        // both; README "Layout of the reproduction harness").
         let spec = WorkloadSpec::gen_nerf_default(800, 800, 6, 64);
         let tflops = spec.total_flops() as f64 / 1e12;
         assert!((0.05..2.0).contains(&tflops), "total = {tflops} TFLOPs");

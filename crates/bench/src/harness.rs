@@ -181,8 +181,8 @@ pub fn f(v: f64, decimals: usize) -> String {
 /// The seed's dense GEMM kernel: textbook `i`/`k`/`j` loop with the
 /// data-dependent `a == 0.0` skip in the inner loop. Kept here (and
 /// only here) as the baseline the branchless register-blocked kernel
-/// in `gen-nerf-nn` is measured against — by the `nn_kernels`
-/// micro-bench and by `perf_report`'s seed-path replica.
+/// in `gen-nerf-nn` is measured against by the `nn_kernels`
+/// micro-bench.
 pub fn seed_matmul_zero_skip(
     a: &gen_nerf_nn::Tensor2,
     b: &gen_nerf_nn::Tensor2,

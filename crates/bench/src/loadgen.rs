@@ -1,7 +1,7 @@
 //! Deterministic open-loop load generation for the serve tier.
 //!
-//! `serve_load` (the scale harness) drives the server with **open-loop
-//! Poisson arrivals**: request times are drawn from each session's
+//! The `gates` binary drives the server with **open-loop Poisson
+//! arrivals**: request times are drawn from each session's
 //! exponential inter-arrival distribution up front, independent of how
 //! fast the server answers — the arrival process never slows down to
 //! match a saturated server, which is exactly what exposes shedding

@@ -64,8 +64,8 @@
 //! keeps the thread-count determinism above intact. The per-ray
 //! reference path survives behind
 //! [`Renderer::with_fused`]`(false)` for regression pinning
-//! (`tests/fused_forward_regression.rs`) and perf comparison
-//! (`gen-nerf-bench`'s `perf_report`).
+//! (`tests/fused_forward_regression.rs`); nothing outside the test
+//! suites calls it.
 //!
 //! # Multi-frame rendering (the serving substrate)
 //!
@@ -258,15 +258,13 @@ const TILE_POINTS: usize = 1024;
 pub const WORKER_SCRATCH_BYTES: usize = 4 << 20;
 
 /// Ceiling on steady-state fused-schedule heap allocations per frame
-/// on the canonical `perf_report` workload (32×32 frame, uniform
+/// on the canonical allocation workload (32×32 frame, uniform
 /// n = 12, one inline thread): the measured 2,122 plus 25 % headroom.
 /// What is left is per ray (its depths and its output vectors) and
 /// per tile (result vectors); the 21,698 before were mostly a `String`
 /// per `FlopsCounter::add`, two adds per point — the regression this
-/// ceiling exists to catch. Two gates enforce it —
-/// `tests/arena_regression.rs` in the test suite and `perf_report`
-/// (which exits non-zero past it) in CI — both reading this constant,
-/// so they can never drift apart.
+/// ceiling exists to catch. `tests/arena_regression.rs` enforces it,
+/// on both kernel legs of CI.
 pub const STEADY_STATE_ALLOC_CEILING: u64 = 2_650;
 
 /// Instrumentation collected while rendering one image.

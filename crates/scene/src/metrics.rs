@@ -6,8 +6,8 @@
 //! gradient-plus-luminance dissimilarity with the same orientation
 //! (lower = better, 0 = identical) and monotone behaviour under the
 //! distortions our ablations introduce. Every table that quotes LPIPS
-//! in the paper quotes `lpips_proxy` here (documented in
-//! `EXPERIMENTS.md`).
+//! in the paper quotes `lpips_proxy` here (`gen-nerf-bench`'s
+//! `reproduce_all` binary prints them side by side).
 
 use crate::image::Image;
 

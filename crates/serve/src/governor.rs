@@ -38,7 +38,7 @@ pub const MEMORY_BUDGET_ENV: &str = "GEN_NERF_MEMORY_BUDGET_MB";
 /// Default process-wide budget: 256 MiB.
 const DEFAULT_BUDGET_BYTES: u64 = 256 << 20;
 
-/// Configuration of the process-wide [`MemoryGovernor`].
+/// Configuration of the process-wide `MemoryGovernor`.
 #[derive(Debug, Clone, Copy)]
 pub struct GovernorConfig {
     /// The hard byte budget across all sessions' coarse caches plus

@@ -20,8 +20,9 @@
 //!   no locks, no allocation.
 //! * [`render`] — text **exposition**: [`render_prometheus`] emits a
 //!   Prometheus-style dump, [`render_watch`] a human `--watch`-style
-//!   table. `serve_load`/`serve_report` write these on demand
-//!   (`GEN_NERF_TELEMETRY_OUT`).
+//!   table (`gen-nerf-bench`'s `gates load` prints it at the end of
+//!   its run). Where either goes — a file, a socket — is the
+//!   embedder's choice.
 //!
 //! [`clock`] supplies the [`Clock`] abstraction (monotonic real clock
 //! or a deterministic virtual test clock) that time-dependent control
@@ -63,8 +64,9 @@ static ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Globally enables or disables the *telemetry* layers (histogram
 /// observations, stage timers, trace recording). Counters and gauges
-/// stay live either way — serving policy reads them. The perf_report
-/// overhead gate measures renders with this off vs on.
+/// stay live either way — serving policy reads them. The
+/// `gates telemetry-overhead` gate measures renders with this off vs
+/// on.
 pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }

@@ -4,8 +4,8 @@
 //! `name{labels} value` exposition format (histograms as cumulative
 //! `_bucket{le=...}` series plus `_sum`/`_count`), suitable for
 //! scraping or diffing; [`render_watch`] emits the compact human table
-//! `serve_load` prints at intervals — key rates plus per-class latency
-//! percentiles.
+//! `gates load` prints at the end of its run — key rates plus
+//! per-class latency percentiles.
 
 use crate::histogram::{bucket_upper_bound, N_BUCKETS};
 use crate::registry::{Labels, Snapshot};

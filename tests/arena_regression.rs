@@ -25,8 +25,7 @@
 //!   phase itself must allocate **nothing** once the worker arena has
 //!   grown. Measured with a thread-local counting allocator (the
 //!   render is pinned to one inline thread), so concurrently running
-//!   tests cannot blur the count. `perf_report` enforces the same
-//!   ceiling in CI on both kernel legs.
+//!   tests cannot blur the count. CI runs this on both kernel legs.
 
 use gen_nerf::config::{ModelConfig, SamplingStrategy};
 use gen_nerf::features::{
@@ -156,14 +155,14 @@ proptest! {
 
 // ---- allocation budget ----------------------------------------------
 
-/// The shared steady-state ceiling — `perf_report` enforces the same
-/// constant in CI, so the two gates cannot drift apart.
+/// The steady-state ceiling, documented where it is defined.
 const ALLOC_CEILING: u64 = gen_nerf::pipeline::STEADY_STATE_ALLOC_CEILING;
 
 #[test]
 fn steady_state_fused_render_stays_under_alloc_ceiling() {
-    // The perf_report allocation workload, bit for bit: same dataset,
-    // strategy and resolution, single inline thread.
+    // The canonical allocation workload (the `gates telemetry-overhead`
+    // gate times the same one): 32×32, uniform n = 12, single inline
+    // thread.
     let ds = Dataset::build(DatasetKind::DeepVoxels, "cube", 0.05, 6, 1, 32, 7);
     let sources = prepare_sources(&ds.source_views);
     let model = GenNerfModel::new(ModelConfig::fast());
