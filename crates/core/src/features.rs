@@ -509,6 +509,15 @@ impl AggregateArena {
         self.ray_offsets[r]..self.ray_offsets[r + 1]
     }
 
+    /// Every ray's point range as one offset table:
+    /// `ray_offsets()[r]..ray_offsets()[r + 1]` is
+    /// [`AggregateArena::ray_range`]`(r)` (`n_rays() + 1` entries,
+    /// ascending from 0) — the form the stacked kernels take a tile's
+    /// rays in.
+    pub fn ray_offsets(&self) -> &[usize] {
+        &self.ray_offsets
+    }
+
     /// The stats matrix (`total_points × (2d + 2)`, ray-major) — fed
     /// to the point MLP in place.
     pub fn stats(&self) -> &Tensor2 {

@@ -21,6 +21,7 @@ use crate::features::{AggregateArena, AggregateView, PointAggregate};
 use gen_nerf_geometry::Vec3;
 use gen_nerf_nn::attention::{AttnScratch, SelfAttention};
 use gen_nerf_nn::init::Rng;
+use gen_nerf_nn::kernels::chain::{dense_chain, ChainScratch};
 use gen_nerf_nn::layers::{mse_loss, Linear, Param, Relu};
 use gen_nerf_nn::mixer::{MixerScratch, RayMixer};
 use gen_nerf_nn::Tensor2;
@@ -89,17 +90,23 @@ impl Mlp {
         self.l3.forward_inference(&h2)
     }
 
-    /// Inference forward through reusable scratch buffers; the result
-    /// lands in `scratch.out`. Bit-identical to
-    /// [`Mlp::forward_inference`] (the layers' `_into`/in-place
-    /// variants share its arithmetic) while allocating nothing once the
-    /// scratch buffers have grown to size.
-    pub fn forward_inference_into(&self, x: &Tensor2, scratch: &mut MlpScratch) {
-        self.l1.forward_into(x, &mut scratch.h1);
-        self.a1.forward_inference_in_place(&mut scratch.h1);
-        self.l2.forward_into(&scratch.h1, &mut scratch.h2);
-        self.a2.forward_inference_in_place(&mut scratch.h2);
-        self.l3.forward_into(&scratch.h2, &mut scratch.out);
+    /// Inference forward of the `m` rows of `x` (contiguous, `in_dim`
+    /// wide) as one layer-fused [`dense_chain`]: all three layers run
+    /// on a small row panel before the next panel is touched, bias and
+    /// ReLU in the GEMM epilogue, so no whole-tile hidden activation
+    /// exists. The `m × out_dim` result lands in `scratch.out`.
+    /// Bit-identical to [`Mlp::forward_inference`] row for row (the
+    /// chain's per-element op sequence is the layers'), allocating
+    /// nothing once the scratch buffers have grown to size.
+    pub fn forward_inference_into(&self, x: &[f32], m: usize, scratch: &mut MlpScratch) {
+        let layers = [
+            self.l1.chain_layer(true, false),
+            self.l2.chain_layer(true, false),
+            self.l3.chain_layer(false, false),
+        ];
+        let n = self.out_dim();
+        scratch.out.resize(m * n, 0.0);
+        dense_chain(x, m, &layers, &mut scratch.out, n, &mut scratch.chain);
     }
 
     /// Backward pass; accumulates gradients, returns `∂L/∂x`.
@@ -217,125 +224,77 @@ impl RayModule {
         }
     }
 
-    /// Fused inference over many rays' feature slices at once.
+    /// Fused inference over every ray of a tile: ray `i` owns rows
+    /// `ray_offsets[i]..ray_offsets[i + 1]` of the point-MLP output
+    /// `y` (row stride `ldy`, the density features `f^σ` its first
+    /// `d_sigma` columns), and every point's density logit lands in
+    /// `scratch.logits`, one row per point in the same ray-major order
+    /// (empty rays contribute no rows).
     ///
     /// Cross-point mixing never crosses rays, so only the per-ray
     /// phases run per ray (the mixer's `n × n` token mix, the
     /// transformer's softmax attention core); every row-independent
-    /// phase — the mixer's channel FC + projection, the transformer's
-    /// q/k/v input projections and output projection + density
-    /// projection, the `None` projection — runs as **one** GEMM over
-    /// the stacked chunk. Per-ray outputs are bit-identical to
-    /// [`RayModule::forward_inference`] on each slice — the GEMM
-    /// kernel's row-independence contract again. Empty rays yield
-    /// empty logit vectors.
+    /// phase runs once over the stacked tile. The Ray-Mixer reads `y`
+    /// in place ([`RayMixer::forward_inference_stacked`]); the
+    /// transformer and `None` variants copy the `f^σ` columns out
+    /// first. Per-ray logits are bit-identical to
+    /// [`RayModule::forward_inference`] on each ray's slice — the GEMM
+    /// kernel's row-independence contract again.
     ///
     /// # Panics
     ///
     /// Panics when any ray exceeds `N_max` for the mixer variant.
-    pub fn forward_inference_batch(&self, rays_f_sigma: &[Tensor2]) -> Vec<Vec<f32>> {
-        let mut scratch = RayModuleScratch::default();
-        self.forward_inference_batch_scratch(rays_f_sigma, &mut scratch)
-    }
-
-    /// [`RayModule::forward_inference_batch`] with caller-owned
-    /// scratch buffers (reused across chunks by long-lived render
-    /// workers).
-    pub fn forward_inference_batch_scratch(
+    fn forward_inference_stacked(
         &self,
-        rays_f_sigma: &[Tensor2],
+        y: &[f32],
+        ldy: usize,
+        d_sigma: usize,
+        ray_offsets: &[usize],
         scratch: &mut RayModuleScratch,
-    ) -> Vec<Vec<f32>> {
-        self.forward_inference_stacked(rays_f_sigma, scratch);
-        let mut offset = 0;
-        rays_f_sigma
-            .iter()
-            .map(|t| {
-                let logits = (offset..offset + t.rows())
-                    .map(|k| scratch.logits[(k, 0)])
-                    .collect();
-                offset += t.rows();
-                logits
-            })
-            .collect()
-    }
-
-    /// The batched inference proper: leaves every point's density
-    /// logit in `scratch.logits`, one row per point, stacked ray-major
-    /// in input order (empty rays contribute no rows) — so row `k` is
-    /// the chunk's `k`-th point and the fused forward reads it without
-    /// a per-ray copy.
-    fn forward_inference_stacked(&self, rays_f_sigma: &[Tensor2], scratch: &mut RayModuleScratch) {
-        let total: usize = rays_f_sigma.iter().map(|t| t.rows()).sum();
+    ) {
+        let total = ray_offsets.last().copied().unwrap_or(0);
+        scratch.logits.reset_zeroed(total, 1);
         if total == 0 {
-            scratch.logits.reset_zeroed(0, 1);
             return;
         }
+        let f_sigma_row = |k: usize| &y[k * ldy..k * ldy + d_sigma];
         match self {
             RayModule::Transformer { attn, proj } => {
                 // The softmax attention core is intrinsically per-ray
                 // (the very cost the Ray-Mixer exists to remove,
                 // Sec. 3.3), but the q/k/v/o projections are
-                // row-independent: batch them across the chunk's rays
+                // row-independent: batch them across the tile's rays
                 // and chain the density projection as one more fused
-                // GEMM over the stacked output.
-                let refs: Vec<&Tensor2> = rays_f_sigma.iter().filter(|t| t.rows() > 0).collect();
+                // GEMM over the stacked output. The per-ray slice
+                // tensors reuse the scratch buffers across tiles.
+                let f_sigma = &mut scratch.f_sigma;
+                f_sigma.resize_with(f_sigma.len().max(ray_offsets.len() - 1), Tensor2::default);
+                for (slice, ray) in f_sigma.iter_mut().zip(ray_offsets.windows(2)) {
+                    slice.reset_zeroed(ray[1] - ray[0], d_sigma);
+                    for (r, k) in (ray[0]..ray[1]).enumerate() {
+                        slice.row_mut(r).copy_from_slice(f_sigma_row(k));
+                    }
+                }
+                let refs: Vec<&Tensor2> = f_sigma[..ray_offsets.len() - 1]
+                    .iter()
+                    .filter(|t| t.rows() > 0)
+                    .collect();
                 attn.forward_inference_batch_into(&refs, &mut scratch.attn);
                 proj.forward_into(&scratch.attn.out, &mut scratch.logits);
             }
-            RayModule::Mixer(mixer) => {
-                // Token phase: one GEMM per distinct ray length (a
-                // uniform chunk is a single group), each ray's mixed
-                // features written at its own stacked offset so ray
-                // order survives for the fused channel/projection
-                // phase.
-                let RayModuleScratch {
-                    logits,
-                    stacked,
-                    mixer: mscratch,
-                    offsets,
-                    by_len,
-                    ..
-                } = scratch;
-                offsets.clear();
-                by_len.clear();
-                let mut acc = 0;
-                for (i, t) in rays_f_sigma.iter().enumerate() {
-                    offsets.push(acc);
-                    acc += t.rows();
-                    if t.rows() > 0 {
-                        by_len.push(i);
-                    }
-                }
-                by_len.sort_unstable_by_key(|&i| (rays_f_sigma[i].rows(), i));
-                stacked.reset_zeroed(total, mixer.dim());
-                for group in
-                    by_len.chunk_by(|&a, &b| rays_f_sigma[a].rows() == rays_f_sigma[b].rows())
-                {
-                    mixer.mix_tokens_inference_group_into(
-                        rays_f_sigma,
-                        group,
-                        offsets,
-                        mscratch,
-                        stacked,
-                    );
-                }
-                mixer.finish_inference_into(stacked, mscratch, logits);
-            }
+            RayModule::Mixer(mixer) => mixer.forward_inference_stacked(
+                y,
+                ldy,
+                ray_offsets,
+                &mut scratch.mixer,
+                scratch.logits.as_mut_slice(),
+            ),
             RayModule::None { proj } => {
-                // Stack the live rays' rows into the reusable scratch
-                // tensor and project the whole chunk in one GEMM.
-                let d = rays_f_sigma
-                    .iter()
-                    .find(|t| t.rows() > 0)
-                    .map_or(0, |t| t.cols());
-                scratch.stacked.reset_zeroed(total, d);
-                let mut r = 0;
-                for t in rays_f_sigma {
-                    for row in 0..t.rows() {
-                        scratch.stacked.row_mut(r).copy_from_slice(t.row(row));
-                        r += 1;
-                    }
+                // Stack the `f^σ` columns into the reusable scratch
+                // tensor and project the whole tile in one GEMM.
+                scratch.stacked.reset_zeroed(total, d_sigma);
+                for k in 0..total {
+                    scratch.stacked.row_mut(k).copy_from_slice(f_sigma_row(k));
                 }
                 proj.forward_into(&scratch.stacked, &mut scratch.logits);
             }
@@ -377,50 +336,57 @@ impl RayModule {
     }
 }
 
-/// Reusable activation buffers for one [`Mlp`]'s inference forward.
+/// Reusable buffers for one [`Mlp`]'s fused inference forward: the
+/// chain's two L1-sized hidden panels, the output, and — for the coarse
+/// MLP — the tile's decoded densities.
 #[derive(Debug, Clone, Default)]
 pub struct MlpScratch {
-    h1: Tensor2,
-    h2: Tensor2,
-    /// The MLP output of the latest [`Mlp::forward_inference_into`].
-    pub out: Tensor2,
+    chain: ChainScratch,
+    /// The `m × out_dim` output of the latest
+    /// [`Mlp::forward_inference_into`], row-major.
+    out: Vec<f32>,
+    /// Coarse densities of the latest
+    /// [`GenNerfModel::coarse_densities_arena`], flat and ray-major:
+    /// ray `i`'s run is `arena.ray_range(i)`.
+    densities: Vec<f32>,
 }
 
 #[cfg(test)]
 impl MlpScratch {
     /// Bytes of heap the buffers retain.
     pub(crate) fn capacity_bytes(&self) -> usize {
-        self.h1.capacity_bytes() + self.h2.capacity_bytes() + self.out.capacity_bytes()
+        self.chain.capacity_bytes()
+            + (self.out.capacity() + self.densities.capacity()) * std::mem::size_of::<f32>()
     }
 }
 
-/// Reusable buffers for [`RayModule::forward_inference_batch_scratch`]
-/// (the attention temporaries of the transformer variant, the mixer's
-/// token-group operands and the stacked projection inputs/outputs).
+/// Reusable buffers for the ray module's fused tile inference (the
+/// attention temporaries and per-ray `f^σ` slices of the transformer
+/// variant, the mixer's mixed features and chain panels, the `None`
+/// variant's stacked projection input, and the logits of all three).
 #[derive(Debug, Clone, Default)]
 pub struct RayModuleScratch {
     /// Attention temporaries (transformer variant).
     attn: AttnScratch,
-    /// Stacked density logits of the chunk.
+    /// Per-ray `f^σ` slices (transformer variant; buffers reused
+    /// across tiles).
+    f_sigma: Vec<Tensor2>,
+    /// Stacked density logits of the tile.
     logits: Tensor2,
-    /// Stacked feature rows (`None` variant) / mixed features `F`
-    /// (mixer variant).
+    /// Stacked `f^σ` rows (`None` variant).
     stacked: Tensor2,
-    /// Token-group and channel-phase temporaries (mixer variant).
+    /// Mixed features and channel-phase panels (mixer variant).
     mixer: MixerScratch,
-    /// Each ray's first stacked row (mixer variant).
-    offsets: Vec<usize>,
-    /// Live ray indices ordered by point count (mixer variant).
-    by_len: Vec<usize>,
 }
 
-/// Chunk-level scratch buffers for the fused cross-ray inference path
+/// Tile-level scratch buffers for the fused cross-ray inference path
 /// ([`GenNerfModel::forward_rays_arena`] /
 /// [`GenNerfModel::forward_rays_scratch`]). One instance per render
 /// worker replaces the per-ray/per-point tensor allocations of the
 /// per-ray path (notably `blend_color`'s three `Vec`s + `Tensor2` per
-/// point) and, within the fused path, the per-chunk attention and
-/// `f^σ` slice temporaries.
+/// point) and holds the tile's outputs — densities and colours, flat
+/// and ray-major — so the render pipeline composites from slices of
+/// them instead of from two fresh `Vec`s per ray.
 #[derive(Debug, Clone, Default)]
 pub struct ForwardScratch {
     /// SoA staging arena for the AoS compat entry points
@@ -436,46 +402,72 @@ pub struct ForwardScratch {
 /// staged entry points).
 #[derive(Debug, Clone, Default)]
 struct FusedScratch {
-    /// Point-MLP activations.
+    /// Point-MLP chain panels and output.
     mlp: MlpScratch,
-    /// Fused blend-head input (one row per valid (point, view) pair).
-    blend_in: Tensor2,
-    /// Blend-head activations.
+    /// Fused blend-head input (two floats per valid (point, view)
+    /// pair).
+    blend_in: Vec<f32>,
+    /// Blend-head chain panels and output.
     blend: MlpScratch,
     /// Per-point softmax weights.
     weights: Vec<f32>,
-    /// Per-ray `f^σ` slices of the fused activations (buffers reused
-    /// across chunks).
-    f_sigma: Vec<Tensor2>,
     /// Ray-module temporaries.
     ray_module: RayModuleScratch,
+    /// The tile's densities, flat and ray-major (`arena.ray_range(i)`
+    /// is ray `i`'s run).
+    densities: Vec<f32>,
+    /// The tile's colours, same layout.
+    colors: Vec<Vec3>,
+}
+
+impl FusedScratch {
+    /// The latest forward's flat outputs copied out per ray of
+    /// `points` (the frozen `Vec<RayOutput>` entry points).
+    fn ray_outputs(&self, points: &AggregateArena) -> Vec<RayOutput> {
+        (0..points.n_rays())
+            .map(|i| {
+                let range = points.ray_range(i);
+                RayOutput {
+                    densities: self.densities[range.clone()].to_vec(),
+                    colors: self.colors[range].to_vec(),
+                }
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
 impl ForwardScratch {
     /// Bytes of heap the buffers retain.
     pub(crate) fn capacity_bytes(&self) -> usize {
+        use std::mem::size_of;
         let FusedScratch {
             mlp,
             blend_in,
             blend,
             weights,
-            f_sigma,
             ray_module,
+            densities,
+            colors,
         } = &self.fused;
+        let RayModuleScratch {
+            attn,
+            f_sigma,
+            logits,
+            stacked,
+            mixer,
+        } = ray_module;
         self.staging.capacity_bytes()
             + mlp.capacity_bytes()
-            + blend_in.capacity_bytes()
             + blend.capacity_bytes()
-            + weights.capacity() * std::mem::size_of::<f32>()
-            + f_sigma.capacity() * std::mem::size_of::<Tensor2>()
+            + (blend_in.capacity() + weights.capacity() + densities.capacity()) * size_of::<f32>()
+            + colors.capacity() * size_of::<Vec3>()
+            + f_sigma.capacity() * size_of::<Tensor2>()
             + f_sigma.iter().map(Tensor2::capacity_bytes).sum::<usize>()
-            + ray_module.attn.capacity_bytes()
-            + ray_module.logits.capacity_bytes()
-            + ray_module.stacked.capacity_bytes()
-            + ray_module.mixer.capacity_bytes()
-            + (ray_module.offsets.capacity() + ray_module.by_len.capacity())
-                * std::mem::size_of::<usize>()
+            + attn.capacity_bytes()
+            + logits.capacity_bytes()
+            + stacked.capacity_bytes()
+            + mixer.capacity_bytes()
     }
 }
 
@@ -598,22 +590,28 @@ impl GenNerfModel {
     /// Where [`GenNerfModel::forward_ray`] issues one sub-16-row GEMM
     /// chain per ray plus one tiny blend GEMM per *point*, this path
     /// concatenates every point of every ray into a single input
-    /// tensor, runs **one** point-MLP GEMM chain, one ray-module pass
-    /// per ray over slices of the fused activations, and **one** blend
-    /// GEMM over all valid (point, view) pairs of the chunk.
+    /// tensor and runs **one** layer-fused point-MLP chain, the ray
+    /// module over the stacked activations (per-ray phases per ray,
+    /// row-independent phases once), and **one** blend chain over all
+    /// valid (point, view) pairs of the chunk.
     ///
     /// # Bit-exactness contract
     ///
     /// The output is **bit-for-bit identical** to calling
     /// [`GenNerfModel::forward_ray`] on each slice, for any grouping of
-    /// rays into chunks. This holds because the dense `matmul` kernel
-    /// in `gen-nerf-nn` accumulates every output element over the
-    /// shared dimension `k` in ascending order with one `f32`
-    /// accumulator (register blocking tiles `i`/`j` only), making GEMM
-    /// rows independent of which other rows share the batch; ray
-    /// modules run per ray on identical inputs; and the fused blend
-    /// head replays `blend_color`'s softmax reduction in the same
-    /// order. `tests/fused_forward_regression.rs` pins the contract.
+    /// rays into chunks — two independent formulations: the per-ray
+    /// reference composes whole layers (`matmul`, then bias, then
+    /// ReLU; explicit transposes in the mixer), the fused path runs
+    /// `gen_nerf_nn::kernels::chain`. They agree because the dense
+    /// kernels of `gen-nerf-nn` accumulate every output element over
+    /// the shared dimension `k` in ascending order with one `f32`
+    /// accumulator (register blocking tiles `i`/`j` only) and apply a
+    /// fused epilogue as the unfused element functions, making rows
+    /// independent of which other rows, panels or strides share the
+    /// batch; ray modules mix each ray's own points only; and the
+    /// fused blend head replays `blend_color`'s softmax reduction in
+    /// the same order. `tests/fused_forward_regression.rs` pins the
+    /// contract.
     pub fn forward_rays(&self, rays: &[&[PointAggregate]]) -> Vec<RayOutput> {
         let mut scratch = ForwardScratch::default();
         self.forward_rays_scratch(rays, &mut scratch)
@@ -639,22 +637,11 @@ impl GenNerfModel {
         rays: &[&[PointAggregate]],
         scratch: &mut ForwardScratch,
     ) -> Vec<RayOutput> {
-        let total: usize = rays.iter().map(|r| r.len()).sum();
-        if total == 0 {
-            return rays
-                .iter()
-                .map(|_| RayOutput {
-                    densities: Vec::new(),
-                    colors: Vec::new(),
-                })
-                .collect();
-        }
         let n_views = rays
             .iter()
             .flat_map(|r| r.iter())
             .next()
-            .map(|a| a.valid.len())
-            .expect("non-zero total implies a point");
+            .map_or(0, |a| a.valid.len());
         let ForwardScratch { staging, fused } = scratch;
         staging.reset(n_views, self.config.d_features);
         for ray in rays {
@@ -663,7 +650,8 @@ impl GenNerfModel {
             }
             staging.seal_ray();
         }
-        self.forward_fused(staging, fused)
+        self.forward_fused(staging, fused);
+        fused.ray_outputs(staging)
     }
 
     /// Fused inference straight off an [`AggregateArena`] — the
@@ -676,6 +664,10 @@ impl GenNerfModel {
     /// the same order; the kernel row-independence contract does the
     /// rest — pinned by `tests/arena_regression.rs`).
     ///
+    /// This is a thin adaptor over the flat outputs of
+    /// `forward_arena_flat`, which the render pipeline reads directly:
+    /// it copies each ray's run into a [`RayOutput`].
+    ///
     /// # Panics
     ///
     /// Panics when the arena's stats width differs from the point-MLP
@@ -685,24 +677,57 @@ impl GenNerfModel {
         arena: &AggregateArena,
         scratch: &mut ForwardScratch,
     ) -> Vec<RayOutput> {
-        self.forward_fused(arena, &mut scratch.fused)
+        self.forward_fused(arena, &mut scratch.fused);
+        scratch.fused.ray_outputs(arena)
     }
 
-    /// The single fused-forward implementation behind both entry
-    /// points: one point-MLP GEMM chain over the arena stats matrix in
-    /// place, per-ray ray-module passes over slices of the fused
-    /// activations, one blend GEMM over all valid (point, view) pairs,
-    /// per-ray assembly in `blend_color`'s reduction order.
-    fn forward_fused(&self, points: &AggregateArena, scratch: &mut FusedScratch) -> Vec<RayOutput> {
-        let n_rays = points.n_rays();
+    /// [`GenNerfModel::forward_rays_arena`] without the per-ray
+    /// copies: the tile's `(densities, colors)`, flat and ray-major —
+    /// `arena.ray_range(i)` is ray `i`'s run of both — borrowed from
+    /// the scratch until its next forward.
+    pub(crate) fn forward_arena_flat<'s>(
+        &self,
+        arena: &AggregateArena,
+        scratch: &'s mut ForwardScratch,
+    ) -> (&'s [f32], &'s [Vec3]) {
+        self.forward_fused(arena, &mut scratch.fused);
+        (&scratch.fused.densities, &scratch.fused.colors)
+    }
+
+    /// The single fused-forward implementation behind every entry
+    /// point, leaving the tile's densities and colours in `scratch`.
+    /// Four layer-fused kernel dispatches per tile with the Ray-Mixer,
+    /// none of them materialising a whole-tile hidden activation:
+    ///
+    /// 1. the point MLP as one row-panel [`dense_chain`] over the arena
+    ///    stats matrix in place ([`Mlp::forward_inference_into`]);
+    /// 2. the ray module over the stacked output — the mixer's token
+    ///    phase per ray **in place** on it (no `f^σ` copy, no
+    ///    transposes, no grouping by length), then
+    /// 3. its channel phase + density projection as one two-layer
+    ///    chain ([`RayModule::forward_inference_stacked`]);
+    /// 4. the blend head as one chain over all valid (point, view)
+    ///    pairs of the tile;
+    ///
+    /// then the per-point assembly in `blend_color`'s reduction order.
+    /// With integrity checking on, each layer of each dispatch is
+    /// verified panel by panel inside the chain (see
+    /// `gen_nerf_nn::kernels::chain`).
+    fn forward_fused(&self, points: &AggregateArena, scratch: &mut FusedScratch) {
         let total = points.total_points();
+        let FusedScratch {
+            mlp,
+            blend_in,
+            blend,
+            weights,
+            ray_module,
+            densities,
+            colors,
+        } = scratch;
+        densities.clear();
+        colors.clear();
         if total == 0 {
-            return (0..n_rays)
-                .map(|_| RayOutput {
-                    densities: Vec::new(),
-                    colors: Vec::new(),
-                })
-                .collect();
+            return;
         }
         let d_sigma = self.config.d_sigma;
         assert_eq!(
@@ -710,101 +735,75 @@ impl GenNerfModel {
             self.config.point_input_dim(),
             "arena stats width is not the point-MLP input width"
         );
-        let FusedScratch {
-            mlp,
-            blend_in,
-            blend,
-            weights,
-            f_sigma,
+
+        // One point-MLP chain for the whole tile, reading the arena's
+        // stats matrix directly.
+        self.point_mlp
+            .forward_inference_into(points.stats().as_slice(), total, mlp);
+        let ldy = self.point_mlp.out_dim();
+        let y = &mlp.out[..];
+
+        // Ray module over the stacked activations: per-ray phases stay
+        // per ray (mixing never crosses rays), the row-independent
+        // phases run once for the whole tile.
+        self.ray_module.forward_inference_stacked(
+            y,
+            ldy,
+            d_sigma,
+            points.ray_offsets(),
             ray_module,
-        } = scratch;
+        );
+        let logits = ray_module.logits.as_slice();
 
-        // One point-MLP GEMM chain for the whole chunk, reading the
-        // arena's stats matrix directly.
-        self.point_mlp.forward_inference_into(points.stats(), mlp);
-        let y = &mlp.out;
-
-        // Ray module over per-ray slices of the fused activations:
-        // per-ray phases stay per ray (mixing never crosses rays), but
-        // the row-independent phases run once for the whole chunk. The
-        // per-ray slice tensors reuse the scratch buffers across
-        // chunks.
-        if f_sigma.len() < n_rays {
-            f_sigma.resize_with(n_rays, Tensor2::default);
-        }
-        for i in 0..n_rays {
-            let range = points.ray_range(i);
-            let slice = &mut f_sigma[i];
-            slice.reset_zeroed(range.len(), d_sigma);
-            for (r, k) in range.enumerate() {
-                slice.row_mut(r).copy_from_slice(&y.row(k)[..d_sigma]);
-            }
-        }
-        self.ray_module
-            .forward_inference_stacked(&f_sigma[..n_rays], ray_module);
-        let logits = &ray_module.logits;
-
-        // One blend-head GEMM over every valid (point, view) pair of
-        // the chunk (ray-major, point-major, view-ascending), replacing
+        // One blend-head chain over every valid (point, view) pair of
+        // the tile (ray-major, point-major, view-ascending), replacing
         // one 3-layer MLP call *per point* in the per-ray path.
-        blend_in.reset_zeroed(points.valid_pairs().max(1), 2);
-        let mut pr = 0;
+        blend_in.clear();
         for k in 0..total {
             let inputs = points.blend_inputs_row(k);
             for (i, &ok) in points.valid_row(k).iter().enumerate() {
                 if ok {
-                    let row = blend_in.row_mut(pr);
-                    row[0] = inputs[i][0];
-                    row[1] = inputs[i][1];
-                    pr += 1;
+                    blend_in.extend_from_slice(&inputs[i]);
                 }
             }
         }
-        self.blend.forward_inference_into(blend_in, blend);
-        let blend_logits = &blend.out;
+        self.blend
+            .forward_inference_into(blend_in, points.valid_pairs(), blend);
+        let blend_logits = &blend.out[..];
 
-        // Per-ray assembly: softmax each point's pair range (same
+        // Per-point assembly: softmax each point's pair range (same
         // reduction order as `blend_color`), add the RGB residual.
-        let mut outputs = Vec::with_capacity(n_rays);
         let mut pair = 0;
-        for i in 0..n_rays {
-            let range = points.ray_range(i);
-            let mut densities = Vec::with_capacity(range.len());
-            let mut colors = Vec::with_capacity(range.len());
-            for k in range {
-                let m = points.n_valid(k);
-                if m == 0 {
-                    densities.push(0.0);
-                    colors.push(Vec3::ZERO);
-                    continue;
-                }
-                densities.push(density_from_logit(logits[(k, 0)]));
-                let max = (pair..pair + m)
-                    .map(|p| blend_logits[(p, 0)])
-                    .fold(f32::NEG_INFINITY, f32::max);
-                weights.clear();
-                weights.extend((pair..pair + m).map(|p| (blend_logits[(p, 0)] - max).exp()));
-                let total_w: f32 = weights.iter().sum();
-                weights.iter_mut().for_each(|w| *w /= total_w);
-                let mut blended = Vec3::ZERO;
-                let mut wi = 0;
-                for (v, &ok) in points.valid_row(k).iter().enumerate() {
-                    if ok {
-                        blended += points.view_colors_row(k)[v] * weights[wi];
-                        wi += 1;
-                    }
-                }
-                pair += m;
-                let resid = Vec3::new(
-                    0.1 * y[(k, d_sigma)].tanh(),
-                    0.1 * y[(k, d_sigma + 1)].tanh(),
-                    0.1 * y[(k, d_sigma + 2)].tanh(),
-                );
-                colors.push((blended + resid).clamp(0.0, 1.0));
+        for k in 0..total {
+            let m = points.n_valid(k);
+            if m == 0 {
+                densities.push(0.0);
+                colors.push(Vec3::ZERO);
+                continue;
             }
-            outputs.push(RayOutput { densities, colors });
+            densities.push(density_from_logit(logits[k]));
+            let pairs = &blend_logits[pair..pair + m];
+            let max = pairs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            weights.clear();
+            weights.extend(pairs.iter().map(|&l| (l - max).exp()));
+            let total_w: f32 = weights.iter().sum();
+            weights.iter_mut().for_each(|w| *w /= total_w);
+            let mut blended = Vec3::ZERO;
+            let mut wi = 0;
+            for (v, &ok) in points.valid_row(k).iter().enumerate() {
+                if ok {
+                    blended += points.view_colors_row(k)[v] * weights[wi];
+                    wi += 1;
+                }
+            }
+            pair += m;
+            let resid = Vec3::new(
+                0.1 * y[k * ldy + d_sigma].tanh(),
+                0.1 * y[k * ldy + d_sigma + 1].tanh(),
+                0.1 * y[k * ldy + d_sigma + 2].tanh(),
+            );
+            colors.push((blended + resid).clamp(0.0, 1.0));
         }
-        outputs
     }
 
     /// Blends source colors with softmax weights from the blend head.
@@ -892,10 +891,12 @@ impl GenNerfModel {
 
     /// Coarse-pass density estimation straight off an
     /// [`AggregateArena`] (filled at `coarse_channels` against the
-    /// coarse source subset): one coarse-MLP GEMM chain over the
+    /// coarse source subset): one layer-fused coarse-MLP chain over the
     /// arena's stats matrix **in place**, sliced back per ray. Bitwise
     /// equal to [`GenNerfModel::coarse_densities_batch`] over the
-    /// exported aggregates.
+    /// exported aggregates. A thin adaptor over
+    /// `coarse_densities_flat`, which the render pipeline reads
+    /// directly.
     ///
     /// # Panics
     ///
@@ -906,8 +907,25 @@ impl GenNerfModel {
         arena: &AggregateArena,
         scratch: &mut MlpScratch,
     ) -> Vec<Vec<f32>> {
-        if arena.total_points() == 0 {
-            return (0..arena.n_rays()).map(|_| Vec::new()).collect();
+        let flat = self.coarse_densities_flat(arena, scratch);
+        (0..arena.n_rays())
+            .map(|r| flat[arena.ray_range(r)].to_vec())
+            .collect()
+    }
+
+    /// [`GenNerfModel::coarse_densities_arena`] without the per-ray
+    /// copies: the tile's coarse densities, flat and ray-major
+    /// (`arena.ray_range(i)` is ray `i`'s run), borrowed from the
+    /// scratch until its next forward.
+    pub(crate) fn coarse_densities_flat<'s>(
+        &self,
+        arena: &AggregateArena,
+        scratch: &'s mut MlpScratch,
+    ) -> &'s [f32] {
+        let total = arena.total_points();
+        scratch.densities.clear();
+        if total == 0 {
+            return &scratch.densities;
         }
         assert_eq!(
             arena.stats().cols(),
@@ -915,22 +933,16 @@ impl GenNerfModel {
             "arena stats width is not the coarse-MLP input width"
         );
         self.coarse_mlp
-            .forward_inference_into(arena.stats(), scratch);
-        let z = &scratch.out;
-        (0..arena.n_rays())
-            .map(|r| {
-                arena
-                    .ray_range(r)
-                    .map(|k| {
-                        if arena.n_valid(k) == 0 {
-                            0.0
-                        } else {
-                            density_from_logit(z[(k, 0)])
-                        }
-                    })
-                    .collect()
-            })
-            .collect()
+            .forward_inference_into(arena.stats().as_slice(), total, scratch);
+        let MlpScratch { out, densities, .. } = scratch;
+        densities.extend((0..total).map(|k| {
+            if arena.n_valid(k) == 0 {
+                0.0
+            } else {
+                density_from_logit(out[k])
+            }
+        }));
+        densities
     }
 
     /// One training step's forward+backward for a ray: supervises
@@ -1247,24 +1259,29 @@ mod tests {
             let model = GenNerfModel::new(ModelConfig::fast().with_ray_module(choice));
             let mut arena = AggregateArena::default();
             arena.reset(sources.len(), 12);
-            // Ray 0: 12 points; ray 1: empty; ray 2: 5 points with one
-            // invisible point mixed in.
-            let depths12 = gen_nerf_geometry::Ray::uniform_depths(t0, t1, 12);
-            let pts12: Vec<Vec3> = depths12.iter().map(|&t| ray.at(t)).collect();
-            let dirs12 = vec![ray.direction; 12];
-            aggregate_points_into(&pts12, &dirs12, &sources, 12, &mut arena);
-            arena.seal_ray();
-            let mut pts5: Vec<Vec3> = gen_nerf_geometry::Ray::uniform_depths(t0, t1, 4)
-                .iter()
-                .map(|&t| ray.at(t))
-                .collect();
-            pts5.insert(1, Vec3::new(1000.0, 0.0, 0.0));
-            let dirs5 = vec![ray.direction; 5];
-            aggregate_points_into(&pts5, &dirs5, &sources, 12, &mut arena);
+            // One tile mixing every kind of ray the schedule produces:
+            // empty, a single point, lengths off and on the kernels'
+            // tile edges, a full N_max ray — and, in every ray longer
+            // than one point, a point no source view sees
+            // (`n_valid == 0`) in second place.
+            let lengths = [12usize, 0, 1, 5, 8, 13, 64];
+            for &n in &lengths {
+                let mut pts: Vec<Vec3> = gen_nerf_geometry::Ray::uniform_depths(t0, t1, n.max(1))
+                    [..n]
+                    .iter()
+                    .map(|&t| ray.at(t))
+                    .collect();
+                if n > 1 {
+                    pts[1] = Vec3::new(1000.0, 0.0, 0.0);
+                }
+                let dirs = vec![ray.direction; n];
+                aggregate_points_into(&pts, &dirs, &sources, 12, &mut arena);
+            }
+            assert!((0..arena.total_points()).any(|k| arena.n_valid(k) == 0));
 
             let mut scratch = ForwardScratch::default();
             let fused = model.forward_rays_arena(&arena, &mut scratch);
-            assert_eq!(fused.len(), 3);
+            assert_eq!(fused.len(), lengths.len());
             for (r, out) in fused.iter().enumerate() {
                 let exported = arena.export_ray(r);
                 let per_ray = model.forward_ray(&exported);

@@ -46,20 +46,27 @@
 //! Within a tile, shading is a three-phase schedule instead of a
 //! per-ray program: **aggregate** every ray of the tile into the
 //! worker's SoA [`AggregateArena`] (zero heap allocations in steady
-//! state; see `crate::features`), then **one fused forward**
-//! ([`GenNerfModel::forward_rays_arena`] — a single point-MLP GEMM and
-//! a single blend-head GEMM for the whole tile, the software analog
-//! of the paper's PE pool, reading the arena's stats matrix as the
-//! GEMM operand **in place**), then a per-ray **composite** through
-//! per-worker scratch buffers. The arena, the forward scratch and the
-//! composite buffers live in a thread-local worker scratch, so a
-//! persistent [`Pool`] worker keeps them warm across frames — and
-//! since they only ever hold one tile, their size is bounded by the
-//! tile budget ([`WORKER_SCRATCH_BYTES`]), not by the frame or the
-//! batch. Because the dense GEMM kernel makes output rows independent
-//! of their batch (k-order accumulation, see `gen_nerf_nn::tensor` — a
-//! contract every SIMD kernel backend upholds; see
-//! `gen_nerf_nn::kernels`), the fused schedule is bit-for-bit
+//! state; see `crate::features`), then **one fused forward** (the
+//! implementation behind [`GenNerfModel::forward_rays_arena`] — four
+//! layer-fused kernel dispatches for the whole tile: the point MLP as
+//! one row-panel chain reading the arena's stats matrix as the GEMM
+//! operand **in place**, the Ray-Mixer's token mix in place on its
+//! output, the mixer's channel phase + projection, and the blend head,
+//! each layer's activations living in L1-sized panels the way the
+//! paper's PE pool keeps them on chip between layers), then a per-ray
+//! **composite** through per-worker scratch buffers. The forward
+//! leaves the tile's densities and colours in flat ray-major buffers
+//! inside the worker's forward scratch and the composite reads each
+//! ray's run of them — no per-ray output `Vec` exists on this path.
+//! The arena, the forward scratch and the composite buffers live in a
+//! thread-local worker scratch, so a persistent [`Pool`] worker keeps
+//! them warm across frames — and since they only ever hold one tile,
+//! their size is bounded by the tile budget
+//! ([`WORKER_SCRATCH_BYTES`]), not by the frame or the batch. Because
+//! the dense kernels make output rows independent of their batch
+//! (k-order accumulation, see `gen_nerf_nn::tensor` — a contract every
+//! SIMD kernel backend upholds; see `gen_nerf_nn::kernels`), the fused
+//! schedule is bit-for-bit
 //! identical to the per-ray path for any tiling — which is also what
 //! keeps the thread-count determinism above intact. The per-ray
 //! reference path survives behind
@@ -99,11 +106,12 @@
 //! # Output integrity
 //!
 //! With `GEN_NERF_INTEGRITY` set (see `gen_nerf_nn::kernels::
-//! integrity`), every dispatched GEMM is ABFT-checksummed and this
-//! module adds **stage-boundary sentinels**: finite-value scans after
-//! each fused forward (densities through the active kernel's
-//! `is_finite_all`, AVX2 where available) and over the composited
-//! pixels right before they become images. Trips are recorded in
+//! integrity`), every layer of every fused chain is ABFT-checksummed
+//! panel by panel and this module adds **stage-boundary sentinels**:
+//! finite-value scans after each fused forward (one `is_finite_all`
+//! of the active kernel over the tile's flat densities, AVX2 where
+//! available, plus its colours) and over the composited pixels right
+//! before they become images. Trips are recorded in
 //! process-wide counters; the fallible entry points
 //! ([`Renderer::try_render_frames_cached`], [`Renderer::try_render`],
 //! [`Renderer::try_render_into`]) snapshot the counters around the
@@ -121,7 +129,7 @@ use crate::features::{
     aggregate_point, aggregate_ray_into, assert_channels, AggregateArena, AggregateView,
     PointAggregate, SourceViewData,
 };
-use crate::model::{ForwardScratch, GenNerfModel, MlpScratch, RayOutput};
+use crate::model::{ForwardScratch, GenNerfModel, MlpScratch};
 use crate::sampling;
 use gen_nerf_geometry::{Aabb, Camera, Ray, Vec3};
 use gen_nerf_nn::flops::{self, FlopsCounter};
@@ -138,11 +146,14 @@ use std::sync::Mutex;
 
 /// Reusable buffers for the per-ray composite phase of the fused tile
 /// schedule: one instance per worker replaces the interval-widths and
-/// hitting-weights `Vec`s the allocating [`composite`] pays per ray.
+/// hitting-weights `Vec`s the allocating [`composite`] pays per ray
+/// (and, in Step ①, the all-black colours a weights-only composite is
+/// handed).
 #[derive(Debug, Clone, Default)]
 struct CompositeScratch {
     deltas: Vec<f32>,
     weights: Vec<f32>,
+    black: Vec<Vec3>,
 }
 
 /// One render worker's reusable state: the SoA aggregation arena (the
@@ -177,6 +188,7 @@ impl WorkerScratch {
             + self.coarse.capacity_bytes()
             + (self.composite.deltas.capacity() + self.composite.weights.capacity())
                 * std::mem::size_of::<f32>()
+            + self.composite.black.capacity() * std::mem::size_of::<Vec3>()
     }
 }
 
@@ -237,14 +249,17 @@ fn arena_fill_hist() -> gen_nerf_telemetry::Histogram {
 
 /// Sample-point budget of one ray tile (see [`Renderer::fan_out`]) —
 /// sized so a tile's buffers stay L2-resident from aggregation to
-/// composite. Per point, `ModelConfig::fast()` keeps ≈ 0.9 KB live in
-/// the worker scratch (stats row 26 floats, point-MLP activations
-/// 48 + 48 + 19, `f^σ` and the mixer's operands 5 × 16) plus ≈ 0.1 KB
-/// per source view (color, blend input and the blend head's
-/// 2 + 8 + 8 + 1 activations per valid pair): 1.5–1.9 KB at 6–8 views.
-/// Half of a 4 MiB L2 — the other half is left to the source feature
-/// maps the aggregation gathers from — holds ≈ 1 K such points, i.e.
-/// 64 rays at 16 points per ray.
+/// composite. Per point, `ModelConfig::fast()` keeps ≈ 0.3 KB live in
+/// the worker scratch (stats row 26 floats, point-MLP output 19, the
+/// mixer's `F` 16, logit, density and colour — the hidden activations
+/// are L1 panels, not per point) plus ≈ 0.03 KB per source view
+/// (color, blend input and the blend logit per valid pair), and the
+/// acquisition planes of the arena beside them. The budget was sized
+/// when the hidden activations were whole-tile (1.5–1.9 KB per point
+/// at 6–8 views against half of a 4 MiB L2, the other half left to
+/// the source feature maps the aggregation gathers from) and is kept:
+/// ≈ 1 K points, i.e. 64 rays at 16 points per ray, is also what
+/// amortises the per-tile dispatch and bookkeeping.
 const TILE_POINTS: usize = 1024;
 
 /// Upper bound on the heap one render worker's scratch retains, for
@@ -259,13 +274,14 @@ pub const WORKER_SCRATCH_BYTES: usize = 4 << 20;
 
 /// Ceiling on steady-state fused-schedule heap allocations per frame
 /// on the canonical allocation workload (32×32 frame, uniform
-/// n = 12, one inline thread): the measured 2,122 plus 25 % headroom.
-/// What is left is per ray (its depths and its output vectors) and
-/// per tile (result vectors); the 21,698 before were mostly a `String`
-/// per `FlopsCounter::add`, two adds per point — the regression this
-/// ceiling exists to catch. `tests/arena_regression.rs` enforces it,
-/// on both kernel legs of CI.
-pub const STEADY_STATE_ALLOC_CEILING: u64 = 2_650;
+/// n = 12, one inline thread): the measured 757 plus 25 % headroom.
+/// What is left is per ray (its depths) and per tile (result
+/// vectors); the 2,122 before the flat forward outputs were mostly two
+/// `Vec`s per ray in `RayOutput`, and the 21,698 before that a
+/// `String` per `FlopsCounter::add`, two adds per point — the
+/// regressions this ceiling exists to catch.
+/// `tests/arena_regression.rs` enforces it, on both kernel legs of CI.
+pub const STEADY_STATE_ALLOC_CEILING: u64 = 950;
 
 /// Instrumentation collected while rendering one image.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -460,23 +476,18 @@ fn sentinels_enabled() -> bool {
     integrity::mode() != integrity::IntegrityMode::Off
 }
 
-/// Scans a fused forward's outputs for non-finite densities or colors
-/// and trips the sentinel naming `stage` on the first bad ray. The
-/// density scan goes through the active kernel's `is_finite_all`
-/// (AVX2 on hosts that have it), so the guard costs one pass over
-/// data the composite is about to read anyway.
-fn scan_forward_outputs(outs: &[RayOutput], stage: &str) {
-    let kernel = kernels::active();
-    for (i, out) in outs.iter().enumerate() {
-        let ok = kernel.is_finite_all(&out.densities)
-            && out
-                .colors
-                .iter()
-                .all(|c| c.x.is_finite() && c.y.is_finite() && c.z.is_finite());
-        if !ok {
-            trip_sentinel(format!("{stage}: non-finite model output at chunk ray {i}"));
-            return;
-        }
+/// Scans a fused forward's flat outputs for non-finite densities or
+/// colors and trips the sentinel naming `stage`. The density scan is
+/// one `is_finite_all` of the active kernel (AVX2 on hosts that have
+/// it) over the whole tile, so the guard costs one pass over data the
+/// composite is about to read anyway.
+fn scan_forward_outputs(densities: &[f32], colors: &[Vec3], stage: &str) {
+    let ok = kernels::active().is_finite_all(densities)
+        && colors
+            .iter()
+            .all(|c| c.x.is_finite() && c.y.is_finite() && c.z.is_finite());
+    if !ok {
+        trip_sentinel(format!("{stage}: non-finite model output in the tile"));
     }
 }
 
@@ -1226,11 +1237,11 @@ impl<'a> Renderer<'a> {
                     composite: cscratch,
                     ..
                 } = ws;
-                let outs = self.model.forward_rays_arena(arena, forward);
+                let (densities, colors) = self.model.forward_arena_flat(arena, forward);
                 // Stage-boundary sentinel: catch non-finite forward
                 // outputs before the composite folds them into pixels.
                 if sentinels_enabled() {
-                    scan_forward_outputs(&outs, "fused forward");
+                    scan_forward_outputs(densities, colors, "fused forward");
                 }
                 let t_composite = if let Some(t0) = t_chunk {
                     // Aggregation + fused forward = the focus stage.
@@ -1243,21 +1254,23 @@ impl<'a> Renderer<'a> {
                 } else {
                     None
                 };
-                // Phase 3: per-ray composite through the worker's
-                // scratch buffers.
-                let colors: Vec<Vec3> = (start..end)
+                // Phase 3: per-ray composite of each ray's run of the
+                // flat outputs, through the worker's scratch buffers.
+                let pixels: Vec<Vec3> = (start..end)
                     .map(|g| {
                         let idx = g - start;
                         let (f, j) = set.locate(g);
                         match (&depths_per[idx], set.batches[f].ranges[j]) {
-                            (Some(depths), Some((_, t1))) if !depths.is_empty() => self
-                                .composite_ray_scratch(
+                            (Some(depths), Some((_, t1))) if !depths.is_empty() => {
+                                let run = arena.ray_range(idx);
+                                self.composite_ray_scratch(
                                     depths,
-                                    &outs[idx].densities,
-                                    &outs[idx].colors,
+                                    &densities[run.clone()],
+                                    &colors[run],
                                     t1,
                                     cscratch,
-                                ),
+                                )
+                            }
                             _ => self.background,
                         }
                     })
@@ -1265,7 +1278,7 @@ impl<'a> Renderer<'a> {
                 if let Some(t0) = t_composite {
                     stage_hist("composite").observe(t0.elapsed().as_nanos() as u64);
                 }
-                (colors, local)
+                (pixels, local)
             })
         });
         Self::merge_frame_chunks(set, chunks, stats)
@@ -1482,13 +1495,22 @@ impl<'a> Renderer<'a> {
                         }
                     }
                 }
-                let coarse_outs = {
+                // The coarse outputs outlive the arena and the forward
+                // scratch (both are reused by the fine pass below), so
+                // the tile's flat runs are copied out once.
+                let (coarse_runs, coarse_densities, coarse_colors) = {
                     let WorkerScratch { arena, forward, .. } = &mut *ws;
-                    self.model.forward_rays_arena(arena, forward)
+                    let (densities, colors) = self.model.forward_arena_flat(arena, forward);
+                    if sentinels_enabled() {
+                        scan_forward_outputs(densities, colors, "hierarchical coarse forward");
+                    }
+                    (
+                        arena.ray_offsets().to_vec(),
+                        densities.to_vec(),
+                        colors.to_vec(),
+                    )
                 };
-                if sentinels_enabled() {
-                    scan_forward_outputs(&coarse_outs, "hierarchical coarse forward");
-                }
+                let coarse_run = |idx: usize| coarse_runs[idx]..coarse_runs[idx + 1];
 
                 // Importance resampling per ray, then the fine fused
                 // pass through the same (reset) arena.
@@ -1513,8 +1535,8 @@ impl<'a> Renderer<'a> {
                     }
                     let deltas = Ray::interval_widths(&coarse_depths_per[idx], t1);
                     let comp = composite(
-                        &coarse_outs[idx].densities,
-                        &coarse_outs[idx].colors,
+                        &coarse_densities[coarse_run(idx)],
+                        &coarse_colors[coarse_run(idx)],
                         &deltas,
                         self.background,
                     );
@@ -1538,9 +1560,9 @@ impl<'a> Renderer<'a> {
                     composite: cscratch,
                     ..
                 } = ws;
-                let fine_outs = self.model.forward_rays_arena(arena, forward);
+                let (fine_densities, fine_colors) = self.model.forward_arena_flat(arena, forward);
                 if sentinels_enabled() {
-                    scan_forward_outputs(&fine_outs, "hierarchical fine forward");
+                    scan_forward_outputs(fine_densities, fine_colors, "hierarchical fine forward");
                 }
 
                 // Merge-sort the union by depth and composite, per ray.
@@ -1551,16 +1573,17 @@ impl<'a> Renderer<'a> {
                         let Some((_, t1)) = set.batches[f].ranges[j] else {
                             return self.background;
                         };
+                        let fine_run = arena.ray_range(idx);
                         let mut merged: Vec<(f32, f32, Vec3)> = coarse_depths_per[idx]
                             .iter()
-                            .zip(&coarse_outs[idx].densities)
-                            .zip(&coarse_outs[idx].colors)
+                            .zip(&coarse_densities[coarse_run(idx)])
+                            .zip(&coarse_colors[coarse_run(idx)])
                             .map(|((&t, &d), &c)| (t, d, c))
                             .chain(
                                 fine_depths_per[idx]
                                     .iter()
-                                    .zip(&fine_outs[idx].densities)
-                                    .zip(&fine_outs[idx].colors)
+                                    .zip(&fine_densities[fine_run.clone()])
+                                    .zip(&fine_colors[fine_run])
                                     .map(|((&t, &d), &c)| (t, d, c)),
                             )
                             .collect();
@@ -1666,42 +1689,51 @@ impl<'a> Renderer<'a> {
                     );
                     depths_per.push(depths);
                 }
-                let densities_per = {
-                    let WorkerScratch { arena, coarse, .. } = &mut *ws;
-                    self.model.coarse_densities_arena(arena, coarse)
-                };
+                let WorkerScratch {
+                    arena,
+                    coarse,
+                    composite: cscratch,
+                    ..
+                } = ws;
+                let densities = self.model.coarse_densities_flat(arena, coarse);
                 // Stage-boundary sentinel: a non-finite coarse density
                 // would silently skew every weight Steps ②/③ consume.
-                if sentinels_enabled() {
-                    let kernel = kernels::active();
-                    for (i, densities) in densities_per.iter().enumerate() {
-                        if !kernel.is_finite_all(densities) {
-                            trip_sentinel(format!(
-                                "coarse forward: non-finite density at chunk ray {i}"
-                            ));
-                            break;
-                        }
-                    }
+                if sentinels_enabled() && !kernels::active().is_finite_all(densities) {
+                    trip_sentinel("coarse forward: non-finite density in the tile".to_string());
                 }
-                let per_ray: Vec<(Vec<f32>, usize)> = (start..end)
+                // Weights-only composite of each ray's run of the flat
+                // densities through the worker's scratch; the tile's
+                // hitting weights leave as one flat block plus each
+                // ray's (weight count, critical count).
+                let mut tile_weights = Vec::with_capacity(arena.total_points());
+                let per_ray: Vec<(usize, usize)> = (start..end)
                     .map(|g| {
                         let idx = g - start;
                         let (f, j) = locate_sub(g);
                         let Some((_, t1)) = set.batches[f].ranges[j] else {
-                            return (Vec::new(), 0);
+                            return (0, 0);
                         };
-                        let densities = &densities_per[idx];
-                        let deltas = Ray::interval_widths(&depths_per[idx], t1);
-                        let dummy_colors = vec![Vec3::ZERO; densities.len()];
-                        let comp = composite(densities, &dummy_colors, &deltas, Vec3::ZERO);
+                        let densities = &densities[arena.ray_range(idx)];
+                        Ray::interval_widths_into(&depths_per[idx], t1, &mut cscratch.deltas);
+                        cscratch.black.resize(densities.len(), Vec3::ZERO);
+                        composite_into(
+                            densities,
+                            &cscratch.black,
+                            &cscratch.deltas,
+                            Vec3::ZERO,
+                            &mut cscratch.weights,
+                        );
                         local[f]
                             .flops
                             .add("others", flops::volume_render(densities.len()));
-                        let critical = sampling::critical_count(&comp.weights, tau);
-                        (comp.weights, critical)
+                        tile_weights.extend_from_slice(&cscratch.weights);
+                        (
+                            cscratch.weights.len(),
+                            sampling::critical_count(&cscratch.weights, tau),
+                        )
                     })
                     .collect();
-                (per_ray, local)
+                (tile_weights, per_ray, local)
             })
         });
         let mut fresh: Vec<Option<CoarseFrame>> = (0..set.n_frames())
@@ -1712,13 +1744,15 @@ impl<'a> Renderer<'a> {
             })
             .collect();
         let mut g = 0usize;
-        for (per_ray, local) in coarse_chunks {
-            for (weights, critical) in per_ray {
+        for (tile_weights, per_ray, local) in coarse_chunks {
+            let mut at = 0;
+            for (n_weights, critical) in per_ray {
                 let (f, _) = locate_sub(g);
                 fresh[f]
                     .as_mut()
                     .expect("fresh frame")
-                    .push_ray(&weights, critical);
+                    .push_ray(&tile_weights[at..at + n_weights], critical);
+                at += n_weights;
                 g += 1;
             }
             for (f, l) in local.iter().enumerate() {

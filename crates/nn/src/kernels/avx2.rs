@@ -10,8 +10,15 @@
 //! every vector operation is paired with a scalar remainder that
 //! computes the *same* per-lane function —
 //!
-//! * GEMM lanes use `vfmadd`; the column remainder uses scalar
-//!   [`f32::mul_add`] (the same correctly-rounded fused op).
+//! * GEMM lanes use `vfmadd`; the column remainder (`n % 8`) runs on a
+//!   **masked** 8-lane tile (`vmaskmovps` loads and stores) whose live
+//!   lanes execute the very same `vfmadd`, so a remainder element is
+//!   what [`f32::mul_add`] chains gave it before — and no store ever
+//!   reaches past a row's `n` live columns.
+//! * The fused GEMM epilogue is `vaddps` (bias), `vmaxps(x, 0)` (ReLU)
+//!   and `vaddps` (residual) on the finished accumulators: lane for
+//!   lane the element functions of `add_bias_rows` / `relu` /
+//!   `add_assign` below.
 //! * ReLU lanes use `vmaxps(x, 0)` = `if x > 0 { x } else { 0 }`; the
 //!   remainder spells out exactly that comparison (not `f32::max`,
 //!   whose −0.0 handling may differ).
@@ -26,7 +33,7 @@
 
 #![allow(unsafe_code)]
 
-use super::{Backend, MicroKernel};
+use super::{assert_gemm_args, assert_token_mix_args, Backend, Epilogue, MicroKernel};
 
 #[cfg(target_arch = "x86")]
 use std::arch::x86::*;
@@ -48,20 +55,97 @@ impl MicroKernel for Avx2Kernel {
         Backend::Avx2
     }
 
-    fn matmul(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), k * n);
-        debug_assert_eq!(out.len(), m * n);
+    fn gemm(
+        &self,
+        a: &[f32],
+        lda: usize,
+        b: &[f32],
+        out: &mut [f32],
+        ldo: usize,
+        m: usize,
+        k: usize,
+        n: usize,
+        epi: Epilogue<'_>,
+    ) {
+        // Hard asserts: the tile loop walks raw pointers from these
+        // lengths and strides.
+        assert_gemm_args(a, lda, b, out, ldo, m, k, n, &epi);
         debug_assert!(Backend::Avx2.available());
-        // SAFETY: avx2+fma verified at dispatch time (module docs).
-        unsafe { matmul_avx2(a, b, out, m, k, n) }
+        let p = Product {
+            a: a.as_ptr(),
+            a_rs: lda,
+            a_ks: 1,
+            b: b.as_ptr(),
+            ldb: n,
+            out: out.as_mut_ptr(),
+            ldo,
+            kdim: k,
+            bias: epi.bias.map_or(std::ptr::null(), <[f32]>::as_ptr),
+            bias_per_row: false,
+            relu: epi.relu,
+            residual: if epi.residual {
+                a.as_ptr()
+            } else {
+                std::ptr::null()
+            },
+            ld_res: lda,
+        };
+        // SAFETY: avx2+fma verified at dispatch time (module docs);
+        // `assert_gemm_args` established every precondition of
+        // `product_avx2` for an `m × n` output (rows of `a`/`out` in
+        // bounds at their strides, `b` exactly `k × n`, `bias` `n`
+        // long, residual rows `n == k` wide).
+        unsafe { product_avx2(&p, m, n) }
+    }
+
+    fn token_mix(
+        &self,
+        x: &[f32],
+        ldx: usize,
+        w1: &[f32],
+        ldw: usize,
+        b1: &[f32],
+        f: &mut [f32],
+        ldf: usize,
+        n: usize,
+        d: usize,
+        epilogue: bool,
+    ) {
+        assert_token_mix_args(x, ldx, w1, ldw, b1, f, ldf, n, d);
+        debug_assert!(Backend::Avx2.available());
+        // F = relu(W₁ᵀ[..n, ..n] · X + b₁ ⊗ 1) + X: the same tile loop
+        // with `A[r, k]` read transposed out of `W₁` and `B = X`.
+        let or_null = |p: *const f32| if epilogue { p } else { std::ptr::null() };
+        let p = Product {
+            a: w1.as_ptr(),
+            a_rs: 1,
+            a_ks: ldw,
+            b: x.as_ptr(),
+            ldb: ldx,
+            out: f.as_mut_ptr(),
+            ldo: ldf,
+            kdim: n,
+            bias: or_null(b1.as_ptr()),
+            bias_per_row: true,
+            relu: epilogue,
+            residual: or_null(x.as_ptr()),
+            ld_res: ldx,
+        };
+        // SAFETY: avx2+fma verified at dispatch time (module docs);
+        // `assert_token_mix_args` established every precondition of
+        // `product_avx2` for an `n × d` output (the `n × n` block of
+        // `w1`, `n` rows of `x` and `f` at their strides, `n` biases).
+        unsafe { product_avx2(&p, n, d) }
     }
 
     fn add_bias_rows(&self, data: &mut [f32], cols: usize, bias: &[f32]) {
-        debug_assert_eq!(bias.len(), cols);
+        // Hard assert: the vector body reads `cols` floats of `bias`
+        // by raw pointer.
+        assert_eq!(bias.len(), cols, "add_bias_rows: bias is not cols wide");
         debug_assert_eq!(data.len() % cols.max(1), 0);
         debug_assert!(Backend::Avx2.available());
-        // SAFETY: avx2+fma verified at dispatch time (module docs).
+        // SAFETY: avx2+fma verified at dispatch time (module docs);
+        // `bias` is `cols` long by the assert above.
         unsafe { add_bias_rows_avx2(data, cols, bias) }
     }
 
@@ -126,133 +210,217 @@ impl MicroKernel for Avx2Kernel {
 
 // ---- dense GEMM ------------------------------------------------------
 
-/// MR×16 register tile (two ymm accumulators per row): per element, a
-/// `vfmadd` chain over `k` ascending.
+/// One strided product `out = epilogue(A · B)` as the tile loop sees
+/// it: element `A[i, k]` at `a + i·a_rs + k·a_ks`, row `k` of `B` at
+/// `b + k·ldb`, output row `i` at `out + i·ldo`.
+struct Product {
+    a: *const f32,
+    a_rs: usize,
+    a_ks: usize,
+    b: *const f32,
+    ldb: usize,
+    out: *mut f32,
+    ldo: usize,
+    kdim: usize,
+    /// Bias (null: none): one value per output column, or — the token
+    /// mix — one per output row.
+    bias: *const f32,
+    bias_per_row: bool,
+    relu: bool,
+    /// Residual rows (null: none) added after the activation, row `i`
+    /// at `residual + i·ld_res`.
+    residual: *const f32,
+    ld_res: usize,
+}
+
+/// `LANE_MASKS[8 - live..]` is the `vmaskmovps` mask with the first
+/// `live` lanes on.
+static LANE_MASKS: [i32; 16] = [-1, -1, -1, -1, -1, -1, -1, -1, 0, 0, 0, 0, 0, 0, 0, 0];
+
+/// The `vmaskmovps` mask with the first `live` lanes on.
+///
+/// # Safety
+///
+/// Requires avx2; `live` must be at most 8.
 #[inline]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn tile16(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    i0: usize,
-    ib: usize,
-    j0: usize,
-    kdim: usize,
-    n: usize,
-) {
-    let mut acc = [[_mm256_setzero_ps(); 2]; MR];
-    for k in 0..kdim {
-        let bp = b.as_ptr().add(k * n + j0);
-        let b0 = _mm256_loadu_ps(bp);
-        let b1 = _mm256_loadu_ps(bp.add(8));
-        for (ii, acc_row) in acc.iter_mut().enumerate().take(ib) {
-            let av = _mm256_set1_ps(*a.get_unchecked((i0 + ii) * kdim + k));
-            acc_row[0] = _mm256_fmadd_ps(av, b0, acc_row[0]);
-            acc_row[1] = _mm256_fmadd_ps(av, b1, acc_row[1]);
-        }
-    }
-    for (ii, acc_row) in acc.iter().enumerate().take(ib) {
-        let op = out.as_mut_ptr().add((i0 + ii) * n + j0);
-        _mm256_storeu_ps(op, acc_row[0]);
-        _mm256_storeu_ps(op.add(8), acc_row[1]);
+unsafe fn lane_mask(live: usize) -> __m256i {
+    _mm256_loadu_si256(LANE_MASKS.as_ptr().add(8 - live) as *const __m256i)
+}
+
+/// Eight lanes from `p`, or only the lanes `mask` turns on (the rest
+/// read as zero and their memory is not accessed).
+///
+/// # Safety
+///
+/// Requires avx2; the live lanes at `p` must be readable.
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn load<const MASKED: bool>(p: *const f32, mask: __m256i) -> __m256 {
+    if MASKED {
+        _mm256_maskload_ps(p, mask)
+    } else {
+        _mm256_loadu_ps(p)
     }
 }
 
-/// MR×8 register tile: one ymm accumulator per row, same per-element
-/// `vfmadd` chain as [`tile16`].
+/// One register tile of a [`Product`]: rows `i0..i0 + rows` (`MR` when
+/// `FULL`, else `ib < MR`), `NV` 8-lane vectors of columns from `j0`
+/// (the single vector limited to `mask`'s lanes when `MASKED`). Per
+/// element a `vfmadd` chain over `k` ascending from zero, then the
+/// epilogue.
+///
+/// # Safety
+///
+/// Requires avx2+fma. For the tile's rows `i` and live columns `j`:
+/// `a + i·a_rs + k·a_ks` (`k < kdim`), `b + k·ldb + j`,
+/// `out + i·ldo + j` and — when non-null — `bias + j` (`bias + i` per
+/// row) and `residual + i·ld_res + j` must be in bounds, and `out`
+/// must not alias an input.
 #[inline]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn tile8(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
+unsafe fn tile<const NV: usize, const MASKED: bool, const FULL: bool>(
+    p: &Product,
     i0: usize,
     ib: usize,
     j0: usize,
-    kdim: usize,
-    n: usize,
+    mask: __m256i,
 ) {
-    let mut acc = [_mm256_setzero_ps(); MR];
-    for k in 0..kdim {
-        let bv = _mm256_loadu_ps(b.as_ptr().add(k * n + j0));
-        for (ii, acc_row) in acc.iter_mut().enumerate().take(ib) {
-            let av = _mm256_set1_ps(*a.get_unchecked((i0 + ii) * kdim + k));
-            *acc_row = _mm256_fmadd_ps(av, bv, *acc_row);
+    let rows = if FULL { MR } else { ib };
+    let mut acc = [[_mm256_setzero_ps(); NV]; MR];
+    let a0 = p.a.add(i0 * p.a_rs);
+    for k in 0..p.kdim {
+        let bp = p.b.add(k * p.ldb + j0);
+        let mut bv = [_mm256_setzero_ps(); NV];
+        for (v, b) in bv.iter_mut().enumerate() {
+            *b = load::<MASKED>(bp.add(8 * v), mask);
         }
-    }
-    for (ii, acc_row) in acc.iter().enumerate().take(ib) {
-        _mm256_storeu_ps(out.as_mut_ptr().add((i0 + ii) * n + j0), *acc_row);
-    }
-}
-
-/// Column remainder: scalar `mul_add` chains — the same fused op a
-/// vector lane performs, so an element's value never depends on which
-/// path covered it.
-#[inline]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn tile_edge_fma(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    i0: usize,
-    ib: usize,
-    j0: usize,
-    jb: usize,
-    kdim: usize,
-    n: usize,
-) {
-    for ii in 0..ib {
-        let a_row = &a[(i0 + ii) * kdim..(i0 + ii + 1) * kdim];
-        for jj in 0..jb {
-            let mut acc = 0.0f32;
-            for (k, &av) in a_row.iter().enumerate() {
-                acc = av.mul_add(b[k * n + j0 + jj], acc);
+        let ak = a0.add(k * p.a_ks);
+        for (ii, acc_row) in acc.iter_mut().enumerate().take(rows) {
+            let av = _mm256_set1_ps(*ak.add(ii * p.a_rs));
+            for (c, b) in acc_row.iter_mut().zip(&bv) {
+                *c = _mm256_fmadd_ps(av, *b, *c);
             }
-            out[(i0 + ii) * n + j0 + jj] = acc;
+        }
+    }
+    let zero = _mm256_setzero_ps();
+    for (ii, acc_row) in acc.iter().enumerate().take(rows) {
+        let i = i0 + ii;
+        for (v, &c) in acc_row.iter().enumerate() {
+            let j = j0 + 8 * v;
+            let mut c = c;
+            if !p.bias.is_null() {
+                let bias = if p.bias_per_row {
+                    _mm256_set1_ps(*p.bias.add(i))
+                } else {
+                    load::<MASKED>(p.bias.add(j), mask)
+                };
+                c = _mm256_add_ps(c, bias);
+            }
+            if p.relu {
+                c = _mm256_max_ps(c, zero);
+            }
+            if !p.residual.is_null() {
+                c = _mm256_add_ps(c, load::<MASKED>(p.residual.add(i * p.ld_res + j), mask));
+            }
+            let op = p.out.add(i * p.ldo + j);
+            if MASKED {
+                _mm256_maskstore_ps(op, mask, c);
+            } else {
+                _mm256_storeu_ps(op, c);
+            }
         }
     }
 }
 
+/// Every column tile of one row block: 16-wide tiles, then one 8-wide,
+/// then the masked tail.
+///
+/// # Safety
+///
+/// As [`product_avx2`], for rows `i0..i0 + ib`.
+#[inline]
 #[target_feature(enable = "avx2,fma")]
-unsafe fn matmul_avx2(a: &[f32], b: &[f32], out: &mut [f32], m: usize, kdim: usize, n: usize) {
+unsafe fn row_block<const FULL: bool>(p: &Product, i0: usize, ib: usize, n: usize, mask: __m256i) {
+    let mut j0 = 0;
+    while j0 + 16 <= n {
+        tile::<2, false, FULL>(p, i0, ib, j0, mask);
+        j0 += 16;
+    }
+    if j0 + 8 <= n {
+        tile::<1, false, FULL>(p, i0, ib, j0, mask);
+        j0 += 8;
+    }
+    if j0 < n {
+        tile::<1, true, FULL>(p, i0, ib, j0, mask);
+    }
+}
+
+/// The tile loop: the `n` live columns of `m` output rows.
+///
+/// # Safety
+///
+/// Requires avx2+fma, and the [`tile`] preconditions for every
+/// `i < m`, `j < n`: `A` readable at its two strides, `B` `kdim` rows
+/// of at least `n` readable floats at stride `ldb`, `out` `m` rows of
+/// `n` writable floats at stride `ldo` aliasing no input, `bias`
+/// (when non-null) `n` long — `m` long per row — and `residual` (when
+/// non-null) `m` rows of `n` floats at stride `ld_res`.
+#[target_feature(enable = "avx2,fma")]
+unsafe fn product_avx2(p: &Product, m: usize, n: usize) {
+    let mask = lane_mask(n % 8);
     let mut i0 = 0;
-    while i0 < m {
-        let ib = (m - i0).min(MR);
-        let mut j0 = 0;
-        while j0 + 16 <= n {
-            tile16(a, b, out, i0, ib, j0, kdim, n);
-            j0 += 16;
-        }
-        if j0 + 8 <= n {
-            tile8(a, b, out, i0, ib, j0, kdim, n);
-            j0 += 8;
-        }
-        if j0 < n {
-            tile_edge_fma(a, b, out, i0, ib, j0, n - j0, kdim, n);
-        }
+    while i0 + MR <= m {
+        row_block::<true>(p, i0, MR, n, mask);
         i0 += MR;
+    }
+    if i0 < m {
+        row_block::<false>(p, i0, m - i0, n, mask);
     }
 }
 
 // ---- element-wise ----------------------------------------------------
 
+/// `row += bias` for every whole `cols`-wide row of `data`: 8-lane
+/// `vaddps` with a scalar `+=` remainder (binary `+` is exactly
+/// rounded, so the remainder is lane-identical to `vaddps` and to the
+/// scalar backend). One-float rows — the in-panel integrity check
+/// applies the bias of the `n = 1` output layers this way — are one
+/// broadcast add over the flat data instead of a loop per row.
+///
+/// # Safety
+///
+/// Requires avx2; `bias` must hold at least `cols` floats.
 #[target_feature(enable = "avx2,fma")]
 unsafe fn add_bias_rows_avx2(data: &mut [f32], cols: usize, bias: &[f32]) {
     if cols == 0 {
         return;
     }
+    if cols == 1 {
+        // Every element is a row and takes the same bias.
+        let b = bias[0];
+        let splat = _mm256_set1_ps(b);
+        let mut chunks = data.chunks_exact_mut(8);
+        for chunk in &mut chunks {
+            let p = chunk.as_mut_ptr();
+            _mm256_storeu_ps(p, _mm256_add_ps(_mm256_loadu_ps(p), splat));
+        }
+        for v in chunks.into_remainder() {
+            *v += b;
+        }
+        return;
+    }
+    let body = cols - cols % 8;
     for row in data.chunks_exact_mut(cols) {
+        let row = row.as_mut_ptr();
         let mut c = 0;
-        while c + 8 <= cols {
-            let v = _mm256_loadu_ps(row.as_ptr().add(c));
+        while c < body {
             let bv = _mm256_loadu_ps(bias.as_ptr().add(c));
-            _mm256_storeu_ps(row.as_mut_ptr().add(c), _mm256_add_ps(v, bv));
+            _mm256_storeu_ps(row.add(c), _mm256_add_ps(_mm256_loadu_ps(row.add(c)), bv));
             c += 8;
         }
-        // Binary `+` is exactly rounded, so the scalar remainder is
-        // lane-identical to `vaddps`.
-        for (v, &b) in row[c..].iter_mut().zip(&bias[c..]) {
-            *v += b;
+        for c in body..cols {
+            *row.add(c) += *bias.get_unchecked(c);
         }
     }
 }

@@ -5,7 +5,7 @@
 //!
 //! # Checksum math
 //!
-//! For `C = A·B` (`A` m×k, `B` k×n) the wrapper computes the row-sum
+//! For `C = A·B` (`A` m×k, `B` k×n) the check computes the row-sum
 //! vector of `B` once — `r = B·1` (one O(k·n) GEMV, the "one extra
 //! GEMV" of classical ABFT) — and verifies every output row against
 //! the identity
@@ -23,21 +23,41 @@
 //! corruption worth injecting. The comparison is written `!(diff <=
 //! tol)` so a NaN or Inf in the output row trips the check too.
 //!
+//! # Verification inside the panel
+//!
+//! A *logical product* is one `A·B` of one dispatched call: a
+//! `Tensor2::matmul_into` ([`checked_matmul`]), one layer of a
+//! [`dense_chain`](super::chain::dense_chain), or the token mix of a
+//! [`token_mix`](super::chain::token_mix) call (its `B` the tile's
+//! stacked `X`, each ray multiplying its own rows of it by its
+//! `n × n` block of `W₁ᵀ`). Each product is elected on its own —
+//! always in `full`, one tick of the process-wide counter per product
+//! in `sample` (so a three-layer chain is sampled exactly as three
+//! `matmul_into` calls were: 1 product in [`SAMPLE_PERIOD`]) — and an
+//! elected product is one check in [`check_stats`].
+//!
+//! The fused chains never materialise a layer's whole output, so the
+//! check runs where the data is: an elected product computes `r`
+//! **once per call**, then every row panel's **pre-bias accumulators**
+//! are checked against the identity while still in L1, before the
+//! epilogue touches them (the kernel runs without its fused epilogue,
+//! the panel is verified, then bias / ReLU / residual are applied to
+//! it by the same element functions — so `full` ≡ `off` bitwise).
+//! Nothing a whole-tile check covered is lost: the same rows, the same
+//! identity, the same two-tier tolerance, the same fault sink.
+//!
 //! Verification costs O(m·k + m·n + k·n) against the GEMM's
 //! O(m·k·n) — but the workspace's inner dimensions are small (k in
-//! the tens), so naive scalar-f64 checking measures ~20% of an AVX2
-//! GEMM. Three things pull it under ~10%: four-lane accumulators
-//! (the scalar loop is f64-add latency-bound), a two-tier tolerance
-//! whose clean path never computes the magnitude bound (see
-//! [`verify_gemm`]), and AVX2 packed-f64 lanes for the two hot
-//! reductions where the CPU has them (never used while the AVX2
-//! backend is quarantined). `sample` mode divides that again by
-//! [`SAMPLE_PERIOD`] by checking every Nth dispatched GEMM (a
-//! deterministic process-wide counter).
+//! the tens, the blend head's k = 2), so the per-row fixed cost is
+//! what matters. The AVX2 lanes therefore verify four rows per step
+//! in packed `f64` (the private `simd` module), and a two-tier
+//! tolerance keeps the magnitude bound off the clean path entirely
+//! (`ProductCheck::check_rows`). The wide lanes are never used while
+//! the AVX2 backend is quarantined.
 //!
 //! # Fault routing
 //!
-//! The GEMM entry points are infallible (`Tensor2::matmul_into`
+//! The dense entry points are infallible (`Tensor2::matmul_into`
 //! cannot return `Result` without rewriting every model layer), so a
 //! miscompare does not unwind: it is recorded in a process-global
 //! **fault sink** and the corrupt output flows on. The render
@@ -53,6 +73,7 @@
 //! miscompares attributed to the AVX2 backend.
 
 use super::{Backend, MicroKernel};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -270,11 +291,15 @@ pub fn check_stats() -> (u64, u64) {
 
 // ---- chaos injection -------------------------------------------------
 
-/// When armed, the next *verified* GEMM perturbs one output element
-/// (deterministically placed from the seed) before verification runs
-/// — the `Fault::CorruptOutput` GEMM leg of the chaos harness. The
+/// When armed, the next dispatched call that verifies at least one
+/// product perturbs one pre-bias accumulator of it (deterministically
+/// placed from the seed: row `seed % m`, column `(seed >> 17) % n`, and
+/// — in a multi-layer [`super::chain::dense_chain`] — the
+/// `(seed >> 40) % verified`-th verified layer, so small seeds land in
+/// the first verified product) before verification runs — the
+/// `Fault::CorruptOutput` GEMM leg of the chaos harness. The
 /// perturbation lands well above the row tolerance, so detection is
-/// guaranteed; arming is consumed by exactly one GEMM.
+/// guaranteed; arming is consumed by exactly one call.
 static ARMED: Mutex<Option<u64>> = Mutex::new(None);
 
 /// Arms GEMM-output corruption for the next verified GEMM.
@@ -285,7 +310,13 @@ pub fn arm_corruption(seed: u64) {
 /// Disarms any pending GEMM corruption (frame teardown), returning
 /// `true` when a charge was still pending.
 pub fn disarm_corruption() -> bool {
-    ARMED.lock().unwrap().take().is_some()
+    take_armed().is_some()
+}
+
+/// Consumes the armed charge, if any (a call does this only once it
+/// knows it verifies a product the charge can land in).
+pub(crate) fn take_armed() -> Option<u64> {
+    ARMED.lock().unwrap().take()
 }
 
 // ---- quarantine ------------------------------------------------------
@@ -340,7 +371,34 @@ pub fn clear_quarantine_for_tests() {
     QUARANTINED.store(0, Ordering::Relaxed);
 }
 
-// ---- the checked GEMM wrapper ----------------------------------------
+// ---- election, dispatch accounting, the checked GEMM ------------------
+
+/// Counts one dispatched dense call (`matmul_into`, `dense_chain` or
+/// `token_mix` — per call, not per panel, layer or ray) on `backend`.
+pub(crate) fn count_dispatch(backend: Backend) {
+    if gen_nerf_telemetry::enabled() {
+        dispatch_counter(backend).inc();
+    }
+}
+
+/// Decides whether the next logical product (one `A·B` of one
+/// dispatched call) is verified: never in `Off`, always in `Full`,
+/// every [`SAMPLE_PERIOD`]-th in `Sample` — one tick of the
+/// process-wide counter per product, so a three-layer chain ticks
+/// three times per call exactly as three `matmul_into` calls did. An
+/// elected product counts as one check.
+pub(crate) fn elect() -> bool {
+    let verify = match mode() {
+        IntegrityMode::Off => false,
+        IntegrityMode::Full => true,
+        IntegrityMode::Sample => CALLS.fetch_add(1, Ordering::Relaxed) % SAMPLE_PERIOD == 0,
+    };
+    if verify {
+        CHECKS.fetch_add(1, Ordering::Relaxed);
+        abft_checks_counter().inc();
+    }
+    verify
+}
 
 /// Dispatched GEMM entry point: runs `kernel.matmul` and, when the
 /// active [`IntegrityMode`] elects this call, verifies the output
@@ -356,44 +414,23 @@ pub fn checked_matmul(
     n: usize,
 ) {
     kernel.matmul(a, b, out, m, k, n);
-    if gen_nerf_telemetry::enabled() {
-        dispatch_counter(kernel.backend()).inc();
-    }
-    let verify = match mode() {
-        IntegrityMode::Off => false,
-        IntegrityMode::Full => true,
-        IntegrityMode::Sample => CALLS.fetch_add(1, Ordering::Relaxed) % SAMPLE_PERIOD == 0,
-    };
-    if !verify || m == 0 || n == 0 {
+    count_dispatch(kernel.backend());
+    if m == 0 || n == 0 || !elect() {
         return;
     }
-    CHECKS.fetch_add(1, Ordering::Relaxed);
-    abft_checks_counter().inc();
-
-    // Chaos hook: perturb one element far beyond its row tolerance so
-    // the verification below must catch it (100%-detection gate).
-    if let Some(seed) = ARMED.lock().unwrap().take() {
-        let row = (seed as usize) % m;
-        let col = ((seed >> 17) as usize) % n;
-        let bound = row_magnitude_bound(&a[row * k..(row + 1) * k], b, n);
-        let delta = (REL * bound + ABS_FLOOR) * 4096.0 + 1.0;
-        out[row * n + col] += delta as f32;
+    let mut check = ProductCheck::new(b, n, k, n);
+    if let Some(seed) = take_armed() {
+        check.aim(seed, m);
     }
-
-    if let Some(err) = verify_gemm(kernel.backend(), a, b, out, m, k, n) {
-        record_fault(err);
-    }
-}
-
-/// The tolerance scale of one output row: `Σₖ |A[i,k]| · (|B|·1)[k]`.
-fn row_magnitude_bound(a_row: &[f32], b: &[f32], n: usize) -> f64 {
-    a_row
-        .iter()
-        .zip(b.chunks_exact(n))
-        .map(|(&av, b_row)| {
-            (av as f64).abs() * b_row.iter().map(|&v| (v as f64).abs()).sum::<f64>()
-        })
-        .sum()
+    let rows = Rows {
+        a,
+        a_rs: k,
+        a_ks: 1,
+        ldo: n,
+        rows: m,
+        b_rows: 0..k,
+    };
+    check.check_rows(kernel.backend(), &rows, out, 0, m);
 }
 
 /// Sums `xs` widened to `f64` via four independent accumulators. The
@@ -439,63 +476,194 @@ fn dot_f64(a_row: &[f32], r: &[f64]) -> f64 {
 }
 
 /// AVX2 lanes for the verification reductions. The checker must not
-/// become the bottleneck it guards against: on large fused batches the
-/// AVX2 GEMM's per-element cost drops enough that portable-f64
-/// checking climbs toward 20% of render time, so the two hot
-/// reductions get `_mm256_cvtps_pd` + packed-f64 accumulation (4×
-/// fewer rounds, same f64 precision). The slow bound path stays
-/// portable — it runs only on corruption or heavy cancellation.
+/// become the bottleneck it guards against: once the fused chains made
+/// the unchecked forward twice as fast, a per-row call into packed-f64
+/// `sum` / `dot` helpers — two horizontal reductions, two scalar
+/// remainder loops and a compare per row, most of them for the blend
+/// head's two- and eight-wide rows — cost as much as the forward
+/// itself. So the wide lanes verify **four rows at a time**: each
+/// row's products accumulate in its own packed-f64 register (masked
+/// loads cover the `% 4` tail, no scalar remainder), one 4×4
+/// transpose-add turns the four accumulators into a vector of four row
+/// sums, and the residual / tolerance compare is one vector op per
+/// four rows. Same f64 precision, same tolerance. The slow bound path
+/// stays portable — it runs only on corruption or heavy cancellation.
 #[cfg(target_arch = "x86_64")]
 mod simd {
-    #[cfg(target_arch = "x86_64")]
+    use super::{Rows, Suspect, ABS_FLOOR, REL};
     use std::arch::x86_64::*;
 
+    /// `LANE_MASKS[4 - live..]` is the `vmaskmovps` mask with the first
+    /// `live` lanes on.
+    static LANE_MASKS: [i32; 8] = [-1, -1, -1, -1, 0, 0, 0, 0];
+
+    /// The mask of the first `live` lanes.
+    ///
+    /// # Safety
+    ///
+    /// Requires avx2; `live` must be at most 4.
     #[inline]
-    unsafe fn hsum(v: __m256d) -> f64 {
-        let s = _mm_add_pd(_mm256_castpd256_pd128(v), _mm256_extractf128_pd(v, 1));
-        _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)))
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn lane_mask(live: usize) -> __m128i {
+        _mm_loadu_si128(LANE_MASKS.as_ptr().add(4 - live) as *const __m128i)
     }
 
-    /// `Σ xs` widened to f64. Caller guarantees AVX2+FMA.
+    /// One four-column step of [`reduce4`] at column `j`: the whole
+    /// group, or — `TAIL` — only the lanes `mask` turns on.
+    ///
+    /// # Safety
+    ///
+    /// As [`reduce4`], for the live columns of the group.
+    #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn sum_f64(xs: &[f32]) -> f64 {
-        let mut acc0 = _mm256_setzero_pd();
-        let mut acc1 = _mm256_setzero_pd();
-        let n8 = xs.len() / 8 * 8;
-        let mut i = 0;
-        while i < n8 {
-            let v = _mm256_loadu_ps(xs.as_ptr().add(i));
-            acc0 = _mm256_add_pd(acc0, _mm256_cvtps_pd(_mm256_castps256_ps128(v)));
-            acc1 = _mm256_add_pd(acc1, _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1)));
-            i += 8;
+    unsafe fn step4<const WEIGHTED: bool, const TAIL: bool>(
+        acc: &mut [__m256d; 4],
+        p: &[*const f32; 4],
+        j: usize,
+        w: *const f64,
+        mask: __m128i,
+    ) {
+        let wv = if WEIGHTED {
+            _mm256_loadu_pd(w.add(j))
+        } else {
+            _mm256_setzero_pd()
+        };
+        for (a, row) in acc.iter_mut().zip(p) {
+            let x = if TAIL {
+                _mm_maskload_ps(row.add(j), mask)
+            } else {
+                _mm_loadu_ps(row.add(j))
+            };
+            let x = _mm256_cvtps_pd(x);
+            *a = if WEIGHTED {
+                _mm256_fmadd_pd(x, wv, *a)
+            } else {
+                _mm256_add_pd(*a, x)
+            };
         }
-        let mut s = hsum(_mm256_add_pd(acc0, acc1));
-        for &v in &xs[n8..] {
-            s += v as f64;
-        }
-        s
     }
 
-    /// `Σₖ a[k]·r[k]`, `a` widened to f64. Caller guarantees AVX2+FMA.
+    /// For the four rows starting at `p[q]`: `Σ_{j < len} x[j] · w[j]`
+    /// (`w ≡ 1` unless `WEIGHTED`), row `q`'s sum in lane `q`.
+    ///
+    /// # Safety
+    ///
+    /// Requires avx2+fma; every `p[q]` must have `len` readable floats
+    /// and `w` (when `WEIGHTED`) `len` rounded up to a multiple of four
+    /// readable, finite doubles.
+    #[inline]
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dot_f64(a: &[f32], r: &[f64]) -> f64 {
-        let mut acc0 = _mm256_setzero_pd();
-        let mut acc1 = _mm256_setzero_pd();
-        let n8 = a.len() / 8 * 8;
-        let mut i = 0;
-        while i < n8 {
-            let v = _mm256_loadu_ps(a.as_ptr().add(i));
-            let lo = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
-            let hi = _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1));
-            acc0 = _mm256_fmadd_pd(lo, _mm256_loadu_pd(r.as_ptr().add(i)), acc0);
-            acc1 = _mm256_fmadd_pd(hi, _mm256_loadu_pd(r.as_ptr().add(i + 4)), acc1);
-            i += 8;
+    unsafe fn reduce4<const WEIGHTED: bool>(
+        p: [*const f32; 4],
+        len: usize,
+        w: *const f64,
+    ) -> __m256d {
+        let mut acc = [_mm256_setzero_pd(); 4];
+        let mut j = 0;
+        while j + 4 <= len {
+            step4::<WEIGHTED, false>(&mut acc, &p, j, w, _mm_setzero_si128());
+            j += 4;
         }
-        let mut s = hsum(_mm256_add_pd(acc0, acc1));
-        for j in n8..a.len() {
-            s += a[j] as f64 * r[j];
+        if j < len {
+            step4::<WEIGHTED, true>(&mut acc, &p, j, w, lane_mask(len - j));
         }
-        s
+        // 4×4 transpose-add: lane q of the result is Σ acc[q].
+        let s01 = _mm256_hadd_pd(acc[0], acc[1]);
+        let s23 = _mm256_hadd_pd(acc[2], acc[3]);
+        _mm256_add_pd(
+            _mm256_permute2f128_pd::<0x20>(s01, s23),
+            _mm256_permute2f128_pd::<0x31>(s01, s23),
+        )
+    }
+
+    /// `r[kk] = Σ_{j < n} b[kk·ldb + j]` for `kk < k` — the `B·1` of a
+    /// product, four rows at a time.
+    ///
+    /// # Safety
+    ///
+    /// Requires avx2+fma; `b` must hold `k` rows of `n` floats at
+    /// stride `ldb` and `r` at least `k` doubles.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn row_sums(b: *const f32, ldb: usize, k: usize, n: usize, r: &mut [f64]) {
+        let mut kk = 0;
+        while kk < k {
+            // Rows past the end repeat the last one; their lanes are
+            // not stored.
+            let p = [0, 1, 2, 3].map(|q| b.add((kk + q).min(k - 1) * ldb));
+            let mut sums = [0.0f64; 4];
+            _mm256_storeu_pd(sums.as_mut_ptr(), reduce4::<false>(p, n, std::ptr::null()));
+            let live = (k - kk).min(4);
+            r[kk..kk + live].copy_from_slice(&sums[..live]);
+            kk += 4;
+        }
+    }
+
+    /// [`super::scan_rows`] four rows at a time, for an `A` that is
+    /// either row-major (`a_ks == 1`) or read transposed
+    /// (`a_rs == 1`, the token mix — four consecutive rows are then
+    /// four adjacent floats and accumulate lane-wise with no
+    /// transpose).
+    ///
+    /// # Safety
+    ///
+    /// Requires avx2+fma. `out` must hold `rows.rows` rows of `n`
+    /// floats at stride `rows.ldo`; `rows.a` `rows.rows` rows of `k`
+    /// floats at stride `a_rs` when `a_ks == 1`, else (`a_rs == 1`)
+    /// `k` runs of `rows.rows` floats at stride `a_ks`; `r` `k`
+    /// doubles followed by at least three more finite ones.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn scan_rows(
+        rows: &Rows<'_>,
+        out: &[f32],
+        r: &[f64],
+        k: usize,
+        n: usize,
+        from: usize,
+    ) -> Option<Suspect> {
+        let sign = _mm256_set1_pd(-0.0);
+        let mut i = from;
+        while i < rows.rows {
+            let live = (rows.rows - i).min(4);
+            // Rows past the end repeat the last one; their lanes are
+            // masked out of the verdict.
+            let row = |q: usize| (i + q).min(rows.rows - 1);
+            let o = [0, 1, 2, 3].map(|q| out.as_ptr().add(row(q) * rows.ldo));
+            let observed = reduce4::<false>(o, n, std::ptr::null());
+            let expected = if rows.a_ks == 1 {
+                let a = [0, 1, 2, 3].map(|q| rows.a.as_ptr().add(row(q) * rows.a_rs));
+                reduce4::<true>(a, k, r.as_ptr())
+            } else {
+                let mask = lane_mask(live);
+                let mut acc = _mm256_setzero_pd();
+                for (kk, &rk) in r[..k].iter().enumerate() {
+                    let x = _mm_maskload_ps(rows.a.as_ptr().add(kk * rows.a_ks + i), mask);
+                    acc = _mm256_fmadd_pd(_mm256_cvtps_pd(x), _mm256_set1_pd(rk), acc);
+                }
+                acc
+            };
+            let diff = _mm256_andnot_pd(sign, _mm256_sub_pd(observed, expected));
+            let tol = _mm256_fmadd_pd(
+                _mm256_set1_pd(REL),
+                _mm256_andnot_pd(sign, expected),
+                _mm256_set1_pd(ABS_FLOOR),
+            );
+            // Ordered compare: a NaN residual is not accepted.
+            let accepted = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_LE_OQ>(diff, tol)) as u32;
+            let missed = !accepted & ((1 << live) - 1);
+            if missed != 0 {
+                let q = missed.trailing_zeros() as usize;
+                let (mut obs, mut exp) = ([0.0f64; 4], [0.0f64; 4]);
+                _mm256_storeu_pd(obs.as_mut_ptr(), observed);
+                _mm256_storeu_pd(exp.as_mut_ptr(), expected);
+                return Some(Suspect {
+                    row: i + q,
+                    observed: obs[q],
+                    expected: exp[q],
+                });
+            }
+            i += 4;
+        }
+        None
     }
 }
 
@@ -508,62 +676,251 @@ fn wide_lanes_ok() -> bool {
     cfg!(target_arch = "x86_64") && Backend::Avx2.available() && !is_quarantined(Backend::Avx2)
 }
 
-/// `Σ xs` widened to f64, dispatching to the AVX2 lanes when allowed.
-#[inline]
-fn vsum_f64(xs: &[f32], wide: bool) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    if wide {
-        // SAFETY: `wide` implies `Backend::Avx2.available()`, which
-        // detects avx2+fma at runtime.
-        return unsafe { simd::sum_f64(xs) };
-    }
-    let _ = wide;
-    sum_f64(xs)
+/// The input rows of a product under verification and the layout of
+/// its output: `A[i, k]` at `a[i·a_rs + k·a_ks]` (`a_ks = 1` for a
+/// GEMM's row-major input; `a_rs = 1` and `a_ks` the `W₁` row stride
+/// for the token mix's transposed read), output row `i` at `i·ldo`.
+pub(crate) struct Rows<'a> {
+    pub a: &'a [f32],
+    pub a_rs: usize,
+    pub a_ks: usize,
+    pub ldo: usize,
+    pub rows: usize,
+    /// The rows of the product's `B` these rows of `A` multiply: all
+    /// `k` of them for a GEMM panel, one ray's points for the token
+    /// mix (whose `B` is the whole tile's `X`).
+    pub b_rows: Range<usize>,
 }
 
-/// `Σₖ a[k]·r[k]`, dispatching to the AVX2 lanes when allowed.
-#[inline]
-fn vdot_f64(a_row: &[f32], r: &[f64], wide: bool) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    if wide {
-        // SAFETY: as in `vsum_f64`.
-        return unsafe { simd::dot_f64(a_row, r) };
+impl Rows<'_> {
+    /// `Σₖ f(A[i, k]) · w[k]` over row `i`'s strided elements.
+    #[inline]
+    fn strided_dot(&self, i: usize, w: &[f64], f: impl Fn(f64) -> f64) -> f64 {
+        w.iter()
+            .enumerate()
+            .map(|(k, &wk)| f(self.a[i * self.a_rs + k * self.a_ks] as f64) * wk)
+            .sum()
     }
-    let _ = wide;
-    dot_f64(a_row, r)
 }
 
-/// `Σₖ |a[k]|·rabs[k]` — the slow-path tolerance scale.
-#[inline]
-fn abs_dot_f64(a_row: &[f32], rabs: &[f64]) -> f64 {
-    let mut bo = [0.0f64; 4];
-    let head = a_row.len() / 4 * 4;
-    let mut i = 0;
-    while i < head {
-        for l in 0..4 {
-            bo[l] += (a_row[i + l] as f64).abs() * rabs[i + l];
+/// A row that missed the fast accept of [`scan_rows`].
+pub(crate) struct Suspect {
+    row: usize,
+    observed: f64,
+    expected: f64,
+}
+
+/// Scans rows `from..` of a product's pre-bias output against the
+/// row-checksum identity and returns the first one outside the fast
+/// tolerance `REL·|expected| + ABS_FLOOR` (a NaN residual counts as
+/// outside). The portable lanes; [`simd::scan_rows`] is the wide twin.
+fn scan_rows(rows: &Rows<'_>, out: &[f32], r: &[f64], n: usize, from: usize) -> Option<Suspect> {
+    for i in from..rows.rows {
+        let observed = sum_f64(&out[i * rows.ldo..i * rows.ldo + n]);
+        let expected = if rows.a_ks == 1 {
+            dot_f64(&rows.a[i * rows.a_rs..i * rows.a_rs + r.len()], r)
+        } else {
+            rows.strided_dot(i, r, |v| v)
+        };
+        if (observed - expected).abs() <= REL * expected.abs() + ABS_FLOOR {
+            continue; // fast accept — a NaN residual falls through
         }
-        i += 4;
+        return Some(Suspect {
+            row: i,
+            observed,
+            expected,
+        });
     }
-    let mut bt = (bo[0] + bo[1]) + (bo[2] + bo[3]);
-    for j in head..a_row.len() {
-        bt += (a_row[j] as f64).abs() * rabs[j];
+    None
+}
+
+/// The ABFT state of one verified product `C = A·B` of one dispatched
+/// call: `r = B·1` — computed once, however many panels of rows are
+/// then checked against it — the lazily computed `|B|·1` of the slow
+/// tolerance path, and the armed chaos fault when it is aimed here.
+pub(crate) struct ProductCheck<'a> {
+    b: &'a [f32],
+    ldb: usize,
+    k: usize,
+    n: usize,
+    /// `B·1`, with three zero entries of padding (the wide lanes read
+    /// it four at a time from any row of `B`).
+    r: Vec<f64>,
+    rabs: Option<Vec<f64>>,
+    wide: bool,
+    /// `(row, column)` of the call's output the armed fault perturbs.
+    fault: Option<(usize, usize)>,
+}
+
+impl<'a> ProductCheck<'a> {
+    /// The one extra GEMV of classical ABFT: `r = B·1` for the `k × n`
+    /// operand `b` at row stride `ldb`.
+    pub(crate) fn new(b: &'a [f32], ldb: usize, k: usize, n: usize) -> Self {
+        // Hard assert: the wide lanes walk `b` by raw pointer.
+        assert!(
+            k == 0 || b.len() >= (k - 1) * ldb + n,
+            "checksum operand shorter than k rows"
+        );
+        let wide = wide_lanes_ok();
+        let mut r = vec![0.0f64; k + 3];
+        #[cfg(target_arch = "x86_64")]
+        if wide {
+            // SAFETY: `wide` implies `Backend::Avx2.available()`, which
+            // detects avx2+fma at runtime; the assert above bounds the
+            // `k` rows of `n` floats, and `r` holds at least `k`.
+            unsafe { simd::row_sums(b.as_ptr(), ldb, k, n, &mut r) };
+        }
+        if !wide {
+            for (kk, rk) in r[..k].iter_mut().enumerate() {
+                *rk = sum_f64(&b[kk * ldb..kk * ldb + n]);
+            }
+        }
+        Self {
+            b,
+            ldb,
+            k,
+            n,
+            r,
+            rabs: None,
+            wide,
+            fault: None,
+        }
     }
-    bt
+
+    /// Aims the armed chaos fault `seed` at this product's `m`-row
+    /// output.
+    pub(crate) fn aim(&mut self, seed: u64, m: usize) {
+        self.fault = Some(((seed as usize) % m, ((seed >> 17) as usize) % self.n));
+    }
+
+    /// The tolerance scale of output row `i`:
+    /// `Σₖ |A[i,k]| · (|B|·1)[k]`.
+    fn row_bound(&mut self, rows: &Rows<'_>, i: usize) -> f64 {
+        let (b, ldb, k, n) = (self.b, self.ldb, self.k, self.n);
+        let rabs = self.rabs.get_or_insert_with(|| {
+            (0..k)
+                .map(|kk| {
+                    b[kk * ldb..kk * ldb + n]
+                        .iter()
+                        .map(|&v| (v as f64).abs())
+                        .sum()
+                })
+                .collect()
+        });
+        rows.strided_dot(i, &rabs[rows.b_rows.clone()], f64::abs)
+    }
+
+    /// Checks one panel — rows `row0..row0 + rows.rows` of the call's
+    /// `m`-row product, their pre-bias accumulators in `out` — against
+    /// the row-checksum identity, after applying the armed fault if it
+    /// is aimed into the panel; the first miscompare goes to the fault
+    /// sink.
+    ///
+    /// Two-tier tolerance: since `|r[k]| ≤ rabs[k]` termwise, the
+    /// checksum itself satisfies `|expected| ≤ bound`, so
+    /// `REL·|expected| + ABS_FLOOR` *lower-bounds* the true tolerance —
+    /// a residual inside it is inside the true tolerance a fortiori,
+    /// and the clean path never touches the magnitude bound at all.
+    /// Only a row that misses the fast accept (corruption, or heavy
+    /// cancellation in the checksum) pays for `|B|·1` and the per-row
+    /// `Σ|A|·rabs` — computed lazily, once per product.
+    pub(crate) fn check_rows(
+        &mut self,
+        backend: Backend,
+        rows: &Rows<'_>,
+        out: &mut [f32],
+        row0: usize,
+        m: usize,
+    ) {
+        // Chaos hook: perturb one element far beyond its row tolerance
+        // so the verification below must catch it (100%-detection
+        // gate).
+        if let Some((row, col)) = self.fault {
+            if (row0..row0 + rows.rows).contains(&row) {
+                self.fault = None;
+                let bound = self.row_bound(rows, row - row0);
+                let delta = (REL * bound + ABS_FLOOR) * 4096.0 + 1.0;
+                out[(row - row0) * rows.ldo + col] += delta as f32;
+            }
+        }
+        if let Some(mut err) = self.verify_rows(backend, rows, out) {
+            err.row += row0;
+            err.m = m;
+            record_fault(err);
+        }
+    }
+
+    /// The pure verification of [`ProductCheck::check_rows`]: the first
+    /// miscomparing row of the panel, if any.
+    fn verify_rows(
+        &mut self,
+        backend: Backend,
+        rows: &Rows<'_>,
+        out: &[f32],
+    ) -> Option<IntegrityError> {
+        let (k, n) = (rows.b_rows.len(), self.n);
+        assert!(
+            rows.b_rows.end <= self.k,
+            "checked rows outside the operand"
+        );
+        let k0 = rows.b_rows.start;
+        let wide = self.wide && (rows.a_ks == 1 || rows.a_rs == 1);
+        if wide && rows.rows > 0 {
+            // Hard asserts: the wide lanes walk `a` and `out` by raw
+            // pointer.
+            let a_need = if rows.a_ks == 1 {
+                (rows.rows - 1) * rows.a_rs + k
+            } else {
+                k.saturating_sub(1) * rows.a_ks + rows.rows
+            };
+            assert!(
+                rows.a.len() >= a_need,
+                "checked input shorter than its rows"
+            );
+            assert!(
+                out.len() >= (rows.rows - 1) * rows.ldo + n,
+                "checked output shorter than its rows"
+            );
+        }
+        let mut from = 0;
+        loop {
+            #[cfg(target_arch = "x86_64")]
+            let suspect = if wide {
+                // SAFETY: `wide` implies `Backend::Avx2.available()`,
+                // which detects avx2+fma at runtime; the asserts above
+                // bound `a` and `out` for the layout in use, and `r`
+                // has three padding entries past its `k` (see `new`).
+                unsafe { simd::scan_rows(rows, out, &self.r[k0..], k, n, from) }
+            } else {
+                scan_rows(rows, out, &self.r[k0..k0 + k], n, from)
+            };
+            #[cfg(not(target_arch = "x86_64"))]
+            let suspect = scan_rows(rows, out, &self.r[k0..k0 + k], n, from);
+            let s = suspect?;
+            let tolerance = REL * self.row_bound(rows, s.row) + ABS_FLOOR;
+            // Written `!(x <= tol)` so a NaN/Inf row sum also trips.
+            if !((s.observed - s.expected).abs() <= tolerance) {
+                return Some(IntegrityError {
+                    backend,
+                    row: s.row,
+                    m: rows.rows,
+                    k,
+                    n,
+                    observed: s.observed,
+                    expected: s.expected,
+                    tolerance,
+                });
+            }
+            from = s.row + 1;
+        }
+    }
 }
 
 /// Verifies `out = a·b` against the row-checksum identity, returning
 /// the first miscomparing row. Pure — no mode gating, no fault sink —
-/// so tests exercise detection directly; [`checked_matmul`] is the
-/// dispatched entry that layers both on top.
-///
-/// Two-tier tolerance: since `|r[k]| ≤ rabs[k]` termwise, the checksum
-/// itself satisfies `|expected| ≤ bound`, so `REL·|expected| +
-/// ABS_FLOOR` *lower-bounds* the true tolerance — a residual inside it
-/// is inside the true tolerance a fortiori, and the clean path never
-/// touches the magnitude bound at all. Only a row that misses the fast
-/// accept (corruption, or heavy cancellation in the checksum) pays for
-/// `|B|·1` and the per-row `Σ|A|·rabs` — computed lazily, once.
+/// so tests exercise detection directly; [`checked_matmul`] and the
+/// fused chains of [`super::chain`] are the dispatched entries that
+/// layer both on top of the same per-panel check.
 pub fn verify_gemm(
     backend: Backend,
     a: &[f32],
@@ -573,45 +930,15 @@ pub fn verify_gemm(
     k: usize,
     n: usize,
 ) -> Option<IntegrityError> {
-    let wide = wide_lanes_ok();
-    // One extra GEMV: r = B·1.
-    let mut r = vec![0.0f64; k];
-    for (kk, row) in b.chunks_exact(n).enumerate() {
-        r[kk] = vsum_f64(row, wide);
-    }
-    let mut rabs: Option<Vec<f64>> = None;
-
-    for i in 0..m {
-        let a_row = &a[i * k..(i + 1) * k];
-        let c_row = &out[i * n..(i + 1) * n];
-        let observed = vsum_f64(c_row, wide);
-        let expected = vdot_f64(a_row, &r, wide);
-        let diff = (observed - expected).abs();
-        if diff <= REL * expected.abs() + ABS_FLOOR {
-            continue; // fast accept — a NaN diff falls through
-        }
-        let rabs = rabs.get_or_insert_with(|| {
-            b.chunks_exact(n)
-                .map(|row| row.iter().map(|&v| (v as f64).abs()).sum())
-                .collect()
-        });
-        let bound = abs_dot_f64(a_row, rabs);
-        let tolerance = REL * bound + ABS_FLOOR;
-        // Written `!(x <= tol)` so a NaN/Inf row sum also trips.
-        if !(diff <= tolerance) {
-            return Some(IntegrityError {
-                backend,
-                row: i,
-                m,
-                k,
-                n,
-                observed,
-                expected,
-                tolerance,
-            });
-        }
-    }
-    None
+    let rows = Rows {
+        a,
+        a_rs: k,
+        a_ks: 1,
+        ldo: n,
+        rows: m,
+        b_rows: 0..k,
+    };
+    ProductCheck::new(b, n, k, n).verify_rows(backend, &rows, out)
 }
 
 #[cfg(test)]
@@ -626,6 +953,19 @@ mod tests {
             v.push(Backend::Avx2);
         }
         v
+    }
+
+    /// The tolerance scale of one output row,
+    /// `Σₖ |A[i,k]| · (|B|·1)[k]`, spelled out independently of
+    /// [`ProductCheck`].
+    fn row_magnitude_bound(a_row: &[f32], b: &[f32], n: usize) -> f64 {
+        a_row
+            .iter()
+            .zip(b.chunks_exact(n))
+            .map(|(&av, b_row)| {
+                (av as f64).abs() * b_row.iter().map(|&v| (v as f64).abs()).sum::<f64>()
+            })
+            .sum()
     }
 
     #[test]

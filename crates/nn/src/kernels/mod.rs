@@ -1,11 +1,11 @@
 //! Pluggable SIMD kernel backends with runtime dispatch.
 //!
 //! Every dense hot path of the workspace — the register-blocked GEMM
-//! behind [`crate::Tensor2::matmul`], the bias-add and ReLU of
-//! [`crate::layers`], [`crate::layers::softmax_rows`] in the attention
-//! path, and the INT8 GEMM of [`crate::quant`] — executes through a
-//! [`MicroKernel`]. Which implementation runs is decided once at
-//! startup:
+//! behind [`crate::Tensor2::matmul`] and the layer-fused inference
+//! chains of [`chain`], the bias-add and ReLU of [`crate::layers`],
+//! [`crate::layers::softmax_rows`] in the attention path, and the INT8
+//! GEMM of [`crate::quant`] — executes through a [`MicroKernel`].
+//! Which implementation runs is decided once at startup:
 //!
 //! * [`Backend::Scalar`] — the portable register-blocked reference
 //!   kernel ([`scalar`]). Bit-for-bit identical to the pre-SIMD
@@ -20,6 +20,23 @@
 //! [`set_active`] overrides the choice at runtime (benchmarks compare
 //! backends in one process this way; tests serialize around it).
 //!
+//! # The two dense entry points
+//!
+//! A backend implements exactly two dense kernels, both one tile loop
+//! over a strided product:
+//!
+//! * [`MicroKernel::gemm`] — the **strided GEMM with a fused
+//!   epilogue**: `a` at row stride `lda`, `out` at row stride `ldo`,
+//!   optional `+ bias`, ReLU and `+ input row` applied to the finished
+//!   accumulators in registers. [`MicroKernel::matmul`] is this
+//!   primitive at unit strides with no epilogue, and
+//!   [`chain::dense_chain`] runs whole MLPs through it one small row
+//!   panel at a time.
+//! * [`MicroKernel::token_mix`] — the Ray-Mixer's token phase (paper
+//!   Eq. 4) for one ray, in place on the stacked activations: the same
+//!   tile loop with `W₁` read transposed, so no operand is ever
+//!   transposed or copied.
+//!
 //! # Exactness contract
 //!
 //! The scalar backend preserves the workspace's historical bit-exact
@@ -31,21 +48,45 @@
 //!
 //! What every backend **must** preserve is *positional independence*:
 //! an output element's value may depend only on its logical inputs,
-//! never on where the element sits in a buffer or how many other rows
-//! share the batch. That is what keeps the fused cross-ray schedule
-//! bit-identical to per-ray execution *within* a backend, for any
-//! chunking. Concretely: a vector lane and the scalar remainder of the
-//! same loop must compute the same function (e.g. FMA lanes pair with
-//! scalar `mul_add`, never plain `mul`+`add`).
+//! never on where the element sits in a buffer, at which stride, in
+//! which row panel, or how many other rows share the batch. That is
+//! what keeps the fused cross-ray schedule bit-identical to per-ray
+//! execution *within* a backend, for any tiling. Concretely, per
+//! output element of either dense kernel:
+//!
+//! * **one accumulator, `k` ascending from zero** — blocking tiles `i`
+//!   and `j` only; AVX2 is a `vfmadd` chain, scalar `acc += a·b`;
+//! * **then the epilogue, as the unfused element functions**: `+ bias`
+//!   is [`MicroKernel::add_bias_rows`]'s add, ReLU is
+//!   [`MicroKernel::relu`]'s (`vmaxps(·, 0)` on AVX2, `max(0.0)` on
+//!   scalar), the residual is [`MicroKernel::add_assign`]'s add — so a
+//!   fused call equals the unfused sequence bit for bit, which is also
+//!   what lets the integrity layer verify a panel's bare accumulators
+//!   and apply the epilogue afterwards without moving a bit;
+//! * **the masked-tail rule**: a vector lane and the remainder of the
+//!   same loop must compute the same function. The GEMM column tail
+//!   (`n % 8`) runs on masked 8-lane tiles whose live lanes execute
+//!   the same `vfmadd` as a full tile (≡ the scalar `mul_add` chains
+//!   the tail used to run), and a masked store never reaches past a
+//!   row's `n` live columns — columns `n..ldo` belong to the caller;
+//! * **`token_mix` multiplies `W₁[k,r] · X[k,c]`** where the
+//!   transposed formulation multiplied `xᵀ[c,k] · W₁[k,r]`: the same
+//!   two factors in the same `k` order, and IEEE multiplication
+//!   commutes exactly.
 //!
 //! # Adding a backend
 //!
-//! Implement [`MicroKernel`] (a ZST with a `'static` instance), extend
-//! [`Backend`]/[`Backend::parse`]/[`kernel_for`], gate availability in
-//! [`Backend::available`], and add the new backend to the parity
-//! property tests below. Keep the positional-independence rule above
-//! or the fused-inference regression suite will catch you.
+//! Implement [`MicroKernel`] (a ZST with a `'static` instance) —
+//! `gemm` and `token_mix` as one strided tile loop, `matmul` comes for
+//! free — extend [`Backend`]/[`Backend::parse`]/[`kernel_for`], gate
+//! availability in [`Backend::available`], and add the new backend to
+//! the parity property tests below and in [`chain`]. Check arguments
+//! with the shared hard asserts (`assert_gemm_args`,
+//! `assert_token_mix_args`) before touching a raw pointer: strides and
+//! lengths arrive from safe code. Keep the rules above or the
+//! fused-inference regression suite will catch you.
 
+pub mod chain;
 pub mod integrity;
 pub mod scalar;
 
@@ -149,6 +190,145 @@ impl Backend {
     }
 }
 
+/// What [`MicroKernel::gemm`] applies to an output element once its
+/// accumulation over `k` is complete, in this order: `+ bias[j]`, then
+/// ReLU, then `+ a[i, j]` (the input row — the residual of a mixing
+/// layer, which needs `n == k`). The default is the plain product.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Epilogue<'a> {
+    /// Row vector of length `n` added to every output row.
+    pub bias: Option<&'a [f32]>,
+    /// Apply ReLU after the bias.
+    pub relu: bool,
+    /// Add the input row after the activation (`n == k`).
+    pub residual: bool,
+}
+
+/// The hard argument checks of [`MicroKernel::gemm`], shared by every
+/// backend: the AVX2 kernel walks raw pointers from these lengths, so
+/// a violation must panic identically on all backends instead of
+/// reading or writing out of bounds on one of them.
+#[allow(clippy::too_many_arguments)] // mirrors the gemm signature
+pub(crate) fn assert_gemm_args(
+    a: &[f32],
+    lda: usize,
+    b: &[f32],
+    out: &[f32],
+    ldo: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+    epi: &Epilogue<'_>,
+) {
+    assert!(lda >= k, "gemm: lda {lda} < k {k}");
+    assert!(ldo >= n, "gemm: ldo {ldo} < n {n}");
+    assert_eq!(b.len(), k * n, "gemm: weights are not k x n");
+    if m > 0 {
+        assert!(a.len() >= (m - 1) * lda + k, "gemm: a shorter than m rows");
+        assert!(
+            out.len() >= (m - 1) * ldo + n,
+            "gemm: out shorter than m rows"
+        );
+    }
+    if let Some(bias) = epi.bias {
+        assert_eq!(bias.len(), n, "gemm: bias is not n wide");
+    }
+    assert!(!epi.residual || n == k, "gemm: residual needs n == k");
+}
+
+/// The hard argument checks of [`MicroKernel::token_mix`] (see
+/// [`assert_gemm_args`] for why they are not `debug_assert!`s).
+#[allow(clippy::too_many_arguments)] // mirrors the token_mix signature
+pub(crate) fn assert_token_mix_args(
+    x: &[f32],
+    ldx: usize,
+    w1: &[f32],
+    ldw: usize,
+    b1: &[f32],
+    f: &[f32],
+    ldf: usize,
+    n: usize,
+    d: usize,
+) {
+    assert!(ldx >= d, "token_mix: ldx {ldx} < d {d}");
+    assert!(ldf >= d, "token_mix: ldf {ldf} < d {d}");
+    assert!(ldw >= n, "token_mix: {n} tokens exceed the {ldw}-wide W1");
+    assert!(b1.len() >= n, "token_mix: bias shorter than n");
+    if n > 0 {
+        assert!(
+            w1.len() >= (n - 1) * ldw + n,
+            "token_mix: W1 shorter than its n x n block"
+        );
+        assert!(
+            x.len() >= (n - 1) * ldx + d,
+            "token_mix: x shorter than n rows"
+        );
+        assert!(
+            f.len() >= (n - 1) * ldf + d,
+            "token_mix: f shorter than n rows"
+        );
+    }
+}
+
+/// The [`Epilogue`] of a GEMM as the **unfused** element functions of
+/// `kernel`, applied to `rows` finished rows of bare accumulators: the
+/// definition a fused [`MicroKernel::gemm`] must equal bit for bit. The
+/// scalar backend finishes its products with it, and the in-panel
+/// integrity check applies it after verifying a panel. A contiguous
+/// panel is handled whole, a strided one row by row.
+#[allow(clippy::too_many_arguments)] // the operands of a strided epilogue
+pub(crate) fn apply_epilogue(
+    kernel: &dyn MicroKernel,
+    epi: &Epilogue<'_>,
+    input: &[f32],
+    ldi: usize,
+    out: &mut [f32],
+    ldo: usize,
+    rows: usize,
+    n: usize,
+) {
+    let (chunks, len) = if ldo == n && (ldi == n || !epi.residual) {
+        (1, rows * n)
+    } else {
+        (rows, n)
+    };
+    for c in 0..chunks {
+        let row = &mut out[c * ldo..c * ldo + len];
+        if let Some(bias) = epi.bias {
+            kernel.add_bias_rows(row, n, bias);
+        }
+        if epi.relu {
+            kernel.relu(row);
+        }
+        if epi.residual {
+            kernel.add_assign(row, &input[c * ldi..c * ldi + len]);
+        }
+    }
+}
+
+/// The epilogue of [`MicroKernel::token_mix`] as the unfused element
+/// functions of `kernel`, applied to the `n × d` bare accumulators in
+/// `f`: `+ b1[r]` per row, ReLU, `+ x[r, :]` — shared by the scalar
+/// backend and the in-panel integrity check like [`apply_epilogue`].
+#[allow(clippy::too_many_arguments)] // the operands of a strided epilogue
+pub(crate) fn apply_token_mix_epilogue(
+    kernel: &dyn MicroKernel,
+    b1: &[f32],
+    x: &[f32],
+    ldx: usize,
+    f: &mut [f32],
+    ldf: usize,
+    n: usize,
+    d: usize,
+) {
+    for r in 0..n {
+        let row = &mut f[r * ldf..r * ldf + d];
+        row.iter_mut().for_each(|v| *v += b1[r]);
+        kernel.relu(row);
+        kernel.add_assign(row, &x[r * ldx..r * ldx + d]);
+    }
+}
+
 /// The micro-kernel surface every backend implements. All slices are
 /// row-major; `data.len()` must be a multiple of `cols` where a width
 /// is given.
@@ -156,12 +336,78 @@ pub trait MicroKernel: Sync {
     /// The backend this kernel implements.
     fn backend(&self) -> Backend;
 
+    /// The dense primitive: strided GEMM with a fused epilogue,
+    /// `out[i, j] = epi(Σₖ a[i, k] · b[k, j])` for `i < m`, `j < n`.
+    /// `a` has row stride `lda ≥ k`, `out` row stride `ldo ≥ n`, `b` is
+    /// `k × n` contiguous. Exactly the `n` live columns of each of the
+    /// `m` output rows are written — columns `n..ldo` are never
+    /// touched. Every output element accumulates over the shared
+    /// dimension in ascending order independently of `m`, `i` and `j`
+    /// (row independence — the fused-inference contract), and the
+    /// [`Epilogue`] is the element functions of
+    /// [`MicroKernel::add_bias_rows`] / [`MicroKernel::relu`] /
+    /// [`MicroKernel::add_assign`] applied in that order, so fusing
+    /// them never changes a bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a stride is shorter than its row, a slice is shorter
+    /// than the shape needs, `b`/`bias` are not exactly `k·n`/`n` long,
+    /// or a residual is requested with `n != k`.
+    #[allow(clippy::too_many_arguments)] // a strided GEMM has this many operands
+    fn gemm(
+        &self,
+        a: &[f32],
+        lda: usize,
+        b: &[f32],
+        out: &mut [f32],
+        ldo: usize,
+        m: usize,
+        k: usize,
+        n: usize,
+        epi: Epilogue<'_>,
+    );
+
     /// Dense GEMM `out = a · b` with `a` of shape `m × k` and `b` of
-    /// shape `k × n`. `out` (length `m · n`) is fully overwritten.
-    /// Every output element accumulates over the shared dimension in
-    /// ascending order independently of `m` (row independence — the
-    /// fused-inference contract).
-    fn matmul(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize);
+    /// shape `k × n`: [`MicroKernel::gemm`] at unit strides with no
+    /// epilogue. `out` (length `m · n`) is fully overwritten.
+    fn matmul(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+        self.gemm(a, k, b, out, n, m, k, n, Epilogue::default());
+    }
+
+    /// The Ray-Mixer's token mixing (paper Eq. 4) for one ray of `n`
+    /// points with `d`-wide features, read and written in place in the
+    /// stacked activations:
+    /// `f[r, c] = relu(Σₖ w1[k, r] · x[k, c] + b1[r]) + x[r, c]` for
+    /// `r < n`, `c < d`, with row strides `ldx`, `ldw` (`W₁` is
+    /// `N_max` wide; only its live `n × n` block is read) and `ldf`.
+    /// Per element this is the product the transposed formulation
+    /// `xᵀ · W₁` computes — the same factors in the same ascending-`k`
+    /// order, multiplication commuting — followed by the
+    /// [`MicroKernel::add_bias_rows`] / [`MicroKernel::relu`] /
+    /// [`MicroKernel::add_assign`] element functions. With `epilogue`
+    /// off, `f` receives the bare accumulators `Σₖ w1[k, r] · x[k, c]`
+    /// instead (the in-panel integrity check verifies those and then
+    /// applies the element functions itself).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a stride is shorter than its row, `n > ldw`, or a
+    /// slice is shorter than `n` rows (`n` entries for `b1`).
+    #[allow(clippy::too_many_arguments)] // three strided operands
+    fn token_mix(
+        &self,
+        x: &[f32],
+        ldx: usize,
+        w1: &[f32],
+        ldw: usize,
+        b1: &[f32],
+        f: &mut [f32],
+        ldf: usize,
+        n: usize,
+        d: usize,
+        epilogue: bool,
+    );
 
     /// Adds the `cols`-wide `bias` row vector to every row of `data`
     /// in place.
@@ -385,7 +631,9 @@ mod tests {
     #[test]
     fn matmul_backends_agree_within_tolerance() {
         // Shapes spanning full tiles, row edges, and every column-edge
-        // path (16-wide, 8-wide, scalar remainder).
+        // path: 16-wide, 8-wide, and the masked tail at each width
+        // `n % 8 ∈ {1, 3, 5, 7}` — alone (`n < 8`: the projections'
+        // `n = 1`) and after full tiles (the point MLP's `n = 19`).
         for &(m, k, n) in &[
             (1usize, 1usize, 1usize),
             (6, 8, 16),
@@ -393,6 +641,13 @@ mod tests {
             (12, 64, 33),
             (5, 26, 48),
             (23, 19, 9),
+            (25, 16, 1),
+            (13, 8, 3),
+            (30, 48, 19),
+            (9, 16, 5),
+            (7, 5, 13),
+            (11, 7, 7),
+            (8, 9, 23),
         ] {
             let mut vals = value_stream((m * 31 + k * 7 + n) as u32);
             let a = pseudo(&mut vals, m * k);
@@ -417,32 +672,120 @@ mod tests {
     #[test]
     fn matmul_rows_are_batch_independent_per_backend() {
         // The fused-inference contract, per backend: stacking rows
-        // never changes a row's result.
-        let (k, n) = (26, 48);
-        let mut vals = value_stream(77);
-        let big = pseudo(&mut vals, 9 * k);
-        let b = pseudo(&mut vals, k * n);
-        for backend in runnable_backends() {
-            let kern = kernel_for(backend);
-            let mut full = vec![0.0f32; 9 * n];
-            kern.matmul(&big, &b, &mut full, 9, k, n);
-            for r in 0..9 {
-                let mut single = vec![0.0f32; n];
-                kern.matmul(&big[r * k..(r + 1) * k], &b, &mut single, 1, k, n);
-                let fb: Vec<u32> = full[r * n..(r + 1) * n]
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect();
-                let sb: Vec<u32> = single.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(fb, sb, "{}: row {r} depends on its batch", backend.name());
+        // never changes a row's result — in full tiles (48) and on the
+        // masked tail at every width `n % 8 ∈ {1, 3, 5, 7}`, where a
+        // row also changes its place in the six-row register tile.
+        let k = 26;
+        for n in [48usize, 1, 19, 13, 7] {
+            let mut vals = value_stream(77 + n as u32);
+            let big = pseudo(&mut vals, 9 * k);
+            let b = pseudo(&mut vals, k * n);
+            for backend in runnable_backends() {
+                let kern = kernel_for(backend);
+                let mut full = vec![0.0f32; 9 * n];
+                kern.matmul(&big, &b, &mut full, 9, k, n);
+                for r in 0..9 {
+                    let mut single = vec![0.0f32; n];
+                    kern.matmul(&big[r * k..(r + 1) * k], &b, &mut single, 1, k, n);
+                    assert_eq!(
+                        bits(&full[r * n..(r + 1) * n]),
+                        bits(&single),
+                        "{}: n {n} row {r} depends on its batch",
+                        backend.name()
+                    );
+                }
+            }
+        }
+    }
+
+    fn bits(xs: &[f32]) -> Vec<u32> {
+        xs.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn strided_gemm_matches_the_unfused_ops_and_never_writes_past_n() {
+        // The strided primitive against its definition, per backend:
+        // at `lda > k` / `ldo > n` every live element equals the
+        // unit-stride `matmul` followed by the `add_bias_rows` /
+        // `relu` / `add_assign` element functions bit for bit, and
+        // columns `n..ldo` of every row — the last included — keep
+        // the poison they held.
+        const POISON: f32 = -12345.5;
+        for &(m, k, n) in &[
+            (7usize, 13usize, 19usize),
+            (6, 8, 16),
+            (25, 16, 1),
+            (13, 5, 5),
+            (9, 23, 23),
+            (1, 7, 7),
+        ] {
+            let (lda, ldo) = (k + 3, n + 5);
+            let mut vals = value_stream((m * 13 + k * 5 + n) as u32);
+            let a = pseudo(&mut vals, m * lda);
+            let b = pseudo(&mut vals, k * n);
+            let bias = pseudo(&mut vals, n);
+            let packed: Vec<f32> = a.chunks(lda).flat_map(|r| r[..k].to_vec()).collect();
+            for backend in runnable_backends() {
+                let kern = kernel_for(backend);
+                for (with_bias, relu, residual) in [
+                    (false, false, false),
+                    (true, false, false),
+                    (true, true, false),
+                    (true, true, n == k),
+                ] {
+                    let mut want = vec![0.0f32; m * n];
+                    kern.matmul(&packed, &b, &mut want, m, k, n);
+                    if with_bias {
+                        kern.add_bias_rows(&mut want, n, &bias);
+                    }
+                    if relu {
+                        kern.relu(&mut want);
+                    }
+                    if residual {
+                        kern.add_assign(&mut want, &packed);
+                    }
+                    let epi = Epilogue {
+                        bias: with_bias.then_some(&bias[..]),
+                        relu,
+                        residual,
+                    };
+                    let mut out = vec![POISON; m * ldo];
+                    kern.gemm(&a, lda, &b, &mut out, ldo, m, k, n, epi);
+                    for (i, row) in out.chunks(ldo).enumerate() {
+                        assert_eq!(
+                            bits(&row[..n]),
+                            bits(&want[i * n..(i + 1) * n]),
+                            "{}: {m}x{k}x{n} {epi:?} row {i}",
+                            backend.name()
+                        );
+                        assert!(
+                            row[n..].iter().all(|&v| v == POISON),
+                            "{}: {m}x{k}x{n} row {i} wrote past its {n} live columns",
+                            backend.name()
+                        );
+                    }
+                }
             }
         }
     }
 
     #[test]
+    #[should_panic(expected = "out shorter than m rows")]
+    fn strided_gemm_rejects_a_short_output_on_every_backend() {
+        // A hard assert, not a debug one: the AVX2 tile loop would
+        // write out of bounds.
+        let (a, b) = (vec![0.0f32; 12], vec![0.0f32; 6]);
+        let mut out = vec![0.0f32; 7];
+        active().gemm(&a, 3, &b, &mut out, 2, 4, 3, 2, Epilogue::default());
+    }
+
+    #[test]
     fn bias_and_relu_backends_agree_exactly() {
         for cols in [1usize, 7, 8, 9, 16, 19] {
-            let rows = 5;
+            // Enough rows that one-float rows (a single broadcast add
+            // over the flat data under AVX2) fill whole vectors and
+            // leave a remainder.
+            let rows = 21;
             let mut vals = value_stream(cols as u32);
             let base = pseudo(&mut vals, rows * cols);
             let bias = pseudo(&mut vals, cols);

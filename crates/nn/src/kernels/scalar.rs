@@ -8,10 +8,17 @@
 //! order of the textbook triple loop. Blocking tiles `i`/`j` only, so
 //! the result equals the naive reference bit-for-bit and every output
 //! row is independent of which other rows share the batch (the fused
-//! cross-ray contract). The remaining ops reproduce the historical
-//! element-wise arithmetic unchanged.
+//! cross-ray contract). Both dense entry points — the strided
+//! [`MicroKernel::gemm`] and the Ray-Mixer's
+//! [`MicroKernel::token_mix`] — are that one tile loop over a strided
+//! product, followed by the historical element-wise bias / ReLU /
+//! residual arithmetic on the finished rows. The remaining ops
+//! reproduce the historical element-wise arithmetic unchanged.
 
-use super::{Backend, MicroKernel};
+use super::{
+    apply_epilogue, apply_token_mix_epilogue, assert_gemm_args, assert_token_mix_args, Backend,
+    Epilogue, MicroKernel,
+};
 
 /// Rows per register tile of the blocked `matmul` kernel.
 pub const MR: usize = 6;
@@ -19,17 +26,31 @@ pub const MR: usize = 6;
 /// Columns per register tile of the blocked `matmul` kernel.
 pub const NR: usize = 8;
 
+/// The operands of one strided product `out = A · B`: element
+/// `A[i, k]` lives at `a[i · a_rs + k · a_ks]` (so the token mix can
+/// read `W₁` transposed without materialising it), row `k` of `B` at
+/// `b[k · ldb..]`, output row `i` at `out[i · ldo..]`.
+struct Product<'a> {
+    a: &'a [f32],
+    a_rs: usize,
+    a_ks: usize,
+    b: &'a [f32],
+    ldb: usize,
+    ldo: usize,
+    kdim: usize,
+}
+
 /// One full MR×NR register tile: fixed-size accumulators and
 /// fixed-width `b` rows so the inner loop auto-vectorizes. Each
 /// accumulator walks `k` in ascending order (the bit-exactness
 /// contract; see the module docs).
 #[inline]
-fn tile_full(a: &[f32], b: &[f32], out: &mut [f32], i0: usize, j0: usize, kdim: usize, n: usize) {
+fn tile_full(p: &Product, out: &mut [f32], i0: usize, j0: usize) {
     let mut acc = [[0.0f32; NR]; MR];
-    for k in 0..kdim {
-        let b_row: &[f32; NR] = b[k * n + j0..k * n + j0 + NR].try_into().unwrap();
+    for k in 0..p.kdim {
+        let b_row: &[f32; NR] = p.b[k * p.ldb + j0..k * p.ldb + j0 + NR].try_into().unwrap();
         for ii in 0..MR {
-            let aik = a[(i0 + ii) * kdim + k];
+            let aik = p.a[(i0 + ii) * p.a_rs + k * p.a_ks];
             let acc_row = &mut acc[ii];
             for jj in 0..NR {
                 acc_row[jj] += aik * b_row[jj];
@@ -37,7 +58,7 @@ fn tile_full(a: &[f32], b: &[f32], out: &mut [f32], i0: usize, j0: usize, kdim: 
         }
     }
     for (ii, acc_row) in acc.iter().enumerate() {
-        let row = (i0 + ii) * n + j0;
+        let row = (i0 + ii) * p.ldo + j0;
         out[row..row + NR].copy_from_slice(acc_row);
     }
 }
@@ -45,57 +66,39 @@ fn tile_full(a: &[f32], b: &[f32], out: &mut [f32], i0: usize, j0: usize, kdim: 
 /// A partial edge tile (`ib ≤ MR` rows, `jb ≤ NR` columns): same
 /// accumulation order as [`tile_full`], variable bounds.
 #[inline]
-#[allow(clippy::too_many_arguments)] // internal tile helper mirroring tile_full + bounds
-fn tile_edge(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    i0: usize,
-    j0: usize,
-    ib: usize,
-    jb: usize,
-    kdim: usize,
-    n: usize,
-) {
+fn tile_edge(p: &Product, out: &mut [f32], i0: usize, j0: usize, ib: usize, jb: usize) {
     let mut acc = [[0.0f32; NR]; MR];
-    for k in 0..kdim {
-        let b_row = &b[k * n + j0..k * n + j0 + jb];
+    for k in 0..p.kdim {
+        let b_row = &p.b[k * p.ldb + j0..k * p.ldb + j0 + jb];
         for (ii, acc_row) in acc.iter_mut().enumerate().take(ib) {
-            let aik = a[(i0 + ii) * kdim + k];
+            let aik = p.a[(i0 + ii) * p.a_rs + k * p.a_ks];
             for (jj, &bv) in b_row.iter().enumerate() {
                 acc_row[jj] += aik * bv;
             }
         }
     }
     for (ii, acc_row) in acc.iter().enumerate().take(ib) {
-        let row = (i0 + ii) * n + j0;
+        let row = (i0 + ii) * p.ldo + j0;
         out[row..row + jb].copy_from_slice(&acc_row[..jb]);
     }
 }
 
-/// The register-blocked GEMM: `out = a · b` with `a` of shape `m × k`,
-/// `b` of shape `k × n`, both row-major. `out` is fully overwritten.
-pub(crate) fn matmul_kernel(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    kdim: usize,
-    n: usize,
-) {
+/// The register-blocked product: the `n` live columns of the `m`
+/// output rows are overwritten, nothing else.
+fn product(p: &Product, out: &mut [f32], m: usize, n: usize) {
     let mut i0 = 0;
     while i0 < m {
         let ib = (m - i0).min(MR);
         let mut j0 = 0;
         if ib == MR {
             while j0 + NR <= n {
-                tile_full(a, b, out, i0, j0, kdim, n);
+                tile_full(p, out, i0, j0);
                 j0 += NR;
             }
         }
         while j0 < n {
             let jb = (n - j0).min(NR);
-            tile_edge(a, b, out, i0, j0, ib, jb, kdim, n);
+            tile_edge(p, out, i0, j0, ib, jb);
             j0 += NR;
         }
         i0 += MR;
@@ -111,15 +114,66 @@ impl MicroKernel for ScalarKernel {
         Backend::Scalar
     }
 
-    fn matmul(&self, a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-        debug_assert_eq!(a.len(), m * k);
-        debug_assert_eq!(b.len(), k * n);
-        debug_assert_eq!(out.len(), m * n);
-        matmul_kernel(a, b, out, m, k, n);
+    fn gemm(
+        &self,
+        a: &[f32],
+        lda: usize,
+        b: &[f32],
+        out: &mut [f32],
+        ldo: usize,
+        m: usize,
+        k: usize,
+        n: usize,
+        epi: Epilogue<'_>,
+    ) {
+        assert_gemm_args(a, lda, b, out, ldo, m, k, n, &epi);
+        let p = Product {
+            a,
+            a_rs: lda,
+            a_ks: 1,
+            b,
+            ldb: n,
+            ldo,
+            kdim: k,
+        };
+        product(&p, out, m, n);
+        apply_epilogue(self, &epi, a, lda, out, ldo, m, n);
+    }
+
+    fn token_mix(
+        &self,
+        x: &[f32],
+        ldx: usize,
+        w1: &[f32],
+        ldw: usize,
+        b1: &[f32],
+        f: &mut [f32],
+        ldf: usize,
+        n: usize,
+        d: usize,
+        epilogue: bool,
+    ) {
+        assert_token_mix_args(x, ldx, w1, ldw, b1, f, ldf, n, d);
+        let p = Product {
+            a: w1,
+            a_rs: 1,
+            a_ks: ldw,
+            b: x,
+            ldb: ldx,
+            ldo: ldf,
+            kdim: n,
+        };
+        product(&p, f, n, d);
+        if epilogue {
+            apply_token_mix_epilogue(self, b1, x, ldx, f, ldf, n, d);
+        }
     }
 
     fn add_bias_rows(&self, data: &mut [f32], cols: usize, bias: &[f32]) {
-        debug_assert_eq!(bias.len(), cols);
+        // Hard assert: the AVX2 backend reads `cols` floats of `bias`
+        // by raw pointer, so every backend must reject this misuse
+        // identically.
+        assert_eq!(bias.len(), cols, "add_bias_rows: bias is not cols wide");
         debug_assert_eq!(data.len() % cols.max(1), 0);
         if cols == 0 {
             return;

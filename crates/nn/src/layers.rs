@@ -6,6 +6,8 @@
 //! optimizer from [`crate::optim`].
 
 use crate::init::Rng;
+use crate::kernels::chain::ChainLayer;
+use crate::kernels::Epilogue;
 use crate::tensor::Tensor2;
 use serde::{Deserialize, Serialize};
 
@@ -117,6 +119,24 @@ impl Linear {
     pub fn forward_into(&self, x: &Tensor2, out: &mut Tensor2) {
         x.matmul_into(&self.w.value, out);
         out.add_row_broadcast_in_place(&self.b.value);
+    }
+
+    /// This layer as one link of a fused
+    /// [`dense_chain`](crate::kernels::chain::dense_chain):
+    /// `x·W + b`, then ReLU when `relu`, then `+ x` when `residual`.
+    /// Borrows the weights in place — nothing is packed or cached, so
+    /// a trainer or pruner that mutates the layer is always seen.
+    pub fn chain_layer(&self, relu: bool, residual: bool) -> ChainLayer<'_> {
+        ChainLayer {
+            w: self.w.value.as_slice(),
+            k: self.in_dim(),
+            n: self.out_dim(),
+            epi: Epilogue {
+                bias: Some(self.b.value.as_slice()),
+                relu,
+                residual,
+            },
+        }
     }
 
     /// Backward pass: accumulates `∂L/∂W`, `∂L/∂b` and returns

@@ -12,6 +12,7 @@
 //!   to a scalar density: `σ_j = W₃ (F_{j,*} + φ(W₂ F_{j,*}))`.
 
 use crate::init::Rng;
+use crate::kernels::chain::{dense_chain, token_mix, ChainScratch};
 use crate::layers::{Linear, Param, Relu};
 use crate::tensor::Tensor2;
 use serde::{Deserialize, Serialize};
@@ -29,30 +30,23 @@ pub struct RayMixer {
     cache: Option<()>,
 }
 
-/// Reusable buffers for the mixer's batched inference
-/// ([`RayMixer::mix_tokens_inference_group_into`] /
-/// [`RayMixer::finish_inference_into`]): one instance per render
-/// worker replaces the per-group operand tensors and the three
-/// allocating layers of the channel/projection phase.
+/// Reusable buffers for the mixer's fused tile inference
+/// ([`RayMixer::forward_inference_stacked`]): one instance per render
+/// worker holds the tile's mixed features `F` and the panels of the
+/// channel/projection chain.
 #[derive(Debug, Clone, Default)]
 pub struct MixerScratch {
-    /// Live `n × n` block of `W₁` and its bias slice.
-    sub_w: Tensor2,
-    sub_b: Tensor2,
-    /// Stacked transposed features of one token group and their mix.
-    xt: Tensor2,
-    ht: Tensor2,
-    /// `F + φ(W₂ F)`, the projection's input.
-    g: Tensor2,
+    /// The token-mixed features `F` of the tile, one `dim`-wide row per
+    /// point.
+    f: Vec<f32>,
+    /// Panels of `F + φ(W₂ F)`, the projection's input.
+    chain: ChainScratch,
 }
 
 impl MixerScratch {
     /// Bytes of heap the buffers retain.
     pub fn capacity_bytes(&self) -> usize {
-        [&self.sub_w, &self.sub_b, &self.xt, &self.ht, &self.g]
-            .iter()
-            .map(|t| t.capacity_bytes())
-            .sum()
+        self.f.capacity() * std::mem::size_of::<f32>() + self.chain.capacity_bytes()
     }
 }
 
@@ -163,109 +157,62 @@ impl RayMixer {
         f
     }
 
-    /// The token-mixing phase for a *group* of rays sharing one point
-    /// count, through reusable scratch: every member's transposed
-    /// features stack into a single GEMM against the live `n × n`
-    /// block of `W₁`, so a tile of equal-length rays pays one token
-    /// GEMM instead of one per ray. Member `rays[i]`'s mixed features
-    /// land in rows `offsets[i]..offsets[i] + n` of `f_out` (which the
-    /// caller has sized). Per-ray results are bit-identical to
-    /// [`RayMixer::mix_tokens_inference`] (GEMM rows are independent
-    /// of their batch; bias/ReLU/residual are element-wise).
-    ///
-    /// # Panics
-    ///
-    /// Panics when members disagree in length or exceed `n_points`.
-    pub fn mix_tokens_inference_group_into(
-        &self,
-        rays: &[Tensor2],
-        members: &[usize],
-        offsets: &[usize],
-        scratch: &mut MixerScratch,
-        f_out: &mut Tensor2,
-    ) {
-        let Some(&first) = members.first() else {
-            return;
-        };
-        let n = rays[first].rows();
-        assert!(
-            n <= self.n_points,
-            "RayMixer built for {} points, got {}",
-            self.n_points,
-            n
-        );
-        let d = self.dim();
-        let MixerScratch {
-            sub_w,
-            sub_b,
-            xt,
-            ht,
-            ..
-        } = scratch;
-        // Live n×n sub-block of W₁ and the matching bias slice.
-        sub_w.reset_zeroed(n, n);
-        for r in 0..n {
-            sub_w
-                .row_mut(r)
-                .copy_from_slice(&self.token_fc.w.value.row(r)[..n]);
-        }
-        sub_b.reset_zeroed(1, n);
-        sub_b
-            .row_mut(0)
-            .copy_from_slice(&self.token_fc.b.value.row(0)[..n]);
-        // Stack every member's xᵀ (d × n) into one (G·d × n) operand.
-        xt.reset_zeroed(members.len() * d, n);
-        for (g, &i) in members.iter().enumerate() {
-            let x = &rays[i];
-            assert_eq!(x.rows(), n, "mixed ray lengths in one token group");
-            for r in 0..n {
-                for (c, &v) in x.row(r).iter().enumerate() {
-                    xt[(g * d + c, r)] = v;
-                }
-            }
-        }
-        xt.matmul_into(sub_w, ht);
-        ht.add_row_broadcast_in_place(sub_b);
-        ht.relu_in_place();
-        for (g, &i) in members.iter().enumerate() {
-            let x = &rays[i];
-            for r in 0..n {
-                let out = f_out.row_mut(offsets[i] + r);
-                for (c, o) in out.iter_mut().enumerate() {
-                    *o = ht[(g * d + c, r)] + x[(r, c)];
-                }
-            }
-        }
-    }
-
     /// The channel-mixing + projection phase of inference (Eq. 5):
-    /// `σ = W₃ (F + φ(W₂ F))`, row by row. Rows are independent, so the
-    /// fused cross-ray path may stack many rays' `F` tensors and run
-    /// this once for a whole chunk — the result rows are bit-identical
-    /// to per-ray calls (the GEMM kernel's k-order contract).
+    /// `σ = W₃ (F + φ(W₂ F))`, row by row, layer by layer — the
+    /// reference composition the fused
+    /// [`RayMixer::forward_inference_stacked`] is pinned against.
     pub fn finish_inference(&self, f: &Tensor2) -> Tensor2 {
-        let mut scratch = MixerScratch::default();
-        let mut logits = Tensor2::default();
-        self.finish_inference_into(f, &mut scratch, &mut logits);
-        logits
-    }
-
-    /// [`RayMixer::finish_inference`] through reusable scratch, the
-    /// logits landing in `logits` — allocation-free once the buffers
-    /// have grown.
-    pub fn finish_inference_into(
-        &self,
-        f: &Tensor2,
-        scratch: &mut MixerScratch,
-        logits: &mut Tensor2,
-    ) {
-        let g = &mut scratch.g;
-        self.channel_fc.forward_into(f, g);
-        self.channel_act.forward_inference_in_place(g);
+        let mut g = self.channel_fc.forward_inference(f);
+        self.channel_act.forward_inference_in_place(&mut g);
         for (gv, &fv) in g.as_mut_slice().iter_mut().zip(f.as_slice()) {
             *gv += fv;
         }
-        self.proj.forward_into(g, logits);
+        self.proj.forward_inference(&g)
+    }
+
+    /// Fused inference over every ray of a tile, in place on the
+    /// stacked activations: ray `i` owns rows
+    /// `ray_offsets[i]..ray_offsets[i + 1]` of `x` (its `dim` live
+    /// columns at row stride `ldx` — the point-MLP output is read where
+    /// it lies, no per-ray copy) and of `logits` (one per point). One
+    /// [`token_mix`] call mixes each ray through its live `n × n` block
+    /// of `W₁` — no transposes, no grouping by length — and one
+    /// two-layer [`dense_chain`] runs Eq. 5 (`G = F + φ(F·W₂ + b₂)`,
+    /// `logit = G·w₃ + b₃`) over the whole tile. Per-ray results are
+    /// bit-identical to [`RayMixer::forward_inference`]: the same
+    /// products in the same `k` order (see the kernel contract in
+    /// [`crate::kernels`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics when a ray exceeds `n_points` or a slice is shorter than
+    /// the offsets need.
+    pub fn forward_inference_stacked(
+        &self,
+        x: &[f32],
+        ldx: usize,
+        ray_offsets: &[usize],
+        scratch: &mut MixerScratch,
+        logits: &mut [f32],
+    ) {
+        let d = self.dim();
+        let total = ray_offsets.last().copied().unwrap_or(0);
+        scratch.f.resize(total * d, 0.0);
+        token_mix(
+            x,
+            ldx,
+            d,
+            ray_offsets,
+            self.token_fc.w.value.as_slice(),
+            self.n_points,
+            self.token_fc.b.value.as_slice(),
+            &mut scratch.f,
+        );
+        let layers = [
+            self.channel_fc.chain_layer(true, true),
+            self.proj.chain_layer(false, false),
+        ];
+        dense_chain(&scratch.f, total, &layers, logits, 1, &mut scratch.chain);
     }
 
     /// Backward pass; accumulates parameter gradients and returns
@@ -445,6 +392,45 @@ mod tests {
             last = loss;
         }
         assert!(last < first * 0.1, "first={first} last={last}");
+    }
+
+    #[test]
+    fn stacked_inference_matches_per_ray_reference_bitwise() {
+        // One tile holding a ray of every length 1..=N_max (and an
+        // empty one), the features read in place at a non-unit row
+        // stride: the in-place token mix must equal
+        // `mix_tokens_inference` (explicit transposes, one GEMM per
+        // ray) and the logits `forward_inference`, bit for bit, on
+        // whichever backend is active.
+        let (n_max, d, ldx) = (64usize, 16usize, 19usize);
+        let mut rng = Rng::seed_from(28);
+        let mixer = RayMixer::new(n_max, d, &mut rng);
+        let mut offsets = vec![0usize, 0];
+        for n in 1..=n_max {
+            offsets.push(offsets.last().unwrap() + n);
+        }
+        let total = *offsets.last().unwrap();
+        let x: Vec<f32> = (0..total * ldx)
+            .map(|i| (i as f32 * 0.173).sin() * 1.7)
+            .collect();
+        let mut scratch = MixerScratch::default();
+        let mut logits = vec![f32::NAN; total];
+        mixer.forward_inference_stacked(&x, ldx, &offsets, &mut scratch, &mut logits);
+        let bits = |xs: &[f32]| xs.iter().map(|v| v.to_bits()).collect::<Vec<u32>>();
+        for ray in offsets.windows(2) {
+            let (start, n) = (ray[0], ray[1] - ray[0]);
+            let x_ray = Tensor2::from_fn(n, d, |r, c| x[(start + r) * ldx + c]);
+            assert_eq!(
+                bits(&scratch.f[start * d..(start + n) * d]),
+                bits(mixer.mix_tokens_inference(&x_ray).as_slice()),
+                "token mix of a {n}-point ray"
+            );
+            assert_eq!(
+                bits(&logits[start..start + n]),
+                bits(mixer.forward_inference(&x_ray).as_slice()),
+                "logits of a {n}-point ray"
+            );
+        }
     }
 
     #[test]
