@@ -18,6 +18,18 @@
 //! pipeline recurrence that chains slot latencies stays sequential and
 //! consumes the per-patch results in patch order, keeping reports
 //! bit-for-bit identical for any `GEN_NERF_THREADS` setting.
+//!
+//! # Where the host time goes
+//!
+//! Not into that loop. At the paper's configuration on a 252×189 frame
+//! (595 patches, 275,668 synthetic DRAM requests) one `simulate` call
+//! on one host thread is ≈ 22 ms, of which the two
+//! [`Scheduler::partition`] calls — sequential, and the same for every
+//! worker count — are ≈ 18 ms and the patch loop ≈ 4 ms; before the
+//! scheduler memoised its vertex projections the split was ≈ 80 ms to
+//! ≈ 6 ms. Each worker of the patch loop owns one DRAM device, reset
+//! between patches, and one request list. See the scheduler's module
+//! docs, "Cost of the search", for what the partition spends.
 
 use crate::config::AcceleratorConfig;
 use crate::dataflow::DataflowVariant;
@@ -264,16 +276,17 @@ impl Simulator {
         let macs_per_point = mlp_macs_pp + ray_macs_pp;
 
         let pe = PePool::new(&self.cfg);
-        // Template controller state. In the default cold-row mode it is
-        // cloned per patch: every prefetch starts from cold row
-        // buffers. Patches are the double-buffer granule — between two
-        // prefetches the access pattern jumps to a different hull
-        // footprint, so cross-patch row reuse is assumed negligible and
-        // modelling it as zero makes the per-patch DRAM simulations
-        // independent (which lets the loop fan out across host threads
-        // while staying bit-for-bit deterministic for any worker
-        // count). `SimMode::WarmRows` instead threads one device
-        // through the patches sequentially to measure the locality the
+        // Template controller state. In the default cold-row mode each
+        // worker clones it once and resets the clone before every
+        // patch: every prefetch starts from cold row buffers. Patches
+        // are the double-buffer granule — between two prefetches the
+        // access pattern jumps to a different hull footprint, so
+        // cross-patch row reuse is assumed negligible and modelling it
+        // as zero makes the per-patch DRAM simulations independent
+        // (which lets the loop fan out across host threads while
+        // staying bit-for-bit deterministic for any worker count).
+        // `SimMode::WarmRows` instead threads one device through the
+        // patches sequentially to measure the locality the
         // approximation forgoes.
         let mut dram_template = Dram::new(self.cfg.dram, self.variant.layout());
         dram_template.set_geometry(spec.width.max(8), spec.height.max(8), texel_bytes);
@@ -290,10 +303,12 @@ impl Simulator {
             row_misses: u64,
         }
 
-        let patch_outcome = |patch: &Patch, dram: &mut Dram| -> PatchOutcome {
+        // `bursts` is the worker's request list, refilled per patch.
+        let patch_outcome = |patch: &Patch, dram: &mut Dram, bursts: &mut Vec<FeatureRequest>| {
             let hits0 = dram.stats().row_hits;
             let misses0 = dram.stats().row_misses;
-            let (cycles, bytes, stalls, energy) = self.prefetch_patch(dram, patch, texel_bytes);
+            let (cycles, bytes, stalls, energy) =
+                self.prefetch_patch(dram, patch, texel_bytes, bursts);
             let macs = (patch.points() as f64 * macs_per_point) as u64;
             // PPU: every point is sampled, projected onto each view and
             // bilinearly interpolated; throughput scales down with views.
@@ -313,20 +328,31 @@ impl Simulator {
         };
         let outcomes: Vec<PatchOutcome> = match self.mode {
             // Cold rows: patches are independent, fan out across host
-            // threads with a fresh device clone per patch.
+            // threads, each resetting its own device between patches.
             SimMode::ColdPatches => {
-                gen_nerf_parallel::par_map_threads(&patches, self.threads, |_, patch| {
+                gen_nerf_parallel::par_chunk_ranges(patches.len(), self.threads, |start, end| {
                     let mut dram = dram_template.clone();
-                    patch_outcome(patch, &mut dram)
+                    let mut bursts = Vec::new();
+                    patches[start..end]
+                        .iter()
+                        .map(|patch| {
+                            dram.reset();
+                            patch_outcome(patch, &mut dram, &mut bursts)
+                        })
+                        .collect::<Vec<_>>()
                 })
+                .into_iter()
+                .flatten()
+                .collect()
             }
             // Warm rows: one device, sequential, row buffers carried
             // across patches — the locality measurement mode.
             SimMode::WarmRows => {
-                let mut dram = dram_template.clone();
+                let mut dram = dram_template;
+                let mut bursts = Vec::new();
                 patches
                     .iter()
-                    .map(|patch| patch_outcome(patch, &mut dram))
+                    .map(|patch| patch_outcome(patch, &mut dram, &mut bursts))
                     .collect()
             }
         };
@@ -377,16 +403,18 @@ impl Simulator {
     /// footprint as 64-byte bursts walking the bounding box row-major
     /// (so locality/bank behaviour reflects the storage layout).
     /// Bursts beyond [`REQUEST_CAP`] per view are sampled and scaled.
+    /// `requests` is scratch for the burst list (cleared first).
     /// Returns `(cycles, bytes, conflict_stalls, energy_pj)`.
     fn prefetch_patch(
         &self,
         dram: &mut Dram,
         patch: &Patch,
         texel_bytes: u64,
+        requests: &mut Vec<FeatureRequest>,
     ) -> (u64, u64, u64, f64) {
         const BURST_BYTES: u64 = 64;
         let texels_per_burst = (BURST_BYTES / texel_bytes).max(1);
-        let mut requests: Vec<FeatureRequest> = Vec::new();
+        requests.clear();
         let mut total_bursts = 0u64;
         let mut total_texels = 0u64;
         for (view, (&texels, &bbox)) in patch
@@ -425,7 +453,7 @@ impl Simulator {
             return (0, 0, 0, 0.0);
         }
         let energy0 = dram.stats().energy_pj;
-        let result = dram.serve_batch(&requests);
+        let result = dram.serve_batch(requests);
         let sampled_energy = dram.stats().energy_pj - energy0;
         // Scale sampled service to the full footprint.
         let scale = total_bursts as f64 / requests.len() as f64;

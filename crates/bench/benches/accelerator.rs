@@ -23,6 +23,12 @@ fn bench_simulate(c: &mut Criterion) {
             },
         );
     }
+    // The repo benchmark's `accel_sim` call, shape for shape.
+    let spec = WorkloadSpec::gen_nerf_default(252, 189, 6, 64);
+    let sim = Simulator::new(AcceleratorConfig::paper()).with_threads(1);
+    group.bench_function(BenchmarkId::new("gen_nerf_252x189", "1thread"), |b| {
+        b.iter(|| sim.simulate(&spec))
+    });
     group.finish();
 }
 

@@ -66,39 +66,97 @@ impl FeatureLayout {
         banks: usize,
         row_bytes: u64,
     ) -> (usize, u64) {
-        debug_assert!(x < width && y < height, "texel out of range");
-        let linear_texel =
-            view as u64 * (width as u64 * height as u64) + y as u64 * width as u64 + x as u64;
-        let byte_addr = linear_texel * feat_bytes;
-        match self {
+        Placement::new(self, width, height, feat_bytes, banks, row_bytes).place(view, x, y)
+    }
+}
+
+/// A layout bound to one feature-map geometry and device: everything
+/// [`FeatureLayout::place`] derives from its arguments other than the
+/// texel itself, worked out once so a device placing hundreds of
+/// thousands of requests does not redo it per access.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Placement {
+    layout: FeatureLayout,
+    width: u32,
+    height: u32,
+    feat_bytes: u64,
+    banks: usize,
+    row_bytes: u64,
+    /// 2D bank tile (`SpatialInterleave`).
+    bx: u32,
+    by: u32,
+    /// Bank tiles per feature-map row / column.
+    tiles_w: u64,
+    tiles_h: u64,
+}
+
+impl Placement {
+    pub(crate) fn new(
+        layout: FeatureLayout,
+        width: u32,
+        height: u32,
+        feat_bytes: u64,
+        banks: usize,
+        row_bytes: u64,
+    ) -> Self {
+        let bx = bank_tile_width(banks);
+        let by = banks as u32 / bx;
+        Self {
+            layout,
+            width,
+            height,
+            feat_bytes,
+            banks,
+            row_bytes,
+            bx,
+            by,
+            tiles_w: width.div_ceil(bx) as u64,
+            tiles_h: height.div_ceil(by) as u64,
+        }
+    }
+
+    /// The layout being placed.
+    pub(crate) fn layout(&self) -> FeatureLayout {
+        self.layout
+    }
+
+    /// Feature-map dimensions `(width, height)`.
+    pub(crate) fn dims(&self) -> (u32, u32) {
+        (self.width, self.height)
+    }
+
+    /// `(bank, row)` of texel `(x, y)` of source view `view`.
+    #[inline]
+    pub(crate) fn place(&self, view: usize, x: u32, y: u32) -> (usize, u64) {
+        debug_assert!(x < self.width && y < self.height, "texel out of range");
+        let (width, height) = (self.width as u64, self.height as u64);
+        match self.layout {
             FeatureLayout::RowMajor => {
                 // Banks striped by DRAM row: consecutive addresses fill a
                 // row, then move to the next bank.
-                let dram_row_global = byte_addr / row_bytes;
-                let bank = (dram_row_global % banks as u64) as usize;
-                let row = dram_row_global / banks as u64;
+                let linear_texel = view as u64 * (width * height) + y as u64 * width + x as u64;
+                let dram_row_global = linear_texel * self.feat_bytes / self.row_bytes;
+                let bank = (dram_row_global % self.banks as u64) as usize;
+                let row = dram_row_global / self.banks as u64;
                 (bank, row)
             }
             FeatureLayout::SpatialInterleave => {
                 // 2D bank tile: bank = f(x mod bx, y mod by) so any
                 // bx×by neighbourhood touches all banks; row derived
                 // from the tile-local linear address.
-                let bx = bank_tile_width(banks);
-                let by = banks as u32 / bx;
+                let (bx, by) = (self.bx, self.by);
                 let bank = ((x % bx) + (y % by) * bx) as usize;
                 // Within a bank, texels appear every (bx, by) steps.
                 let tx = (x / bx) as u64;
                 let ty = (y / by) as u64;
-                let tiles_w = width.div_ceil(bx) as u64;
-                let tiles_h = height.div_ceil(by) as u64;
-                let local = view as u64 * tiles_w * tiles_h + ty * tiles_w + tx;
-                let row = local * feat_bytes / row_bytes;
+                let local = view as u64 * self.tiles_w * self.tiles_h + ty * self.tiles_w + tx;
+                let row = local * self.feat_bytes / self.row_bytes;
                 (bank, row)
             }
             FeatureLayout::ViewInterleave => {
-                let bank = view % banks;
-                let local = (y as u64 * width as u64 + x as u64) * feat_bytes;
-                (bank, local / row_bytes)
+                let bank = view % self.banks;
+                let local = (y as u64 * width + x as u64) * self.feat_bytes;
+                (bank, local / self.row_bytes)
             }
         }
     }

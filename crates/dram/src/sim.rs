@@ -8,7 +8,7 @@
 //! (paper Sec. 4.5).
 
 use crate::config::DramConfig;
-use crate::layout::FeatureLayout;
+use crate::layout::{FeatureLayout, Placement};
 use serde::{Deserialize, Serialize};
 
 /// One scene-feature fetch: `bytes` at texel `(x, y)` of source view
@@ -73,7 +73,7 @@ pub struct BatchResult {
     pub bandwidth_utilization: f64,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Bank {
     open_row: Option<u64>,
     ready_at: u64,
@@ -87,14 +87,16 @@ struct Bank {
 #[derive(Debug, Clone)]
 pub struct Dram {
     cfg: DramConfig,
-    layout: FeatureLayout,
     banks: Vec<Bank>,
     bus_ready_at: u64,
     now: u64,
     stats: DramStats,
-    width: u32,
-    height: u32,
-    feat_bytes: u64,
+    /// The feature layout, bound to the current geometry and `cfg`.
+    placement: Placement,
+    /// Last `(bytes, cfg.transfer_cycles(bytes))` served: a prefetch
+    /// issues one burst size, so the bus-time divide runs once per
+    /// size rather than once per access.
+    burst: (u64, u64),
 }
 
 impl Dram {
@@ -106,11 +108,9 @@ impl Dram {
             bus_ready_at: 0,
             now: 0,
             stats: DramStats::default(),
-            width: 64,
-            height: 64,
-            feat_bytes: 32,
+            placement: Placement::new(layout, 64, 64, 32, cfg.banks, cfg.row_bytes),
+            burst: (0, cfg.transfer_cycles(0)),
             cfg,
-            layout,
         }
     }
 
@@ -121,9 +121,14 @@ impl Dram {
     /// Panics when any argument is zero.
     pub fn set_geometry(&mut self, width: u32, height: u32, feat_bytes: u64) {
         assert!(width > 0 && height > 0 && feat_bytes > 0, "zero geometry");
-        self.width = width;
-        self.height = height;
-        self.feat_bytes = feat_bytes;
+        self.placement = Placement::new(
+            self.layout(),
+            width,
+            height,
+            feat_bytes,
+            self.cfg.banks,
+            self.cfg.row_bytes,
+        );
     }
 
     /// The configured device.
@@ -133,7 +138,7 @@ impl Dram {
 
     /// The placement layout.
     pub fn layout(&self) -> FeatureLayout {
-        self.layout
+        self.placement.layout()
     }
 
     /// Lifetime statistics.
@@ -150,16 +155,10 @@ impl Dram {
     /// completion cycle.
     pub fn access(&mut self, req: FeatureRequest) -> u64 {
         let issue = self.now;
-        let (bank_idx, row) = self.layout.place(
-            req.view,
-            req.x.min(self.width - 1),
-            req.y.min(self.height - 1),
-            self.width,
-            self.height,
-            self.feat_bytes,
-            self.cfg.banks,
-            self.cfg.row_bytes,
-        );
+        let (width, height) = self.placement.dims();
+        let (bank_idx, row) =
+            self.placement
+                .place(req.view, req.x.min(width - 1), req.y.min(height - 1));
         let t = self.cfg.timing;
         let bank = &mut self.banks[bank_idx];
 
@@ -185,7 +184,10 @@ impl Dram {
         let col_done = start + access_latency;
         let bus_start = col_done.max(self.bus_ready_at);
         self.stats.bus_stalls += bus_start - col_done;
-        let transfer = self.cfg.transfer_cycles(req.bytes as u64);
+        if self.burst.0 != req.bytes as u64 {
+            self.burst = (req.bytes as u64, self.cfg.transfer_cycles(req.bytes as u64));
+        }
+        let transfer = self.burst.1;
         let done = bus_start + transfer;
         self.bus_ready_at = done;
         // Keep the bank busy until tRAS would allow a precharge, or the
@@ -255,7 +257,7 @@ impl Dram {
 
     /// Resets time, bank state and statistics.
     pub fn reset(&mut self) {
-        self.banks = vec![Bank::default(); self.cfg.banks];
+        self.banks.fill(Bank::default());
         self.bus_ready_at = 0;
         self.now = 0;
         self.stats = DramStats::default();
@@ -410,6 +412,60 @@ mod tests {
         d.reset();
         assert_eq!(d.now(), 0);
         assert_eq!(d.stats().requests, 0);
+    }
+
+    #[test]
+    fn fresh_device_places_with_the_documented_default_geometry() {
+        // `new` documents a 64×64×32 B map; without `set_geometry` a
+        // request must land where `place` puts it for that geometry.
+        let cfg = DramConfig::lpddr4_2400();
+        for layout in FeatureLayout::all() {
+            for (view, x, y) in [(0, 0, 0), (1, 5, 9), (2, 63, 63), (3, 17, 40), (5, 62, 1)] {
+                let mut d = Dram::new(cfg, layout);
+                d.access(req(view, x, y));
+                let opened: Vec<(usize, u64)> = d
+                    .banks
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(b, bank)| bank.open_row.map(|row| (b, row)))
+                    .collect();
+                let expect = layout.place(view, x, y, 64, 64, 32, cfg.banks, cfg.row_bytes);
+                assert_eq!(opened, vec![expect], "{layout:?} ({view}, {x}, {y})");
+            }
+        }
+    }
+
+    #[test]
+    fn reset_after_traffic_matches_a_fresh_device() {
+        // The accelerator simulator's cold-row mode resets one device
+        // per worker between patches instead of building a new one.
+        let traffic: Vec<_> = (0..40)
+            .map(|i| req(i % 3, (i * 7) as u32, (i * 5) as u32))
+            .collect();
+        for layout in FeatureLayout::all() {
+            let fresh = || {
+                let mut d = dram(layout);
+                d.set_geometry(100, 70, 12);
+                d
+            };
+            let mut used = fresh();
+            used.serve_batch(&traffic);
+            used.access(FeatureRequest {
+                bytes: 64,
+                ..req(1, 3, 3)
+            });
+            assert!(used.now() > 0 && used.stats().requests > 0);
+            used.reset();
+            let mut new = fresh();
+            assert_eq!(used.stats(), new.stats());
+            assert_eq!(used.now(), new.now());
+            assert_eq!(used.bus_ready_at, new.bus_ready_at);
+            assert_eq!(used.banks, new.banks);
+            // ... and it behaves like one: same service, same totals.
+            assert_eq!(used.serve_batch(&traffic), new.serve_batch(&traffic));
+            assert_eq!(used.stats(), new.stats());
+            assert_eq!(used.banks, new.banks);
+        }
     }
 
     #[test]

@@ -154,48 +154,84 @@ impl EpipolarPair {
 ///
 /// Duplicates are tolerated; fewer than three distinct points yield a
 /// degenerate hull whose [`polygon_area`] is zero.
+///
+/// Allocating convenience over [`convex_hull_into`], which is the one
+/// hull implementation.
 pub fn convex_hull(points: &[Vec2]) -> Vec<Vec2> {
-    let mut pts: Vec<Vec2> = points.to_vec();
-    pts.sort_by(|p, q| {
+    let mut pts = points.to_vec();
+    let mut hull = vec![Vec2::ZERO; 2 * pts.len()];
+    let n = convex_hull_into(&mut pts, &mut hull);
+    hull.truncate(n);
+    hull
+}
+
+/// [`convex_hull`] without the heap: sorts and dedups `points` in place
+/// (its order on return is unspecified), writes the hull's vertices
+/// counter-clockwise to the front of `hull` and returns how many there
+/// are. The workload scheduler hulls eight corner projections a few
+/// hundred thousand times per frame, from stack arrays.
+///
+/// The sort is stable and the chain pops on `<= 0.0`, so equal and
+/// collinear points resolve the same way for every caller.
+///
+/// # Panics
+///
+/// Panics when `hull` is shorter than `2 * points.len()`, the chain's
+/// worst-case occupancy before its closing vertex is dropped.
+pub fn convex_hull_into(points: &mut [Vec2], hull: &mut [Vec2]) -> usize {
+    assert!(
+        hull.len() >= 2 * points.len(),
+        "hull buffer holds {} vertices, {} points need {}",
+        hull.len(),
+        points.len(),
+        2 * points.len()
+    );
+    points.sort_by(|p, q| {
         p.x.partial_cmp(&q.x)
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(p.y.partial_cmp(&q.y).unwrap_or(std::cmp::Ordering::Equal))
     });
-    pts.dedup_by(|p, q| (*p - *q).length() < 1e-9);
-    let n = pts.len();
-    if n < 3 {
-        return pts;
+    // Drop near-duplicates of the last kept point.
+    let mut n = 0;
+    for i in 0..points.len() {
+        let duplicate = n > 0 && (points[i] - points[n - 1]).length() < 1e-9;
+        if !duplicate {
+            points[n] = points[i];
+            n += 1;
+        }
     }
-    let mut hull: Vec<Vec2> = Vec::with_capacity(2 * n);
-    // Lower hull.
-    for &p in &pts {
-        while hull.len() >= 2 {
-            let a = hull[hull.len() - 2];
-            let b = hull[hull.len() - 1];
+    let pts = &points[..n];
+    if n < 3 {
+        hull[..n].copy_from_slice(pts);
+        return n;
+    }
+    let mut len = 0;
+    // Pops the chain back to `floor` vertices while its last edge does
+    // not turn left towards `p`, then appends `p`.
+    let mut extend = |len: &mut usize, floor: usize, p: Vec2| {
+        while *len >= floor {
+            let a = hull[*len - 2];
+            let b = hull[*len - 1];
             if (b - a).cross(p - a) <= 0.0 {
-                hull.pop();
+                *len -= 1;
             } else {
                 break;
             }
         }
-        hull.push(p);
+        hull[*len] = p;
+        *len += 1;
+    };
+    // Lower hull.
+    for &p in pts {
+        extend(&mut len, 2, p);
     }
     // Upper hull.
-    let lower_len = hull.len() + 1;
+    let lower_len = len + 1;
     for &p in pts.iter().rev().skip(1) {
-        while hull.len() >= lower_len {
-            let a = hull[hull.len() - 2];
-            let b = hull[hull.len() - 1];
-            if (b - a).cross(p - a) <= 0.0 {
-                hull.pop();
-            } else {
-                break;
-            }
-        }
-        hull.push(p);
+        extend(&mut len, lower_len, p);
     }
-    hull.pop();
-    hull
+    // The chain closes on its first vertex; drop the repeat.
+    len - 1
 }
 
 /// Area of a simple polygon given its vertices in order (shoelace
@@ -378,6 +414,92 @@ mod tests {
         assert_eq!(convex_hull_area(&pts), 0.0);
     }
 
+    /// The hull as it was before [`convex_hull_into`] existed — heap
+    /// vectors, `Vec::dedup_by`, push / pop — kept as the oracle the
+    /// in-place implementation must match vertex for vertex.
+    fn convex_hull_reference(points: &[Vec2]) -> Vec<Vec2> {
+        let mut pts: Vec<Vec2> = points.to_vec();
+        pts.sort_by(|p, q| {
+            p.x.partial_cmp(&q.x)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(p.y.partial_cmp(&q.y).unwrap_or(std::cmp::Ordering::Equal))
+        });
+        pts.dedup_by(|p, q| (*p - *q).length() < 1e-9);
+        let n = pts.len();
+        if n < 3 {
+            return pts;
+        }
+        let mut hull: Vec<Vec2> = Vec::with_capacity(2 * n);
+        for &p in &pts {
+            while hull.len() >= 2 {
+                let a = hull[hull.len() - 2];
+                let b = hull[hull.len() - 1];
+                if (b - a).cross(p - a) <= 0.0 {
+                    hull.pop();
+                } else {
+                    break;
+                }
+            }
+            hull.push(p);
+        }
+        let lower_len = hull.len() + 1;
+        for &p in pts.iter().rev().skip(1) {
+            while hull.len() >= lower_len {
+                let a = hull[hull.len() - 2];
+                let b = hull[hull.len() - 1];
+                if (b - a).cross(p - a) <= 0.0 {
+                    hull.pop();
+                } else {
+                    break;
+                }
+            }
+            hull.push(p);
+        }
+        hull.pop();
+        hull
+    }
+
+    fn bits(vertices: &[Vec2]) -> Vec<(u32, u32)> {
+        vertices
+            .iter()
+            .map(|p| (p.x.to_bits(), p.y.to_bits()))
+            .collect()
+    }
+
+    /// Hulls `points` from stack arrays, as the scheduler does.
+    fn hull_on_stack(points: &[Vec2]) -> Vec<Vec2> {
+        let mut pts = [Vec2::ZERO; 16];
+        let mut hull = [Vec2::ZERO; 32];
+        pts[..points.len()].copy_from_slice(points);
+        let n = convex_hull_into(&mut pts[..points.len()], &mut hull);
+        hull[..n].to_vec()
+    }
+
+    #[test]
+    fn hull_into_handles_degenerate_inputs() {
+        let p = Vec2::new(1.5, -2.0);
+        let q = Vec2::new(-0.5, 4.0);
+        for pts in [vec![], vec![p], vec![p, p, p], vec![p, q], vec![q, p, q, p]] {
+            assert_eq!(
+                bits(&hull_on_stack(&pts)),
+                bits(&convex_hull_reference(&pts))
+            );
+            assert!(hull_on_stack(&pts).len() < 3);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "hull buffer")]
+    fn hull_into_rejects_short_output() {
+        let mut pts = [
+            Vec2::new(0.0, 0.0),
+            Vec2::new(1.0, 0.0),
+            Vec2::new(0.0, 1.0),
+        ];
+        let mut hull = [Vec2::ZERO; 5]; // needs 2 · 3
+        convex_hull_into(&mut pts, &mut hull);
+    }
+
     #[test]
     fn shoelace_triangle() {
         let tri = vec![
@@ -439,6 +561,39 @@ mod tests {
                     prop_assert!((b - a).cross(*p - a) >= -1e-3);
                 }
             }
+        }
+
+        #[test]
+        fn prop_hull_into_matches_reference_on_grid_points(
+            cells in proptest::collection::vec((-2i32..3, -2i32..3), 0..17),
+        ) {
+            // A 5×5 lattice: exact duplicates, collinear runs and fewer
+            // than three distinct points all occur often.
+            let pts: Vec<Vec2> = cells
+                .iter()
+                .map(|&(x, y)| Vec2::new(x as f32 * 0.75, y as f32 * 1.25))
+                .collect();
+            let reference = convex_hull_reference(&pts);
+            prop_assert_eq!(bits(&hull_on_stack(&pts)), bits(&reference));
+            prop_assert_eq!(bits(&convex_hull(&pts)), bits(&reference));
+        }
+
+        #[test]
+        fn prop_hull_into_matches_reference_on_scattered_points(
+            raw in proptest::collection::vec((-50.0f32..50.0, -50.0f32..50.0), 0..13),
+            repeats in proptest::collection::vec(0usize..12, 0..5),
+        ) {
+            // Scattered points with a few exact repeats mixed back in.
+            let mut pts: Vec<Vec2> = raw.iter().map(|&(x, y)| Vec2::new(x, y)).collect();
+            if !pts.is_empty() {
+                for &r in &repeats[..repeats.len().min(16 - pts.len())] {
+                    let p = pts[r % pts.len()];
+                    pts.insert(r % pts.len(), p);
+                }
+            }
+            let reference = convex_hull_reference(&pts);
+            prop_assert_eq!(bits(&hull_on_stack(&pts)), bits(&reference));
+            prop_assert_eq!(bits(&convex_hull(&pts)), bits(&reference));
         }
     }
 }

@@ -7,7 +7,7 @@
 //! the scene-feature traffic needed to process the patch.
 
 use crate::camera::Camera;
-use crate::epipolar::convex_hull_area;
+use crate::epipolar::{convex_hull_into, polygon_area};
 use crate::vec::{Vec2, Vec3};
 use serde::{Deserialize, Serialize};
 
@@ -71,12 +71,19 @@ impl Frustum {
     /// corners are visible the area is zero (treated as "free" by the
     /// caller, which also bounds patches by the prefetch-buffer size).
     pub fn projected_area(&self, novel: &Camera, source: &Camera) -> f32 {
-        let projections: Vec<Vec2> = self
+        let mut projections = [Vec2::ZERO; 8];
+        let mut visible = 0;
+        for uv in self
             .world_corners(novel)
             .iter()
             .filter_map(|&p| source.project(p))
-            .collect();
-        convex_hull_area(&projections)
+        {
+            projections[visible] = uv;
+            visible += 1;
+        }
+        let mut hull = [Vec2::ZERO; 16];
+        let n = convex_hull_into(&mut projections[..visible], &mut hull);
+        polygon_area(&hull[..n])
     }
 
     /// Sum of [`Frustum::projected_area`] over several source views — the
