@@ -253,35 +253,9 @@ fn telemetry_gate(server: &RenderServer, truth: &ServeTruth) -> bool {
     let mut gate = Gate::new("TELEMETRY_RECONCILE");
     let inst = server.instance().to_string();
     let sub: &[(&str, &str)] = &[("instance", &inst)];
-    // Wait for the counters to quiesce: bookkeeping lands just after
-    // the fulfil that wakes a handle, and losing fulfil racers roll
-    // their speculative increments back asynchronously.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    let mut stable = 0;
-    while stable < 5 {
-        let snap = server.telemetry_snapshot();
-        let settled = snap.counter_with("serve_frames_rendered_total", sub)
-            + snap.counter_with("serve_frames_failed_total", sub)
-            + snap.counter_with("serve_frames_timed_out_total", sub)
-            + snap.counter_with("serve_frames_shed_total", sub);
-        if settled == truth.submitted && server.supervisor_stats().in_flight == 0 {
-            stable += 1;
-        } else {
-            stable = 0;
-            if Instant::now() > deadline {
-                gate.check(
-                    false,
-                    format!(
-                        "counters never quiesced: {settled}/{} frames accounted for",
-                        truth.submitted
-                    ),
-                );
-                return false;
-            }
-        }
-        std::thread::sleep(Duration::from_millis(5));
-    }
-
+    // Every handle has resolved (the callers check), and the serve tier
+    // books a frame's counter, latency observation and terminal event
+    // before it wakes the handle — so the snapshot is read at once.
     let snap = server.telemetry_snapshot();
     let counters = [
         ("submitted", Some(truth.submitted)),

@@ -69,10 +69,9 @@
 //! schedule is bit-for-bit
 //! identical to the per-ray path for any tiling — which is also what
 //! keeps the thread-count determinism above intact. The per-ray
-//! reference path survives behind
-//! [`Renderer::with_fused`]`(false)` for regression pinning
-//! (`tests/fused_forward_regression.rs`); nothing outside the test
-//! suites calls it.
+//! schedule it replaced survives in the `reference` submodule as the
+//! yardstick the pin suites compare against
+//! (`tests/fused_forward_regression.rs`); nothing else calls it.
 //!
 //! # Multi-frame rendering (the serving substrate)
 //!
@@ -113,10 +112,10 @@
 //! available, plus its colours) and over the composited pixels right
 //! before they become images. Trips are recorded in
 //! process-wide counters; the fallible entry points
-//! ([`Renderer::try_render_frames_cached`], [`Renderer::try_render`],
-//! [`Renderer::try_render_into`]) snapshot the counters around the
-//! render and return [`RenderError::Corrupt`] instead of publishing a
-//! frame whose window saw a fault. The infallible entry points are
+//! ([`Renderer::try_render_frames_cached`], [`Renderer::try_render`])
+//! snapshot the counters around the render and return
+//! [`RenderError::Corrupt`] instead of publishing a frame whose window
+//! saw a fault. The infallible entry points are
 //! unchanged — with integrity off (the default) no scan runs and
 //! behavior is bit-for-bit what it always was. [`CoarseFrame`]s are
 //! additionally sealed with an FNV-1a payload digest at export so a
@@ -126,8 +125,7 @@
 
 use crate::config::SamplingStrategy;
 use crate::features::{
-    aggregate_point, aggregate_ray_into, assert_channels, AggregateArena, AggregateView,
-    PointAggregate, SourceViewData,
+    aggregate_ray_into, assert_channels, AggregateArena, AggregateView, SourceViewData,
 };
 use crate::model::{ForwardScratch, GenNerfModel, MlpScratch};
 use crate::sampling;
@@ -143,6 +141,8 @@ use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
+
+mod reference;
 
 /// Reusable buffers for the per-ray composite phase of the fused tile
 /// schedule: one instance per worker replaces the interval-widths and
@@ -712,7 +712,6 @@ pub struct Renderer<'a> {
     background: Vec3,
     base_seed: u64,
     threads: usize,
-    fused: bool,
     pool: Option<&'a Pool>,
     cancel: Option<&'a CancelToken>,
 }
@@ -752,7 +751,6 @@ impl<'a> Renderer<'a> {
             background,
             base_seed,
             threads: gen_nerf_parallel::num_threads(),
-            fused: true,
             pool: None,
             cancel: None,
         }
@@ -762,17 +760,6 @@ impl<'a> Renderer<'a> {
     /// image and stats are identical for every value.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Selects the inference schedule: `true` (the default) renders
-    /// through the fused tile schedule
-    /// ([`GenNerfModel::forward_rays`]); `false` selects the per-ray
-    /// reference path. Output and stats are bit-for-bit identical
-    /// either way — the flag exists for regression pinning and
-    /// benchmarking, not as a results knob.
-    pub fn with_fused(mut self, fused: bool) -> Self {
-        self.fused = fused;
         self
     }
 
@@ -822,31 +809,12 @@ impl<'a> Renderer<'a> {
     /// serving loop recycling frame buffers stops paying an image
     /// allocation per frame. Output is identical to [`Renderer::render`].
     pub fn render_into(&self, camera: &Camera, image: &mut Image, stats: &mut RenderStats) {
-        if self.fused {
-            self.render_frames_cached(
-                std::slice::from_ref(camera),
-                &[None],
-                std::slice::from_mut(image),
-                std::slice::from_mut(stats),
-            );
-            return;
-        }
-        *stats = RenderStats::default();
-        let batch = RayBatch::from_camera(camera, &self.bounds);
-        stats.rays = batch.len() as u64;
-        let pixels = match self.strategy {
-            SamplingStrategy::Uniform { n } => self.render_uniform(&batch, n, stats),
-            SamplingStrategy::Hierarchical { n_coarse, n_fine } => {
-                self.render_hierarchical(&batch, n_coarse, n_fine, stats)
-            }
-            SamplingStrategy::CoarseThenFocus {
-                n_coarse,
-                n_focused,
-                tau,
-                s_coarse,
-            } => self.render_ctf(&batch, n_coarse, n_focused, tau, s_coarse, stats),
-        };
-        batch.write_image(&pixels, image);
+        self.render_frames_cached(
+            std::slice::from_ref(camera),
+            &[None],
+            std::slice::from_mut(image),
+            std::slice::from_mut(stats),
+        );
     }
 
     /// Renders several cameras as **one** fused workload: the frames'
@@ -876,15 +844,13 @@ impl<'a> Renderer<'a> {
     /// rejected and every export is `None`.
     ///
     /// `images`/`stats` are overwritten per frame, reusing buffer
-    /// allocations. With the per-ray reference schedule
-    /// ([`Renderer::with_fused`]`(false)`) frames render one at a time
-    /// and no imports are accepted.
+    /// allocations.
     ///
     /// # Panics
     ///
     /// Panics when slice lengths differ from `cameras.len()`, when an
     /// import's ray count mismatches its camera, or when an import is
-    /// supplied for a strategy or schedule that cannot honor it.
+    /// supplied for a strategy that cannot honor it.
     pub fn render_frames_cached(
         &self,
         cameras: &[Camera],
@@ -899,17 +865,6 @@ impl<'a> Renderer<'a> {
         if n_frames == 0 {
             return Vec::new();
         }
-        if !self.fused {
-            assert!(
-                cached.iter().all(|c| c.is_none()),
-                "imported coarse passes require the fused schedule"
-            );
-            for f in 0..n_frames {
-                self.render_into(&cameras[f], &mut images[f], &mut stats[f]);
-            }
-            return vec![None; n_frames];
-        }
-
         let batches: Vec<RayBatch> = cameras
             .iter()
             .map(|c| RayBatch::from_camera(c, &self.bounds))
@@ -1027,26 +982,13 @@ impl<'a> Renderer<'a> {
         Ok(fresh)
     }
 
-    /// [`Renderer::render_into`] with the integrity verdict (see
-    /// [`Renderer::try_render_frames_cached`] for the semantics).
-    pub fn try_render_into(
-        &self,
-        camera: &Camera,
-        image: &mut Image,
-        stats: &mut RenderStats,
-    ) -> Result<(), RenderError> {
-        let (faults0, trips0) = Self::integrity_epoch();
-        self.render_into(camera, image, stats);
-        Self::corruption_since(faults0, trips0)
-    }
-
     /// [`Renderer::render`] with the integrity verdict (see
     /// [`Renderer::try_render_frames_cached`] for the semantics).
     pub fn try_render(&self, camera: &Camera) -> Result<(Image, RenderStats), RenderError> {
-        let mut image = Image::new(0, 0);
-        let mut stats = RenderStats::default();
-        self.try_render_into(camera, &mut image, &mut stats)?;
-        Ok((image, stats))
+        let (faults0, trips0) = Self::integrity_epoch();
+        let rendered = self.render(camera);
+        Self::corruption_since(faults0, trips0)?;
+        Ok(rendered)
     }
 
     fn d_channels(&self) -> usize {
@@ -1103,38 +1045,6 @@ impl<'a> Renderer<'a> {
             None => par_chunk_ranges(n, self.threads, walk),
         };
         per_worker.into_iter().flatten().collect()
-    }
-
-    /// Maps `shade` over every ray of the batch, fanning contiguous
-    /// chunks out to worker threads. Returns per-ray colors in batch
-    /// order plus merged stats.
-    fn shade_batch<F>(&self, n_rays: usize, shade: F) -> (Vec<Vec3>, RenderStats)
-    where
-        F: Fn(usize, &mut RenderStats) -> Vec3 + Sync,
-    {
-        let per_ray = |_| self.strategy.avg_points_per_ray();
-        let chunks = self.fan_out(n_rays, per_ray, |start, end| {
-            let mut local = RenderStats::default();
-            let colors: Vec<Vec3> = (start..end)
-                .map(|j| {
-                    if self.is_cancelled() {
-                        // Cancelled mid-chunk: keep the output shape,
-                        // skip the model work for the remaining rays.
-                        self.background
-                    } else {
-                        shade(j, &mut local)
-                    }
-                })
-                .collect();
-            (colors, local)
-        });
-        let mut pixels = Vec::with_capacity(n_rays);
-        let mut stats = RenderStats::default();
-        for (colors, local) in chunks {
-            pixels.extend(colors);
-            stats.merge(&local);
-        }
-        (pixels, stats)
     }
 
     /// Splits per-chunk `(colors, per-frame stats)` results back into
@@ -1284,16 +1194,6 @@ impl<'a> Renderer<'a> {
         Self::merge_frame_chunks(set, chunks, stats)
     }
 
-    /// Aggregates every depth sample of a ray against the full source
-    /// set.
-    fn aggregate_ray(&self, ray: &Ray, depths: &[f32]) -> Vec<PointAggregate> {
-        let d = self.d_channels();
-        depths
-            .iter()
-            .map(|&t| aggregate_point(ray.at(t), ray.direction, self.sources, d))
-            .collect()
-    }
-
     /// FLOPs/fetch accounting for one ray's full-model evaluation,
     /// from per-point valid-view counts. Shared by the per-ray and
     /// fused schedules, so both report identical counts (every field
@@ -1326,42 +1226,11 @@ impl<'a> Renderer<'a> {
         stats.flops.add("others", flops::volume_render(n));
     }
 
-    /// [`Renderer::account_full_eval_counts`] over an AoS aggregate
-    /// run (the per-ray reference schedule).
-    fn account_full_eval(&self, aggs: &[PointAggregate], stats: &mut RenderStats) {
-        self.account_full_eval_counts(aggs.len(), aggs.iter().map(|a| a.n_valid), stats);
-    }
-
     /// [`Renderer::account_full_eval_counts`] over ray `ray` of an
     /// arena (the fused schedule).
     fn account_full_eval_arena(&self, arena: &AggregateArena, ray: usize, stats: &mut RenderStats) {
         let range = arena.ray_range(ray);
         self.account_full_eval_counts(range.len(), range.clone().map(|k| arena.n_valid(k)), stats);
-    }
-
-    /// Aggregates + full-model forward + accounting for a ray's points
-    /// (the per-ray reference path: one GEMM chain per ray).
-    fn eval_points(
-        &self,
-        ray: &Ray,
-        depths: &[f32],
-        stats: &mut RenderStats,
-    ) -> (Vec<f32>, Vec<Vec3>) {
-        let aggs = self.aggregate_ray(ray, depths);
-        self.account_full_eval(&aggs, stats);
-        let out = self.model.forward_ray(&aggs);
-        (out.densities, out.colors)
-    }
-
-    fn composite_ray(
-        &self,
-        depths: &[f32],
-        densities: &[f32],
-        colors: &[Vec3],
-        t_far: f32,
-    ) -> Vec3 {
-        let deltas = Ray::interval_widths(depths, t_far);
-        composite(densities, colors, &deltas, self.background).color
     }
 
     /// [`Renderer::composite_ray`] through per-worker scratch buffers —
@@ -1384,69 +1253,6 @@ impl<'a> Renderer<'a> {
             &mut scratch.weights,
         );
         color
-    }
-
-    fn render_uniform(&self, batch: &RayBatch, n: usize, stats: &mut RenderStats) -> Vec<Vec3> {
-        let (pixels, shaded) = self.shade_batch(batch.len(), |j, local| {
-            let Some((t0, t1)) = batch.ranges[j] else {
-                return self.background;
-            };
-            let depths = Ray::uniform_depths(t0, t1, n);
-            let (densities, colors) = self.eval_points(&batch.rays[j], &depths, local);
-            self.composite_ray(&depths, &densities, &colors, t1)
-        });
-        stats.merge(&shaded);
-        pixels
-    }
-
-    /// IBRNet-style hierarchical sampling: `n_coarse` uniform samples
-    /// with the full model, importance-resample `n_fine` more, then
-    /// composite the union (all evaluated points are counted).
-    fn render_hierarchical(
-        &self,
-        batch: &RayBatch,
-        n_coarse: usize,
-        n_fine: usize,
-        stats: &mut RenderStats,
-    ) -> Vec<Vec3> {
-        let (pixels, shaded) = self.shade_batch(batch.len(), |j, local| {
-            let Some((t0, t1)) = batch.ranges[j] else {
-                return self.background;
-            };
-            let ray = &batch.rays[j];
-            let coarse_depths = Ray::uniform_depths(t0, t1, n_coarse);
-            let (coarse_densities, coarse_colors) = self.eval_points(ray, &coarse_depths, local);
-            // Hitting probabilities from the coarse pass drive the
-            // importance resampling.
-            let deltas = Ray::interval_widths(&coarse_depths, t1);
-            let comp = composite(&coarse_densities, &coarse_colors, &deltas, self.background);
-            let edges = sampling::uniform_edges(t0, t1, n_coarse);
-            let mut rng = self.ray_rng(j);
-            let fine_depths = sampling::importance_sample(&edges, &comp.weights, n_fine, &mut rng);
-            let (fine_densities, fine_colors) = self.eval_points(ray, &fine_depths, local);
-
-            // Merge-sort the union by depth.
-            let mut merged: Vec<(f32, f32, Vec3)> = coarse_depths
-                .iter()
-                .zip(&coarse_densities)
-                .zip(&coarse_colors)
-                .map(|((&t, &d), &c)| (t, d, c))
-                .chain(
-                    fine_depths
-                        .iter()
-                        .zip(&fine_densities)
-                        .zip(&fine_colors)
-                        .map(|((&t, &d), &c)| (t, d, c)),
-                )
-                .collect();
-            merged.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
-            let depths: Vec<f32> = merged.iter().map(|m| m.0).collect();
-            let densities: Vec<f32> = merged.iter().map(|m| m.1).collect();
-            let colors: Vec<Vec3> = merged.iter().map(|m| m.2).collect();
-            self.composite_ray(&depths, &densities, &colors, t1)
-        });
-        stats.merge(&shaded);
-        pixels
     }
 
     /// Hierarchical sampling on the fused tile schedule over a frame
@@ -1811,112 +1617,6 @@ impl<'a> Renderer<'a> {
         );
         (pixels, fresh_without_imports(fresh, cached))
     }
-
-    /// The per-ray reference coarse-then-focus pipeline (Sec. 3.2):
-    /// Step ① probes with one coarse GEMM chain per ray, Step ② is the
-    /// sequential cross-ray barrier, Step ③ shades per ray.
-    fn render_ctf(
-        &self,
-        batch: &RayBatch,
-        n_coarse: usize,
-        n_focused: usize,
-        tau: f32,
-        s_coarse: usize,
-        stats: &mut RenderStats,
-    ) -> Vec<Vec3> {
-        let n_rays = batch.len();
-        let coarse_sources = &self.sources[..s_coarse.min(self.sources.len())];
-        let dc = self.model.config.coarse_channels;
-
-        // Step ①: lightweight coarse sampling for every ray.
-        let per_ray = |_| n_coarse;
-        let coarse_chunks = self.fan_out(n_rays, per_ray, |start, end| {
-            let mut local = RenderStats::default();
-            let mut depths_per: Vec<Vec<f32>> = Vec::with_capacity(end - start);
-            let mut aggs_per: Vec<Vec<PointAggregate>> = Vec::with_capacity(end - start);
-            for j in start..end {
-                // The filter is the cancellation checkpoint of the
-                // per-ray reference schedule's coarse pass.
-                let range = batch.ranges[j].filter(|_| !self.is_cancelled());
-                let Some((t0, t1)) = range else {
-                    depths_per.push(Vec::new());
-                    aggs_per.push(Vec::new());
-                    continue;
-                };
-                let ray = &batch.rays[j];
-                let depths = Ray::uniform_depths(t0, t1, n_coarse);
-                let aggs: Vec<PointAggregate> = depths
-                    .iter()
-                    .map(|&t| aggregate_point(ray.at(t), ray.direction, coarse_sources, dc))
-                    .collect();
-                let valid: u64 = aggs.iter().map(|a| a.n_valid as u64).sum();
-                local.feature_fetches += 4 * valid;
-                local
-                    .flops
-                    .add("acquire", valid * flops::bilinear_fetch(1, dc));
-                local.coarse_points += aggs.len() as u64;
-                local.flops.add(
-                    "mlp",
-                    aggs.len() as u64 * 2 * self.model.config.coarse_mlp_macs_per_point(),
-                );
-                depths_per.push(depths);
-                aggs_per.push(aggs);
-            }
-            let densities_per: Vec<Vec<f32>> = aggs_per
-                .iter()
-                .map(|aggs| self.model.coarse_densities(aggs))
-                .collect();
-            let per_ray: Vec<(Vec<f32>, usize)> = (start..end)
-                .map(|j| {
-                    let idx = j - start;
-                    let Some((_, t1)) = batch.ranges[j] else {
-                        return (Vec::new(), 0);
-                    };
-                    let densities = &densities_per[idx];
-                    let deltas = Ray::interval_widths(&depths_per[idx], t1);
-                    let dummy_colors = vec![Vec3::ZERO; densities.len()];
-                    let comp = composite(densities, &dummy_colors, &deltas, Vec3::ZERO);
-                    local
-                        .flops
-                        .add("others", flops::volume_render(densities.len()));
-                    let critical = sampling::critical_count(&comp.weights, tau);
-                    (comp.weights, critical)
-                })
-                .collect();
-            (per_ray, local)
-        });
-        let mut ray_weights: Vec<Vec<f32>> = Vec::with_capacity(n_rays);
-        let mut criticals: Vec<usize> = Vec::with_capacity(n_rays);
-        for (per_ray, local) in coarse_chunks {
-            for (weights, critical) in per_ray {
-                ray_weights.push(weights);
-                criticals.push(critical);
-            }
-            stats.merge(&local);
-        }
-
-        // Step ②: cross-ray allocation P(j) ∝ N^cr_j.
-        let budget = n_focused * n_rays;
-        let n_cap = self.model.config.n_max;
-        let counts = sampling::allocate_focused(&criticals, budget, n_cap);
-
-        // Step ③: sparse focused sampling + full pipeline.
-        let (pixels, shaded) = self.shade_batch(n_rays, |j, local| {
-            let Some((t0, t1)) = batch.ranges[j] else {
-                return self.background;
-            };
-            if counts[j] == 0 {
-                return self.background;
-            }
-            let edges = sampling::uniform_edges(t0, t1, n_coarse);
-            let mut rng = self.ray_rng(j);
-            let depths = sampling::importance_sample(&edges, &ray_weights[j], counts[j], &mut rng);
-            let (densities, colors) = self.eval_points(&batch.rays[j], &depths, local);
-            self.composite_ray(&depths, &densities, &colors, t1)
-        });
-        stats.merge(&shaded);
-        pixels
-    }
 }
 
 /// Keeps only the coarse frames that were freshly probed this call
@@ -2147,20 +1847,16 @@ mod tests {
             },
             SamplingStrategy::coarse_then_focus(6, 6),
         ] {
-            let run = |fused: bool| {
-                let r = Renderer::new(
-                    &model,
-                    &sources,
-                    strategy,
-                    ds.scene.bounds,
-                    ds.scene.background,
-                )
-                .with_fused(fused)
-                .with_threads(2);
-                r.render(&ds.eval_views[0].camera)
-            };
-            let (img_f, stats_f) = run(true);
-            let (img_p, stats_p) = run(false);
+            let r = Renderer::new(
+                &model,
+                &sources,
+                strategy,
+                ds.scene.bounds,
+                ds.scene.background,
+            )
+            .with_threads(2);
+            let (img_f, stats_f) = r.render(&ds.eval_views[0].camera);
+            let (img_p, stats_p) = r.render_reference(&ds.eval_views[0].camera);
             let fb: Vec<u32> = img_f.as_slice().iter().map(|v| v.to_bits()).collect();
             let pb: Vec<u32> = img_p.as_slice().iter().map(|v| v.to_bits()).collect();
             assert_eq!(fb, pb, "{strategy:?} fused image diverged");

@@ -81,34 +81,13 @@ pub enum AdmissionDecision {
     Break,
 }
 
-/// Applies the shed-or-degrade policy to one submission given the
-/// shard's current queued depth (*before* this frame).
-pub fn admission_decision(
-    cfg: &AdmissionConfig,
-    class: DeadlineClass,
-    depth: usize,
-) -> AdmissionDecision {
-    if depth < cfg.queue_capacity {
-        return AdmissionDecision::Admit;
-    }
-    match class {
-        DeadlineClass::BestEffort => AdmissionDecision::Shed,
-        DeadlineClass::Interactive => {
-            if depth < cfg.interactive_capacity {
-                AdmissionDecision::Degrade
-            } else {
-                AdmissionDecision::Shed
-            }
-        }
-    }
-}
-
-/// [`admission_decision`] with the scene's circuit-breaker verdict
-/// layered on top: an open breaker sheds **before** queue pressure is
-/// even consulted (a sick scene must not consume queue depth), while a
-/// `Probe` or plain `Admit` verdict defers to the queue policy
-/// unchanged — a probe frame can still be degraded or shed by
-/// capacity, in which case the caller must return the probe slot via
+/// Decides one submission from the scene's circuit-breaker verdict
+/// and the shard's current queued depth (*before* this frame). An open
+/// breaker sheds **before** queue pressure is even consulted (a sick
+/// scene must not consume queue depth); a `Probe` or plain `Admit`
+/// verdict defers to the shed-or-degrade queue policy unchanged — a
+/// probe frame can still be degraded or shed by capacity, in which
+/// case the caller must return the probe slot via
 /// [`CircuitBreaker::abort_probe`](crate::supervisor::CircuitBreaker::abort_probe).
 pub fn admission_decision_supervised(
     cfg: &AdmissionConfig,
@@ -117,9 +96,14 @@ pub fn admission_decision_supervised(
     breaker: BreakerAdmit,
 ) -> AdmissionDecision {
     if breaker == BreakerAdmit::Shed {
-        return AdmissionDecision::Break;
+        AdmissionDecision::Break
+    } else if depth < cfg.queue_capacity {
+        AdmissionDecision::Admit
+    } else if class == DeadlineClass::Interactive && depth < cfg.interactive_capacity {
+        AdmissionDecision::Degrade
+    } else {
+        AdmissionDecision::Shed
     }
-    admission_decision(cfg, class, depth)
 }
 
 /// Admission counters of one shard (or, summed, of the whole server).
@@ -138,17 +122,6 @@ pub struct AdmissionStats {
 }
 
 impl AdmissionStats {
-    /// Sum of two counter sets (aggregation across shards).
-    pub fn merge(self, other: Self) -> Self {
-        Self {
-            admitted: self.admitted + other.admitted,
-            degraded: self.degraded + other.degraded,
-            shed_best_effort: self.shed_best_effort + other.shed_best_effort,
-            shed_interactive: self.shed_interactive + other.shed_interactive,
-            shed_circuit: self.shed_circuit + other.shed_circuit,
-        }
-    }
-
     /// Derives the counter set from a telemetry snapshot, folding
     /// every label set matching `subset` (a server passes its instance
     /// label; a shard adds its shard label). This is the **only**
@@ -176,9 +149,12 @@ impl AdmissionStats {
     }
 }
 
-const N_CLASSES: usize = 2;
+/// Deadline classes, in priority order (see [`class_index`]).
+pub(crate) const N_CLASSES: usize = 2;
 
-fn class_index(class: DeadlineClass) -> usize {
+/// Priority rank of a deadline class: the lane index here, and the
+/// class code of a `Submit` trace event.
+pub(crate) fn class_index(class: DeadlineClass) -> usize {
     match class {
         DeadlineClass::Interactive => 0,
         DeadlineClass::BestEffort => 1,
@@ -368,19 +344,21 @@ mod tests {
     fn admission_thresholds() {
         let cfg = AdmissionConfig::with_capacity(4);
         assert_eq!(cfg.interactive_capacity, 8);
+        let decide =
+            |class, depth| admission_decision_supervised(&cfg, class, depth, BreakerAdmit::Admit);
         for class in [DeadlineClass::Interactive, DeadlineClass::BestEffort] {
-            assert_eq!(admission_decision(&cfg, class, 3), AdmissionDecision::Admit);
+            assert_eq!(decide(class, 3), AdmissionDecision::Admit);
         }
         assert_eq!(
-            admission_decision(&cfg, DeadlineClass::BestEffort, 4),
+            decide(DeadlineClass::BestEffort, 4),
             AdmissionDecision::Shed
         );
         assert_eq!(
-            admission_decision(&cfg, DeadlineClass::Interactive, 4),
+            decide(DeadlineClass::Interactive, 4),
             AdmissionDecision::Degrade
         );
         assert_eq!(
-            admission_decision(&cfg, DeadlineClass::Interactive, 8),
+            decide(DeadlineClass::Interactive, 8),
             AdmissionDecision::Shed
         );
     }

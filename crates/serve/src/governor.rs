@@ -28,12 +28,10 @@
 //! across another lock acquisition except its own registry, and
 //! callers must not invoke it while holding a session cache lock.
 
+use crate::lock;
 use crate::session::SessionState;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
-
-/// Environment variable overriding the process-wide budget, in MiB.
-pub const MEMORY_BUDGET_ENV: &str = "GEN_NERF_MEMORY_BUDGET_MB";
 
 /// Default process-wide budget: 256 MiB.
 const DEFAULT_BUDGET_BYTES: u64 = 256 << 20;
@@ -42,8 +40,7 @@ const DEFAULT_BUDGET_BYTES: u64 = 256 << 20;
 #[derive(Debug, Clone, Copy)]
 pub struct GovernorConfig {
     /// The hard byte budget across all sessions' coarse caches plus
-    /// worker-arena reservations. Default 256 MiB, overridable via
-    /// [`MEMORY_BUDGET_ENV`].
+    /// worker-arena reservations. Default 256 MiB.
     pub budget_bytes: u64,
     /// Fraction of the budget at which admission pressure begins:
     /// BestEffort submissions are shed while usage is at or above
@@ -67,14 +64,8 @@ impl GovernorConfig {
 
 impl Default for GovernorConfig {
     fn default() -> Self {
-        let budget_bytes = std::env::var(MEMORY_BUDGET_ENV)
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&mb| mb >= 1)
-            .map(|mb| mb << 20)
-            .unwrap_or(DEFAULT_BUDGET_BYTES);
         Self {
-            budget_bytes,
+            budget_bytes: DEFAULT_BUDGET_BYTES,
             pressure_fraction: 0.85,
         }
     }
@@ -135,10 +126,7 @@ impl MemoryGovernor {
 
     /// Makes the session's cache evictable under global pressure.
     pub(crate) fn register(&self, session: &Arc<SessionState>) {
-        self.sessions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(Arc::downgrade(session));
+        lock(&self.sessions).push(Arc::downgrade(session));
     }
 
     fn bump_peak(&self, used_now: u64) {
@@ -195,13 +183,13 @@ impl MemoryGovernor {
     /// Evicts the LRU-tail anchor of the live session holding the most
     /// cache bytes. Returns `false` when nothing was evictable.
     fn evict_one(&self) -> bool {
-        let mut sessions = self.sessions.lock().unwrap_or_else(|e| e.into_inner());
+        let mut sessions = lock(&self.sessions);
         sessions.retain(|w| w.strong_count() > 0);
         let victim = sessions
             .iter()
             .filter_map(Weak::upgrade)
             .map(|s| {
-                let bytes = s.cache.lock().unwrap_or_else(|e| e.into_inner()).bytes();
+                let bytes = lock(&s.cache).bytes();
                 (bytes, s)
             })
             .filter(|(bytes, _)| *bytes > 0)
@@ -210,11 +198,7 @@ impl MemoryGovernor {
         let Some((_, victim)) = victim else {
             return false;
         };
-        let freed = victim
-            .cache
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .evict_tail();
+        let freed = lock(&victim.cache).evict_tail();
         match freed {
             Some(freed) => {
                 self.discharge(freed as u64);

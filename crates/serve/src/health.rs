@@ -15,10 +15,10 @@
 //!   sweep walks: `Healthy` → `Wedged` (beat older than the budget
 //!   while work is pending, or a persistently poisoned pool) → `Dead`
 //!   (worker `JoinHandle` finished while the queue is still open).
-//! * [`HealthConfig`] — budgets and thresholds: the heartbeat budget
-//!   (`GEN_NERF_HEARTBEAT_MS`), the sweep cadence, the exponential
-//!   restart backoff, the give-up threshold past which a shard is
-//!   declared down, and the poison-streak escalation points.
+//! * [`HealthConfig`] — budgets and thresholds: the heartbeat budget,
+//!   the sweep cadence, the exponential restart backoff, the give-up
+//!   threshold past which a shard is declared down, and the
+//!   poison-streak escalation points.
 //! * [`DrainReport`]/[`DrainOutcome`] — what
 //!   [`RenderServer::drain`](crate::RenderServer::drain) returns.
 //!
@@ -29,11 +29,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
-
-/// Environment variable overriding the heartbeat budget, in
-/// milliseconds: how stale a shard's heartbeat may grow — while frames
-/// are queued — before the health sweep declares it wedged.
-pub const HEARTBEAT_ENV: &str = "GEN_NERF_HEARTBEAT_MS";
 
 /// Default heartbeat budget. Deliberately above the worst legitimate
 /// gap between beats: a batch stalls at most one deadline budget
@@ -77,23 +72,13 @@ impl CondemnReason {
             CondemnReason::Poisoned => 2,
         }
     }
-
-    /// Metric label for the condemned counter.
-    pub fn label(self) -> &'static str {
-        match self {
-            CondemnReason::Wedged => "wedged",
-            CondemnReason::Dead => "dead",
-            CondemnReason::Poisoned => "poisoned",
-        }
-    }
 }
 
 /// Budgets and thresholds for the shard health sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct HealthConfig {
     /// How stale a shard's heartbeat may grow, while frames are
-    /// queued, before the sweep condemns it as wedged. Default 2 s,
-    /// overridable via [`HEARTBEAT_ENV`].
+    /// queued, before the sweep condemns it as wedged. Default 2 s.
     pub heartbeat_budget: Duration,
     /// Cadence of the health sweep on the watchdog thread.
     pub sweep_interval: Duration,
@@ -165,14 +150,8 @@ impl HealthConfig {
 
 impl Default for HealthConfig {
     fn default() -> Self {
-        let heartbeat_budget = std::env::var(HEARTBEAT_ENV)
-            .ok()
-            .and_then(|v| v.parse::<u64>().ok())
-            .filter(|&ms| ms >= 1)
-            .map(Duration::from_millis)
-            .unwrap_or(DEFAULT_HEARTBEAT_BUDGET);
         Self {
-            heartbeat_budget,
+            heartbeat_budget: DEFAULT_HEARTBEAT_BUDGET,
             sweep_interval: Duration::from_millis(50),
             restart_backoff: Duration::from_millis(50),
             restart_backoff_cap: Duration::from_secs(2),

@@ -29,6 +29,18 @@
 //!   its frames, and respawns it under a restart budget
 //!   ([`HealthConfig`]), and a process-wide [`GovernorConfig`] memory
 //!   budget spans every session cache.
+//! * **One frame lifecycle**: every submitted frame is one state
+//!   value walking `Submit → Admit → Pop → Batch → Render/Retry →
+//!   Resolve`, and it ends through exactly one transition — taken by
+//!   whoever owns the frame then (admission, the shard, the health
+//!   sweep, a drain) or by the per-class deadline watchdog
+//!   ([`SupervisorConfig`]) — which is the only code that resolves a
+//!   [`FrameHandle`], moves the frame counters, emits the terminal
+//!   trace event and tells the scene's [`CircuitBreaker`] what
+//!   happened. The winner books *before* it wakes the handle: once a
+//!   handle resolves, its counter, latency observation and trace are
+//!   already visible. Transient failures re-render under a bounded
+//!   [`RetryPolicy`], bitwise identical to a clean render.
 //! * **Admission control** ([`AdmissionConfig`]): every shard queue is
 //!   bounded. At the capacity watermark, [`DeadlineClass::BestEffort`]
 //!   submissions are **shed** (their [`FrameHandle`] resolves
@@ -95,6 +107,7 @@
 //! ```
 
 mod admission;
+mod frame;
 mod governor;
 mod health;
 mod registry;
@@ -104,13 +117,11 @@ mod shard;
 mod supervisor;
 
 pub use admission::{
-    admission_decision, admission_decision_supervised, AdmissionConfig, AdmissionDecision,
-    AdmissionStats, FairQueue,
+    admission_decision_supervised, AdmissionConfig, AdmissionDecision, AdmissionStats, FairQueue,
 };
-pub use governor::{GovernorConfig, GovernorStats, MEMORY_BUDGET_ENV};
+pub use governor::{GovernorConfig, GovernorStats};
 pub use health::{
     CondemnReason, DrainOutcome, DrainReport, HealthConfig, ShardHealth, ShardHealthStats,
-    HEARTBEAT_ENV,
 };
 pub use registry::ShardId;
 pub use server::{
@@ -126,3 +137,55 @@ pub use supervisor::{
     BreakerAdmit, BreakerConfig, BreakerState, CircuitBreaker, RetryPolicy, SupervisorConfig,
     SupervisorStats,
 };
+
+use std::sync::{Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
+
+/// Locks `m`, recovering the guard when a holder panicked — the
+/// crate's poison policy, stated once. Every mutex here guards state
+/// that is valid at each step of every update (counts, queues and maps
+/// whose entries go in and out whole), so a poisoned lock holds no
+/// torn data, and a tier whose contract is "every handle resolves"
+/// must keep serving after a panic instead of cascading it.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// [`Condvar::wait`] under the same poison policy as [`lock`].
+pub(crate) fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cv.wait(guard).unwrap_or_else(|e| e.into_inner())
+}
+
+/// [`Condvar::wait_timeout`] under the same poison policy as [`lock`];
+/// callers re-check their predicate and their own deadline.
+pub(crate) fn wait_timeout<'a, T>(
+    cv: &Condvar,
+    guard: MutexGuard<'a, T>,
+    timeout: Duration,
+) -> MutexGuard<'a, T> {
+    cv.wait_timeout(guard, timeout)
+        .unwrap_or_else(|e| e.into_inner())
+        .0
+}
+
+/// Blocks on `cv` until `done` holds of the guarded state or `until`
+/// passes — the bounded wait behind `drain` and `remove_session`,
+/// which are woken by the transition they wait for instead of polling
+/// for it. Returns the guard and whether `done` held.
+pub(crate) fn wait_until<'a, T>(
+    cv: &Condvar,
+    mut guard: MutexGuard<'a, T>,
+    until: Instant,
+    done: impl Fn(&T) -> bool,
+) -> (MutexGuard<'a, T>, bool) {
+    loop {
+        if done(&guard) {
+            return (guard, true);
+        }
+        let left = until.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return (guard, false);
+        }
+        guard = wait_timeout(cv, guard, left);
+    }
+}

@@ -10,26 +10,26 @@
 //! [`FrameHandle`].
 
 use crate::admission::{admission_decision_supervised, AdmissionDecision, AdmissionStats};
+use crate::frame::{End, Frame, FrameCore, Shed};
 use crate::governor::{GovernorConfig, GovernorStats, MemoryGovernor};
-use crate::health::{DrainOutcome, DrainReport, HealthConfig, ShardHealthStats};
+use crate::health::{DrainReport, HealthConfig, ShardHealthStats};
+use crate::lock;
 use crate::registry::{Assignment, SceneRegistry, ShardId};
 use crate::session::{
-    CacheStats, DeadlineClass, ResolutionTier, SceneState, SessionConfig, SessionId, SessionMap,
-    SessionState,
+    CacheStats, DeadlineClass, ResolutionTier, SceneState, SessionConfig, SessionId, SessionState,
 };
-use crate::shard::{force_drain, QueuedFrame, Shard, ShardStats};
+use crate::shard::{Shard, ShardCtx, ShardStats};
 use crate::supervisor::{
-    BreakerAdmit, BreakerConfig, CircuitBreaker, RetryPolicy, Supervisor, SupervisorConfig,
-    SupervisorStats,
+    BreakerConfig, CircuitBreaker, RetryPolicy, Supervisor, SupervisorConfig, SupervisorStats,
 };
 use gen_nerf::pipeline::RenderStats;
 use gen_nerf_geometry::Pose;
 use gen_nerf_parallel::partition_threads;
 use gen_nerf_scene::Image;
-use gen_nerf_telemetry::{AdmissionVerdict, EventKind, Snapshot, TraceEvent};
+use gen_nerf_telemetry::{Snapshot, TraceEvent};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, Weak};
+use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 /// Server-wide configuration.
@@ -168,31 +168,6 @@ pub enum Fault {
     /// queue while frames wait, exactly the no-heartbeat-with-work
     /// signature the sweep condemns as `Wedged`.
     WedgeShard(Duration),
-}
-
-impl Fault {
-    /// Whether this fault fires on render attempt `attempt` (0 is the
-    /// first) — a pure function, so replaying a fault schedule is
-    /// deterministic.
-    pub(crate) fn fires(self, attempt: u32) -> bool {
-        match self {
-            Fault::Panic | Fault::Stall(_) => true,
-            Fault::PanicOnce
-            | Fault::CorruptGemm(_)
-            | Fault::CorruptPixels(_)
-            | Fault::CorruptAnchor(_) => attempt == 0,
-            // Intercepted (and cleared) by the shard loop before any
-            // render attempt exists.
-            Fault::KillShard | Fault::WedgeShard(_) => false,
-        }
-    }
-
-    /// Whether this fault targets the shard's scheduler thread rather
-    /// than the frame's render (shard-level faults are intercepted at
-    /// pop, never batched with other frames).
-    pub(crate) fn is_shard_level(self) -> bool {
-        matches!(self, Fault::KillShard | Fault::WedgeShard(_))
-    }
 }
 
 /// One frame request: a head pose plus serving knobs.
@@ -344,45 +319,9 @@ impl std::fmt::Display for ServeError {
     }
 }
 
-/// A slot's interior: the outcome (until the caller consumes it) and a
-/// sticky `resolved` latch. The latch is what makes resolution
-/// first-write-wins *across* consumption: once any writer resolved the
-/// slot, every later [`fulfill`] is a no-op — even after a waiter took
-/// the outcome out — so a render finishing after its watchdog timeout
-/// can never resurrect a consumed handle.
-#[derive(Default)]
-struct SlotState {
-    outcome: Option<Result<FrameResult, ServeError>>,
-    resolved: bool,
-}
-
-pub(crate) struct Slot {
-    result: Mutex<SlotState>,
-    ready: Condvar,
-}
-
-impl Slot {
-    pub(crate) fn new() -> Self {
-        Self {
-            result: Mutex::new(SlotState::default()),
-            ready: Condvar::new(),
-        }
-    }
-
-    /// Whether the frame has resolved (by render, error, shed or
-    /// timeout) — shards use this to skip frames the watchdog already
-    /// answered for.
-    pub(crate) fn is_resolved(&self) -> bool {
-        self.result
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .resolved
-    }
-}
-
 /// The caller's side of one submitted frame: poll it, or block on it.
 pub struct FrameHandle {
-    slot: Arc<Slot>,
+    frame: Arc<FrameCore>,
 }
 
 impl FrameHandle {
@@ -390,17 +329,7 @@ impl FrameHandle {
     /// instead of panicking. This is the overload-aware variant a load
     /// generator uses — shed frames resolve immediately.
     pub fn wait_result(self) -> Result<FrameResult, ServeError> {
-        let mut guard = self.slot.result.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(outcome) = guard.outcome.take() {
-                return outcome;
-            }
-            guard = self
-                .slot
-                .ready
-                .wait(guard)
-                .unwrap_or_else(|e| e.into_inner());
-        }
+        self.frame.wait(None).expect("an unbounded wait resolves")
     }
 
     /// Blocks until the frame resolves or `timeout` elapses: `Some`
@@ -409,23 +338,7 @@ impl FrameHandle {
     /// and its watchdog deadline). This is the bounded wait serving
     /// loops and tests use instead of hand-rolled spin loops.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<FrameResult, ServeError>> {
-        let deadline = Instant::now() + timeout;
-        let mut guard = self.slot.result.lock().unwrap_or_else(|e| e.into_inner());
-        loop {
-            if let Some(outcome) = guard.outcome.take() {
-                return Some(outcome);
-            }
-            let left = deadline.saturating_duration_since(Instant::now());
-            if left.is_zero() {
-                return None;
-            }
-            guard = self
-                .slot
-                .ready
-                .wait_timeout(guard, left)
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
-        }
+        self.frame.wait(Some(Instant::now() + timeout))
     }
 
     /// Blocks until the frame completes.
@@ -448,46 +361,15 @@ impl FrameHandle {
     /// Panics if the frame was shed or the server failed while
     /// rendering it.
     pub fn poll(&self) -> Option<FrameResult> {
-        self.slot
-            .result
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .outcome
+        self.frame
             .take()
             .map(|outcome| outcome.unwrap_or_else(|e| panic!("render server failed: {e}")))
     }
 
     /// Whether the frame has resolved (without consuming the result).
     pub fn is_ready(&self) -> bool {
-        self.slot
-            .result
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .outcome
-            .is_some()
+        self.frame.is_ready()
     }
-}
-
-/// Resolves `slot` with `outcome` — **first write wins**. Returns
-/// whether this call was the resolving one; a `false` means another
-/// writer (usually the watchdog's timeout) got there first and the
-/// outcome was discarded. Supervised serving relies on this being a
-/// race-free latch: exactly one of {render result, render error, shed,
-/// timeout} reaches the caller.
-pub(crate) fn fulfill(slot: &Slot, outcome: Result<FrameResult, ServeError>) -> bool {
-    let mut guard = slot.result.lock().unwrap_or_else(|e| e.into_inner());
-    if guard.resolved {
-        return false;
-    }
-    guard.resolved = true;
-    guard.outcome = Some(outcome);
-    drop(guard);
-    slot.ready.notify_all();
-    true
-}
-
-pub(crate) fn fulfill_error(slot: &Slot, msg: &str) -> bool {
-    fulfill(slot, Err(ServeError::Failed(msg.to_string())))
 }
 
 /// Scene→shard assignment plus the spawned shards, guarded together
@@ -503,7 +385,7 @@ struct Topology {
 /// [`RenderServer::submit`] applies admission control against that
 /// shard's bounded queue and returns a [`FrameHandle`]; the shard
 /// thread fair-dequeues, coalesces compatible frames into fused
-/// multi-frame renders on its own persistent worker pool, and fulfills
+/// multi-frame renders on its own persistent worker pool, and resolves
 /// the handles.
 ///
 /// Dropping the server closes every shard queue, drains every frame
@@ -514,7 +396,7 @@ pub struct RenderServer {
     /// only a `Weak`, so the server still owns the topology's
     /// lifetime).
     topology: Arc<Mutex<Topology>>,
-    sessions: SessionMap,
+    sessions: Mutex<HashMap<u64, Arc<SessionState>>>,
     next_session: AtomicU64,
     /// Per-scene circuit breakers, keyed like the registry (Arc
     /// pointer + Weak liveness witness). Sessions sharing a scene
@@ -564,8 +446,7 @@ impl RenderServer {
                     return;
                 };
                 let now = sweep_clock.now();
-                let mut topology = topology.lock().unwrap_or_else(|e| e.into_inner());
-                for shard in &mut topology.shards {
+                for shard in &mut lock(&topology).shards {
                     shard.sweep(now);
                 }
             }),
@@ -573,7 +454,7 @@ impl RenderServer {
         Self {
             cfg,
             topology,
-            sessions: Arc::new(Mutex::new(HashMap::new())),
+            sessions: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(1),
             breakers: Mutex::new(HashMap::new()),
             supervisor,
@@ -589,7 +470,7 @@ impl RenderServer {
     /// history).
     fn breaker_for(&self, scene: &Arc<SceneState>) -> Arc<CircuitBreaker> {
         let key = Arc::as_ptr(scene) as usize;
-        let mut breakers = self.breakers.lock().unwrap_or_else(|e| e.into_inner());
+        let mut breakers = lock(&self.breakers);
         if let Some((witness, breaker)) = breakers.get(&key) {
             if witness
                 .upgrade()
@@ -603,30 +484,38 @@ impl RenderServer {
         breaker
     }
 
+    /// The live state of `session`.
+    ///
+    /// # Panics
+    ///
+    /// Panics (outside the table's lock) if `session` was not created
+    /// by this server or was already removed.
+    fn session(&self, session: SessionId) -> Arc<SessionState> {
+        let state = lock(&self.sessions).get(&session.0).cloned();
+        state.expect("unknown session")
+    }
+
     /// Registers a session viewing `scene`, routed to the scene's
     /// shard (spawned now if this is the scene's first session).
     /// Sessions sharing a scene (same `Arc`) and sampling strategy
     /// batch together on that shard.
     pub fn create_session(&self, scene: Arc<SceneState>, cfg: SessionConfig) -> SessionId {
         let shard = {
-            let mut topology = self.topology.lock().unwrap_or_else(|e| e.into_inner());
+            let mut topology = lock(&self.topology);
             let assignment = topology.registry.assign(&scene);
             if let Assignment::SpawnNew(idx) = assignment {
                 debug_assert_eq!(idx, topology.shards.len());
                 let pool_threads = partition_threads(self.cfg.threads, self.cfg.max_shards)[idx];
-                topology.shards.push(Shard::spawn(
+                topology.shards.push(Shard::spawn(ShardCtx::new(
                     self.instance,
                     idx,
                     pool_threads,
-                    self.cfg.max_batch,
-                    Arc::clone(&self.sessions),
+                    self.cfg,
                     Arc::clone(&self.supervisor),
-                    self.cfg.retry,
-                    self.cfg.health,
                     Arc::clone(&self.governor),
-                ));
+                )));
             }
-            assignment.index()
+            Arc::clone(&topology.shards[assignment.index()].ctx)
         };
         let breaker = self.breaker_for(&scene);
         let id = self.next_session.fetch_add(1, Ordering::Relaxed);
@@ -634,10 +523,7 @@ impl RenderServer {
         // Make the session's cache evictable under global memory
         // pressure.
         self.governor.register(&state);
-        self.sessions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .insert(id, state);
+        lock(&self.sessions).insert(id, state);
         SessionId(id)
     }
 
@@ -655,187 +541,43 @@ impl RenderServer {
     ///
     /// Panics if `session` was not created by this server.
     pub fn submit(&self, session: SessionId, req: FrameRequest) -> FrameHandle {
-        let state = self
-            .sessions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&session.0)
-            .cloned();
-        let state = state.expect("unknown session");
-        let slot = Arc::new(Slot::new());
+        let state = self.session(session);
+        let shard = Arc::clone(&state.shard);
+        let mut frame = Frame::submit(session.0, state, req);
         let handle = FrameHandle {
-            slot: Arc::clone(&slot),
+            frame: Arc::clone(frame.core()),
         };
-        let (ctl, shared) = {
-            let topology = self.topology.lock().unwrap_or_else(|e| e.into_inner());
-            let shard = &topology.shards[state.shard];
-            (Arc::clone(&shard.ctl), Arc::clone(&shard.shared))
-        };
-
-        let now = self.supervisor.clock().now();
-        let frame_id = gen_nerf_telemetry::next_frame_id();
-        shared.submitted.inc();
-        shared.ring.record(
-            frame_id,
-            EventKind::Submit,
-            class_code(req.deadline),
-            session.0,
-        );
-        let depth_now = shared.depth.get().max(0) as u64;
+        let class = frame.class();
         // Lifecycle gates come before queue admission: a draining
         // server, a down shard, and global memory pressure are all
-        // terminal verdicts no queue state can override.
-        if self.draining.load(Ordering::SeqCst) {
-            shared.shed_draining.inc();
-            shared.ring.record(
-                frame_id,
-                EventKind::Admit,
-                AdmissionVerdict::Shed as u64,
-                depth_now,
-            );
-            fulfill(&slot, Err(ServeError::Draining));
-            return handle;
-        }
-        if ctl.down.load(Ordering::Relaxed) {
-            shared.shed_shard_down.inc();
-            shared.ring.record(
-                frame_id,
-                EventKind::Admit,
-                AdmissionVerdict::Shed as u64,
-                depth_now,
-            );
-            fulfill(&slot, Err(ServeError::ShardDown));
-            return handle;
-        }
-        if req.deadline == DeadlineClass::BestEffort && self.governor.under_pressure() {
-            // BestEffort sheds first under memory pressure; anchors of
-            // interactive traffic keep their budget.
+        // terminal verdicts no queue state can override. BestEffort
+        // sheds first under memory pressure; anchors of interactive
+        // traffic keep their budget.
+        let verdict = if self.draining.load(Ordering::SeqCst) {
+            Err(Shed::Draining)
+        } else if shard.down.load(Ordering::Relaxed) {
+            Err(Shed::ShardDown)
+        } else if class == DeadlineClass::BestEffort && self.governor.under_pressure() {
             self.governor.note_pressure_shed();
-            shared.shed_memory.inc();
-            shared.ring.record(
-                frame_id,
-                EventKind::Admit,
-                AdmissionVerdict::Shed as u64,
-                depth_now,
-            );
-            fulfill(
-                &slot,
-                Err(ServeError::Shed {
-                    class: req.deadline,
-                }),
-            );
-            return handle;
-        }
-        let breaker_admit = state.breaker.admit(now);
-        let probe = matches!(breaker_admit, BreakerAdmit::Probe);
-
-        // Claim a queue slot, then let the policy veto it. The gauge
-        // counts admitted-not-yet-scheduled frames; shed frames give
-        // their claim back immediately.
-        let depth = shared.depth.inc().max(0) as usize;
-        let mut tier = req.tier;
-        let mut degraded = false;
-        let admit = |verdict: AdmissionVerdict| {
-            shared
-                .ring
-                .record(frame_id, EventKind::Admit, verdict as u64, depth as u64);
+            Err(Shed::Memory)
+        } else {
+            let (breaker, depth) = frame.claim();
+            match admission_decision_supervised(&self.cfg.admission, class, depth, breaker) {
+                AdmissionDecision::Admit => Ok(false),
+                AdmissionDecision::Degrade => Ok(true),
+                AdmissionDecision::Shed => Err(Shed::Queue),
+                AdmissionDecision::Break => Err(Shed::Circuit),
+            }
         };
-        match admission_decision_supervised(&self.cfg.admission, req.deadline, depth, breaker_admit)
-        {
-            AdmissionDecision::Admit => admit(AdmissionVerdict::Admit),
-            AdmissionDecision::Degrade => {
-                // The cached-coarse tier: quarter resolution, where a
-                // session's cached coarse passes are cheapest to
-                // refresh. Never upgrade a request that was already
-                // coarser than the degrade target.
-                if tier.divisor() < ResolutionTier::Quarter.divisor() {
-                    tier = ResolutionTier::Quarter;
+        match verdict {
+            Ok(degrade) => {
+                frame.admit(degrade);
+                if let Some(frame) = shard.push(frame) {
+                    frame.end(End::QueueClosed);
                 }
-                degraded = true;
-                shared.degraded.inc();
-                admit(AdmissionVerdict::Degrade);
             }
-            AdmissionDecision::Break => {
-                shared.depth.dec();
-                shared.shed_circuit.inc();
-                // A terminal verdict: the frame never reaches a shard,
-                // so the Admit event closes its trace.
-                admit(AdmissionVerdict::Break);
-                fulfill(&slot, Err(ServeError::CircuitOpen));
-                return handle;
-            }
-            AdmissionDecision::Shed => {
-                shared.depth.dec();
-                if probe {
-                    // The breaker admitted a probe the queue refused:
-                    // give the quota slot back so the next submission
-                    // can probe instead.
-                    state.breaker.abort_probe();
-                }
-                match req.deadline {
-                    DeadlineClass::BestEffort => shared.shed_best_effort.inc(),
-                    DeadlineClass::Interactive => shared.shed_interactive.inc(),
-                };
-                admit(AdmissionVerdict::Shed);
-                fulfill(
-                    &slot,
-                    Err(ServeError::Shed {
-                        class: req.deadline,
-                    }),
-                );
-                return handle;
-            }
+            Err(reason) => frame.shed(reason),
         }
-        shared.admitted.inc();
-        let watch = self.supervisor.watch(
-            &slot,
-            req.deadline,
-            now,
-            &self.cfg.supervision,
-            frame_id,
-            &shared.ring,
-        );
-        let frame = QueuedFrame {
-            frame: frame_id,
-            session: session.0,
-            pose: req.pose,
-            tier,
-            deadline: req.deadline,
-            degraded,
-            reuse: req.reuse,
-            fault: req.fault,
-            slot,
-            submitted: now,
-            deadline_at: now + self.cfg.supervision.budget(req.deadline),
-            watch,
-            probe,
-            breaker: Arc::clone(&state.breaker),
-            pending: state.begin_frame(),
-        };
-        let class = frame.deadline;
-        let tenant = frame.session;
-        {
-            let mut qs = ctl.queue.lock().unwrap_or_else(|e| e.into_inner());
-            if qs.closed {
-                // Shutdown raced the submission: give everything back
-                // and fail the handle instead of stranding the frame
-                // in a queue no worker will ever serve.
-                drop(qs);
-                shared.depth.dec();
-                if probe {
-                    frame.breaker.abort_probe();
-                }
-                self.supervisor.resolve(watch);
-                crate::shard::fail_frame_with(
-                    &frame,
-                    &shared,
-                    ServeError::Failed("server shutting down".to_string()),
-                );
-                return handle;
-            }
-            qs.q.push(class, tenant, frame);
-        }
-        ctl.ready.notify_one();
         handle
     }
 
@@ -854,37 +596,24 @@ impl RenderServer {
     /// Panics if `session` was not created by this server (or was
     /// already removed).
     pub fn remove_session(&self, session: SessionId) {
-        let removed = self
-            .sessions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&session.0);
+        let removed = lock(&self.sessions).remove(&session.0);
         // Panic outside the lock so a misuse stays contained to the
-        // misusing thread instead of poisoning the shards' map.
+        // misusing thread instead of poisoning the table.
         let state = removed.expect("unknown session");
-        // Drain-then-drop: every submitted frame holds a pending guard
+        state.mark_removed();
+        // Drain-then-drop: every admitted frame holds a pending claim
         // until its handle resolves *and* the shard is done touching
         // the session (cache inserts included). The bound is a safety
         // net only — frames resolve at worst at their watchdog
         // deadline, well inside it.
-        let deadline = Instant::now() + Duration::from_secs(120);
-        while state.pending_frames() > 0 {
-            if Instant::now() >= deadline {
-                debug_assert!(false, "session frames never settled");
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        let settled = state.pending.wait_settled(Duration::from_secs(120));
+        debug_assert!(settled, "session frames never settled");
         // Quiesced: empty the cache under its lock and give the bytes
         // back in one step, so a concurrent governor eviction can
         // never double-count them.
-        let freed = {
-            let mut cache = state.cache.lock().unwrap_or_else(|e| e.into_inner());
-            let mut freed = 0usize;
-            while let Some(bytes) = cache.evict_tail() {
-                freed += bytes;
-            }
-            freed
+        let freed: usize = {
+            let mut cache = lock(&state.cache);
+            std::iter::from_fn(|| cache.evict_tail()).sum()
         };
         if freed > 0 {
             self.governor.discharge(freed as u64);
@@ -902,72 +631,25 @@ impl RenderServer {
     pub fn drain(&self, deadline: Duration) -> DrainReport {
         self.draining.store(true, Ordering::SeqCst);
         let hard_deadline = Instant::now() + deadline;
-        // Snapshot the shard handles, then poll without the topology
+        // Past the deadline a cancelled worker gets this long to
+        // unwind.
+        let supervision = &self.cfg.supervision;
+        let grace = supervision
+            .interactive_budget
+            .max(supervision.best_effort_budget)
+            + Duration::from_secs(5);
+        // Snapshot the shard contexts, then wait without the topology
         // lock: the health sweep (watchdog thread) takes that lock on
         // its own cadence, and a drain must not starve it.
-        let shards: Vec<_> = {
-            let topology = self.topology.lock().unwrap_or_else(|e| e.into_inner());
-            topology
-                .shards
-                .iter()
-                .map(|s| (Arc::clone(&s.ctl), Arc::clone(&s.shared)))
-                .collect()
-        };
-        let mut outcomes = Vec::with_capacity(shards.len());
-        for (index, (ctl, shared)) in shards.into_iter().enumerate() {
-            let started = Instant::now();
-            // Phase 1: let the shard finish naturally.
-            let mut drained = loop {
-                let idle = ctl.queued() == 0 && ctl.inflight.load(Ordering::SeqCst) == 0;
-                if idle {
-                    break true;
-                }
-                if Instant::now() >= hard_deadline {
-                    break false;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            };
-            let mut forced = 0u64;
-            if !drained {
-                // Phase 2: deadline blown. Fail everything still
-                // queued, cancel the in-flight batch, and give the
-                // worker a grace period to unwind (its frames resolve
-                // through the retry/fail path).
-                forced = force_drain(&ctl, &shared, &self.supervisor);
-                if let Some(cancel) = ctl
-                    .current_cancel
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .take()
-                {
-                    cancel.cancel();
-                }
-                let grace = Instant::now()
-                    + self
-                        .cfg
-                        .supervision
-                        .interactive_budget
-                        .max(self.cfg.supervision.best_effort_budget)
-                    + Duration::from_secs(5);
-                while ctl.inflight.load(Ordering::SeqCst) > 0 && Instant::now() < grace {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                // A condemned/wedged incarnation may have requeued its
-                // frame during the grace wait; sweep those stragglers
-                // too.
-                forced += force_drain(&ctl, &shared, &self.supervisor);
-                drained = ctl.inflight.load(Ordering::SeqCst) == 0;
-            }
-            shared
-                .ring
-                .record(0, EventKind::Drain, index as u64, forced);
-            outcomes.push(DrainOutcome {
-                shard: index,
-                drained,
-                forced,
-                waited: started.elapsed(),
-            });
-        }
+        let shards: Vec<_> = lock(&self.topology)
+            .shards
+            .iter()
+            .map(|s| Arc::clone(&s.ctx))
+            .collect();
+        let outcomes = shards
+            .iter()
+            .map(|shard| shard.drain(hard_deadline, grace))
+            .collect();
         DrainReport { outcomes }
     }
 
@@ -975,9 +657,7 @@ impl RenderServer {
     /// shard, in shard order.
     pub fn shard_health(&self) -> Vec<ShardHealthStats> {
         let now = self.supervisor.clock().now();
-        self.topology
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+        lock(&self.topology)
             .shards
             .iter()
             .map(|s| s.health_stats(now))
@@ -996,23 +676,13 @@ impl RenderServer {
     ///
     /// Panics if `session` was not created by this server.
     pub fn cache_stats(&self, session: SessionId) -> CacheStats {
-        let state = self
-            .sessions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&session.0)
-            .cloned();
-        state.expect("unknown session").cache_stats()
+        self.session(session).cache_stats()
     }
 
     /// Shards spawned so far (≤ `max_shards`; one per registered
     /// scene until the ceiling).
     pub fn shard_count(&self) -> usize {
-        self.topology
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .shards
-            .len()
+        lock(&self.topology).shards.len()
     }
 
     /// The shard serving `session`'s scene.
@@ -1021,13 +691,7 @@ impl RenderServer {
     ///
     /// Panics if `session` was not created by this server.
     pub fn shard_of(&self, session: SessionId) -> ShardId {
-        let state = self
-            .sessions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&session.0)
-            .cloned();
-        ShardId(state.expect("unknown session").shard)
+        ShardId(self.session(session).shard.index)
     }
 
     /// A snapshot of one shard's queue depth and counters.
@@ -1036,12 +700,11 @@ impl RenderServer {
     ///
     /// Panics if `shard` has not been spawned.
     pub fn shard_stats(&self, shard: ShardId) -> ShardStats {
-        self.topology
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+        lock(&self.topology)
             .shards
             .get(shard.0)
             .expect("shard exists")
+            .ctx
             .stats()
     }
 
@@ -1070,53 +733,34 @@ impl RenderServer {
     }
 
     /// Drains every shard's frame-lifecycle trace ring, concatenated
-    /// in shard order. Call at a quiet point (after the handles you
-    /// care about resolved) for complete traces.
+    /// in shard order. A resolved handle's terminal event is already
+    /// in its ring; call once the handles you care about resolved for
+    /// complete traces.
     pub fn drain_traces(&self) -> Vec<TraceEvent> {
-        let topology = self.topology.lock().unwrap_or_else(|e| e.into_inner());
-        let mut events = Vec::new();
-        for shard in &topology.shards {
-            events.extend(shard.shared.ring.drain());
-        }
-        events
+        lock(&self.topology)
+            .shards
+            .iter()
+            .flat_map(|s| s.ctx.meters.ring.drain())
+            .collect()
     }
 
     /// Trace events overwritten before any drain saw them, summed over
     /// every shard ring (zero at test scale; nonzero means traces are
     /// incomplete and the rings need draining more often).
     pub fn trace_drops(&self) -> u64 {
-        let topology = self.topology.lock().unwrap_or_else(|e| e.into_inner());
-        topology
+        lock(&self.topology)
             .shards
             .iter()
-            .map(|s| s.shared.ring.dropped())
+            .map(|s| s.ctx.meters.ring.dropped())
             .sum()
-    }
-
-    /// The smallest per-shard trace ring capacity, in events. A
-    /// worst-case placement sends every frame to one shard, so a
-    /// workload whose event volume stays under this bound is
-    /// guaranteed complete traces; beyond it, truncation (with
-    /// counted drops) is expected.
-    pub fn trace_capacity(&self) -> usize {
-        self.topology
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .shards
-            .iter()
-            .map(|s| s.shared.ring.capacity())
-            .min()
-            .unwrap_or(0)
     }
 
     /// Snapshots of every spawned shard, in shard-index order.
     pub fn shard_stats_all(&self) -> Vec<ShardStats> {
-        self.topology
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+        lock(&self.topology)
             .shards
             .iter()
-            .map(Shard::stats)
+            .map(|s| s.ctx.stats())
             .collect()
     }
 
@@ -1134,21 +778,7 @@ impl RenderServer {
     ///
     /// Panics if `session` was not created by this server.
     pub fn scene_breaker(&self, session: SessionId) -> Arc<CircuitBreaker> {
-        let state = self
-            .sessions
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .get(&session.0)
-            .cloned();
-        Arc::clone(&state.expect("unknown session").breaker)
-    }
-}
-
-/// Trace payload code of a deadline class (`Submit.a`).
-fn class_code(class: DeadlineClass) -> u64 {
-    match class {
-        DeadlineClass::Interactive => 0,
-        DeadlineClass::BestEffort => 1,
+        Arc::clone(&self.session(session).breaker)
     }
 }
 
@@ -1157,8 +787,7 @@ impl Drop for RenderServer {
         // Closing every shard queue lets the shards drain what's
         // admitted and exit their receive loops; `Shard::shutdown`
         // joins each thread.
-        let mut topology = self.topology.lock().unwrap_or_else(|e| e.into_inner());
-        for shard in &mut topology.shards {
+        for shard in &mut lock(&self.topology).shards {
             shard.shutdown();
         }
     }

@@ -1,6 +1,9 @@
 //! Sessions: per-scene cached state, per-session render configuration
 //! and the temporal-coherence policy.
 
+use crate::shard::ShardCtx;
+use crate::supervisor::CircuitBreaker;
+use crate::{lock, wait_until};
 use gen_nerf::config::SamplingStrategy;
 use gen_nerf::features::{prepare_sources, SourceViewData};
 use gen_nerf::model::GenNerfModel;
@@ -8,14 +11,10 @@ use gen_nerf::occupancy::OccupancyGrid;
 use gen_nerf::pipeline::CoarseFrame;
 use gen_nerf_geometry::{Aabb, Intrinsics, Mat3, Pose, Vec3};
 use gen_nerf_scene::View;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// The server-wide session table, shared between the front end (which
-/// inserts/removes) and every shard scheduler (which resolves queued
-/// frames against it).
-pub(crate) type SessionMap = Arc<Mutex<HashMap<u64, Arc<SessionState>>>>;
+use std::collections::VecDeque;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 /// Everything about one captured scene that is pose-independent, built
 /// **once** and shared (via `Arc`) by every session viewing the scene
@@ -71,13 +70,6 @@ impl SceneState {
 /// [`RenderServer::create_session`](crate::RenderServer::create_session).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SessionId(pub(crate) u64);
-
-impl SessionId {
-    /// The raw id value (stable for the lifetime of the server).
-    pub fn raw(self) -> u64 {
-        self.0
-    }
-}
 
 /// Output resolution of one frame request, as a divisor of the
 /// session's base intrinsics — the knob a serving deadline trades
@@ -265,26 +257,6 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Derives instance-level cache counters from a telemetry
-    /// snapshot, folding `serve_cache_events_total{outcome}` over
-    /// every label set matching `subset` — the registry view of the
-    /// per-session counters, summed across the sessions of the
-    /// matching server/shards.
-    pub fn from_snapshot(snap: &gen_nerf_telemetry::Snapshot, subset: &[(&str, &str)]) -> Self {
-        let outcome = |o: &str| {
-            let mut s: Vec<(&str, &str)> = subset.to_vec();
-            s.push(("outcome", o));
-            snap.counter_with("serve_cache_events_total", &s)
-        };
-        Self {
-            hits: outcome("hit"),
-            misses: outcome("miss"),
-            bypasses: outcome("bypass"),
-            evictions: outcome("eviction"),
-            integrity_rejects: outcome("integrity_reject"),
-        }
-    }
-
     /// Hit fraction among the frames the cache applied to.
     pub fn hit_rate(&self) -> f64 {
         let eligible = self.hits + self.misses;
@@ -440,36 +412,67 @@ impl CoarseCache {
 pub(crate) struct SessionState {
     pub scene: Arc<SceneState>,
     pub cfg: SessionConfig,
-    /// Index of the shard serving this session's scene.
-    pub shard: usize,
+    /// The shard serving this session's scene. Held here so a
+    /// submission reaches its queue without the topology lock (which
+    /// the health sweep holds while it condemns and spawns threads).
+    pub shard: Arc<ShardCtx>,
     /// The scene's circuit breaker — shared (by `Arc`) with every
     /// other session viewing the same `SceneState`, so one session's
     /// failures protect the fleet from the sick scene, not just that
     /// session.
-    pub breaker: Arc<crate::supervisor::CircuitBreaker>,
+    pub breaker: Arc<CircuitBreaker>,
     pub cache: Mutex<CoarseCache>,
     pub hits: AtomicU64,
     pub misses: AtomicU64,
     pub bypasses: AtomicU64,
     pub evictions: AtomicU64,
-    /// Frames of this session currently owned by the serve tier:
-    /// incremented at admission, decremented when the queued frame is
-    /// dropped (resolved, failed, shed after queueing, or requeued and
-    /// later settled). `remove_session` waits for this to reach zero
-    /// before dropping the state, so teardown never races handle
-    /// resolution.
-    pub pending: Arc<AtomicU64>,
+    /// Frames of this session currently owned by the serve tier.
+    pub pending: Arc<Pending>,
+    /// Latched by `remove_session`: frames still queued end as
+    /// "session removed" instead of rendering.
+    removed: AtomicBool,
 }
 
-/// RAII claim on [`SessionState::pending`]: held by a queued frame for
-/// its whole life in the serve tier, released (decrement) wherever the
-/// frame is dropped — including panics unwinding through the shard
-/// loop, which is exactly the case teardown must survive.
-pub(crate) struct PendingGuard(Arc<AtomicU64>);
+/// A session's count of frames the serve tier still owns: claimed at
+/// admission, released when the frame's owner is done with it —
+/// resolved *and* no longer touching the session. `remove_session`
+/// blocks on it before dropping the state, so teardown never races
+/// handle resolution.
+#[derive(Default)]
+pub(crate) struct Pending {
+    frames: Mutex<u64>,
+    settled: Condvar,
+}
+
+impl Pending {
+    /// Claims a pending-frame slot; the returned guard releases it on
+    /// drop.
+    pub fn claim(self: &Arc<Self>) -> PendingGuard {
+        *lock(&self.frames) += 1;
+        PendingGuard(Arc::clone(self))
+    }
+
+    /// Blocks until no frame is pending, at most `bound`; returns
+    /// whether the session settled.
+    pub fn wait_settled(&self, bound: Duration) -> bool {
+        let until = Instant::now() + bound;
+        wait_until(&self.settled, lock(&self.frames), until, |&n| n == 0).1
+    }
+}
+
+/// RAII claim on a session's [`Pending`] count: held by a frame for
+/// its whole life in the serve tier, released wherever the frame is
+/// dropped — including panics unwinding through the shard loop, which
+/// is exactly the case teardown must survive.
+pub(crate) struct PendingGuard(Arc<Pending>);
 
 impl Drop for PendingGuard {
     fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::Relaxed);
+        let mut frames = lock(&self.0.frames);
+        *frames -= 1;
+        if *frames == 0 {
+            self.0.settled.notify_all();
+        }
     }
 }
 
@@ -477,8 +480,8 @@ impl SessionState {
     pub fn new(
         scene: Arc<SceneState>,
         cfg: SessionConfig,
-        shard: usize,
-        breaker: Arc<crate::supervisor::CircuitBreaker>,
+        shard: Arc<ShardCtx>,
+        breaker: Arc<CircuitBreaker>,
     ) -> Self {
         Self {
             scene,
@@ -490,20 +493,18 @@ impl SessionState {
             misses: AtomicU64::new(0),
             bypasses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            pending: Arc::new(AtomicU64::new(0)),
+            pending: Arc::default(),
+            removed: AtomicBool::new(false),
         }
     }
 
-    /// Claims a pending-frame slot; the returned guard releases it on
-    /// drop.
-    pub fn begin_frame(&self) -> PendingGuard {
-        self.pending.fetch_add(1, Ordering::Relaxed);
-        PendingGuard(Arc::clone(&self.pending))
+    /// Marks the session removed (its queued frames will not render).
+    pub fn mark_removed(&self) {
+        self.removed.store(true, Ordering::SeqCst);
     }
 
-    /// Frames of this session currently owned by the serve tier.
-    pub fn pending_frames(&self) -> u64 {
-        self.pending.load(Ordering::Relaxed)
+    pub fn is_removed(&self) -> bool {
+        self.removed.load(Ordering::SeqCst)
     }
 
     pub fn cache_stats(&self) -> CacheStats {
@@ -512,11 +513,7 @@ impl SessionState {
             misses: self.misses.load(Ordering::Relaxed),
             bypasses: self.bypasses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            integrity_rejects: self
-                .cache
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .rejected(),
+            integrity_rejects: lock(&self.cache).rejected(),
         }
     }
 }

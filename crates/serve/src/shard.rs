@@ -2,52 +2,48 @@
 //! private render pool, and the fused batch execution path.
 //!
 //! The server routes every session of a scene to one shard (see
-//! [`registry`](crate::registry)); the shard thread drains its bounded
-//! queue through a [`FairQueue`] — class priority, round-robin across
-//! sessions, FIFO per session — carves the largest batch of frames
-//! that can legally share one fused render (same scene `Arc`, same
-//! strategy, at most one frame of any cache-enabled session), and runs
-//! it on the shard's own [`Pool`] slice of the server's thread budget.
-//! A panic inside a render fails that batch's handles and leaves the
-//! shard serving; nothing a frame does can take the server down.
+//! [`registry`](crate::registry)). Everything the front end, the
+//! health sweep and the worker coordinate through lives in one
+//! [`ShardCtx`] behind one `Arc` — configuration, metrics, the queue,
+//! the heartbeat — so a restart replaces the thread, never the state,
+//! and a session reaches its shard without the topology lock.
 //!
-//! Supervision (PR 7) hardens the loop: every queued frame carries a
-//! watchdog registration, a wall-clock deadline, and its scene's
-//! circuit breaker. A render batch runs under a shared [`CancelToken`]
-//! the watchdog fires when any batch member blows its budget — the
-//! render unwinds cooperatively at the next chunk boundary (releasing
-//! the Pool slice a `Fault::Stall` used to park forever) and the
-//! surviving frames are re-rendered solo under the shard's
-//! [`RetryPolicy`], bitwise identical to a clean render. Every frame's
-//! final outcome (success, failure, timeout) is recorded into its
-//! scene's breaker so repeated failures open the circuit at admission.
+//! **Scheduling.** The worker drains the bounded queue through a
+//! [`FairQueue`] — class priority, round-robin across sessions, FIFO
+//! per session — carves the largest batch of frames that can legally
+//! share one fused render (same scene `Arc`, same strategy, at most
+//! one frame of any cache-enabled session), and runs it on the shard's
+//! own [`Pool`] slice of the server's thread budget.
 //!
-//! Output integrity (PR 8) closes the next gap: batches render through
-//! the pipeline's fallible API, so a GEMM checksum miscompare or a
-//! tripped stage sentinel fails the batch with
-//! [`RenderError::Corrupt`] *before* any pixel is published. A corrupt
-//! batch is treated exactly like a transient panic — every member
-//! re-renders solo under the retry policy, and the scene's breaker
-//! sees the failure. Repeated GEMM miscompares while a SIMD kernel
-//! backend is active quarantine that backend process-wide
-//! ([`integrity::quarantine`]): all further math falls back to the
-//! scalar kernels, which are bitwise-identical by the dispatch
-//! contract. Cache anchors are digest-checked at import; a corrupted
-//! anchor is discarded and counted as a miss instead of seeding a
-//! fresh render with poisoned weights.
+//! **Render attempts.** [`attempt`] is the one function that renders:
+//! the first, batched attempt and every solo retry. An attempt runs
+//! under a fresh [`CancelToken`] — attached to each member's watch so
+//! the watchdog fires it when any member blows its budget, and
+//! published on the context so a condemnation or a drain deadline can
+//! fire it from outside — inside `catch_unwind`, through the
+//! pipeline's fallible API. It ends ok, cancelled (the render unwinds
+//! cooperatively at the next chunk boundary and its output is
+//! discarded), corrupt (a GEMM checksum miscompare or a tripped stage
+//! sentinel failed it *before* any pixel was published) or panicked.
+//! Anything but ok sends each member through [`retry`]: solo
+//! re-renders under the [`RetryPolicy`](crate::RetryPolicy), bitwise
+//! identical to a clean render by the kernel batch-independence
+//! contract, never scheduled past the frame's deadline. Repeated GEMM
+//! miscompares while a SIMD kernel backend is active quarantine that
+//! backend process-wide ([`integrity::quarantine`]). Nothing a frame
+//! does can take the shard down, and every frame ends through
+//! [`Frame::end`], which tells the scene's breaker what happened.
 //!
-//! Self-healing (this PR) makes the scheduler thread itself
-//! replaceable. The queue moved out of the thread into a shared
-//! control block ([`ShardCtl`]): the worker *incarnation* popping from
-//! it publishes a [`Heartbeat`] on every wakeup and batch boundary,
-//! and the supervisor's health sweep ([`Shard::sweep`]) classifies the
+//! **Self-healing.** The worker *incarnation* popping from the queue
+//! publishes a [`Heartbeat`] on every wakeup and batch boundary, and
+//! the supervisor's health sweep ([`Shard::sweep`]) classifies the
 //! shard Healthy / Wedged / Dead. A condemned incarnation is
 //! invalidated (the incarnation counter in the queue state bumps, so
 //! the old loop exits at its next queue observation instead of racing
-//! its replacement), its in-flight batch is cancelled, queued frames
+//! its replacement), its in-flight attempt is cancelled, queued frames
 //! are requeued FIFO-preserving, and a fresh worker spawns under an
 //! exponential per-shard restart budget. Past the budget the shard is
-//! declared down: queued frames fail with
+//! declared down: queued frames end with
 //! [`ServeError::ShardDown`](crate::ServeError::ShardDown) and further
 //! submissions shed at admission. Session caches live in
 //! [`SessionState`], not in the worker, so they survive restarts; the
@@ -55,27 +51,22 @@
 //! process-wide [`MemoryGovernor`] *before* insertion, so the global
 //! byte budget holds even across a restart storm re-anchoring caches.
 
-use crate::admission::{AdmissionStats, FairQueue};
+use crate::admission::{class_index, AdmissionStats, FairQueue, N_CLASSES};
+use crate::frame::{End, Frame, Shed};
 use crate::governor::MemoryGovernor;
-use crate::health::{CondemnReason, HealthConfig, Heartbeat, ShardHealth, ShardHealthStats};
-use crate::server::{
-    fulfill, fulfill_error, CacheOutcome, Fault, FrameResult, ServeError, ServeStats, Slot,
-};
-use crate::session::{
-    coarse_entry_cost, CacheEntry, DeadlineClass, PendingGuard, ResolutionTier, SessionMap,
-    SessionState,
-};
-use crate::supervisor::{CircuitBreaker, RetryPolicy, Supervisor};
+use crate::health::{CondemnReason, DrainOutcome, Heartbeat, ShardHealth, ShardHealthStats};
+use crate::server::{CacheOutcome, Fault, FrameResult, ServeStats, ServerConfig};
+use crate::session::{coarse_entry_cost, CacheEntry, DeadlineClass, SessionState};
+use crate::supervisor::{Supervisor, WatchMeters};
+use crate::{lock, wait_timeout, wait_until};
 use gen_nerf::config::SamplingStrategy;
 use gen_nerf::pipeline::{self, CoarseFrame, RenderError, RenderStats, Renderer};
-use gen_nerf_geometry::{Camera, Pose};
+use gen_nerf_geometry::Camera;
 use gen_nerf_nn::kernels::{self, integrity, Backend};
 use gen_nerf_parallel::{CancelToken, Pool};
 use gen_nerf_scene::Image;
-use gen_nerf_telemetry::{
-    Counter, EventKind, Gauge, Histogram, ResolveOutcome, TraceRing, DEFAULT_RING_CAPACITY,
-};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use gen_nerf_telemetry::{Counter, EventKind, Gauge, Histogram, TraceRing, DEFAULT_RING_CAPACITY};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -87,107 +78,273 @@ use std::time::{Duration, Instant};
 /// reuses the same slice of the budget).
 pub(crate) const ARENA_BYTES_PER_WORKER: u64 = pipeline::WORKER_SCRATCH_BYTES as u64;
 
-/// One admitted frame travelling from `submit` to its shard.
-pub(crate) struct QueuedFrame {
-    /// Frame-trace id ([`gen_nerf_telemetry::next_frame_id`]) — keys
-    /// every [`gen_nerf_telemetry::TraceEvent`] of this frame's life.
-    pub frame: u64,
-    pub session: u64,
-    pub pose: Pose,
-    /// Tier actually rendered (admission may have degraded it).
-    pub tier: ResolutionTier,
-    pub deadline: DeadlineClass,
-    /// Whether admission lowered the tier below the request.
-    pub degraded: bool,
-    pub reuse: Option<Image>,
-    pub fault: Option<Fault>,
-    pub slot: Arc<Slot>,
-    pub submitted: Instant,
-    /// Wall-clock instant past which the watchdog resolves the handle
-    /// with `TimedOut`; retries are never scheduled beyond it.
-    pub deadline_at: Instant,
-    /// This frame's registration with the server's [`Supervisor`].
-    pub watch: u64,
-    /// Whether the scene's circuit breaker admitted this frame as a
-    /// HalfOpen probe (its outcome decides Closed vs back to Open).
-    pub probe: bool,
-    /// The scene's breaker — carried on the frame so outcome recording
-    /// and probe-quota accounting survive session removal.
-    pub breaker: Arc<CircuitBreaker>,
-    /// RAII claim on the session's pending-frame counter: dropped
-    /// wherever the frame is — resolved, failed, requeued-then-settled
-    /// — so `remove_session` can wait for true quiescence. Never read;
-    /// its `Drop` is the point.
-    #[allow(dead_code)]
-    pub pending: PendingGuard,
-}
-
-/// The queue half of a shard's shared control block, under one lock:
-/// the fair queue itself, the close latch, and the worker incarnation
-/// counter that invalidates condemned loops.
-pub(crate) struct QueueState {
-    pub q: FairQueue<QueuedFrame>,
+/// The queue half of a shard's context, under one lock: the fair
+/// queue itself, the close latch, the worker incarnation counter that
+/// invalidates condemned loops, and the count of frames out of the
+/// queue but not yet ended.
+struct QueueState {
+    q: FairQueue<Frame>,
     /// Set at shutdown: the worker drains what is queued and exits.
-    pub closed: bool,
+    closed: bool,
     /// Bumped by every condemnation. A worker loop captures the value
     /// it was spawned at and exits as soon as the shared value moved —
     /// the fence that keeps a condemned incarnation from racing its
     /// replacement for the queue.
-    pub incarnation: u64,
+    incarnation: u64,
+    /// Frames popped and neither ended nor handed back. Moves with the
+    /// pop under the queue lock, so "queue empty and nothing running"
+    /// is never observed with a frame in a worker's hand.
+    running: u64,
 }
 
-/// A shard's shared control block: everything the server front end,
-/// the health sweep, and the worker incarnation(s) coordinate through.
-/// Lives in an `Arc` so a restart replaces the thread, never the
-/// state.
-pub(crate) struct ShardCtl {
-    pub queue: Mutex<QueueState>,
-    /// Signals the worker: new frame, close, or incarnation bump.
-    pub ready: Condvar,
-    /// The worker's progress beacon the health sweep reads.
-    pub heartbeat: Heartbeat,
-    /// Frames popped from the queue and not yet settled by the current
-    /// batch (the sweep's "work pending" signal alongside queue depth).
-    pub inflight: AtomicU64,
-    /// Consecutive render attempts that panicked or failed integrity;
-    /// cleared by any clean render. Crossing
-    /// [`HealthConfig::pool_respawn_after`] respawns the pool workers
-    /// in place; crossing [`HealthConfig::pool_condemn_after`]
-    /// condemns the whole shard.
-    pub poison_streak: AtomicU32,
-    /// Latched when the restart budget is exhausted: submissions shed
-    /// with [`ServeError::ShardDown`], queued frames fail.
-    pub down: AtomicBool,
-    /// The cancel token of the batch currently rendering, for the
-    /// sweep (condemnation) and `drain` to fire from outside the
-    /// worker thread.
-    pub current_cancel: Mutex<Option<CancelToken>>,
+/// A shard's context: everything the server front end, the health
+/// sweep, and the worker incarnation(s) coordinate through.
+pub(crate) struct ShardCtx {
+    pub index: usize,
+    /// Persistent render workers owned by this shard.
+    pub pool_threads: usize,
+    pub cfg: ServerConfig,
+    pub supervisor: Arc<Supervisor>,
     /// The server's process-wide memory governor (anchor inserts are
     /// charged before insertion).
     pub governor: Arc<MemoryGovernor>,
+    /// Shared with every frame's core, which books into it after the
+    /// rest of the context may be gone.
+    pub meters: Arc<Meters>,
+    queue: Mutex<QueueState>,
+    /// Signals the worker: new frame, close, or incarnation bump.
+    ready: Condvar,
+    /// Signals a drain: the last running frame ended, or another
+    /// thread emptied the queue.
+    idle: Condvar,
+    /// The worker's progress beacon the health sweep reads.
+    heartbeat: Heartbeat,
+    /// Consecutive render attempts that panicked or failed integrity;
+    /// cleared by any clean render. Crossing
+    /// [`HealthConfig::pool_respawn_after`](crate::HealthConfig::pool_respawn_after)
+    /// respawns the pool workers in place; crossing
+    /// [`HealthConfig::pool_condemn_after`](crate::HealthConfig::pool_condemn_after)
+    /// condemns the whole shard.
+    poison_streak: AtomicU32,
+    /// Latched when the restart budget is exhausted: submissions shed
+    /// with [`ServeError::ShardDown`](crate::ServeError::ShardDown),
+    /// queued frames fail.
+    pub down: AtomicBool,
+    /// The cancel token of the attempt currently rendering, for the
+    /// sweep (condemnation) and `drain` to fire from outside the
+    /// worker thread.
+    current_cancel: Mutex<Option<CancelToken>>,
 }
 
-impl ShardCtl {
-    /// Frames admitted and still waiting in the queue.
-    pub(crate) fn queued(&self) -> usize {
-        self.queue.lock().unwrap_or_else(|e| e.into_inner()).q.len()
+impl ShardCtx {
+    /// The context of shard `index` of server `instance`, with
+    /// `pool_threads` render workers under the server's `cfg`.
+    pub(crate) fn new(
+        instance: u64,
+        index: usize,
+        pool_threads: usize,
+        cfg: ServerConfig,
+        supervisor: Arc<Supervisor>,
+        governor: Arc<MemoryGovernor>,
+    ) -> Arc<Self> {
+        let ctx = Arc::new(Self {
+            index,
+            pool_threads,
+            cfg,
+            meters: Arc::new(Meters::new(instance, index, supervisor.meters)),
+            queue: Mutex::new(QueueState {
+                q: FairQueue::new(),
+                closed: false,
+                incarnation: 0,
+                running: 0,
+            }),
+            ready: Condvar::new(),
+            idle: Condvar::new(),
+            heartbeat: Heartbeat::new(supervisor.clock().now()),
+            poison_streak: AtomicU32::new(0),
+            down: AtomicBool::new(false),
+            current_cancel: Mutex::new(None),
+            supervisor,
+            governor,
+        });
+        // Born alive: the first sweep must not find a zero-aged shard
+        // stale.
+        ctx.beat();
+        ctx.governor
+            .reserve(pool_threads.max(1) as u64 * ARENA_BYTES_PER_WORKER);
+        ctx
+    }
+
+    /// Records a shard-scoped lifecycle event (frame id 0, `a` = this
+    /// shard's index).
+    fn event(&self, kind: EventKind, b: u64) {
+        self.meters.ring.record(0, kind, self.index as u64, b);
     }
 
     /// Publishes worker progress (and counts the beat).
-    fn beat(&self, shared: &ShardShared, now: Instant) {
-        self.heartbeat.beat(now);
-        shared.heartbeats.inc();
+    fn beat(&self) {
+        self.heartbeat.beat(self.supervisor.clock().now());
+        self.meters.heartbeats.inc();
+    }
+
+    /// Queues an admitted frame and wakes the worker. A queue that
+    /// shutdown already closed hands the frame back (`Some`) instead
+    /// of stranding it where no worker will ever serve it.
+    pub(crate) fn push(&self, frame: Frame) -> Option<Frame> {
+        let mut qs = lock(&self.queue);
+        if qs.closed {
+            return Some(frame);
+        }
+        qs.q.push(frame.class(), frame.session, frame);
+        drop(qs);
+        self.ready.notify_one();
+        None
+    }
+
+    /// Blocks for the next frame in policy order; every wakeup beats
+    /// so an idle shard's heartbeat stays fresh. `None` once the queue
+    /// is closed and empty, or the moment the shared incarnation
+    /// counter moved past `incarnation`.
+    fn pop_head(&self, incarnation: u64) -> Option<Frame> {
+        let mut frame = {
+            let mut qs = lock(&self.queue);
+            loop {
+                if qs.incarnation != incarnation {
+                    return None;
+                }
+                if let Some(frame) = qs.q.pop() {
+                    qs.running += 1;
+                    break frame;
+                }
+                if qs.closed {
+                    return None;
+                }
+                self.beat();
+                qs = wait_timeout(&self.ready, qs, Duration::from_millis(100));
+            }
+        };
+        self.beat();
+        frame.pop();
+        Some(frame)
+    }
+
+    /// Pops the next lane head `take` accepts, without blocking.
+    pub(crate) fn pop_mate(&self, take: impl FnMut(&Frame) -> bool) -> Option<Frame> {
+        let mut frame = {
+            let mut qs = lock(&self.queue);
+            let frame = qs.q.pop_next(take)?;
+            qs.running += 1;
+            frame
+        };
+        frame.pop();
+        Some(frame)
+    }
+
+    /// Hands a popped-but-unexecuted head back at the **front** of its
+    /// lane (FIFO preserved) — what a dying or wedged incarnation does
+    /// so its frame is re-served, not lost.
+    fn requeue_front(&self, mut frame: Frame) {
+        frame.requeued(0);
+        let mut qs = lock(&self.queue);
+        qs.running -= 1;
+        qs.q.push_front(frame.class(), frame.session, frame);
+        drop(qs);
+        self.ready.notify_one();
+    }
+
+    /// One running frame ended ([`Frame::end`] calls this).
+    pub(crate) fn settle(&self) {
+        let mut qs = lock(&self.queue);
+        qs.running -= 1;
+        if qs.running == 0 {
+            self.idle.notify_all();
+        }
+    }
+
+    /// Empties the queue and ends every frame in it with `end()`;
+    /// returns how many there were.
+    fn end_queued(&self, end: impl Fn() -> End) -> u64 {
+        let drained = lock(&self.queue).q.drain();
+        self.idle.notify_all();
+        let n = drained.len() as u64;
+        for (_, _, frame) in drained {
+            frame.end(end());
+        }
+        n
+    }
+
+    /// Fires the cancel token of the attempt in flight, if any.
+    fn cancel_current(&self) {
+        if let Some(cancel) = lock(&self.current_cancel).take() {
+            cancel.cancel();
+        }
+    }
+
+    /// Blocks until `idle` holds of the queue state or `until` passes;
+    /// returns whether it held.
+    fn wait_idle(&self, until: Instant, idle: impl Fn(&QueueState) -> bool) -> bool {
+        wait_until(&self.idle, lock(&self.queue), until, idle).1
+    }
+
+    /// This shard's half of [`RenderServer::drain`](crate::RenderServer::drain):
+    /// lets the worker finish naturally until `hard_deadline`, then
+    /// force-fails what is still queued with
+    /// [`ServeError::Draining`](crate::ServeError::Draining), cancels
+    /// the attempt in flight and gives the worker `grace` to unwind
+    /// (its frames end through the retry path).
+    pub(crate) fn drain(&self, hard_deadline: Instant, grace: Duration) -> DrainOutcome {
+        let started = Instant::now();
+        let mut drained = self.wait_idle(hard_deadline, |qs| qs.q.is_empty() && qs.running == 0);
+        let mut forced = 0;
+        if !drained {
+            forced = self.end_queued(|| End::DrainForced);
+            self.cancel_current();
+            drained = self.wait_idle(Instant::now() + grace, |qs| qs.running == 0);
+            // A condemned/wedged incarnation may have requeued its
+            // frame during the grace wait; sweep those stragglers too.
+            forced += self.end_queued(|| End::DrainForced);
+        }
+        self.event(EventKind::Drain, forced);
+        DrainOutcome {
+            shard: self.index,
+            drained,
+            forced,
+            waited: started.elapsed(),
+        }
+    }
+
+    pub(crate) fn stats(&self) -> ShardStats {
+        let m = &self.meters;
+        let [shed_interactive, shed_best_effort] = m.shed_queue;
+        ShardStats {
+            queued: m.depth.get().max(0) as usize,
+            admission: AdmissionStats {
+                admitted: m.admitted.get(),
+                degraded: m.degraded.get(),
+                shed_best_effort: shed_best_effort.get(),
+                shed_interactive: shed_interactive.get(),
+                shed_circuit: m.shed_circuit.get(),
+            },
+            rendered_frames: m.rendered.get(),
+            failed_frames: m.failed.get(),
+            retries: m.retries.get(),
+            batches: m.batches.get(),
+            corrupt_renders: m.corrupt.get(),
+            quarantine_events: m.quarantined.get(),
+            pool_threads: self.pool_threads,
+        }
     }
 }
 
-/// Counters and gauges shared between a shard's thread and the server
-/// front end (admission reads the depth gauge, tests read the rest).
+/// A shard's counters, gauges and trace ring.
 ///
 /// Every handle is a metric in the process-global telemetry registry,
 /// labelled `{instance, shard}` — the same atomics back both the
 /// exact-count stats views (read through the handles) and any snapshot
-/// fold, so there is no parallel bookkeeping to drift.
-pub(crate) struct ShardShared {
+/// fold, so there is no parallel bookkeeping to drift. The frame
+/// lifecycle ([`crate::frame`]) is the only writer of the per-frame
+/// ones.
+pub(crate) struct Meters {
     /// Frames admitted but not yet pulled into a render batch
     /// (`serve_queue_depth`; SeqCst, the admission policy reads it).
     pub depth: Gauge,
@@ -196,22 +353,18 @@ pub(crate) struct ShardShared {
     pub submitted: Counter,
     pub admitted: Counter,
     pub degraded: Counter,
-    pub shed_best_effort: Counter,
-    pub shed_interactive: Counter,
-    /// Frames shed at submission because the scene's breaker was open.
+    /// `serve_frames_shed_total{reason}`, one per [`Shed`] reason; the
+    /// queue's is split by deadline class
+    /// ([`class_index`](crate::admission::class_index)).
+    pub shed_queue: [Counter; N_CLASSES],
     pub shed_circuit: Counter,
-    /// Frames shed at submission because the server was draining.
     pub shed_draining: Counter,
-    /// Frames shed at submission because this shard exhausted its
-    /// restart budget and was declared down.
     pub shed_shard_down: Counter,
-    /// BestEffort frames shed at submission by the memory governor's
-    /// pressure hook.
     pub shed_memory: Counter,
     /// Frames whose handle resolved successfully.
     pub rendered: Counter,
-    /// Frames whose handle resolved with an error (render panic or
-    /// vanished session).
+    /// Frames whose handle resolved with an error other than a
+    /// timeout or a shed.
     pub failed: Counter,
     /// Individual re-render attempts after a transient failure.
     pub retries: Counter,
@@ -229,11 +382,9 @@ pub(crate) struct ShardShared {
     pub heartbeats: Counter,
     /// Worker restarts performed (`serve_shard_restarts_total`).
     pub restarts: Counter,
-    /// Condemnations by reason
+    /// Condemnations by reason, indexed by [`CondemnReason::code`]
     /// (`serve_shard_condemned_total{reason}`).
-    pub condemned_wedged: Counter,
-    pub condemned_dead: Counter,
-    pub condemned_poisoned: Counter,
+    pub condemned: [Counter; 3],
     /// Frames put back in the queue across a restart or a shard-level
     /// fault (`serve_requeued_frames_total`).
     pub requeued: Counter,
@@ -241,9 +392,10 @@ pub(crate) struct ShardShared {
     /// (`serve_drain_forced_total`).
     pub drain_forced: Counter,
     /// Submit→resolve latency of successfully rendered frames, per
-    /// deadline class (`serve_latency_ns`).
-    pub latency_interactive: Histogram,
-    pub latency_best_effort: Histogram,
+    /// deadline class by
+    /// [`class_index`](crate::admission::class_index)
+    /// (`serve_latency_ns`).
+    pub latency: [Histogram; N_CLASSES],
     /// Coarse-cache outcomes served by this shard
     /// (`serve_cache_events_total{outcome}`) — the instance-level view
     /// of the per-session [`CacheStats`](crate::CacheStats) counters.
@@ -252,39 +404,29 @@ pub(crate) struct ShardShared {
     pub cache_bypasses: Counter,
     pub cache_evictions: Counter,
     pub cache_rejects: Counter,
+    /// The server-wide watchdog meters (`{instance}` only).
+    pub watch: WatchMeters,
     /// This shard's frame-lifecycle event ring.
-    pub ring: Arc<TraceRing>,
+    pub ring: TraceRing,
 }
 
-impl ShardShared {
+impl Meters {
     /// Registers this shard's metric set under `{instance, shard}`.
-    pub(crate) fn new(instance: u64, shard: usize) -> Self {
+    fn new(instance: u64, shard: usize, watch: WatchMeters) -> Self {
         let inst = instance.to_string();
         let idx = shard.to_string();
         let labels: [(&'static str, &str); 2] = [("instance", &inst), ("shard", &idx)];
         let counter = |name: &'static str| gen_nerf_telemetry::counter(name, &labels);
-        let shed = |reason: &str| {
-            gen_nerf_telemetry::counter(
-                "serve_frames_shed_total",
-                &[("instance", &inst), ("shard", &idx), ("reason", reason)],
-            )
+        let with = |name: &'static str, key: &'static str, value: &str| {
+            gen_nerf_telemetry::counter(name, &[("instance", &inst), ("shard", &idx), (key, value)])
         };
-        let condemned = |reason: &str| {
-            gen_nerf_telemetry::counter(
-                "serve_shard_condemned_total",
-                &[("instance", &inst), ("shard", &idx), ("reason", reason)],
-            )
-        };
+        let shed = |reason: &str| with("serve_frames_shed_total", "reason", reason);
+        let condemned = |reason: &str| with("serve_shard_condemned_total", "reason", reason);
+        let cache = |outcome: &str| with("serve_cache_events_total", "outcome", outcome);
         let latency = |class: &str| {
             gen_nerf_telemetry::histogram(
                 "serve_latency_ns",
                 &[("instance", &inst), ("shard", &idx), ("class", class)],
-            )
-        };
-        let cache = |outcome: &str| {
-            gen_nerf_telemetry::counter(
-                "serve_cache_events_total",
-                &[("instance", &inst), ("shard", &idx), ("outcome", outcome)],
             )
         };
         Self {
@@ -292,8 +434,7 @@ impl ShardShared {
             submitted: counter("serve_frames_submitted_total"),
             admitted: counter("serve_frames_admitted_total"),
             degraded: counter("serve_frames_degraded_total"),
-            shed_best_effort: shed("best_effort"),
-            shed_interactive: shed("interactive"),
+            shed_queue: ["interactive", "best_effort"].map(shed),
             shed_circuit: shed("circuit"),
             shed_draining: shed("draining"),
             shed_shard_down: shed("shard_down"),
@@ -306,37 +447,28 @@ impl ShardShared {
             quarantined: counter("serve_quarantine_events_total"),
             heartbeats: counter("serve_heartbeats_total"),
             restarts: counter("serve_shard_restarts_total"),
-            condemned_wedged: condemned("wedged"),
-            condemned_dead: condemned("dead"),
-            condemned_poisoned: condemned("poisoned"),
+            condemned: ["wedged", "dead", "poisoned"].map(condemned),
             requeued: counter("serve_requeued_frames_total"),
             drain_forced: counter("serve_drain_forced_total"),
-            latency_interactive: latency("interactive"),
-            latency_best_effort: latency("best_effort"),
+            latency: ["interactive", "best_effort"].map(latency),
             cache_hits: cache("hit"),
             cache_misses: cache("miss"),
             cache_bypasses: cache("bypass"),
             cache_evictions: cache("eviction"),
             cache_rejects: cache("integrity_reject"),
-            ring: Arc::new(TraceRing::new(DEFAULT_RING_CAPACITY)),
+            watch,
+            ring: TraceRing::new(DEFAULT_RING_CAPACITY),
         }
     }
 
-    pub(crate) fn admission_stats(&self) -> AdmissionStats {
-        AdmissionStats {
-            admitted: self.admitted.get(),
-            degraded: self.degraded.get(),
-            shed_best_effort: self.shed_best_effort.get(),
-            shed_interactive: self.shed_interactive.get(),
-            shed_circuit: self.shed_circuit.get(),
-        }
-    }
-
-    /// The latency histogram of `class`.
-    fn latency(&self, class: DeadlineClass) -> Histogram {
-        match class {
-            DeadlineClass::Interactive => self.latency_interactive,
-            DeadlineClass::BestEffort => self.latency_best_effort,
+    /// The shed counter of `reason` (`class` splits the queue's).
+    pub(crate) fn shed(&self, reason: Shed, class: DeadlineClass) -> Counter {
+        match reason {
+            Shed::Draining => self.shed_draining,
+            Shed::ShardDown => self.shed_shard_down,
+            Shed::Memory => self.shed_memory,
+            Shed::Circuit => self.shed_circuit,
+            Shed::Queue => self.shed_queue[class_index(class)],
         }
     }
 }
@@ -370,19 +502,10 @@ pub struct ShardStats {
     pub pool_threads: usize,
 }
 
-/// The server's handle on one shard: the shared control block, shared
-/// counters, the live worker incarnation, and the restart ledger the
-/// health sweep mutates.
+/// The server's handle on one shard: its context, the live worker
+/// incarnation, and the restart ledger the health sweep mutates.
 pub(crate) struct Shard {
-    pub shared: Arc<ShardShared>,
-    pub ctl: Arc<ShardCtl>,
-    pub pool_threads: usize,
-    index: usize,
-    max_batch: usize,
-    retry: RetryPolicy,
-    health: HealthConfig,
-    sessions: SessionMap,
-    supervisor: Arc<Supervisor>,
+    pub ctx: Arc<ShardCtx>,
     /// The current worker incarnation's thread.
     worker: Option<std::thread::JoinHandle<()>>,
     /// Condemned-but-unfinished incarnations (e.g. wedged in an
@@ -401,66 +524,11 @@ pub(crate) struct Shard {
 }
 
 impl Shard {
-    /// Spawns shard `index` of server `instance` with `pool_threads`
-    /// render workers, reporting frame lifecycles to `supervisor`,
-    /// re-rendering transient failures under `retry`, and healing
-    /// under `health`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn spawn(
-        instance: u64,
-        index: usize,
-        pool_threads: usize,
-        max_batch: usize,
-        sessions: SessionMap,
-        supervisor: Arc<Supervisor>,
-        retry: RetryPolicy,
-        health: HealthConfig,
-        governor: Arc<MemoryGovernor>,
-    ) -> Self {
-        let shared = Arc::new(ShardShared::new(instance, index));
-        let now = supervisor.clock().now();
-        let ctl = Arc::new(ShardCtl {
-            queue: Mutex::new(QueueState {
-                q: FairQueue::new(),
-                closed: false,
-                incarnation: 0,
-            }),
-            ready: Condvar::new(),
-            heartbeat: Heartbeat::new(now),
-            inflight: AtomicU64::new(0),
-            poison_streak: AtomicU32::new(0),
-            down: AtomicBool::new(false),
-            current_cancel: Mutex::new(None),
-            governor,
-        });
-        // Born alive: the first sweep must not find a zero-aged shard
-        // stale.
-        ctl.beat(&shared, now);
-        ctl.governor
-            .reserve(pool_threads.max(1) as u64 * ARENA_BYTES_PER_WORKER);
-        let worker = Self::spawn_worker(
-            index,
-            0,
-            &ctl,
-            &sessions,
-            &shared,
-            pool_threads,
-            max_batch,
-            &supervisor,
-            retry,
-            health,
-        );
+    /// Spawns the first worker incarnation on a fresh context.
+    pub(crate) fn spawn(ctx: Arc<ShardCtx>) -> Self {
         Self {
-            shared,
-            ctl,
-            pool_threads,
-            index,
-            max_batch,
-            retry,
-            health,
-            sessions,
-            supervisor,
-            worker: Some(worker),
+            worker: Some(Self::spawn_worker(&ctx, 0)),
+            ctx,
             graveyard: Vec::new(),
             restarts: 0,
             consecutive_restarts: 0,
@@ -470,71 +538,29 @@ impl Shard {
     }
 
     /// Spawns one worker incarnation bound to `incarnation`.
-    #[allow(clippy::too_many_arguments)]
-    fn spawn_worker(
-        index: usize,
-        incarnation: u64,
-        ctl: &Arc<ShardCtl>,
-        sessions: &SessionMap,
-        shared: &Arc<ShardShared>,
-        pool_threads: usize,
-        max_batch: usize,
-        supervisor: &Arc<Supervisor>,
-        retry: RetryPolicy,
-        health: HealthConfig,
-    ) -> std::thread::JoinHandle<()> {
-        let ctl = Arc::clone(ctl);
-        let sessions = Arc::clone(sessions);
-        let shared = Arc::clone(shared);
-        let supervisor = Arc::clone(supervisor);
+    fn spawn_worker(ctx: &Arc<ShardCtx>, incarnation: u64) -> std::thread::JoinHandle<()> {
+        let ctx = Arc::clone(ctx);
         std::thread::Builder::new()
-            .name(format!("gen-nerf-shard-{index}-i{incarnation}"))
-            .spawn(move || {
-                shard_loop(
-                    index,
-                    incarnation,
-                    ctl,
-                    sessions,
-                    shared,
-                    pool_threads,
-                    max_batch,
-                    supervisor,
-                    retry,
-                    health,
-                )
-            })
+            .name(format!("gen-nerf-shard-{}-i{incarnation}", ctx.index))
+            .spawn(move || shard_loop(&ctx, incarnation))
             .expect("spawn shard thread")
-    }
-
-    pub(crate) fn stats(&self) -> ShardStats {
-        ShardStats {
-            queued: self.shared.depth.get().max(0) as usize,
-            admission: self.shared.admission_stats(),
-            rendered_frames: self.shared.rendered.get(),
-            failed_frames: self.shared.failed.get(),
-            retries: self.shared.retries.get(),
-            batches: self.shared.batches.get(),
-            corrupt_renders: self.shared.corrupt.get(),
-            quarantine_events: self.shared.quarantined.get(),
-            pool_threads: self.pool_threads,
-        }
     }
 
     /// One pass of the health sweep, on the supervisor's clock. Runs
     /// on the watchdog thread, under the server's topology lock.
     pub(crate) fn sweep(&mut self, now: Instant) {
-        if self.ctl.down.load(Ordering::Relaxed) {
+        if self.ctx.down.load(Ordering::Relaxed) {
             // Down for good — but a wedged old incarnation may still
             // requeue its frame after the give-up drain; fail such
             // stragglers instead of stranding them.
-            if self.ctl.queued() > 0 {
-                self.fail_queue_shard_down(now);
-            }
+            self.ctx.end_queued(|| End::ShardDown);
             return;
         }
         // Any rendered frame since the last condemnation proves the
         // current incarnation makes progress: give-up counter resets.
-        if self.consecutive_restarts > 0 && self.shared.rendered.get() > self.rendered_at_condemn {
+        if self.consecutive_restarts > 0
+            && self.ctx.meters.rendered.get() > self.rendered_at_condemn
+        {
             self.consecutive_restarts = 0;
         }
         if let Some(at) = self.respawn_at {
@@ -542,7 +568,7 @@ impl Shard {
             // replacement is running.
             if now >= at {
                 self.respawn_at = None;
-                self.respawn(now);
+                self.respawn();
             }
             return;
         }
@@ -553,55 +579,35 @@ impl Shard {
 
     /// Classifies the live worker at `now`.
     fn verdict(&self, now: Instant) -> Option<CondemnReason> {
-        let (queued, closed) = {
-            let qs = self.ctl.queue.lock().unwrap_or_else(|e| e.into_inner());
-            (qs.q.len(), qs.closed)
+        let health = &self.ctx.cfg.health;
+        let (busy, closed) = {
+            let qs = lock(&self.ctx.queue);
+            (!qs.q.is_empty() || qs.running > 0, qs.closed)
         };
-        if !closed {
-            if let Some(worker) = &self.worker {
-                if worker.is_finished() {
-                    return Some(CondemnReason::Dead);
-                }
-            }
+        if !closed && self.worker.as_ref().is_some_and(|w| w.is_finished()) {
+            return Some(CondemnReason::Dead);
         }
-        if self.ctl.poison_streak.load(Ordering::Relaxed) >= self.health.pool_condemn_after {
+        if self.ctx.poison_streak.load(Ordering::Relaxed) >= health.pool_condemn_after {
             return Some(CondemnReason::Poisoned);
         }
-        let busy = queued > 0 || self.ctl.inflight.load(Ordering::SeqCst) > 0;
-        if busy && self.ctl.heartbeat.age(now) > self.health.heartbeat_budget {
+        if busy && self.ctx.heartbeat.age(now) > health.heartbeat_budget {
             return Some(CondemnReason::Wedged);
         }
         None
     }
 
     /// Tears the live incarnation down: invalidates it, cancels its
-    /// in-flight batch, and schedules (or gives up on) a respawn.
+    /// in-flight attempt, and schedules (or gives up on) a respawn.
     fn condemn(&mut self, reason: CondemnReason, now: Instant) {
-        match reason {
-            CondemnReason::Wedged => self.shared.condemned_wedged.inc(),
-            CondemnReason::Dead => self.shared.condemned_dead.inc(),
-            CondemnReason::Poisoned => self.shared.condemned_poisoned.inc(),
-        };
-        self.shared
-            .ring
-            .record(0, EventKind::Condemn, self.index as u64, reason.code());
-        {
-            let mut qs = self.ctl.queue.lock().unwrap_or_else(|e| e.into_inner());
-            qs.incarnation += 1;
-        }
-        self.ctl.ready.notify_all();
+        let ctx = &self.ctx;
+        ctx.meters.condemned[reason.code() as usize].inc();
+        ctx.event(EventKind::Condemn, reason.code());
+        lock(&ctx.queue).incarnation += 1;
+        ctx.ready.notify_all();
         // Unwind whatever the condemned incarnation is rendering; a
         // truly wedged one ignores this, which is why it goes to the
         // graveyard instead of being joined here.
-        if let Some(cancel) = self
-            .ctl
-            .current_cancel
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .take()
-        {
-            cancel.cancel();
-        }
+        ctx.cancel_current();
         if let Some(worker) = self.worker.take() {
             if worker.is_finished() {
                 let _ = worker.join();
@@ -609,86 +615,48 @@ impl Shard {
                 self.graveyard.push(worker);
             }
         }
-        self.ctl.poison_streak.store(0, Ordering::Relaxed);
+        ctx.poison_streak.store(0, Ordering::Relaxed);
         self.consecutive_restarts += 1;
-        self.rendered_at_condemn = self.shared.rendered.get();
-        if self.consecutive_restarts > self.health.max_restarts {
-            self.give_up(now);
+        self.rendered_at_condemn = ctx.meters.rendered.get();
+        if self.consecutive_restarts > ctx.cfg.health.max_restarts {
+            // Restart budget exhausted: latch down, fail everything
+            // queued.
+            ctx.down.store(true, Ordering::Relaxed);
+            ctx.end_queued(|| End::ShardDown);
         } else {
-            self.respawn_at = Some(now + self.health.backoff_for(self.consecutive_restarts));
-        }
-    }
-
-    /// Restart budget exhausted: latch down, fail everything queued.
-    fn give_up(&mut self, now: Instant) {
-        self.ctl.down.store(true, Ordering::Relaxed);
-        self.fail_queue_shard_down(now);
-    }
-
-    /// Fails every queued frame with [`ServeError::ShardDown`],
-    /// recording each outcome into its scene's breaker.
-    fn fail_queue_shard_down(&self, now: Instant) {
-        let drained = {
-            let mut qs = self.ctl.queue.lock().unwrap_or_else(|e| e.into_inner());
-            qs.q.drain()
-        };
-        for (_, _, frame) in drained {
-            self.shared.depth.dec();
-            frame.breaker.record(false, frame.probe, now);
-            fail_frame_with(&frame, &self.shared, ServeError::ShardDown);
-            self.supervisor.resolve(frame.watch);
+            self.respawn_at = Some(now + ctx.cfg.health.backoff_for(self.consecutive_restarts));
         }
     }
 
     /// Spawns the replacement incarnation: requeues what is queued
     /// (FIFO per lane, tenant ring preserved), grants a fresh
     /// heartbeat grace period, and starts the worker.
-    fn respawn(&mut self, now: Instant) {
+    fn respawn(&mut self) {
+        let ctx = &self.ctx;
         let incarnation = {
-            let mut qs = self.ctl.queue.lock().unwrap_or_else(|e| e.into_inner());
+            let mut qs = lock(&ctx.queue);
             let held = qs.q.drain();
-            for (position, (class, tenant, frame)) in held.into_iter().enumerate() {
-                self.shared.requeued.inc();
-                self.shared.ring.record(
-                    frame.frame,
-                    EventKind::Requeue,
-                    self.index as u64,
-                    position as u64,
-                );
+            for (position, (class, tenant, mut frame)) in held.into_iter().enumerate() {
+                frame.requeued(position as u64);
                 qs.q.push(class, tenant, frame);
             }
             qs.incarnation
         };
         // The new worker must not be born already past the heartbeat
         // budget.
-        self.ctl.beat(&self.shared, now);
+        ctx.beat();
         self.restarts += 1;
-        self.shared.restarts.inc();
-        self.shared
-            .ring
-            .record(0, EventKind::Restart, self.index as u64, incarnation);
-        self.worker = Some(Self::spawn_worker(
-            self.index,
-            incarnation,
-            &self.ctl,
-            &self.sessions,
-            &self.shared,
-            self.pool_threads,
-            self.max_batch,
-            &self.supervisor,
-            self.retry,
-            self.health,
-        ));
-        self.ctl.ready.notify_all();
+        ctx.meters.restarts.inc();
+        ctx.event(EventKind::Restart, incarnation);
+        self.worker = Some(Self::spawn_worker(ctx, incarnation));
+        ctx.ready.notify_all();
     }
 
     /// This shard's lifecycle counters and current health verdict.
     pub(crate) fn health_stats(&self, now: Instant) -> ShardHealthStats {
-        let down = self.ctl.down.load(Ordering::Relaxed);
-        let health = if down {
-            ShardHealth::Dead
-        } else if self.respawn_at.is_some() {
-            // Condemned, between incarnations.
+        let down = self.ctx.down.load(Ordering::Relaxed);
+        // Down, or condemned and between incarnations: dead either way.
+        let health = if down || self.respawn_at.is_some() {
             ShardHealth::Dead
         } else {
             match self.verdict(now) {
@@ -697,19 +665,13 @@ impl Shard {
                 Some(CondemnReason::Wedged) | Some(CondemnReason::Poisoned) => ShardHealth::Wedged,
             }
         };
-        let incarnation = self
-            .ctl
-            .queue
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .incarnation;
         ShardHealthStats {
-            shard: self.index,
-            incarnation,
+            shard: self.ctx.index,
+            incarnation: lock(&self.ctx.queue).incarnation,
             restarts: self.restarts,
             consecutive_restarts: self.consecutive_restarts,
             down,
-            heartbeat_epoch: self.ctl.heartbeat.epoch(),
+            heartbeat_epoch: self.ctx.heartbeat.epoch(),
             health,
         }
     }
@@ -718,29 +680,15 @@ impl Shard {
     /// every incarnation; frames no incarnation will ever serve (down
     /// shard, late requeues) are failed.
     pub(crate) fn shutdown(&mut self) {
-        {
-            let mut qs = self.ctl.queue.lock().unwrap_or_else(|e| e.into_inner());
-            qs.closed = true;
-        }
-        self.ctl.ready.notify_all();
+        lock(&self.ctx.queue).closed = true;
+        self.ctx.ready.notify_all();
         // Graveyard first: a wedged incarnation finishes its sleep and
         // requeues its frame; the live worker (joined next) may still
         // serve it, and the leftover pass below catches the rest.
-        for handle in self.graveyard.drain(..) {
+        for handle in self.graveyard.drain(..).chain(self.worker.take()) {
             let _ = handle.join();
         }
-        if let Some(handle) = self.worker.take() {
-            let _ = handle.join();
-        }
-        let leftovers = {
-            let mut qs = self.ctl.queue.lock().unwrap_or_else(|e| e.into_inner());
-            qs.q.drain()
-        };
-        for (_, _, frame) in leftovers {
-            self.shared.depth.dec();
-            fail_frame(&frame, &self.shared, "server shut down with frames queued");
-            release_unrendered(&frame, &self.supervisor);
-        }
+        self.ctx.end_queued(|| End::Shutdown);
     }
 }
 
@@ -767,8 +715,8 @@ const QUARANTINE_AFTER: u32 = 3;
 /// the process-wide quarantine (`kernels` demotes to scalar, sticky).
 /// Sentinel trips never strike — a non-finite pixel indicts the math
 /// upstream, not the SIMD unit specifically.
-fn note_corrupt_render(err: &RenderError, shared: &ShardShared) {
-    shared.corrupt.inc();
+fn note_corrupt_render(err: &RenderError, meters: &Meters) {
+    meters.corrupt.inc();
     let RenderError::Corrupt { stage, detail } = err;
     if *stage != "gemm" {
         return;
@@ -779,58 +727,12 @@ fn note_corrupt_render(err: &RenderError, shared: &ShardShared) {
     }
     let strikes = SIMD_MISCOMPARES.fetch_add(1, Ordering::Relaxed) + 1;
     if strikes >= QUARANTINE_AFTER && integrity::quarantine(backend) {
-        shared.quarantined.inc();
+        meters.quarantined.inc();
         eprintln!(
             "gen-nerf-serve: quarantined kernel backend {backend:?} after \
              {strikes} GEMM miscompares (last: {detail}); serving on scalar"
         );
     }
-}
-
-/// Nanoseconds elapsed since `since`, saturating (trace payloads).
-fn ns_since(since: Instant) -> u64 {
-    Instant::now().saturating_duration_since(since).as_nanos() as u64
-}
-
-/// Fails a frame's handle with `err`, keeping the counter and the
-/// terminal trace event consistent with the first-write-wins fulfil:
-/// the counter and the `Resolve` event book only when this call's
-/// write is the resolving one.
-pub(crate) fn fail_frame_with(frame: &QueuedFrame, shared: &ShardShared, err: ServeError) {
-    shared.failed.inc();
-    if fulfill(&frame.slot, Err(err)) {
-        shared.ring.record(
-            frame.frame,
-            EventKind::Resolve,
-            ResolveOutcome::Failed as u64,
-            ns_since(frame.submitted),
-        );
-    } else {
-        shared.failed.sub(1);
-    }
-}
-
-/// [`fail_frame_with`] for plain message failures.
-fn fail_frame(frame: &QueuedFrame, shared: &ShardShared, msg: &str) {
-    shared.failed.inc();
-    if fulfill_error(&frame.slot, msg) {
-        shared.ring.record(
-            frame.frame,
-            EventKind::Resolve,
-            ResolveOutcome::Failed as u64,
-            ns_since(frame.submitted),
-        );
-    } else {
-        shared.failed.sub(1);
-    }
-}
-
-fn resolve(sessions: &SessionMap, id: u64) -> Option<Arc<SessionState>> {
-    sessions
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .get(&id)
-        .cloned()
 }
 
 /// Whether the coherence cache constrains batching for `state` (at
@@ -841,52 +743,17 @@ fn cache_applies(state: &SessionState) -> bool {
         && matches!(state.cfg.strategy, SamplingStrategy::CoarseThenFocus { .. })
 }
 
-/// Releases a frame that will never render: returns its breaker-probe
-/// quota slot (if it held one) and detaches its watchdog registration.
-/// Deliberately records **no** breaker outcome — a frame that timed
-/// out while still queued, or whose session vanished, says nothing
-/// about the scene's health.
-pub(crate) fn release_unrendered(frame: &QueuedFrame, supervisor: &Supervisor) {
-    if frame.probe {
-        frame.breaker.abort_probe();
+/// Why a popped frame must end without a render, if it must: the
+/// watchdog already answered for it (it timed out while queued), or
+/// its session was removed while it waited.
+fn unrenderable(frame: &Frame) -> Option<End> {
+    if frame.is_resolved() {
+        Some(End::Stale)
+    } else if frame.state.is_removed() {
+        Some(End::SessionGone)
+    } else {
+        None
     }
-    supervisor.resolve(frame.watch);
-}
-
-/// Force-fails everything queued on `ctl` with
-/// [`ServeError::Draining`] — the deadline half of
-/// [`RenderServer::drain`](crate::RenderServer::drain). Returns how
-/// many frames were forced.
-pub(crate) fn force_drain(ctl: &ShardCtl, shared: &ShardShared, supervisor: &Supervisor) -> u64 {
-    let drained = {
-        let mut qs = ctl.queue.lock().unwrap_or_else(|e| e.into_inner());
-        qs.q.drain()
-    };
-    let mut forced = 0u64;
-    for (_, _, frame) in drained {
-        shared.depth.dec();
-        shared.drain_forced.inc();
-        fail_frame_with(&frame, shared, ServeError::Draining);
-        release_unrendered(&frame, supervisor);
-        forced += 1;
-    }
-    forced
-}
-
-/// Requeues a popped-but-unexecuted head at the **front** of its lane
-/// (FIFO preserved) — the hand-back a condemned or killed incarnation
-/// uses so its frame is re-served, not lost.
-fn requeue_head(frame: QueuedFrame, index: usize, ctl: &ShardCtl, shared: &ShardShared) {
-    shared.requeued.inc();
-    shared
-        .ring
-        .record(frame.frame, EventKind::Requeue, index as u64, 0);
-    {
-        let mut qs = ctl.queue.lock().unwrap_or_else(|e| e.into_inner());
-        shared.depth.inc();
-        qs.q.push_front(frame.deadline, frame.session, frame);
-    }
-    ctl.ready.notify_one();
 }
 
 /// The shard event loop, one *incarnation* of it: block on the shared
@@ -895,174 +762,76 @@ fn requeue_head(frame: QueuedFrame, index: usize, ctl: &ShardCtl, shared: &Shard
 /// step. Exits when the queue closes and empties, or the moment the
 /// shared incarnation counter moves past the one this loop was spawned
 /// at (a condemnation installed a replacement).
-#[allow(clippy::too_many_arguments)]
-fn shard_loop(
-    index: usize,
-    incarnation: u64,
-    ctl: Arc<ShardCtl>,
-    sessions: SessionMap,
-    shared: Arc<ShardShared>,
-    pool_threads: usize,
-    max_batch: usize,
-    supervisor: Arc<Supervisor>,
-    retry: RetryPolicy,
-    health: HealthConfig,
-) {
-    let mut pool = Pool::new(pool_threads.max(1));
-    let max_batch = max_batch.max(1);
+fn shard_loop(ctx: &ShardCtx, incarnation: u64) {
+    let mut pool = Pool::new(ctx.pool_threads.max(1));
+    let max_batch = ctx.cfg.max_batch.max(1);
+    let health = ctx.cfg.health;
     let mut last_pool_respawn_streak = 0u32;
-    loop {
-        // Blocking pop under the shared queue lock; every wakeup beats
-        // so an idle shard's heartbeat stays fresh.
-        let mut head = {
-            let mut qs = ctl.queue.lock().unwrap_or_else(|e| e.into_inner());
-            loop {
-                if qs.incarnation != incarnation {
-                    return;
-                }
-                if let Some(frame) = qs.q.pop() {
-                    break frame;
-                }
-                if qs.closed {
-                    return;
-                }
-                ctl.beat(&shared, supervisor.clock().now());
-                qs = ctl
-                    .ready
-                    .wait_timeout(qs, Duration::from_millis(100))
-                    .unwrap_or_else(|e| e.into_inner())
-                    .0;
-            }
-        };
-        ctl.inflight.fetch_add(1, Ordering::SeqCst);
-        ctl.beat(&shared, supervisor.clock().now());
-        shared.depth.dec();
-        shared.ring.record(
-            head.frame,
-            EventKind::Pop,
-            ns_since(head.submitted),
-            shared.depth.get().max(0) as u64,
-        );
-
+    while let Some(mut head) = ctx.pop_head(incarnation) {
         // Shard-level chaos faults fire here, between pop and render —
         // where a real scheduler-thread defect would. Both are
         // one-shot (cleared before the requeue) so the re-served frame
         // renders normally, and both hand the frame back first so no
         // frame is ever lost to the fault.
-        if let Some(fault) = head.fault {
-            if fault.is_shard_level() {
+        match head.fault {
+            Some(Fault::KillShard) => {
                 head.fault = None;
-                match fault {
-                    Fault::KillShard => {
-                        requeue_head(head, index, &ctl, &shared);
-                        ctl.inflight.fetch_sub(1, Ordering::SeqCst);
-                        // Clean exit with the queue open: the sweep
-                        // finds the JoinHandle finished → Dead.
-                        return;
-                    }
-                    Fault::WedgeShard(stall) => {
-                        // Uncancellable on purpose — the heartbeat
-                        // goes stale while `inflight` holds the shard
-                        // busy, which is exactly the Wedged signature.
-                        std::thread::sleep(stall);
-                        requeue_head(head, index, &ctl, &shared);
-                        ctl.inflight.fetch_sub(1, Ordering::SeqCst);
-                        // If the sweep condemned us during the sleep,
-                        // the incarnation check at the top exits.
-                        continue;
-                    }
-                    _ => unreachable!("is_shard_level covers exactly these"),
-                }
+                ctx.requeue_front(head);
+                // Clean exit with the queue open: the sweep finds the
+                // JoinHandle finished → Dead.
+                return;
             }
-        }
-        if head.slot.is_resolved() {
-            // Timed out while still queued (the watchdog already
-            // resolved the handle): skip the render entirely.
-            release_unrendered(&head, &supervisor);
-            ctl.inflight.fetch_sub(1, Ordering::SeqCst);
-            continue;
-        }
-        let Some(head_state) = resolve(&sessions, head.session) else {
-            fail_frame(&head, &shared, "session removed with frames queued");
-            release_unrendered(&head, &supervisor);
-            ctl.inflight.fetch_sub(1, Ordering::SeqCst);
-            continue;
-        };
-
-        // Grow the batch: only lane heads compatible with the batch
-        // head ride along (dead sessions and already-resolved frames
-        // are popped so they don't park their lane forever; frames
-        // carrying a shard-level fault wait to become head so the
-        // fault fires against a lone frame).
-        let mut cache_sessions: Vec<u64> = Vec::new();
-        if cache_applies(&head_state) {
-            cache_sessions.push(head.session);
-        }
-        let mut group: Vec<(QueuedFrame, Arc<SessionState>)> = vec![(head, head_state)];
-        while group.len() < max_batch {
-            let head_scene = Arc::clone(&group[0].1.scene);
-            let head_strategy = group[0].1.cfg.strategy;
-            let candidate = {
-                let mut qs = ctl.queue.lock().unwrap_or_else(|e| e.into_inner());
-                qs.q.pop_next(|frame| {
-                    if frame.fault.is_some_and(|f| f.is_shard_level()) {
-                        return false;
-                    }
-                    if frame.slot.is_resolved() {
-                        return true;
-                    }
-                    match resolve(&sessions, frame.session) {
-                        // Pop dead-session frames so they fail instead
-                        // of parking their lane forever.
-                        None => true,
-                        Some(state) => {
-                            Arc::ptr_eq(&state.scene, &head_scene)
-                                && state.cfg.strategy == head_strategy
-                                && !(cache_applies(&state)
-                                    && cache_sessions.contains(&frame.session))
-                        }
-                    }
-                })
-            };
-            let Some(frame) = candidate else { break };
-            ctl.inflight.fetch_add(1, Ordering::SeqCst);
-            shared.depth.dec();
-            shared.ring.record(
-                frame.frame,
-                EventKind::Pop,
-                ns_since(frame.submitted),
-                shared.depth.get().max(0) as u64,
-            );
-            if frame.slot.is_resolved() {
-                release_unrendered(&frame, &supervisor);
-                ctl.inflight.fetch_sub(1, Ordering::SeqCst);
+            Some(Fault::WedgeShard(stall)) => {
+                head.fault = None;
+                // Uncancellable on purpose — the heartbeat goes stale
+                // while the frame counts as running, which is exactly
+                // the Wedged signature.
+                std::thread::sleep(stall);
+                ctx.requeue_front(head);
+                // If the sweep condemned us during the sleep, the
+                // incarnation check in `pop_head` exits.
                 continue;
             }
-            match resolve(&sessions, frame.session) {
-                None => {
-                    fail_frame(&frame, &shared, "session removed with frames queued");
-                    release_unrendered(&frame, &supervisor);
-                    ctl.inflight.fetch_sub(1, Ordering::SeqCst);
+            _ => {}
+        }
+        if let Some(end) = unrenderable(&head) {
+            head.end(end);
+            continue;
+        }
+
+        // Grow the batch: only lane heads compatible with the batch
+        // head ride along (frames that cannot render are popped so
+        // they end instead of parking their lane forever; frames
+        // carrying a shard-level fault wait to become head so the
+        // fault fires against a lone frame).
+        let mut group = vec![head];
+        while group.len() < max_batch {
+            let lead = &group[0].state;
+            let mate = ctx.pop_mate(|frame| {
+                if matches!(frame.fault, Some(Fault::KillShard | Fault::WedgeShard(_))) {
+                    return false;
                 }
-                Some(state) => {
-                    if cache_applies(&state) {
-                        cache_sessions.push(frame.session);
-                    }
-                    group.push((frame, state));
-                }
+                unrenderable(frame).is_some()
+                    || (Arc::ptr_eq(&frame.state.scene, &lead.scene)
+                        && frame.state.cfg.strategy == lead.cfg.strategy
+                        && !(cache_applies(&frame.state)
+                            && group.iter().any(|g| g.session == frame.session)))
+            });
+            let Some(mate) = mate else { break };
+            match unrenderable(&mate) {
+                Some(end) => mate.end(end),
+                None => group.push(mate),
             }
         }
-        let group_len = group.len() as u64;
-        execute_group(index, &pool, group, &shared, &ctl, &supervisor, retry);
-        ctl.inflight.fetch_sub(group_len, Ordering::SeqCst);
-        ctl.beat(&shared, supervisor.clock().now());
+        execute_group(ctx, &pool, group);
+        ctx.beat();
 
         // Pool-poison escalation: a streak of panicked attempts at the
         // respawn threshold replaces the pool's worker crew in place —
         // the cheap reclaim for a sick pool. The streak keeps counting
         // (only a clean render clears it); if respawning didn't help,
         // the sweep condemns the whole shard at `pool_condemn_after`.
-        let streak = ctl.poison_streak.load(Ordering::Relaxed);
+        let streak = ctx.poison_streak.load(Ordering::Relaxed);
         if streak >= health.pool_respawn_after
             && streak != last_pool_respawn_streak
             && streak % health.pool_respawn_after == 0
@@ -1074,190 +843,48 @@ fn shard_loop(
 }
 
 /// Renders one admission batch as a single fused multi-frame job and
-/// fulfills its handles. A panic anywhere in the render — or a
-/// watchdog cancellation fired by any batch member's deadline — fails
-/// over to per-frame [`retry_frame`] recovery instead of killing the
-/// shard; every frame's final outcome is recorded into its scene's
-/// circuit breaker exactly once.
-fn execute_group(
-    shard: usize,
-    pool: &Pool,
-    mut group: Vec<(QueuedFrame, Arc<SessionState>)>,
-    shared: &ShardShared,
-    ctl: &ShardCtl,
-    supervisor: &Supervisor,
-    retry: RetryPolicy,
-) {
-    shared.batches.inc();
-    for (frame, _) in &group {
-        shared.ring.record(
-            frame.frame,
-            EventKind::Batch,
-            group.len() as u64,
-            (group.len() - 1) as u64,
-        );
+/// ends its frames. Anything but a clean attempt fails over to
+/// per-frame [`retry`] recovery instead of killing the shard.
+fn execute_group(ctx: &ShardCtx, pool: &Pool, mut group: Vec<Frame>) {
+    ctx.meters.batches.inc();
+    for frame in &group {
+        frame.batched(group.len());
     }
     // Take the recycled buffers out of the requests up front: they are
     // moved (not cloned) into the render and returned in the results.
-    let buffers: Vec<Option<Image>> = group
-        .iter_mut()
-        .map(|(frame, _)| frame.reuse.take())
-        .collect();
-    // One token guards the whole fused job: the watchdog fires it when
-    // *any* member blows its budget, and the render unwinds at the
-    // next chunk boundary. It is also published on the control block
-    // so a condemnation or a drain deadline can fire it from outside
-    // this thread.
-    let cancel = CancelToken::new();
-    *ctl.current_cancel.lock().unwrap_or_else(|e| e.into_inner()) = Some(cancel.clone());
-    for (frame, _) in &group {
-        supervisor.begin_render(frame.watch, &cancel);
-    }
-    let attempt_start = Instant::now();
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        render_group(
-            shard,
-            pool,
-            &group,
-            buffers,
-            &cancel,
-            0,
-            shared,
-            &ctl.governor,
-        )
-    }));
-    // Render-attempt trace payload: elapsed ns + outcome code (0 ok,
-    // 1 cancelled, 2 corrupt, 3 panicked).
-    let render_ns = ns_since(attempt_start);
-    let render_outcome = match &outcome {
-        Ok(Ok(_)) if !cancel.is_cancelled() => 0,
-        Ok(Ok(_)) => 1,
-        Ok(Err(_)) => 2,
-        Err(_) => 3,
-    };
-    match render_outcome {
-        0 => ctl.poison_streak.store(0, Ordering::Relaxed),
-        2 | 3 => {
-            ctl.poison_streak.fetch_add(1, Ordering::Relaxed);
-        }
-        _ => {}
-    }
-    for (frame, _) in &group {
-        shared
-            .ring
-            .record(frame.frame, EventKind::Render, render_ns, render_outcome);
-    }
-    let first_error = match outcome {
-        Ok(Ok(results)) => {
-            if !cancel.is_cancelled() {
-                for ((frame, _), result) in group.into_iter().zip(results) {
-                    conclude(frame, Ok(result), shared, supervisor);
-                }
-                return;
+    let buffers = group.iter_mut().map(|frame| frame.reuse.take()).collect();
+    let error = match attempt(ctx, pool, &group, buffers, 0) {
+        Attempt::Rendered(results) => {
+            for (frame, result) in group.into_iter().zip(results) {
+                frame.end(End::Rendered(result));
             }
-            // A cancelled batch renders its remaining rays as
-            // background: every member's output is suspect, so none
-            // may be fulfilled. Unresolved members re-render solo.
-            "render cancelled by a timed-out batch member".to_string()
+            return;
         }
-        // Integrity verification failed: the batch's pixels were never
-        // published and every member is retryable, exactly like a
-        // panic — corruption is transient until quarantine says
-        // otherwise.
-        Ok(Err(err)) => {
-            note_corrupt_render(&err, shared);
-            err.to_string()
-        }
-        Err(payload) => panic_message(payload.as_ref()),
+        // A cancelled batch renders its remaining rays as background:
+        // every member's output is suspect, so none may be delivered.
+        // Unresolved members re-render solo.
+        Attempt::Cancelled => "render cancelled by a timed-out batch member".to_string(),
+        Attempt::Failed(error) => error,
     };
-    for (frame, state) in group {
-        retry_frame(
-            shard,
-            pool,
-            frame,
-            state,
-            shared,
-            ctl,
-            supervisor,
-            retry,
-            first_error.clone(),
-        );
+    for frame in group {
+        retry(ctx, pool, frame, error.clone());
     }
-}
-
-/// Resolves one frame's final outcome: records the outcome into the
-/// scene's breaker, fulfills the handle (unless the watchdog got there
-/// first — `fulfill` is first-write-wins), and detaches the watch.
-fn conclude(
-    frame: QueuedFrame,
-    outcome: Result<FrameResult, String>,
-    shared: &ShardShared,
-    supervisor: &Supervisor,
-) {
-    // The breaker and the counters move *before* the fulfill so a
-    // waiter that wakes on the handle already sees them. The breaker
-    // takes the render's true outcome even when the watchdog wins the
-    // fulfill race — the frame blew its budget, but the scene itself
-    // rendered, and the breaker gauges scene health, not deadline
-    // pressure. (Stall-sick scenes still record failures: their
-    // cancelled renders resolve through the retry path instead.)
-    let ok = outcome.is_ok();
-    frame.breaker.record(ok, frame.probe, Instant::now());
-    match outcome {
-        Ok(result) => {
-            shared.rendered.inc();
-            let latency_ns = ns_since(frame.submitted);
-            if fulfill(&frame.slot, Ok(result)) {
-                // Winning the race makes this the frame's one terminal
-                // trace event; the latency histogram books only real
-                // (delivered) successes.
-                shared.latency(frame.deadline).observe(latency_ns);
-                shared.ring.record(
-                    frame.frame,
-                    EventKind::Resolve,
-                    ResolveOutcome::Ok as u64,
-                    latency_ns,
-                );
-            } else {
-                shared.rendered.sub(1);
-            }
-        }
-        Err(message) => {
-            fail_frame(&frame, shared, &message);
-        }
-    }
-    supervisor.resolve(frame.watch);
 }
 
 /// Re-renders one frame solo after a transient batch failure (panic,
-/// pool poison, or a batch-mate's timeout): bounded attempts with
-/// exponential backoff, never scheduled past the frame's deadline.
-/// The kernel batch-independence contract makes a successful retry
-/// bitwise identical to the original batched render.
-#[allow(clippy::too_many_arguments)]
-fn retry_frame(
-    shard: usize,
-    pool: &Pool,
-    frame: QueuedFrame,
-    state: Arc<SessionState>,
-    shared: &ShardShared,
-    ctl: &ShardCtl,
-    supervisor: &Supervisor,
-    retry: RetryPolicy,
-    mut last_error: String,
-) {
-    let pair = (frame, state);
-    for attempt in 1..retry.max_attempts.max(1) {
-        if pair.0.slot.is_resolved() {
+/// pool poison, corruption, or a batch-mate's timeout): bounded
+/// attempts with exponential backoff, never scheduled past the frame's
+/// deadline.
+fn retry(ctx: &ShardCtx, pool: &Pool, frame: Frame, mut last_error: String) {
+    let policy = ctx.cfg.retry;
+    for n in 1..policy.max_attempts.max(1) {
+        if frame.is_resolved() {
             // The watchdog timed this frame out: its budget is spent,
             // which is a scene failure even without a fresh attempt.
-            let (frame, _) = pair;
-            frame.breaker.record(false, frame.probe, Instant::now());
-            supervisor.resolve(frame.watch);
-            return;
+            return frame.end(End::BudgetSpent);
         }
-        let backoff = retry.backoff(attempt);
-        if Instant::now() + backoff >= pair.0.deadline_at {
+        let backoff = policy.backoff(n);
+        if Instant::now() + backoff >= frame.deadline_at {
             // A retry that lands past the deadline is wasted work: the
             // watchdog would discard it anyway.
             break;
@@ -1265,71 +892,106 @@ fn retry_frame(
         if !backoff.is_zero() {
             std::thread::sleep(backoff);
         }
-        shared.retries.inc();
-        shared.ring.record(
-            pair.0.frame,
-            EventKind::Retry,
-            attempt as u64,
-            backoff.as_nanos() as u64,
-        );
-        let cancel = CancelToken::new();
-        *ctl.current_cancel.lock().unwrap_or_else(|e| e.into_inner()) = Some(cancel.clone());
-        supervisor.begin_render(pair.0.watch, &cancel);
-        let attempt_start = Instant::now();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            render_group(
-                shard,
-                pool,
-                std::slice::from_ref(&pair),
-                vec![None],
-                &cancel,
-                attempt,
-                shared,
-                &ctl.governor,
-            )
-        }));
-        let render_ns = ns_since(attempt_start);
-        let render_outcome = match &outcome {
-            Ok(Ok(_)) if !cancel.is_cancelled() => 0,
-            Ok(Ok(_)) => 1,
-            Ok(Err(_)) => 2,
-            Err(_) => 3,
-        };
-        match render_outcome {
-            0 => ctl.poison_streak.store(0, Ordering::Relaxed),
-            2 | 3 => {
-                ctl.poison_streak.fetch_add(1, Ordering::Relaxed);
-            }
-            _ => {}
-        }
-        shared
-            .ring
-            .record(pair.0.frame, EventKind::Render, render_ns, render_outcome);
-        match outcome {
-            Ok(Ok(mut results)) if !cancel.is_cancelled() => {
+        frame.retrying(n, backoff);
+        match attempt(ctx, pool, std::slice::from_ref(&frame), vec![None], n) {
+            Attempt::Rendered(mut results) => {
                 let result = results.pop().expect("one frame in, one result out");
-                conclude(pair.0, Ok(result), shared, supervisor);
-                return;
+                return frame.end(End::Rendered(result));
             }
             // Cancelled mid-retry: the top-of-loop check (or the
             // exhausted path below) observes the resolved slot.
-            Ok(Ok(_)) => {}
-            // The retry itself produced corrupt output — book it and
-            // keep retrying (quarantine may demote the backend between
-            // attempts, which is exactly the recovery path).
-            Ok(Err(err)) => {
-                note_corrupt_render(&err, shared);
-                last_error = err.to_string();
-            }
-            Err(payload) => last_error = panic_message(payload.as_ref()),
+            Attempt::Cancelled => {}
+            // The retry itself failed — keep retrying (quarantine may
+            // demote the backend between attempts, which is exactly
+            // the recovery path for a corrupt one).
+            Attempt::Failed(error) => last_error = error,
         }
     }
-    // Attempts or wall-clock budget exhausted. `fulfill_error` loses
-    // (returns false) if the watchdog already resolved the handle.
-    let (frame, _) = pair;
-    frame.breaker.record(false, frame.probe, Instant::now());
-    fail_frame(&frame, shared, &last_error);
-    supervisor.resolve(frame.watch);
+    // Attempts or wall-clock budget exhausted (the verdict loses if
+    // the watchdog already resolved the handle).
+    frame.end(End::RenderFailed(last_error));
+}
+
+/// How one render attempt ended (the `Render` trace event's outcome
+/// code: 0 rendered, 1 cancelled, 2 corrupt, 3 panicked).
+enum Attempt {
+    Rendered(Vec<FrameResult>),
+    Cancelled,
+    /// Corrupt or panicked, with the error a caller would be shown.
+    Failed(String),
+}
+
+/// Runs render attempt `n` of `group` — the one render path, for the
+/// first batched attempt (`n == 0`) and every solo retry — and
+/// classifies how it ended. Integrity verification failing is treated
+/// exactly like a panic: the pixels were never published and every
+/// member is retryable — corruption is transient until quarantine
+/// says otherwise.
+fn attempt(
+    ctx: &ShardCtx,
+    pool: &Pool,
+    group: &[Frame],
+    buffers: Vec<Option<Image>>,
+    n: u32,
+) -> Attempt {
+    let cancel = CancelToken::new();
+    *lock(&ctx.current_cancel) = Some(cancel.clone());
+    for frame in group {
+        frame.begin_attempt(&cancel);
+    }
+    let started = Instant::now();
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        // Injected faults fire inside the attempt's unwind boundary,
+        // exactly where a real mid-frame failure would.
+        for frame in group {
+            inject(frame, n, &cancel);
+        }
+        render_group(ctx, pool, group, buffers, &cancel, started)
+    }));
+    let render_ns = started.elapsed().as_nanos() as u64;
+    let (code, outcome) = match outcome {
+        Ok(Ok(results)) if !cancel.is_cancelled() => (0, Attempt::Rendered(results)),
+        Ok(Ok(_)) => (1, Attempt::Cancelled),
+        Ok(Err(err)) => {
+            note_corrupt_render(&err, &ctx.meters);
+            (2, Attempt::Failed(err.to_string()))
+        }
+        Err(payload) => (3, Attempt::Failed(panic_message(payload.as_ref()))),
+    };
+    match code {
+        0 => ctx.poison_streak.store(0, Ordering::Relaxed),
+        1 => {}
+        _ => {
+            ctx.poison_streak.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+    for frame in group {
+        frame.attempted(render_ns, code);
+    }
+    outcome
+}
+
+/// Fires `frame`'s injected render fault, if it has one due on attempt
+/// `n` (transient faults fire on the first attempt only, so replaying
+/// a fault schedule is deterministic). The corruption family arms the
+/// pipeline's chaos hooks — a supra-tolerance GEMM perturbation, a
+/// poisoned pixel, poisoned cache anchors — which the integrity
+/// machinery must then catch.
+fn inject(frame: &Frame, n: u32, cancel: &CancelToken) {
+    let first = n == 0;
+    match frame.fault {
+        Some(Fault::Stall(delay)) => cancellable_sleep(delay, cancel),
+        Some(Fault::Panic) => panic!("injected render fault"),
+        Some(Fault::PanicOnce) if first => panic!("injected render fault"),
+        Some(Fault::CorruptGemm(seed)) if first => integrity::arm_corruption(seed),
+        Some(Fault::CorruptPixels(seed)) if first => pipeline::arm_pixel_corruption(seed),
+        Some(Fault::CorruptAnchor(seed)) if first => {
+            lock(&frame.state.cache).corrupt_for_chaos(seed);
+        }
+        // Spent transient faults; shard-level faults were intercepted
+        // (and cleared) at pop.
+        _ => {}
+    }
 }
 
 /// Sleeps `total` in small slices, returning early the moment `cancel`
@@ -1346,56 +1008,28 @@ fn cancellable_sleep(total: Duration, cancel: &CancelToken) {
     }
 }
 
-/// The render half of [`execute_group`]: cache lookups, one fused
-/// multi-frame render, cache updates. `group` frames share one scene
-/// and strategy (batch carving guarantees it). `attempt` is 0 for the
-/// first (batched) render and counts up through retries — transient
-/// injected faults consult it via [`Fault::fires`]. When `cancel`
+/// The render half of [`attempt`], which `started` it: cache lookups,
+/// one fused multi-frame render, cache updates. `group` frames share
+/// one scene and strategy (batch carving guarantees it). When `cancel`
 /// fires mid-render the returned images are garbage (remaining rays
-/// render as background) and the caller must not fulfill them; cache
-/// anchors are likewise withheld. Anchor inserts are charged against
-/// `governor` **before** insertion (a refused charge skips the anchor;
+/// render as background) and the caller must not deliver them; cache
+/// anchors are likewise withheld. Anchor inserts are charged against the
+/// governor **before** insertion (a refused charge skips the anchor;
 /// the frame still renders), so the process-wide byte budget is never
 /// exceeded, even transiently.
-#[allow(clippy::too_many_arguments)]
 fn render_group(
-    shard: usize,
+    ctx: &ShardCtx,
     pool: &Pool,
-    group: &[(QueuedFrame, Arc<SessionState>)],
+    group: &[Frame],
     buffers: Vec<Option<Image>>,
     cancel: &CancelToken,
-    attempt: u32,
-    shared: &ShardShared,
-    governor: &MemoryGovernor,
+    started: Instant,
 ) -> Result<Vec<FrameResult>, RenderError> {
-    let started = Instant::now();
+    let (meters, governor) = (&ctx.meters, &ctx.governor);
     let n = group.len();
-    let scene = &group[0].1.scene;
-    let strategy = group[0].1.cfg.strategy;
+    let scene = &group[0].state.scene;
+    let strategy = group[0].state.cfg.strategy;
     let is_ctf = matches!(strategy, SamplingStrategy::CoarseThenFocus { .. });
-
-    // Injected faults fire inside the batch's unwind boundary, exactly
-    // where a real mid-frame failure would: after admission, before
-    // the frame resolves. The corruption family arms the pipeline's
-    // chaos hooks — a supra-tolerance GEMM perturbation or a poisoned
-    // pixel — which the integrity machinery must then catch.
-    for (frame, _) in group {
-        let Some(fault) = frame.fault else { continue };
-        if !fault.fires(attempt) {
-            continue;
-        }
-        match fault {
-            Fault::Stall(delay) => cancellable_sleep(delay, cancel),
-            Fault::Panic | Fault::PanicOnce => panic!("injected render fault"),
-            Fault::CorruptGemm(seed) => integrity::arm_corruption(seed),
-            Fault::CorruptPixels(seed) => pipeline::arm_pixel_corruption(seed),
-            // Fired below, against the session's cache under its lock.
-            Fault::CorruptAnchor(_) => {}
-            // Shard-level faults are intercepted (and cleared) by the
-            // shard loop before the frame ever reaches a render.
-            Fault::KillShard | Fault::WedgeShard(_) => {}
-        }
-    }
 
     // Cache lookups resolve against each session's anchors *before*
     // the job, so a batch behaves exactly like the same frames served
@@ -1406,41 +1040,32 @@ fn render_group(
     let mut cameras: Vec<Camera> = Vec::with_capacity(n);
     let mut cached_arcs: Vec<Option<Arc<CoarseFrame>>> = Vec::with_capacity(n);
     let mut outcomes: Vec<CacheOutcome> = Vec::with_capacity(n);
-    for (frame, state) in group {
+    for frame in group {
+        let state = &frame.state;
         let intrinsics = frame.tier.apply(state.cfg.intrinsics);
         let expected_rays = intrinsics.width as usize * intrinsics.height as usize;
         cameras.push(Camera::new(intrinsics, frame.pose));
         if !is_ctf || !state.cfg.coherence.enabled {
             state.bypasses.fetch_add(1, Ordering::Relaxed);
-            shared.cache_bypasses.inc();
+            meters.cache_bypasses.inc();
             cached_arcs.push(None);
             outcomes.push(CacheOutcome::Bypass);
             continue;
         }
         let freed = {
-            let mut cache = state.cache.lock().unwrap_or_else(|e| e.into_inner());
+            let mut cache = lock(&state.cache);
             let bytes_before = cache.bytes();
-            if let Some(fault @ Fault::CorruptAnchor(seed)) = frame.fault {
-                if fault.fires(attempt) {
-                    cache.corrupt_for_chaos(seed);
-                }
-            }
             let rejects_before = cache.rejected();
-            match cache.lookup(frame.tier, &frame.pose, &state.cfg.coherence, expected_rays) {
-                Some(coarse) => {
-                    state.hits.fetch_add(1, Ordering::Relaxed);
-                    shared.cache_hits.inc();
-                    cached_arcs.push(Some(coarse));
-                    outcomes.push(CacheOutcome::Hit);
-                }
-                None => {
-                    state.misses.fetch_add(1, Ordering::Relaxed);
-                    shared.cache_misses.inc();
-                    cached_arcs.push(None);
-                    outcomes.push(CacheOutcome::Miss);
-                }
-            }
-            shared.cache_rejects.add(cache.rejected() - rejects_before);
+            let cached = cache.lookup(frame.tier, &frame.pose, &state.cfg.coherence, expected_rays);
+            let (session_counter, shard_counter, outcome) = match cached {
+                Some(_) => (&state.hits, meters.cache_hits, CacheOutcome::Hit),
+                None => (&state.misses, meters.cache_misses, CacheOutcome::Miss),
+            };
+            session_counter.fetch_add(1, Ordering::Relaxed);
+            shard_counter.inc();
+            cached_arcs.push(cached);
+            outcomes.push(outcome);
+            meters.cache_rejects.add(cache.rejected() - rejects_before);
             bytes_before.saturating_sub(cache.bytes())
         };
         if freed > 0 {
@@ -1469,7 +1094,7 @@ fn render_group(
     let cached_refs: Vec<Option<&CoarseFrame>> = cached_arcs.iter().map(|c| c.as_deref()).collect();
     // The fallible render: a GEMM miscompare or a tripped sentinel
     // surfaces here as `RenderError::Corrupt` — nothing downstream
-    // (fulfill, cache anchoring) ever sees the poisoned output.
+    // (the frame's end, cache anchoring) ever sees the poisoned output.
     let exports =
         renderer.try_render_frames_cached(&cameras, &cached_refs, &mut images, &mut stats)?;
     let finished = Instant::now();
@@ -1481,38 +1106,37 @@ fn render_group(
     // still visible here). Every insert is charged against the global
     // budget *first*: a refused charge (nothing left to evict
     // anywhere) skips the anchor and the frame still resolves.
-    for (((frame, state), export), outcome) in group.iter().zip(exports).zip(&outcomes) {
-        if let Some(coarse) = export {
-            if *outcome == CacheOutcome::Miss && !cancel.is_cancelled() {
-                let coarse = Arc::new(coarse);
-                let cost = coarse_entry_cost(&coarse);
-                if !governor.try_charge(cost as u64) {
-                    continue;
-                }
-                let (bytes_before, bytes_after, evicted) = {
-                    let mut cache = state.cache.lock().unwrap_or_else(|e| e.into_inner());
-                    let bytes_before = cache.bytes();
-                    let evicted = cache.insert(
-                        CacheEntry {
-                            pose: frame.pose,
-                            tier: frame.tier,
-                            coarse,
-                        },
-                        state.cfg.cache_budget_bytes,
-                    );
-                    (bytes_before, cache.bytes(), evicted)
-                };
-                // The insert added `cost`; whatever the session-budget
-                // eviction (or an outright refusal) freed goes back.
-                let freed = (bytes_before + cost).saturating_sub(bytes_after);
-                if freed > 0 {
-                    governor.discharge(freed as u64);
-                }
-                if evicted > 0 {
-                    state.evictions.fetch_add(evicted, Ordering::Relaxed);
-                    shared.cache_evictions.add(evicted);
-                }
-            }
+    for ((frame, export), outcome) in group.iter().zip(exports).zip(&outcomes) {
+        let Some(coarse) = export else { continue };
+        if *outcome != CacheOutcome::Miss || cancel.is_cancelled() {
+            continue;
+        }
+        let state = &frame.state;
+        let coarse = Arc::new(coarse);
+        let cost = coarse_entry_cost(&coarse);
+        if !governor.try_charge(cost as u64) {
+            continue;
+        }
+        let (bytes_before, bytes_after, evicted) = {
+            let mut cache = lock(&state.cache);
+            let bytes_before = cache.bytes();
+            let entry = CacheEntry {
+                pose: frame.pose,
+                tier: frame.tier,
+                coarse,
+            };
+            let evicted = cache.insert(entry, state.cfg.cache_budget_bytes);
+            (bytes_before, cache.bytes(), evicted)
+        };
+        // The insert added `cost`; whatever the session-budget
+        // eviction (or an outright refusal) freed goes back.
+        let freed = (bytes_before + cost).saturating_sub(bytes_after);
+        if freed > 0 {
+            governor.discharge(freed as u64);
+        }
+        if evicted > 0 {
+            state.evictions.fetch_add(evicted, Ordering::Relaxed);
+            meters.cache_evictions.add(evicted);
         }
     }
 
@@ -1521,16 +1145,16 @@ fn render_group(
         .zip(stats)
         .zip(outcomes)
         .zip(group)
-        .map(|(((image, stats), cache), (frame, _))| FrameResult {
+        .map(|(((image, stats), cache), frame)| FrameResult {
             image,
             stats,
             serve: ServeStats {
-                queue_wait: started.saturating_duration_since(frame.submitted),
+                queue_wait: started.saturating_duration_since(frame.submitted()),
                 render_time: finished.saturating_duration_since(started),
-                latency: finished.saturating_duration_since(frame.submitted),
+                latency: finished.saturating_duration_since(frame.submitted()),
                 cache,
                 batched_frames: n,
-                shard,
+                shard: ctx.index,
                 degraded: frame.degraded,
                 tier: frame.tier,
             },
@@ -1545,5 +1169,148 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "render panic".to_string()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::governor::GovernorConfig;
+    use crate::server::FrameRequest;
+    use crate::session::{SceneState, SessionConfig};
+    use crate::supervisor::{BreakerConfig, CircuitBreaker};
+    use gen_nerf::config::ModelConfig;
+    use gen_nerf::model::GenNerfModel;
+    use gen_nerf_geometry::{Intrinsics, Pose, Vec3};
+    use gen_nerf_scene::{Dataset, DatasetKind};
+    use gen_nerf_telemetry::Clock;
+
+    /// A worker-less shard context and one session per requested
+    /// frame, all on one scene and strategy (so they may co-batch).
+    fn fixture(sessions: usize) -> (Arc<ShardCtx>, Vec<Arc<SessionState>>) {
+        let instance = gen_nerf_telemetry::next_instance_id();
+        let ctx = ShardCtx::new(
+            instance,
+            0,
+            1,
+            ServerConfig::default(),
+            Arc::new(Supervisor::spawn(instance, Clock::real())),
+            Arc::new(MemoryGovernor::new(&GovernorConfig::default())),
+        );
+        let ds = Dataset::build(DatasetKind::DeepVoxels, "cube", 0.04, 3, 1, 8, 5);
+        let scene = Arc::new(SceneState::prepare(
+            GenNerfModel::new(ModelConfig::fast()),
+            &ds.source_views,
+            ds.scene.bounds,
+            ds.scene.background,
+        ));
+        let breaker = Arc::new(CircuitBreaker::new(BreakerConfig::default()));
+        let cfg = SessionConfig::new(
+            Intrinsics::from_fov(6, 6, 0.6),
+            SamplingStrategy::Uniform { n: 3 },
+        );
+        let states = (0..sessions)
+            .map(|_| {
+                Arc::new(SessionState::new(
+                    Arc::clone(&scene),
+                    cfg,
+                    Arc::clone(&ctx),
+                    Arc::clone(&breaker),
+                ))
+            })
+            .collect();
+        (ctx, states)
+    }
+
+    /// Admits one frame per session — the first carrying `fault` —
+    /// and pops them all, as the worker would for one batch.
+    fn running_group(
+        ctx: &ShardCtx,
+        states: &[Arc<SessionState>],
+        fault: Option<Fault>,
+    ) -> Vec<Frame> {
+        let pose = Pose::look_at(Vec3::new(3.0, 1.0, 3.0), Vec3::ZERO, Vec3::Y);
+        for (i, state) in states.iter().enumerate() {
+            let mut req = FrameRequest::new(pose);
+            req.fault = fault.filter(|_| i == 0);
+            let mut frame = Frame::submit(i as u64, Arc::clone(state), req);
+            frame.claim();
+            frame.admit(false);
+            assert!(ctx.push(frame).is_none());
+        }
+        std::iter::from_fn(|| ctx.pop_mate(|_| true)).collect()
+    }
+
+    /// Runs attempt `n` over a fresh group of `size` frames with
+    /// `fault` on the first; returns the outcome code every member's
+    /// `Render` event carried, the error of a failed attempt, and the
+    /// poison streak afterwards (it starts at 5).
+    fn classify(size: usize, n: u32, fault: Option<Fault>) -> (u64, Option<String>, u32) {
+        let (ctx, states) = fixture(size);
+        let pool = Pool::new(1);
+        let group = running_group(&ctx, &states, fault);
+        assert_eq!(group.len(), size);
+        ctx.poison_streak.store(5, Ordering::Relaxed);
+        ctx.meters.ring.drain();
+        let outcome = std::thread::scope(|scope| {
+            if matches!(fault, Some(Fault::Stall(_))) {
+                // Whoever fires the token — a member's timeout, a
+                // condemnation, a drain — does so once the attempt
+                // published it.
+                scope.spawn(|| {
+                    while lock(&ctx.current_cancel).is_none() {
+                        std::thread::yield_now();
+                    }
+                    ctx.cancel_current();
+                });
+            }
+            attempt(&ctx, &pool, &group, vec![None; size], n)
+        });
+        let codes: Vec<u64> = ctx
+            .meters
+            .ring
+            .drain()
+            .iter()
+            .filter(|e| e.kind == EventKind::Render)
+            .map(|e| e.b)
+            .collect();
+        assert_eq!(codes.len(), size, "one Render event per member");
+        assert!(codes.iter().all(|&c| c == codes[0]), "members disagree");
+        let error = match outcome {
+            Attempt::Rendered(results) => {
+                assert_eq!((codes[0], results.len()), (0, size));
+                None
+            }
+            Attempt::Cancelled => {
+                assert_eq!(codes[0], 1);
+                None
+            }
+            Attempt::Failed(error) => Some(error),
+        };
+        let streak = ctx.poison_streak.load(Ordering::Relaxed);
+        for frame in group {
+            frame.end(End::Shutdown);
+        }
+        (codes[0], error, streak)
+    }
+
+    #[test]
+    fn attempt_classifies_a_batch_of_three_and_a_solo_retry_alike() {
+        // (The corrupt class needs the process-wide integrity hooks,
+        // which would bleed into this binary's other tests; the
+        // serialised `tests/serve_integrity.rs` pins it.)
+        let injected = Some("injected render fault".to_string());
+        let rows = [
+            // A clean render clears the streak.
+            (None, (0, None, 0)),
+            // A cancelled one leaves it alone.
+            (Some(Fault::Stall(Duration::from_secs(60))), (1, None, 5)),
+            // A panicked one extends it.
+            (Some(Fault::Panic), (3, injected, 6)),
+        ];
+        for (fault, want) in rows {
+            assert_eq!(classify(3, 0, fault), want, "batch of three, {fault:?}");
+            assert_eq!(classify(1, 1, fault), want, "solo retry, {fault:?}");
+        }
     }
 }

@@ -1,18 +1,19 @@
 //! Supervision: frame deadlines, the watchdog thread, retry/backoff
 //! and the per-scene circuit breaker.
 //!
-//! PR 6 gave the serve tier admission control — a policy for work it
-//! has not accepted yet. This module supervises the work it *has*
-//! accepted:
+//! Admission control is a policy for work the tier has not accepted
+//! yet. This module supervises the work it *has* accepted:
 //!
 //! * **Deadlines.** Every admitted frame is watched against its
 //!   [`DeadlineClass`]'s wall-clock budget ([`SupervisorConfig`]). A
 //!   single watchdog thread sleeps until the earliest deadline and
-//!   resolves overdue handles with
+//!   times overdue frames out
+//!   ([`FrameCore::time_out`](crate::frame::FrameCore::time_out)): the
+//!   handle resolves with
 //!   [`ServeError::TimedOut`](crate::ServeError::TimedOut) — a frame
 //!   can be slow, but its caller can never be stuck.
 //! * **Cancellation.** When a watched frame times out mid-render, the
-//!   watchdog fires the batch's
+//!   watchdog fires the attempt's
 //!   [`CancelToken`](gen_nerf_parallel::CancelToken); the render
 //!   pipeline polls it at per-ray boundaries, so the shard worker and
 //!   its pool slice drain within one ray's work instead of sleeping
@@ -32,10 +33,12 @@
 //!   so `tests/shard_scheduling.rs` can property-test transitions
 //!   against a reference model on synthetic clocks.
 
-use crate::server::{fulfill, ServeError, Slot};
+use crate::admission::N_CLASSES;
+use crate::frame::FrameCore;
 use crate::session::DeadlineClass;
+use crate::{lock, wait, wait_timeout};
 use gen_nerf_parallel::CancelToken;
-use gen_nerf_telemetry::{Clock, Counter, EventKind, Gauge, ResolveOutcome, TraceRing};
+use gen_nerf_telemetry::{Clock, Counter, Gauge};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -106,42 +109,29 @@ impl SupervisorStats {
     pub fn timed_out_total(&self) -> u64 {
         self.timed_out_interactive + self.timed_out_best_effort
     }
-
-    /// Derives the counter set from a telemetry snapshot, folding every
-    /// label set matching `subset` (a server passes its instance
-    /// label). Like
-    /// [`AdmissionStats::from_snapshot`](crate::AdmissionStats::from_snapshot),
-    /// this is the only name→field mapping for the watchdog counters.
-    pub fn from_snapshot(snap: &gen_nerf_telemetry::Snapshot, subset: &[(&str, &str)]) -> Self {
-        let timed_out = |class: &str| {
-            let mut s: Vec<(&str, &str)> = subset.to_vec();
-            s.push(("class", class));
-            snap.counter_with("serve_frames_timed_out_total", &s)
-        };
-        Self {
-            watched: snap.counter_with("serve_frames_watched_total", subset),
-            timed_out_interactive: timed_out("interactive"),
-            timed_out_best_effort: timed_out("best_effort"),
-            in_flight: snap.gauge_with("serve_frames_in_flight", subset).max(0) as usize,
-        }
-    }
 }
 
-/// One watched frame: the handle slot to resolve on timeout, the
-/// absolute deadline, (once rendering) the batch's cancel token, and
-/// the frame's trace identity so a winning timeout can emit the
-/// terminal `Resolve` event itself.
+/// The watchdog's server-wide meters, labelled `{instance}` only.
+/// Registered here and read for [`SupervisorStats`]; moved only by the
+/// frame lifecycle ([`crate::frame`]), which reaches them through
+/// every shard's [`Meters`](crate::shard::Meters).
+#[derive(Clone, Copy)]
+pub(crate) struct WatchMeters {
+    pub watched: Counter,
+    /// Frames admitted and not yet resolved
+    /// (`serve_frames_in_flight`).
+    pub in_flight: Gauge,
+    /// `serve_frames_timed_out_total{class}`, indexed by
+    /// [`class_index`](crate::admission::class_index).
+    pub timed_out: [Counter; N_CLASSES],
+}
+
+/// One watched frame: the shared core to time out, the absolute
+/// deadline, and (once rendering) the attempt's cancel token.
 struct WatchEntry {
-    slot: Arc<Slot>,
+    frame: Arc<FrameCore>,
     deadline: Instant,
-    class: DeadlineClass,
     cancel: Option<CancelToken>,
-    /// Frame-trace id ([`gen_nerf_telemetry::next_frame_id`]).
-    frame: u64,
-    /// The owning shard's trace ring.
-    ring: Arc<TraceRing>,
-    /// Submission instant, for the Resolve event's latency payload.
-    submitted: Instant,
 }
 
 struct WatchState {
@@ -165,26 +155,23 @@ struct SupervisorInner {
     wake: Condvar,
     /// The periodic sweep hook, under its own lock so running it never
     /// holds the watch state (the hook takes the server's topology
-    /// lock and calls back into [`Supervisor::resolve`]).
+    /// lock and ends frames, which unwatch them).
     sweep: Mutex<Option<SweepHook>>,
     /// Deadline arithmetic goes through this clock so tests can drive
     /// the watchdog on virtual time.
     clock: Clock,
-    watched: Counter,
-    in_flight: Gauge,
-    timed_out_interactive: Counter,
-    timed_out_best_effort: Counter,
     next_id: AtomicU64,
 }
 
 /// The frame watchdog: one thread per server, asleep until the
-/// earliest outstanding deadline, resolving every overdue handle with
-/// [`ServeError::TimedOut`] and cancelling its render. Shared by the
-/// server front end (which registers watches at submission) and every
-/// shard (which attaches cancel tokens and resolves watches).
+/// earliest outstanding deadline, timing out every overdue frame and
+/// cancelling its render. Shared by every shard context: frames
+/// register at admission, attach a cancel token per render attempt,
+/// and unwatch when they end.
 pub(crate) struct Supervisor {
     inner: Arc<SupervisorInner>,
-    thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+    pub meters: WatchMeters,
+    thread: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Supervisor {
@@ -197,6 +184,11 @@ impl Supervisor {
                 &[("instance", &inst), ("class", class)],
             )
         };
+        let meters = WatchMeters {
+            watched: gen_nerf_telemetry::counter("serve_frames_watched_total", &labels),
+            in_flight: gen_nerf_telemetry::gauge("serve_frames_in_flight", &labels),
+            timed_out: ["interactive", "best_effort"].map(timed_out),
+        };
         let inner = Arc::new(SupervisorInner {
             state: Mutex::new(WatchState {
                 watches: HashMap::new(),
@@ -205,10 +197,6 @@ impl Supervisor {
             wake: Condvar::new(),
             sweep: Mutex::new(None),
             clock,
-            watched: gen_nerf_telemetry::counter("serve_frames_watched_total", &labels),
-            in_flight: gen_nerf_telemetry::gauge("serve_frames_in_flight", &labels),
-            timed_out_interactive: timed_out("interactive"),
-            timed_out_best_effort: timed_out("best_effort"),
             next_id: AtomicU64::new(1),
         });
         let loop_inner = Arc::clone(&inner);
@@ -218,73 +206,51 @@ impl Supervisor {
             .expect("spawn watchdog thread");
         Self {
             inner,
-            thread: Mutex::new(Some(thread)),
+            meters,
+            thread: Some(thread),
         }
     }
 
-    /// Registers `slot` against `class`'s budget starting at
-    /// `submitted`; returns the watch id the frame carries to its
-    /// shard. `frame`/`ring` identify the frame's trace, so a timeout
-    /// this watchdog wins emits the terminal `Resolve` event itself.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn watch(
-        &self,
-        slot: &Arc<Slot>,
-        class: DeadlineClass,
-        submitted: Instant,
-        cfg: &SupervisorConfig,
-        frame: u64,
-        ring: &Arc<TraceRing>,
-    ) -> u64 {
+    /// Watches `frame` against `deadline`; returns the watch id the
+    /// frame carries until it ends.
+    pub(crate) fn watch(&self, frame: &Arc<FrameCore>, deadline: Instant) -> u64 {
         let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        self.inner.watched.inc();
         let entry = WatchEntry {
-            slot: Arc::clone(slot),
-            deadline: submitted + cfg.budget(class),
-            class,
+            frame: Arc::clone(frame),
+            deadline,
             cancel: None,
-            frame,
-            ring: Arc::clone(ring),
-            submitted,
         };
-        let mut state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-        state.watches.insert(id, entry);
-        self.inner.in_flight.inc();
+        lock(&self.inner.state).watches.insert(id, entry);
         // The new deadline may be the earliest; the watchdog re-reads
         // the minimum on every wake, so one notify is always enough.
         self.inner.wake.notify_all();
         id
     }
 
-    /// Attaches the executing batch's cancel token to `watch`, so a
+    /// Attaches the executing attempt's cancel token to `watch`, so a
     /// timeout fired mid-render reclaims the worker. A no-op when the
-    /// watch already resolved (the shard detects that through the
-    /// slot and skips the render).
+    /// watch already timed out (the shard detects that through the
+    /// frame and skips the render).
     pub(crate) fn begin_render(&self, watch: u64, cancel: &CancelToken) {
-        let mut state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(entry) = state.watches.get_mut(&watch) {
+        if let Some(entry) = lock(&self.inner.state).watches.get_mut(&watch) {
             entry.cancel = Some(cancel.clone());
         }
     }
 
-    /// Drops the watch after its frame resolved (idempotent: the
-    /// watchdog removes timed-out watches itself).
-    pub(crate) fn resolve(&self, watch: u64) {
-        let mut state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-        if state.watches.remove(&watch).is_some() {
-            self.inner.in_flight.dec();
-        }
+    /// Drops the watch of an ended frame (idempotent: the watchdog
+    /// removes timed-out watches itself).
+    pub(crate) fn unwatch(&self, watch: u64) {
+        lock(&self.inner.state).watches.remove(&watch);
     }
 
     /// Installs (or replaces) the periodic sweep hook, run on the
-    /// watchdog thread every `interval` (on the supervisor clock). The
-    /// hook must not call back into anything that takes the watch
-    /// state lock *while holding locks the hook's caller also takes* —
-    /// in practice: the server's health sweep takes the topology lock,
-    /// then per-shard locks, then possibly the watch state (via
-    /// `resolve`), and nothing takes those in the opposite order.
+    /// watchdog thread every `interval` (on the supervisor clock),
+    /// with the watch-state lock released: the server's health sweep
+    /// takes the topology lock, then per-shard locks, then possibly
+    /// the watch state (ending a frame unwatches it), and nothing
+    /// takes those in the opposite order.
     pub(crate) fn set_sweep(&self, interval: Duration, run: Box<dyn FnMut() + Send>) {
-        *self.inner.sweep.lock().unwrap_or_else(|e| e.into_inner()) = Some(SweepHook {
+        *lock(&self.inner.sweep) = Some(SweepHook {
             interval: interval.max(Duration::from_millis(1)),
             last: None,
             run,
@@ -294,34 +260,34 @@ impl Supervisor {
         self.inner.wake.notify_all();
     }
 
+    /// Frames currently under watch.
+    #[cfg(test)]
+    pub(crate) fn watching(&self) -> usize {
+        lock(&self.inner.state).watches.len()
+    }
+
     /// The clock this supervisor's deadline math runs on.
     pub(crate) fn clock(&self) -> &Clock {
         &self.inner.clock
     }
 
     pub(crate) fn stats(&self) -> SupervisorStats {
-        let in_flight = {
-            let state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-            state.watches.len()
-        };
+        let m = &self.meters;
+        let [interactive, best_effort] = m.timed_out;
         SupervisorStats {
-            watched: self.inner.watched.get(),
-            timed_out_interactive: self.inner.timed_out_interactive.get(),
-            timed_out_best_effort: self.inner.timed_out_best_effort.get(),
-            in_flight,
+            watched: m.watched.get(),
+            timed_out_interactive: interactive.get(),
+            timed_out_best_effort: best_effort.get(),
+            in_flight: m.in_flight.get().max(0) as usize,
         }
     }
 }
 
 impl Drop for Supervisor {
     fn drop(&mut self) {
-        {
-            let mut state = self.inner.state.lock().unwrap_or_else(|e| e.into_inner());
-            state.shutdown = true;
-            self.inner.wake.notify_all();
-        }
-        let handle = self.thread.lock().unwrap_or_else(|e| e.into_inner()).take();
-        if let Some(handle) = handle {
+        lock(&self.inner.state).shutdown = true;
+        self.inner.wake.notify_all();
+        if let Some(handle) = self.thread.take() {
             // The sweep hook runs on the watchdog thread and may hold
             // the last strong reference to structures that own this
             // supervisor — if that drop lands here, on the watchdog
@@ -335,110 +301,73 @@ impl Drop for Supervisor {
     }
 }
 
-/// The watchdog body: fire every overdue watch, run the sweep hook if
-/// due, then sleep until the earliest remaining deadline or the next
-/// sweep (or a wake). The watch-state lock is **released** while the
-/// sweep hook runs — the hook takes the server's topology lock and
-/// calls back into [`Supervisor::resolve`].
+/// The watchdog body: time out every overdue watch, run the sweep hook
+/// if due, then sleep until the earliest remaining deadline or the
+/// next sweep (or a wake). The watch-state lock is **released** while
+/// the sweep hook runs.
 fn watchdog_loop(inner: &SupervisorInner) {
     loop {
         {
-            let mut state = inner.state.lock().unwrap_or_else(|e| e.into_inner());
+            let mut state = lock(&inner.state);
             if state.shutdown {
                 return;
             }
             let now = inner.clock.now();
-            let overdue: Vec<u64> = state
-                .watches
-                .iter()
-                .filter(|(_, w)| w.deadline <= now)
-                .map(|(&id, _)| id)
-                .collect();
-            for id in overdue {
-                let entry = state.watches.remove(&id).expect("overdue watch present");
-                inner.in_flight.dec();
+            state.watches.retain(|_, watch| {
+                if watch.deadline > now {
+                    return true;
+                }
                 // First write wins: the shard may have resolved the
-                // slot a moment ago without dropping the watch yet —
-                // then this is a no-op, not a timeout.
-                if fulfill(
-                    &entry.slot,
-                    Err(ServeError::TimedOut { class: entry.class }),
-                ) {
-                    match entry.class {
-                        DeadlineClass::Interactive => &inner.timed_out_interactive,
-                        DeadlineClass::BestEffort => &inner.timed_out_best_effort,
-                    }
-                    .inc();
-                    // Winning the fulfill race makes this the frame's
-                    // one terminal trace event.
-                    entry.ring.record(
-                        entry.frame,
-                        EventKind::Resolve,
-                        ResolveOutcome::TimedOut as u64,
-                        now.saturating_duration_since(entry.submitted).as_nanos() as u64,
-                    );
-                    // Reclaim the worker: the render polls the token
-                    // at per-ray boundaries and drains.
-                    if let Some(cancel) = &entry.cancel {
+                // frame a moment ago without dropping the watch yet —
+                // then this is a no-op, not a timeout. A winning
+                // timeout reclaims the worker: the render polls the
+                // token at per-ray boundaries and drains.
+                if watch.frame.time_out(now) {
+                    if let Some(cancel) = &watch.cancel {
                         cancel.cancel();
                     }
                 }
-            }
+                false
+            });
         }
         // Watch state released: run the sweep hook if its interval
         // elapsed, and learn how long until it is next due.
-        let sweep_wait: Option<Duration> = {
-            let mut sweep = inner.sweep.lock().unwrap_or_else(|e| e.into_inner());
-            match sweep.as_mut() {
-                None => None,
-                Some(hook) => {
-                    let now = inner.clock.now();
-                    let since_last = hook.last.map(|last| now.saturating_duration_since(last));
-                    if since_last.map_or(true, |since| since >= hook.interval) {
-                        (hook.run)();
-                        hook.last = Some(inner.clock.now());
-                        Some(hook.interval)
-                    } else {
-                        Some(hook.interval - since_last.expect("checked above"))
-                    }
+        let sweep_wait: Option<Duration> = lock(&inner.sweep).as_mut().map(|hook| {
+            let now = inner.clock.now();
+            match hook.last.map(|last| now.saturating_duration_since(last)) {
+                Some(since) if since < hook.interval => hook.interval - since,
+                _ => {
+                    (hook.run)();
+                    hook.last = Some(inner.clock.now());
+                    hook.interval
                 }
             }
-        };
+        });
         // Re-acquire and sleep. Deadlines are recomputed under the
         // fresh guard: a watch registered while the sweep ran is seen.
-        let state = inner.state.lock().unwrap_or_else(|e| e.into_inner());
+        let state = lock(&inner.state);
         if state.shutdown {
             return;
         }
-        let next = state.watches.values().map(|w| w.deadline).min();
-        let deadline_wait =
-            next.map(|deadline| deadline.saturating_duration_since(inner.clock.now()));
-        let wait = match (deadline_wait, sweep_wait) {
-            (Some(d), Some(s)) => Some(d.min(s)),
-            (Some(d), None) => Some(d),
-            (None, Some(s)) => Some(s),
-            (None, None) => None,
-        };
-        match wait {
-            Some(wait) => {
-                let mut wait = wait.max(Duration::from_millis(1));
+        let deadline_wait = state
+            .watches
+            .values()
+            .map(|w| w.deadline)
+            .min()
+            .map(|deadline| deadline.saturating_duration_since(inner.clock.now()));
+        match deadline_wait.into_iter().chain(sweep_wait).min() {
+            Some(nap) => {
+                let mut nap = nap.max(Duration::from_millis(1));
                 if inner.clock.is_virtual() {
                     // Virtual time advances out of band; poll so an
                     // `advance` past a deadline is noticed promptly.
-                    wait = wait.min(Duration::from_millis(1));
+                    nap = nap.min(Duration::from_millis(1));
                 }
-                drop(
-                    inner
-                        .wake
-                        .wait_timeout(state, wait)
-                        .unwrap_or_else(|e| e.into_inner()),
-                );
+                drop(wait_timeout(&inner.wake, state, nap));
             }
             // Nothing watched and no sweep installed: sleep until a
             // registration (or shutdown) wakes us.
-            None => {
-                drop(inner.wake.wait(state).unwrap_or_else(|e| e.into_inner()));
-            }
+            None => drop(wait(&inner.wake, state)),
         }
     }
 }
@@ -673,7 +602,7 @@ impl CircuitBreaker {
     /// `probe = true` (or released with
     /// [`CircuitBreaker::abort_probe`]).
     pub fn admit(&self, now: Instant) -> BreakerAdmit {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut inner = lock(&self.inner);
         match &mut *inner {
             BreakerInner::Closed { .. } => BreakerAdmit::Admit,
             BreakerInner::Open { since } => {
@@ -708,7 +637,7 @@ impl CircuitBreaker {
     /// ignored unless the circuit is Closed (stragglers of a tripped
     /// era carry no signal about recovery).
     pub fn record(&self, ok: bool, probe: bool, now: Instant) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut inner = lock(&self.inner);
         match &mut *inner {
             BreakerInner::Closed { outcomes } => {
                 // A probe outcome arriving while Closed means the
@@ -756,7 +685,7 @@ impl CircuitBreaker {
     /// depth admission after the breaker admitted it), freeing its
     /// quota slot for another probe.
     pub fn abort_probe(&self) {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let mut inner = lock(&self.inner);
         if let BreakerInner::HalfOpen { in_flight, .. } = &mut *inner {
             *in_flight = in_flight.saturating_sub(1);
         }
@@ -765,7 +694,7 @@ impl CircuitBreaker {
     /// The current state (no transition is taken; an elapsed cooldown
     /// still reports `Open` until a submission flips it).
     pub fn state(&self) -> BreakerState {
-        match &*self.inner.lock().unwrap_or_else(|e| e.into_inner()) {
+        match &*lock(&self.inner) {
             BreakerInner::Closed { .. } => BreakerState::Closed,
             BreakerInner::Open { .. } => BreakerState::Open,
             BreakerInner::HalfOpen { .. } => BreakerState::HalfOpen,

@@ -19,8 +19,7 @@ use std::sync::Mutex;
 /// An owned label set: key/value pairs, keys static, values owned.
 pub type Labels = Vec<(&'static str, String)>;
 
-/// A monotonically increasing (with one carve-out, see
-/// [`Counter::sub`]) event counter.
+/// A monotonically increasing event counter.
 #[derive(Clone, Copy)]
 pub struct Counter(&'static AtomicU64);
 
@@ -33,13 +32,6 @@ impl Counter {
     /// Adds `n`.
     pub fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Subtracts `n` — only for rollback of a speculative increment
-    /// that lost a first-write-wins race (the shard `conclude` path);
-    /// ordinary counters never decrease.
-    pub fn sub(&self, n: u64) {
-        self.0.fetch_sub(n, Ordering::Relaxed);
     }
 
     /// Current value.

@@ -155,7 +155,7 @@ fn ragged_tiles_match_the_per_ray_reference() {
             )
             .with_threads(threads)
         };
-        let (ref_img, ref_stats) = renderer(1).with_fused(false).render(&camera);
+        let (ref_img, ref_stats) = renderer(1).render_reference(&camera);
         for threads in [1usize, 2, 3] {
             let (img, stats) = renderer(threads).render(&camera);
             assert_eq!(

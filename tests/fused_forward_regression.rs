@@ -38,16 +38,19 @@ fn render(
     threads: usize,
 ) -> (Image, RenderStats) {
     let sources = prepare_sources(&ds.source_views);
-    Renderer::new(
+    let renderer = Renderer::new(
         model,
         &sources,
         strategy,
         ds.scene.bounds,
         ds.scene.background,
     )
-    .with_fused(fused)
-    .with_threads(threads)
-    .render(&ds.eval_views[0].camera)
+    .with_threads(threads);
+    if fused {
+        renderer.render(&ds.eval_views[0].camera)
+    } else {
+        renderer.render_reference(&ds.eval_views[0].camera)
+    }
 }
 
 fn assert_stats_identical(a: &RenderStats, b: &RenderStats, ctx: &str) {
@@ -118,16 +121,19 @@ fn transformer_fused_render_matches_per_ray() {
     let sources = prepare_sources(&ds.source_views);
     let strategy = SamplingStrategy::Uniform { n: 9 };
     let run = |fused: bool, threads: usize| {
-        Renderer::new(
+        let renderer = Renderer::new(
             &model,
             &sources,
             strategy,
             ds.scene.bounds,
             ds.scene.background,
         )
-        .with_fused(fused)
-        .with_threads(threads)
-        .render(&ds.eval_views[0].camera)
+        .with_threads(threads);
+        if fused {
+            renderer.render(&ds.eval_views[0].camera)
+        } else {
+            renderer.render_reference(&ds.eval_views[0].camera)
+        }
     };
     let (img_ref, stats_ref) = run(false, 1);
     for threads in [1usize, 3] {

@@ -175,20 +175,16 @@ fn fused_equals_per_ray_under_every_backend() {
         }
         for backend in backends {
             kernels::set_active(backend);
-            let run = |fused: bool| {
-                Renderer::new(
-                    &model,
-                    &sources,
-                    SamplingStrategy::Uniform { n: 8 },
-                    ds.scene.bounds,
-                    ds.scene.background,
-                )
-                .with_fused(fused)
-                .with_threads(2)
-                .render(&ds.eval_views[0].camera)
-            };
-            let (img_f, _) = run(true);
-            let (img_p, _) = run(false);
+            let renderer = Renderer::new(
+                &model,
+                &sources,
+                SamplingStrategy::Uniform { n: 8 },
+                ds.scene.bounds,
+                ds.scene.background,
+            )
+            .with_threads(2);
+            let (img_f, _) = renderer.render(&ds.eval_views[0].camera);
+            let (img_p, _) = renderer.render_reference(&ds.eval_views[0].camera);
             let fb: Vec<u32> = img_f.as_slice().iter().map(|v| v.to_bits()).collect();
             let pb: Vec<u32> = img_p.as_slice().iter().map(|v| v.to_bits()).collect();
             assert_eq!(fb, pb, "fused diverged from per-ray under {backend:?}");

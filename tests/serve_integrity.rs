@@ -25,7 +25,9 @@ use gen_nerf_serve::{
     CacheOutcome, CoherenceConfig, Fault, FrameRequest, RenderServer, SceneState, ServerConfig,
     SessionConfig,
 };
+use gen_nerf_telemetry::EventKind;
 use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 static SERIAL: Mutex<()> = Mutex::new(());
 
@@ -152,6 +154,102 @@ fn corrupt_pixels_frame_trips_the_sentinel_and_recovers() {
     )
     .render(&Camera::new(intrinsics(), pose(1)));
     assert_eq!(bits(&recovered.image), bits(&direct));
+    restore_globals();
+}
+
+#[test]
+fn a_corrupt_attempt_is_classified_alike_for_a_batch_of_three_and_a_solo_frame() {
+    // One render path serves the first, batched attempt and every solo
+    // retry, so a corrupt attempt must trace the same `Render` outcome
+    // (2) on every member of a batch as on a frame rendered alone, and
+    // the recovering solo retries the same clean outcome (0).
+    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let scene = scene();
+    let strategy = SamplingStrategy::Uniform { n: 6 };
+    integrity::set_mode(IntegrityMode::Full);
+
+    let server = RenderServer::new(ServerConfig::default());
+    let sessions: Vec<_> = (0..3)
+        .map(|_| {
+            server.create_session(
+                Arc::clone(&scene),
+                SessionConfig::new(intrinsics(), strategy),
+            )
+        })
+        .collect();
+    // The render outcomes of the frames traced since the last call,
+    // in order, grouped per frame in first-seen order, with the size
+    // of the batch each frame rode in.
+    let traced = |server: &RenderServer| -> Vec<(u64, Vec<u64>)> {
+        let mut frames: Vec<(u64, u64, Vec<u64>)> = Vec::new();
+        for e in server.drain_traces() {
+            if !matches!(e.kind, EventKind::Batch | EventKind::Render) {
+                continue;
+            }
+            if !frames.iter().any(|(id, _, _)| *id == e.frame) {
+                frames.push((e.frame, 0, Vec::new()));
+            }
+            let (_, batch, outcomes) = frames
+                .iter_mut()
+                .find(|(id, _, _)| *id == e.frame)
+                .expect("just inserted");
+            match e.kind {
+                EventKind::Batch => *batch = e.a,
+                _ => outcomes.push(e.b),
+            }
+        }
+        frames.into_iter().map(|(_, b, o)| (b, o)).collect()
+    };
+
+    // Solo: the corrupt first attempt, then the clean retry.
+    server
+        .submit(
+            sessions[0],
+            FrameRequest::new(pose(1)).with_fault(Fault::CorruptPixels(7)),
+        )
+        .wait();
+    assert_eq!(traced(&server), [(1, vec![2, 0])]);
+
+    // A batch of three, one member corrupt. Park the shard on a stalled
+    // frame (the batch counter moves once it is in the worker's hands)
+    // so the three queue up behind it and are carved into one batch.
+    let shard = server.shard_of(sessions[0]);
+    let batches = server.shard_stats(shard).batches;
+    let stall = server.submit(
+        sessions[0],
+        FrameRequest::new(pose(2)).with_fault(Fault::Stall(Duration::from_millis(500))),
+    );
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while server.shard_stats(shard).batches == batches {
+        assert!(Instant::now() < deadline, "stalled frame never scheduled");
+        std::thread::yield_now();
+    }
+    let handles: Vec<_> = sessions
+        .iter()
+        .enumerate()
+        .map(|(i, &session)| {
+            let mut req = FrameRequest::new(pose(3 + i));
+            if i == 1 {
+                req = req.with_fault(Fault::CorruptPixels(9));
+            }
+            server.submit(session, req)
+        })
+        .collect();
+    stall.wait();
+    for handle in handles {
+        let frame = handle.wait();
+        assert!(frame.image.as_slice().iter().all(|v| v.is_finite()));
+    }
+    assert_eq!(
+        traced(&server),
+        [
+            (1, vec![0]),
+            (3, vec![2, 0]),
+            (3, vec![2, 0]),
+            (3, vec![2, 0])
+        ],
+        "stalled frame, then three co-batched frames: corrupt together, recovered solo"
+    );
     restore_globals();
 }
 
