@@ -111,6 +111,33 @@ impl FeatureMap {
     pub fn texel_bytes(&self) -> u64 {
         self.channels as u64
     }
+
+    /// This map widened to `channels` per texel for tests that need
+    /// more than the encoder produces: channel `c` past the encoder's
+    /// is channel `c % self.channels()` scaled by `1 + c`.
+    #[cfg(test)]
+    pub(crate) fn widened(&self, channels: usize) -> Self {
+        let data = self
+            .data
+            .chunks_exact(self.channels)
+            .flat_map(|texel| {
+                (0..channels).map(|c| {
+                    let scale = if c < self.channels {
+                        1.0
+                    } else {
+                        1.0 + c as f32
+                    };
+                    texel[c % self.channels] * scale
+                })
+            })
+            .collect();
+        Self {
+            width: self.width,
+            height: self.height,
+            channels,
+            data,
+        }
+    }
 }
 
 /// The frozen encoder.

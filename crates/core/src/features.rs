@@ -38,18 +38,31 @@
 //!   point — projection, clip, footprint and fetch per (point, view)
 //!   pair, then the statistics through the backend's
 //!   `add_assign`/`sq_diff_add`.
-//! * **AVX2**: the block kernel of the private `avx2` submodule. A
-//!   ray's points go eight at a time (one per lane; the last block
-//!   ragged), and each block is taken against **one source view at a
-//!   time** — the order of the accelerator's preprocessing unit, whose
-//!   projector and interpolator walk one view's epipolar line: one
-//!   pass projects, clips, footprints and direction-weights all eight
-//!   lanes, then gathers the four taps of every lane that sees the
-//!   view eight channels per load; a second pass folds each point's
-//!   per-view rows into its stats row. A source whose image and
-//!   feature map differ in size (or whose map is not the plain dense
-//!   buffer the kernel indexes) is handed, whole, to the per-pair
-//!   scalar routine inside the same block.
+//! * **AVX2**: the block kernel of the private `avx2` submodule —
+//!   block-wide from the projection to the finished stats rows, the
+//!   shape of the accelerator's preprocessing unit, whose projector,
+//!   interpolator and aggregation stream a block of samples without a
+//!   per-point control path. Points go eight at a time, one per lane,
+//!   and a block is **not** cut at a ray's end: each lane carries its
+//!   own viewing direction, so the tail of one ray shares a block with
+//!   the head of the next and only the last block of a fill is ragged
+//!   (`⌈points / 8⌉` blocks; the render pipeline pushes a whole tile
+//!   through `AggregateArena::push_ray` and flushes once, the public
+//!   entry points flush before they return). Step 1 takes the block
+//!   against **one source view at a time** — the order in which the
+//!   unit's projector and interpolator walk one view's epipolar line:
+//!   one pass projects, clips, footprints and direction-weights all
+//!   eight lanes, then gathers the four taps of every lane that sees
+//!   the view eight channels per load. Step 2 keeps the **points in the
+//!   lanes**: each view's eight fetched rows are transposed in
+//!   registers, mean, variance and per-view deviation are vertical,
+//!   branch-free masked adds in view and channel order, and the
+//!   finished columns are transposed back and stored a row segment at a
+//!   time. The block scratch is sized at `reset` from the arena's view
+//!   count and channel width, so neither has a cap. A source whose
+//!   image and feature map differ in size (or whose map is not the
+//!   plain dense buffer the kernel indexes) is handed, whole, to the
+//!   per-pair scalar routine inside the same block.
 //!
 //! The two routes produce **the same bits**. Acquisition has no
 //! reductions whose order a vector unit would change and nothing an
@@ -57,11 +70,15 @@
 //! `+ − × ÷ √ floor`, each correctly rounded per lane exactly as its
 //! scalar form, and the kernel keeps the chains' order (`Vec3::dot` is
 //! `0 + x·x′ + y·y′ + z·z′` left to right, a bilinear fetch is
-//! `0 + t₀w₀ + t₁w₁ + t₂w₂ + t₃w₃`, cross-view sums run in view order)
-//! and turns the scalar code's early exits into lane masks. So
+//! `0 + t₀w₀ + t₁w₁ + t₂w₂ + t₃w₃`, cross-view sums run in view order,
+//! the deviation's in channel order) and turns the scalar code's early
+//! exits into lane masks — for the cross-view sums, a term `and`-ed to
+//! `+0.0`, which an accumulator that started at `+0.0` absorbs without
+//! a trace (the `avx2` module docs give the argument). So
 //! acquisition, unlike the GEMMs, is backend-independent — pinned per
-//! point, over both entry points and both backends, by the property
-//! test below and by `tests/kernel_backend_regression.rs`.
+//! point, over both entry points, the open-tile path and both
+//! backends, by the property test below and by
+//! `tests/kernel_backend_regression.rs`.
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod avx2;
@@ -316,6 +333,19 @@ pub fn aggregate_point(
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Blocks the calling thread has put through the AVX2 kernel.
+    static BLOCKS_FLUSHED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Blocks the calling thread has put through the AVX2 kernel so far
+/// (none on the scalar route) — what the block-packing tests count.
+#[cfg(test)]
+pub(crate) fn blocks_flushed() -> u64 {
+    BLOCKS_FLUSHED.with(|c| c.get())
+}
+
 /// Read access to a run of aggregated points, independent of layout.
 ///
 /// Implemented by `[PointAggregate]` (AoS) and by [`AggregateArena`] /
@@ -403,9 +433,18 @@ pub struct AggregateArena {
     feats: Vec<f32>,
     /// Projection scratch: the matching per-view similarities.
     dir_sims: Vec<f32>,
-    /// Block-kernel scratch: one point's per-view squared differences
-    /// from the mean feature.
-    sq_diffs: Vec<f32>,
+    /// Block-kernel scratch: per view, the lanes of the block in
+    /// flight that see it.
+    seen: Vec<u32>,
+    /// Block-kernel scratch: the block's fetches with the points in
+    /// the lanes, and the reduce's accumulators and finished columns.
+    tile: Vec<f32>,
+    /// The block in flight: the points pushed since the last full
+    /// block, not yet acquired. Their rows of the planes above exist
+    /// (zeroed) from the moment they are pushed; [`AggregateArena::flush`]
+    /// fills them. Empty whenever a public entry point has returned.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    block: avx2::PointBlock,
 }
 
 impl Default for AggregateArena {
@@ -426,7 +465,10 @@ impl Default for AggregateArena {
             ray_offsets: vec![0],
             feats: Vec::new(),
             dir_sims: Vec::new(),
-            sq_diffs: Vec::new(),
+            seen: Vec::new(),
+            tile: Vec::new(),
+            #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+            block: avx2::PointBlock::new(),
         }
     }
 }
@@ -447,17 +489,29 @@ impl AggregateArena {
         self.ray_offsets.clear();
         self.ray_offsets.push(0);
         // Fetch scratch for one block of points (feature rows padded
-        // to whole vectors); the per-point route uses the head of it.
+        // to whole vectors) and the block kernel's tile beside it, for
+        // whatever view count and channel width were asked for; the
+        // per-point route uses the head of the fetch scratch.
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        let (points, row) = (avx2::LANES, avx2::padded(d_channels));
+        let (points, row, tile) = (
+            avx2::LANES,
+            avx2::padded(d_channels),
+            avx2::reduce_scratch_len(n_views, d_channels),
+        );
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        {
+            self.block.n = 0;
+        }
         #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
-        let (points, row) = (1, d_channels);
+        let (points, row, tile) = (1, d_channels, 0);
         self.feats.clear();
         self.feats.resize(points * n_views * row, 0.0);
         self.dir_sims.clear();
         self.dir_sims.resize(points * n_views, 0.0);
-        self.sq_diffs.clear();
-        self.sq_diffs.resize(n_views * row, 0.0);
+        self.seen.clear();
+        self.seen.resize(n_views, 0);
+        self.tile.clear();
+        self.tile.resize(tile, 0.0);
     }
 
     /// Bytes of heap the arena's buffers retain (capacities, not the
@@ -471,8 +525,9 @@ impl AggregateArena {
             + self.blend_inputs.capacity() * size_of::<[f32; 2]>()
             + self.valid.capacity() * size_of::<bool>()
             + (self.n_valid.capacity() + self.ray_offsets.capacity()) * size_of::<usize>()
-            + (self.feats.capacity() + self.dir_sims.capacity() + self.sq_diffs.capacity())
+            + (self.feats.capacity() + self.dir_sims.capacity() + self.tile.capacity())
                 * size_of::<f32>()
+            + self.seen.capacity() * size_of::<u32>()
     }
 
     /// Channels aggregated per view.
@@ -502,6 +557,12 @@ impl AggregateArena {
     /// count.
     pub fn valid_pairs(&self) -> usize {
         self.valid_pairs
+    }
+
+    /// Valid (point, view) pairs of ray `r` — what its FLOP and fetch
+    /// accounting is linear in.
+    pub(crate) fn ray_valid_pairs(&self, r: usize) -> usize {
+        self.n_valid[self.ray_range(r)].iter().sum()
     }
 
     /// The point range of ray `r`.
@@ -536,116 +597,159 @@ impl AggregateArena {
         self.ray_offsets.push(self.total_points());
     }
 
-    /// Appends one point aggregated from `sources` (shared arithmetic
-    /// with [`aggregate_point`]).
-    fn push_point(&mut self, p: Vec3, ray_dir: Vec3, sources: &[SourceViewData]) {
-        debug_assert_eq!(sources.len(), self.n_views);
-        let s = self.n_views;
-        let base = self.n_valid.len() * s;
-        self.view_colors.resize(base + s, Vec3::ZERO);
-        self.blend_inputs.resize(base + s, [0.0f32; 2]);
-        self.valid.resize(base + s, false);
-        let stats_row = self.stats.push_row_zeroed();
+    /// Appends `n` points' rows to every plane, zeroed, and returns the
+    /// first one's index — one resize per plane per ray.
+    fn grow(&mut self, n: usize) -> usize {
+        let first = self.n_valid.len();
+        let end = (first + n) * self.n_views;
+        self.view_colors.resize(end, Vec3::ZERO);
+        self.blend_inputs.resize(end, [0.0f32; 2]);
+        self.valid.resize(end, false);
+        self.n_valid.resize(first + n, 0);
+        self.stats.push_rows_zeroed(n);
+        first
+    }
+
+    /// Fills point `k`'s (zeroed) rows from `sources` through
+    /// [`fill_point`] (shared arithmetic with [`aggregate_point`]).
+    fn fill_row(&mut self, k: usize, p: Vec3, ray_dir: Vec3, sources: &[SourceViewData]) {
+        let views = k * self.n_views..(k + 1) * self.n_views;
         let n_valid = fill_point(
             p,
             ray_dir,
             sources,
             self.d,
-            stats_row,
-            &mut self.view_colors[base..],
-            &mut self.blend_inputs[base..],
-            &mut self.valid[base..],
+            self.stats.row_mut(k),
+            &mut self.view_colors[views.clone()],
+            &mut self.blend_inputs[views.clone()],
+            &mut self.valid[views],
             &mut self.feats,
             &mut self.dir_sims,
         );
-        self.n_valid.push(n_valid);
+        self.n_valid[k] = n_valid;
         self.valid_pairs += n_valid;
     }
 
     /// Appends `n` points, point `k` being `point_of(k)` as (position,
-    /// viewing direction): in blocks of eight through the AVX2 kernel
+    /// viewing direction): into blocks of eight for the AVX2 kernel
     /// when that is the active backend, one by one through
     /// [`fill_point`] otherwise (the scalar backend — chosen, detected
     /// or fallen back to after a quarantine — and every other
     /// architecture). Same bits either way.
+    ///
+    /// Under AVX2 a block is acquired the moment its eighth lane fills,
+    /// whichever call filled it, so up to seven points may be left in
+    /// flight: their rows stay zero until [`AggregateArena::flush`].
     fn push_points(
         &mut self,
         n: usize,
         point_of: impl Fn(usize) -> (Vec3, Vec3),
         sources: &[SourceViewData],
     ) {
+        assert_eq!(sources.len(), self.n_views, "one source per arena view");
+        let first = self.grow(n);
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         if kernels::active_backend() == kernels::Backend::Avx2 {
-            for start in (0..n).step_by(avx2::LANES) {
-                let mut block = avx2::PointBlock::new();
-                for k in start..n.min(start + avx2::LANES) {
-                    let (p, dir) = point_of(k);
-                    block.push(p, dir);
+            for k in 0..n {
+                if self.block.n == 0 {
+                    self.block.first = first + k;
                 }
-                // SAFETY: `kernels` installs the AVX2 backend only after
-                // detecting avx2 on this CPU.
-                unsafe { self.push_block(&block, sources) };
+                let (p, dir) = point_of(k);
+                self.block.push(p, dir);
+                if self.block.n == avx2::LANES {
+                    self.flush(sources);
+                }
             }
             return;
         }
         for k in 0..n {
             let (p, dir) = point_of(k);
-            self.push_point(p, dir, sources);
+            self.fill_row(first + k, p, dir, sources);
         }
     }
 
-    /// Appends a block of points through the AVX2 kernel: Step 1 one
-    /// source view at a time across the block's lanes, then Step 2 one
-    /// point at a time.
+    /// Acquires the block in flight, if any: every point pushed so far
+    /// has its rows filled when this returns. Both public entry points
+    /// end with it; the render pipeline pushes a whole tile's rays
+    /// ([`AggregateArena::push_ray`]) and flushes once, so a ray's
+    /// ragged tail shares a block with the next ray's head.
+    pub(crate) fn flush(&mut self, sources: &[SourceViewData]) {
+        debug_assert_eq!(sources.len(), self.n_views);
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        if self.block.n != 0 {
+            // SAFETY: lanes are only ever pushed while the AVX2 backend
+            // is active, and `kernels` installs it only after detecting
+            // avx2 on this CPU.
+            unsafe { self.flush_block(sources) };
+        }
+    }
+
+    /// Acquires the block in flight through the AVX2 kernel: Step 1 one
+    /// source view at a time across the block's lanes, then Step 2 for
+    /// all of them at once.
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     #[target_feature(enable = "avx2")]
-    fn push_block(&mut self, block: &avx2::PointBlock, sources: &[SourceViewData]) {
-        debug_assert_eq!(sources.len(), self.n_views);
+    fn flush_block(&mut self, sources: &[SourceViewData]) {
+        #[cfg(test)]
+        BLOCKS_FLUSHED.with(|c| c.set(c.get() + 1));
         let (s, d) = (self.n_views, self.d);
-        let first = self.n_valid.len();
-        let end = (first + block.n) * s;
-        self.view_colors.resize(end, Vec3::ZERO);
-        self.blend_inputs.resize(end, [0.0f32; 2]);
-        self.valid.resize(end, false);
+        let points = self.block.first..self.block.first + self.block.n;
+        let views = points.start * s..points.end * s;
         let mut planes = avx2::BlockPlanes {
             d,
             n_views: s,
             feats: &mut self.feats,
             dir_sims: &mut self.dir_sims,
-            view_colors: &mut self.view_colors[first * s..],
-            valid: &mut self.valid[first * s..],
+            seen: &mut self.seen,
+            view_colors: &mut self.view_colors[views.clone()],
+            valid: &mut self.valid[views.clone()],
         };
         let row = avx2::padded(d);
         for (i, src) in sources.iter().enumerate() {
             if avx2::takes(src, d) {
-                avx2::acquire_view(block, src, i, &mut planes);
+                avx2::acquire_view(&self.block, src, i, &mut planes);
                 continue;
             }
-            for l in 0..block.n {
-                let (p, dir) = block.lane(l);
-                let slot = l * s + i;
-                let feats = &mut planes.feats[slot * row..slot * row + d];
+            planes.seen[i] = 0;
+            for l in 0..self.block.n {
+                let (p, dir) = self.block.lane(l);
+                let at = (i * avx2::LANES + l) * row;
+                let feats = &mut planes.feats[at..at + d];
                 if let Some((color, sim)) = acquire_pair(p, dir, src, feats) {
-                    planes.view_colors[slot] = color;
-                    planes.dir_sims[slot] = sim;
-                    planes.valid[slot] = true;
+                    planes.view_colors[l * s + i] = color;
+                    planes.valid[l * s + i] = true;
+                    planes.dir_sims[i * avx2::LANES + l] = sim;
+                    planes.seen[i] |= 1 << l;
                 }
             }
         }
-        for l in 0..block.n {
-            let views = (first + l) * s..(first + l + 1) * s;
-            let n_valid = avx2::reduce_point(
-                d,
-                &self.feats[l * s * row..(l + 1) * s * row],
-                &self.dir_sims[l * s..(l + 1) * s],
-                &self.valid[views.clone()],
-                &mut self.sq_diffs,
-                self.stats.push_row_zeroed(),
-                &mut self.blend_inputs[views],
-            );
-            self.n_valid.push(n_valid);
-            self.valid_pairs += n_valid;
-        }
+        let width = self.stats.cols();
+        self.valid_pairs += avx2::reduce_block(
+            d,
+            self.block.n,
+            &self.feats,
+            &self.dir_sims,
+            &self.seen,
+            &mut self.tile,
+            &mut self.stats.as_mut_slice()[points.start * width..points.end * width],
+            &mut self.blend_inputs[views],
+            &mut self.n_valid[points],
+        );
+        self.block.n = 0;
+    }
+
+    /// Appends one camera ray's depth samples as one sealed ray —
+    /// [`aggregate_ray_into`] without the flush: up to seven of the
+    /// points pushed so far may still be in flight when this returns.
+    /// The caller owes an [`AggregateArena::flush`] before anything
+    /// reads the arena.
+    pub(crate) fn push_ray(&mut self, ray: &Ray, depths: &[f32], sources: &[SourceViewData]) {
+        self.push_points(
+            depths.len(),
+            |k| (ray.at(depths[k]), ray.direction),
+            sources,
+        );
+        self.seal_ray();
     }
 
     /// Appends one point copied from a standalone [`PointAggregate`] —
@@ -665,12 +769,10 @@ impl AggregateArena {
             "stats width mismatch (aggregate built at a different \
              d_channels than the arena)"
         );
-        let s = self.n_views;
-        let base = self.n_valid.len() * s;
         self.view_colors.extend_from_slice(&agg.view_colors);
         self.blend_inputs.extend_from_slice(&agg.blend_inputs);
         self.valid.extend_from_slice(&agg.valid);
-        debug_assert_eq!(self.valid.len(), base + s);
+        debug_assert_eq!(self.valid.len(), (self.n_valid.len() + 1) * self.n_views);
         self.stats
             .push_row_zeroed()
             .copy_from_slice(&agg.stats[..width]);
@@ -780,6 +882,7 @@ pub fn aggregate_points_into(
     assert_eq!(points.len(), ray_dirs.len(), "one direction per point");
     assert_arena_shape(arena, sources, d_channels);
     arena.push_points(points.len(), |k| (points[k], ray_dirs[k]), sources);
+    arena.flush(sources);
     arena.seal_ray();
 }
 
@@ -817,12 +920,8 @@ pub fn aggregate_ray_into(
     arena: &mut AggregateArena,
 ) {
     assert_arena_shape(arena, sources, d_channels);
-    arena.push_points(
-        depths.len(),
-        |k| (ray.at(depths[k]), ray.direction),
-        sources,
-    );
-    arena.seal_ray();
+    arena.push_ray(ray, depths, sources);
+    arena.flush(sources);
 }
 
 /// Counts the feature-map texel fetches of aggregating one point:
@@ -1029,9 +1128,24 @@ mod tests {
             .collect()
     }
 
-    /// Fills one arena through [`aggregate_ray_into`] and one through
+    /// Overwrites every float of the arena's projection, fetch and
+    /// block scratch with NaN and ∞ and every lane mask with all ones —
+    /// what a fill must never let through.
+    fn poison_scratch(arena: &mut AggregateArena) {
+        let poison = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+        for buf in [&mut arena.feats, &mut arena.dir_sims, &mut arena.tile] {
+            for (k, v) in buf.iter_mut().enumerate() {
+                *v = poison[k % 3];
+            }
+        }
+        arena.seen.fill(u32::MAX);
+    }
+
+    /// Fills one arena through [`aggregate_ray_into`], one through
     /// [`aggregate_points_into`] (with a direction of its own per
-    /// point) and holds every point of both against
+    /// point) and one as an open tile (every ray pushed, one flush at
+    /// the end, so blocks run on from ray to ray), each over poisoned
+    /// scratch, and holds every point of all three against
     /// [`aggregate_point`].
     fn assert_arena_matches_reference(
         rays: &[(Ray, Vec<f32>)],
@@ -1040,8 +1154,17 @@ mod tests {
     ) {
         let mut by_ray = AggregateArena::default();
         let mut by_points = AggregateArena::default();
-        by_ray.reset(sources.len(), d);
-        by_points.reset(sources.len(), d);
+        let mut open_tile = AggregateArena::default();
+        for arena in [&mut by_ray, &mut by_points, &mut open_tile] {
+            arena.reset(sources.len(), d);
+            poison_scratch(arena);
+        }
+        let blocks_before = blocks_flushed();
+        for (ray, depths) in rays {
+            open_tile.push_ray(ray, depths, sources);
+        }
+        open_tile.flush(sources);
+        let blocks = (blocks_flushed() - blocks_before) as usize;
         let mut reference = Vec::new();
         for (ray, depths) in rays {
             aggregate_ray_into(ray, depths, sources, d, &mut by_ray);
@@ -1060,7 +1183,31 @@ mod tests {
         assert_eq!(by_ray.n_rays(), rays.len());
         assert_eq!(by_ray.total_points(), reference.len());
         assert_eq!(by_points.total_points(), reference.len());
+        assert_eq!(open_tile.n_rays(), rays.len());
+        assert_eq!(open_tile.total_points(), reference.len());
+        // A tile is packed: its blocks are full but for the last.
+        let avx2 = kernels::active_backend() == kernels::Backend::Avx2;
+        assert_eq!(blocks, if avx2 { reference.len().div_ceil(8) } else { 0 });
+        for (r, (_, depths)) in rays.iter().enumerate() {
+            assert_eq!(open_tile.ray_range(r), by_ray.ray_range(r));
+            assert_eq!(open_tile.ray_range(r).len(), depths.len());
+        }
+        for arena in [&by_ray, &by_points, &open_tile] {
+            let pairs: usize = (0..reference.len()).map(|k| arena.n_valid[k]).sum();
+            assert_eq!(arena.valid_pairs(), pairs);
+        }
         for (k, (along_ray, own_dir)) in reference.iter().enumerate() {
+            if along_ray.n_valid == 0 {
+                // Seen by no view: the all-zero row, whatever its
+                // neighbours in the block saw.
+                assert!(aggregate_bits(&open_tile.export(k)).iter().all(|&b| b == 0));
+            }
+            assert_eq!(
+                aggregate_bits(&open_tile.export(k)),
+                aggregate_bits(along_ray),
+                "open tile, point {k}, d {d}, {} views",
+                sources.len()
+            );
             assert_eq!(
                 aggregate_bits(&by_ray.export(k)),
                 aggregate_bits(along_ray),
@@ -1080,11 +1227,14 @@ mod tests {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
 
         /// Whatever backend fills the arena — per point on the scalar
-        /// leg, eight points per source view under AVX2 — it holds the
-        /// bits of the per-point reference: ragged last blocks and
-        /// empty rays (0…19 depths), full / coarse / odd channel
-        /// widths, one to six views, and the rays of [`edge_rays`]
-        /// against one of them.
+        /// leg, eight points per source view under AVX2 — and whichever
+        /// way it is filled — ray by ray through the public entry
+        /// points, or a whole tile pushed and flushed once — it holds
+        /// the bits of the per-point reference: tiles of several rays
+        /// of 0…19 depths with an empty ray and a single-point ray
+        /// between the free ones, full / coarse / odd channel widths,
+        /// one to six views, and the rays of [`edge_rays`] against one
+        /// of them.
         #[test]
         fn prop_arena_matches_aggregate_point_on_either_backend(
             d_pick in 0usize..3,
@@ -1096,22 +1246,39 @@ mod tests {
                     (-1.0f32..1.0, -1.0f32..1.0, -1.0f32..1.0),
                     proptest::collection::vec(0.0f32..7.0, 0..20),
                 ),
-                1..4
+                1..6
             ),
         ) {
             let all = kernel_case_sources();
             let d = [3usize, 5, 12][d_pick];
             let sources = &all[6 - [1usize, 4, 6][s_pick]..];
-            let mut rays: Vec<(Ray, Vec<f32>)> = free
-                .into_iter()
-                .map(|((ox, oy, oz), (dx, dy, dz), depths)| {
-                    let dir = Vec3::new(dx, dy, dz).try_normalized().unwrap_or(Vec3::Z);
-                    (Ray::new(Vec3::new(ox, oy, oz), dir), depths)
-                })
-                .collect();
+            let mut rays: Vec<(Ray, Vec<f32>)> = Vec::new();
+            for ((ox, oy, oz), (dx, dy, dz), depths) in free {
+                let dir = Vec3::new(dx, dy, dz).try_normalized().unwrap_or(Vec3::Z);
+                let ray = Ray::new(Vec3::new(ox, oy, oz), dir);
+                let single = vec![depths.first().copied().unwrap_or(1.5)];
+                rays.extend([(ray, depths), (ray, Vec::new()), (ray, single)]);
+            }
             rays.extend(edge_rays(&all[edge_view]));
             assert_arena_matches_reference(&rays, sources, d);
         }
+    }
+
+    #[test]
+    fn the_block_kernel_caps_neither_views_nor_channels() {
+        // Nine views, and nineteen channels (three vectors of eight with
+        // a ragged last one) of maps widened past the encoder's twelve:
+        // the block scratch is sized from the arena's shape, so both go
+        // the same route as the benchmark's 6 × 12.
+        let ds = Dataset::build(DatasetKind::DeepVoxels, "cube", 0.05, 9, 1, 24, 3);
+        let mut sources = prepare_sources(&ds.source_views);
+        let rays: Vec<(Ray, Vec<f32>)> = sources[..3].iter().flat_map(edge_rays).collect();
+        assert_arena_matches_reference(&rays, &sources, 12);
+        for src in &mut sources {
+            src.features = src.features.widened(20);
+        }
+        assert_arena_matches_reference(&rays, &sources[..6], 19);
+        assert_arena_matches_reference(&rays, &sources, 19);
     }
 
     #[test]

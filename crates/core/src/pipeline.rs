@@ -46,7 +46,11 @@
 //! Within a tile, shading is a three-phase schedule instead of a
 //! per-ray program: **aggregate** every ray of the tile into the
 //! worker's SoA [`AggregateArena`] (zero heap allocations in steady
-//! state; see `crate::features`), then **one fused forward** (the
+//! state; see `crate::features` — each ray's sample depths are appended
+//! to one flat buffer of the worker scratch and pushed into the arena
+//! from there, the arena packs the tile's points into blocks of eight
+//! that run on from one ray into the next, and one flush at the end of
+//! the tile acquires the last, ragged one), then **one fused forward** (the
 //! implementation behind [`GenNerfModel::forward_rays_arena`] — four
 //! layer-fused kernel dispatches for the whole tile: the point MLP as
 //! one row-panel chain reading the arena's stats matrix as the GEMM
@@ -57,7 +61,13 @@
 //! **composite** through per-worker scratch buffers. The forward
 //! leaves the tile's densities and colours in flat ray-major buffers
 //! inside the worker's forward scratch and the composite reads each
-//! ray's run of them — no per-ray output `Vec` exists on this path.
+//! ray's run of them and of the depth buffer — the arena's ray offsets
+//! cut all three — so nothing on this path is allocated per ray: no
+//! depth, output or weight `Vec`, and the FLOP / fetch accounting is
+//! plain integers summed per (tile, frame) and booked into the
+//! string-keyed buckets once per tile. Step ① of coarse-then-focus
+//! composites straight into the exported [`CoarseFrame`], which is
+//! sized before the fan-out.
 //! The arena, the forward scratch and the composite buffers live in a
 //! thread-local worker scratch, so a persistent [`Pool`] worker keeps
 //! them warm across frames — and since they only ever hold one tile,
@@ -124,9 +134,7 @@
 //! it.
 
 use crate::config::SamplingStrategy;
-use crate::features::{
-    aggregate_ray_into, assert_channels, AggregateArena, AggregateView, SourceViewData,
-};
+use crate::features::{assert_channels, AggregateArena, SourceViewData};
 use crate::model::{ForwardScratch, GenNerfModel, MlpScratch};
 use crate::sampling;
 use gen_nerf_geometry::{Aabb, Camera, Ray, Vec3};
@@ -134,7 +142,7 @@ use gen_nerf_nn::flops::{self, FlopsCounter};
 use gen_nerf_nn::init::Rng;
 use gen_nerf_nn::kernels::{self, integrity};
 use gen_nerf_parallel::{par_chunk_ranges, CancelToken, Pool};
-use gen_nerf_scene::renderer::{composite, composite_into};
+use gen_nerf_scene::renderer::{composite_into, composite_to};
 use gen_nerf_scene::Image;
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -156,9 +164,23 @@ struct CompositeScratch {
     black: Vec<Vec3>,
 }
 
+/// Reusable buffers for a tile's depth selection, shared by all three
+/// schedules: nothing is allocated per ray once they have grown.
+#[derive(Debug, Clone, Default)]
+struct SampleScratch {
+    /// The tile's sample depths, flat and ray-major. Every ray's depths
+    /// are appended here and pushed into the arena from here, so ray
+    /// `i`'s run is the arena's `ray_range(i)` (the hierarchical
+    /// schedule keeps its coarse pass's depths in front of its fine
+    /// pass's).
+    depths: Vec<f32>,
+    /// The importance sampler's CDF.
+    cdf: Vec<f32>,
+}
+
 /// One render worker's reusable state: the SoA aggregation arena (the
 /// zero-allocation acquisition buffer), the fused-forward buffers, the
-/// coarse-MLP activations and the composite buffers.
+/// coarse-MLP activations, the depth buffer and the composite buffers.
 ///
 /// Lives in a thread-local, so a persistent [`Pool`] worker keeps its
 /// buffers warm **across frames** — the steady-state serving loop stops
@@ -172,6 +194,7 @@ struct WorkerScratch {
     arena: AggregateArena,
     forward: ForwardScratch,
     coarse: MlpScratch,
+    sample: SampleScratch,
     composite: CompositeScratch,
 }
 
@@ -186,7 +209,10 @@ impl WorkerScratch {
         self.arena.capacity_bytes()
             + self.forward.capacity_bytes()
             + self.coarse.capacity_bytes()
-            + (self.composite.deltas.capacity() + self.composite.weights.capacity())
+            + (self.sample.depths.capacity()
+                + self.sample.cdf.capacity()
+                + self.composite.deltas.capacity()
+                + self.composite.weights.capacity())
                 * std::mem::size_of::<f32>()
             + self.composite.black.capacity() * std::mem::size_of::<Vec3>()
     }
@@ -265,23 +291,69 @@ const TILE_POINTS: usize = 1024;
 /// Upper bound on the heap one render worker's scratch retains, for
 /// any frame size or batch: the renderer shades one ray tile of at
 /// most 1 K sample points at a time, so the scratch stops growing at
-/// one tile's buffers — 1.6 MB measured at 4 source views with
-/// `ModelConfig::fast()`, ≈ 0.1 MB more per extra view — rounded up to
-/// leave `Vec` growth its slack. A unit test pins the retained
-/// capacity under it; the serve tier's memory governor reserves this
-/// much per render worker.
+/// one tile's buffers — 0.48 MB measured at 4 source views with
+/// `ModelConfig::fast()` (0.3 KB per point of stats, activations and
+/// outputs, 0.03 KB per point and view of acquisition planes, one
+/// 4 KB depth buffer for the tile, and 2.6 KB — 4.7 KB at 8 views — of
+/// block-kernel tile; a unit test pins that figure), ≈ 0.03 MB more
+/// per extra view — with room for wider models and for `Vec` growth's
+/// slack. A unit test pins the retained capacity under it; the serve
+/// tier's memory governor reserves this much per render worker.
 pub const WORKER_SCRATCH_BYTES: usize = 4 << 20;
 
 /// Ceiling on steady-state fused-schedule heap allocations per frame
 /// on the canonical allocation workload (32×32 frame, uniform
-/// n = 12, one inline thread): the measured 757 plus 25 % headroom.
-/// What is left is per ray (its depths) and per tile (result
-/// vectors); the 2,122 before the flat forward outputs were mostly two
-/// `Vec`s per ray in `RayOutput`, and the 21,698 before that a
-/// `String` per `FlopsCounter::add`, two adds per point — the
-/// regressions this ceiling exists to catch.
-/// `tests/arena_regression.rs` enforces it, on both kernel legs of CI.
-pub const STEADY_STATE_ALLOC_CEILING: u64 = 950;
+/// n = 12, one inline thread): the measured 33 plus a third. What is
+/// left is per frame (the ray batch, the pixel and image buffers) and
+/// per tile (its pixels and its counts); nothing is per ray or per
+/// point. The 757 before the flat depth buffer were a depth `Vec` per
+/// ray, the 2,122 before the flat forward outputs mostly two `Vec`s per
+/// ray in `RayOutput`, and the 21,698 before that a `String` per
+/// `FlopsCounter::add`, two adds per point — the regressions this
+/// ceiling exists to catch. `tests/arena_regression.rs` enforces it, on
+/// both kernel legs of CI.
+pub const STEADY_STATE_ALLOC_CEILING: u64 = 45;
+
+/// [`STEADY_STATE_ALLOC_CEILING`] for the same frame rendered
+/// coarse-then-focus (16, 12) — the schedule the benchmark and the
+/// serve tier run: the measured 62 plus a third. Two passes' tiles,
+/// the exported `CoarseFrame`'s three blocks and Step ②'s allocation
+/// vectors; before the flat depth buffer and the in-place `CoarseFrame`
+/// it was four `Vec`s per ray (9,216 of the benchmark frame's 9,767).
+pub const STEADY_STATE_CTF_ALLOC_CEILING: u64 = 80;
+
+/// One tile's full-model evaluations for one frame, as plain integers.
+/// Every `RenderStats` term is linear in these, so a tile sums them per
+/// ray and books them once ([`Renderer::book_full_eval`]) instead of
+/// probing the string-keyed FLOPs buckets for every ray.
+#[derive(Debug, Clone, Copy, Default)]
+struct FullEvalCounts {
+    /// Rays evaluated (with at least one point).
+    rays: u64,
+    /// Points evaluated.
+    points: u64,
+    /// Valid (point, view) pairs.
+    valid: u64,
+    /// Σ over rays of the ray module's FLOPs at the ray's length.
+    ray_module: u64,
+    /// Σ over rays of the volume-rendering FLOPs at the ray's length.
+    render: u64,
+}
+
+/// One tile's Step ① probing for one frame (see [`FullEvalCounts`]).
+#[derive(Debug, Clone, Copy, Default)]
+struct CoarseEvalCounts {
+    /// Rays probed.
+    rays: u64,
+    /// Coarse points evaluated.
+    points: u64,
+    /// Valid (point, view) pairs.
+    valid: u64,
+    /// Rays composited (a ray that crosses the bounds, probed or not).
+    composited: u64,
+    /// Σ over composited rays of the volume-rendering FLOPs.
+    render: u64,
+}
 
 /// Instrumentation collected while rendering one image.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -357,7 +429,10 @@ impl RayBatch {
         for y in 0..h {
             for x in 0..w {
                 let ray = camera.pixel_center_ray(x, y);
-                ranges.push(bounds.intersect_ray(&ray));
+                // A ray that only grazes an edge or a corner of the
+                // bounds comes back as `(t, t)`: nothing to sample, so
+                // it is a miss (every sampler needs `t_far > t_near`).
+                ranges.push(bounds.intersect_ray(&ray).filter(|&(t0, t1)| t1 > t0));
                 rays.push(ray);
             }
         }
@@ -557,32 +632,36 @@ pub struct CoarseFrame {
 }
 
 impl CoarseFrame {
-    /// An unsealed frame with room for `n_rays` rays of at most
-    /// `weights_per_ray` weights each.
-    fn with_capacity(n_rays: usize, weights_per_ray: usize) -> Self {
-        let mut offsets = Vec::with_capacity(n_rays + 1);
+    /// An unsealed frame for `batch` probed at `n_coarse` samples a
+    /// ray: `n_coarse` weights (zero until Step ① writes them) for
+    /// every ray that crosses the bounds, none for one that misses, and
+    /// no critical samples anywhere. Sized exactly, so the tiles of
+    /// Step ① write their rays in place.
+    fn for_batch(batch: &RayBatch, n_coarse: usize) -> Self {
+        let mut offsets = Vec::with_capacity(batch.len() + 1);
+        let mut end = 0usize;
         offsets.push(0);
+        for range in &batch.ranges {
+            end += if range.is_some() { n_coarse } else { 0 };
+            offsets.push(u32::try_from(end).expect("a frame's coarse weights fit in u32"));
+        }
         Self {
-            weights: Vec::with_capacity(n_rays * weights_per_ray),
+            weights: vec![0.0; end],
             offsets,
-            criticals: Vec::with_capacity(n_rays),
+            criticals: vec![0; batch.len()],
             checksum: 0,
         }
     }
 
-    /// Appends the next ray's coarse outcome.
-    fn push_ray(&mut self, weights: &[f32], critical: usize) {
-        self.weights.extend_from_slice(weights);
-        let end = u32::try_from(self.weights.len()).expect("a frame's coarse weights fit in u32");
-        self.offsets.push(end);
-        self.criticals
-            .push(u32::try_from(critical).expect("criticals are a subset of the ray's weights"));
+    /// Ray `j`'s hitting weights and critical count, for Step ① to
+    /// fill.
+    fn ray_mut(&mut self, j: usize) -> (&mut [f32], &mut u32) {
+        let run = self.offsets[j] as usize..self.offsets[j + 1] as usize;
+        (&mut self.weights[run], &mut self.criticals[j])
     }
 
-    /// Seals the digest over the finished payload (export time),
-    /// handing back the room that rays without weights left unused.
+    /// Seals the digest over the finished payload (export time).
     fn seal(&mut self) {
-        self.weights.shrink_to_fit();
         self.checksum = self.fnv1a();
     }
 
@@ -884,7 +963,11 @@ impl<'a> Renderer<'a> {
                 let px = self.shade_frames_fused(
                     &set,
                     |_, _| n,
-                    |f, j| set.batches[f].ranges[j].map(|(t0, t1)| Ray::uniform_depths(t0, t1, n)),
+                    |f, j, sample| {
+                        if let Some((t0, t1)) = set.batches[f].ranges[j] {
+                            Ray::uniform_depths_into(t0, t1, n, &mut sample.depths);
+                        }
+                    },
                     stats,
                 );
                 (px, vec![None; n_frames])
@@ -1047,12 +1130,13 @@ impl<'a> Renderer<'a> {
         per_worker.into_iter().flatten().collect()
     }
 
-    /// Splits per-chunk `(colors, per-frame stats)` results back into
-    /// per-frame pixel vectors (frame-local ray order) and folds the
-    /// stats, chunk-major — the join side of every multi-frame fan-out.
+    /// Splits per-tile `(colors, per-frame counts)` results back into
+    /// per-frame pixel vectors (frame-local ray order) and books the
+    /// counts, tile-major — the join side of every multi-frame fan-out.
     fn merge_frame_chunks(
+        &self,
         set: &FrameSet,
-        chunks: Vec<(Vec<Vec3>, Vec<RenderStats>)>,
+        chunks: Vec<(Vec<Vec3>, Vec<FullEvalCounts>)>,
         stats: &mut [RenderStats],
     ) -> Vec<Vec<Vec3>> {
         let mut pixels: Vec<Vec<Vec3>> = set
@@ -1067,8 +1151,8 @@ impl<'a> Renderer<'a> {
                 pixels[f].push(c);
                 g += 1;
             }
-            for (f, l) in local.iter().enumerate() {
-                stats[f].merge(l);
+            for (f, counts) in local.iter().enumerate() {
+                self.book_full_eval(counts, &mut stats[f]);
             }
         }
         pixels
@@ -1077,9 +1161,11 @@ impl<'a> Renderer<'a> {
     /// The fused tile schedule over a whole frame set: tiles are cut
     /// by `points_of(frame, ray)` (each ray's sample count, known
     /// before shading) and may span frames; per tile,
-    /// `depths_for(frame, ray)` picks each ray's samples (`None` →
-    /// background), phase 1 aggregates every ray of the tile, phase 2
-    /// runs **one** fused forward for the whole tile, phase 3
+    /// `depths_for(frame, ray, scratch)` appends each ray's samples to
+    /// the tile's flat depth buffer (nothing → background), phase 1
+    /// aggregates every ray of the tile — blocks of eight points
+    /// running on from one ray into the next, flushed once at the end —
+    /// phase 2 runs **one** fused forward for the whole tile, phase 3
     /// composites per ray.
     /// Bit-identical to shading each frame alone (GEMM rows are
     /// batch-independent) and to [`Renderer::shade_batch`] over
@@ -1093,7 +1179,7 @@ impl<'a> Renderer<'a> {
     ) -> Vec<Vec<Vec3>>
     where
         P: Fn(usize, usize) -> usize + Sync,
-        D: Fn(usize, usize) -> Option<Vec<f32>> + Sync,
+        D: Fn(usize, usize, &mut SampleScratch) + Sync,
     {
         let d = self.d_channels();
         let tile_points = |g: usize| {
@@ -1104,49 +1190,39 @@ impl<'a> Renderer<'a> {
             with_worker_scratch(|ws| {
                 let telemetry = gen_nerf_telemetry::enabled();
                 let t_chunk = telemetry.then(std::time::Instant::now);
-                let mut local = vec![RenderStats::default(); set.n_frames()];
-                // Phase 1: depth selection + SoA aggregation for the
-                // chunk, straight into the worker's arena (zero heap
-                // allocations once its buffers have grown).
-                ws.arena.reset(self.sources.len(), d);
-                let mut depths_per: Vec<Option<Vec<f32>>> = Vec::with_capacity(end - start);
-                for g in start..end {
-                    let (f, j) = set.locate(g);
-                    // Cancellation checkpoint: a fired token turns the
-                    // rest of the chunk into background rays, so the
-                    // fused forward below shrinks to the work already
-                    // aggregated and the worker drains promptly.
-                    let depths = if self.is_cancelled() {
-                        None
-                    } else {
-                        depths_for(f, j)
-                    };
-                    match &depths {
-                        Some(dep) => {
-                            aggregate_ray_into(
-                                &set.batches[f].rays[j],
-                                dep,
-                                self.sources,
-                                d,
-                                &mut ws.arena,
-                            );
-                            if !dep.is_empty() {
-                                self.account_full_eval_arena(&ws.arena, g - start, &mut local[f]);
-                            }
-                        }
-                        None => ws.arena.seal_ray(),
-                    }
-                    depths_per.push(depths);
-                }
-                // Phase 2: one fused forward for every ray of the chunk
-                // — the arena's stats matrix is the GEMM operand, no
-                // staging copy.
+                let mut local = vec![FullEvalCounts::default(); set.n_frames()];
                 let WorkerScratch {
                     arena,
                     forward,
+                    sample,
                     composite: cscratch,
                     ..
                 } = ws;
+                // Phase 1: depth selection + SoA aggregation for the
+                // tile, straight into the worker's arena (zero heap
+                // allocations once its buffers have grown).
+                arena.reset(self.sources.len(), d);
+                sample.depths.clear();
+                for g in start..end {
+                    let (f, j) = set.locate(g);
+                    let from = sample.depths.len();
+                    // Cancellation checkpoint: a fired token turns the
+                    // rest of the tile into background rays, so the
+                    // fused forward below shrinks to the work already
+                    // aggregated and the worker drains promptly.
+                    if !self.is_cancelled() {
+                        depths_for(f, j, sample);
+                    }
+                    arena.push_ray(
+                        &set.batches[f].rays[j],
+                        &sample.depths[from..],
+                        self.sources,
+                    );
+                }
+                arena.flush(self.sources);
+                // Phase 2: one fused forward for every ray of the tile
+                // — the arena's stats matrix is the GEMM operand, no
+                // staging copy.
                 let (densities, colors) = self.model.forward_arena_flat(arena, forward);
                 // Stage-boundary sentinel: catch non-finite forward
                 // outputs before the composite folds them into pixels.
@@ -1164,17 +1240,22 @@ impl<'a> Renderer<'a> {
                 } else {
                     None
                 };
-                // Phase 3: per-ray composite of each ray's run of the
-                // flat outputs, through the worker's scratch buffers.
+                // Phase 3: per-ray accounting and composite of each
+                // ray's run of the flat outputs, through the worker's
+                // scratch buffers.
                 let pixels: Vec<Vec3> = (start..end)
                     .map(|g| {
-                        let idx = g - start;
                         let (f, j) = set.locate(g);
-                        match (&depths_per[idx], set.batches[f].ranges[j]) {
-                            (Some(depths), Some((_, t1))) if !depths.is_empty() => {
-                                let run = arena.ray_range(idx);
+                        let run = arena.ray_range(g - start);
+                        match set.batches[f].ranges[j] {
+                            Some((_, t1)) if !run.is_empty() => {
+                                self.count_full_eval(
+                                    run.len(),
+                                    arena.ray_valid_pairs(g - start),
+                                    &mut local[f],
+                                );
                                 self.composite_ray_scratch(
-                                    depths,
+                                    &sample.depths[run.clone()],
                                     &densities[run.clone()],
                                     &colors[run],
                                     t1,
@@ -1191,46 +1272,75 @@ impl<'a> Renderer<'a> {
                 (pixels, local)
             })
         });
-        Self::merge_frame_chunks(set, chunks, stats)
+        self.merge_frame_chunks(set, chunks, stats)
+    }
+
+    /// Adds one ray's full-model evaluation — `n ≥ 1` points, `valid`
+    /// (point, view) pairs — to a tile's counts.
+    fn count_full_eval(&self, n: usize, valid: usize, counts: &mut FullEvalCounts) {
+        counts.rays += 1;
+        counts.points += n as u64;
+        counts.valid += valid as u64;
+        counts.ray_module += 2 * self.model.config.ray_module_macs(n);
+        counts.render += flops::volume_render(n);
+    }
+
+    /// Books a tile's full-model counts: one add per bucket, the same
+    /// totals as an add per ray (every term is an integer sum). A tile
+    /// that evaluated nothing for the frame touches no bucket.
+    fn book_full_eval(&self, counts: &FullEvalCounts, stats: &mut RenderStats) {
+        if counts.rays == 0 {
+            return;
+        }
+        stats.feature_fetches += 4 * counts.valid;
+        stats.points += counts.points;
+        stats.flops.add(
+            "acquire",
+            counts.valid * flops::bilinear_fetch(1, self.d_channels()),
+        );
+        // Blend head runs per valid view, the point MLP per point.
+        stats.flops.add(
+            "mlp",
+            counts.valid * 2 * (2 * 8 + 8 * 8 + 8) as u64
+                + counts.points * 2 * self.model.config.mlp_macs_per_point(),
+        );
+        stats.flops.add("ray_module", counts.ray_module);
+        stats.flops.add("others", counts.render);
+    }
+
+    /// Books a tile's Step ① counts at `dc` coarse channels (see
+    /// [`Renderer::book_full_eval`]).
+    fn book_coarse_eval(&self, counts: &CoarseEvalCounts, dc: usize, stats: &mut RenderStats) {
+        stats.feature_fetches += 4 * counts.valid;
+        stats.coarse_points += counts.points;
+        if counts.rays != 0 {
+            stats
+                .flops
+                .add("acquire", counts.valid * flops::bilinear_fetch(1, dc));
+            stats.flops.add(
+                "mlp",
+                counts.points * 2 * self.model.config.coarse_mlp_macs_per_point(),
+            );
+        }
+        if counts.composited != 0 {
+            stats.flops.add("others", counts.render);
+        }
     }
 
     /// FLOPs/fetch accounting for one ray's full-model evaluation,
-    /// from per-point valid-view counts. Shared by the per-ray and
-    /// fused schedules, so both report identical counts (every field
-    /// is an order-independent sum; the fused regression test asserts
-    /// the equality).
+    /// from per-point valid-view counts — the per-ray reference
+    /// schedule's entry to the accounting the tiles do in sums, so both
+    /// report identical counts (the fused regression test asserts the
+    /// equality).
     fn account_full_eval_counts(
         &self,
         n: usize,
         valid_counts: impl Iterator<Item = usize>,
         stats: &mut RenderStats,
     ) {
-        // One sum per ray, not one add per point: every term is linear
-        // in the valid-view count, so the totals are identical.
-        let valid: u64 = valid_counts.map(|m| m as u64).sum();
-        stats.feature_fetches += 4 * valid;
-        stats.flops.add(
-            "acquire",
-            valid * flops::bilinear_fetch(1, self.d_channels()),
-        );
-        stats.points += n as u64;
-        // Blend head runs per valid view, the point MLP per point.
-        stats.flops.add(
-            "mlp",
-            valid * 2 * (2 * 8 + 8 * 8 + 8) as u64
-                + n as u64 * 2 * self.model.config.mlp_macs_per_point(),
-        );
-        stats
-            .flops
-            .add("ray_module", 2 * self.model.config.ray_module_macs(n));
-        stats.flops.add("others", flops::volume_render(n));
-    }
-
-    /// [`Renderer::account_full_eval_counts`] over ray `ray` of an
-    /// arena (the fused schedule).
-    fn account_full_eval_arena(&self, arena: &AggregateArena, ray: usize, stats: &mut RenderStats) {
-        let range = arena.ray_range(ray);
-        self.account_full_eval_counts(range.len(), range.clone().map(|k| arena.n_valid(k)), stats);
+        let mut counts = FullEvalCounts::default();
+        self.count_full_eval(n, valid_counts.sum(), &mut counts);
+        self.book_full_eval(&counts, stats);
     }
 
     /// [`Renderer::composite_ray`] through per-worker scratch buffers —
@@ -1269,43 +1379,41 @@ impl<'a> Renderer<'a> {
         let per_pass = |_| n_coarse.max(n_fine);
         let chunks = self.fan_out(set.total(), per_pass, |start, end| {
             with_worker_scratch(|ws| {
-                let mut local = vec![RenderStats::default(); set.n_frames()];
-                // Coarse phase: SoA-aggregate the chunk into the
+                let mut local = vec![FullEvalCounts::default(); set.n_frames()];
+                let WorkerScratch {
+                    arena,
+                    forward,
+                    sample,
+                    composite: cscratch,
+                    ..
+                } = ws;
+                // Coarse phase: SoA-aggregate the tile into the
                 // worker's arena, one fused forward off it.
-                ws.arena.reset(self.sources.len(), d);
-                let mut coarse_depths_per: Vec<Vec<f32>> = Vec::with_capacity(end - start);
+                arena.reset(self.sources.len(), d);
+                sample.depths.clear();
                 for g in start..end {
                     let (f, j) = set.locate(g);
                     let batch = &set.batches[f];
-                    let range = if self.is_cancelled() {
-                        None // cancellation checkpoint: drain as a miss
-                    } else {
-                        batch.ranges[j]
-                    };
-                    match range {
-                        Some((t0, t1)) => {
-                            let depths = Ray::uniform_depths(t0, t1, n_coarse);
-                            aggregate_ray_into(
-                                &batch.rays[j],
-                                &depths,
-                                self.sources,
-                                d,
-                                &mut ws.arena,
-                            );
-                            self.account_full_eval_arena(&ws.arena, g - start, &mut local[f]);
-                            coarse_depths_per.push(depths);
-                        }
-                        None => {
-                            ws.arena.seal_ray();
-                            coarse_depths_per.push(Vec::new());
-                        }
+                    let from = sample.depths.len();
+                    // The filter is the cancellation checkpoint: drain
+                    // as a miss.
+                    if let Some((t0, t1)) = batch.ranges[j].filter(|_| !self.is_cancelled()) {
+                        Ray::uniform_depths_into(t0, t1, n_coarse, &mut sample.depths);
+                    }
+                    arena.push_ray(&batch.rays[j], &sample.depths[from..], self.sources);
+                }
+                arena.flush(self.sources);
+                for g in start..end {
+                    let run = arena.ray_range(g - start);
+                    if !run.is_empty() {
+                        let valid = arena.ray_valid_pairs(g - start);
+                        self.count_full_eval(run.len(), valid, &mut local[set.locate(g).0]);
                     }
                 }
                 // The coarse outputs outlive the arena and the forward
                 // scratch (both are reused by the fine pass below), so
                 // the tile's flat runs are copied out once.
                 let (coarse_runs, coarse_densities, coarse_colors) = {
-                    let WorkerScratch { arena, forward, .. } = &mut *ws;
                     let (densities, colors) = self.model.forward_arena_flat(arena, forward);
                     if sentinels_enabled() {
                         scan_forward_outputs(densities, colors, "hierarchical coarse forward");
@@ -1319,53 +1427,46 @@ impl<'a> Renderer<'a> {
                 let coarse_run = |idx: usize| coarse_runs[idx]..coarse_runs[idx + 1];
 
                 // Importance resampling per ray, then the fine fused
-                // pass through the same (reset) arena.
-                ws.arena.reset(self.sources.len(), d);
-                let mut fine_depths_per: Vec<Vec<f32>> = Vec::with_capacity(end - start);
+                // pass through the same (reset) arena. The fine depths
+                // go behind the coarse ones in the flat buffer.
+                let fine_base = sample.depths.len();
+                arena.reset(self.sources.len(), d);
                 for g in start..end {
                     let idx = g - start;
                     let (f, j) = set.locate(g);
                     let batch = &set.batches[f];
-                    let Some((t0, t1)) = batch.ranges[j] else {
-                        ws.arena.seal_ray();
-                        fine_depths_per.push(Vec::new());
-                        continue;
-                    };
-                    // Cancellation checkpoint; also covers rays whose
-                    // coarse pass was itself cancelled above (the token
-                    // is sticky, so those always land here).
-                    if self.is_cancelled() {
-                        ws.arena.seal_ray();
-                        fine_depths_per.push(Vec::new());
-                        continue;
+                    let from = sample.depths.len();
+                    // The filter is the cancellation checkpoint; it
+                    // also covers rays whose coarse pass was itself
+                    // cancelled above (the token is sticky, so those
+                    // always land here).
+                    if let Some((t0, t1)) = batch.ranges[j].filter(|_| !self.is_cancelled()) {
+                        Ray::interval_widths_into(
+                            &sample.depths[coarse_run(idx)],
+                            t1,
+                            &mut cscratch.deltas,
+                        );
+                        composite_into(
+                            &coarse_densities[coarse_run(idx)],
+                            &coarse_colors[coarse_run(idx)],
+                            &cscratch.deltas,
+                            self.background,
+                            &mut cscratch.weights,
+                        );
+                        let mut rng = self.ray_rng(j);
+                        sampling::importance_sample_into(
+                            t0,
+                            t1,
+                            &cscratch.weights,
+                            n_fine,
+                            &mut rng,
+                            &mut sample.cdf,
+                            &mut sample.depths,
+                        );
                     }
-                    let deltas = Ray::interval_widths(&coarse_depths_per[idx], t1);
-                    let comp = composite(
-                        &coarse_densities[coarse_run(idx)],
-                        &coarse_colors[coarse_run(idx)],
-                        &deltas,
-                        self.background,
-                    );
-                    let edges = sampling::uniform_edges(t0, t1, n_coarse);
-                    let mut rng = self.ray_rng(j);
-                    let fine_depths =
-                        sampling::importance_sample(&edges, &comp.weights, n_fine, &mut rng);
-                    aggregate_ray_into(
-                        &batch.rays[j],
-                        &fine_depths,
-                        self.sources,
-                        d,
-                        &mut ws.arena,
-                    );
-                    self.account_full_eval_arena(&ws.arena, idx, &mut local[f]);
-                    fine_depths_per.push(fine_depths);
+                    arena.push_ray(&batch.rays[j], &sample.depths[from..], self.sources);
                 }
-                let WorkerScratch {
-                    arena,
-                    forward,
-                    composite: cscratch,
-                    ..
-                } = ws;
+                arena.flush(self.sources);
                 let (fine_densities, fine_colors) = self.model.forward_arena_flat(arena, forward);
                 if sentinels_enabled() {
                     scan_forward_outputs(fine_densities, fine_colors, "hierarchical fine forward");
@@ -1380,13 +1481,22 @@ impl<'a> Renderer<'a> {
                             return self.background;
                         };
                         let fine_run = arena.ray_range(idx);
-                        let mut merged: Vec<(f32, f32, Vec3)> = coarse_depths_per[idx]
+                        if !fine_run.is_empty() {
+                            self.count_full_eval(
+                                fine_run.len(),
+                                arena.ray_valid_pairs(idx),
+                                &mut local[f],
+                            );
+                        }
+                        let fine_depths =
+                            &sample.depths[fine_base + fine_run.start..fine_base + fine_run.end];
+                        let mut merged: Vec<(f32, f32, Vec3)> = sample.depths[coarse_run(idx)]
                             .iter()
                             .zip(&coarse_densities[coarse_run(idx)])
                             .zip(&coarse_colors[coarse_run(idx)])
                             .map(|((&t, &d), &c)| (t, d, c))
                             .chain(
-                                fine_depths_per[idx]
+                                fine_depths
                                     .iter()
                                     .zip(&fine_densities[fine_run.clone()])
                                     .zip(&fine_colors[fine_run])
@@ -1403,7 +1513,7 @@ impl<'a> Renderer<'a> {
                 (colors, local)
             })
         });
-        Self::merge_frame_chunks(set, chunks, stats)
+        self.merge_frame_chunks(set, chunks, stats)
     }
 
     /// The proposed coarse-then-focus pipeline (Sec. 3.2) over a frame
@@ -1458,117 +1568,116 @@ impl<'a> Renderer<'a> {
             (needs[i], g - sub_off[i])
         };
         let t_coarse = gen_nerf_telemetry::enabled().then(std::time::Instant::now);
-        let per_ray = |_| n_coarse;
-        let coarse_chunks = self.fan_out(sub_total, per_ray, |start, end| {
+        // Every freshly probed frame exists, sized, before the fan-out:
+        // a tile writes its rays' weights and critical counts in place,
+        // under the frame's lock (one per run of a frame's rays in the
+        // tile), so Step ① hands nothing per ray back to the join.
+        let fresh: Vec<Option<Mutex<CoarseFrame>>> = (0..set.n_frames())
+            .map(|f| {
+                cached[f]
+                    .is_none()
+                    .then(|| Mutex::new(CoarseFrame::for_batch(&set.batches[f], n_coarse)))
+            })
+            .collect();
+        let points_of = |_| n_coarse;
+        let coarse_chunks = self.fan_out(sub_total, points_of, |start, end| {
             with_worker_scratch(|ws| {
-                let mut local = vec![RenderStats::default(); set.n_frames()];
-                // Coarse SoA aggregation into the worker arena (the
-                // channel-scaled coarse stats matrix feeds the coarse
-                // MLP in place).
-                ws.arena.reset(coarse_sources.len(), dc);
-                let mut depths_per: Vec<Vec<f32>> = Vec::with_capacity(end - start);
-                for g in start..end {
-                    let (f, j) = locate_sub(g);
-                    let batch = &set.batches[f];
-                    // Second pattern is the cancellation checkpoint: a
-                    // cancelled ray probes nothing (weights empty,
-                    // critical count 0) and Step ③ shades it as
-                    // background.
-                    let range = batch.ranges[j].filter(|_| !self.is_cancelled());
-                    let Some((t0, t1)) = range else {
-                        ws.arena.seal_ray();
-                        depths_per.push(Vec::new());
-                        continue;
-                    };
-                    let depths = Ray::uniform_depths(t0, t1, n_coarse);
-                    aggregate_ray_into(&batch.rays[j], &depths, coarse_sources, dc, &mut ws.arena);
-                    let range = ws.arena.ray_range(g - start);
-                    let valid: u64 = range.clone().map(|k| ws.arena.n_valid(k) as u64).sum();
-                    local[f].feature_fetches += 4 * valid;
-                    local[f]
-                        .flops
-                        .add("acquire", valid * flops::bilinear_fetch(1, dc));
-                    local[f].coarse_points += range.len() as u64;
-                    local[f].flops.add(
-                        "mlp",
-                        range.len() as u64 * 2 * self.model.config.coarse_mlp_macs_per_point(),
-                    );
-                    depths_per.push(depths);
-                }
+                let mut local = vec![CoarseEvalCounts::default(); set.n_frames()];
                 let WorkerScratch {
                     arena,
                     coarse,
+                    sample,
                     composite: cscratch,
                     ..
                 } = ws;
+                // Coarse SoA aggregation into the worker arena (the
+                // channel-scaled coarse stats matrix feeds the coarse
+                // MLP in place).
+                arena.reset(coarse_sources.len(), dc);
+                sample.depths.clear();
+                for g in start..end {
+                    let (f, j) = locate_sub(g);
+                    let batch = &set.batches[f];
+                    let from = sample.depths.len();
+                    // The filter is the cancellation checkpoint: a
+                    // cancelled ray probes nothing (weights zero,
+                    // critical count 0) and Step ③ shades it as
+                    // background.
+                    if let Some((t0, t1)) = batch.ranges[j].filter(|_| !self.is_cancelled()) {
+                        Ray::uniform_depths_into(t0, t1, n_coarse, &mut sample.depths);
+                    }
+                    arena.push_ray(&batch.rays[j], &sample.depths[from..], coarse_sources);
+                }
+                arena.flush(coarse_sources);
                 let densities = self.model.coarse_densities_flat(arena, coarse);
                 // Stage-boundary sentinel: a non-finite coarse density
                 // would silently skew every weight Steps ②/③ consume.
                 if sentinels_enabled() && !kernels::active().is_finite_all(densities) {
                     trip_sentinel("coarse forward: non-finite density in the tile".to_string());
                 }
-                // Weights-only composite of each ray's run of the flat
-                // densities through the worker's scratch; the tile's
-                // hitting weights leave as one flat block plus each
-                // ray's (weight count, critical count).
-                let mut tile_weights = Vec::with_capacity(arena.total_points());
-                let per_ray: Vec<(usize, usize)> = (start..end)
-                    .map(|g| {
-                        let idx = g - start;
-                        let (f, j) = locate_sub(g);
-                        let Some((_, t1)) = set.batches[f].ranges[j] else {
-                            return (0, 0);
+                // Per-ray accounting, then the weights-only composite
+                // of each ray's run of the flat densities, straight
+                // into the ray's place in its frame.
+                let mut g = start;
+                while g < end {
+                    let (f, first) = locate_sub(g);
+                    let batch = &set.batches[f];
+                    let rays = (batch.len() - first).min(end - g);
+                    let mut frame = fresh[f]
+                        .as_ref()
+                        .expect("fresh frame")
+                        .lock()
+                        .expect("no tile panics holding a frame");
+                    for j in first..first + rays {
+                        let idx = g - start + (j - first);
+                        let run = arena.ray_range(idx);
+                        let Some((_, t1)) = batch.ranges[j] else {
+                            continue;
                         };
-                        let densities = &densities[arena.ray_range(idx)];
-                        Ray::interval_widths_into(&depths_per[idx], t1, &mut cscratch.deltas);
-                        cscratch.black.resize(densities.len(), Vec3::ZERO);
-                        composite_into(
-                            densities,
+                        local[f].composited += 1;
+                        if run.is_empty() {
+                            continue; // cancelled before it was probed
+                        }
+                        local[f].rays += 1;
+                        local[f].points += run.len() as u64;
+                        local[f].valid += arena.ray_valid_pairs(idx) as u64;
+                        local[f].render += flops::volume_render(run.len());
+                        let (weights, critical) = frame.ray_mut(j);
+                        Ray::interval_widths_into(
+                            &sample.depths[run.clone()],
+                            t1,
+                            &mut cscratch.deltas,
+                        );
+                        cscratch.black.resize(run.len(), Vec3::ZERO);
+                        composite_to(
+                            &densities[run],
                             &cscratch.black,
                             &cscratch.deltas,
                             Vec3::ZERO,
-                            &mut cscratch.weights,
+                            weights,
                         );
-                        local[f]
-                            .flops
-                            .add("others", flops::volume_render(densities.len()));
-                        tile_weights.extend_from_slice(&cscratch.weights);
-                        (
-                            cscratch.weights.len(),
-                            sampling::critical_count(&cscratch.weights, tau),
-                        )
-                    })
-                    .collect();
-                (tile_weights, per_ray, local)
+                        *critical = u32::try_from(sampling::critical_count(weights, tau))
+                            .expect("criticals are a subset of the ray's weights");
+                    }
+                    g += rays;
+                }
+                local
             })
         });
-        let mut fresh: Vec<Option<CoarseFrame>> = (0..set.n_frames())
-            .map(|f| {
-                cached[f]
-                    .is_none()
-                    .then(|| CoarseFrame::with_capacity(set.batches[f].len(), n_coarse))
-            })
-            .collect();
-        let mut g = 0usize;
-        for (tile_weights, per_ray, local) in coarse_chunks {
-            let mut at = 0;
-            for (n_weights, critical) in per_ray {
-                let (f, _) = locate_sub(g);
-                fresh[f]
-                    .as_mut()
-                    .expect("fresh frame")
-                    .push_ray(&tile_weights[at..at + n_weights], critical);
-                at += n_weights;
-                g += 1;
-            }
-            for (f, l) in local.iter().enumerate() {
-                stats[f].merge(l);
+        for local in coarse_chunks {
+            for (f, counts) in local.iter().enumerate() {
+                self.book_coarse_eval(counts, dc, &mut stats[f]);
             }
         }
         // Seal every freshly probed frame's digest at export.
-        for cf in fresh.iter_mut().flatten() {
-            cf.seal();
-        }
+        let fresh: Vec<Option<CoarseFrame>> = fresh
+            .into_iter()
+            .map(|frame| {
+                let mut frame = frame?.into_inner().expect("no tile panics holding a frame");
+                frame.seal();
+                Some(frame)
+            })
+            .collect();
         if let Some(t0) = t_coarse {
             stage_hist("coarse").observe(t0.elapsed().as_nanos() as u64);
         }
@@ -1597,39 +1706,32 @@ impl<'a> Renderer<'a> {
         let pixels = self.shade_frames_fused(
             set,
             |f, j| counts[f][j],
-            |f, j| {
-                let (t0, t1) = set.batches[f].ranges[j]?;
+            |f, j, sample| {
+                let Some((t0, t1)) = set.batches[f].ranges[j] else {
+                    return;
+                };
                 if counts[f][j] == 0 {
                     // Nothing critical along the ray: empty/occluded
                     // region, background shows through.
-                    return None;
+                    return;
                 }
-                let edges = sampling::uniform_edges(t0, t1, n_coarse);
+                let weights = coarse_ref[f].ray_weights(j);
+                assert_eq!(weights.len(), n_coarse, "edges/weights mismatch");
                 let mut rng = self.ray_rng(j);
-                Some(sampling::importance_sample(
-                    &edges,
-                    coarse_ref[f].ray_weights(j),
+                sampling::importance_sample_into(
+                    t0,
+                    t1,
+                    weights,
                     counts[f][j],
                     &mut rng,
-                ))
+                    &mut sample.cdf,
+                    &mut sample.depths,
+                );
             },
             stats,
         );
-        (pixels, fresh_without_imports(fresh, cached))
+        (pixels, fresh)
     }
-}
-
-/// Keeps only the coarse frames that were freshly probed this call
-/// (imported slots stay `None` so the caller keeps its own copy).
-fn fresh_without_imports(
-    fresh: Vec<Option<CoarseFrame>>,
-    cached: &[Option<&CoarseFrame>],
-) -> Vec<Option<CoarseFrame>> {
-    fresh
-        .into_iter()
-        .zip(cached)
-        .map(|(f, c)| if c.is_some() { None } else { f })
-        .collect()
 }
 
 #[cfg(test)]
@@ -2025,7 +2127,84 @@ mod tests {
                 assert_eq!(small, large, "{strategy:?}");
             }
             assert!(large <= WORKER_SCRATCH_BYTES, "{strategy:?}: {large} B");
+            // 464,248 B (uniform) and 481,976 B (coarse-then-focus)
+            // measured at these four views: the 457,768 / 475,368 of
+            // before the block tile and the flat depth buffer plus
+            // 6.5 KB. Anything per ray or per frame is a multiple.
+            assert!(large <= 500_000, "{strategy:?}: {large} B");
         }
+    }
+
+    #[test]
+    fn a_ray_that_grazes_an_edge_of_the_bounds_is_a_miss() {
+        use gen_nerf_geometry::{Intrinsics, Pose};
+        // The centre ray of this camera runs along (1, 1, 0) from
+        // (−2, 0, 0) and touches the box only on its edge x = −1,
+        // y = 1: `intersect_ray` gives `Some((t, t))`, which used to
+        // reach `uniform_depths` and panic the whole frame.
+        let (_, sources, model) = setup();
+        let bounds = Aabb::new(Vec3::new(-1.0, -1.0, -1.0), Vec3::ONE);
+        let pose = Pose::look_at(
+            Vec3::new(-2.0, 0.0, 0.0),
+            Vec3::new(-1.0, 1.0, 0.0),
+            Vec3::Z,
+        );
+        let cam = Camera::new(Intrinsics::from_fov(3, 3, 0.9), pose);
+        let (t0, t1) = bounds
+            .intersect_ray(&cam.pixel_center_ray(1, 1))
+            .expect("the edge is in the bounds");
+        assert_eq!(t0, t1, "the centre ray only touches the bounds");
+        let batch = RayBatch::from_camera(&cam, &bounds);
+        assert_eq!(batch.ranges[4], None);
+        assert!(batch.ranges.iter().any(Option::is_some), "other rays cross");
+        let background = Vec3::new(0.25, 0.5, 0.75);
+        for strategy in [
+            SamplingStrategy::Uniform { n: 6 },
+            SamplingStrategy::Hierarchical {
+                n_coarse: 4,
+                n_fine: 4,
+            },
+            SamplingStrategy::coarse_then_focus(6, 6),
+        ] {
+            let r = Renderer::new(&model, &sources, strategy, bounds, background);
+            let (img, _) = r.render(&cam);
+            assert_eq!(img.get(1, 1), background, "{strategy:?}");
+            let (reference, _) = r.render_reference(&cam);
+            assert_eq!(img.as_slice(), reference.as_slice(), "{strategy:?}");
+        }
+    }
+
+    #[test]
+    fn a_tiles_blocks_run_on_from_ray_to_ray() {
+        // Five points a ray: cut per ray, every block would hold five
+        // lanes of eight (one block per ray). A tile is pushed as one
+        // stream of points and flushed once, so it takes
+        // ⌈points / 8⌉ blocks — at most one ragged block per tile.
+        let (ds, sources, model) = setup();
+        let r = Renderer::new(
+            &model,
+            &sources,
+            SamplingStrategy::Uniform { n: 5 },
+            ds.scene.bounds,
+            ds.scene.background,
+        )
+        .with_threads(1);
+        let before = crate::features::blocks_flushed();
+        let (_, stats) = r.render(&ds.eval_views[0].camera);
+        let blocks = crate::features::blocks_flushed() - before;
+        if kernels::active_backend() != kernels::Backend::Avx2 {
+            assert_eq!(blocks, 0, "the scalar route forms no blocks");
+            return;
+        }
+        // A miss counts as one point towards the tile budget.
+        let tiles = (5 * stats.rays).div_ceil(TILE_POINTS as u64 - 5);
+        assert!(blocks >= stats.points.div_ceil(8));
+        assert!(
+            blocks <= stats.points / 8 + tiles,
+            "{blocks} blocks for {} points in at most {tiles} tiles",
+            stats.points
+        );
+        assert!(blocks < stats.points / 5, "no better than a block per ray");
     }
 
     #[test]

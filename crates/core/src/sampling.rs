@@ -2,7 +2,9 @@
 //!
 //! * [`importance_sample`] — inverse-transform sampling from a
 //!   piecewise-constant PDF over depth bins (the preprocessing unit's
-//!   Monte-Carlo sampler, Fig. 7),
+//!   Monte-Carlo sampler, Fig. 7); [`importance_sample_into`] is the
+//!   same sampler over uniform bins without its three `Vec`s, which is
+//!   what the render tiles call,
 //! * [`allocate_focused`] — the cross-ray allocation
 //!   `P(j) ∝ N^cr_j` that distributes the image-wide focused budget
 //!   over rays (Step ② of the coarse-then-focus pipeline),
@@ -121,6 +123,72 @@ pub fn importance_sample(edges: &[f32], weights: &[f32], n: usize, rng: &mut Rng
     out
 }
 
+/// [`importance_sample`] over the uniform bins of `[t0, t1]` — bin `k`
+/// of `weights.len()` runs from [`uniform_edges`]' edge `k` to edge
+/// `k + 1`, computed where it is needed by the same expression — with
+/// the samples **appended** to `out` (what it already holds stays in
+/// front) and the CDF kept in `cdf`, whose contents do not matter. The
+/// appended depths and the state `rng` is left in are bit for bit those
+/// of `importance_sample(&uniform_edges(t0, t1, weights.len()), …)`;
+/// nothing is allocated once the two buffers have grown.
+///
+/// # Panics
+///
+/// Panics when `weights` is empty.
+pub fn importance_sample_into(
+    t0: f32,
+    t1: f32,
+    weights: &[f32],
+    n: usize,
+    rng: &mut Rng,
+    cdf: &mut Vec<f32>,
+    out: &mut Vec<f32>,
+) {
+    let bins = weights.len();
+    assert!(bins >= 1, "need at least one bin");
+    if n == 0 {
+        return;
+    }
+    let edge = |k: usize| t0 + (t1 - t0) * k as f32 / bins as f32;
+    let start = out.len();
+    let total: f32 = weights.iter().map(|w| w.max(0.0)).sum();
+    if total <= 1e-12 {
+        // Uniform fallback.
+        let (lo, hi) = (edge(0), edge(bins));
+        for i in 0..n {
+            let u = (i as f32 + rng.uniform(0.0, 1.0)) / n as f32;
+            out.push(lo + (hi - lo) * u);
+        }
+    } else {
+        // CDF over bins.
+        cdf.clear();
+        cdf.push(0.0f32);
+        let mut acc = 0.0;
+        for w in weights {
+            acc += w.max(0.0) / total;
+            cdf.push(acc);
+        }
+        for i in 0..n {
+            let u = ((i as f32 + rng.uniform(0.0, 1.0)) / n as f32).min(0.999_999);
+            // Binary search for the bin with cdf[k] <= u < cdf[k+1].
+            let mut lo = 0usize;
+            let mut hi = bins;
+            while lo + 1 < hi {
+                let mid = (lo + hi) / 2;
+                if cdf[mid] <= u {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            let span = (cdf[lo + 1] - cdf[lo]).max(1e-12);
+            let frac = (u - cdf[lo]) / span;
+            out.push(edge(lo) + (edge(lo + 1) - edge(lo)) * frac);
+        }
+    }
+    out[start..].sort_by(|a, b| a.partial_cmp(b).unwrap());
+}
+
 /// Uniform bin edges over `[t0, t1]`.
 pub fn uniform_edges(t0: f32, t1: f32, bins: usize) -> Vec<f32> {
     (0..=bins)
@@ -220,6 +288,58 @@ mod tests {
     fn importance_rejects_mismatch() {
         let mut rng = Rng::seed_from(5);
         let _ = importance_sample(&[0.0, 1.0], &[0.5, 0.5], 4, &mut rng);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The scratch sampler is the allocating one over
+        /// `uniform_edges`, bit for bit: same depths, appended behind
+        /// whatever the buffer held, and the random stream left where
+        /// the allocating call leaves it — for ordinary weights, bins
+        /// of zero weight, weights that vanish altogether (the uniform
+        /// fallback), negative weights (clamped), and `n = 0`.
+        #[test]
+        fn prop_importance_sample_into_matches_importance_sample(
+            t0 in -4.0f32..4.0,
+            span in 0.01f32..9.0,
+            raw in proptest::collection::vec(0.0f32..1.0, 1..24),
+            zero_every in 1usize..5,
+            scale_pick in 0usize..4,
+            n in 0usize..40,
+            seed in 0u64..1_000_000,
+            kept in proptest::collection::vec(-9.0f32..9.0, 0..5),
+        ) {
+            let scale = [1.0f32, 1e-14, 0.0, -1.0][scale_pick];
+            let weights: Vec<f32> = raw
+                .iter()
+                .enumerate()
+                .map(|(k, &w)| if k % zero_every == 0 { 0.0 } else { w * scale })
+                .collect();
+            let t1 = t0 + span;
+            let mut rng = Rng::seed_from(seed);
+            let edges = uniform_edges(t0, t1, weights.len());
+            let expected = importance_sample(&edges, &weights, n, &mut rng);
+
+            let mut rng_into = Rng::seed_from(seed);
+            let mut cdf = vec![f32::NAN; 3];
+            let mut out = kept.clone();
+            importance_sample_into(t0, t1, &weights, n, &mut rng_into, &mut cdf, &mut out);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+            proptest::prop_assert_eq!(bits(&out[..kept.len()]), bits(&kept));
+            proptest::prop_assert_eq!(bits(&out[kept.len()..]), bits(&expected));
+            proptest::prop_assert_eq!(
+                rng.uniform(0.0, 1.0).to_bits(),
+                rng_into.uniform(0.0, 1.0).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one bin")]
+    fn importance_sample_into_rejects_no_bins() {
+        let mut rng = Rng::seed_from(6);
+        importance_sample_into(0.0, 1.0, &[], 4, &mut rng, &mut Vec::new(), &mut Vec::new());
     }
 
     #[test]

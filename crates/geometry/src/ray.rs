@@ -44,6 +44,21 @@ impl Ray {
         (0..n).map(|i| t_near + dt * (i as f32 + 0.5)).collect()
     }
 
+    /// [`Ray::uniform_depths`] appended to a caller-owned buffer —
+    /// identical results, no allocation once the buffer has grown. What
+    /// `out` already holds stays in front, so one flat buffer can take
+    /// the depths of a whole tile of rays.
+    ///
+    /// # Panics
+    ///
+    /// As [`Ray::uniform_depths`].
+    pub fn uniform_depths_into(t_near: f32, t_far: f32, n: usize, out: &mut Vec<f32>) {
+        assert!(n > 0, "need at least one sample");
+        assert!(t_far > t_near, "t_far must exceed t_near");
+        let dt = (t_far - t_near) / n as f32;
+        out.extend((0..n).map(|i| t_near + dt * (i as f32 + 0.5)));
+    }
+
     /// Depth-interval widths `t_{k+1} − t_k` used by the quadrature rule,
     /// taking the last interval to extend to `t_far`.
     pub fn interval_widths(depths: &[f32], t_far: f32) -> Vec<f32> {
@@ -116,6 +131,23 @@ mod tests {
             let d = Ray::uniform_depths(near, near + span, n);
             prop_assert!(d.windows(2).all(|w| w[0] < w[1]));
             prop_assert!(d.iter().all(|&t| t > near && t < near + span));
+        }
+
+        #[test]
+        fn prop_uniform_depths_into_appends_uniform_depths(
+            near in -5.0f32..5.0,
+            span in 0.001f32..20.0,
+            n in 1usize..64,
+            kept in proptest::collection::vec(-9.0f32..9.0, 0..5),
+        ) {
+            let mut out = kept.clone();
+            Ray::uniform_depths_into(near, near + span, n, &mut out);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+            prop_assert_eq!(bits(&out[..kept.len()]), bits(&kept));
+            prop_assert_eq!(
+                bits(&out[kept.len()..]),
+                bits(&Ray::uniform_depths(near, near + span, n))
+            );
         }
 
         #[test]

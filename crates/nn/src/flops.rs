@@ -55,8 +55,10 @@ impl FlopsCounter {
     }
 
     /// Adds `flops` to the named bucket. Only the first add to a new
-    /// bucket allocates (its key); the render loops call this per ray
-    /// per tile, so an existing bucket must stay a plain map probe.
+    /// bucket allocates (its key). The render tiles sum plain integers
+    /// per ray and call this once per bucket per (tile, frame), and
+    /// [`FlopsCounter::merge`] rides it, so an existing bucket must
+    /// stay a plain map probe.
     pub fn add(&mut self, bucket: &str, flops: u64) {
         match self.buckets.get_mut(bucket) {
             Some(v) => *v += flops,

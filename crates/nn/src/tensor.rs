@@ -359,9 +359,16 @@ impl Tensor2 {
     /// producer (e.g. an aggregation arena growing one stats row per
     /// sampled point) stops allocating once the buffer has grown.
     pub fn push_row_zeroed(&mut self) -> &mut [f32] {
+        self.push_rows_zeroed(1)
+    }
+
+    /// Appends `n` zeroed rows with one resize and returns them — a
+    /// whole ray's stats rows at once (see
+    /// [`Tensor2::push_row_zeroed`]).
+    pub fn push_rows_zeroed(&mut self, n: usize) -> &mut [f32] {
         let start = self.data.len();
-        self.data.resize(start + self.cols, 0.0);
-        self.rows += 1;
+        self.data.resize(start + n * self.cols, 0.0);
+        self.rows += n;
         &mut self.data[start..]
     }
 

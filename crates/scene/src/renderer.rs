@@ -64,27 +64,44 @@ pub fn composite_into(
     background: Vec3,
     weights: &mut Vec<f32>,
 ) -> (Vec3, f32) {
+    weights.clear();
+    weights.resize(densities.len(), 0.0);
+    composite_to(densities, colors, deltas, background, weights)
+}
+
+/// [`composite_into`] straight into the slice that is to hold the
+/// hitting probabilities — one per sample, every one overwritten.
+///
+/// # Panics
+///
+/// Panics when slice lengths disagree.
+pub fn composite_to(
+    densities: &[f32],
+    colors: &[Vec3],
+    deltas: &[f32],
+    background: Vec3,
+    weights: &mut [f32],
+) -> (Vec3, f32) {
     assert_eq!(densities.len(), colors.len(), "composite: length mismatch");
     assert_eq!(densities.len(), deltas.len(), "composite: length mismatch");
-    weights.clear();
+    assert_eq!(densities.len(), weights.len(), "composite: length mismatch");
     let mut transmittance = 1.0f32;
     let mut color = Vec3::ZERO;
+    let mut written = 0;
     for k in 0..densities.len() {
         let alpha = 1.0 - (-densities[k].max(0.0) * deltas[k]).exp();
         let w = transmittance * alpha;
         color += colors[k] * w;
-        weights.push(w);
+        weights[k] = w;
+        written = k + 1;
         transmittance *= 1.0 - alpha;
         if transmittance < 1e-5 {
             // Early termination: the remaining samples see (numerically)
             // zero transmittance; record zero weights for them.
-            weights.resize(densities.len(), 0.0);
             break;
         }
     }
-    while weights.len() < densities.len() {
-        weights.push(0.0);
-    }
+    weights[written..].fill(0.0);
     color += background * transmittance;
     (color, transmittance)
 }

@@ -17,9 +17,9 @@
 //!   its exported `CoarseFrame`'s seal and byte count, as the commit
 //!   before the block kernel and the flat `CoarseFrame` produced them.
 //! * **The accounting** — `FlopsCounter::add` must not allocate for a
-//!   bucket that exists (the render loops call it per ray per tile),
-//!   and the per-ray sums that replaced the per-point adds must leave a
-//!   fixed frame's `RenderStats` exactly where they were.
+//!   bucket that exists, and the per-tile integer sums that replaced
+//!   the per-ray adds (as those had replaced per-point adds) must leave
+//!   a fixed frame's `RenderStats` exactly where they were.
 //! * **The allocation budget** — steady-state fused rendering must
 //!   stay under an allocations/frame ceiling, and the acquisition
 //!   phase itself must allocate **nothing** once the worker arena has
@@ -155,38 +155,48 @@ proptest! {
 
 // ---- allocation budget ----------------------------------------------
 
-/// The steady-state ceiling, documented where it is defined.
-const ALLOC_CEILING: u64 = gen_nerf::pipeline::STEADY_STATE_ALLOC_CEILING;
-
 #[test]
 fn steady_state_fused_render_stays_under_alloc_ceiling() {
     // The canonical allocation workload (the `gates telemetry-overhead`
-    // gate times the same one): 32×32, uniform n = 12, single inline
-    // thread.
+    // gate times the same one): 32×32, single inline thread, uniform
+    // n = 12 — and the same frame coarse-then-focus, the schedule the
+    // benchmark and the serve tier run. Each ceiling is documented
+    // where it is defined.
     let ds = Dataset::build(DatasetKind::DeepVoxels, "cube", 0.05, 6, 1, 32, 7);
     let sources = prepare_sources(&ds.source_views);
     let model = GenNerfModel::new(ModelConfig::fast());
-    let renderer = Renderer::new(
-        &model,
-        &sources,
-        SamplingStrategy::Uniform { n: 12 },
-        ds.scene.bounds,
-        ds.scene.background,
-    )
-    .with_threads(1);
-    let cam = &ds.eval_views[0].camera;
-    let mut image = Image::new(0, 0);
-    let mut stats = RenderStats::default();
-    // Warm the worker scratch (arena growth, forward buffers) once.
-    renderer.render_into(cam, &mut image, &mut stats);
-    let before = local_allocations();
-    renderer.render_into(cam, &mut image, &mut stats);
-    let per_frame = local_allocations() - before;
-    assert!(
-        per_frame < ALLOC_CEILING,
-        "steady-state fused render performed {per_frame} allocations/frame \
-         (ceiling {ALLOC_CEILING}) — the arena acquisition path has regressed"
-    );
+    for (strategy, ceiling) in [
+        (
+            SamplingStrategy::Uniform { n: 12 },
+            gen_nerf::pipeline::STEADY_STATE_ALLOC_CEILING,
+        ),
+        (
+            SamplingStrategy::coarse_then_focus(16, 12),
+            gen_nerf::pipeline::STEADY_STATE_CTF_ALLOC_CEILING,
+        ),
+    ] {
+        let renderer = Renderer::new(
+            &model,
+            &sources,
+            strategy,
+            ds.scene.bounds,
+            ds.scene.background,
+        )
+        .with_threads(1);
+        let cam = &ds.eval_views[0].camera;
+        let mut image = Image::new(0, 0);
+        let mut stats = RenderStats::default();
+        // Warm the worker scratch (arena growth, forward buffers) once.
+        renderer.render_into(cam, &mut image, &mut stats);
+        let before = local_allocations();
+        renderer.render_into(cam, &mut image, &mut stats);
+        let per_frame = local_allocations() - before;
+        assert!(
+            per_frame < ceiling,
+            "steady-state {strategy:?} render performed {per_frame} allocations/frame \
+             (ceiling {ceiling}) — a per-ray or per-point allocation is back"
+        );
+    }
 }
 
 #[test]
