@@ -439,7 +439,7 @@ mod tests {
             ChaosFault::Slow,
         ] {
             assert!(
-                a.iter().any(|f| *f == Some(kind)),
+                a.contains(&Some(kind)),
                 "{kind:?} never drawn at fraction 0.3 over 200 frames"
             );
         }
@@ -494,7 +494,7 @@ mod tests {
         // is seed-deterministic, so this is a fixed fact, not a flake).
         for kind in [HealFault::KillShard, HealFault::WedgeShard] {
             assert!(
-                a.iter().any(|f| *f == Some(kind)),
+                a.contains(&Some(kind)),
                 "{kind:?} never drawn at fraction 0.3 over 200 frames"
             );
         }

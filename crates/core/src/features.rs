@@ -16,9 +16,9 @@
 //!
 //! * [`PointAggregate`] — the standalone AoS value (five heap `Vec`s
 //!   per point), built by [`aggregate_point`], which *is* `fill_point`.
-//!   Kept as the reference/compat type for the per-ray regression
-//!   path, training targets in tests, and benches — and as what every
-//!   test holds the arena against.
+//!   The input of the per-ray reference (`GenNerfModel::forward_ray`,
+//!   `coarse_densities`, `pipeline::reference`) and what every test
+//!   holds the arena against; nothing copies it into an arena.
 //! * [`AggregateArena`] — the chunk-level SoA block the fused render
 //!   schedule uses: one flat stats matrix with **one row per point**
 //!   (laid out exactly as the point-MLP GEMM operand, so inference
@@ -295,10 +295,10 @@ fn fill_point(
 /// the per-point sample asserts too). `ray_dir` is the novel ray's
 /// unit direction (for direction-similarity weighting).
 ///
-/// This is the AoS compat entry point (it allocates the per-point
-/// buffers) and the reference: hot paths fill an [`AggregateArena`]
-/// via [`aggregate_ray_into`] / [`aggregate_points_into`] instead —
-/// the same bits, by this routine or by the block kernel.
+/// This is the reference (it allocates the per-point buffers): hot
+/// paths fill an [`AggregateArena`] via [`aggregate_ray_into`] /
+/// [`aggregate_points_into`] instead — the same bits, by this routine
+/// or by the block kernel.
 pub fn aggregate_point(
     p: Vec3,
     ray_dir: Vec3,
@@ -346,56 +346,6 @@ pub(crate) fn blocks_flushed() -> u64 {
     BLOCKS_FLUSHED.with(|c| c.get())
 }
 
-/// Read access to a run of aggregated points, independent of layout.
-///
-/// Implemented by `[PointAggregate]` (AoS) and by [`AggregateArena`] /
-/// [`ArenaRayView`] (SoA), so the model's training paths accept either
-/// without copying between layouts.
-pub trait AggregateView {
-    /// Points in the run.
-    fn n_points(&self) -> usize;
-    /// Point `k`'s stats row (`[mean(D), var(D), dir_sim, frac]`).
-    fn stats_row(&self, k: usize) -> &[f32];
-    /// Number of views that see point `k`.
-    fn n_valid(&self, k: usize) -> usize;
-    /// Point `k`'s per-view visibility plane.
-    fn valid_row(&self, k: usize) -> &[bool];
-    /// Point `k`'s per-view source colors (zero where invalid).
-    fn view_colors_row(&self, k: usize) -> &[Vec3];
-    /// Point `k`'s per-view blend-head inputs.
-    fn blend_inputs_row(&self, k: usize) -> &[[f32; 2]];
-    /// `true` when the run has no points.
-    fn is_empty(&self) -> bool {
-        self.n_points() == 0
-    }
-}
-
-impl AggregateView for [PointAggregate] {
-    fn n_points(&self) -> usize {
-        self.len()
-    }
-
-    fn stats_row(&self, k: usize) -> &[f32] {
-        &self[k].stats
-    }
-
-    fn n_valid(&self, k: usize) -> usize {
-        self[k].n_valid
-    }
-
-    fn valid_row(&self, k: usize) -> &[bool] {
-        &self[k].valid
-    }
-
-    fn view_colors_row(&self, k: usize) -> &[Vec3] {
-        &self[k].view_colors
-    }
-
-    fn blend_inputs_row(&self, k: usize) -> &[[f32; 2]] {
-        &self[k].blend_inputs
-    }
-}
-
 /// A chunk-level SoA block of aggregated points — the zero-allocation
 /// acquisition layout of the fused render schedule.
 ///
@@ -405,8 +355,8 @@ impl AggregateView for [PointAggregate] {
 /// `GenNerfModel::forward_rays_arena`, which uses [`AggregateArena::stats`]
 /// **directly** as the point-MLP GEMM input: the stats matrix has one
 /// row per point in ray-major order, which is exactly the operand
-/// layout the fused GEMM wants, so the AoS→GEMM staging copy of the
-/// `PointAggregate` path disappears.
+/// layout the fused GEMM wants — nothing is copied between acquisition
+/// and the first layer.
 #[derive(Debug, Clone)]
 pub struct AggregateArena {
     /// Channels aggregated per view.
@@ -585,7 +535,32 @@ impl AggregateArena {
         &self.stats
     }
 
-    /// A borrowed [`AggregateView`] of ray `r`'s points.
+    /// Point `k`'s stats row (`[mean(D), var(D), dir_sim, frac]`).
+    pub fn stats_row(&self, k: usize) -> &[f32] {
+        self.stats.row(k)
+    }
+
+    /// Number of views that see point `k`.
+    pub fn n_valid(&self, k: usize) -> usize {
+        self.n_valid[k]
+    }
+
+    /// Point `k`'s per-view visibility plane.
+    pub fn valid_row(&self, k: usize) -> &[bool] {
+        &self.valid[k * self.n_views..(k + 1) * self.n_views]
+    }
+
+    /// Point `k`'s per-view source colors (zero where invalid).
+    pub fn view_colors_row(&self, k: usize) -> &[Vec3] {
+        &self.view_colors[k * self.n_views..(k + 1) * self.n_views]
+    }
+
+    /// Point `k`'s per-view blend-head inputs.
+    pub fn blend_inputs_row(&self, k: usize) -> &[[f32; 2]] {
+        &self.blend_inputs[k * self.n_views..(k + 1) * self.n_views]
+    }
+
+    /// A borrowed view of ray `r`'s points.
     pub fn ray_view(&self, r: usize) -> ArenaRayView<'_> {
         let range = self.ray_range(r);
         ArenaRayView { arena: self, range }
@@ -593,7 +568,7 @@ impl AggregateArena {
 
     /// Seals the current ray (possibly empty — a background ray). Every
     /// point pushed since the previous seal belongs to it.
-    pub fn seal_ray(&mut self) {
+    fn seal_ray(&mut self) {
         self.ray_offsets.push(self.total_points());
     }
 
@@ -752,36 +727,8 @@ impl AggregateArena {
         self.seal_ray();
     }
 
-    /// Appends one point copied from a standalone [`PointAggregate`] —
-    /// the staging path that lets the AoS compat API ride the fused
-    /// arena implementation.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the aggregate's view count or stats width disagrees
-    /// with the arena's.
-    pub fn push_aggregate(&mut self, agg: &PointAggregate) {
-        assert_eq!(agg.valid.len(), self.n_views, "view count mismatch");
-        let width = self.stats.cols();
-        assert_eq!(
-            agg.stats.len(),
-            width,
-            "stats width mismatch (aggregate built at a different \
-             d_channels than the arena)"
-        );
-        self.view_colors.extend_from_slice(&agg.view_colors);
-        self.blend_inputs.extend_from_slice(&agg.blend_inputs);
-        self.valid.extend_from_slice(&agg.valid);
-        debug_assert_eq!(self.valid.len(), (self.n_valid.len() + 1) * self.n_views);
-        self.stats
-            .push_row_zeroed()
-            .copy_from_slice(&agg.stats[..width]);
-        self.n_valid.push(agg.n_valid);
-        self.valid_pairs += agg.n_valid;
-    }
-
-    /// Exports point `k` as a standalone [`PointAggregate`] (test and
-    /// compat use; allocates).
+    /// Exports point `k` as a standalone [`PointAggregate`] (what tests
+    /// feed the per-ray reference; allocates).
     pub fn export(&self, k: usize) -> PointAggregate {
         let s = self.n_views;
         PointAggregate {
@@ -799,61 +746,43 @@ impl AggregateArena {
     }
 }
 
-impl AggregateView for AggregateArena {
-    fn n_points(&self) -> usize {
-        self.total_points()
-    }
-
-    fn stats_row(&self, k: usize) -> &[f32] {
-        self.stats.row(k)
-    }
-
-    fn n_valid(&self, k: usize) -> usize {
-        self.n_valid[k]
-    }
-
-    fn valid_row(&self, k: usize) -> &[bool] {
-        &self.valid[k * self.n_views..(k + 1) * self.n_views]
-    }
-
-    fn view_colors_row(&self, k: usize) -> &[Vec3] {
-        &self.view_colors[k * self.n_views..(k + 1) * self.n_views]
-    }
-
-    fn blend_inputs_row(&self, k: usize) -> &[[f32; 2]] {
-        &self.blend_inputs[k * self.n_views..(k + 1) * self.n_views]
-    }
-}
-
-/// A borrowed view of one ray's points inside an [`AggregateArena`].
+/// A borrowed view of one ray's points inside an [`AggregateArena`]:
+/// the arena's per-point accessors with `k` counted from the ray's
+/// first point.
 #[derive(Debug, Clone)]
 pub struct ArenaRayView<'a> {
     arena: &'a AggregateArena,
     range: Range<usize>,
 }
 
-impl AggregateView for ArenaRayView<'_> {
-    fn n_points(&self) -> usize {
+impl ArenaRayView<'_> {
+    /// Points in the ray.
+    pub fn n_points(&self) -> usize {
         self.range.len()
     }
 
-    fn stats_row(&self, k: usize) -> &[f32] {
+    /// Point `k`'s stats row.
+    pub fn stats_row(&self, k: usize) -> &[f32] {
         self.arena.stats_row(self.range.start + k)
     }
 
-    fn n_valid(&self, k: usize) -> usize {
-        AggregateView::n_valid(self.arena, self.range.start + k)
+    /// Number of views that see point `k`.
+    pub fn n_valid(&self, k: usize) -> usize {
+        self.arena.n_valid(self.range.start + k)
     }
 
-    fn valid_row(&self, k: usize) -> &[bool] {
+    /// Point `k`'s per-view visibility plane.
+    pub fn valid_row(&self, k: usize) -> &[bool] {
         self.arena.valid_row(self.range.start + k)
     }
 
-    fn view_colors_row(&self, k: usize) -> &[Vec3] {
+    /// Point `k`'s per-view source colors (zero where invalid).
+    pub fn view_colors_row(&self, k: usize) -> &[Vec3] {
         self.arena.view_colors_row(self.range.start + k)
     }
 
-    fn blend_inputs_row(&self, k: usize) -> &[[f32; 2]] {
+    /// Point `k`'s per-view blend-head inputs.
+    pub fn blend_inputs_row(&self, k: usize) -> &[[f32; 2]] {
         self.arena.blend_inputs_row(self.range.start + k)
     }
 }
@@ -924,12 +853,6 @@ pub fn aggregate_ray_into(
     arena.flush(sources);
 }
 
-/// Counts the feature-map texel fetches of aggregating one point:
-/// 4 bilinear taps per valid view.
-pub fn fetches_per_point(agg: &PointAggregate) -> u64 {
-    4 * agg.n_valid as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -977,7 +900,6 @@ mod tests {
         );
         assert_eq!(agg.n_valid, 0);
         assert!(agg.stats.iter().all(|&v| v == 0.0));
-        assert_eq!(fetches_per_point(&agg), 0);
     }
 
     #[test]
@@ -1038,15 +960,29 @@ mod tests {
 
     #[test]
     fn fetch_count_is_4_per_valid_view() {
+        // The renderer books its texel fetches itself: four bilinear
+        // taps for every (point, view) pair the reference sees.
+        use crate::config::{ModelConfig, SamplingStrategy};
+        use crate::pipeline::{RayBatch, Renderer};
         let ds = tiny_dataset();
         let sources = prepare_sources(&ds.source_views);
-        let agg = aggregate_point(
-            gen_nerf_geometry::Vec3::ZERO,
-            gen_nerf_geometry::Vec3::Z,
-            &sources,
-            12,
-        );
-        assert_eq!(fetches_per_point(&agg), 4 * agg.n_valid as u64);
+        let model = crate::model::GenNerfModel::new(ModelConfig::fast());
+        let (n, bounds) = (4, ds.scene.bounds);
+        let strategy = SamplingStrategy::Uniform { n };
+        let renderer = Renderer::new(&model, &sources, strategy, bounds, ds.scene.background);
+        let camera = &ds.eval_views[0].camera;
+        let (_, stats) = renderer.render(camera);
+        let batch = RayBatch::from_camera(camera, &bounds);
+        let mut valid_pairs = 0u64;
+        for (ray, range) in batch.rays.iter().zip(&batch.ranges) {
+            let Some((t0, t1)) = *range else { continue };
+            for t in Ray::uniform_depths(t0, t1, n) {
+                valid_pairs +=
+                    aggregate_point(ray.at(t), ray.direction, &sources, 12).n_valid as u64;
+            }
+        }
+        assert!(valid_pairs > 0);
+        assert_eq!(stats.feature_fetches, 4 * valid_pairs);
     }
 
     #[test]
@@ -1351,30 +1287,9 @@ mod tests {
         assert_eq!(arena.ray_range(0), 0..0);
         assert_eq!(arena.ray_range(1), 0..2);
         assert_eq!(arena.total_points(), 2);
-        assert_eq!(
-            arena.valid_pairs(),
-            (0..2).map(|k| AggregateView::n_valid(&arena, k)).sum()
-        );
+        assert_eq!(arena.valid_pairs(), (0..2).map(|k| arena.n_valid(k)).sum());
         let reference = aggregate_point(Vec3::ZERO, Vec3::Z, &sources, 3);
         assert_eq!(arena.ray_view(1).stats_row(0), &reference.stats[..]);
-    }
-
-    #[test]
-    fn staging_from_aggregates_round_trips() {
-        use gen_nerf_geometry::Vec3;
-        let ds = tiny_dataset();
-        let sources = prepare_sources(&ds.source_views);
-        let aggs: Vec<PointAggregate> = [Vec3::ZERO, Vec3::new(0.2, 0.0, 0.5)]
-            .iter()
-            .map(|&p| aggregate_point(p, Vec3::Z, &sources, 12))
-            .collect();
-        let mut arena = AggregateArena::default();
-        arena.reset(sources.len(), 12);
-        for a in &aggs {
-            arena.push_aggregate(a);
-        }
-        arena.seal_ray();
-        assert_eq!(arena.export_ray(0), aggs);
     }
 
     #[test]
@@ -1384,24 +1299,6 @@ mod tests {
         assert_eq!(arena.total_points(), 0);
         assert_eq!(arena.valid_pairs(), 0);
         assert_eq!(arena.stats().rows(), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "stats width mismatch")]
-    fn staging_rejects_width_mismatch() {
-        // An aggregate built at d=12 must not be silently truncated
-        // into a coarse-width arena.
-        let ds = tiny_dataset();
-        let sources = prepare_sources(&ds.source_views);
-        let agg = aggregate_point(
-            gen_nerf_geometry::Vec3::ZERO,
-            gen_nerf_geometry::Vec3::Z,
-            &sources,
-            12,
-        );
-        let mut arena = AggregateArena::default();
-        arena.reset(sources.len(), 3);
-        arena.push_aggregate(&agg);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! trainable in-process ([`crate::trainer`]).
 
 use crate::config::{ModelConfig, RayModuleChoice};
-use crate::features::{AggregateArena, AggregateView, PointAggregate};
+use crate::features::{AggregateArena, PointAggregate};
 use gen_nerf_geometry::Vec3;
 use gen_nerf_nn::attention::{AttnScratch, SelfAttention};
 use gen_nerf_nn::init::Rng;
@@ -379,9 +379,8 @@ pub struct RayModuleScratch {
     mixer: MixerScratch,
 }
 
-/// Tile-level scratch buffers for the fused cross-ray inference path
-/// ([`GenNerfModel::forward_rays_arena`] /
-/// [`GenNerfModel::forward_rays_scratch`]). One instance per render
+/// Tile-level buffers of the fused cross-ray forward
+/// ([`GenNerfModel::forward_rays_arena`]). One instance per render
 /// worker replaces the per-ray/per-point tensor allocations of the
 /// per-ray path (notably `blend_color`'s three `Vec`s + `Tensor2` per
 /// point) and holds the tile's outputs — densities and colours, flat
@@ -389,19 +388,6 @@ pub struct RayModuleScratch {
 /// them instead of from two fresh `Vec`s per ray.
 #[derive(Debug, Clone, Default)]
 pub struct ForwardScratch {
-    /// SoA staging arena for the AoS compat entry points
-    /// ([`GenNerfModel::forward_rays`]): `&[&[PointAggregate]]` inputs
-    /// are copied here once, then ride the arena implementation. The
-    /// arena-native path never touches it.
-    staging: AggregateArena,
-    /// The fused-phase buffers proper.
-    fused: FusedScratch,
-}
-
-/// The buffers of one fused forward (shared by the arena-native and
-/// staged entry points).
-#[derive(Debug, Clone, Default)]
-struct FusedScratch {
     /// Point-MLP chain panels and output.
     mlp: MlpScratch,
     /// Fused blend-head input (two floats per valid (point, view)
@@ -420,28 +406,12 @@ struct FusedScratch {
     colors: Vec<Vec3>,
 }
 
-impl FusedScratch {
-    /// The latest forward's flat outputs copied out per ray of
-    /// `points` (the frozen `Vec<RayOutput>` entry points).
-    fn ray_outputs(&self, points: &AggregateArena) -> Vec<RayOutput> {
-        (0..points.n_rays())
-            .map(|i| {
-                let range = points.ray_range(i);
-                RayOutput {
-                    densities: self.densities[range.clone()].to_vec(),
-                    colors: self.colors[range].to_vec(),
-                }
-            })
-            .collect()
-    }
-}
-
 #[cfg(test)]
 impl ForwardScratch {
     /// Bytes of heap the buffers retain.
     pub(crate) fn capacity_bytes(&self) -> usize {
         use std::mem::size_of;
-        let FusedScratch {
+        let ForwardScratch {
             mlp,
             blend_in,
             blend,
@@ -449,7 +419,7 @@ impl ForwardScratch {
             ray_module,
             densities,
             colors,
-        } = &self.fused;
+        } = self;
         let RayModuleScratch {
             attn,
             f_sigma,
@@ -457,8 +427,7 @@ impl ForwardScratch {
             stacked,
             mixer,
         } = ray_module;
-        self.staging.capacity_bytes()
-            + mlp.capacity_bytes()
+        mlp.capacity_bytes()
             + blend.capacity_bytes()
             + (blend_in.capacity() + weights.capacity() + densities.capacity()) * size_of::<f32>()
             + colors.capacity() * size_of::<Vec3>()
@@ -538,8 +507,9 @@ impl GenNerfModel {
         }
     }
 
-    fn stats_tensor<V: AggregateView + ?Sized>(aggs: &V, dim: usize) -> Tensor2 {
-        Tensor2::from_fn(aggs.n_points(), dim, |r, c| aggs.stats_row(r)[c])
+    /// The stats rows of a reference ray, truncated to `dim` columns.
+    fn stats_tensor(aggs: &[PointAggregate], dim: usize) -> Tensor2 {
+        Tensor2::from_fn(aggs.len(), dim, |r, c| aggs[r].stats[c])
     }
 
     /// Full-model inference over the points of one ray.
@@ -549,7 +519,7 @@ impl GenNerfModel {
     /// Takes `&self` (no activation caching), so one model can be
     /// shared by every render worker thread — `GenNerfModel` contains
     /// no interior mutability and is therefore `Sync`. Training uses
-    /// the separate caching paths in [`GenNerfModel::train_ray`].
+    /// the separate caching paths in [`GenNerfModel::train_ray_arena`].
     pub fn forward_ray(&self, aggs: &[PointAggregate]) -> RayOutput {
         if aggs.is_empty() {
             return RayOutput {
@@ -583,26 +553,29 @@ impl GenNerfModel {
         RayOutput { densities, colors }
     }
 
-    /// Fused inference over the points of a whole chunk of rays — the
-    /// software analog of the paper's PE pool amortizing the point-MLP
-    /// GEMM across many rays' samples at once.
+    /// Fused inference over every point of a tile of rays, straight off
+    /// an [`AggregateArena`] — the software analog of the paper's PE
+    /// pool amortizing the point-MLP GEMM across many rays' samples at
+    /// once.
     ///
     /// Where [`GenNerfModel::forward_ray`] issues one sub-16-row GEMM
     /// chain per ray plus one tiny blend GEMM per *point*, this path
-    /// concatenates every point of every ray into a single input
-    /// tensor and runs **one** layer-fused point-MLP chain, the ray
-    /// module over the stacked activations (per-ray phases per ray,
-    /// row-independent phases once), and **one** blend chain over all
-    /// valid (point, view) pairs of the chunk.
+    /// runs **one** layer-fused point-MLP chain over the arena's stats
+    /// matrix (one row per point, ray-major — it **is** the GEMM
+    /// operand, nothing is copied), the ray module over the stacked
+    /// activations (per-ray phases per ray, row-independent phases
+    /// once), and **one** blend chain over all valid (point, view)
+    /// pairs of the tile.
     ///
     /// # Bit-exactness contract
     ///
     /// The output is **bit-for-bit identical** to calling
-    /// [`GenNerfModel::forward_ray`] on each slice, for any grouping of
-    /// rays into chunks — two independent formulations: the per-ray
-    /// reference composes whole layers (`matmul`, then bias, then
-    /// ReLU; explicit transposes in the mixer), the fused path runs
-    /// `gen_nerf_nn::kernels::chain`. They agree because the dense
+    /// [`GenNerfModel::forward_ray`] on each ray's
+    /// [`aggregate_point`](crate::features::aggregate_point)s, for any
+    /// grouping of rays into arenas — two independent formulations: the
+    /// per-ray reference composes whole layers (`matmul`, then bias,
+    /// then ReLU; explicit transposes in the mixer), the fused path
+    /// runs `gen_nerf_nn::kernels::chain`. They agree because the dense
     /// kernels of `gen-nerf-nn` accumulate every output element over
     /// the shared dimension `k` in ascending order with one `f32`
     /// accumulator (register blocking tiles `i`/`j` only) and apply a
@@ -610,59 +583,8 @@ impl GenNerfModel {
     /// independent of which other rows, panels or strides share the
     /// batch; ray modules mix each ray's own points only; and the
     /// fused blend head replays `blend_color`'s softmax reduction in
-    /// the same order. `tests/fused_forward_regression.rs` pins the
-    /// contract.
-    pub fn forward_rays(&self, rays: &[&[PointAggregate]]) -> Vec<RayOutput> {
-        let mut scratch = ForwardScratch::default();
-        self.forward_rays_scratch(rays, &mut scratch)
-    }
-
-    /// [`GenNerfModel::forward_rays`] with caller-owned scratch buffers
-    /// (reused across chunks by long-lived render workers).
-    ///
-    /// This is the AoS compat entry point: the aggregates are staged
-    /// into the scratch's SoA arena once (the copy the arena-native
-    /// path deletes), then both paths share one implementation — so
-    /// compat ≡ arena bitwise by construction.
-    ///
-    /// # Panics
-    ///
-    /// All aggregates of a chunk must share one view count and stats
-    /// width (they always do when aggregated against one prepared
-    /// source set — every workspace caller): the SoA planes are
-    /// rectangular, so the staging asserts per-point heterogeneous
-    /// `valid` lengths instead of silently misaligning them.
-    pub fn forward_rays_scratch(
-        &self,
-        rays: &[&[PointAggregate]],
-        scratch: &mut ForwardScratch,
-    ) -> Vec<RayOutput> {
-        let n_views = rays
-            .iter()
-            .flat_map(|r| r.iter())
-            .next()
-            .map_or(0, |a| a.valid.len());
-        let ForwardScratch { staging, fused } = scratch;
-        staging.reset(n_views, self.config.d_features);
-        for ray in rays {
-            for agg in ray.iter() {
-                staging.push_aggregate(agg);
-            }
-            staging.seal_ray();
-        }
-        self.forward_fused(staging, fused);
-        fused.ray_outputs(staging)
-    }
-
-    /// Fused inference straight off an [`AggregateArena`] — the
-    /// zero-copy fast path of the render schedule. The arena's stats
-    /// matrix (one row per point, ray-major) **is** the point-MLP GEMM
-    /// operand; no staging copy exists on this path.
-    ///
-    /// Output is bit-for-bit what [`GenNerfModel::forward_ray`] would
-    /// produce on each ray's exported aggregates (same GEMM inputs in
-    /// the same order; the kernel row-independence contract does the
-    /// rest — pinned by `tests/arena_regression.rs`).
+    /// the same order. `tests/fused_forward_regression.rs` and
+    /// `tests/arena_regression.rs` pin the contract.
     ///
     /// This is a thin adaptor over the flat outputs of
     /// `forward_arena_flat`, which the render pipeline reads directly:
@@ -677,8 +599,16 @@ impl GenNerfModel {
         arena: &AggregateArena,
         scratch: &mut ForwardScratch,
     ) -> Vec<RayOutput> {
-        self.forward_fused(arena, &mut scratch.fused);
-        scratch.fused.ray_outputs(arena)
+        self.forward_fused(arena, scratch);
+        (0..arena.n_rays())
+            .map(|i| {
+                let range = arena.ray_range(i);
+                RayOutput {
+                    densities: scratch.densities[range.clone()].to_vec(),
+                    colors: scratch.colors[range].to_vec(),
+                }
+            })
+            .collect()
     }
 
     /// [`GenNerfModel::forward_rays_arena`] without the per-ray
@@ -690,12 +620,12 @@ impl GenNerfModel {
         arena: &AggregateArena,
         scratch: &'s mut ForwardScratch,
     ) -> (&'s [f32], &'s [Vec3]) {
-        self.forward_fused(arena, &mut scratch.fused);
-        (&scratch.fused.densities, &scratch.fused.colors)
+        self.forward_fused(arena, scratch);
+        (&scratch.densities, &scratch.colors)
     }
 
-    /// The single fused-forward implementation behind every entry
-    /// point, leaving the tile's densities and colours in `scratch`.
+    /// The fused forward behind both entry points, leaving the tile's
+    /// densities and colours in `scratch`.
     /// Four layer-fused kernel dispatches per tile with the Ray-Mixer,
     /// none of them materialising a whole-tile hidden activation:
     ///
@@ -713,9 +643,9 @@ impl GenNerfModel {
     /// With integrity checking on, each layer of each dispatch is
     /// verified panel by panel inside the chain (see
     /// `gen_nerf_nn::kernels::chain`).
-    fn forward_fused(&self, points: &AggregateArena, scratch: &mut FusedScratch) {
+    fn forward_fused(&self, points: &AggregateArena, scratch: &mut ForwardScratch) {
         let total = points.total_points();
-        let FusedScratch {
+        let ForwardScratch {
             mlp,
             blend_in,
             blend,
@@ -849,52 +779,13 @@ impl GenNerfModel {
             .collect()
     }
 
-    /// Fused coarse-pass density estimation for a chunk of rays: one
-    /// coarse-MLP GEMM chain over every point of every ray, sliced back
-    /// per ray. Bit-for-bit identical to per-ray
-    /// [`GenNerfModel::coarse_densities`] for any chunking (same GEMM
-    /// row-independence argument as [`GenNerfModel::forward_rays`]).
-    pub fn coarse_densities_batch(&self, rays: &[&[PointAggregate]]) -> Vec<Vec<f32>> {
-        let total: usize = rays.iter().map(|r| r.len()).sum();
-        if total == 0 {
-            return rays.iter().map(|_| Vec::new()).collect();
-        }
-        let in_dim = self.config.coarse_input_dim();
-        let mut x = Tensor2::zeros(total, in_dim);
-        let mut r = 0;
-        for ray in rays {
-            for agg in ray.iter() {
-                x.row_mut(r).copy_from_slice(&agg.stats[..in_dim]);
-                r += 1;
-            }
-        }
-        let z = self.coarse_mlp.forward_inference(&x);
-        let mut out = Vec::with_capacity(rays.len());
-        let mut offset = 0;
-        for ray in rays {
-            out.push(
-                ray.iter()
-                    .enumerate()
-                    .map(|(k, agg)| {
-                        if agg.n_valid == 0 {
-                            0.0
-                        } else {
-                            density_from_logit(z[(offset + k, 0)])
-                        }
-                    })
-                    .collect(),
-            );
-            offset += ray.len();
-        }
-        out
-    }
-
     /// Coarse-pass density estimation straight off an
     /// [`AggregateArena`] (filled at `coarse_channels` against the
     /// coarse source subset): one layer-fused coarse-MLP chain over the
     /// arena's stats matrix **in place**, sliced back per ray. Bitwise
-    /// equal to [`GenNerfModel::coarse_densities_batch`] over the
-    /// exported aggregates. A thin adaptor over
+    /// equal to per-ray [`GenNerfModel::coarse_densities`] for any
+    /// grouping of rays into arenas (the row-independence argument of
+    /// [`GenNerfModel::forward_rays_arena`]). A thin adaptor over
     /// `coarse_densities_flat`, which the render pipeline reads
     /// directly.
     ///
@@ -945,27 +836,15 @@ impl GenNerfModel {
         densities
     }
 
-    /// One training step's forward+backward for a ray: supervises
+    /// One training step's forward+backward for ray `ray` of a step
+    /// arena (the trainer acquires a whole step into one): supervises
     /// density logits everywhere and blended colors at points where
     /// `color_mask[k]` holds. Gradients accumulate into the parameters;
     /// the caller runs the optimizer.
     ///
     /// # Panics
     ///
-    /// Panics when slice lengths disagree.
-    pub fn train_ray(
-        &mut self,
-        aggs: &[PointAggregate],
-        gt_logits: &[f32],
-        gt_colors: &[Vec3],
-        color_mask: &[bool],
-    ) -> RayLosses {
-        self.train_ray_view(aggs, gt_logits, gt_colors, color_mask)
-    }
-
-    /// [`GenNerfModel::train_ray`] on ray `ray` of a step arena — the
-    /// trainer's zero-copy acquisition path. Identical arithmetic
-    /// (both entry points share one layout-generic implementation).
+    /// Panics when slice lengths disagree with the ray's point count.
     pub fn train_ray_arena(
         &mut self,
         arena: &AggregateArena,
@@ -974,18 +853,7 @@ impl GenNerfModel {
         gt_colors: &[Vec3],
         color_mask: &[bool],
     ) -> RayLosses {
-        self.train_ray_view(&arena.ray_view(ray), gt_logits, gt_colors, color_mask)
-    }
-
-    /// The layout-generic training step behind
-    /// [`GenNerfModel::train_ray`] / [`GenNerfModel::train_ray_arena`].
-    fn train_ray_view<V: AggregateView + ?Sized>(
-        &mut self,
-        aggs: &V,
-        gt_logits: &[f32],
-        gt_colors: &[Vec3],
-        color_mask: &[bool],
-    ) -> RayLosses {
+        let aggs = arena.ray_view(ray);
         let n = aggs.n_points();
         assert_eq!(n, gt_logits.len(), "target length mismatch");
         assert_eq!(n, gt_colors.len(), "target length mismatch");
@@ -993,7 +861,9 @@ impl GenNerfModel {
         let d_sigma = self.config.d_sigma;
 
         // Forward.
-        let x = Self::stats_tensor(aggs, self.config.point_input_dim());
+        let x = Tensor2::from_fn(n, self.config.point_input_dim(), |r, c| {
+            aggs.stats_row(r)[c]
+        });
         let y = self.point_mlp.forward(&x);
         let f_sigma = Tensor2::from_fn(n, d_sigma, |r, c| y[(r, c)]);
         let logits = self.ray_module.forward(&f_sigma);
@@ -1098,29 +968,22 @@ impl GenNerfModel {
         (loss, g_resid)
     }
 
-    /// Coarse-MLP training step for a batch of coarse aggregates.
-    pub fn train_coarse(&mut self, aggs: &[PointAggregate], gt_logits: &[f32]) -> f32 {
-        self.train_coarse_view(aggs, gt_logits)
-    }
-
-    /// [`GenNerfModel::train_coarse`] on ray `ray` of a coarse step
-    /// arena (the trainer's zero-copy acquisition path).
+    /// Coarse-MLP training step on ray `ray` of a coarse step arena.
     pub fn train_coarse_arena(
         &mut self,
         arena: &AggregateArena,
         ray: usize,
         gt_logits: &[f32],
     ) -> f32 {
-        self.train_coarse_view(&arena.ray_view(ray), gt_logits)
-    }
-
-    fn train_coarse_view<V: AggregateView + ?Sized>(&mut self, aggs: &V, gt_logits: &[f32]) -> f32 {
+        let aggs = arena.ray_view(ray);
         let n = aggs.n_points();
         assert_eq!(n, gt_logits.len(), "target length mismatch");
         if n == 0 {
             return 0.0;
         }
-        let x = Self::stats_tensor(aggs, self.config.coarse_input_dim());
+        let x = Tensor2::from_fn(n, self.config.coarse_input_dim(), |r, c| {
+            aggs.stats_row(r)[c]
+        });
         let z = self.coarse_mlp.forward(&x);
         let target = Tensor2::from_fn(n, 1, |r, _| gt_logits[r]);
         let (loss, g) = mse_loss(&z, &target);
@@ -1132,7 +995,7 @@ impl GenNerfModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::features::{aggregate_point, prepare_sources};
+    use crate::features::{aggregate_point, aggregate_ray_into, prepare_sources};
     use gen_nerf_nn::optim::Adam;
     use gen_nerf_scene::datasets::{Dataset, DatasetKind};
 
@@ -1163,6 +1026,24 @@ mod tests {
         (aggs, gt_z, gt_c)
     }
 
+    /// [`ray_aggs`] as the one ray of a step arena — what training
+    /// consumes.
+    fn ray_arena(
+        ds: &Dataset,
+        sources: &[crate::features::SourceViewData],
+        n: usize,
+    ) -> (AggregateArena, Vec<f32>, Vec<Vec3>) {
+        let cam = &ds.eval_views[0].camera;
+        let ray = cam.pixel_center_ray(cam.intrinsics.width / 2, cam.intrinsics.height / 2);
+        let (t0, t1) = ds.scene.bounds.intersect_ray(&ray).unwrap();
+        let depths = gen_nerf_geometry::Ray::uniform_depths(t0, t1, n);
+        let mut arena = AggregateArena::default();
+        arena.reset(sources.len(), 12);
+        aggregate_ray_into(&ray, &depths, sources, 12, &mut arena);
+        let (_, gt_z, gt_c) = ray_aggs(ds, sources, n);
+        (arena, gt_z, gt_c)
+    }
+
     #[test]
     fn density_logit_roundtrip() {
         for sigma in [0.0f32, 0.5, 3.0, 40.0] {
@@ -1190,61 +1071,6 @@ mod tests {
     }
 
     #[test]
-    fn forward_rays_matches_forward_ray_bitwise() {
-        let (ds, sources) = tiny_setup();
-        for choice in [
-            RayModuleChoice::Mixer,
-            RayModuleChoice::Transformer,
-            RayModuleChoice::None,
-        ] {
-            let model = GenNerfModel::new(ModelConfig::fast().with_ray_module(choice));
-            let (a12, _, _) = ray_aggs(&ds, &sources, 12);
-            let (a5, _, _) = ray_aggs(&ds, &sources, 5);
-            let invisible = aggregate_point(Vec3::new(1000.0, 0.0, 0.0), Vec3::X, &sources, 12);
-            let mixed = vec![invisible, a5[0].clone(), a5[1].clone()];
-            let rays: Vec<&[PointAggregate]> = vec![&a12, &[], &a5, &mixed];
-            let fused = model.forward_rays(&rays);
-            assert_eq!(fused.len(), rays.len());
-            for (ray, out) in rays.iter().zip(&fused) {
-                let per_ray = model.forward_ray(ray);
-                let fb: Vec<u32> = out.densities.iter().map(|v| v.to_bits()).collect();
-                let pb: Vec<u32> = per_ray.densities.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(fb, pb, "{choice:?} densities diverged");
-                for (cf, cp) in out.colors.iter().zip(&per_ray.colors) {
-                    assert_eq!(
-                        [cf.x.to_bits(), cf.y.to_bits(), cf.z.to_bits()],
-                        [cp.x.to_bits(), cp.y.to_bits(), cp.z.to_bits()],
-                        "{choice:?} colors diverged"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn coarse_densities_batch_matches_per_ray_bitwise() {
-        let (ds, sources) = tiny_setup();
-        let model = GenNerfModel::new(ModelConfig::fast());
-        let cam = &ds.eval_views[0].camera;
-        let ray = cam.pixel_center_ray(2, 2);
-        let mk = |ts: &[f32]| -> Vec<PointAggregate> {
-            ts.iter()
-                .map(|&t| aggregate_point(ray.at(t), ray.direction, &sources, 3))
-                .collect()
-        };
-        let a = mk(&[2.0, 2.5, 3.0, 3.5]);
-        let b = mk(&[2.2]);
-        let rays: Vec<&[PointAggregate]> = vec![&a, &[], &b];
-        let fused = model.coarse_densities_batch(&rays);
-        for (ray_aggs, out) in rays.iter().zip(&fused) {
-            let per_ray = model.coarse_densities(ray_aggs);
-            let fb: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-            let pb: Vec<u32> = per_ray.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(fb, pb);
-        }
-    }
-
-    #[test]
     fn forward_rays_arena_matches_forward_ray_bitwise() {
         use crate::features::{aggregate_points_into, AggregateArena};
         let (ds, sources) = tiny_setup();
@@ -1265,6 +1091,7 @@ mod tests {
             // than one point, a point no source view sees
             // (`n_valid == 0`) in second place.
             let lengths = [12usize, 0, 1, 5, 8, 13, 64];
+            let mut reference: Vec<Vec<PointAggregate>> = Vec::new();
             for &n in &lengths {
                 let mut pts: Vec<Vec3> = gen_nerf_geometry::Ray::uniform_depths(t0, t1, n.max(1))
                     [..n]
@@ -1276,6 +1103,11 @@ mod tests {
                 }
                 let dirs = vec![ray.direction; n];
                 aggregate_points_into(&pts, &dirs, &sources, 12, &mut arena);
+                reference.push(
+                    pts.iter()
+                        .map(|&p| aggregate_point(p, ray.direction, &sources, 12))
+                        .collect(),
+                );
             }
             assert!((0..arena.total_points()).any(|k| arena.n_valid(k) == 0));
 
@@ -1283,8 +1115,9 @@ mod tests {
             let fused = model.forward_rays_arena(&arena, &mut scratch);
             assert_eq!(fused.len(), lengths.len());
             for (r, out) in fused.iter().enumerate() {
-                let exported = arena.export_ray(r);
-                let per_ray = model.forward_ray(&exported);
+                // The per-ray program over the per-point fill: neither
+                // side of the comparison touches the other's code.
+                let per_ray = model.forward_ray(&reference[r]);
                 let fb: Vec<u32> = out.densities.iter().map(|v| v.to_bits()).collect();
                 let pb: Vec<u32> = per_ray.densities.iter().map(|v| v.to_bits()).collect();
                 assert_eq!(fb, pb, "{choice:?} ray {r} densities diverged");
@@ -1295,10 +1128,6 @@ mod tests {
                         "{choice:?} ray {r} colors diverged"
                     );
                 }
-                // The compat entry point rides the same implementation.
-                let refs: Vec<&[PointAggregate]> = vec![&exported];
-                let staged = model.forward_rays(&refs);
-                assert_eq!(&staged[0], &per_ray, "{choice:?} staged path diverged");
             }
         }
     }
@@ -1313,18 +1142,23 @@ mod tests {
         let coarse = &sources[..3];
         let mut arena = AggregateArena::default();
         arena.reset(coarse.len(), 3);
-        let pts: Vec<Vec3> = [2.0f32, 2.5, 3.0, 3.5].iter().map(|&t| ray.at(t)).collect();
-        let dirs = vec![ray.direction; pts.len()];
-        aggregate_points_into(&pts, &dirs, coarse, 3, &mut arena);
-        arena.seal_ray(); // empty ray
-        aggregate_points_into(&[ray.at(2.2)], &[ray.direction], coarse, 3, &mut arena);
+        // Four points, an empty ray, a single point.
+        let rays: [&[f32]; 3] = [&[2.0, 2.5, 3.0, 3.5], &[], &[2.2]];
+        for depths in rays {
+            let pts: Vec<Vec3> = depths.iter().map(|&t| ray.at(t)).collect();
+            let dirs = vec![ray.direction; pts.len()];
+            aggregate_points_into(&pts, &dirs, coarse, 3, &mut arena);
+        }
 
         let mut scratch = MlpScratch::default();
         let fused = model.coarse_densities_arena(&arena, &mut scratch);
         assert_eq!(fused.len(), 3);
         for (r, out) in fused.iter().enumerate() {
-            let exported = arena.export_ray(r);
-            let per_ray = model.coarse_densities(&exported);
+            let reference: Vec<PointAggregate> = rays[r]
+                .iter()
+                .map(|&t| aggregate_point(ray.at(t), ray.direction, coarse, 3))
+                .collect();
+            let per_ray = model.coarse_densities(&reference);
             let fb: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
             let pb: Vec<u32> = per_ray.iter().map(|v| v.to_bits()).collect();
             assert_eq!(fb, pb, "ray {r}");
@@ -1332,60 +1166,18 @@ mod tests {
     }
 
     #[test]
-    fn train_arena_matches_train_aos_bitwise() {
-        use crate::features::{aggregate_points_into, AggregateArena};
-        let (ds, sources) = tiny_setup();
-        let cam = &ds.eval_views[0].camera;
-        let ray = cam.pixel_center_ray(cam.intrinsics.width / 2, cam.intrinsics.height / 2);
-        let (t0, t1) = ds.scene.bounds.intersect_ray(&ray).unwrap();
-        let depths = gen_nerf_geometry::Ray::uniform_depths(t0, t1, 10);
-        let pts: Vec<Vec3> = depths.iter().map(|&t| ray.at(t)).collect();
-        let dirs = vec![ray.direction; pts.len()];
-        let gt_z: Vec<f32> = pts
-            .iter()
-            .map(|&p| logit_from_density(ds.scene.density(p)))
-            .collect();
-        let gt_c: Vec<Vec3> = pts
-            .iter()
-            .map(|&p| ds.scene.color(p, ray.direction))
-            .collect();
-        let mask = vec![true; pts.len()];
-
-        let mut arena = AggregateArena::default();
-        arena.reset(sources.len(), 12);
-        aggregate_points_into(&pts, &dirs, &sources, 12, &mut arena);
-        let aggs = arena.export_ray(0);
-
-        let mut a = GenNerfModel::new(ModelConfig::fast());
-        let mut b = GenNerfModel::new(ModelConfig::fast());
-        let la = a.train_ray(&aggs, &gt_z, &gt_c, &mask);
-        let lb = b.train_ray_arena(&arena, 0, &gt_z, &gt_c, &mask);
-        assert_eq!(la, lb);
-        // Coarse step on the same stats rows through both layouts.
-        let coarse_aggs: Vec<PointAggregate> = pts[..3]
-            .iter()
-            .map(|&p| aggregate_point(p, ray.direction, &sources[..3], 3))
-            .collect();
-        let mut coarse_arena = AggregateArena::default();
-        coarse_arena.reset(3, 3);
-        aggregate_points_into(&pts[..3], &dirs[..3], &sources[..3], 3, &mut coarse_arena);
-        let ca = a.train_coarse(&coarse_aggs, &gt_z[..3]);
-        let cb = b.train_coarse_arena(&coarse_arena, 0, &gt_z[..3]);
-        assert_eq!(ca.to_bits(), cb.to_bits());
-        // Accumulated gradients must agree bitwise across layouts.
-        for (ga, gb) in a.params_mut().iter().zip(b.params_mut().iter()) {
-            let ba: Vec<u32> = ga.grad.as_slice().iter().map(|v| v.to_bits()).collect();
-            let bb: Vec<u32> = gb.grad.as_slice().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(ba, bb);
-        }
-    }
-
-    #[test]
     fn forward_rays_of_nothing_is_empty() {
+        use crate::features::aggregate_points_into;
+        let (_, sources) = tiny_setup();
         let model = GenNerfModel::new(ModelConfig::fast());
-        assert!(model.forward_rays(&[]).is_empty());
-        let empty: Vec<&[PointAggregate]> = vec![&[], &[]];
-        let out = model.forward_rays(&empty);
+        let mut scratch = ForwardScratch::default();
+        let mut arena = AggregateArena::default();
+        assert!(model.forward_rays_arena(&arena, &mut scratch).is_empty());
+        arena.reset(sources.len(), 12);
+        for _ in 0..2 {
+            aggregate_points_into(&[], &[], &sources, 12, &mut arena);
+        }
+        let out = model.forward_rays_arena(&arena, &mut scratch);
         assert_eq!(out.len(), 2);
         assert!(out.iter().all(|o| o.densities.is_empty()));
     }
@@ -1416,15 +1208,15 @@ mod tests {
             RayModuleChoice::None,
         ] {
             let mut model = GenNerfModel::new(ModelConfig::fast().with_ray_module(choice));
-            let (aggs, gt_z, gt_c) = ray_aggs(&ds, &sources, 16);
+            let (arena, gt_z, gt_c) = ray_arena(&ds, &sources, 16);
             let mask: Vec<bool> = gt_z.iter().map(|&z| z > 0.3).collect();
             let mut adam = Adam::new(3e-3);
-            let first = model.train_ray(&aggs, &gt_z, &gt_c, &mask).sigma;
+            let first = model.train_ray_arena(&arena, 0, &gt_z, &gt_c, &mask).sigma;
             model.zero_grad();
             let mut last = first;
             for _ in 0..80 {
                 model.zero_grad();
-                last = model.train_ray(&aggs, &gt_z, &gt_c, &mask).sigma;
+                last = model.train_ray_arena(&arena, 0, &gt_z, &gt_c, &mask).sigma;
                 adam.step(&mut model.params_mut());
             }
             assert!(
@@ -1438,17 +1230,17 @@ mod tests {
     fn train_ray_reduces_color_loss() {
         let (ds, sources) = tiny_setup();
         let mut model = GenNerfModel::new(ModelConfig::fast());
-        let (aggs, gt_z, gt_c) = ray_aggs(&ds, &sources, 16);
-        let mask = vec![true; aggs.len()];
+        let (arena, gt_z, gt_c) = ray_arena(&ds, &sources, 16);
+        let mask = vec![true; gt_z.len()];
         let mut adam = Adam::new(3e-3);
-        let first = model.train_ray(&aggs, &gt_z, &gt_c, &mask).color;
+        let first = model.train_ray_arena(&arena, 0, &gt_z, &gt_c, &mask).color;
         for _ in 0..60 {
             model.zero_grad();
-            model.train_ray(&aggs, &gt_z, &gt_c, &mask);
+            model.train_ray_arena(&arena, 0, &gt_z, &gt_c, &mask);
             adam.step(&mut model.params_mut());
         }
         model.zero_grad();
-        let last = model.train_ray(&aggs, &gt_z, &gt_c, &mask).color;
+        let last = model.train_ray_arena(&arena, 0, &gt_z, &gt_c, &mask).color;
         assert!(last <= first, "color loss {first} -> {last}");
     }
 
@@ -1460,20 +1252,19 @@ mod tests {
         let ray = cam.pixel_center_ray(cam.intrinsics.width / 2, cam.intrinsics.height / 2);
         let (t0, t1) = ds.scene.bounds.intersect_ray(&ray).unwrap();
         let depths = gen_nerf_geometry::Ray::uniform_depths(t0, t1, 12);
-        let aggs: Vec<_> = depths
-            .iter()
-            .map(|&t| aggregate_point(ray.at(t), ray.direction, &sources, 3))
-            .collect();
+        let mut arena = AggregateArena::default();
+        arena.reset(sources.len(), 3);
+        aggregate_ray_into(&ray, &depths, &sources, 3, &mut arena);
         let gt: Vec<f32> = depths
             .iter()
             .map(|&t| logit_from_density(ds.scene.density(ray.at(t))))
             .collect();
         let mut adam = Adam::new(5e-3);
-        let first = model.train_coarse(&aggs, &gt);
+        let first = model.train_coarse_arena(&arena, 0, &gt);
         let mut last = first;
         for _ in 0..100 {
             model.zero_grad();
-            last = model.train_coarse(&aggs, &gt);
+            last = model.train_coarse_arena(&arena, 0, &gt);
             adam.step(&mut model.params_mut());
         }
         assert!(last < first * 0.7, "coarse loss {first} -> {last}");
@@ -1481,18 +1272,9 @@ mod tests {
 
     #[test]
     fn coarse_densities_nonnegative() {
+        // Coarse aggregates carry 8-wide stats (3 channels).
         let (ds, sources) = tiny_setup();
         let model = GenNerfModel::new(ModelConfig::fast());
-        let (aggs, _, _) = ray_aggs(&ds, &sources, 8);
-        let coarse_aggs: Vec<_> = aggs
-            .iter()
-            .map(|a| {
-                // Rebuild with 3 channels for the coarse head.
-                a.clone()
-            })
-            .collect();
-        // Proper coarse aggregates have 8-wide stats; build them afresh.
-        let _ = coarse_aggs;
         let cam = &ds.eval_views[0].camera;
         let ray = cam.pixel_center_ray(2, 2);
         let aggs3: Vec<_> = [2.0f32, 3.0, 4.0]
@@ -1521,8 +1303,6 @@ mod tests {
         let b = GenNerfModel::new(ModelConfig::fast());
         let (ds, sources) = tiny_setup();
         let (aggs, _, _) = ray_aggs(&ds, &sources, 6);
-        let a = a;
-        let b = b;
         let oa = a.forward_ray(&aggs);
         let ob = b.forward_ray(&aggs);
         assert_eq!(oa, ob);

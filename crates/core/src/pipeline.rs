@@ -50,8 +50,11 @@
 //! to one flat buffer of the worker scratch and pushed into the arena
 //! from there, the arena packs the tile's points into blocks of eight
 //! that run on from one ray into the next, and one flush at the end of
-//! the tile acquires the last, ragged one), then **one fused forward** (the
-//! implementation behind [`GenNerfModel::forward_rays_arena`] — four
+//! the tile acquires the last, ragged one; every pass of every
+//! strategy does this through the one `Renderer::fill_tile`, which is
+//! also where a fired [`CancelToken`] is noticed), then **one fused
+//! forward** (the implementation behind
+//! [`GenNerfModel::forward_rays_arena`] — four
 //! layer-fused kernel dispatches for the whole tile: the point MLP as
 //! one row-panel chain reading the arena's stats matrix as the GEMM
 //! operand **in place**, the Ray-Mixer's token mix in place on its
@@ -85,21 +88,24 @@
 //!
 //! # Multi-frame rendering (the serving substrate)
 //!
-//! The same batch-independence contract lifts the fused schedule from
-//! one frame to *many*: [`Renderer::render_frames`] concatenates the
-//! ray domains of several cameras and tiles the union, so rays of
-//! small concurrent frames share fused GEMMs that a single small frame
-//! could not fill (tiles straddle frame boundaries freely). Each ray
-//! keeps its frame-local index for RNG
-//! seeding and each frame keeps a private [`RenderStats`], so the
-//! output of every frame is bit-for-bit what a solo
-//! [`Renderer::render`] call would produce — `gen-nerf-serve` builds
-//! its cross-session admission batching directly on this guarantee,
-//! and `tests/serve_regression.rs` pins it.
+//! The renderer has two doors over one private core:
+//! [`Renderer::render`] (one camera, infallible) and
+//! [`Renderer::render_frames`] (many cameras into caller-owned buffers,
+//! with the integrity verdict). The same batch-independence contract
+//! lifts the fused schedule from one frame to *many*: the core
+//! concatenates the ray domains of several cameras and tiles the
+//! union, so rays of small concurrent frames share fused GEMMs that a
+//! single small frame could not fill (tiles straddle frame boundaries
+//! freely). Each ray keeps its frame-local index for RNG seeding and
+//! each frame keeps a private [`RenderStats`], so the output of every
+//! frame is bit-for-bit what a solo [`Renderer::render`] call would
+//! produce — `gen-nerf-serve` builds its cross-session admission
+//! batching directly on this guarantee, and
+//! `tests/serve_regression.rs` pins it.
 //!
 //! Two more serving hooks live here:
 //!
-//! * [`Renderer::render_frames_cached`] exports the coarse-then-focus
+//! * [`Renderer::render_frames`] exports the coarse-then-focus
 //!   Step ① outcome as a [`CoarseFrame`] and accepts one back for any
 //!   frame, re-running only the focus pass — the temporal-coherence
 //!   cache of the render server. An imported coarse pass from the
@@ -121,12 +127,11 @@
 //! of the active kernel over the tile's flat densities, AVX2 where
 //! available, plus its colours) and over the composited pixels right
 //! before they become images. Trips are recorded in
-//! process-wide counters; the fallible entry points
-//! ([`Renderer::try_render_frames_cached`], [`Renderer::try_render`])
-//! snapshot the counters around the render and return
-//! [`RenderError::Corrupt`] instead of publishing a frame whose window
-//! saw a fault. The infallible entry points are
-//! unchanged — with integrity off (the default) no scan runs and
+//! process-wide counters; the fallible door
+//! ([`Renderer::render_frames`]) snapshots the counters around the
+//! render and returns [`RenderError::Corrupt`] instead of publishing a
+//! frame whose window saw a fault. [`Renderer::render`] never reads
+//! them — and with integrity off (the default) no scan runs and
 //! behavior is bit-for-bit what it always was. [`CoarseFrame`]s are
 //! additionally sealed with an FNV-1a payload digest at export so a
 //! serving cache can reject an anchor that was corrupted at rest
@@ -604,7 +609,7 @@ fn apply_armed_pixel_fault(pixels: &mut [Vec<Vec3>]) {
 /// (coarse probing): per-ray hitting weights and critical-sample
 /// counts, everything Steps ②/③ consume.
 ///
-/// Produced by [`Renderer::render_frames_cached`] and importable back
+/// Produced by [`Renderer::render_frames`] and importable back
 /// into it, this is the unit of the render server's temporal-coherence
 /// cache: when the next head pose is close enough to the one that
 /// produced this probing, the serving layer re-runs only the focus
@@ -668,6 +673,15 @@ impl CoarseFrame {
     /// Rays covered (must match the batch it is imported into).
     pub fn n_rays(&self) -> usize {
         self.criticals.len()
+    }
+
+    /// The `n_coarse` the frame was probed at — the length of its first
+    /// non-empty run, every run being that long or empty. `None` when
+    /// no ray crossed the bounds: such a frame fits any strategy, since
+    /// no weight of it is ever read.
+    fn samples_per_ray(&self) -> Option<usize> {
+        let mut runs = self.offsets.windows(2).map(|w| (w[1] - w[0]) as usize);
+        runs.find(|&n| n > 0)
     }
 
     /// Ray `j`'s hitting weights.
@@ -743,20 +757,26 @@ impl CoarseFrame {
 /// Several frames' ray batches concatenated into one parallel domain:
 /// global ray id `g` maps to `(frame, frame-local ray)` so chunks can
 /// span frame boundaries while every per-ray decision (RNG stream,
-/// clip range, stats bucket) stays frame-local.
+/// clip range, stats bucket) stays frame-local. A set may hold only
+/// some of the frames (Step ① skips those that imported a coarse pass):
+/// a frame left out contributes no rays and keeps its index.
 struct FrameSet<'b> {
     batches: &'b [RayBatch],
-    /// `offsets[f]..offsets[f + 1]` is frame `f`'s global id range.
+    /// `offsets[f]..offsets[f + 1]` is frame `f`'s global id range
+    /// (empty for a frame left out).
     offsets: Vec<usize>,
 }
 
 impl<'b> FrameSet<'b> {
-    fn new(batches: &'b [RayBatch]) -> Self {
+    /// The rays of every frame `f` of `batches` with `keep(f)`.
+    fn new(batches: &'b [RayBatch], keep: impl Fn(usize) -> bool) -> Self {
         let mut offsets = Vec::with_capacity(batches.len() + 1);
         let mut acc = 0usize;
         offsets.push(0);
-        for b in batches {
-            acc += b.len();
+        for (f, b) in batches.iter().enumerate() {
+            if keep(f) {
+                acc += b.len();
+            }
             offsets.push(acc);
         }
         Self { batches, offsets }
@@ -770,10 +790,23 @@ impl<'b> FrameSet<'b> {
         self.batches.len()
     }
 
-    /// Maps a global ray id to `(frame index, frame-local ray index)`.
+    /// Maps a global ray id to `(frame index, frame-local ray index)`:
+    /// the last frame starting at or before `g`, which skips the empty
+    /// ranges of frames left out.
     fn locate(&self, g: usize) -> (usize, usize) {
         let f = self.offsets.partition_point(|&o| o <= g) - 1;
         (f, g - self.offsets[f])
+    }
+
+    /// The depth rule of a uniform pass, as [`Renderer::fill_tile`]
+    /// takes it: `n` depths across the ray's clip range, none for a ray
+    /// that misses the bounds.
+    fn uniform_depths(&self, n: usize) -> impl Fn(usize, usize, usize, &mut SampleScratch) + '_ {
+        move |_, f, j, sample| {
+            if let Some((t0, t1)) = self.batches[f].ranges[j] {
+                Ray::uniform_depths_into(t0, t1, n, &mut sample.depths);
+            }
+        }
     }
 }
 
@@ -875,62 +908,76 @@ impl<'a> Renderer<'a> {
         self.cancel.is_some_and(CancelToken::is_cancelled)
     }
 
-    /// Renders a full image from `camera`.
+    /// Renders a full image from `camera`: one frame through the
+    /// render core, whatever the integrity counters say (see
+    /// [`Renderer::render_frames`] for the door that reads them).
     pub fn render(&self, camera: &Camera) -> (Image, RenderStats) {
         let mut image = Image::new(0, 0);
         let mut stats = RenderStats::default();
-        self.render_into(camera, &mut image, &mut stats);
+        self.render_core(
+            std::slice::from_ref(camera),
+            &[None],
+            std::slice::from_mut(&mut image),
+            std::slice::from_mut(&mut stats),
+        );
         (image, stats)
     }
 
-    /// [`Renderer::render`] into caller-owned buffers: `image` is
-    /// reshaped (reusing its allocation) and `stats` overwritten, so a
-    /// serving loop recycling frame buffers stops paying an image
-    /// allocation per frame. Output is identical to [`Renderer::render`].
-    pub fn render_into(&self, camera: &Camera, image: &mut Image, stats: &mut RenderStats) {
-        self.render_frames_cached(
-            std::slice::from_ref(camera),
-            &[None],
-            std::slice::from_mut(image),
-            std::slice::from_mut(stats),
-        );
-    }
-
-    /// Renders several cameras as **one** fused workload: the frames'
-    /// ray domains are concatenated and tiled together, so
+    /// Renders several cameras as **one** fused workload into
+    /// caller-owned frame buffers, with coarse-pass import/export and
+    /// the integrity verdict — the render server's workhorse.
+    ///
+    /// The frames' ray domains are concatenated and tiled together, so
     /// concurrent small frames fill fused GEMM batches a lone frame
     /// could not. Every frame's image and stats are bit-for-bit
     /// identical to a solo [`Renderer::render`] of that camera (the
     /// kernel batch-independence contract; pinned by
-    /// `tests/serve_regression.rs`).
-    pub fn render_frames(&self, cameras: &[Camera]) -> Vec<(Image, RenderStats)> {
-        let mut images: Vec<Image> = cameras.iter().map(|_| Image::new(0, 0)).collect();
-        let mut stats = vec![RenderStats::default(); cameras.len()];
-        let cached: Vec<Option<&CoarseFrame>> = vec![None; cameras.len()];
-        self.render_frames_cached(cameras, &cached, &mut images, &mut stats);
-        images.into_iter().zip(stats).collect()
-    }
-
-    /// [`Renderer::render_frames`] with coarse-pass import/export and
-    /// caller-owned frame buffers — the render server's workhorse.
+    /// `tests/serve_regression.rs`). `images`/`stats` are overwritten
+    /// per frame, reusing buffer allocations.
     ///
     /// For the coarse-then-focus strategy, `cached[f] = Some(coarse)`
     /// re-uses that frame's imported Step ① probing (only the focus
-    /// pass runs; `coarse.n_rays()` must match the camera's pixel
-    /// count) and the return value carries a fresh [`CoarseFrame`] for
-    /// every frame that ran Step ① itself (`None` where an import was
-    /// used). Other strategies have no coarse pass: imports are
+    /// pass runs) and the return value carries a fresh [`CoarseFrame`]
+    /// for every frame that ran Step ① itself (`None` where an import
+    /// was used). Other strategies have no coarse pass: imports are
     /// rejected and every export is `None`.
     ///
-    /// `images`/`stats` are overwritten per frame, reusing buffer
-    /// allocations.
+    /// # Errors
+    ///
+    /// When any GEMM checksum or stage-boundary sentinel tripped
+    /// during this render, returns [`RenderError::Corrupt`] — the
+    /// caller must treat `images`/`stats` as garbage (they were
+    /// overwritten before the verdict) and retry or fail the frames.
+    /// The check is a counter delta over the render window, so under
+    /// concurrent renders a clean frame overlapping a corrupt one can
+    /// fail spuriously (and succeed on retry) — but a corrupt frame
+    /// can never pass. With integrity checking off (the default) this
+    /// never fails.
     ///
     /// # Panics
     ///
     /// Panics when slice lengths differ from `cameras.len()`, when an
-    /// import's ray count mismatches its camera, or when an import is
-    /// supplied for a strategy that cannot honor it.
-    pub fn render_frames_cached(
+    /// import's ray count mismatches its camera or it was probed at
+    /// another `n_coarse` than this renderer's strategy, or when an
+    /// import is supplied for a strategy that cannot honor it.
+    pub fn render_frames(
+        &self,
+        cameras: &[Camera],
+        cached: &[Option<&CoarseFrame>],
+        images: &mut [Image],
+        stats: &mut [RenderStats],
+    ) -> Result<Vec<Option<CoarseFrame>>, RenderError> {
+        let (faults0, trips0) = Self::integrity_epoch();
+        let fresh = self.render_core(cameras, cached, images, stats);
+        Self::corruption_since(faults0, trips0)?;
+        Ok(fresh)
+    }
+
+    /// The one render core behind both doors (their docs give the
+    /// contract): batches the cameras' rays, runs the strategy's
+    /// schedule over the union, guards the composite boundary and
+    /// writes the images.
+    fn render_core(
         &self,
         cameras: &[Camera],
         cached: &[Option<&CoarseFrame>],
@@ -952,7 +999,7 @@ impl<'a> Renderer<'a> {
             *st = RenderStats::default();
             st.rays = b.len() as u64;
         }
-        let set = FrameSet::new(&batches);
+        let set = FrameSet::new(&batches, |_| true);
 
         let (mut pixels, fresh) = match self.strategy {
             SamplingStrategy::Uniform { n } => {
@@ -960,16 +1007,7 @@ impl<'a> Renderer<'a> {
                     cached.iter().all(|c| c.is_none()),
                     "uniform sampling has no coarse pass to import"
                 );
-                let px = self.shade_frames_fused(
-                    &set,
-                    |_, _| n,
-                    |f, j, sample| {
-                        if let Some((t0, t1)) = set.batches[f].ranges[j] {
-                            Ray::uniform_depths_into(t0, t1, n, &mut sample.depths);
-                        }
-                    },
-                    stats,
-                );
+                let px = self.shade_frames_fused(&set, |_, _| n, set.uniform_depths(n), stats);
                 (px, vec![None; n_frames])
             }
             SamplingStrategy::Hierarchical { n_coarse, n_fine } => {
@@ -1041,39 +1079,6 @@ impl<'a> Renderer<'a> {
         Ok(())
     }
 
-    /// [`Renderer::render_frames_cached`] with the integrity verdict:
-    /// when any GEMM checksum or stage-boundary sentinel tripped
-    /// during this render, returns [`RenderError::Corrupt`] — the
-    /// caller must treat `images`/`stats` as garbage (they were
-    /// overwritten before the verdict) and retry or fail the frames.
-    ///
-    /// The check is a counter delta over the render window, so under
-    /// concurrent renders a clean frame overlapping a corrupt one can
-    /// fail spuriously (and succeed on retry) — but a corrupt frame
-    /// can never pass. With integrity checking off (the default) this
-    /// never fails and is identical to the infallible call.
-    pub fn try_render_frames_cached(
-        &self,
-        cameras: &[Camera],
-        cached: &[Option<&CoarseFrame>],
-        images: &mut [Image],
-        stats: &mut [RenderStats],
-    ) -> Result<Vec<Option<CoarseFrame>>, RenderError> {
-        let (faults0, trips0) = Self::integrity_epoch();
-        let fresh = self.render_frames_cached(cameras, cached, images, stats);
-        Self::corruption_since(faults0, trips0)?;
-        Ok(fresh)
-    }
-
-    /// [`Renderer::render`] with the integrity verdict (see
-    /// [`Renderer::try_render_frames_cached`] for the semantics).
-    pub fn try_render(&self, camera: &Camera) -> Result<(Image, RenderStats), RenderError> {
-        let (faults0, trips0) = Self::integrity_epoch();
-        let rendered = self.render(camera);
-        Self::corruption_since(faults0, trips0)?;
-        Ok(rendered)
-    }
-
     fn d_channels(&self) -> usize {
         self.model.config.d_features
     }
@@ -1130,6 +1135,44 @@ impl<'a> Renderer<'a> {
         per_worker.into_iter().flatten().collect()
     }
 
+    /// The one tile fill — Phase 1 of every fused pass: aggregates rays
+    /// `tile` of `set` against `sources` at `d` channels into the
+    /// (reset) `arena`, blocks of eight points running on from one ray
+    /// into the next. `depths_for(i, frame, ray, sample)` appends the
+    /// samples of the tile's `i`-th ray to the flat depth buffer —
+    /// behind whatever it already holds — and appending nothing makes
+    /// a background ray; either way ray `i` of the arena is that ray.
+    ///
+    /// Two contracts live here and nowhere else. **Cancellation:** the
+    /// token is polled before each ray's depths are chosen, and once
+    /// it has fired every remaining ray of the tile is a background
+    /// ray, so the forward that follows shrinks to the work already
+    /// aggregated and the worker drains within one ray's work.
+    /// **Flush:** the block in flight is acquired before this returns,
+    /// so every row of the arena is filled when anything reads it.
+    #[allow(clippy::too_many_arguments)] // one tile's inputs and buffers, spelled out
+    fn fill_tile(
+        &self,
+        set: &FrameSet,
+        tile: std::ops::Range<usize>,
+        sources: &[SourceViewData],
+        d: usize,
+        arena: &mut AggregateArena,
+        sample: &mut SampleScratch,
+        mut depths_for: impl FnMut(usize, usize, usize, &mut SampleScratch),
+    ) {
+        arena.reset(sources.len(), d);
+        for (i, g) in tile.enumerate() {
+            let (f, j) = set.locate(g);
+            let from = sample.depths.len();
+            if !self.is_cancelled() {
+                depths_for(i, f, j, sample);
+            }
+            arena.push_ray(&set.batches[f].rays[j], &sample.depths[from..], sources);
+        }
+        arena.flush(sources);
+    }
+
     /// Splits per-tile `(colors, per-frame counts)` results back into
     /// per-frame pixel vectors (frame-local ray order) and books the
     /// counts, tile-major — the join side of every multi-frame fan-out.
@@ -1161,10 +1204,8 @@ impl<'a> Renderer<'a> {
     /// The fused tile schedule over a whole frame set: tiles are cut
     /// by `points_of(frame, ray)` (each ray's sample count, known
     /// before shading) and may span frames; per tile,
-    /// `depths_for(frame, ray, scratch)` appends each ray's samples to
-    /// the tile's flat depth buffer (nothing → background), phase 1
-    /// aggregates every ray of the tile — blocks of eight points
-    /// running on from one ray into the next, flushed once at the end —
+    /// phase 1 aggregates every ray of the tile at the depths
+    /// `depths_for` chooses ([`Renderer::fill_tile`] has its contract),
     /// phase 2 runs **one** fused forward for the whole tile, phase 3
     /// composites per ray.
     /// Bit-identical to shading each frame alone (GEMM rows are
@@ -1179,7 +1220,7 @@ impl<'a> Renderer<'a> {
     ) -> Vec<Vec<Vec3>>
     where
         P: Fn(usize, usize) -> usize + Sync,
-        D: Fn(usize, usize, &mut SampleScratch) + Sync,
+        D: Fn(usize, usize, usize, &mut SampleScratch) + Sync,
     {
         let d = self.d_channels();
         let tile_points = |g: usize| {
@@ -1201,25 +1242,8 @@ impl<'a> Renderer<'a> {
                 // Phase 1: depth selection + SoA aggregation for the
                 // tile, straight into the worker's arena (zero heap
                 // allocations once its buffers have grown).
-                arena.reset(self.sources.len(), d);
                 sample.depths.clear();
-                for g in start..end {
-                    let (f, j) = set.locate(g);
-                    let from = sample.depths.len();
-                    // Cancellation checkpoint: a fired token turns the
-                    // rest of the tile into background rays, so the
-                    // fused forward below shrinks to the work already
-                    // aggregated and the worker drains promptly.
-                    if !self.is_cancelled() {
-                        depths_for(f, j, sample);
-                    }
-                    arena.push_ray(
-                        &set.batches[f].rays[j],
-                        &sample.depths[from..],
-                        self.sources,
-                    );
-                }
-                arena.flush(self.sources);
+                self.fill_tile(set, start..end, self.sources, d, arena, sample, &depths_for);
                 // Phase 2: one fused forward for every ray of the tile
                 // — the arena's stats matrix is the GEMM operand, no
                 // staging copy.
@@ -1389,20 +1413,17 @@ impl<'a> Renderer<'a> {
                 } = ws;
                 // Coarse phase: SoA-aggregate the tile into the
                 // worker's arena, one fused forward off it.
-                arena.reset(self.sources.len(), d);
                 sample.depths.clear();
-                for g in start..end {
-                    let (f, j) = set.locate(g);
-                    let batch = &set.batches[f];
-                    let from = sample.depths.len();
-                    // The filter is the cancellation checkpoint: drain
-                    // as a miss.
-                    if let Some((t0, t1)) = batch.ranges[j].filter(|_| !self.is_cancelled()) {
-                        Ray::uniform_depths_into(t0, t1, n_coarse, &mut sample.depths);
-                    }
-                    arena.push_ray(&batch.rays[j], &sample.depths[from..], self.sources);
-                }
-                arena.flush(self.sources);
+                let coarse_depths = set.uniform_depths(n_coarse);
+                self.fill_tile(
+                    set,
+                    start..end,
+                    self.sources,
+                    d,
+                    arena,
+                    sample,
+                    coarse_depths,
+                );
                 for g in start..end {
                     let run = arena.ray_range(g - start);
                     if !run.is_empty() {
@@ -1430,43 +1451,37 @@ impl<'a> Renderer<'a> {
                 // pass through the same (reset) arena. The fine depths
                 // go behind the coarse ones in the flat buffer.
                 let fine_base = sample.depths.len();
-                arena.reset(self.sources.len(), d);
-                for g in start..end {
-                    let idx = g - start;
-                    let (f, j) = set.locate(g);
-                    let batch = &set.batches[f];
-                    let from = sample.depths.len();
-                    // The filter is the cancellation checkpoint; it
-                    // also covers rays whose coarse pass was itself
-                    // cancelled above (the token is sticky, so those
-                    // always land here).
-                    if let Some((t0, t1)) = batch.ranges[j].filter(|_| !self.is_cancelled()) {
-                        Ray::interval_widths_into(
-                            &sample.depths[coarse_run(idx)],
-                            t1,
-                            &mut cscratch.deltas,
-                        );
-                        composite_into(
-                            &coarse_densities[coarse_run(idx)],
-                            &coarse_colors[coarse_run(idx)],
-                            &cscratch.deltas,
-                            self.background,
-                            &mut cscratch.weights,
-                        );
-                        let mut rng = self.ray_rng(j);
-                        sampling::importance_sample_into(
-                            t0,
-                            t1,
-                            &cscratch.weights,
-                            n_fine,
-                            &mut rng,
-                            &mut sample.cdf,
-                            &mut sample.depths,
-                        );
-                    }
-                    arena.push_ray(&batch.rays[j], &sample.depths[from..], self.sources);
-                }
-                arena.flush(self.sources);
+                let fine_depths = |idx: usize, f: usize, j: usize, sample: &mut SampleScratch| {
+                    // A ray whose coarse pass was cancelled never gets
+                    // here: the token is sticky, so the fill's
+                    // checkpoint has it too.
+                    let Some((t0, t1)) = set.batches[f].ranges[j] else {
+                        return;
+                    };
+                    Ray::interval_widths_into(
+                        &sample.depths[coarse_run(idx)],
+                        t1,
+                        &mut cscratch.deltas,
+                    );
+                    composite_into(
+                        &coarse_densities[coarse_run(idx)],
+                        &coarse_colors[coarse_run(idx)],
+                        &cscratch.deltas,
+                        self.background,
+                        &mut cscratch.weights,
+                    );
+                    let mut rng = self.ray_rng(j);
+                    sampling::importance_sample_into(
+                        t0,
+                        t1,
+                        &cscratch.weights,
+                        n_fine,
+                        &mut rng,
+                        &mut sample.cdf,
+                        &mut sample.depths,
+                    );
+                };
+                self.fill_tile(set, start..end, self.sources, d, arena, sample, fine_depths);
                 let (fine_densities, fine_colors) = self.model.forward_arena_flat(arena, forward);
                 if sentinels_enabled() {
                     scan_forward_outputs(fine_densities, fine_colors, "hierarchical fine forward");
@@ -1548,25 +1563,23 @@ impl<'a> Renderer<'a> {
                     c.n_rays(),
                     set.batches[f].len()
                 );
+                // Step ③ resamples over `n_coarse` bins: a frame
+                // probed at another rate must stop here, on the
+                // caller's thread, not inside a tile worker.
+                if let Some(probed_at) = c.samples_per_ray() {
+                    assert_eq!(
+                        probed_at, n_coarse,
+                        "imported coarse pass of frame {f} was probed at {probed_at} samples \
+                         a ray, this renderer probes {n_coarse}"
+                    );
+                }
             }
         }
 
         // Step ①: lightweight coarse sampling, fused across every
         // frame that did not import a coarse pass. All of a tile's
         // rays go through one coarse GEMM chain.
-        let needs: Vec<usize> = (0..set.n_frames())
-            .filter(|&f| cached[f].is_none())
-            .collect();
-        let mut sub_off = Vec::with_capacity(needs.len() + 1);
-        sub_off.push(0usize);
-        for &f in &needs {
-            sub_off.push(sub_off.last().unwrap() + set.batches[f].len());
-        }
-        let sub_total = *sub_off.last().unwrap();
-        let locate_sub = |g: usize| -> (usize, usize) {
-            let i = sub_off.partition_point(|&o| o <= g) - 1;
-            (needs[i], g - sub_off[i])
-        };
+        let probed = FrameSet::new(set.batches, |f| cached[f].is_none());
         let t_coarse = gen_nerf_telemetry::enabled().then(std::time::Instant::now);
         // Every freshly probed frame exists, sized, before the fan-out:
         // a tile writes its rays' weights and critical counts in place,
@@ -1580,7 +1593,7 @@ impl<'a> Renderer<'a> {
             })
             .collect();
         let points_of = |_| n_coarse;
-        let coarse_chunks = self.fan_out(sub_total, points_of, |start, end| {
+        let coarse_chunks = self.fan_out(probed.total(), points_of, |start, end| {
             with_worker_scratch(|ws| {
                 let mut local = vec![CoarseEvalCounts::default(); set.n_frames()];
                 let WorkerScratch {
@@ -1592,23 +1605,20 @@ impl<'a> Renderer<'a> {
                 } = ws;
                 // Coarse SoA aggregation into the worker arena (the
                 // channel-scaled coarse stats matrix feeds the coarse
-                // MLP in place).
-                arena.reset(coarse_sources.len(), dc);
+                // MLP in place). A ray the fill cancels probes nothing
+                // (weights zero, critical count 0) and Step ③ shades it
+                // as background.
                 sample.depths.clear();
-                for g in start..end {
-                    let (f, j) = locate_sub(g);
-                    let batch = &set.batches[f];
-                    let from = sample.depths.len();
-                    // The filter is the cancellation checkpoint: a
-                    // cancelled ray probes nothing (weights zero,
-                    // critical count 0) and Step ③ shades it as
-                    // background.
-                    if let Some((t0, t1)) = batch.ranges[j].filter(|_| !self.is_cancelled()) {
-                        Ray::uniform_depths_into(t0, t1, n_coarse, &mut sample.depths);
-                    }
-                    arena.push_ray(&batch.rays[j], &sample.depths[from..], coarse_sources);
-                }
-                arena.flush(coarse_sources);
+                let depths = probed.uniform_depths(n_coarse);
+                self.fill_tile(
+                    &probed,
+                    start..end,
+                    coarse_sources,
+                    dc,
+                    arena,
+                    sample,
+                    depths,
+                );
                 let densities = self.model.coarse_densities_flat(arena, coarse);
                 // Stage-boundary sentinel: a non-finite coarse density
                 // would silently skew every weight Steps ②/③ consume.
@@ -1620,7 +1630,7 @@ impl<'a> Renderer<'a> {
                 // into the ray's place in its frame.
                 let mut g = start;
                 while g < end {
-                    let (f, first) = locate_sub(g);
+                    let (f, first) = probed.locate(g);
                     let batch = &set.batches[f];
                     let rays = (batch.len() - first).min(end - g);
                     let mut frame = fresh[f]
@@ -1706,7 +1716,7 @@ impl<'a> Renderer<'a> {
         let pixels = self.shade_frames_fused(
             set,
             |f, j| counts[f][j],
-            |f, j, sample| {
+            |_, f, j, sample| {
                 let Some((t0, t1)) = set.batches[f].ranges[j] else {
                     return;
                 };
@@ -1715,13 +1725,11 @@ impl<'a> Renderer<'a> {
                     // region, background shows through.
                     return;
                 }
-                let weights = coarse_ref[f].ray_weights(j);
-                assert_eq!(weights.len(), n_coarse, "edges/weights mismatch");
                 let mut rng = self.ray_rng(j);
                 sampling::importance_sample_into(
                     t0,
                     t1,
-                    weights,
+                    coarse_ref[f].ray_weights(j),
                     counts[f][j],
                     &mut rng,
                     &mut sample.cdf,
@@ -1759,6 +1767,20 @@ mod tests {
         let bg = ds.scene.background;
         let r = Renderer::new(model, sources, strategy, bounds, bg);
         r.render(&ds.eval_views[0].camera)
+    }
+
+    /// `cameras` through the multi-frame door into fresh buffers.
+    fn render_frames(
+        r: &Renderer,
+        cameras: &[Camera],
+        cached: &[Option<&CoarseFrame>],
+    ) -> (Vec<Image>, Vec<RenderStats>, Vec<Option<CoarseFrame>>) {
+        let mut images = vec![Image::new(0, 0); cameras.len()];
+        let mut stats = vec![RenderStats::default(); cameras.len()];
+        let exports = r
+            .render_frames(cameras, cached, &mut images, &mut stats)
+            .expect("integrity checking is off");
+        (images, stats, exports)
     }
 
     #[test]
@@ -1988,6 +2010,7 @@ mod tests {
 
     #[test]
     fn render_into_matches_render_and_reuses_buffers() {
+        // The multi-frame door renders into caller-owned buffers.
         let (ds, sources, model) = setup();
         for strategy in [
             SamplingStrategy::Uniform { n: 6 },
@@ -2000,20 +2023,22 @@ mod tests {
                 ds.scene.bounds,
                 ds.scene.background,
             );
-            let cam = &ds.eval_views[0].camera;
-            let (img, stats) = r.render(cam);
+            let cam = ds.eval_views[0].camera;
+            let (img, stats) = r.render(&cam);
             // A dirty, differently sized buffer must come out identical.
-            let mut reused = Image::from_fn(3, 7, |_, _| Vec3::ONE);
-            let mut rstats = RenderStats::default();
-            r.render_into(cam, &mut reused, &mut rstats);
-            assert_eq!(img.as_slice(), reused.as_slice(), "{strategy:?}");
-            assert_eq!(stats.points, rstats.points, "{strategy:?}");
-            assert_eq!(stats.flops.total(), rstats.flops.total(), "{strategy:?}");
+            let mut reused = [Image::from_fn(3, 7, |_, _| Vec3::ONE)];
+            let mut rstats = [RenderStats::default()];
+            r.render_frames(&[cam], &[None], &mut reused, &mut rstats)
+                .expect("integrity checking is off");
+            assert_eq!(img.as_slice(), reused[0].as_slice(), "{strategy:?}");
+            assert_eq!(stats.points, rstats[0].points, "{strategy:?}");
+            assert_eq!(stats.flops.total(), rstats[0].flops.total(), "{strategy:?}");
             // Rendering again into the same buffer stays stable.
-            r.render_into(cam, &mut reused, &mut rstats);
+            r.render_frames(&[cam], &[None], &mut reused, &mut rstats)
+                .expect("integrity checking is off");
             assert_eq!(
                 img.as_slice(),
-                reused.as_slice(),
+                reused[0].as_slice(),
                 "{strategy:?} second fill"
             );
         }
@@ -2041,8 +2066,9 @@ mod tests {
             )
             .with_threads(2);
             let cameras: Vec<Camera> = ds.eval_views.iter().map(|v| v.camera).collect();
-            let joint = r.render_frames(&cameras);
-            for (cam, (img, stats)) in cameras.iter().zip(&joint) {
+            let none = vec![None; cameras.len()];
+            let (images, joint_stats, _) = render_frames(&r, &cameras, &none);
+            for (cam, (img, stats)) in cameras.iter().zip(images.iter().zip(&joint_stats)) {
                 let (solo_img, solo_stats) = r.render(cam);
                 assert_eq!(solo_img.as_slice(), img.as_slice(), "{strategy:?}");
                 assert_eq!(solo_stats.points, stats.points, "{strategy:?}");
@@ -2070,9 +2096,7 @@ mod tests {
         );
         let cam = ds.eval_views[0].camera;
         let cameras = [cam];
-        let mut images = [Image::new(0, 0)];
-        let mut stats = [RenderStats::default()];
-        let exported = r.render_frames_cached(&cameras, &[None], &mut images, &mut stats);
+        let (images, stats, exported) = render_frames(&r, &cameras, &[None]);
         let coarse = exported[0].as_ref().expect("fresh coarse exported");
         assert_eq!(coarse.n_rays(), images[0].pixel_count());
         // The budgeted figure is the heap the frame really holds: three
@@ -2083,10 +2107,7 @@ mod tests {
         assert_eq!(coarse.weights.capacity(), coarse.weights.len());
         assert_eq!(coarse.offsets.len(), coarse.n_rays() + 1);
 
-        let mut images2 = [Image::new(0, 0)];
-        let mut stats2 = [RenderStats::default()];
-        let exported2 =
-            r.render_frames_cached(&cameras, &[Some(coarse)], &mut images2, &mut stats2);
+        let (images2, stats2, exported2) = render_frames(&r, &cameras, &[Some(coarse)]);
         assert!(exported2[0].is_none(), "import must not re-export");
         assert_eq!(images[0].as_slice(), images2[0].as_slice());
         // The cached pass really skipped Step ①.
@@ -2205,6 +2226,93 @@ mod tests {
             stats.points
         );
         assert!(blocks < stats.points / 5, "no better than a block per ray");
+    }
+
+    /// Exports Step ① at CTF(8, 8) and imports it into a CTF(16, 8)
+    /// renderer on `threads` workers.
+    fn import_a_frame_probed_at_another_rate(threads: usize) {
+        let (ds, sources, model) = setup();
+        let renderer = |n_coarse| {
+            Renderer::new(
+                &model,
+                &sources,
+                SamplingStrategy::coarse_then_focus(n_coarse, 8),
+                ds.scene.bounds,
+                ds.scene.background,
+            )
+            .with_threads(threads)
+        };
+        let cameras = [ds.eval_views[0].camera];
+        let (_, _, exported) = render_frames(&renderer(8), &cameras, &[None]);
+        render_frames(&renderer(16), &cameras, &[exported[0].as_ref()]);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "imported coarse pass of frame 0 was probed at 8 samples a ray, \
+                    this renderer probes 16"
+    )]
+    fn an_import_probed_at_another_rate_is_refused_at_the_door_on_one_thread() {
+        import_a_frame_probed_at_another_rate(1);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "imported coarse pass of frame 0 was probed at 8 samples a ray, \
+                    this renderer probes 16"
+    )]
+    fn an_import_probed_at_another_rate_is_refused_at_the_door_on_two_threads() {
+        import_a_frame_probed_at_another_rate(2);
+    }
+
+    #[test]
+    fn a_fired_token_drains_every_schedule() {
+        // A token fired before the call: the one tile fill turns every
+        // ray into a background ray, so nothing is aggregated, no model
+        // runs, and the outputs keep their full shape.
+        let (ds, sources, model) = setup();
+        let cancel = CancelToken::new();
+        cancel.cancel();
+        let pool = Pool::new(2);
+        let cameras: Vec<Camera> = ds.eval_views.iter().map(|v| v.camera).collect();
+        let none = vec![None; cameras.len()];
+        let bg = ds.scene.background;
+        for strategy in [
+            SamplingStrategy::Uniform { n: 6 },
+            SamplingStrategy::Hierarchical {
+                n_coarse: 4,
+                n_fine: 4,
+            },
+            SamplingStrategy::coarse_then_focus(6, 6),
+        ] {
+            let base = |threads: usize| {
+                Renderer::new(&model, &sources, strategy, ds.scene.bounds, bg)
+                    .with_threads(threads)
+                    .with_cancel(&cancel)
+            };
+            for r in [base(1), base(2), base(2).with_pool(&pool)] {
+                let (images, stats, exports) = render_frames(&r, &cameras, &none);
+                for (f, cam) in cameras.iter().enumerate() {
+                    let (w, h) = (cam.intrinsics.width, cam.intrinsics.height);
+                    assert_eq!((images[f].width(), images[f].height()), (w, h));
+                    let all_bg = (0..h).all(|y| (0..w).all(|x| images[f].get(x, y) == bg));
+                    assert!(all_bg, "{strategy:?} frame {f}");
+                    assert_eq!(stats[f].rays, (w * h) as u64, "{strategy:?}");
+                    assert_eq!(stats[f].points, 0, "{strategy:?}");
+                    assert_eq!(stats[f].coarse_points, 0, "{strategy:?}");
+                    assert_eq!(stats[f].feature_fetches, 0, "{strategy:?}");
+                    match (&exports[f], strategy.is_nonuniform()) {
+                        (Some(coarse), true) => {
+                            assert_eq!(coarse.n_rays(), (w * h) as usize);
+                            assert!(coarse.criticals.iter().all(|&c| c == 0));
+                            assert!(coarse.integrity_ok());
+                        }
+                        (None, false) => {}
+                        _ => panic!("{strategy:?}: unexpected export for frame {f}"),
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -214,7 +214,7 @@ mod tests {
         assert_eq!(counts[0], 0);
         assert_eq!(counts[3], 2 * counts[1]);
         let total: usize = counts.iter().sum();
-        assert!(total >= 15 && total <= 17, "total = {total}");
+        assert!((15..=17).contains(&total), "total = {total}");
     }
 
     #[test]

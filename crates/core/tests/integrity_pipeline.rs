@@ -1,5 +1,5 @@
 //! End-to-end output-integrity guards at the pipeline level: the
-//! fallible render APIs, the fault-injection hooks and the coarse
+//! fallible render door, the fault-injection hooks and the coarse
 //! frame digest.
 //!
 //! These tests flip the process-wide integrity mode and arm
@@ -12,6 +12,7 @@ use gen_nerf::config::{ModelConfig, SamplingStrategy};
 use gen_nerf::features::{prepare_sources, SourceViewData};
 use gen_nerf::model::GenNerfModel;
 use gen_nerf::pipeline::{self, RenderError, RenderStats, Renderer};
+use gen_nerf_geometry::Camera;
 use gen_nerf_nn::kernels::integrity::{self, IntegrityMode};
 use gen_nerf_scene::datasets::{Dataset, DatasetKind};
 use gen_nerf_scene::Image;
@@ -24,6 +25,16 @@ fn setup() -> (Dataset, Vec<SourceViewData>, GenNerfModel) {
     let sources = prepare_sources(&ds.source_views);
     let model = GenNerfModel::new(ModelConfig::fast());
     (ds, sources, model)
+}
+
+/// One camera through the fallible door ([`Renderer::render_frames`]).
+fn checked_render(r: &Renderer, cam: &Camera) -> Result<(Image, RenderStats), RenderError> {
+    let mut images = [Image::new(0, 0)];
+    let mut stats = [RenderStats::default()];
+    r.render_frames(std::slice::from_ref(cam), &[None], &mut images, &mut stats)?;
+    let [image] = images;
+    let [stats] = stats;
+    Ok((image, stats))
 }
 
 fn bits(img: &Image) -> Vec<u32> {
@@ -51,7 +62,7 @@ fn full_checking_is_clean_and_bitwise_identical() {
     // bit-for-bit the unchecked image.
     integrity::set_mode(IntegrityMode::Full);
     let checks_before = integrity::check_stats().0;
-    let (checked, checked_stats) = r.try_render(cam).expect("clean render must verify");
+    let (checked, checked_stats) = checked_render(&r, cam).expect("clean render must verify");
     assert!(integrity::check_stats().0 > checks_before);
     assert_eq!(bits(&baseline), bits(&checked));
     assert_eq!(base_stats.points, checked_stats.points);
@@ -72,12 +83,10 @@ fn gemm_corruption_is_detected_and_retry_matches_unfaulted() {
     let cam = &ds.eval_views[0].camera;
 
     integrity::set_mode(IntegrityMode::Full);
-    let (unfaulted, _) = r.try_render(cam).expect("clean render must verify");
+    let (unfaulted, _) = checked_render(&r, cam).expect("clean render must verify");
 
     integrity::arm_corruption(0x5eed);
-    let err = r
-        .try_render(cam)
-        .expect_err("injected GEMM fault must be detected");
+    let err = checked_render(&r, cam).expect_err("injected GEMM fault must be detected");
     assert!(
         matches!(err, RenderError::Corrupt { stage: "gemm", .. }),
         "unexpected verdict: {err}"
@@ -89,7 +98,7 @@ fn gemm_corruption_is_detected_and_retry_matches_unfaulted() {
 
     // The fault was transient: the retry verifies and reproduces the
     // never-faulted image bit for bit.
-    let (retried, _) = r.try_render(cam).expect("retry after transient fault");
+    let (retried, _) = checked_render(&r, cam).expect("retry after transient fault");
     assert_eq!(bits(&unfaulted), bits(&retried));
     integrity::set_mode(IntegrityMode::Off);
 }
@@ -108,12 +117,10 @@ fn pixel_corruption_trips_the_composite_sentinel() {
     let cam = &ds.eval_views[0].camera;
 
     integrity::set_mode(IntegrityMode::Full);
-    let (unfaulted, _) = r.try_render(cam).expect("clean render must verify");
+    let (unfaulted, _) = checked_render(&r, cam).expect("clean render must verify");
 
     pipeline::arm_pixel_corruption(0xfeed_beef);
-    let err = r
-        .try_render(cam)
-        .expect_err("poisoned pixel must trip the sentinel");
+    let err = checked_render(&r, cam).expect_err("poisoned pixel must trip the sentinel");
     match &err {
         RenderError::Corrupt { stage, detail } => {
             assert_eq!(*stage, "sentinel");
@@ -125,7 +132,7 @@ fn pixel_corruption_trips_the_composite_sentinel() {
         "fault must have been consumed"
     );
 
-    let (retried, _) = r.try_render(cam).expect("retry after transient fault");
+    let (retried, _) = checked_render(&r, cam).expect("retry after transient fault");
     assert_eq!(bits(&unfaulted), bits(&retried));
     integrity::set_mode(IntegrityMode::Off);
 }
@@ -148,7 +155,7 @@ fn integrity_off_publishes_injected_poison_unchecked() {
 
     integrity::set_mode(IntegrityMode::Off);
     pipeline::arm_pixel_corruption(7);
-    let (img, _) = r.try_render(cam).expect("off mode never fails a frame");
+    let (img, _) = checked_render(&r, cam).expect("off mode never fails a frame");
     assert!(
         !pipeline::disarm_pixel_corruption(),
         "fault must have been consumed"
@@ -175,7 +182,9 @@ fn coarse_frame_digest_rejects_poisoned_payload() {
     let cameras = std::slice::from_ref(&ds.eval_views[0].camera);
     let mut images = vec![Image::new(0, 0)];
     let mut stats = vec![RenderStats::default()];
-    let fresh = r.render_frames_cached(cameras, &[None], &mut images, &mut stats);
+    let fresh = r
+        .render_frames(cameras, &[None], &mut images, &mut stats)
+        .expect("off mode never fails a frame");
     let mut cf = fresh
         .into_iter()
         .next()

@@ -202,15 +202,6 @@ impl SelfAttention {
         }
     }
 
-    /// Allocating wrapper around
-    /// [`SelfAttention::forward_inference_batch_into`]: returns the
-    /// stacked output (one row per input token, sequence-major).
-    pub fn forward_inference_batch(&self, xs: &[&Tensor2]) -> Tensor2 {
-        let mut scratch = AttnScratch::default();
-        self.forward_inference_batch_into(xs, &mut scratch);
-        scratch.out
-    }
-
     /// Backward pass; accumulates parameter gradients and returns
     /// `∂L/∂x`.
     ///
@@ -340,7 +331,7 @@ mod tests {
         let analytic: Vec<f32> = attn.wq.w.grad.as_slice().to_vec();
 
         let eps = 1e-2;
-        for i in 0..4 {
+        for (i, &a) in analytic.iter().enumerate().take(4) {
             let cols = attn.wq.w.value.cols();
             let (r, c) = (i / cols, i % cols);
             let orig = attn.wq.w.value[(r, c)];
@@ -350,11 +341,10 @@ mod tests {
             let lm = mse_loss(&attn.forward(&x), &target).0;
             attn.wq.w.value[(r, c)] = orig;
             let numeric = (lp - lm) / (2.0 * eps);
-            let denom = numeric.abs().max(analytic[i].abs()).max(1e-3);
+            let denom = numeric.abs().max(a.abs()).max(1e-3);
             assert!(
-                ((numeric - analytic[i]) / denom).abs() < crate::GRAD_CHECK_TOL * 2.5,
-                "wq[{i}]: numeric={numeric} analytic={}",
-                analytic[i]
+                ((numeric - a) / denom).abs() < crate::GRAD_CHECK_TOL * 2.5,
+                "wq[{i}]: numeric={numeric} analytic={a}"
             );
         }
     }

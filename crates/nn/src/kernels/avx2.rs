@@ -557,6 +557,7 @@ unsafe fn exp_ps(x: __m256) -> __m256 {
 /// Scalar mirror of [`exp_ps`]: the identical operation sequence, so a
 /// remainder element matches what its vector lane would have computed.
 #[inline]
+#[allow(clippy::manual_clamp)] // `vminps` then `vmaxps`, as the lanes do: a NaN comes out `EXP_HI`, `clamp` would keep it
 fn exp_scalar_mirror(x: f32) -> f32 {
     let x = x.min(EXP_HI).max(EXP_LO);
     let fx = (x * LOG2EF + 0.5).floor();

@@ -391,7 +391,9 @@ pub(crate) fn elect() -> bool {
     let verify = match mode() {
         IntegrityMode::Off => false,
         IntegrityMode::Full => true,
-        IntegrityMode::Sample => CALLS.fetch_add(1, Ordering::Relaxed) % SAMPLE_PERIOD == 0,
+        IntegrityMode::Sample => CALLS
+            .fetch_add(1, Ordering::Relaxed)
+            .is_multiple_of(SAMPLE_PERIOD),
     };
     if verify {
         CHECKS.fetch_add(1, Ordering::Relaxed);
@@ -898,8 +900,9 @@ impl<'a> ProductCheck<'a> {
             let suspect = scan_rows(rows, out, &self.r[k0..k0 + k], n, from);
             let s = suspect?;
             let tolerance = REL * self.row_bound(rows, s.row) + ABS_FLOOR;
-            // Written `!(x <= tol)` so a NaN/Inf row sum also trips.
-            if !((s.observed - s.expected).abs() <= tolerance) {
+            // `!within`, not `diff > tol`: a NaN/Inf row sum also trips.
+            let within = (s.observed - s.expected).abs() <= tolerance;
+            if !within {
                 return Some(IntegrityError {
                     backend,
                     row: s.row,

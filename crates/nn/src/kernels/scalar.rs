@@ -49,9 +49,8 @@ fn tile_full(p: &Product, out: &mut [f32], i0: usize, j0: usize) {
     let mut acc = [[0.0f32; NR]; MR];
     for k in 0..p.kdim {
         let b_row: &[f32; NR] = p.b[k * p.ldb + j0..k * p.ldb + j0 + NR].try_into().unwrap();
-        for ii in 0..MR {
+        for (ii, acc_row) in acc.iter_mut().enumerate() {
             let aik = p.a[(i0 + ii) * p.a_rs + k * p.a_ks];
-            let acc_row = &mut acc[ii];
             for jj in 0..NR {
                 acc_row[jj] += aik * b_row[jj];
             }

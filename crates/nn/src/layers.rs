@@ -393,7 +393,7 @@ mod tests {
         n_check: usize,
     ) {
         let eps = 1e-2;
-        for i in 0..n_check.min(analytic.len()) {
+        for (i, &a) in analytic.iter().enumerate().take(n_check) {
             let orig = get_set(None, i);
             get_set(Some(orig + eps), i);
             let lp = loss_fn();
@@ -401,7 +401,6 @@ mod tests {
             let lm = loss_fn();
             get_set(Some(orig), i);
             let numeric = (lp - lm) / (2.0 * eps);
-            let a = analytic[i];
             let denom = numeric.abs().max(a.abs()).max(1e-3);
             assert!(
                 ((numeric - a) / denom).abs() < crate::GRAD_CHECK_TOL,
@@ -446,7 +445,7 @@ mod tests {
         let analytic = wg.clone();
         let eps = 1e-2;
         let cols = w.cols();
-        for i in 0..8 {
+        for (i, &a) in analytic.iter().enumerate().take(8) {
             let (r, c) = (i / cols, i % cols);
             let orig = w[(r, c)];
             w[(r, c)] = orig + eps;
@@ -455,7 +454,6 @@ mod tests {
             let lm = eval(&w);
             w[(r, c)] = orig;
             let numeric = (lp - lm) / (2.0 * eps);
-            let a = analytic[i];
             let denom = numeric.abs().max(a.abs()).max(1e-3);
             assert!(
                 ((numeric - a) / denom).abs() < crate::GRAD_CHECK_TOL,
@@ -476,7 +474,7 @@ mod tests {
         let analytic: Vec<f32> = gin.as_slice().to_vec();
 
         let eps = 1e-2;
-        for i in 0..analytic.len() {
+        for (i, &a) in analytic.iter().enumerate() {
             let (r, c) = (i / 3, i % 3);
             let orig = x[(r, c)];
             x[(r, c)] = orig + eps;
@@ -485,11 +483,10 @@ mod tests {
             let lm = mse_loss(&l.forward_inference(&x), &target).0;
             x[(r, c)] = orig;
             let numeric = (lp - lm) / (2.0 * eps);
-            let denom = numeric.abs().max(analytic[i].abs()).max(1e-3);
+            let denom = numeric.abs().max(a.abs()).max(1e-3);
             assert!(
-                ((numeric - analytic[i]) / denom).abs() < crate::GRAD_CHECK_TOL,
-                "x[{i}]: numeric={numeric} analytic={}",
-                analytic[i]
+                ((numeric - a) / denom).abs() < crate::GRAD_CHECK_TOL,
+                "x[{i}]: numeric={numeric} analytic={a}"
             );
         }
     }
@@ -564,7 +561,7 @@ mod tests {
         let analytic: Vec<f32> = gin.as_slice().to_vec();
 
         let eps = 1e-2;
-        for i in 0..analytic.len() {
+        for (i, &a) in analytic.iter().enumerate() {
             let (r, c) = (i / 5, i % 5);
             let orig = x[(r, c)];
             x[(r, c)] = orig + eps;
@@ -573,11 +570,10 @@ mod tests {
             let lm = mse_loss(&ln.forward(&x), &target).0;
             x[(r, c)] = orig;
             let numeric = (lp - lm) / (2.0 * eps);
-            let denom = numeric.abs().max(analytic[i].abs()).max(1e-3);
+            let denom = numeric.abs().max(a.abs()).max(1e-3);
             assert!(
-                ((numeric - analytic[i]) / denom).abs() < crate::GRAD_CHECK_TOL * 2.0,
-                "x[{i}]: numeric={numeric} analytic={}",
-                analytic[i]
+                ((numeric - a) / denom).abs() < crate::GRAD_CHECK_TOL * 2.0,
+                "x[{i}]: numeric={numeric} analytic={a}"
             );
         }
     }
@@ -611,7 +607,7 @@ mod tests {
         let gin = softmax_rows_backward(&y, &g);
         let analytic: Vec<f32> = gin.as_slice().to_vec();
         let eps = 1e-3;
-        for i in 0..analytic.len() {
+        for (i, &a) in analytic.iter().enumerate() {
             let (r, c) = (i / 4, i % 4);
             let orig = x[(r, c)];
             x[(r, c)] = orig + eps;
@@ -620,11 +616,10 @@ mod tests {
             let lm = mse_loss(&softmax_rows(&x), &target).0;
             x[(r, c)] = orig;
             let numeric = (lp - lm) / (2.0 * eps);
-            let denom = numeric.abs().max(analytic[i].abs()).max(1e-4);
+            let denom = numeric.abs().max(a.abs()).max(1e-4);
             assert!(
-                ((numeric - analytic[i]) / denom).abs() < 0.05,
-                "x[{i}]: numeric={numeric} analytic={}",
-                analytic[i]
+                ((numeric - a) / denom).abs() < 0.05,
+                "x[{i}]: numeric={numeric} analytic={a}"
             );
         }
     }

@@ -319,7 +319,7 @@ mod tests {
         let analytic: Vec<f32> = gin.as_slice().to_vec();
 
         let eps = 1e-2;
-        for i in 0..analytic.len() {
+        for (i, &a) in analytic.iter().enumerate() {
             let (r, c) = (i / 4, i % 4);
             let orig = x[(r, c)];
             x[(r, c)] = orig + eps;
@@ -328,11 +328,10 @@ mod tests {
             let lm = mse_loss(&mixer.forward(&x), &target).0;
             x[(r, c)] = orig;
             let numeric = (lp - lm) / (2.0 * eps);
-            let denom = numeric.abs().max(analytic[i].abs()).max(1e-3);
+            let denom = numeric.abs().max(a.abs()).max(1e-3);
             assert!(
-                ((numeric - analytic[i]) / denom).abs() < crate::GRAD_CHECK_TOL * 2.5,
-                "x[{i}]: numeric={numeric} analytic={}",
-                analytic[i]
+                ((numeric - a) / denom).abs() < crate::GRAD_CHECK_TOL * 2.5,
+                "x[{i}]: numeric={numeric} analytic={a}"
             );
         }
     }
@@ -353,7 +352,7 @@ mod tests {
         let analytic: Vec<f32> = mixer.token_fc.w.grad.as_slice().to_vec();
 
         let eps = 1e-2;
-        for i in 0..6 {
+        for (i, &a) in analytic.iter().enumerate().take(6) {
             let cols = mixer.token_fc.w.value.cols();
             let (r, c) = (i / cols, i % cols);
             let orig = mixer.token_fc.w.value[(r, c)];
@@ -363,11 +362,10 @@ mod tests {
             let lm = mse_loss(&mixer.forward(&x), &target).0;
             mixer.token_fc.w.value[(r, c)] = orig;
             let numeric = (lp - lm) / (2.0 * eps);
-            let denom = numeric.abs().max(analytic[i].abs()).max(1e-3);
+            let denom = numeric.abs().max(a.abs()).max(1e-3);
             assert!(
-                ((numeric - analytic[i]) / denom).abs() < crate::GRAD_CHECK_TOL * 2.5,
-                "w1[{i}]: numeric={numeric} analytic={}",
-                analytic[i]
+                ((numeric - a) / denom).abs() < crate::GRAD_CHECK_TOL * 2.5,
+                "w1[{i}]: numeric={numeric} analytic={a}"
             );
         }
     }

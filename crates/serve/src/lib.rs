@@ -12,8 +12,7 @@
 //!   pins the per-scene state that is otherwise rebuilt per frame —
 //!   the encoded source-feature pyramids ([`SceneState::prepare`] runs
 //!   `prepare_sources` once), the pretrained model (shared `&self`
-//!   across every in-flight frame), scene bounds/background, and an
-//!   optional precomputed occupancy grid handle.
+//!   across every in-flight frame) and the scene bounds/background.
 //! * **Scene shards** ([`ShardId`]): the server is partitioned per
 //!   scene. Each registered scene routes (by `Arc` identity) to one
 //!   shard — a scheduler thread owning that scene's request queue, its
@@ -54,7 +53,7 @@
 //!   hot session cannot starve its shard-mates; per-session FIFO is
 //!   never reordered) and coalesces frames of sessions that share a
 //!   scene and strategy into **one** fused multi-frame render
-//!   ([`Renderer::render_frames_cached`](gen_nerf::pipeline::Renderer::render_frames_cached)),
+//!   ([`Renderer::render_frames`](gen_nerf::pipeline::Renderer::render_frames)),
 //!   so concurrent small requests fill the one-GEMM-per-tile schedule a
 //!   lone request cannot. The kernel batch-independence contract makes
 //!   this free of approximation: co-scheduled frames are bit-for-bit

@@ -379,6 +379,10 @@ struct Topology {
     shards: Vec<Shard>,
 }
 
+/// Circuit breakers keyed like the registry: the scene's `Arc` pointer,
+/// with a `Weak` liveness witness beside the breaker.
+type BreakerTable = HashMap<usize, (Weak<SceneState>, Arc<CircuitBreaker>)>;
+
 /// The multi-session, scene-sharded render server. See the crate docs
 /// for the architecture; in short: [`RenderServer::create_session`]
 /// routes a scene to a shard (spawning it on first sight),
@@ -398,11 +402,10 @@ pub struct RenderServer {
     topology: Arc<Mutex<Topology>>,
     sessions: Mutex<HashMap<u64, Arc<SessionState>>>,
     next_session: AtomicU64,
-    /// Per-scene circuit breakers, keyed like the registry (Arc
-    /// pointer + Weak liveness witness). Sessions sharing a scene
-    /// share its breaker: scene health is a property of the scene, not
-    /// of any one viewer.
-    breakers: Mutex<HashMap<usize, (Weak<SceneState>, Arc<CircuitBreaker>)>>,
+    /// Per-scene circuit breakers. Sessions sharing a scene share its
+    /// breaker: scene health is a property of the scene, not of any
+    /// one viewer.
+    breakers: Mutex<BreakerTable>,
     supervisor: Arc<Supervisor>,
     /// The process-wide memory governor shared by every shard.
     governor: Arc<MemoryGovernor>,

@@ -7,7 +7,6 @@ use crate::{lock, wait_until};
 use gen_nerf::config::SamplingStrategy;
 use gen_nerf::features::{prepare_sources, SourceViewData};
 use gen_nerf::model::GenNerfModel;
-use gen_nerf::occupancy::OccupancyGrid;
 use gen_nerf::pipeline::CoarseFrame;
 use gen_nerf_geometry::{Aabb, Intrinsics, Mat3, Pose, Vec3};
 use gen_nerf_scene::View;
@@ -20,9 +19,7 @@ use std::time::{Duration, Instant};
 /// **once** and shared (via `Arc`) by every session viewing the scene
 /// and every frame in flight: the pretrained model (inference is
 /// `&self`/`Sync`), the encoded source-feature pyramids (the Step 0
-/// cost [`prepare_sources`] pays), scene bounds/background, and an
-/// optional precomputed occupancy grid handle for samplers that want
-/// the per-scene sparsity baseline.
+/// cost [`prepare_sources`] pays) and the scene bounds/background.
 ///
 /// Sessions that share a `SceneState` (by `Arc` identity) are eligible
 /// for cross-session admission batching: their frames can ride the
@@ -36,13 +33,6 @@ pub struct SceneState {
     pub bounds: Aabb,
     /// Background color for rays that miss or never saturate.
     pub background: Vec3,
-    /// Optional precomputed occupancy grid (the per-scene sparsity
-    /// baseline of Sec. 2.4). The render pipeline itself never reads
-    /// it — coarse-then-focus estimates occupancy at run time, which
-    /// is the paper's whole point — but callers running grid-baseline
-    /// comparisons against a served scene can stash the one-time build
-    /// here instead of regenerating it per frame.
-    pub occupancy: Option<OccupancyGrid>,
 }
 
 impl SceneState {
@@ -55,14 +45,7 @@ impl SceneState {
             sources: prepare_sources(views),
             bounds,
             background,
-            occupancy: None,
         }
-    }
-
-    /// Attaches a precomputed occupancy grid handle.
-    pub fn with_occupancy(mut self, grid: OccupancyGrid) -> Self {
-        self.occupancy = Some(grid);
-        self
     }
 }
 
@@ -623,12 +606,9 @@ mod tests {
             let cam = gen_nerf_geometry::Camera::new(Intrinsics::from_fov(8, 8, 0.6), pose);
             let mut images = [gen_nerf_scene::Image::new(0, 0)];
             let mut stats = [gen_nerf::pipeline::RenderStats::default()];
-            let fresh = renderer.render_frames_cached(
-                std::slice::from_ref(&cam),
-                &[None],
-                &mut images,
-                &mut stats,
-            );
+            let fresh = renderer
+                .render_frames(std::slice::from_ref(&cam), &[None], &mut images, &mut stats)
+                .expect("integrity checking is off");
             (pose, Arc::new(fresh.into_iter().next().unwrap().unwrap()))
         };
         let (pose0, coarse0) = export(0);
@@ -727,12 +707,9 @@ mod tests {
         let cam = gen_nerf_geometry::Camera::new(Intrinsics::from_fov(8, 8, 0.6), pose);
         let mut images = [gen_nerf_scene::Image::new(0, 0)];
         let mut stats = [gen_nerf::pipeline::RenderStats::default()];
-        let fresh = renderer.render_frames_cached(
-            std::slice::from_ref(&cam),
-            &[None],
-            &mut images,
-            &mut stats,
-        );
+        let fresh = renderer
+            .render_frames(std::slice::from_ref(&cam), &[None], &mut images, &mut stats)
+            .expect("integrity checking is off");
         let coarse = Arc::new(fresh.into_iter().next().unwrap().unwrap());
         let entry_cost = coarse.approx_bytes() + std::mem::size_of::<CacheEntry>();
         let mk = || CacheEntry {

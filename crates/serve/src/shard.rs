@@ -834,7 +834,7 @@ fn shard_loop(ctx: &ShardCtx, incarnation: u64) {
         let streak = ctx.poison_streak.load(Ordering::Relaxed);
         if streak >= health.pool_respawn_after
             && streak != last_pool_respawn_streak
-            && streak % health.pool_respawn_after == 0
+            && streak.is_multiple_of(health.pool_respawn_after)
         {
             pool.respawn_workers();
             last_pool_respawn_streak = streak;
@@ -1095,8 +1095,7 @@ fn render_group(
     // The fallible render: a GEMM miscompare or a tripped sentinel
     // surfaces here as `RenderError::Corrupt` — nothing downstream
     // (the frame's end, cache anchoring) ever sees the poisoned output.
-    let exports =
-        renderer.try_render_frames_cached(&cameras, &cached_refs, &mut images, &mut stats)?;
+    let exports = renderer.render_frames(&cameras, &cached_refs, &mut images, &mut stats)?;
     let finished = Instant::now();
 
     // Anchor fresh coarse passes, in admission order; the LRU tail is

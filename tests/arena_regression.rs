@@ -29,8 +29,8 @@
 
 use gen_nerf::config::{ModelConfig, SamplingStrategy};
 use gen_nerf::features::{
-    aggregate_point, aggregate_points_into, prepare_sources, AggregateArena, AggregateView,
-    PointAggregate, SourceViewData,
+    aggregate_point, aggregate_points_into, prepare_sources, AggregateArena, PointAggregate,
+    SourceViewData,
 };
 use gen_nerf::model::GenNerfModel;
 use gen_nerf::pipeline::{RenderStats, Renderer};
@@ -183,13 +183,18 @@ fn steady_state_fused_render_stays_under_alloc_ceiling() {
             ds.scene.background,
         )
         .with_threads(1);
-        let cam = &ds.eval_views[0].camera;
-        let mut image = Image::new(0, 0);
-        let mut stats = RenderStats::default();
+        let cameras = std::slice::from_ref(&ds.eval_views[0].camera);
+        let mut images = [Image::new(0, 0)];
+        let mut stats = [RenderStats::default()];
+        let mut render = || {
+            renderer
+                .render_frames(cameras, &[None], &mut images, &mut stats)
+                .expect("integrity checking is off");
+        };
         // Warm the worker scratch (arena growth, forward buffers) once.
-        renderer.render_into(cam, &mut image, &mut stats);
+        render();
         let before = local_allocations();
-        renderer.render_into(cam, &mut image, &mut stats);
+        render();
         let per_frame = local_allocations() - before;
         assert!(
             per_frame < ceiling,
@@ -327,7 +332,8 @@ fn pinned_ctf_frame() -> (Image, RenderStats, gen_nerf::pipeline::CoarseFrame) {
     let mut images = [Image::new(0, 0)];
     let mut stats = [RenderStats::default()];
     let coarse = renderer
-        .render_frames_cached(&cameras, &[None], &mut images, &mut stats)
+        .render_frames(&cameras, &[None], &mut images, &mut stats)
+        .expect("integrity checking is off")
         .into_iter()
         .next()
         .flatten()

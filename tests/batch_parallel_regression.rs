@@ -177,8 +177,17 @@ fn ragged_tiles_match_the_per_ray_reference() {
             .into_iter()
             .map(|(w, h)| Camera::new(Intrinsics::from_fov(w, h, 0.6), pose))
             .collect();
-        let joint = renderer(2).render_frames(&cameras);
-        for (cam, (img, stats)) in cameras.iter().zip(&joint) {
+        let mut images = vec![Image::new(0, 0); cameras.len()];
+        let mut joint_stats = vec![RenderStats::default(); cameras.len()];
+        renderer(2)
+            .render_frames(
+                &cameras,
+                &vec![None; cameras.len()],
+                &mut images,
+                &mut joint_stats,
+            )
+            .expect("integrity checking is off");
+        for (cam, (img, stats)) in cameras.iter().zip(images.iter().zip(&joint_stats)) {
             let (solo_img, solo_stats) = renderer(1).render(cam);
             assert_eq!(bits(img), bits(&solo_img), "{strategy:?} joint frame");
             assert_eq!(

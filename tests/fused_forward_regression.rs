@@ -1,6 +1,6 @@
 //! Regression suite for fused cross-ray batched inference: the fused
 //! chunk schedule (one point-MLP GEMM + one blend GEMM per chunk,
-//! [`GenNerfModel::forward_rays`]) must match the per-ray reference
+//! [`GenNerfModel::forward_rays_arena`]) must match the per-ray reference
 //! path **bit-for-bit** — identical pixels and identical FLOPs/fetch
 //! accounting — on a trained model, for every sampling strategy, ray
 //! module and thread count.
@@ -12,11 +12,14 @@
 //! which other rows share a batch.
 
 use gen_nerf::config::{ModelConfig, RayModuleChoice, SamplingStrategy};
-use gen_nerf::features::{aggregate_point, prepare_sources, PointAggregate};
-use gen_nerf::model::GenNerfModel;
+use gen_nerf::features::{
+    aggregate_point, aggregate_points_into, aggregate_ray_into, prepare_sources, AggregateArena,
+    PointAggregate, SourceViewData,
+};
+use gen_nerf::model::{ForwardScratch, GenNerfModel, MlpScratch, RayOutput};
 use gen_nerf::pipeline::{RenderStats, Renderer};
 use gen_nerf::trainer::{TrainConfig, Trainer};
-use gen_nerf_geometry::Vec3;
+use gen_nerf_geometry::{Ray, Vec3};
 use gen_nerf_scene::{Dataset, DatasetKind, Image};
 
 fn trained_scene() -> (Dataset, GenNerfModel) {
@@ -148,34 +151,76 @@ fn transformer_fused_render_matches_per_ray() {
     }
 }
 
-/// `forward_rays` ≡ per-ray `forward_ray`, bit-for-bit, for every ray
-/// module and for adversarial groupings (empty rays, invisible points,
-/// mixed lengths) — the API-level half of the contract, on trained
-/// weights.
+/// A test ray: the ray and the depths it is sampled at.
+type SampledRay = (Ray, Vec<f32>);
+
+/// The per-ray reference's input: [`aggregate_point`] at every sample.
+fn reference_aggregates(
+    (ray, depths): &SampledRay,
+    sources: &[SourceViewData],
+    d: usize,
+) -> Vec<PointAggregate> {
+    depths
+        .iter()
+        .map(|&t| aggregate_point(ray.at(t), ray.direction, sources, d))
+        .collect()
+}
+
+/// `rays` as one arena, ray by ray through [`aggregate_ray_into`].
+fn arena_by_ray(rays: &[SampledRay], sources: &[SourceViewData], d: usize) -> AggregateArena {
+    let mut arena = AggregateArena::default();
+    arena.reset(sources.len(), d);
+    for (ray, depths) in rays {
+        aggregate_ray_into(ray, depths, sources, d, &mut arena);
+    }
+    arena
+}
+
+/// `rays` as one arena through [`aggregate_points_into`], the points
+/// and a direction for each handed over explicitly.
+fn arena_by_points(rays: &[SampledRay], sources: &[SourceViewData], d: usize) -> AggregateArena {
+    let mut arena = AggregateArena::default();
+    arena.reset(sources.len(), d);
+    for (ray, depths) in rays {
+        let points: Vec<Vec3> = depths.iter().map(|&t| ray.at(t)).collect();
+        let dirs = vec![ray.direction; points.len()];
+        aggregate_points_into(&points, &dirs, sources, d, &mut arena);
+    }
+    arena
+}
+
+fn output_bits(out: &RayOutput) -> (Vec<u32>, Vec<[u32; 3]>) {
+    let densities = out.densities.iter().map(|v| v.to_bits()).collect();
+    let colors = out
+        .colors
+        .iter()
+        .map(|c| [c.x.to_bits(), c.y.to_bits(), c.z.to_bits()])
+        .collect();
+    (densities, colors)
+}
+
+/// `forward_rays_arena` ≡ per-ray `forward_ray` over `aggregate_point`,
+/// bit-for-bit, for every ray module and for adversarial groupings
+/// (empty rays, invisible points, mixed lengths) — the API-level half
+/// of the contract, with the arena fill under the comparison too.
 #[test]
 fn forward_rays_equals_forward_ray_across_modules() {
     let ds = Dataset::build(DatasetKind::DeepVoxels, "cube", 0.05, 5, 1, 24, 3);
     let sources = prepare_sources(&ds.source_views);
     let cam = &ds.eval_views[0].camera;
-    let mut rays_aggs: Vec<Vec<PointAggregate>> = Vec::new();
+    let mut rays: Vec<SampledRay> = Vec::new();
     for (px, py, n) in [(2u32, 2u32, 12usize), (8, 4, 5), (1, 9, 1), (5, 5, 17)] {
         let ray = cam.pixel_center_ray(px, py);
         let Some((t0, t1)) = ds.scene.bounds.intersect_ray(&ray) else {
             continue;
         };
-        let aggs = gen_nerf_geometry::Ray::uniform_depths(t0, t1, n)
-            .into_iter()
-            .map(|t| aggregate_point(ray.at(t), ray.direction, &sources, 12))
-            .collect();
-        rays_aggs.push(aggs);
+        rays.push((ray, Ray::uniform_depths(t0, t1, n)));
     }
-    rays_aggs.push(Vec::new()); // an empty ray inside the chunk
-    rays_aggs.push(vec![aggregate_point(
-        Vec3::new(900.0, 0.0, 0.0),
-        Vec3::X,
-        &sources,
-        12,
-    )]); // a ray of only invisible points
+    rays.push((cam.pixel_center_ray(0, 0), Vec::new())); // an empty ray inside the chunk
+    rays.push((Ray::new(Vec3::new(900.0, 0.0, 0.0), Vec3::X), vec![0.0])); // only invisible points
+    let arena = arena_by_ray(&rays, &sources, 12);
+    assert_eq!(arena.n_rays(), rays.len());
+    assert_eq!(arena.n_valid(arena.total_points() - 1), 0);
 
     for choice in [
         RayModuleChoice::Mixer,
@@ -183,69 +228,57 @@ fn forward_rays_equals_forward_ray_across_modules() {
         RayModuleChoice::None,
     ] {
         let model = GenNerfModel::new(ModelConfig::fast().with_ray_module(choice));
-        let refs: Vec<&[PointAggregate]> = rays_aggs.iter().map(|r| r.as_slice()).collect();
-        let fused = model.forward_rays(&refs);
-        assert_eq!(fused.len(), refs.len());
-        for (aggs, out) in refs.iter().zip(&fused) {
-            let per_ray = model.forward_ray(aggs);
-            let fd: Vec<u32> = out.densities.iter().map(|v| v.to_bits()).collect();
-            let pd: Vec<u32> = per_ray.densities.iter().map(|v| v.to_bits()).collect();
+        let fused = model.forward_rays_arena(&arena, &mut ForwardScratch::default());
+        assert_eq!(fused.len(), rays.len());
+        for (ray, out) in rays.iter().zip(&fused) {
+            let per_ray = model.forward_ray(&reference_aggregates(ray, &sources, 12));
+            let (fd, fc) = output_bits(out);
+            let (pd, pc) = output_bits(&per_ray);
             assert_eq!(fd, pd, "{choice:?}: densities diverged");
-            let fc: Vec<[u32; 3]> = out
-                .colors
-                .iter()
-                .map(|c| [c.x.to_bits(), c.y.to_bits(), c.z.to_bits()])
-                .collect();
-            let pc: Vec<[u32; 3]> = per_ray
-                .colors
-                .iter()
-                .map(|c| [c.x.to_bits(), c.y.to_bits(), c.z.to_bits()])
-                .collect();
             assert_eq!(fc, pc, "{choice:?}: colors diverged");
         }
     }
 }
 
-/// Chunking must be invisible: any grouping of the same rays produces
-/// the same per-ray outputs (this is what makes the fused schedule
-/// deterministic across worker counts).
+/// Chunking must be invisible: any grouping of the same rays into
+/// arenas produces the same per-ray outputs (this is what makes the
+/// fused schedule deterministic across worker counts).
 #[test]
 fn forward_rays_is_chunking_invariant() {
     let ds = Dataset::build(DatasetKind::DeepVoxels, "cube", 0.05, 5, 1, 24, 3);
     let sources = prepare_sources(&ds.source_views);
     let model = GenNerfModel::new(ModelConfig::fast());
     let cam = &ds.eval_views[0].camera;
-    let mut rays_aggs: Vec<Vec<PointAggregate>> = Vec::new();
+    let mut rays: Vec<SampledRay> = Vec::new();
     for px in 0..6u32 {
         let ray = cam.pixel_center_ray(px, 4);
         let Some((t0, t1)) = ds.scene.bounds.intersect_ray(&ray) else {
             continue;
         };
-        rays_aggs.push(
-            gen_nerf_geometry::Ray::uniform_depths(t0, t1, 7 + px as usize)
-                .into_iter()
-                .map(|t| aggregate_point(ray.at(t), ray.direction, &sources, 12))
-                .collect(),
-        );
+        rays.push((ray, Ray::uniform_depths(t0, t1, 7 + px as usize)));
     }
-    assert!(rays_aggs.len() >= 3, "need a few hitting rays");
-    let refs: Vec<&[PointAggregate]> = rays_aggs.iter().map(|r| r.as_slice()).collect();
-    let whole = model.forward_rays(&refs);
+    assert!(rays.len() >= 3, "need a few hitting rays");
+    let mut scratch = ForwardScratch::default();
+    let mut forward = |group: &[SampledRay]| {
+        model.forward_rays_arena(&arena_by_points(group, &sources, 12), &mut scratch)
+    };
+    let whole = forward(&rays);
     // Split into two unequal chunks and a per-ray "chunking".
-    let (left, right) = refs.split_at(refs.len() / 3);
-    let mut split = model.forward_rays(left);
-    split.extend(model.forward_rays(right));
-    let singles: Vec<_> = refs.iter().flat_map(|r| model.forward_rays(&[r])).collect();
+    let (left, right) = rays.split_at(rays.len() / 3);
+    let mut split = forward(left);
+    split.extend(forward(right));
+    let singles: Vec<_> = rays
+        .iter()
+        .flat_map(|r| forward(std::slice::from_ref(r)))
+        .collect();
+    assert_eq!((split.len(), singles.len()), (whole.len(), whole.len()));
     for (a, b) in whole.iter().zip(&split).chain(whole.iter().zip(&singles)) {
-        let ab: Vec<u32> = a.densities.iter().map(|v| v.to_bits()).collect();
-        let bb: Vec<u32> = b.densities.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(ab, bb);
-        for (ca, cb) in a.colors.iter().zip(&b.colors) {
-            assert_eq!(
-                [ca.x.to_bits(), ca.y.to_bits(), ca.z.to_bits()],
-                [cb.x.to_bits(), cb.y.to_bits(), cb.z.to_bits()]
-            );
-        }
+        assert_eq!(output_bits(a), output_bits(b));
+    }
+    // And every grouping is the per-ray program over the per-point fill.
+    for (ray, out) in rays.iter().zip(&whole) {
+        let per_ray = model.forward_ray(&reference_aggregates(ray, &sources, 12));
+        assert_eq!(output_bits(out), output_bits(&per_ray));
     }
 }
 
@@ -255,23 +288,19 @@ fn coarse_densities_batch_equals_per_ray() {
     let sources = prepare_sources(&ds.source_views);
     let model = GenNerfModel::new(ModelConfig::fast());
     let cam = &ds.eval_views[0].camera;
-    let mut rays_aggs: Vec<Vec<PointAggregate>> = vec![Vec::new()];
+    let mut rays: Vec<SampledRay> = vec![(cam.pixel_center_ray(0, 0), Vec::new())];
     for px in [1u32, 4, 7] {
         let ray = cam.pixel_center_ray(px, 6);
         let Some((t0, t1)) = ds.scene.bounds.intersect_ray(&ray) else {
             continue;
         };
-        rays_aggs.push(
-            gen_nerf_geometry::Ray::uniform_depths(t0, t1, 8)
-                .into_iter()
-                .map(|t| aggregate_point(ray.at(t), ray.direction, &sources, 3))
-                .collect(),
-        );
+        rays.push((ray, Ray::uniform_depths(t0, t1, 8)));
     }
-    let refs: Vec<&[PointAggregate]> = rays_aggs.iter().map(|r| r.as_slice()).collect();
-    let fused = model.coarse_densities_batch(&refs);
-    for (aggs, out) in refs.iter().zip(&fused) {
-        let per_ray = model.coarse_densities(aggs);
+    let arena = arena_by_ray(&rays, &sources, 3);
+    let fused = model.coarse_densities_arena(&arena, &mut MlpScratch::default());
+    assert_eq!(fused.len(), rays.len());
+    for (ray, out) in rays.iter().zip(&fused) {
+        let per_ray = model.coarse_densities(&reference_aggregates(ray, &sources, 3));
         let fb: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
         let pb: Vec<u32> = per_ray.iter().map(|v| v.to_bits()).collect();
         assert_eq!(fb, pb);
