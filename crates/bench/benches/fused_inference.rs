@@ -1,7 +1,7 @@
 //! Criterion benches for fused cross-ray batched inference: one chunk
 //! of pre-aggregated rays pushed through
 //! [`GenNerfModel::forward_rays_arena`] (one point-MLP chain + one
-//! blend chain per chunk, off the arena in place) versus the per-ray
+//! blend-head lanes call per chunk, off the arena in place) versus the per-ray
 //! reference loop over [`GenNerfModel::forward_ray`] (one GEMM chain
 //! per ray, one blend MLP call per point). Same points, bit-identical
 //! outputs — the gap is pure dispatch/allocation/GEMM-shape overhead.

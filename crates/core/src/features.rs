@@ -373,8 +373,6 @@ pub struct AggregateArena {
     valid: Vec<bool>,
     /// Per-point valid-view counts.
     n_valid: Vec<usize>,
-    /// Running Σ `n_valid` — the fused blend head's pair count.
-    valid_pairs: usize,
     /// `ray_offsets[r]..ray_offsets[r + 1]` is ray `r`'s point range.
     ray_offsets: Vec<usize>,
     /// Projection/fetch scratch: per-view features of the point (or,
@@ -411,7 +409,6 @@ impl Default for AggregateArena {
             blend_inputs: Vec::new(),
             valid: Vec::new(),
             n_valid: Vec::new(),
-            valid_pairs: 0,
             ray_offsets: vec![0],
             feats: Vec::new(),
             dir_sims: Vec::new(),
@@ -435,7 +432,6 @@ impl AggregateArena {
         self.blend_inputs.clear();
         self.valid.clear();
         self.n_valid.clear();
-        self.valid_pairs = 0;
         self.ray_offsets.clear();
         self.ray_offsets.push(0);
         // Fetch scratch for one block of points (feature rows padded
@@ -503,12 +499,6 @@ impl AggregateArena {
         self.n_valid.len()
     }
 
-    /// Total valid (point, view) pairs — the fused blend-head row
-    /// count.
-    pub fn valid_pairs(&self) -> usize {
-        self.valid_pairs
-    }
-
     /// Valid (point, view) pairs of ray `r` — what its FLOP and fetch
     /// accounting is linear in.
     pub(crate) fn ray_valid_pairs(&self, r: usize) -> usize {
@@ -560,6 +550,13 @@ impl AggregateArena {
         &self.blend_inputs[k * self.n_views..(k + 1) * self.n_views]
     }
 
+    /// Every point's [`AggregateArena::blend_inputs_row`] back to back:
+    /// the whole `total_points × n_views` plane, point-major — the
+    /// blend head's operand, read in place.
+    pub(crate) fn blend_inputs(&self) -> &[[f32; 2]] {
+        &self.blend_inputs
+    }
+
     /// A borrowed view of ray `r`'s points.
     pub fn ray_view(&self, r: usize) -> ArenaRayView<'_> {
         let range = self.ray_range(r);
@@ -602,7 +599,6 @@ impl AggregateArena {
             &mut self.dir_sims,
         );
         self.n_valid[k] = n_valid;
-        self.valid_pairs += n_valid;
     }
 
     /// Appends `n` points, point `k` being `point_of(k)` as (position,
@@ -699,7 +695,7 @@ impl AggregateArena {
             }
         }
         let width = self.stats.cols();
-        self.valid_pairs += avx2::reduce_block(
+        avx2::reduce_block(
             d,
             self.block.n,
             &self.feats,
@@ -1128,10 +1124,6 @@ mod tests {
             assert_eq!(open_tile.ray_range(r), by_ray.ray_range(r));
             assert_eq!(open_tile.ray_range(r).len(), depths.len());
         }
-        for arena in [&by_ray, &by_points, &open_tile] {
-            let pairs: usize = (0..reference.len()).map(|k| arena.n_valid[k]).sum();
-            assert_eq!(arena.valid_pairs(), pairs);
-        }
         for (k, (along_ray, own_dir)) in reference.iter().enumerate() {
             if along_ray.n_valid == 0 {
                 // Seen by no view: the all-zero row, whatever its
@@ -1287,7 +1279,6 @@ mod tests {
         assert_eq!(arena.ray_range(0), 0..0);
         assert_eq!(arena.ray_range(1), 0..2);
         assert_eq!(arena.total_points(), 2);
-        assert_eq!(arena.valid_pairs(), (0..2).map(|k| arena.n_valid(k)).sum());
         let reference = aggregate_point(Vec3::ZERO, Vec3::Z, &sources, 3);
         assert_eq!(arena.ray_view(1).stats_row(0), &reference.stats[..]);
     }
@@ -1297,7 +1288,6 @@ mod tests {
         let arena = AggregateArena::default();
         assert_eq!(arena.n_rays(), 0);
         assert_eq!(arena.total_points(), 0);
-        assert_eq!(arena.valid_pairs(), 0);
         assert_eq!(arena.stats().rows(), 0);
     }
 

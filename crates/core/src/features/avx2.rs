@@ -664,8 +664,7 @@ fn mean_similarity(dir_sims: &[f32], seen: &[u32], l: usize, count: u32) -> f32 
 /// [`reduce_scratch_len`] floats whose contents do not matter. `stats`
 /// (`n` rows of `2d + 2`), `blend_inputs` (`n · n_views`, point-major)
 /// and `n_valid` (`n`) are the block's rows of the arena; they must
-/// arrive zeroed, and a point no view sees keeps its zeros. Returns the
-/// block's valid (point, view) pairs.
+/// arrive zeroed, and a point no view sees keeps its zeros.
 #[target_feature(enable = "avx2")]
 #[allow(clippy::too_many_arguments)] // the SoA destination, spelled out
 pub(super) fn reduce_block(
@@ -678,7 +677,7 @@ pub(super) fn reduce_block(
     stats: &mut [f32],
     blend_inputs: &mut [[f32; 2]],
     n_valid: &mut [usize],
-) -> usize {
+) {
     let s = seen.len();
     let stride = padded(d);
     let width = 2 * d + 2;
@@ -701,9 +700,8 @@ pub(super) fn reduce_block(
         put8(mask, _mm256_castsi256_ps(sees));
     }
     let counts = store8i(count_i);
-    let pairs: usize = counts.iter().map(|&c| c as usize).sum();
-    if pairs == 0 {
-        return 0;
+    if counts.iter().all(|&c| c == 0) {
+        return;
     }
     for (out, &c) in n_valid.iter_mut().zip(&counts) {
         *out = c as usize;
@@ -778,5 +776,4 @@ pub(super) fn reduce_block(
         put8(&mut pair[1], _mm256_and_ps(dev, sees));
     }
     scatter_columns(&cols[..2 * s], n, blend_inputs.as_flattened_mut());
-    pairs
 }

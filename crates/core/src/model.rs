@@ -13,23 +13,81 @@
 //!   coarse sampling pass (Sec. 3.2, Step ①).
 //!
 //! Densities are predicted in `log1p` space: the model outputs
-//! `z ≈ ln(1 + σ)`, decoded by [`density_from_logit`]. All modules are
-//! trainable in-process ([`crate::trainer`]).
+//! `z ≈ ln(1 + σ)`, decoded by [`density_from_logit`] in Step ①. The
+//! full model's per-point epilogue — that decode, the blend softmax and
+//! the `0.1·tanh` RGB residual — runs on the one shared definition of
+//! `exp` / `0.1·tanh` in `gen_nerf_nn::kernels::special`, as vector passes
+//! in the fused forward and one value at a time in the per-ray
+//! reference and the trainer. All modules are trainable in-process
+//! ([`crate::trainer`]).
 
 use crate::config::{ModelConfig, RayModuleChoice};
 use crate::features::{AggregateArena, PointAggregate};
 use gen_nerf_geometry::Vec3;
 use gen_nerf_nn::attention::{AttnScratch, SelfAttention};
 use gen_nerf_nn::init::Rng;
-use gen_nerf_nn::kernels::chain::{dense_chain, ChainScratch};
+use gen_nerf_nn::kernels::chain::{dense_chain, lanes_mlp, ChainLayer, ChainScratch};
+use gen_nerf_nn::kernels::{self, special};
 use gen_nerf_nn::layers::{mse_loss, Linear, Param, Relu};
 use gen_nerf_nn::mixer::{MixerScratch, RayMixer};
 use gen_nerf_nn::Tensor2;
 use serde::{Deserialize, Serialize};
 
-/// Decodes a density logit: `σ = exp(z) − 1`, clamped to `[0, ∞)`.
+/// Decodes a density logit: `σ = exp(z) − 1`, clamped to `[0, ∞)`
+/// (a NaN logit decodes to `0.0`). libm's `exp`: the decode of Step ①'s
+/// coarse pass, whose densities choose every focused sample.
 pub fn density_from_logit(z: f32) -> f32 {
-    (z.clamp(-8.0, 8.0).exp() - 1.0).max(0.0)
+    sigma_from_exp(clamp_logit(z).exp())
+}
+
+/// [`density_from_logit`] through the shared [`special::exp`]: the
+/// decode of the full model (Step ③), which the fused forward runs as
+/// one vector pass per tile.
+fn focused_density(z: f32) -> f32 {
+    sigma_from_exp(special::exp(clamp_logit(z)))
+}
+
+/// The density decode's input range: `z` clamped to `[−8, 8]`.
+fn clamp_logit(z: f32) -> f32 {
+    z.clamp(-8.0, 8.0)
+}
+
+/// `σ = max(eᶻ − 1, 0)` from `eᶻ` (a NaN gives `0.0`).
+fn sigma_from_exp(e: f32) -> f32 {
+    (e - 1.0).max(0.0)
+}
+
+/// The largest of one point's blend logits (NaNs skipped), which its
+/// softmax subtracts before the `exp`.
+fn softmax_max(logits: impl Iterator<Item = f32>) -> f32 {
+    logits.fold(f32::NEG_INFINITY, f32::max)
+}
+
+/// One point's softmax numerators `exp(l − max l)`, one value at a time
+/// — what the fused forward computes as one vector pass per tile.
+fn softmax_numerators(logits: &[f32]) -> Vec<f32> {
+    let max = softmax_max(logits.iter().copied());
+    logits.iter().map(|&l| special::exp(l - max)).collect()
+}
+
+/// One point's view blend from its softmax numerators `weights` (one
+/// per visible view, in view order) and those views' colours: the
+/// weights are normalised in place (`w / Σw`, summed in order), then
+/// weight the colours. Shared by the fused forward, the per-ray
+/// reference and the trainer, so all three reduce in one order.
+fn blend_views(weights: &mut [f32], colors: impl Iterator<Item = Vec3>) -> Vec3 {
+    let total: f32 = weights.iter().sum();
+    weights.iter_mut().for_each(|w| *w /= total);
+    weights
+        .iter()
+        .zip(colors)
+        .fold(Vec3::ZERO, |blended, (&w, c)| blended + c * w)
+}
+
+/// The RGB residual `0.1·tanh` of the point MLP's last three outputs.
+fn residual(pre: &[f32]) -> Vec3 {
+    let t = special::tenth_tanh;
+    Vec3::new(t(pre[0]), t(pre[1]), t(pre[2]))
 }
 
 /// Encodes a ground-truth density as a training target:
@@ -99,14 +157,44 @@ impl Mlp {
     /// chain's per-element op sequence is the layers'), allocating
     /// nothing once the scratch buffers have grown to size.
     pub fn forward_inference_into(&self, x: &[f32], m: usize, scratch: &mut MlpScratch) {
-        let layers = [
+        let n = self.out_dim();
+        scratch.out.resize(m * n, 0.0);
+        dense_chain(
+            x,
+            m,
+            &self.chain_layers(),
+            &mut scratch.out,
+            n,
+            &mut scratch.chain,
+        );
+    }
+
+    /// [`Mlp::forward_inference_into`] for a `2 → h → h → 1` MLP (the
+    /// blend head, `h ≤ 8`) as one [`lanes_mlp`] call: a row per vector
+    /// lane, every hidden activation in registers, bitwise the chain's
+    /// output. The `m` outputs land in `scratch.out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the MLP is not of that shape.
+    pub fn forward_lanes_into(&self, x: &[f32], m: usize, scratch: &mut MlpScratch) {
+        scratch.out.resize(m, 0.0);
+        lanes_mlp(
+            x,
+            m,
+            &self.chain_layers(),
+            &mut scratch.out,
+            &mut scratch.chain,
+        );
+    }
+
+    /// The three layers as chain layers, ReLU on the hidden two.
+    fn chain_layers(&self) -> [ChainLayer<'_>; 3] {
+        [
             self.l1.chain_layer(true, false),
             self.l2.chain_layer(true, false),
             self.l3.chain_layer(false, false),
-        ];
-        let n = self.out_dim();
-        scratch.out.resize(m * n, 0.0);
-        dense_chain(x, m, &layers, &mut scratch.out, n, &mut scratch.chain);
+        ]
     }
 
     /// Backward pass; accumulates gradients, returns `∂L/∂x`.
@@ -390,13 +478,13 @@ pub struct RayModuleScratch {
 pub struct ForwardScratch {
     /// Point-MLP chain panels and output.
     mlp: MlpScratch,
-    /// Fused blend-head input (two floats per valid (point, view)
-    /// pair).
-    blend_in: Vec<f32>,
-    /// Blend-head chain panels and output.
+    /// Blend-head output, one logit per (point, view) slot of the
+    /// tile, compacted in place to the tile's blend softmaxes (one term
+    /// per valid pair: arguments, numerators, weights); and the chain
+    /// panels of an integrity-checked call.
     blend: MlpScratch,
-    /// Per-point softmax weights.
-    weights: Vec<f32>,
+    /// The RGB residuals of the tile, three per point.
+    resid: Vec<f32>,
     /// Ray-module temporaries.
     ray_module: RayModuleScratch,
     /// The tile's densities, flat and ray-major (`arena.ray_range(i)`
@@ -413,9 +501,8 @@ impl ForwardScratch {
         use std::mem::size_of;
         let ForwardScratch {
             mlp,
-            blend_in,
             blend,
-            weights,
+            resid,
             ray_module,
             densities,
             colors,
@@ -429,7 +516,7 @@ impl ForwardScratch {
         } = ray_module;
         mlp.capacity_bytes()
             + blend.capacity_bytes()
-            + (blend_in.capacity() + weights.capacity() + densities.capacity()) * size_of::<f32>()
+            + (resid.capacity() + densities.capacity()) * size_of::<f32>()
             + colors.capacity() * size_of::<Vec3>()
             + f_sigma.capacity() * size_of::<Tensor2>()
             + f_sigma.iter().map(Tensor2::capacity_bytes).sum::<usize>()
@@ -542,12 +629,8 @@ impl GenNerfModel {
                 colors.push(Vec3::ZERO);
                 continue;
             }
-            densities.push(density_from_logit(logits[(k, 0)]));
-            let resid = Vec3::new(
-                0.1 * y[(k, d_sigma)].tanh(),
-                0.1 * y[(k, d_sigma + 1)].tanh(),
-                0.1 * y[(k, d_sigma + 2)].tanh(),
-            );
+            densities.push(focused_density(logits[(k, 0)]));
+            let resid = residual(&y.row(k)[d_sigma..]);
             colors.push((self.blend_color(agg) + resid).clamp(0.0, 1.0));
         }
         RayOutput { densities, colors }
@@ -564,8 +647,8 @@ impl GenNerfModel {
     /// matrix (one row per point, ray-major — it **is** the GEMM
     /// operand, nothing is copied), the ray module over the stacked
     /// activations (per-ray phases per ray, row-independent phases
-    /// once), and **one** blend chain over all valid (point, view)
-    /// pairs of the tile.
+    /// once), and **one** blend-head call over all (point, view) slots
+    /// of the tile.
     ///
     /// # Bit-exactness contract
     ///
@@ -581,9 +664,12 @@ impl GenNerfModel {
     /// accumulator (register blocking tiles `i`/`j` only) and apply a
     /// fused epilogue as the unfused element functions, making rows
     /// independent of which other rows, panels or strides share the
-    /// batch; ray modules mix each ray's own points only; and the
-    /// fused blend head replays `blend_color`'s softmax reduction in
-    /// the same order. `tests/fused_forward_regression.rs` and
+    /// batch; the blend head's lanes kernel repeats the GEMM's
+    /// per-element op sequence; ray modules mix each ray's own points
+    /// only; the epilogue's vector `exp` / `0.1·tanh` lanes are the
+    /// scalar functions `forward_ray` calls, bit for bit; and the fused
+    /// assembly replays `blend_color`'s softmax reduction in the same
+    /// order. `tests/fused_forward_regression.rs` and
     /// `tests/arena_regression.rs` pin the contract.
     ///
     /// This is a thin adaptor over the flat outputs of
@@ -636,20 +722,23 @@ impl GenNerfModel {
     ///    transposes, no grouping by length), then
     /// 3. its channel phase + density projection as one two-layer
     ///    chain ([`RayModule::forward_inference_stacked`]);
-    /// 4. the blend head as one chain over all valid (point, view)
-    ///    pairs of the tile;
+    /// 4. the blend head as one lanes call over every (point, view)
+    ///    slot of the tile ([`Mlp::forward_lanes_into`]);
     ///
-    /// then the per-point assembly in `blend_color`'s reduction order.
-    /// With integrity checking on, each layer of each dispatch is
-    /// verified panel by panel inside the chain (see
-    /// `gen_nerf_nn::kernels::chain`).
+    /// then Step ③'s epilogue — the density decode, the RGB residual
+    /// and the blend softmaxes' exponentials — as three vector passes
+    /// of the [`special`] functions over the tile's flat buffers, and
+    /// the per-point assembly in `blend_color`'s reduction order. With
+    /// integrity checking on, each layer of each dispatch is verified
+    /// panel by panel inside the chain (see
+    /// `gen_nerf_nn::kernels::chain`; a blend call with a verified
+    /// layer runs as the chain).
     fn forward_fused(&self, points: &AggregateArena, scratch: &mut ForwardScratch) {
         let total = points.total_points();
         let ForwardScratch {
             mlp,
-            blend_in,
             blend,
-            weights,
+            resid,
             ray_module,
             densities,
             colors,
@@ -685,54 +774,68 @@ impl GenNerfModel {
         );
         let logits = ray_module.logits.as_slice();
 
-        // One blend-head chain over every valid (point, view) pair of
-        // the tile (ray-major, point-major, view-ascending), replacing
-        // one 3-layer MLP call *per point* in the per-ray path.
-        blend_in.clear();
+        // One blend-head call over every (point, view) slot of the
+        // tile, a slot per vector lane, reading the arena's blend-input
+        // plane in place. A slot no view sees costs a lane and is never
+        // read; skipping it would mean compacting the plane first.
+        let slots = points.blend_inputs();
+        self.blend
+            .forward_lanes_into(slots.as_flattened(), slots.len(), blend);
+
+        // Step ③'s epilogue as vector passes over the tile, each the
+        // per-ray reference's scalar function lane for lane: the
+        // density decode, the RGB residual, and the exponentials of
+        // every blend softmax at once.
+        let kernel = kernels::active();
+        densities.extend(logits.iter().map(|&z| clamp_logit(z)));
+        kernel.exp(densities);
+        for (k, sigma) in densities.iter_mut().enumerate() {
+            *sigma = if points.n_valid(k) == 0 {
+                0.0
+            } else {
+                sigma_from_exp(*sigma)
+            };
+        }
+        resid.clear();
         for k in 0..total {
-            let inputs = points.blend_inputs_row(k);
-            for (i, &ok) in points.valid_row(k).iter().enumerate() {
-                if ok {
-                    blend_in.extend_from_slice(&inputs[i]);
-                }
+            resid.extend_from_slice(&y[k * ldy + d_sigma..k * ldy + d_sigma + 3]);
+        }
+        kernel.tenth_tanh(resid);
+        // The softmax arguments `l − max l` of every valid (point, view)
+        // pair, compacted in place over the slot logits without a
+        // branch: every slot is written, a visible one advances, and a
+        // write never passes the slot being read.
+        let n_views = points.n_views();
+        let softmax = &mut blend.out;
+        let mut pairs = 0;
+        for k in 0..total {
+            let valid = points.valid_row(k);
+            let row = k * n_views;
+            let logits = valid.iter().zip(&softmax[row..row + n_views]);
+            let max = softmax_max(logits.filter(|v| *v.0).map(|v| *v.1));
+            for (j, &ok) in valid.iter().enumerate() {
+                softmax[pairs] = softmax[row + j] - max;
+                pairs += usize::from(ok);
             }
         }
-        self.blend
-            .forward_inference_into(blend_in, points.valid_pairs(), blend);
-        let blend_logits = &blend.out[..];
+        let softmax = &mut softmax[..pairs];
+        kernel.exp(softmax);
 
-        // Per-point assembly: softmax each point's pair range (same
-        // reduction order as `blend_color`), add the RGB residual.
+        // Per-point assembly: normalise each point's numerators, blend
+        // its visible views, add the RGB residual.
         let mut pair = 0;
         for k in 0..total {
             let m = points.n_valid(k);
             if m == 0 {
-                densities.push(0.0);
                 colors.push(Vec3::ZERO);
                 continue;
             }
-            densities.push(density_from_logit(logits[k]));
-            let pairs = &blend_logits[pair..pair + m];
-            let max = pairs.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-            weights.clear();
-            weights.extend(pairs.iter().map(|&l| (l - max).exp()));
-            let total_w: f32 = weights.iter().sum();
-            weights.iter_mut().for_each(|w| *w /= total_w);
-            let mut blended = Vec3::ZERO;
-            let mut wi = 0;
-            for (v, &ok) in points.valid_row(k).iter().enumerate() {
-                if ok {
-                    blended += points.view_colors_row(k)[v] * weights[wi];
-                    wi += 1;
-                }
-            }
+            let views = points.view_colors_row(k).iter().zip(points.valid_row(k));
+            let visible = views.filter(|v| *v.1).map(|v| *v.0);
+            let blended = blend_views(&mut softmax[pair..pair + m], visible);
             pair += m;
-            let resid = Vec3::new(
-                0.1 * y[k * ldy + d_sigma].tanh(),
-                0.1 * y[k * ldy + d_sigma + 1].tanh(),
-                0.1 * y[k * ldy + d_sigma + 2].tanh(),
-            );
-            colors.push((blended + resid).clamp(0.0, 1.0));
+            let r = &resid[3 * k..3 * k + 3];
+            colors.push((blended + Vec3::new(r[0], r[1], r[2])).clamp(0.0, 1.0));
         }
     }
 
@@ -744,19 +847,8 @@ impl GenNerfModel {
         }
         let input = Tensor2::from_fn(valid_idx.len(), 2, |r, c| agg.blend_inputs[valid_idx[r]][c]);
         let logits = self.blend.forward_inference(&input);
-        let max = (0..valid_idx.len())
-            .map(|r| logits[(r, 0)])
-            .fold(f32::NEG_INFINITY, f32::max);
-        let mut weights: Vec<f32> = (0..valid_idx.len())
-            .map(|r| (logits[(r, 0)] - max).exp())
-            .collect();
-        let total: f32 = weights.iter().sum();
-        weights.iter_mut().for_each(|w| *w /= total);
-        let mut color = Vec3::ZERO;
-        for (w, &i) in weights.iter().zip(&valid_idx) {
-            color += agg.view_colors[i] * *w;
-        }
-        color
+        let mut weights = softmax_numerators(logits.as_slice());
+        blend_views(&mut weights, valid_idx.iter().map(|&i| agg.view_colors[i]))
     }
 
     /// Coarse-pass density estimation (lightweight MLP, no ray module).
@@ -927,26 +1019,12 @@ impl GenNerfModel {
     ) -> (f32, [f32; 3]) {
         let valid_idx: Vec<usize> = (0..valid.len()).filter(|&i| valid[i]).collect();
         let input = Tensor2::from_fn(valid_idx.len(), 2, |r, c| blend_inputs[valid_idx[r]][c]);
+        // The forward the model is evaluated with: `blend_color`'s
+        // softmax and the shared special functions.
         let logits = self.blend.forward(&input);
-        let max = (0..valid_idx.len())
-            .map(|r| logits[(r, 0)])
-            .fold(f32::NEG_INFINITY, f32::max);
-        let mut s: Vec<f32> = (0..valid_idx.len())
-            .map(|r| (logits[(r, 0)] - max).exp())
-            .collect();
-        let total: f32 = s.iter().sum();
-        s.iter_mut().for_each(|w| *w /= total);
-
-        let mut blended = Vec3::ZERO;
-        for (w, &i) in s.iter().zip(&valid_idx) {
-            blended += view_colors[i] * *w;
-        }
-        let pre = [y[(k, d_sigma)], y[(k, d_sigma + 1)], y[(k, d_sigma + 2)]];
-        let resid = Vec3::new(
-            0.1 * pre[0].tanh(),
-            0.1 * pre[1].tanh(),
-            0.1 * pre[2].tanh(),
-        );
+        let mut s = softmax_numerators(logits.as_slice());
+        let blended = blend_views(&mut s, valid_idx.iter().map(|&i| view_colors[i]));
+        let resid = residual(&y.row(k)[d_sigma..]);
         let out = blended + resid;
         let diff = out - gt;
         let loss = diff.length_squared() / 3.0;
@@ -958,13 +1036,11 @@ impl GenNerfModel {
         });
         self.blend.backward(&g_logits);
 
-        // Residual gradients through 0.1·tanh.
-        let mut g_resid = [0.0f32; 3];
-        let g_arr = [g_out.x, g_out.y, g_out.z];
-        for c in 0..3 {
-            let t = pre[c].tanh();
-            g_resid[c] = g_arr[c] * 0.1 * (1.0 - t * t);
-        }
+        // Residual gradients through r = 0.1·tanh p:
+        // dr/dp = 0.1·(1 − tanh² p) = 0.1 − 10·r².
+        let r = [resid.x, resid.y, resid.z];
+        let g = [g_out.x, g_out.y, g_out.z];
+        let g_resid = [0, 1, 2].map(|c| g[c] * (0.1 - 10.0 * r[c] * r[c]));
         (loss, g_resid)
     }
 
@@ -1070,65 +1146,133 @@ mod tests {
         }
     }
 
-    #[test]
-    fn forward_rays_arena_matches_forward_ray_bitwise() {
-        use crate::features::{aggregate_points_into, AggregateArena};
-        let (ds, sources) = tiny_setup();
+    /// One tile mixing every kind of ray the schedule produces — empty,
+    /// a single point, lengths off and on the kernels' tile edges, a
+    /// full N_max ray — and, in every ray longer than one point, a
+    /// point no source view sees (`n_valid == 0`) in second place; with
+    /// the same rays acquired point by point for the per-ray reference.
+    fn mixed_tile(
+        ds: &Dataset,
+        sources: &[crate::features::SourceViewData],
+    ) -> (AggregateArena, Vec<Vec<PointAggregate>>) {
+        use crate::features::aggregate_points_into;
         let cam = &ds.eval_views[0].camera;
         let ray = cam.pixel_center_ray(cam.intrinsics.width / 2, cam.intrinsics.height / 2);
         let (t0, t1) = ds.scene.bounds.intersect_ray(&ray).unwrap();
+        let mut arena = AggregateArena::default();
+        arena.reset(sources.len(), 12);
+        let mut reference: Vec<Vec<PointAggregate>> = Vec::new();
+        for n in [12usize, 0, 1, 5, 8, 13, 64] {
+            let mut pts: Vec<Vec3> = gen_nerf_geometry::Ray::uniform_depths(t0, t1, n.max(1))[..n]
+                .iter()
+                .map(|&t| ray.at(t))
+                .collect();
+            if n > 1 {
+                pts[1] = Vec3::new(1000.0, 0.0, 0.0);
+            }
+            let dirs = vec![ray.direction; n];
+            aggregate_points_into(&pts, &dirs, sources, 12, &mut arena);
+            reference.push(
+                pts.iter()
+                    .map(|&p| aggregate_point(p, ray.direction, sources, 12))
+                    .collect(),
+            );
+        }
+        assert!((0..arena.total_points()).any(|k| arena.n_valid(k) == 0));
+        (arena, reference)
+    }
+
+    /// The fused forward of `arena` against the per-ray program over
+    /// the per-point fill (neither side of the comparison touches the
+    /// other's code), bit for bit — a NaN matching any NaN, since
+    /// neither IEEE nor the compiler fixes which NaN an operation on
+    /// two of them returns. Returns the fused outputs.
+    fn assert_fused_matches_per_ray(
+        model: &GenNerfModel,
+        arena: &AggregateArena,
+        reference: &[Vec<PointAggregate>],
+        what: &str,
+    ) -> Vec<RayOutput> {
+        let same = |a: f32, b: f32| a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan());
+        let fused = model.forward_rays_arena(arena, &mut ForwardScratch::default());
+        assert_eq!(fused.len(), reference.len());
+        for (r, out) in fused.iter().enumerate() {
+            let per_ray = model.forward_ray(&reference[r]);
+            assert_eq!(out.densities.len(), per_ray.densities.len());
+            for (k, (&a, &b)) in out.densities.iter().zip(&per_ray.densities).enumerate() {
+                assert!(same(a, b), "{what}: ray {r} point {k} density {a} vs {b}");
+            }
+            for (k, (a, b)) in out.colors.iter().zip(&per_ray.colors).enumerate() {
+                let pairs = a.to_array().into_iter().zip(b.to_array());
+                assert!(
+                    pairs.into_iter().all(|(a, b)| same(a, b)),
+                    "{what}: ray {r} point {k} colour {a:?} vs {b:?}"
+                );
+            }
+        }
+        fused
+    }
+
+    #[test]
+    fn forward_rays_arena_matches_forward_ray_bitwise() {
+        let (ds, sources) = tiny_setup();
+        let (arena, reference) = mixed_tile(&ds, &sources);
         for choice in [
             RayModuleChoice::Mixer,
             RayModuleChoice::Transformer,
             RayModuleChoice::None,
         ] {
             let model = GenNerfModel::new(ModelConfig::fast().with_ray_module(choice));
-            let mut arena = AggregateArena::default();
-            arena.reset(sources.len(), 12);
-            // One tile mixing every kind of ray the schedule produces:
-            // empty, a single point, lengths off and on the kernels'
-            // tile edges, a full N_max ray — and, in every ray longer
-            // than one point, a point no source view sees
-            // (`n_valid == 0`) in second place.
-            let lengths = [12usize, 0, 1, 5, 8, 13, 64];
-            let mut reference: Vec<Vec<PointAggregate>> = Vec::new();
-            for &n in &lengths {
-                let mut pts: Vec<Vec3> = gen_nerf_geometry::Ray::uniform_depths(t0, t1, n.max(1))
-                    [..n]
-                    .iter()
-                    .map(|&t| ray.at(t))
-                    .collect();
-                if n > 1 {
-                    pts[1] = Vec3::new(1000.0, 0.0, 0.0);
-                }
-                let dirs = vec![ray.direction; n];
-                aggregate_points_into(&pts, &dirs, &sources, 12, &mut arena);
-                reference.push(
-                    pts.iter()
-                        .map(|&p| aggregate_point(p, ray.direction, &sources, 12))
-                        .collect(),
-                );
-            }
-            assert!((0..arena.total_points()).any(|k| arena.n_valid(k) == 0));
+            let what = format!("{choice:?}");
+            let fused = assert_fused_matches_per_ray(&model, &arena, &reference, &what);
+            // Finite throughout, so the NaN clause never applied.
+            let finite = |o: &RayOutput| {
+                o.densities.iter().all(|d| d.is_finite())
+                    && o.colors
+                        .iter()
+                        .all(|c| c.to_array().iter().all(|v| v.is_finite()))
+            };
+            assert!(fused.iter().all(finite), "{what}");
+        }
+    }
 
-            let mut scratch = ForwardScratch::default();
-            let fused = model.forward_rays_arena(&arena, &mut scratch);
-            assert_eq!(fused.len(), lengths.len());
-            for (r, out) in fused.iter().enumerate() {
-                // The per-ray program over the per-point fill: neither
-                // side of the comparison touches the other's code.
-                let per_ray = model.forward_ray(&reference[r]);
-                let fb: Vec<u32> = out.densities.iter().map(|v| v.to_bits()).collect();
-                let pb: Vec<u32> = per_ray.densities.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(fb, pb, "{choice:?} ray {r} densities diverged");
-                for (cf, cp) in out.colors.iter().zip(&per_ray.colors) {
-                    assert_eq!(
-                        [cf.x.to_bits(), cf.y.to_bits(), cf.z.to_bits()],
-                        [cp.x.to_bits(), cp.y.to_bits(), cp.z.to_bits()],
-                        "{choice:?} ray {r} colors diverged"
-                    );
-                }
+    #[test]
+    fn non_finite_logits_give_the_same_outputs_fused_and_per_ray() {
+        let (ds, sources) = tiny_setup();
+        let (arena, reference) = mixed_tile(&ds, &sources);
+
+        // A NaN density logit decodes to 0.0 on both paths, as it did
+        // when the decode was libm's.
+        assert_eq!(density_from_logit(f32::NAN).to_bits(), 0);
+        assert_eq!(focused_density(f32::NAN).to_bits(), 0);
+        let mut model =
+            GenNerfModel::new(ModelConfig::fast().with_ray_module(RayModuleChoice::None));
+        let RayModule::None { proj } = &mut model.ray_module else {
+            unreachable!("the None variant was asked for");
+        };
+        proj.b.value = Tensor2::full(1, 1, f32::NAN);
+        let fused = assert_fused_matches_per_ray(&model, &arena, &reference, "NaN density logit");
+        assert!(fused
+            .iter()
+            .flat_map(|o| &o.densities)
+            .all(|d| d.to_bits() == 0));
+
+        // Blend logits NaN, +∞ or −∞ at every pair, and a mix of NaN
+        // (0·∞) and +∞ across pairs.
+        for (w, b) in [
+            (None, f32::NAN),
+            (None, f32::INFINITY),
+            (None, f32::NEG_INFINITY),
+            (Some(f32::INFINITY), 0.0),
+        ] {
+            let mut model = GenNerfModel::new(ModelConfig::fast());
+            let (_, _, out) = model.blend.layers_mut();
+            out.b.value = Tensor2::full(1, 1, b);
+            if let Some(w) = w {
+                out.w.value[(0, 0)] = w;
             }
+            let what = format!("blend output weight {w:?}, bias {b}");
+            assert_fused_matches_per_ray(&model, &arena, &reference, &what);
         }
     }
 

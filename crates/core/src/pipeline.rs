@@ -296,7 +296,7 @@ const TILE_POINTS: usize = 1024;
 /// Upper bound on the heap one render worker's scratch retains, for
 /// any frame size or batch: the renderer shades one ray tile of at
 /// most 1 K sample points at a time, so the scratch stops growing at
-/// one tile's buffers — 0.48 MB measured at 4 source views with
+/// one tile's buffers — 0.44 MB measured at 4 source views with
 /// `ModelConfig::fast()` (0.3 KB per point of stats, activations and
 /// outputs, 0.03 KB per point and view of acquisition planes, one
 /// 4 KB depth buffer for the tile, and 2.6 KB — 4.7 KB at 8 views — of
@@ -2148,10 +2148,12 @@ mod tests {
                 assert_eq!(small, large, "{strategy:?}");
             }
             assert!(large <= WORKER_SCRATCH_BYTES, "{strategy:?}: {large} B");
-            // 464,248 B (uniform) and 481,976 B (coarse-then-focus)
-            // measured at these four views: the 457,768 / 475,368 of
-            // before the block tile and the flat depth buffer plus
-            // 6.5 KB. Anything per ray or per frame is a multiple.
+            // 425,808 B (uniform) and 443,536 B (coarse-then-focus)
+            // measured at these four views: the 464,248 / 481,976 of
+            // before the blend head read the arena's slot plane in
+            // place, less its staging copy, plus the epilogue's flat
+            // residual buffer. Anything per ray or per frame is a
+            // multiple.
             assert!(large <= 500_000, "{strategy:?}: {large} B");
         }
     }

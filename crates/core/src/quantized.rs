@@ -8,7 +8,7 @@
 //! drift from the float reference. Tests pin the drift small enough
 //! that the algorithm-level PSNR results transfer to the INT8 hardware.
 
-use crate::features::{AggregateArena, PointAggregate};
+use crate::features::AggregateArena;
 use crate::model::{density_from_logit, GenNerfModel, RayModule};
 use gen_nerf_nn::quant::QuantTensor;
 use gen_nerf_nn::Tensor2;
@@ -33,10 +33,30 @@ fn quant_linear(x: &Tensor2, w: &Tensor2, b: &Tensor2) -> Tensor2 {
     qx.matmul(&qw).add_row_broadcast(b)
 }
 
-/// The drift comparison core: float vs INT8 point MLP over one stats
-/// matrix (`n × point_input_dim`), densities through a float ray
-/// module on both sides.
-fn density_drift_of(model: &GenNerfModel, x: &Tensor2) -> (f32, f32) {
+/// Compares float vs INT8 densities over every point of an
+/// [`AggregateArena`]: the arena's stats matrix feeds both the float
+/// and the INT8 point MLP **in place** (the quantizer reads the same
+/// SoA rows the fused GEMM consumes — no AoS staging copy).
+///
+/// Returns `(max_abs_density_error, mean_abs_density_error)` over the
+/// points. The ray module itself is executed in float for both paths
+/// (its inputs are the quantized-vs-float `f^σ` features), isolating
+/// the point-MLP quantization effect the systolic arrays introduce.
+///
+/// # Panics
+///
+/// Panics when the arena's stats width differs from the point-MLP
+/// input width.
+pub fn density_drift_arena(model: &GenNerfModel, arena: &AggregateArena) -> (f32, f32) {
+    if arena.total_points() == 0 {
+        return (0.0, 0.0);
+    }
+    assert_eq!(
+        arena.stats().cols(),
+        model.config.point_input_dim(),
+        "arena stats width is not the point-MLP input width"
+    );
+    let x = arena.stats();
     let n = x.rows();
     let d_sigma = model.config.d_sigma;
     let mut float_model = model.clone();
@@ -63,48 +83,11 @@ fn density_drift_of(model: &GenNerfModel, x: &Tensor2) -> (f32, f32) {
     (max_err, sum_err / n as f32)
 }
 
-/// Compares float vs INT8 densities for one ray's aggregates.
-///
-/// Returns `(max_abs_density_error, mean_abs_density_error)` over the
-/// points. The ray module itself is executed in float for both paths
-/// (its inputs are the quantized-vs-float `f^σ` features), isolating
-/// the point-MLP quantization effect the systolic arrays introduce.
-pub fn density_drift(model: &GenNerfModel, aggs: &[PointAggregate]) -> (f32, f32) {
-    if aggs.is_empty() {
-        return (0.0, 0.0);
-    }
-    let x = Tensor2::from_fn(aggs.len(), model.config.point_input_dim(), |r, c| {
-        aggs[r].stats[c]
-    });
-    density_drift_of(model, &x)
-}
-
-/// [`density_drift`] over every point of an [`AggregateArena`]: the
-/// arena's stats matrix feeds both the float and the INT8 point MLP
-/// **in place** (the quantizer reads the same SoA rows the fused GEMM
-/// consumes — no AoS staging copy).
-///
-/// # Panics
-///
-/// Panics when the arena's stats width differs from the point-MLP
-/// input width.
-pub fn density_drift_arena(model: &GenNerfModel, arena: &AggregateArena) -> (f32, f32) {
-    if arena.total_points() == 0 {
-        return (0.0, 0.0);
-    }
-    assert_eq!(
-        arena.stats().cols(),
-        model.config.point_input_dim(),
-        "arena stats width is not the point-MLP input width"
-    );
-    density_drift_of(model, arena.stats())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
-    use crate::features::{aggregate_point, prepare_sources};
+    use crate::features::{aggregate_ray_into, prepare_sources};
     use crate::trainer::{TrainConfig, Trainer};
     use gen_nerf_scene::{Dataset, DatasetKind};
 
@@ -120,26 +103,28 @@ mod tests {
         (ds, sources, model)
     }
 
-    fn center_ray_aggs(
+    /// The eval camera's centre ray, `n` uniform samples, as the one
+    /// ray of an arena.
+    fn center_ray_arena(
         ds: &Dataset,
         sources: &[crate::features::SourceViewData],
         n: usize,
-    ) -> Vec<PointAggregate> {
+    ) -> AggregateArena {
         let cam = &ds.eval_views[0].camera;
         let ray = cam.pixel_center_ray(cam.intrinsics.width / 2, cam.intrinsics.height / 2);
         let (t0, t1) = ds.scene.bounds.intersect_ray(&ray).unwrap();
-        gen_nerf_geometry::Ray::uniform_depths(t0, t1, n)
-            .into_iter()
-            .map(|t| aggregate_point(ray.at(t), ray.direction, sources, 12))
-            .collect()
+        let depths = gen_nerf_geometry::Ray::uniform_depths(t0, t1, n);
+        let mut arena = AggregateArena::default();
+        arena.reset(sources.len(), 12);
+        aggregate_ray_into(&ray, &depths, sources, 12, &mut arena);
+        arena
     }
 
     #[test]
     fn quantized_mlp_matches_shape() {
         let (ds, sources, model) = trained_setup();
-        let aggs = center_ray_aggs(&ds, &sources, 8);
-        let x = Tensor2::from_fn(8, 26, |r, c| aggs[r].stats[c]);
-        let y = quantized_point_mlp(&model, &x);
+        let arena = center_ray_arena(&ds, &sources, 8);
+        let y = quantized_point_mlp(&model, arena.stats());
         assert_eq!((y.rows(), y.cols()), (8, 19));
         assert!(y.is_finite());
     }
@@ -149,8 +134,8 @@ mod tests {
         // The headline fidelity check: INT8 systolic execution changes
         // trained densities only slightly relative to their magnitude.
         let (ds, sources, model) = trained_setup();
-        let aggs = center_ray_aggs(&ds, &sources, 16);
-        let (max_err, mean_err) = density_drift(&model, &aggs);
+        let arena = center_ray_arena(&ds, &sources, 16);
+        let (max_err, mean_err) = density_drift_arena(&model, &arena);
         // Densities in these scenes reach ~50; demand sub-10% worst-case
         // and small mean drift. The exact drift depends on the trained
         // weights and therefore on the RNG stream behind the training
@@ -162,7 +147,6 @@ mod tests {
     #[test]
     fn drift_of_empty_ray_is_zero() {
         let model = GenNerfModel::new(ModelConfig::fast());
-        assert_eq!(density_drift(&model, &[]), (0.0, 0.0));
         assert_eq!(
             density_drift_arena(&model, &AggregateArena::default()),
             (0.0, 0.0)
@@ -170,32 +154,13 @@ mod tests {
     }
 
     #[test]
-    fn arena_drift_matches_aos_drift_bitwise() {
-        use crate::features::aggregate_points_into;
-        let (ds, sources, model) = trained_setup();
-        let cam = &ds.eval_views[0].camera;
-        let ray = cam.pixel_center_ray(cam.intrinsics.width / 2, cam.intrinsics.height / 2);
-        let (t0, t1) = ds.scene.bounds.intersect_ray(&ray).unwrap();
-        let depths = gen_nerf_geometry::Ray::uniform_depths(t0, t1, 16);
-        let pts: Vec<_> = depths.iter().map(|&t| ray.at(t)).collect();
-        let dirs = vec![ray.direction; pts.len()];
-        let mut arena = AggregateArena::default();
-        arena.reset(sources.len(), 12);
-        aggregate_points_into(&pts, &dirs, &sources, 12, &mut arena);
-        let aggs = arena.export_ray(0);
-        let (ma, ea) = density_drift_arena(&model, &arena);
-        let (mb, eb) = density_drift(&model, &aggs);
-        assert_eq!((ma.to_bits(), ea.to_bits()), (mb.to_bits(), eb.to_bits()));
-    }
-
-    #[test]
     fn quantized_close_to_float_elementwise() {
         let (ds, sources, model) = trained_setup();
-        let aggs = center_ray_aggs(&ds, &sources, 12);
-        let x = Tensor2::from_fn(12, 26, |r, c| aggs[r].stats[c]);
+        let arena = center_ray_arena(&ds, &sources, 12);
+        let x = arena.stats();
         let mut fm = model.clone();
-        let y_float = fm.point_mlp.forward(&x);
-        let y_quant = quantized_point_mlp(&model, &x);
+        let y_float = fm.point_mlp.forward(x);
+        let y_quant = quantized_point_mlp(&model, x);
         let rel = (&y_quant - &y_float).norm() / y_float.norm().max(1e-6);
         assert!(rel < 0.1, "relative INT8 output error {rel}");
     }

@@ -22,18 +22,27 @@
 //! * ReLU lanes use `vmaxps(x, 0)` = `if x > 0 { x } else { 0 }`; the
 //!   remainder spells out exactly that comparison (not `f32::max`,
 //!   whose −0.0 handling may differ).
-//! * The softmax `exp` is a degree-5 polynomial (Cephes `expf`)
-//!   evaluated with identical mul/add sequences in the vector body and
-//!   the scalar remainder.
+//! * `exp` (the softmax's too) and `0.1·tanh` are the op sequences of
+//!   [`special`] lane for lane, no FMA; the remainder calls the scalar
+//!   definitions themselves.
+//! * The lanes MLP runs one row per lane with the GEMM tile's
+//!   per-element sequence; its masked tail block runs the same lanes.
 //!
 //! Relative to the scalar backend, FMA contracts one rounding per
 //! multiply-add and the softmax sum reduces as a tree, so results
 //! differ in the last ULPs — the tolerance contract pinned by the
-//! parity tests in [`super`].
+//! parity tests in [`super`]. The [`special`] functions are the
+//! exception: they agree with the scalar backend bit for bit.
 
 #![allow(unsafe_code)]
 
-use super::{assert_gemm_args, assert_token_mix_args, Backend, Epilogue, MicroKernel};
+use super::chain::ChainLayer;
+use super::special::{
+    self, EXP_C1, EXP_C2, EXP_HI, EXP_LO, EXP_P0, EXP_P1, EXP_P2, EXP_P3, EXP_P4, EXP_P5, LOG2EF,
+};
+use super::{
+    assert_gemm_args, assert_lanes_mlp_args, assert_token_mix_args, Backend, Epilogue, MicroKernel,
+};
 
 #[cfg(target_arch = "x86")]
 use std::arch::x86::*;
@@ -136,6 +145,36 @@ impl MicroKernel for Avx2Kernel {
         // `product_avx2` for an `n × d` output (the `n × n` block of
         // `w1`, `n` rows of `x` and `f` at their strides, `n` biases).
         unsafe { product_avx2(&p, n, d) }
+    }
+
+    fn lanes_mlp(&self, x: &[f32], m: usize, layers: &[ChainLayer<'_>; 3], out: &mut [f32]) {
+        // Hard asserts: the lanes walk every operand by raw pointer.
+        let h = assert_lanes_mlp_args(x, m, layers, out);
+        debug_assert!(Backend::Avx2.available());
+        let p = LanesMlp {
+            h,
+            w: layers.each_ref().map(|l| l.w.as_ptr()),
+            b: layers
+                .each_ref()
+                .map(|l| l.epi.bias.unwrap_or_default().as_ptr()),
+        };
+        // SAFETY: avx2+fma verified at dispatch time (module docs);
+        // `assert_lanes_mlp_args` established the shapes `lanes_mlp_avx2`
+        // reads (`2m` floats of `x`, `m` of `out`, k × n weights and n
+        // biases per layer, h ≤ 8).
+        unsafe { lanes_mlp_avx2(&p, x.as_ptr(), m, out.as_mut_ptr()) }
+    }
+
+    fn exp(&self, data: &mut [f32]) {
+        debug_assert!(Backend::Avx2.available());
+        // SAFETY: avx2+fma verified at dispatch time (module docs).
+        unsafe { special_avx2::<false>(data) }
+    }
+
+    fn tenth_tanh(&self, data: &mut [f32]) {
+        debug_assert!(Backend::Avx2.available());
+        // SAFETY: avx2+fma verified at dispatch time (module docs).
+        unsafe { special_avx2::<true>(data) }
     }
 
     fn add_bias_rows(&self, data: &mut [f32], cols: usize, bias: &[f32]) {
@@ -506,74 +545,177 @@ unsafe fn is_finite_all_avx2(data: &[f32]) -> bool {
     data[i..].iter().all(|v| v.is_finite())
 }
 
-// ---- softmax ---------------------------------------------------------
+// ---- the special functions ------------------------------------------
 
-// Cephes expf constants (the classic exp_ps polynomial).
-const EXP_HI: f32 = 88.376_26;
-const EXP_LO: f32 = -88.376_26;
-const LOG2EF: f32 = std::f32::consts::LOG2_E;
-const EXP_C1: f32 = 0.693_359_4; // ln(2) high part
-const EXP_C2: f32 = -2.121_944_4e-4; // ln(2) low part
-const EXP_P0: f32 = 1.987_569_1e-4;
-const EXP_P1: f32 = 1.398_199_9e-3;
-const EXP_P2: f32 = 8.333_452e-3;
-const EXP_P3: f32 = 4.166_579_6e-2;
-const EXP_P4: f32 = 1.666_666_5e-1;
-const EXP_P5: f32 = 5.000_000_4e-1;
+/// `2ⁿ` lane-wise for `−126 ≤ n ≤ 127`, from the exponent bits.
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn pow2_ps(n: __m256i) -> __m256 {
+    _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(
+        n,
+        _mm256_set1_epi32(0x7f),
+    )))
+}
 
-/// Vectorized `expf` approximation (max relative error ≈ 2⁻²², i.e. a
-/// couple of ULPs).
+/// Eight lanes of [`special::exp`]: its operation sequence, op for op
+/// (`vminps(HI, x)` is its `if HI < x { HI } else { x }`), no FMA.
 #[inline]
 #[target_feature(enable = "avx2,fma")]
 unsafe fn exp_ps(x: __m256) -> __m256 {
-    let x = _mm256_min_ps(x, _mm256_set1_ps(EXP_HI));
-    let mut x = _mm256_max_ps(x, _mm256_set1_ps(EXP_LO));
-    // n = floor(x·log2(e) + 0.5)
-    let mut fx = _mm256_add_ps(
+    let x = _mm256_min_ps(_mm256_set1_ps(EXP_HI), x);
+    let x = _mm256_max_ps(_mm256_set1_ps(EXP_LO), x);
+    let fx = _mm256_floor_ps(_mm256_add_ps(
         _mm256_mul_ps(x, _mm256_set1_ps(LOG2EF)),
         _mm256_set1_ps(0.5),
-    );
-    fx = _mm256_floor_ps(fx);
-    // x -= n·ln(2), in two parts for precision.
-    x = _mm256_sub_ps(x, _mm256_mul_ps(fx, _mm256_set1_ps(EXP_C1)));
-    x = _mm256_sub_ps(x, _mm256_mul_ps(fx, _mm256_set1_ps(EXP_C2)));
-    let z = _mm256_mul_ps(x, x);
+    ));
+    let r = _mm256_sub_ps(x, _mm256_mul_ps(fx, _mm256_set1_ps(EXP_C1)));
+    let r = _mm256_sub_ps(r, _mm256_mul_ps(fx, _mm256_set1_ps(EXP_C2)));
+    let z = _mm256_mul_ps(r, r);
     let mut y = _mm256_set1_ps(EXP_P0);
-    y = _mm256_add_ps(_mm256_mul_ps(y, x), _mm256_set1_ps(EXP_P1));
-    y = _mm256_add_ps(_mm256_mul_ps(y, x), _mm256_set1_ps(EXP_P2));
-    y = _mm256_add_ps(_mm256_mul_ps(y, x), _mm256_set1_ps(EXP_P3));
-    y = _mm256_add_ps(_mm256_mul_ps(y, x), _mm256_set1_ps(EXP_P4));
-    y = _mm256_add_ps(_mm256_mul_ps(y, x), _mm256_set1_ps(EXP_P5));
-    y = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(y, z), x), _mm256_set1_ps(1.0));
-    // 2ⁿ via the exponent bits.
+    for p in [EXP_P1, EXP_P2, EXP_P3, EXP_P4, EXP_P5] {
+        y = _mm256_add_ps(_mm256_mul_ps(y, r), _mm256_set1_ps(p));
+    }
+    let y = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(y, z), r), _mm256_set1_ps(1.0));
     let n = _mm256_cvttps_epi32(fx);
-    let pow2n = _mm256_castsi256_ps(_mm256_slli_epi32::<23>(_mm256_add_epi32(
-        n,
-        _mm256_set1_epi32(0x7f),
-    )));
-    _mm256_mul_ps(y, pow2n)
+    let half = _mm256_srai_epi32::<1>(n);
+    _mm256_mul_ps(
+        _mm256_mul_ps(y, pow2_ps(half)),
+        pow2_ps(_mm256_sub_epi32(n, half)),
+    )
 }
 
-/// Scalar mirror of [`exp_ps`]: the identical operation sequence, so a
-/// remainder element matches what its vector lane would have computed.
+/// Eight lanes of [`special::tenth_tanh`]: `0.1·copysign((1 − t)/(1 + t),
+/// x)` with `t = exp(−2|x|)`.
 #[inline]
-#[allow(clippy::manual_clamp)] // `vminps` then `vmaxps`, as the lanes do: a NaN comes out `EXP_HI`, `clamp` would keep it
-fn exp_scalar_mirror(x: f32) -> f32 {
-    let x = x.min(EXP_HI).max(EXP_LO);
-    let fx = (x * LOG2EF + 0.5).floor();
-    let x = x - fx * EXP_C1;
-    let x = x - fx * EXP_C2;
-    let z = x * x;
-    let mut y = EXP_P0;
-    y = y * x + EXP_P1;
-    y = y * x + EXP_P2;
-    y = y * x + EXP_P3;
-    y = y * x + EXP_P4;
-    y = y * x + EXP_P5;
-    let y = y * z + x + 1.0;
-    let n = fx as i32;
-    y * f32::from_bits(((n + 0x7f) as u32) << 23)
+#[target_feature(enable = "avx2,fma")]
+unsafe fn tenth_tanh_ps(x: __m256) -> __m256 {
+    let sign = _mm256_set1_ps(-0.0);
+    let t = exp_ps(_mm256_mul_ps(
+        _mm256_set1_ps(-2.0),
+        _mm256_andnot_ps(sign, x),
+    ));
+    let one = _mm256_set1_ps(1.0);
+    let r = _mm256_div_ps(_mm256_sub_ps(one, t), _mm256_add_ps(one, t));
+    let r = _mm256_or_ps(_mm256_andnot_ps(sign, r), _mm256_and_ps(sign, x));
+    _mm256_mul_ps(_mm256_set1_ps(0.1), r)
 }
+
+/// `data[i] = f(data[i])` for [`special::tenth_tanh`] (`TANH`) or
+/// [`special::exp`]: eight lanes at a time, the scalar definition for
+/// the remainder — the same function, bit for bit.
+#[target_feature(enable = "avx2,fma")]
+unsafe fn special_avx2<const TANH: bool>(data: &mut [f32]) {
+    let mut chunks = data.chunks_exact_mut(8);
+    for chunk in &mut chunks {
+        let p = chunk.as_mut_ptr();
+        let v = _mm256_loadu_ps(p);
+        _mm256_storeu_ps(p, if TANH { tenth_tanh_ps(v) } else { exp_ps(v) });
+    }
+    for v in chunks.into_remainder() {
+        *v = if TANH {
+            special::tenth_tanh(*v)
+        } else {
+            special::exp(*v)
+        };
+    }
+}
+
+// ---- the lanes MLP ---------------------------------------------------
+
+/// The blend-head-shaped MLP of [`MicroKernel::lanes_mlp`]: hidden
+/// width `h`, the three layers' weights and biases.
+struct LanesMlp {
+    h: usize,
+    w: [*const f32; 3],
+    b: [*const f32; 3],
+}
+
+/// Eight rows of a [`LanesMlp`] from row `i0` (only the first `live`
+/// when `MASKED`), one per lane: per element the op sequence of
+/// [`tile`] — `vfmadd` from `+0.0` over ascending `k`, `+ bias`,
+/// `vmaxps(·, 0)` — with the output layer folding in each unit of the
+/// second hidden layer as soon as it is finished, still in ascending
+/// order.
+///
+/// # Safety
+///
+/// Requires avx2+fma; rows `i0..i0 + live` of `x` (two floats each) and
+/// of `out` in bounds, the weights and biases of [`lanes_mlp_avx2`].
+#[inline]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn lanes_block<const MASKED: bool>(
+    p: &LanesMlp,
+    x: *const f32,
+    out: *mut f32,
+    i0: usize,
+    live: usize,
+) {
+    let h = p.h;
+    let [w1, w2, w3] = p.w;
+    let [b1, b2, b3] = p.b;
+    let zero = _mm256_setzero_ps();
+    // Rows i0..i0+8 interleaved as (x0, x1) pairs: two loads, then the
+    // two inputs de-interleaved into lane order [0 1 4 5 2 3 6 7].
+    let at = x.add(2 * i0);
+    let (lo, hi) = if MASKED {
+        let lo = _mm256_maskload_ps(at, lane_mask((2 * live).min(8)));
+        let hi = if live > 4 {
+            _mm256_maskload_ps(at.add(8), lane_mask(2 * live - 8))
+        } else {
+            zero
+        };
+        (lo, hi)
+    } else {
+        (_mm256_loadu_ps(at), _mm256_loadu_ps(at.add(8)))
+    };
+    let x0 = _mm256_shuffle_ps::<0b10_00_10_00>(lo, hi);
+    let x1 = _mm256_shuffle_ps::<0b11_01_11_01>(lo, hi);
+
+    let mut h1 = [zero; super::LANES_MLP_MAX_HIDDEN];
+    for (j, hj) in h1.iter_mut().enumerate().take(h) {
+        let acc = _mm256_fmadd_ps(x0, _mm256_set1_ps(*w1.add(j)), zero);
+        let acc = _mm256_fmadd_ps(x1, _mm256_set1_ps(*w1.add(h + j)), acc);
+        *hj = _mm256_max_ps(_mm256_add_ps(acc, _mm256_set1_ps(*b1.add(j))), zero);
+    }
+    let mut acc_out = zero;
+    for j in 0..h {
+        let mut acc = zero;
+        for (k, &hk) in h1.iter().enumerate().take(h) {
+            acc = _mm256_fmadd_ps(hk, _mm256_set1_ps(*w2.add(k * h + j)), acc);
+        }
+        let h2 = _mm256_max_ps(_mm256_add_ps(acc, _mm256_set1_ps(*b2.add(j))), zero);
+        acc_out = _mm256_fmadd_ps(h2, _mm256_set1_ps(*w3.add(j)), acc_out);
+    }
+    let o = _mm256_add_ps(acc_out, _mm256_set1_ps(*b3));
+    // Back to row order: the 64-bit row pairs (0 1)(4 5)(2 3)(6 7).
+    let o = _mm256_castpd_ps(_mm256_permute4x64_pd::<0b11_01_10_00>(_mm256_castps_pd(o)));
+    if MASKED {
+        _mm256_maskstore_ps(out.add(i0), lane_mask(live), o);
+    } else {
+        _mm256_storeu_ps(out.add(i0), o);
+    }
+}
+
+/// Every row of a [`LanesMlp`]: blocks of eight, then one masked block.
+///
+/// # Safety
+///
+/// Requires avx2+fma; `x` holds `2m` floats and `out` `m`; `p.w[0]` is
+/// `2 × h`, `p.w[1]` `h × h`, `p.w[2]` `h × 1`, `p.b` `h`, `h` and `1`
+/// floats; `h ≤ 8`.
+#[target_feature(enable = "avx2,fma")]
+unsafe fn lanes_mlp_avx2(p: &LanesMlp, x: *const f32, m: usize, out: *mut f32) {
+    let mut i0 = 0;
+    while i0 + 8 <= m {
+        lanes_block::<false>(p, x, out, i0, 8);
+        i0 += 8;
+    }
+    if i0 < m {
+        lanes_block::<true>(p, x, out, i0, m - i0);
+    }
+}
+
+// ---- softmax ---------------------------------------------------------
 
 /// Horizontal max of a ymm register.
 #[inline]
@@ -635,7 +777,7 @@ unsafe fn softmax_rows_avx2(data: &mut [f32], cols: usize) {
         }
         let mut total = hsum(sumv);
         for v in &mut row[c..] {
-            *v = exp_scalar_mirror(*v - max);
+            *v = special::exp(*v - max);
             total += *v;
         }
         // Normalize (division is exactly rounded lane-wise).

@@ -11,9 +11,11 @@
 //! two panel-sized buffers that never leave L1. [`token_mix`] is the
 //! Ray-Mixer's token phase (paper Eq. 4) over every ray of a tile, in
 //! place on the stacked activations through
-//! [`MicroKernel::token_mix`].
+//! [`MicroKernel::token_mix`]. [`lanes_mlp`] is the blend head: so small
+//! (`2 → 8 → 8 → 1`) that a GEMM tile is mostly idle on it, it runs one
+//! row per lane through [`MicroKernel::lanes_mlp`] instead.
 //!
-//! Both are safe and backend-independent: per output element they
+//! All three are safe and backend-independent: per output element they
 //! perform exactly the operations of layer-by-layer
 //! `matmul` + `add_bias_rows` + `relu` (+ `add_assign`) — rows are
 //! positionally independent, so panelling is invisible — and they read
@@ -33,7 +35,10 @@
 //! `Σ_c F_pre[r,c] = Σₖ W₁[k,r] · (Σ_c X[k,c])`). A verified product
 //! runs the kernel without its epilogue, checks, then applies the
 //! epilogue's element functions to the panel — the same op sequence
-//! per element, so `full` ≡ `off` bitwise.
+//! per element, so `full` ≡ `off` bitwise. The lanes kernel has no
+//! check of its own: a [`lanes_mlp`] call that elects any of its layers
+//! runs as the checked [`dense_chain`] of the same layers, which is
+//! bitwise the lanes kernel's output.
 
 use super::integrity::{self, IntegrityMode, ProductCheck, Rows};
 use super::scalar::MR;
@@ -108,10 +113,7 @@ pub fn dense_chain_on(
     ldo: usize,
     scratch: &mut ChainScratch,
 ) {
-    let last = layers
-        .len()
-        .checked_sub(1)
-        .expect("dense_chain of no layers");
+    assert!(!layers.is_empty(), "dense_chain of no layers");
     for pair in layers.windows(2) {
         assert_eq!(pair[0].n, pair[1].k, "dense_chain: layer widths disagree");
     }
@@ -119,6 +121,70 @@ pub fn dense_chain_on(
     if m == 0 {
         return;
     }
+    let checks = elect_layers(layers, m);
+    run_chain(kernel, x, m, layers, out, ldo, scratch, checks);
+}
+
+/// The blend head — [`MicroKernel::lanes_mlp`]'s `2 → h → h → 1` shape —
+/// over the `m` rows of `x` on the active kernel backend, one output
+/// per row into `out[..m]`. Counts as **one** dispatched call, and is
+/// elected for integrity checking exactly as a [`dense_chain`] of the
+/// same layers is (one product per layer). A call none of whose layers
+/// is elected — every call with checking off — runs the lanes kernel; a
+/// call with an elected layer runs the checked chain instead, whose
+/// output is bitwise the lanes kernel's, so checking moves no bit.
+///
+/// # Panics
+///
+/// Panics when the layers are not of that shape or a slice is shorter
+/// than `m` rows.
+pub fn lanes_mlp(
+    x: &[f32],
+    m: usize,
+    layers: &[ChainLayer<'_>; 3],
+    out: &mut [f32],
+    scratch: &mut ChainScratch,
+) {
+    lanes_mlp_on(super::active(), x, m, layers, out, scratch);
+}
+
+/// [`lanes_mlp`] on an explicit kernel.
+pub fn lanes_mlp_on(
+    kernel: &dyn MicroKernel,
+    x: &[f32],
+    m: usize,
+    layers: &[ChainLayer<'_>; 3],
+    out: &mut [f32],
+    scratch: &mut ChainScratch,
+) {
+    integrity::count_dispatch(kernel.backend());
+    let checks = if m == 0 {
+        Vec::new()
+    } else {
+        elect_layers(layers, m)
+    };
+    if checks.iter().all(Option::is_none) {
+        kernel.lanes_mlp(x, m, layers, out);
+    } else {
+        run_chain(kernel, x, m, layers, out, 1, scratch, checks);
+    }
+}
+
+/// The panel loop of [`dense_chain_on`] once its layers are elected:
+/// each layer with a check runs without its epilogue, is verified, then
+/// gets the epilogue's element functions.
+#[allow(clippy::too_many_arguments)] // the chain's operands plus its checks
+fn run_chain(
+    kernel: &dyn MicroKernel,
+    x: &[f32],
+    m: usize,
+    layers: &[ChainLayer<'_>],
+    out: &mut [f32],
+    ldo: usize,
+    scratch: &mut ChainScratch,
+    mut checks: Vec<Option<ProductCheck<'_>>>,
+) {
+    let last = layers.len() - 1;
     let widest = layers[..last].iter().map(|l| l.n).max().unwrap_or(0);
     let panel_rows = (PANEL_FLOATS / widest.max(1)).max(MR) / MR * MR;
     for h in &mut scratch.h {
@@ -126,7 +192,6 @@ pub fn dense_chain_on(
             h.resize(panel_rows * widest, 0.0);
         }
     }
-    let mut checks = elect_layers(layers, m);
 
     let k0 = layers[0].k;
     let [h0, h1] = &mut scratch.h;
@@ -403,6 +468,44 @@ mod tests {
                         );
                         assert!(row[n..].iter().all(|v| v.is_nan()));
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_mlp_matches_dense_chain_bitwise() {
+        // The blend head's shape, and a narrower hidden layer that puts
+        // the GEMM's layers on its masked column tail. Inputs mix the
+        // value stream with signed zeros and subnormals, and one weight
+        // per layer is subnormal too.
+        let specials = [0.0f32, -0.0, 1e-40, -1e-40, f32::from_bits(1), -5e-39];
+        for h in [8usize, 5] {
+            let mut chain = Chain::new(&[2, h, h, 1], &[]);
+            for (l, w) in chain.w.iter_mut().enumerate() {
+                w[l] = specials[2 + l];
+            }
+            let layers = chain.layers();
+            let layers: [ChainLayer<'_>; 3] = layers.try_into().unwrap();
+            for m in [0usize, 1, 7, 8, 9, 1000] {
+                let mut x = values(m as u32 + 17, 2 * m);
+                for (i, v) in x.iter_mut().enumerate().step_by(5) {
+                    *v = specials[i % specials.len()];
+                }
+                for backend in runnable_backends() {
+                    let kernel = kernel_for(backend);
+                    let mut want = vec![f32::NAN; m];
+                    let mut scratch = ChainScratch::default();
+                    dense_chain_on(kernel, &x, m, &layers, &mut want, 1, &mut scratch);
+                    // One poisoned slot past the end: never written.
+                    let mut lanes = vec![f32::NAN; m + 1];
+                    kernel.lanes_mlp(&x, m, &layers, &mut lanes);
+                    let what = format!("{}: h {h} m {m}", backend.name());
+                    assert_eq!(bits(&lanes[..m]), bits(&want), "{what}");
+                    assert!(lanes[m].is_nan(), "{what}: wrote past m");
+                    let mut dispatched = vec![f32::NAN; m];
+                    lanes_mlp_on(kernel, &x, m, &layers, &mut dispatched, &mut scratch);
+                    assert_eq!(bits(&dispatched), bits(&want), "{what}: dispatched");
                 }
             }
         }

@@ -37,14 +37,23 @@
 //!   tile loop with `W₁` read transposed, so no operand is ever
 //!   transposed or copied.
 //!
+//! Beside them, [`MicroKernel::lanes_mlp`] runs the blend head's tiny
+//! `2 → 8 → 8 → 1` MLP with one row per lane instead of through the
+//! GEMM tile — per element the GEMM's op sequence, so bitwise a
+//! [`chain::dense_chain`] — and [`MicroKernel::exp`] /
+//! [`MicroKernel::tenth_tanh`] are vector passes of the [`special`]
+//! functions of the forward's per-point epilogue.
+//!
 //! # Exactness contract
 //!
 //! The scalar backend preserves the workspace's historical bit-exact
 //! results. The AVX2 backend changes float rounding (FMA contracts
 //! mul+add into one rounding; reductions tree-sum), so scalar and AVX2
 //! agree only to tight tolerances — pinned by the property tests in
-//! this module (the INT8 GEMM is the exception: integer accumulation
-//! is exact, so both backends match bit-for-bit).
+//! this module (the INT8 GEMM and the [`special`] functions are the
+//! exceptions: integer accumulation is exact, and the special functions
+//! are one FMA-free op sequence on every backend, so both backends
+//! match bit-for-bit).
 //!
 //! What every backend **must** preserve is *positional independence*:
 //! an output element's value may depend only on its logical inputs,
@@ -78,17 +87,20 @@
 //!
 //! Implement [`MicroKernel`] (a ZST with a `'static` instance) —
 //! `gemm` and `token_mix` as one strided tile loop, `matmul` comes for
-//! free — extend [`Backend`]/[`Backend::parse`]/[`kernel_for`], gate
-//! availability in [`Backend::available`], and add the new backend to
-//! the parity property tests below and in [`chain`]. Check arguments
-//! with the shared hard asserts (`assert_gemm_args`,
-//! `assert_token_mix_args`) before touching a raw pointer: strides and
-//! lengths arrive from safe code. Keep the rules above or the
-//! fused-inference regression suite will catch you.
+//! free, `lanes_mlp` / `exp` / `tenth_tanh` as lanes of the scalar
+//! backend's element functions — extend
+//! [`Backend`]/[`Backend::parse`]/[`kernel_for`], gate availability in
+//! [`Backend::available`], and add the new backend to the parity
+//! property tests below, in [`chain`] and in [`special`]. Check
+//! arguments with the shared hard asserts (`assert_gemm_args`,
+//! `assert_token_mix_args`, `assert_lanes_mlp_args`) before touching a
+//! raw pointer: strides and lengths arrive from safe code. Keep the
+//! rules above or the fused-inference regression suite will catch you.
 
 pub mod chain;
 pub mod integrity;
 pub mod scalar;
+pub mod special;
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 pub mod avx2;
@@ -234,6 +246,49 @@ pub(crate) fn assert_gemm_args(
         assert_eq!(bias.len(), n, "gemm: bias is not n wide");
     }
     assert!(!epi.residual || n == k, "gemm: residual needs n == k");
+}
+
+/// Widest hidden layer [`MicroKernel::lanes_mlp`] takes: the AVX2 body
+/// keeps one vector of activations per hidden unit in registers.
+pub const LANES_MLP_MAX_HIDDEN: usize = 8;
+
+/// The hard argument checks of [`MicroKernel::lanes_mlp`] (see
+/// [`assert_gemm_args`] for why they are not `debug_assert!`s); returns
+/// the hidden width.
+pub(crate) fn assert_lanes_mlp_args(
+    x: &[f32],
+    m: usize,
+    layers: &[chain::ChainLayer<'_>; 3],
+    out: &[f32],
+) -> usize {
+    let h = layers[0].n;
+    assert!(
+        layers[0].k == 2 && layers[1].k == h && layers[1].n == h && layers[2].k == h,
+        "lanes_mlp: layers are not 2 -> h -> h -> 1"
+    );
+    assert_eq!(layers[2].n, 1, "lanes_mlp: the output layer is not 1 wide");
+    assert!(
+        (1..=LANES_MLP_MAX_HIDDEN).contains(&h),
+        "lanes_mlp: hidden width {h} outside 1..={LANES_MLP_MAX_HIDDEN}"
+    );
+    for (l, layer) in layers.iter().enumerate() {
+        assert_eq!(
+            layer.w.len(),
+            layer.k * layer.n,
+            "lanes_mlp: weights are not k x n"
+        );
+        let bias = layer.epi.bias.expect("lanes_mlp: every layer has a bias");
+        assert_eq!(bias.len(), layer.n, "lanes_mlp: bias is not n wide");
+        assert_eq!(
+            layer.epi.relu,
+            l < 2,
+            "lanes_mlp: ReLU on the hidden layers only"
+        );
+        assert!(!layer.epi.residual, "lanes_mlp: no residual");
+    }
+    assert!(x.len() >= 2 * m, "lanes_mlp: x shorter than m rows");
+    assert!(out.len() >= m, "lanes_mlp: out shorter than m rows");
+    h
 }
 
 /// The hard argument checks of [`MicroKernel::token_mix`] (see
@@ -408,6 +463,35 @@ pub trait MicroKernel: Sync {
         d: usize,
         epilogue: bool,
     );
+
+    /// A small MLP `2 → h → h → 1` (ReLU after both hidden layers, a
+    /// bias on every layer, `h ≤` [`LANES_MLP_MAX_HIDDEN`]) over the `m`
+    /// rows of `x` (two floats each, contiguous), **one row per lane**
+    /// with every hidden activation in registers; row `i`'s output lands
+    /// in `out[i]`. It is the blend head's shape, for which a GEMM would
+    /// spend its register tile on eight-column layers.
+    ///
+    /// Per element it repeats [`MicroKernel::gemm`]'s op sequence
+    /// exactly — the accumulator starts at `+0.0`, `k` ascends, the
+    /// multiply-add is the backend's (`vfmadd` on AVX2, `mul` + `add` on
+    /// scalar), then `+ bias`, then ReLU — so the result is bitwise that
+    /// of [`chain::dense_chain_on`] over the same layers on the same
+    /// backend. Reached through [`chain::lanes_mlp`], which owns the
+    /// dispatch accounting and the integrity check.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the layers are not of that shape or a slice is
+    /// shorter than `m` rows.
+    fn lanes_mlp(&self, x: &[f32], m: usize, layers: &[chain::ChainLayer<'_>; 3], out: &mut [f32]);
+
+    /// In-place [`special::exp`], the vector lanes bitwise equal to the
+    /// scalar definition (so every backend returns the same bits).
+    fn exp(&self, data: &mut [f32]);
+
+    /// In-place [`special::tenth_tanh`] (`0.1·tanh`), bitwise equal to
+    /// the scalar definition on every backend.
+    fn tenth_tanh(&self, data: &mut [f32]);
 
     /// Adds the `cols`-wide `bias` row vector to every row of `data`
     /// in place.

@@ -15,9 +15,10 @@
 //! residual arithmetic on the finished rows. The remaining ops
 //! reproduce the historical element-wise arithmetic unchanged.
 
+use super::chain::ChainLayer;
 use super::{
-    apply_epilogue, apply_token_mix_epilogue, assert_gemm_args, assert_token_mix_args, Backend,
-    Epilogue, MicroKernel,
+    apply_epilogue, apply_token_mix_epilogue, assert_gemm_args, assert_lanes_mlp_args,
+    assert_token_mix_args, special, Backend, Epilogue, MicroKernel, LANES_MLP_MAX_HIDDEN,
 };
 
 /// Rows per register tile of the blocked `matmul` kernel.
@@ -166,6 +167,42 @@ impl MicroKernel for ScalarKernel {
         if epilogue {
             apply_token_mix_epilogue(self, b1, x, ldx, f, ldf, n, d);
         }
+    }
+
+    fn lanes_mlp(&self, x: &[f32], m: usize, layers: &[ChainLayer<'_>; 3], out: &mut [f32]) {
+        let h = assert_lanes_mlp_args(x, m, layers, out);
+        let [w1, w2, w3] = layers.each_ref().map(|l| l.w);
+        let [b1, b2, b3] = layers.each_ref().map(|l| l.epi.bias.unwrap_or_default());
+        // Per element: `acc += a·b` from +0.0 over ascending `k`, `+=
+        // bias`, `max(0.0)` — the product loop and `apply_epilogue`.
+        for (row, o) in x.chunks_exact(2).zip(out.iter_mut()).take(m) {
+            let mut h1 = [0.0f32; LANES_MLP_MAX_HIDDEN];
+            for (j, hj) in h1.iter_mut().enumerate().take(h) {
+                let mut acc = 0.0f32;
+                acc += row[0] * w1[j];
+                acc += row[1] * w1[h + j];
+                *hj = (acc + b1[j]).max(0.0);
+            }
+            // The output layer accumulates the second hidden layer's
+            // units in ascending order as they are finished.
+            let mut acc_out = 0.0f32;
+            for j in 0..h {
+                let mut acc = 0.0f32;
+                for (k, &hk) in h1[..h].iter().enumerate() {
+                    acc += hk * w2[k * h + j];
+                }
+                acc_out += (acc + b2[j]).max(0.0) * w3[j];
+            }
+            *o = acc_out + b3[0];
+        }
+    }
+
+    fn exp(&self, data: &mut [f32]) {
+        data.iter_mut().for_each(|v| *v = special::exp(*v));
+    }
+
+    fn tenth_tanh(&self, data: &mut [f32]) {
+        data.iter_mut().for_each(|v| *v = special::tenth_tanh(*v));
     }
 
     fn add_bias_rows(&self, data: &mut [f32], cols: usize, bias: &[f32]) {

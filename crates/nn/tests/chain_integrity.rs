@@ -8,7 +8,9 @@
 //! serialize on a local lock.
 
 use gen_nerf_nn::init::Rng;
-use gen_nerf_nn::kernels::chain::{dense_chain_on, token_mix_on, ChainLayer, ChainScratch};
+use gen_nerf_nn::kernels::chain::{
+    dense_chain_on, lanes_mlp_on, token_mix_on, ChainLayer, ChainScratch,
+};
 use gen_nerf_nn::kernels::integrity::{self, IntegrityMode};
 use gen_nerf_nn::kernels::{kernel_for, Backend, MicroKernel};
 use gen_nerf_nn::layers::Linear;
@@ -272,6 +274,61 @@ fn sample_mode_ticks_once_per_layer_per_call() {
         a.matmul(&b);
     }
     assert_eq!(integrity::check_stats().0 - before, 1);
+    assert_eq!(integrity::take_fault(), None);
+    integrity::set_mode(IntegrityMode::Off);
+}
+
+/// The blend head through `lanes_mlp`: checked exactly as the chain of
+/// its layers is — one check per layer per call in `full`, bitwise the
+/// unchecked lanes kernel, an armed fault caught in the layer it was
+/// aimed at — and ticking the sample counter once per layer per call.
+#[test]
+fn lanes_mlp_is_checked_as_its_chain() {
+    let _g = serialized();
+    let chains = forward_chains();
+    let layers = chain_layers(&chains[2].0, false);
+    let layers: [ChainLayer<'_>; 3] = layers.try_into().unwrap();
+    let m = 300usize;
+    let x = values(31, 2 * m);
+    let run = |kernel: &dyn MicroKernel| {
+        let mut out = vec![f32::NAN; m];
+        let mut scratch = ChainScratch::default();
+        lanes_mlp_on(kernel, &x, m, &layers, &mut out, &mut scratch);
+        out
+    };
+    for backend in runnable_backends() {
+        let kernel = kernel_for(backend);
+        integrity::set_mode(IntegrityMode::Off);
+        let off = run(kernel);
+        integrity::set_mode(IntegrityMode::Full);
+        let checks = integrity::check_stats().0;
+        let full = run(kernel);
+        assert_eq!(
+            integrity::check_stats().0 - checks,
+            3,
+            "one check per layer"
+        );
+        assert_eq!(bits(&off), bits(&full), "{}", backend.name());
+        assert_eq!(integrity::take_fault(), None, "{}", backend.name());
+        for (l, row) in [(0usize, 0usize), (1, 150), (2, 299)] {
+            integrity::arm_corruption(seed_for(l, 3, row, m));
+            run(kernel);
+            let err = integrity::take_fault()
+                .unwrap_or_else(|| panic!("{}: layer {l} row {row} undetected", backend.name()));
+            assert_eq!((err.row, err.m), (row, m));
+            assert_eq!((err.k, err.n), (layers[l].k, layers[l].n), "wrong product");
+            assert!(
+                !integrity::disarm_corruption(),
+                "the charge must be consumed"
+            );
+        }
+    }
+    integrity::set_mode(IntegrityMode::Sample);
+    let before = integrity::check_stats().0;
+    for _ in 0..integrity::SAMPLE_PERIOD {
+        run(kernel_for(Backend::Scalar));
+    }
+    assert_eq!(integrity::check_stats().0 - before, 3);
     assert_eq!(integrity::take_fault(), None);
     integrity::set_mode(IntegrityMode::Off);
 }

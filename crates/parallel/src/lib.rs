@@ -163,25 +163,6 @@ where
     results.into_iter().flatten().collect()
 }
 
-/// Like [`par_map`], but stays inline unless there are at least
-/// `min_items_per_thread` items per worker — the grain guard for hot
-/// loops that run many small batches (e.g. per-ray training steps).
-pub fn par_map_min<T, R, F>(items: &[T], min_items_per_thread: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let threads = num_threads();
-    if items.len() < min_items_per_thread.max(1) * 2 || threads <= 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
-    }
-    let usable = (items.len() / min_items_per_thread.max(1))
-        .max(1)
-        .min(threads);
-    par_map_threads(items, usable, f)
-}
-
 /// Maps `f` over index chunks of `0..n`, in order: each call receives
 /// `(start, end)` of a contiguous range, and the per-chunk results are
 /// concatenated in range order. Useful when the caller wants one
@@ -552,16 +533,6 @@ mod tests {
     fn more_threads_than_items() {
         let items = [1u32, 2, 3];
         assert_eq!(par_map_threads(&items, 64, |_, &v| v * 2), vec![2, 4, 6]);
-    }
-
-    #[test]
-    fn par_map_min_respects_grain() {
-        // Below the grain: runs (inline) and still returns ordered
-        // results.
-        let small: Vec<u32> = (0..8).collect();
-        assert_eq!(par_map_min(&small, 100, |_, &v| v), small);
-        let big: Vec<u32> = (0..512).collect();
-        assert_eq!(par_map_min(&big, 4, |_, &v| v), big);
     }
 
     #[test]

@@ -147,9 +147,6 @@ proptest! {
             prop_assert_eq!(&arena.export(k), &seed, "export diverged at point {}", k);
             prop_assert_eq!(arena.n_valid(k), seed.n_valid);
         }
-        // The pair count feeding the fused blend head is consistent.
-        let pairs: usize = (0..pts.len()).map(|k| arena.n_valid(k)).sum();
-        prop_assert_eq!(arena.valid_pairs(), pairs);
     }
 }
 
@@ -348,11 +345,15 @@ fn pinned_frame_pixels_and_coarse_frame_match_the_parent_literals() {
     // Not a sibling comparison: these literals were produced by the
     // commit before the block acquisition kernel and the flat
     // `CoarseFrame`, one set per kernel backend (the GEMMs differ in
-    // the last ulps between backends; acquisition does not).
+    // the last ulps between backends; acquisition does not). The pixel
+    // digests were rewritten once since, when Step ③'s epilogue moved
+    // from libm to the shared vector `exp` / `0.1·tanh`; Step ①, and
+    // with it the coarse checksum and every count, did not move, and
+    // `tests/quality_floor.rs` held unchanged across the rewrite.
     use gen_nerf_nn::kernels::{active_backend, Backend};
     let (pixel_digest, coarse_checksum) = match active_backend() {
-        Backend::Scalar => (0xd88e_7ea9_552f_dc74_u64, 0x4d4c_23c5_9b6d_7053_u64),
-        Backend::Avx2 => (0xf0f2_6f38_c384_f365_u64, 0xd848_b470_f153_f7bc_u64),
+        Backend::Scalar => (0xc76b_28ed_f415_d87e_u64, 0x4d4c_23c5_9b6d_7053_u64),
+        Backend::Avx2 => (0x8ec5_a7e0_79b3_cf8a_u64, 0xd848_b470_f153_f7bc_u64),
     };
     let (image, stats, mut coarse) = pinned_ctf_frame();
     assert_eq!((image.width(), image.height()), (24, 24));

@@ -1,5 +1,5 @@
 //! Regression suite for fused cross-ray batched inference: the fused
-//! chunk schedule (one point-MLP GEMM + one blend GEMM per chunk,
+//! chunk schedule (one point-MLP GEMM + one blend-head call per chunk,
 //! [`GenNerfModel::forward_rays_arena`]) must match the per-ray reference
 //! path **bit-for-bit** — identical pixels and identical FLOPs/fetch
 //! accounting — on a trained model, for every sampling strategy, ray
