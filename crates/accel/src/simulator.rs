@@ -13,8 +13,9 @@
 //!
 //! Per-patch costs (DRAM prefetch service, PE/PPU/SFU cycles) are
 //! mutually independent — each prefetch starts from cold row buffers,
-//! see [`Simulator::simulate_with_rig`]'s internals — so the per-patch
-//! loop fans out across host threads via [`gen_nerf_parallel`]. The
+//! see [`Simulator::simulate_with_rig`]'s internals — so host threads
+//! claim the patches one at a time via [`gen_nerf_parallel`]; patch
+//! costs are uneven, so nobody waits on a fixed share. The
 //! pipeline recurrence that chains slot latencies stays sequential and
 //! consumes the per-patch results in patch order, keeping reports
 //! bit-for-bit identical for any `GEN_NERF_THREADS` setting.
@@ -27,9 +28,10 @@
 //! [`Scheduler::partition`] calls — sequential, and the same for every
 //! worker count — are ≈ 18 ms and the patch loop ≈ 4 ms; before the
 //! scheduler memoised its vertex projections the split was ≈ 80 ms to
-//! ≈ 6 ms. Each worker of the patch loop owns one DRAM device, reset
-//! between patches, and one request list. See the scheduler's module
-//! docs, "Cost of the search", for what the partition spends.
+//! ≈ 6 ms. Each worker of the patch loop clones one DRAM device on its
+//! first claim, resets it between patches, and keeps one request list.
+//! See the scheduler's module docs, "Cost of the search", for what the
+//! partition spends.
 
 use crate::config::AcceleratorConfig;
 use crate::dataflow::DataflowVariant;
@@ -37,6 +39,7 @@ use crate::pe::PePool;
 use crate::scheduler::{CameraRig, Patch, Scheduler};
 use crate::workload::{Stage, WorkloadSpec};
 use gen_nerf_dram::{Dram, FeatureRequest};
+use gen_nerf_parallel::Executor;
 use serde::{Deserialize, Serialize};
 
 /// Maximum synthetic DRAM requests issued per (patch, view); larger
@@ -327,24 +330,17 @@ impl Simulator {
             }
         };
         let outcomes: Vec<PatchOutcome> = match self.mode {
-            // Cold rows: patches are independent, fan out across host
-            // threads, each resetting its own device between patches.
-            SimMode::ColdPatches => {
-                gen_nerf_parallel::par_chunk_ranges(patches.len(), self.threads, |start, end| {
-                    let mut dram = dram_template.clone();
-                    let mut bursts = Vec::new();
-                    patches[start..end]
-                        .iter()
-                        .map(|patch| {
-                            dram.reset();
-                            patch_outcome(patch, &mut dram, &mut bursts)
-                        })
-                        .collect::<Vec<_>>()
-                })
-                .into_iter()
-                .flatten()
-                .collect()
-            }
+            // Cold rows: patches are independent; host workers claim
+            // them one at a time, each resetting its own device between
+            // patches.
+            SimMode::ColdPatches => Executor::Scoped(self.threads).claim(
+                patches.len(),
+                || (dram_template.clone(), Vec::new()),
+                |(dram, bursts), i| {
+                    dram.reset();
+                    patch_outcome(&patches[i], dram, bursts)
+                },
+            ),
             // Warm rows: one device, sequential, row buffers carried
             // across patches — the locality measurement mode.
             SimMode::WarmRows => {

@@ -855,8 +855,8 @@ fn heal_gate(seed: u64) -> bool {
     };
 
     // Memory governor: a budget with only a sliver of headroom past
-    // the worker-arena reservation (a lone shard's share is the whole
-    // thread budget, whatever the shard ceiling): anchor inserts
+    // the worker-arena reservation (one arena per worker of the
+    // server's crew, whatever the shard count): anchor inserts
     // contend with the global budget from the first frame, and the
     // arena alone crosses the pressure watermark, so BestEffort must
     // shed at admission. The hard pin is `peak <= budget` —

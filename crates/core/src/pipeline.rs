@@ -9,10 +9,11 @@
 //! structure. [`RayBatch`] lays a camera's rays out structure-of-arrays
 //! (directions and clip ranges in parallel vectors, indexed by the
 //! row-major pixel id), and [`Renderer`] maps a per-ray shading program
-//! over the batch with [`gen_nerf_parallel`]'s deterministic fork–join:
-//! each worker thread takes one contiguous ray range and walks it in
-//! cache-sized **tiles** (below), every tile accumulates a private
-//! [`RenderStats`], and tile results are merged in ray order.
+//! over the batch with [`gen_nerf_parallel`]'s claim loop: each pass
+//! cuts its rays into one list of cache-sized **tiles** (below),
+//! workers claim tiles from that list one at a time, every tile
+//! accumulates a private [`RenderStats`], and tile results are merged
+//! in tile order.
 //!
 //! Parallel safety comes from [`GenNerfModel`]'s `&self` inference path
 //! (no activation caching), so all workers share one model borrow.
@@ -25,17 +26,19 @@
 //!
 //! Together these make the output bit-for-bit identical for any worker
 //! count, including one; `tests/batch_parallel_regression.rs` pins
-//! this. The worker count defaults to [`gen_nerf_parallel::num_threads`]
-//! (the `GEN_NERF_THREADS` environment variable) and can be pinned per
+//! this. The tile list itself does not depend on the worker count
+//! either, so neither does any tile's booking. The worker count
+//! defaults to [`gen_nerf_parallel::num_threads`] (the
+//! `GEN_NERF_THREADS` environment variable) and can be pinned per
 //! renderer with [`Renderer::with_threads`].
 //!
 //! # The fused tile schedule (default)
 //!
-//! A worker never pushes its whole ray range through one GEMM chain:
-//! it cuts the range into **ray tiles** of at most `TILE_POINTS`
-//! sample points (`Renderer::fan_out`; the budget's derivation is on
-//! the constant) and runs the full stage chain on one tile before
-//! touching the next — the software twin of the point *patches*
+//! A pass never pushes its rays through one GEMM chain: it cuts them
+//! into **ray tiles** of at most `TILE_POINTS` sample points
+//! (`Renderer::fan_out`; the budget's derivation is on the constant),
+//! and a worker runs the full stage chain on the tile it claimed before
+//! claiming the next — the software twin of the point *patches*
 //! `gen_nerf_accel::scheduler` cuts a frame into so that a patch and
 //! its features stay on chip from feature acquisition to the last MLP
 //! layer. Here the chip is the core's L2: a tile's stats, activation
@@ -112,11 +115,11 @@
 //!   *same* pose reproduces the full render bitwise (Step ① is
 //!   deterministic); a nearby pose reuses the previous probing as an
 //!   approximation.
-//! * [`Renderer::with_pool`] swaps the per-call scoped-thread fan-out
-//!   for a persistent [`gen_nerf_parallel::Pool`], sparing a
-//!   steady-state serving loop the spawn/join tax per frame. Results
-//!   do not depend on tile geometry, so the executor never changes
-//!   pixels.
+//! * [`Renderer::with_pool`] hands the tile lists to a persistent
+//!   [`gen_nerf_parallel::Pool`] crew instead of scoped threads spawned
+//!   per call, sparing a steady-state serving loop the spawn/join tax
+//!   per frame. The claim loop and the tile list are the same, so the
+//!   executor never changes pixels.
 //!
 //! # Output integrity
 //!
@@ -146,7 +149,7 @@ use gen_nerf_geometry::{Aabb, Camera, Ray, Vec3};
 use gen_nerf_nn::flops::{self, FlopsCounter};
 use gen_nerf_nn::init::Rng;
 use gen_nerf_nn::kernels::{self, integrity};
-use gen_nerf_parallel::{par_chunk_ranges, CancelToken, Pool};
+use gen_nerf_parallel::{CancelToken, Executor, Pool};
 use gen_nerf_scene::renderer::{composite_into, composite_to};
 use gen_nerf_scene::Image;
 use serde::{Deserialize, Serialize};
@@ -238,44 +241,38 @@ fn with_worker_scratch<R>(f: impl FnOnce(&mut WorkerScratch) -> R) -> R {
 
 // ---- registry handles (cold registration, cached forever) ------------
 
-/// Per-stage render-time histogram (`stage` ∈ coarse | focus |
-/// composite). `focus` and `composite` are observed once per *tile*
-/// (≈ 1 K sample points, tens of rays — a few hundred microseconds of
-/// work against two `Instant` reads), `coarse` once per Step ① fan-out;
-/// with telemetry disabled the `Instant` reads are skipped entirely.
-fn stage_hist(stage: &'static str) -> gen_nerf_telemetry::Histogram {
-    use std::sync::OnceLock;
-    static COARSE: OnceLock<gen_nerf_telemetry::Histogram> = OnceLock::new();
-    static FOCUS: OnceLock<gen_nerf_telemetry::Histogram> = OnceLock::new();
-    static COMPOSITE: OnceLock<gen_nerf_telemetry::Histogram> = OnceLock::new();
-    let cell = match stage {
-        "coarse" => &COARSE,
-        "focus" => &FOCUS,
-        _ => &COMPOSITE,
-    };
-    *cell.get_or_init(|| gen_nerf_telemetry::histogram("render_stage_ns", &[("stage", stage)]))
+/// The render path's registry handles, registered on first use.
+struct Meters {
+    /// Per-stage render time (`render_stage_ns{stage}`). `focus` and
+    /// `composite` are observed once per *tile* (≈ 1 K sample points,
+    /// tens of rays — a few hundred microseconds of work against two
+    /// `Instant` reads), `coarse` once per Step ① fan-out; with
+    /// telemetry disabled the `Instant` reads are skipped entirely.
+    coarse: gen_nerf_telemetry::Histogram,
+    focus: gen_nerf_telemetry::Histogram,
+    composite: gen_nerf_telemetry::Histogram,
+    /// Tiles claimed, by every pass of every strategy
+    /// (`core_render_tiles_total`).
+    tiles: gen_nerf_telemetry::Counter,
+    /// Points aggregated into worker arenas by focus / uniform tiles,
+    /// in total and per tile.
+    arena_points: gen_nerf_telemetry::Counter,
+    arena_fill: gen_nerf_telemetry::Histogram,
 }
 
-/// Fused-schedule tile counter (focus/uniform tiles executed across
-/// all workers; the name predates the tile schedule).
-fn chunks_counter() -> gen_nerf_telemetry::Counter {
-    use std::sync::OnceLock;
-    static C: OnceLock<gen_nerf_telemetry::Counter> = OnceLock::new();
-    *C.get_or_init(|| gen_nerf_telemetry::counter("core_render_chunks_total", &[]))
-}
-
-/// Arena fill stats: total points aggregated into worker arenas, plus
-/// a per-tile fill-size histogram.
-fn arena_points_counter() -> gen_nerf_telemetry::Counter {
-    use std::sync::OnceLock;
-    static C: OnceLock<gen_nerf_telemetry::Counter> = OnceLock::new();
-    *C.get_or_init(|| gen_nerf_telemetry::counter("core_arena_points_total", &[]))
-}
-
-fn arena_fill_hist() -> gen_nerf_telemetry::Histogram {
-    use std::sync::OnceLock;
-    static H: OnceLock<gen_nerf_telemetry::Histogram> = OnceLock::new();
-    *H.get_or_init(|| gen_nerf_telemetry::histogram("core_arena_fill_points", &[]))
+fn meters() -> &'static Meters {
+    static METERS: std::sync::OnceLock<Meters> = std::sync::OnceLock::new();
+    METERS.get_or_init(|| {
+        let stage = |s| gen_nerf_telemetry::histogram("render_stage_ns", &[("stage", s)]);
+        Meters {
+            coarse: stage("coarse"),
+            focus: stage("focus"),
+            composite: stage("composite"),
+            tiles: gen_nerf_telemetry::counter("core_render_tiles_total", &[]),
+            arena_points: gen_nerf_telemetry::counter("core_arena_points_total", &[]),
+            arena_fill: gen_nerf_telemetry::histogram("core_arena_fill_points", &[]),
+        }
+    })
 }
 
 /// Sample-point budget of one ray tile (see [`Renderer::fan_out`]) —
@@ -823,8 +820,7 @@ pub struct Renderer<'a> {
     bounds: Aabb,
     background: Vec3,
     base_seed: u64,
-    threads: usize,
-    pool: Option<&'a Pool>,
+    executor: Executor<'a>,
     cancel: Option<&'a CancelToken>,
 }
 
@@ -862,25 +858,25 @@ impl<'a> Renderer<'a> {
             bounds,
             background,
             base_seed,
-            threads: gen_nerf_parallel::num_threads(),
-            pool: None,
+            executor: Executor::Scoped(gen_nerf_parallel::num_threads()),
             cancel: None,
         }
     }
 
-    /// Pins the worker count (1 = fully sequential). The rendered
-    /// image and stats are identical for every value.
+    /// Renders on `threads` scoped workers, the caller among them
+    /// (1 = fully sequential). The rendered image and stats are
+    /// identical for every value.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.executor = Executor::Scoped(threads.max(1));
         self
     }
 
-    /// Runs chunk fan-outs on a persistent worker pool instead of
-    /// spawning scoped threads per call — the steady-state executor of
-    /// the render server. Chunk geometry matches the scoped-thread
-    /// path, so output is bit-for-bit identical either way.
+    /// Has a persistent worker crew claim the tiles instead of scoped
+    /// threads spawned per call — the steady-state executor of the
+    /// render server (it replaces [`Renderer::with_threads`]). The tile
+    /// list is the same, so output is bit-for-bit identical either way.
     pub fn with_pool(mut self, pool: &'a Pool) -> Self {
-        self.pool = Some(pool);
+        self.executor = Executor::Pool(pool);
         self
     }
 
@@ -888,8 +884,10 @@ impl<'a> Renderer<'a> {
     /// at every per-ray boundary of every tile and, once it fires,
     /// stop evaluating the model — remaining rays resolve to the
     /// background color, so output buffers keep their full shape but
-    /// the fan-out (and the [`Pool`] slice running it) drains within
-    /// one ray's work. This is how a serving supervisor reclaims a
+    /// the fan-out (and the [`Pool`] workers running it) drains within
+    /// one ray's work. Every tile fill also ticks the token's progress
+    /// count, so its holder can tell a slow render from a stuck one.
+    /// This is how a serving supervisor reclaims a
     /// worker from a render whose deadline already passed: the partial
     /// image is garbage by construction and must be discarded by the
     /// caller.
@@ -1091,48 +1089,50 @@ impl<'a> Renderer<'a> {
         Rng::seed_from(mix_seed(self.base_seed, j as u64))
     }
 
-    /// Fans `f` out over `0..n` as **ray tiles**: each worker gets one
-    /// contiguous range (via the attached persistent [`Pool`] when
-    /// present, otherwise scoped threads) and walks it in tiles of at
-    /// most [`TILE_POINTS`] sample points, `points_of(ray)` giving each
-    /// ray's count — a ray is indivisible, so a tile always takes at
-    /// least one. Returns one result per tile in range order, so
-    /// callers merge exactly as they would per-worker chunks. Tile
-    /// geometry never changes results (GEMM rows are batch-independent
-    /// and every per-ray decision is a function of the ray index), so
-    /// neither does the executor or the worker count.
+    /// Fans `f` out over `0..n` as **ray tiles**: one serial pass over
+    /// `points_of(ray)` cuts the rays into a list of tiles of at most
+    /// [`TILE_POINTS`] sample points — a ray is indivisible, so a tile
+    /// always takes at least one — and the executor's workers claim
+    /// the tiles one at a time. Returns one result per tile in tile
+    /// order. The list depends on the rays alone, not on the executor
+    /// or the worker count, and tile geometry never changes results
+    /// anyway (GEMM rows are batch-independent and every per-ray
+    /// decision is a function of the ray index).
     fn fan_out<R, P, F>(&self, n: usize, points_of: P, f: F) -> Vec<R>
     where
         R: Send,
-        P: Fn(usize) -> usize + Sync,
+        P: Fn(usize) -> usize,
         F: Fn(usize, usize) -> R + Sync,
     {
-        let walk = |start: usize, end: usize| {
-            let mut tiles = Vec::new();
-            let mut s = start;
-            while s < end {
-                // A ray with nothing to sample still costs its
-                // per-ray bookkeeping, so it counts as one point and
-                // a run of misses cannot grow a tile without bound.
-                let mut points = points_of(s).max(1);
-                let mut e = s + 1;
-                while e < end {
-                    points += points_of(e).max(1);
-                    if points > TILE_POINTS {
-                        break;
-                    }
-                    e += 1;
-                }
-                tiles.push(f(s, e));
-                s = e;
+        let mut bounds = vec![0];
+        let mut points = 0;
+        for ray in 0..n {
+            // A ray with nothing to sample still costs its per-ray
+            // bookkeeping, so it counts as one point and a run of
+            // misses cannot grow a tile without bound.
+            let ray_points = points_of(ray).max(1);
+            if points > 0 && points + ray_points > TILE_POINTS {
+                bounds.push(ray);
+                points = 0;
             }
-            tiles
-        };
-        let per_worker: Vec<Vec<R>> = match self.pool {
-            Some(pool) => pool.run_chunks(n, self.threads, walk),
-            None => par_chunk_ranges(n, self.threads, walk),
-        };
-        per_worker.into_iter().flatten().collect()
+            points += ray_points;
+        }
+        if n > 0 {
+            bounds.push(n);
+        }
+        #[cfg(test)]
+        tests::log_tile(|| tests::TileLog::Tiles(bounds.clone()));
+        let telemetry = gen_nerf_telemetry::enabled();
+        self.executor.claim(
+            bounds.len() - 1,
+            || (),
+            |_, tile| {
+                if telemetry {
+                    meters().tiles.inc();
+                }
+                f(bounds[tile], bounds[tile + 1])
+            },
+        )
     }
 
     /// The one tile fill — Phase 1 of every fused pass: aggregates rays
@@ -1143,11 +1143,12 @@ impl<'a> Renderer<'a> {
     /// behind whatever it already holds — and appending nothing makes
     /// a background ray; either way ray `i` of the arena is that ray.
     ///
-    /// Two contracts live here and nowhere else. **Cancellation:** the
-    /// token is polled before each ray's depths are chosen, and once
-    /// it has fired every remaining ray of the tile is a background
-    /// ray, so the forward that follows shrinks to the work already
-    /// aggregated and the worker drains within one ray's work.
+    /// Three contracts live here and nowhere else. **Cancellation:**
+    /// the token is polled before each ray's depths are chosen, and
+    /// once it has fired every remaining ray of the tile is a
+    /// background ray, so the forward that follows shrinks to the work
+    /// already aggregated and the worker drains within one ray's work.
+    /// **Progress:** every fill ticks the token once.
     /// **Flush:** the block in flight is acquired before this returns,
     /// so every row of the arena is filled when anything reads it.
     #[allow(clippy::too_many_arguments)] // one tile's inputs and buffers, spelled out
@@ -1161,6 +1162,9 @@ impl<'a> Renderer<'a> {
         sample: &mut SampleScratch,
         mut depths_for: impl FnMut(usize, usize, usize, &mut SampleScratch),
     ) {
+        if let Some(cancel) = self.cancel {
+            cancel.tick();
+        }
         arena.reset(sources.len(), d);
         for (i, g) in tile.enumerate() {
             let (f, j) = set.locate(g);
@@ -1196,6 +1200,8 @@ impl<'a> Renderer<'a> {
             }
             for (f, counts) in local.iter().enumerate() {
                 self.book_full_eval(counts, &mut stats[f]);
+                #[cfg(test)]
+                tests::log_booking(f, |one| self.book_full_eval(counts, one));
             }
         }
         pixels
@@ -1255,11 +1261,11 @@ impl<'a> Renderer<'a> {
                 }
                 let t_composite = if let Some(t0) = t_chunk {
                     // Aggregation + fused forward = the focus stage.
-                    stage_hist("focus").observe(t0.elapsed().as_nanos() as u64);
-                    chunks_counter().inc();
+                    let meters = meters();
+                    meters.focus.observe(t0.elapsed().as_nanos() as u64);
                     let pts = arena.total_points() as u64;
-                    arena_points_counter().add(pts);
-                    arena_fill_hist().observe(pts);
+                    meters.arena_points.add(pts);
+                    meters.arena_fill.observe(pts);
                     Some(std::time::Instant::now())
                 } else {
                     None
@@ -1291,7 +1297,7 @@ impl<'a> Renderer<'a> {
                     })
                     .collect();
                 if let Some(t0) = t_composite {
-                    stage_hist("composite").observe(t0.elapsed().as_nanos() as u64);
+                    meters().composite.observe(t0.elapsed().as_nanos() as u64);
                 }
                 (pixels, local)
             })
@@ -1677,6 +1683,8 @@ impl<'a> Renderer<'a> {
         for local in coarse_chunks {
             for (f, counts) in local.iter().enumerate() {
                 self.book_coarse_eval(counts, dc, &mut stats[f]);
+                #[cfg(test)]
+                tests::log_booking(f, |one| self.book_coarse_eval(counts, dc, one));
             }
         }
         // Seal every freshly probed frame's digest at export.
@@ -1689,7 +1697,7 @@ impl<'a> Renderer<'a> {
             })
             .collect();
         if let Some(t0) = t_coarse {
-            stage_hist("coarse").observe(t0.elapsed().as_nanos() as u64);
+            meters().coarse.observe(t0.elapsed().as_nanos() as u64);
         }
 
         // Per-frame coarse view: imported or freshly probed.
@@ -1755,6 +1763,52 @@ mod tests {
         let sources = prepare_sources(&ds.source_views);
         let model = GenNerfModel::new(ModelConfig::fast());
         (ds, sources, model)
+    }
+
+    thread_local! {
+        /// The calling thread's tile bookings while a test listens
+        /// (`Some`): each pass's tile bounds, then each tile's booking.
+        static TILE_LOG: RefCell<Option<Vec<TileLog>>> = const { RefCell::new(None) };
+    }
+
+    /// One entry of [`TILE_LOG`].
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub(super) enum TileLog {
+        /// A pass's tile list, as the bounds `[0, …, n]`.
+        Tiles(Vec<usize>),
+        /// What one tile booked for one frame: the frame, then
+        /// `(points, coarse_points, feature_fetches)` and the FLOPs of
+        /// `acquire`, `mlp`, `ray_module` and `others`.
+        Booked(usize, [u64; 7]),
+    }
+
+    pub(super) fn log_tile(entry: impl FnOnce() -> TileLog) {
+        TILE_LOG.with(|log| {
+            if let Some(log) = log.borrow_mut().as_mut() {
+                log.push(entry());
+            }
+        });
+    }
+
+    /// Logs what `book` books for one tile of frame `f`.
+    pub(super) fn log_booking(f: usize, book: impl FnOnce(&mut RenderStats)) {
+        log_tile(|| {
+            let mut one = RenderStats::default();
+            book(&mut one);
+            let flops = |bucket| one.flops.get(bucket);
+            TileLog::Booked(
+                f,
+                [
+                    one.points,
+                    one.coarse_points,
+                    one.feature_fetches,
+                    flops("acquire"),
+                    flops("mlp"),
+                    flops("ray_module"),
+                    flops("others"),
+                ],
+            )
+        });
     }
 
     fn render(
@@ -1955,6 +2009,43 @@ mod tests {
                 stats1.feature_fetches, stats4.feature_fetches,
                 "{strategy:?}"
             );
+        }
+    }
+
+    #[test]
+    fn tiles_and_their_bookings_do_not_depend_on_the_thread_count() {
+        let (ds, sources, model) = setup();
+        let cam = ds.eval_views[0].camera;
+        let logged = |threads: usize| {
+            let r = Renderer::new(
+                &model,
+                &sources,
+                SamplingStrategy::coarse_then_focus(16, 12),
+                ds.scene.bounds,
+                ds.scene.background,
+            )
+            .with_threads(threads);
+            TILE_LOG.with(|log| *log.borrow_mut() = Some(Vec::new()));
+            let (img, _) = r.render(&cam);
+            let log = TILE_LOG.with(|log| log.borrow_mut().take());
+            (img, log.expect("the test was listening"))
+        };
+        let (img1, log1) = logged(1);
+        // Step ① and Step ③ each cut several tiles, or the frame would
+        // prove nothing about how workers share them.
+        let tiles: Vec<usize> = log1
+            .iter()
+            .filter_map(|entry| match entry {
+                TileLog::Tiles(bounds) => Some(bounds.len() - 1),
+                TileLog::Booked(..) => None,
+            })
+            .collect();
+        assert_eq!(tiles.len(), 2, "{tiles:?}");
+        assert!(tiles.iter().all(|&n| n >= 3), "{tiles:?}");
+        for threads in [2, 3] {
+            let (img, log) = logged(threads);
+            assert_eq!(img.as_slice(), img1.as_slice(), "{threads} threads");
+            assert_eq!(log, log1, "{threads} threads");
         }
     }
 

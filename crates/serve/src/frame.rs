@@ -541,7 +541,7 @@ mod tests {
         let shard = ShardCtx::new(
             instance,
             0,
-            1,
+            Arc::new(gen_nerf_parallel::Pool::new(1)),
             ServerConfig::default(),
             Arc::clone(&supervisor),
             governor,

@@ -9,16 +9,18 @@
 //! * [`Heartbeat`] — the lock-free progress beacon every shard loop
 //!   publishes (an epoch counter plus a last-progress timestamp on the
 //!   telemetry [`Clock`](gen_nerf_telemetry::Clock)). The loop beats
-//!   on every wakeup, pop, and batch completion, so a healthy shard's
-//!   beat is never older than its condvar park interval.
+//!   on every wakeup, pop, and batch completion, and the sweep beats
+//!   for it while the batch in flight keeps filling tiles, so a healthy
+//!   shard's beat is never older than its condvar park interval or one
+//!   tile.
 //! * [`ShardHealth`] — the verdict ladder the supervisor's health
 //!   sweep walks: `Healthy` → `Wedged` (beat older than the budget
-//!   while work is pending, or a persistently poisoned pool) → `Dead`
+//!   while work is pending, or a persistent poison streak) → `Dead`
 //!   (worker `JoinHandle` finished while the queue is still open).
 //! * [`HealthConfig`] — budgets and thresholds: the heartbeat budget,
 //!   the sweep cadence, the exponential restart backoff, the give-up
 //!   threshold past which a shard is declared down, and the
-//!   poison-streak escalation points.
+//!   poison-streak condemn threshold.
 //! * [`DrainReport`]/[`DrainOutcome`] — what
 //!   [`RenderServer::drain`](crate::RenderServer::drain) returns.
 //!
@@ -31,9 +33,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Default heartbeat budget. Deliberately above the worst legitimate
-/// gap between beats: a batch stalls at most one deadline budget
-/// before the watchdog cancels it (the chaos harness stalls up to
-/// ~1.5 s), and the loop beats as soon as the batch returns.
+/// gap between beats: a rendering batch beats once per tile through
+/// the sweep, a batch that fills no tile stalls at most one deadline
+/// budget before the watchdog cancels it (the chaos harness stalls up
+/// to ~1.5 s), and the loop beats as soon as the batch returns.
 const DEFAULT_HEARTBEAT_BUDGET: Duration = Duration::from_millis(2000);
 
 /// The health sweep's verdict for one shard.
@@ -42,7 +45,7 @@ pub enum ShardHealth {
     /// Beating within budget (or idle with an empty queue).
     Healthy,
     /// No heartbeat past the budget while frames are queued, or the
-    /// pool poison streak crossed the condemn threshold. The worker
+    /// poison streak crossed the condemn threshold. The worker
     /// thread is still running but not making progress.
     Wedged,
     /// The worker thread finished while the queue was still open — the
@@ -58,7 +61,7 @@ pub enum CondemnReason {
     Wedged,
     /// Worker `JoinHandle` finished unexpectedly.
     Dead,
-    /// Pool poison streak crossed
+    /// Poison streak crossed
     /// [`pool_condemn_after`](HealthConfig::pool_condemn_after).
     Poisoned,
 }
@@ -93,13 +96,11 @@ pub struct HealthConfig {
     /// fail, and later submissions resolve with
     /// [`ServeError::ShardDown`](crate::ServeError::ShardDown).
     pub max_restarts: u32,
-    /// Consecutive poisoned (panicked) render attempts after which the
-    /// shard loop respawns its own pool workers in place — the cheap
-    /// reclaim that handles a sick pool without a full shard restart.
-    pub pool_respawn_after: u32,
-    /// Consecutive poisoned attempts after which the sweep condemns
-    /// the whole shard (pool respawn did not help). Must be well above
-    /// `pool_respawn_after`; the streak only clears on a clean render.
+    /// Consecutive poisoned (panicked or corrupt) render attempts
+    /// after which the sweep condemns the whole shard. A panic fails
+    /// only its own job and leaves the crew healthy, so a streak this
+    /// long indicts the shard; the streak only clears on a clean
+    /// render.
     pub pool_condemn_after: u32,
 }
 
@@ -129,11 +130,10 @@ impl HealthConfig {
         self
     }
 
-    /// Overrides the poison escalation thresholds (condemn clamped to
-    /// at least the respawn point).
-    pub fn with_poison_thresholds(mut self, respawn_after: u32, condemn_after: u32) -> Self {
-        self.pool_respawn_after = respawn_after.max(1);
-        self.pool_condemn_after = condemn_after.max(self.pool_respawn_after);
+    /// Overrides the condemn threshold of the poison streak (at least
+    /// one).
+    pub fn with_poison_thresholds(mut self, condemn_after: u32) -> Self {
+        self.pool_condemn_after = condemn_after.max(1);
         self
     }
 
@@ -156,7 +156,6 @@ impl Default for HealthConfig {
             restart_backoff: Duration::from_millis(50),
             restart_backoff_cap: Duration::from_secs(2),
             max_restarts: 5,
-            pool_respawn_after: 4,
             pool_condemn_after: 24,
         }
     }
@@ -287,9 +286,11 @@ mod tests {
 
     #[test]
     fn poison_thresholds_clamp() {
-        let cfg = HealthConfig::default().with_poison_thresholds(8, 2);
-        assert_eq!(cfg.pool_respawn_after, 8);
+        assert_eq!(HealthConfig::default().pool_condemn_after, 24);
+        let cfg = HealthConfig::default().with_poison_thresholds(8);
         assert_eq!(cfg.pool_condemn_after, 8);
+        let cfg = HealthConfig::default().with_poison_thresholds(0);
+        assert_eq!(cfg.pool_condemn_after, 1);
     }
 
     #[test]

@@ -15,19 +15,20 @@
 //!   across every in-flight frame) and the scene bounds/background.
 //! * **Scene shards** ([`ShardId`]): the server is partitioned per
 //!   scene. Each registered scene routes (by `Arc` identity) to one
-//!   shard — a scheduler thread owning that scene's request queue, its
-//!   sessions' coherence caches' scheduling, and its share of the
-//!   server's thread budget as its own persistent
-//!   [`gen_nerf_parallel::Pool`]. The budget is divided over the shards
-//!   that exist and re-divided each time one spawns, so a lone shard
+//!   shard — a scheduler thread owning that scene's request queue and
+//!   its sessions' coherence caches' scheduling. Shards own no render
+//!   threads: the server spawns one persistent
+//!   [`gen_nerf_parallel::Pool`] crew of [`ServerConfig::threads`]
+//!   workers, every shard submits its tile lists to it, and its claims
+//!   rotate round-robin over the shards' jobs, so a lone busy scene
 //!   renders on all of it. Scheduling never serializes across
 //!   scenes; up to [`ServerConfig::max_shards`] shards spawn lazily,
 //!   further scenes share shards round-robin. There is no async
 //!   runtime — the container builds with no external crates, so each
-//!   shard is a shared condvar-signalled queue + a scheduler thread +
-//!   a worker pool. The scheduler thread itself is supervised: a
-//!   heartbeat/health sweep condemns a dead or wedged worker, requeues
-//!   its frames, and respawns it under a restart budget
+//!   shard is a shared condvar-signalled queue + a scheduler thread
+//!   in front of the shared crew. The scheduler thread itself is
+//!   supervised: a heartbeat/health sweep condemns a dead or wedged
+//!   worker, requeues its frames, and respawns it under a restart budget
 //!   ([`HealthConfig`]), and a process-wide [`GovernorConfig`] memory
 //!   budget spans every session cache.
 //! * **One frame lifecycle**: every submitted frame is one state

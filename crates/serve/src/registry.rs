@@ -2,10 +2,9 @@
 //!
 //! Sharding is **per scene**: all sessions viewing one
 //! [`SceneState`](crate::SceneState) (by `Arc` identity) route to one
-//! shard, which owns their queue, their coherence caches' scheduling,
-//! and its share of the server's thread budget — the budget divided over
-//! the shards spawned so far, re-divided at every spawn. Scheduling work
-//! therefore never serializes across scenes — and because cross-scene
+//! shard, which owns their queue and their coherence caches'
+//! scheduling; every shard renders on the server's one crew. Scheduling
+//! work therefore never serializes across scenes — and because cross-scene
 //! frames were never batchable anyway (admission batching requires a
 //! shared scene), splitting them loses nothing.
 //!

@@ -3,8 +3,8 @@
 //!
 //! Scheduling itself lives in [`shard`](crate::shard): every scene's
 //! sessions route to one shard, which owns their bounded queue, fair
-//! dequeue, and fused batch execution on its own share of the thread
-//! budget. The front end stays thin — resolve the session, apply the
+//! dequeue, and fused batch execution on the server's one worker crew.
+//! The front end stays thin — resolve the session, apply the
 //! shed-or-degrade admission policy against the shard's queue depth,
 //! and hand the frame (or an immediate shed error) back through a
 //! [`FrameHandle`].
@@ -22,9 +22,9 @@ use crate::shard::{Shard, ShardCtx, ShardStats};
 use crate::supervisor::{
     BreakerConfig, CircuitBreaker, RetryPolicy, Supervisor, SupervisorConfig, SupervisorStats,
 };
-use gen_nerf::pipeline::RenderStats;
+use gen_nerf::pipeline::{RenderStats, WORKER_SCRATCH_BYTES};
 use gen_nerf_geometry::Pose;
-use gen_nerf_parallel::partition_threads;
+use gen_nerf_parallel::Pool;
 use gen_nerf_scene::Image;
 use gen_nerf_telemetry::{Snapshot, TraceEvent};
 use std::collections::HashMap;
@@ -32,14 +32,18 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
+/// The governor's reservation per crew worker: the render worker's
+/// scratch, which the tile schedule bounds whatever the frame size or
+/// batch ([`WORKER_SCRATCH_BYTES`], pinned by a unit test there).
+const ARENA_BYTES_PER_WORKER: u64 = WORKER_SCRATCH_BYTES as u64;
+
 /// Server-wide configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Render-worker thread budget, divided over the shards that exist
-    /// and re-divided each time one spawns: a one-scene server renders
-    /// on all of it. Every shard keeps at least one worker, so past
-    /// `threads` shards the budget is oversubscribed. Defaults to
-    /// [`gen_nerf_parallel::num_threads`].
+    /// Workers in the server's one render crew (at least one), spawned
+    /// with the server and shared by every shard: claims rotate over
+    /// the shards' jobs, so a lone busy scene renders on all of them.
+    /// Defaults to [`gen_nerf_parallel::num_threads`].
     pub threads: usize,
     /// Admission window: at most this many queued frames are coalesced
     /// into one fused multi-frame render (per shard).
@@ -391,7 +395,7 @@ type BreakerTable = HashMap<usize, (Weak<SceneState>, Arc<CircuitBreaker>)>;
 /// [`RenderServer::submit`] applies admission control against that
 /// shard's bounded queue and returns a [`FrameHandle`]; the shard
 /// thread fair-dequeues, coalesces compatible frames into fused
-/// multi-frame renders on its own persistent worker pool, and resolves
+/// multi-frame renders on the server's one worker crew, and resolves
 /// the handles.
 ///
 /// Dropping the server closes every shard queue, drains every frame
@@ -411,6 +415,8 @@ pub struct RenderServer {
     supervisor: Arc<Supervisor>,
     /// The process-wide memory governor shared by every shard.
     governor: Arc<MemoryGovernor>,
+    /// The render crew every shard submits its tile lists to.
+    crew: Arc<Pool>,
     /// Latched by [`RenderServer::drain`]: admission closed for good.
     draining: AtomicBool,
     /// Process-unique instance id: every metric this server registers
@@ -420,7 +426,7 @@ pub struct RenderServer {
 }
 
 impl RenderServer {
-    /// Builds the server front end. Shards (and their worker pools)
+    /// Builds the server front end and spawns its render crew. Shards
     /// spawn lazily as scenes are registered.
     pub fn new(cfg: ServerConfig) -> Self {
         Self::with_clock(cfg, gen_nerf_telemetry::Clock::real())
@@ -456,6 +462,11 @@ impl RenderServer {
                 }
             }),
         );
+        let governor = Arc::new(MemoryGovernor::new(&cfg.governor));
+        let crew = Arc::new(Pool::new(cfg.threads));
+        // Every crew worker's scratch, charged once for the server's
+        // life: shards come and go, restart and share, the crew stays.
+        governor.reserve(crew.threads() as u64 * ARENA_BYTES_PER_WORKER);
         Self {
             cfg,
             topology,
@@ -463,7 +474,8 @@ impl RenderServer {
             next_session: AtomicU64::new(1),
             breakers: Mutex::new(HashMap::new()),
             supervisor,
-            governor: Arc::new(MemoryGovernor::new(&cfg.governor)),
+            governor,
+            crew,
             draining: AtomicBool::new(false),
             instance,
         }
@@ -510,18 +522,10 @@ impl RenderServer {
             let assignment = topology.registry.assign(&scene);
             if let Assignment::SpawnNew(idx) = assignment {
                 debug_assert_eq!(idx, topology.shards.len());
-                // Re-divide the budget over the shards that exist now.
-                // The existing shards give up their surplus (and its
-                // arena reservation) before the new one reserves its
-                // share; the topology lock serialises re-partitions.
-                let shares = partition_threads(self.cfg.threads, idx + 1);
-                for (shard, &share) in topology.shards.iter().zip(&shares) {
-                    shard.ctx.set_pool_threads(share);
-                }
                 topology.shards.push(Shard::spawn(ShardCtx::new(
                     self.instance,
                     idx,
-                    shares[idx],
+                    Arc::clone(&self.crew),
                     self.cfg,
                     Arc::clone(&self.supervisor),
                     Arc::clone(&self.governor),
@@ -1183,71 +1187,57 @@ mod tests {
         renderer.render(cam).0
     }
 
-    /// Every shard's share of the budget, in shard order.
-    fn shares(server: &RenderServer) -> Vec<usize> {
-        let stats = server.shard_stats_all();
-        stats.iter().map(|s| s.pool_threads).collect()
-    }
-
-    /// The width of the pool every shard's live incarnation built last.
-    fn live_pools(server: &RenderServer) -> Vec<usize> {
+    /// Whether every spawned shard renders on `server`'s one crew.
+    fn one_crew(server: &RenderServer) -> bool {
         let topology = lock(&server.topology);
-        let live = topology
-            .shards
+        let shards = &topology.shards;
+        shards
             .iter()
-            .map(|s| s.ctx.meters.pool_threads.get());
-        live.map(|w| w as usize).collect()
+            .all(|s| Arc::ptr_eq(&s.ctx.crew, &server.crew))
     }
 
     #[test]
-    fn thread_budget_follows_live_shards() {
-        let server = RenderServer::new(ServerConfig {
-            threads: 4,
-            ..ServerConfig::default()
-        });
-        assert_eq!(server.cfg.max_shards, 8, "the ceiling stays at its default");
-        let arena = gen_nerf::pipeline::WORKER_SCRATCH_BYTES as u64;
-        let mut scenes = Vec::new();
-        let mut sessions = Vec::new();
-        for (spawned, want) in [
-            (1, vec![4]),
-            (2, vec![2, 2]),
-            (3, vec![2, 1, 1]),
-            (5, vec![1; 5]),
-        ] {
-            while scenes.len() < spawned {
+    fn every_shard_renders_on_the_one_crew() {
+        let arena = WORKER_SCRATCH_BYTES as u64;
+        let scenes: Vec<_> = (0..3)
+            .map(|_| {
                 let (ds, scene) = scene();
                 let cam = ds.eval_views[0].camera;
-                let session = server.create_session(
-                    Arc::clone(&scene),
-                    SessionConfig::new(cam.intrinsics, ctf()),
-                );
-                scenes.push((scene, cam));
-                sessions.push(session);
+                let want = direct(&scene, &cam);
+                (scene, cam, want)
+            })
+            .collect();
+        for width in 1..=4 {
+            let server = RenderServer::new(ServerConfig {
+                threads: width,
+                ..ServerConfig::default()
+            });
+            assert_eq!(server.crew.threads(), width);
+            let mut sessions = Vec::new();
+            for (scene, cam, _) in &scenes {
+                let config = SessionConfig::new(cam.intrinsics, ctf());
+                sessions.push(server.create_session(Arc::clone(scene), config));
+                assert!(one_crew(&server), "width {width}");
+                // No anchor exists (coherence is off): the governor
+                // holds the crew's reservation, whatever the shard count.
+                let used = server.governor_stats().used_bytes;
+                assert_eq!(used, width as u64 * arena, "width {width}");
+                for (k, ((_, cam, want), session)) in scenes.iter().zip(&sessions).enumerate() {
+                    let frame = server.submit(*session, FrameRequest::new(cam.pose)).wait();
+                    assert_eq!(frame.serve.shard, k);
+                    assert_eq!(
+                        frame.image.as_slice(),
+                        want.as_slice(),
+                        "shard {k} of {} at crew width {width} diverged from the direct render",
+                        sessions.len()
+                    );
+                }
             }
-            assert_eq!(shares(&server), want, "{spawned} shards");
-            // No anchor exists (coherence is off): the governor holds
-            // the arena reservation of exactly the shares.
-            let reserved = want.iter().sum::<usize>() as u64 * arena;
-            assert_eq!(server.governor_stats().used_bytes, reserved);
-            for (k, ((scene, cam), session)) in scenes.iter().zip(&sessions).enumerate() {
-                let frame = server.submit(*session, FrameRequest::new(cam.pose)).wait();
-                assert_eq!(frame.serve.shard, k);
-                assert_eq!(
-                    frame.image.as_slice(),
-                    direct(scene, cam).as_slice(),
-                    "shard {k} at width {} diverged from the direct render",
-                    want[k]
-                );
-            }
-            // Every shard served a frame since the last spawn, so each
-            // renders on a pool of its share now.
-            assert_eq!(live_pools(&server), want, "{spawned} shards");
         }
     }
 
     #[test]
-    fn a_killed_shard_comes_back_at_its_share() {
+    fn a_killed_shard_comes_back_on_the_one_crew() {
         let (ds, scene_a) = scene();
         let (_, scene_b) = scene();
         let cam = ds.eval_views[0].camera;
@@ -1262,13 +1252,10 @@ mod tests {
                     .with_restart_backoff(Duration::from_millis(10), Duration::from_millis(100)),
             ),
         );
+        let reserved = server.governor_stats().used_bytes;
+        assert_eq!(reserved, 4 * WORKER_SCRATCH_BYTES as u64);
         let config = SessionConfig::new(cam.intrinsics, ctf());
         let a = server.create_session(Arc::clone(&scene_a), config);
-        server.submit(a, FrameRequest::new(cam.pose)).wait();
-        assert_eq!(live_pools(&server), [4]);
-        // A second scene halves shard 0's share; the kill fires at pop,
-        // before shard 0 reaches a batch boundary, so only the
-        // replacement incarnation can render at the new share.
         let b = server.create_session(scene_b, config);
         let healed = server
             .submit(a, FrameRequest::new(cam.pose).with_fault(Fault::KillShard))
@@ -1277,11 +1264,59 @@ mod tests {
             .expect("the requeued frame renders");
         server.submit(b, FrameRequest::new(cam.pose)).wait();
         assert!(server.shard_health()[0].restarts >= 1, "no restart");
-        assert_eq!(shares(&server), [2, 2]);
-        assert_eq!(live_pools(&server), [2, 2]);
+        assert!(one_crew(&server));
         assert_eq!(healed.image.as_slice(), direct(&scene_a, &cam).as_slice());
-        // The restart reserved nothing more: one share per shard.
-        let arena = gen_nerf::pipeline::WORKER_SCRATCH_BYTES as u64;
-        assert_eq!(server.governor_stats().used_bytes, 4 * arena);
+        // The restart reserved nothing more: the crew is the server's.
+        assert_eq!(server.governor_stats().used_bytes, reserved);
+    }
+
+    #[test]
+    fn a_batch_that_keeps_filling_tiles_is_not_wedged() {
+        // The heartbeat budget is a quarter of one frame's render, which
+        // spans ≈ 40 tiles: a beat per batch misses it, a beat per tile
+        // has ten tiles to spare. The sweep counts the tiles the attempt
+        // fills as beats, so the shard is never condemned.
+        let (_, scene) = scene();
+        let intrinsics = gen_nerf_geometry::Intrinsics::from_fov(40, 40, 0.6);
+        let pose = gen_nerf_geometry::Pose::look_at(Vec3::new(3.0, 1.0, 3.0), Vec3::ZERO, Vec3::Y);
+        let strategy = SamplingStrategy::coarse_then_focus(16, 12);
+        let renderer = gen_nerf::pipeline::Renderer::new(
+            &scene.model,
+            &scene.sources,
+            strategy,
+            scene.bounds,
+            scene.background,
+        )
+        .with_threads(1);
+        let camera = gen_nerf_geometry::Camera::new(intrinsics, pose);
+        let started = Instant::now();
+        let (want, stats) = renderer.render(&camera);
+        let budget = started.elapsed() / 4;
+        assert!(
+            stats.points + stats.coarse_points > 40 * 1024,
+            "too few tiles"
+        );
+        let server = RenderServer::new(
+            ServerConfig {
+                threads: 1,
+                ..ServerConfig::default()
+            }
+            .with_supervision(
+                SupervisorConfig::default().with_interactive_budget(Duration::from_secs(600)),
+            )
+            .with_health(
+                HealthConfig::default()
+                    .with_heartbeat_budget(budget)
+                    .with_sweep_interval(Duration::from_millis(5)),
+            ),
+        );
+        let session = server.create_session(scene, SessionConfig::new(intrinsics, strategy));
+        let frame = server
+            .submit(session, FrameRequest::new(pose))
+            .wait_timeout(Duration::from_secs(600))
+            .expect("the frame resolves")
+            .expect("the frame renders");
+        assert_eq!(frame.image.as_slice(), want.as_slice());
+        assert_eq!(server.shard_health()[0].restarts, 0);
     }
 }

@@ -1,5 +1,6 @@
-//! One shard: a scheduler thread owning a scene's request queue, a
-//! private render pool, and the fused batch execution path.
+//! One shard: a scheduler thread owning a scene's request queue and
+//! the fused batch execution path, rendering on the server's one
+//! worker crew.
 //!
 //! The server routes every session of a scene to one shard (see
 //! [`registry`](crate::registry)). Everything the front end, the
@@ -12,11 +13,11 @@
 //! [`FairQueue`] — class priority, round-robin across sessions, FIFO
 //! per session — carves the largest batch of frames that can legally
 //! share one fused render (same scene `Arc`, same strategy, at most
-//! one frame of any cache-enabled session), and runs it on the shard's
-//! own [`Pool`], as wide as the shard's share of the server's thread
-//! budget. The server re-divides that budget over the shards that exist
-//! each time one spawns; the worker adopts a changed share at its next
-//! batch boundary, where no job is in flight.
+//! one frame of any cache-enabled session), and submits its tile lists
+//! to the server's one [`Pool`] crew. The shard owns no render threads:
+//! the crew's claims rotate over the jobs of every shard, so a busy
+//! scene renders on the whole crew while the others are idle, and a
+//! short job is never stuck behind a long one.
 //!
 //! **Render attempts.** [`attempt`] is the one function that renders:
 //! the first, batched attempt and every solo retry. An attempt runs
@@ -38,9 +39,11 @@
 //! [`Frame::end`], which tells the scene's breaker what happened.
 //!
 //! **Self-healing.** The worker *incarnation* popping from the queue
-//! publishes a [`Heartbeat`] on every wakeup and batch boundary, and
-//! the supervisor's health sweep ([`Shard::sweep`]) classifies the
-//! shard Healthy / Wedged / Dead. A condemned incarnation is
+//! publishes a [`Heartbeat`] on every wakeup and batch boundary, the
+//! supervisor's health sweep ([`Shard::sweep`]) counts a tile filled
+//! under the attempt's token since its last look as a beat too (a slow
+//! batch is not a wedged one), and it classifies the shard Healthy /
+//! Wedged / Dead. A condemned incarnation is
 //! invalidated (the incarnation counter in the queue state bumps, so
 //! the old loop exits at its next queue observation instead of racing
 //! its replacement), its in-flight attempt is cancelled, queued frames
@@ -69,18 +72,9 @@ use gen_nerf_nn::kernels::{self, integrity, Backend};
 use gen_nerf_parallel::{CancelToken, Pool};
 use gen_nerf_scene::Image;
 use gen_nerf_telemetry::{Counter, EventKind, Gauge, Histogram, TraceRing, DEFAULT_RING_CAPACITY};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// Fixed per-worker arena reservation charged against the process-wide
-/// memory governor for every worker of a shard's share: the render
-/// worker's scratch, which the tile schedule bounds whatever the frame
-/// size or batch ([`pipeline::WORKER_SCRATCH_BYTES`], pinned by a unit
-/// test there). The reservation moves with the share
-/// ([`ShardCtx::set_pool_threads`]), never with an incarnation — a
-/// respawned worker reuses the same slice of the budget.
-pub(crate) const ARENA_BYTES_PER_WORKER: u64 = pipeline::WORKER_SCRATCH_BYTES as u64;
 
 /// The queue half of a shard's context, under one lock: the fair
 /// queue itself, the close latch, the worker incarnation counter that
@@ -105,9 +99,8 @@ struct QueueState {
 /// sweep, and the worker incarnation(s) coordinate through.
 pub(crate) struct ShardCtx {
     pub index: usize,
-    /// This shard's share of [`ServerConfig::threads`]: the width of
-    /// the pool its worker renders on from the next batch boundary.
-    pool_threads: AtomicUsize,
+    /// The server's render crew, shared by every shard.
+    pub crew: Arc<Pool>,
     pub cfg: ServerConfig,
     pub supervisor: Arc<Supervisor>,
     /// The server's process-wide memory governor (anchor inserts are
@@ -126,8 +119,6 @@ pub(crate) struct ShardCtx {
     heartbeat: Heartbeat,
     /// Consecutive render attempts that panicked or failed integrity;
     /// cleared by any clean render. Crossing
-    /// [`HealthConfig::pool_respawn_after`](crate::HealthConfig::pool_respawn_after)
-    /// respawns the pool workers in place; crossing
     /// [`HealthConfig::pool_condemn_after`](crate::HealthConfig::pool_condemn_after)
     /// condemns the whole shard.
     poison_streak: AtomicU32,
@@ -137,25 +128,24 @@ pub(crate) struct ShardCtx {
     pub down: AtomicBool,
     /// The cancel token of the attempt currently rendering, for the
     /// sweep (condemnation) and `drain` to fire from outside the
-    /// worker thread.
+    /// worker thread, and for the sweep to read its tile progress.
     current_cancel: Mutex<Option<CancelToken>>,
 }
 
 impl ShardCtx {
-    /// The context of shard `index` of server `instance`, with a share
-    /// of `pool_threads` render workers under the server's `cfg`.
+    /// The context of shard `index` of server `instance`, rendering on
+    /// `crew` under the server's `cfg`.
     pub(crate) fn new(
         instance: u64,
         index: usize,
-        pool_threads: usize,
+        crew: Arc<Pool>,
         cfg: ServerConfig,
         supervisor: Arc<Supervisor>,
         governor: Arc<MemoryGovernor>,
     ) -> Arc<Self> {
-        let pool_threads = pool_threads.max(1);
         let ctx = Arc::new(Self {
             index,
-            pool_threads: AtomicUsize::new(pool_threads),
+            crew,
             cfg,
             meters: Arc::new(Meters::new(instance, index, supervisor.meters)),
             queue: Mutex::new(QueueState {
@@ -176,32 +166,7 @@ impl ShardCtx {
         // Born alive: the first sweep must not find a zero-aged shard
         // stale.
         ctx.beat();
-        ctx.governor
-            .reserve(pool_threads as u64 * ARENA_BYTES_PER_WORKER);
         ctx
-    }
-
-    /// This shard's current share of the thread budget.
-    pub(crate) fn pool_threads(&self) -> usize {
-        self.pool_threads.load(Ordering::Relaxed)
-    }
-
-    /// Moves this shard's share of the thread budget to `threads` (at
-    /// least one) and its worker-arena reservation with it: the surplus
-    /// of a shrunk share is discharged, a grown share charged. The
-    /// server calls this under its topology lock, which serialises every
-    /// re-partition; the worker adopts the share at its next batch. The
-    /// share publishes no other data, so `Relaxed` is enough.
-    pub(crate) fn set_pool_threads(&self, threads: usize) {
-        let threads = threads.max(1);
-        let old = self.pool_threads.swap(threads, Ordering::Relaxed);
-        if threads < old {
-            self.governor
-                .discharge((old - threads) as u64 * ARENA_BYTES_PER_WORKER);
-        } else if threads > old {
-            self.governor
-                .reserve((threads - old) as u64 * ARENA_BYTES_PER_WORKER);
-        }
     }
 
     /// Records a shard-scoped lifecycle event (frame id 0, `a` = this
@@ -360,7 +325,6 @@ impl ShardCtx {
             batches: m.batches.get(),
             corrupt_renders: m.corrupt.get(),
             quarantine_events: m.quarantined.get(),
-            pool_threads: self.pool_threads(),
         }
     }
 }
@@ -377,10 +341,6 @@ pub(crate) struct Meters {
     /// Frames admitted but not yet pulled into a render batch
     /// (`serve_queue_depth`; SeqCst, the admission policy reads it).
     pub depth: Gauge,
-    /// Workers in the pool the shard's worker built last
-    /// (`serve_pool_threads`): an incarnation builds it at its first
-    /// batch and rebuilds it at the first batch after a re-partition.
-    pub pool_threads: Gauge,
     /// Every frame that entered `submit` for this shard, whatever its
     /// fate (`serve_frames_submitted_total`).
     pub submitted: Counter,
@@ -464,7 +424,6 @@ impl Meters {
         };
         Self {
             depth: gen_nerf_telemetry::gauge("serve_queue_depth", &labels),
-            pool_threads: gen_nerf_telemetry::gauge("serve_pool_threads", &labels),
             submitted: counter("serve_frames_submitted_total"),
             admitted: counter("serve_frames_admitted_total"),
             degraded: counter("serve_frames_degraded_total"),
@@ -519,7 +478,7 @@ pub struct ShardStats {
     /// Frames resolved with an error.
     pub failed_frames: u64,
     /// Individual re-render attempts after a transient failure (panic,
-    /// pool poison, or a batch-mate's timeout cancelling the batch).
+    /// corruption, or a batch-mate's timeout cancelling the batch).
     pub retries: u64,
     /// Fused render jobs executed (`rendered_frames / batches` is the
     /// shard's average batch occupancy).
@@ -532,12 +491,6 @@ pub struct ShardStats {
     /// Times this shard tripped the process-wide kernel quarantine,
     /// demoting the active SIMD backend to scalar for good.
     pub quarantine_events: u64,
-    /// This shard's share of [`ServerConfig::threads`]: the budget
-    /// divided over the shards spawned so far (at least one worker
-    /// each). Its pool is rebuilt to this width at the first batch
-    /// after a re-partition, so once the shard has served a frame since
-    /// the last shard spawned, this is the width it renders on.
-    pub pool_threads: usize,
 }
 
 /// The server's handle on one shard: its context, the live worker
@@ -559,6 +512,8 @@ pub(crate) struct Shard {
     rendered_at_condemn: u64,
     /// When the pending (backed-off) respawn is due.
     respawn_at: Option<Instant>,
+    /// The in-flight attempt's tile progress at the sweep's last look.
+    seen_progress: Option<u64>,
 }
 
 impl Shard {
@@ -572,6 +527,7 @@ impl Shard {
             consecutive_restarts: 0,
             rendered_at_condemn: 0,
             respawn_at: None,
+            seen_progress: None,
         }
     }
 
@@ -610,6 +566,16 @@ impl Shard {
             }
             return;
         }
+        // A batch that keeps filling tiles is slow, not wedged: a tick
+        // on the attempt's token since the last look is a beat. A wedged
+        // incarnation fills none, so its heartbeat still goes stale.
+        let progress = lock(&self.ctx.current_cancel)
+            .as_ref()
+            .map(CancelToken::progress);
+        if progress.is_some() && progress != self.seen_progress {
+            self.ctx.beat();
+        }
+        self.seen_progress = progress;
         if let Some(reason) = self.verdict(now) {
             self.condemn(reason, now);
         }
@@ -801,10 +767,7 @@ fn unrenderable(frame: &Frame) -> Option<End> {
 /// shared incarnation counter moves past the one this loop was spawned
 /// at (a condemnation installed a replacement).
 fn shard_loop(ctx: &ShardCtx, incarnation: u64) {
-    let mut pool: Option<Pool> = None;
     let max_batch = ctx.cfg.max_batch.max(1);
-    let health = ctx.cfg.health;
-    let mut last_pool_respawn_streak = 0u32;
     while let Some(mut head) = ctx.pop_head(incarnation) {
         // Shard-level chaos faults fire here, between pop and render —
         // where a real scheduler-thread defect would. Both are
@@ -861,42 +824,15 @@ fn shard_loop(ctx: &ShardCtx, incarnation: u64) {
                 None => group.push(mate),
             }
         }
-        // Size the pool to the shard's share here, between jobs: the
-        // incarnation's first batch builds it, and a shard spawned since
-        // the last batch re-divided the budget. Built no earlier, so a
-        // server registering several scenes never spawns a crew at a
-        // share its shard has already given up.
-        let share = ctx.pool_threads();
-        if pool.as_ref().is_none_or(|p| p.threads() != share) {
-            // Join the old crew before the new one spawns.
-            drop(pool.take());
-            pool = Some(Pool::new(share));
-            ctx.meters.pool_threads.set(share as i64);
-        }
-        let pool = pool.as_mut().expect("the pool was sized above");
-        execute_group(ctx, pool, group);
+        execute_group(ctx, group);
         ctx.beat();
-
-        // Pool-poison escalation: a streak of panicked attempts at the
-        // respawn threshold replaces the pool's worker crew in place —
-        // the cheap reclaim for a sick pool. The streak keeps counting
-        // (only a clean render clears it); if respawning didn't help,
-        // the sweep condemns the whole shard at `pool_condemn_after`.
-        let streak = ctx.poison_streak.load(Ordering::Relaxed);
-        if streak >= health.pool_respawn_after
-            && streak != last_pool_respawn_streak
-            && streak.is_multiple_of(health.pool_respawn_after)
-        {
-            pool.respawn_workers();
-            last_pool_respawn_streak = streak;
-        }
     }
 }
 
 /// Renders one admission batch as a single fused multi-frame job and
 /// ends its frames. Anything but a clean attempt fails over to
 /// per-frame [`retry`] recovery instead of killing the shard.
-fn execute_group(ctx: &ShardCtx, pool: &Pool, mut group: Vec<Frame>) {
+fn execute_group(ctx: &ShardCtx, mut group: Vec<Frame>) {
     ctx.meters.batches.inc();
     for frame in &group {
         frame.batched(group.len());
@@ -904,7 +840,7 @@ fn execute_group(ctx: &ShardCtx, pool: &Pool, mut group: Vec<Frame>) {
     // Take the recycled buffers out of the requests up front: they are
     // moved (not cloned) into the render and returned in the results.
     let buffers = group.iter_mut().map(|frame| frame.reuse.take()).collect();
-    let error = match attempt(ctx, pool, &group, buffers, 0) {
+    let error = match attempt(ctx, &group, buffers, 0) {
         Attempt::Rendered(results) => {
             for (frame, result) in group.into_iter().zip(results) {
                 frame.end(End::Rendered(result));
@@ -918,15 +854,15 @@ fn execute_group(ctx: &ShardCtx, pool: &Pool, mut group: Vec<Frame>) {
         Attempt::Failed(error) => error,
     };
     for frame in group {
-        retry(ctx, pool, frame, error.clone());
+        retry(ctx, frame, error.clone());
     }
 }
 
 /// Re-renders one frame solo after a transient batch failure (panic,
-/// pool poison, corruption, or a batch-mate's timeout): bounded
+/// corruption, or a batch-mate's timeout): bounded
 /// attempts with exponential backoff, never scheduled past the frame's
 /// deadline.
-fn retry(ctx: &ShardCtx, pool: &Pool, frame: Frame, mut last_error: String) {
+fn retry(ctx: &ShardCtx, frame: Frame, mut last_error: String) {
     let policy = ctx.cfg.retry;
     for n in 1..policy.max_attempts.max(1) {
         if frame.is_resolved() {
@@ -944,7 +880,7 @@ fn retry(ctx: &ShardCtx, pool: &Pool, frame: Frame, mut last_error: String) {
             std::thread::sleep(backoff);
         }
         frame.retrying(n, backoff);
-        match attempt(ctx, pool, std::slice::from_ref(&frame), vec![None], n) {
+        match attempt(ctx, std::slice::from_ref(&frame), vec![None], n) {
             Attempt::Rendered(mut results) => {
                 let result = results.pop().expect("one frame in, one result out");
                 return frame.end(End::Rendered(result));
@@ -978,13 +914,7 @@ enum Attempt {
 /// exactly like a panic: the pixels were never published and every
 /// member is retryable — corruption is transient until quarantine
 /// says otherwise.
-fn attempt(
-    ctx: &ShardCtx,
-    pool: &Pool,
-    group: &[Frame],
-    buffers: Vec<Option<Image>>,
-    n: u32,
-) -> Attempt {
+fn attempt(ctx: &ShardCtx, group: &[Frame], buffers: Vec<Option<Image>>, n: u32) -> Attempt {
     let cancel = CancelToken::new();
     *lock(&ctx.current_cancel) = Some(cancel.clone());
     for frame in group {
@@ -997,7 +927,7 @@ fn attempt(
         for frame in group {
             inject(frame, n, &cancel);
         }
-        render_group(ctx, pool, group, buffers, &cancel, started)
+        render_group(ctx, group, buffers, &cancel, started)
     }));
     let render_ns = started.elapsed().as_nanos() as u64;
     let (code, outcome) = match outcome {
@@ -1070,7 +1000,6 @@ fn cancellable_sleep(total: Duration, cancel: &CancelToken) {
 /// exceeded, even transiently.
 fn render_group(
     ctx: &ShardCtx,
-    pool: &Pool,
     group: &[Frame],
     buffers: Vec<Option<Image>>,
     cancel: &CancelToken,
@@ -1133,8 +1062,7 @@ fn render_group(
         scene.bounds,
         scene.background,
     )
-    .with_threads(pool.threads())
-    .with_pool(pool)
+    .with_pool(&ctx.crew)
     .with_cancel(cancel);
 
     let mut images: Vec<Image> = buffers
@@ -1242,7 +1170,7 @@ mod tests {
         let ctx = ShardCtx::new(
             instance,
             0,
-            1,
+            Arc::new(Pool::new(1)),
             ServerConfig::default(),
             Arc::new(Supervisor::spawn(instance, Clock::real())),
             Arc::new(MemoryGovernor::new(&GovernorConfig::default())),
@@ -1297,7 +1225,6 @@ mod tests {
     /// poison streak afterwards (it starts at 5).
     fn classify(size: usize, n: u32, fault: Option<Fault>) -> (u64, Option<String>, u32) {
         let (ctx, states) = fixture(size);
-        let pool = Pool::new(1);
         let group = running_group(&ctx, &states, fault);
         assert_eq!(group.len(), size);
         ctx.poison_streak.store(5, Ordering::Relaxed);
@@ -1314,7 +1241,7 @@ mod tests {
                     ctx.cancel_current();
                 });
             }
-            attempt(&ctx, &pool, &group, vec![None; size], n)
+            attempt(&ctx, &group, vec![None; size], n)
         });
         let codes: Vec<u64> = ctx
             .meters

@@ -16,10 +16,10 @@
 //!   watchdog fires the attempt's
 //!   [`CancelToken`](gen_nerf_parallel::CancelToken); the render
 //!   pipeline polls it at per-ray boundaries, so the shard worker and
-//!   its pool slice drain within one ray's work instead of sleeping
-//!   out a stall.
+//!   the crew workers on its tiles drain within one ray's work instead
+//!   of sleeping out a stall.
 //! * **Retry.** Transient batch failures (an injected panic, a
-//!   poisoned pool) re-render the surviving frames one at a time under
+//!   corrupt render) re-render the surviving frames one at a time under
 //!   a bounded [`RetryPolicy`] — exponential backoff, attempt-capped,
 //!   never past the frame's deadline. All render RNG is pose/seed
 //!   derived, so a retried frame is bitwise identical to a clean one.
@@ -373,7 +373,7 @@ fn watchdog_loop(inner: &SupervisorInner) {
 }
 
 /// Bounded re-render policy for transiently failed frames (render
-/// panics, poisoned pools). Retries are attempt-capped, exponentially
+/// panics, corrupt renders). Retries are attempt-capped, exponentially
 /// backed off, and never scheduled past the frame's deadline — the
 /// watchdog owns the final word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
