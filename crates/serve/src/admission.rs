@@ -24,36 +24,25 @@ use std::collections::{HashMap, VecDeque};
 ///
 /// `queue_capacity` is the pressure point: at or past it, BestEffort
 /// submissions are shed and Interactive submissions are degraded to
-/// [`degrade`](crate::ResolutionTier)d resolution. `interactive_capacity`
-/// is the hard bound past which even Interactive frames are shed (it
-/// must be ≥ `queue_capacity`). Capacities count queued frames only —
-/// a frame leaves the count when the shard scheduler admits it into a
-/// render batch.
+/// [`degrade`](crate::ResolutionTier)d resolution. Twice
+/// `queue_capacity` is the hard bound past which even Interactive
+/// frames are shed. Capacities count queued frames only — a frame
+/// leaves the count when the shard scheduler admits it into a render
+/// batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AdmissionConfig {
     /// Queue depth at which shedding (BestEffort) and degrading
     /// (Interactive) begin.
     pub queue_capacity: usize,
-    /// Queue depth at which Interactive frames are shed too.
-    pub interactive_capacity: usize,
 }
 
 impl AdmissionConfig {
-    /// A policy shedding BestEffort past `queue_capacity` and
-    /// Interactive past twice that.
+    /// A policy shedding BestEffort past `queue_capacity` (at least
+    /// one) and Interactive past twice that.
     pub fn with_capacity(queue_capacity: usize) -> Self {
-        let queue_capacity = queue_capacity.max(1);
         Self {
-            queue_capacity,
-            interactive_capacity: queue_capacity * 2,
+            queue_capacity: queue_capacity.max(1),
         }
-    }
-
-    /// Overrides the Interactive hard bound (clamped to at least
-    /// `queue_capacity`).
-    pub fn with_interactive_capacity(mut self, capacity: usize) -> Self {
-        self.interactive_capacity = capacity.max(self.queue_capacity);
-        self
     }
 }
 
@@ -99,7 +88,7 @@ pub fn admission_decision_supervised(
         AdmissionDecision::Break
     } else if depth < cfg.queue_capacity {
         AdmissionDecision::Admit
-    } else if class == DeadlineClass::Interactive && depth < cfg.interactive_capacity {
+    } else if class == DeadlineClass::Interactive && depth < cfg.queue_capacity * 2 {
         AdmissionDecision::Degrade
     } else {
         AdmissionDecision::Shed
@@ -186,25 +175,19 @@ impl<T> Default for ClassLanes<T> {
 }
 
 impl<T> ClassLanes<T> {
-    fn push(&mut self, tenant: u64, item: T) {
+    /// Queues `item` at the back of its tenant's lane, or at the
+    /// `front` — the inverse of popping it, for a popped head that
+    /// must run next, ahead of the tenant's later submissions.
+    fn push(&mut self, tenant: u64, item: T, front: bool) {
         let lane = self.lanes.entry(tenant).or_insert_with(|| {
             self.tenants.push(tenant);
             VecDeque::new()
         });
-        lane.push_back(item);
-        self.len += 1;
-    }
-
-    /// Restores `item` at the *front* of its tenant's lane — the
-    /// inverse of popping it. Used when a popped head could not be
-    /// executed (its shard died under it) and must run next, ahead of
-    /// the tenant's later submissions.
-    fn push_front(&mut self, tenant: u64, item: T) {
-        let lane = self.lanes.entry(tenant).or_insert_with(|| {
-            self.tenants.push(tenant);
-            VecDeque::new()
-        });
-        lane.push_front(item);
+        if front {
+            lane.push_front(item);
+        } else {
+            lane.push_back(item);
+        }
         self.len += 1;
     }
 
@@ -288,7 +271,7 @@ impl<T> FairQueue<T> {
 
     /// Enqueues `item` on the `(class, tenant)` lane.
     pub fn push(&mut self, class: DeadlineClass, tenant: u64, item: T) {
-        self.classes[class_index(class)].push(tenant, item);
+        self.classes[class_index(class)].push(tenant, item, false);
     }
 
     /// Dequeues the next item in policy order: the highest-priority
@@ -310,12 +293,12 @@ impl<T> FairQueue<T> {
     }
 
     /// Restores `item` at the **front** of its `(class, tenant)` lane —
-    /// the inverse of popping it. A shard restart uses this to put a
-    /// popped-but-unexecuted head back ahead of the tenant's later
-    /// submissions, preserving per-session FIFO (which the coherence
-    /// cache's reuse chain depends on).
+    /// the inverse of popping it. A shard incarnation that cannot
+    /// render a popped head hands it back this way, ahead of the
+    /// tenant's later submissions, preserving per-session FIFO (which
+    /// the coherence cache's reuse chain depends on).
     pub fn push_front(&mut self, class: DeadlineClass, tenant: u64, item: T) {
-        self.classes[class_index(class)].push_front(tenant, item);
+        self.classes[class_index(class)].push(tenant, item, true);
     }
 
     /// Empties the queue, returning `(class, tenant, item)` triples in
@@ -343,7 +326,6 @@ mod tests {
     #[test]
     fn admission_thresholds() {
         let cfg = AdmissionConfig::with_capacity(4);
-        assert_eq!(cfg.interactive_capacity, 8);
         let decide =
             |class, depth| admission_decision_supervised(&cfg, class, depth, BreakerAdmit::Admit);
         for class in [DeadlineClass::Interactive, DeadlineClass::BestEffort] {
@@ -355,6 +337,11 @@ mod tests {
         );
         assert_eq!(
             decide(DeadlineClass::Interactive, 4),
+            AdmissionDecision::Degrade
+        );
+        // The Interactive hard bound is twice the capacity.
+        assert_eq!(
+            decide(DeadlineClass::Interactive, 7),
             AdmissionDecision::Degrade
         );
         assert_eq!(
@@ -382,12 +369,6 @@ mod tests {
                 AdmissionDecision::Shed
             );
         }
-    }
-
-    #[test]
-    fn interactive_capacity_clamps_to_queue_capacity() {
-        let cfg = AdmissionConfig::with_capacity(10).with_interactive_capacity(3);
-        assert_eq!(cfg.interactive_capacity, 10);
     }
 
     #[test]

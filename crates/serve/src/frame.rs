@@ -438,17 +438,16 @@ impl Frame {
         self.event(EventKind::Pop, waited.as_nanos() as u64, queued);
     }
 
-    /// The frame goes (back) on the queue at `position` of a requeue
-    /// pass — across a restart, or handed back by a dying incarnation,
-    /// which re-claims the depth it gave up at pop.
-    pub(crate) fn requeued(&mut self, position: u64) {
+    /// The frame goes back on the queue, handed back by an incarnation
+    /// that could not render it: it re-claims the depth it gave up at
+    /// pop.
+    pub(crate) fn requeued(&mut self) {
+        debug_assert_eq!(self.stage, Stage::Running);
         let m = &self.state.shard.meters;
         m.requeued.inc();
-        self.event(EventKind::Requeue, self.state.shard.index as u64, position);
-        if self.stage == Stage::Running {
-            m.depth.inc();
-            self.stage = Stage::Queued;
-        }
+        self.event(EventKind::Requeue, self.state.shard.index as u64, 0);
+        m.depth.inc();
+        self.stage = Stage::Queued;
     }
 
     /// **Batch.** Placed in a fused render job of `size` frames.
@@ -555,7 +554,6 @@ mod tests {
         let breaker = Arc::new(CircuitBreaker::new(
             BreakerConfig::default()
                 .with_window(1, 1)
-                .with_failure_threshold(1.0)
                 .with_cooldown(Duration::ZERO)
                 .with_probe_quota(1),
         ));

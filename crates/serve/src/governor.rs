@@ -19,7 +19,7 @@
 //!   at a time, so global pressure lands on whoever holds the most
 //!   bytes rather than on the session that happened to insert last.
 //! * **Admission pressure hook.** Past the pressure watermark
-//!   (`pressure_fraction` of the budget), BestEffort submissions are
+//!   (85 % of the budget), BestEffort submissions are
 //!   shed at admission (`reason="memory"`) before any rendering
 //!   happens — interactive traffic keeps its anchors while prefetch
 //!   yields first.
@@ -36,16 +36,16 @@ use std::sync::{Arc, Mutex, Weak};
 /// Default process-wide budget: 256 MiB.
 const DEFAULT_BUDGET_BYTES: u64 = 256 << 20;
 
+/// Fraction of the budget at which admission pressure begins:
+/// BestEffort submissions are shed while usage is at or above it.
+const PRESSURE_FRACTION: f64 = 0.85;
+
 /// Configuration of the process-wide `MemoryGovernor`.
 #[derive(Debug, Clone, Copy)]
 pub struct GovernorConfig {
     /// The hard byte budget across all sessions' coarse caches plus
     /// worker-arena reservations. Default 256 MiB.
     pub budget_bytes: u64,
-    /// Fraction of the budget at which admission pressure begins:
-    /// BestEffort submissions are shed while usage is at or above
-    /// `budget_bytes * pressure_fraction`.
-    pub pressure_fraction: f64,
 }
 
 impl GovernorConfig {
@@ -54,19 +54,12 @@ impl GovernorConfig {
         self.budget_bytes = bytes.max(1);
         self
     }
-
-    /// Overrides the pressure watermark fraction (clamped to `0..=1`).
-    pub fn with_pressure_fraction(mut self, fraction: f64) -> Self {
-        self.pressure_fraction = fraction.clamp(0.0, 1.0);
-        self
-    }
 }
 
 impl Default for GovernorConfig {
     fn default() -> Self {
         Self {
             budget_bytes: DEFAULT_BUDGET_BYTES,
-            pressure_fraction: 0.85,
         }
     }
 }
@@ -111,7 +104,7 @@ pub(crate) struct MemoryGovernor {
 impl MemoryGovernor {
     pub(crate) fn new(cfg: &GovernorConfig) -> Self {
         let budget = cfg.budget_bytes.max(1);
-        let pressure_at = (budget as f64 * cfg.pressure_fraction.clamp(0.0, 1.0)) as u64;
+        let pressure_at = (budget as f64 * PRESSURE_FRACTION) as u64;
         Self {
             budget,
             pressure_at,
@@ -241,18 +234,13 @@ mod tests {
 
     #[test]
     fn config_defaults_and_builders() {
-        let cfg = GovernorConfig::default()
-            .with_budget_bytes(1 << 20)
-            .with_pressure_fraction(0.5);
+        let cfg = GovernorConfig::default().with_budget_bytes(1 << 20);
         assert_eq!(cfg.budget_bytes, 1 << 20);
-        assert!((cfg.pressure_fraction - 0.5).abs() < 1e-12);
         // Clamps.
         assert_eq!(
             GovernorConfig::default().with_budget_bytes(0).budget_bytes,
             1
         );
-        let over = GovernorConfig::default().with_pressure_fraction(7.0);
-        assert!((over.pressure_fraction - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -278,12 +266,9 @@ mod tests {
 
     #[test]
     fn pressure_watermark() {
-        let cfg = GovernorConfig::default()
-            .with_budget_bytes(1000)
-            .with_pressure_fraction(0.8);
-        let gov = MemoryGovernor::new(&cfg);
+        let gov = MemoryGovernor::new(&GovernorConfig::default().with_budget_bytes(1000));
         assert!(!gov.under_pressure());
-        gov.reserve(799);
+        gov.reserve(849);
         assert!(!gov.under_pressure());
         gov.reserve(1);
         assert!(gov.under_pressure());

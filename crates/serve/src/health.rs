@@ -1,52 +1,50 @@
-//! Shard lifecycle: heartbeats, health classification, restart policy.
+//! Shard lifecycle: health verdicts, restart policy, drain reports.
 //!
-//! A shard's worker thread is a single point of failure — a loop that
-//! dies (panic outside the frame-level `catch_unwind`) or wedges (a
-//! stuck render that ignores cancellation) strands every session
+//! A shard's scheduler thread is a single point of failure — a loop
+//! that dies (panic outside the frame-level `catch_unwind`) or wedges
+//! (a stuck render that ignores cancellation) strands every session
 //! mapped to it. This module holds the policy side of the self-healing
 //! layer:
 //!
-//! * [`Heartbeat`] — the lock-free progress beacon every shard loop
-//!   publishes (an epoch counter plus a last-progress timestamp on the
-//!   telemetry [`Clock`](gen_nerf_telemetry::Clock)). The loop beats
-//!   on every wakeup, pop, and batch completion, and the sweep beats
-//!   for it while the batch in flight keeps filling tiles, so a healthy
-//!   shard's beat is never older than its condvar park interval or one
-//!   tile.
-//! * [`ShardHealth`] — the verdict ladder the supervisor's health
-//!   sweep walks: `Healthy` → `Wedged` (beat older than the budget
-//!   while work is pending, or a persistent poison streak) → `Dead`
-//!   (worker `JoinHandle` finished while the queue is still open).
-//! * [`HealthConfig`] — budgets and thresholds: the heartbeat budget,
-//!   the sweep cadence, the exponential restart backoff, the give-up
-//!   threshold past which a shard is declared down, and the
-//!   poison-streak condemn threshold.
+//! * [`ShardHealth`] — the verdict the supervisor's health sweep
+//!   reaches: `Healthy`, `Wedged` (busy while its progress reading —
+//!   the worker's beat count and the in-flight attempt's tile ticks —
+//!   has not moved for the heartbeat budget) or `Dead` (worker
+//!   `JoinHandle` finished while the queue is still open).
+//! * [`HealthConfig`] — the heartbeat budget, the sweep cadence and
+//!   the exponential restart backoff. Past [`MAX_RESTARTS`]
+//!   consecutive restarts a shard is declared down.
 //! * [`DrainReport`]/[`DrainOutcome`] — what
 //!   [`RenderServer::drain`](crate::RenderServer::drain) returns.
 //!
-//! The mechanism side — condemning, tearing down, and respawning a
-//! shard — lives with the shard itself (`shard.rs`); the sweep that
-//! drives it is registered on the supervisor's watchdog thread by
+//! The mechanism side — reading progress, condemning, respawning —
+//! lives with the shard itself (`shard.rs`); the sweep that drives it
+//! is registered on the supervisor's watchdog thread by
 //! `RenderServer`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use crate::doubling_backoff;
+use std::time::Duration;
 
 /// Default heartbeat budget. Deliberately above the worst legitimate
-/// gap between beats: a rendering batch beats once per tile through
-/// the sweep, a batch that fills no tile stalls at most one deadline
-/// budget before the watchdog cancels it (the chaos harness stalls up
-/// to ~1.5 s), and the loop beats as soon as the batch returns.
+/// stretch without progress: a rendering batch ticks once per tile, a
+/// batch that fills no tile stalls at most one deadline budget before
+/// the watchdog cancels it (the chaos harness stalls up to ~1.5 s),
+/// and the worker beats as soon as the batch returns.
 const DEFAULT_HEARTBEAT_BUDGET: Duration = Duration::from_millis(2000);
+
+/// Consecutive restarts (without a successfully rendered frame in
+/// between) after which a shard is declared down: queued frames fail,
+/// and later submissions resolve with
+/// [`ServeError::ShardDown`](crate::ServeError::ShardDown).
+pub(crate) const MAX_RESTARTS: u32 = 5;
 
 /// The health sweep's verdict for one shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShardHealth {
-    /// Beating within budget (or idle with an empty queue).
+    /// Making progress within budget (or idle).
     Healthy,
-    /// No heartbeat past the budget while frames are queued, or the
-    /// poison streak crossed the condemn threshold. The worker
-    /// thread is still running but not making progress.
+    /// Busy, with no progress for the heartbeat budget. The worker
+    /// thread is still running but not getting anywhere.
     Wedged,
     /// The worker thread finished while the queue was still open — the
     /// loop panicked or exited without being asked to.
@@ -57,13 +55,10 @@ pub enum ShardHealth {
 /// [`Condemn`](gen_nerf_telemetry::EventKind::Condemn) trace event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CondemnReason {
-    /// Heartbeat older than the budget with work pending.
+    /// No progress for the budget with work pending.
     Wedged,
     /// Worker `JoinHandle` finished unexpectedly.
     Dead,
-    /// Poison streak crossed
-    /// [`pool_condemn_after`](HealthConfig::pool_condemn_after).
-    Poisoned,
 }
 
 impl CondemnReason {
@@ -72,16 +67,15 @@ impl CondemnReason {
         match self {
             CondemnReason::Wedged => 0,
             CondemnReason::Dead => 1,
-            CondemnReason::Poisoned => 2,
         }
     }
 }
 
-/// Budgets and thresholds for the shard health sweep.
+/// Budgets for the shard health sweep.
 #[derive(Debug, Clone, Copy)]
 pub struct HealthConfig {
-    /// How stale a shard's heartbeat may grow, while frames are
-    /// queued, before the sweep condemns it as wedged. Default 2 s.
+    /// How long a busy shard's progress reading may stand still before
+    /// the sweep condemns it as wedged. Default 2 s.
     pub heartbeat_budget: Duration,
     /// Cadence of the health sweep on the watchdog thread.
     pub sweep_interval: Duration,
@@ -91,17 +85,6 @@ pub struct HealthConfig {
     pub restart_backoff: Duration,
     /// Ceiling of the exponential backoff.
     pub restart_backoff_cap: Duration,
-    /// Consecutive restarts (without a successfully rendered frame in
-    /// between) after which the shard is declared down: queued frames
-    /// fail, and later submissions resolve with
-    /// [`ServeError::ShardDown`](crate::ServeError::ShardDown).
-    pub max_restarts: u32,
-    /// Consecutive poisoned (panicked or corrupt) render attempts
-    /// after which the sweep condemns the whole shard. A panic fails
-    /// only its own job and leaves the crew healthy, so a streak this
-    /// long indicts the shard; the streak only clears on a clean
-    /// render.
-    pub pool_condemn_after: u32,
 }
 
 impl HealthConfig {
@@ -124,27 +107,9 @@ impl HealthConfig {
         self
     }
 
-    /// Overrides the give-up threshold.
-    pub fn with_max_restarts(mut self, max: u32) -> Self {
-        self.max_restarts = max;
-        self
-    }
-
-    /// Overrides the condemn threshold of the poison streak (at least
-    /// one).
-    pub fn with_poison_thresholds(mut self, condemn_after: u32) -> Self {
-        self.pool_condemn_after = condemn_after.max(1);
-        self
-    }
-
-    /// Backoff before restart number `consecutive` (1-based):
-    /// exponential in the restart count, saturating at the cap.
+    /// Backoff before restart number `consecutive` (1-based).
     pub fn backoff_for(&self, consecutive: u32) -> Duration {
-        let shift = consecutive.saturating_sub(1).min(16);
-        let factor = 1u32 << shift;
-        self.restart_backoff
-            .saturating_mul(factor)
-            .min(self.restart_backoff_cap)
+        doubling_backoff(self.restart_backoff, self.restart_backoff_cap, consecutive)
     }
 }
 
@@ -155,54 +120,7 @@ impl Default for HealthConfig {
             sweep_interval: Duration::from_millis(50),
             restart_backoff: Duration::from_millis(50),
             restart_backoff_cap: Duration::from_secs(2),
-            max_restarts: 5,
-            pool_condemn_after: 24,
         }
-    }
-}
-
-/// A shard's lock-free progress beacon: a monotonically increasing
-/// epoch plus the timestamp of the last beat, both published with
-/// relaxed atomics (the sweep tolerates a beat-width race — it only
-/// ever misreads staleness by one beat).
-///
-/// Timestamps are stored as nanoseconds since a fixed `origin` instant
-/// taken from the telemetry clock at construction, so a virtual clock
-/// drives heartbeat age deterministically in tests.
-#[derive(Debug)]
-pub(crate) struct Heartbeat {
-    /// Count of beats since construction (or the last incarnation).
-    epoch: AtomicU64,
-    /// Nanoseconds from `origin` to the latest beat.
-    last_beat_ns: AtomicU64,
-    origin: Instant,
-}
-
-impl Heartbeat {
-    pub(crate) fn new(origin: Instant) -> Self {
-        Self {
-            epoch: AtomicU64::new(0),
-            last_beat_ns: AtomicU64::new(0),
-            origin,
-        }
-    }
-
-    /// Publishes progress: bumps the epoch and stamps `now`.
-    pub(crate) fn beat(&self, now: Instant) {
-        self.epoch.fetch_add(1, Ordering::Relaxed);
-        let ns = now.saturating_duration_since(self.origin).as_nanos() as u64;
-        self.last_beat_ns.store(ns, Ordering::Relaxed);
-    }
-
-    /// Time since the last beat, as seen at `now`.
-    pub(crate) fn age(&self, now: Instant) -> Duration {
-        let now_ns = now.saturating_duration_since(self.origin).as_nanos() as u64;
-        Duration::from_nanos(now_ns.saturating_sub(self.last_beat_ns.load(Ordering::Relaxed)))
-    }
-
-    /// Beats since construction.
-    pub(crate) fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
     }
 }
 
@@ -224,7 +142,8 @@ pub struct ShardHealthStats {
     /// crossed); a down shard rejects submissions with
     /// [`ServeError::ShardDown`](crate::ServeError::ShardDown).
     pub down: bool,
-    /// Heartbeat epochs published by the current worker.
+    /// The shard's progress count: beats its workers published (one
+    /// per pop, per attempt start and per finished batch).
     pub heartbeat_epoch: u64,
     /// The sweep's current verdict.
     pub health: ShardHealth,
@@ -282,30 +201,6 @@ mod tests {
         assert_eq!(cfg.backoff_for(4), Duration::from_millis(400));
         assert_eq!(cfg.backoff_for(5), Duration::from_millis(400));
         assert_eq!(cfg.backoff_for(60), Duration::from_millis(400));
-    }
-
-    #[test]
-    fn poison_thresholds_clamp() {
-        assert_eq!(HealthConfig::default().pool_condemn_after, 24);
-        let cfg = HealthConfig::default().with_poison_thresholds(8);
-        assert_eq!(cfg.pool_condemn_after, 8);
-        let cfg = HealthConfig::default().with_poison_thresholds(0);
-        assert_eq!(cfg.pool_condemn_after, 1);
-    }
-
-    #[test]
-    fn heartbeat_age_tracks_beats() {
-        let origin = Instant::now();
-        let hb = Heartbeat::new(origin);
-        assert_eq!(hb.epoch(), 0);
-        let later = origin + Duration::from_millis(500);
-        assert_eq!(hb.age(later), Duration::from_millis(500));
-        hb.beat(origin + Duration::from_millis(400));
-        assert_eq!(hb.epoch(), 1);
-        assert_eq!(hb.age(later), Duration::from_millis(100));
-        // A beat newer than "now" reads as zero age, not underflow.
-        hb.beat(origin + Duration::from_millis(600));
-        assert_eq!(hb.age(later), Duration::ZERO);
     }
 
     #[test]

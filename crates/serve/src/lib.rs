@@ -27,10 +27,12 @@
 //!   runtime — the container builds with no external crates, so each
 //!   shard is a shared condvar-signalled queue + a scheduler thread
 //!   in front of the shared crew. The scheduler thread itself is
-//!   supervised: a heartbeat/health sweep condemns a dead or wedged
-//!   worker, requeues its frames, and respawns it under a restart budget
-//!   ([`HealthConfig`]), and a process-wide [`GovernorConfig`] memory
-//!   budget spans every session cache.
+//!   supervised: it counts a beat per pop, attempt start and batch, and
+//!   a health sweep that reads that count with the in-flight attempt's
+//!   tile ticks condemns a dead or wedged thread and respawns it on the
+//!   same queue under a restart backoff ([`HealthConfig`]); a
+//!   process-wide [`GovernorConfig`] memory budget spans every session
+//!   cache.
 //! * **One frame lifecycle**: every submitted frame is one state
 //!   value walking `Submit → Admit → Pop → Batch → Render/Retry →
 //!   Resolve`, and it ends through exactly one transition — taken by
@@ -168,6 +170,13 @@ pub(crate) fn wait_timeout<'a, T>(
     cv.wait_timeout(guard, timeout)
         .unwrap_or_else(|e| e.into_inner())
         .0
+}
+
+/// `base · 2^(n−1)`, capped at `cap` — the backoff before retry or
+/// restart `n` (1-based; `n ≤ 1` waits `base`).
+pub(crate) fn doubling_backoff(base: Duration, cap: Duration, n: u32) -> Duration {
+    let factor = 1u32 << n.saturating_sub(1).min(16);
+    base.saturating_mul(factor).min(cap)
 }
 
 /// Blocks on `cv` until `done` holds of the guarded state or `until`

@@ -29,7 +29,7 @@ use gen_nerf_scene::Image;
 use gen_nerf_telemetry::{Snapshot, TraceEvent};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// The governor's reservation per crew worker: the render worker's
@@ -45,9 +45,6 @@ pub struct ServerConfig {
     /// the shards' jobs, so a lone busy scene renders on all of them.
     /// Defaults to [`gen_nerf_parallel::num_threads`].
     pub threads: usize,
-    /// Admission window: at most this many queued frames are coalesced
-    /// into one fused multi-frame render (per shard).
-    pub max_batch: usize,
     /// Shard count ceiling. The first `max_shards` registered scenes
     /// get a shard each; further scenes share shards round-robin.
     pub max_shards: usize,
@@ -60,7 +57,7 @@ pub struct ServerConfig {
     /// Per-scene circuit-breaker tuning.
     pub breaker: BreakerConfig,
     /// Shard self-healing: heartbeat budget, sweep cadence, restart
-    /// backoff/give-up, poison-streak escalation.
+    /// backoff.
     pub health: HealthConfig,
     /// Process-wide memory budget over session caches and worker
     /// arenas.
@@ -71,7 +68,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         Self {
             threads: gen_nerf_parallel::num_threads(),
-            max_batch: 8,
             max_shards: 8,
             admission: crate::admission::AdmissionConfig::default(),
             supervision: SupervisorConfig::default(),
@@ -171,7 +167,7 @@ pub enum Fault {
     KillShard,
     /// Wedge the shard's scheduler thread for the given duration when
     /// this frame is popped: an uncancellable sleep that starves the
-    /// queue while frames wait, exactly the no-heartbeat-with-work
+    /// queue while frames wait, exactly the no-progress-with-work
     /// signature the sweep condemns as `Wedged`.
     WedgeShard(Duration),
 }
@@ -385,10 +381,6 @@ struct Topology {
     shards: Vec<Shard>,
 }
 
-/// Circuit breakers keyed like the registry: the scene's `Arc` pointer,
-/// with a `Weak` liveness witness beside the breaker.
-type BreakerTable = HashMap<usize, (Weak<SceneState>, Arc<CircuitBreaker>)>;
-
 /// The multi-session, scene-sharded render server. See the crate docs
 /// for the architecture; in short: [`RenderServer::create_session`]
 /// routes a scene to a shard (spawning it on first sight),
@@ -408,10 +400,6 @@ pub struct RenderServer {
     topology: Arc<Mutex<Topology>>,
     sessions: Mutex<HashMap<u64, Arc<SessionState>>>,
     next_session: AtomicU64,
-    /// Per-scene circuit breakers. Sessions sharing a scene share its
-    /// breaker: scene health is a property of the scene, not of any
-    /// one viewer.
-    breakers: Mutex<BreakerTable>,
     supervisor: Arc<Supervisor>,
     /// The process-wide memory governor shared by every shard.
     governor: Arc<MemoryGovernor>,
@@ -441,7 +429,7 @@ impl RenderServer {
     pub fn with_clock(cfg: ServerConfig, clock: gen_nerf_telemetry::Clock) -> Self {
         let instance = gen_nerf_telemetry::next_instance_id();
         let topology = Arc::new(Mutex::new(Topology {
-            registry: SceneRegistry::new(cfg.max_shards),
+            registry: SceneRegistry::new(cfg.max_shards, cfg.breaker),
             shards: Vec::new(),
         }));
         let sweep_clock = clock.clone();
@@ -472,33 +460,12 @@ impl RenderServer {
             topology,
             sessions: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(1),
-            breakers: Mutex::new(HashMap::new()),
             supervisor,
             governor,
             crew,
             draining: AtomicBool::new(false),
             instance,
         }
-    }
-
-    /// The circuit breaker owning `scene`'s health, created on first
-    /// sight (same Weak-witnessed pointer keying as the registry, so a
-    /// recycled allocation never inherits a dead scene's trip
-    /// history).
-    fn breaker_for(&self, scene: &Arc<SceneState>) -> Arc<CircuitBreaker> {
-        let key = Arc::as_ptr(scene) as usize;
-        let mut breakers = lock(&self.breakers);
-        if let Some((witness, breaker)) = breakers.get(&key) {
-            if witness
-                .upgrade()
-                .is_some_and(|live| Arc::ptr_eq(&live, scene))
-            {
-                return Arc::clone(breaker);
-            }
-        }
-        let breaker = Arc::new(CircuitBreaker::new(self.cfg.breaker));
-        breakers.insert(key, (Arc::downgrade(scene), Arc::clone(&breaker)));
-        breaker
     }
 
     /// The live state of `session`.
@@ -515,11 +482,11 @@ impl RenderServer {
     /// Registers a session viewing `scene`, routed to the scene's
     /// shard (spawned now if this is the scene's first session).
     /// Sessions sharing a scene (same `Arc`) and sampling strategy
-    /// batch together on that shard.
+    /// batch together on that shard, and share its circuit breaker.
     pub fn create_session(&self, scene: Arc<SceneState>, cfg: SessionConfig) -> SessionId {
-        let shard = {
+        let (shard, breaker) = {
             let mut topology = lock(&self.topology);
-            let assignment = topology.registry.assign(&scene);
+            let (assignment, breaker) = topology.registry.assign(&scene);
             if let Assignment::SpawnNew(idx) = assignment {
                 debug_assert_eq!(idx, topology.shards.len());
                 topology.shards.push(Shard::spawn(ShardCtx::new(
@@ -531,9 +498,9 @@ impl RenderServer {
                     Arc::clone(&self.governor),
                 )));
             }
-            Arc::clone(&topology.shards[assignment.index()].ctx)
+            let shard = Arc::clone(&topology.shards[assignment.index()].ctx);
+            (shard, breaker)
         };
-        let breaker = self.breaker_for(&scene);
         let id = self.next_session.fetch_add(1, Ordering::Relaxed);
         let state = Arc::new(SessionState::new(scene, cfg, shard, breaker));
         // Make the session's cache evictable under global memory
@@ -813,6 +780,7 @@ impl Drop for RenderServer {
 mod tests {
     use super::*;
     use crate::admission::AdmissionConfig;
+    use crate::health::MAX_RESTARTS;
     use crate::session::CoherenceConfig;
     use gen_nerf::config::{ModelConfig, SamplingStrategy};
     use gen_nerf::model::GenNerfModel;
@@ -1137,8 +1105,7 @@ mod tests {
         let (ds, scene) = scene();
         let cam = ds.eval_views[0].camera;
         let server = RenderServer::new(
-            ServerConfig::default()
-                .with_admission(AdmissionConfig::with_capacity(1).with_interactive_capacity(1)),
+            ServerConfig::default().with_admission(AdmissionConfig::with_capacity(1)),
         );
         let session = server.create_session(scene, SessionConfig::new(cam.intrinsics, ctf()));
         // Occupy the shard with a stalled frame, wait until the shard
@@ -1268,6 +1235,54 @@ mod tests {
         assert_eq!(healed.image.as_slice(), direct(&scene_a, &cam).as_slice());
         // The restart reserved nothing more: the crew is the server's.
         assert_eq!(server.governor_stats().used_bytes, reserved);
+    }
+
+    #[test]
+    fn a_shard_that_dies_past_its_restart_budget_goes_down() {
+        // One kill more than the budget allows, each on its own session
+        // and queued behind a stalled frame: round-robin pops them back
+        // to back, so no frame renders between the restarts and the
+        // give-up counter never resets.
+        let (ds, scene) = scene();
+        let cam = ds.eval_views[0].camera;
+        let server = RenderServer::new(
+            ServerConfig::default().with_health(
+                HealthConfig::default()
+                    .with_sweep_interval(Duration::from_millis(5))
+                    .with_restart_backoff(Duration::from_millis(5), Duration::from_millis(20)),
+            ),
+        );
+        let config = SessionConfig::new(cam.intrinsics, ctf());
+        let stalled = server.create_session(Arc::clone(&scene), config);
+        let stall =
+            FrameRequest::new(cam.pose).with_fault(Fault::Stall(Duration::from_millis(300)));
+        let stall = server.submit(stalled, stall);
+        let kills: Vec<FrameHandle> = (0..=MAX_RESTARTS)
+            .map(|_| {
+                let session = server.create_session(Arc::clone(&scene), config);
+                server.submit(
+                    session,
+                    FrameRequest::new(cam.pose).with_fault(Fault::KillShard),
+                )
+            })
+            .collect();
+        assert!(stall.wait_result().is_ok());
+        for kill in kills {
+            let end = kill.wait_timeout(Duration::from_secs(60));
+            assert_eq!(end.expect("resolves").err(), Some(ServeError::ShardDown));
+        }
+        let health = server.shard_health()[0];
+        assert!(health.down, "{health:?}");
+        assert_eq!(health.restarts, u64::from(MAX_RESTARTS), "{health:?}");
+        assert_eq!(health.consecutive_restarts, MAX_RESTARTS + 1, "{health:?}");
+        let next = server.submit(stalled, FrameRequest::new(cam.pose));
+        assert_eq!(next.wait_result().err(), Some(ServeError::ShardDown));
+        let shed = lock(&server.topology).shards[0]
+            .ctx
+            .meters
+            .shed_shard_down
+            .get();
+        assert_eq!(shed, 1, "the submission after the give-up is shed");
     }
 
     #[test]

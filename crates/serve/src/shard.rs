@@ -5,9 +5,10 @@
 //! The server routes every session of a scene to one shard (see
 //! [`registry`](crate::registry)). Everything the front end, the
 //! health sweep and the worker coordinate through lives in one
-//! [`ShardCtx`] behind one `Arc` — configuration, metrics, the queue,
-//! the heartbeat — so a restart replaces the thread, never the state,
-//! and a session reaches its shard without the topology lock.
+//! [`ShardCtx`] behind one `Arc` — configuration, metrics (the beat
+//! count among them), the queue — so a restart replaces the thread,
+//! never the state, and a session reaches its shard without the
+//! topology lock.
 //!
 //! **Scheduling.** The worker drains the bounded queue through a
 //! [`FairQueue`] — class priority, round-robin across sessions, FIFO
@@ -39,17 +40,20 @@
 //! [`Frame::end`], which tells the scene's breaker what happened.
 //!
 //! **Self-healing.** The worker *incarnation* popping from the queue
-//! publishes a [`Heartbeat`] on every wakeup and batch boundary, the
-//! supervisor's health sweep ([`Shard::sweep`]) counts a tile filled
-//! under the attempt's token since its last look as a beat too (a slow
-//! batch is not a wedged one), and it classifies the shard Healthy /
-//! Wedged / Dead. A condemned incarnation is
+//! only counts beats — one per pop, per attempt start and per finished
+//! batch — and never reads the clock. The supervisor's health sweep
+//! ([`Shard::sweep`]) reads that count together with the in-flight
+//! attempt's tile ticks, restarts its clock whenever the pair moved or
+//! the shard was idle, and condemns the shard Wedged when it has been
+//! busy with the pair standing still for the heartbeat budget (a slow
+//! batch keeps ticking; a wedged one does not), or Dead when its thread
+//! finished with the queue open. A condemned incarnation is
 //! invalidated (the incarnation counter in the queue state bumps, so
 //! the old loop exits at its next queue observation instead of racing
-//! its replacement), its in-flight attempt is cancelled, queued frames
-//! are requeued FIFO-preserving, and a fresh worker spawns under an
-//! exponential per-shard restart budget. Past the budget the shard is
-//! declared down: queued frames end with
+//! its replacement), its in-flight attempt is cancelled, and a fresh
+//! worker spawns on the same queue under an exponential per-shard
+//! restart backoff. Past [`MAX_RESTARTS`] the shard is declared down:
+//! queued frames end with
 //! [`ServeError::ShardDown`](crate::ServeError::ShardDown) and further
 //! submissions shed at admission. Session caches live in
 //! [`SessionState`], not in the worker, so they survive restarts; the
@@ -60,11 +64,11 @@
 use crate::admission::{class_index, AdmissionStats, FairQueue, N_CLASSES};
 use crate::frame::{End, Frame, Shed};
 use crate::governor::MemoryGovernor;
-use crate::health::{CondemnReason, DrainOutcome, Heartbeat, ShardHealth, ShardHealthStats};
+use crate::health::{CondemnReason, DrainOutcome, ShardHealth, ShardHealthStats, MAX_RESTARTS};
 use crate::server::{CacheOutcome, Fault, FrameResult, ServeStats, ServerConfig};
 use crate::session::{coarse_entry_cost, CacheEntry, DeadlineClass, SessionState};
 use crate::supervisor::{Supervisor, WatchMeters};
-use crate::{lock, wait_timeout, wait_until};
+use crate::{lock, wait, wait_until};
 use gen_nerf::config::SamplingStrategy;
 use gen_nerf::pipeline::{self, CoarseFrame, RenderError, RenderStats, Renderer};
 use gen_nerf_geometry::Camera;
@@ -95,6 +99,10 @@ struct QueueState {
     running: u64,
 }
 
+/// Admission window: at most this many queued frames are coalesced
+/// into one fused multi-frame render.
+const MAX_BATCH: usize = 8;
+
 /// A shard's context: everything the server front end, the health
 /// sweep, and the worker incarnation(s) coordinate through.
 pub(crate) struct ShardCtx {
@@ -115,13 +123,6 @@ pub(crate) struct ShardCtx {
     /// Signals a drain: the last running frame ended, or another
     /// thread emptied the queue.
     idle: Condvar,
-    /// The worker's progress beacon the health sweep reads.
-    heartbeat: Heartbeat,
-    /// Consecutive render attempts that panicked or failed integrity;
-    /// cleared by any clean render. Crossing
-    /// [`HealthConfig::pool_condemn_after`](crate::HealthConfig::pool_condemn_after)
-    /// condemns the whole shard.
-    poison_streak: AtomicU32,
     /// Latched when the restart budget is exhausted: submissions shed
     /// with [`ServeError::ShardDown`](crate::ServeError::ShardDown),
     /// queued frames fail.
@@ -143,7 +144,7 @@ impl ShardCtx {
         supervisor: Arc<Supervisor>,
         governor: Arc<MemoryGovernor>,
     ) -> Arc<Self> {
-        let ctx = Arc::new(Self {
+        Arc::new(Self {
             index,
             crew,
             cfg,
@@ -156,29 +157,17 @@ impl ShardCtx {
             }),
             ready: Condvar::new(),
             idle: Condvar::new(),
-            heartbeat: Heartbeat::new(supervisor.clock().now()),
-            poison_streak: AtomicU32::new(0),
             down: AtomicBool::new(false),
             current_cancel: Mutex::new(None),
             supervisor,
             governor,
-        });
-        // Born alive: the first sweep must not find a zero-aged shard
-        // stale.
-        ctx.beat();
-        ctx
+        })
     }
 
     /// Records a shard-scoped lifecycle event (frame id 0, `a` = this
     /// shard's index).
     fn event(&self, kind: EventKind, b: u64) {
         self.meters.ring.record(0, kind, self.index as u64, b);
-    }
-
-    /// Publishes worker progress (and counts the beat).
-    fn beat(&self) {
-        self.heartbeat.beat(self.supervisor.clock().now());
-        self.meters.heartbeats.inc();
     }
 
     /// Queues an admitted frame and wakes the worker. A queue that
@@ -195,10 +184,10 @@ impl ShardCtx {
         None
     }
 
-    /// Blocks for the next frame in policy order; every wakeup beats
-    /// so an idle shard's heartbeat stays fresh. `None` once the queue
-    /// is closed and empty, or the moment the shared incarnation
-    /// counter moved past `incarnation`.
+    /// Blocks for the next frame in policy order, and beats for the
+    /// pop. `None` once the queue is closed and empty, or the moment
+    /// the shared incarnation counter moved past `incarnation` (push,
+    /// close and condemn all notify).
     fn pop_head(&self, incarnation: u64) -> Option<Frame> {
         let mut frame = {
             let mut qs = lock(&self.queue);
@@ -208,16 +197,15 @@ impl ShardCtx {
                 }
                 if let Some(frame) = qs.q.pop() {
                     qs.running += 1;
+                    self.meters.heartbeats.inc();
                     break frame;
                 }
                 if qs.closed {
                     return None;
                 }
-                self.beat();
-                qs = wait_timeout(&self.ready, qs, Duration::from_millis(100));
+                qs = wait(&self.ready, qs);
             }
         };
-        self.beat();
         frame.pop();
         Some(frame)
     }
@@ -238,7 +226,7 @@ impl ShardCtx {
     /// lane (FIFO preserved) — what a dying or wedged incarnation does
     /// so its frame is re-served, not lost.
     fn requeue_front(&self, mut frame: Frame) {
-        frame.requeued(0);
+        frame.requeued();
         let mut qs = lock(&self.queue);
         qs.running -= 1;
         qs.q.push_front(frame.class(), frame.session, frame);
@@ -265,6 +253,13 @@ impl ShardCtx {
             frame.end(end());
         }
         n
+    }
+
+    /// Whether the shard has work (queued or running), and whether its
+    /// queue is closed.
+    fn busy_closed(&self) -> (bool, bool) {
+        let qs = lock(&self.queue);
+        (!qs.q.is_empty() || qs.running > 0, qs.closed)
     }
 
     /// Fires the cancel token of the attempt in flight, if any.
@@ -370,16 +365,17 @@ pub(crate) struct Meters {
     /// Times this shard latched the process-wide kernel quarantine
     /// (repeated SIMD miscompares demoting to the scalar backend).
     pub quarantined: Counter,
-    /// Heartbeats published by this shard's worker
-    /// (`serve_heartbeats_total`).
+    /// Beats counted by this shard's workers: one per pop, per attempt
+    /// start and per finished batch (`serve_heartbeats_total`) — the
+    /// progress count the health sweep reads.
     pub heartbeats: Counter,
     /// Worker restarts performed (`serve_shard_restarts_total`).
     pub restarts: Counter,
     /// Condemnations by reason, indexed by [`CondemnReason::code`]
     /// (`serve_shard_condemned_total{reason}`).
-    pub condemned: [Counter; 3],
-    /// Frames put back in the queue across a restart or a shard-level
-    /// fault (`serve_requeued_frames_total`).
+    pub condemned: [Counter; 2],
+    /// Frames handed back to the queue by an incarnation that could not
+    /// render them (`serve_requeued_frames_total`).
     pub requeued: Counter,
     /// Frames force-failed at a drain deadline
     /// (`serve_drain_forced_total`).
@@ -440,7 +436,7 @@ impl Meters {
             quarantined: counter("serve_quarantine_events_total"),
             heartbeats: counter("serve_heartbeats_total"),
             restarts: counter("serve_shard_restarts_total"),
-            condemned: ["wedged", "dead", "poisoned"].map(condemned),
+            condemned: ["wedged", "dead"].map(condemned),
             requeued: counter("serve_requeued_frames_total"),
             drain_forced: counter("serve_drain_forced_total"),
             latency: ["interactive", "best_effort"].map(latency),
@@ -512,8 +508,11 @@ pub(crate) struct Shard {
     rendered_at_condemn: u64,
     /// When the pending (backed-off) respawn is due.
     respawn_at: Option<Instant>,
-    /// The in-flight attempt's tile progress at the sweep's last look.
-    seen_progress: Option<u64>,
+    /// The progress reading at the sweep's last look: the beat count
+    /// and the in-flight attempt's tile ticks.
+    seen: (u64, Option<u64>),
+    /// When the reading last moved or the shard was last idle.
+    seen_at: Instant,
 }
 
 impl Shard {
@@ -521,13 +520,14 @@ impl Shard {
     pub(crate) fn spawn(ctx: Arc<ShardCtx>) -> Self {
         Self {
             worker: Some(Self::spawn_worker(&ctx, 0)),
+            seen_at: ctx.supervisor.clock().now(),
             ctx,
             graveyard: Vec::new(),
             restarts: 0,
             consecutive_restarts: 0,
             rendered_at_condemn: 0,
             respawn_at: None,
-            seen_progress: None,
+            seen: (0, None),
         }
     }
 
@@ -562,42 +562,36 @@ impl Shard {
             // replacement is running.
             if now >= at {
                 self.respawn_at = None;
-                self.respawn();
+                self.respawn(now);
             }
             return;
         }
-        // A batch that keeps filling tiles is slow, not wedged: a tick
-        // on the attempt's token since the last look is a beat. A wedged
-        // incarnation fills none, so its heartbeat still goes stale.
-        let progress = lock(&self.ctx.current_cancel)
+        // The clock restarts whenever the reading moved or the shard
+        // had nothing to do. A batch that keeps filling tiles moves it;
+        // a wedged incarnation does not.
+        let idle = !self.ctx.busy_closed().0;
+        let ticks = lock(&self.ctx.current_cancel)
             .as_ref()
             .map(CancelToken::progress);
-        if progress.is_some() && progress != self.seen_progress {
-            self.ctx.beat();
+        let reading = (self.ctx.meters.heartbeats.get(), ticks);
+        if idle || reading != self.seen {
+            self.seen = reading;
+            self.seen_at = now;
         }
-        self.seen_progress = progress;
         if let Some(reason) = self.verdict(now) {
             self.condemn(reason, now);
         }
     }
 
-    /// Classifies the live worker at `now`.
+    /// Classifies the live worker at `now`, against the sweep's last
+    /// reading.
     fn verdict(&self, now: Instant) -> Option<CondemnReason> {
-        let health = &self.ctx.cfg.health;
-        let (busy, closed) = {
-            let qs = lock(&self.ctx.queue);
-            (!qs.q.is_empty() || qs.running > 0, qs.closed)
-        };
+        let (busy, closed) = self.ctx.busy_closed();
         if !closed && self.worker.as_ref().is_some_and(|w| w.is_finished()) {
             return Some(CondemnReason::Dead);
         }
-        if self.ctx.poison_streak.load(Ordering::Relaxed) >= health.pool_condemn_after {
-            return Some(CondemnReason::Poisoned);
-        }
-        if busy && self.ctx.heartbeat.age(now) > health.heartbeat_budget {
-            return Some(CondemnReason::Wedged);
-        }
-        None
+        let still = now.saturating_duration_since(self.seen_at);
+        (busy && still > self.ctx.cfg.health.heartbeat_budget).then_some(CondemnReason::Wedged)
     }
 
     /// Tears the live incarnation down: invalidates it, cancels its
@@ -619,10 +613,9 @@ impl Shard {
                 self.graveyard.push(worker);
             }
         }
-        ctx.poison_streak.store(0, Ordering::Relaxed);
         self.consecutive_restarts += 1;
         self.rendered_at_condemn = ctx.meters.rendered.get();
-        if self.consecutive_restarts > ctx.cfg.health.max_restarts {
+        if self.consecutive_restarts > MAX_RESTARTS {
             // Restart budget exhausted: latch down, fail everything
             // queued.
             ctx.down.store(true, Ordering::Relaxed);
@@ -632,28 +625,16 @@ impl Shard {
         }
     }
 
-    /// Spawns the replacement incarnation: requeues what is queued
-    /// (FIFO per lane, tenant ring preserved), grants a fresh
-    /// heartbeat grace period, and starts the worker.
-    fn respawn(&mut self) {
+    /// Starts the replacement incarnation at `now` on the queue as it
+    /// stands, with a full heartbeat budget before its first verdict.
+    fn respawn(&mut self, now: Instant) {
         let ctx = &self.ctx;
-        let incarnation = {
-            let mut qs = lock(&ctx.queue);
-            let held = qs.q.drain();
-            for (position, (class, tenant, mut frame)) in held.into_iter().enumerate() {
-                frame.requeued(position as u64);
-                qs.q.push(class, tenant, frame);
-            }
-            qs.incarnation
-        };
-        // The new worker must not be born already past the heartbeat
-        // budget.
-        ctx.beat();
+        let incarnation = lock(&ctx.queue).incarnation;
+        self.seen_at = now;
         self.restarts += 1;
         ctx.meters.restarts.inc();
         ctx.event(EventKind::Restart, incarnation);
         self.worker = Some(Self::spawn_worker(ctx, incarnation));
-        ctx.ready.notify_all();
     }
 
     /// This shard's lifecycle counters and current health verdict.
@@ -666,7 +647,7 @@ impl Shard {
             match self.verdict(now) {
                 None => ShardHealth::Healthy,
                 Some(CondemnReason::Dead) => ShardHealth::Dead,
-                Some(CondemnReason::Wedged) | Some(CondemnReason::Poisoned) => ShardHealth::Wedged,
+                Some(CondemnReason::Wedged) => ShardHealth::Wedged,
             }
         };
         ShardHealthStats {
@@ -675,7 +656,7 @@ impl Shard {
             restarts: self.restarts,
             consecutive_restarts: self.consecutive_restarts,
             down,
-            heartbeat_epoch: self.ctx.heartbeat.epoch(),
+            heartbeat_epoch: self.ctx.meters.heartbeats.get(),
             health,
         }
     }
@@ -762,12 +743,11 @@ fn unrenderable(frame: &Frame) -> Option<End> {
 
 /// The shard event loop, one *incarnation* of it: block on the shared
 /// queue, dequeue the policy-ordered head, grow the largest compatible
-/// batch around it, render, repeat — publishing a heartbeat at every
-/// step. Exits when the queue closes and empties, or the moment the
+/// batch around it, render, repeat — beating at every pop and batch.
+/// Exits when the queue closes and empties, or the moment the
 /// shared incarnation counter moves past the one this loop was spawned
 /// at (a condemnation installed a replacement).
 fn shard_loop(ctx: &ShardCtx, incarnation: u64) {
-    let max_batch = ctx.cfg.max_batch.max(1);
     while let Some(mut head) = ctx.pop_head(incarnation) {
         // Shard-level chaos faults fire here, between pop and render —
         // where a real scheduler-thread defect would. Both are
@@ -784,9 +764,9 @@ fn shard_loop(ctx: &ShardCtx, incarnation: u64) {
             }
             Some(Fault::WedgeShard(stall)) => {
                 head.fault = None;
-                // Uncancellable on purpose — the heartbeat goes stale
-                // while the frame counts as running, which is exactly
-                // the Wedged signature.
+                // Uncancellable on purpose — no beat while the frame
+                // counts as running, which is exactly the Wedged
+                // signature.
                 std::thread::sleep(stall);
                 ctx.requeue_front(head);
                 // If the sweep condemned us during the sleep, the
@@ -806,7 +786,7 @@ fn shard_loop(ctx: &ShardCtx, incarnation: u64) {
         // carrying a shard-level fault wait to become head so the
         // fault fires against a lone frame).
         let mut group = vec![head];
-        while group.len() < max_batch {
+        while group.len() < MAX_BATCH {
             let lead = &group[0].state;
             let mate = ctx.pop_mate(|frame| {
                 if matches!(frame.fault, Some(Fault::KillShard | Fault::WedgeShard(_))) {
@@ -825,7 +805,7 @@ fn shard_loop(ctx: &ShardCtx, incarnation: u64) {
             }
         }
         execute_group(ctx, group);
-        ctx.beat();
+        ctx.meters.heartbeats.inc();
     }
 }
 
@@ -917,6 +897,9 @@ enum Attempt {
 fn attempt(ctx: &ShardCtx, group: &[Frame], buffers: Vec<Option<Image>>, n: u32) -> Attempt {
     let cancel = CancelToken::new();
     *lock(&ctx.current_cancel) = Some(cancel.clone());
+    // A fresh token starts at zero ticks; the beat keeps the sweep's
+    // reading from repeating an older one.
+    ctx.meters.heartbeats.inc();
     for frame in group {
         frame.begin_attempt(&cancel);
     }
@@ -939,13 +922,6 @@ fn attempt(ctx: &ShardCtx, group: &[Frame], buffers: Vec<Option<Image>>, n: u32)
         }
         Err(payload) => (3, Attempt::Failed(panic_message(payload.as_ref()))),
     };
-    match code {
-        0 => ctx.poison_streak.store(0, Ordering::Relaxed),
-        1 => {}
-        _ => {
-            ctx.poison_streak.fetch_add(1, Ordering::Relaxed);
-        }
-    }
     for frame in group {
         frame.attempted(render_ns, code);
     }
@@ -1163,16 +1139,17 @@ mod tests {
     use gen_nerf_scene::{Dataset, DatasetKind};
     use gen_nerf_telemetry::Clock;
 
-    /// A worker-less shard context and one session per requested
-    /// frame, all on one scene and strategy (so they may co-batch).
-    fn fixture(sessions: usize) -> (Arc<ShardCtx>, Vec<Arc<SessionState>>) {
+    /// A worker-less shard context on `clock` and one session per
+    /// requested frame, all on one scene and strategy (so they may
+    /// co-batch).
+    fn fixture(sessions: usize, clock: Clock) -> (Arc<ShardCtx>, Vec<Arc<SessionState>>) {
         let instance = gen_nerf_telemetry::next_instance_id();
         let ctx = ShardCtx::new(
             instance,
             0,
             Arc::new(Pool::new(1)),
             ServerConfig::default(),
-            Arc::new(Supervisor::spawn(instance, Clock::real())),
+            Arc::new(Supervisor::spawn(instance, clock)),
             Arc::new(MemoryGovernor::new(&GovernorConfig::default())),
         );
         let ds = Dataset::build(DatasetKind::DeepVoxels, "cube", 0.04, 3, 1, 8, 5);
@@ -1200,6 +1177,17 @@ mod tests {
         (ctx, states)
     }
 
+    /// An admitted frame of `state`'s session `i`, carrying `fault`.
+    fn admitted(i: usize, state: &Arc<SessionState>, fault: Option<Fault>) -> Frame {
+        let pose = Pose::look_at(Vec3::new(3.0, 1.0, 3.0), Vec3::ZERO, Vec3::Y);
+        let mut req = FrameRequest::new(pose);
+        req.fault = fault;
+        let mut frame = Frame::submit(i as u64, Arc::clone(state), req);
+        frame.claim();
+        frame.admit(false);
+        frame
+    }
+
     /// Admits one frame per session — the first carrying `fault` —
     /// and pops them all, as the worker would for one batch.
     fn running_group(
@@ -1207,13 +1195,8 @@ mod tests {
         states: &[Arc<SessionState>],
         fault: Option<Fault>,
     ) -> Vec<Frame> {
-        let pose = Pose::look_at(Vec3::new(3.0, 1.0, 3.0), Vec3::ZERO, Vec3::Y);
         for (i, state) in states.iter().enumerate() {
-            let mut req = FrameRequest::new(pose);
-            req.fault = fault.filter(|_| i == 0);
-            let mut frame = Frame::submit(i as u64, Arc::clone(state), req);
-            frame.claim();
-            frame.admit(false);
+            let frame = admitted(i, state, fault.filter(|_| i == 0));
             assert!(ctx.push(frame).is_none());
         }
         std::iter::from_fn(|| ctx.pop_mate(|_| true)).collect()
@@ -1221,13 +1204,11 @@ mod tests {
 
     /// Runs attempt `n` over a fresh group of `size` frames with
     /// `fault` on the first; returns the outcome code every member's
-    /// `Render` event carried, the error of a failed attempt, and the
-    /// poison streak afterwards (it starts at 5).
-    fn classify(size: usize, n: u32, fault: Option<Fault>) -> (u64, Option<String>, u32) {
-        let (ctx, states) = fixture(size);
+    /// `Render` event carried and the error of a failed attempt.
+    fn classify(size: usize, n: u32, fault: Option<Fault>) -> (u64, Option<String>) {
+        let (ctx, states) = fixture(size, Clock::real());
         let group = running_group(&ctx, &states, fault);
         assert_eq!(group.len(), size);
-        ctx.poison_streak.store(5, Ordering::Relaxed);
         ctx.meters.ring.drain();
         let outcome = std::thread::scope(|scope| {
             if matches!(fault, Some(Fault::Stall(_))) {
@@ -1264,11 +1245,10 @@ mod tests {
             }
             Attempt::Failed(error) => Some(error),
         };
-        let streak = ctx.poison_streak.load(Ordering::Relaxed);
         for frame in group {
             frame.end(End::Shutdown);
         }
-        (codes[0], error, streak)
+        (codes[0], error)
     }
 
     #[test]
@@ -1278,16 +1258,40 @@ mod tests {
         // serialised `tests/serve_integrity.rs` pins it.)
         let injected = Some("injected render fault".to_string());
         let rows = [
-            // A clean render clears the streak.
-            (None, (0, None, 0)),
-            // A cancelled one leaves it alone.
-            (Some(Fault::Stall(Duration::from_secs(60))), (1, None, 5)),
-            // A panicked one extends it.
-            (Some(Fault::Panic), (3, injected, 6)),
+            (None, (0, None)),
+            (Some(Fault::Stall(Duration::from_secs(60))), (1, None)),
+            (Some(Fault::Panic), (3, injected)),
         ];
         for (fault, want) in rows {
             assert_eq!(classify(3, 0, fault), want, "batch of three, {fault:?}");
             assert_eq!(classify(1, 1, fault), want, "solo retry, {fault:?}");
         }
+    }
+
+    #[test]
+    fn an_idle_shard_is_not_wedged_by_its_next_frame() {
+        // The sweep's clock restarts while the shard has nothing to do.
+        // After ten budgets of idle virtual time, a frame the sweep sees
+        // queued before the worker pops it still has a whole budget.
+        let clock = Clock::virtual_clock();
+        let (ctx, states) = fixture(1, clock.clone());
+        let budget = ctx.cfg.health.heartbeat_budget;
+        let mut shard = Shard::spawn(Arc::clone(&ctx));
+        for _ in 0..10 {
+            clock.advance(budget);
+            shard.sweep(clock.now());
+        }
+        // Queue the frame without waking the worker.
+        let frame = admitted(0, &states[0], None);
+        let core = Arc::clone(frame.core());
+        lock(&ctx.queue).q.push(frame.class(), frame.session, frame);
+        clock.advance(ctx.cfg.health.sweep_interval);
+        shard.sweep(clock.now());
+        assert_eq!(shard.respawn_at, None, "condemned a shard that just woke");
+        ctx.ready.notify_one();
+        let rendered = core.wait(Some(Instant::now() + Duration::from_secs(60)));
+        assert!(matches!(rendered, Some(Ok(_))), "the frame renders");
+        assert_eq!(shard.health_stats(clock.now()).restarts, 0);
+        assert_eq!(ctx.meters.condemned.map(|c| c.get()), [0, 0]);
     }
 }

@@ -36,7 +36,7 @@
 use crate::admission::N_CLASSES;
 use crate::frame::FrameCore;
 use crate::session::DeadlineClass;
-use crate::{lock, wait, wait_timeout};
+use crate::{doubling_backoff, lock, wait, wait_timeout};
 use gen_nerf_parallel::CancelToken;
 use gen_nerf_telemetry::{Clock, Counter, Gauge};
 use std::collections::HashMap;
@@ -372,75 +372,53 @@ fn watchdog_loop(inner: &SupervisorInner) {
     }
 }
 
+/// Backoff before the first retry; each further retry doubles it.
+const RETRY_BACKOFF_BASE: Duration = Duration::from_millis(10);
+
+/// Ceiling on any single retry backoff.
+const RETRY_BACKOFF_CAP: Duration = Duration::from_millis(200);
+
 /// Bounded re-render policy for transiently failed frames (render
 /// panics, corrupt renders). Retries are attempt-capped, exponentially
-/// backed off, and never scheduled past the frame's deadline — the
-/// watchdog owns the final word.
+/// backed off (10 ms, doubling, capped at 200 ms), and never scheduled
+/// past the frame's deadline — the watchdog owns the final word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total render attempts per frame, including the first
     /// (`1` disables retries).
     pub max_attempts: u32,
-    /// Backoff before the first retry; each further retry doubles it.
-    pub backoff_base: Duration,
-    /// Ceiling on any single backoff.
-    pub backoff_cap: Duration,
 }
 
 impl Default for RetryPolicy {
-    /// Three attempts, 10 ms → 20 ms backoff, capped at 200 ms.
+    /// Three attempts.
     fn default() -> Self {
-        Self {
-            max_attempts: 3,
-            backoff_base: Duration::from_millis(10),
-            backoff_cap: Duration::from_millis(200),
-        }
+        Self { max_attempts: 3 }
     }
 }
 
 impl RetryPolicy {
     /// A policy that never retries (first failure is final).
     pub fn disabled() -> Self {
-        Self {
-            max_attempts: 1,
-            ..Self::default()
-        }
-    }
-
-    /// Sets the total attempt cap (at least one).
-    pub fn with_max_attempts(mut self, attempts: u32) -> Self {
-        self.max_attempts = attempts.max(1);
-        self
-    }
-
-    /// Sets the base backoff (doubled per further retry).
-    pub fn with_backoff(mut self, base: Duration, cap: Duration) -> Self {
-        self.backoff_base = base;
-        self.backoff_cap = cap.max(base);
-        self
+        Self { max_attempts: 1 }
     }
 
     /// The backoff before attempt `attempt` (attempts count from 0;
-    /// attempt 1 is the first retry): `base * 2^(attempt-1)`, capped.
+    /// attempt 1 is the first retry): 10 ms · 2^(attempt−1), capped at
+    /// 200 ms.
     pub fn backoff(&self, attempt: u32) -> Duration {
-        if attempt <= 1 {
-            return self.backoff_base.min(self.backoff_cap);
-        }
-        let factor = 1u32 << (attempt - 1).min(16);
-        self.backoff_base
-            .saturating_mul(factor)
-            .min(self.backoff_cap)
+        doubling_backoff(RETRY_BACKOFF_BASE, RETRY_BACKOFF_CAP, attempt)
     }
 }
 
+/// Failure rate (within the window) at which a closed breaker opens.
+const FAILURE_THRESHOLD: f64 = 0.5;
+
 /// Circuit-breaker tuning. See [`CircuitBreaker`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerConfig {
     /// Sliding window of most recent frame outcomes consulted while
     /// Closed.
     pub window: usize,
-    /// Failure rate (within the window) at which the breaker opens.
-    pub failure_threshold: f64,
     /// Minimum outcomes in the window before the rate is trusted — a
     /// single early failure must not open a fresh circuit.
     pub min_samples: usize,
@@ -454,7 +432,6 @@ impl Default for BreakerConfig {
     fn default() -> Self {
         Self {
             window: 16,
-            failure_threshold: 0.5,
             min_samples: 8,
             cooldown: Duration::from_secs(2),
             probe_quota: 2,
@@ -467,12 +444,6 @@ impl BreakerConfig {
     pub fn with_window(mut self, window: usize, min_samples: usize) -> Self {
         self.window = window.max(1);
         self.min_samples = min_samples.clamp(1, self.window);
-        self
-    }
-
-    /// Sets the opening failure-rate threshold (clamped to (0, 1]).
-    pub fn with_failure_threshold(mut self, threshold: f64) -> Self {
-        self.failure_threshold = threshold.clamp(f64::EPSILON, 1.0);
         self
     }
 
@@ -536,8 +507,8 @@ enum BreakerInner {
 /// HalfOpen).
 ///
 /// While **Closed**, frame outcomes feed a sliding window; once the
-/// window holds at least `min_samples` outcomes and its failure rate
-/// reaches `failure_threshold`, the circuit **Opens** and every
+/// window holds at least `min_samples` outcomes and half or more of
+/// them are failures, the circuit **Opens** and every
 /// submission for the scene sheds immediately — a sick scene costs an
 /// error result, not a render slot. After `cooldown`, the next
 /// submission flips the circuit **HalfOpen**: up to `probe_quota`
@@ -553,48 +524,22 @@ enum BreakerInner {
 /// probe accounting.
 pub struct CircuitBreaker {
     cfg: BreakerConfig,
-    clock: Clock,
     inner: Mutex<BreakerInner>,
     trips: AtomicU64,
     shed: AtomicU64,
 }
 
 impl CircuitBreaker {
-    /// A closed breaker with an empty window, on the real clock.
+    /// A closed breaker with an empty window.
     pub fn new(cfg: BreakerConfig) -> Self {
-        Self::with_clock(cfg, Clock::real())
-    }
-
-    /// A closed breaker whose convenience methods
-    /// ([`CircuitBreaker::admit_now`], [`CircuitBreaker::record_now`])
-    /// read `clock` — pass a [`Clock::virtual_clock`] to drive the
-    /// state machine on deterministic time (the breaker proptest does).
-    pub fn with_clock(cfg: BreakerConfig, clock: Clock) -> Self {
         Self {
             cfg,
-            clock,
             inner: Mutex::new(BreakerInner::Closed {
                 outcomes: std::collections::VecDeque::new(),
             }),
             trips: AtomicU64::new(0),
             shed: AtomicU64::new(0),
         }
-    }
-
-    /// The clock behind [`CircuitBreaker::admit_now`] /
-    /// [`CircuitBreaker::record_now`].
-    pub fn clock(&self) -> &Clock {
-        &self.clock
-    }
-
-    /// [`CircuitBreaker::admit`] at the breaker clock's current time.
-    pub fn admit_now(&self) -> BreakerAdmit {
-        self.admit(self.clock.now())
-    }
-
-    /// [`CircuitBreaker::record`] at the breaker clock's current time.
-    pub fn record_now(&self, ok: bool, probe: bool) {
-        self.record(ok, probe, self.clock.now());
     }
 
     /// Decides one submission at `now`. `Probe` admissions must be
@@ -651,7 +596,7 @@ impl CircuitBreaker {
                 let n = outcomes.len();
                 if n >= self.cfg.min_samples {
                     let failures = outcomes.iter().filter(|&&o| !o).count();
-                    if failures as f64 / n as f64 >= self.cfg.failure_threshold {
+                    if failures as f64 / n as f64 >= FAILURE_THRESHOLD {
                         *inner = BreakerInner::Open { since: now };
                         self.trips.fetch_add(1, Ordering::Relaxed);
                     }
@@ -722,12 +667,12 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let p = RetryPolicy::default()
-            .with_backoff(Duration::from_millis(10), Duration::from_millis(35));
+        let p = RetryPolicy::default();
         assert_eq!(p.backoff(1), Duration::from_millis(10));
         assert_eq!(p.backoff(2), Duration::from_millis(20));
-        assert_eq!(p.backoff(3), Duration::from_millis(35)); // capped
-        assert_eq!(p.backoff(9), Duration::from_millis(35));
+        assert_eq!(p.backoff(5), Duration::from_millis(160));
+        assert_eq!(p.backoff(6), Duration::from_millis(200)); // capped
+        assert_eq!(p.backoff(9), Duration::from_millis(200));
     }
 
     #[test]
@@ -735,7 +680,6 @@ mod tests {
         let base = Instant::now();
         let cfg = BreakerConfig::default()
             .with_window(4, 4)
-            .with_failure_threshold(0.5)
             .with_cooldown(Duration::from_millis(100))
             .with_probe_quota(2);
         let b = CircuitBreaker::new(cfg);
@@ -767,7 +711,6 @@ mod tests {
         let base = Instant::now();
         let cfg = BreakerConfig::default()
             .with_window(2, 2)
-            .with_failure_threshold(0.5)
             .with_cooldown(Duration::from_millis(100))
             .with_probe_quota(1);
         let b = CircuitBreaker::new(cfg);

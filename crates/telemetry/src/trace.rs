@@ -59,15 +59,14 @@ pub enum EventKind {
     /// [`ResolveOutcome`] code, `b` = submit→resolve latency ns.
     Resolve,
     /// The health sweep condemned a shard. Shard-scoped: `frame` = 0,
-    /// `a` = shard index, `b` = reason (0 wedged, 1 dead, 2 poisoned
-    /// pool).
+    /// `a` = shard index, `b` = reason (0 wedged, 1 dead).
     Condemn,
     /// A condemned shard respawned with a fresh worker. Shard-scoped:
     /// `frame` = 0, `a` = shard index, `b` = the new incarnation.
     Restart,
-    /// A queued frame survived a shard death/restart and was requeued
-    /// onto the surviving queue. `a` = shard index, `b` = the frame's
-    /// position in the requeue order (0 = front).
+    /// A popped frame was handed back to the front of its lane by a
+    /// shard incarnation that could not render it (killed or wedged
+    /// under it). `a` = shard index, `b` = 0.
     Requeue,
     /// A shard finished (or abandoned) a graceful drain. Shard-scoped:
     /// `frame` = 0, `a` = shard index, `b` = frames force-failed at the

@@ -183,9 +183,9 @@ proptest! {
         }
     }
 
-    /// A shard restart snapshots its queue with `drain` and re-pushes
-    /// the triples in order onto the respawned incarnation's queue.
-    /// This must be scheduling-invisible: pop-for-pop, the rebuilt
+    /// `drain` hands the queue out in requeue-safe order: re-pushing
+    /// the triples in order onto the same queue or a fresh one must be
+    /// scheduling-invisible: pop-for-pop, the rebuilt
     /// queue (same object or a fresh one) serves the exact sequence
     /// the undisturbed queue would have — lanes intact, class priority
     /// intact, round-robin cursor intact.
@@ -224,8 +224,8 @@ proptest! {
         }
     }
 
-    /// A condemned shard's in-flight head is `push_front`ed back
-    /// before the queue snapshot. Interleaving such requeues into an
+    /// A killed or wedged incarnation `push_front`s its popped head
+    /// back. Interleaving such requeues into an
     /// arbitrary drain must never reorder a lane: every served frame
     /// is still its (class, tenant) lane's FIFO head, and nothing is
     /// lost or duplicated.
@@ -279,6 +279,7 @@ mod breaker {
 
     const WINDOW: usize = 8;
     const MIN_SAMPLES: usize = 4;
+    /// The breaker's fixed failure-rate threshold.
     const THRESHOLD: f64 = 0.5;
     const COOLDOWN_MS: u64 = 500;
     const PROBE_QUOTA: u32 = 2;
@@ -286,7 +287,6 @@ mod breaker {
     fn config() -> BreakerConfig {
         BreakerConfig::default()
             .with_window(WINDOW, MIN_SAMPLES)
-            .with_failure_threshold(THRESHOLD)
             .with_cooldown(Duration::from_millis(COOLDOWN_MS))
             .with_probe_quota(PROBE_QUOTA)
     }
@@ -412,7 +412,7 @@ mod breaker {
             ),
         ) {
             let clock = Clock::virtual_clock();
-            let breaker = CircuitBreaker::with_clock(config(), clock.clone());
+            let breaker = CircuitBreaker::new(config());
             let mut model = Model::new();
             let mut now_ms = 0u64;
             let mut probes_this_episode = 0u32;
@@ -425,7 +425,7 @@ mod breaker {
                     // windows while Closed, carries no signal
                     // otherwise.
                     3 => {
-                        breaker.record_now(ok, false);
+                        breaker.record(ok, false, clock.now());
                         model.record(ok, false, now_ms);
                     }
                     // A submission; action 2 abandons an admitted
@@ -437,7 +437,7 @@ mod breaker {
                         } else {
                             probes_this_episode = 0;
                         }
-                        let verdict = breaker.admit_now();
+                        let verdict = breaker.admit(clock.now());
                         let expected = model.admit(now_ms);
                         prop_assert_eq!(verdict, expected, "admit diverged at t={}ms", now_ms);
                         match was {
@@ -467,7 +467,7 @@ mod breaker {
                                 if action == 2 {
                                     // Dropped frame: no outcome.
                                 } else {
-                                    breaker.record_now(ok, false);
+                                    breaker.record(ok, false, clock.now());
                                     model.record(ok, false, now_ms);
                                 }
                             }
@@ -478,7 +478,7 @@ mod breaker {
                                     probes_this_episode =
                                         probes_this_episode.saturating_sub(1);
                                 } else {
-                                    breaker.record_now(ok, true);
+                                    breaker.record(ok, true, clock.now());
                                     model.record(ok, true, now_ms);
                                 }
                             }
