@@ -859,9 +859,9 @@ fn heal_gate(seed: u64) -> bool {
     // server's crew, whatever the shard count): anchor inserts
     // contend with the global budget from the first frame, and the
     // arena alone crosses the pressure watermark, so BestEffort must
-    // shed at admission. The hard pin is `peak <= budget` —
-    // charge-before-insert means the budget is never exceeded even
-    // transiently.
+    // shed at admission. The hard pin is `peak <= budget` — the
+    // anchor cache makes room and inserts in one step under its lock,
+    // so the budget is never exceeded even transiently.
     println!("heal drill: memory governor ...");
     let (governor_budget_bytes, governor_peak_bytes, governor_shed_observed) = {
         let arena = gen_nerf_parallel::num_threads().max(1) as u64

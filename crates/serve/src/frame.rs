@@ -290,8 +290,8 @@ pub(crate) struct Frame {
     core: Arc<FrameCore>,
     stage: Stage,
     pub session: u64,
-    /// The session's state — scene, render configuration, cache,
-    /// breaker and shard — carried on the frame so rendering it and
+    /// The session's state — scene, render configuration, breaker and
+    /// shard — carried on the frame so rendering it and
     /// recording its outcome survive the session's removal.
     pub state: Arc<SessionState>,
     pub pose: Pose,
@@ -510,7 +510,7 @@ impl Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::governor::{GovernorConfig, MemoryGovernor};
+    use crate::cache::{AnchorCache, GovernorConfig, DEFAULT_CACHE_BUDGET_BYTES};
     use crate::server::{CacheOutcome, ServeStats, ServerConfig};
     use crate::session::{SceneState, SessionConfig};
     use crate::shard::ShardCtx;
@@ -536,14 +536,14 @@ mod tests {
     fn fixture() -> Fixture {
         let instance = gen_nerf_telemetry::next_instance_id();
         let supervisor = Arc::new(Supervisor::spawn(instance, Clock::real()));
-        let governor = Arc::new(MemoryGovernor::new(&GovernorConfig::default()));
+        let cache = AnchorCache::new(&GovernorConfig::default(), 0, DEFAULT_CACHE_BUDGET_BYTES);
         let shard = ShardCtx::new(
             instance,
             0,
             Arc::new(gen_nerf_parallel::Pool::new(1)),
             ServerConfig::default(),
             Arc::clone(&supervisor),
-            governor,
+            Arc::new(cache),
         );
         let scene = Arc::new(SceneState::prepare(
             GenNerfModel::new(ModelConfig::fast()),
@@ -563,6 +563,7 @@ mod tests {
             Intrinsics::from_fov(4, 4, 0.6),
             SamplingStrategy::Uniform { n: 2 },
         );
+        shard.cache.open(1, cfg, shard.meters.cache);
         let state = Arc::new(SessionState::new(scene, cfg, Arc::clone(&shard), breaker));
         Fixture {
             supervisor,

@@ -30,9 +30,7 @@
 //!   supervised: it counts a beat per pop, attempt start and batch, and
 //!   a health sweep that reads that count with the in-flight attempt's
 //!   tile ticks condemns a dead or wedged thread and respawns it on the
-//!   same queue under a restart backoff ([`HealthConfig`]); a
-//!   process-wide [`GovernorConfig`] memory budget spans every session
-//!   cache.
+//!   same queue under a restart backoff ([`HealthConfig`]).
 //! * **One frame lifecycle**: every submitted frame is one state
 //!   value walking `Submit → Admit → Pop → Batch → Render/Retry →
 //!   Resolve`, and it ends through exactly one transition — taken by
@@ -64,11 +62,15 @@
 //!   this free of approximation: co-scheduled frames are bit-for-bit
 //!   what solo renders would produce.
 //! * **A temporal-coherence cache** ([`CoherenceConfig`]): per session,
-//!   the coarse-then-focus Step ① outcome
-//!   ([`CoarseFrame`](gen_nerf::pipeline::CoarseFrame)) of the
-//!   last anchor pose is kept; a new pose within the configured
-//!   translation/rotation delta re-runs only the focus pass against
-//!   the cached coarse probing. With coherence disabled (the default,
+//!   the coarse-then-focus Step ① outcomes
+//!   ([`CoarseFrame`](gen_nerf::pipeline::CoarseFrame)) of recent
+//!   anchor poses are kept; a new pose within the configured
+//!   translation/rotation delta of one re-runs only the focus pass
+//!   against the cached coarse probing. One server-wide anchor cache
+//!   owns every session's anchors, their counters ([`CacheStats`]) and
+//!   the byte budgets: [`DEFAULT_CACHE_BUDGET_BYTES`] per session and
+//!   one [`GovernorConfig`] budget over all anchors plus the crew's
+//!   worker arenas. With coherence disabled (the default,
 //!   [`CoherenceConfig::exact`]) the server is pinned bitwise-identical
 //!   to direct rendering by `tests/serve_regression.rs`.
 //!
@@ -111,8 +113,8 @@
 //! ```
 
 mod admission;
+mod cache;
 mod frame;
-mod governor;
 mod health;
 mod registry;
 mod server;
@@ -123,7 +125,7 @@ mod supervisor;
 pub use admission::{
     admission_decision_supervised, AdmissionConfig, AdmissionDecision, AdmissionStats, FairQueue,
 };
-pub use governor::{GovernorConfig, GovernorStats};
+pub use cache::{CacheStats, GovernorConfig, GovernorStats, DEFAULT_CACHE_BUDGET_BYTES};
 pub use health::{
     CondemnReason, DrainOutcome, DrainReport, HealthConfig, ShardHealth, ShardHealthStats,
 };
@@ -133,8 +135,8 @@ pub use server::{
     ServeStats, ServerConfig,
 };
 pub use session::{
-    poses_coherent, CacheStats, CoherenceConfig, DeadlineClass, ResolutionTier, SceneState,
-    SessionConfig, SessionId, DEFAULT_CACHE_BUDGET_BYTES,
+    poses_coherent, CoherenceConfig, DeadlineClass, ResolutionTier, SceneState, SessionConfig,
+    SessionId,
 };
 pub use shard::ShardStats;
 pub use supervisor::{

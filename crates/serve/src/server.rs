@@ -10,13 +10,15 @@
 //! [`FrameHandle`].
 
 use crate::admission::{admission_decision_supervised, AdmissionDecision, AdmissionStats};
+use crate::cache::{
+    AnchorCache, CacheStats, GovernorConfig, GovernorStats, DEFAULT_CACHE_BUDGET_BYTES,
+};
 use crate::frame::{End, Frame, FrameCore, Shed};
-use crate::governor::{GovernorConfig, GovernorStats, MemoryGovernor};
 use crate::health::{DrainReport, HealthConfig, ShardHealthStats};
 use crate::lock;
 use crate::registry::{Assignment, SceneRegistry, ShardId};
 use crate::session::{
-    CacheStats, DeadlineClass, ResolutionTier, SceneState, SessionConfig, SessionId, SessionState,
+    DeadlineClass, ResolutionTier, SceneState, SessionConfig, SessionId, SessionState,
 };
 use crate::shard::{Shard, ShardCtx, ShardStats};
 use crate::supervisor::{
@@ -31,11 +33,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// The governor's reservation per crew worker: the render worker's
-/// scratch, which the tile schedule bounds whatever the frame size or
-/// batch ([`WORKER_SCRATCH_BYTES`], pinned by a unit test there).
-const ARENA_BYTES_PER_WORKER: u64 = WORKER_SCRATCH_BYTES as u64;
 
 /// Server-wide configuration.
 #[derive(Debug, Clone, Copy)]
@@ -59,7 +56,7 @@ pub struct ServerConfig {
     /// Shard self-healing: heartbeat budget, sweep cadence, restart
     /// backoff.
     pub health: HealthConfig,
-    /// Process-wide memory budget over session caches and worker
+    /// Server-wide memory budget over session caches and worker
     /// arenas.
     pub governor: GovernorConfig,
 }
@@ -116,7 +113,7 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the process-wide memory governor policy.
+    /// Sets the server-wide memory budget.
     pub fn with_governor(mut self, governor: GovernorConfig) -> Self {
         self.governor = governor;
         self
@@ -401,8 +398,8 @@ pub struct RenderServer {
     sessions: Mutex<HashMap<u64, Arc<SessionState>>>,
     next_session: AtomicU64,
     supervisor: Arc<Supervisor>,
-    /// The process-wide memory governor shared by every shard.
-    governor: Arc<MemoryGovernor>,
+    /// Every session's coarse anchors, under the server's budget.
+    cache: Arc<AnchorCache>,
     /// The render crew every shard submits its tile lists to.
     crew: Arc<Pool>,
     /// Latched by [`RenderServer::drain`]: admission closed for good.
@@ -450,18 +447,20 @@ impl RenderServer {
                 }
             }),
         );
-        let governor = Arc::new(MemoryGovernor::new(&cfg.governor));
         let crew = Arc::new(Pool::new(cfg.threads));
-        // Every crew worker's scratch, charged once for the server's
-        // life: shards come and go, restart and share, the crew stays.
-        governor.reserve(crew.threads() as u64 * ARENA_BYTES_PER_WORKER);
+        // Every crew worker's scratch (which the tile schedule bounds
+        // whatever the frame size or batch), charged once for the
+        // server's life: shards come and go, restart and share, the
+        // crew stays.
+        let reserved = (crew.threads() * WORKER_SCRATCH_BYTES) as u64;
+        let cache = AnchorCache::new(&cfg.governor, reserved, DEFAULT_CACHE_BUDGET_BYTES);
         Self {
             cfg,
             topology,
             sessions: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(1),
             supervisor,
-            governor,
+            cache: Arc::new(cache),
             crew,
             draining: AtomicBool::new(false),
             instance,
@@ -495,17 +494,15 @@ impl RenderServer {
                     Arc::clone(&self.crew),
                     self.cfg,
                     Arc::clone(&self.supervisor),
-                    Arc::clone(&self.governor),
+                    Arc::clone(&self.cache),
                 )));
             }
             let shard = Arc::clone(&topology.shards[assignment.index()].ctx);
             (shard, breaker)
         };
         let id = self.next_session.fetch_add(1, Ordering::Relaxed);
+        self.cache.open(id, cfg, shard.meters.cache);
         let state = Arc::new(SessionState::new(scene, cfg, shard, breaker));
-        // Make the session's cache evictable under global memory
-        // pressure.
-        self.governor.register(&state);
         lock(&self.sessions).insert(id, state);
         SessionId(id)
     }
@@ -540,8 +537,8 @@ impl RenderServer {
             Err(Shed::Draining)
         } else if shard.down.load(Ordering::Relaxed) {
             Err(Shed::ShardDown)
-        } else if class == DeadlineClass::BestEffort && self.governor.under_pressure() {
-            self.governor.note_pressure_shed();
+        } else if class == DeadlineClass::BestEffort && self.cache.under_pressure() {
+            self.cache.note_pressure_shed();
             Err(Shed::Memory)
         } else {
             let (breaker, depth) = frame.claim();
@@ -564,15 +561,14 @@ impl RenderServer {
         handle
     }
 
-    /// Ends a session: drops its cached coarse pass, its scene handle
+    /// Ends a session: drops its coarse anchors, its scene handle
     /// (the `SceneState` is freed once the last session sharing it
     /// ends) and its counters, and rejects future submissions for the
     /// id. Frames of the session already queued fail ("session
     /// removed"); removal then **waits for every in-flight frame of
-    /// the session to settle** before releasing the session's cache
-    /// bytes back to the memory governor — the handle a caller still
-    /// holds always resolves, and the governor's books never go
-    /// negative on a racing insert.
+    /// the session to settle** before closing the session's books in
+    /// the anchor cache — the handle a caller still holds always
+    /// resolves, and no insert lands after the close.
     ///
     /// # Panics
     ///
@@ -591,16 +587,7 @@ impl RenderServer {
         // deadline, well inside it.
         let settled = state.pending.wait_settled(Duration::from_secs(120));
         debug_assert!(settled, "session frames never settled");
-        // Quiesced: empty the cache under its lock and give the bytes
-        // back in one step, so a concurrent governor eviction can
-        // never double-count them.
-        let freed: usize = {
-            let mut cache = lock(&state.cache);
-            std::iter::from_fn(|| cache.evict_tail()).sum()
-        };
-        if freed > 0 {
-            self.governor.discharge(freed as u64);
-        }
+        self.cache.close(session.0);
     }
 
     /// Stops admission for good and waits for every shard to finish
@@ -647,10 +634,10 @@ impl RenderServer {
             .collect()
     }
 
-    /// Counters of the process-wide memory governor (budget, usage,
-    /// peak, evictions, refusals, pressure sheds).
+    /// Counters of the server-wide memory budget (budget, usage,
+    /// peak, pressure evictions, refusals, pressure sheds).
     pub fn governor_stats(&self) -> GovernorStats {
-        self.governor.stats()
+        self.cache.stats()
     }
 
     /// Coarse-cache counters of a session.
@@ -659,7 +646,7 @@ impl RenderServer {
     ///
     /// Panics if `session` was not created by this server.
     pub fn cache_stats(&self, session: SessionId) -> CacheStats {
-        self.session(session).cache_stats()
+        self.cache.cache_stats(session.0)
     }
 
     /// Shards spawned so far (≤ `max_shards`; one per registered
@@ -922,13 +909,14 @@ mod tests {
         // identical repeated poses keep missing, and the eviction
         // counter records each discarded anchor.
         let (ds, scene) = scene();
-        let server = RenderServer::new(ServerConfig::default());
+        let mut server = RenderServer::new(ServerConfig::default());
+        let reserved = server.governor_stats().used_bytes;
+        server.cache = Arc::new(AnchorCache::new(&server.cfg.governor, reserved, 1));
         let cam = ds.eval_views[0].camera;
         let session = server.create_session(
             scene,
             SessionConfig::new(cam.intrinsics, ctf())
-                .with_coherence(CoherenceConfig::within(0.05, 0.02))
-                .with_cache_budget(1),
+                .with_coherence(CoherenceConfig::within(0.05, 0.02)),
         );
         let first = server.submit(session, FrameRequest::new(cam.pose)).wait();
         let second = server.submit(session, FrameRequest::new(cam.pose)).wait();
@@ -943,6 +931,182 @@ mod tests {
         let stats = server.cache_stats(session);
         assert_eq!((stats.hits, stats.misses), (0, 2));
         assert_eq!(stats.evictions, 2);
+    }
+
+    /// A coherence session whose every distinct pose re-anchors: the
+    /// translation bound is a tenth of the spacing of [`near_pose`]s
+    /// (the rotation bound leaves room for `acos` rounding, so a
+    /// repeated pose hits).
+    fn anchoring(cam: &gen_nerf_geometry::Camera) -> SessionConfig {
+        SessionConfig::new(cam.intrinsics, ctf())
+            .with_coherence(CoherenceConfig::within(1e-3, 1e-2))
+    }
+
+    /// The `k`-th of a row of poses 0.01 apart, all looking at the
+    /// scene from about the same place (so their anchors cost about the
+    /// same).
+    fn near_pose(k: usize) -> Pose {
+        Pose::look_at(
+            Vec3::new(3.0 + 0.01 * k as f32, 1.0, 3.0),
+            Vec3::ZERO,
+            Vec3::Y,
+        )
+    }
+
+    /// The bytes each of `poses`' anchors charges, measured on a
+    /// one-thread server with the default budget.
+    fn anchor_costs(scene: &Arc<SceneState>, cfg: SessionConfig, poses: &[Pose]) -> Vec<u64> {
+        let server = RenderServer::new(ServerConfig {
+            threads: 1,
+            ..ServerConfig::default()
+        });
+        let session = server.create_session(Arc::clone(scene), cfg);
+        poses
+            .iter()
+            .map(|pose| {
+                let before = server.governor_stats().used_bytes;
+                server.submit(session, FrameRequest::new(*pose)).wait();
+                server.governor_stats().used_bytes - before
+            })
+            .collect()
+    }
+
+    #[test]
+    fn pressure_evictions_count_in_the_sessions_and_the_instance_alike() {
+        // Two anchoring sessions under a budget of the reservation plus
+        // about one and a half anchors: every insert past the first
+        // evicts the other session's anchor. Each eviction must show in
+        // the victim's `CacheStats` *and* in its shard's
+        // `serve_cache_events_total{outcome="eviction"}`.
+        let (ds, scene) = scene();
+        let cam = ds.eval_views[0].camera;
+        let cost = anchor_costs(&scene, anchoring(&cam), &[near_pose(0)])[0];
+        let reserved = WORKER_SCRATCH_BYTES as u64;
+        let budget = reserved + cost * 3 / 2;
+        let server = RenderServer::new(
+            ServerConfig {
+                threads: 1,
+                ..ServerConfig::default()
+            }
+            .with_governor(GovernorConfig::default().with_budget_bytes(budget)),
+        );
+        let sessions = [0, 1].map(|_| server.create_session(Arc::clone(&scene), anchoring(&cam)));
+        for k in 0..6 {
+            let session = sessions[k % 2];
+            server
+                .submit(session, FrameRequest::new(near_pose(k)))
+                .wait();
+        }
+        let evictions: u64 = sessions
+            .iter()
+            .map(|&s| server.cache_stats(s).evictions)
+            .sum();
+        let inst = server.instance().to_string();
+        let counted = server.telemetry_snapshot().counter_with(
+            "serve_cache_events_total",
+            &[("instance", &inst), ("outcome", "eviction")],
+        );
+        let g = server.governor_stats();
+        assert!(evictions >= 5, "{evictions} evictions");
+        assert_eq!(
+            counted, evictions,
+            "the instance view drifted from the sessions'"
+        );
+        // The 8 MiB per-session cap never binds at this size, so every
+        // eviction here was a pressure eviction.
+        assert_eq!(g.evictions, evictions);
+        assert!(g.peak_bytes <= g.budget_bytes, "{g:?}");
+    }
+
+    #[test]
+    fn pressure_evicts_the_fattest_sessions_lru_tail() {
+        // Sessions holding 3, 2 and 1 anchors fill the budget; a fourth
+        // session's first anchor must come out of the 3-anchor session's
+        // LRU tail and nowhere else.
+        let (ds, scene) = scene();
+        let cam = ds.eval_views[0].camera;
+        let poses: Vec<Pose> = (0..7).map(near_pose).collect();
+        let costs = anchor_costs(&scene, anchoring(&cam), &poses);
+        let reserved = WORKER_SCRATCH_BYTES as u64;
+        let budget = reserved + costs.iter().sum::<u64>() - 1;
+        let server = RenderServer::new(
+            ServerConfig {
+                threads: 1,
+                ..ServerConfig::default()
+            }
+            .with_governor(GovernorConfig::default().with_budget_bytes(budget)),
+        );
+        let held = [&poses[0..3], &poses[3..5], &poses[5..6]];
+        let sessions: Vec<SessionId> = held
+            .iter()
+            .map(|poses| {
+                let session = server.create_session(Arc::clone(&scene), anchoring(&cam));
+                for pose in *poses {
+                    server.submit(session, FrameRequest::new(*pose)).wait();
+                }
+                session
+            })
+            .collect();
+        assert_eq!(server.governor_stats().evictions, 0, "the six anchors fit");
+        let fourth = server.create_session(Arc::clone(&scene), anchoring(&cam));
+        server.submit(fourth, FrameRequest::new(poses[6])).wait();
+        let g = server.governor_stats();
+        assert_eq!(g.evictions, 1, "{g:?}");
+        assert!(g.peak_bytes <= g.budget_bytes, "{g:?}");
+        let evictions: Vec<u64> = sessions
+            .iter()
+            .map(|&s| server.cache_stats(s).evictions)
+            .collect();
+        assert_eq!(evictions, [1, 0, 0]);
+        // Everything but the fattest session's oldest anchor still hits
+        // (checked first: a miss would anchor afresh).
+        for (session, poses) in sessions.iter().zip(held) {
+            let kept = if *session == sessions[0] {
+                &poses[1..]
+            } else {
+                poses
+            };
+            for pose in kept {
+                let frame = server.submit(*session, FrameRequest::new(*pose)).wait();
+                assert_eq!(
+                    frame.serve.cache,
+                    CacheOutcome::Hit,
+                    "{session:?} lost {pose:?}"
+                );
+            }
+        }
+        let tail = server
+            .submit(sessions[0], FrameRequest::new(poses[0]))
+            .wait();
+        assert_eq!(
+            tail.serve.cache,
+            CacheOutcome::Miss,
+            "the LRU tail survived"
+        );
+    }
+
+    #[test]
+    fn remove_session_returns_its_anchor_bytes() {
+        let (ds, scene) = scene();
+        let cam = ds.eval_views[0].camera;
+        let server = RenderServer::new(ServerConfig::default());
+        let reserved = server.governor_stats().used_bytes;
+        assert_eq!(
+            reserved,
+            server.crew.threads() as u64 * WORKER_SCRATCH_BYTES as u64
+        );
+        let session = server.create_session(scene, anchoring(&cam));
+        for k in 0..3 {
+            server
+                .submit(session, FrameRequest::new(near_pose(k)))
+                .wait();
+        }
+        assert!(
+            server.governor_stats().used_bytes > reserved,
+            "no anchor held"
+        );
+        server.remove_session(session);
+        assert_eq!(server.governor_stats().used_bytes, reserved);
     }
 
     #[test]
@@ -1185,7 +1349,7 @@ mod tests {
                 let config = SessionConfig::new(cam.intrinsics, ctf());
                 sessions.push(server.create_session(Arc::clone(scene), config));
                 assert!(one_crew(&server), "width {width}");
-                // No anchor exists (coherence is off): the governor
+                // No anchor exists (coherence is off): the budget
                 // holds the crew's reservation, whatever the shard count.
                 let used = server.governor_stats().used_bytes;
                 assert_eq!(used, width as u64 * arena, "width {width}");

@@ -1,5 +1,6 @@
 //! Sessions: per-scene cached state, per-session render configuration
-//! and the temporal-coherence policy.
+//! and the temporal-coherence policy. The anchors that policy retains
+//! live in the server's one [`cache`](crate::cache).
 
 use crate::shard::ShardCtx;
 use crate::supervisor::CircuitBreaker;
@@ -7,11 +8,9 @@ use crate::{lock, wait_until};
 use gen_nerf::config::SamplingStrategy;
 use gen_nerf::features::{prepare_sources, SourceViewData};
 use gen_nerf::model::GenNerfModel;
-use gen_nerf::pipeline::CoarseFrame;
 use gen_nerf_geometry::{Aabb, Intrinsics, Mat3, Pose, Vec3};
 use gen_nerf_scene::View;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -117,9 +116,9 @@ pub enum DeadlineClass {
 /// walkthrough is bounded by the deltas themselves rather than
 /// accumulating step by step. A session retains **multiple** anchors
 /// (a revisited pose hits again without re-probing), LRU-ordered and
-/// capped by the session's byte budget
-/// ([`SessionConfig::with_cache_budget`]); a miss re-probes and pushes
-/// a fresh anchor, evicting the oldest anchors past the budget.
+/// capped at [`DEFAULT_CACHE_BUDGET_BYTES`](crate::DEFAULT_CACHE_BUDGET_BYTES)
+/// per session; a miss re-probes and pushes a fresh anchor, evicting
+/// the oldest anchors past the cap.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoherenceConfig {
     /// Master switch; `false` (the default) means every frame re-runs
@@ -174,11 +173,6 @@ pub fn poses_coherent(anchor: &Pose, pose: &Pose, cfg: &CoherenceConfig) -> bool
         && rotation_angle(&anchor.rotation, &pose.rotation) <= cfg.max_rotation
 }
 
-/// Default per-session coarse-cache byte budget (8 MiB) — generous for
-/// interactive resolutions while still bounding a long walkthrough's
-/// anchor set.
-pub const DEFAULT_CACHE_BUDGET_BYTES: usize = 8 << 20;
-
 /// Per-session render configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct SessionConfig {
@@ -190,10 +184,6 @@ pub struct SessionConfig {
     pub strategy: SamplingStrategy,
     /// Temporal-coherence policy (default: [`CoherenceConfig::exact`]).
     pub coherence: CoherenceConfig,
-    /// Byte cap on the session's retained coarse anchors (measured via
-    /// `CoarseFrame::approx_bytes`); the oldest anchors are evicted
-    /// past it. Default: [`DEFAULT_CACHE_BUDGET_BYTES`].
-    pub cache_budget_bytes: usize,
 }
 
 impl SessionConfig {
@@ -203,7 +193,6 @@ impl SessionConfig {
             intrinsics,
             strategy,
             coherence: CoherenceConfig::exact(),
-            cache_budget_bytes: DEFAULT_CACHE_BUDGET_BYTES,
         }
     }
 
@@ -213,185 +202,16 @@ impl SessionConfig {
         self
     }
 
-    /// Sets the coarse-cache byte budget (`0` retains no anchors —
-    /// every coarse-then-focus frame re-probes).
-    pub fn with_cache_budget(mut self, bytes: usize) -> Self {
-        self.cache_budget_bytes = bytes;
-        self
+    /// Whether the coherence cache applies: coherence on, and a
+    /// strategy with a coarse pass to reuse.
+    pub(crate) fn caches(&self) -> bool {
+        self.coherence.enabled && matches!(self.strategy, SamplingStrategy::CoarseThenFocus { .. })
     }
 }
 
-/// Coarse-cache counters of one session.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheStats {
-    /// Frames served from a cached coarse pass.
-    pub hits: u64,
-    /// Coarse-then-focus frames that re-probed (and anchored afresh).
-    pub misses: u64,
-    /// Frames the cache did not apply to (coherence disabled or a
-    /// strategy without a coarse pass).
-    pub bypasses: u64,
-    /// Anchors evicted to keep the session under its byte budget.
-    pub evictions: u64,
-    /// Anchors rejected at import because their payload digest or ray
-    /// count no longer matched (each is discarded and the frame
-    /// re-probes as a miss).
-    pub integrity_rejects: u64,
-}
-
-impl CacheStats {
-    /// Hit fraction among the frames the cache applied to.
-    pub fn hit_rate(&self) -> f64 {
-        let eligible = self.hits + self.misses;
-        if eligible == 0 {
-            0.0
-        } else {
-            self.hits as f64 / eligible as f64
-        }
-    }
-}
-
-/// One cached coarse pass: the anchor pose/tier it was probed at, and
-/// the exported Step ① data (shared `Arc` so a render job can hold it
-/// without cloning the weights).
-pub(crate) struct CacheEntry {
-    pub pose: Pose,
-    pub tier: ResolutionTier,
-    pub coarse: Arc<CoarseFrame>,
-}
-
-/// Heap cost one entry charges against the session budget.
-fn entry_bytes(entry: &CacheEntry) -> usize {
-    coarse_entry_cost(&entry.coarse)
-}
-
-/// Heap cost a coarse frame would charge if anchored — what the memory
-/// governor reserves *before* the insert, so the process-wide budget
-/// is never exceeded even transiently.
-pub(crate) fn coarse_entry_cost(coarse: &CoarseFrame) -> usize {
-    coarse.approx_bytes() + std::mem::size_of::<CacheEntry>()
-}
-
-/// A session's retained coarse anchors: LRU-ordered (front = most
-/// recently used), byte-budgeted via `CoarseFrame::approx_bytes`.
-#[derive(Default)]
-pub(crate) struct CoarseCache {
-    /// Anchors, most recently used first.
-    entries: VecDeque<CacheEntry>,
-    /// Σ `entry_bytes` over `entries`.
-    bytes: usize,
-    /// Anchors discarded at lookup because their payload digest or
-    /// ray count failed validation.
-    rejected: u64,
-}
-
-impl CoarseCache {
-    /// Finds an anchor coherent with `pose` at `tier`; a hit is
-    /// promoted to most-recently-used so budget pressure evicts stale
-    /// anchors first.
-    ///
-    /// An import is never trusted implicitly: a candidate whose ray
-    /// count differs from `expected_rays` (the tier's pixel grid) or
-    /// whose payload digest no longer matches its seal
-    /// ([`CoarseFrame::integrity_ok`]) is discarded on the spot —
-    /// counted in [`CacheStats::integrity_rejects`] — and the search
-    /// continues, so the frame re-probes (a miss) instead of shading
-    /// from a stale or corrupted coarse pass.
-    pub fn lookup(
-        &mut self,
-        tier: ResolutionTier,
-        pose: &Pose,
-        cfg: &CoherenceConfig,
-        expected_rays: usize,
-    ) -> Option<Arc<CoarseFrame>> {
-        loop {
-            let idx = self
-                .entries
-                .iter()
-                .position(|e| e.tier == tier && poses_coherent(&e.pose, pose, cfg))?;
-            let entry = &self.entries[idx];
-            if entry.coarse.n_rays() == expected_rays && entry.coarse.integrity_ok() {
-                let entry = self.entries.remove(idx).expect("position is in range");
-                let coarse = Arc::clone(&entry.coarse);
-                self.entries.push_front(entry);
-                return Some(coarse);
-            }
-            let bad = self.entries.remove(idx).expect("position is in range");
-            self.bytes -= entry_bytes(&bad);
-            self.rejected += 1;
-        }
-    }
-
-    /// Anchors discarded by import validation so far.
-    pub fn rejected(&self) -> u64 {
-        self.rejected
-    }
-
-    /// Fault-injection hook for the corruption chaos harness: poisons
-    /// the payload of every retained anchor (each behind a fresh `Arc`
-    /// so in-flight renders holding the old one are untouched) without
-    /// resealing, so the next lookup rejects them. Returns how many
-    /// anchors were poisoned — zero means the injection was a no-op.
-    pub fn corrupt_for_chaos(&mut self, seed: u64) -> u64 {
-        let mut poisoned = 0;
-        for entry in &mut self.entries {
-            let mut frame = (*entry.coarse).clone();
-            frame.corrupt_for_chaos(seed.wrapping_add(poisoned));
-            entry.coarse = Arc::new(frame);
-            poisoned += 1;
-        }
-        poisoned
-    }
-
-    /// Anchors `entry` as most-recently-used and evicts from the LRU
-    /// tail until the cache fits `budget_bytes`. Returns the number of
-    /// evicted anchors.
-    ///
-    /// An entry that **alone** exceeds the budget is refused outright
-    /// (counted as one eviction): inserting it and then evicting from
-    /// the tail would throw away every retained anchor — and then the
-    /// oversized entry itself — turning one over-large frame into a
-    /// cache wipe plus an evict loop that converges on an empty cache.
-    pub fn insert(&mut self, entry: CacheEntry, budget_bytes: usize) -> u64 {
-        if entry_bytes(&entry) > budget_bytes {
-            return 1;
-        }
-        self.bytes += entry_bytes(&entry);
-        self.entries.push_front(entry);
-        let mut evicted = 0u64;
-        while self.bytes > budget_bytes {
-            let old = self.entries.pop_back().expect("bytes imply entries");
-            self.bytes -= entry_bytes(&old);
-            evicted += 1;
-        }
-        evicted
-    }
-
-    /// Evicts the LRU-tail anchor, returning the bytes it freed —
-    /// `None` when the cache is empty. This is the memory governor's
-    /// pressure-eviction primitive: process-wide pressure reclaims the
-    /// coldest anchor of the fattest session, one anchor at a time.
-    pub fn evict_tail(&mut self) -> Option<usize> {
-        let old = self.entries.pop_back()?;
-        let freed = entry_bytes(&old);
-        self.bytes -= freed;
-        Some(freed)
-    }
-
-    /// Retained anchors (test introspection).
-    #[cfg(test)]
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Bytes currently charged against the session budget.
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-}
-
-/// One live session: scene handle, configuration, coarse cache and
-/// counters.
+/// One live session: scene handle, configuration, shard, breaker and
+/// pending frames. Its anchors and cache counters live in the server's
+/// [`AnchorCache`](crate::cache::AnchorCache).
 pub(crate) struct SessionState {
     pub scene: Arc<SceneState>,
     pub cfg: SessionConfig,
@@ -404,11 +224,6 @@ pub(crate) struct SessionState {
     /// failures protect the fleet from the sick scene, not just that
     /// session.
     pub breaker: Arc<CircuitBreaker>,
-    pub cache: Mutex<CoarseCache>,
-    pub hits: AtomicU64,
-    pub misses: AtomicU64,
-    pub bypasses: AtomicU64,
-    pub evictions: AtomicU64,
     /// Frames of this session currently owned by the serve tier.
     pub pending: Arc<Pending>,
     /// Latched by `remove_session`: frames still queued end as
@@ -471,11 +286,6 @@ impl SessionState {
             cfg,
             shard,
             breaker,
-            cache: Mutex::new(CoarseCache::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            bypasses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
             pending: Arc::default(),
             removed: AtomicBool::new(false),
         }
@@ -489,21 +299,14 @@ impl SessionState {
     pub fn is_removed(&self) -> bool {
         self.removed.load(Ordering::SeqCst)
     }
-
-    pub fn cache_stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            bypasses: self.bypasses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            integrity_rejects: lock(&self.cache).rejected(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::tests::{exports, session_cache};
+    use crate::cache::{anchor_cost, AnchorCache, CacheStats};
+    use gen_nerf::pipeline::CoarseFrame;
 
     #[test]
     fn tier_divides_intrinsics() {
@@ -578,105 +381,62 @@ mod tests {
 
     #[test]
     fn coarse_cache_budget_evicts_lru_tail() {
-        use gen_nerf::pipeline::CoarseFrame;
-        // Build entries through the public render path is overkill
-        // here; a synthetic CoarseFrame via serde-free construction is
-        // not possible, so exercise the cache with real exports from a
-        // tiny render.
-        let ds = gen_nerf_scene::Dataset::build(
-            gen_nerf_scene::DatasetKind::DeepVoxels,
-            "cube",
-            0.05,
-            3,
-            1,
-            8,
-            3,
-        );
-        let model = gen_nerf::model::GenNerfModel::new(gen_nerf::config::ModelConfig::fast());
-        let sources = gen_nerf::features::prepare_sources(&ds.source_views);
-        let renderer = gen_nerf::pipeline::Renderer::new(
-            &model,
-            &sources,
-            SamplingStrategy::coarse_then_focus(4, 4),
-            ds.scene.bounds,
-            ds.scene.background,
-        );
-        let export = |k: usize| -> (Pose, Arc<CoarseFrame>) {
-            let pose = Pose::look_at(Vec3::new(3.0 + k as f32, 0.5, 3.0), Vec3::ZERO, Vec3::Y);
-            let cam = gen_nerf_geometry::Camera::new(Intrinsics::from_fov(8, 8, 0.6), pose);
-            let mut images = [gen_nerf_scene::Image::new(0, 0)];
-            let mut stats = [gen_nerf::pipeline::RenderStats::default()];
-            let fresh = renderer
-                .render_frames(std::slice::from_ref(&cam), &[None], &mut images, &mut stats)
-                .expect("integrity checking is off");
-            (pose, Arc::new(fresh.into_iter().next().unwrap().unwrap()))
+        use crate::server::CacheOutcome::{Hit, Miss};
+        let pose =
+            |k: usize| Pose::look_at(Vec3::new(3.0 + k as f32, 0.5, 3.0), Vec3::ZERO, Vec3::Y);
+        let (pose0, pose1, pose2) = (pose(0), pose(1), pose(2));
+        let shots = [(pose0, 8), (pose1, 8), (pose2, 8), (pose2, 16)];
+        let Ok([coarse0, coarse1, coarse2, large]) = <[CoarseFrame; 4]>::try_from(exports(&shots))
+        else {
+            unreachable!("four shots, four exports")
         };
-        let (pose0, coarse0) = export(0);
-        let entry_cost = coarse0.approx_bytes() + std::mem::size_of::<CacheEntry>();
-        let budget = entry_cost * 2; // room for two anchors
-        let mut cache = CoarseCache::default();
-        let mk = |pose: Pose, coarse: &Arc<CoarseFrame>| CacheEntry {
-            pose,
-            tier: ResolutionTier::Full,
-            coarse: Arc::clone(coarse),
-        };
-        assert_eq!(cache.insert(mk(pose0, &coarse0), budget), 0);
-        let (pose1, coarse1) = export(1);
-        assert_eq!(cache.insert(mk(pose1, &coarse1), budget), 0);
-        assert_eq!(cache.len(), 2);
+        let cost = |coarse: &CoarseFrame| anchor_cost(coarse) as u64;
+        let (cost0, cost1, cost2) = (cost(&coarse0), cost(&coarse1), cost(&coarse2));
+        let budget = anchor_cost(&coarse0) * 2; // room for two anchors
+        let cache = session_cache(budget);
+        let evictions = |cache: &AnchorCache| cache.cache_stats(0).evictions;
+        let held = |cache: &AnchorCache| cache.stats().used_bytes;
+        let full = ResolutionTier::Full;
+        cache.anchor(0, pose0, full, coarse0.clone());
+        cache.anchor(0, pose1, full, coarse1.clone());
+        assert_eq!(evictions(&cache), 0);
+        assert_eq!(held(&cache), cost0 + cost1, "both anchors held");
         // A hit on the older anchor promotes it.
-        let cfg = CoherenceConfig::within(0.01, 0.01);
-        let rays = coarse0.n_rays();
-        assert!(cache
-            .lookup(ResolutionTier::Full, &pose0, &cfg, rays)
-            .is_some());
+        assert_eq!(cache.lookup(0, full, &pose0).0, Hit);
         // Tier mismatch and incoherent poses miss.
-        assert!(cache
-            .lookup(ResolutionTier::Half, &pose0, &cfg, rays)
-            .is_none());
-        let (pose2, coarse2) = export(2);
-        assert!(cache
-            .lookup(ResolutionTier::Full, &pose2, &cfg, rays)
-            .is_none());
+        assert_eq!(cache.lookup(0, ResolutionTier::Half, &pose0).0, Miss);
+        assert_eq!(cache.lookup(0, full, &pose2).0, Miss);
         // Third insert blows the budget: the LRU tail (pose1, demoted
         // by pose0's promotion) is evicted.
-        assert_eq!(cache.insert(mk(pose2, &coarse2), budget), 1);
-        assert_eq!(cache.len(), 2);
-        assert!(cache.bytes() <= budget);
-        assert!(cache
-            .lookup(ResolutionTier::Full, &pose1, &cfg, rays)
-            .is_none());
-        assert!(cache
-            .lookup(ResolutionTier::Full, &pose0, &cfg, rays)
-            .is_some());
+        cache.anchor(0, pose2, full, coarse2);
+        assert_eq!(evictions(&cache), 1);
+        assert_eq!(held(&cache), cost0 + cost2, "pose0 and pose2 held");
+        assert!(held(&cache) <= budget as u64);
+        assert_eq!(cache.lookup(0, full, &pose1).0, Miss);
+        assert_eq!(cache.lookup(0, full, &pose0).0, Hit);
         // A zero budget retains nothing — even the fresh insert is
         // evicted and counted.
-        let mut empty = CoarseCache::default();
-        assert_eq!(empty.insert(mk(pose0, &coarse0), 0), 1);
-        assert_eq!(empty.len(), 0);
-        assert_eq!(empty.bytes(), 0);
+        let empty = session_cache(0);
+        empty.anchor(0, pose0, full, coarse0.clone());
+        assert_eq!(evictions(&empty), 1);
+        assert_eq!(held(&empty), 0);
 
         // An entry that alone exceeds the budget is refused without
         // touching the retained anchors: no cache wipe, no evict loop.
-        let mut keep = CoarseCache::default();
-        assert_eq!(keep.insert(mk(pose0, &coarse0), budget), 0);
-        assert_eq!(keep.insert(mk(pose1, &coarse1), budget), 0);
-        let bytes_before = keep.bytes();
-        // Shrink the budget seen by this insert below any entry's cost
-        // — as a tier change to a much larger frame would relative to
-        // the session budget.
-        assert_eq!(keep.insert(mk(pose2, &coarse2), 1), 1);
-        assert_eq!(keep.len(), 2, "retained anchors survived");
-        assert_eq!(keep.bytes(), bytes_before);
-        assert!(keep
-            .lookup(ResolutionTier::Full, &pose0, &cfg, rays)
-            .is_some());
-        assert!(keep
-            .lookup(ResolutionTier::Full, &pose1, &cfg, rays)
-            .is_some());
-        assert!(keep
-            .lookup(ResolutionTier::Full, &pose2, &cfg, rays)
-            .is_none());
+        let keep = session_cache(budget);
+        keep.anchor(0, pose0, full, coarse0);
+        keep.anchor(0, pose1, full, coarse1);
+        assert_eq!(evictions(&keep), 0);
+        let bytes_before = held(&keep);
+        // A much larger frame than the session budget holds — as a
+        // tier change to a much larger frame would be.
+        assert!(anchor_cost(&large) > budget);
+        keep.anchor(0, pose2, full, large);
+        assert_eq!(evictions(&keep), 1);
+        assert_eq!(held(&keep), bytes_before, "retained anchors survived");
+        assert_eq!(keep.lookup(0, full, &pose0).0, Hit);
+        assert_eq!(keep.lookup(0, full, &pose1).0, Hit);
+        assert_eq!(keep.lookup(0, full, &pose2).0, Miss);
     }
 
     #[test]
@@ -685,54 +445,32 @@ mod tests {
         // through a one-anchor budget and through refused oversized
         // inserts, checking the running total never decreases and ends
         // at the exact number of discarded anchors.
-        let ds = gen_nerf_scene::Dataset::build(
-            gen_nerf_scene::DatasetKind::DeepVoxels,
-            "cube",
-            0.05,
-            3,
-            1,
-            8,
-            3,
-        );
-        let model = gen_nerf::model::GenNerfModel::new(gen_nerf::config::ModelConfig::fast());
-        let sources = gen_nerf::features::prepare_sources(&ds.source_views);
-        let renderer = gen_nerf::pipeline::Renderer::new(
-            &model,
-            &sources,
-            SamplingStrategy::coarse_then_focus(4, 4),
-            ds.scene.bounds,
-            ds.scene.background,
-        );
         let pose = Pose::look_at(Vec3::new(3.0, 0.5, 3.0), Vec3::ZERO, Vec3::Y);
-        let cam = gen_nerf_geometry::Camera::new(Intrinsics::from_fov(8, 8, 0.6), pose);
-        let mut images = [gen_nerf_scene::Image::new(0, 0)];
-        let mut stats = [gen_nerf::pipeline::RenderStats::default()];
-        let fresh = renderer
-            .render_frames(std::slice::from_ref(&cam), &[None], &mut images, &mut stats)
-            .expect("integrity checking is off");
-        let coarse = Arc::new(fresh.into_iter().next().unwrap().unwrap());
-        let entry_cost = coarse.approx_bytes() + std::mem::size_of::<CacheEntry>();
-        let mk = || CacheEntry {
-            pose,
-            tier: ResolutionTier::Full,
-            coarse: Arc::clone(&coarse),
+        let Ok([coarse, large]) = <[CoarseFrame; 2]>::try_from(exports(&[(pose, 8), (pose, 16)]))
+        else {
+            unreachable!("two shots, two exports")
         };
-        let mut cache = CoarseCache::default();
-        let mut total = 0u64;
+        let entry_cost = anchor_cost(&coarse);
+        assert!(anchor_cost(&large) > entry_cost);
+        let cache = session_cache(entry_cost);
         let mut last = 0u64;
         for round in 0..6 {
             // Alternate: a fitting insert into a one-anchor budget
             // (evicts the previous anchor from round 1 on), then a
             // refused oversized insert (counts one, changes nothing).
-            total += cache.insert(mk(), entry_cost);
-            assert!(total >= last, "counter regressed at round {round}");
-            last = total;
-            total += cache.insert(mk(), entry_cost - 1);
-            assert!(total >= last, "counter regressed at round {round}");
-            last = total;
-            assert_eq!(cache.len(), 1, "one-anchor budget holds one anchor");
+            for coarse in [&coarse, &large] {
+                cache.anchor(0, pose, ResolutionTier::Full, coarse.clone());
+                let total = cache.cache_stats(0).evictions;
+                assert!(total >= last, "counter regressed at round {round}");
+                last = total;
+            }
+            let held = cache.stats().used_bytes;
+            assert_eq!(
+                held, entry_cost as u64,
+                "one-anchor budget holds one anchor"
+            );
         }
         // 6 fitting inserts (5 evict a predecessor) + 6 refusals.
-        assert_eq!(total, 5 + 6);
+        assert_eq!(last, 5 + 6);
     }
 }

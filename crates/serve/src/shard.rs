@@ -55,21 +55,19 @@
 //! restart backoff. Past [`MAX_RESTARTS`] the shard is declared down:
 //! queued frames end with
 //! [`ServeError::ShardDown`](crate::ServeError::ShardDown) and further
-//! submissions shed at admission. Session caches live in
-//! [`SessionState`], not in the worker, so they survive restarts; the
-//! worker's coarse-anchor inserts are charged against the server's
-//! process-wide [`MemoryGovernor`] *before* insertion, so the global
-//! byte budget holds even across a restart storm re-anchoring caches.
+//! submissions shed at admission. Session anchors live in the server's
+//! [`AnchorCache`], not in the worker, so they survive restarts, and
+//! the cache's one budget holds even across a restart storm
+//! re-anchoring them.
 
 use crate::admission::{class_index, AdmissionStats, FairQueue, N_CLASSES};
+use crate::cache::{AnchorCache, CacheMeters, CACHE_EVENTS};
 use crate::frame::{End, Frame, Shed};
-use crate::governor::MemoryGovernor;
 use crate::health::{CondemnReason, DrainOutcome, ShardHealth, ShardHealthStats, MAX_RESTARTS};
 use crate::server::{CacheOutcome, Fault, FrameResult, ServeStats, ServerConfig};
-use crate::session::{coarse_entry_cost, CacheEntry, DeadlineClass, SessionState};
+use crate::session::DeadlineClass;
 use crate::supervisor::{Supervisor, WatchMeters};
 use crate::{lock, wait, wait_until};
-use gen_nerf::config::SamplingStrategy;
 use gen_nerf::pipeline::{self, CoarseFrame, RenderError, RenderStats, Renderer};
 use gen_nerf_geometry::Camera;
 use gen_nerf_nn::kernels::{self, integrity, Backend};
@@ -111,9 +109,8 @@ pub(crate) struct ShardCtx {
     pub crew: Arc<Pool>,
     pub cfg: ServerConfig,
     pub supervisor: Arc<Supervisor>,
-    /// The server's process-wide memory governor (anchor inserts are
-    /// charged before insertion).
-    pub governor: Arc<MemoryGovernor>,
+    /// The server's anchor cache, shared by every shard.
+    pub cache: Arc<AnchorCache>,
     /// Shared with every frame's core, which books into it after the
     /// rest of the context may be gone.
     pub meters: Arc<Meters>,
@@ -142,7 +139,7 @@ impl ShardCtx {
         crew: Arc<Pool>,
         cfg: ServerConfig,
         supervisor: Arc<Supervisor>,
-        governor: Arc<MemoryGovernor>,
+        cache: Arc<AnchorCache>,
     ) -> Arc<Self> {
         Arc::new(Self {
             index,
@@ -160,7 +157,7 @@ impl ShardCtx {
             down: AtomicBool::new(false),
             current_cancel: Mutex::new(None),
             supervisor,
-            governor,
+            cache,
         })
     }
 
@@ -385,14 +382,9 @@ pub(crate) struct Meters {
     /// [`class_index`](crate::admission::class_index)
     /// (`serve_latency_ns`).
     pub latency: [Histogram; N_CLASSES],
-    /// Coarse-cache outcomes served by this shard
-    /// (`serve_cache_events_total{outcome}`) — the instance-level view
-    /// of the per-session [`CacheStats`](crate::CacheStats) counters.
-    pub cache_hits: Counter,
-    pub cache_misses: Counter,
-    pub cache_bypasses: Counter,
-    pub cache_evictions: Counter,
-    pub cache_rejects: Counter,
+    /// Coarse-cache events of this shard's sessions, moved by the
+    /// [`AnchorCache`] alone.
+    pub cache: CacheMeters,
     /// The server-wide watchdog meters (`{instance}` only).
     pub watch: WatchMeters,
     /// This shard's frame-lifecycle event ring.
@@ -411,7 +403,6 @@ impl Meters {
         };
         let shed = |reason: &str| with("serve_frames_shed_total", "reason", reason);
         let condemned = |reason: &str| with("serve_shard_condemned_total", "reason", reason);
-        let cache = |outcome: &str| with("serve_cache_events_total", "outcome", outcome);
         let latency = |class: &str| {
             gen_nerf_telemetry::histogram(
                 "serve_latency_ns",
@@ -440,11 +431,7 @@ impl Meters {
             requeued: counter("serve_requeued_frames_total"),
             drain_forced: counter("serve_drain_forced_total"),
             latency: ["interactive", "best_effort"].map(latency),
-            cache_hits: cache("hit"),
-            cache_misses: cache("miss"),
-            cache_bypasses: cache("bypass"),
-            cache_evictions: cache("eviction"),
-            cache_rejects: cache("integrity_reject"),
+            cache: CACHE_EVENTS.map(|event| with("serve_cache_events_total", "outcome", event)),
             watch,
             ring: TraceRing::new(DEFAULT_RING_CAPACITY),
         }
@@ -720,14 +707,6 @@ fn note_corrupt_render(err: &RenderError, meters: &Meters) {
     }
 }
 
-/// Whether the coherence cache constrains batching for `state` (at
-/// most one of its frames per fused job, so in-order cache updates are
-/// a guarantee rather than a race).
-fn cache_applies(state: &SessionState) -> bool {
-    state.cfg.coherence.enabled
-        && matches!(state.cfg.strategy, SamplingStrategy::CoarseThenFocus { .. })
-}
-
 /// Why a popped frame must end without a render, if it must: the
 /// watchdog already answered for it (it timed out while queued), or
 /// its session was removed while it waited.
@@ -795,7 +774,9 @@ fn shard_loop(ctx: &ShardCtx, incarnation: u64) {
                 unrenderable(frame).is_some()
                     || (Arc::ptr_eq(&frame.state.scene, &lead.scene)
                         && frame.state.cfg.strategy == lead.cfg.strategy
-                        && !(cache_applies(&frame.state)
+                        // At most one frame of a caching session per
+                        // job, so its cache updates land in order.
+                        && !(frame.state.cfg.caches()
                             && group.iter().any(|g| g.session == frame.session)))
             });
             let Some(mate) = mate else { break };
@@ -908,7 +889,7 @@ fn attempt(ctx: &ShardCtx, group: &[Frame], buffers: Vec<Option<Image>>, n: u32)
         // Injected faults fire inside the attempt's unwind boundary,
         // exactly where a real mid-frame failure would.
         for frame in group {
-            inject(frame, n, &cancel);
+            inject(ctx, frame, n, &cancel);
         }
         render_group(ctx, group, buffers, &cancel, started)
     }));
@@ -934,7 +915,7 @@ fn attempt(ctx: &ShardCtx, group: &[Frame], buffers: Vec<Option<Image>>, n: u32)
 /// pipeline's chaos hooks — a supra-tolerance GEMM perturbation, a
 /// poisoned pixel, poisoned cache anchors — which the integrity
 /// machinery must then catch.
-fn inject(frame: &Frame, n: u32, cancel: &CancelToken) {
+fn inject(ctx: &ShardCtx, frame: &Frame, n: u32, cancel: &CancelToken) {
     let first = n == 0;
     match frame.fault {
         Some(Fault::Stall(delay)) => cancellable_sleep(delay, cancel),
@@ -943,7 +924,7 @@ fn inject(frame: &Frame, n: u32, cancel: &CancelToken) {
         Some(Fault::CorruptGemm(seed)) if first => integrity::arm_corruption(seed),
         Some(Fault::CorruptPixels(seed)) if first => pipeline::arm_pixel_corruption(seed),
         Some(Fault::CorruptAnchor(seed)) if first => {
-            lock(&frame.state.cache).corrupt_for_chaos(seed);
+            ctx.cache.corrupt_for_chaos(frame.session, seed)
         }
         // Spent transient faults; shard-level faults were intercepted
         // (and cleared) at pop.
@@ -965,15 +946,13 @@ fn cancellable_sleep(total: Duration, cancel: &CancelToken) {
     }
 }
 
-/// The render half of [`attempt`], which `started` it: cache lookups,
-/// one fused multi-frame render, cache updates. `group` frames share
-/// one scene and strategy (batch carving guarantees it). When `cancel`
-/// fires mid-render the returned images are garbage (remaining rays
-/// render as background) and the caller must not deliver them; cache
-/// anchors are likewise withheld. Anchor inserts are charged against the
-/// governor **before** insertion (a refused charge skips the anchor;
-/// the frame still renders), so the process-wide byte budget is never
-/// exceeded, even transiently.
+/// The render half of [`attempt`], which `started` it: one cache
+/// lookup per frame, one fused multi-frame render, one anchor per miss.
+/// `group` frames share one scene and strategy (batch carving
+/// guarantees it). When `cancel` fires mid-render the returned images
+/// are garbage (remaining rays render as background) and the caller
+/// must not deliver them; their coarse passes are likewise not
+/// anchored.
 fn render_group(
     ctx: &ShardCtx,
     group: &[Frame],
@@ -981,55 +960,20 @@ fn render_group(
     cancel: &CancelToken,
     started: Instant,
 ) -> Result<Vec<FrameResult>, RenderError> {
-    let (meters, governor) = (&ctx.meters, &ctx.governor);
     let n = group.len();
     let scene = &group[0].state.scene;
     let strategy = group[0].state.cfg.strategy;
-    let is_ctf = matches!(strategy, SamplingStrategy::CoarseThenFocus { .. });
-
-    // Cache lookups resolve against each session's anchors *before*
-    // the job, so a batch behaves exactly like the same frames served
-    // one at a time in admission order. Imports are validated: an
-    // anchor whose digest or ray count no longer checks out is
-    // discarded and the lookup counts as a miss (its bytes are
-    // returned to the global budget).
-    let mut cameras: Vec<Camera> = Vec::with_capacity(n);
-    let mut cached_arcs: Vec<Option<Arc<CoarseFrame>>> = Vec::with_capacity(n);
-    let mut outcomes: Vec<CacheOutcome> = Vec::with_capacity(n);
-    for frame in group {
-        let state = &frame.state;
-        let intrinsics = frame.tier.apply(state.cfg.intrinsics);
-        let expected_rays = intrinsics.width as usize * intrinsics.height as usize;
-        cameras.push(Camera::new(intrinsics, frame.pose));
-        if !is_ctf || !state.cfg.coherence.enabled {
-            state.bypasses.fetch_add(1, Ordering::Relaxed);
-            meters.cache_bypasses.inc();
-            cached_arcs.push(None);
-            outcomes.push(CacheOutcome::Bypass);
-            continue;
-        }
-        let freed = {
-            let mut cache = lock(&state.cache);
-            let bytes_before = cache.bytes();
-            let rejects_before = cache.rejected();
-            let cached = cache.lookup(frame.tier, &frame.pose, &state.cfg.coherence, expected_rays);
-            let (session_counter, shard_counter, outcome) = match cached {
-                Some(_) => (&state.hits, meters.cache_hits, CacheOutcome::Hit),
-                None => (&state.misses, meters.cache_misses, CacheOutcome::Miss),
-            };
-            session_counter.fetch_add(1, Ordering::Relaxed);
-            shard_counter.inc();
-            cached_arcs.push(cached);
-            outcomes.push(outcome);
-            meters.cache_rejects.add(cache.rejected() - rejects_before);
-            bytes_before.saturating_sub(cache.bytes())
-        };
-        if freed > 0 {
-            // Integrity rejects discarded anchors: their bytes go back
-            // to the process-wide budget.
-            governor.discharge(freed as u64);
-        }
-    }
+    let cameras: Vec<Camera> = group
+        .iter()
+        .map(|frame| Camera::new(frame.tier.apply(frame.state.cfg.intrinsics), frame.pose))
+        .collect();
+    // Lookups resolve against each session's anchors *before* the job,
+    // so a batch behaves exactly like the same frames served one at a
+    // time in admission order.
+    let (outcomes, cached): (Vec<CacheOutcome>, Vec<Option<Arc<CoarseFrame>>>) = group
+        .iter()
+        .map(|frame| ctx.cache.lookup(frame.session, frame.tier, &frame.pose))
+        .unzip();
 
     let renderer = Renderer::new(
         &scene.model,
@@ -1046,51 +990,22 @@ fn render_group(
         .map(|buf| buf.unwrap_or_else(|| Image::new(0, 0)))
         .collect();
     let mut stats = vec![RenderStats::default(); n];
-    let cached_refs: Vec<Option<&CoarseFrame>> = cached_arcs.iter().map(|c| c.as_deref()).collect();
+    let cached_refs: Vec<Option<&CoarseFrame>> = cached.iter().map(|c| c.as_deref()).collect();
     // The fallible render: a GEMM miscompare or a tripped sentinel
     // surfaces here as `RenderError::Corrupt` — nothing downstream
     // (the frame's end, cache anchoring) ever sees the poisoned output.
     let exports = renderer.render_frames(&cameras, &cached_refs, &mut images, &mut stats)?;
     let finished = Instant::now();
 
-    // Anchor fresh coarse passes, in admission order; the LRU tail is
-    // evicted past the session's byte budget and counted. A cancelled
+    // Anchor fresh coarse passes, in admission order. A cancelled
     // render anchors nothing: its coarse exports are as suspect as its
     // images (the token is sticky, so a fire during the render is
-    // still visible here). Every insert is charged against the global
-    // budget *first*: a refused charge (nothing left to evict
-    // anywhere) skips the anchor and the frame still resolves.
+    // still visible here).
     for ((frame, export), outcome) in group.iter().zip(exports).zip(&outcomes) {
         let Some(coarse) = export else { continue };
-        if *outcome != CacheOutcome::Miss || cancel.is_cancelled() {
-            continue;
-        }
-        let state = &frame.state;
-        let coarse = Arc::new(coarse);
-        let cost = coarse_entry_cost(&coarse);
-        if !governor.try_charge(cost as u64) {
-            continue;
-        }
-        let (bytes_before, bytes_after, evicted) = {
-            let mut cache = lock(&state.cache);
-            let bytes_before = cache.bytes();
-            let entry = CacheEntry {
-                pose: frame.pose,
-                tier: frame.tier,
-                coarse,
-            };
-            let evicted = cache.insert(entry, state.cfg.cache_budget_bytes);
-            (bytes_before, cache.bytes(), evicted)
-        };
-        // The insert added `cost`; whatever the session-budget
-        // eviction (or an outright refusal) freed goes back.
-        let freed = (bytes_before + cost).saturating_sub(bytes_after);
-        if freed > 0 {
-            governor.discharge(freed as u64);
-        }
-        if evicted > 0 {
-            state.evictions.fetch_add(evicted, Ordering::Relaxed);
-            meters.cache_evictions.add(evicted);
+        if *outcome == CacheOutcome::Miss && !cancel.is_cancelled() {
+            ctx.cache
+                .anchor(frame.session, frame.pose, frame.tier, coarse);
         }
     }
 
@@ -1129,11 +1044,12 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::governor::GovernorConfig;
+    use crate::cache::{GovernorConfig, DEFAULT_CACHE_BUDGET_BYTES};
     use crate::server::FrameRequest;
-    use crate::session::{SceneState, SessionConfig};
+    use crate::session::{SceneState, SessionConfig, SessionState};
     use crate::supervisor::{BreakerConfig, CircuitBreaker};
     use gen_nerf::config::ModelConfig;
+    use gen_nerf::config::SamplingStrategy;
     use gen_nerf::model::GenNerfModel;
     use gen_nerf_geometry::{Intrinsics, Pose, Vec3};
     use gen_nerf_scene::{Dataset, DatasetKind};
@@ -1150,7 +1066,11 @@ mod tests {
             Arc::new(Pool::new(1)),
             ServerConfig::default(),
             Arc::new(Supervisor::spawn(instance, clock)),
-            Arc::new(MemoryGovernor::new(&GovernorConfig::default())),
+            Arc::new(AnchorCache::new(
+                &GovernorConfig::default(),
+                0,
+                DEFAULT_CACHE_BUDGET_BYTES,
+            )),
         );
         let ds = Dataset::build(DatasetKind::DeepVoxels, "cube", 0.04, 3, 1, 8, 5);
         let scene = Arc::new(SceneState::prepare(
@@ -1165,7 +1085,8 @@ mod tests {
             SamplingStrategy::Uniform { n: 3 },
         );
         let states = (0..sessions)
-            .map(|_| {
+            .map(|i| {
+                ctx.cache.open(i as u64, cfg, ctx.meters.cache);
                 Arc::new(SessionState::new(
                     Arc::clone(&scene),
                     cfg,
