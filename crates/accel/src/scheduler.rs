@@ -17,7 +17,7 @@
 //! At the paper's configuration (252×189, 64 + 16 depths, 6 + 4 views)
 //! the search scores 91 shapes at each of a few hundred tile origins,
 //! each over the whole depth column and every source view: some 283 K
-//! frustum footprints per frame if each were computed on its own. Three
+//! frustum footprints per frame if each were computed on its own. Four
 //! things keep that cheap without moving a single bit of the result.
 //!
 //! **Vertices are projected once.** Candidates at one origin share
@@ -54,13 +54,40 @@
 //! sees none of the sources every shape scores zero and the first
 //! listed one, a `1×1×4` column, must still win.
 //!
+//! **Footprints are scored far first, and few are hulled.** Three
+//! exact changes cut the focused stage of the paper's frame from
+//! 86,839 footprints to 69,582 and skip the hull of every empty one:
+//!
+//! * A candidate's slices are scored far to near, where its frusta are
+//!   widest and a loser crosses the bound soonest; `emit_column` still
+//!   emits near to far. The order is free: the bytes are a `u64` sum,
+//!   which commutes; both ways to abandon a candidate — one slice over
+//!   the buffer, and `lost` on a running sum that only grows — reject
+//!   it in some order iff they reject it in every order; and the memo
+//!   holds the same values whichever slice asks first. (The coarse
+//!   stage scores a few more footprints this way, 16,962 for 15,760,
+//!   and still gains from the next two.)
+//! * A footprint whose projections all lie on or beyond one border of
+//!   the source image — left, right, top or bottom — is `EMPTY` before
+//!   it is sorted or hulled. The hull's vertices are some of those
+//!   projections, so its bounding box lies inside theirs and would
+//!   clip to nothing on the same side.
+//! * The hull is cheaper in place: [`convex_hull_into`] sorts by
+//!   insertion, which is what `sort_by` runs on eight points, with the
+//!   same comparator evaluated without a branch, and takes a dedup
+//!   square root only for points within 4e-9 on both axes, since any
+//!   farther pair is farther than the 1e-9 radius after rounding. Area
+//!   and perimeter are summed in one walk of the closed hull, edge by
+//!   edge from vertex 0, which is the order `polygon_area` and a
+//!   per-edge sum add them in.
+//!
 //! **Nothing outlives the call.** The memo and the candidate lists are
 //! owned by one `partition` call and freed on return; a second call
 //! with the same arguments does all of the work again. Callers that
 //! repeat a frame (the benchmark's closed loop) measure the search,
 //! not a lookup.
 
-use gen_nerf_geometry::epipolar::{convex_hull_into, polygon_area};
+use gen_nerf_geometry::epipolar::convex_hull_into;
 use gen_nerf_geometry::{Camera, Frustum, Intrinsics, Pose, Ray, Vec2, Vec3};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
@@ -190,31 +217,48 @@ impl Footprint {
     /// corners project to `corners` (`None` for a corner behind the
     /// camera), given in [`Frustum::world_corners`] order.
     fn from_corners(corners: impl Iterator<Item = Option<Vec2>>, source: &Camera) -> Self {
+        let (sw, sh) = (
+            source.intrinsics.width as f32,
+            source.intrinsics.height as f32,
+        );
         let mut projections = [Vec2::ZERO; 8];
         let mut visible = 0;
+        // Whether every projection lies on or beyond the image's left,
+        // right, top or bottom border (a NaN coordinate clears them).
+        let mut beyond = [true; 4];
         for uv in corners.flatten() {
             projections[visible] = uv;
             visible += 1;
+            beyond[0] &= uv.x <= 0.0;
+            beyond[1] &= uv.x >= sw;
+            beyond[2] &= uv.y <= 0.0;
+            beyond[3] &= uv.y >= sh;
         }
-        if visible < 3 {
+        // The hull's vertices are projections, so its bounding box
+        // would clip to nothing on the same side (module docs).
+        if visible < 3 || beyond.contains(&true) {
             return Self::EMPTY;
         }
         let mut hull = [Vec2::ZERO; 16];
         let n = convex_hull_into(&mut projections[..visible], &mut hull);
         let hull = &hull[..n];
-        let area = polygon_area(hull);
-        let perimeter: f32 = (0..hull.len())
-            .map(|i| (hull[(i + 1) % hull.len()] - hull[i]).length())
-            .sum();
+        // Shoelace area and perimeter in one walk of the closed
+        // polygon, each summed edge by edge from vertex 0 as
+        // `polygon_area` and a per-edge `length` sum would.
+        let mut twice_area = 0.0f32;
+        let mut perimeter = 0.0f32;
+        let mut p = hull[0];
+        for &q in hull[1..].iter().chain(&hull[..1]) {
+            twice_area += p.cross(q);
+            perimeter += (q - p).length();
+            p = q;
+        }
+        let area = if n < 3 { 0.0 } else { twice_area.abs() * 0.5 };
         // Dilate by one texel on each side for the bilinear taps.
         let dilated = area + perimeter + 4.0;
 
         // Clip the bounding box to the source image; scale the texel
         // estimate by the visible fraction of the bbox.
-        let (sw, sh) = (
-            source.intrinsics.width as f32,
-            source.intrinsics.height as f32,
-        );
         let mut min = hull[0];
         let mut max = hull[0];
         for &p in hull {
@@ -497,6 +541,10 @@ impl Scheduler {
     /// returns bytes-per-point, or `None` when any slice would exceed
     /// the buffer — or as soon as `lost` says the running
     /// bytes-per-point, which only grows, can no longer win.
+    ///
+    /// Slices are scored far to near: a far slice's frustum is the
+    /// wider, so a losing candidate is abandoned sooner, and the result
+    /// does not depend on the order (module docs).
     fn score(
         &self,
         memo: &mut VertexMemo,
@@ -512,12 +560,13 @@ impl Scheduler {
         if lost(per_point(total_bytes)) {
             return None;
         }
-        let mut d0 = 0u32;
-        while d0 < n_depth {
-            let dd = dd_shape.min(n_depth - d0);
+        // The column's slices start at multiples of `dd`; the last one
+        // is cut short at `n_depth` (and an empty column has none).
+        let dd = dd_shape.min(n_depth);
+        for d0 in (0..n_depth).step_by(dd.max(1) as usize).rev() {
             let reject = |bytes| bytes > self.buffer_bytes || lost(per_point(total_bytes + bytes));
-            total_bytes += memo.slice_bytes(tile, (d0, dd), texel_bytes, reject)?;
-            d0 += dd;
+            let slice = (d0, dd.min(n_depth - d0));
+            total_bytes += memo.slice_bytes(tile, slice, texel_bytes, reject)?;
         }
         Some(per_point(total_bytes))
     }
@@ -888,7 +937,7 @@ mod tests {
     /// match patch for patch.
     mod oracle {
         use super::super::*;
-        use gen_nerf_geometry::epipolar::convex_hull;
+        use gen_nerf_geometry::epipolar::{convex_hull, polygon_area};
 
         type TileRect = (u32, u32, u32, u32);
 
@@ -1279,6 +1328,41 @@ mod tests {
                 (first.dw.min(frame.0), first.dh.min(frame.1), first.dd.min(n_depth))
             );
             prop_assert!(patches.iter().all(|p| p.total_texels() == 0));
+            assert_matches_oracle(&sched, &rig, frame, texel_bytes)?;
+        }
+
+        #[test]
+        fn prop_partitions_match_oracle_where_sources_look_away(
+            picks in proptest::collection::vec(0usize..91, 2..12),
+            w in 8u32..80,
+            h in 8u32..80,
+            views in 1usize..8,
+            n_depth in 1u32..80,
+            texel in 0usize..3,
+            shift in 0u32..10,
+            side in 0usize..4,
+            turn in 0.2f32..1.2,
+        ) {
+            // Source `i` is yawed (sides 0, 1) or pitched (2, 3) by
+            // `turn` radians away from the scene, the side rotating
+            // with `i`: the frame's footprints leave its image to the
+            // left, right, top or bottom — wholly for some slices,
+            // partly for others.
+            let texel_bytes = TEXEL_BYTES[texel];
+            let (sched, frame) = workload(&picks, shift, (w, h, n_depth), (views, texel_bytes));
+            let mut rig = CameraRig::orbit(frame.0, frame.1, views);
+            for (i, source) in rig.sources.iter_mut().enumerate() {
+                let axes = source.pose.rotation;
+                let (sin, cos) = turn.sin_cos();
+                let away = match (side + i) % 4 {
+                    0 => axes.col(0) * sin,
+                    1 => axes.col(0) * -sin,
+                    2 => axes.col(1) * sin,
+                    _ => axes.col(1) * -sin,
+                };
+                let eye = source.pose.origin;
+                source.pose = Pose::look_at(eye, eye + axes.col(2) * cos + away, Vec3::Y);
+            }
             assert_matches_oracle(&sched, &rig, frame, texel_bytes)?;
         }
     }

@@ -123,11 +123,6 @@ impl Mlp {
         self.l1.in_dim()
     }
 
-    /// Hidden width.
-    pub fn hidden_dim(&self) -> usize {
-        self.l1.out_dim()
-    }
-
     /// Output width.
     pub fn out_dim(&self) -> usize {
         self.l3.out_dim()

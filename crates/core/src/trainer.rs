@@ -59,15 +59,6 @@ impl TrainConfig {
             seed: 23,
         }
     }
-
-    /// A longer schedule for the benchmark harness.
-    pub fn thorough() -> Self {
-        Self {
-            steps: 1600,
-            finetune_steps: 500,
-            ..Self::fast()
-        }
-    }
 }
 
 impl Default for TrainConfig {

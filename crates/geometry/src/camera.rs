@@ -1,7 +1,7 @@
 //! Pinhole camera model (OpenCV convention: `x` right, `y` down, `z`
 //! forward).
 
-use crate::mat::{Mat3, Mat4};
+use crate::mat::Mat3;
 use crate::ray::Ray;
 use crate::vec::{Vec2, Vec3};
 use serde::{Deserialize, Serialize};
@@ -142,11 +142,6 @@ impl Pose {
     #[inline]
     pub fn forward(&self) -> Vec3 {
         self.rotation.col(2)
-    }
-
-    /// The pose as a camera-to-world rigid `Mat4`.
-    pub fn to_matrix(&self) -> Mat4 {
-        Mat4::from_rotation_translation(self.rotation, self.origin)
     }
 }
 

@@ -172,7 +172,11 @@ pub fn convex_hull(points: &[Vec2]) -> Vec<Vec2> {
 /// hundred thousand times per frame, from stack arrays.
 ///
 /// The sort is stable and the chain pops on `<= 0.0`, so equal and
-/// collinear points resolve the same way for every caller.
+/// collinear points resolve the same way for every caller. The sort is
+/// the insertion sort `slice::sort_by` itself runs on up to 20
+/// elements, with the same comparator — lexicographic on `(x, y)`, an
+/// unordered pair of coordinates counting as equal — so it also orders
+/// inputs without a total order (NaNs) as `sort_by` did.
 ///
 /// # Panics
 ///
@@ -186,15 +190,30 @@ pub fn convex_hull_into(points: &mut [Vec2], hull: &mut [Vec2]) -> usize {
         points.len(),
         2 * points.len()
     );
-    points.sort_by(|p, q| {
-        p.x.partial_cmp(&q.x)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(p.y.partial_cmp(&q.y).unwrap_or(std::cmp::Ordering::Equal))
-    });
-    // Drop near-duplicates of the last kept point.
+    // `p.x.partial_cmp(&q.x).unwrap_or(Equal).then(<the same on y>)`
+    // is `Less`, evaluated without a branch.
+    let precedes = |p: &Vec2, q: &Vec2| {
+        let x_not_after = p.x.partial_cmp(&q.x) != Some(std::cmp::Ordering::Greater);
+        (p.x < q.x) | (x_not_after & (p.y < q.y))
+    };
+    for i in 1..points.len() {
+        let p = points[i];
+        let mut j = i;
+        while j > 0 && precedes(&p, &points[j - 1]) {
+            points[j] = points[j - 1];
+            j -= 1;
+        }
+        points[j] = p;
+    }
+    // Drop near-duplicates of the last kept point. A point more than
+    // 4e-9 away along either axis is farther than 1e-9 whatever the
+    // rounding, so only the closest pairs pay for a square root.
     let mut n = 0;
     for i in 0..points.len() {
-        let duplicate = n > 0 && (points[i] - points[n - 1]).length() < 1e-9;
+        let duplicate = n > 0 && {
+            let d = points[i] - points[n - 1];
+            d.x.abs() <= 4e-9 && d.y.abs() <= 4e-9 && d.length() < 1e-9
+        };
         if !duplicate {
             points[n] = points[i];
             n += 1;
@@ -415,8 +434,11 @@ mod tests {
     }
 
     /// The hull as it was before [`convex_hull_into`] existed — heap
-    /// vectors, `Vec::dedup_by`, push / pop — kept as the oracle the
-    /// in-place implementation must match vertex for vertex.
+    /// vectors, `slice::sort_by`, `Vec::dedup_by` on `length()`, push /
+    /// pop — kept as the oracle the in-place implementation must match
+    /// vertex for vertex: the scheduler's partition is pinned bit for
+    /// bit, so the hull may get cheaper only while it agrees with this
+    /// one.
     fn convex_hull_reference(points: &[Vec2]) -> Vec<Vec2> {
         let mut pts: Vec<Vec2> = points.to_vec();
         pts.sort_by(|p, q| {
@@ -457,6 +479,22 @@ mod tests {
         }
         hull.pop();
         hull
+    }
+
+    /// Coordinates where a hull's sort, dedup and turn test are
+    /// closest to their edges: both zeros, the borders of a 252×189
+    /// source image, and near-duplicates 0.5, 1, 2 and 4 × 1e-9 apart
+    /// (the dedup radius is 1e-9; far from zero the offsets round
+    /// away, which leaves exact duplicates).
+    fn edge_coordinate((base, offset): (usize, usize)) -> f32 {
+        const BASES: [f32; 9] = [0.0, -0.0, 1e-8, -1.5, 1.0, 3.0, 64.25, 189.0, 252.0];
+        const OFFSETS: [f32; 9] = [0.0, 0.5e-9, 1e-9, 2e-9, 4e-9, -0.5e-9, -1e-9, -2e-9, -4e-9];
+        // `-0.0 + 0.0` is `+0.0`: an offset of zero is no addition.
+        if OFFSETS[offset] == 0.0 {
+            BASES[base]
+        } else {
+            BASES[base] + OFFSETS[offset]
+        }
     }
 
     fn bits(vertices: &[Vec2]) -> Vec<(u32, u32)> {
@@ -594,6 +632,51 @@ mod tests {
             let reference = convex_hull_reference(&pts);
             prop_assert_eq!(bits(&hull_on_stack(&pts)), bits(&reference));
             prop_assert_eq!(bits(&convex_hull(&pts)), bits(&reference));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4096))]
+
+        #[test]
+        fn prop_hull_into_matches_reference_on_edge_points(
+            coords in proptest::collection::vec(((0usize..9, 0usize..9), (0usize..9, 0usize..9)), 3..9),
+            run in 0usize..9,
+            step in 0usize..5,
+            ties in 0usize..9,
+            shared_y in 0usize..2,
+            nan in 0usize..32,
+        ) {
+            // 3–8 points on the edge coordinates. The first `run` of
+            // them are then moved onto one line through the first (a
+            // collinear run, with near-duplicate spacing for the last
+            // step), and the last `ties` onto x = +0.0 and -0.0 in
+            // turn, with `shared_y` onto one y as well: points the
+            // comparator cannot tell apart, whose order only a stable
+            // sort keeps. In one case of four a coordinate is NaN.
+            const STEPS: [(f32, f32); 5] = [(1.0, 0.0), (0.0, 1.0), (0.5, 0.5), (2.0, -1.0), (1e-9, 2e-9)];
+            let mut pts: Vec<Vec2> = coords
+                .iter()
+                .map(|&(x, y)| Vec2::new(edge_coordinate(x), edge_coordinate(y)))
+                .collect();
+            let (sx, sy) = STEPS[step];
+            for k in 1..run.min(pts.len()) {
+                pts[k] = Vec2::new(pts[0].x + k as f32 * sx, pts[0].y + k as f32 * sy);
+            }
+            let y = pts[0].y;
+            for (k, p) in pts.iter_mut().rev().take(ties).enumerate() {
+                p.x = if k % 2 == 0 { 0.0 } else { -0.0 };
+                if shared_y == 1 {
+                    p.y = y;
+                }
+            }
+            if let Some(p) = pts.get_mut(nan / 2) {
+                *[&mut p.x, &mut p.y][nan % 2] = f32::NAN;
+            }
+            let reference = convex_hull_reference(&pts);
+            let hull = hull_on_stack(&pts);
+            prop_assert_eq!(bits(&hull), bits(&reference));
+            prop_assert_eq!(polygon_area(&hull).to_bits(), polygon_area(&reference).to_bits());
         }
     }
 }

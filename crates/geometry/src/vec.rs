@@ -320,12 +320,6 @@ impl Vec2 {
         self.x * rhs.y - self.y * rhs.x
     }
 
-    /// Rotates the vector 90° counter-clockwise.
-    #[inline]
-    pub fn perp(self) -> Self {
-        Self::new(-self.y, self.x)
-    }
-
     /// Extends into homogeneous image coordinates `(x, y, 1)`.
     #[inline]
     pub fn homogeneous(self) -> Vec3 {
@@ -380,12 +374,6 @@ impl Vec3 {
         } else {
             Some(Vec2::new(self.x / self.z, self.y / self.z))
         }
-    }
-
-    /// XY components.
-    #[inline]
-    pub fn xy(self) -> Vec2 {
-        Vec2::new(self.x, self.y)
     }
 }
 

@@ -107,18 +107,6 @@ pub fn num_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Maps `f` over `items` in input order with the default worker count.
-///
-/// Equivalent to `par_map_threads(items, num_threads(), f)`.
-pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_threads(items, num_threads(), f)
-}
-
 /// Maps `f` over `items` in input order using up to `threads` workers
 /// claiming one item at a time.
 ///
@@ -381,12 +369,6 @@ impl Pool {
             })
             .collect();
         Self { crew, workers }
-    }
-
-    /// A pool sized by [`num_threads`] (the `GEN_NERF_THREADS`
-    /// environment variable).
-    pub fn with_default_threads() -> Self {
-        Self::new(num_threads())
     }
 
     /// Number of persistent workers.
