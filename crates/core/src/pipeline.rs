@@ -91,11 +91,11 @@
 //!
 //! # Multi-frame rendering (the serving substrate)
 //!
-//! The renderer has two doors over one private core:
-//! [`Renderer::render`] (one camera, infallible) and
-//! [`Renderer::render_frames`] (many cameras into caller-owned buffers,
-//! with the integrity verdict). The same batch-independence contract
-//! lifts the fused schedule from one frame to *many*: the core
+//! The renderer has one render path, [`Renderer::render_frames`]
+//! (many cameras into caller-owned buffers, with the integrity
+//! verdict), and [`Renderer::render`] is its one-camera door that
+//! ignores the verdict. The same batch-independence contract lifts the
+//! fused schedule from one frame to *many*: the render
 //! concatenates the ray domains of several cameras and tiles the
 //! union, so rays of small concurrent frames share fused GEMMs that a
 //! single small frame could not fill (tiles straddle frame boundaries
@@ -129,17 +129,28 @@
 //! finite-value scans after each fused forward (one `is_finite_all`
 //! of the active kernel over the tile's flat densities, AVX2 where
 //! available, plus its colours) and over the composited pixels right
-//! before they become images. Trips are recorded in
-//! process-wide counters; the fallible door
-//! ([`Renderer::render_frames`]) snapshots the counters around the
-//! render and returns [`RenderError::Corrupt`] instead of publishing a
-//! frame whose window saw a fault. [`Renderer::render`] never reads
-//! them — and with integrity off (the default) no scan runs and
-//! behavior is bit-for-bit what it always was. [`CoarseFrame`]s are
-//! additionally sealed with an FNV-1a payload digest at export so a
-//! serving cache can reject an anchor that was corrupted at rest
-//! ([`CoarseFrame::integrity_ok`]) as a miss instead of shading from
-//! it.
+//! before they become images.
+//!
+//! A verdict travels with the tile that found it. A GEMM miscompare
+//! lands in the nn fault slot of the thread that ran the product, and
+//! a tile's sentinel trip in this module's slot of the same thread.
+//! `Renderer::fan_out` is the one place a fault is attributed: it
+//! empties both slots when a tile starts, takes them when the tile
+//! ends, and keeps the first fault in pass and tile order as the
+//! render's verdict. The composite-boundary scan runs on the caller's
+//! thread and joins that verdict directly. The fallible door
+//! ([`Renderer::render_frames`]) returns it as [`RenderError::Corrupt`]
+//! instead of publishing the frames; [`Renderer::render`] ignores it.
+//! A render fails for its own faults only, whatever runs beside it on
+//! the crew, and the same faults give the same verdict at any worker
+//! count. The process-wide counters (`nn_abft_miscompares_total`,
+//! `core_sentinel_trips_total`) still count every fault, but no
+//! verdict is read from them. With integrity off (the default) no
+//! check or scan runs and behavior is bit-for-bit what it always was.
+//! [`CoarseFrame`]s are additionally sealed with an FNV-1a payload
+//! digest at export so a serving cache can reject an anchor that was
+//! corrupted at rest ([`CoarseFrame::integrity_ok`]) as a miss instead
+//! of shading from it.
 
 use crate::config::SamplingStrategy;
 use crate::features::{assert_channels, AggregateArena, SourceViewData};
@@ -153,9 +164,8 @@ use gen_nerf_parallel::{CancelToken, Executor, Pool};
 use gen_nerf_scene::renderer::{composite_into, composite_to};
 use gen_nerf_scene::Image;
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 mod reference;
@@ -324,36 +334,27 @@ pub const STEADY_STATE_ALLOC_CEILING: u64 = 45;
 /// it was four `Vec`s per ray (9,216 of the benchmark frame's 9,767).
 pub const STEADY_STATE_CTF_ALLOC_CEILING: u64 = 80;
 
-/// One tile's full-model evaluations for one frame, as plain integers.
-/// Every `RenderStats` term is linear in these, so a tile sums them per
-/// ray and books them once ([`Renderer::book_full_eval`]) instead of
-/// probing the string-keyed FLOPs buckets for every ray.
+/// One tile's model evaluations for one frame, as plain integers: a
+/// full-model pass's ([`Renderer::book_full_eval`]) or Step ①'s
+/// probing ([`Renderer::book_coarse_eval`]). Every `RenderStats` term
+/// is linear in these, so a tile sums them per ray and books them once
+/// instead of probing the string-keyed FLOPs buckets for every ray.
 #[derive(Debug, Clone, Copy, Default)]
-struct FullEvalCounts {
+struct EvalCounts {
     /// Rays evaluated (with at least one point).
     rays: u64,
     /// Points evaluated.
     points: u64,
     /// Valid (point, view) pairs.
     valid: u64,
-    /// Σ over rays of the ray module's FLOPs at the ray's length.
+    /// Full model only: Σ over rays of the ray module's FLOPs at the
+    /// ray's length.
     ray_module: u64,
-    /// Σ over rays of the volume-rendering FLOPs at the ray's length.
-    render: u64,
-}
-
-/// One tile's Step ① probing for one frame (see [`FullEvalCounts`]).
-#[derive(Debug, Clone, Copy, Default)]
-struct CoarseEvalCounts {
-    /// Rays probed.
-    rays: u64,
-    /// Coarse points evaluated.
-    points: u64,
-    /// Valid (point, view) pairs.
-    valid: u64,
-    /// Rays composited (a ray that crosses the bounds, probed or not).
+    /// Step ① only: rays composited (a ray that crosses the bounds,
+    /// probed or not).
     composited: u64,
-    /// Σ over composited rays of the volume-rendering FLOPs.
+    /// Σ over evaluated rays of the volume-rendering FLOPs at the
+    /// ray's length.
     render: u64,
 }
 
@@ -489,9 +490,8 @@ pub enum RenderError {
         /// Which guard detected the corruption: `"gemm"` for the ABFT
         /// checksum, `"sentinel"` for a stage-boundary finite scan.
         stage: &'static str,
-        /// Human-readable description of the first recorded fault
-        /// (best-effort under concurrent renders: the detail slot is
-        /// process-wide, the detection itself is not).
+        /// Human-readable description of the render's first fault, in
+        /// pass and tile order.
         detail: String,
     },
 }
@@ -508,42 +508,45 @@ impl fmt::Display for RenderError {
 
 impl std::error::Error for RenderError {}
 
-/// Stage-boundary sentinel sink. Sentinels run on worker threads deep
-/// inside chunk fan-outs, so they report through a process-wide
-/// monotonic counter instead of threading `Result`s through every
-/// join: a fallible render snapshots the counter on entry and fails
-/// the frame when it advanced by exit. Counter deltas can only
-/// over-report under concurrent renders (a clean frame overlapping a
-/// corrupt one fails spuriously and succeeds on retry) — a corrupt
-/// frame can never under-report, because its own trip lands inside
-/// its own window.
-static SENTINEL_TRIPS: AtomicU64 = AtomicU64::new(0);
-/// First-trip detail, first write wins until drained (best-effort
-/// attribution only; `SENTINEL_TRIPS` is the ground truth).
-static SENTINEL_DETAIL: Mutex<Option<String>> = Mutex::new(None);
 /// Armed single-pixel corruption for the chaos harness (see
 /// [`arm_pixel_corruption`]); consumed by the next multi-frame render.
 static ARMED_PIXEL: Mutex<Option<u64>> = Mutex::new(None);
 
-/// Records one sentinel trip (worker-thread safe).
-fn trip_sentinel(detail: String) {
-    SENTINEL_TRIPS.fetch_add(1, Ordering::Relaxed);
-    {
-        use std::sync::OnceLock;
-        static C: OnceLock<gen_nerf_telemetry::Counter> = OnceLock::new();
-        C.get_or_init(|| gen_nerf_telemetry::counter("core_sentinel_trips_total", &[]))
-            .inc();
-    }
-    let mut slot = SENTINEL_DETAIL.lock().unwrap();
-    if slot.is_none() {
-        *slot = Some(detail);
+thread_local! {
+    /// The first sentinel trip of the tile this thread is running
+    /// (see the "Output integrity" section of the module docs).
+    static TILE_TRIP: Cell<Option<RenderError>> = const { Cell::new(None) };
+}
+
+/// Counts one sentinel trip and returns its verdict.
+fn sentinel_fault(detail: String) -> RenderError {
+    use std::sync::OnceLock;
+    static C: OnceLock<gen_nerf_telemetry::Counter> = OnceLock::new();
+    C.get_or_init(|| gen_nerf_telemetry::counter("core_sentinel_trips_total", &[]))
+        .inc();
+    RenderError::Corrupt {
+        stage: "sentinel",
+        detail,
     }
 }
 
-/// Total stage-boundary sentinel trips since process start (for
-/// serving-layer observability; monotonic).
-pub fn sentinel_trips() -> u64 {
-    SENTINEL_TRIPS.load(Ordering::Relaxed)
+/// Records a sentinel trip of the tile this thread is running (the
+/// first trip wins until the tile ends).
+fn trip_sentinel(detail: String) {
+    let fault = sentinel_fault(detail);
+    let first = TILE_TRIP.take();
+    TILE_TRIP.set(first.or(Some(fault)));
+}
+
+/// Empties this thread's fault slots and returns what they held: the
+/// first GEMM miscompare, else the first sentinel trip.
+fn take_tile_fault() -> Option<RenderError> {
+    let gemm = integrity::take_fault().map(|e| RenderError::Corrupt {
+        stage: "gemm",
+        detail: e.to_string(),
+    });
+    let trip = TILE_TRIP.take();
+    gemm.or(trip)
 }
 
 /// Whether the stage-boundary sentinels are live. They ride the same
@@ -906,13 +909,12 @@ impl<'a> Renderer<'a> {
         self.cancel.is_some_and(CancelToken::is_cancelled)
     }
 
-    /// Renders a full image from `camera`: one frame through the
-    /// render core, whatever the integrity counters say (see
-    /// [`Renderer::render_frames`] for the door that reads them).
+    /// Renders a full image from `camera`: one frame through
+    /// [`Renderer::render_frames`], whatever its integrity verdict.
     pub fn render(&self, camera: &Camera) -> (Image, RenderStats) {
         let mut image = Image::new(0, 0);
         let mut stats = RenderStats::default();
-        self.render_core(
+        let _verdict = self.render_frames(
             std::slice::from_ref(camera),
             &[None],
             std::slice::from_mut(&mut image),
@@ -942,15 +944,15 @@ impl<'a> Renderer<'a> {
     ///
     /// # Errors
     ///
-    /// When any GEMM checksum or stage-boundary sentinel tripped
-    /// during this render, returns [`RenderError::Corrupt`] — the
-    /// caller must treat `images`/`stats` as garbage (they were
-    /// overwritten before the verdict) and retry or fail the frames.
-    /// The check is a counter delta over the render window, so under
-    /// concurrent renders a clean frame overlapping a corrupt one can
-    /// fail spuriously (and succeed on retry) — but a corrupt frame
-    /// can never pass. With integrity checking off (the default) this
-    /// never fails.
+    /// When a GEMM checksum or a stage-boundary sentinel tripped in one
+    /// of this render's tiles, or at its composite boundary, returns
+    /// [`RenderError::Corrupt`] carrying the first such fault in pass
+    /// and tile order — the same fault at any worker count. The caller
+    /// must treat `images`/`stats` as garbage (they were overwritten
+    /// before the verdict) and retry or fail the frames. Faults found
+    /// by other renders running at the same time, on this crew or any
+    /// other thread, never fail this one. With integrity checking off
+    /// (the default) this never fails.
     ///
     /// # Panics
     ///
@@ -965,29 +967,12 @@ impl<'a> Renderer<'a> {
         images: &mut [Image],
         stats: &mut [RenderStats],
     ) -> Result<Vec<Option<CoarseFrame>>, RenderError> {
-        let (faults0, trips0) = Self::integrity_epoch();
-        let fresh = self.render_core(cameras, cached, images, stats);
-        Self::corruption_since(faults0, trips0)?;
-        Ok(fresh)
-    }
-
-    /// The one render core behind both doors (their docs give the
-    /// contract): batches the cameras' rays, runs the strategy's
-    /// schedule over the union, guards the composite boundary and
-    /// writes the images.
-    fn render_core(
-        &self,
-        cameras: &[Camera],
-        cached: &[Option<&CoarseFrame>],
-        images: &mut [Image],
-        stats: &mut [RenderStats],
-    ) -> Vec<Option<CoarseFrame>> {
         let n_frames = cameras.len();
         assert_eq!(cached.len(), n_frames, "one cached slot per camera");
         assert_eq!(images.len(), n_frames, "one image buffer per camera");
         assert_eq!(stats.len(), n_frames, "one stats buffer per camera");
         if n_frames == 0 {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let batches: Vec<RayBatch> = cameras
             .iter()
@@ -999,13 +984,15 @@ impl<'a> Renderer<'a> {
         }
         let set = FrameSet::new(&batches, |_| true);
 
+        let mut verdict = None;
         let (mut pixels, fresh) = match self.strategy {
             SamplingStrategy::Uniform { n } => {
                 assert!(
                     cached.iter().all(|c| c.is_none()),
                     "uniform sampling has no coarse pass to import"
                 );
-                let px = self.shade_frames_fused(&set, |_, _| n, set.uniform_depths(n), stats);
+                let depths = set.uniform_depths(n);
+                let px = self.shade_frames_fused(&set, |_, _| n, depths, stats, &mut verdict);
                 (px, vec![None; n_frames])
             }
             SamplingStrategy::Hierarchical { n_coarse, n_fine } => {
@@ -1013,7 +1000,8 @@ impl<'a> Renderer<'a> {
                     cached.iter().all(|c| c.is_none()),
                     "hierarchical sampling has no exportable coarse pass"
                 );
-                let px = self.render_hierarchical_frames(&set, n_coarse, n_fine, stats);
+                let px =
+                    self.render_hierarchical_frames(&set, n_coarse, n_fine, stats, &mut verdict);
                 (px, vec![None; n_frames])
             }
             SamplingStrategy::CoarseThenFocus {
@@ -1021,60 +1009,38 @@ impl<'a> Renderer<'a> {
                 n_focused,
                 tau,
                 s_coarse,
-            } => self.render_ctf_frames(&set, n_coarse, n_focused, tau, s_coarse, cached, stats),
+            } => self.render_ctf_frames(
+                &set,
+                n_coarse,
+                n_focused,
+                tau,
+                s_coarse,
+                cached,
+                stats,
+                &mut verdict,
+            ),
         };
         // Corruption-chaos injection point (no-op unless armed), then
         // the composite-boundary sentinel: the last integrity gate
         // before pixels become publishable images.
         apply_armed_pixel_fault(&mut pixels);
         if sentinels_enabled() {
-            'frames: for (f, px) in pixels.iter().enumerate() {
-                for (j, c) in px.iter().enumerate() {
-                    if !(c.x.is_finite() && c.y.is_finite() && c.z.is_finite()) {
-                        trip_sentinel(format!(
-                            "composite boundary: non-finite pixel {j} of frame {f}"
-                        ));
-                        break 'frames;
-                    }
-                }
+            let non_finite = pixels.iter().enumerate().find_map(|(f, px)| {
+                px.iter()
+                    .position(|c| !(c.x.is_finite() && c.y.is_finite() && c.z.is_finite()))
+                    .map(|j| (f, j))
+            });
+            if let Some((f, j)) = non_finite {
+                let fault = sentinel_fault(format!(
+                    "composite boundary: non-finite pixel {j} of frame {f}"
+                ));
+                verdict.get_or_insert(fault);
             }
         }
         for ((batch, px), image) in batches.iter().zip(&pixels).zip(images.iter_mut()) {
             batch.write_image(px, image);
         }
-        fresh
-    }
-
-    /// Snapshot of the process-wide corruption counters (GEMM checksum
-    /// faults, sentinel trips) for a delta check around one render.
-    fn integrity_epoch() -> (u64, u64) {
-        (integrity::check_stats().1, sentinel_trips())
-    }
-
-    /// Maps a counter delta since `(faults0, trips0)` to the frame
-    /// verdict, draining the best-effort detail slots on failure.
-    fn corruption_since(faults0: u64, trips0: u64) -> Result<(), RenderError> {
-        let (faults1, trips1) = Self::integrity_epoch();
-        if faults1 != faults0 {
-            let detail = integrity::take_fault().map_or_else(
-                || "GEMM checksum mismatch (detail drained concurrently)".to_string(),
-                |e| e.to_string(),
-            );
-            return Err(RenderError::Corrupt {
-                stage: "gemm",
-                detail,
-            });
-        }
-        if trips1 != trips0 {
-            let detail = SENTINEL_DETAIL.lock().unwrap().take().unwrap_or_else(|| {
-                "non-finite stage output (detail drained concurrently)".to_string()
-            });
-            return Err(RenderError::Corrupt {
-                stage: "sentinel",
-                detail,
-            });
-        }
-        Ok(())
+        verdict.map_or(Ok(fresh), Err)
     }
 
     fn d_channels(&self) -> usize {
@@ -1098,7 +1064,18 @@ impl<'a> Renderer<'a> {
     /// or the worker count, and tile geometry never changes results
     /// anyway (GEMM rows are batch-independent and every per-ray
     /// decision is a function of the ray index).
-    fn fan_out<R, P, F>(&self, n: usize, points_of: P, f: F) -> Vec<R>
+    ///
+    /// This is also where integrity faults meet their render: the
+    /// worker's fault slots are emptied when a tile starts and taken
+    /// when it ends, and the first fault in tile order goes into
+    /// `verdict` unless it already holds one from an earlier pass.
+    fn fan_out<R, P, F>(
+        &self,
+        verdict: &mut Option<RenderError>,
+        n: usize,
+        points_of: P,
+        f: F,
+    ) -> impl Iterator<Item = R>
     where
         R: Send,
         P: Fn(usize) -> usize,
@@ -1123,16 +1100,24 @@ impl<'a> Renderer<'a> {
         #[cfg(test)]
         tests::log_tile(|| tests::TileLog::Tiles(bounds.clone()));
         let telemetry = gen_nerf_telemetry::enabled();
-        self.executor.claim(
+        let mut tiles = self.executor.claim(
             bounds.len() - 1,
             || (),
             |_, tile| {
                 if telemetry {
                     meters().tiles.inc();
                 }
-                f(bounds[tile], bounds[tile + 1])
+                // Whatever earlier work left on this thread is not
+                // this tile's.
+                let _stale = take_tile_fault();
+                let result = f(bounds[tile], bounds[tile + 1]);
+                (result, take_tile_fault())
             },
-        )
+        );
+        if verdict.is_none() {
+            *verdict = tiles.iter_mut().find_map(|(_, fault)| fault.take());
+        }
+        tiles.into_iter().map(|(result, _)| result)
     }
 
     /// The one tile fill — Phase 1 of every fused pass: aggregates rays
@@ -1183,7 +1168,7 @@ impl<'a> Renderer<'a> {
     fn merge_frame_chunks(
         &self,
         set: &FrameSet,
-        chunks: Vec<(Vec<Vec3>, Vec<FullEvalCounts>)>,
+        chunks: impl Iterator<Item = (Vec<Vec3>, Vec<EvalCounts>)>,
         stats: &mut [RenderStats],
     ) -> Vec<Vec<Vec3>> {
         let mut pixels: Vec<Vec<Vec3>> = set
@@ -1223,6 +1208,7 @@ impl<'a> Renderer<'a> {
         points_of: P,
         depths_for: D,
         stats: &mut [RenderStats],
+        verdict: &mut Option<RenderError>,
     ) -> Vec<Vec<Vec3>>
     where
         P: Fn(usize, usize) -> usize + Sync,
@@ -1233,11 +1219,11 @@ impl<'a> Renderer<'a> {
             let (f, j) = set.locate(g);
             points_of(f, j)
         };
-        let chunks = self.fan_out(set.total(), tile_points, |start, end| {
+        let chunks = self.fan_out(verdict, set.total(), tile_points, |start, end| {
             with_worker_scratch(|ws| {
                 let telemetry = gen_nerf_telemetry::enabled();
                 let t_chunk = telemetry.then(std::time::Instant::now);
-                let mut local = vec![FullEvalCounts::default(); set.n_frames()];
+                let mut local = vec![EvalCounts::default(); set.n_frames()];
                 let WorkerScratch {
                     arena,
                     forward,
@@ -1307,7 +1293,7 @@ impl<'a> Renderer<'a> {
 
     /// Adds one ray's full-model evaluation — `n ≥ 1` points, `valid`
     /// (point, view) pairs — to a tile's counts.
-    fn count_full_eval(&self, n: usize, valid: usize, counts: &mut FullEvalCounts) {
+    fn count_full_eval(&self, n: usize, valid: usize, counts: &mut EvalCounts) {
         counts.rays += 1;
         counts.points += n as u64;
         counts.valid += valid as u64;
@@ -1318,7 +1304,7 @@ impl<'a> Renderer<'a> {
     /// Books a tile's full-model counts: one add per bucket, the same
     /// totals as an add per ray (every term is an integer sum). A tile
     /// that evaluated nothing for the frame touches no bucket.
-    fn book_full_eval(&self, counts: &FullEvalCounts, stats: &mut RenderStats) {
+    fn book_full_eval(&self, counts: &EvalCounts, stats: &mut RenderStats) {
         if counts.rays == 0 {
             return;
         }
@@ -1340,7 +1326,7 @@ impl<'a> Renderer<'a> {
 
     /// Books a tile's Step ① counts at `dc` coarse channels (see
     /// [`Renderer::book_full_eval`]).
-    fn book_coarse_eval(&self, counts: &CoarseEvalCounts, dc: usize, stats: &mut RenderStats) {
+    fn book_coarse_eval(&self, counts: &EvalCounts, dc: usize, stats: &mut RenderStats) {
         stats.feature_fetches += 4 * counts.valid;
         stats.coarse_points += counts.points;
         if counts.rays != 0 {
@@ -1368,7 +1354,7 @@ impl<'a> Renderer<'a> {
         valid_counts: impl Iterator<Item = usize>,
         stats: &mut RenderStats,
     ) {
-        let mut counts = FullEvalCounts::default();
+        let mut counts = EvalCounts::default();
         self.count_full_eval(n, valid_counts.sum(), &mut counts);
         self.book_full_eval(&counts, stats);
     }
@@ -1404,12 +1390,13 @@ impl<'a> Renderer<'a> {
         n_coarse: usize,
         n_fine: usize,
         stats: &mut [RenderStats],
+        verdict: &mut Option<RenderError>,
     ) -> Vec<Vec<Vec3>> {
         let d = self.d_channels();
         let per_pass = |_| n_coarse.max(n_fine);
-        let chunks = self.fan_out(set.total(), per_pass, |start, end| {
+        let chunks = self.fan_out(verdict, set.total(), per_pass, |start, end| {
             with_worker_scratch(|ws| {
-                let mut local = vec![FullEvalCounts::default(); set.n_frames()];
+                let mut local = vec![EvalCounts::default(); set.n_frames()];
                 let WorkerScratch {
                     arena,
                     forward,
@@ -1557,6 +1544,7 @@ impl<'a> Renderer<'a> {
         s_coarse: usize,
         cached: &[Option<&CoarseFrame>],
         stats: &mut [RenderStats],
+        verdict: &mut Option<RenderError>,
     ) -> (Vec<Vec<Vec3>>, Vec<Option<CoarseFrame>>) {
         let coarse_sources = &self.sources[..s_coarse.min(self.sources.len())];
         let dc = self.model.config.coarse_channels;
@@ -1599,9 +1587,9 @@ impl<'a> Renderer<'a> {
             })
             .collect();
         let points_of = |_| n_coarse;
-        let coarse_chunks = self.fan_out(probed.total(), points_of, |start, end| {
+        let coarse_chunks = self.fan_out(verdict, probed.total(), points_of, |start, end| {
             with_worker_scratch(|ws| {
-                let mut local = vec![CoarseEvalCounts::default(); set.n_frames()];
+                let mut local = vec![EvalCounts::default(); set.n_frames()];
                 let WorkerScratch {
                     arena,
                     coarse,
@@ -1745,6 +1733,7 @@ impl<'a> Renderer<'a> {
                 );
             },
             stats,
+            verdict,
         );
         (pixels, fresh)
     }

@@ -1,6 +1,6 @@
 //! Algorithm-based fault tolerance (ABFT) for the dense GEMM path,
-//! plus the process-wide integrity state the serve tier drives: the
-//! fault sink, the chaos-injection hook and the backend quarantine
+//! plus the integrity state the serve tier drives: the per-thread
+//! fault slot, the chaos-injection hook and the backend quarantine
 //! latch.
 //!
 //! # Checksum math
@@ -44,7 +44,7 @@
 //! the panel is verified, then bias / ReLU / residual are applied to
 //! it by the same element functions — so `full` ≡ `off` bitwise).
 //! Nothing a whole-tile check covered is lost: the same rows, the same
-//! identity, the same two-tier tolerance, the same fault sink.
+//! identity, the same two-tier tolerance, the same fault slot.
 //!
 //! Verification costs O(m·k + m·n + k·n) against the GEMM's
 //! O(m·k·n) — but the workspace's inner dimensions are small (k in
@@ -59,11 +59,16 @@
 //!
 //! The dense entry points are infallible (`Tensor2::matmul_into`
 //! cannot return `Result` without rewriting every model layer), so a
-//! miscompare does not unwind: it is recorded in a process-global
-//! **fault sink** and the corrupt output flows on. The render
-//! pipeline clears the sink before a frame and drains it at stage
-//! boundaries — a recorded fault fails the frame before any pixel is
-//! published (see `gen_nerf::pipeline`).
+//! miscompare does not unwind: it is recorded in the **fault slot of
+//! the thread that ran the product** ([`record_fault`], first fault
+//! wins until [`take_fault`]) and the corrupt output flows on. A
+//! product runs on the thread that runs its caller's work item, so the
+//! slot belongs to that item: the render pipeline empties it when a
+//! ray tile starts and takes it when the tile ends, and fails the one
+//! render that owns the tile before any pixel is published (see
+//! `gen_nerf::pipeline`). Renders running side by side on one crew
+//! never see each other's faults. [`check_stats`] still counts every
+//! miscompare process-wide, for telemetry only.
 //!
 //! # Quarantine
 //!
@@ -73,6 +78,7 @@
 //! miscompares attributed to the AVX2 backend.
 
 use super::{Backend, MicroKernel};
+use std::cell::Cell;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -250,11 +256,12 @@ impl std::fmt::Display for IntegrityError {
     }
 }
 
-/// Process-global fault sink: the most recent undrained miscompare.
-/// One slot suffices — the pipeline fails the whole frame on the
-/// first recorded fault; later faults from the same corrupt pass add
-/// nothing.
-static FAULT: Mutex<Option<IntegrityError>> = Mutex::new(None);
+thread_local! {
+    /// This thread's first undrained miscompare. One slot suffices —
+    /// the pipeline fails the tile's render on its first fault; later
+    /// faults from the same corrupt tile add nothing.
+    static FAULT: Cell<Option<IntegrityError>> = const { Cell::new(None) };
+}
 
 /// Count of verified GEMMs (clean or not) since process start.
 static CHECKS: AtomicU64 = AtomicU64::new(0);
@@ -265,20 +272,19 @@ static FAULTS: AtomicU64 = AtomicU64::new(0);
 /// Dispatched-GEMM counter driving `sample` mode.
 static CALLS: AtomicU32 = AtomicU32::new(0);
 
-/// Records a miscompare in the fault sink (first fault wins until
-/// drained) and bumps the fault counter.
+/// Records a miscompare in this thread's fault slot (first fault wins
+/// until drained) and bumps the fault counter.
 pub fn record_fault(err: IntegrityError) {
     FAULTS.fetch_add(1, Ordering::Relaxed);
     abft_miscompares_counter().inc();
-    let mut slot = FAULT.lock().unwrap();
-    if slot.is_none() {
-        *slot = Some(err);
-    }
+    let first = FAULT.take();
+    FAULT.set(first.or(Some(err)));
 }
 
-/// Drains the fault sink, returning the oldest undrained miscompare.
+/// Drains this thread's fault slot, returning its oldest undrained
+/// miscompare.
 pub fn take_fault() -> Option<IntegrityError> {
-    FAULT.lock().unwrap().take()
+    FAULT.take()
 }
 
 /// `(verified GEMMs, recorded miscompares)` since process start.
@@ -365,10 +371,22 @@ pub fn quarantined() -> Option<Backend> {
     }
 }
 
-/// Clears the quarantine latch. Test/bench support only: production
-/// quarantine is deliberately sticky.
+/// Detected miscompares charged against a SIMD backend, across the
+/// process: a quarantine policy (the serve tier's) counts its strikes
+/// here, so clearing the latch also starts the count afresh.
+static STRIKES: AtomicU32 = AtomicU32::new(0);
+
+/// Charges one detected miscompare against the active SIMD backend and
+/// returns the strike count so far, this one included.
+pub fn strike() -> u32 {
+    STRIKES.fetch_add(1, Ordering::Relaxed) + 1
+}
+
+/// Clears the quarantine latch and the strike count. Test/bench support
+/// only: production quarantine is deliberately sticky.
 pub fn clear_quarantine_for_tests() {
     QUARANTINED.store(0, Ordering::Relaxed);
+    STRIKES.store(0, Ordering::Relaxed);
 }
 
 // ---- election, dispatch accounting, the checked GEMM ------------------
@@ -404,8 +422,9 @@ pub(crate) fn elect() -> bool {
 
 /// Dispatched GEMM entry point: runs `kernel.matmul` and, when the
 /// active [`IntegrityMode`] elects this call, verifies the output
-/// rows against the ABFT checksum, recording any miscompare in the
-/// fault sink. `Off` adds one relaxed atomic load over the raw call.
+/// rows against the ABFT checksum, recording any miscompare in this
+/// thread's fault slot. `Off` adds one relaxed atomic load over the
+/// raw call.
 pub fn checked_matmul(
     kernel: &dyn MicroKernel,
     a: &[f32],
@@ -816,7 +835,7 @@ impl<'a> ProductCheck<'a> {
     /// `m`-row product, their pre-bias accumulators in `out` — against
     /// the row-checksum identity, after applying the armed fault if it
     /// is aimed into the panel; the first miscompare goes to the fault
-    /// sink.
+    /// slot.
     ///
     /// Two-tier tolerance: since `|r[k]| ≤ rabs[k]` termwise, the
     /// checksum itself satisfies `|expected| ≤ bound`, so
@@ -920,7 +939,7 @@ impl<'a> ProductCheck<'a> {
 }
 
 /// Verifies `out = a·b` against the row-checksum identity, returning
-/// the first miscomparing row. Pure — no mode gating, no fault sink —
+/// the first miscomparing row. Pure — no mode gating, no fault slot —
 /// so tests exercise detection directly; [`checked_matmul`] and the
 /// fused chains of [`super::chain`] are the dispatched entries that
 /// layer both on top of the same per-panel check.
@@ -1044,11 +1063,17 @@ mod tests {
             expected: 0.0,
             tolerance: 1e-6,
         };
-        // Drain whatever a concurrent test may have left behind.
-        let _ = take_fault();
+        // The slot is this thread's: a test running beside this one
+        // cannot leave anything in it.
+        assert_eq!(take_fault(), None);
         record_fault(err(7));
         record_fault(err(9));
         assert_eq!(take_fault().map(|e| e.row), Some(7));
+        assert_eq!(take_fault(), None);
+        // Another thread's fault lands in that thread's slot only.
+        std::thread::spawn(move || record_fault(err(3)))
+            .join()
+            .unwrap();
         assert_eq!(take_fault(), None);
     }
 

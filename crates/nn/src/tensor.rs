@@ -177,9 +177,9 @@ impl Tensor2 {
     /// ([`crate::kernels::integrity`]): with `GEN_NERF_INTEGRITY` off
     /// (the default) that adds one relaxed atomic load; in `sample`/
     /// `full` mode elected calls verify their output rows against the
-    /// row-checksum identity, recording miscompares in the process
-    /// fault sink. The output values themselves are untouched either
-    /// way.
+    /// row-checksum identity, recording miscompares in the calling
+    /// thread's fault slot. The output values themselves are untouched
+    /// either way.
     ///
     /// # Panics
     ///

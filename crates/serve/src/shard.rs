@@ -35,7 +35,9 @@
 //! identical to a clean render by the kernel batch-independence
 //! contract, never scheduled past the frame's deadline. Repeated GEMM
 //! miscompares while a SIMD kernel backend is active quarantine that
-//! backend process-wide ([`integrity::quarantine`]). Nothing a frame
+//! backend process-wide ([`integrity::quarantine`]); a render fails
+//! only for faults found in its own tiles, so each miscompare is one
+//! strike however many shards render beside it. Nothing a frame
 //! does can take the shard down, and every frame ends through
 //! [`Frame::end`], which tells the scene's breaker what happened.
 //!
@@ -50,7 +52,9 @@
 //! finished with the queue open. A condemned incarnation is
 //! invalidated (the incarnation counter in the queue state bumps, so
 //! the old loop exits at its next queue observation instead of racing
-//! its replacement), its in-flight attempt is cancelled, and a fresh
+//! its replacement), its in-flight attempt is cancelled — the frames
+//! it could not render go back to the front of their lanes in their
+//! original order, never retried beside the replacement — and a fresh
 //! worker spawns on the same queue under an exponential per-shard
 //! restart backoff. Past [`MAX_RESTARTS`] the shard is declared down:
 //! queued frames end with
@@ -74,7 +78,7 @@ use gen_nerf_nn::kernels::{self, integrity, Backend};
 use gen_nerf_parallel::{CancelToken, Pool};
 use gen_nerf_scene::Image;
 use gen_nerf_telemetry::{Counter, EventKind, Gauge, Histogram, TraceRing, DEFAULT_RING_CAPACITY};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -229,6 +233,26 @@ impl ShardCtx {
         qs.q.push_front(frame.class(), frame.session, frame);
         drop(qs);
         self.ready.notify_one();
+    }
+
+    /// Whether incarnation `incarnation` was condemned: the shared
+    /// counter moved past it.
+    fn condemned(&self, incarnation: u64) -> bool {
+        lock(&self.queue).incarnation != incarnation
+    }
+
+    /// What a condemned incarnation does with the frames it could not
+    /// render: the ones the watchdog already answered for end
+    /// [`End::BudgetSpent`], the rest go back to the front of their
+    /// lanes in their original order, for the replacement to serve.
+    fn hand_back(&self, frames: Vec<Frame>) {
+        for frame in frames.into_iter().rev() {
+            if frame.is_resolved() {
+                frame.end(End::BudgetSpent);
+            } else {
+                self.requeue_front(frame);
+            }
+        }
     }
 
     /// One running frame ended ([`Frame::end`] calls this).
@@ -670,12 +694,6 @@ impl Drop for Shard {
     }
 }
 
-/// Cumulative GEMM-checksum miscompares observed under a SIMD backend,
-/// across every shard in the process. The counter is process-wide on
-/// purpose: quarantine is a verdict about the *hardware/kernel* pair,
-/// not about any one scene's queue.
-static SIMD_MISCOMPARES: AtomicU32 = AtomicU32::new(0);
-
 /// Miscompares under a SIMD backend tolerated before that backend is
 /// quarantined process-wide. One miscompare can be a stray bit flip;
 /// a repeat offender is a broken unit.
@@ -683,10 +701,15 @@ const QUARANTINE_AFTER: u32 = 3;
 
 /// Books one corrupt render attempt and applies the quarantine policy:
 /// a GEMM-stage miscompare while a non-scalar backend is active counts
-/// a strike against that backend, and strike `QUARANTINE_AFTER` latches
-/// the process-wide quarantine (`kernels` demotes to scalar, sticky).
-/// Sentinel trips never strike — a non-finite pixel indicts the math
-/// upstream, not the SIMD unit specifically.
+/// a strike against that backend ([`integrity::strike`], process-wide
+/// on purpose: quarantine is a verdict about the *hardware/kernel*
+/// pair, not about any one scene's queue), and strike
+/// `QUARANTINE_AFTER` latches the process-wide quarantine (`kernels`
+/// demotes to scalar, sticky). One strike per detected miscompare: a
+/// render's verdict holds only faults found in its own tiles, so a
+/// fault fails exactly the one attempt that owns it, however many
+/// renders overlap it. Sentinel trips never strike — a non-finite
+/// pixel indicts the math upstream, not the SIMD unit specifically.
 fn note_corrupt_render(err: &RenderError, meters: &Meters) {
     meters.corrupt.inc();
     let RenderError::Corrupt { stage, detail } = err;
@@ -697,7 +720,7 @@ fn note_corrupt_render(err: &RenderError, meters: &Meters) {
     if backend == Backend::Scalar {
         return;
     }
-    let strikes = SIMD_MISCOMPARES.fetch_add(1, Ordering::Relaxed) + 1;
+    let strikes = integrity::strike();
     if strikes >= QUARANTINE_AFTER && integrity::quarantine(backend) {
         meters.quarantined.inc();
         eprintln!(
@@ -785,15 +808,18 @@ fn shard_loop(ctx: &ShardCtx, incarnation: u64) {
                 None => group.push(mate),
             }
         }
-        execute_group(ctx, group);
+        execute_group(ctx, group, incarnation);
         ctx.meters.heartbeats.inc();
     }
 }
 
 /// Renders one admission batch as a single fused multi-frame job and
 /// ends its frames. Anything but a clean attempt fails over to
-/// per-frame [`retry`] recovery instead of killing the shard.
-fn execute_group(ctx: &ShardCtx, mut group: Vec<Frame>) {
+/// per-frame [`retry`] recovery instead of killing the shard — unless
+/// `incarnation` was condemned meanwhile: then the members still owed
+/// a render are handed back ([`ShardCtx::hand_back`]) for the
+/// replacement, never retried beside it.
+fn execute_group(ctx: &ShardCtx, mut group: Vec<Frame>, incarnation: u64) {
     ctx.meters.batches.inc();
     for frame in &group {
         frame.batched(group.len());
@@ -814,22 +840,31 @@ fn execute_group(ctx: &ShardCtx, mut group: Vec<Frame>) {
         Attempt::Cancelled => "render cancelled by a timed-out batch member".to_string(),
         Attempt::Failed(error) => error,
     };
-    for frame in group {
-        retry(ctx, frame, error.clone());
+    let mut members = group.into_iter();
+    while let Some(frame) = members.next() {
+        if let Some(frame) = retry(ctx, frame, error.clone(), incarnation) {
+            ctx.hand_back(std::iter::once(frame).chain(members).collect());
+            return;
+        }
     }
 }
 
 /// Re-renders one frame solo after a transient batch failure (panic,
 /// corruption, or a batch-mate's timeout): bounded
 /// attempts with exponential backoff, never scheduled past the frame's
-/// deadline.
-fn retry(ctx: &ShardCtx, frame: Frame, mut last_error: String) {
+/// deadline. Returns the frame unended, for the caller to hand back,
+/// the moment `incarnation` is found condemned before an attempt.
+fn retry(ctx: &ShardCtx, frame: Frame, mut last_error: String, incarnation: u64) -> Option<Frame> {
     let policy = ctx.cfg.retry;
     for n in 1..policy.max_attempts.max(1) {
         if frame.is_resolved() {
             // The watchdog timed this frame out: its budget is spent,
             // which is a scene failure even without a fresh attempt.
-            return frame.end(End::BudgetSpent);
+            frame.end(End::BudgetSpent);
+            return None;
+        }
+        if ctx.condemned(incarnation) {
+            return Some(frame);
         }
         let backoff = policy.backoff(n);
         if Instant::now() + backoff >= frame.deadline_at {
@@ -839,12 +874,16 @@ fn retry(ctx: &ShardCtx, frame: Frame, mut last_error: String) {
         }
         if !backoff.is_zero() {
             std::thread::sleep(backoff);
+            if ctx.condemned(incarnation) {
+                return Some(frame);
+            }
         }
         frame.retrying(n, backoff);
         match attempt(ctx, std::slice::from_ref(&frame), vec![None], n) {
             Attempt::Rendered(mut results) => {
                 let result = results.pop().expect("one frame in, one result out");
-                return frame.end(End::Rendered(result));
+                frame.end(End::Rendered(result));
+                return None;
             }
             // Cancelled mid-retry: the top-of-loop check (or the
             // exhausted path below) observes the resolved slot.
@@ -858,6 +897,7 @@ fn retry(ctx: &ShardCtx, frame: Frame, mut last_error: String) {
     // Attempts or wall-clock budget exhausted (the verdict loses if
     // the watchdog already resolved the handle).
     frame.end(End::RenderFailed(last_error));
+    None
 }
 
 /// How one render attempt ended (the `Render` trace event's outcome
@@ -1186,6 +1226,39 @@ mod tests {
         for (fault, want) in rows {
             assert_eq!(classify(3, 0, fault), want, "batch of three, {fault:?}");
             assert_eq!(classify(1, 1, fault), want, "solo retry, {fault:?}");
+        }
+    }
+
+    #[test]
+    fn a_condemned_incarnation_hands_its_frames_back_in_order() {
+        // A batch of three whose stalled first member is cancelled by a
+        // condemnation: nothing is retried beside the replacement, and
+        // every member goes back to the queue in its original order.
+        let (ctx, states) = fixture(3, Clock::real());
+        let group = running_group(&ctx, &states, Some(Fault::Stall(Duration::from_secs(60))));
+        let sessions: Vec<u64> = group.iter().map(|frame| frame.session).collect();
+        ctx.meters.ring.drain();
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while lock(&ctx.current_cancel).is_none() {
+                    std::thread::yield_now();
+                }
+                // What `Shard::condemn` does to the incarnation in flight.
+                lock(&ctx.queue).incarnation += 1;
+                ctx.cancel_current();
+            });
+            execute_group(&ctx, group, 0);
+        });
+        let requeued: Vec<Frame> = std::iter::from_fn(|| ctx.pop_mate(|_| true)).collect();
+        let order: Vec<u64> = requeued.iter().map(|frame| frame.session).collect();
+        assert_eq!(order, sessions, "handed back out of order");
+        assert_eq!(ctx.meters.retries.get(), 0);
+        let events = ctx.meters.ring.drain();
+        assert!(events.iter().all(|e| e.kind != EventKind::Retry));
+        let requeues = events.iter().filter(|e| e.kind == EventKind::Requeue);
+        assert_eq!(requeues.count(), 3);
+        for frame in requeued {
+            frame.end(End::Shutdown);
         }
     }
 

@@ -9,6 +9,7 @@
 //!   discarded as a counted miss — it never seeds a render.
 //! * Repeated GEMM miscompares under a SIMD backend quarantine that
 //!   backend process-wide; serving continues on the scalar kernels.
+//!   Each miscompare is one strike, however many renders overlap it.
 //!
 //! These tests flip process-global state (the integrity mode, the
 //! active kernel backend, the armed chaos hooks), so they serialize on
@@ -26,6 +27,7 @@ use gen_nerf_serve::{
     SessionConfig,
 };
 use gen_nerf_telemetry::EventKind;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -57,6 +59,16 @@ fn pose(k: usize) -> Pose {
 
 fn bits(img: &gen_nerf_scene::Image) -> Vec<u32> {
     img.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
+/// Raises its flag when dropped, so a failing test body still stops
+/// the threads it started.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
 }
 
 /// Restores every piece of process-global state a test may have moved:
@@ -350,5 +362,60 @@ fn repeated_gemm_miscompares_quarantine_the_simd_backend() {
     )
     .render(&Camera::new(intrinsics(), pose(9)));
     assert_eq!(bits(&after.image), bits(&direct));
+    restore_globals();
+}
+
+#[test]
+fn each_miscompare_is_one_strike_while_other_shards_render() {
+    let _g = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    if !Backend::Avx2.available() {
+        return; // nothing to strike against on this host
+    }
+    let strategy = SamplingStrategy::coarse_then_focus(6, 6);
+    integrity::clear_quarantine_for_tests();
+    integrity::set_mode(IntegrityMode::Full);
+    assert_eq!(kernels::set_active(Backend::Avx2), Backend::Avx2);
+
+    // Three scenes, so three shards render side by side on the crew.
+    let server = RenderServer::new(ServerConfig::default());
+    let sessions: Vec<_> = (0..3)
+        .map(|_| server.create_session(scene(), SessionConfig::new(intrinsics(), strategy)))
+        .collect();
+    // Two miscompares, one fewer than the quarantine takes, each in a
+    // round of its own. The armed fault lands in whichever render
+    // verifies a product next, on any shard, but in exactly one render;
+    // a round ends only once every render in it has, so no render can
+    // hold both faults.
+    for k in 0..2 {
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            for &session in &sessions[1..] {
+                let (server, stop) = (&server, &stop);
+                scope.spawn(move || {
+                    let mut pose_at = k;
+                    while !stop.load(Ordering::Relaxed) {
+                        let r = server
+                            .submit(session, FrameRequest::new(pose(pose_at)))
+                            .wait();
+                        assert!(r.image.as_slice().iter().all(|v| v.is_finite()));
+                        pose_at += 1;
+                    }
+                });
+            }
+            let _stop = StopOnDrop(&stop);
+            let fault = Fault::CorruptGemm(k as u64 + 1);
+            let r = server
+                .submit(sessions[0], FrameRequest::new(pose(k)).with_fault(fault))
+                .wait();
+            assert!(r.image.as_slice().iter().all(|v| v.is_finite()));
+        });
+    }
+
+    let stats = server.shard_stats_all();
+    let corrupt: u64 = stats.iter().map(|s| s.corrupt_renders).sum();
+    let quarantines: u64 = stats.iter().map(|s| s.quarantine_events).sum();
+    assert_eq!(corrupt, 2, "one corrupt render per miscompare");
+    assert_eq!(quarantines, 0, "two strikes latched the quarantine");
+    assert_eq!(kernels::active_backend(), Backend::Avx2);
     restore_globals();
 }
