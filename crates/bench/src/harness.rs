@@ -56,7 +56,7 @@ impl ReproConfig {
         }
     }
 
-    /// A very small configuration for CI / criterion smoke runs.
+    /// A very small configuration for the harness's own unit tests.
     pub fn smoke() -> Self {
         Self {
             scale: 0.03,
@@ -176,32 +176,6 @@ pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
 /// Formats a float with a fixed number of decimals.
 pub fn f(v: f64, decimals: usize) -> String {
     format!("{v:.decimals$}")
-}
-
-/// The seed's dense GEMM kernel: textbook `i`/`k`/`j` loop with the
-/// data-dependent `a == 0.0` skip in the inner loop. Kept here (and
-/// only here) as the baseline the branchless register-blocked kernel
-/// in `gen-nerf-nn` is measured against by the `nn_kernels`
-/// micro-bench.
-pub fn seed_matmul_zero_skip(
-    a: &gen_nerf_nn::Tensor2,
-    b: &gen_nerf_nn::Tensor2,
-) -> gen_nerf_nn::Tensor2 {
-    assert_eq!(a.cols(), b.rows());
-    let mut out = gen_nerf_nn::Tensor2::zeros(a.rows(), b.cols());
-    for i in 0..a.rows() {
-        for (k, &av) in a.row(i).iter().enumerate() {
-            if av == 0.0 {
-                continue;
-            }
-            let b_row = b.row(k);
-            let out_row = out.row_mut(i);
-            for (j, &bv) in b_row.iter().enumerate() {
-                out_row[j] += av * bv;
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]

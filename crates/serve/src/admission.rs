@@ -11,7 +11,7 @@
 //!   queueing unboundedly.
 //! * [`FairQueue`] — the shard scheduler's pending structure: one FIFO
 //!   lane per (deadline class, tenant), dequeued in class-priority
-//!   order with a per-class round-robin cursor over tenants, so one
+//!   order with a per-class round-robin ring of tenants, so one
 //!   hot session cannot starve its shard-mates while per-session
 //!   submission order (which the coherence cache relies on) is never
 //!   reordered. `tests/shard_scheduling.rs` property-tests the policy.
@@ -113,10 +113,10 @@ pub struct AdmissionStats {
 impl AdmissionStats {
     /// Derives the counter set from a telemetry snapshot, folding
     /// every label set matching `subset` (a server passes its instance
-    /// label; a shard adds its shard label). This is the **only**
-    /// name→field mapping in the workspace — aggregate views at any
-    /// granularity are one fold of the same registry counters, so a
-    /// new counter cannot silently miss a merge site.
+    /// label; a shard adds its shard label). One of two mappings onto
+    /// these fields: `ShardCtx::stats` reads the same registry
+    /// counters through one shard's handles, so a counter added here
+    /// must be added there too.
     pub fn from_snapshot(snap: &gen_nerf_telemetry::Snapshot, subset: &[(&str, &str)]) -> Self {
         let shed = |reason: &str| {
             let mut s: Vec<(&str, &str)> = subset.to_vec();
@@ -152,24 +152,24 @@ pub(crate) fn class_index(class: DeadlineClass) -> usize {
 
 /// One deadline class's lanes: per-tenant FIFOs dequeued round-robin.
 struct ClassLanes<T> {
-    /// Tenants in first-seen order — the stable round-robin ring.
-    tenants: Vec<u64>,
-    /// Tenant id → FIFO of that tenant's pending items.
+    /// The round-robin ring in service order: every tenant with a
+    /// pending item, and only those. A pop scans from the front; the
+    /// served tenant goes to the back, or leaves with its last item.
+    tenants: VecDeque<u64>,
+    /// Tenant id → FIFO of that tenant's pending items (never empty).
     lanes: HashMap<u64, VecDeque<T>>,
-    /// Round-robin position in `tenants`: the next pop scans from
-    /// here, so a tenant just served goes to the back of the ring.
-    cursor: usize,
-    /// Items across all lanes of this class.
-    len: usize,
+    /// How many tenants at the end of the ring a `front` push put
+    /// back since the last pop. The next one goes in ahead of them, so
+    /// heads handed back in reverse pop order restore the ring's order.
+    handed_back: usize,
 }
 
 impl<T> Default for ClassLanes<T> {
     fn default() -> Self {
         Self {
-            tenants: Vec::new(),
+            tenants: VecDeque::new(),
             lanes: HashMap::new(),
-            cursor: 0,
-            len: 0,
+            handed_back: 0,
         }
     }
 }
@@ -177,10 +177,20 @@ impl<T> Default for ClassLanes<T> {
 impl<T> ClassLanes<T> {
     /// Queues `item` at the back of its tenant's lane, or at the
     /// `front` — the inverse of popping it, for a popped head that
-    /// must run next, ahead of the tenant's later submissions.
+    /// must run next, ahead of the tenant's later submissions. A new
+    /// tenant joins the ring at its end; put back in `front`, it goes
+    /// where the pop that emptied its lane left it: behind every
+    /// tenant still pending, ahead of the ones handed back after it.
     fn push(&mut self, tenant: u64, item: T, front: bool) {
         let lane = self.lanes.entry(tenant).or_insert_with(|| {
-            self.tenants.push(tenant);
+            if front {
+                let at = self.tenants.len() - self.handed_back;
+                self.tenants.insert(at, tenant);
+                self.handed_back += 1;
+            } else {
+                self.tenants.push_back(tenant);
+                self.handed_back = 0;
+            }
             VecDeque::new()
         });
         if front {
@@ -188,47 +198,40 @@ impl<T> ClassLanes<T> {
         } else {
             lane.push_back(item);
         }
-        self.len += 1;
     }
 
     /// Empties every lane into `out` as `(class, tenant, item)`
-    /// triples: tenants in ring order starting at the cursor, each
-    /// lane in FIFO order. Re-pushing the triples in emitted order
-    /// onto a fresh queue reproduces every lane byte-for-byte and a
-    /// tenant ring rotated to where the old cursor pointed.
-    fn drain_rotated(&mut self, class: DeadlineClass, out: &mut Vec<(DeadlineClass, u64, T)>) {
-        let n = self.tenants.len();
-        for offset in 0..n {
-            let idx = (self.cursor + offset) % n;
-            let tenant = self.tenants[idx];
-            let lane = self.lanes.get_mut(&tenant).expect("tenant has a lane");
-            for item in lane.drain(..) {
-                out.push((class, tenant, item));
-            }
+    /// triples: tenants in ring order, each lane in FIFO order.
+    /// Re-pushing the triples in emitted order onto a fresh queue
+    /// reproduces every lane and the ring byte-for-byte.
+    fn drain_into(&mut self, class: DeadlineClass, out: &mut Vec<(DeadlineClass, u64, T)>) {
+        for tenant in self.tenants.drain(..) {
+            let lane = self.lanes.remove(&tenant).expect("tenant has a lane");
+            out.extend(lane.into_iter().map(|item| (class, tenant, item)));
         }
-        self.tenants.clear();
-        self.lanes.clear();
-        self.cursor = 0;
-        self.len = 0;
+        self.handed_back = 0;
     }
 
-    /// Pops the head item of the first tenant — scanning round-robin
-    /// from the cursor — whose head satisfies `take`. Only lane heads
-    /// are eligible: per-tenant submission order is never reordered.
+    /// Pops the head item of the first tenant in ring order whose head
+    /// satisfies `take`. Only lane heads are eligible: per-tenant
+    /// submission order is never reordered.
     fn pop_next(&mut self, take: &mut dyn FnMut(&T) -> bool) -> Option<T> {
-        let n = self.tenants.len();
-        for offset in 0..n {
-            let idx = (self.cursor + offset) % n;
+        for idx in 0..self.tenants.len() {
             let tenant = self.tenants[idx];
             let lane = self.lanes.get_mut(&tenant).expect("tenant has a lane");
-            if let Some(head) = lane.front() {
-                if take(head) {
-                    let item = lane.pop_front().expect("front exists");
-                    self.len -= 1;
-                    // The served tenant moves behind everyone else.
-                    self.cursor = (idx + 1) % n;
-                    return Some(item);
+            if take(lane.front().expect("lanes are never empty")) {
+                let item = lane.pop_front().expect("front exists");
+                self.handed_back = 0;
+                // The served tenant moves behind everyone else, or
+                // leaves the ring with its lane.
+                self.tenants.rotate_left(idx);
+                if lane.is_empty() {
+                    self.lanes.remove(&tenant);
+                    self.tenants.pop_front();
+                } else {
+                    self.tenants.rotate_left(1);
                 }
+                return Some(item);
             }
         }
         None
@@ -261,12 +264,13 @@ impl<T> FairQueue<T> {
 
     /// Pending items across every class and tenant.
     pub fn len(&self) -> usize {
-        self.classes.iter().map(|c| c.len).sum()
+        let lanes = self.classes.iter().flat_map(|c| c.lanes.values());
+        lanes.map(VecDeque::len).sum()
     }
 
     /// Whether nothing is pending.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.classes.iter().all(|c| c.tenants.is_empty())
     }
 
     /// Enqueues `item` on the `(class, tenant)` lane.
@@ -303,18 +307,16 @@ impl<T> FairQueue<T> {
 
     /// Empties the queue, returning `(class, tenant, item)` triples in
     /// a requeue-safe order: Interactive before BestEffort, tenants in
-    /// ring order starting from each class's round-robin cursor, each
-    /// lane front-to-back. [`push`](FairQueue::push)ing the triples
-    /// back in the returned order — onto this queue or a fresh one —
-    /// reproduces every lane exactly and rotates the tenant ring to
-    /// where the cursor pointed, so a drained-and-rebuilt queue
+    /// each class's round-robin order, each lane front-to-back.
+    /// [`push`](FairQueue::push)ing the triples back in the returned
+    /// order — onto this queue or a fresh one — reproduces every lane
+    /// and tenant ring exactly, so a drained-and-rebuilt queue
     /// schedules equivalently (the scheduling proptests pin this).
     pub fn drain(&mut self) -> Vec<(DeadlineClass, u64, T)> {
         let mut out = Vec::with_capacity(self.len());
-        self.classes[class_index(DeadlineClass::Interactive)]
-            .drain_rotated(DeadlineClass::Interactive, &mut out);
-        self.classes[class_index(DeadlineClass::BestEffort)]
-            .drain_rotated(DeadlineClass::BestEffort, &mut out);
+        for class in [DeadlineClass::Interactive, DeadlineClass::BestEffort] {
+            self.classes[class_index(class)].drain_into(class, &mut out);
+        }
         out
     }
 }
@@ -444,6 +446,18 @@ mod tests {
         assert_eq!(q.pop(), Some("i1b"));
         assert_eq!(q.pop(), Some("b3a"));
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn a_tenant_leaves_the_ring_with_its_last_frame() {
+        let mut q = FairQueue::new();
+        for tenant in 0..1_000 {
+            q.push(DeadlineClass::BestEffort, tenant, tenant);
+            assert_eq!(q.pop(), Some(tenant));
+        }
+        for lanes in &q.classes {
+            assert!(lanes.tenants.is_empty() && lanes.lanes.is_empty());
+        }
     }
 
     #[test]

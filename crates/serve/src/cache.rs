@@ -89,7 +89,10 @@ pub struct GovernorStats {
     pub evictions: u64,
     /// Anchor inserts refused because no more room could be made.
     pub refused_inserts: u64,
-    /// BestEffort submissions shed by the admission pressure hook.
+    /// BestEffort submissions shed under memory pressure: this
+    /// server's `serve_frames_shed_total{reason="memory"}`, which
+    /// [`RenderServer::governor_stats`](crate::RenderServer::governor_stats)
+    /// reads (the cache's own totals leave it 0).
     pub pressure_sheds: u64,
 }
 
@@ -382,11 +385,6 @@ impl AnchorCache {
         self.used.load(Ordering::Relaxed) >= self.pressure_at
     }
 
-    /// Counts one BestEffort submission shed by the pressure hook.
-    pub(crate) fn note_pressure_shed(&self) {
-        lock(&self.books).totals.pressure_sheds += 1;
-    }
-
     pub(crate) fn stats(&self) -> GovernorStats {
         lock(&self.books).totals
     }
@@ -533,7 +531,5 @@ pub(crate) mod tests {
         assert!(!AnchorCache::new(&cfg, 849, cap).under_pressure());
         let cache = AnchorCache::new(&cfg, 850, cap);
         assert!(cache.under_pressure());
-        cache.note_pressure_shed();
-        assert_eq!(cache.stats().pressure_sheds, 1);
     }
 }

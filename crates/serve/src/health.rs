@@ -133,7 +133,8 @@ pub struct ShardHealthStats {
     /// Worker incarnation: 0 for the original spawn, bumped once per
     /// condemnation.
     pub incarnation: u64,
-    /// Total restarts performed over the shard's lifetime.
+    /// Total restarts performed over the shard's lifetime (its
+    /// `serve_shard_restarts_total`).
     pub restarts: u64,
     /// Restarts since the last successfully rendered frame — the
     /// give-up counter.

@@ -538,7 +538,6 @@ impl RenderServer {
         } else if shard.down.load(Ordering::Relaxed) {
             Err(Shed::ShardDown)
         } else if class == DeadlineClass::BestEffort && self.cache.under_pressure() {
-            self.cache.note_pressure_shed();
             Err(Shed::Memory)
         } else {
             let (breaker, depth) = frame.claim();
@@ -635,9 +634,17 @@ impl RenderServer {
     }
 
     /// Counters of the server-wide memory budget (budget, usage,
-    /// peak, pressure evictions, refusals, pressure sheds).
+    /// peak, pressure evictions, refusals, pressure sheds). The sheds
+    /// are the memory-shed counter folded over this server's
+    /// `instance` label.
     pub fn governor_stats(&self) -> GovernorStats {
-        self.cache.stats()
+        let inst = self.instance.to_string();
+        let memory = [("instance", inst.as_str()), ("reason", "memory")];
+        let snap = gen_nerf_telemetry::snapshot();
+        GovernorStats {
+            pressure_sheds: snap.counter_with("serve_frames_shed_total", &memory),
+            ..self.cache.stats()
+        }
     }
 
     /// Coarse-cache counters of a session.
@@ -1083,6 +1090,28 @@ mod tests {
             CacheOutcome::Miss,
             "the LRU tail survived"
         );
+    }
+
+    #[test]
+    fn a_memory_shed_counts_once_in_the_governor_stats() {
+        // A budget equal to the crew's reservation is under pressure
+        // before any anchor: a BestEffort submission is shed, and the
+        // governor's view is the instance's memory-shed counter.
+        let (ds, scene) = scene();
+        let cam = ds.eval_views[0].camera;
+        let reserved = WORKER_SCRATCH_BYTES as u64;
+        let server = RenderServer::new(
+            ServerConfig {
+                threads: 1,
+                ..ServerConfig::default()
+            }
+            .with_governor(GovernorConfig::default().with_budget_bytes(reserved)),
+        );
+        let session = server.create_session(scene, SessionConfig::new(cam.intrinsics, ctf()));
+        let req = FrameRequest::new(cam.pose).with_deadline(DeadlineClass::BestEffort);
+        let shed = server.submit(session, req).wait_result();
+        assert!(matches!(shed, Err(ServeError::Shed { .. })), "{shed:?}");
+        assert_eq!(server.governor_stats().pressure_sheds, 1);
     }
 
     #[test]

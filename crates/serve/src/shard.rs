@@ -510,8 +510,6 @@ pub(crate) struct Shard {
     /// uncancellable sleep). Joined at shutdown *before* the live
     /// worker, so a late requeue still lands in a served queue.
     graveyard: Vec<std::thread::JoinHandle<()>>,
-    /// Lifetime restart count.
-    restarts: u64,
     /// Restarts since the last successfully rendered frame.
     consecutive_restarts: u32,
     /// `rendered` counter at the last condemnation — progress beyond
@@ -534,7 +532,6 @@ impl Shard {
             seen_at: ctx.supervisor.clock().now(),
             ctx,
             graveyard: Vec::new(),
-            restarts: 0,
             consecutive_restarts: 0,
             rendered_at_condemn: 0,
             respawn_at: None,
@@ -642,7 +639,6 @@ impl Shard {
         let ctx = &self.ctx;
         let incarnation = lock(&ctx.queue).incarnation;
         self.seen_at = now;
-        self.restarts += 1;
         ctx.meters.restarts.inc();
         ctx.event(EventKind::Restart, incarnation);
         self.worker = Some(Self::spawn_worker(ctx, incarnation));
@@ -664,7 +660,7 @@ impl Shard {
         ShardHealthStats {
             shard: self.ctx.index,
             incarnation: lock(&self.ctx.queue).incarnation,
-            restarts: self.restarts,
+            restarts: self.ctx.meters.restarts.get(),
             consecutive_restarts: self.consecutive_restarts,
             down,
             heartbeat_epoch: self.ctx.meters.heartbeats.get(),
