@@ -43,13 +43,8 @@ impl AcceleratorConfig {
     }
 
     /// Peak multiply–accumulates per cycle.
-    pub fn macs_per_cycle(&self) -> u64 {
+    pub(crate) fn macs_per_cycle(&self) -> u64 {
         (self.pe_arrays * self.pe_array_dim * self.pe_array_dim) as u64
-    }
-
-    /// Peak INT8 throughput in TOPS (2 ops per MAC).
-    pub fn peak_tops(&self) -> f64 {
-        self.macs_per_cycle() as f64 * 2.0 * self.freq_ghz / 1000.0
     }
 
     /// Total on-chip SRAM in KB (local + weight + both prefetch halves).
@@ -59,7 +54,7 @@ impl AcceleratorConfig {
 
     /// Prefetch-buffer capacity in bytes (one half; the patch-size
     /// constraint of Sec. 4.3).
-    pub fn prefetch_capacity_bytes(&self) -> u64 {
+    pub(crate) fn prefetch_capacity_bytes(&self) -> u64 {
         self.prefetch_buffer_kb as u64 * 1024
     }
 }
@@ -89,12 +84,6 @@ mod tests {
     #[test]
     fn macs_per_cycle_is_10240() {
         assert_eq!(AcceleratorConfig::paper().macs_per_cycle(), 40 * 256);
-    }
-
-    #[test]
-    fn peak_tops_about_20() {
-        let tops = AcceleratorConfig::paper().peak_tops();
-        assert!((tops - 20.48).abs() < 1e-9, "tops = {tops}");
     }
 
     #[test]

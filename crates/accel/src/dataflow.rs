@@ -30,7 +30,7 @@ impl DataflowVariant {
     }
 
     /// Whether the greedy partition is used (vs the fixed shape).
-    pub fn uses_greedy_partition(self) -> bool {
+    pub(crate) fn uses_greedy_partition(self) -> bool {
         matches!(self, DataflowVariant::Ours)
     }
 

@@ -133,7 +133,7 @@ impl GpuModel {
     /// GEMM efficiency as a function of the inner (reduction) dimension
     /// `k`: narrow NeRF layers achieve a few percent of peak; wide
     /// layers saturate around 35%.
-    pub fn gemm_efficiency(&self, k: usize) -> f64 {
+    pub(crate) fn gemm_efficiency(&self, k: usize) -> f64 {
         (k as f64 / 800.0).clamp(0.018, 0.35)
     }
 
@@ -213,7 +213,7 @@ fn gemm_k_for(spec: &WorkloadSpec, stage: Stage) -> usize {
 impl WorkloadSpec {
     /// Approximate hidden width of the point MLP, recovered from the
     /// per-point MAC count (the dominant term is `hidden²`).
-    pub fn mlp_gemm_k(&self) -> usize {
+    pub(crate) fn mlp_gemm_k(&self) -> usize {
         ((self.mlp_macs_per_point as f64).sqrt() * 0.7) as usize
     }
 }

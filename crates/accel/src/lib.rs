@@ -6,7 +6,7 @@
 //! * [`config`] — the 28 nm / 1 GHz configuration of Sec. 5.1 (40 16×16
 //!   INT8 systolic arrays, 256 KB local buffer, 8 KB weight buffer,
 //!   2 × 256 KB prefetch double buffer, LPDDR4-2400),
-//! * [`pe`] — PE-pool GEMM timing (systolic fill/drain, tiling),
+//! * `pe` — PE-pool GEMM timing (MACs per cycle, derated),
 //! * [`scheduler`] — the workload scheduler: greedy 3D-point-patch
 //!   partition driven by epipolar projected-area estimates (Fig. 5),
 //! * [`workload`] — a device-independent description of one rendering
@@ -34,16 +34,16 @@
 //! assert!(report.fps > 0.0);
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod area;
 pub mod config;
 pub mod dataflow;
-pub mod energy;
 pub mod gpu;
 pub mod icarus;
-pub mod pe;
+pub(crate) mod pe;
 pub mod scheduler;
 pub mod simulator;
-pub mod single_view;
 pub mod workload;
 
 pub use config::AcceleratorConfig;

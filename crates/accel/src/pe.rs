@@ -1,43 +1,26 @@
 //! PE-pool GEMM timing.
 //!
-//! Each PE is a `dim × dim` weight-stationary INT8 systolic array. A
-//! GEMM of shape `m × k · k × n` is tiled into `⌈m/dim⌉ × ⌈n/dim⌉`
-//! output tiles; a tile takes `k + 2·dim` cycles (stream `k` inputs,
-//! fill + drain the array). Tiles are distributed over the pool's
-//! arrays.
+//! Each PE is a `dim × dim` weight-stationary INT8 systolic array; the
+//! pool retires `arrays · dim²` multiply–accumulates per cycle at full
+//! occupancy, derated by an efficiency for fill/drain and ragged tiles.
 
 use crate::config::AcceleratorConfig;
 use serde::{Deserialize, Serialize};
 
 /// Timing model of the PE pool.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PePool {
+pub(crate) struct PePool {
     arrays: usize,
     dim: usize,
 }
 
 impl PePool {
     /// Builds the pool from an accelerator config.
-    pub fn new(cfg: &AcceleratorConfig) -> Self {
+    pub(crate) fn new(cfg: &AcceleratorConfig) -> Self {
         Self {
             arrays: cfg.pe_arrays,
             dim: cfg.pe_array_dim,
         }
-    }
-
-    /// Cycles for one `m × k × n` GEMM on the whole pool.
-    ///
-    /// Zero-sized GEMMs are free.
-    pub fn gemm_cycles(&self, m: usize, k: usize, n: usize) -> u64 {
-        if m == 0 || k == 0 || n == 0 {
-            return 0;
-        }
-        let tiles_m = m.div_ceil(self.dim);
-        let tiles_n = n.div_ceil(self.dim);
-        let tiles = (tiles_m * tiles_n) as u64;
-        let cycles_per_tile = (k + 2 * self.dim) as u64;
-        let waves = tiles.div_ceil(self.arrays as u64);
-        waves * cycles_per_tile
     }
 
     /// Cycles to execute `macs` multiply–accumulates assuming perfectly
@@ -49,25 +32,13 @@ impl PePool {
     /// # Panics
     ///
     /// Panics when `efficiency` is not in `(0, 1]`.
-    pub fn mac_cycles(&self, macs: u64, efficiency: f64) -> u64 {
+    pub(crate) fn mac_cycles(&self, macs: u64, efficiency: f64) -> u64 {
         assert!(
             efficiency > 0.0 && efficiency <= 1.0,
             "efficiency must be in (0,1], got {efficiency}"
         );
         let per_cycle = (self.arrays * self.dim * self.dim) as f64 * efficiency;
         (macs as f64 / per_cycle).ceil() as u64
-    }
-
-    /// Effective utilization of a single `m × k × n` GEMM: useful MACs
-    /// over peak MACs during its execution.
-    pub fn gemm_utilization(&self, m: usize, k: usize, n: usize) -> f64 {
-        let cycles = self.gemm_cycles(m, k, n);
-        if cycles == 0 {
-            return 0.0;
-        }
-        let macs = (m * k * n) as f64;
-        let peak = cycles as f64 * (self.arrays * self.dim * self.dim) as f64;
-        macs / peak
     }
 }
 
@@ -77,42 +48,6 @@ mod tests {
 
     fn pool() -> PePool {
         PePool::new(&AcceleratorConfig::paper())
-    }
-
-    #[test]
-    fn zero_gemm_is_free() {
-        assert_eq!(pool().gemm_cycles(0, 64, 64), 0);
-        assert_eq!(pool().gemm_cycles(64, 0, 64), 0);
-    }
-
-    #[test]
-    fn single_tile_cost_is_k_plus_fill_drain() {
-        // One 16×16 output tile with k = 32: 32 + 32 = 64 cycles.
-        assert_eq!(pool().gemm_cycles(16, 32, 16), 64);
-    }
-
-    #[test]
-    fn tiles_parallelize_across_arrays() {
-        let p = pool();
-        // 40 tiles fit in one wave; 41 tiles need two.
-        let one_wave = p.gemm_cycles(16 * 8, 32, 16 * 5); // 40 tiles
-        let two_waves = p.gemm_cycles(16 * 8, 32, 16 * 6); // 48 tiles
-        assert_eq!(two_waves, 2 * one_wave);
-    }
-
-    #[test]
-    fn ragged_shapes_round_up() {
-        let p = pool();
-        assert_eq!(p.gemm_cycles(17, 32, 16), p.gemm_cycles(32, 32, 16));
-    }
-
-    #[test]
-    fn big_gemm_scales_linearly_in_k() {
-        let p = pool();
-        let base = p.gemm_cycles(160, 64, 160);
-        let double_k = p.gemm_cycles(160, 128, 160);
-        // k + 32 per tile: doubling k less than doubles cycles.
-        assert!(double_k > base && double_k < 2 * base);
     }
 
     #[test]
@@ -128,19 +63,5 @@ mod tests {
     #[should_panic(expected = "efficiency")]
     fn mac_cycles_rejects_zero_efficiency() {
         let _ = pool().mac_cycles(100, 0.0);
-    }
-
-    #[test]
-    fn utilization_high_for_large_aligned_gemm() {
-        let p = pool();
-        let u = p.gemm_utilization(16 * 40, 256, 16);
-        assert!(u > 0.8, "utilization = {u}");
-    }
-
-    #[test]
-    fn utilization_low_for_tiny_gemm() {
-        let p = pool();
-        let u = p.gemm_utilization(4, 8, 4);
-        assert!(u < 0.05, "utilization = {u}");
     }
 }

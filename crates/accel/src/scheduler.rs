@@ -1001,7 +1001,7 @@ mod tests {
                 .sum()
         }
 
-        pub fn score(
+        pub(super) fn score(
             sched: &Scheduler,
             rig: &CameraRig,
             tile: TileRect,
@@ -1057,7 +1057,7 @@ mod tests {
             }
         }
 
-        pub fn partition(
+        pub(super) fn partition(
             sched: &Scheduler,
             rig: &CameraRig,
             width: u32,
@@ -1130,7 +1130,7 @@ mod tests {
             patches
         }
 
-        pub fn partition_fixed(
+        pub(super) fn partition_fixed(
             sched: &Scheduler,
             rig: &CameraRig,
             width: u32,

@@ -13,7 +13,7 @@
 //!
 //! Per-patch costs (DRAM prefetch service, PE/PPU/SFU cycles) are
 //! mutually independent — each prefetch starts from cold row buffers,
-//! see [`Simulator::simulate_with_rig`]'s internals — so host threads
+//! see `Simulator::simulate_with_rig`'s internals — so host threads
 //! claim the patches one at a time via [`gen_nerf_parallel`]; patch
 //! costs are uneven, so nobody waits on a fixed share. The
 //! pipeline recurrence that chains slot latencies stays sequential and
@@ -215,7 +215,7 @@ impl Simulator {
     /// # Panics
     ///
     /// Panics when the rig has fewer sources than `spec.s_views`.
-    pub fn simulate_with_rig(&self, spec: &WorkloadSpec, rig: &CameraRig) -> SimReport {
+    pub(crate) fn simulate_with_rig(&self, spec: &WorkloadSpec, rig: &CameraRig) -> SimReport {
         assert!(
             rig.sources.len() >= spec.s_views,
             "rig has {} sources, workload needs {}",

@@ -161,7 +161,7 @@ impl WorkloadSpec {
 
     /// Per-point gather traffic in a stage on a cache-less device:
     /// `taps × texel_bytes` per (point, view).
-    pub fn gather_bytes_per_point_view(&self, stage: Stage) -> u64 {
+    pub(crate) fn gather_bytes_per_point_view(&self, stage: Stage) -> u64 {
         self.taps_per_fetch as u64 * self.texel_bytes(stage)
     }
 

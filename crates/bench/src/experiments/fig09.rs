@@ -45,7 +45,7 @@ fn scene_for(kind: DatasetKind) -> &'static str {
 
 /// Runs the sweep and returns all series points.
 ///
-/// Sweep points fan out across threads via [`par_sweep`]: both trained
+/// Sweep points fan out across threads via `par_sweep`: both trained
 /// models are shared by reference between all workers — `evaluate`
 /// renders through the model's `&self` inference path, so no clones
 /// are needed and the results are identical to a sequential sweep.

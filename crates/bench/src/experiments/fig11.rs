@@ -40,7 +40,7 @@ fn measure(s_views: usize, n_focused: usize, threads: usize) -> (f64, f64, f64) 
 }
 
 /// Computes both sweeps; the ten points run in parallel via
-/// [`par_sweep`] (each point is an independent cycle-level simulation
+/// `par_sweep` (each point is an independent cycle-level simulation
 /// plus two closed-form GPU models).
 pub fn compute() -> Vec<Fig11Row> {
     let jobs: Vec<(&'static str, usize, usize, usize)> = [10usize, 6, 4, 2, 1]

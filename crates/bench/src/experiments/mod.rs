@@ -35,6 +35,6 @@ pub fn hw_scale() -> f32 {
 }
 
 /// Scales a resolution, keeping it a multiple of 8 and at least 32.
-pub fn scaled_dim(base: u32, scale: f32) -> u32 {
+pub(crate) fn scaled_dim(base: u32, scale: f32) -> u32 {
     (((base as f32 * scale) as u32) / 8 * 8).max(32)
 }

@@ -40,7 +40,7 @@ pub struct DeviceRow {
 
 /// Simulated Gen-NeRF FPS on the typical workload at full 800×800
 /// (extrapolated from the scaled simulation).
-pub fn gen_nerf_fps(scale: f32) -> f64 {
+pub(crate) fn gen_nerf_fps(scale: f32) -> f64 {
     let dim = scaled_dim(800, scale);
     let spec = WorkloadSpec::gen_nerf_default(dim, dim, 6, 64);
     let sim = Simulator::new(AcceleratorConfig::paper());

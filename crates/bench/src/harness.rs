@@ -10,7 +10,7 @@
 //! * `GEN_NERF_STEPS` — pretraining steps (default 800),
 //! * `GEN_NERF_THREADS` — worker threads for the parallel engines
 //!   (default: all cores; see [`gen_nerf_parallel`]). Sweeps fan their
-//!   points out with [`par_sweep`]; results are identical for any
+//!   points out with `par_sweep`; results are identical for any
 //!   value.
 
 use gen_nerf::config::{ModelConfig, RayModuleChoice};
@@ -70,7 +70,7 @@ impl ReproConfig {
 }
 
 /// Builds an evaluation dataset analog.
-pub fn eval_dataset(kind: DatasetKind, name: &str, cfg: &ReproConfig) -> Dataset {
+pub(crate) fn eval_dataset(kind: DatasetKind, name: &str, cfg: &ReproConfig) -> Dataset {
     Dataset::build(
         kind,
         name,
@@ -85,7 +85,7 @@ pub fn eval_dataset(kind: DatasetKind, name: &str, cfg: &ReproConfig) -> Dataset
 /// Builds the cross-scene *training* corpus: procedural scenes distinct
 /// from every named evaluation scene (the generalizable setting — the
 /// model never trains on the scene it is evaluated on).
-pub fn training_datasets(cfg: &ReproConfig) -> Vec<Dataset> {
+pub(crate) fn training_datasets(cfg: &ReproConfig) -> Vec<Dataset> {
     ["train-a", "train-b", "train-c"]
         .iter()
         .map(|name| {
@@ -104,7 +104,7 @@ pub fn training_datasets(cfg: &ReproConfig) -> Vec<Dataset> {
 
 /// Trains a fresh model with the requested ray module on the training
 /// corpus.
-pub fn pretrained_model(
+pub(crate) fn pretrained_model(
     cfg: &ReproConfig,
     ray_module: RayModuleChoice,
     datasets: &[Dataset],
@@ -132,7 +132,7 @@ pub fn pretrained_model(
 /// (`evaluate_with_threads`, `Simulator::with_threads`), keeping the
 /// whole sweep at ~`total` threads. Results are deterministic for any
 /// split.
-pub fn par_sweep<T, R, F>(points: &[T], f: F) -> Vec<R>
+pub(crate) fn par_sweep<T, R, F>(points: &[T], f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
@@ -145,7 +145,7 @@ where
 }
 
 /// Prints an aligned table with a title.
-pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
+pub(crate) fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");
     let mut widths: Vec<usize> = headers.iter().map(|h| h.len()).collect();
     for row in rows {

@@ -7,6 +7,8 @@
 //! [`loadgen`] draws the seeded request and fault schedules the `gates`
 //! binary (the CI gates) replays.
 
+#![warn(unreachable_pub)]
+
 pub mod experiments;
 pub mod harness;
 pub mod loadgen;

@@ -6,7 +6,7 @@
 //! fast the server answers — the arrival process never slows down to
 //! match a saturated server, which is exactly what exposes shedding
 //! and degradation. Every draw comes from a [`ChaCha8Rng`] seeded from
-//! a single spec seed (overridable via the [`SEED_ENV`] environment
+//! a single spec seed (overridable via the `SEED_ENV` environment
 //! variable), so two runs of the same spec produce **identical**
 //! request schedules — arrival times, poses, deadline classes, bit for
 //! bit. `schedule_is_deterministic` pins that.
@@ -24,16 +24,16 @@ use rand_chacha::ChaCha8Rng;
 
 /// Environment variable overriding [`LoadSpec::seed`] (same convention
 /// as the repo's other `GEN_NERF_*` knobs).
-pub const SEED_ENV: &str = "GEN_NERF_SEED";
+pub(crate) const SEED_ENV: &str = "GEN_NERF_SEED";
 
 /// Parses a seed override; `None` or unparseable input falls back to
 /// `default`. Split from the env read so it is testable without
 /// process-global env races.
-pub fn parse_seed(raw: Option<&str>, default: u64) -> u64 {
+pub(crate) fn parse_seed(raw: Option<&str>, default: u64) -> u64 {
     raw.and_then(|s| s.trim().parse().ok()).unwrap_or(default)
 }
 
-/// Reads the [`SEED_ENV`] override, falling back to `default`.
+/// Reads the `SEED_ENV` override, falling back to `default`.
 pub fn seed_from_env(default: u64) -> u64 {
     parse_seed(std::env::var(SEED_ENV).ok().as_deref(), default)
 }

@@ -69,7 +69,7 @@ impl ModelConfig {
     }
 
     /// Coarse-MLP input width.
-    pub fn coarse_input_dim(&self) -> usize {
+    pub(crate) fn coarse_input_dim(&self) -> usize {
         2 * self.coarse_channels + 2
     }
 
@@ -175,11 +175,6 @@ impl SamplingStrategy {
             } => n_coarse + n_focused,
         }
     }
-
-    /// Whether the strategy produces non-uniform per-ray counts.
-    pub fn is_nonuniform(&self) -> bool {
-        matches!(self, SamplingStrategy::CoarseThenFocus { .. })
-    }
 }
 
 #[cfg(test)]
@@ -237,16 +232,5 @@ mod tests {
             SamplingStrategy::coarse_then_focus(8, 16).avg_points_per_ray(),
             24
         );
-    }
-
-    #[test]
-    fn only_ctf_is_nonuniform() {
-        assert!(SamplingStrategy::coarse_then_focus(8, 8).is_nonuniform());
-        assert!(!SamplingStrategy::Uniform { n: 8 }.is_nonuniform());
-        assert!(!SamplingStrategy::Hierarchical {
-            n_coarse: 4,
-            n_fine: 4
-        }
-        .is_nonuniform());
     }
 }

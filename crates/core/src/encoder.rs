@@ -29,11 +29,11 @@ use gen_nerf_scene::Image;
 use serde::{Deserialize, Serialize};
 
 /// Number of channels the encoder produces.
-pub const ENCODER_CHANNELS: usize = 12;
+pub(crate) const ENCODER_CHANNELS: usize = 12;
 
 /// A dense feature map, `height × width × channels`, channel-minor.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FeatureMap {
+pub(crate) struct FeatureMap {
     width: u32,
     height: u32,
     channels: usize,
@@ -42,17 +42,17 @@ pub struct FeatureMap {
 
 impl FeatureMap {
     /// Map width in texels.
-    pub fn width(&self) -> u32 {
+    pub(crate) fn width(&self) -> u32 {
         self.width
     }
 
     /// Map height in texels.
-    pub fn height(&self) -> u32 {
+    pub(crate) fn height(&self) -> u32 {
         self.height
     }
 
     /// Channels per texel.
-    pub fn channels(&self) -> usize {
+    pub(crate) fn channels(&self) -> usize {
         self.channels
     }
 
@@ -61,35 +61,26 @@ impl FeatureMap {
     /// # Panics
     ///
     /// Panics when out of bounds.
-    pub fn texel(&self, x: u32, y: u32) -> &[f32] {
+    pub(crate) fn texel(&self, x: u32, y: u32) -> &[f32] {
         assert!(x < self.width && y < self.height, "texel out of bounds");
         let i = ((y * self.width + x) as usize) * self.channels;
         &self.data[i..i + self.channels]
     }
 
-    /// Bilinearly samples the first `n_channels` channels at continuous
-    /// texel coordinates, writing into `out`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `out.len() > self.channels()`.
-    pub fn sample_into(&self, uv: Vec2, out: &mut [f32]) {
-        self.sample_footprint_into(&self.footprint(uv), out);
-    }
-
     /// The bilinear footprint of `uv` on this map.
-    pub fn footprint(&self, uv: Vec2) -> BilinearFootprint {
+    pub(crate) fn footprint(&self, uv: Vec2) -> BilinearFootprint {
         BilinearFootprint::at(uv, self.width, self.height).expect("feature map is non-empty")
     }
 
-    /// [`FeatureMap::sample_into`] through a footprint already computed
-    /// by [`FeatureMap::footprint`], so a caller that also samples the
-    /// source image (same dimensions) pays for the footprint once.
+    /// Bilinearly samples the first `out.len()` channels through a
+    /// footprint already computed by [`FeatureMap::footprint`], so a
+    /// caller that also samples the source image (same dimensions) pays
+    /// for the footprint once.
     ///
     /// # Panics
     ///
     /// Panics when `out.len() > self.channels()`.
-    pub fn sample_footprint_into(&self, fp: &BilinearFootprint, out: &mut [f32]) {
+    pub(crate) fn sample_footprint_into(&self, fp: &BilinearFootprint, out: &mut [f32]) {
         assert!(out.len() <= self.channels, "channel overrun");
         out.iter_mut().for_each(|v| *v = 0.0);
         for tap in fp.taps {
@@ -102,14 +93,8 @@ impl FeatureMap {
 
     /// Raw texel data, `height × width × channels`, channel-minor.
     #[inline]
-    pub fn as_slice(&self) -> &[f32] {
+    pub(crate) fn as_slice(&self) -> &[f32] {
         &self.data
-    }
-
-    /// Bytes per texel at 1 byte/channel (the INT8 layout the
-    /// accelerator stores).
-    pub fn texel_bytes(&self) -> u64 {
-        self.channels as u64
     }
 
     /// This map widened to `channels` per texel for tests that need
@@ -142,17 +127,17 @@ impl FeatureMap {
 
 /// The frozen encoder.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FeatureEncoder;
+pub(crate) struct FeatureEncoder;
 
 impl FeatureEncoder {
     /// Creates the encoder.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self
     }
 
     /// Encodes a source image into a 12-channel feature map (a one-time
     /// per-scene cost, like the paper's CNN encoder).
-    pub fn encode(&self, image: &Image) -> FeatureMap {
+    pub(crate) fn encode(&self, image: &Image) -> FeatureMap {
         let (w, h) = (image.width(), image.height());
         let n = (w * h) as usize;
         let channels = ENCODER_CHANNELS;
@@ -270,7 +255,6 @@ mod tests {
         assert_eq!(fm.width(), 16);
         assert_eq!(fm.height(), 12);
         assert_eq!(fm.channels(), ENCODER_CHANNELS);
-        assert_eq!(fm.texel_bytes(), 12);
     }
 
     #[test]
@@ -311,7 +295,7 @@ mod tests {
     fn sample_into_truncates_channels() {
         let fm = FeatureEncoder::new().encode(&test_image());
         let mut out3 = [0.0f32; 3];
-        fm.sample_into(Vec2::new(5.5, 7.5), &mut out3);
+        fm.sample_footprint_into(&fm.footprint(Vec2::new(5.5, 7.5)), &mut out3);
         let full = fm.texel(5, 7);
         for (o, f) in out3.iter().zip(full) {
             assert!((o - f).abs() < 1e-5);
@@ -324,9 +308,9 @@ mod tests {
         let mut a = [0.0f32; 1];
         let mut b = [0.0f32; 1];
         let mut mid = [0.0f32; 1];
-        fm.sample_into(Vec2::new(3.5, 5.5), &mut a);
-        fm.sample_into(Vec2::new(4.5, 5.5), &mut b);
-        fm.sample_into(Vec2::new(4.0, 5.5), &mut mid);
+        fm.sample_footprint_into(&fm.footprint(Vec2::new(3.5, 5.5)), &mut a);
+        fm.sample_footprint_into(&fm.footprint(Vec2::new(4.5, 5.5)), &mut b);
+        fm.sample_footprint_into(&fm.footprint(Vec2::new(4.0, 5.5)), &mut mid);
         assert!((mid[0] - 0.5 * (a[0] + b[0])).abs() < 1e-5);
     }
 
@@ -335,7 +319,7 @@ mod tests {
     fn sample_into_rejects_too_many_channels() {
         let fm = FeatureEncoder::new().encode(&test_image());
         let mut out = [0.0f32; 13];
-        fm.sample_into(Vec2::new(1.0, 1.0), &mut out);
+        fm.sample_footprint_into(&fm.footprint(Vec2::new(1.0, 1.0)), &mut out);
     }
 
     #[test]

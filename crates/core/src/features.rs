@@ -100,7 +100,7 @@ pub struct SourceViewData {
     /// Source image (colors are blended from these).
     pub image: Image,
     /// Encoded features.
-    pub features: FeatureMap,
+    pub(crate) features: FeatureMap,
 }
 
 /// Encodes a set of posed views into render-ready sources (the
@@ -148,7 +148,7 @@ impl PointAggregate {
 /// # Panics
 ///
 /// Panics naming the offending source view when a map is too narrow.
-pub fn assert_channels(sources: &[SourceViewData], d_channels: usize, context: &str) {
+pub(crate) fn assert_channels(sources: &[SourceViewData], d_channels: usize, context: &str) {
     for (i, src) in sources.iter().enumerate() {
         assert!(
             src.features.channels() >= d_channels,
@@ -291,7 +291,7 @@ fn fill_point(
 ///
 /// `d_channels` selects the leading channels of the feature maps
 /// (channel-scaled coarse stage uses fewer) and must not exceed any
-/// source's channel count (validated up front by [`assert_channels`];
+/// source's channel count (validated up front by `assert_channels`;
 /// the per-point sample asserts too). `ray_dir` is the novel ray's
 /// unit direction (for direction-similarity weighting).
 ///
@@ -506,13 +506,13 @@ impl AggregateArena {
     }
 
     /// The point range of ray `r`.
-    pub fn ray_range(&self, r: usize) -> Range<usize> {
+    pub(crate) fn ray_range(&self, r: usize) -> Range<usize> {
         self.ray_offsets[r]..self.ray_offsets[r + 1]
     }
 
     /// Every ray's point range as one offset table:
     /// `ray_offsets()[r]..ray_offsets()[r + 1]` is
-    /// [`AggregateArena::ray_range`]`(r)` (`n_rays() + 1` entries,
+    /// `AggregateArena::ray_range(r)` (`n_rays() + 1` entries,
     /// ascending from 0) — the form the stacked kernels take a tile's
     /// rays in.
     pub fn ray_offsets(&self) -> &[usize] {
@@ -536,17 +536,17 @@ impl AggregateArena {
     }
 
     /// Point `k`'s per-view visibility plane.
-    pub fn valid_row(&self, k: usize) -> &[bool] {
+    pub(crate) fn valid_row(&self, k: usize) -> &[bool] {
         &self.valid[k * self.n_views..(k + 1) * self.n_views]
     }
 
     /// Point `k`'s per-view source colors (zero where invalid).
-    pub fn view_colors_row(&self, k: usize) -> &[Vec3] {
+    pub(crate) fn view_colors_row(&self, k: usize) -> &[Vec3] {
         &self.view_colors[k * self.n_views..(k + 1) * self.n_views]
     }
 
     /// Point `k`'s per-view blend-head inputs.
-    pub fn blend_inputs_row(&self, k: usize) -> &[[f32; 2]] {
+    pub(crate) fn blend_inputs_row(&self, k: usize) -> &[[f32; 2]] {
         &self.blend_inputs[k * self.n_views..(k + 1) * self.n_views]
     }
 
@@ -558,7 +558,7 @@ impl AggregateArena {
     }
 
     /// A borrowed view of ray `r`'s points.
-    pub fn ray_view(&self, r: usize) -> ArenaRayView<'_> {
+    pub(crate) fn ray_view(&self, r: usize) -> ArenaRayView<'_> {
         let range = self.ray_range(r);
         ArenaRayView { arena: self, range }
     }
@@ -735,50 +735,45 @@ impl AggregateArena {
             n_valid: self.n_valid[k],
         }
     }
-
-    /// Exports ray `r` as standalone [`PointAggregate`]s.
-    pub fn export_ray(&self, r: usize) -> Vec<PointAggregate> {
-        self.ray_range(r).map(|k| self.export(k)).collect()
-    }
 }
 
 /// A borrowed view of one ray's points inside an [`AggregateArena`]:
 /// the arena's per-point accessors with `k` counted from the ray's
 /// first point.
 #[derive(Debug, Clone)]
-pub struct ArenaRayView<'a> {
+pub(crate) struct ArenaRayView<'a> {
     arena: &'a AggregateArena,
     range: Range<usize>,
 }
 
 impl ArenaRayView<'_> {
     /// Points in the ray.
-    pub fn n_points(&self) -> usize {
+    pub(crate) fn n_points(&self) -> usize {
         self.range.len()
     }
 
     /// Point `k`'s stats row.
-    pub fn stats_row(&self, k: usize) -> &[f32] {
+    pub(crate) fn stats_row(&self, k: usize) -> &[f32] {
         self.arena.stats_row(self.range.start + k)
     }
 
     /// Number of views that see point `k`.
-    pub fn n_valid(&self, k: usize) -> usize {
+    pub(crate) fn n_valid(&self, k: usize) -> usize {
         self.arena.n_valid(self.range.start + k)
     }
 
     /// Point `k`'s per-view visibility plane.
-    pub fn valid_row(&self, k: usize) -> &[bool] {
+    pub(crate) fn valid_row(&self, k: usize) -> &[bool] {
         self.arena.valid_row(self.range.start + k)
     }
 
     /// Point `k`'s per-view source colors (zero where invalid).
-    pub fn view_colors_row(&self, k: usize) -> &[Vec3] {
+    pub(crate) fn view_colors_row(&self, k: usize) -> &[Vec3] {
         self.arena.view_colors_row(self.range.start + k)
     }
 
     /// Point `k`'s per-view blend-head inputs.
-    pub fn blend_inputs_row(&self, k: usize) -> &[[f32; 2]] {
+    pub(crate) fn blend_inputs_row(&self, k: usize) -> &[[f32; 2]] {
         self.arena.blend_inputs_row(self.range.start + k)
     }
 }

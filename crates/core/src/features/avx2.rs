@@ -109,7 +109,7 @@ pub(super) struct PointBlock {
 
 impl PointBlock {
     /// An empty block.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             n: 0,
             first: 0,
@@ -119,7 +119,7 @@ impl PointBlock {
     }
 
     /// Appends a point observed along `dir`.
-    pub fn push(&mut self, p: Vec3, dir: Vec3) {
+    pub(crate) fn push(&mut self, p: Vec3, dir: Vec3) {
         let l = self.n;
         (self.p[0][l], self.p[1][l], self.p[2][l]) = (p.x, p.y, p.z);
         (self.dir[0][l], self.dir[1][l], self.dir[2][l]) = (dir.x, dir.y, dir.z);
@@ -127,7 +127,7 @@ impl PointBlock {
     }
 
     /// Lane `l`'s point and direction.
-    pub fn lane(&self, l: usize) -> (Vec3, Vec3) {
+    pub(crate) fn lane(&self, l: usize) -> (Vec3, Vec3) {
         (
             Vec3::new(self.p[0][l], self.p[1][l], self.p[2][l]),
             Vec3::new(self.dir[0][l], self.dir[1][l], self.dir[2][l]),

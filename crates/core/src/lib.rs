@@ -5,7 +5,7 @@
 //! provides the glue to its hardware side (the `gen-nerf-accel`
 //! simulator):
 //!
-//! * [`encoder`] — the frozen multi-scale feature encoder standing in
+//! * `encoder` — the frozen multi-scale feature encoder standing in
 //!   for the CNN encoder `E` (Step 0 of Sec. 2.2),
 //! * [`features`] — per-point scene-feature acquisition: projection
 //!   onto source views, bilinear fetch, cross-view aggregation
@@ -39,8 +39,10 @@
 //! println!("PSNR {:.2} dB at {:.3} MFLOPs/pixel", result.psnr, result.mflops_per_pixel);
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod config;
-pub mod encoder;
+pub(crate) mod encoder;
 pub mod eval;
 pub mod features;
 pub mod hardware;
@@ -48,7 +50,9 @@ pub mod model;
 pub mod occupancy;
 pub mod pipeline;
 pub mod pruning;
-pub mod quantized;
+// Test-only: the INT8 density-drift check of Sec. 5.1's PE fidelity.
+#[cfg(test)]
+mod quantized;
 pub mod sampling;
 pub mod trainer;
 

@@ -13,7 +13,7 @@
 //!   coarse sampling pass (Sec. 3.2, Step ①).
 //!
 //! Densities are predicted in `log1p` space: the model outputs
-//! `z ≈ ln(1 + σ)`, decoded by [`density_from_logit`] in Step ①. The
+//! `z ≈ ln(1 + σ)`, decoded by `density_from_logit` in Step ①. The
 //! full model's per-point epilogue — that decode, the blend softmax and
 //! the `0.1·tanh` RGB residual — runs on the one shared definition of
 //! `exp` / `0.1·tanh` in `gen_nerf_nn::kernels::special`, as vector passes
@@ -36,7 +36,7 @@ use serde::{Deserialize, Serialize};
 /// Decodes a density logit: `σ = exp(z) − 1`, clamped to `[0, ∞)`
 /// (a NaN logit decodes to `0.0`). libm's `exp`: the decode of Step ①'s
 /// coarse pass, whose densities choose every focused sample.
-pub fn density_from_logit(z: f32) -> f32 {
+pub(crate) fn density_from_logit(z: f32) -> f32 {
     sigma_from_exp(clamp_logit(z).exp())
 }
 
@@ -92,13 +92,13 @@ fn residual(pre: &[f32]) -> Vec3 {
 
 /// Encodes a ground-truth density as a training target:
 /// `z = ln(1 + σ)`.
-pub fn logit_from_density(sigma: f32) -> f32 {
+pub(crate) fn logit_from_density(sigma: f32) -> f32 {
     (sigma.max(0.0) + 1.0).ln()
 }
 
 /// A three-layer ReLU MLP.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Mlp {
+pub(crate) struct Mlp {
     l1: Linear,
     a1: Relu,
     l2: Linear,
@@ -108,7 +108,7 @@ pub struct Mlp {
 
 impl Mlp {
     /// Creates `in_dim → hidden → hidden → out_dim`.
-    pub fn new(in_dim: usize, hidden: usize, out_dim: usize, rng: &mut Rng) -> Self {
+    pub(crate) fn new(in_dim: usize, hidden: usize, out_dim: usize, rng: &mut Rng) -> Self {
         Self {
             l1: Linear::new(in_dim, hidden, rng),
             a1: Relu::new(),
@@ -118,18 +118,13 @@ impl Mlp {
         }
     }
 
-    /// Input width.
-    pub fn in_dim(&self) -> usize {
-        self.l1.in_dim()
-    }
-
     /// Output width.
-    pub fn out_dim(&self) -> usize {
+    pub(crate) fn out_dim(&self) -> usize {
         self.l3.out_dim()
     }
 
     /// Forward pass (caches for backward).
-    pub fn forward(&mut self, x: &Tensor2) -> Tensor2 {
+    pub(crate) fn forward(&mut self, x: &Tensor2) -> Tensor2 {
         let h1 = self.a1.forward(&self.l1.forward(x));
         let h2 = self.a2.forward(&self.l2.forward(&h1));
         self.l3.forward(&h2)
@@ -137,7 +132,7 @@ impl Mlp {
 
     /// Forward pass without caching (inference only) — usable through
     /// `&self` so render workers can share one model across threads.
-    pub fn forward_inference(&self, x: &Tensor2) -> Tensor2 {
+    pub(crate) fn forward_inference(&self, x: &Tensor2) -> Tensor2 {
         let h1 = self.a1.forward_inference(&self.l1.forward_inference(x));
         let h2 = self.a2.forward_inference(&self.l2.forward_inference(&h1));
         self.l3.forward_inference(&h2)
@@ -151,7 +146,7 @@ impl Mlp {
     /// Bit-identical to [`Mlp::forward_inference`] row for row (the
     /// chain's per-element op sequence is the layers'), allocating
     /// nothing once the scratch buffers have grown to size.
-    pub fn forward_inference_into(&self, x: &[f32], m: usize, scratch: &mut MlpScratch) {
+    pub(crate) fn forward_inference_into(&self, x: &[f32], m: usize, scratch: &mut MlpScratch) {
         let n = self.out_dim();
         scratch.out.resize(m * n, 0.0);
         dense_chain(
@@ -172,7 +167,7 @@ impl Mlp {
     /// # Panics
     ///
     /// Panics when the MLP is not of that shape.
-    pub fn forward_lanes_into(&self, x: &[f32], m: usize, scratch: &mut MlpScratch) {
+    pub(crate) fn forward_lanes_into(&self, x: &[f32], m: usize, scratch: &mut MlpScratch) {
         scratch.out.resize(m, 0.0);
         lanes_mlp(
             x,
@@ -193,14 +188,14 @@ impl Mlp {
     }
 
     /// Backward pass; accumulates gradients, returns `∂L/∂x`.
-    pub fn backward(&mut self, grad_out: &Tensor2) -> Tensor2 {
+    pub(crate) fn backward(&mut self, grad_out: &Tensor2) -> Tensor2 {
         let g2 = self.a2.backward(&self.l3.backward(grad_out));
         let g1 = self.a1.backward(&self.l2.backward(&g2));
         self.l1.backward(&g1)
     }
 
     /// Trainable parameters.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
+    pub(crate) fn params_mut(&mut self) -> Vec<&mut Param> {
         let mut out = Vec::new();
         out.extend(self.l1.params_mut());
         out.extend(self.l2.params_mut());
@@ -209,17 +204,18 @@ impl Mlp {
     }
 
     /// Shared access to the three layers (used by INT8 re-execution).
-    pub fn layers(&self) -> (&Linear, &Linear, &Linear) {
+    #[cfg(test)]
+    pub(crate) fn layers(&self) -> (&Linear, &Linear, &Linear) {
         (&self.l1, &self.l2, &self.l3)
     }
 
     /// Direct access to the three layers (used by channel pruning).
-    pub fn layers_mut(&mut self) -> (&mut Linear, &mut Linear, &mut Linear) {
+    pub(crate) fn layers_mut(&mut self) -> (&mut Linear, &mut Linear, &mut Linear) {
         (&mut self.l1, &mut self.l2, &mut self.l3)
     }
 
     /// Replaces the three layers (used by channel pruning).
-    pub fn replace_layers(&mut self, l1: Linear, l2: Linear, l3: Linear) {
+    pub(crate) fn replace_layers(&mut self, l1: Linear, l2: Linear, l3: Linear) {
         self.l1 = l1;
         self.l2 = l2;
         self.l3 = l3;
@@ -229,7 +225,7 @@ impl Mlp {
 /// The cross-point density module.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[allow(clippy::large_enum_variant)] // one module lives per model; size is irrelevant
-pub enum RayModule {
+pub(crate) enum RayModule {
     /// Attention ray transformer + density projection.
     Transformer {
         /// Self-attention over the ray's density features.
@@ -266,7 +262,7 @@ impl RayModule {
     /// # Panics
     ///
     /// Panics when `n > N_max` for the mixer variant.
-    pub fn forward(&mut self, f_sigma: &Tensor2) -> Tensor2 {
+    pub(crate) fn forward(&mut self, f_sigma: &Tensor2) -> Tensor2 {
         let n = f_sigma.rows();
         match self {
             RayModule::Transformer { attn, proj } => {
@@ -296,7 +292,7 @@ impl RayModule {
     /// # Panics
     ///
     /// Panics when `n > N_max` for the mixer variant.
-    pub fn forward_inference(&self, f_sigma: &Tensor2) -> Tensor2 {
+    pub(crate) fn forward_inference(&self, f_sigma: &Tensor2) -> Tensor2 {
         match self {
             RayModule::Transformer { attn, proj } => {
                 let y = attn.forward_inference(f_sigma);
@@ -386,7 +382,7 @@ impl RayModule {
 
     /// Backward pass from per-point logit gradients; returns the
     /// gradient w.r.t. the input features.
-    pub fn backward(&mut self, grad_logits: &Tensor2, n: usize) -> Tensor2 {
+    pub(crate) fn backward(&mut self, grad_logits: &Tensor2, n: usize) -> Tensor2 {
         match self {
             RayModule::Transformer { attn, proj } => {
                 let g_y = proj.backward(grad_logits);
@@ -406,7 +402,7 @@ impl RayModule {
     }
 
     /// Trainable parameters.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
+    pub(crate) fn params_mut(&mut self) -> Vec<&mut Param> {
         match self {
             RayModule::Transformer { attn, proj } => {
                 let mut p = attn.params_mut();
@@ -419,7 +415,7 @@ impl RayModule {
     }
 }
 
-/// Reusable buffers for one [`Mlp`]'s fused inference forward: the
+/// Reusable buffers for one `Mlp`'s fused inference forward: the
 /// chain's two L1-sized hidden panels, the output, and — for the coarse
 /// MLP — the tile's decoded densities.
 #[derive(Debug, Clone, Default)]
@@ -448,7 +444,7 @@ impl MlpScratch {
 /// variant, the mixer's mixed features and chain panels, the `None`
 /// variant's stacked projection input, and the logits of all three).
 #[derive(Debug, Clone, Default)]
-pub struct RayModuleScratch {
+pub(crate) struct RayModuleScratch {
     /// Attention temporaries (transformer variant).
     attn: AttnScratch,
     /// Per-ray `f^σ` slices (transformer variant; buffers reused
@@ -533,7 +529,7 @@ pub struct RayOutput {
 
 /// Per-ray training losses.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct RayLosses {
+pub(crate) struct RayLosses {
     /// Density-logit MSE.
     pub sigma: f32,
     /// Masked color MSE.
@@ -546,13 +542,13 @@ pub struct GenNerfModel {
     /// Hyperparameters.
     pub config: ModelConfig,
     /// Point MLP `f` (stats → density feature + RGB residual).
-    pub point_mlp: Mlp,
+    pub(crate) point_mlp: Mlp,
     /// Lightweight coarse MLP (coarse stats → density logit).
-    pub coarse_mlp: Mlp,
+    pub(crate) coarse_mlp: Mlp,
     /// Per-view color blend head (`[dir_sim, deviation] → logit`).
-    pub blend: Mlp,
+    pub(crate) blend: Mlp,
     /// Cross-point density module.
-    pub ray_module: RayModule,
+    pub(crate) ray_module: RayModule,
 }
 
 impl GenNerfModel {
@@ -601,7 +597,7 @@ impl GenNerfModel {
     /// Takes `&self` (no activation caching), so one model can be
     /// shared by every render worker thread — `GenNerfModel` contains
     /// no interior mutability and is therefore `Sync`. Training uses
-    /// the separate caching paths in [`GenNerfModel::train_ray_arena`].
+    /// the separate caching paths in `GenNerfModel::train_ray_arena`.
     pub fn forward_ray(&self, aggs: &[PointAggregate]) -> RayOutput {
         if aggs.is_empty() {
             return RayOutput {
@@ -932,7 +928,7 @@ impl GenNerfModel {
     /// # Panics
     ///
     /// Panics when slice lengths disagree with the ray's point count.
-    pub fn train_ray_arena(
+    pub(crate) fn train_ray_arena(
         &mut self,
         arena: &AggregateArena,
         ray: usize,
@@ -1040,7 +1036,7 @@ impl GenNerfModel {
     }
 
     /// Coarse-MLP training step on ray `ray` of a coarse step arena.
-    pub fn train_coarse_arena(
+    pub(crate) fn train_coarse_arena(
         &mut self,
         arena: &AggregateArena,
         ray: usize,

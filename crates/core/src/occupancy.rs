@@ -11,7 +11,7 @@
 //! collapse — while coarse-then-focus sampling, which estimates the
 //! distribution *at run time*, does not.
 
-use gen_nerf_geometry::{Aabb, Ray, Vec3};
+use gen_nerf_geometry::{Aabb, Vec3};
 use gen_nerf_scene::Scene;
 use serde::{Deserialize, Serialize};
 
@@ -85,7 +85,7 @@ impl OccupancyGrid {
 
     /// Whether the voxel containing `p` is occupied (false outside the
     /// grid bounds).
-    pub fn is_occupied(&self, p: Vec3) -> bool {
+    pub(crate) fn is_occupied(&self, p: Vec3) -> bool {
         if !self.bounds.contains(p) {
             return false;
         }
@@ -97,32 +97,6 @@ impl OccupancyGrid {
         let iy = idx(p.y, self.bounds.min.y, ext.y);
         let iz = idx(p.z, self.bounds.min.z, ext.z);
         self.occupied[(iz * n + iy) * n + ix]
-    }
-
-    /// Filters uniform candidate depths along a ray to those inside
-    /// occupied voxels, exactly like grid-based samplers: `n_candidates`
-    /// uniform probes, keep the occupied ones (capped at `n_keep`).
-    ///
-    /// Returns an empty vector when the ray misses the bounds or every
-    /// probe lands in "empty" voxels — which is precisely the failure
-    /// mode on a mismatched scene.
-    pub fn filter_depths(&self, ray: &Ray, n_candidates: usize, n_keep: usize) -> Vec<f32> {
-        let Some((t0, t1)) = self.bounds.intersect_ray(ray) else {
-            return Vec::new();
-        };
-        if t1 - t0 < 1e-5 {
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        for t in Ray::uniform_depths(t0, t1, n_candidates) {
-            if self.is_occupied(ray.at(t)) {
-                out.push(t);
-                if out.len() >= n_keep {
-                    break;
-                }
-            }
-        }
-        out
     }
 
     /// Fraction of another scene's occupied volume this grid would
@@ -193,35 +167,6 @@ mod tests {
             "no cross-scene failure: self {self_miss} vs cross {cross_miss}"
         );
         assert!(cross_miss > 0.2, "cross-scene miss rate only {cross_miss}");
-    }
-
-    #[test]
-    fn filter_keeps_occupied_depths_on_own_scene() {
-        let s = scene("lego");
-        let grid = OccupancyGrid::build(&s, 24, 0.5);
-        // A ray through the object center.
-        let ray = Ray::new(Vec3::new(0.0, -0.6, 4.0), Vec3::new(0.0, 0.0, -1.0));
-        let depths = grid.filter_depths(&ray, 64, 16);
-        assert!(!depths.is_empty(), "grid filtered out its own object");
-        for &t in &depths {
-            assert!(grid.is_occupied(ray.at(t)));
-        }
-    }
-
-    #[test]
-    fn filter_respects_cap() {
-        let s = scene("lego");
-        let grid = OccupancyGrid::build(&s, 16, 0.5);
-        let ray = Ray::new(Vec3::new(0.0, -0.6, 4.0), Vec3::new(0.0, 0.0, -1.0));
-        assert!(grid.filter_depths(&ray, 128, 4).len() <= 4);
-    }
-
-    #[test]
-    fn ray_missing_bounds_yields_nothing() {
-        let s = scene("lego");
-        let grid = OccupancyGrid::build(&s, 8, 0.5);
-        let ray = Ray::new(Vec3::new(100.0, 0.0, 0.0), Vec3::new(0.0, 1.0, 0.0));
-        assert!(grid.filter_depths(&ray, 32, 8).is_empty());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! The accelerator the paper builds exists to exploit one fact: rays
 //! are independent, so a frame is a bag of identical per-ray programs
 //! whose compute can be overlapped. The software pipeline mirrors that
-//! structure. [`RayBatch`] lays a camera's rays out structure-of-arrays
+//! structure. `RayBatch` lays a camera's rays out structure-of-arrays
 //! (directions and clip ranges in parallel vectors, indexed by the
 //! row-major pixel id), and [`Renderer`] maps a per-ray shading program
 //! over the batch with [`gen_nerf_parallel`]'s claim loop: each pass
@@ -409,7 +409,7 @@ impl RenderStats {
 /// pixel id: `rays[j]` and `ranges[j]` describe pixel
 /// `(j % width, j / width)`.
 #[derive(Debug, Clone)]
-pub struct RayBatch {
+pub(crate) struct RayBatch {
     /// Per-pixel camera rays.
     pub rays: Vec<Ray>,
     /// Per-ray `[t_near, t_far]` against the scene bounds; `None` for
@@ -424,7 +424,7 @@ pub struct RayBatch {
 impl RayBatch {
     /// Builds the batch for every pixel of `camera`, clipping against
     /// `bounds`.
-    pub fn from_camera(camera: &Camera, bounds: &Aabb) -> Self {
+    pub(crate) fn from_camera(camera: &Camera, bounds: &Aabb) -> Self {
         let (w, h) = (camera.intrinsics.width, camera.intrinsics.height);
         let n = (w as usize) * (h as usize);
         let mut rays = Vec::with_capacity(n);
@@ -448,13 +448,8 @@ impl RayBatch {
     }
 
     /// Number of rays (pixels).
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.rays.len()
-    }
-
-    /// `true` when the camera has no pixels.
-    pub fn is_empty(&self) -> bool {
-        self.rays.is_empty()
     }
 
     /// Writes per-ray colors (in batch order) into `image`, reshaping
@@ -2223,7 +2218,7 @@ mod tests {
             };
             let small = retained(32);
             let large = retained(96);
-            if !strategy.is_nonuniform() {
+            if !matches!(strategy, SamplingStrategy::CoarseThenFocus { .. }) {
                 // Every full tile is the same size: nothing grew.
                 assert_eq!(small, large, "{strategy:?}");
             }
@@ -2383,7 +2378,10 @@ mod tests {
                     assert_eq!(stats[f].points, 0, "{strategy:?}");
                     assert_eq!(stats[f].coarse_points, 0, "{strategy:?}");
                     assert_eq!(stats[f].feature_fetches, 0, "{strategy:?}");
-                    match (&exports[f], strategy.is_nonuniform()) {
+                    match (
+                        &exports[f],
+                        matches!(strategy, SamplingStrategy::CoarseThenFocus { .. }),
+                    ) {
                         (Some(coarse), true) => {
                             assert_eq!(coarse.n_rays(), (w * h) as usize);
                             assert!(coarse.criticals.iter().all(|&c| c == 0));

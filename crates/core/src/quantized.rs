@@ -6,7 +6,8 @@
 //! quantization (`gen_nerf_nn::quant`) — the same arithmetic the
 //! accelerator performs — and measures how far the quantized densities
 //! drift from the float reference. Tests pin the drift small enough
-//! that the algorithm-level PSNR results transfer to the INT8 hardware.
+//! that the algorithm-level PSNR results transfer to the INT8 hardware;
+//! nothing else calls it, so the module is compiled for tests only.
 
 use crate::features::AggregateArena;
 use crate::model::{density_from_logit, GenNerfModel, RayModule};
@@ -18,7 +19,7 @@ use gen_nerf_nn::Tensor2;
 /// float-rescale flow) over a batch of aggregation stats.
 ///
 /// Returns the `n × (d_sigma + 3)` output like the float path.
-pub fn quantized_point_mlp(model: &GenNerfModel, x: &Tensor2) -> Tensor2 {
+pub(crate) fn quantized_point_mlp(model: &GenNerfModel, x: &Tensor2) -> Tensor2 {
     let (l1, l2, l3) = model.point_mlp.layers();
     let mut h = quant_linear(x, &l1.w.value, &l1.b.value);
     h.relu_in_place();
@@ -47,7 +48,7 @@ fn quant_linear(x: &Tensor2, w: &Tensor2, b: &Tensor2) -> Tensor2 {
 ///
 /// Panics when the arena's stats width differs from the point-MLP
 /// input width.
-pub fn density_drift_arena(model: &GenNerfModel, arena: &AggregateArena) -> (f32, f32) {
+pub(crate) fn density_drift_arena(model: &GenNerfModel, arena: &AggregateArena) -> (f32, f32) {
     if arena.total_points() == 0 {
         return (0.0, 0.0);
     }

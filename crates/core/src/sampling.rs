@@ -2,20 +2,20 @@
 //!
 //! * [`importance_sample`] — inverse-transform sampling from a
 //!   piecewise-constant PDF over depth bins (the preprocessing unit's
-//!   Monte-Carlo sampler, Fig. 7); [`importance_sample_into`] is the
+//!   Monte-Carlo sampler, Fig. 7); `importance_sample_into` is the
 //!   same sampler over uniform bins without its three `Vec`s, which is
 //!   what the render tiles call,
 //! * [`allocate_focused`] — the cross-ray allocation
 //!   `P(j) ∝ N^cr_j` that distributes the image-wide focused budget
 //!   over rays (Step ② of the coarse-then-focus pipeline),
-//! * [`critical_count`] — counts points with hitting probability
+//! * `critical_count` — counts points with hitting probability
 //!   `w_k ≥ τ`.
 
 use gen_nerf_nn::init::Rng;
 
 /// Counts critical points: samples whose hitting probability meets the
 /// threshold `τ` (Sec. 3.2, Step ②).
-pub fn critical_count(weights: &[f32], tau: f32) -> usize {
+pub(crate) fn critical_count(weights: &[f32], tau: f32) -> usize {
     weights.iter().filter(|&&w| w >= tau).count()
 }
 
@@ -135,7 +135,7 @@ pub fn importance_sample(edges: &[f32], weights: &[f32], n: usize, rng: &mut Rng
 /// # Panics
 ///
 /// Panics when `weights` is empty.
-pub fn importance_sample_into(
+pub(crate) fn importance_sample_into(
     t0: f32,
     t1: f32,
     weights: &[f32],

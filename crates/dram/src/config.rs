@@ -54,45 +54,8 @@ impl DramConfig {
         }
     }
 
-    /// LPDDR4-1600 with 25.6 GB/s — Jetson TX2's memory (Tab. 4; wider
-    /// bus than the AR/VR part despite the lower data rate).
-    pub fn lpddr4_1600() -> Self {
-        Self {
-            name: "LPDDR4-1600",
-            banks: 8,
-            row_bytes: 2048,
-            bytes_per_cycle: 25.6,
-            timing: DramTiming {
-                t_rcd: 20,
-                t_rp: 20,
-                t_cl: 18,
-                t_ras: 38,
-            },
-            activate_pj: 1700.0,
-            read_pj_per_byte: 25.0,
-        }
-    }
-
-    /// GDDR6 with 616 GB/s — RTX 2080Ti's memory (Tab. 4).
-    pub fn gddr6() -> Self {
-        Self {
-            name: "GDDR6",
-            banks: 16,
-            row_bytes: 4096,
-            bytes_per_cycle: 616.0,
-            timing: DramTiming {
-                t_rcd: 14,
-                t_rp: 14,
-                t_cl: 12,
-                t_ras: 28,
-            },
-            activate_pj: 2500.0,
-            read_pj_per_byte: 60.0,
-        }
-    }
-
     /// Cycles to stream `bytes` over the data bus (at least 1).
-    pub fn transfer_cycles(&self, bytes: u64) -> u64 {
+    pub(crate) fn transfer_cycles(&self, bytes: u64) -> u64 {
         ((bytes as f64 / self.bytes_per_cycle).ceil() as u64).max(1)
     }
 
@@ -110,8 +73,6 @@ mod tests {
     #[test]
     fn presets_match_paper_bandwidths() {
         assert_eq!(DramConfig::lpddr4_2400().bandwidth_gbps(), 17.8);
-        assert_eq!(DramConfig::lpddr4_1600().bandwidth_gbps(), 25.6);
-        assert_eq!(DramConfig::gddr6().bandwidth_gbps(), 616.0);
     }
 
     #[test]
@@ -124,19 +85,14 @@ mod tests {
 
     #[test]
     fn transfer_of_zero_takes_a_cycle() {
-        assert_eq!(DramConfig::gddr6().transfer_cycles(0), 1);
+        assert_eq!(DramConfig::lpddr4_2400().transfer_cycles(0), 1);
     }
 
     #[test]
     fn timings_are_sane() {
-        for cfg in [
-            DramConfig::lpddr4_2400(),
-            DramConfig::lpddr4_1600(),
-            DramConfig::gddr6(),
-        ] {
-            assert!(cfg.timing.t_ras >= cfg.timing.t_rcd);
-            assert!(cfg.banks.is_power_of_two());
-            assert!(cfg.row_bytes.is_power_of_two());
-        }
+        let cfg = DramConfig::lpddr4_2400();
+        assert!(cfg.timing.t_ras >= cfg.timing.t_rcd);
+        assert!(cfg.banks.is_power_of_two());
+        assert!(cfg.row_bytes.is_power_of_two());
     }
 }

@@ -33,9 +33,11 @@
 //! assert!(result.total_cycles > 0);
 //! ```
 
-pub mod config;
-pub mod layout;
-pub mod sim;
+#![warn(unreachable_pub)]
+
+mod config;
+mod layout;
+mod sim;
 
 pub use config::{DramConfig, DramTiming};
 pub use layout::FeatureLayout;

@@ -153,7 +153,7 @@ impl Dram {
 
     /// Serves a single request issued at the current time; returns its
     /// completion cycle.
-    pub fn access(&mut self, req: FeatureRequest) -> u64 {
+    pub(crate) fn access(&mut self, req: FeatureRequest) -> u64 {
         let issue = self.now;
         let (width, height) = self.placement.dims();
         let (bank_idx, row) =
@@ -249,7 +249,8 @@ impl Dram {
     /// pins it; `SimMode::WarmRows` is the mode that deliberately
     /// *skips* the precharge to measure what the approximation
     /// forgoes).
-    pub fn precharge_all(&mut self) {
+    #[cfg(test)]
+    pub(crate) fn precharge_all(&mut self) {
         for bank in &mut self.banks {
             bank.open_row = None;
         }

@@ -76,29 +76,6 @@ impl BilinearFootprint {
             ],
         })
     }
-
-    /// Interpolates a scalar map stored row-major.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != width * height` implied by the taps'
-    /// construction; callers supply the same dimensions they passed to
-    /// [`BilinearFootprint::at`].
-    pub fn interpolate(&self, data: &[f32], width: u32) -> f32 {
-        self.taps
-            .iter()
-            .map(|t| data[(t.y * width + t.x) as usize] * t.weight)
-            .sum()
-    }
-
-    /// The distinct texel addresses touched (deduplicated when clamping
-    /// collapses taps) — what the memory model counts.
-    pub fn distinct_taps(&self) -> Vec<(u32, u32)> {
-        let mut addrs: Vec<(u32, u32)> = self.taps.iter().map(|t| (t.x, t.y)).collect();
-        addrs.sort_unstable();
-        addrs.dedup();
-        addrs
-    }
 }
 
 #[cfg(test)]
@@ -127,36 +104,17 @@ mod tests {
     }
 
     #[test]
-    fn interpolates_linear_ramp_exactly() {
-        let (w, h) = (8u32, 8u32);
-        let data: Vec<f32> = (0..h)
-            .flat_map(|y| (0..w).map(move |x| x as f32 + 2.0 * y as f32))
-            .collect();
-        let uv = Vec2::new(3.25, 5.75);
-        let fp = BilinearFootprint::at(uv, w, h).unwrap();
-        let got = fp.interpolate(&data, w);
-        let expect = (uv.x - 0.5) + 2.0 * (uv.y - 0.5);
-        assert!((got - expect).abs() < 1e-4, "got {got}, want {expect}");
-    }
-
-    #[test]
     fn clamps_at_border() {
         let fp = BilinearFootprint::at(Vec2::new(-3.0, 100.0), 4, 4).unwrap();
         for t in fp.taps {
             assert!(t.x < 4 && t.y < 4);
         }
-        assert_eq!(fp.distinct_taps(), vec![(0, 3)]);
+        assert!(fp.taps.iter().all(|t| (t.x, t.y) == (0, 3)));
     }
 
     #[test]
     fn empty_map_is_none() {
         assert!(BilinearFootprint::at(Vec2::new(0.5, 0.5), 0, 4).is_none());
-    }
-
-    #[test]
-    fn interior_footprint_has_four_distinct_taps() {
-        let fp = BilinearFootprint::at(Vec2::new(3.7, 4.2), 16, 16).unwrap();
-        assert_eq!(fp.distinct_taps().len(), 4);
     }
 
     proptest! {
@@ -169,22 +127,6 @@ mod tests {
             let sum: f32 = fp.taps.iter().map(|t| t.weight).sum();
             prop_assert!((sum - 1.0).abs() < 1e-5);
             prop_assert!(fp.taps.iter().all(|t| t.weight >= -1e-6));
-        }
-
-        #[test]
-        fn prop_interpolation_within_data_range(
-            u in 0.5f32..19.5,
-            v in 0.5f32..19.5,
-            seed in 0u32..100,
-        ) {
-            let data: Vec<f32> = (0..400)
-                .map(|i| (i as f32 * 0.77 + seed as f32).sin() * 10.0)
-                .collect();
-            let fp = BilinearFootprint::at(Vec2::new(u, v), 20, 20).unwrap();
-            let val = fp.interpolate(&data, 20);
-            let lo = data.iter().cloned().fold(f32::INFINITY, f32::min);
-            let hi = data.iter().cloned().fold(f32::NEG_INFINITY, f32::max);
-            prop_assert!(val >= lo - 1e-3 && val <= hi + 1e-3);
         }
     }
 }

@@ -57,7 +57,8 @@ impl Intrinsics {
     }
 
     /// The calibration matrix `K`.
-    pub fn matrix(&self) -> Mat3 {
+    #[cfg(test)]
+    pub(crate) fn matrix(&self) -> Mat3 {
         Mat3::from_rows(
             [self.fx, 0.0, self.cx],
             [0.0, self.fy, self.cy],
@@ -66,7 +67,7 @@ impl Intrinsics {
     }
 
     /// The inverse calibration matrix `K⁻¹`.
-    pub fn inverse_matrix(&self) -> Mat3 {
+    pub(crate) fn inverse_matrix(&self) -> Mat3 {
         Mat3::from_rows(
             [1.0 / self.fx, 0.0, -self.cx / self.fx],
             [0.0, 1.0 / self.fy, -self.cy / self.fy],
@@ -128,14 +129,8 @@ impl Pose {
 
     /// World-to-camera transform of a point.
     #[inline]
-    pub fn world_to_camera(&self, p: Vec3) -> Vec3 {
+    pub(crate) fn world_to_camera(&self, p: Vec3) -> Vec3 {
         self.rotation.transpose() * (p - self.origin)
-    }
-
-    /// Camera-to-world transform of a point.
-    #[inline]
-    pub fn camera_to_world(&self, p: Vec3) -> Vec3 {
-        self.rotation * p + self.origin
     }
 
     /// The viewing direction (camera +Z axis) in world space.
@@ -182,12 +177,6 @@ impl Camera {
         ))
     }
 
-    /// Depth (camera-space `z`) of a world point.
-    #[inline]
-    pub fn depth_of(&self, p: Vec3) -> f32 {
-        self.pose.world_to_camera(p).z
-    }
-
     /// The ray through continuous pixel coordinates `(u, v)`.
     pub fn pixel_ray(&self, u: f32, v: f32) -> Ray {
         let dir_cam = Vec3::new(
@@ -202,16 +191,6 @@ impl Camera {
     /// The ray through the *center* of integer pixel `(px, py)`.
     pub fn pixel_center_ray(&self, px: u32, py: u32) -> Ray {
         self.pixel_ray(px as f32 + 0.5, py as f32 + 0.5)
-    }
-
-    /// The 3×4 projection matrix `P = K [Rᵀ | −Rᵀ·O]`, returned as
-    /// `(M, p4)` with `M` the left 3×3 block and `p4` the last column.
-    pub fn projection_matrix(&self) -> (Mat3, Vec3) {
-        let k = self.intrinsics.matrix();
-        let r_t = self.pose.rotation.transpose();
-        let m = k * r_t;
-        let p4 = k * (-(r_t * self.pose.origin));
-        (m, p4)
     }
 
     /// Camera center in world coordinates.
@@ -274,7 +253,8 @@ mod tests {
     fn world_camera_roundtrip() {
         let pose = Pose::look_at(Vec3::new(3.0, -1.0, 2.0), Vec3::ZERO, Vec3::Y);
         let p = Vec3::new(0.3, 0.7, -1.2);
-        let back = pose.camera_to_world(pose.world_to_camera(p));
+        // Camera-to-world is the rigid transform `R·p + O`.
+        let back = pose.rotation * pose.world_to_camera(p) + pose.origin;
         assert!((back - p).length() < 1e-5);
     }
 
@@ -305,21 +285,11 @@ mod tests {
     }
 
     #[test]
-    fn projection_matrix_agrees_with_project() {
-        let cam = test_camera();
-        let p = Vec3::new(0.5, -0.25, 1.0);
-        let (m, p4) = cam.projection_matrix();
-        let h = m * p + p4;
-        let uv = h.dehomogenize().unwrap();
-        let direct = cam.project(p).unwrap();
-        assert!((uv - direct).length() < 1e-3);
-    }
-
-    #[test]
     fn depth_of_is_positive_in_front() {
         let cam = test_camera();
         let p = cam.center() + cam.pose.forward() * 4.2;
-        assert!((cam.depth_of(p) - 4.2).abs() < 1e-4);
+        // Depth is the camera-space `z`.
+        assert!((cam.pose.world_to_camera(p).z - 4.2).abs() < 1e-4);
     }
 
     proptest! {
@@ -345,7 +315,8 @@ mod tests {
         ) {
             let cam = test_camera();
             let ray = cam.pixel_ray(u, v);
-            prop_assert!(cam.depth_of(ray.at(t1 + dt)) > cam.depth_of(ray.at(t1)));
+            let depth = |t: f32| cam.pose.world_to_camera(ray.at(t)).z;
+            prop_assert!(depth(t1 + dt) > depth(t1));
         }
     }
 }

@@ -39,7 +39,7 @@ impl Line2 {
     /// Builds a normalized line from raw homogeneous coefficients.
     ///
     /// Returns `None` for a degenerate (all-zero direction) line.
-    pub fn from_homogeneous(h: Vec3) -> Option<Self> {
+    pub(crate) fn from_homogeneous(h: Vec3) -> Option<Self> {
         let n = (h.x * h.x + h.y * h.y).sqrt();
         if n < crate::EPSILON {
             return None;
@@ -71,8 +71,9 @@ impl Line2 {
     }
 
     /// Perpendicular foot: the point on the line closest to `p`.
+    #[cfg(test)]
     #[inline]
-    pub fn closest_point(&self, p: Vec2) -> Vec2 {
+    pub(crate) fn closest_point(&self, p: Vec2) -> Vec2 {
         let signed = self.a * p.x + self.b * p.y + self.c;
         Vec2::new(p.x - signed * self.a, p.y - signed * self.b)
     }
@@ -82,9 +83,10 @@ impl Line2 {
     /// ±`half_span` along the line) to `other`.
     ///
     /// Zero iff the lines coincide over the probed span; grows with both
-    /// angular and translational separation. Used to verify Property-3
-    /// (nearby points → nearby epipolar lines).
-    pub fn dissimilarity(&self, other: &Self, probe: Vec2) -> f32 {
+    /// angular and translational separation. The tests of Properties 2
+    /// and 3 (nearby points → nearby epipolar lines) measure with it.
+    #[cfg(test)]
+    pub(crate) fn dissimilarity(&self, other: &Self, probe: Vec2) -> f32 {
         let half_span = 100.0;
         let foot = self.closest_point(probe);
         let dir = self.direction();
@@ -268,13 +270,6 @@ pub fn polygon_area(vertices: &[Vec2]) -> f32 {
     acc.abs() * 0.5
 }
 
-/// Convenience: area of the convex hull of a point set. This is the
-/// "projected tetragon area" the workload scheduler's area calculator
-/// evaluates per patch-shape candidate (paper Fig. 5).
-pub fn convex_hull_area(points: &[Vec2]) -> f32 {
-    polygon_area(&convex_hull(points))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,7 +415,7 @@ mod tests {
         ];
         let hull = convex_hull(&pts);
         assert_eq!(hull.len(), 4);
-        assert!((convex_hull_area(&pts) - 1.0).abs() < 1e-6);
+        assert!((polygon_area(&convex_hull(&pts)) - 1.0).abs() < 1e-6);
     }
 
     #[test]
@@ -430,7 +425,7 @@ mod tests {
             Vec2::new(1.0, 1.0),
             Vec2::new(2.0, 2.0),
         ];
-        assert_eq!(convex_hull_area(&pts), 0.0);
+        assert_eq!(polygon_area(&convex_hull(&pts)), 0.0);
     }
 
     /// The hull as it was before [`convex_hull_into`] existed — heap
@@ -574,10 +569,10 @@ mod tests {
                     Vec2::new(a.sin() * 5.0, (a * 1.3).cos() * 5.0)
                 })
                 .collect();
-            let base = convex_hull_area(&pts);
+            let base = polygon_area(&convex_hull(&pts));
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
             pts.shuffle(&mut rng);
-            prop_assert!((convex_hull_area(&pts) - base).abs() < 1e-3);
+            prop_assert!((polygon_area(&convex_hull(&pts)) - base).abs() < 1e-3);
         }
 
         #[test]

@@ -7,7 +7,6 @@
 //! the scene-feature traffic needed to process the patch.
 
 use crate::camera::Camera;
-use crate::epipolar::{convex_hull_into, polygon_area};
 use crate::vec::{Vec2, Vec3};
 use serde::{Deserialize, Serialize};
 
@@ -61,43 +60,6 @@ impl Frustum {
         }
         out
     }
-
-    /// Projects the frustum onto a source view and returns the convex
-    /// hull area of the visible corner projections, in source pixels² —
-    /// the workload scheduler's memory-traffic estimate for this patch
-    /// candidate.
-    ///
-    /// Corners behind the source camera are skipped; if fewer than three
-    /// corners are visible the area is zero (treated as "free" by the
-    /// caller, which also bounds patches by the prefetch-buffer size).
-    pub fn projected_area(&self, novel: &Camera, source: &Camera) -> f32 {
-        let mut projections = [Vec2::ZERO; 8];
-        let mut visible = 0;
-        for uv in self
-            .world_corners(novel)
-            .iter()
-            .filter_map(|&p| source.project(p))
-        {
-            projections[visible] = uv;
-            visible += 1;
-        }
-        let mut hull = [Vec2::ZERO; 16];
-        let n = convex_hull_into(&mut projections[..visible], &mut hull);
-        polygon_area(&hull[..n])
-    }
-
-    /// Sum of [`Frustum::projected_area`] over several source views — the
-    /// quantity the greedy partition minimizes per candidate.
-    pub fn total_projected_area(&self, novel: &Camera, sources: &[Camera]) -> f32 {
-        sources.iter().map(|s| self.projected_area(novel, s)).sum()
-    }
-
-    /// Number of whole pixels covered by the rectangle.
-    pub fn pixel_footprint(&self) -> usize {
-        let w = (self.uv_max.x - self.uv_min.x).round().max(0.0) as usize;
-        let h = (self.uv_max.y - self.uv_min.y).round().max(0.0) as usize;
-        w * h
-    }
 }
 
 #[cfg(test)]
@@ -112,13 +74,6 @@ mod tests {
         )
     }
 
-    fn source() -> Camera {
-        Camera::new(
-            Intrinsics::from_fov(640, 480, 0.9),
-            Pose::look_at(Vec3::new(2.0, 0.5, 4.5), Vec3::ZERO, Vec3::Y),
-        )
-    }
-
     #[test]
     fn corners_are_on_pixel_rays() {
         let f = Frustum::new(Vec2::new(100.0, 100.0), Vec2::new(130.0, 120.0), 2.0, 6.0);
@@ -129,41 +84,6 @@ mod tests {
         assert!((uv - Vec2::new(100.0, 100.0)).length() < 0.05);
         let uv = cam.project(corners[6]).unwrap();
         assert!((uv - Vec2::new(130.0, 120.0)).length() < 0.05);
-    }
-
-    #[test]
-    fn bigger_patch_projects_bigger_area() {
-        let small = Frustum::new(Vec2::new(300.0, 220.0), Vec2::new(310.0, 230.0), 3.0, 4.0);
-        let large = Frustum::new(Vec2::new(280.0, 200.0), Vec2::new(340.0, 260.0), 3.0, 4.0);
-        let a_small = small.projected_area(&novel(), &source());
-        let a_large = large.projected_area(&novel(), &source());
-        assert!(a_large > a_small, "large={a_large} small={a_small}");
-    }
-
-    #[test]
-    fn deeper_patch_projects_bigger_area() {
-        let shallow = Frustum::new(Vec2::new(300.0, 220.0), Vec2::new(320.0, 240.0), 3.0, 3.5);
-        let deep = Frustum::new(Vec2::new(300.0, 220.0), Vec2::new(320.0, 240.0), 3.0, 7.0);
-        // A longer ray segment sweeps a longer epipolar-line stretch.
-        assert!(
-            deep.projected_area(&novel(), &source()) > shallow.projected_area(&novel(), &source())
-        );
-    }
-
-    #[test]
-    fn total_area_sums_over_sources() {
-        let f = Frustum::new(Vec2::new(300.0, 220.0), Vec2::new(320.0, 240.0), 3.0, 4.0);
-        let n = novel();
-        let sources = vec![source(), source()];
-        let total = f.total_projected_area(&n, &sources);
-        let single = f.projected_area(&n, &source());
-        assert!((total - 2.0 * single).abs() < 1e-3);
-    }
-
-    #[test]
-    fn pixel_footprint_counts_pixels() {
-        let f = Frustum::new(Vec2::new(0.0, 0.0), Vec2::new(8.0, 4.0), 1.0, 2.0);
-        assert_eq!(f.pixel_footprint(), 32);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! This crate is the geometric substrate of the workspace. It provides:
 //!
-//! * small fixed-size vectors and matrices ([`Vec2`], [`Vec3`], [`Vec4`],
-//!   [`Mat3`], [`Mat4`]) tailored to graphics use,
+//! * small fixed-size vectors and a 3×3 matrix ([`Vec2`], [`Vec3`],
+//!   [`Mat3`]) tailored to graphics use,
 //! * pinhole camera models ([`Intrinsics`], [`Pose`], [`Camera`]) with
 //!   world ↔ camera ↔ pixel transforms,
 //! * rays and depth-sampling helpers ([`Ray`]),
@@ -40,21 +40,23 @@
 //! assert!(line.distance_to(uv) < 1e-3);
 //! ```
 
-pub mod aabb;
+#![warn(unreachable_pub)]
+
+mod aabb;
 pub mod bilinear;
-pub mod camera;
+mod camera;
 pub mod epipolar;
-pub mod frustum;
-pub mod mat;
-pub mod ray;
-pub mod vec;
+mod frustum;
+mod mat;
+mod ray;
+mod vec;
 
 pub use aabb::Aabb;
 pub use camera::{Camera, Intrinsics, Pose};
 pub use frustum::Frustum;
-pub use mat::{Mat3, Mat4};
+pub use mat::Mat3;
 pub use ray::Ray;
-pub use vec::{Vec2, Vec3, Vec4};
+pub use vec::{Vec2, Vec3};
 
 /// Default tolerance used by the crate's geometric predicates.
 pub const EPSILON: f32 = 1e-6;

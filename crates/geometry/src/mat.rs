@@ -1,6 +1,6 @@
-//! Small square matrices (`Mat3`, `Mat4`) stored row-major.
+//! The 3×3 matrix (`Mat3`), stored row-major.
 
-use crate::vec::{Vec3, Vec4};
+use crate::vec::Vec3;
 use serde::{Deserialize, Serialize};
 use std::ops::{Add, Mul, Sub};
 
@@ -24,24 +24,14 @@ impl Mat3 {
 
     /// Creates a matrix from rows.
     #[inline]
-    pub const fn from_rows(r0: [f32; 3], r1: [f32; 3], r2: [f32; 3]) -> Self {
+    pub(crate) const fn from_rows(r0: [f32; 3], r1: [f32; 3], r2: [f32; 3]) -> Self {
         Self { m: [r0, r1, r2] }
     }
 
     /// Creates a matrix whose columns are the given vectors.
     #[inline]
-    pub fn from_cols(c0: Vec3, c1: Vec3, c2: Vec3) -> Self {
+    pub(crate) fn from_cols(c0: Vec3, c1: Vec3, c2: Vec3) -> Self {
         Self::from_rows([c0.x, c1.x, c2.x], [c0.y, c1.y, c2.y], [c0.z, c1.z, c2.z])
-    }
-
-    /// Diagonal matrix.
-    #[inline]
-    pub fn from_diagonal(d: Vec3) -> Self {
-        let mut m = Self::ZERO;
-        m.m[0][0] = d.x;
-        m.m[1][1] = d.y;
-        m.m[2][2] = d.z;
-        m
     }
 
     /// The skew-symmetric "cross-product matrix" `[v]×` such that
@@ -50,7 +40,7 @@ impl Mat3 {
     /// This is the building block of the fundamental matrix
     /// `F = K_s⁻ᵀ [t]× R K_n⁻¹`.
     #[inline]
-    pub fn skew_symmetric(v: Vec3) -> Self {
+    pub(crate) fn skew_symmetric(v: Vec3) -> Self {
         Self::from_rows([0.0, -v.z, v.y], [v.z, 0.0, -v.x], [-v.y, v.x, 0.0])
     }
 
@@ -72,44 +62,6 @@ impl Mat3 {
         Self::from_cols(self.row(0), self.row(1), self.row(2))
     }
 
-    /// Determinant.
-    #[inline]
-    pub fn determinant(&self) -> f32 {
-        let m = &self.m;
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    }
-
-    /// Matrix inverse.
-    ///
-    /// Returns `None` when the determinant is numerically zero.
-    pub fn inverse(&self) -> Option<Self> {
-        let det = self.determinant();
-        if det.abs() < 1e-12 {
-            return None;
-        }
-        let inv_det = 1.0 / det;
-        let m = &self.m;
-        let mut out = Self::ZERO;
-        out.m[0][0] = (m[1][1] * m[2][2] - m[1][2] * m[2][1]) * inv_det;
-        out.m[0][1] = (m[0][2] * m[2][1] - m[0][1] * m[2][2]) * inv_det;
-        out.m[0][2] = (m[0][1] * m[1][2] - m[0][2] * m[1][1]) * inv_det;
-        out.m[1][0] = (m[1][2] * m[2][0] - m[1][0] * m[2][2]) * inv_det;
-        out.m[1][1] = (m[0][0] * m[2][2] - m[0][2] * m[2][0]) * inv_det;
-        out.m[1][2] = (m[0][2] * m[1][0] - m[0][0] * m[1][2]) * inv_det;
-        out.m[2][0] = (m[1][0] * m[2][1] - m[1][1] * m[2][0]) * inv_det;
-        out.m[2][1] = (m[0][1] * m[2][0] - m[0][0] * m[2][1]) * inv_det;
-        out.m[2][2] = (m[0][0] * m[1][1] - m[0][1] * m[1][0]) * inv_det;
-        Some(out)
-    }
-
-    /// Rotation about the X axis by `angle` radians.
-    pub fn rotation_x(angle: f32) -> Self {
-        let (s, c) = angle.sin_cos();
-        Self::from_rows([1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c])
-    }
-
     /// Rotation about the Y axis by `angle` radians.
     pub fn rotation_y(angle: f32) -> Self {
         let (s, c) = angle.sin_cos();
@@ -123,7 +75,8 @@ impl Mat3 {
     }
 
     /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
+    #[cfg(test)]
+    pub(crate) fn frobenius_norm(&self) -> f32 {
         self.m
             .iter()
             .flat_map(|r| r.iter())
@@ -199,147 +152,6 @@ impl Sub for Mat3 {
     }
 }
 
-/// A 4×4 matrix, row-major; used for rigid transforms in homogeneous
-/// coordinates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Mat4 {
-    /// Row-major storage: `m[row][col]`.
-    pub m: [[f32; 4]; 4],
-}
-
-impl Mat4 {
-    /// The identity matrix.
-    pub const IDENTITY: Self = Self {
-        m: [
-            [1.0, 0.0, 0.0, 0.0],
-            [0.0, 1.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-        ],
-    };
-
-    /// The zero matrix.
-    pub const ZERO: Self = Self { m: [[0.0; 4]; 4] };
-
-    /// Builds a rigid transform from a rotation and a translation, i.e.
-    /// `[R | t; 0 0 0 1]`.
-    pub fn from_rotation_translation(r: Mat3, t: Vec3) -> Self {
-        let mut m = Self::IDENTITY;
-        for i in 0..3 {
-            for j in 0..3 {
-                m.m[i][j] = r.m[i][j];
-            }
-        }
-        m.m[0][3] = t.x;
-        m.m[1][3] = t.y;
-        m.m[2][3] = t.z;
-        m
-    }
-
-    /// The upper-left 3×3 block.
-    pub fn rotation_part(&self) -> Mat3 {
-        let mut r = Mat3::ZERO;
-        for i in 0..3 {
-            for j in 0..3 {
-                r.m[i][j] = self.m[i][j];
-            }
-        }
-        r
-    }
-
-    /// The translation column.
-    pub fn translation_part(&self) -> Vec3 {
-        Vec3::new(self.m[0][3], self.m[1][3], self.m[2][3])
-    }
-
-    /// Row `i` as a vector.
-    #[inline]
-    pub fn row(&self, i: usize) -> Vec4 {
-        Vec4::new(self.m[i][0], self.m[i][1], self.m[i][2], self.m[i][3])
-    }
-
-    /// Column `j` as a vector.
-    #[inline]
-    pub fn col(&self, j: usize) -> Vec4 {
-        Vec4::new(self.m[0][j], self.m[1][j], self.m[2][j], self.m[3][j])
-    }
-
-    /// Transforms a point (applies translation).
-    #[inline]
-    pub fn transform_point(&self, p: Vec3) -> Vec3 {
-        let h = *self * p.homogeneous();
-        // Rigid transforms always keep w == 1.
-        h.xyz()
-    }
-
-    /// Transforms a direction (ignores translation).
-    #[inline]
-    pub fn transform_direction(&self, d: Vec3) -> Vec3 {
-        self.rotation_part() * d
-    }
-
-    /// Inverse of a *rigid* transform (rotation + translation), computed
-    /// as `[Rᵀ | -Rᵀ t]`.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that the matrix is in fact rigid (bottom row
-    /// `0 0 0 1` and orthonormal rotation block).
-    pub fn rigid_inverse(&self) -> Self {
-        debug_assert!(
-            (self.m[3][0].abs() + self.m[3][1].abs() + self.m[3][2].abs()) < 1e-5
-                && (self.m[3][3] - 1.0).abs() < 1e-5,
-            "rigid_inverse called on a non-rigid matrix"
-        );
-        let r_t = self.rotation_part().transpose();
-        let t = self.translation_part();
-        Self::from_rotation_translation(r_t, -(r_t * t))
-    }
-
-    /// Matrix transpose.
-    pub fn transpose(&self) -> Self {
-        let mut out = Self::ZERO;
-        for i in 0..4 {
-            for j in 0..4 {
-                out.m[i][j] = self.m[j][i];
-            }
-        }
-        out
-    }
-}
-
-impl Default for Mat4 {
-    fn default() -> Self {
-        Self::IDENTITY
-    }
-}
-
-impl Mul<Vec4> for Mat4 {
-    type Output = Vec4;
-    #[inline]
-    fn mul(self, v: Vec4) -> Vec4 {
-        Vec4::new(
-            self.row(0).dot(v),
-            self.row(1).dot(v),
-            self.row(2).dot(v),
-            self.row(3).dot(v),
-        )
-    }
-}
-
-impl Mul for Mat4 {
-    type Output = Self;
-    fn mul(self, rhs: Self) -> Self {
-        let mut out = Self::ZERO;
-        for i in 0..4 {
-            for j in 0..4 {
-                out.m[i][j] = self.row(i).dot(rhs.col(j));
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -355,20 +167,6 @@ mod tests {
     }
 
     #[test]
-    fn mat3_inverse_roundtrip() {
-        let m = Mat3::rotation_x(0.7) * Mat3::from_diagonal(Vec3::new(2.0, 3.0, 0.5));
-        let inv = m.inverse().unwrap();
-        let eye = m * inv;
-        assert!((eye - Mat3::IDENTITY).frobenius_norm() < 1e-5);
-    }
-
-    #[test]
-    fn mat3_singular_has_no_inverse() {
-        let m = Mat3::from_rows([1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]);
-        assert!(m.inverse().is_none());
-    }
-
-    #[test]
     fn skew_symmetric_matches_cross() {
         let v = Vec3::new(0.3, -1.2, 2.0);
         let w = Vec3::new(-0.5, 0.8, 1.1);
@@ -380,33 +178,9 @@ mod tests {
     #[test]
     fn rotation_preserves_length() {
         let v = Vec3::new(1.0, 2.0, 3.0);
-        for m in [
-            Mat3::rotation_x(1.1),
-            Mat3::rotation_y(-0.4),
-            Mat3::rotation_z(2.7),
-        ] {
+        for m in [Mat3::rotation_y(-0.4), Mat3::rotation_z(2.7)] {
             assert!(((m * v).length() - v.length()).abs() < 1e-5);
         }
-    }
-
-    #[test]
-    fn mat4_rigid_inverse_roundtrip() {
-        let m = Mat4::from_rotation_translation(Mat3::rotation_z(0.6), Vec3::new(1.0, 2.0, 3.0));
-        let inv = m.rigid_inverse();
-        let p = Vec3::new(-4.0, 0.5, 9.0);
-        let back = inv.transform_point(m.transform_point(p));
-        assert!((back - p).length() < 1e-4);
-    }
-
-    #[test]
-    fn mat4_transform_direction_ignores_translation() {
-        let m = Mat4::from_rotation_translation(Mat3::IDENTITY, Vec3::new(10.0, 10.0, 10.0));
-        assert_eq!(m.transform_direction(Vec3::X), Vec3::X);
-    }
-
-    #[test]
-    fn mat3_determinant_of_rotation_is_one() {
-        assert!((Mat3::rotation_x(0.9).determinant() - 1.0).abs() < 1e-6);
     }
 
     #[test]
@@ -415,9 +189,10 @@ mod tests {
         assert_eq!(m.transpose().transpose(), m);
     }
 
+    /// Z-Y-Z Euler angles reach every rotation.
     fn arb_rotation() -> impl Strategy<Value = Mat3> {
         (-3.0f32..3.0, -3.0f32..3.0, -3.0f32..3.0)
-            .prop_map(|(a, b, c)| Mat3::rotation_x(a) * Mat3::rotation_y(b) * Mat3::rotation_z(c))
+            .prop_map(|(a, b, c)| Mat3::rotation_z(a) * Mat3::rotation_y(b) * Mat3::rotation_z(c))
     }
 
     proptest! {
@@ -436,22 +211,6 @@ mod tests {
             let lhs = (a * b) * c;
             let rhs = a * (b * c);
             prop_assert!((lhs - rhs).frobenius_norm() < 1e-4);
-        }
-
-        #[test]
-        fn prop_rigid_inverse(
-            r in arb_rotation(),
-            tx in -10.0f32..10.0,
-            ty in -10.0f32..10.0,
-            tz in -10.0f32..10.0,
-            px in -10.0f32..10.0,
-            py in -10.0f32..10.0,
-            pz in -10.0f32..10.0,
-        ) {
-            let m = Mat4::from_rotation_translation(r, Vec3::new(tx, ty, tz));
-            let p = Vec3::new(px, py, pz);
-            let back = m.rigid_inverse().transform_point(m.transform_point(p));
-            prop_assert!((back - p).length() < 1e-3);
         }
     }
 }

@@ -1,4 +1,4 @@
-//! Fixed-size vector types (`Vec2`, `Vec3`, `Vec4`).
+//! Fixed-size vector types (`Vec2`, `Vec3`).
 //!
 //! These are deliberately small and `Copy`; all arithmetic is
 //! component-wise unless documented otherwise.
@@ -88,28 +88,6 @@ macro_rules! impl_vec_common {
                 Self { $($field: self.$field.abs()),+ }
             }
 
-            /// Largest component.
-            #[inline]
-            pub fn max_component(self) -> f32 {
-                let mut m = f32::NEG_INFINITY;
-                $( m = m.max(self.$field); )+
-                m
-            }
-
-            /// Smallest component.
-            #[inline]
-            pub fn min_component(self) -> f32 {
-                let mut m = f32::INFINITY;
-                $( m = m.min(self.$field); )+
-                m
-            }
-
-            /// Linear interpolation: `self * (1 - t) + rhs * t`.
-            #[inline]
-            pub fn lerp(self, rhs: Self, t: f32) -> Self {
-                self * (1.0 - t) + rhs * t
-            }
-
             /// Component-wise multiplication (Hadamard product).
             #[inline]
             pub fn mul_elem(self, rhs: Self) -> Self {
@@ -126,12 +104,6 @@ macro_rules! impl_vec_common {
             #[inline]
             pub fn sum(self) -> f32 {
                 0.0 $(+ self.$field)+
-            }
-
-            /// Distance between two points.
-            #[inline]
-            pub fn distance(self, rhs: Self) -> f32 {
-                (self - rhs).length()
             }
 
             /// Component-wise clamp to `[lo, hi]`.
@@ -289,23 +261,8 @@ pub struct Vec3 {
     pub z: f32,
 }
 
-/// A 4D vector (homogeneous coordinates).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-#[repr(C)]
-pub struct Vec4 {
-    /// X component.
-    pub x: f32,
-    /// Y component.
-    pub y: f32,
-    /// Z component.
-    pub z: f32,
-    /// Homogeneous component.
-    pub w: f32,
-}
-
 impl_vec_common!(Vec2, 2, [x, y]);
 impl_vec_common!(Vec3, 3, [x, y, z]);
-impl_vec_common!(Vec4, 4, [x, y, z, w]);
 
 impl Vec2 {
     /// Unit vector along +X.
@@ -322,7 +279,7 @@ impl Vec2 {
 
     /// Extends into homogeneous image coordinates `(x, y, 1)`.
     #[inline]
-    pub fn homogeneous(self) -> Vec3 {
+    pub(crate) fn homogeneous(self) -> Vec3 {
         Vec3::new(self.x, self.y, 1.0)
     }
 }
@@ -355,45 +312,6 @@ impl Vec3 {
             self.z * rhs.x - self.x * rhs.z,
             self.x * rhs.y - self.y * rhs.x,
         )
-    }
-
-    /// Extends into homogeneous coordinates `(x, y, z, 1)`.
-    #[inline]
-    pub fn homogeneous(self) -> Vec4 {
-        Vec4::new(self.x, self.y, self.z, 1.0)
-    }
-
-    /// Projects homogeneous image coordinates `(x, y, w)` back to 2D.
-    ///
-    /// Returns `None` when `w` (here `z`) is numerically zero, i.e. the
-    /// point is at infinity.
-    #[inline]
-    pub fn dehomogenize(self) -> Option<Vec2> {
-        if self.z.abs() < crate::EPSILON {
-            None
-        } else {
-            Some(Vec2::new(self.x / self.z, self.y / self.z))
-        }
-    }
-}
-
-impl Vec4 {
-    /// Projects homogeneous coordinates back to 3D.
-    ///
-    /// Returns `None` when `w` is numerically zero.
-    #[inline]
-    pub fn dehomogenize(self) -> Option<Vec3> {
-        if self.w.abs() < crate::EPSILON {
-            None
-        } else {
-            Some(Vec3::new(self.x / self.w, self.y / self.w, self.z / self.w))
-        }
-    }
-
-    /// XYZ components.
-    #[inline]
-    pub fn xyz(self) -> Vec3 {
-        Vec3::new(self.x, self.y, self.z)
     }
 }
 
@@ -442,46 +360,16 @@ mod tests {
     }
 
     #[test]
-    fn dehomogenize_roundtrip() {
-        let p = Vec3::new(1.5, -2.0, 0.5);
-        let h = p.homogeneous() * 3.0;
-        let back = h.dehomogenize().unwrap();
-        assert!((back - p).length() < 1e-5);
-    }
-
-    #[test]
-    fn dehomogenize_at_infinity_is_none() {
-        assert!(Vec4::new(1.0, 2.0, 3.0, 0.0).dehomogenize().is_none());
-        assert!(Vec3::new(1.0, 2.0, 0.0).dehomogenize().is_none());
-    }
-
-    #[test]
-    fn lerp_endpoints() {
-        let a = Vec3::new(1.0, 2.0, 3.0);
-        let b = Vec3::new(-1.0, 0.0, 5.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-    }
-
-    #[test]
     fn index_matches_fields() {
-        let v = Vec4::new(9.0, 8.0, 7.0, 6.0);
+        let v = Vec3::new(9.0, 8.0, 7.0);
         assert_eq!(v[0], 9.0);
         assert_eq!(v[1], 8.0);
         assert_eq!(v[2], 7.0);
-        assert_eq!(v[3], 6.0);
     }
 
     #[test]
     fn display_formats_components() {
         assert_eq!(Vec2::new(1.0, 2.0).to_string(), "(1, 2)");
-    }
-
-    #[test]
-    fn min_max_component() {
-        let v = Vec3::new(-1.0, 5.0, 2.0);
-        assert_eq!(v.min_component(), -1.0);
-        assert_eq!(v.max_component(), 5.0);
     }
 
     #[test]
@@ -517,16 +405,6 @@ mod tests {
         #[test]
         fn prop_length_scales(a in arb_vec3(), s in 0.0f32..10.0) {
             prop_assert!(((a * s).length() - a.length() * s).abs() < 1e-2);
-        }
-
-        #[test]
-        fn prop_lerp_bounded(a in arb_vec3(), b in arb_vec3(), t in 0.0f32..1.0) {
-            let l = a.lerp(b, t);
-            let lo = a.min(b);
-            let hi = a.max(b);
-            prop_assert!(l.x >= lo.x - 1e-3 && l.x <= hi.x + 1e-3);
-            prop_assert!(l.y >= lo.y - 1e-3 && l.y <= hi.y + 1e-3);
-            prop_assert!(l.z >= lo.z - 1e-3 && l.z <= hi.z + 1e-3);
         }
     }
 }

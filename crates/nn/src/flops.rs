@@ -10,8 +10,10 @@ use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// FLOPs of a dense layer on `n` rows.
-pub fn linear(n: usize, in_dim: usize, out_dim: usize) -> u64 {
+/// FLOPs of a dense layer on `n` rows: the convention
+/// `Linear::flops` is tested against.
+#[cfg(test)]
+pub(crate) fn linear(n: usize, in_dim: usize, out_dim: usize) -> u64 {
     (2 * n * in_dim * out_dim + n * out_dim) as u64
 }
 

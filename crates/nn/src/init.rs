@@ -28,7 +28,7 @@ impl Rng {
     }
 
     /// Standard normal sample (Box–Muller).
-    pub fn normal(&mut self) -> f32 {
+    pub(crate) fn normal(&mut self) -> f32 {
         let u1: f32 = self.inner.gen_range(f32::EPSILON..1.0);
         let u2: f32 = self.inner.gen_range(0.0..1.0);
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
@@ -44,21 +44,9 @@ impl Rng {
         self.inner.gen_range(0..n)
     }
 
-    /// Forks an independent stream (used to give workers decorrelated
-    /// substreams that remain reproducible).
-    pub fn fork(&mut self) -> Self {
-        Self::seed_from(self.inner.gen())
-    }
-
-    /// Xavier/Glorot-uniform initialized `fan_in × fan_out` matrix.
-    pub fn xavier(&mut self, fan_in: usize, fan_out: usize) -> Tensor2 {
-        let limit = (6.0 / (fan_in + fan_out) as f32).sqrt();
-        Tensor2::from_fn(fan_in, fan_out, |_, _| self.uniform(-limit, limit))
-    }
-
     /// Kaiming/He-normal initialized `fan_in × fan_out` matrix (for ReLU
     /// networks).
-    pub fn kaiming(&mut self, fan_in: usize, fan_out: usize) -> Tensor2 {
+    pub(crate) fn kaiming(&mut self, fan_in: usize, fan_out: usize) -> Tensor2 {
         let std = (2.0 / fan_in as f32).sqrt();
         Tensor2::from_fn(fan_in, fan_out, |_, _| self.normal() * std)
     }
@@ -83,16 +71,6 @@ mod tests {
         let mut b = Rng::seed_from(2);
         let same = (0..16).filter(|_| a.normal() == b.normal()).count();
         assert!(same < 16);
-    }
-
-    #[test]
-    fn xavier_within_limit() {
-        let mut rng = Rng::seed_from(3);
-        let w = rng.xavier(64, 64);
-        let limit = (6.0 / 128.0f32).sqrt();
-        assert!(w.max_abs() <= limit + 1e-6);
-        // Mean should be near zero.
-        assert!(w.mean().abs() < 0.02);
     }
 
     #[test]
@@ -124,16 +102,5 @@ mod tests {
         for _ in 0..100 {
             assert!(rng.below(7) < 7);
         }
-    }
-
-    #[test]
-    fn fork_is_deterministic_but_distinct() {
-        let mut a = Rng::seed_from(9);
-        let mut b = Rng::seed_from(9);
-        let mut fa = a.fork();
-        let mut fb = b.fork();
-        assert_eq!(fa.uniform(0.0, 1.0), fb.uniform(0.0, 1.0));
-        // Fork output differs from parent continuation.
-        assert_ne!(fa.uniform(0.0, 1.0), a.uniform(0.0, 1.0));
     }
 }

@@ -1,6 +1,6 @@
 //! The AVX2 + FMA backend.
 //!
-//! Safety model: [`Avx2Kernel`] is only reachable through
+//! Safety model: `Avx2Kernel` is only reachable through
 //! [`super::kernel_for`], which hands it out exclusively after
 //! `is_x86_feature_detected!("avx2")`/`("fma")` both pass, so the
 //! `#[target_feature]` functions below are sound to call.
@@ -57,7 +57,7 @@ const MR: usize = 6;
 /// The AVX2 [`MicroKernel`]. Constructed only behind runtime feature
 /// detection (see the module docs).
 #[derive(Debug, Default)]
-pub struct Avx2Kernel;
+pub(crate) struct Avx2Kernel;
 
 impl MicroKernel for Avx2Kernel {
     fn backend(&self) -> Backend {

@@ -5,10 +5,10 @@
 //! on-chip buffers between PE-pool layers; [`dense_chain`] is the CPU
 //! twin. Instead of running each layer of an MLP as a whole-tile GEMM
 //! with materialised activations and separate bias / ReLU passes, it
-//! walks the rows in small panels ([`PANEL_FLOATS`]) and runs *all*
+//! walks the rows in small panels (`PANEL_FLOATS`) and runs *all*
 //! layers on one panel before touching the next — through
 //! [`MicroKernel::gemm`]'s fused epilogue, the hidden activations in
-//! two panel-sized buffers that never leave L1. [`token_mix`] is the
+//! two panel-sized buffers that never leave L1. `token_mix` is the
 //! Ray-Mixer's token phase (paper Eq. 4) over every ray of a tile, in
 //! place on the stacked activations through
 //! [`MicroKernel::token_mix`]. [`lanes_mlp`] is the blend head: so small
@@ -50,7 +50,7 @@ use super::{apply_epilogue, apply_token_mix_epilogue, Epilogue, MicroKernel};
 /// widest hidden layer, rounded down to a multiple of the kernels'
 /// six-row register tile (144 rows for the 8-wide blend head, whose
 /// per-panel dispatch cost would otherwise rival its arithmetic).
-pub const PANEL_FLOATS: usize = 24 * 48;
+pub(crate) const PANEL_FLOATS: usize = 24 * 48;
 
 /// One layer of a [`dense_chain`]: `y = epi(x · w)` with `w` of shape
 /// `k × n`, row-major.
@@ -279,7 +279,7 @@ fn elect_layers<'a>(layers: &[ChainLayer<'a>], m: usize) -> Vec<Option<ProductCh
 /// Panics when a ray is longer than `ldw` or a slice is shorter than
 /// the offsets need (the checks of [`MicroKernel::token_mix`]).
 #[allow(clippy::too_many_arguments)] // three strided operands plus the ray table
-pub fn token_mix(
+pub(crate) fn token_mix(
     x: &[f32],
     ldx: usize,
     d: usize,
@@ -292,7 +292,7 @@ pub fn token_mix(
     token_mix_on(super::active(), x, ldx, d, ray_offsets, w1, ldw, b1, f);
 }
 
-/// [`token_mix`] on an explicit kernel.
+/// `token_mix` on an explicit kernel.
 #[allow(clippy::too_many_arguments)] // as `token_mix`
 pub fn token_mix_on(
     kernel: &dyn MicroKernel,

@@ -17,7 +17,7 @@
 //! Both sides are accumulated in `f64`, so the only slack needed is
 //! the `f32` rounding inside the GEMM itself. The tolerance scales
 //! with the row's magnitude bound `Σₖ |A[i,k]| · (|B|·1)[k]` — the
-//! largest value any intermediate could reach — with [`REL`] chosen
+//! largest value any intermediate could reach — with `REL` chosen
 //! orders of magnitude above worst-case accumulation error so a clean
 //! run can never false-positive, yet far below the smallest
 //! corruption worth injecting. The comparison is written `!(diff <=
@@ -26,9 +26,9 @@
 //! # Verification inside the panel
 //!
 //! A *logical product* is one `A·B` of one dispatched call: a
-//! `Tensor2::matmul_into` ([`checked_matmul`]), one layer of a
+//! `Tensor2::matmul_into` (`checked_matmul`), one layer of a
 //! [`dense_chain`](super::chain::dense_chain), or the token mix of a
-//! [`token_mix`](super::chain::token_mix) call (its `B` the tile's
+//! `token_mix` call (its `B` the tile's
 //! stacked `X`, each ray multiplying its own rows of it by its
 //! `n × n` block of `W₁ᵀ`). Each product is elected on its own —
 //! always in `full`, one tick of the process-wide counter per product
@@ -108,7 +108,7 @@ fn abft_miscompares_counter() -> gen_nerf_telemetry::Counter {
 
 /// Environment variable selecting the integrity mode
 /// (`off` | `sample` | `full`).
-pub const INTEGRITY_ENV: &str = "GEN_NERF_INTEGRITY";
+pub(crate) const INTEGRITY_ENV: &str = "GEN_NERF_INTEGRITY";
 
 /// In `sample` mode, every `SAMPLE_PERIOD`-th dispatched GEMM is
 /// verified (process-wide call counter, deterministic for a fixed
@@ -121,7 +121,7 @@ pub const SAMPLE_PERIOD: u32 = 8;
 /// `1e-3` leaves an order of magnitude of headroom (zero clean-run
 /// false positives) while still catching any perturbation above a
 /// tenth of a percent of the row's dynamic range.
-pub const REL: f64 = 1e-3;
+pub(crate) const REL: f64 = 1e-3;
 
 /// Absolute tolerance floor for rows whose magnitude bound is ~0.
 const ABS_FLOOR: f64 = 1e-6;
@@ -425,7 +425,7 @@ pub(crate) fn elect() -> bool {
 /// rows against the ABFT checksum, recording any miscompare in this
 /// thread's fault slot. `Off` adds one relaxed atomic load over the
 /// raw call.
-pub fn checked_matmul(
+pub(crate) fn checked_matmul(
     kernel: &dyn MicroKernel,
     a: &[f32],
     b: &[f32],
@@ -605,7 +605,7 @@ mod simd {
     /// Requires avx2+fma; `b` must hold `k` rows of `n` floats at
     /// stride `ldb` and `r` at least `k` doubles.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn row_sums(b: *const f32, ldb: usize, k: usize, n: usize, r: &mut [f64]) {
+    pub(crate) unsafe fn row_sums(b: *const f32, ldb: usize, k: usize, n: usize, r: &mut [f64]) {
         let mut kk = 0;
         while kk < k {
             // Rows past the end repeat the last one; their lanes are
@@ -633,7 +633,7 @@ mod simd {
     /// `k` runs of `rows.rows` floats at stride `a_ks`; `r` `k`
     /// doubles followed by at least three more finite ones.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn scan_rows(
+    pub(crate) unsafe fn scan_rows(
         rows: &Rows<'_>,
         out: &[f32],
         r: &[f64],
@@ -943,7 +943,8 @@ impl<'a> ProductCheck<'a> {
 /// so tests exercise detection directly; [`checked_matmul`] and the
 /// fused chains of [`super::chain`] are the dispatched entries that
 /// layer both on top of the same per-panel check.
-pub fn verify_gemm(
+#[cfg(test)]
+pub(crate) fn verify_gemm(
     backend: Backend,
     a: &[f32],
     b: &[f32],

@@ -3,7 +3,7 @@
 //! Every dense hot path of the workspace — the register-blocked GEMM
 //! behind [`crate::Tensor2::matmul`] and the layer-fused inference
 //! chains of [`chain`], the bias-add and ReLU of [`crate::layers`],
-//! [`crate::layers::softmax_rows`] in the attention path, and the INT8
+//! `crate::layers::softmax_rows` in the attention path, and the INT8
 //! GEMM of [`crate::quant`] — executes through a [`MicroKernel`].
 //! Which implementation runs is decided once at startup:
 //!
@@ -250,7 +250,7 @@ pub(crate) fn assert_gemm_args(
 
 /// Widest hidden layer [`MicroKernel::lanes_mlp`] takes: the AVX2 body
 /// keeps one vector of activations per hidden unit in registers.
-pub const LANES_MLP_MAX_HIDDEN: usize = 8;
+pub(crate) const LANES_MLP_MAX_HIDDEN: usize = 8;
 
 /// The hard argument checks of [`MicroKernel::lanes_mlp`] (see
 /// [`assert_gemm_args`] for why they are not `debug_assert!`s); returns
@@ -465,7 +465,7 @@ pub trait MicroKernel: Sync {
     );
 
     /// A small MLP `2 → h → h → 1` (ReLU after both hidden layers, a
-    /// bias on every layer, `h ≤` [`LANES_MLP_MAX_HIDDEN`]) over the `m`
+    /// bias on every layer, `h ≤ LANES_MLP_MAX_HIDDEN`) over the `m`
     /// rows of `x` (two floats each, contiguous), **one row per lane**
     /// with every hidden activation in registers; row `i`'s output lands
     /// in `out[i]`. It is the blend head's shape, for which a GEMM would

@@ -107,7 +107,7 @@ fn product(p: &Product, out: &mut [f32], m: usize, n: usize) {
 
 /// The scalar [`MicroKernel`].
 #[derive(Debug, Default)]
-pub struct ScalarKernel;
+pub(crate) struct ScalarKernel;
 
 impl MicroKernel for ScalarKernel {
     fn backend(&self) -> Backend {

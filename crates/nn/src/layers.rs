@@ -196,7 +196,7 @@ impl Relu {
 
     /// In-place inference forward — bit-identical to
     /// [`Relu::forward_inference`], for scratch-buffer pipelines.
-    pub fn forward_inference_in_place(&self, x: &mut Tensor2) {
+    pub(crate) fn forward_inference_in_place(&self, x: &mut Tensor2) {
         x.relu_in_place();
     }
 
@@ -210,128 +210,9 @@ impl Relu {
     }
 }
 
-/// Logistic sigmoid.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct Sigmoid {
-    out: Option<Tensor2>,
-}
-
-impl Sigmoid {
-    /// Creates the activation.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Forward pass; caches the output.
-    pub fn forward(&mut self, x: &Tensor2) -> Tensor2 {
-        let y = self.forward_inference(x);
-        self.out = Some(y.clone());
-        y
-    }
-
-    /// Forward pass without caching (inference only).
-    pub fn forward_inference(&self, x: &Tensor2) -> Tensor2 {
-        x.map(|v| 1.0 / (1.0 + (-v).exp()))
-    }
-
-    /// Backward pass: `g · y · (1 − y)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before `forward`.
-    pub fn backward(&self, grad_out: &Tensor2) -> Tensor2 {
-        let y = self.out.as_ref().expect("Sigmoid::backward before forward");
-        grad_out.hadamard(&y.map(|v| v * (1.0 - v)))
-    }
-}
-
-/// Row-wise layer normalization with learnable scale and shift.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct LayerNorm {
-    /// Learnable scale, `1 × dim`.
-    pub gamma: Param,
-    /// Learnable shift, `1 × dim`.
-    pub beta: Param,
-    eps: f32,
-    cache: Option<(Tensor2, Vec<f32>)>, // normalized x̂ and per-row inv-std
-}
-
-impl LayerNorm {
-    /// Creates a layer with unit scale and zero shift.
-    pub fn new(dim: usize) -> Self {
-        Self {
-            gamma: Param::new(Tensor2::full(1, dim, 1.0)),
-            beta: Param::new(Tensor2::zeros(1, dim)),
-            eps: 1e-5,
-            cache: None,
-        }
-    }
-
-    /// Forward pass.
-    pub fn forward(&mut self, x: &Tensor2) -> Tensor2 {
-        let (n, d) = (x.rows(), x.cols());
-        let mut xhat = Tensor2::zeros(n, d);
-        let mut inv_stds = Vec::with_capacity(n);
-        for r in 0..n {
-            let row = x.row(r);
-            let mean = row.iter().sum::<f32>() / d as f32;
-            let var = row.iter().map(|v| (v - mean) * (v - mean)).sum::<f32>() / d as f32;
-            let inv_std = 1.0 / (var + self.eps).sqrt();
-            inv_stds.push(inv_std);
-            for c in 0..d {
-                xhat[(r, c)] = (row[c] - mean) * inv_std;
-            }
-        }
-        let mut y = Tensor2::zeros(n, d);
-        for r in 0..n {
-            for c in 0..d {
-                y[(r, c)] = xhat[(r, c)] * self.gamma.value[(0, c)] + self.beta.value[(0, c)];
-            }
-        }
-        self.cache = Some((xhat, inv_stds));
-        y
-    }
-
-    /// Backward pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before `forward`.
-    pub fn backward(&mut self, grad_out: &Tensor2) -> Tensor2 {
-        let (xhat, inv_stds) = self
-            .cache
-            .as_ref()
-            .expect("LayerNorm::backward before forward");
-        let (n, d) = (grad_out.rows(), grad_out.cols());
-        let mut grad_in = Tensor2::zeros(n, d);
-        for r in 0..n {
-            // dL/dx̂ = g ⊙ γ
-            let mut gxhat = vec![0.0f32; d];
-            for c in 0..d {
-                gxhat[c] = grad_out[(r, c)] * self.gamma.value[(0, c)];
-                self.gamma.grad[(0, c)] += grad_out[(r, c)] * xhat[(r, c)];
-                self.beta.grad[(0, c)] += grad_out[(r, c)];
-            }
-            let sum_g: f32 = gxhat.iter().sum();
-            let sum_gx: f32 = gxhat.iter().zip(xhat.row(r)).map(|(g, x)| g * x).sum();
-            let inv_std = inv_stds[r];
-            for c in 0..d {
-                grad_in[(r, c)] =
-                    inv_std / d as f32 * (d as f32 * gxhat[c] - sum_g - xhat[(r, c)] * sum_gx);
-            }
-        }
-        grad_in
-    }
-
-    /// The layer's trainable parameters.
-    pub fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.gamma, &mut self.beta]
-    }
-}
-
 /// Row-wise softmax (numerically stabilized), through the active
 /// kernel backend.
-pub fn softmax_rows(x: &Tensor2) -> Tensor2 {
+pub(crate) fn softmax_rows(x: &Tensor2) -> Tensor2 {
     let mut y = x.clone();
     softmax_rows_in_place(&mut y);
     y
@@ -339,14 +220,14 @@ pub fn softmax_rows(x: &Tensor2) -> Tensor2 {
 
 /// In-place sibling of [`softmax_rows`] — identical arithmetic, no
 /// allocation.
-pub fn softmax_rows_in_place(x: &mut Tensor2) {
+pub(crate) fn softmax_rows_in_place(x: &mut Tensor2) {
     let cols = x.cols();
     crate::kernels::active().softmax_rows(x.as_mut_slice(), cols);
 }
 
 /// Backward of [`softmax_rows`] given its output `y` and upstream
 /// gradient: `gᵢ = yᵢ (ĝᵢ − Σⱼ ĝⱼ yⱼ)` per row.
-pub fn softmax_rows_backward(y: &Tensor2, grad_out: &Tensor2) -> Tensor2 {
+pub(crate) fn softmax_rows_backward(y: &Tensor2, grad_out: &Tensor2) -> Tensor2 {
     let mut grad_in = Tensor2::zeros(y.rows(), y.cols());
     for r in 0..y.rows() {
         let dot: f32 = y
@@ -514,68 +395,6 @@ mod tests {
         assert_eq!(y.as_slice(), &[0.0, 0.0, 0.5, 2.0]);
         let g = relu.backward(&Tensor2::full(1, 4, 1.0));
         assert_eq!(g.as_slice(), &[0.0, 0.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn sigmoid_range_and_gradient() {
-        let mut s = Sigmoid::new();
-        let x = Tensor2::from_vec(1, 3, vec![-10.0, 0.0, 10.0]);
-        let y = s.forward(&x);
-        assert!(y.as_slice()[0] < 1e-4);
-        assert!((y.as_slice()[1] - 0.5).abs() < 1e-6);
-        assert!(y.as_slice()[2] > 1.0 - 1e-4);
-        let g = s.backward(&Tensor2::full(1, 3, 1.0));
-        // Max derivative at 0 is 0.25.
-        assert!((g.as_slice()[1] - 0.25).abs() < 1e-6);
-        assert!(g.as_slice()[0] < 1e-4);
-    }
-
-    #[test]
-    fn layernorm_normalizes_rows() {
-        let mut ln = LayerNorm::new(8);
-        let x = Tensor2::from_fn(3, 8, |r, c| (r * 8 + c) as f32 * 1.7 + 3.0);
-        let y = ln.forward(&x);
-        for r in 0..3 {
-            let mean = y.row(r).iter().sum::<f32>() / 8.0;
-            let var = y
-                .row(r)
-                .iter()
-                .map(|v| (v - mean) * (v - mean))
-                .sum::<f32>()
-                / 8.0;
-            assert!(mean.abs() < 1e-4, "row {r} mean {mean}");
-            assert!((var - 1.0).abs() < 1e-2, "row {r} var {var}");
-        }
-    }
-
-    #[test]
-    fn layernorm_input_gradcheck() {
-        let mut ln = LayerNorm::new(5);
-        let mut x = Tensor2::from_fn(2, 5, |r, c| ((r * 5 + c) as f32 * 0.61).sin() * 2.0);
-        let target = Tensor2::from_fn(2, 5, |r, c| ((r + 2 * c) as f32 * 0.3).cos());
-        let y = ln.forward(&x);
-        let (_, g) = mse_loss(&y, &target);
-        ln.gamma.zero_grad();
-        ln.beta.zero_grad();
-        let gin = ln.backward(&g);
-        let analytic: Vec<f32> = gin.as_slice().to_vec();
-
-        let eps = 1e-2;
-        for (i, &a) in analytic.iter().enumerate() {
-            let (r, c) = (i / 5, i % 5);
-            let orig = x[(r, c)];
-            x[(r, c)] = orig + eps;
-            let lp = mse_loss(&ln.forward(&x), &target).0;
-            x[(r, c)] = orig - eps;
-            let lm = mse_loss(&ln.forward(&x), &target).0;
-            x[(r, c)] = orig;
-            let numeric = (lp - lm) / (2.0 * eps);
-            let denom = numeric.abs().max(a.abs()).max(1e-3);
-            assert!(
-                ((numeric - a) / denom).abs() < crate::GRAD_CHECK_TOL * 2.0,
-                "x[{i}]: numeric={numeric} analytic={a}"
-            );
-        }
     }
 
     #[test]

@@ -12,12 +12,12 @@
 //!   dense hot paths (GEMM, bias+ReLU, softmax, INT8 GEMM): a portable
 //!   bit-exact scalar reference plus AVX2+FMA, selected at startup via
 //!   `GEN_NERF_KERNEL={auto,scalar,avx2}`,
-//! * [`layers`] — `Linear`, activations, `LayerNorm`, `Softmax`, each
+//! * [`layers`] — `Linear`, `Relu`, row softmax and the MSE loss, each
 //!   with explicit, tested backward passes,
 //! * [`attention`] — single-head self-attention (the ray transformer),
 //! * [`mixer`] — the Ray-Mixer module (token-mixing + channel-mixing FCs
 //!   with residuals, Eqs. 4–5),
-//! * [`optim`] — Adam and SGD,
+//! * [`optim`] — Adam,
 //! * [`quant`] — symmetric INT8 per-tensor quantization and a quantized
 //!   matmul mirroring what the PE pool executes,
 //! * [`flops`] — FLOPs accounting used by every efficiency table in the
@@ -38,6 +38,8 @@
 //! assert_eq!((y.rows(), y.cols()), (3, 2));
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod attention;
 pub mod flops;
 pub mod init;
@@ -51,4 +53,5 @@ pub mod tensor;
 pub use tensor::Tensor2;
 
 /// Numerical tolerance for gradient checks in tests.
-pub const GRAD_CHECK_TOL: f32 = 2e-2;
+#[cfg(test)]
+pub(crate) const GRAD_CHECK_TOL: f32 = 2e-2;

@@ -130,7 +130,7 @@ impl RayMixer {
     /// # Panics
     ///
     /// Panics when `x.rows() > n_points`.
-    pub fn mix_tokens_inference(&self, x: &Tensor2) -> Tensor2 {
+    pub(crate) fn mix_tokens_inference(&self, x: &Tensor2) -> Tensor2 {
         let n = x.rows();
         assert!(
             n <= self.n_points,
@@ -161,7 +161,7 @@ impl RayMixer {
     /// `σ = W₃ (F + φ(W₂ F))`, row by row, layer by layer — the
     /// reference composition the fused
     /// [`RayMixer::forward_inference_stacked`] is pinned against.
-    pub fn finish_inference(&self, f: &Tensor2) -> Tensor2 {
+    pub(crate) fn finish_inference(&self, f: &Tensor2) -> Tensor2 {
         let mut g = self.channel_fc.forward_inference(f);
         self.channel_act.forward_inference_in_place(&mut g);
         for (gv, &fv) in g.as_mut_slice().iter_mut().zip(f.as_slice()) {
@@ -175,7 +175,7 @@ impl RayMixer {
     /// `ray_offsets[i]..ray_offsets[i + 1]` of `x` (its `dim` live
     /// columns at row stride `ldx` — the point-MLP output is read where
     /// it lies, no per-ray copy) and of `logits` (one per point). One
-    /// [`token_mix`] call mixes each ray through its live `n × n` block
+    /// `token_mix` call mixes each ray through its live `n × n` block
     /// of `W₁` — no transposes, no grouping by length — and one
     /// two-layer [`dense_chain`] runs Eq. 5 (`G = F + φ(F·W₂ + b₂)`,
     /// `logit = G·w₃ + b₃`) over the whole tile. Per-ray results are

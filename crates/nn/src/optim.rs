@@ -1,4 +1,4 @@
-//! Optimizers (Adam, SGD) operating on [`Param`]s.
+//! The Adam optimizer, operating on [`Param`]s.
 
 use crate::layers::Param;
 use serde::{Deserialize, Serialize};
@@ -9,8 +9,7 @@ use serde::{Deserialize, Serialize};
 pub struct Adam {
     /// Learning rate.
     pub lr: f32,
-    /// Exponential-decay factor applied per call of
-    /// [`Adam::decay_lr`].
+    /// Exponential-decay factor applied to `lr` after every step.
     pub lr_decay: f32,
     beta1: f32,
     beta2: f32,
@@ -58,38 +57,9 @@ impl Adam {
         self.lr *= self.lr_decay;
     }
 
-    /// Explicitly decays the learning rate by `lr_decay`.
-    pub fn decay_lr(&mut self) {
-        self.lr *= self.lr_decay;
-    }
-
     /// Number of steps taken.
     pub fn steps(&self) -> u64 {
         self.t
-    }
-}
-
-/// Plain stochastic gradient descent.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Sgd {
-    /// Learning rate.
-    pub lr: f32,
-}
-
-impl Sgd {
-    /// Creates SGD.
-    pub fn new(lr: f32) -> Self {
-        Self { lr }
-    }
-
-    /// Applies one update step.
-    pub fn step(&self, params: &mut [&mut Param]) {
-        for p in params.iter_mut() {
-            let n = p.value.len();
-            for i in 0..n {
-                p.value.as_mut_slice()[i] -= self.lr * p.grad.as_slice()[i];
-            }
-        }
     }
 }
 
@@ -115,20 +85,6 @@ mod tests {
         }
         let x = p.value.as_slice()[0];
         assert!((x - 3.0).abs() < 1e-2, "x = {x}");
-    }
-
-    #[test]
-    fn sgd_minimizes_quadratic() {
-        let mut p = quadratic_param(10.0);
-        let sgd = Sgd::new(0.1);
-        for _ in 0..200 {
-            p.zero_grad();
-            let x = p.value.as_slice()[0];
-            p.grad.as_mut_slice()[0] = 2.0 * (x + 1.0);
-            sgd.step(&mut [&mut p]);
-        }
-        let x = p.value.as_slice()[0];
-        assert!((x + 1.0).abs() < 1e-3, "x = {x}");
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! The Gen-NeRF accelerator's PE pool executes INT8 systolic-array GEMMs
 //! (paper Sec. 5.1: "40 16*16 INT8 systolic arrays"). This module
-//! provides the quantize/dequantize path plus an integer GEMM whose
+//! provides the quantizer plus an integer GEMM whose
 //! arithmetic mirrors what the arrays compute, so algorithm-level
 //! results can be produced with accelerator-faithful numerics.
 
@@ -43,8 +43,10 @@ impl QuantTensor {
         }
     }
 
-    /// Reconstructs the `f32` tensor.
-    pub fn dequantize(&self) -> Tensor2 {
+    /// Reconstructs the `f32` tensor (the inverse the quantizer is
+    /// tested against).
+    #[cfg(test)]
+    pub(crate) fn dequantize(&self) -> Tensor2 {
         Tensor2::from_vec(
             self.rows,
             self.cols,
@@ -77,20 +79,9 @@ impl QuantTensor {
     }
 
     /// Worst-case absolute quantization error of a single element.
-    pub fn quantization_step(&self) -> f32 {
+    #[cfg(test)]
+    pub(crate) fn quantization_step(&self) -> f32 {
         self.scale * 0.5
-    }
-}
-
-/// Relative Frobenius error introduced by quantizing `x`.
-pub fn quantization_error(x: &Tensor2) -> f32 {
-    let q = QuantTensor::quantize(x);
-    let err = (&q.dequantize() - x).norm();
-    let n = x.norm();
-    if n > 0.0 {
-        err / n
-    } else {
-        0.0
     }
 }
 
@@ -136,17 +127,6 @@ mod tests {
         let approx = qa.matmul(&qb);
         let rel = (&approx - &exact).norm() / exact.norm();
         assert!(rel < 0.03, "relative error {rel}");
-    }
-
-    #[test]
-    fn quantization_error_small_for_well_scaled() {
-        let x = Tensor2::from_fn(16, 16, |r, c| ((r + c) as f32 * 0.11).sin());
-        assert!(quantization_error(&x) < 0.01);
-    }
-
-    #[test]
-    fn quantization_error_zero_for_zero() {
-        assert_eq!(quantization_error(&Tensor2::zeros(3, 3)), 0.0);
     }
 
     proptest! {

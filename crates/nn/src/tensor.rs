@@ -2,7 +2,7 @@
 //!
 //! # The dense `matmul` kernel and its exactness contract
 //!
-//! [`Tensor2::matmul`] (and [`Tensor2::matmul_into`]) execute through
+//! [`Tensor2::matmul`] (and `Tensor2::matmul_into`) execute through
 //! the runtime-dispatched kernel backend ([`crate::kernels`]): the
 //! register-blocked scalar reference by default, AVX2+FMA where the
 //! host supports it (`GEN_NERF_KERNEL` selects). Every backend holds
@@ -21,10 +21,10 @@
 //!   tolerance pinned in [`crate::kernels`]'s parity tests.
 //!
 //! The dense kernel has no data-dependent branches; zero-skipping
-//! survives only in the gradient-side [`Tensor2::t_matmul`], where
+//! survives only in the gradient-side `Tensor2::t_matmul`, where
 //! ReLU-masked rows make sparsity real.
 
-use crate::kernels::{self, MicroKernel};
+use crate::kernels;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Index, IndexMut, Mul, Sub};
@@ -75,12 +75,13 @@ impl Tensor2 {
         Self { rows, cols, data }
     }
 
-    /// Wraps an existing buffer.
+    /// Wraps an existing buffer (unit-test fixtures).
     ///
     /// # Panics
     ///
     /// Panics when `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
+    #[cfg(test)]
+    pub(crate) fn from_vec(rows: usize, cols: usize, data: Vec<f32>) -> Self {
         assert_eq!(
             data.len(),
             rows * cols,
@@ -90,8 +91,9 @@ impl Tensor2 {
         Self { rows, cols, data }
     }
 
-    /// A 1×n row vector.
-    pub fn row_vector(data: Vec<f32>) -> Self {
+    /// A 1×n row vector (unit-test fixtures).
+    #[cfg(test)]
+    pub(crate) fn row_vector(data: Vec<f32>) -> Self {
         let cols = data.len();
         Self {
             rows: 1,
@@ -184,7 +186,7 @@ impl Tensor2 {
     /// # Panics
     ///
     /// Panics when the inner dimensions disagree.
-    pub fn matmul_into(&self, rhs: &Self, out: &mut Self) {
+    pub(crate) fn matmul_into(&self, rhs: &Self, out: &mut Self) {
         self.matmul_prepare(rhs, out);
         kernels::integrity::checked_matmul(
             kernels::active(),
@@ -198,14 +200,19 @@ impl Tensor2 {
     }
 
     /// [`Tensor2::matmul_into`] through an explicit kernel, bypassing
-    /// the integrity wrapper (tests and benchmarks compare backends
-    /// this way; ordinary code uses the dispatched
-    /// [`Tensor2::matmul_into`]).
+    /// the integrity wrapper: the bitwise property test's handle on the
+    /// scalar kernel.
     ///
     /// # Panics
     ///
     /// Panics when the inner dimensions disagree.
-    pub fn matmul_into_with(&self, rhs: &Self, out: &mut Self, kernel: &dyn MicroKernel) {
+    #[cfg(test)]
+    pub(crate) fn matmul_into_with(
+        &self,
+        rhs: &Self,
+        out: &mut Self,
+        kernel: &dyn kernels::MicroKernel,
+    ) {
         self.matmul_prepare(rhs, out);
         kernel.matmul(
             &self.data,
@@ -237,7 +244,7 @@ impl Tensor2 {
     /// `Linear::backward`); its inputs carry genuinely sparse rows
     /// (ReLU masks, padded tokens), so it keeps the zero-skip branch
     /// the dense forward kernel dropped.
-    pub fn t_matmul(&self, rhs: &Self) -> Self {
+    pub(crate) fn t_matmul(&self, rhs: &Self) -> Self {
         assert_eq!(self.rows, rhs.rows, "t_matmul dims");
         let mut out = Self::zeros(self.cols, rhs.cols);
         for k in 0..self.rows {
@@ -257,7 +264,7 @@ impl Tensor2 {
     }
 
     /// Matrix product `self · rhsᵀ` without materializing the transpose.
-    pub fn matmul_t(&self, rhs: &Self) -> Self {
+    pub(crate) fn matmul_t(&self, rhs: &Self) -> Self {
         assert_eq!(self.cols, rhs.cols, "matmul_t dims");
         let mut out = Self::zeros(self.rows, rhs.rows);
         for i in 0..self.rows {
@@ -288,14 +295,8 @@ impl Tensor2 {
         }
     }
 
-    /// Element-wise map in place (the allocation-free sibling of
-    /// [`Tensor2::map`]; identical arithmetic).
-    pub fn map_in_place(&mut self, f: impl Fn(f32) -> f32) {
-        self.data.iter_mut().for_each(|v| *v = f(*v));
-    }
-
     /// Element-wise product (Hadamard).
-    pub fn hadamard(&self, rhs: &Self) -> Self {
+    pub(crate) fn hadamard(&self, rhs: &Self) -> Self {
         assert_eq!(
             (self.rows, self.cols),
             (rhs.rows, rhs.cols),
@@ -323,15 +324,14 @@ impl Tensor2 {
     /// Adds a 1×cols row vector to every row in place (the
     /// allocation-free sibling of [`Tensor2::add_row_broadcast`];
     /// identical arithmetic, through the active kernel backend).
-    pub fn add_row_broadcast_in_place(&mut self, bias: &Self) {
+    pub(crate) fn add_row_broadcast_in_place(&mut self, bias: &Self) {
         assert_eq!(bias.rows, 1, "bias must be a row vector");
         assert_eq!(bias.cols, self.cols, "bias width mismatch");
         kernels::active().add_bias_rows(&mut self.data, self.cols, &bias.data);
     }
 
     /// In-place ReLU (`v ← max(v, 0)`) through the active kernel
-    /// backend — the vectorized sibling of
-    /// `map_in_place(|v| v.max(0.0))`.
+    /// backend — the vectorized sibling of `map(|v| v.max(0.0))`.
     pub fn relu_in_place(&mut self) {
         kernels::active().relu(&mut self.data);
     }
@@ -347,24 +347,18 @@ impl Tensor2 {
 
     /// Reshapes to `0 × cols`, reusing the existing buffer — the reset
     /// step of a row-appended tensor (see
-    /// [`Tensor2::push_row_zeroed`]).
+    /// [`Tensor2::push_rows_zeroed`]).
     pub fn reset_rows(&mut self, cols: usize) {
         self.rows = 0;
         self.cols = cols;
         self.data.clear();
     }
 
-    /// Appends one zeroed row and returns it for filling. Capacity is
-    /// retained across [`Tensor2::reset_rows`] cycles, so a steady-state
-    /// producer (e.g. an aggregation arena growing one stats row per
-    /// sampled point) stops allocating once the buffer has grown.
-    pub fn push_row_zeroed(&mut self) -> &mut [f32] {
-        self.push_rows_zeroed(1)
-    }
-
-    /// Appends `n` zeroed rows with one resize and returns them — a
-    /// whole ray's stats rows at once (see
-    /// [`Tensor2::push_row_zeroed`]).
+    /// Appends `n` zeroed rows with one resize and returns them for
+    /// filling — a whole ray's stats rows at once. Capacity is retained
+    /// across [`Tensor2::reset_rows`] cycles, so a steady-state producer
+    /// (e.g. an aggregation arena growing its stats rows per ray) stops
+    /// allocating once the buffer has grown.
     pub fn push_rows_zeroed(&mut self, n: usize) -> &mut [f32] {
         let start = self.data.len();
         self.data.resize(start + n * self.cols, 0.0);
@@ -373,7 +367,7 @@ impl Tensor2 {
     }
 
     /// Column-wise sum, producing a 1×cols row vector.
-    pub fn sum_rows(&self) -> Self {
+    pub(crate) fn sum_rows(&self) -> Self {
         let mut out = Self::zeros(1, self.cols);
         for r in 0..self.rows {
             for c in 0..self.cols {
@@ -409,7 +403,7 @@ impl Tensor2 {
     }
 
     /// Maximum absolute element (0 for empty tensors).
-    pub fn max_abs(&self) -> f32 {
+    pub(crate) fn max_abs(&self) -> f32 {
         self.data.iter().fold(0.0f32, |m, &v| m.max(v.abs()))
     }
 
@@ -419,7 +413,7 @@ impl Tensor2 {
     }
 
     /// Fills the tensor with zeros in place.
-    pub fn zero_(&mut self) {
+    pub(crate) fn zero_(&mut self) {
         self.data.iter_mut().for_each(|v| *v = 0.0);
     }
 
@@ -449,27 +443,6 @@ impl Tensor2 {
             rows += p.rows;
         }
         Self { rows, cols, data }
-    }
-
-    /// Concatenates tensors horizontally.
-    ///
-    /// # Panics
-    ///
-    /// Panics when heights disagree or `parts` is empty.
-    pub fn hstack(parts: &[Self]) -> Self {
-        assert!(!parts.is_empty(), "hstack of nothing");
-        let rows = parts[0].rows;
-        let cols: usize = parts.iter().map(|p| p.cols).sum();
-        let mut out = Self::zeros(rows, cols);
-        for r in 0..rows {
-            let mut offset = 0;
-            for p in parts {
-                assert_eq!(p.rows, rows, "hstack height mismatch");
-                out.data[r * cols + offset..r * cols + offset + p.cols].copy_from_slice(p.row(r));
-                offset += p.cols;
-            }
-        }
-        out
     }
 }
 
@@ -615,15 +588,11 @@ mod tests {
     }
 
     #[test]
-    fn vstack_hstack_shapes() {
+    fn vstack_shapes() {
         let a = Tensor2::full(2, 3, 1.0);
         let b = Tensor2::full(1, 3, 2.0);
-        let v = Tensor2::vstack(&[a.clone(), b]);
+        let v = Tensor2::vstack(&[a, b]);
         assert_eq!((v.rows(), v.cols()), (3, 3));
-        let c = Tensor2::full(2, 2, 3.0);
-        let h = Tensor2::hstack(&[a, c]);
-        assert_eq!((h.rows(), h.cols()), (2, 5));
-        assert_eq!(h.row(0), &[1.0, 1.0, 1.0, 3.0, 3.0]);
     }
 
     #[test]
@@ -688,9 +657,6 @@ mod tests {
         let mut y = x.clone();
         y.add_row_broadcast_in_place(&bias);
         assert_eq!(y, x.add_row_broadcast(&bias));
-        let mut z = x.clone();
-        z.map_in_place(|v| v.max(0.0));
-        assert_eq!(z, x.map(|v| v.max(0.0)));
     }
 
     #[test]
@@ -706,16 +672,16 @@ mod tests {
         let mut t = Tensor2::full(2, 3, 7.0);
         t.reset_rows(4);
         assert_eq!((t.rows(), t.cols()), (0, 4));
-        t.push_row_zeroed().copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
-        let r = t.push_row_zeroed();
+        t.push_rows_zeroed(1).copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
+        let r = t.push_rows_zeroed(1);
         assert_eq!(r, &[0.0; 4]);
         assert_eq!((t.rows(), t.cols()), (2, 4));
         assert_eq!(t.row(0), &[1.0, 2.0, 3.0, 4.0]);
         // A reset + refill of the same shape must not reallocate.
         let cap_ptr = t.as_slice().as_ptr();
         t.reset_rows(4);
-        t.push_row_zeroed();
-        t.push_row_zeroed();
+        t.push_rows_zeroed(1);
+        t.push_rows_zeroed(1);
         assert_eq!(t.as_slice().as_ptr(), cap_ptr);
     }
 

@@ -28,6 +28,8 @@
 //! environment variable when set, otherwise
 //! [`std::thread::available_parallelism`].
 
+#![warn(unreachable_pub)]
+
 use std::any::Any;
 use std::num::NonZeroUsize;
 use std::panic::{self, AssertUnwindSafe};
@@ -35,7 +37,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// Environment variable overriding the worker count.
-pub const THREADS_ENV: &str = "GEN_NERF_THREADS";
+pub(crate) const THREADS_ENV: &str = "GEN_NERF_THREADS";
 
 /// A cooperative cancellation flag, shared between a supervisor that
 /// decides a computation is no longer wanted and the workers running

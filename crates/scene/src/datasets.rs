@@ -142,21 +142,6 @@ impl Dataset {
             scene,
         }
     }
-
-    /// Source cameras only (no images) — for workload studies that never
-    /// touch pixels.
-    pub fn cameras_only(
-        kind: DatasetKind,
-        res_scale: f32,
-        n_source: usize,
-    ) -> (Vec<Camera>, Camera) {
-        let (bw, bh) = kind.base_resolution();
-        let w = ((bw as f32 * res_scale).round() as u32).max(8);
-        let h = ((bh as f32 * res_scale).round() as u32).max(8);
-        let sources = source_cameras(kind, w, h, n_source);
-        let eval = eval_cameras(kind, w, h, 1).pop().expect("one eval camera");
-        (sources, eval)
-    }
 }
 
 fn fov_for(kind: DatasetKind) -> f32 {
@@ -670,13 +655,6 @@ mod tests {
         let scene = scene_for(DatasetKind::Llff, "fern", 7);
         let occ = scene.occupancy(16, 0.5);
         assert!(occ < 0.5, "fern occupancy = {occ}");
-    }
-
-    #[test]
-    fn cameras_only_matches_build() {
-        let (sources, eval) = Dataset::cameras_only(DatasetKind::Llff, 0.02, 5);
-        assert_eq!(sources.len(), 5);
-        assert!(eval.intrinsics.width >= 8);
     }
 
     #[test]

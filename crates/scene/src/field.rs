@@ -121,7 +121,7 @@ impl Primitive {
     }
 
     /// Albedo at `p` (only meaningful where density > 0).
-    pub fn albedo(&self, p: Vec3) -> Vec3 {
+    pub(crate) fn albedo(&self, p: Vec3) -> Vec3 {
         match *self {
             Primitive::Blob { albedo, .. } | Primitive::Sphere { albedo, .. } => albedo,
             Primitive::Box { albedo, .. } => albedo,
@@ -202,7 +202,7 @@ impl Scene {
     }
 
     /// Density-weighted albedo at `p` (background color where empty).
-    pub fn albedo(&self, p: Vec3) -> Vec3 {
+    pub(crate) fn albedo(&self, p: Vec3) -> Vec3 {
         let mut total = 0.0;
         let mut acc = Vec3::ZERO;
         for prim in &self.primitives {

@@ -30,9 +30,11 @@
 //! assert!(view.image.width() > 0);
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod datasets;
-pub mod field;
-pub mod image;
+mod field;
+mod image;
 pub mod metrics;
 pub mod renderer;
 

@@ -111,7 +111,7 @@ pub fn composite_to(
 ///
 /// Rays that miss the bounds return the background color with empty
 /// weights.
-pub fn trace_ray(scene: &Scene, ray: &Ray, n_samples: usize) -> RayComposite {
+pub(crate) fn trace_ray(scene: &Scene, ray: &Ray, n_samples: usize) -> RayComposite {
     let Some((t0, t1)) = scene.bounds.intersect_ray(ray) else {
         return RayComposite {
             color: scene.background,
@@ -146,35 +146,6 @@ pub fn render(scene: &Scene, camera: &Camera, n_samples: usize) -> Image {
         let ray = camera.pixel_center_ray(x, y);
         trace_ray(scene, &ray, n_samples).color
     })
-}
-
-/// Renders the depth of the maximum-weight sample per pixel (∞ where
-/// the ray saturates nothing) — used by tests and the dataflow
-/// analysis.
-pub fn render_depth(scene: &Scene, camera: &Camera, n_samples: usize) -> Vec<f32> {
-    let (w, h) = (camera.intrinsics.width, camera.intrinsics.height);
-    let mut out = Vec::with_capacity((w * h) as usize);
-    for y in 0..h {
-        for x in 0..w {
-            let ray = camera.pixel_center_ray(x, y);
-            let Some((t0, t1)) = scene.bounds.intersect_ray(&ray) else {
-                out.push(f32::INFINITY);
-                continue;
-            };
-            let depths = Ray::uniform_depths(t0, t1, n_samples);
-            let comp = trace_ray(scene, &ray, n_samples);
-            let best = comp
-                .weights
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal));
-            match best {
-                Some((i, &w)) if w > 1e-4 => out.push(depths[i]),
-                _ => out.push(f32::INFINITY),
-            }
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -271,18 +242,6 @@ mod tests {
             (corner - Vec3::splat(0.05)).length() < 0.05,
             "corner = {corner:?}"
         );
-    }
-
-    #[test]
-    fn render_depth_sees_front_surface() {
-        let scene = simple_scene();
-        let cam = front_camera(8);
-        let depth = render_depth(&scene, &cam, 96);
-        // Center pixel: camera at z=5, sphere front surface at z=1 -> t≈4.
-        let center = depth[(4 * 8 + 4) as usize];
-        assert!((center - 4.0).abs() < 0.2, "depth = {center}");
-        // Corner rays miss.
-        assert!(depth[0].is_infinite());
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl Default for AdmissionConfig {
 
 /// What the admission policy decided for one submission.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AdmissionDecision {
+pub(crate) enum AdmissionDecision {
     /// Queue as requested.
     Admit,
     /// Queue, but at the degraded (cached-coarse) resolution tier.
@@ -78,7 +78,7 @@ pub enum AdmissionDecision {
 /// probe frame can still be degraded or shed by capacity, in which
 /// case the caller must return the probe slot via
 /// [`CircuitBreaker::abort_probe`](crate::supervisor::CircuitBreaker::abort_probe).
-pub fn admission_decision_supervised(
+pub(crate) fn admission_decision_supervised(
     cfg: &AdmissionConfig,
     class: DeadlineClass,
     depth: usize,
@@ -117,7 +117,10 @@ impl AdmissionStats {
     /// these fields: `ShardCtx::stats` reads the same registry
     /// counters through one shard's handles, so a counter added here
     /// must be added there too.
-    pub fn from_snapshot(snap: &gen_nerf_telemetry::Snapshot, subset: &[(&str, &str)]) -> Self {
+    pub(crate) fn from_snapshot(
+        snap: &gen_nerf_telemetry::Snapshot,
+        subset: &[(&str, &str)],
+    ) -> Self {
         let shed = |reason: &str| {
             let mut s: Vec<(&str, &str)> = subset.to_vec();
             s.push(("reason", reason));

@@ -47,7 +47,7 @@ const PRESSURE_FRACTION: f64 = 0.85;
 /// Per-session cap on retained anchors (8 MiB) — generous for
 /// interactive resolutions while still bounding a long walkthrough's
 /// anchor set.
-pub const DEFAULT_CACHE_BUDGET_BYTES: usize = 8 << 20;
+pub(crate) const DEFAULT_CACHE_BUDGET_BYTES: usize = 8 << 20;
 
 /// Configuration of the server-wide memory budget.
 #[derive(Debug, Clone, Copy)]

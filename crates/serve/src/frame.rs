@@ -51,6 +51,7 @@ use std::time::{Duration, Instant};
 pub(crate) type Outcome = Result<FrameResult, ServeError>;
 
 /// Why admission refused a frame (`serve_frames_shed_total{reason}`).
+/// `reason as usize` indexes [`Meters::sheds`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Shed {
     /// [`RenderServer::drain`](crate::RenderServer::drain) closed
@@ -180,12 +181,9 @@ impl FrameCore {
         lock(&self.slot).resolved
     }
 
-    /// Whether an unconsumed outcome is waiting.
-    pub(crate) fn is_ready(&self) -> bool {
-        lock(&self.slot).outcome.is_some()
-    }
-
-    /// Takes the outcome if it is there (non-blocking).
+    /// Takes the outcome if it is there (non-blocking): the unit tests'
+    /// probe of what a transition left in the slot.
+    #[cfg(test)]
     pub(crate) fn take(&self) -> Option<Outcome> {
         lock(&self.slot).outcome.take()
     }
@@ -787,16 +785,11 @@ mod tests {
             latencies: m.latency[class_index(class)].snapshot().count,
             failed: m.failed.get(),
             timed_out: m.watch.timed_out[class_index(class)].get(),
-            shed: [
-                Shed::Draining,
-                Shed::ShardDown,
-                Shed::Memory,
-                Shed::Queue,
-                Shed::Circuit,
-            ]
-            .map(|reason| m.shed(reason, class).get())
-            .iter()
-            .sum(),
+            shed: m
+                .sheds
+                .iter()
+                .map(|row| row[class_index(class)].get())
+                .sum(),
             drain_forced: m.drain_forced.get(),
         }
     }

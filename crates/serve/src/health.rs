@@ -108,7 +108,7 @@ impl HealthConfig {
     }
 
     /// Backoff before restart number `consecutive` (1-based).
-    pub fn backoff_for(&self, consecutive: u32) -> Duration {
+    pub(crate) fn backoff_for(&self, consecutive: u32) -> Duration {
         doubling_backoff(self.restart_backoff, self.restart_backoff_cap, consecutive)
     }
 }

@@ -68,7 +68,7 @@
 //!   translation/rotation delta of one re-runs only the focus pass
 //!   against the cached coarse probing. One server-wide anchor cache
 //!   owns every session's anchors, their counters ([`CacheStats`]) and
-//!   the byte budgets: [`DEFAULT_CACHE_BUDGET_BYTES`] per session and
+//!   the byte budgets: 8 MiB of anchors per session and
 //!   one [`GovernorConfig`] budget over all anchors plus the crew's
 //!   worker arenas. With coherence disabled (the default,
 //!   [`CoherenceConfig::exact`]) the server is pinned bitwise-identical
@@ -112,6 +112,8 @@
 //! );
 //! ```
 
+#![warn(unreachable_pub)]
+
 mod admission;
 mod cache;
 mod frame;
@@ -122,10 +124,8 @@ mod session;
 mod shard;
 mod supervisor;
 
-pub use admission::{
-    admission_decision_supervised, AdmissionConfig, AdmissionDecision, AdmissionStats, FairQueue,
-};
-pub use cache::{CacheStats, GovernorConfig, GovernorStats, DEFAULT_CACHE_BUDGET_BYTES};
+pub use admission::{AdmissionConfig, AdmissionStats, FairQueue};
+pub use cache::{CacheStats, GovernorConfig, GovernorStats};
 pub use health::{
     CondemnReason, DrainOutcome, DrainReport, HealthConfig, ShardHealth, ShardHealthStats,
 };
@@ -135,8 +135,7 @@ pub use server::{
     ServeStats, ServerConfig,
 };
 pub use session::{
-    poses_coherent, CoherenceConfig, DeadlineClass, ResolutionTier, SceneState, SessionConfig,
-    SessionId,
+    CoherenceConfig, DeadlineClass, ResolutionTier, SceneState, SessionConfig, SessionId,
 };
 pub use shard::ShardStats;
 pub use supervisor::{

@@ -194,12 +194,6 @@ impl FrameRequest {
         }
     }
 
-    /// Selects the resolution tier.
-    pub fn with_tier(mut self, tier: ResolutionTier) -> Self {
-        self.tier = tier;
-        self
-    }
-
     /// Selects the deadline class.
     pub fn with_deadline(mut self, deadline: DeadlineClass) -> Self {
         self.deadline = deadline;
@@ -318,7 +312,8 @@ impl std::fmt::Display for ServeError {
     }
 }
 
-/// The caller's side of one submitted frame: poll it, or block on it.
+/// The caller's side of one submitted frame: block on it, with or
+/// without a timeout.
 pub struct FrameHandle {
     frame: Arc<FrameCore>,
 }
@@ -333,7 +328,7 @@ impl FrameHandle {
 
     /// Blocks until the frame resolves or `timeout` elapses: `Some`
     /// with the outcome, `None` on timeout (the handle stays usable —
-    /// wait again, poll, or keep it; the server still owns the frame
+    /// wait again, or keep it; the server still owns the frame
     /// and its watchdog deadline). This is the bounded wait serving
     /// loops and tests use instead of hand-rolled spin loops.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<FrameResult, ServeError>> {
@@ -351,23 +346,6 @@ impl FrameHandle {
     pub fn wait(self) -> FrameResult {
         self.wait_result()
             .unwrap_or_else(|e| panic!("render server failed: {e}"))
-    }
-
-    /// Takes the result if the frame has resolved (non-blocking).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frame was shed or the server failed while
-    /// rendering it.
-    pub fn poll(&self) -> Option<FrameResult> {
-        self.frame
-            .take()
-            .map(|outcome| outcome.unwrap_or_else(|e| panic!("render server failed: {e}")))
-    }
-
-    /// Whether the frame has resolved (without consuming the result).
-    pub fn is_ready(&self) -> bool {
-        self.frame.is_ready()
     }
 }
 
@@ -423,7 +401,7 @@ impl RenderServer {
     /// to drive timeouts deterministically under test.
     ///
     /// [`Clock`]: gen_nerf_telemetry::Clock
-    pub fn with_clock(cfg: ServerConfig, clock: gen_nerf_telemetry::Clock) -> Self {
+    pub(crate) fn with_clock(cfg: ServerConfig, clock: gen_nerf_telemetry::Clock) -> Self {
         let instance = gen_nerf_telemetry::next_instance_id();
         let topology = Arc::new(Mutex::new(Topology {
             registry: SceneRegistry::new(cfg.max_shards, cfg.breaker),
@@ -814,25 +792,6 @@ mod tests {
     }
 
     #[test]
-    fn poll_and_wait_timeout_round_trip() {
-        let (ds, scene) = scene();
-        let server = RenderServer::new(ServerConfig::default());
-        let cam = ds.eval_views[0].camera;
-        let session = server.create_session(scene, SessionConfig::new(cam.intrinsics, ctf()));
-        let handle = server.submit(session, FrameRequest::new(cam.pose));
-        // poll() is non-blocking; wait_timeout() is the bounded wait
-        // that replaces hand-rolled poll loops.
-        let result = match handle.poll() {
-            Some(r) => r,
-            None => handle
-                .wait_timeout(Duration::from_secs(10))
-                .expect("frame resolves well within 10 s")
-                .expect("render succeeds"),
-        };
-        assert!(result.image.pixel_count() > 0);
-    }
-
-    #[test]
     fn wait_timeout_expires_and_leaves_the_handle_usable() {
         let (ds, scene) = scene();
         let server = RenderServer::new(ServerConfig::default());
@@ -1152,7 +1111,10 @@ mod tests {
         let half = server
             .submit(
                 session,
-                FrameRequest::new(cam.pose).with_tier(ResolutionTier::Half),
+                FrameRequest {
+                    tier: ResolutionTier::Half,
+                    ..FrameRequest::new(cam.pose)
+                },
             )
             .wait();
         assert_eq!(half.serve.cache, CacheOutcome::Miss);
@@ -1473,7 +1435,7 @@ mod tests {
         let shed = lock(&server.topology).shards[0]
             .ctx
             .meters
-            .shed_shard_down
+            .shed(Shed::ShardDown, DeadlineClass::Interactive)
             .get();
         assert_eq!(shed, 1, "the submission after the give-up is shed");
     }

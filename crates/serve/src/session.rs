@@ -116,9 +116,8 @@ pub enum DeadlineClass {
 /// walkthrough is bounded by the deltas themselves rather than
 /// accumulating step by step. A session retains **multiple** anchors
 /// (a revisited pose hits again without re-probing), LRU-ordered and
-/// capped at [`DEFAULT_CACHE_BUDGET_BYTES`](crate::DEFAULT_CACHE_BUDGET_BYTES)
-/// per session; a miss re-probes and pushes a fresh anchor, evicting
-/// the oldest anchors past the cap.
+/// capped at 8 MiB per session; a miss re-probes and pushes a fresh
+/// anchor, evicting the oldest anchors past the cap.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoherenceConfig {
     /// Master switch; `false` (the default) means every frame re-runs
@@ -167,7 +166,7 @@ fn rotation_angle(a: &Mat3, b: &Mat3) -> f32 {
 
 /// Whether `pose` is close enough to `anchor` for the cached coarse
 /// pass of `anchor` to stand in for a fresh probing.
-pub fn poses_coherent(anchor: &Pose, pose: &Pose, cfg: &CoherenceConfig) -> bool {
+pub(crate) fn poses_coherent(anchor: &Pose, pose: &Pose, cfg: &CoherenceConfig) -> bool {
     cfg.enabled
         && (anchor.origin - pose.origin).length() <= cfg.max_translation
         && rotation_angle(&anchor.rotation, &pose.rotation) <= cfg.max_rotation
@@ -245,14 +244,14 @@ pub(crate) struct Pending {
 impl Pending {
     /// Claims a pending-frame slot; the returned guard releases it on
     /// drop.
-    pub fn claim(self: &Arc<Self>) -> PendingGuard {
+    pub(crate) fn claim(self: &Arc<Self>) -> PendingGuard {
         *lock(&self.frames) += 1;
         PendingGuard(Arc::clone(self))
     }
 
     /// Blocks until no frame is pending, at most `bound`; returns
     /// whether the session settled.
-    pub fn wait_settled(&self, bound: Duration) -> bool {
+    pub(crate) fn wait_settled(&self, bound: Duration) -> bool {
         let until = Instant::now() + bound;
         wait_until(&self.settled, lock(&self.frames), until, |&n| n == 0).1
     }
@@ -275,7 +274,7 @@ impl Drop for PendingGuard {
 }
 
 impl SessionState {
-    pub fn new(
+    pub(crate) fn new(
         scene: Arc<SceneState>,
         cfg: SessionConfig,
         shard: Arc<ShardCtx>,
@@ -292,11 +291,11 @@ impl SessionState {
     }
 
     /// Marks the session removed (its queued frames will not render).
-    pub fn mark_removed(&self) {
+    pub(crate) fn mark_removed(&self) {
         self.removed.store(true, Ordering::SeqCst);
     }
 
-    pub fn is_removed(&self) -> bool {
+    pub(crate) fn is_removed(&self) -> bool {
         self.removed.load(Ordering::SeqCst)
     }
 }

@@ -325,15 +325,14 @@ impl ShardCtx {
 
     pub(crate) fn stats(&self) -> ShardStats {
         let m = &self.meters;
-        let [shed_interactive, shed_best_effort] = m.shed_queue;
         ShardStats {
             queued: m.depth.get().max(0) as usize,
             admission: AdmissionStats {
                 admitted: m.admitted.get(),
                 degraded: m.degraded.get(),
-                shed_best_effort: shed_best_effort.get(),
-                shed_interactive: shed_interactive.get(),
-                shed_circuit: m.shed_circuit.get(),
+                shed_best_effort: m.shed(Shed::Queue, DeadlineClass::BestEffort).get(),
+                shed_interactive: m.shed(Shed::Queue, DeadlineClass::Interactive).get(),
+                shed_circuit: m.shed(Shed::Circuit, DeadlineClass::Interactive).get(),
             },
             rendered_frames: m.rendered.get(),
             failed_frames: m.failed.get(),
@@ -362,14 +361,12 @@ pub(crate) struct Meters {
     pub submitted: Counter,
     pub admitted: Counter,
     pub degraded: Counter,
-    /// `serve_frames_shed_total{reason}`, one per [`Shed`] reason; the
-    /// queue's is split by deadline class
-    /// ([`class_index`](crate::admission::class_index)).
-    pub shed_queue: [Counter; N_CLASSES],
-    pub shed_circuit: Counter,
-    pub shed_draining: Counter,
-    pub shed_shard_down: Counter,
-    pub shed_memory: Counter,
+    /// `serve_frames_shed_total{reason}`: one row per [`Shed`] reason
+    /// in declaration order, one column per deadline class
+    /// ([`class_index`](crate::admission::class_index)). Only the
+    /// queue's row holds two counters; every other row holds its one
+    /// counter twice. Read it through [`Meters::shed`].
+    pub sheds: [[Counter; N_CLASSES]; 5],
     /// Frames whose handle resolved successfully.
     pub rendered: Counter,
     /// Frames whose handle resolved with an error other than a
@@ -438,11 +435,14 @@ impl Meters {
             submitted: counter("serve_frames_submitted_total"),
             admitted: counter("serve_frames_admitted_total"),
             degraded: counter("serve_frames_degraded_total"),
-            shed_queue: ["interactive", "best_effort"].map(shed),
-            shed_circuit: shed("circuit"),
-            shed_draining: shed("draining"),
-            shed_shard_down: shed("shard_down"),
-            shed_memory: shed("memory"),
+            sheds: [
+                ["draining"; N_CLASSES],
+                ["shard_down"; N_CLASSES],
+                ["memory"; N_CLASSES],
+                ["interactive", "best_effort"],
+                ["circuit"; N_CLASSES],
+            ]
+            .map(|row| row.map(shed)),
             rendered: counter("serve_frames_rendered_total"),
             failed: counter("serve_frames_failed_total"),
             retries: counter("serve_retries_total"),
@@ -463,13 +463,7 @@ impl Meters {
 
     /// The shed counter of `reason` (`class` splits the queue's).
     pub(crate) fn shed(&self, reason: Shed, class: DeadlineClass) -> Counter {
-        match reason {
-            Shed::Draining => self.shed_draining,
-            Shed::ShardDown => self.shed_shard_down,
-            Shed::Memory => self.shed_memory,
-            Shed::Circuit => self.shed_circuit,
-            Shed::Queue => self.shed_queue[class_index(class)],
-        }
+        self.sheds[reason as usize][class_index(class)]
     }
 }
 

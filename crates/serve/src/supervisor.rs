@@ -405,7 +405,7 @@ impl RetryPolicy {
     /// The backoff before attempt `attempt` (attempts count from 0;
     /// attempt 1 is the first retry): 10 ms · 2^(attempt−1), capped at
     /// 200 ms.
-    pub fn backoff(&self, attempt: u32) -> Duration {
+    pub(crate) fn backoff(&self, attempt: u32) -> Duration {
         doubling_backoff(RETRY_BACKOFF_BASE, RETRY_BACKOFF_CAP, attempt)
     }
 }

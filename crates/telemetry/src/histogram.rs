@@ -32,31 +32,37 @@ pub fn bucket_upper_bound(i: usize) -> u64 {
 
 /// The shared atomic core of a [`crate::Histogram`]. Lives leaked in
 /// the registry; handles update it with relaxed RMWs.
-pub struct HistogramCore {
-    pub(crate) buckets: [AtomicU64; N_BUCKETS],
-    pub(crate) count: AtomicU64,
-    pub(crate) sum: AtomicU64,
+///
+/// There is no separate count: a snapshot derives it from the buckets
+/// it loaded, so a snapshot taken beside observing threads is always
+/// self-consistent (`count == Σ buckets`, so every percentile lands in
+/// a bucket that holds an observation). `sum` is loaded on its own and
+/// may be a few observations ahead of or behind the buckets — `mean`
+/// can be off by that much while observers run.
+pub(crate) struct HistogramCore {
+    buckets: [AtomicU64; N_BUCKETS],
+    sum: AtomicU64,
 }
 
 impl HistogramCore {
     pub(crate) fn new() -> Self {
         Self {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
         }
     }
 
     pub(crate) fn observe(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
     pub(crate) fn snapshot(&self) -> HistogramSnapshot {
+        let buckets: [u64; N_BUCKETS] =
+            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
         HistogramSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
-            count: self.count.load(Ordering::Relaxed),
+            count: buckets.iter().sum(),
+            buckets,
             sum: self.sum.load(Ordering::Relaxed),
         }
     }
@@ -178,5 +184,36 @@ mod tests {
         assert_eq!(m.count, 3);
         assert_eq!(m.sum, 110);
         assert_eq!(m.buckets[bucket_index(5)], 2);
+    }
+
+    #[test]
+    fn live_snapshots_are_self_consistent() {
+        // One thread observes while this one snapshots: every snapshot's
+        // count must be the sum of its buckets, so the top percentile
+        // lands in the one bucket that holds observations. The checks
+        // run after the observer has stopped, so a failure cannot hang.
+        let core = HistogramCore::new();
+        let stop = std::sync::atomic::AtomicBool::new(false);
+        let (mut torn, mut max_p100) = (0, 0);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    core.observe(5);
+                }
+            });
+            while core.snapshot().count == 0 {
+                std::hint::spin_loop();
+            }
+            for _ in 0..2000 {
+                let snap = core.snapshot();
+                if snap.count != snap.buckets.iter().sum::<u64>() {
+                    torn += 1;
+                }
+                max_p100 = max_p100.max(snap.percentile(1.0));
+            }
+            stop.store(true, Ordering::Relaxed);
+        });
+        assert_eq!(torn, 0, "snapshots whose count is not the bucket sum");
+        assert_eq!(max_p100, bucket_upper_bound(bucket_index(5)));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! Three layers, each usable on its own:
 //!
-//! * [`registry`] — a process-global, lock-free **metrics registry**:
+//! * `registry` — a process-global, lock-free **metrics registry**:
 //!   atomic [`Counter`]s, [`Gauge`]s and fixed-bucket log₂-scale
 //!   latency [`Histogram`]s, registered once (cold path, under a
 //!   mutex) by static metric name plus a label set, then updated
@@ -11,20 +11,18 @@
 //!   [`Snapshot`] that callers fold with [`Snapshot::counter_total`]
 //!   and friends — the *one* merge primitive every aggregate stats
 //!   view in the workspace derives from.
-//! * [`trace`] — **frame-lifecycle tracing**: every submitted frame
+//! * `trace` — **frame-lifecycle tracing**: every submitted frame
 //!   gets a process-unique id ([`next_frame_id`]) and accumulates
 //!   monotonic-clock [`TraceEvent`]s (submit → admission verdict →
 //!   queue wait → batch assembly → render → retries → resolve) in a
 //!   bounded per-shard [`TraceRing`] with drop counting. Recording an
 //!   event is one atomic slot claim plus word-sized relaxed stores —
 //!   no locks, no allocation.
-//! * [`render`] — text **exposition**: [`render_prometheus`] emits a
-//!   Prometheus-style dump, [`render_watch`] a human `--watch`-style
-//!   table (`gen-nerf-bench`'s `gates load` prints it at the end of
-//!   its run). Where either goes — a file, a socket — is the
-//!   embedder's choice.
+//! * `render` — text **exposition**: [`render_watch`] renders a
+//!   human `--watch`-style table (`gen-nerf-bench`'s `gates load`
+//!   prints it at the end of its run).
 //!
-//! [`clock`] supplies the [`Clock`] abstraction (monotonic real clock
+//! `clock` supplies the [`Clock`] abstraction (monotonic real clock
 //! or a deterministic virtual test clock) that time-dependent control
 //! logic (supervisor deadlines, circuit-breaker cooldowns) routes
 //! through, so tests can drive time without sleeping.
@@ -36,15 +34,18 @@
 //! are *bookkeeping*, always on. Histogram observations and trace
 //! events are *telemetry* and honor the global [`set_enabled`] switch:
 //! disabled, they cost one relaxed load. Enabled, a histogram
-//! observation is two relaxed RMWs plus one bucket RMW; a trace event
-//! is one RMW to claim a ring slot plus five relaxed word stores.
+//! observation is one relaxed RMW on its sum plus one on its bucket;
+//! a trace event is one RMW to claim a ring slot plus five relaxed word
+//! stores.
 //! Nothing on any of these paths allocates or takes a lock.
 
-pub mod clock;
+#![warn(unreachable_pub)]
+
+mod clock;
 pub mod histogram;
-pub mod registry;
-pub mod render;
-pub mod trace;
+mod registry;
+mod render;
+mod trace;
 
 pub use clock::Clock;
 pub use histogram::{bucket_index, bucket_upper_bound, HistogramSnapshot, N_BUCKETS};
@@ -52,7 +53,7 @@ pub use registry::{
     counter, gauge, histogram, next_instance_id, snapshot, Counter, CounterSample, Gauge,
     GaugeSample, Histogram, HistogramSample, Snapshot,
 };
-pub use render::{render_prometheus, render_watch};
+pub use render::render_watch;
 pub use trace::{
     next_frame_id, AdmissionVerdict, EventKind, ResolveOutcome, TraceEvent, TraceRing,
     DEFAULT_RING_CAPACITY,

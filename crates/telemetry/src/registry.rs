@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// An owned label set: key/value pairs, keys static, values owned.
-pub type Labels = Vec<(&'static str, String)>;
+pub(crate) type Labels = Vec<(&'static str, String)>;
 
 /// A monotonically increasing event counter.
 #[derive(Clone, Copy)]
@@ -240,7 +240,7 @@ impl Snapshot {
 
     /// All distinct values of `key` across every sample's labels, in
     /// first-seen order (drives per-class/per-shard exposition rows).
-    pub fn label_values(&self, key: &str) -> Vec<String> {
+    pub(crate) fn label_values(&self, key: &str) -> Vec<String> {
         let mut seen = Vec::new();
         let all = self
             .counters

@@ -236,7 +236,8 @@ impl TraceRing {
     }
 
     /// Total events ever recorded.
-    pub fn recorded(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn recorded(&self) -> u64 {
         self.head.load(Ordering::Relaxed)
     }
 

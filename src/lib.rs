@@ -5,6 +5,8 @@
 //! a single package. See `README.md` for the quickstart and
 //! `ARCHITECTURE.md` for the crate map.
 
+#![warn(unreachable_pub)]
+
 pub use gen_nerf as core;
 pub use gen_nerf_accel as accel;
 pub use gen_nerf_dram as dram;
