@@ -47,6 +47,23 @@ impl AcceleratorConfig {
         (self.pe_arrays * self.pe_array_dim * self.pe_array_dim) as u64
     }
 
+    /// Cycles the PE pool takes for `macs` multiply–accumulates at
+    /// `efficiency` of its peak rate — perfectly shaped GEMMs derated
+    /// for fill/drain and ragged tiles (a lower bound; the simulator
+    /// has already folded exact shapes into a MAC count).
+    ///
+    /// # Panics
+    ///
+    /// Panics when `efficiency` is not in `(0, 1]`.
+    pub(crate) fn mac_cycles(&self, macs: u64, efficiency: f64) -> u64 {
+        assert!(
+            efficiency > 0.0 && efficiency <= 1.0,
+            "efficiency must be in (0,1], got {efficiency}"
+        );
+        let per_cycle = self.macs_per_cycle() as f64 * efficiency;
+        (macs as f64 / per_cycle).ceil() as u64
+    }
+
     /// Total on-chip SRAM in KB (local + weight + both prefetch halves).
     pub fn total_sram_kb(&self) -> usize {
         self.local_buffer_kb + self.weight_buffer_kb + 2 * self.prefetch_buffer_kb
@@ -84,6 +101,21 @@ mod tests {
     #[test]
     fn macs_per_cycle_is_10240() {
         assert_eq!(AcceleratorConfig::paper().macs_per_cycle(), 40 * 256);
+    }
+
+    #[test]
+    fn mac_cycles_inverse_to_efficiency() {
+        let cfg = AcceleratorConfig::paper();
+        let full = cfg.mac_cycles(10_240_000, 1.0);
+        let half = cfg.mac_cycles(10_240_000, 0.5);
+        assert_eq!(full, 1000);
+        assert_eq!(half, 2000);
+    }
+
+    #[test]
+    #[should_panic(expected = "efficiency")]
+    fn mac_cycles_rejects_zero_efficiency() {
+        let _ = AcceleratorConfig::paper().mac_cycles(100, 0.0);
     }
 
     #[test]

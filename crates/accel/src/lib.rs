@@ -5,8 +5,8 @@
 //!
 //! * [`config`] — the 28 nm / 1 GHz configuration of Sec. 5.1 (40 16×16
 //!   INT8 systolic arrays, 256 KB local buffer, 8 KB weight buffer,
-//!   2 × 256 KB prefetch double buffer, LPDDR4-2400),
-//! * `pe` — PE-pool GEMM timing (MACs per cycle, derated),
+//!   2 × 256 KB prefetch double buffer, LPDDR4-2400) and the PE pool's
+//!   GEMM timing (MACs per cycle, derated),
 //! * [`scheduler`] — the workload scheduler: greedy 3D-point-patch
 //!   partition driven by epipolar projected-area estimates (Fig. 5),
 //! * [`workload`] — a device-independent description of one rendering
@@ -41,7 +41,6 @@ pub mod config;
 pub mod dataflow;
 pub mod gpu;
 pub mod icarus;
-pub(crate) mod pe;
 pub mod scheduler;
 pub mod simulator;
 pub mod workload;

@@ -37,7 +37,6 @@
 
 use crate::config::AcceleratorConfig;
 use crate::dataflow::DataflowVariant;
-use crate::pe::PePool;
 use crate::scheduler::{CameraRig, Patch, Scheduler};
 use crate::workload::{Stage, WorkloadSpec};
 use gen_nerf_dram::{Dram, FeatureRequest};
@@ -280,7 +279,6 @@ impl Simulator {
         let ray_macs_pp = spec.ray_macs_total(stage) as f64 / total_points as f64;
         let macs_per_point = mlp_macs_pp + ray_macs_pp;
 
-        let pe = PePool::new(&self.cfg);
         // Template controller state. In the default cold-row mode each
         // worker clones it once and resets the clone before every
         // patch: every prefetch starts from cold row buffers. Patches
@@ -320,7 +318,7 @@ impl Simulator {
             let ppu_work = patch.points() * views.max(1) as u64;
             PatchOutcome {
                 data_cycles: cycles,
-                compute_cycles: pe.mac_cycles(macs.max(1), self.pe_efficiency),
+                compute_cycles: self.cfg.mac_cycles(macs.max(1), self.pe_efficiency),
                 ppu_cycles: ppu_work.div_ceil(PPU_POINTS_PER_CYCLE),
                 // SFU: exp + accumulate per point (Eq. 2).
                 sfu_cycles: patch.points().div_ceil(SFU_POINTS_PER_CYCLE),

@@ -210,7 +210,7 @@ fn closed_burst(scenes: &[Arc<SceneState>], sessions: usize, burst: usize) -> (f
     }
     let secs = t0.elapsed().as_secs_f64();
     let detections = server
-        .shard_stats_all()
+        .shard_health()
         .iter()
         .map(|s| s.corrupt_renders)
         .sum();
@@ -220,9 +220,7 @@ fn closed_burst(scenes: &[Arc<SceneState>], sessions: usize, burst: usize) -> (f
 /// One of the server's registry counters, folded by its instance label.
 fn instance_counter(server: &RenderServer, name: &str) -> u64 {
     let inst = server.instance().to_string();
-    server
-        .telemetry_snapshot()
-        .counter_with(name, &[("instance", &inst)])
+    gen_nerf_telemetry::snapshot().counter_with(name, &[("instance", &inst)])
 }
 
 // ---------------------------------------------------------------------------
@@ -256,7 +254,7 @@ fn telemetry_gate(server: &RenderServer, truth: &ServeTruth) -> bool {
     // Every handle has resolved (the callers check), and the serve tier
     // books a frame's counter, latency observation and terminal event
     // before it wakes the handle — so the snapshot is read at once.
-    let snap = server.telemetry_snapshot();
+    let snap = gen_nerf_telemetry::snapshot();
     let counters = [
         ("submitted", Some(truth.submitted)),
         ("rendered", Some(truth.rendered)),
@@ -690,10 +688,9 @@ fn chaos_gate() -> bool {
 // ---------------------------------------------------------------------------
 
 /// Drill-local health policy: a tight heartbeat budget so detection
-/// latency is measurable in milliseconds, a fast sweep, and a small
-/// restart backoff.
+/// latency is measurable in milliseconds (the sweep runs every
+/// fortieth of it, ≈ 6 ms), and a small restart backoff.
 const HEAL_HEARTBEAT_BUDGET: Duration = Duration::from_millis(250);
-const HEAL_SWEEP_INTERVAL: Duration = Duration::from_millis(20);
 const HEAL_RESTART_BACKOFF: Duration = Duration::from_millis(20);
 /// The drill's wedge stall: comfortably past the heartbeat budget (so
 /// the sweep must condemn on staleness) and comfortably under the
@@ -740,8 +737,7 @@ fn shard_fault_case(
 ) -> HealedCase {
     let health = HealthConfig::default()
         .with_heartbeat_budget(HEAL_HEARTBEAT_BUDGET)
-        .with_sweep_interval(HEAL_SWEEP_INTERVAL)
-        .with_restart_backoff(HEAL_RESTART_BACKOFF, Duration::from_millis(200));
+        .with_restart_backoff(HEAL_RESTART_BACKOFF);
     let server = RenderServer::new(
         ServerConfig::default()
             .with_max_shards(1)
@@ -1069,7 +1065,7 @@ fn integrity_gate() -> bool {
     // Render attempts the integrity machinery failed (GEMM checksum or
     // sentinel) during the replay.
     let detected: u64 = server
-        .shard_stats_all()
+        .shard_health()
         .iter()
         .map(|s| s.corrupt_renders)
         .sum();

@@ -95,7 +95,8 @@ pub(crate) fn admission_decision_supervised(
     }
 }
 
-/// Admission counters of one shard (or, summed, of the whole server).
+/// Admission counters of the whole server, as reported by
+/// [`RenderServer::admission_stats`](crate::RenderServer::admission_stats).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AdmissionStats {
     /// Frames admitted into the shard queue (including degraded ones).
@@ -111,30 +112,6 @@ pub struct AdmissionStats {
 }
 
 impl AdmissionStats {
-    /// Derives the counter set from a telemetry snapshot, folding
-    /// every label set matching `subset` (a server passes its instance
-    /// label; a shard adds its shard label). One of two mappings onto
-    /// these fields: `ShardCtx::stats` reads the same registry
-    /// counters through one shard's handles, so a counter added here
-    /// must be added there too.
-    pub(crate) fn from_snapshot(
-        snap: &gen_nerf_telemetry::Snapshot,
-        subset: &[(&str, &str)],
-    ) -> Self {
-        let shed = |reason: &str| {
-            let mut s: Vec<(&str, &str)> = subset.to_vec();
-            s.push(("reason", reason));
-            snap.counter_with("serve_frames_shed_total", &s)
-        };
-        Self {
-            admitted: snap.counter_with("serve_frames_admitted_total", subset),
-            degraded: snap.counter_with("serve_frames_degraded_total", subset),
-            shed_best_effort: shed("best_effort"),
-            shed_interactive: shed("interactive"),
-            shed_circuit: shed("circuit"),
-        }
-    }
-
     /// All shed frames: either class plus circuit-breaker sheds.
     pub fn shed_total(&self) -> u64 {
         self.shed_best_effort + self.shed_interactive + self.shed_circuit

@@ -89,11 +89,6 @@ pub struct GovernorStats {
     pub evictions: u64,
     /// Anchor inserts refused because no more room could be made.
     pub refused_inserts: u64,
-    /// BestEffort submissions shed under memory pressure: this
-    /// server's `serve_frames_shed_total{reason="memory"}`, which
-    /// [`RenderServer::governor_stats`](crate::RenderServer::governor_stats)
-    /// reads (the cache's own totals leave it 0).
-    pub pressure_sheds: u64,
 }
 
 /// Coarse-cache counters of one session.

@@ -417,7 +417,6 @@ impl Frame {
         }
         self.event(EventKind::Admit, verdict as u64, self.depth_seen);
         m.admitted.inc();
-        m.watch.watched.inc();
         m.watch.in_flight.inc();
         self.watch = Some(shard.supervisor.watch(&self.core, self.deadline_at));
         self.pending = Some(self.state.pending.claim());
@@ -818,7 +817,7 @@ mod tests {
             "{what}: pending claim"
         );
         let idle = fx.shard.drain(Instant::now(), Duration::ZERO);
-        assert!(idle.drained && idle.forced == 0, "{what}: shard still busy");
+        assert_eq!(idle, (true, 0), "{what}: shard still busy");
     }
 
     #[test]

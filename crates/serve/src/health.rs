@@ -1,4 +1,4 @@
-//! Shard lifecycle: health verdicts, restart policy, drain reports.
+//! Shard lifecycle: restart policy and drain reports.
 //!
 //! A shard's scheduler thread is a single point of failure — a loop
 //! that dies (panic outside the frame-level `catch_unwind`) or wedges
@@ -6,21 +6,19 @@
 //! mapped to it. This module holds the policy side of the self-healing
 //! layer:
 //!
-//! * [`ShardHealth`] — the verdict the supervisor's health sweep
-//!   reaches: `Healthy`, `Wedged` (busy while its progress reading —
-//!   the worker's beat count and the in-flight attempt's tile ticks —
-//!   has not moved for the heartbeat budget) or `Dead` (worker
-//!   `JoinHandle` finished while the queue is still open).
-//! * [`HealthConfig`] — the heartbeat budget, the sweep cadence and
-//!   the exponential restart backoff. Past [`MAX_RESTARTS`]
-//!   consecutive restarts a shard is declared down.
-//! * [`DrainReport`]/[`DrainOutcome`] — what
+//! * [`HealthConfig`] — the heartbeat budget and the base of the
+//!   exponential restart backoff. The sweep runs 40 times per budget,
+//!   and past [`MAX_RESTARTS`] consecutive restarts a shard is
+//!   declared down, which also bounds the backoff.
+//! * [`DrainReport`] — what
 //!   [`RenderServer::drain`](crate::RenderServer::drain) returns.
 //!
-//! The mechanism side — reading progress, condemning, respawning —
-//! lives with the shard itself (`shard.rs`); the sweep that drives it
-//! is registered on the supervisor's watchdog thread by
-//! `RenderServer`.
+//! The mechanism side — reading progress, the sweep's verdict (Wedged:
+//! busy while the worker's beat count and the in-flight attempt's tile
+//! ticks stood still for the heartbeat budget; Dead: the worker thread
+//! finished with the queue open), condemning, respawning — lives with
+//! the shard itself (`shard.rs`); the sweep that drives it is
+//! registered on the supervisor's watchdog thread by `RenderServer`.
 
 use crate::doubling_backoff;
 use std::time::Duration;
@@ -38,23 +36,14 @@ const DEFAULT_HEARTBEAT_BUDGET: Duration = Duration::from_millis(2000);
 /// [`ServeError::ShardDown`](crate::ServeError::ShardDown).
 pub(crate) const MAX_RESTARTS: u32 = 5;
 
-/// The health sweep's verdict for one shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardHealth {
-    /// Making progress within budget (or idle).
-    Healthy,
-    /// Busy, with no progress for the heartbeat budget. The worker
-    /// thread is still running but not getting anywhere.
-    Wedged,
-    /// The worker thread finished while the queue was still open — the
-    /// loop panicked or exited without being asked to.
-    Dead,
-}
+/// Health sweeps per heartbeat budget: a wedge is condemned at most a
+/// fortieth of the budget late.
+const SWEEPS_PER_BUDGET: u32 = 40;
 
 /// Why a shard was condemned — the `b` payload of a
 /// [`Condemn`](gen_nerf_telemetry::EventKind::Condemn) trace event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CondemnReason {
+pub(crate) enum CondemnReason {
     /// No progress for the budget with work pending.
     Wedged,
     /// Worker `JoinHandle` finished unexpectedly.
@@ -63,7 +52,7 @@ pub enum CondemnReason {
 
 impl CondemnReason {
     /// Stable wire code for trace events.
-    pub fn code(self) -> u64 {
+    pub(crate) fn code(self) -> u64 {
         match self {
             CondemnReason::Wedged => 0,
             CondemnReason::Dead => 1,
@@ -75,41 +64,43 @@ impl CondemnReason {
 #[derive(Debug, Clone, Copy)]
 pub struct HealthConfig {
     /// How long a busy shard's progress reading may stand still before
-    /// the sweep condemns it as wedged. Default 2 s.
+    /// the sweep condemns it as wedged (at least 1 ms is used). The
+    /// sweep runs every fortieth of it. Default 2 s.
     pub heartbeat_budget: Duration,
-    /// Cadence of the health sweep on the watchdog thread.
-    pub sweep_interval: Duration,
-    /// Base of the exponential restart backoff: restart `n` (1-based)
-    /// waits `restart_backoff * 2^(n-1)`, capped at
-    /// [`restart_backoff_cap`](HealthConfig::restart_backoff_cap).
+    /// Base of the exponential restart backoff: restart `n` (1-based,
+    /// at most 5 before the shard is declared down) waits
+    /// `restart_backoff * 2^(n-1)`. Default 50 ms.
     pub restart_backoff: Duration,
-    /// Ceiling of the exponential backoff.
-    pub restart_backoff_cap: Duration,
 }
 
 impl HealthConfig {
     /// Overrides the heartbeat budget.
     pub fn with_heartbeat_budget(mut self, budget: Duration) -> Self {
-        self.heartbeat_budget = budget.max(Duration::from_millis(1));
+        self.heartbeat_budget = budget;
         self
     }
 
-    /// Overrides the sweep cadence.
-    pub fn with_sweep_interval(mut self, interval: Duration) -> Self {
-        self.sweep_interval = interval.max(Duration::from_millis(1));
-        self
-    }
-
-    /// Overrides the restart backoff base and cap.
-    pub fn with_restart_backoff(mut self, base: Duration, cap: Duration) -> Self {
+    /// Overrides the restart backoff base.
+    pub fn with_restart_backoff(mut self, base: Duration) -> Self {
         self.restart_backoff = base;
-        self.restart_backoff_cap = cap.max(base);
         self
+    }
+
+    /// The heartbeat budget in force: the configured one, at least
+    /// 1 ms (a zero budget would condemn every busy shard).
+    pub(crate) fn budget(&self) -> Duration {
+        self.heartbeat_budget.max(Duration::from_millis(1))
+    }
+
+    /// Cadence of the health sweep: the budget over
+    /// [`SWEEPS_PER_BUDGET`], at least 1 ms.
+    pub(crate) fn sweep_interval(&self) -> Duration {
+        (self.budget() / SWEEPS_PER_BUDGET).max(Duration::from_millis(1))
     }
 
     /// Backoff before restart number `consecutive` (1-based).
     pub(crate) fn backoff_for(&self, consecutive: u32) -> Duration {
-        doubling_backoff(self.restart_backoff, self.restart_backoff_cap, consecutive)
+        doubling_backoff(self.restart_backoff, Duration::MAX, consecutive)
     }
 }
 
@@ -117,74 +108,33 @@ impl Default for HealthConfig {
     fn default() -> Self {
         Self {
             heartbeat_budget: DEFAULT_HEARTBEAT_BUDGET,
-            sweep_interval: Duration::from_millis(50),
             restart_backoff: Duration::from_millis(50),
-            restart_backoff_cap: Duration::from_secs(2),
         }
     }
 }
 
-/// One shard's lifecycle counters, as reported by
-/// [`RenderServer::shard_health`](crate::RenderServer::shard_health).
+/// What [`RenderServer::drain`](crate::RenderServer::drain) returns,
+/// over every shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardHealthStats {
-    /// Shard index within the server.
-    pub shard: usize,
-    /// Worker incarnation: 0 for the original spawn, bumped once per
-    /// condemnation.
-    pub incarnation: u64,
-    /// Total restarts performed over the shard's lifetime (its
-    /// `serve_shard_restarts_total`).
-    pub restarts: u64,
-    /// Restarts since the last successfully rendered frame — the
-    /// give-up counter.
-    pub consecutive_restarts: u32,
-    /// Whether the shard has been declared down (give-up threshold
-    /// crossed); a down shard rejects submissions with
-    /// [`ServeError::ShardDown`](crate::ServeError::ShardDown).
-    pub down: bool,
-    /// The shard's progress count: beats its workers published (one
-    /// per pop, per attempt start and per finished batch).
-    pub heartbeat_epoch: u64,
-    /// The sweep's current verdict.
-    pub health: ShardHealth,
-}
-
-/// Per-shard outcome of a [`RenderServer::drain`](crate::RenderServer::drain).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DrainOutcome {
-    /// Shard index.
-    pub shard: usize,
-    /// Whether the shard finished all queued and in-flight work within
-    /// the deadline.
-    pub drained: bool,
+pub struct DrainReport {
+    /// Whether every shard finished its queued and in-flight work.
+    pub(crate) drained: bool,
     /// Frames force-failed (with
     /// [`ServeError::Draining`](crate::ServeError::Draining)) when the
-    /// deadline expired — zero for a clean drain.
-    pub forced: u64,
-    /// How long this shard's drain took (or consumed before the
-    /// deadline cut it off).
-    pub waited: Duration,
-}
-
-/// What [`RenderServer::drain`](crate::RenderServer::drain) returns:
-/// one [`DrainOutcome`] per shard, in shard order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DrainReport {
-    /// Per-shard outcomes.
-    pub outcomes: Vec<DrainOutcome>,
+    /// deadline expired.
+    pub(crate) forced: u64,
 }
 
 impl DrainReport {
     /// Whether every shard drained cleanly (no forced failures, no
     /// leftover in-flight work).
     pub fn complete(&self) -> bool {
-        self.outcomes.iter().all(|o| o.drained && o.forced == 0)
+        self.drained && self.forced == 0
     }
 
     /// Total frames force-failed at the deadline across all shards.
     pub fn forced_total(&self) -> u64 {
-        self.outcomes.iter().map(|o| o.forced).sum()
+        self.forced
     }
 }
 
@@ -193,39 +143,25 @@ mod tests {
     use super::*;
 
     #[test]
-    fn backoff_is_exponential_and_capped() {
-        let cfg = HealthConfig::default()
-            .with_restart_backoff(Duration::from_millis(50), Duration::from_millis(400));
-        assert_eq!(cfg.backoff_for(1), Duration::from_millis(50));
-        assert_eq!(cfg.backoff_for(2), Duration::from_millis(100));
-        assert_eq!(cfg.backoff_for(3), Duration::from_millis(200));
-        assert_eq!(cfg.backoff_for(4), Duration::from_millis(400));
-        assert_eq!(cfg.backoff_for(5), Duration::from_millis(400));
-        assert_eq!(cfg.backoff_for(60), Duration::from_millis(400));
+    fn default_timing_sweeps_every_50ms_and_doubles_the_backoff() {
+        let cfg = HealthConfig::default();
+        assert_eq!(cfg.sweep_interval(), Duration::from_millis(50));
+        for n in 1..=MAX_RESTARTS {
+            assert_eq!(cfg.backoff_for(n), Duration::from_millis(50 << (n - 1)));
+        }
+        // The budget in force is never zero, and neither is the sweep.
+        let zero = cfg.with_heartbeat_budget(Duration::ZERO);
+        assert_eq!(zero.budget(), Duration::from_millis(1));
+        assert_eq!(zero.sweep_interval(), Duration::from_millis(1));
     }
 
     #[test]
     fn drain_report_complete() {
-        let clean = DrainOutcome {
-            shard: 0,
-            drained: true,
-            forced: 0,
-            waited: Duration::from_millis(5),
-        };
-        let forced = DrainOutcome {
-            shard: 1,
-            drained: true,
-            forced: 3,
-            waited: Duration::from_millis(9),
-        };
-        assert!(DrainReport {
-            outcomes: vec![clean]
-        }
-        .complete());
-        let report = DrainReport {
-            outcomes: vec![clean, forced],
-        };
-        assert!(!report.complete());
-        assert_eq!(report.forced_total(), 3);
+        let report = |drained, forced| DrainReport { drained, forced };
+        assert!(report(true, 0).complete());
+        assert!(!report(false, 0).complete());
+        let forced = report(true, 3);
+        assert!(!forced.complete());
+        assert_eq!(forced.forced_total(), 3);
     }
 }

@@ -73,6 +73,14 @@
 //!   worker arenas. With coherence disabled (the default,
 //!   [`CoherenceConfig::exact`]) the server is pinned bitwise-identical
 //!   to direct rendering by `tests/serve_regression.rs`.
+//! * **One stats view per scope**: a shard's [`ShardStats`]
+//!   ([`RenderServer::shard_health`]), the server's
+//!   [`AdmissionStats`], [`SupervisorStats`] and [`GovernorStats`], and
+//!   a session's [`CacheStats`] each read the counters that scope owns.
+//!   The same counters are metrics of the process-global
+//!   [`gen_nerf_telemetry`] registry, labelled `{instance, shard}`,
+//!   which is for export: filter [`gen_nerf_telemetry::snapshot`] by
+//!   [`RenderServer::instance`].
 //!
 //! # Quickstart
 //!
@@ -126,9 +134,7 @@ mod supervisor;
 
 pub use admission::{AdmissionConfig, AdmissionStats, FairQueue};
 pub use cache::{CacheStats, GovernorConfig, GovernorStats};
-pub use health::{
-    CondemnReason, DrainOutcome, DrainReport, HealthConfig, ShardHealth, ShardHealthStats,
-};
+pub use health::{DrainReport, HealthConfig};
 pub use registry::ShardId;
 pub use server::{
     CacheOutcome, Fault, FrameHandle, FrameRequest, FrameResult, RenderServer, ServeError,

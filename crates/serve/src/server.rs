@@ -14,7 +14,7 @@ use crate::cache::{
     AnchorCache, CacheStats, GovernorConfig, GovernorStats, DEFAULT_CACHE_BUDGET_BYTES,
 };
 use crate::frame::{End, Frame, FrameCore, Shed};
-use crate::health::{DrainReport, HealthConfig, ShardHealthStats};
+use crate::health::{DrainReport, HealthConfig};
 use crate::lock;
 use crate::registry::{Assignment, SceneRegistry, ShardId};
 use crate::session::{
@@ -28,7 +28,7 @@ use gen_nerf::pipeline::{RenderStats, WORKER_SCRATCH_BYTES};
 use gen_nerf_geometry::Pose;
 use gen_nerf_parallel::Pool;
 use gen_nerf_scene::Image;
-use gen_nerf_telemetry::{Snapshot, TraceEvent};
+use gen_nerf_telemetry::TraceEvent;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -53,8 +53,8 @@ pub struct ServerConfig {
     pub retry: RetryPolicy,
     /// Per-scene circuit-breaker tuning.
     pub breaker: BreakerConfig,
-    /// Shard self-healing: heartbeat budget, sweep cadence, restart
-    /// backoff.
+    /// Shard self-healing: heartbeat budget (which sets the sweep
+    /// cadence) and restart backoff.
     pub health: HealthConfig,
     /// Server-wide memory budget over session caches and worker
     /// arenas.
@@ -383,8 +383,8 @@ pub struct RenderServer {
     /// Latched by [`RenderServer::drain`]: admission closed for good.
     draining: AtomicBool,
     /// Process-unique instance id: every metric this server registers
-    /// carries `instance = <id>` so concurrent servers (unit tests!)
-    /// never fold each other's counters into their stats views.
+    /// carries `instance = <id>`, so the counters of concurrent servers
+    /// (unit tests!) stay apart in an exported snapshot.
     instance: u64,
 }
 
@@ -414,7 +414,7 @@ impl RenderServer {
         // sweep degrades to a no-op instead of keeping shards alive.
         let sweep_topology = Arc::downgrade(&topology);
         supervisor.set_sweep(
-            cfg.health.sweep_interval,
+            cfg.health.sweep_interval(),
             Box::new(move || {
                 let Some(topology) = sweep_topology.upgrade() else {
                     return;
@@ -593,36 +593,29 @@ impl RenderServer {
             .iter()
             .map(|s| Arc::clone(&s.ctx))
             .collect();
-        let outcomes = shards
-            .iter()
-            .map(|shard| shard.drain(hard_deadline, grace))
-            .collect();
-        DrainReport { outcomes }
-    }
-
-    /// Lifecycle counters and current health verdict of every spawned
-    /// shard, in shard order.
-    pub fn shard_health(&self) -> Vec<ShardHealthStats> {
-        let now = self.supervisor.clock().now();
-        lock(&self.topology)
-            .shards
-            .iter()
-            .map(|s| s.health_stats(now))
-            .collect()
-    }
-
-    /// Counters of the server-wide memory budget (budget, usage,
-    /// peak, pressure evictions, refusals, pressure sheds). The sheds
-    /// are the memory-shed counter folded over this server's
-    /// `instance` label.
-    pub fn governor_stats(&self) -> GovernorStats {
-        let inst = self.instance.to_string();
-        let memory = [("instance", inst.as_str()), ("reason", "memory")];
-        let snap = gen_nerf_telemetry::snapshot();
-        GovernorStats {
-            pressure_sheds: snap.counter_with("serve_frames_shed_total", &memory),
-            ..self.cache.stats()
+        let mut report = DrainReport {
+            drained: true,
+            forced: 0,
+        };
+        for shard in &shards {
+            let (drained, forced) = shard.drain(hard_deadline, grace);
+            report.drained &= drained;
+            report.forced += forced;
         }
+        report
+    }
+
+    /// State and counters of every spawned shard, in shard order.
+    pub fn shard_health(&self) -> Vec<ShardStats> {
+        let topology = lock(&self.topology);
+        topology.shards.iter().map(Shard::stats).collect()
+    }
+
+    /// Counters of the server-wide memory budget (budget, usage, peak,
+    /// pressure evictions, refusals). Memory sheds are this server's
+    /// `serve_frames_shed_total{reason="memory"}`.
+    pub fn governor_stats(&self) -> GovernorStats {
+        self.cache.stats()
     }
 
     /// Coarse-cache counters of a session.
@@ -649,42 +642,28 @@ impl RenderServer {
         ShardId(self.session(session).shard.index)
     }
 
-    /// A snapshot of one shard's queue depth and counters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard` has not been spawned.
-    pub fn shard_stats(&self, shard: ShardId) -> ShardStats {
-        lock(&self.topology)
-            .shards
-            .get(shard.0)
-            .expect("shard exists")
-            .ctx
-            .stats()
-    }
-
-    /// Admission counters summed over every shard — derived by folding
-    /// the telemetry snapshot over this server's `instance` label, so
-    /// the aggregate can never drift from the per-shard registry
-    /// counters it is a view of.
+    /// Admission counters summed over every shard, read through each
+    /// shard's registry handles.
     pub fn admission_stats(&self) -> AdmissionStats {
-        let inst = self.instance.to_string();
-        AdmissionStats::from_snapshot(&gen_nerf_telemetry::snapshot(), &[("instance", &inst)])
+        let mut sum = AdmissionStats::default();
+        for shard in &lock(&self.topology).shards {
+            let m = &shard.ctx.meters;
+            let queue = |class| m.shed(Shed::Queue, class).get();
+            sum.admitted += m.admitted.get();
+            sum.degraded += m.degraded.get();
+            sum.shed_best_effort += queue(DeadlineClass::BestEffort);
+            sum.shed_interactive += queue(DeadlineClass::Interactive);
+            sum.shed_circuit += m.shed(Shed::Circuit, DeadlineClass::Interactive).get();
+        }
+        sum
     }
 
     /// This server's process-unique telemetry instance id: every
-    /// metric it registers carries `instance = <id>`.
+    /// metric it registers carries `instance = <id>`, so
+    /// `[("instance", &server.instance().to_string())]` filters
+    /// [`gen_nerf_telemetry::snapshot`] to this server.
     pub fn instance(&self) -> u64 {
         self.instance
-    }
-
-    /// A typed snapshot of the process-global metrics registry.
-    /// Includes every instrumented layer (nn kernel dispatch/ABFT,
-    /// core render stages, serve counters of *all* server instances);
-    /// filter serve metrics to this server with
-    /// `[("instance", &server.instance().to_string())]`.
-    pub fn telemetry_snapshot(&self) -> Snapshot {
-        gen_nerf_telemetry::snapshot()
     }
 
     /// Drains every shard's frame-lifecycle trace ring, concatenated
@@ -710,24 +689,15 @@ impl RenderServer {
             .sum()
     }
 
-    /// Snapshots of every spawned shard, in shard-index order.
-    pub fn shard_stats_all(&self) -> Vec<ShardStats> {
-        lock(&self.topology)
-            .shards
-            .iter()
-            .map(|s| s.ctx.stats())
-            .collect()
-    }
-
-    /// Watchdog counters: frames watched, per-class timeouts, frames
-    /// currently under watch.
+    /// Watchdog counters: per-class timeouts, frames currently under
+    /// watch.
     pub fn supervisor_stats(&self) -> SupervisorStats {
         self.supervisor.stats()
     }
 
     /// The circuit breaker guarding `session`'s scene — shared by
     /// every session viewing that scene. Introspection for tests and
-    /// load harnesses (state, trip and shed counts).
+    /// load harnesses (state and trip count).
     ///
     /// # Panics
     ///
@@ -968,7 +938,7 @@ mod tests {
             .map(|&s| server.cache_stats(s).evictions)
             .sum();
         let inst = server.instance().to_string();
-        let counted = server.telemetry_snapshot().counter_with(
+        let counted = gen_nerf_telemetry::snapshot().counter_with(
             "serve_cache_events_total",
             &[("instance", &inst), ("outcome", "eviction")],
         );
@@ -1054,8 +1024,8 @@ mod tests {
     #[test]
     fn a_memory_shed_counts_once_in_the_governor_stats() {
         // A budget equal to the crew's reservation is under pressure
-        // before any anchor: a BestEffort submission is shed, and the
-        // governor's view is the instance's memory-shed counter.
+        // before any anchor: a BestEffort submission is shed, once, in
+        // the instance's memory-shed counter.
         let (ds, scene) = scene();
         let cam = ds.eval_views[0].camera;
         let reserved = WORKER_SCRATCH_BYTES as u64;
@@ -1070,7 +1040,10 @@ mod tests {
         let req = FrameRequest::new(cam.pose).with_deadline(DeadlineClass::BestEffort);
         let shed = server.submit(session, req).wait_result();
         assert!(matches!(shed, Err(ServeError::Shed { .. })), "{shed:?}");
-        assert_eq!(server.governor_stats().pressure_sheds, 1);
+        let inst = server.instance().to_string();
+        let memory = [("instance", inst.as_str()), ("reason", "memory")];
+        let snap = gen_nerf_telemetry::snapshot();
+        assert_eq!(snap.counter_with("serve_frames_shed_total", &memory), 1);
     }
 
     #[test]
@@ -1248,9 +1221,11 @@ mod tests {
         // Frames route to their scene's shard and still render.
         let rb = server.submit(b, FrameRequest::new(cam.pose)).wait();
         assert_eq!(rb.serve.shard, 1);
-        let stats = server.shard_stats(server.shard_of(b));
-        assert_eq!(stats.rendered_frames, 1);
-        assert_eq!(stats.admission.admitted, 1);
+        let inst = server.instance().to_string();
+        let shard = [("instance", inst.as_str()), ("shard", "1")];
+        let snap = gen_nerf_telemetry::snapshot();
+        assert_eq!(snap.counter_with("serve_frames_rendered_total", &shard), 1);
+        assert_eq!(snap.counter_with("serve_frames_admitted_total", &shard), 1);
     }
 
     #[test]
@@ -1273,7 +1248,7 @@ mod tests {
         );
         let shard = server.shard_of(session);
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while server.shard_stats(shard).queued > 0 {
+        while server.shard_health()[shard.index()].queued > 0 {
             assert!(
                 std::time::Instant::now() < deadline,
                 "stall never scheduled"
@@ -1368,11 +1343,7 @@ mod tests {
                 threads: 4,
                 ..ServerConfig::default()
             }
-            .with_health(
-                HealthConfig::default()
-                    .with_sweep_interval(Duration::from_millis(10))
-                    .with_restart_backoff(Duration::from_millis(10), Duration::from_millis(100)),
-            ),
+            .with_health(HealthConfig::default().with_restart_backoff(Duration::from_millis(10))),
         );
         let reserved = server.governor_stats().used_bytes;
         assert_eq!(reserved, 4 * WORKER_SCRATCH_BYTES as u64);
@@ -1400,13 +1371,10 @@ mod tests {
         // give-up counter never resets.
         let (ds, scene) = scene();
         let cam = ds.eval_views[0].camera;
-        let server = RenderServer::new(
-            ServerConfig::default().with_health(
-                HealthConfig::default()
-                    .with_sweep_interval(Duration::from_millis(5))
-                    .with_restart_backoff(Duration::from_millis(5), Duration::from_millis(20)),
-            ),
-        );
+        let server =
+            RenderServer::new(ServerConfig::default().with_health(
+                HealthConfig::default().with_restart_backoff(Duration::from_millis(5)),
+            ));
         let config = SessionConfig::new(cam.intrinsics, ctf());
         let stalled = server.create_session(Arc::clone(&scene), config);
         let stall =
@@ -1429,7 +1397,6 @@ mod tests {
         let health = server.shard_health()[0];
         assert!(health.down, "{health:?}");
         assert_eq!(health.restarts, u64::from(MAX_RESTARTS), "{health:?}");
-        assert_eq!(health.consecutive_restarts, MAX_RESTARTS + 1, "{health:?}");
         let next = server.submit(stalled, FrameRequest::new(cam.pose));
         assert_eq!(next.wait_result().err(), Some(ServeError::ShardDown));
         let shed = lock(&server.topology).shards[0]
@@ -1474,11 +1441,7 @@ mod tests {
             .with_supervision(
                 SupervisorConfig::default().with_interactive_budget(Duration::from_secs(600)),
             )
-            .with_health(
-                HealthConfig::default()
-                    .with_heartbeat_budget(budget)
-                    .with_sweep_interval(Duration::from_millis(5)),
-            ),
+            .with_health(HealthConfig::default().with_heartbeat_budget(budget)),
         );
         let session = server.create_session(scene, SessionConfig::new(intrinsics, strategy));
         let frame = server

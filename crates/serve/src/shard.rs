@@ -64,10 +64,10 @@
 //! the cache's one budget holds even across a restart storm
 //! re-anchoring them.
 
-use crate::admission::{class_index, AdmissionStats, FairQueue, N_CLASSES};
+use crate::admission::{class_index, FairQueue, N_CLASSES};
 use crate::cache::{AnchorCache, CacheMeters, CACHE_EVENTS};
 use crate::frame::{End, Frame, Shed};
-use crate::health::{CondemnReason, DrainOutcome, ShardHealth, ShardHealthStats, MAX_RESTARTS};
+use crate::health::{CondemnReason, MAX_RESTARTS};
 use crate::server::{CacheOutcome, Fault, FrameResult, ServeStats, ServerConfig};
 use crate::session::DeadlineClass;
 use crate::supervisor::{Supervisor, WatchMeters};
@@ -301,9 +301,9 @@ impl ShardCtx {
     /// force-fails what is still queued with
     /// [`ServeError::Draining`](crate::ServeError::Draining), cancels
     /// the attempt in flight and gives the worker `grace` to unwind
-    /// (its frames end through the retry path).
-    pub(crate) fn drain(&self, hard_deadline: Instant, grace: Duration) -> DrainOutcome {
-        let started = Instant::now();
+    /// (its frames end through the retry path). Returns whether the
+    /// shard went idle, and how many frames it force-failed.
+    pub(crate) fn drain(&self, hard_deadline: Instant, grace: Duration) -> (bool, u64) {
         let mut drained = self.wait_idle(hard_deadline, |qs| qs.q.is_empty() && qs.running == 0);
         let mut forced = 0;
         if !drained {
@@ -315,32 +315,7 @@ impl ShardCtx {
             forced += self.end_queued(|| End::DrainForced);
         }
         self.event(EventKind::Drain, forced);
-        DrainOutcome {
-            shard: self.index,
-            drained,
-            forced,
-            waited: started.elapsed(),
-        }
-    }
-
-    pub(crate) fn stats(&self) -> ShardStats {
-        let m = &self.meters;
-        ShardStats {
-            queued: m.depth.get().max(0) as usize,
-            admission: AdmissionStats {
-                admitted: m.admitted.get(),
-                degraded: m.degraded.get(),
-                shed_best_effort: m.shed(Shed::Queue, DeadlineClass::BestEffort).get(),
-                shed_interactive: m.shed(Shed::Queue, DeadlineClass::Interactive).get(),
-                shed_circuit: m.shed(Shed::Circuit, DeadlineClass::Interactive).get(),
-            },
-            rendered_frames: m.rendered.get(),
-            failed_frames: m.failed.get(),
-            retries: m.retries.get(),
-            batches: m.batches.get(),
-            corrupt_renders: m.corrupt.get(),
-            quarantine_events: m.quarantined.get(),
-        }
+        (drained, forced)
     }
 }
 
@@ -467,27 +442,36 @@ impl Meters {
     }
 }
 
-/// A point-in-time snapshot of one shard's state.
+/// One shard's state and counters, as reported by
+/// [`RenderServer::shard_health`](crate::RenderServer::shard_health):
+/// its `{instance, shard}` registry counters read through the shard's
+/// own handles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Frames admitted and still waiting in the shard queue.
+    /// Shard index within the server.
+    pub shard: usize,
+    /// Worker incarnation: 0 for the original spawn, bumped once per
+    /// condemnation.
+    pub incarnation: u64,
+    /// Worker restarts over the shard's lifetime
+    /// (`serve_shard_restarts_total`).
+    pub restarts: u64,
+    /// Whether the shard has been declared down (restart budget
+    /// exhausted); a down shard rejects submissions with
+    /// [`ServeError::ShardDown`](crate::ServeError::ShardDown).
+    pub down: bool,
+    /// Frames admitted and still waiting in the shard queue
+    /// (`serve_queue_depth`).
     pub queued: usize,
-    /// Admission counters (admitted / degraded / shed).
-    pub admission: AdmissionStats,
-    /// Frames rendered to completion.
-    pub rendered_frames: u64,
-    /// Frames resolved with an error.
-    pub failed_frames: u64,
     /// Individual re-render attempts after a transient failure (panic,
     /// corruption, or a batch-mate's timeout cancelling the batch).
     pub retries: u64,
-    /// Fused render jobs executed (`rendered_frames / batches` is the
-    /// shard's average batch occupancy).
+    /// Fused render jobs executed.
     pub batches: u64,
     /// Render attempts caught by the integrity machinery (ABFT GEMM
     /// checksum or a stage sentinel) before any pixel was published.
     /// Each detection feeds the retry path, so a transient corruption
-    /// shows up here *and* in `retries`, not in `failed_frames`.
+    /// shows up here *and* in `retries`.
     pub corrupt_renders: u64,
     /// Times this shard tripped the process-wide kernel quarantine,
     /// demoting the active SIMD backend to scalar for good.
@@ -593,7 +577,7 @@ impl Shard {
             return Some(CondemnReason::Dead);
         }
         let still = now.saturating_duration_since(self.seen_at);
-        (busy && still > self.ctx.cfg.health.heartbeat_budget).then_some(CondemnReason::Wedged)
+        (busy && still > self.ctx.cfg.health.budget()).then_some(CondemnReason::Wedged)
     }
 
     /// Tears the live incarnation down: invalidates it, cancels its
@@ -638,27 +622,20 @@ impl Shard {
         self.worker = Some(Self::spawn_worker(ctx, incarnation));
     }
 
-    /// This shard's lifecycle counters and current health verdict.
-    pub(crate) fn health_stats(&self, now: Instant) -> ShardHealthStats {
-        let down = self.ctx.down.load(Ordering::Relaxed);
-        // Down, or condemned and between incarnations: dead either way.
-        let health = if down || self.respawn_at.is_some() {
-            ShardHealth::Dead
-        } else {
-            match self.verdict(now) {
-                None => ShardHealth::Healthy,
-                Some(CondemnReason::Dead) => ShardHealth::Dead,
-                Some(CondemnReason::Wedged) => ShardHealth::Wedged,
-            }
-        };
-        ShardHealthStats {
-            shard: self.ctx.index,
-            incarnation: lock(&self.ctx.queue).incarnation,
-            restarts: self.ctx.meters.restarts.get(),
-            consecutive_restarts: self.consecutive_restarts,
-            down,
-            heartbeat_epoch: self.ctx.meters.heartbeats.get(),
-            health,
+    /// This shard's state and counters.
+    pub(crate) fn stats(&self) -> ShardStats {
+        let ctx = &self.ctx;
+        let m = &ctx.meters;
+        ShardStats {
+            shard: ctx.index,
+            incarnation: lock(&ctx.queue).incarnation,
+            restarts: m.restarts.get(),
+            down: ctx.down.load(Ordering::Relaxed),
+            queued: m.depth.get().max(0) as usize,
+            retries: m.retries.get(),
+            batches: m.batches.get(),
+            corrupt_renders: m.corrupt.get(),
+            quarantine_events: m.quarantined.get(),
         }
     }
 
@@ -1269,13 +1246,13 @@ mod tests {
         let frame = admitted(0, &states[0], None);
         let core = Arc::clone(frame.core());
         lock(&ctx.queue).q.push(frame.class(), frame.session, frame);
-        clock.advance(ctx.cfg.health.sweep_interval);
+        clock.advance(ctx.cfg.health.sweep_interval());
         shard.sweep(clock.now());
         assert_eq!(shard.respawn_at, None, "condemned a shard that just woke");
         ctx.ready.notify_one();
         let rendered = core.wait(Some(Instant::now() + Duration::from_secs(60)));
         assert!(matches!(rendered, Some(Ok(_))), "the frame renders");
-        assert_eq!(shard.health_stats(clock.now()).restarts, 0);
+        assert_eq!(shard.stats().restarts, 0);
         assert_eq!(ctx.meters.condemned.map(|c| c.get()), [0, 0]);
     }
 }

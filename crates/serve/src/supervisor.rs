@@ -94,8 +94,6 @@ impl SupervisorConfig {
 /// Watchdog counters (a point-in-time snapshot).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SupervisorStats {
-    /// Frames ever registered with the watchdog.
-    pub watched: u64,
     /// Interactive frames resolved with a timeout.
     pub timed_out_interactive: u64,
     /// BestEffort frames resolved with a timeout.
@@ -117,7 +115,6 @@ impl SupervisorStats {
 /// every shard's [`Meters`](crate::shard::Meters).
 #[derive(Clone, Copy)]
 pub(crate) struct WatchMeters {
-    pub watched: Counter,
     /// Frames admitted and not yet resolved
     /// (`serve_frames_in_flight`).
     pub in_flight: Gauge,
@@ -177,7 +174,6 @@ pub(crate) struct Supervisor {
 impl Supervisor {
     pub(crate) fn spawn(instance: u64, clock: Clock) -> Self {
         let inst = instance.to_string();
-        let labels: [(&'static str, &str); 1] = [("instance", &inst)];
         let timed_out = |class: &str| {
             gen_nerf_telemetry::counter(
                 "serve_frames_timed_out_total",
@@ -185,8 +181,7 @@ impl Supervisor {
             )
         };
         let meters = WatchMeters {
-            watched: gen_nerf_telemetry::counter("serve_frames_watched_total", &labels),
-            in_flight: gen_nerf_telemetry::gauge("serve_frames_in_flight", &labels),
+            in_flight: gen_nerf_telemetry::gauge("serve_frames_in_flight", &[("instance", &inst)]),
             timed_out: ["interactive", "best_effort"].map(timed_out),
         };
         let inner = Arc::new(SupervisorInner {
@@ -251,7 +246,7 @@ impl Supervisor {
     /// takes those in the opposite order.
     pub(crate) fn set_sweep(&self, interval: Duration, run: Box<dyn FnMut() + Send>) {
         *lock(&self.inner.sweep) = Some(SweepHook {
-            interval: interval.max(Duration::from_millis(1)),
+            interval,
             last: None,
             run,
         });
@@ -275,7 +270,6 @@ impl Supervisor {
         let m = &self.meters;
         let [interactive, best_effort] = m.timed_out;
         SupervisorStats {
-            watched: m.watched.get(),
             timed_out_interactive: interactive.get(),
             timed_out_best_effort: best_effort.get(),
             in_flight: m.in_flight.get().max(0) as usize,
@@ -442,8 +436,8 @@ impl Default for BreakerConfig {
 impl BreakerConfig {
     /// Sets the failure window and the minimum sample count.
     pub fn with_window(mut self, window: usize, min_samples: usize) -> Self {
-        self.window = window.max(1);
-        self.min_samples = min_samples.clamp(1, self.window);
+        self.window = window;
+        self.min_samples = min_samples;
         self
     }
 
@@ -453,9 +447,9 @@ impl BreakerConfig {
         self
     }
 
-    /// Sets the HalfOpen probe quota (at least one).
+    /// Sets the HalfOpen probe quota.
     pub fn with_probe_quota(mut self, quota: u32) -> Self {
-        self.probe_quota = quota.max(1);
+        self.probe_quota = quota;
         self
     }
 }
@@ -526,19 +520,23 @@ pub struct CircuitBreaker {
     cfg: BreakerConfig,
     inner: Mutex<BreakerInner>,
     trips: AtomicU64,
-    shed: AtomicU64,
 }
 
 impl CircuitBreaker {
-    /// A closed breaker with an empty window.
-    pub fn new(cfg: BreakerConfig) -> Self {
+    /// A closed breaker with an empty window, under `cfg` normalised
+    /// however it was built: a window and a probe quota of at least
+    /// one, and at most `window` minimum samples (more could never be
+    /// in the window, and the circuit could never open).
+    pub fn new(mut cfg: BreakerConfig) -> Self {
+        cfg.window = cfg.window.max(1);
+        cfg.min_samples = cfg.min_samples.clamp(1, cfg.window);
+        cfg.probe_quota = cfg.probe_quota.max(1);
         Self {
             cfg,
             inner: Mutex::new(BreakerInner::Closed {
                 outcomes: std::collections::VecDeque::new(),
             }),
             trips: AtomicU64::new(0),
-            shed: AtomicU64::new(0),
         }
     }
 
@@ -552,7 +550,6 @@ impl CircuitBreaker {
             BreakerInner::Closed { .. } => BreakerAdmit::Admit,
             BreakerInner::Open { since } => {
                 if now.saturating_duration_since(*since) < self.cfg.cooldown {
-                    self.shed.fetch_add(1, Ordering::Relaxed);
                     return BreakerAdmit::Shed;
                 }
                 // Cooldown over: this submission is the first probe.
@@ -570,7 +567,6 @@ impl CircuitBreaker {
                     *in_flight += 1;
                     BreakerAdmit::Probe
                 } else {
-                    self.shed.fetch_add(1, Ordering::Relaxed);
                     BreakerAdmit::Shed
                 }
             }
@@ -650,11 +646,6 @@ impl CircuitBreaker {
     pub fn trips(&self) -> u64 {
         self.trips.load(Ordering::Relaxed)
     }
-
-    /// Submissions shed by this breaker.
-    pub fn shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
-    }
 }
 
 #[cfg(test)]
@@ -693,7 +684,6 @@ mod tests {
         assert_eq!(b.trips(), 1);
         // Open sheds until the cooldown elapses.
         assert_eq!(b.admit(t(base, 50)), BreakerAdmit::Shed);
-        assert_eq!(b.shed(), 1);
         // Cooldown over: exactly the probe quota is admitted.
         assert_eq!(b.admit(t(base, 150)), BreakerAdmit::Probe);
         assert_eq!(b.admit(t(base, 150)), BreakerAdmit::Probe);

@@ -101,11 +101,11 @@ fn corrupt_gemm_frame_is_detected_retried_and_bitwise_exact() {
     // The corruption was caught (never published) and the frame was
     // re-rendered; detection and recovery are visible in the counters.
     let corrupt: u64 = server
-        .shard_stats_all()
+        .shard_health()
         .iter()
         .map(|s| s.corrupt_renders)
         .sum();
-    let retries: u64 = server.shard_stats_all().iter().map(|s| s.retries).sum();
+    let retries: u64 = server.shard_health().iter().map(|s| s.retries).sum();
     assert!(corrupt >= 1, "injected GEMM corruption went undetected");
     assert!(retries >= 1, "corrupt frame recovered without a retry");
 
@@ -151,7 +151,7 @@ fn corrupt_pixels_frame_trips_the_sentinel_and_recovers() {
     );
 
     let corrupt: u64 = server
-        .shard_stats_all()
+        .shard_health()
         .iter()
         .map(|s| s.corrupt_renders)
         .sum();
@@ -226,13 +226,13 @@ fn a_corrupt_attempt_is_classified_alike_for_a_batch_of_three_and_a_solo_frame()
     // frame (the batch counter moves once it is in the worker's hands)
     // so the three queue up behind it and are carved into one batch.
     let shard = server.shard_of(sessions[0]);
-    let batches = server.shard_stats(shard).batches;
+    let batches = server.shard_health()[shard.index()].batches;
     let stall = server.submit(
         sessions[0],
         FrameRequest::new(pose(2)).with_fault(Fault::Stall(Duration::from_millis(500))),
     );
     let deadline = Instant::now() + Duration::from_secs(20);
-    while server.shard_stats(shard).batches == batches {
+    while server.shard_health()[shard.index()].batches == batches {
         assert!(Instant::now() < deadline, "stalled frame never scheduled");
         std::thread::yield_now();
     }
@@ -345,7 +345,7 @@ fn repeated_gemm_miscompares_quarantine_the_simd_backend() {
         "repeated miscompares must demote the SIMD backend"
     );
     let quarantines: u64 = server
-        .shard_stats_all()
+        .shard_health()
         .iter()
         .map(|s| s.quarantine_events)
         .sum();
@@ -411,7 +411,7 @@ fn each_miscompare_is_one_strike_while_other_shards_render() {
         });
     }
 
-    let stats = server.shard_stats_all();
+    let stats = server.shard_health();
     let corrupt: u64 = stats.iter().map(|s| s.corrupt_renders).sum();
     let quarantines: u64 = stats.iter().map(|s| s.quarantine_events).sum();
     assert_eq!(corrupt, 2, "one corrupt render per miscompare");

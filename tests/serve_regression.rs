@@ -402,14 +402,14 @@ fn overload_sheds_best_effort_first_and_degrades_interactive() {
         FrameRequest::new(walk_pose(0, 0)).with_fault(Fault::Stall(Duration::from_millis(700))),
     );
     let deadline = Instant::now() + Duration::from_secs(20);
-    while server.shard_stats(shard).queued > 0 {
+    while server.shard_health()[shard.index()].queued > 0 {
         assert!(Instant::now() < deadline, "stall frame never scheduled");
         std::thread::yield_now();
     }
     let queued: Vec<_> = (0..capacity)
         .map(|k| server.submit(session, FrameRequest::new(walk_pose(0, k))))
         .collect();
-    assert_eq!(server.shard_stats(shard).queued, capacity);
+    assert_eq!(server.shard_health()[shard.index()].queued, capacity);
 
     // At the watermark: every BestEffort submission sheds...
     for k in 0..3 {
@@ -566,7 +566,7 @@ fn retried_transient_panic_renders_bitwise_identical_to_a_clean_frame() {
         "retried frame diverged from a never-faulted render"
     );
     // The recovery really went through the retry path.
-    let retries: u64 = server.shard_stats_all().iter().map(|s| s.retries).sum();
+    let retries: u64 = server.shard_health().iter().map(|s| s.retries).sum();
     assert!(retries >= 1, "transient panic recovered without a retry");
 }
 
@@ -661,7 +661,7 @@ fn remove_session_resolves_every_handle_before_returning() {
     // head as "queued" like the rest.
     let shard = server.shard_of(session);
     let deadline = Instant::now() + Duration::from_secs(20);
-    while server.shard_stats(shard).batches == 0 {
+    while server.shard_health()[shard.index()].batches == 0 {
         assert!(Instant::now() < deadline, "head frame never scheduled");
         std::thread::yield_now();
     }
@@ -702,17 +702,14 @@ fn frames_after_a_shard_kill_render_bitwise_identical() {
             .collect()
     };
 
-    // Fast sweep + short backoff keep the restart quick; the
-    // heartbeat budget stays at its default (a kill is detected as
-    // Dead via the finished worker thread, and a tight budget would
-    // misread a legitimately slow render on a loaded test host as
-    // Wedged).
+    // A short backoff keeps the restart quick; the heartbeat budget
+    // (and so the 50 ms sweep) stays at its default (a kill is
+    // detected as Dead via the finished worker thread, and a tight
+    // budget would misread a legitimately slow render on a loaded test
+    // host as Wedged).
     let server = RenderServer::new(
-        ServerConfig::default().with_health(
-            HealthConfig::default()
-                .with_sweep_interval(Duration::from_millis(10))
-                .with_restart_backoff(Duration::from_millis(10), Duration::from_millis(100)),
-        ),
+        ServerConfig::default()
+            .with_health(HealthConfig::default().with_restart_backoff(Duration::from_millis(10))),
     );
     let session = server.create_session(
         Arc::clone(&scene),

@@ -395,6 +395,25 @@ mod breaker {
         }
     }
 
+    /// A config built as a struct literal is normalised like a built
+    /// one: over a window of four, the default eight minimum samples
+    /// can never be in the window, so the breaker counts four.
+    #[test]
+    fn a_struct_literal_window_below_min_samples_still_trips() {
+        let breaker = CircuitBreaker::new(BreakerConfig {
+            window: 4,
+            ..BreakerConfig::default()
+        });
+        let now = Clock::virtual_clock().now();
+        for _ in 0..32 {
+            if breaker.admit(now) == BreakerAdmit::Admit {
+                breaker.record(false, false, now);
+            }
+        }
+        assert_eq!(breaker.state(), BreakerState::Open);
+        assert_eq!(breaker.trips(), 1);
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -8,10 +8,12 @@
 //!   one terminal event (a Resolve, or a shed/break admission
 //!   verdict), no frame is orphaned, and the ring dropped nothing.
 //! * **Counter reconciliation.** The registry counters — folded from
-//!   [`RenderServer::telemetry_snapshot`] by instance label — must
-//!   equal the ground truth the test harness observed through the
-//!   frame handles themselves: rendered, failed, timed-out, shed and
+//!   [`gen_nerf_telemetry::snapshot`] by instance label — must equal
+//!   the ground truth the test harness observed through the frame
+//!   handles themselves: rendered, failed, timed-out, shed and
 //!   degraded counts, plus retries against the Retry trace events.
+//!   The server's stats views, which read the same counters through
+//!   their handles, must agree with both.
 //! * **Histogram exactness.** The latency histogram is fed the same
 //!   submit→resolve nanosecond values the Resolve trace events carry,
 //!   so every percentile must equal the bucket upper bound of the
@@ -249,7 +251,7 @@ fn chaos_schedule_traces_are_complete_and_reconcile_with_ground_truth() {
     assert_eq!(terminal_admits, truth.shed + truth.circuit);
 
     // --- Counter reconciliation --------------------------------------------
-    let snap = server.telemetry_snapshot();
+    let snap = gen_nerf_telemetry::snapshot();
     let sub: &[(&str, &str)] = &[("instance", &inst)];
     assert_eq!(
         snap.counter_with("serve_frames_rendered_total", sub),
@@ -277,11 +279,28 @@ fn chaos_schedule_traces_are_complete_and_reconcile_with_ground_truth() {
         degrade_admits
     );
     assert!(truth.degraded <= degrade_admits);
-    // The admission-stats view is itself a snapshot fold — it must
-    // agree with the same truth.
+    // The admission-stats view sums the shards' handles on the same
+    // counters — it must agree with the same truth.
     let adm = server.admission_stats();
     assert_eq!(adm.shed_total(), truth.shed + truth.circuit);
     assert_eq!(adm.degraded, degrade_admits);
+    // Every shard's view equals its registry counters, folded by
+    // `{instance, shard}`.
+    for row in server.shard_health() {
+        let idx = row.shard.to_string();
+        let shard: &[(&str, &str)] = &[("instance", &inst), ("shard", &idx)];
+        let count = |name: &str| snap.counter_with(name, shard);
+        let queued = snap.gauge_with("serve_queue_depth", shard);
+        assert_eq!(row.restarts, count("serve_shard_restarts_total"));
+        assert_eq!(row.retries, count("serve_retries_total"));
+        assert_eq!(row.batches, count("serve_batches_total"));
+        assert_eq!(row.corrupt_renders, count("serve_corrupt_renders_total"));
+        assert_eq!(
+            row.quarantine_events,
+            count("serve_quarantine_events_total")
+        );
+        assert_eq!(row.queued as i64, queued, "shard {idx}: queue depth");
+    }
     // Retries: the counter and the Retry trace events count the same
     // thing.
     let trace_retries: u64 = by_frame.values().map(|t| t.retries).sum();
@@ -326,9 +345,8 @@ fn latency_percentiles_are_exact_to_one_bucket_of_the_trace_latencies() {
     assert_eq!(exact.len(), n);
     exact.sort_unstable();
 
-    let hist = server
-        .telemetry_snapshot()
-        .histogram_merged("serve_latency_ns", &[("instance", &inst)]);
+    let hist =
+        gen_nerf_telemetry::snapshot().histogram_merged("serve_latency_ns", &[("instance", &inst)]);
     assert_eq!(hist.count, n as u64);
     for q in [0.5, 0.9, 0.99, 0.999] {
         // Same rank selection the histogram uses: the percentile must
@@ -359,17 +377,15 @@ fn traces_reconcile_across_a_shard_restart_boundary() {
     // events are present, and the ring dropped nothing.
     let scene = scene();
     let strategy = SamplingStrategy::coarse_then_focus(6, 6);
-    // A fast sweep and a short restart backoff keep the test quick.
-    // The heartbeat budget stays at its default: a kill is detected
-    // as Dead (finished worker thread), not by heartbeat age, and a
-    // tight budget would let a legitimately slow batch render on a
-    // loaded test host be misread as Wedged.
+    // A short restart backoff keeps the test quick. The heartbeat
+    // budget (and so the 50 ms sweep) stays at its default: a kill is
+    // detected as Dead (finished worker thread), not by heartbeat age,
+    // and a tight budget would let a legitimately slow batch render on
+    // a loaded test host be misread as Wedged.
     let server = RenderServer::new(
-        ServerConfig::default().with_max_shards(1).with_health(
-            HealthConfig::default()
-                .with_sweep_interval(Duration::from_millis(10))
-                .with_restart_backoff(Duration::from_millis(10), Duration::from_millis(100)),
-        ),
+        ServerConfig::default()
+            .with_max_shards(1)
+            .with_health(HealthConfig::default().with_restart_backoff(Duration::from_millis(10))),
     );
     let session = server.create_session(
         Arc::clone(&scene),
@@ -446,7 +462,7 @@ fn traces_reconcile_across_a_shard_restart_boundary() {
         "kill produced no Requeue trace events"
     );
 
-    let snap = server.telemetry_snapshot();
+    let snap = gen_nerf_telemetry::snapshot();
     let sub: &[(&str, &str)] = &[("instance", &inst)];
     let trace_requeues: u64 = by_frame.values().map(|t| t.requeues).sum();
     assert_eq!(
