@@ -40,7 +40,7 @@ use crate::dataflow::DataflowVariant;
 use crate::scheduler::{CameraRig, Patch, Scheduler};
 use crate::workload::{Stage, WorkloadSpec};
 use gen_nerf_dram::{Dram, FeatureRequest};
-use gen_nerf_parallel::Executor;
+use gen_nerf_parallel::Pool;
 use serde::{Deserialize, Serialize};
 
 /// Maximum synthetic DRAM requests issued per (patch, view); larger
@@ -155,8 +155,8 @@ pub struct Simulator {
     variant: DataflowVariant,
     /// PE efficiency within compute phases (fill/drain, ragged tiles).
     pe_efficiency: f64,
-    /// Host worker threads for the per-patch fan-out.
-    threads: usize,
+    /// The pool the per-patch fan-out is claimed on; clones share it.
+    crew: std::sync::Arc<Pool>,
     /// Row-buffer continuity across patch prefetches.
     mode: SimMode,
 }
@@ -173,7 +173,7 @@ impl Simulator {
             cfg,
             variant,
             pe_efficiency: 0.9,
-            threads: gen_nerf_parallel::num_threads(),
+            crew: std::sync::Arc::new(Pool::new(gen_nerf_parallel::num_threads())),
             mode: SimMode::default(),
         }
     }
@@ -184,12 +184,14 @@ impl Simulator {
         self
     }
 
-    /// Pins the host worker count for the per-patch fan-out (1 = fully
-    /// sequential). Reports are identical for every value; callers that
+    /// Gives the per-patch fan-out a pool of its own, `threads` wide:
+    /// the caller plus a crew of `threads − 1` (1 = fully sequential,
+    /// no crew), spawned on the first fan-out and reused by every later
+    /// call. Reports are identical for every value; callers that
     /// already parallelize *over* simulations (sweeps) use this to
     /// split the thread budget instead of nesting full pools.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
+        self.crew = std::sync::Arc::new(Pool::new(threads));
         self
     }
 
@@ -330,10 +332,10 @@ impl Simulator {
             }
         };
         let outcomes: Vec<PatchOutcome> = match self.mode {
-            // Cold rows: patches are independent; host workers claim
-            // them one at a time, each resetting its own device between
-            // patches.
-            SimMode::ColdPatches => Executor::Scoped(self.threads).claim(
+            // Cold rows: patches are independent; the caller and the
+            // crew claim them one at a time, each resetting its own
+            // device between patches.
+            SimMode::ColdPatches => self.crew.claim(
                 patches.len(),
                 || (dram_template.clone(), Vec::new()),
                 |(dram, bursts), i| {

@@ -141,7 +141,8 @@ where
     let total = gen_nerf_parallel::num_threads();
     let workers = points.len().clamp(1, total);
     let inner = (total / workers).max(1);
-    gen_nerf_parallel::par_map_threads(points, workers, |_, p| f(p, inner))
+    let pool = gen_nerf_parallel::Pool::new(workers);
+    pool.claim(points.len(), || (), |_, i| f(&points[i], inner))
 }
 
 /// Prints an aligned table with a title.

@@ -115,11 +115,11 @@
 //!   *same* pose reproduces the full render bitwise (Step ① is
 //!   deterministic); a nearby pose reuses the previous probing as an
 //!   approximation.
-//! * [`Renderer::with_pool`] hands the tile lists to a persistent
-//!   [`gen_nerf_parallel::Pool`] crew instead of scoped threads spawned
-//!   per call, sparing a steady-state serving loop the spawn/join tax
-//!   per frame. The claim loop and the tile list are the same, so the
-//!   executor never changes pixels.
+//! * [`Renderer::with_pool`] shares one persistent
+//!   [`gen_nerf_parallel::Pool`] between renderers — the server's, on
+//!   which every shard thread claims its own tiles as worker 0. The
+//!   claim loop and the tile list are the same on every pool, so the
+//!   crew never changes pixels.
 //!
 //! # Output integrity
 //!
@@ -160,13 +160,13 @@ use gen_nerf_geometry::{Aabb, Camera, Ray, Vec3};
 use gen_nerf_nn::flops::{self, FlopsCounter};
 use gen_nerf_nn::init::Rng;
 use gen_nerf_nn::kernels::{self, integrity};
-use gen_nerf_parallel::{CancelToken, Executor, Pool};
+use gen_nerf_parallel::{CancelToken, Pool};
 use gen_nerf_scene::renderer::{composite_into, composite_to};
 use gen_nerf_scene::Image;
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 mod reference;
 
@@ -200,13 +200,13 @@ struct SampleScratch {
 /// zero-allocation acquisition buffer), the fused-forward buffers, the
 /// coarse-MLP activations, the depth buffer and the composite buffers.
 ///
-/// Lives in a thread-local, so a persistent [`Pool`] worker keeps its
-/// buffers warm **across frames** — the steady-state serving loop stops
-/// paying acquisition allocations entirely — while a scoped-thread
-/// render gets fresh ones per spawn, exactly as before. Scratch
+/// Lives in a thread-local, so every thread that claims tiles — a
+/// [`Pool`]'s crew worker, or the submitting thread as worker 0 — keeps
+/// its buffers warm **across frames**, and the steady-state serving
+/// loop stops paying acquisition allocations entirely. Scratch
 /// contents never influence results (every buffer is reset or fully
-/// overwritten before use), so the executor choice stays invisible to
-/// pixels.
+/// overwritten before use), so which thread claims a tile stays
+/// invisible to pixels.
 #[derive(Default)]
 struct WorkerScratch {
     arena: AggregateArena,
@@ -818,7 +818,9 @@ pub struct Renderer<'a> {
     bounds: Aabb,
     background: Vec3,
     base_seed: u64,
-    executor: Executor<'a>,
+    /// The pool the tiles are claimed on: the caller as worker 0 and
+    /// the pool's crew.
+    crew: Arc<Pool>,
     cancel: Option<&'a CancelToken>,
 }
 
@@ -856,25 +858,28 @@ impl<'a> Renderer<'a> {
             bounds,
             background,
             base_seed,
-            executor: Executor::Scoped(gen_nerf_parallel::num_threads()),
+            crew: Arc::new(Pool::new(gen_nerf_parallel::num_threads())),
             cancel: None,
         }
     }
 
-    /// Renders on `threads` scoped workers, the caller among them
-    /// (1 = fully sequential). The rendered image and stats are
-    /// identical for every value.
+    /// Renders on a pool of its own, `threads` wide: the caller plus a
+    /// crew of `threads − 1` (1 = fully sequential, no crew), spawned on
+    /// the first pass of two or more tiles and reused by every later
+    /// call. The rendered image and stats are identical for every
+    /// value.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.executor = Executor::Scoped(threads.max(1));
+        self.crew = Arc::new(Pool::new(threads));
         self
     }
 
-    /// Has a persistent worker crew claim the tiles instead of scoped
-    /// threads spawned per call — the steady-state executor of the
-    /// render server (it replaces [`Renderer::with_threads`]). The tile
-    /// list is the same, so output is bit-for-bit identical either way.
-    pub fn with_pool(mut self, pool: &'a Pool) -> Self {
-        self.executor = Executor::Pool(pool);
+    /// Claims the tiles on a shared `pool` instead of one of its own —
+    /// the render server's, where each shard thread renders as worker 0
+    /// beside the one crew (it replaces [`Renderer::with_threads`]).
+    /// The tile list is the same, so output is bit-for-bit identical
+    /// either way.
+    pub fn with_pool(mut self, pool: &Arc<Pool>) -> Self {
+        self.crew = Arc::clone(pool);
         self
     }
 
@@ -1053,9 +1058,9 @@ impl<'a> Renderer<'a> {
     /// Fans `f` out over `0..n` as **ray tiles**: one serial pass over
     /// `points_of(ray)` cuts the rays into a list of tiles of at most
     /// [`TILE_POINTS`] sample points — a ray is indivisible, so a tile
-    /// always takes at least one — and the executor's workers claim
-    /// the tiles one at a time. Returns one result per tile in tile
-    /// order. The list depends on the rays alone, not on the executor
+    /// always takes at least one — and the caller and the pool's crew
+    /// claim the tiles one at a time. Returns one result per tile in
+    /// tile order. The list depends on the rays alone, not on the pool
     /// or the worker count, and tile geometry never changes results
     /// anyway (GEMM rows are batch-independent and every per-ray
     /// decision is a function of the ray index).
@@ -1095,10 +1100,12 @@ impl<'a> Renderer<'a> {
         #[cfg(test)]
         tests::log_tile(|| tests::TileLog::Tiles(bounds.clone()));
         let telemetry = gen_nerf_telemetry::enabled();
-        let mut tiles = self.executor.claim(
+        let mut tiles = self.crew.claim(
             bounds.len() - 1,
             || (),
             |_, tile| {
+                #[cfg(test)]
+                tests::log_thread(&self.crew);
                 if telemetry {
                     meters().tiles.inc();
                 }
@@ -1766,6 +1773,22 @@ mod tests {
         Booked(usize, [u64; 7]),
     }
 
+    /// The threads that claimed tiles on each pool a test listens to,
+    /// by the pool's address.
+    static TILE_THREADS: Mutex<Vec<(usize, Vec<std::thread::ThreadId>)>> = Mutex::new(Vec::new());
+
+    /// Notes the calling thread as one that claimed a tile on `crew`.
+    pub(super) fn log_thread(crew: &Arc<Pool>) {
+        let key = Arc::as_ptr(crew) as usize;
+        let mut listening = TILE_THREADS.lock().unwrap();
+        if let Some((_, seen)) = listening.iter_mut().find(|(k, _)| *k == key) {
+            let me = std::thread::current().id();
+            if !seen.contains(&me) {
+                seen.push(me);
+            }
+        }
+    }
+
     pub(super) fn log_tile(entry: impl FnOnce() -> TileLog) {
         TILE_LOG.with(|log| {
             if let Some(log) = log.borrow_mut().as_mut() {
@@ -2350,7 +2373,7 @@ mod tests {
         let (ds, sources, model) = setup();
         let cancel = CancelToken::new();
         cancel.cancel();
-        let pool = Pool::new(2);
+        let pool = Arc::new(Pool::new(2));
         let cameras: Vec<Camera> = ds.eval_views.iter().map(|v| v.camera).collect();
         let none = vec![None; cameras.len()];
         let bg = ds.scene.background;
@@ -2396,9 +2419,10 @@ mod tests {
     }
 
     #[test]
-    fn pool_backed_renderer_matches_scoped_threads() {
+    fn an_owned_crew_a_shared_pool_and_one_thread_render_alike() {
         let (ds, sources, model) = setup();
-        let pool = gen_nerf_parallel::Pool::new(2);
+        let pool = Arc::new(Pool::new(2));
+        let cam = ds.eval_views[0].camera;
         for strategy in [
             SamplingStrategy::Uniform { n: 6 },
             SamplingStrategy::coarse_then_focus(6, 6),
@@ -2411,12 +2435,46 @@ mod tests {
                     ds.scene.bounds,
                     ds.scene.background,
                 )
-                .with_threads(2)
             };
-            let (img_scoped, stats_scoped) = base().render(&ds.eval_views[0].camera);
-            let (img_pool, stats_pool) = base().with_pool(&pool).render(&ds.eval_views[0].camera);
-            assert_eq!(img_scoped.as_slice(), img_pool.as_slice(), "{strategy:?}");
-            assert_eq!(stats_scoped.points, stats_pool.points, "{strategy:?}");
+            let bits = |r: Renderer| {
+                let (img, stats) = r.render(&cam);
+                let bits: Vec<u32> = img.as_slice().iter().map(|v| v.to_bits()).collect();
+                (bits, stats.points, stats.feature_fetches)
+            };
+            let one = bits(base().with_threads(1));
+            assert_eq!(bits(base().with_threads(2)), one, "{strategy:?}");
+            assert_eq!(bits(base().with_pool(&pool)), one, "{strategy:?}");
         }
+    }
+
+    #[test]
+    fn a_renderer_claims_every_pass_on_one_crew() {
+        let (ds, sources, model) = setup();
+        let r = Renderer::new(
+            &model,
+            &sources,
+            SamplingStrategy::coarse_then_focus(16, 12),
+            ds.scene.bounds,
+            ds.scene.background,
+        )
+        .with_threads(3);
+        let key = Arc::as_ptr(&r.crew) as usize;
+        TILE_THREADS.lock().unwrap().push((key, Vec::new()));
+        // Two frames of two passes each, every pass several tiles: a
+        // renderer that spawned threads per pass would show more than
+        // its caller and two crew workers here.
+        let cam = ds.eval_views[0].camera;
+        r.render(&cam);
+        r.render(&cam);
+        let threads = {
+            let mut listening = TILE_THREADS.lock().unwrap();
+            let at = listening.iter().position(|(k, _)| *k == key).unwrap();
+            listening.remove(at).1
+        };
+        assert!(
+            (1..=3).contains(&threads.len()),
+            "tiles ran on {} threads",
+            threads.len()
+        );
     }
 }

@@ -4,7 +4,7 @@
 //! harness all fan the same shape of work out over cores: `n`
 //! independent items, each mapped to a result, with results needed in
 //! item order. This crate has one mechanism for that shape, the
-//! **claim loop** ([`Executor::claim`]): workers pull item indices from
+//! **claim loop** ([`Pool::claim`]): workers pull item indices from
 //! one atomic cursor until it runs dry, a worker may keep private state
 //! across its claims, and the result of item `i` lands in slot `i`.
 //! Nothing is split up front, so a worker that draws cheap items simply
@@ -16,13 +16,15 @@
 //!   state, which must not influence results), so the output is
 //!   bit-for-bit identical no matter how many workers run (including
 //!   one). The parallel renderer's regression test pins this.
-//! * **Zero dependencies.** Scoped threads and `std` synchronisation
-//!   only; no external crates, no global thread pool.
+//! * **Zero dependencies.** `std` threads and synchronisation only; no
+//!   external crates, no global thread pool.
 //!
-//! Who runs a claim loop is the only choice: [`Executor::Scoped`]
-//! spawns scoped threads beside the caller for one call, and
-//! [`Executor::Pool`] hands the items to a persistent [`Pool`] crew,
-//! which rotates its claims over every job submitted to it.
+//! One [`Pool`] runs every claim loop: a pool of width `w` is its
+//! caller plus a persistent crew of `w − 1` workers. The caller claims
+//! as worker 0 — the thread that creates the work runs it, the
+//! work-first principle of Cilk — and the crew only helps, so a
+//! submitter never parks while its own items wait, and a claim made
+//! from inside an item completes.
 //!
 //! The worker count comes from [`num_threads`]: the `GEN_NERF_THREADS`
 //! environment variable when set, otherwise
@@ -31,10 +33,11 @@
 #![warn(unreachable_pub)]
 
 use std::any::Any;
+use std::cell::Cell;
 use std::num::NonZeroUsize;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// Environment variable overriding the worker count.
 pub(crate) const THREADS_ENV: &str = "GEN_NERF_THREADS";
@@ -97,32 +100,11 @@ impl CancelToken {
 /// The configured worker count: `GEN_NERF_THREADS` if set and
 /// positive, otherwise the machine's available parallelism.
 pub fn num_threads() -> usize {
-    if let Ok(v) = std::env::var(THREADS_ENV) {
-        if let Ok(n) = v.parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1)
-}
-
-/// Maps `f` over `items` in input order using up to `threads` workers
-/// claiming one item at a time.
-///
-/// `f` receives `(index, &item)`. With `threads <= 1` (or fewer than
-/// two items) the map runs inline on the caller's thread; the output
-/// is identical either way, which is what makes the sequential and
-/// parallel paths comparable bit-for-bit.
-pub fn par_map_threads<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    Executor::Scoped(threads).claim(items.len(), || (), |_, i| f(i, &items[i]))
+    let set = std::env::var(THREADS_ENV).ok().and_then(|v| v.parse().ok());
+    set.filter(|&n: &usize| n >= 1).unwrap_or_else(|| {
+        let cores = std::thread::available_parallelism();
+        cores.map_or(1, NonZeroUsize::get)
+    })
 }
 
 /// Locks `m`, ignoring poison: every lock here guards data a panic
@@ -132,72 +114,22 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Unwraps `m`, ignoring poison as [`lock`] does.
+fn into_inner<T>(m: Mutex<T>) -> T {
+    m.into_inner().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Waits on `cv` with `guard`, ignoring poison as [`lock`] does.
 fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
     cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
-/// Who runs a claim loop. The items, the cursor and the result slots
-/// are the same either way, so the choice never changes results.
-#[derive(Clone, Copy)]
-pub enum Executor<'a> {
-    /// Up to this many workers for one call: the caller plus scoped
-    /// threads spawned for the call and joined before it returns.
-    Scoped(usize),
-    /// The persistent crew of a [`Pool`]; the caller waits.
-    Pool(&'a Pool),
-}
-
-impl Executor<'_> {
-    /// Runs `f(state, i)` for every item `i` in `0..n` and returns the
-    /// results in item order. Workers claim items one at a time from
-    /// one atomic cursor; a worker builds its `state` with `init` on
-    /// its first claim and keeps it across its later claims of this
-    /// call. Fewer than two items, or a single scoped worker, run
-    /// inline on the caller.
-    ///
-    /// # Panics
-    ///
-    /// When an item panics, no further item of this call starts, and
-    /// the first panic is resumed on the caller once every item in
-    /// flight has finished. A [`Pool`] crew survives it: the panic
-    /// belongs to this call, and the crew's next job runs clean.
-    pub fn claim<S, R, I, F>(self, n: usize, init: I, f: F) -> Vec<R>
-    where
-        S: Send,
-        R: Send,
-        I: Fn() -> S + Sync,
-        F: Fn(&mut S, usize) -> R + Sync,
-    {
-        let (workers, inline) = match self {
-            Executor::Scoped(threads) => (threads.min(n), threads.min(n) <= 1),
-            Executor::Pool(pool) => (pool.threads(), n <= 1),
-        };
-        if inline {
-            let mut state = init();
-            return (0..n).map(|i| f(&mut state, i)).collect();
-        }
-        let claims = Claims {
-            next: AtomicUsize::new(0),
-            n,
-            slots: (0..n).map(|_| Mutex::new(None)).collect(),
-            states: (0..workers).map(|_| Mutex::new(None)).collect(),
-            init,
-            f,
-            panic: Mutex::new(None),
-        };
-        match self {
-            Executor::Scoped(_) => std::thread::scope(|scope| {
-                let claims = &claims;
-                for w in 1..workers {
-                    scope.spawn(move || while claims.step_as(w) {});
-                }
-                while claims.step_as(0) {}
-            }),
-            Executor::Pool(pool) => pool.run(&claims),
-        }
-        claims.finish()
-    }
+thread_local! {
+    /// The crew whose render slot this thread holds, by address (0 for
+    /// none): a crew worker's own, or the pool a submitter is claiming
+    /// on. A claim made from inside an item runs on the slot its thread
+    /// already holds.
+    static SLOT: Cell<usize> = const { Cell::new(0) };
 }
 
 /// One claim loop's shared state: the cursor, a slot per item result,
@@ -205,9 +137,9 @@ impl Executor<'_> {
 struct Claims<S, R, I, F> {
     /// The next unclaimed item; at or past `n` once none is left. It
     /// publishes no data, so `Relaxed` is enough: results travel
-    /// through the slot locks and then the crew lock or the scope's
-    /// join, and a worker that settles back into the crew has every
-    /// claim it made ordered before that lock.
+    /// through the slot locks and then the crew lock, and a worker that
+    /// settles back into the crew has every claim it made ordered
+    /// before that lock.
     next: AtomicUsize,
     n: usize,
     slots: Vec<Mutex<Option<R>>>,
@@ -223,6 +155,8 @@ struct Claims<S, R, I, F> {
 /// A claim loop as the crew sees it, with its item and state types
 /// erased.
 trait Job: Sync {
+    /// Runs claimed item `i` as worker `w`; `false` if it panicked.
+    fn run_as(&self, w: usize, i: usize) -> bool;
     /// Claims the next item and runs it as worker `w`; `false` once
     /// no item is left.
     fn step_as(&self, w: usize) -> bool;
@@ -237,24 +171,25 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> R + Sync,
 {
-    fn step_as(&self, w: usize) -> bool {
-        let step = || {
-            let i = self.next.fetch_add(1, Ordering::Relaxed);
-            if i >= self.n {
-                return false;
-            }
+    fn run_as(&self, w: usize, i: usize) -> bool {
+        let run = || {
             let mut state = lock(&self.states[w]);
             let result = (self.f)(state.get_or_insert_with(&self.init), i);
             *lock(&self.slots[i]) = Some(result);
-            true
         };
-        panic::catch_unwind(AssertUnwindSafe(step)).unwrap_or_else(|payload| {
-            // The panic poisons this job only: keep the first payload
-            // and close the cursor so no further item starts.
-            lock(&self.panic).get_or_insert(payload);
-            self.next.fetch_max(self.n, Ordering::Relaxed);
-            false
-        })
+        let Err(payload) = panic::catch_unwind(AssertUnwindSafe(run)) else {
+            return true;
+        };
+        // The panic poisons this job only: keep the first payload and
+        // close the cursor so no further item starts.
+        lock(&self.panic).get_or_insert(payload);
+        self.next.fetch_max(self.n, Ordering::Relaxed);
+        false
+    }
+
+    fn step_as(&self, w: usize) -> bool {
+        let i = self.next.fetch_add(1, Ordering::Relaxed);
+        i < self.n && self.run_as(w, i)
     }
 
     fn exhausted(&self) -> bool {
@@ -266,26 +201,17 @@ impl<S, R, I, F> Claims<S, R, I, F> {
     /// The results in item order, once every worker has stopped —
     /// or the first item's panic, resumed.
     fn finish(self) -> Vec<R> {
-        if let Some(payload) = self
-            .panic
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-        {
+        if let Some(payload) = into_inner(self.panic) {
             panic::resume_unwind(payload);
         }
-        self.slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .expect("every item ran")
-            })
-            .collect()
+        let slots = self.slots.into_iter().map(into_inner);
+        slots.map(|slot| slot.expect("every item ran")).collect()
     }
 }
 
 /// A job registered with the crew: an erased-lifetime pointer to the
-/// submitter's [`Claims`], and how many workers are inside it.
+/// submitter's [`Claims`], and how many crew workers are inside it.
+#[derive(Debug)]
 struct Entry {
     id: u64,
     job: *const (dyn Job + 'static),
@@ -296,7 +222,7 @@ struct Entry {
 
 // SAFETY: `job` is the only field that is not `Send`. Its pointee is
 // `Sync` (`Job: Sync`), so using it from any worker is sound, and it
-// lives on the submitter's stack, which blocks in `Pool::run` until the
+// lives on the submitter's stack, which stays in `Pool::claim` until the
 // entry is unregistered; a worker dereferences it only while the entry
 // is registered (under the crew lock) or pinned (`active > 0`), and the
 // submitter unregisters it only when unpinned.
@@ -310,117 +236,198 @@ impl Entry {
     }
 }
 
+#[derive(Debug, Default)]
 struct CrewState {
     jobs: Vec<Entry>,
     next_id: u64,
-    /// Where the next claim starts looking: claims rotate round-robin
-    /// over live jobs, so a short job is never stuck behind a long one.
+    /// Where the next crew claim starts looking: claims rotate
+    /// round-robin over live jobs.
     turn: usize,
+    /// Threads holding one of the pool's render slots: every submitter
+    /// from its arrival until its cursor runs dry, and every crew
+    /// worker for the one item it runs.
+    running: usize,
+    /// The crew workers among `running`.
+    helping: usize,
     shutdown: bool,
 }
 
+#[derive(Debug)]
 struct Crew {
+    /// The pool's width: its render slots, and one more than its crew.
+    width: usize,
     state: Mutex<CrewState>,
-    /// Wakes workers: a job registered, or shutdown.
+    /// Wakes crew workers: a job registered, a slot freed, or shutdown.
     work: Condvar,
-    /// Wakes submitters: a worker settled back into a job.
+    /// Wakes submitters: a crew worker settled back, or a slot freed.
     done: Condvar,
 }
 
-/// A persistent worker crew running claim loops for any number of
-/// concurrent submitters.
+/// A claim-loop executor of width `w`: the caller of [`Pool::claim`]
+/// and a persistent crew of `w − 1` workers.
 ///
-/// A steady-state server would pay a spawn/join tax on every fan-out
-/// of every frame with [`Executor::Scoped`]; `Pool` keeps the workers
-/// alive: they are spawned once, parked on a condvar while no job is
-/// live, and every [`Executor::Pool`] call registers its claim loop
-/// with them. Each claim goes to the next live job round-robin, so
-/// jobs of several submitters (the shards of a render server) share
-/// the crew item by item. A panicking item fails its own job and
-/// leaves every worker healthy. Results are those of any other
-/// executor, so swapping executors never changes rendered output (the
-/// serve regression suite pins this).
+/// The crew is spawned on the pool's first claim of two or more items
+/// (a width-1 pool, or one only ever handed single items, spawns
+/// nothing), parks on a condvar while no job has items left, and
+/// lives until the pool drops, so an owner that claims every frame
+/// pays no spawn/join tax after its first. Any number of threads may
+/// submit at once — the shards of a render server all claim on the
+/// server's one pool.
 ///
-/// Submitting from inside one of the crew's own items deadlocks once
-/// every worker waits that way; nothing in the workspace nests them.
+/// **The slot protocol.** A submitter always runs its own job: it
+/// claims the job's first item before the crew can see it and keeps
+/// claiming until the cursor runs dry. Crew workers rotate round-robin
+/// over the live jobs, one item per claim, and take an item only while
+/// fewer than `w` of the pool's threads hold a render slot; a submitter
+/// that arrives when every slot is taken and some crew worker holds
+/// one waits for that worker's current item to end. So at most
+/// max(`w`, concurrent submitters) threads run items, a short job waits
+/// behind at most one item of a long one, and a claim from inside an
+/// item runs on the slot its thread already holds. Results are those
+/// of a serial map at every width, so the width never changes rendered
+/// output (the serve regression suite pins this). A panicking item
+/// fails its own job and leaves every worker healthy.
+#[derive(Debug)]
 pub struct Pool {
     crew: Arc<Crew>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    workers: OnceLock<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl Pool {
-    /// Spawns a pool with `threads` persistent workers (at least one).
+    /// A pool of width `threads` (at least one); spawns nothing yet.
     pub fn new(threads: usize) -> Self {
-        let crew = Arc::new(Crew {
-            state: Mutex::new(CrewState {
-                jobs: Vec::new(),
-                next_id: 0,
-                turn: 0,
-                shutdown: false,
+        Self {
+            crew: Arc::new(Crew {
+                width: threads.max(1),
+                state: Mutex::default(),
+                work: Condvar::new(),
+                done: Condvar::new(),
             }),
-            work: Condvar::new(),
-            done: Condvar::new(),
-        });
-        let workers = (0..threads.max(1))
-            .map(|w| {
-                let crew = Arc::clone(&crew);
-                std::thread::Builder::new()
-                    .name(format!("gen-nerf-pool-{w}"))
-                    .spawn(move || worker_loop(&crew, w))
-                    .expect("spawn pool worker")
-            })
-            .collect();
-        Self { crew, workers }
+            workers: OnceLock::new(),
+        }
     }
 
-    /// Number of persistent workers.
+    /// The pool's width: the submitter plus its crew.
     pub fn threads(&self) -> usize {
-        self.workers.len()
+        self.crew.width
     }
 
-    /// Registers `job` with the crew and blocks until every item of it
-    /// has been claimed and no worker is inside it any more.
-    fn run(&self, job: &(dyn Job + '_)) {
-        // SAFETY: only the borrow's lifetime is erased; the wait below
-        // keeps `job` registered, and `job` alive, until no worker
-        // holds it, and the entry is removed before this returns.
-        let job = unsafe {
-            std::mem::transmute::<*const (dyn Job + '_), *const (dyn Job + 'static)>(job)
+    /// Runs `f(state, i)` for every item `i` in `0..n` and returns the
+    /// results in item order. The caller claims items one at a time
+    /// from one atomic cursor as worker 0, with crew workers helping
+    /// under the slot protocol (see [`Pool`]); a worker builds its
+    /// `state` with `init` on its first claim and keeps it across its
+    /// later claims of this call.
+    ///
+    /// # Panics
+    ///
+    /// When an item panics, no further item of this call starts, and
+    /// the first panic is resumed on the caller once every item in
+    /// flight has finished. The crew survives it: the panic belongs to
+    /// this call, and the crew's next job runs clean.
+    pub fn claim<S, R, I, F>(&self, n: usize, init: I, f: F) -> Vec<R>
+    where
+        S: Send,
+        R: Send,
+        I: Fn() -> S + Sync,
+        F: Fn(&mut S, usize) -> R + Sync,
+    {
+        let claims = Claims {
+            next: AtomicUsize::new(0),
+            n,
+            slots: (0..n).map(|_| Mutex::new(None)).collect(),
+            states: (0..self.crew.width).map(|_| Mutex::new(None)).collect(),
+            init,
+            f,
+            panic: Mutex::new(None),
         };
         let crew = &*self.crew;
-        let mut state = lock(&crew.state);
-        let id = state.next_id;
-        state.next_id += 1;
-        state.jobs.push(Entry { id, job, active: 0 });
-        crew.work.notify_all();
-        loop {
-            let at = state.jobs.iter().position(|e| e.id == id);
-            let at = at.expect("a job stays registered until its submitter returns");
-            if state.jobs[at].active == 0 && state.jobs[at].job().exhausted() {
-                state.jobs.remove(at);
-                return;
-            }
-            state = wait(&crew.done, state);
+        let help = n > 1 && crew.width > 1;
+        if help {
+            // Workers `1..width`; worker 0 is whoever submits.
+            self.workers.get_or_init(|| {
+                let spawn = |w| {
+                    let crew = Arc::clone(&self.crew);
+                    std::thread::Builder::new()
+                        .name(format!("gen-nerf-pool-{w}"))
+                        .spawn(move || worker_loop(&crew, w))
+                        .expect("spawn pool worker")
+                };
+                (1..crew.width).map(spawn).collect()
+            });
         }
+        // The first item is ours before the crew can see the job.
+        let first = claims.next.fetch_add(1, Ordering::Relaxed);
+        let key = crew as *const Crew as usize;
+        let held = SLOT.with(|slot| slot.replace(key));
+        let mut state = lock(&crew.state);
+        let id = help.then(|| {
+            let job: &(dyn Job + '_) = &claims;
+            // SAFETY: only the borrow's lifetime is erased; the job
+            // stays registered, and `claims` alive, until no worker
+            // holds it, and the entry is removed before this returns.
+            let job = unsafe {
+                std::mem::transmute::<*const (dyn Job + '_), *const (dyn Job + 'static)>(job)
+            };
+            let id = state.next_id;
+            state.next_id += 1;
+            state.jobs.push(Entry { id, job, active: 0 });
+            crew.work.notify_all();
+            id
+        });
+        // Take a render slot, unless this claim runs inside an item of
+        // this pool and so on its slot; wait only while a crew worker
+        // holds a slot the pool is short of.
+        if held != key {
+            state.running += 1;
+            while state.helping > 0 && state.running > crew.width {
+                state = wait(&crew.done, state);
+            }
+        }
+        drop(state);
+        if first < n && claims.run_as(0, first) {
+            while claims.step_as(0) {}
+        }
+        // The cursor is dry: hand the slot back (to a submitter waiting
+        // for one, or to the crew), then wait out the crew's items.
+        let mut state = lock(&crew.state);
+        if held != key {
+            if state.running > crew.width {
+                crew.done.notify_all();
+            }
+            state.running -= 1;
+            if state.running + 1 == crew.width && state.jobs.iter().any(|e| !e.job().exhausted()) {
+                crew.work.notify_all();
+            }
+        }
+        SLOT.with(|slot| slot.set(held));
+        if let Some(id) = id {
+            while state.jobs.iter().any(|e| e.id == id && e.active > 0) {
+                state = wait(&crew.done, state);
+            }
+            state.jobs.retain(|e| e.id != id);
+        }
+        drop(state);
+        claims.finish()
     }
 
     /// Maps `f` over contiguous ranges of `0..n`, concatenating the
     /// per-range results in range order: at most `threads` ranges
-    /// (further capped by the pool size), sized within one item of each
-    /// other, each one item of a claim loop on the crew. One range runs
-    /// inline on the caller.
+    /// (further capped by the pool's width), sized within one item of
+    /// each other, each one item of a claim loop. One range runs on the
+    /// caller alone.
     ///
     /// # Panics
     ///
     /// Re-raises the panic of a range that panicked (see
-    /// [`Executor::claim`]); the pool keeps serving.
+    /// [`Pool::claim`]); the pool keeps serving.
     pub fn run_chunks<R, F>(&self, n: usize, threads: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(usize, usize) -> R + Sync,
     {
         let size = n.div_ceil(threads.clamp(1, self.threads())).max(1);
-        Executor::Pool(self).claim(
+        self.claim(
             n.div_ceil(size),
             || (),
             |_, c| f(c * size, ((c + 1) * size).min(n)),
@@ -428,10 +435,11 @@ impl Pool {
     }
 }
 
-/// A crew worker: claims an item of the next live job round-robin,
-/// runs it outside the lock, settles back, and parks while no job has
-/// items left.
+/// Crew worker `w`: while a render slot is free, claims an item of the
+/// next live job round-robin, runs it outside the lock and settles
+/// back; otherwise parks.
 fn worker_loop(crew: &Crew, w: usize) {
+    SLOT.with(|slot| slot.set(crew as *const Crew as usize));
     let mut state = lock(&crew.state);
     loop {
         if state.shutdown {
@@ -441,11 +449,13 @@ fn worker_loop(crew: &Crew, w: usize) {
         let pick = (0..live)
             .map(|k| (state.turn + k) % live)
             .find(|&at| !state.jobs[at].job().exhausted());
-        let Some(at) = pick else {
+        let Some(at) = pick.filter(|_| state.running < crew.width) else {
             state = wait(&crew.work, state);
             continue;
         };
         state.turn = at + 1;
+        state.running += 1;
+        state.helping += 1;
         let entry = &mut state.jobs[at];
         entry.active += 1;
         let (id, job) = (entry.id, entry.job);
@@ -456,10 +466,14 @@ fn worker_loop(crew: &Crew, w: usize) {
         let job = unsafe { &*job };
         job.step_as(w);
         state = lock(&crew.state);
+        // A submitter waits for a slot only while the pool is over-full.
+        let crowded = state.running > crew.width;
+        state.running -= 1;
+        state.helping -= 1;
         let entry = state.jobs.iter_mut().find(|e| e.id == id);
         let entry = entry.expect("a pinned job stays registered");
         entry.active -= 1;
-        if entry.active == 0 && job.exhausted() {
+        if crowded || (entry.active == 0 && job.exhausted()) {
             crew.done.notify_all();
         }
     }
@@ -469,7 +483,7 @@ impl Drop for Pool {
     fn drop(&mut self) {
         lock(&self.crew.state).shutdown = true;
         self.crew.work.notify_all();
-        for handle in self.workers.drain(..) {
+        for handle in self.workers.take().into_iter().flatten() {
             let _ = handle.join();
         }
     }
@@ -479,11 +493,21 @@ impl Drop for Pool {
 mod tests {
     use super::*;
     use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// `f` mapped over `items` on a pool of width `threads`.
+    fn par_map<T: Sync, R: Send>(
+        items: &[T],
+        threads: usize,
+        f: impl Fn(usize, &T) -> R + Sync,
+    ) -> Vec<R> {
+        Pool::new(threads).claim(items.len(), || (), |_, i| f(i, &items[i]))
+    }
 
     #[test]
     fn par_map_preserves_order() {
         let items: Vec<u64> = (0..1000).collect();
-        let out = par_map_threads(&items, 8, |i, &v| {
+        let out = par_map(&items, 8, |i, &v| {
             assert_eq!(i as u64, v);
             v * 3
         });
@@ -494,23 +518,23 @@ mod tests {
     fn threads_do_not_change_results() {
         let items: Vec<f64> = (0..337).map(|i| i as f64 * 0.37).collect();
         let work = |_: usize, &x: &f64| (x.sin() * 1e6).round() as i64;
-        let one = par_map_threads(&items, 1, work);
+        let one = par_map(&items, 1, work);
         for t in [2, 3, 7, 16] {
-            assert_eq!(par_map_threads(&items, t, work), one, "threads = {t}");
+            assert_eq!(par_map(&items, t, work), one, "threads = {t}");
         }
     }
 
     #[test]
     fn empty_and_singleton_inputs() {
         let empty: Vec<u32> = Vec::new();
-        assert!(par_map_threads(&empty, 4, |_, &v| v).is_empty());
-        assert_eq!(par_map_threads(&[9u32], 4, |_, &v| v + 1), vec![10]);
+        assert!(par_map(&empty, 4, |_, &v| v).is_empty());
+        assert_eq!(par_map(&[9u32], 4, |_, &v| v + 1), vec![10]);
     }
 
     #[test]
     fn more_threads_than_items() {
         let items = [1u32, 2, 3];
-        assert_eq!(par_map_threads(&items, 64, |_, &v| v * 2), vec![2, 4, 6]);
+        assert_eq!(par_map(&items, 64, |_, &v| v * 2), vec![2, 4, 6]);
     }
 
     #[test]
@@ -519,26 +543,24 @@ mod tests {
             let pool = Pool::new(width);
             for n in [0usize, 1, 7, 1000] {
                 let serial: Vec<u64> = (0..n as u64).map(|i| i * i + 3).collect();
-                for executor in [Executor::Scoped(width), Executor::Pool(&pool)] {
-                    // A worker builds its state once and keeps it: the
-                    // claims it counts cover every item exactly once.
-                    let inits = AtomicUsize::new(0);
-                    let claimed = AtomicUsize::new(0);
-                    let out = executor.claim(
-                        n,
-                        || {
-                            inits.fetch_add(1, Ordering::Relaxed);
-                            CountOnDrop(0, &claimed)
-                        },
-                        |seen, i| {
-                            seen.0 += 1;
-                            (i * i + 3) as u64
-                        },
-                    );
-                    assert_eq!(out, serial, "n={n} width={width}");
-                    assert!(inits.into_inner() <= width.max(1), "n={n} width={width}");
-                    assert_eq!(claimed.into_inner(), n, "n={n} width={width}");
-                }
+                // A worker builds its state once and keeps it: the
+                // claims it counts cover every item exactly once.
+                let inits = AtomicUsize::new(0);
+                let claimed = AtomicUsize::new(0);
+                let out = pool.claim(
+                    n,
+                    || {
+                        inits.fetch_add(1, Ordering::Relaxed);
+                        CountOnDrop(0, &claimed)
+                    },
+                    |seen, i| {
+                        seen.0 += 1;
+                        (i * i + 3) as u64
+                    },
+                );
+                assert_eq!(out, serial, "n={n} width={width}");
+                assert!(inits.into_inner() <= width, "n={n} width={width}");
+                assert_eq!(claimed.into_inner(), n, "n={n} width={width}");
             }
         }
     }
@@ -577,12 +599,26 @@ mod tests {
     }
 
     #[test]
+    fn the_crew_spawns_on_the_first_claim_of_two_items() {
+        let pool = Pool::new(3);
+        assert!(pool.workers.get().is_none(), "spawned at construction");
+        assert_eq!(pool.claim(1, || (), |_, i| i), vec![0]);
+        assert!(pool.workers.get().is_none(), "spawned for one item");
+        assert_eq!(pool.claim(2, || (), |_, i| i), vec![0, 1]);
+        assert_eq!(pool.workers.get().map(Vec::len), Some(2));
+        // A width-1 pool has no crew to spawn.
+        let solo = Pool::new(1);
+        assert_eq!(solo.claim(64, || (), |_, i| i).len(), 64);
+        assert_eq!(solo.workers.get().map(Vec::len), None);
+    }
+
+    #[test]
     fn pool_reuses_workers_across_jobs() {
         use std::collections::HashSet;
         let pool = Pool::new(3);
         let mut ids = HashSet::new();
-        // Many jobs on one pool: the set of worker threads must not
-        // grow with the job count.
+        // Many jobs on one pool: the set of threads (the caller and
+        // the crew) must not grow with the job count.
         for _ in 0..16 {
             for id in pool.run_chunks(6, 3, |_, _| std::thread::current().id()) {
                 ids.insert(id);
@@ -657,7 +693,7 @@ mod tests {
             let panicked = &panicked;
             let bad = scope.spawn(move || {
                 std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    Executor::Pool(pool).claim(
+                    pool.claim(
                         100,
                         || (),
                         |_, i| {
@@ -670,9 +706,10 @@ mod tests {
                     )
                 }))
             });
-            // Item 0 of the good job waits until the bad job has
-            // panicked, so the two are live on the crew together.
-            let good = Executor::Pool(pool).claim(
+            // Item 0 of the good job, which its submitter runs, waits
+            // until the bad job has panicked, so the two are live on
+            // the pool together.
+            let good = pool.claim(
                 1000,
                 || (),
                 |_, i| {
@@ -686,25 +723,24 @@ mod tests {
             let err = bad.join().unwrap().unwrap_err();
             assert_eq!(err.downcast_ref::<&str>(), Some(&"bad item"));
         });
-        let next = Executor::Pool(&pool).claim(64, || (), |_, i| i + 1);
+        let next = pool.claim(64, || (), |_, i| i + 1);
         assert_eq!(next, (1..=64).collect::<Vec<_>>());
     }
 
     #[test]
     fn a_short_job_behind_a_long_one_finishes_first() {
-        // One worker. Every item of the long job announces itself and
-        // waits for a token; the short job is registered while the
-        // worker sits in the long job's first item.
-        let pool = Pool::new(1);
+        // Width 2: the long job's submitter and the crew worker each
+        // sit in one of its two items, every item waiting for a token,
+        // before the short job is submitted.
+        let pool = Pool::new(2);
         let (started, long_items) = mpsc::channel();
         let (token, tokens) = mpsc::channel::<()>();
         let tokens = Mutex::new(tokens);
-        let short_done = AtomicUsize::new(0);
         std::thread::scope(|scope| {
-            let (pool, short_done) = (&pool, &short_done);
+            let pool = &pool;
             let long = scope.spawn(|| {
-                Executor::Pool(pool).claim(
-                    3,
+                pool.claim(
+                    2,
                     || (),
                     |_, i| {
                         started.send(i).unwrap();
@@ -713,35 +749,77 @@ mod tests {
                     },
                 )
             });
-            assert_eq!(long_items.recv().unwrap(), 0);
-            let short = scope.spawn(move || {
-                Executor::Pool(pool).claim(
-                    2,
-                    || (),
-                    |_, i| {
-                        short_done.fetch_add(1, Ordering::Relaxed);
-                        10 + i
-                    },
-                )
-            });
-            while lock(&pool.crew.state).jobs.len() < 2 {
-                std::thread::yield_now();
-            }
-            // Each token finishes one long item; the claim after it
-            // goes to the short job.
+            let mut seen = [long_items.recv().unwrap(), long_items.recv().unwrap()];
+            seen.sort_unstable();
+            assert_eq!(seen, [0, 1]);
+            let short = scope.spawn(move || pool.claim(2, || (), |_, i| 10 + i));
+            // One token ends one long item, which frees a slot: the
+            // short job completes while the other long item still
+            // waits.
             token.send(()).unwrap();
-            assert_eq!(long_items.recv().unwrap(), 1);
-            assert_eq!(short_done.load(Ordering::Relaxed), 1);
-            token.send(()).unwrap();
-            assert_eq!(long_items.recv().unwrap(), 2);
-            // The short job is complete; the long one is still in its
-            // last item.
-            assert_eq!(short_done.load(Ordering::Relaxed), 2);
             assert_eq!(short.join().unwrap(), vec![10, 11]);
             assert!(!long.is_finished());
             token.send(()).unwrap();
-            assert_eq!(long.join().unwrap(), vec![0, 1, 2]);
+            assert_eq!(long.join().unwrap(), vec![0, 1]);
         });
+    }
+
+    #[test]
+    fn a_claim_from_inside_an_item_completes() {
+        for width in [1, 2, 3] {
+            let (sent, outcome) = mpsc::channel();
+            std::thread::spawn(move || {
+                let pool = Pool::new(width);
+                let out = pool.claim(
+                    4,
+                    || (),
+                    |_, i| {
+                        pool.claim(3, || (), |_, j| i * 10 + j)
+                            .iter()
+                            .sum::<usize>()
+                    },
+                );
+                let _ = sent.send(out);
+            });
+            let out = outcome
+                .recv_timeout(Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("a nested claim hung at width {width}"));
+            assert_eq!(out, vec![3, 33, 63, 93], "width {width}");
+        }
+    }
+
+    #[test]
+    fn at_most_max_of_width_and_submitters_threads_run_items() {
+        for (width, submitters) in [(1, 3), (2, 1), (2, 2), (3, 2), (4, 2), (2, 5)] {
+            let pool = Pool::new(width);
+            let inside = AtomicUsize::new(0);
+            let high = AtomicUsize::new(0);
+            std::thread::scope(|scope| {
+                for _ in 0..submitters {
+                    scope.spawn(|| {
+                        for _ in 0..20 {
+                            pool.claim(
+                                24,
+                                || (),
+                                |_, i| {
+                                    let now = inside.fetch_add(1, Ordering::SeqCst) + 1;
+                                    high.fetch_max(now, Ordering::SeqCst);
+                                    std::thread::sleep(Duration::from_micros(50));
+                                    inside.fetch_sub(1, Ordering::SeqCst);
+                                    i
+                                },
+                            );
+                        }
+                    });
+                }
+            });
+            let high = high.into_inner();
+            let bound = width.max(submitters);
+            assert!(
+                high <= bound,
+                "width {width}, {submitters} submitters: {high} threads"
+            );
+        }
     }
 
     #[test]

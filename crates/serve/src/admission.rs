@@ -37,12 +37,10 @@ pub struct AdmissionConfig {
 }
 
 impl AdmissionConfig {
-    /// A policy shedding BestEffort past `queue_capacity` (at least
-    /// one) and Interactive past twice that.
+    /// A policy shedding BestEffort past `queue_capacity` and
+    /// Interactive past twice that; a capacity below one reads as one.
     pub fn with_capacity(queue_capacity: usize) -> Self {
-        Self {
-            queue_capacity: queue_capacity.max(1),
-        }
+        Self { queue_capacity }
     }
 }
 
@@ -78,6 +76,7 @@ pub(crate) enum AdmissionDecision {
 /// probe frame can still be degraded or shed by capacity, in which
 /// case the caller must return the probe slot via
 /// [`CircuitBreaker::abort_probe`](crate::supervisor::CircuitBreaker::abort_probe).
+/// A capacity below one reads as one, however the config was built.
 pub(crate) fn admission_decision_supervised(
     cfg: &AdmissionConfig,
     class: DeadlineClass,
@@ -86,9 +85,9 @@ pub(crate) fn admission_decision_supervised(
 ) -> AdmissionDecision {
     if breaker == BreakerAdmit::Shed {
         AdmissionDecision::Break
-    } else if depth < cfg.queue_capacity {
+    } else if depth < cfg.queue_capacity.max(1) {
         AdmissionDecision::Admit
-    } else if class == DeadlineClass::Interactive && depth < cfg.queue_capacity * 2 {
+    } else if class == DeadlineClass::Interactive && depth < cfg.queue_capacity.max(1) * 2 {
         AdmissionDecision::Degrade
     } else {
         AdmissionDecision::Shed

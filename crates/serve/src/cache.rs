@@ -209,7 +209,7 @@ pub(crate) struct AnchorCache {
 
 impl AnchorCache {
     /// A cache under `cfg`'s budget with `reserved` bytes already
-    /// charged for good (the crew's worker scratch), capping each
+    /// charged for good (the crew workers' scratch), capping each
     /// session at `cap` bytes.
     pub(crate) fn new(cfg: &GovernorConfig, reserved: u64, cap: usize) -> Self {
         let budget = cfg.budget_bytes.max(1);
@@ -228,6 +228,14 @@ impl AnchorCache {
                 totals,
             }),
         }
+    }
+
+    /// Charges `bytes` more for good: a new shard thread's worker
+    /// scratch.
+    pub(crate) fn reserve(&self, bytes: u64) {
+        let mut books = lock(&self.books);
+        books.totals.used_bytes += bytes;
+        self.publish(&mut books.totals);
     }
 
     /// Records the new usage: the peak, and the mirror admission reads.

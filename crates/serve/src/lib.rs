@@ -16,17 +16,17 @@
 //! * **Scene shards** ([`ShardId`]): the server is partitioned per
 //!   scene. Each registered scene routes (by `Arc` identity) to one
 //!   shard — a scheduler thread owning that scene's request queue and
-//!   its sessions' coherence caches' scheduling. Shards own no render
-//!   threads: the server spawns one persistent
-//!   [`gen_nerf_parallel::Pool`] crew of [`ServerConfig::threads`]
-//!   workers, every shard submits its tile lists to it, and its claims
-//!   rotate round-robin over the shards' jobs, so a lone busy scene
-//!   renders on all of it. Scheduling never serializes across
-//!   scenes; up to [`ServerConfig::max_shards`] shards spawn lazily,
-//!   further scenes share shards round-robin. There is no async
-//!   runtime — the container builds with no external crates, so each
-//!   shard is a shared condvar-signalled queue + a scheduler thread
-//!   in front of the shared crew. The scheduler thread itself is
+//!   its sessions' coherence caches' scheduling. A shard thread renders
+//!   its own jobs as worker 0 of the server's one
+//!   [`gen_nerf_parallel::Pool`], [`ServerConfig::threads`] wide: a
+//!   persistent crew of `threads − 1` workers helps whichever shards
+//!   are rendering, rotating round-robin over their jobs, so a lone
+//!   busy scene renders on `threads` threads. Scheduling never
+//!   serializes across scenes; up to [`ServerConfig::max_shards`]
+//!   shards spawn lazily, further scenes share shards round-robin.
+//!   There is no async runtime — the container builds with no external
+//!   crates, so each shard is a shared condvar-signalled queue + a
+//!   scheduler thread that renders beside the shared crew. The scheduler thread itself is
 //!   supervised: it counts a beat per pop, attempt start and batch, and
 //!   a health sweep that reads that count with the in-flight attempt's
 //!   tile ticks condemns a dead or wedged thread and respawns it on the
@@ -69,8 +69,8 @@
 //!   against the cached coarse probing. One server-wide anchor cache
 //!   owns every session's anchors, their counters ([`CacheStats`]) and
 //!   the byte budgets: 8 MiB of anchors per session and
-//!   one [`GovernorConfig`] budget over all anchors plus the crew's
-//!   worker arenas. With coherence disabled (the default,
+//!   one [`GovernorConfig`] budget over all anchors plus the worker
+//!   arenas of the crew and of every shard thread. With coherence disabled (the default,
 //!   [`CoherenceConfig::exact`]) the server is pinned bitwise-identical
 //!   to direct rendering by `tests/serve_regression.rs`.
 //! * **One stats view per scope**: a shard's [`ShardStats`]

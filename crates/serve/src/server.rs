@@ -3,7 +3,7 @@
 //!
 //! Scheduling itself lives in [`shard`](crate::shard): every scene's
 //! sessions route to one shard, which owns their bounded queue, fair
-//! dequeue, and fused batch execution on the server's one worker crew.
+//! dequeue, and fused batch execution on the server's one render pool.
 //! The front end stays thin — resolve the session, apply the
 //! shed-or-degrade admission policy against the shard's queue depth,
 //! and hand the frame (or an immediate shed error) back through a
@@ -37,10 +37,12 @@ use std::time::{Duration, Instant};
 /// Server-wide configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Workers in the server's one render crew (at least one), spawned
-    /// with the server and shared by every shard: claims rotate over
-    /// the shards' jobs, so a lone busy scene renders on all of them.
-    /// Defaults to [`gen_nerf_parallel::num_threads`].
+    /// Width of the server's one render pool (at least one): a shard
+    /// thread renders its own job as worker 0 beside a crew of
+    /// `threads − 1` workers that every shard shares, so a lone busy
+    /// scene renders on `threads` threads and no more than
+    /// max(`threads`, shards rendering at once) ever render. Defaults
+    /// to [`gen_nerf_parallel::num_threads`].
     pub threads: usize,
     /// Shard count ceiling. The first `max_shards` registered scenes
     /// get a shard each; further scenes share shards round-robin.
@@ -362,7 +364,7 @@ struct Topology {
 /// [`RenderServer::submit`] applies admission control against that
 /// shard's bounded queue and returns a [`FrameHandle`]; the shard
 /// thread fair-dequeues, coalesces compatible frames into fused
-/// multi-frame renders on the server's one worker crew, and resolves
+/// multi-frame renders on the server's one render pool, and resolves
 /// the handles.
 ///
 /// Dropping the server closes every shard queue, drains every frame
@@ -378,7 +380,7 @@ pub struct RenderServer {
     supervisor: Arc<Supervisor>,
     /// Every session's coarse anchors, under the server's budget.
     cache: Arc<AnchorCache>,
-    /// The render crew every shard submits its tile lists to.
+    /// The render pool every shard claims its tile lists on.
     crew: Arc<Pool>,
     /// Latched by [`RenderServer::drain`]: admission closed for good.
     draining: AtomicBool,
@@ -389,8 +391,9 @@ pub struct RenderServer {
 }
 
 impl RenderServer {
-    /// Builds the server front end and spawns its render crew. Shards
-    /// spawn lazily as scenes are registered.
+    /// Builds the server front end and its render pool, whose crew
+    /// spawns on the first render of two or more tiles. Shards spawn
+    /// lazily as scenes are registered.
     pub fn new(cfg: ServerConfig) -> Self {
         Self::with_clock(cfg, gen_nerf_telemetry::Clock::real())
     }
@@ -428,9 +431,9 @@ impl RenderServer {
         let crew = Arc::new(Pool::new(cfg.threads));
         // Every crew worker's scratch (which the tile schedule bounds
         // whatever the frame size or batch), charged once for the
-        // server's life: shards come and go, restart and share, the
-        // crew stays.
-        let reserved = (crew.threads() * WORKER_SCRATCH_BYTES) as u64;
+        // server's life; each shard thread, which renders too, charges
+        // its own when the shard spawns.
+        let reserved = ((crew.threads() - 1) * WORKER_SCRATCH_BYTES) as u64;
         let cache = AnchorCache::new(&cfg.governor, reserved, DEFAULT_CACHE_BUDGET_BYTES);
         Self {
             cfg,
@@ -466,6 +469,7 @@ impl RenderServer {
             let (assignment, breaker) = topology.registry.assign(&scene);
             if let Assignment::SpawnNew(idx) = assignment {
                 debug_assert_eq!(idx, topology.shards.len());
+                self.cache.reserve(WORKER_SCRATCH_BYTES as u64);
                 topology.shards.push(Shard::spawn(ShardCtx::new(
                     self.instance,
                     idx,
@@ -1023,7 +1027,8 @@ mod tests {
 
     #[test]
     fn a_memory_shed_counts_once_in_the_governor_stats() {
-        // A budget equal to the crew's reservation is under pressure
+        // A budget equal to the reservation (one shard thread's
+        // scratch, no crew at width 1) is under pressure
         // before any anchor: a BestEffort submission is shed, once, in
         // the instance's memory-shed counter.
         let (ds, scene) = scene();
@@ -1051,12 +1056,11 @@ mod tests {
         let (ds, scene) = scene();
         let cam = ds.eval_views[0].camera;
         let server = RenderServer::new(ServerConfig::default());
-        let reserved = server.governor_stats().used_bytes;
-        assert_eq!(
-            reserved,
-            server.crew.threads() as u64 * WORKER_SCRATCH_BYTES as u64
-        );
         let session = server.create_session(scene, anchoring(&cam));
+        // The crew workers' scratch and the one shard thread's.
+        let (width, shards) = (server.crew.threads() as u64, 1);
+        let reserved = server.governor_stats().used_bytes;
+        assert_eq!(reserved, (width - 1 + shards) * WORKER_SCRATCH_BYTES as u64);
         for k in 0..3 {
             server
                 .submit(session, FrameRequest::new(near_pose(k)))
@@ -1316,9 +1320,10 @@ mod tests {
                 sessions.push(server.create_session(Arc::clone(scene), config));
                 assert!(one_crew(&server), "width {width}");
                 // No anchor exists (coherence is off): the budget
-                // holds the crew's reservation, whatever the shard count.
+                // holds the scratch of the crew and of every shard thread.
                 let used = server.governor_stats().used_bytes;
-                assert_eq!(used, width as u64 * arena, "width {width}");
+                let shards = sessions.len();
+                assert_eq!(used, (width - 1 + shards) as u64 * arena, "width {width}");
                 for (k, ((_, cam, want), session)) in scenes.iter().zip(&sessions).enumerate() {
                     let frame = server.submit(*session, FrameRequest::new(cam.pose)).wait();
                     assert_eq!(frame.serve.shard, k);
@@ -1345,8 +1350,9 @@ mod tests {
             }
             .with_health(HealthConfig::default().with_restart_backoff(Duration::from_millis(10))),
         );
+        let arena = WORKER_SCRATCH_BYTES as u64;
         let reserved = server.governor_stats().used_bytes;
-        assert_eq!(reserved, 4 * WORKER_SCRATCH_BYTES as u64);
+        assert_eq!(reserved, (4 - 1) * arena);
         let config = SessionConfig::new(cam.intrinsics, ctf());
         let a = server.create_session(Arc::clone(&scene_a), config);
         let b = server.create_session(scene_b, config);
@@ -1359,8 +1365,9 @@ mod tests {
         assert!(server.shard_health()[0].restarts >= 1, "no restart");
         assert!(one_crew(&server));
         assert_eq!(healed.image.as_slice(), direct(&scene_a, &cam).as_slice());
-        // The restart reserved nothing more: the crew is the server's.
-        assert_eq!(server.governor_stats().used_bytes, reserved);
+        // The restart reserved nothing more: the crew is the server's,
+        // and each shard thread's scratch was charged at its spawn.
+        assert_eq!(server.governor_stats().used_bytes, reserved + 2 * arena);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! One shard: a scheduler thread owning a scene's request queue and
-//! the fused batch execution path, rendering on the server's one
-//! worker crew.
+//! the fused batch execution path, rendering as worker 0 of the
+//! server's one render pool.
 //!
 //! The server routes every session of a scene to one shard (see
 //! [`registry`](crate::registry)). Everything the front end, the
@@ -14,11 +14,12 @@
 //! [`FairQueue`] — class priority, round-robin across sessions, FIFO
 //! per session — carves the largest batch of frames that can legally
 //! share one fused render (same scene `Arc`, same strategy, at most
-//! one frame of any cache-enabled session), and submits its tile lists
-//! to the server's one [`Pool`] crew. The shard owns no render threads:
-//! the crew's claims rotate over the jobs of every shard, so a busy
-//! scene renders on the whole crew while the others are idle, and a
-//! short job is never stuck behind a long one.
+//! one frame of any cache-enabled session), and claims its tile lists
+//! on the server's one [`Pool`] itself, as worker 0. The pool's crew
+//! helps whichever shards are rendering, rotating over their jobs, so
+//! a busy scene renders on the whole pool while the others are idle,
+//! and a short job never waits for a long one: its own shard thread
+//! runs it.
 //!
 //! **Render attempts.** [`attempt`] is the one function that renders:
 //! the first, batched attempt and every solo retry. An attempt runs
@@ -109,7 +110,7 @@ const MAX_BATCH: usize = 8;
 /// sweep, and the worker incarnation(s) coordinate through.
 pub(crate) struct ShardCtx {
     pub index: usize,
-    /// The server's render crew, shared by every shard.
+    /// The server's render pool, shared by every shard.
     pub crew: Arc<Pool>,
     pub cfg: ServerConfig,
     pub supervisor: Arc<Supervisor>,
@@ -1039,13 +1040,9 @@ fn render_group(
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "render panic".to_string()
-    }
+    let text = payload.downcast_ref::<&str>().map(|s| s.to_string());
+    let text = text.or_else(|| payload.downcast_ref::<String>().cloned());
+    text.unwrap_or_else(|| "render panic".to_string())
 }
 
 #[cfg(test)]

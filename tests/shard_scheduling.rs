@@ -521,3 +521,50 @@ mod breaker {
         }
     }
 }
+
+// ---------------------------------------------------------------------------
+// Admission at the configured capacity, through a live server.
+// ---------------------------------------------------------------------------
+
+mod admission {
+    use gen_nerf::config::{ModelConfig, SamplingStrategy};
+    use gen_nerf::model::GenNerfModel;
+    use gen_nerf_geometry::{Intrinsics, Pose, Vec3};
+    use gen_nerf_scene::{Dataset, DatasetKind};
+    use gen_nerf_serve::{
+        AdmissionConfig, DeadlineClass, FrameRequest, RenderServer, ResolutionTier, SceneState,
+        ServerConfig, SessionConfig,
+    };
+    use std::sync::Arc;
+
+    /// A struct-literal capacity of zero is read as one, the way
+    /// `AdmissionConfig::with_capacity` builds it: an Interactive frame
+    /// at an empty queue renders at full resolution instead of being
+    /// shed.
+    #[test]
+    fn a_zero_capacity_literal_admits_at_an_empty_queue() {
+        let ds = Dataset::build(DatasetKind::DeepVoxels, "cube", 0.05, 4, 1, 24, 5);
+        let scene = Arc::new(SceneState::prepare(
+            GenNerfModel::new(ModelConfig::fast()),
+            &ds.source_views,
+            ds.scene.bounds,
+            ds.scene.background,
+        ));
+        let server = RenderServer::new(
+            ServerConfig {
+                threads: 1,
+                ..ServerConfig::default()
+            }
+            .with_admission(AdmissionConfig { queue_capacity: 0 }),
+        );
+        let intrinsics = Intrinsics::from_fov(8, 8, 0.6);
+        let strategy = SamplingStrategy::Uniform { n: 4 };
+        let session = server.create_session(scene, SessionConfig::new(intrinsics, strategy));
+        let pose = Pose::look_at(Vec3::new(3.0, 1.0, 3.0), Vec3::ZERO, Vec3::Y);
+        let req = FrameRequest::new(pose).with_deadline(DeadlineClass::Interactive);
+        let frame = server.submit(session, req).wait_result();
+        let frame = frame.expect("an Interactive frame at an empty queue is admitted");
+        assert_eq!(frame.serve.tier, ResolutionTier::Full);
+        assert!(!frame.serve.degraded);
+    }
+}
