@@ -173,7 +173,7 @@ impl Simulator {
             cfg,
             variant,
             pe_efficiency: 0.9,
-            crew: std::sync::Arc::new(Pool::new(gen_nerf_parallel::num_threads())),
+            crew: gen_nerf_parallel::default_pool(),
             mode: SimMode::default(),
         }
     }

@@ -825,8 +825,9 @@ pub struct Renderer<'a> {
 }
 
 impl<'a> Renderer<'a> {
-    /// Creates a renderer using the default worker count
-    /// ([`gen_nerf_parallel::num_threads`]).
+    /// Creates a renderer on the process-wide default pool
+    /// ([`gen_nerf_parallel::default_pool`], [`gen_nerf_parallel::num_threads`]
+    /// wide).
     ///
     /// `bounds` clip each camera ray to `[t_near, t_far]`; `background`
     /// fills rays that miss or terminate without saturating.
@@ -858,7 +859,7 @@ impl<'a> Renderer<'a> {
             bounds,
             background,
             base_seed,
-            crew: Arc::new(Pool::new(gen_nerf_parallel::num_threads())),
+            crew: gen_nerf_parallel::default_pool(),
             cancel: None,
         }
     }
@@ -2445,6 +2446,25 @@ mod tests {
             assert_eq!(bits(base().with_threads(2)), one, "{strategy:?}");
             assert_eq!(bits(base().with_pool(&pool)), one, "{strategy:?}");
         }
+    }
+
+    #[test]
+    fn renderers_share_the_default_pool_until_given_one() {
+        let (ds, sources, model) = setup();
+        let new = || {
+            Renderer::new(
+                &model,
+                &sources,
+                SamplingStrategy::Uniform { n: 4 },
+                ds.scene.bounds,
+                ds.scene.background,
+            )
+        };
+        let (a, b) = (new(), new());
+        assert!(Arc::ptr_eq(&a.crew, &b.crew));
+        let pool = Arc::new(Pool::new(2));
+        assert!(Arc::ptr_eq(&new().with_pool(&pool).crew, &pool));
+        assert!(!Arc::ptr_eq(&new().with_threads(2).crew, &a.crew));
     }
 
     #[test]

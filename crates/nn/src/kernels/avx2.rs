@@ -28,11 +28,11 @@
 //! * The lanes MLP runs one row per lane with the GEMM tile's
 //!   per-element sequence; its masked tail block runs the same lanes.
 //!
-//! Relative to the scalar backend, FMA contracts one rounding per
-//! multiply-add and the softmax sum reduces as a tree, so results
-//! differ in the last ULPs — the tolerance contract pinned by the
-//! parity tests in [`super`]. The [`special`] functions are the
-//! exception: they agree with the scalar backend bit for bit.
+//! The scalar backend runs the same per-element sequences — `mul_add`
+//! for each `vfmadd`, the softmax sum in these lanes' order and
+//! `hsum`'s tree, `x > 0 ? x : 0` for `vmaxps(x, 0)` — so every op
+//! here returns its bits: one contract, pinned bitwise by the parity
+//! tests in [`super`].
 
 #![allow(unsafe_code)]
 

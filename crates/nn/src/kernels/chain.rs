@@ -352,12 +352,14 @@ mod tests {
         v
     }
 
-    /// A deterministic stream with sign changes and exact zeros.
+    /// A deterministic stream with sign changes and exact zeros; not
+    /// dyadic, so products round (a fused and an unfused multiply-add
+    /// differ).
     fn values(seed: u32, len: usize) -> Vec<f32> {
         (0..len as u32)
             .map(|i| {
                 let x =
-                    (i.wrapping_mul(2654435761).wrapping_add(seed) % 2048) as f32 / 1024.0 - 1.0;
+                    (i.wrapping_mul(2654435761).wrapping_add(seed) % 2048) as f32 / 1000.0 - 1.0;
                 if x.abs() < 0.05 {
                     0.0
                 } else {
@@ -449,6 +451,7 @@ mod tests {
             let (k0, n) = (chain.dims[0], *chain.dims.last().unwrap());
             for m in [0usize, 1, 5, 6, 7, 25, 1000] {
                 let x = values(m as u32 + 5, m * k0);
+                let mut per_backend = Vec::new();
                 for backend in runnable_backends() {
                     let kernel = kernel_for(backend);
                     let want = chain.reference(kernel, &x, m);
@@ -468,7 +471,13 @@ mod tests {
                         );
                         assert!(row[n..].iter().all(|v| v.is_nan()));
                     }
+                    per_backend.push(bits(&out));
                 }
+                assert!(
+                    per_backend.windows(2).all(|w| w[0] == w[1]),
+                    "chain {:?} m {m}: the backends disagree",
+                    chain.dims
+                );
             }
         }
     }
@@ -478,7 +487,8 @@ mod tests {
         // The blend head's shape, and a narrower hidden layer that puts
         // the GEMM's layers on its masked column tail. Inputs mix the
         // value stream with signed zeros and subnormals, and one weight
-        // per layer is subnormal too.
+        // per layer is subnormal too. Every backend returns the same
+        // bits.
         let specials = [0.0f32, -0.0, 1e-40, -1e-40, f32::from_bits(1), -5e-39];
         for h in [8usize, 5] {
             let mut chain = Chain::new(&[2, h, h, 1], &[]);
@@ -492,6 +502,7 @@ mod tests {
                 for (i, v) in x.iter_mut().enumerate().step_by(5) {
                     *v = specials[i % specials.len()];
                 }
+                let mut per_backend = Vec::new();
                 for backend in runnable_backends() {
                     let kernel = kernel_for(backend);
                     let mut want = vec![f32::NAN; m];
@@ -506,7 +517,12 @@ mod tests {
                     let mut dispatched = vec![f32::NAN; m];
                     lanes_mlp_on(kernel, &x, m, &layers, &mut dispatched, &mut scratch);
                     assert_eq!(bits(&dispatched), bits(&want), "{what}: dispatched");
+                    per_backend.push(bits(&want));
                 }
+                assert!(
+                    per_backend.windows(2).all(|w| w[0] == w[1]),
+                    "h {h} m {m}: the backends disagree"
+                );
             }
         }
     }
@@ -517,7 +533,8 @@ mod tests {
         // row stride: `token_mix` against `xᵀ · W₁[..n, ..n]` through
         // `matmul` with explicit transposes, bias, ReLU and residual —
         // the formulation it replaced. One call covers all 64 rays
-        // (and an empty one), stacked.
+        // (and an empty one), stacked. Every backend returns the same
+        // bits.
         let (n_max, d, ldx) = (64usize, 16usize, 19usize);
         let w1 = values(9, n_max * n_max);
         let b1 = values(10, n_max);
@@ -527,6 +544,7 @@ mod tests {
         }
         let total = *offsets.last().unwrap();
         let x = values(11, total * ldx);
+        let mut per_backend = Vec::new();
         for backend in runnable_backends() {
             let kernel = kernel_for(backend);
             let mut f = vec![f32::NAN; total * d];
@@ -550,6 +568,11 @@ mod tests {
                     backend.name()
                 );
             }
+            per_backend.push(bits(&f));
         }
+        assert!(
+            per_backend.windows(2).all(|w| w[0] == w[1]),
+            "the backends disagree"
+        );
     }
 }

@@ -7,13 +7,15 @@
 //! GEMM of [`crate::quant`] — executes through a [`MicroKernel`].
 //! Which implementation runs is decided once at startup:
 //!
-//! * [`Backend::Scalar`] — the portable register-blocked reference
-//!   kernel ([`scalar`]). Bit-for-bit identical to the pre-SIMD
-//!   workspace: every regression baseline (fused ≡ per-ray renders,
-//!   blocked ≡ naive GEMM) is stated against this backend.
+//! * [`Backend::Scalar`] — the portable register-blocked kernel
+//!   ([`scalar`]), the readable definition of every op (blocked ≡
+//!   naive GEMM is stated against it).
 //! * [`Backend::Avx2`] — AVX2+FMA vectorized kernels ([`avx2`]),
 //!   compiled on x86/x86_64 and selected only when
 //!   `is_x86_feature_detected!` confirms both features at runtime.
+//!
+//! Both return the same bits for every op (see the exactness contract
+//! below), so the backend is a speed knob only.
 //!
 //! Selection order: the `GEN_NERF_KERNEL` environment variable
 //! (`auto`, `scalar`, `avx2`) if set, otherwise auto-detection.
@@ -46,14 +48,17 @@
 //!
 //! # Exactness contract
 //!
-//! The scalar backend preserves the workspace's historical bit-exact
-//! results. The AVX2 backend changes float rounding (FMA contracts
-//! mul+add into one rounding; reductions tree-sum), so scalar and AVX2
-//! agree only to tight tolerances — pinned by the property tests in
-//! this module (the INT8 GEMM and the [`special`] functions are the
-//! exceptions: integer accumulation is exact, and the special functions
-//! are one FMA-free op sequence on every backend, so both backends
-//! match bit-for-bit).
+//! Every [`MicroKernel`] op is **bitwise equal across backends**: each
+//! backend runs the same sequence of exactly rounded operations per
+//! output element. A multiply-add is one fused rounding everywhere
+//! (`vfmadd` on AVX2, [`f32::mul_add`] on scalar); the softmax sums in
+//! one lane order (eight lane partial sums, a fixed tree, then the
+//! serial remainder); ReLU is `x > 0 ? x : 0`; the [`special`]
+//! functions are one FMA-free op sequence; the INT8 GEMM accumulates
+//! in exact integers. The parity tests in this module, in [`chain`]
+//! and in [`special`] compare the backends bit for bit, so a pin holds
+//! one literal for every backend and switching backends mid-process
+//! (an integrity quarantine) never changes a pixel.
 //!
 //! What every backend **must** preserve is *positional independence*:
 //! an output element's value may depend only on its logical inputs,
@@ -64,11 +69,12 @@
 //! output element of either dense kernel:
 //!
 //! * **one accumulator, `k` ascending from zero** — blocking tiles `i`
-//!   and `j` only; AVX2 is a `vfmadd` chain, scalar `acc += a·b`;
+//!   and `j` only; AVX2 is a `vfmadd` chain, scalar a `mul_add` chain;
 //! * **then the epilogue, as the unfused element functions**: `+ bias`
 //!   is [`MicroKernel::add_bias_rows`]'s add, ReLU is
-//!   [`MicroKernel::relu`]'s (`vmaxps(·, 0)` on AVX2, `max(0.0)` on
-//!   scalar), the residual is [`MicroKernel::add_assign`]'s add — so a
+//!   [`MicroKernel::relu`]'s (`vmaxps(·, 0)` on AVX2, the same
+//!   comparison on scalar), the residual is
+//!   [`MicroKernel::add_assign`]'s add — so a
 //!   fused call equals the unfused sequence bit for bit, which is also
 //!   what lets the integrity layer verify a panel's bare accumulators
 //!   and apply the epilogue afterwards without moving a bit;
@@ -87,8 +93,8 @@
 //!
 //! Implement [`MicroKernel`] (a ZST with a `'static` instance) —
 //! `gemm` and `token_mix` as one strided tile loop, `matmul` comes for
-//! free, `lanes_mlp` / `exp` / `tenth_tanh` as lanes of the scalar
-//! backend's element functions — extend
+//! free, every op as lanes of the scalar backend's element functions,
+//! bit for bit — extend
 //! [`Backend`]/[`Backend::parse`]/[`kernel_for`], gate availability in
 //! [`Backend::available`], and add the new backend to the parity
 //! property tests below, in [`chain`] and in [`special`]. Check
@@ -114,8 +120,8 @@ pub const KERNEL_ENV: &str = "GEN_NERF_KERNEL";
 /// A kernel backend identity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Portable register-blocked scalar kernels — the bit-exact
-    /// reference.
+    /// Portable register-blocked scalar kernels — the readable
+    /// definition, bitwise equal to every other backend.
     Scalar,
     /// AVX2 + FMA vectorized kernels (x86/x86_64 only).
     Avx2,
@@ -472,11 +478,11 @@ pub trait MicroKernel: Sync {
     /// spend its register tile on eight-column layers.
     ///
     /// Per element it repeats [`MicroKernel::gemm`]'s op sequence
-    /// exactly — the accumulator starts at `+0.0`, `k` ascends, the
-    /// multiply-add is the backend's (`vfmadd` on AVX2, `mul` + `add` on
-    /// scalar), then `+ bias`, then ReLU — so the result is bitwise that
-    /// of [`chain::dense_chain_on`] over the same layers on the same
-    /// backend. Reached through [`chain::lanes_mlp`], which owns the
+    /// exactly — the accumulator starts at `+0.0`, `k` ascends, each
+    /// multiply-add is fused (`vfmadd` on AVX2, `mul_add` on scalar),
+    /// then `+ bias`, then ReLU — so the result is bitwise that of
+    /// [`chain::dense_chain_on`] over the same layers, on any backend.
+    /// Reached through [`chain::lanes_mlp`], which owns the
     /// dispatch accounting and the integrity check.
     ///
     /// # Panics
@@ -501,7 +507,11 @@ pub trait MicroKernel: Sync {
     fn relu(&self, data: &mut [f32]);
 
     /// In-place numerically-stabilized softmax over each `cols`-wide
-    /// row of `data`.
+    /// row of `data`: `exp(x − max)` by [`special::exp`], summed as
+    /// eight lane partial sums over the whole eight-blocks, reduced
+    /// `((p0+p4)+(p2+p6))+((p1+p5)+(p3+p7))`, then the remainder in
+    /// order; every element divided by that sum. An all-(−∞) row is
+    /// the uniform distribution.
     fn softmax_rows(&self, data: &mut [f32], cols: usize);
 
     /// Elementwise accumulate: `acc[i] += x[i]`. One exactly-rounded
@@ -701,9 +711,10 @@ mod tests {
 
     fn value_stream(seed: u32) -> impl Iterator<Item = f32> {
         // A small deterministic stream with sign changes, exact zeros
-        // and a wide magnitude range.
+        // and a wide magnitude range. The values are not dyadic, so
+        // products round: a fused and an unfused multiply-add differ.
         (0u32..).map(move |i| {
-            let x = ((i.wrapping_mul(2654435761).wrapping_add(seed)) % 2048) as f32 / 1024.0 - 1.0;
+            let x = ((i.wrapping_mul(2654435761).wrapping_add(seed)) % 2048) as f32 / 1000.0 - 1.0;
             if x.abs() < 0.05 {
                 0.0
             } else {
@@ -713,7 +724,7 @@ mod tests {
     }
 
     #[test]
-    fn matmul_backends_agree_within_tolerance() {
+    fn matmul_backends_agree_bitwise() {
         // Shapes spanning full tiles, row edges, and every column-edge
         // path: 16-wide, 8-wide, and the masked tail at each width
         // `n % 8 ∈ {1, 3, 5, 7}` — alone (`n < 8`: the projections'
@@ -737,18 +748,20 @@ mod tests {
             let a = pseudo(&mut vals, m * k);
             let b = pseudo(&mut vals, k * n);
             let (reference, mag) = matmul_f64(&a, &b, m, k, n);
+            let mut scalar = vec![f32::NAN; m * n];
+            kernel_for(Backend::Scalar).matmul(&a, &b, &mut scalar, m, k, n);
+            for (i, &o) in scalar.iter().enumerate() {
+                let tol = 1e-5 * mag[i].max(1.0);
+                assert!(
+                    ((o as f64) - reference[i]).abs() <= tol,
+                    "{m}x{k}x{n} elem {i}: {o} vs {} (tol {tol})",
+                    reference[i]
+                );
+            }
             for backend in runnable_backends() {
                 let mut out = vec![f32::NAN; m * n];
                 kernel_for(backend).matmul(&a, &b, &mut out, m, k, n);
-                for (i, &o) in out.iter().enumerate() {
-                    let tol = 1e-5 * mag[i].max(1.0);
-                    assert!(
-                        ((o as f64) - reference[i]).abs() <= tol,
-                        "{}: {m}x{k}x{n} elem {i}: {o} vs {} (tol {tol})",
-                        backend.name(),
-                        reference[i]
-                    );
-                }
+                assert_eq!(bits(&out), bits(&scalar), "{}: {m}x{k}x{n}", backend.name());
             }
         }
     }
@@ -793,7 +806,8 @@ mod tests {
         // unit-stride `matmul` followed by the `add_bias_rows` /
         // `relu` / `add_assign` element functions bit for bit, and
         // columns `n..ldo` of every row — the last included — keep
-        // the poison they held.
+        // the poison they held. Every backend writes the scalar
+        // backend's bits.
         const POISON: f32 = -12345.5;
         for &(m, k, n) in &[
             (7usize, 13usize, 19usize),
@@ -809,8 +823,10 @@ mod tests {
             let b = pseudo(&mut vals, k * n);
             let bias = pseudo(&mut vals, n);
             let packed: Vec<f32> = a.chunks(lda).flat_map(|r| r[..k].to_vec()).collect();
+            let mut per_backend = Vec::new();
             for backend in runnable_backends() {
                 let kern = kernel_for(backend);
+                let mut outs = Vec::new();
                 for (with_bias, relu, residual) in [
                     (false, false, false),
                     (true, false, false),
@@ -848,8 +864,14 @@ mod tests {
                             backend.name()
                         );
                     }
+                    outs.push(bits(&out));
                 }
+                per_backend.push(outs);
             }
+            assert!(
+                per_backend.windows(2).all(|w| w[0] == w[1]),
+                "{m}x{k}x{n}: the backends disagree"
+            );
         }
     }
 
@@ -868,11 +890,15 @@ mod tests {
         for cols in [1usize, 7, 8, 9, 16, 19] {
             // Enough rows that one-float rows (a single broadcast add
             // over the flat data under AVX2) fill whole vectors and
-            // leave a remainder.
+            // leave a remainder. A −0.0 bias on a −0.0 element keeps a
+            // −0.0 into ReLU, which must map it to +0.0 on every
+            // backend, in the vector body and the remainder.
             let rows = 21;
             let mut vals = value_stream(cols as u32);
-            let base = pseudo(&mut vals, rows * cols);
-            let bias = pseudo(&mut vals, cols);
+            let mut base = pseudo(&mut vals, rows * cols);
+            let mut bias = pseudo(&mut vals, cols);
+            bias[0] = -0.0;
+            base.iter_mut().step_by(cols).for_each(|v| *v = -0.0);
             let mut reference = base.clone();
             let scalar = kernel_for(Backend::Scalar);
             scalar.add_bias_rows(&mut reference, cols, &bias);
@@ -882,10 +908,9 @@ mod tests {
                 let kern = kernel_for(backend);
                 kern.add_bias_rows(&mut data, cols, &bias);
                 kern.relu(&mut data);
-                // Numerically exact (== treats -0.0 and 0.0 alike,
-                // the only sign-of-zero divergence ReLU can produce).
-                assert!(
-                    data.iter().zip(&reference).all(|(a, b)| a == b),
+                assert_eq!(
+                    bits(&data),
+                    bits(&reference),
                     "{}: cols {cols}",
                     backend.name()
                 );
@@ -894,7 +919,7 @@ mod tests {
     }
 
     #[test]
-    fn softmax_backends_agree_within_tolerance() {
+    fn softmax_backends_agree_bitwise() {
         for cols in [1usize, 2, 7, 8, 9, 24, 33] {
             let rows = 4;
             let mut vals = value_stream(cols as u32 * 13);
@@ -913,13 +938,12 @@ mod tests {
                         backend.name()
                     );
                 }
-                for (i, (&a, &b)) in data.iter().zip(&reference).enumerate() {
-                    assert!(
-                        (a - b).abs() <= 2e-6,
-                        "{}: cols {cols} elem {i}: {a} vs {b}",
-                        backend.name()
-                    );
-                }
+                assert_eq!(
+                    bits(&data),
+                    bits(&reference),
+                    "{}: cols {cols}",
+                    backend.name()
+                );
             }
         }
     }

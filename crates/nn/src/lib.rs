@@ -10,8 +10,8 @@
 //!   operations the models need,
 //! * [`kernels`] — runtime-dispatched micro-kernel backends for the
 //!   dense hot paths (GEMM, bias+ReLU, softmax, INT8 GEMM): a portable
-//!   bit-exact scalar reference plus AVX2+FMA, selected at startup via
-//!   `GEN_NERF_KERNEL={auto,scalar,avx2}`,
+//!   scalar kernel plus AVX2+FMA, bitwise equal to each other and
+//!   selected at startup via `GEN_NERF_KERNEL={auto,scalar,avx2}`,
 //! * [`layers`] — `Linear`, `Relu`, row softmax and the MSE loss, each
 //!   with explicit, tested backward passes,
 //! * [`attention`] — single-head self-attention (the ray transformer),

@@ -4,21 +4,20 @@
 //!
 //! [`Tensor2::matmul`] (and `Tensor2::matmul_into`) execute through
 //! the runtime-dispatched kernel backend ([`crate::kernels`]): the
-//! register-blocked scalar reference by default, AVX2+FMA where the
-//! host supports it (`GEN_NERF_KERNEL` selects). Every backend holds
-//! one accumulator per output element and walks the shared dimension
-//! `k` **in ascending order**; blocking tiles `i`/`j` only. Two
-//! consequences the workspace relies on:
+//! register-blocked scalar kernel, or AVX2+FMA where the host supports
+//! it (`GEN_NERF_KERNEL` selects). Every backend holds one accumulator
+//! per output element and walks the shared dimension `k` **in
+//! ascending order**, one fused multiply-add per step; blocking tiles
+//! `i`/`j` only. Two consequences the workspace relies on:
 //!
 //! * **Row independence.** Each output row depends only on the matching
 //!   input row, so concatenating inputs row-wise (the fused cross-ray
 //!   path) produces bit-for-bit the rows a per-row call would — under
 //!   whichever backend is active.
-//! * **Blocking is invisible.** Under the scalar backend the blocked
-//!   kernel equals the naive triple loop bit-for-bit (pinned by a
-//!   property test below). The AVX2 backend fuses each multiply-add
-//!   (one rounding instead of two), so it matches scalar only to the
-//!   tolerance pinned in [`crate::kernels`]'s parity tests.
+//! * **Blocking is invisible.** The blocked kernel equals the naive
+//!   `mul_add` triple loop bit-for-bit (pinned by a property test
+//!   below), and every backend equals the scalar one bit-for-bit
+//!   ([`crate::kernels`]'s parity tests).
 //!
 //! The dense kernel has no data-dependent branches; zero-skipping
 //! survives only in the gradient-side `Tensor2::t_matmul`, where
@@ -619,7 +618,8 @@ mod tests {
     }
 
     /// The textbook triple loop — the reference the blocked kernel
-    /// must match bit-for-bit (no zero-skipping, k ascending).
+    /// must match bit-for-bit (no zero-skipping, k ascending, one
+    /// `mul_add` per step).
     fn matmul_naive(a: &Tensor2, b: &Tensor2) -> Tensor2 {
         assert_eq!(a.cols(), b.rows());
         let mut out = Tensor2::zeros(a.rows(), b.cols());
@@ -627,7 +627,7 @@ mod tests {
             for j in 0..b.cols() {
                 let mut acc = 0.0f32;
                 for k in 0..a.cols() {
-                    acc += a[(i, k)] * b[(k, j)];
+                    acc = a[(i, k)].mul_add(b[(k, j)], acc);
                 }
                 out[(i, j)] = acc;
             }
@@ -731,10 +731,10 @@ mod tests {
         ) {
             // Arbitrary shapes spanning partial MR×NR edge tiles, with
             // exact zeros injected so the branchless kernel is checked
-            // where the old zero-skip branch used to fire. The bitwise
-            // claim is the *scalar* backend's contract, so pin that
-            // kernel explicitly (the active backend may be SIMD, whose
-            // FMA rounding legitimately differs — see crate::kernels).
+            // where the old zero-skip branch used to fire. The scalar
+            // kernel is pinned explicitly: its tile loop is the one
+            // under test (the backends agree bitwise by the parity
+            // tests of crate::kernels).
             let sparsify = |v: f32| if v.abs() < 1.5 { 0.0 } else { v };
             let a = Tensor2::from_fn(m, k, |r, c| sparsify(raw[r * k + c]));
             let b = Tensor2::from_fn(k, n, |r, c| sparsify(raw[11 * 19 + r * n + c]));

@@ -17,7 +17,7 @@
 //!   bit-for-bit identical no matter how many workers run (including
 //!   one). The parallel renderer's regression test pins this.
 //! * **Zero dependencies.** `std` threads and synchronisation only; no
-//!   external crates, no global thread pool.
+//!   external crates.
 //!
 //! One [`Pool`] runs every claim loop: a pool of width `w` is its
 //! caller plus a persistent crew of `w − 1` workers. The caller claims
@@ -28,7 +28,8 @@
 //!
 //! The worker count comes from [`num_threads`]: the `GEN_NERF_THREADS`
 //! environment variable when set, otherwise
-//! [`std::thread::available_parallelism`].
+//! [`std::thread::available_parallelism`]. An owner that wants no pool
+//! of its own shares [`default_pool`], one process-wide pool that wide.
 
 #![warn(unreachable_pub)]
 
@@ -105,6 +106,15 @@ pub fn num_threads() -> usize {
         let cores = std::thread::available_parallelism();
         cores.map_or(1, NonZeroUsize::get)
     })
+}
+
+/// The process-wide default pool, [`num_threads`] wide, built on first
+/// use. Owners that claim on "the default width" share it, so creating
+/// one (a `Renderer`, a `Simulator`) allocates no pool and later
+/// replacing it with a pool of its own frees none.
+pub fn default_pool() -> Arc<Pool> {
+    static DEFAULT: OnceLock<Arc<Pool>> = OnceLock::new();
+    Arc::clone(DEFAULT.get_or_init(|| Arc::new(Pool::new(num_threads()))))
 }
 
 /// Locks `m`, ignoring poison: every lock here guards data a panic

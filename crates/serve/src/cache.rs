@@ -58,9 +58,9 @@ pub struct GovernorConfig {
 }
 
 impl GovernorConfig {
-    /// Overrides the byte budget.
+    /// Overrides the byte budget (0 reads as one byte).
     pub fn with_budget_bytes(mut self, bytes: u64) -> Self {
-        self.budget_bytes = bytes.max(1);
+        self.budget_bytes = bytes;
         self
     }
 }
@@ -473,11 +473,12 @@ pub(crate) mod tests {
     fn config_defaults_and_builders() {
         let cfg = GovernorConfig::default().with_budget_bytes(1 << 20);
         assert_eq!(cfg.budget_bytes, 1 << 20);
-        // Clamps.
-        assert_eq!(
-            GovernorConfig::default().with_budget_bytes(0).budget_bytes,
-            1
-        );
+        // The builder stores what it is given; the cache clamps at the
+        // read.
+        let zero = GovernorConfig::default().with_budget_bytes(0);
+        assert_eq!(zero.budget_bytes, 0);
+        let cache = AnchorCache::new(&zero, 0, DEFAULT_CACHE_BUDGET_BYTES);
+        assert_eq!(cache.stats().budget_bytes, 1);
     }
 
     #[test]

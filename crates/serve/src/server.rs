@@ -79,9 +79,9 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// Sets the shard count ceiling (at least one).
+    /// Sets the shard count ceiling (0 reads as one).
     pub fn with_max_shards(mut self, max_shards: usize) -> Self {
-        self.max_shards = max_shards.max(1);
+        self.max_shards = max_shards;
         self
     }
 
@@ -754,7 +754,8 @@ mod tests {
         let (ds, scene) = scene();
         let server = RenderServer::new(ServerConfig::default());
         let cam = ds.eval_views[0].camera;
-        let session = server.create_session(scene, SessionConfig::new(cam.intrinsics, ctf()));
+        let config = SessionConfig::new(cam.intrinsics, ctf());
+        let session = server.create_session(Arc::clone(&scene), config);
         let frame = server.submit(session, FrameRequest::new(cam.pose)).wait();
         assert_eq!(frame.image.pixel_count() as u64, frame.stats.rays);
         assert_eq!(frame.serve.cache, CacheOutcome::Bypass);
@@ -763,6 +764,19 @@ mod tests {
         assert!(!frame.serve.degraded);
         assert_eq!(frame.serve.shard, 0);
         assert_eq!(server.shard_count(), 1);
+
+        // Zero knobs set in a struct literal are normalised where they
+        // are read: one shard, a one-byte budget, and a frame served.
+        let server = RenderServer::new(ServerConfig {
+            max_shards: 0,
+            governor: GovernorConfig { budget_bytes: 0 },
+            ..ServerConfig::default()
+        });
+        let session = server.create_session(scene, config);
+        let frame = server.submit(session, FrameRequest::new(cam.pose)).wait();
+        assert_eq!(frame.image.pixel_count() as u64, frame.stats.rays);
+        assert_eq!(server.shard_count(), 1);
+        assert_eq!(server.governor_stats().budget_bytes, 1);
     }
 
     #[test]

@@ -344,17 +344,13 @@ fn pinned_ctf_frame() -> (Image, RenderStats, gen_nerf::pipeline::CoarseFrame) {
 fn pinned_frame_pixels_and_coarse_frame_match_the_parent_literals() {
     // Not a sibling comparison: these literals were produced by the
     // commit before the block acquisition kernel and the flat
-    // `CoarseFrame`, one set per kernel backend (the GEMMs differ in
-    // the last ulps between backends; acquisition does not). The pixel
-    // digests were rewritten once since, when Step ③'s epilogue moved
-    // from libm to the shared vector `exp` / `0.1·tanh`; Step ①, and
-    // with it the coarse checksum and every count, did not move, and
-    // `tests/quality_floor.rs` held unchanged across the rewrite.
-    use gen_nerf_nn::kernels::{active_backend, Backend};
-    let (pixel_digest, coarse_checksum) = match active_backend() {
-        Backend::Scalar => (0xc76b_28ed_f415_d87e_u64, 0x4d4c_23c5_9b6d_7053_u64),
-        Backend::Avx2 => (0x8ec5_a7e0_79b3_cf8a_u64, 0xd848_b470_f153_f7bc_u64),
-    };
+    // `CoarseFrame`, on the AVX2 backend; since the scalar GEMM fuses
+    // its multiply-adds as AVX2 does, they hold on every backend. The
+    // pixel digest was rewritten once since, when Step ③'s epilogue
+    // moved from libm to the shared vector `exp` / `0.1·tanh`; Step ①,
+    // and with it the coarse checksum and every count, did not move,
+    // and `tests/quality_floor.rs` held unchanged across the rewrite.
+    let (pixel_digest, coarse_checksum) = (0x8ec5_a7e0_79b3_cf8a_u64, 0xd848_b470_f153_f7bc_u64);
     let (image, stats, mut coarse) = pinned_ctf_frame();
     assert_eq!((image.width(), image.height()), (24, 24));
     assert_eq!(

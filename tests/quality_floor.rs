@@ -1,5 +1,5 @@
 //! The quality floor: what a rendered frame is worth against the
-//! analytic ground truth, per kernel backend, pinned as literals.
+//! analytic ground truth, one literal set for every kernel backend.
 //!
 //! The pixel digests of `tests/arena_regression.rs` say *that* a frame
 //! moved, not whether it got worse. This suite says the latter:
@@ -13,10 +13,8 @@
 //!   `Trainer`, coarse-then-focus 8 / 8). Each value must stay within
 //!   [`PSNR_BAND`] dB (SSIM within [`SSIM_BAND`]) of the literal it was
 //!   measured at.
-//! * **The backend distance.** The same frame on the scalar and the
-//!   AVX2 backend: the largest absolute channel difference and the
-//!   PSNR between the two images, bounded by the literals they were
-//!   measured at. The distance may shrink; it must not grow.
+//! * **No backend distance.** The same frame on the scalar and the
+//!   AVX2 backend is the same image, bit for bit.
 //!
 //! **The gate.** A change that moves float bits on purpose rewrites the
 //! digest literals once and leaves this file untouched: it must pass
@@ -46,21 +44,9 @@ const PSNR_BAND: f32 = 0.05;
 /// How far an SSIM may sit from its literal.
 const SSIM_BAND: f32 = 0.0005;
 
-/// The pinned floor of one backend: `(direct PSNR, direct SSIM,
+/// The pinned floor of every backend: `(direct PSNR, direct SSIM,
 /// eval PSNR, eval SSIM)`.
-fn floor_of(backend: Backend) -> [f32; 4] {
-    match backend {
-        Backend::Scalar => [14.045298, 0.22468603, 18.870209, 0.9100255],
-        Backend::Avx2 => [14.045298, 0.22468601, 18.870213, 0.9100255],
-    }
-}
-
-/// The scalar ↔ AVX2 distance on the direct frame: the largest
-/// absolute channel difference may not exceed this …
-const BACKEND_MAX_ABS_DIFF: f32 = 3.576_278_7e-7;
-
-/// … and the PSNR between the two images may not fall below this.
-const BACKEND_PSNR_DB: f32 = 141.884_32;
+const FLOOR: [f32; 4] = [14.045298, 0.22468601, 18.870213, 0.9100255];
 
 static BACKEND_LOCK: Mutex<()> = Mutex::new(());
 
@@ -139,17 +125,16 @@ fn psnr_and_ssim_hold_the_floor_on_every_backend() {
                 eval_psnr,
                 eval_ssim,
             ];
-            let pinned = floor_of(backend);
             let what = ["direct PSNR", "direct SSIM", "eval PSNR", "eval SSIM"];
             for i in 0..4 {
                 let band = if i % 2 == 0 { PSNR_BAND } else { SSIM_BAND };
                 assert!(
-                    (got[i] - pinned[i]).abs() <= band,
+                    (got[i] - FLOOR[i]).abs() <= band,
                     "{}: {} {} is outside {} ± {band} (all: {got:?})",
                     backend.name(),
                     what[i],
                     got[i],
-                    pinned[i],
+                    FLOOR[i],
                 );
             }
         }
@@ -157,29 +142,17 @@ fn psnr_and_ssim_hold_the_floor_on_every_backend() {
 }
 
 #[test]
-fn the_backends_render_no_further_apart() {
+fn the_backends_render_the_same_bits() {
     if !Backend::Avx2.available() {
         return; // single-backend host: nothing to compare
     }
     with_backend_lock(|| {
+        let bits =
+            |img: &Image| -> Vec<u32> { img.as_slice().iter().map(|v| v.to_bits()).collect() };
         kernels::set_active(Backend::Scalar);
         let (scalar, _) = direct_frame();
         kernels::set_active(Backend::Avx2);
         let (avx2, _) = direct_frame();
-        let max_diff = scalar
-            .as_slice()
-            .iter()
-            .zip(avx2.as_slice())
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0f32, f32::max);
-        let between = psnr(&scalar, &avx2);
-        assert!(
-            max_diff <= BACKEND_MAX_ABS_DIFF,
-            "scalar vs avx2: max |Δ| {max_diff:e} > {BACKEND_MAX_ABS_DIFF:e} (PSNR {between} dB)"
-        );
-        assert!(
-            between >= BACKEND_PSNR_DB,
-            "scalar vs avx2: PSNR {between} dB < {BACKEND_PSNR_DB} dB (max |Δ| {max_diff:e})"
-        );
+        assert_eq!(bits(&scalar), bits(&avx2), "scalar vs avx2 pixels");
     });
 }

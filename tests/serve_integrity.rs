@@ -322,6 +322,21 @@ fn repeated_gemm_miscompares_quarantine_the_simd_backend() {
     integrity::set_mode(IntegrityMode::Full);
     assert_eq!(kernels::set_active(Backend::Avx2), Backend::Avx2);
 
+    // The frame the session will ask for after the latch, rendered
+    // directly on the SIMD backend before any strike.
+    let direct_pose9 = || {
+        Renderer::new(
+            &scene.model,
+            &scene.sources,
+            strategy,
+            scene.bounds,
+            scene.background,
+        )
+        .render(&Camera::new(intrinsics(), pose(9)))
+        .0
+    };
+    let simd_before = direct_pose9();
+
     let server = RenderServer::new(ServerConfig::default());
     let session = server.create_session(
         Arc::clone(&scene),
@@ -351,17 +366,16 @@ fn repeated_gemm_miscompares_quarantine_the_simd_backend() {
         .sum();
     assert!(quarantines >= 1, "quarantine latch not counted");
 
-    // Serving continues on the scalar kernels — still bitwise-exact.
+    // Serving continues on the scalar kernels — still bitwise-exact,
+    // and the pixels are the ones the SIMD backend gave before the
+    // strikes: a quarantine changes no frame a session gets.
     let after = server.submit(session, FrameRequest::new(pose(9))).wait();
-    let (direct, _) = Renderer::new(
-        &scene.model,
-        &scene.sources,
-        strategy,
-        scene.bounds,
-        scene.background,
-    )
-    .render(&Camera::new(intrinsics(), pose(9)));
-    assert_eq!(bits(&after.image), bits(&direct));
+    assert_eq!(bits(&after.image), bits(&direct_pose9()));
+    assert_eq!(
+        bits(&after.image),
+        bits(&simd_before),
+        "the frame served after the quarantine differs from the pre-strike AVX2 render"
+    );
     restore_globals();
 }
 
