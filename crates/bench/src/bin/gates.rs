@@ -439,8 +439,10 @@ const CHAOS_BEST_EFFORT_BUDGET: Duration = Duration::from_millis(1500);
 const CHAOS_TIMEOUT_STALL: Duration = Duration::from_millis(2500);
 /// A `Slow` fault stalls well within both budgets.
 const CHAOS_SLOW_STALL: Duration = Duration::from_millis(80);
-/// Slack the gate grants beyond the class budget: the watchdog wakes
-/// at the deadline and resolution is prompt, but not instantaneous.
+/// Slack the gate grants beyond the class budget: the supervision pass
+/// wakes at the deadline (it runs every fortieth of the shortest
+/// budget, 20 ms here, and sleeps until the earliest deadline), and
+/// resolution is prompt, but not instantaneous.
 const CHAOS_GRACE: Duration = Duration::from_millis(300);
 /// Fraction of chaos frames that carry a *shard-lifecycle* fault
 /// (kill / wedge) on top of the frame-level chaos schedule — rare, as
@@ -449,8 +451,8 @@ const CHAOS_GRACE: Duration = Duration::from_millis(300);
 const CHAOS_HEAL_FRACTION: f64 = 0.06;
 /// A `WedgeShard` stall parks the scheduler thread past the default
 /// heartbeat budget (2 s) without beating, so the health sweep must
-/// condemn the shard; the wedged frame itself resolves through the
-/// watchdog at its class budget long before that.
+/// condemn the shard; the wedged frame itself times out at its class
+/// budget long before that.
 const CHAOS_WEDGE_STALL: Duration = Duration::from_millis(2500);
 
 fn class_budget(class: DeadlineClass) -> Duration {
@@ -483,18 +485,18 @@ fn serve_heal_fault(fault: HealFault) -> Fault {
 /// the breaker re-closed.
 fn breaker_drill(scene: &Arc<SceneState>, pose: Pose) -> bool {
     let cooldown = Duration::from_millis(1000);
-    let server = RenderServer::new(
-        ServerConfig::default()
-            // One failure per frame (no retry) makes trip counting
-            // exact; a long cooldown keeps the shed check race-free.
-            .with_retry(RetryPolicy::disabled())
-            .with_breaker(
-                BreakerConfig::default()
-                    .with_window(8, 4)
-                    .with_cooldown(cooldown)
-                    .with_probe_quota(2),
-            ),
-    );
+    let server = RenderServer::new(ServerConfig {
+        // One failure per frame (no retry) makes trip counting exact;
+        // a long cooldown keeps the shed check race-free.
+        retry: RetryPolicy::disabled(),
+        breaker: BreakerConfig {
+            window: 8,
+            min_samples: 4,
+            cooldown,
+            probe_quota: 2,
+        },
+        ..ServerConfig::default()
+    });
     let session = server.create_session(Arc::clone(scene), session_config());
     let breaker = server.scene_breaker(session);
 
@@ -566,14 +568,17 @@ fn chaos_gate() -> bool {
          (seed {}) ...",
         spec.sessions, spec.frames_per_session, spec.rate_hz, spec.seed
     );
-    let supervision = SupervisorConfig::default()
-        .with_interactive_budget(CHAOS_INTERACTIVE_BUDGET)
-        .with_best_effort_budget(CHAOS_BEST_EFFORT_BUDGET);
+    let supervision = SupervisorConfig {
+        interactive_budget: CHAOS_INTERACTIVE_BUDGET,
+        best_effort_budget: CHAOS_BEST_EFFORT_BUDGET,
+    };
     let server = RenderServer::new(
-        ServerConfig::default()
-            .with_max_shards(scenes.len())
-            .with_admission(AdmissionConfig::with_capacity(256))
-            .with_supervision(supervision),
+        ServerConfig {
+            supervision,
+            ..ServerConfig::default()
+        }
+        .with_max_shards(scenes.len())
+        .with_admission(AdmissionConfig::with_capacity(256)),
     );
     let sessions = create_sessions(&server, &scenes, spec.sessions, session_config);
     let plan = load_plan(&spec);
@@ -614,7 +619,7 @@ fn chaos_gate() -> bool {
     for (class, handle) in handles {
         let budget = class_budget(class);
         // Every handle must resolve well inside this window (the
-        // watchdog resolves stragglers at the budget).
+        // supervision pass resolves stragglers at the budget).
         match handle.wait_timeout(budget * 2 + Duration::from_secs(2)) {
             None => unresolved += 1,
             Some(Ok(frame)) => {
@@ -688,8 +693,9 @@ fn chaos_gate() -> bool {
 // ---------------------------------------------------------------------------
 
 /// Drill-local health policy: a tight heartbeat budget so detection
-/// latency is measurable in milliseconds (the sweep runs every
-/// fortieth of it, ≈ 6 ms), and a small restart backoff.
+/// latency is measurable in milliseconds (the supervision pass, which
+/// runs the health sweep, comes every fortieth of the shortest of it
+/// and the frame budgets: ≈ 6 ms here), and a small restart backoff.
 const HEAL_HEARTBEAT_BUDGET: Duration = Duration::from_millis(250);
 const HEAL_RESTART_BACKOFF: Duration = Duration::from_millis(20);
 /// The drill's wedge stall: comfortably past the heartbeat budget (so
@@ -697,7 +703,7 @@ const HEAL_RESTART_BACKOFF: Duration = Duration::from_millis(20);
 /// default supervision budgets (so the wedged frame completes after
 /// requeue instead of timing out).
 const HEAL_WEDGE_STALL: Duration = Duration::from_millis(600);
-/// Detection gate: heartbeat budget + sweep cadence + generous
+/// Detection gate: heartbeat budget + pass cadence + generous
 /// scheduling slack for a loaded single-core CI box.
 const HEAL_DETECT_GATE: Duration = Duration::from_millis(1500);
 /// Recovery gate: submit of the faulted frame → its requeued render
@@ -735,13 +741,16 @@ fn shard_fault_case(
     reference: &[Vec<u32>],
     fault: Fault,
 ) -> HealedCase {
-    let health = HealthConfig::default()
-        .with_heartbeat_budget(HEAL_HEARTBEAT_BUDGET)
-        .with_restart_backoff(HEAL_RESTART_BACKOFF);
+    let health = HealthConfig {
+        heartbeat_budget: HEAL_HEARTBEAT_BUDGET,
+        restart_backoff: HEAL_RESTART_BACKOFF,
+    };
     let server = RenderServer::new(
-        ServerConfig::default()
-            .with_max_shards(1)
-            .with_health(health),
+        ServerConfig {
+            health,
+            ..ServerConfig::default()
+        }
+        .with_max_shards(1),
     );
     let session = server.create_session(Arc::clone(scene), session_config());
     // Warm the shard (pool spawn, first render) out of the timing.
@@ -863,10 +872,12 @@ fn heal_gate(seed: u64) -> bool {
         let arena = gen_nerf_parallel::num_threads().max(1) as u64
             * gen_nerf::pipeline::WORKER_SCRATCH_BYTES as u64;
         let budget = arena + 32 * 1024;
-        let server = RenderServer::new(
-            ServerConfig::default()
-                .with_governor(GovernorConfig::default().with_budget_bytes(budget)),
-        );
+        let server = RenderServer::new(ServerConfig {
+            governor: GovernorConfig {
+                budget_bytes: budget,
+            },
+            ..ServerConfig::default()
+        });
         let session = server.create_session(
             Arc::clone(scene),
             // Tiny coherence bounds: every distinct pose re-anchors,

@@ -124,8 +124,8 @@ pub enum ChaosFault {
     /// Panic on every attempt: the retry budget exhausts, the frame
     /// fails, and repeated hits feed the scene's circuit breaker.
     PersistentPanic,
-    /// Stall longer than every deadline budget: the watchdog times the
-    /// frame out and cancellation reclaims the stalled worker.
+    /// Stall longer than every deadline budget: the supervision pass
+    /// times the frame out and cancellation reclaims the stalled worker.
     Timeout,
     /// Stall briefly (within budget): a slow frame that must still
     /// complete normally.

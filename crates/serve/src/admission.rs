@@ -247,6 +247,11 @@ impl<T> FairQueue<T> {
         lanes.map(VecDeque::len).sum()
     }
 
+    /// Every pending item, in no particular order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+        self.classes.iter().flat_map(|c| c.lanes.values().flatten())
+    }
+
     /// Whether nothing is pending.
     pub fn is_empty(&self) -> bool {
         self.classes.iter().all(|c| c.tenants.is_empty())

@@ -53,16 +53,9 @@ pub(crate) const DEFAULT_CACHE_BUDGET_BYTES: usize = 8 << 20;
 #[derive(Debug, Clone, Copy)]
 pub struct GovernorConfig {
     /// The hard byte budget across all sessions' coarse caches plus
-    /// worker-arena reservations. Default 256 MiB.
+    /// worker-arena reservations (0 reads as one byte). Default
+    /// 256 MiB.
     pub budget_bytes: u64,
-}
-
-impl GovernorConfig {
-    /// Overrides the byte budget (0 reads as one byte).
-    pub fn with_budget_bytes(mut self, bytes: u64) -> Self {
-        self.budget_bytes = bytes;
-        self
-    }
 }
 
 impl Default for GovernorConfig {
@@ -471,11 +464,13 @@ pub(crate) mod tests {
 
     #[test]
     fn config_defaults_and_builders() {
-        let cfg = GovernorConfig::default().with_budget_bytes(1 << 20);
+        let cfg = GovernorConfig {
+            budget_bytes: 1 << 20,
+        };
         assert_eq!(cfg.budget_bytes, 1 << 20);
-        // The builder stores what it is given; the cache clamps at the
+        // The config stores what it is given; the cache clamps at the
         // read.
-        let zero = GovernorConfig::default().with_budget_bytes(0);
+        let zero = GovernorConfig { budget_bytes: 0 };
         assert_eq!(zero.budget_bytes, 0);
         let cache = AnchorCache::new(&zero, 0, DEFAULT_CACHE_BUDGET_BYTES);
         assert_eq!(cache.stats().budget_bytes, 1);
@@ -492,7 +487,9 @@ pub(crate) mod tests {
         let reserved = 100;
         let budget = reserved + 2 * cost;
         assert!(reserved + anchor_cost(&large) as u64 > budget);
-        let cfg = GovernorConfig::default().with_budget_bytes(budget);
+        let cfg = GovernorConfig {
+            budget_bytes: budget,
+        };
         let cache = AnchorCache::new(&cfg, reserved, DEFAULT_CACHE_BUDGET_BYTES);
         let meters = test_meters();
         let session_cfg = SessionConfig::new(
@@ -529,7 +526,7 @@ pub(crate) mod tests {
 
     #[test]
     fn pressure_watermark() {
-        let cfg = GovernorConfig::default().with_budget_bytes(1000);
+        let cfg = GovernorConfig { budget_bytes: 1000 };
         let cap = DEFAULT_CACHE_BUDGET_BYTES;
         assert!(!AnchorCache::new(&cfg, 0, cap).under_pressure());
         assert!(!AnchorCache::new(&cfg, 849, cap).under_pressure());

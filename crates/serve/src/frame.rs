@@ -11,7 +11,7 @@
 //! frame's trace events and moves its counters. What a frame holds on
 //! behalf of the rest of the tier is a function of its [`Stage`]:
 //!
-//! | stage | queue-depth claim | watch + pending claim | counted busy |
+//! | stage | queue-depth claim | in flight + pending claim | on the running list |
 //! |---|---|---|---|
 //! | `Submitted` | – | – | – |
 //! | `Claimed` | yes | – | – |
@@ -21,8 +21,9 @@
 //! A frame ends exactly once, through [`Frame::end`] with an [`End`]
 //! value; the policy that maps each `End` to an error, a counter, a
 //! trace event and a breaker outcome is the one `match` in
-//! [`End::policy`]. The watchdog is the only other resolver: it holds
-//! the shared [`FrameCore`] and calls [`FrameCore::time_out`].
+//! [`End::policy`]. Its deadline is the only other resolver: the
+//! supervision pass finds the shared [`FrameCore`] in its shard's
+//! queue or running list and calls [`FrameCore::time_out`].
 //!
 //! **Bookkeeping precedes the wake-up.** Both resolvers funnel into
 //! [`FrameCore::resolve`], the single writer of the caller-visible
@@ -39,7 +40,7 @@ use crate::server::{Fault, FrameRequest, FrameResult, ServeError};
 use crate::session::{DeadlineClass, PendingGuard, ResolutionTier, SessionState};
 use crate::shard::Meters;
 use crate::supervisor::BreakerAdmit;
-use crate::{lock, wait, wait_timeout};
+use crate::{lock, wait_until};
 use gen_nerf_geometry::Pose;
 use gen_nerf_parallel::CancelToken;
 use gen_nerf_scene::Image;
@@ -81,11 +82,11 @@ impl Shed {
 /// Every way a frame's owner can end it. [`End::policy`] is the table.
 pub(crate) enum End {
     /// Admission refused the frame (with the queue depth it saw); it
-    /// was never queued and nothing watches it.
+    /// was never queued, so no deadline applies.
     Shed(Shed, u64),
     /// Shutdown closed the queue under the submission.
     QueueClosed,
-    /// Popped, but the watchdog had already answered for it.
+    /// Popped, but its deadline had already answered for it.
     Stale,
     /// Popped, but its session was removed while it waited.
     SessionGone,
@@ -124,8 +125,8 @@ enum Verdict {
 impl End {
     /// The frame-end policy, one row per way to end: what the breaker
     /// is told, and the verdict offered to the slot (`None` where the
-    /// owner already saw the watchdog's). A rendered frame records a
-    /// success even when the watchdog wins the slot — the breaker
+    /// owner already saw the timeout). A rendered frame records a
+    /// success even when the timeout wins the slot — the breaker
     /// gauges scene health, not deadline pressure — and a frame that
     /// never rendered records nothing.
     fn policy(self) -> (Settle, Option<Verdict>) {
@@ -149,21 +150,24 @@ impl End {
     }
 }
 
-/// A slot's interior: the outcome (until the caller consumes it) and a
-/// sticky `resolved` latch. The latch is what makes resolution
-/// first-write-wins *across* consumption: once any writer resolved the
-/// slot, every later write is a no-op — even after a waiter took the
-/// outcome out — so a render finishing after its watchdog timeout can
-/// never resurrect a consumed handle.
+/// A slot's interior: the outcome (until the caller consumes it), a
+/// sticky `resolved` latch, and the cancel token of the frame's current
+/// render attempt. The latch is what makes resolution first-write-wins
+/// *across* consumption: once any writer resolved the slot, every
+/// later write is a no-op — even after a waiter took the outcome out —
+/// so a render finishing after its timeout can never resurrect a
+/// consumed handle.
 #[derive(Default)]
 struct SlotState {
     outcome: Option<Outcome>,
     resolved: bool,
+    attempt: Option<CancelToken>,
 }
 
 /// The part of a frame its owner shares with the caller's
-/// [`FrameHandle`](crate::FrameHandle) and the watchdog: the slot, and
-/// the identity and lock-free books a resolver needs.
+/// [`FrameHandle`](crate::FrameHandle) and its shard's queue or running
+/// list: the slot, the deadline, and the identity and lock-free books a
+/// resolver needs.
 pub(crate) struct FrameCore {
     slot: Mutex<SlotState>,
     ready: Condvar,
@@ -171,12 +175,16 @@ pub(crate) struct FrameCore {
     id: u64,
     class: DeadlineClass,
     submitted: Instant,
+    /// Instant past which the supervision pass resolves the handle with
+    /// `TimedOut` (`None`: a budget too long to add to an instant);
+    /// retries are never scheduled beyond it.
+    pub deadline: Option<Instant>,
     meters: Arc<Meters>,
 }
 
 impl FrameCore {
     /// Whether the frame has resolved (by render, error, shed or
-    /// timeout) — shards skip frames the watchdog already answered.
+    /// timeout) — shards skip frames whose deadline already answered.
     pub(crate) fn is_resolved(&self) -> bool {
         lock(&self.slot).resolved
     }
@@ -191,27 +199,14 @@ impl FrameCore {
     /// Blocks for the outcome, at most until `until` when one is
     /// given.
     pub(crate) fn wait(&self, until: Option<Instant>) -> Option<Outcome> {
-        let mut slot = lock(&self.slot);
-        loop {
-            if let Some(outcome) = slot.outcome.take() {
-                return Some(outcome);
-            }
-            slot = match until {
-                None => wait(&self.ready, slot),
-                Some(until) => {
-                    let left = until.saturating_duration_since(Instant::now());
-                    if left.is_zero() {
-                        return None;
-                    }
-                    wait_timeout(&self.ready, slot, left)
-                }
-            };
-        }
+        let ready = |slot: &SlotState| slot.outcome.is_some();
+        let (mut slot, _) = wait_until(&self.ready, lock(&self.slot), until, ready);
+        slot.outcome.take()
     }
 
-    /// The watchdog's transition: the frame blew its class budget at
-    /// `now`. Returns whether the timeout won the slot (the caller
-    /// then cancels the frame's render attempt).
+    /// The deadline's transition: the frame blew its class budget at
+    /// `now`. Returns whether the timeout won the slot; a winning
+    /// timeout cancels the frame's own render attempt, if one runs.
     pub(crate) fn time_out(&self, now: Instant) -> bool {
         self.resolve(Verdict::TimedOut, now)
     }
@@ -238,6 +233,11 @@ impl FrameCore {
             }
             Verdict::TimedOut => {
                 m.watch.timed_out[class_index(class)].inc();
+                // Reclaims the worker: the render polls the token at
+                // per-ray boundaries and drains.
+                if let Some(attempt) = &slot.attempt {
+                    attempt.cancel();
+                }
                 let err = ServeError::TimedOut { class };
                 (Err(err), resolved(ResolveOutcome::TimedOut))
             }
@@ -260,7 +260,7 @@ impl FrameCore {
             }
         };
         if kind == EventKind::Resolve {
-            // Exactly the frames that were admitted, hence watched.
+            // Exactly the frames that were admitted.
             m.watch.in_flight.dec();
         }
         m.ring.record(self.id, kind, a, b);
@@ -299,16 +299,11 @@ pub(crate) struct Frame {
     pub degraded: bool,
     pub reuse: Option<Image>,
     pub fault: Option<Fault>,
-    /// Instant past which the watchdog resolves the handle with
-    /// `TimedOut`; retries are never scheduled beyond it.
-    pub deadline_at: Instant,
     /// Queue depth admission saw (`Admit.b`).
     depth_seen: u64,
     /// Whether the scene's breaker admitted this frame as a HalfOpen
     /// probe (its outcome decides Closed vs back to Open).
     probe: bool,
-    /// Registration with the server's watchdog, while watched.
-    watch: Option<u64>,
     /// Claim on the session's pending-frame count, held from admission
     /// until the owner is done touching the session (cache inserts
     /// included) so `remove_session` can wait for true quiescence.
@@ -321,13 +316,14 @@ impl Frame {
     pub(crate) fn submit(session: u64, state: Arc<SessionState>, req: FrameRequest) -> Self {
         let shard = &state.shard;
         let m = &shard.meters;
-        let now = shard.supervisor.clock().now();
+        let now = shard.clock.now();
         let core = Arc::new(FrameCore {
             slot: Mutex::default(),
             ready: Condvar::new(),
             id: gen_nerf_telemetry::next_frame_id(),
             class: req.deadline,
             submitted: now,
+            deadline: now.checked_add(shard.cfg.supervision.budget(req.deadline)),
             meters: Arc::clone(m),
         });
         m.submitted.inc();
@@ -343,10 +339,8 @@ impl Frame {
             degraded: false,
             reuse: req.reuse,
             fault: req.fault,
-            deadline_at: now + shard.cfg.supervision.budget(req.deadline),
             depth_seen: m.depth.get().max(0) as u64,
             probe: false,
-            watch: None,
             pending: None,
             state,
         }
@@ -364,18 +358,16 @@ impl Frame {
         self.core.submitted
     }
 
-    /// Whether the handle already resolved (the watchdog's timeout is
-    /// the only resolver besides this frame's owner).
+    /// Whether the handle already resolved (a timeout is the only
+    /// resolver besides this frame's owner).
     pub(crate) fn is_resolved(&self) -> bool {
         self.core.is_resolved()
     }
 
-    /// Attaches a render attempt's cancel token to the frame's watch,
-    /// so a timeout fired mid-render reclaims the worker.
+    /// Makes `cancel` the frame's current attempt token, so a timeout
+    /// fired mid-render reclaims the worker.
     pub(crate) fn begin_attempt(&self, cancel: &CancelToken) {
-        if let Some(watch) = self.watch {
-            self.state.shard.supervisor.begin_render(watch, cancel);
-        }
+        lock(&self.core.slot).attempt = Some(cancel.clone());
     }
 
     fn event(&self, kind: EventKind, a: u64, b: u64) {
@@ -398,7 +390,7 @@ impl Frame {
     }
 
     /// **Admit.** The policy let the frame in (at the degraded tier
-    /// when `degrade`): from here the watchdog guarantees the handle
+    /// when `degrade`): from here its deadline guarantees the handle
     /// resolves, and the session counts the frame pending.
     pub(crate) fn admit(&mut self, degrade: bool) {
         let shard = &self.state.shard;
@@ -418,7 +410,6 @@ impl Frame {
         self.event(EventKind::Admit, verdict as u64, self.depth_seen);
         m.admitted.inc();
         m.watch.in_flight.inc();
-        self.watch = Some(shard.supervisor.watch(&self.core, self.deadline_at));
         self.pending = Some(self.state.pending.claim());
         self.stage = Stage::Queued;
     }
@@ -472,10 +463,10 @@ impl Frame {
 
     /// **The terminal transition.** Settles the breaker, returns a
     /// still-held depth claim, offers the verdict to the slot, then —
-    /// the handle may already be awake — drops the watch, counts the
-    /// shard one frame less busy and releases the session's pending
-    /// claim. Everything a waiter may read once its handle resolves
-    /// (breaker, gauges, counters, events) moves before the wake-up.
+    /// the handle may already be awake — takes the frame off its
+    /// shard's running list and releases the session's pending claim.
+    /// Everything a waiter may read once its handle resolves (breaker,
+    /// gauges, counters, events) moves before the wake-up.
     pub(crate) fn end(self, end: End) {
         let shard = &self.state.shard;
         let now = Instant::now();
@@ -494,11 +485,8 @@ impl Frame {
         if let Some(verdict) = verdict {
             self.core.resolve(verdict, now);
         }
-        if let Some(watch) = self.watch {
-            shard.supervisor.unwatch(watch);
-        }
         if self.stage == Stage::Running {
-            shard.settle();
+            shard.settle(&self.core);
         }
         drop(self.pending);
     }
@@ -511,7 +499,7 @@ mod tests {
     use crate::server::{CacheOutcome, ServeStats, ServerConfig};
     use crate::session::{SceneState, SessionConfig};
     use crate::shard::ShardCtx;
-    use crate::supervisor::{BreakerConfig, BreakerState, CircuitBreaker, Supervisor};
+    use crate::supervisor::{BreakerConfig, BreakerState, CircuitBreaker, WatchMeters};
     use gen_nerf::config::{ModelConfig, SamplingStrategy};
     use gen_nerf::model::GenNerfModel;
     use gen_nerf::pipeline::RenderStats;
@@ -525,21 +513,20 @@ mod tests {
     /// recorded failure re-opens it (a second trip), and an aborted
     /// probe leaves it HalfOpen with the slot free again.
     struct Fixture {
-        supervisor: Arc<Supervisor>,
         shard: Arc<ShardCtx>,
         state: Arc<SessionState>,
     }
 
     fn fixture() -> Fixture {
         let instance = gen_nerf_telemetry::next_instance_id();
-        let supervisor = Arc::new(Supervisor::spawn(instance, Clock::real()));
         let cache = AnchorCache::new(&GovernorConfig::default(), 0, DEFAULT_CACHE_BUDGET_BYTES);
         let shard = ShardCtx::new(
             instance,
             0,
             Arc::new(gen_nerf_parallel::Pool::new(1)),
             ServerConfig::default(),
-            Arc::clone(&supervisor),
+            WatchMeters::new(instance),
+            Clock::real(),
             Arc::new(cache),
         );
         let scene = Arc::new(SceneState::prepare(
@@ -548,12 +535,12 @@ mod tests {
             Aabb::new(Vec3::splat(-1.0), Vec3::splat(1.0)),
             Vec3::ZERO,
         ));
-        let breaker = Arc::new(CircuitBreaker::new(
-            BreakerConfig::default()
-                .with_window(1, 1)
-                .with_cooldown(Duration::ZERO)
-                .with_probe_quota(1),
-        ));
+        let breaker = Arc::new(CircuitBreaker::new(BreakerConfig {
+            window: 1,
+            min_samples: 1,
+            cooldown: Duration::ZERO,
+            probe_quota: 1,
+        }));
         breaker.record(false, false, Instant::now());
         assert_eq!((breaker.state(), breaker.trips()), (BreakerState::Open, 1));
         let cfg = SessionConfig::new(
@@ -562,11 +549,7 @@ mod tests {
         );
         shard.cache.open(1, cfg, shard.meters.cache);
         let state = Arc::new(SessionState::new(scene, cfg, Arc::clone(&shard), breaker));
-        Fixture {
-            supervisor,
-            shard,
-            state,
-        }
+        Fixture { shard, state }
     }
 
     /// What the breaker was told, read off the fixture's breaker.
@@ -752,7 +735,7 @@ mod tests {
                 },
                 event: Some((EventKind::Resolve, ResolveOutcome::Ok as u64)),
             },
-            // The owner already saw the watchdog's verdict: nothing is
+            // The owner already saw the timeout's verdict: nothing is
             // offered to the slot.
             silent(|| End::Stale, AbortProbe),
             silent(|| End::BudgetSpent, Record(false)),
@@ -805,18 +788,17 @@ mod tests {
     }
 
     /// Everything a frame held is back exactly once: the depth claim,
-    /// the in-flight count, the watch, the pending claim and the
-    /// shard's busy count.
+    /// the in-flight count, the pending claim and the shard's running
+    /// list (which `drain`'s idle wait reads).
     fn assert_all_returned(fx: &Fixture, what: &str) {
         let m = &fx.shard.meters;
         assert_eq!(m.depth.get(), 0, "{what}: depth claim");
         assert_eq!(m.watch.in_flight.get(), 0, "{what}: in-flight gauge");
-        assert_eq!(fx.supervisor.watching(), 0, "{what}: watch");
         assert!(
             fx.state.pending.wait_settled(Duration::ZERO),
             "{what}: pending claim"
         );
-        let idle = fx.shard.drain(Instant::now(), Duration::ZERO);
+        let idle = fx.shard.drain(Some(Instant::now()), Duration::ZERO);
         assert_eq!(idle, (true, 0), "{what}: shard still busy");
     }
 
@@ -829,7 +811,7 @@ mod tests {
             let frame = frame_at(&fx, row.stage);
             let core = Arc::clone(frame.core());
             if row.event.is_none() {
-                // The silent rows are reached only after the watchdog
+                // The silent rows are reached only after the timeout
                 // resolved the frame.
                 assert!(core.time_out(Instant::now()));
                 core.take();
@@ -861,9 +843,9 @@ mod tests {
             assert_eq!(settled(&fx.state.breaker), row.settle, "{what}: breaker");
             assert_all_returned(&fx, &what);
 
-            // --- the watchdog's timeout got there first -------------------
+            // --- the timeout got there first ------------------------------
             if row.stage == Stage::Submitted || row.stage == Stage::Claimed {
-                // Nothing watches a frame admission refuses.
+                // No deadline applies to a frame admission refuses.
                 continue;
             }
             let what = format!("row {i}, loses");

@@ -7,9 +7,9 @@
 //! layer:
 //!
 //! * [`HealthConfig`] — the heartbeat budget and the base of the
-//!   exponential restart backoff. The sweep runs 40 times per budget,
-//!   and past [`MAX_RESTARTS`] consecutive restarts a shard is
-//!   declared down, which also bounds the backoff.
+//!   exponential restart backoff. The supervision pass runs at least
+//!   40 times per budget, and past [`MAX_RESTARTS`] consecutive
+//!   restarts a shard is declared down, which also bounds the backoff.
 //! * [`DrainReport`] — what
 //!   [`RenderServer::drain`](crate::RenderServer::drain) returns.
 //!
@@ -17,16 +17,17 @@
 //! busy while the worker's beat count and the in-flight attempt's tile
 //! ticks stood still for the heartbeat budget; Dead: the worker thread
 //! finished with the queue open), condemning, respawning — lives with
-//! the shard itself (`shard.rs`); the sweep that drives it is
-//! registered on the supervisor's watchdog thread by `RenderServer`.
+//! the shard itself (`shard.rs`), as the health half of the server's
+//! one supervision pass.
 
 use crate::doubling_backoff;
+use crate::supervisor::SupervisorConfig;
 use std::time::Duration;
 
 /// Default heartbeat budget. Deliberately above the worst legitimate
 /// stretch without progress: a rendering batch ticks once per tile, a
 /// batch that fills no tile stalls at most one deadline budget before
-/// the watchdog cancels it (the chaos harness stalls up to ~1.5 s),
+/// its timeout cancels it (the chaos harness stalls up to ~1.5 s),
 /// and the worker beats as soon as the batch returns.
 const DEFAULT_HEARTBEAT_BUDGET: Duration = Duration::from_millis(2000);
 
@@ -36,8 +37,9 @@ const DEFAULT_HEARTBEAT_BUDGET: Duration = Duration::from_millis(2000);
 /// [`ServeError::ShardDown`](crate::ServeError::ShardDown).
 pub(crate) const MAX_RESTARTS: u32 = 5;
 
-/// Health sweeps per heartbeat budget: a wedge is condemned at most a
-/// fortieth of the budget late.
+/// Supervision passes per heartbeat or frame budget: a wedge is
+/// condemned at most a fortieth of the budget late, and every frame is
+/// admitted at least this many passes before its deadline.
 const SWEEPS_PER_BUDGET: u32 = 40;
 
 /// Why a shard was condemned — the `b` payload of a
@@ -74,18 +76,6 @@ pub struct HealthConfig {
 }
 
 impl HealthConfig {
-    /// Overrides the heartbeat budget.
-    pub fn with_heartbeat_budget(mut self, budget: Duration) -> Self {
-        self.heartbeat_budget = budget;
-        self
-    }
-
-    /// Overrides the restart backoff base.
-    pub fn with_restart_backoff(mut self, base: Duration) -> Self {
-        self.restart_backoff = base;
-        self
-    }
-
     /// The heartbeat budget in force: the configured one, at least
     /// 1 ms (a zero budget would condemn every busy shard).
     pub(crate) fn budget(&self) -> Duration {
@@ -96,6 +86,16 @@ impl HealthConfig {
     /// [`SWEEPS_PER_BUDGET`], at least 1 ms.
     pub(crate) fn sweep_interval(&self) -> Duration {
         (self.budget() / SWEEPS_PER_BUDGET).max(Duration::from_millis(1))
+    }
+
+    /// Cadence of the supervision pass: a fortieth of the shortest of
+    /// the heartbeat budget and the two frame budgets, at least 1 ms.
+    /// A pass thus always sees a frame before its deadline, and sleeps
+    /// until the earliest one instead of being woken per admission.
+    pub(crate) fn pass_interval(&self, frames: &SupervisorConfig) -> Duration {
+        let shortest = frames.interactive_budget.min(frames.best_effort_budget);
+        let frame = (shortest / SWEEPS_PER_BUDGET).max(Duration::from_millis(1));
+        self.sweep_interval().min(frame)
     }
 
     /// Backoff before restart number `consecutive` (1-based).
@@ -150,9 +150,37 @@ mod tests {
             assert_eq!(cfg.backoff_for(n), Duration::from_millis(50 << (n - 1)));
         }
         // The budget in force is never zero, and neither is the sweep.
-        let zero = cfg.with_heartbeat_budget(Duration::ZERO);
+        let zero = HealthConfig {
+            heartbeat_budget: Duration::ZERO,
+            ..cfg
+        };
         assert_eq!(zero.budget(), Duration::from_millis(1));
         assert_eq!(zero.sweep_interval(), Duration::from_millis(1));
+    }
+
+    #[test]
+    fn the_pass_runs_forty_times_per_shortest_budget() {
+        let frames = SupervisorConfig::default();
+        assert_eq!(
+            HealthConfig::default().pass_interval(&frames),
+            Duration::from_millis(50)
+        );
+        let heal = HealthConfig {
+            heartbeat_budget: Duration::from_millis(250),
+            ..HealthConfig::default()
+        };
+        assert_eq!(heal.pass_interval(&frames), Duration::from_micros(6250));
+        let chaos = SupervisorConfig {
+            interactive_budget: Duration::from_millis(800),
+            best_effort_budget: Duration::from_millis(1500),
+        };
+        let health = HealthConfig::default();
+        assert_eq!(health.pass_interval(&chaos), Duration::from_millis(20));
+        let instant = SupervisorConfig {
+            interactive_budget: Duration::ZERO,
+            ..frames
+        };
+        assert_eq!(health.pass_interval(&instant), Duration::from_millis(1));
     }
 
     #[test]

@@ -26,17 +26,23 @@
 //!   shards spawn lazily, further scenes share shards round-robin.
 //!   There is no async runtime — the container builds with no external
 //!   crates, so each shard is a shared condvar-signalled queue + a
-//!   scheduler thread that renders beside the shared crew. The scheduler thread itself is
-//!   supervised: it counts a beat per pop, attempt start and batch, and
-//!   a health sweep that reads that count with the in-flight attempt's
-//!   tile ticks condemns a dead or wedged thread and respawns it on the
-//!   same queue under a restart backoff ([`HealthConfig`]).
+//!   scheduler thread that renders beside the shared crew.
+//! * **One supervision pass**: one server thread visits every shard on
+//!   one [`Clock`](gen_nerf_telemetry::Clock). Each shard times out its
+//!   own overdue frames, queued and running alike, against their
+//!   per-class deadlines ([`SupervisorConfig`]), and is judged by its
+//!   health sweep: the scheduler thread counts a beat per pop, attempt
+//!   start and batch, and the sweep reads that count with the in-flight
+//!   attempt's tile ticks, condemns a dead or wedged thread and
+//!   respawns it on the same queue under a restart backoff
+//!   ([`HealthConfig`]). The pass runs at least 40 times per shortest
+//!   budget and sleeps until the earliest pending deadline.
 //! * **One frame lifecycle**: every submitted frame is one state
 //!   value walking `Submit → Admit → Pop → Batch → Render/Retry →
 //!   Resolve`, and it ends through exactly one transition — taken by
 //!   whoever owns the frame then (admission, the shard, the health
-//!   sweep, a drain) or by the per-class deadline watchdog
-//!   ([`SupervisorConfig`]) — which is the only code that resolves a
+//!   sweep, a drain) or by its deadline in the supervision pass
+//!   — which is the only code that resolves a
 //!   [`FrameHandle`], moves the frame counters, emits the terminal
 //!   trace event and tells the scene's [`CircuitBreaker`] what
 //!   happened. The winner books *before* it wakes the handle: once a
@@ -187,23 +193,29 @@ pub(crate) fn doubling_backoff(base: Duration, cap: Duration, n: u32) -> Duratio
 }
 
 /// Blocks on `cv` until `done` holds of the guarded state or `until`
-/// passes — the bounded wait behind `drain` and `remove_session`,
-/// which are woken by the transition they wait for instead of polling
-/// for it. Returns the guard and whether `done` held.
+/// passes (`None`: no bound, for a wait too long to add to an instant)
+/// — the wait behind a handle, `drain` and `remove_session`, which are
+/// woken by the transition they wait for instead of polling for it.
+/// Returns the guard and whether `done` held.
 pub(crate) fn wait_until<'a, T>(
     cv: &Condvar,
     mut guard: MutexGuard<'a, T>,
-    until: Instant,
+    until: Option<Instant>,
     done: impl Fn(&T) -> bool,
 ) -> (MutexGuard<'a, T>, bool) {
     loop {
         if done(&guard) {
             return (guard, true);
         }
-        let left = until.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return (guard, false);
-        }
-        guard = wait_timeout(cv, guard, left);
+        guard = match until {
+            None => wait(cv, guard),
+            Some(until) => {
+                let left = until.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return (guard, false);
+                }
+                wait_timeout(cv, guard, left)
+            }
+        };
     }
 }

@@ -15,23 +15,24 @@ use crate::cache::{
 };
 use crate::frame::{End, Frame, FrameCore, Shed};
 use crate::health::{DrainReport, HealthConfig};
-use crate::lock;
 use crate::registry::{Assignment, SceneRegistry, ShardId};
 use crate::session::{
     DeadlineClass, ResolutionTier, SceneState, SessionConfig, SessionId, SessionState,
 };
-use crate::shard::{Shard, ShardCtx, ShardStats};
+use crate::shard::{supervision_pass, Shard, ShardCtx, ShardStats};
 use crate::supervisor::{
-    BreakerConfig, CircuitBreaker, RetryPolicy, Supervisor, SupervisorConfig, SupervisorStats,
+    BreakerConfig, CircuitBreaker, RetryPolicy, SupervisorConfig, SupervisorStats, WatchMeters,
 };
+use crate::{lock, wait_timeout};
 use gen_nerf::pipeline::{RenderStats, WORKER_SCRATCH_BYTES};
 use gen_nerf_geometry::Pose;
 use gen_nerf_parallel::Pool;
 use gen_nerf_scene::Image;
-use gen_nerf_telemetry::TraceEvent;
+use gen_nerf_telemetry::{Clock, TraceEvent};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Server-wide configuration.
@@ -49,14 +50,15 @@ pub struct ServerConfig {
     pub max_shards: usize,
     /// Bounded-queue admission policy applied per shard.
     pub admission: crate::admission::AdmissionConfig,
-    /// Per-class wall-clock frame budgets enforced by the watchdog.
+    /// Per-class wall-clock frame budgets enforced by the supervision
+    /// pass.
     pub supervision: SupervisorConfig,
     /// Re-render policy for transiently failed frames.
     pub retry: RetryPolicy,
     /// Per-scene circuit-breaker tuning.
     pub breaker: BreakerConfig,
-    /// Shard self-healing: heartbeat budget (which sets the sweep
-    /// cadence) and restart backoff.
+    /// Shard self-healing: heartbeat budget (which, with the frame
+    /// budgets, sets the supervision cadence) and restart backoff.
     pub health: HealthConfig,
     /// Server-wide memory budget over session caches and worker
     /// arenas.
@@ -90,36 +92,6 @@ impl ServerConfig {
         self.admission = admission;
         self
     }
-
-    /// Sets the per-class frame deadline budgets.
-    pub fn with_supervision(mut self, supervision: SupervisorConfig) -> Self {
-        self.supervision = supervision;
-        self
-    }
-
-    /// Sets the transient-failure retry policy.
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
-    /// Sets the per-scene circuit-breaker tuning.
-    pub fn with_breaker(mut self, breaker: BreakerConfig) -> Self {
-        self.breaker = breaker;
-        self
-    }
-
-    /// Sets the shard self-healing policy.
-    pub fn with_health(mut self, health: HealthConfig) -> Self {
-        self.health = health;
-        self
-    }
-
-    /// Sets the server-wide memory budget.
-    pub fn with_governor(mut self, governor: GovernorConfig) -> Self {
-        self.governor = governor;
-        self
-    }
 }
 
 /// Injected failure for resilience testing: makes the shard's render
@@ -139,7 +111,7 @@ pub enum Fault {
     /// Sleep inside the render closure (holds the shard busy so tests
     /// can build queue depth deterministically). The sleep polls the
     /// batch's cancel token, so a stall longer than the frame's
-    /// deadline budget is reclaimed by the watchdog instead of parking
+    /// deadline budget is reclaimed by its timeout instead of parking
     /// the shard worker.
     Stall(Duration),
     /// Corrupt one GEMM output of the first render attempt (a
@@ -276,8 +248,8 @@ pub enum ServeError {
     /// with the frame still queued.
     Failed(String),
     /// The frame exceeded its [`DeadlineClass`] wall-clock budget and
-    /// the watchdog resolved it (cancelling its render if one was in
-    /// flight).
+    /// the supervision pass resolved it (cancelling its render if one
+    /// was in flight).
     TimedOut {
         /// The overdue frame's scheduling class.
         class: DeadlineClass,
@@ -331,10 +303,11 @@ impl FrameHandle {
     /// Blocks until the frame resolves or `timeout` elapses: `Some`
     /// with the outcome, `None` on timeout (the handle stays usable —
     /// wait again, or keep it; the server still owns the frame
-    /// and its watchdog deadline). This is the bounded wait serving
-    /// loops and tests use instead of hand-rolled spin loops.
+    /// and its deadline). A timeout too long to add to an instant waits
+    /// unbounded. This is the bounded wait serving loops and tests use
+    /// instead of hand-rolled spin loops.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<Result<FrameResult, ServeError>> {
-        self.frame.wait(Some(Instant::now() + timeout))
+        self.frame.wait(Instant::now().checked_add(timeout))
     }
 
     /// Blocks until the frame completes.
@@ -352,10 +325,26 @@ impl FrameHandle {
 }
 
 /// Scene→shard assignment plus the spawned shards, guarded together
-/// so lazily spawning a shard and recording its scene is atomic.
+/// so lazily spawning a shard and recording its scene is atomic, and
+/// the latch that stops the supervision thread.
 struct Topology {
     registry: SceneRegistry,
     shards: Vec<Shard>,
+    stopped: bool,
+}
+
+/// The supervision thread: one [`supervision_pass`] over every shard,
+/// then a sleep until the pass it asked for (or a stop) — at least 40
+/// passes per shortest budget, so no admission needs to wake it. A
+/// pass holds the topology lock, which `Drop` never holds while it
+/// joins threads, so frames keep timing out during a shutdown.
+fn supervise(topology: &Mutex<Topology>, wake: &Condvar, clock: &Clock, interval: Duration) {
+    let mut topology = lock(topology);
+    while !topology.stopped {
+        let next = supervision_pass(&mut topology.shards, clock.now(), interval);
+        let nap = next.saturating_duration_since(clock.now());
+        topology = wait_timeout(wake, topology, nap);
+    }
 }
 
 /// The multi-session, scene-sharded render server. See the crate docs
@@ -371,13 +360,18 @@ struct Topology {
 /// already admitted, and joins the shard threads.
 pub struct RenderServer {
     cfg: ServerConfig,
-    /// Shared with the supervisor's health-sweep hook (which holds
-    /// only a `Weak`, so the server still owns the topology's
-    /// lifetime).
+    /// Shared with the supervision thread.
     topology: Arc<Mutex<Topology>>,
+    /// Wakes the supervision thread to stop it.
+    wake: Arc<Condvar>,
+    /// The supervision thread, stopped last.
+    supervision: Option<JoinHandle<()>>,
+    /// The one clock every frame deadline and health reading is on.
+    clock: Clock,
     sessions: Mutex<HashMap<u64, Arc<SessionState>>>,
     next_session: AtomicU64,
-    supervisor: Arc<Supervisor>,
+    /// Server-wide in-flight and timeout meters.
+    watch: WatchMeters,
     /// Every session's coarse anchors, under the server's budget.
     cache: Arc<AnchorCache>,
     /// The render pool every shard claims its tile lists on.
@@ -391,43 +385,26 @@ pub struct RenderServer {
 }
 
 impl RenderServer {
-    /// Builds the server front end and its render pool, whose crew
-    /// spawns on the first render of two or more tiles. Shards spawn
-    /// lazily as scenes are registered.
+    /// Builds the server front end, its supervision thread and its
+    /// render pool, whose crew spawns on the first render of two or
+    /// more tiles. Shards spawn lazily as scenes are registered.
     pub fn new(cfg: ServerConfig) -> Self {
-        Self::with_clock(cfg, gen_nerf_telemetry::Clock::real())
-    }
-
-    /// Builds the server with an explicit [`Clock`] behind the
-    /// watchdog's deadline math — pass a
-    /// [`Clock::virtual_clock`](gen_nerf_telemetry::Clock::virtual_clock)
-    /// to drive timeouts deterministically under test.
-    ///
-    /// [`Clock`]: gen_nerf_telemetry::Clock
-    pub(crate) fn with_clock(cfg: ServerConfig, clock: gen_nerf_telemetry::Clock) -> Self {
         let instance = gen_nerf_telemetry::next_instance_id();
+        let clock = Clock::real();
         let topology = Arc::new(Mutex::new(Topology {
             registry: SceneRegistry::new(cfg.max_shards, cfg.breaker),
             shards: Vec::new(),
+            stopped: false,
         }));
-        let sweep_clock = clock.clone();
-        let supervisor = Arc::new(Supervisor::spawn(instance, clock));
-        // The health sweep rides the watchdog thread. It holds only a
-        // Weak topology reference: once the server drops its Arc, the
-        // sweep degrades to a no-op instead of keeping shards alive.
-        let sweep_topology = Arc::downgrade(&topology);
-        supervisor.set_sweep(
-            cfg.health.sweep_interval(),
-            Box::new(move || {
-                let Some(topology) = sweep_topology.upgrade() else {
-                    return;
-                };
-                let now = sweep_clock.now();
-                for shard in &mut lock(&topology).shards {
-                    shard.sweep(now);
-                }
-            }),
-        );
+        let wake = Arc::new(Condvar::new());
+        let supervision = {
+            let (topology, wake, clock) = (Arc::clone(&topology), Arc::clone(&wake), clock.clone());
+            let interval = cfg.health.pass_interval(&cfg.supervision);
+            std::thread::Builder::new()
+                .name("gen-nerf-supervisor".to_string())
+                .spawn(move || supervise(&topology, &wake, &clock, interval))
+                .expect("spawn supervision thread")
+        };
         let crew = Arc::new(Pool::new(cfg.threads));
         // Every crew worker's scratch (which the tile schedule bounds
         // whatever the frame size or batch), charged once for the
@@ -438,9 +415,12 @@ impl RenderServer {
         Self {
             cfg,
             topology,
+            wake,
+            supervision: Some(supervision),
+            clock,
             sessions: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(1),
-            supervisor,
+            watch: WatchMeters::new(instance),
             cache: Arc::new(cache),
             crew,
             draining: AtomicBool::new(false),
@@ -475,7 +455,8 @@ impl RenderServer {
                     idx,
                     Arc::clone(&self.crew),
                     self.cfg,
-                    Arc::clone(&self.supervisor),
+                    self.watch,
+                    self.clock.clone(),
                     Arc::clone(&self.cache),
                 )));
             }
@@ -495,9 +476,8 @@ impl RenderServer {
     /// and degrade Interactive frames to the cached-coarse tier before
     /// shedding them at the hard bound. A scene whose circuit breaker
     /// is open sheds instantly with [`ServeError::CircuitOpen`].
-    /// Admitted frames are watched against their class's wall-clock
-    /// budget: the handle always resolves, at worst with
-    /// [`ServeError::TimedOut`].
+    /// Admitted frames carry their class's wall-clock deadline: the
+    /// handle always resolves, at worst with [`ServeError::TimedOut`].
     ///
     /// # Panics
     ///
@@ -564,8 +544,8 @@ impl RenderServer {
         // Drain-then-drop: every admitted frame holds a pending claim
         // until its handle resolves *and* the shard is done touching
         // the session (cache inserts included). The bound is a safety
-        // net only — frames resolve at worst at their watchdog
-        // deadline, well inside it.
+        // net only — frames resolve at worst at their deadline, well
+        // inside it.
         let settled = state.pending.wait_settled(Duration::from_secs(120));
         debug_assert!(settled, "session frames never settled");
         self.cache.close(session.0);
@@ -576,22 +556,23 @@ impl RenderServer {
     /// budget is shared across shards, measured from entry). Frames
     /// still unfinished when the budget expires are force-failed with
     /// [`ServeError::Draining`], so **every** outstanding handle has
-    /// resolved by the time this returns. Draining is terminal:
-    /// submissions after (or during) a drain resolve immediately with
-    /// [`ServeError::Draining`].
+    /// resolved by the time this returns. A deadline too long to add
+    /// to an instant waits for as long as the work takes. Draining is
+    /// terminal: submissions after (or during) a drain resolve
+    /// immediately with [`ServeError::Draining`].
     pub fn drain(&self, deadline: Duration) -> DrainReport {
         self.draining.store(true, Ordering::SeqCst);
-        let hard_deadline = Instant::now() + deadline;
+        let hard_deadline = Instant::now().checked_add(deadline);
         // Past the deadline a cancelled worker gets this long to
         // unwind.
         let supervision = &self.cfg.supervision;
         let grace = supervision
             .interactive_budget
             .max(supervision.best_effort_budget)
-            + Duration::from_secs(5);
+            .saturating_add(Duration::from_secs(5));
         // Snapshot the shard contexts, then wait without the topology
-        // lock: the health sweep (watchdog thread) takes that lock on
-        // its own cadence, and a drain must not starve it.
+        // lock: the supervision pass takes that lock on its own
+        // cadence, and a drain must not starve it.
         let shards: Vec<_> = lock(&self.topology)
             .shards
             .iter()
@@ -629,12 +610,6 @@ impl RenderServer {
     /// Panics if `session` was not created by this server.
     pub fn cache_stats(&self, session: SessionId) -> CacheStats {
         self.cache.cache_stats(session.0)
-    }
-
-    /// Shards spawned so far (≤ `max_shards`; one per registered
-    /// scene until the ceiling).
-    pub fn shard_count(&self) -> usize {
-        lock(&self.topology).shards.len()
     }
 
     /// The shard serving `session`'s scene.
@@ -693,10 +668,10 @@ impl RenderServer {
             .sum()
     }
 
-    /// Watchdog counters: per-class timeouts, frames currently under
-    /// watch.
+    /// Deadline counters: per-class timeouts, frames currently in
+    /// flight.
     pub fn supervisor_stats(&self) -> SupervisorStats {
-        self.supervisor.stats()
+        self.watch.stats()
     }
 
     /// The circuit breaker guarding `session`'s scene — shared by
@@ -714,10 +689,22 @@ impl RenderServer {
 impl Drop for RenderServer {
     fn drop(&mut self) {
         // Closing every shard queue lets the shards drain what's
-        // admitted and exit their receive loops; `Shard::shutdown`
-        // joins each thread.
-        for shard in &mut lock(&self.topology).shards {
-            shard.shutdown();
+        // admitted and exit their receive loops. Their threads are
+        // joined without the topology lock, so the supervision pass
+        // keeps timing their frames out meanwhile; it stops last. The
+        // shards' own drop fails any frame left behind.
+        let workers: Vec<_> = lock(&self.topology)
+            .shards
+            .iter_mut()
+            .flat_map(Shard::close)
+            .collect();
+        for worker in workers {
+            let _ = worker.join();
+        }
+        lock(&self.topology).stopped = true;
+        self.wake.notify_all();
+        if let Some(supervision) = self.supervision.take() {
+            let _ = supervision.join();
         }
     }
 }
@@ -763,7 +750,7 @@ mod tests {
         assert!(frame.serve.batched_frames >= 1);
         assert!(!frame.serve.degraded);
         assert_eq!(frame.serve.shard, 0);
-        assert_eq!(server.shard_count(), 1);
+        assert_eq!(server.shard_health().len(), 1);
 
         // Zero knobs set in a struct literal are normalised where they
         // are read: one shard, a one-byte budget, and a frame served.
@@ -775,7 +762,7 @@ mod tests {
         let session = server.create_session(scene, config);
         let frame = server.submit(session, FrameRequest::new(cam.pose)).wait();
         assert_eq!(frame.image.pixel_count() as u64, frame.stats.rays);
-        assert_eq!(server.shard_count(), 1);
+        assert_eq!(server.shard_health().len(), 1);
         assert_eq!(server.governor_stats().budget_bytes, 1);
     }
 
@@ -786,8 +773,8 @@ mod tests {
         let cam = ds.eval_views[0].camera;
         let session = server.create_session(scene, SessionConfig::new(cam.intrinsics, ctf()));
         // The stall keeps the frame unresolved past the first bounded
-        // wait (well under the 10 s Interactive budget, so the
-        // watchdog never fires).
+        // wait (well under the 10 s Interactive budget, so it never
+        // times out).
         let handle = server.submit(
             session,
             FrameRequest::new(cam.pose).with_fault(Fault::Stall(Duration::from_millis(300))),
@@ -937,13 +924,13 @@ mod tests {
         let cost = anchor_costs(&scene, anchoring(&cam), &[near_pose(0)])[0];
         let reserved = WORKER_SCRATCH_BYTES as u64;
         let budget = reserved + cost * 3 / 2;
-        let server = RenderServer::new(
-            ServerConfig {
-                threads: 1,
-                ..ServerConfig::default()
-            }
-            .with_governor(GovernorConfig::default().with_budget_bytes(budget)),
-        );
+        let server = RenderServer::new(ServerConfig {
+            threads: 1,
+            governor: GovernorConfig {
+                budget_bytes: budget,
+            },
+            ..ServerConfig::default()
+        });
         let sessions = [0, 1].map(|_| server.create_session(Arc::clone(&scene), anchoring(&cam)));
         for k in 0..6 {
             let session = sessions[k % 2];
@@ -983,13 +970,13 @@ mod tests {
         let costs = anchor_costs(&scene, anchoring(&cam), &poses);
         let reserved = WORKER_SCRATCH_BYTES as u64;
         let budget = reserved + costs.iter().sum::<u64>() - 1;
-        let server = RenderServer::new(
-            ServerConfig {
-                threads: 1,
-                ..ServerConfig::default()
-            }
-            .with_governor(GovernorConfig::default().with_budget_bytes(budget)),
-        );
+        let server = RenderServer::new(ServerConfig {
+            threads: 1,
+            governor: GovernorConfig {
+                budget_bytes: budget,
+            },
+            ..ServerConfig::default()
+        });
         let held = [&poses[0..3], &poses[3..5], &poses[5..6]];
         let sessions: Vec<SessionId> = held
             .iter()
@@ -1048,13 +1035,13 @@ mod tests {
         let (ds, scene) = scene();
         let cam = ds.eval_views[0].camera;
         let reserved = WORKER_SCRATCH_BYTES as u64;
-        let server = RenderServer::new(
-            ServerConfig {
-                threads: 1,
-                ..ServerConfig::default()
-            }
-            .with_governor(GovernorConfig::default().with_budget_bytes(reserved)),
-        );
+        let server = RenderServer::new(ServerConfig {
+            threads: 1,
+            governor: GovernorConfig {
+                budget_bytes: reserved,
+            },
+            ..ServerConfig::default()
+        });
         let session = server.create_session(scene, SessionConfig::new(cam.intrinsics, ctf()));
         let req = FrameRequest::new(cam.pose).with_deadline(DeadlineClass::BestEffort);
         let shed = server.submit(session, req).wait_result();
@@ -1227,12 +1214,12 @@ mod tests {
         let cam = ds.eval_views[0].camera;
         let server = RenderServer::new(ServerConfig::default().with_max_shards(2));
         let a = server.create_session(scene_a, SessionConfig::new(cam.intrinsics, ctf()));
-        assert_eq!(server.shard_count(), 1);
+        assert_eq!(server.shard_health().len(), 1);
         let b = server.create_session(scene_b, SessionConfig::new(cam.intrinsics, ctf()));
-        assert_eq!(server.shard_count(), 2);
+        assert_eq!(server.shard_health().len(), 2);
         // A third scene shares an existing shard (round-robin).
         let c = server.create_session(scene_c, SessionConfig::new(cam.intrinsics, ctf()));
-        assert_eq!(server.shard_count(), 2);
+        assert_eq!(server.shard_health().len(), 2);
         assert_eq!(server.shard_of(a).index(), 0);
         assert_eq!(server.shard_of(b).index(), 1);
         assert_eq!(server.shard_of(c).index(), 0);
@@ -1357,13 +1344,14 @@ mod tests {
         let (ds, scene_a) = scene();
         let (_, scene_b) = scene();
         let cam = ds.eval_views[0].camera;
-        let server = RenderServer::new(
-            ServerConfig {
-                threads: 4,
-                ..ServerConfig::default()
-            }
-            .with_health(HealthConfig::default().with_restart_backoff(Duration::from_millis(10))),
-        );
+        let server = RenderServer::new(ServerConfig {
+            threads: 4,
+            health: HealthConfig {
+                restart_backoff: Duration::from_millis(10),
+                ..HealthConfig::default()
+            },
+            ..ServerConfig::default()
+        });
         let arena = WORKER_SCRATCH_BYTES as u64;
         let reserved = server.governor_stats().used_bytes;
         assert_eq!(reserved, (4 - 1) * arena);
@@ -1392,10 +1380,13 @@ mod tests {
         // give-up counter never resets.
         let (ds, scene) = scene();
         let cam = ds.eval_views[0].camera;
-        let server =
-            RenderServer::new(ServerConfig::default().with_health(
-                HealthConfig::default().with_restart_backoff(Duration::from_millis(5)),
-            ));
+        let server = RenderServer::new(ServerConfig {
+            health: HealthConfig {
+                restart_backoff: Duration::from_millis(5),
+                ..HealthConfig::default()
+            },
+            ..ServerConfig::default()
+        });
         let config = SessionConfig::new(cam.intrinsics, ctf());
         let stalled = server.create_session(Arc::clone(&scene), config);
         let stall =
@@ -1454,16 +1445,18 @@ mod tests {
             stats.points + stats.coarse_points > 40 * 1024,
             "too few tiles"
         );
-        let server = RenderServer::new(
-            ServerConfig {
-                threads: 1,
-                ..ServerConfig::default()
-            }
-            .with_supervision(
-                SupervisorConfig::default().with_interactive_budget(Duration::from_secs(600)),
-            )
-            .with_health(HealthConfig::default().with_heartbeat_budget(budget)),
-        );
+        let server = RenderServer::new(ServerConfig {
+            threads: 1,
+            supervision: SupervisorConfig {
+                interactive_budget: Duration::from_secs(600),
+                ..SupervisorConfig::default()
+            },
+            health: HealthConfig {
+                heartbeat_budget: budget,
+                ..HealthConfig::default()
+            },
+            ..ServerConfig::default()
+        });
         let session = server.create_session(scene, SessionConfig::new(intrinsics, strategy));
         let frame = server
             .submit(session, FrameRequest::new(pose))
@@ -1472,5 +1465,87 @@ mod tests {
             .expect("the frame renders");
         assert_eq!(frame.image.as_slice(), want.as_slice());
         assert_eq!(server.shard_health()[0].restarts, 0);
+    }
+
+    // A duration too long to add to an instant means no bound, at
+    // every door that adds a caller's duration to one.
+
+    #[test]
+    fn an_unbounded_wait_timeout_waits_for_the_frame() {
+        let (ds, scene) = scene();
+        let server = RenderServer::new(ServerConfig::default());
+        let cam = ds.eval_views[0].camera;
+        let session = server.create_session(scene, SessionConfig::new(cam.intrinsics, ctf()));
+        let handle = server.submit(session, FrameRequest::new(cam.pose));
+        let frame = handle
+            .wait_timeout(Duration::MAX)
+            .expect("an unbounded wait");
+        assert!(frame.expect("renders").image.pixel_count() > 0);
+    }
+
+    #[test]
+    fn an_unbounded_drain_waits_for_every_frame() {
+        let (ds, scene) = scene();
+        let server = RenderServer::new(ServerConfig::default());
+        let cam = ds.eval_views[0].camera;
+        let session = server.create_session(scene, SessionConfig::new(cam.intrinsics, ctf()));
+        let stall = Fault::Stall(Duration::from_millis(100));
+        let handles: Vec<FrameHandle> = (0..3)
+            .map(|_| server.submit(session, FrameRequest::new(cam.pose).with_fault(stall)))
+            .collect();
+        assert!(server.drain(Duration::MAX).complete());
+        for handle in handles {
+            assert!(handle.wait_result().is_ok());
+        }
+    }
+
+    #[test]
+    fn unbounded_frame_budgets_render_and_drain() {
+        let (ds, scene) = scene();
+        let server = RenderServer::new(ServerConfig {
+            supervision: SupervisorConfig {
+                interactive_budget: Duration::MAX,
+                best_effort_budget: Duration::MAX,
+            },
+            ..ServerConfig::default()
+        });
+        let cam = ds.eval_views[0].camera;
+        let session = server.create_session(scene, SessionConfig::new(cam.intrinsics, ctf()));
+        for class in [DeadlineClass::Interactive, DeadlineClass::BestEffort] {
+            let req = FrameRequest::new(cam.pose).with_deadline(class);
+            assert!(server.submit(session, req).wait().image.pixel_count() > 0);
+        }
+        // The drain's grace is the longest budget plus 5 s.
+        assert!(server.drain(Duration::from_secs(60)).complete());
+    }
+
+    #[test]
+    fn a_shard_backing_off_forever_still_times_its_frames_out() {
+        // A killed shard under an unbounded restart backoff never
+        // respawns; the frame it handed back still times out.
+        let (ds, scene) = scene();
+        let budget = Duration::from_millis(300);
+        let server = RenderServer::new(ServerConfig {
+            supervision: SupervisorConfig {
+                interactive_budget: budget,
+                best_effort_budget: budget,
+            },
+            health: HealthConfig {
+                restart_backoff: Duration::MAX,
+                ..HealthConfig::default()
+            },
+            ..ServerConfig::default()
+        });
+        let cam = ds.eval_views[0].camera;
+        let session = server.create_session(scene, SessionConfig::new(cam.intrinsics, ctf()));
+        let killed = FrameRequest::new(cam.pose).with_fault(Fault::KillShard);
+        let end = server
+            .submit(session, killed)
+            .wait_timeout(Duration::from_secs(10))
+            .expect("the handed-back frame resolves");
+        let class = DeadlineClass::Interactive;
+        assert_eq!(end.err(), Some(ServeError::TimedOut { class }));
+        assert_eq!(server.shard_health()[0].restarts, 0);
+        assert_eq!(server.supervisor_stats().timed_out_interactive, 1);
     }
 }

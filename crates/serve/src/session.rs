@@ -252,7 +252,7 @@ impl Pending {
     /// Blocks until no frame is pending, at most `bound`; returns
     /// whether the session settled.
     pub(crate) fn wait_settled(&self, bound: Duration) -> bool {
-        let until = Instant::now() + bound;
+        let until = Instant::now().checked_add(bound);
         wait_until(&self.settled, lock(&self.frames), until, |&n| n == 0).1
     }
 }

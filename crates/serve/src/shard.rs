@@ -23,10 +23,10 @@
 //!
 //! **Render attempts.** [`attempt`] is the one function that renders:
 //! the first, batched attempt and every solo retry. An attempt runs
-//! under a fresh [`CancelToken`] — attached to each member's watch so
-//! the watchdog fires it when any member blows its budget, and
-//! published on the context so a condemnation or a drain deadline can
-//! fire it from outside — inside `catch_unwind`, through the
+//! under a fresh [`CancelToken`] — each member's current attempt token,
+//! so any member's timeout fires it, and published on the context so a
+//! condemnation or a drain deadline can fire it from outside — inside
+//! `catch_unwind`, through the
 //! pipeline's fallible API. It ends ok, cancelled (the render unwinds
 //! cooperatively at the next chunk boundary and its output is
 //! discarded), corrupt (a GEMM checksum miscompare or a tripped stage
@@ -42,9 +42,16 @@
 //! does can take the shard down, and every frame ends through
 //! [`Frame::end`], which tells the scene's breaker what happened.
 //!
+//! **Supervision.** The server's one supervision thread runs
+//! [`supervision_pass`] over its shards. For each, the pass first times
+//! out the shard's overdue frames, queued and running alike
+//! ([`ShardCtx::time_out_overdue`]): every frame the shard owns is in its
+//! queue or on its running list, so no other registry of frames
+//! exists. It then runs the shard's health sweep.
+//!
 //! **Self-healing.** The worker *incarnation* popping from the queue
 //! only counts beats — one per pop, per attempt start and per finished
-//! batch — and never reads the clock. The supervisor's health sweep
+//! batch — and never reads the clock. The health sweep
 //! ([`Shard::sweep`]) reads that count together with the in-flight
 //! attempt's tile ticks, restarts its clock whenever the pair moved or
 //! the shard was idle, and condemns the shard Wedged when it has been
@@ -67,26 +74,29 @@
 
 use crate::admission::{class_index, FairQueue, N_CLASSES};
 use crate::cache::{AnchorCache, CacheMeters, CACHE_EVENTS};
-use crate::frame::{End, Frame, Shed};
+use crate::frame::{End, Frame, FrameCore, Shed};
 use crate::health::{CondemnReason, MAX_RESTARTS};
 use crate::server::{CacheOutcome, Fault, FrameResult, ServeStats, ServerConfig};
 use crate::session::DeadlineClass;
-use crate::supervisor::{Supervisor, WatchMeters};
+use crate::supervisor::WatchMeters;
 use crate::{lock, wait, wait_until};
 use gen_nerf::pipeline::{self, CoarseFrame, RenderError, RenderStats, Renderer};
 use gen_nerf_geometry::Camera;
 use gen_nerf_nn::kernels::{self, integrity, Backend};
 use gen_nerf_parallel::{CancelToken, Pool};
 use gen_nerf_scene::Image;
-use gen_nerf_telemetry::{Counter, EventKind, Gauge, Histogram, TraceRing, DEFAULT_RING_CAPACITY};
+use gen_nerf_telemetry::{
+    Clock, Counter, EventKind, Gauge, Histogram, TraceRing, DEFAULT_RING_CAPACITY,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// The queue half of a shard's context, under one lock: the fair
 /// queue itself, the close latch, the worker incarnation counter that
-/// invalidates condemned loops, and the count of frames out of the
-/// queue but not yet ended.
+/// invalidates condemned loops, and the frames out of the queue but not
+/// yet ended. Between them, the queue and the running list hold every
+/// frame the shard owns.
 struct QueueState {
     q: FairQueue<Frame>,
     /// Set at shutdown: the worker drains what is queued and exits.
@@ -99,7 +109,16 @@ struct QueueState {
     /// Frames popped and neither ended nor handed back. Moves with the
     /// pop under the queue lock, so "queue empty and nothing running"
     /// is never observed with a frame in a worker's hand.
-    running: u64,
+    running: Vec<Arc<FrameCore>>,
+}
+
+impl QueueState {
+    /// Takes `core` off the running list.
+    fn stop_running(&mut self, core: &Arc<FrameCore>) {
+        let at = self.running.iter().position(|c| Arc::ptr_eq(c, core));
+        self.running
+            .swap_remove(at.expect("a running frame is listed"));
+    }
 }
 
 /// Admission window: at most this many queued frames are coalesced
@@ -113,7 +132,8 @@ pub(crate) struct ShardCtx {
     /// The server's render pool, shared by every shard.
     pub crew: Arc<Pool>,
     pub cfg: ServerConfig,
-    pub supervisor: Arc<Supervisor>,
+    /// The server's clock, which frame deadlines are set and checked on.
+    pub clock: Clock,
     /// The server's anchor cache, shared by every shard.
     pub cache: Arc<AnchorCache>,
     /// Shared with every frame's core, which books into it after the
@@ -143,25 +163,26 @@ impl ShardCtx {
         index: usize,
         crew: Arc<Pool>,
         cfg: ServerConfig,
-        supervisor: Arc<Supervisor>,
+        watch: WatchMeters,
+        clock: Clock,
         cache: Arc<AnchorCache>,
     ) -> Arc<Self> {
         Arc::new(Self {
             index,
             crew,
             cfg,
-            meters: Arc::new(Meters::new(instance, index, supervisor.meters)),
+            clock,
+            meters: Arc::new(Meters::new(instance, index, watch)),
             queue: Mutex::new(QueueState {
                 q: FairQueue::new(),
                 closed: false,
                 incarnation: 0,
-                running: 0,
+                running: Vec::new(),
             }),
             ready: Condvar::new(),
             idle: Condvar::new(),
             down: AtomicBool::new(false),
             current_cancel: Mutex::new(None),
-            supervisor,
             cache,
         })
     }
@@ -198,7 +219,7 @@ impl ShardCtx {
                     return None;
                 }
                 if let Some(frame) = qs.q.pop() {
-                    qs.running += 1;
+                    qs.running.push(Arc::clone(frame.core()));
                     self.meters.heartbeats.inc();
                     break frame;
                 }
@@ -217,7 +238,7 @@ impl ShardCtx {
         let mut frame = {
             let mut qs = lock(&self.queue);
             let frame = qs.q.pop_next(take)?;
-            qs.running += 1;
+            qs.running.push(Arc::clone(frame.core()));
             frame
         };
         frame.pop();
@@ -230,7 +251,7 @@ impl ShardCtx {
     fn requeue_front(&self, mut frame: Frame) {
         frame.requeued();
         let mut qs = lock(&self.queue);
-        qs.running -= 1;
+        qs.stop_running(frame.core());
         qs.q.push_front(frame.class(), frame.session, frame);
         drop(qs);
         self.ready.notify_one();
@@ -243,7 +264,7 @@ impl ShardCtx {
     }
 
     /// What a condemned incarnation does with the frames it could not
-    /// render: the ones the watchdog already answered for end
+    /// render: the ones whose deadline already answered for end
     /// [`End::BudgetSpent`], the rest go back to the front of their
     /// lanes in their original order, for the replacement to serve.
     fn hand_back(&self, frames: Vec<Frame>) {
@@ -256,13 +277,39 @@ impl ShardCtx {
         }
     }
 
-    /// One running frame ended ([`Frame::end`] calls this).
-    pub(crate) fn settle(&self) {
+    /// Running frame `core` ended ([`Frame::end`] calls this).
+    pub(crate) fn settle(&self, core: &Arc<FrameCore>) {
         let mut qs = lock(&self.queue);
-        qs.running -= 1;
-        if qs.running == 0 {
+        qs.stop_running(core);
+        if qs.running.is_empty() {
             self.idle.notify_all();
         }
+    }
+
+    /// The deadline half of a supervision pass: times out every frame
+    /// whose deadline passed by `now`, queued or running, and returns
+    /// the earliest deadline still pending. Takes only the queue lock
+    /// (released before any timeout) and the frames' own locks, so it
+    /// runs even while a shutdown joins the shard's threads.
+    pub(crate) fn time_out_overdue(&self, now: Instant) -> Option<Instant> {
+        let mut overdue = Vec::new();
+        let mut next: Option<Instant> = None;
+        {
+            let qs = lock(&self.queue);
+            for core in qs.q.iter().map(Frame::core).chain(&qs.running) {
+                match core.deadline {
+                    Some(deadline) if deadline <= now => overdue.push(Arc::clone(core)),
+                    Some(deadline) => next = Some(next.map_or(deadline, |n| n.min(deadline))),
+                    None => {}
+                }
+            }
+        }
+        // A frame that already resolved stays overdue until its owner
+        // ends it; timing it out again is a no-op.
+        for core in overdue {
+            core.time_out(now);
+        }
+        next
     }
 
     /// Empties the queue and ends every frame in it with `end()`;
@@ -281,7 +328,7 @@ impl ShardCtx {
     /// queue is closed.
     fn busy_closed(&self) -> (bool, bool) {
         let qs = lock(&self.queue);
-        (!qs.q.is_empty() || qs.running > 0, qs.closed)
+        (!qs.q.is_empty() || !qs.running.is_empty(), qs.closed)
     }
 
     /// Fires the cancel token of the attempt in flight, if any.
@@ -291,26 +338,29 @@ impl ShardCtx {
         }
     }
 
-    /// Blocks until `idle` holds of the queue state or `until` passes;
-    /// returns whether it held.
-    fn wait_idle(&self, until: Instant, idle: impl Fn(&QueueState) -> bool) -> bool {
+    /// Blocks until `idle` holds of the queue state or `until` passes
+    /// (`None`: no bound); returns whether it held.
+    fn wait_idle(&self, until: Option<Instant>, idle: impl Fn(&QueueState) -> bool) -> bool {
         wait_until(&self.idle, lock(&self.queue), until, idle).1
     }
 
     /// This shard's half of [`RenderServer::drain`](crate::RenderServer::drain):
-    /// lets the worker finish naturally until `hard_deadline`, then
+    /// lets the worker finish naturally until `hard_deadline` (`None`:
+    /// for as long as it takes), then
     /// force-fails what is still queued with
     /// [`ServeError::Draining`](crate::ServeError::Draining), cancels
     /// the attempt in flight and gives the worker `grace` to unwind
     /// (its frames end through the retry path). Returns whether the
     /// shard went idle, and how many frames it force-failed.
-    pub(crate) fn drain(&self, hard_deadline: Instant, grace: Duration) -> (bool, u64) {
-        let mut drained = self.wait_idle(hard_deadline, |qs| qs.q.is_empty() && qs.running == 0);
+    pub(crate) fn drain(&self, hard_deadline: Option<Instant>, grace: Duration) -> (bool, u64) {
+        let idle = |qs: &QueueState| qs.q.is_empty() && qs.running.is_empty();
+        let mut drained = self.wait_idle(hard_deadline, idle);
         let mut forced = 0;
         if !drained {
             forced = self.end_queued(|| End::DrainForced);
             self.cancel_current();
-            drained = self.wait_idle(Instant::now() + grace, |qs| qs.running == 0);
+            let until = Instant::now().checked_add(grace);
+            drained = self.wait_idle(until, |qs| qs.running.is_empty());
             // A condemned/wedged incarnation may have requeued its
             // frame during the grace wait; sweep those stragglers too.
             forced += self.end_queued(|| End::DrainForced);
@@ -382,7 +432,7 @@ pub(crate) struct Meters {
     /// Coarse-cache events of this shard's sessions, moved by the
     /// [`AnchorCache`] alone.
     pub cache: CacheMeters,
-    /// The server-wide watchdog meters (`{instance}` only).
+    /// The server-wide deadline meters (`{instance}` only).
     pub watch: WatchMeters,
     /// This shard's frame-lifecycle event ring.
     pub ring: TraceRing,
@@ -494,8 +544,9 @@ pub(crate) struct Shard {
     /// `rendered` counter at the last condemnation — progress beyond
     /// it proves the restart took and resets the give-up counter.
     rendered_at_condemn: u64,
-    /// When the pending (backed-off) respawn is due.
-    respawn_at: Option<Instant>,
+    /// While a respawn backs off: when the shard was condemned, and for
+    /// how long (compared, never added, so no backoff overflows).
+    backoff: Option<(Instant, Duration)>,
     /// The progress reading at the sweep's last look: the beat count
     /// and the in-flight attempt's tile ticks.
     seen: (u64, Option<u64>),
@@ -508,12 +559,12 @@ impl Shard {
     pub(crate) fn spawn(ctx: Arc<ShardCtx>) -> Self {
         Self {
             worker: Some(Self::spawn_worker(&ctx, 0)),
-            seen_at: ctx.supervisor.clock().now(),
+            seen_at: ctx.clock.now(),
             ctx,
             graveyard: Vec::new(),
             consecutive_restarts: 0,
             rendered_at_condemn: 0,
-            respawn_at: None,
+            backoff: None,
             seen: (0, None),
         }
     }
@@ -527,9 +578,14 @@ impl Shard {
             .expect("spawn shard thread")
     }
 
-    /// One pass of the health sweep, on the supervisor's clock. Runs
-    /// on the watchdog thread, under the server's topology lock.
+    /// The health half of a supervision pass, at `now` on the server's
+    /// clock. A closed shard is left alone: its incarnations are being
+    /// joined, and a respawn then would never be.
     pub(crate) fn sweep(&mut self, now: Instant) {
+        let (busy, closed) = self.ctx.busy_closed();
+        if closed {
+            return;
+        }
         if self.ctx.down.load(Ordering::Relaxed) {
             // Down for good — but a wedged old incarnation may still
             // requeue its frame after the give-up drain; fail such
@@ -544,11 +600,11 @@ impl Shard {
         {
             self.consecutive_restarts = 0;
         }
-        if let Some(at) = self.respawn_at {
+        if let Some((since, backoff)) = self.backoff {
             // Condemned, backing off: no fresh verdicts until the
             // replacement is running.
-            if now >= at {
-                self.respawn_at = None;
+            if now.saturating_duration_since(since) >= backoff {
+                self.backoff = None;
                 self.respawn(now);
             }
             return;
@@ -556,29 +612,20 @@ impl Shard {
         // The clock restarts whenever the reading moved or the shard
         // had nothing to do. A batch that keeps filling tiles moves it;
         // a wedged incarnation does not.
-        let idle = !self.ctx.busy_closed().0;
         let ticks = lock(&self.ctx.current_cancel)
             .as_ref()
             .map(CancelToken::progress);
         let reading = (self.ctx.meters.heartbeats.get(), ticks);
-        if idle || reading != self.seen {
+        if !busy || reading != self.seen {
             self.seen = reading;
             self.seen_at = now;
         }
-        if let Some(reason) = self.verdict(now) {
-            self.condemn(reason, now);
-        }
-    }
-
-    /// Classifies the live worker at `now`, against the sweep's last
-    /// reading.
-    fn verdict(&self, now: Instant) -> Option<CondemnReason> {
-        let (busy, closed) = self.ctx.busy_closed();
-        if !closed && self.worker.as_ref().is_some_and(|w| w.is_finished()) {
-            return Some(CondemnReason::Dead);
-        }
         let still = now.saturating_duration_since(self.seen_at);
-        (busy && still > self.ctx.cfg.health.budget()).then_some(CondemnReason::Wedged)
+        if self.worker.as_ref().is_some_and(|w| w.is_finished()) {
+            self.condemn(CondemnReason::Dead, now);
+        } else if busy && still > self.ctx.cfg.health.budget() {
+            self.condemn(CondemnReason::Wedged, now);
+        }
     }
 
     /// Tears the live incarnation down: invalidates it, cancels its
@@ -608,7 +655,8 @@ impl Shard {
             ctx.down.store(true, Ordering::Relaxed);
             ctx.end_queued(|| End::ShardDown);
         } else {
-            self.respawn_at = Some(now + ctx.cfg.health.backoff_for(self.consecutive_restarts));
+            let backoff = ctx.cfg.health.backoff_for(self.consecutive_restarts);
+            self.backoff = Some((now, backoff));
         }
     }
 
@@ -640,26 +688,42 @@ impl Shard {
         }
     }
 
-    /// Closes the queue (the worker drains, then exits) and joins
-    /// every incarnation; frames no incarnation will ever serve (down
-    /// shard, late requeues) are failed.
-    pub(crate) fn shutdown(&mut self) {
+    /// Closes the queue (the worker drains it, then exits) and hands
+    /// over every incarnation's thread, for the caller to join in the
+    /// order given. Graveyard first: a wedged incarnation finishes its
+    /// sleep and requeues its frame, which the live worker (joined
+    /// next) may still serve.
+    pub(crate) fn close(&mut self) -> Vec<std::thread::JoinHandle<()>> {
         lock(&self.ctx.queue).closed = true;
         self.ctx.ready.notify_all();
-        // Graveyard first: a wedged incarnation finishes its sleep and
-        // requeues its frame; the live worker (joined next) may still
-        // serve it, and the leftover pass below catches the rest.
-        for handle in self.graveyard.drain(..).chain(self.worker.take()) {
+        self.graveyard.drain(..).chain(self.worker.take()).collect()
+    }
+}
+
+impl Drop for Shard {
+    /// Joins whatever [`Shard::close`] hands over, then fails the frames
+    /// no incarnation will ever serve (down shard, late requeues).
+    fn drop(&mut self) {
+        for handle in self.close() {
             let _ = handle.join();
         }
         self.ctx.end_queued(|| End::Shutdown);
     }
 }
 
-impl Drop for Shard {
-    fn drop(&mut self) {
-        self.shutdown();
+/// One supervision pass over `shards` at `now`: each times out its
+/// overdue frames, then its health sweep judges it. Returns when the
+/// next pass is due: `interval` after `now`, or the earliest pending
+/// deadline if that comes first.
+pub(crate) fn supervision_pass(shards: &mut [Shard], now: Instant, interval: Duration) -> Instant {
+    let mut next = now + interval;
+    for shard in shards {
+        if let Some(deadline) = shard.ctx.time_out_overdue(now) {
+            next = next.min(deadline);
+        }
+        shard.sweep(now);
     }
+    next
 }
 
 /// Miscompares under a SIMD backend tolerated before that backend is
@@ -698,8 +762,8 @@ fn note_corrupt_render(err: &RenderError, meters: &Meters) {
     }
 }
 
-/// Why a popped frame must end without a render, if it must: the
-/// watchdog already answered for it (it timed out while queued), or
+/// Why a popped frame must end without a render, if it must: its
+/// deadline already answered for it (it timed out while queued), or
 /// its session was removed while it waited.
 fn unrenderable(frame: &Frame) -> Option<End> {
     if frame.is_resolved() {
@@ -826,7 +890,7 @@ fn retry(ctx: &ShardCtx, frame: Frame, mut last_error: String, incarnation: u64)
     let policy = ctx.cfg.retry;
     for n in 1..policy.max_attempts.max(1) {
         if frame.is_resolved() {
-            // The watchdog timed this frame out: its budget is spent,
+            // The frame timed out: its budget is spent,
             // which is a scene failure even without a fresh attempt.
             frame.end(End::BudgetSpent);
             return None;
@@ -835,9 +899,13 @@ fn retry(ctx: &ShardCtx, frame: Frame, mut last_error: String, incarnation: u64)
             return Some(frame);
         }
         let backoff = policy.backoff(n);
-        if Instant::now() + backoff >= frame.deadline_at {
-            // A retry that lands past the deadline is wasted work: the
-            // watchdog would discard it anyway.
+        if frame
+            .core()
+            .deadline
+            .is_some_and(|d| Instant::now() + backoff >= d)
+        {
+            // A retry that lands past the deadline is wasted work: its
+            // timeout would discard it anyway.
             break;
         }
         if !backoff.is_zero() {
@@ -863,7 +931,7 @@ fn retry(ctx: &ShardCtx, frame: Frame, mut last_error: String, incarnation: u64)
         }
     }
     // Attempts or wall-clock budget exhausted (the verdict loses if
-    // the watchdog already resolved the handle).
+    // a timeout already resolved the handle).
     frame.end(End::RenderFailed(last_error));
     None
 }
@@ -941,8 +1009,8 @@ fn inject(ctx: &ShardCtx, frame: &Frame, n: u32, cancel: &CancelToken) {
 }
 
 /// Sleeps `total` in small slices, returning early the moment `cancel`
-/// fires — a stalled worker yields its slot within ~5 ms of the
-/// watchdog's verdict instead of parking for the full stall.
+/// fires — a stalled worker yields its slot within ~5 ms of its
+/// timeout instead of parking for the full stall.
 fn cancellable_sleep(total: Duration, cancel: &CancelToken) {
     let deadline = Instant::now() + total;
     while !cancel.is_cancelled() {
@@ -1049,9 +1117,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::cache::{GovernorConfig, DEFAULT_CACHE_BUDGET_BYTES};
-    use crate::server::FrameRequest;
+    use crate::server::{FrameRequest, ServeError};
     use crate::session::{SceneState, SessionConfig, SessionState};
-    use crate::supervisor::{BreakerConfig, CircuitBreaker};
+    use crate::supervisor::{BreakerConfig, CircuitBreaker, SupervisorConfig};
     use gen_nerf::config::ModelConfig;
     use gen_nerf::config::SamplingStrategy;
     use gen_nerf::model::GenNerfModel;
@@ -1063,13 +1131,23 @@ mod tests {
     /// requested frame, all on one scene and strategy (so they may
     /// co-batch).
     fn fixture(sessions: usize, clock: Clock) -> (Arc<ShardCtx>, Vec<Arc<SessionState>>) {
+        fixture_with(sessions, clock, ServerConfig::default())
+    }
+
+    /// [`fixture`] under `cfg`.
+    fn fixture_with(
+        sessions: usize,
+        clock: Clock,
+        cfg: ServerConfig,
+    ) -> (Arc<ShardCtx>, Vec<Arc<SessionState>>) {
         let instance = gen_nerf_telemetry::next_instance_id();
         let ctx = ShardCtx::new(
             instance,
             0,
             Arc::new(Pool::new(1)),
-            ServerConfig::default(),
-            Arc::new(Supervisor::spawn(instance, clock)),
+            cfg,
+            WatchMeters::new(instance),
+            clock,
             Arc::new(AnchorCache::new(
                 &GovernorConfig::default(),
                 0,
@@ -1245,11 +1323,89 @@ mod tests {
         lock(&ctx.queue).q.push(frame.class(), frame.session, frame);
         clock.advance(ctx.cfg.health.sweep_interval());
         shard.sweep(clock.now());
-        assert_eq!(shard.respawn_at, None, "condemned a shard that just woke");
+        assert_eq!(shard.backoff, None, "condemned a shard that just woke");
         ctx.ready.notify_one();
         let rendered = core.wait(Some(Instant::now() + Duration::from_secs(60)));
         assert!(matches!(rendered, Some(Ok(_))), "the frame renders");
         assert_eq!(shard.stats().restarts, 0);
         assert_eq!(ctx.meters.condemned.map(|c| c.get()), [0, 0]);
+    }
+
+    /// A shard with no worker thread: only the test moves its frames,
+    /// and only the test runs its passes.
+    fn workerless(ctx: &Arc<ShardCtx>) -> Shard {
+        Shard {
+            ctx: Arc::clone(ctx),
+            worker: None,
+            graveyard: Vec::new(),
+            consecutive_restarts: 0,
+            rendered_at_condemn: 0,
+            backoff: None,
+            seen: (0, None),
+            seen_at: ctx.clock.now(),
+        }
+    }
+
+    #[test]
+    fn a_pass_times_out_queued_and_running_frames_exactly_at_their_deadlines() {
+        // Virtual time, no thread, no sleep: one frame running under an
+        // attempt token, and one submitted 1 ms later, queued behind it.
+        let clock = Clock::virtual_clock();
+        let budget = Duration::from_millis(400);
+        let cfg = ServerConfig {
+            supervision: SupervisorConfig {
+                interactive_budget: budget,
+                best_effort_budget: budget,
+            },
+            ..ServerConfig::default()
+        };
+        let interval = cfg.health.pass_interval(&cfg.supervision);
+        assert_eq!(interval, Duration::from_millis(10));
+        let (ctx, states) = fixture_with(2, clock.clone(), cfg);
+        let mut shard = workerless(&ctx);
+        let mut pass = |now| supervision_pass(std::slice::from_mut(&mut shard), now, interval);
+        assert!(ctx.push(admitted(0, &states[0], None)).is_none());
+        let running = ctx.pop_mate(|_| true).expect("just pushed");
+        let cancel = CancelToken::new();
+        running.begin_attempt(&cancel);
+        clock.advance(Duration::from_millis(1));
+        assert!(ctx.push(admitted(1, &states[1], None)).is_none());
+        let queued = Arc::clone(lock(&ctx.queue).q.iter().next().expect("queued").core());
+        let running_at = running.core().deadline.expect("a bounded budget");
+        let queued_at = queued.deadline.expect("a bounded budget");
+        assert_eq!(queued_at - running_at, Duration::from_millis(1));
+
+        // Nothing is due: the next pass is one interval away.
+        let now = clock.now();
+        assert_eq!(pass(now), now + interval);
+        let timed_out = |core: &FrameCore| {
+            let outcome = core.take();
+            matches!(outcome, Some(Err(ServeError::TimedOut { .. })))
+        };
+        // One nanosecond early nothing resolves, and the pass wakes at
+        // the deadline, which comes before the next sweep.
+        clock.advance(running_at - clock.now() - Duration::from_nanos(1));
+        assert_eq!(pass(clock.now()), running_at);
+        assert!(!running.is_resolved() && !cancel.is_cancelled());
+        clock.advance(Duration::from_nanos(1));
+        assert_eq!(pass(clock.now()), queued_at, "the queued deadline is next");
+        assert!(timed_out(running.core()), "the running frame times out");
+        assert!(cancel.is_cancelled(), "its attempt token fired");
+
+        clock.advance(queued_at - clock.now() - Duration::from_nanos(1));
+        assert_eq!(pass(clock.now()), queued_at);
+        assert!(!queued.is_resolved());
+        clock.advance(Duration::from_nanos(1));
+        let now = clock.now();
+        assert_eq!(pass(now), now + interval, "nothing left pending");
+        assert!(timed_out(&queued), "the queued frame times out");
+
+        // Their owners end them as the worker would.
+        running.end(End::BudgetSpent);
+        let stale = ctx.pop_mate(|_| true).expect("still queued");
+        assert!(unrenderable(&stale).is_some());
+        stale.end(End::Stale);
+        assert_eq!(ctx.meters.watch.timed_out[0].get(), 2);
+        assert_eq!(ctx.drain(Some(Instant::now()), Duration::ZERO), (true, 0));
     }
 }

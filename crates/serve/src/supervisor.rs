@@ -1,19 +1,22 @@
-//! Supervision: frame deadlines, the watchdog thread, retry/backoff
-//! and the per-scene circuit breaker.
+//! Supervision: frame deadlines, retry/backoff and the per-scene
+//! circuit breaker.
 //!
 //! Admission control is a policy for work the tier has not accepted
 //! yet. This module supervises the work it *has* accepted:
 //!
-//! * **Deadlines.** Every admitted frame is watched against its
-//!   [`DeadlineClass`]'s wall-clock budget ([`SupervisorConfig`]). A
-//!   single watchdog thread sleeps until the earliest deadline and
-//!   times overdue frames out
+//! * **Deadlines.** Every admitted frame carries the deadline of its
+//!   [`DeadlineClass`]'s wall-clock budget ([`SupervisorConfig`]). The
+//!   server's one supervision pass visits every shard, and each shard
+//!   times out its own overdue frames, queued and running alike
 //!   ([`FrameCore::time_out`](crate::frame::FrameCore::time_out)): the
 //!   handle resolves with
 //!   [`ServeError::TimedOut`](crate::ServeError::TimedOut) — a frame
-//!   can be slow, but its caller can never be stuck.
-//! * **Cancellation.** When a watched frame times out mid-render, the
-//!   watchdog fires the attempt's
+//!   can be slow, but its caller can never be stuck. The pass runs at
+//!   least 40 times per shortest budget and wakes at the earliest
+//!   pending deadline, so a timeout lands on time without any
+//!   admission waking the thread.
+//! * **Cancellation.** When a frame times out mid-render, the timeout
+//!   fires the frame's own attempt
 //!   [`CancelToken`](gen_nerf_parallel::CancelToken); the render
 //!   pipeline polls it at per-ray boundaries, so the shard worker and
 //!   the crew workers on its tiles drain within one ray's work instead
@@ -34,18 +37,16 @@
 //!   against a reference model on synthetic clocks.
 
 use crate::admission::N_CLASSES;
-use crate::frame::FrameCore;
 use crate::session::DeadlineClass;
-use crate::{doubling_backoff, lock, wait, wait_timeout};
-use gen_nerf_parallel::CancelToken;
-use gen_nerf_telemetry::{Clock, Counter, Gauge};
-use std::collections::HashMap;
+use crate::{doubling_backoff, lock};
+use gen_nerf_telemetry::{Counter, Gauge};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// Per-class wall-clock frame budgets enforced by the server's
-/// watchdog (`Supervisor`).
+/// Per-class wall-clock frame budgets, enforced by the server's
+/// supervision pass. A budget too long to add to an instant means no
+/// deadline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SupervisorConfig {
     /// Budget for [`DeadlineClass::Interactive`] frames, submission to
@@ -70,18 +71,6 @@ impl Default for SupervisorConfig {
 }
 
 impl SupervisorConfig {
-    /// Sets the Interactive frame budget.
-    pub fn with_interactive_budget(mut self, budget: Duration) -> Self {
-        self.interactive_budget = budget;
-        self
-    }
-
-    /// Sets the BestEffort frame budget.
-    pub fn with_best_effort_budget(mut self, budget: Duration) -> Self {
-        self.best_effort_budget = budget;
-        self
-    }
-
     /// The wall-clock budget of `class`.
     pub fn budget(&self, class: DeadlineClass) -> Duration {
         match class {
@@ -91,14 +80,14 @@ impl SupervisorConfig {
     }
 }
 
-/// Watchdog counters (a point-in-time snapshot).
+/// Deadline counters (a point-in-time snapshot).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SupervisorStats {
     /// Interactive frames resolved with a timeout.
     pub timed_out_interactive: u64,
     /// BestEffort frames resolved with a timeout.
     pub timed_out_best_effort: u64,
-    /// Frames currently in flight (watched, not yet resolved).
+    /// Frames currently in flight (admitted, not yet resolved).
     pub in_flight: usize,
 }
 
@@ -109,10 +98,10 @@ impl SupervisorStats {
     }
 }
 
-/// The watchdog's server-wide meters, labelled `{instance}` only.
-/// Registered here and read for [`SupervisorStats`]; moved only by the
-/// frame lifecycle ([`crate::frame`]), which reaches them through
-/// every shard's [`Meters`](crate::shard::Meters).
+/// The server-wide deadline meters, labelled `{instance}` only, read
+/// for [`SupervisorStats`]; moved only by the frame lifecycle
+/// ([`crate::frame`]), which reaches them through every shard's
+/// [`Meters`](crate::shard::Meters).
 #[derive(Clone, Copy)]
 pub(crate) struct WatchMeters {
     /// Frames admitted and not yet resolved
@@ -123,56 +112,9 @@ pub(crate) struct WatchMeters {
     pub timed_out: [Counter; N_CLASSES],
 }
 
-/// One watched frame: the shared core to time out, the absolute
-/// deadline, and (once rendering) the attempt's cancel token.
-struct WatchEntry {
-    frame: Arc<FrameCore>,
-    deadline: Instant,
-    cancel: Option<CancelToken>,
-}
-
-struct WatchState {
-    watches: HashMap<u64, WatchEntry>,
-    shutdown: bool,
-}
-
-/// A periodic callback run on the watchdog thread (the server installs
-/// its shard health sweep here, so self-healing needs no extra thread).
-struct SweepHook {
-    interval: Duration,
-    /// When the hook last ran (on the supervisor clock); `None` until
-    /// the first run.
-    last: Option<Instant>,
-    run: Box<dyn FnMut() + Send>,
-}
-
-struct SupervisorInner {
-    state: Mutex<WatchState>,
-    /// Wakes the watchdog: a new (possibly earlier) watch or shutdown.
-    wake: Condvar,
-    /// The periodic sweep hook, under its own lock so running it never
-    /// holds the watch state (the hook takes the server's topology
-    /// lock and ends frames, which unwatch them).
-    sweep: Mutex<Option<SweepHook>>,
-    /// Deadline arithmetic goes through this clock so tests can drive
-    /// the watchdog on virtual time.
-    clock: Clock,
-    next_id: AtomicU64,
-}
-
-/// The frame watchdog: one thread per server, asleep until the
-/// earliest outstanding deadline, timing out every overdue frame and
-/// cancelling its render. Shared by every shard context: frames
-/// register at admission, attach a cancel token per render attempt,
-/// and unwatch when they end.
-pub(crate) struct Supervisor {
-    inner: Arc<SupervisorInner>,
-    pub meters: WatchMeters,
-    thread: Option<std::thread::JoinHandle<()>>,
-}
-
-impl Supervisor {
-    pub(crate) fn spawn(instance: u64, clock: Clock) -> Self {
+impl WatchMeters {
+    /// Registers the meters of server `instance`.
+    pub(crate) fn new(instance: u64) -> Self {
         let inst = instance.to_string();
         let timed_out = |class: &str| {
             gen_nerf_telemetry::counter(
@@ -180,188 +122,18 @@ impl Supervisor {
                 &[("instance", &inst), ("class", class)],
             )
         };
-        let meters = WatchMeters {
+        Self {
             in_flight: gen_nerf_telemetry::gauge("serve_frames_in_flight", &[("instance", &inst)]),
             timed_out: ["interactive", "best_effort"].map(timed_out),
-        };
-        let inner = Arc::new(SupervisorInner {
-            state: Mutex::new(WatchState {
-                watches: HashMap::new(),
-                shutdown: false,
-            }),
-            wake: Condvar::new(),
-            sweep: Mutex::new(None),
-            clock,
-            next_id: AtomicU64::new(1),
-        });
-        let loop_inner = Arc::clone(&inner);
-        let thread = std::thread::Builder::new()
-            .name("gen-nerf-watchdog".to_string())
-            .spawn(move || watchdog_loop(&loop_inner))
-            .expect("spawn watchdog thread");
-        Self {
-            inner,
-            meters,
-            thread: Some(thread),
         }
-    }
-
-    /// Watches `frame` against `deadline`; returns the watch id the
-    /// frame carries until it ends.
-    pub(crate) fn watch(&self, frame: &Arc<FrameCore>, deadline: Instant) -> u64 {
-        let id = self.inner.next_id.fetch_add(1, Ordering::Relaxed);
-        let entry = WatchEntry {
-            frame: Arc::clone(frame),
-            deadline,
-            cancel: None,
-        };
-        lock(&self.inner.state).watches.insert(id, entry);
-        // The new deadline may be the earliest; the watchdog re-reads
-        // the minimum on every wake, so one notify is always enough.
-        self.inner.wake.notify_all();
-        id
-    }
-
-    /// Attaches the executing attempt's cancel token to `watch`, so a
-    /// timeout fired mid-render reclaims the worker. A no-op when the
-    /// watch already timed out (the shard detects that through the
-    /// frame and skips the render).
-    pub(crate) fn begin_render(&self, watch: u64, cancel: &CancelToken) {
-        if let Some(entry) = lock(&self.inner.state).watches.get_mut(&watch) {
-            entry.cancel = Some(cancel.clone());
-        }
-    }
-
-    /// Drops the watch of an ended frame (idempotent: the watchdog
-    /// removes timed-out watches itself).
-    pub(crate) fn unwatch(&self, watch: u64) {
-        lock(&self.inner.state).watches.remove(&watch);
-    }
-
-    /// Installs (or replaces) the periodic sweep hook, run on the
-    /// watchdog thread every `interval` (on the supervisor clock),
-    /// with the watch-state lock released: the server's health sweep
-    /// takes the topology lock, then per-shard locks, then possibly
-    /// the watch state (ending a frame unwatches it), and nothing
-    /// takes those in the opposite order.
-    pub(crate) fn set_sweep(&self, interval: Duration, run: Box<dyn FnMut() + Send>) {
-        *lock(&self.inner.sweep) = Some(SweepHook {
-            interval,
-            last: None,
-            run,
-        });
-        // The watchdog may be in an unbounded idle wait from before
-        // the hook existed.
-        self.inner.wake.notify_all();
-    }
-
-    /// Frames currently under watch.
-    #[cfg(test)]
-    pub(crate) fn watching(&self) -> usize {
-        lock(&self.inner.state).watches.len()
-    }
-
-    /// The clock this supervisor's deadline math runs on.
-    pub(crate) fn clock(&self) -> &Clock {
-        &self.inner.clock
     }
 
     pub(crate) fn stats(&self) -> SupervisorStats {
-        let m = &self.meters;
-        let [interactive, best_effort] = m.timed_out;
+        let [interactive, best_effort] = self.timed_out;
         SupervisorStats {
             timed_out_interactive: interactive.get(),
             timed_out_best_effort: best_effort.get(),
-            in_flight: m.in_flight.get().max(0) as usize,
-        }
-    }
-}
-
-impl Drop for Supervisor {
-    fn drop(&mut self) {
-        lock(&self.inner.state).shutdown = true;
-        self.inner.wake.notify_all();
-        if let Some(handle) = self.thread.take() {
-            // The sweep hook runs on the watchdog thread and may hold
-            // the last strong reference to structures that own this
-            // supervisor — if that drop lands here, on the watchdog
-            // itself, joining would deadlock on self. Detach instead:
-            // shutdown is set, so the loop exits on its own.
-            if handle.thread().id() == std::thread::current().id() {
-                return;
-            }
-            let _ = handle.join();
-        }
-    }
-}
-
-/// The watchdog body: time out every overdue watch, run the sweep hook
-/// if due, then sleep until the earliest remaining deadline or the
-/// next sweep (or a wake). The watch-state lock is **released** while
-/// the sweep hook runs.
-fn watchdog_loop(inner: &SupervisorInner) {
-    loop {
-        {
-            let mut state = lock(&inner.state);
-            if state.shutdown {
-                return;
-            }
-            let now = inner.clock.now();
-            state.watches.retain(|_, watch| {
-                if watch.deadline > now {
-                    return true;
-                }
-                // First write wins: the shard may have resolved the
-                // frame a moment ago without dropping the watch yet —
-                // then this is a no-op, not a timeout. A winning
-                // timeout reclaims the worker: the render polls the
-                // token at per-ray boundaries and drains.
-                if watch.frame.time_out(now) {
-                    if let Some(cancel) = &watch.cancel {
-                        cancel.cancel();
-                    }
-                }
-                false
-            });
-        }
-        // Watch state released: run the sweep hook if its interval
-        // elapsed, and learn how long until it is next due.
-        let sweep_wait: Option<Duration> = lock(&inner.sweep).as_mut().map(|hook| {
-            let now = inner.clock.now();
-            match hook.last.map(|last| now.saturating_duration_since(last)) {
-                Some(since) if since < hook.interval => hook.interval - since,
-                _ => {
-                    (hook.run)();
-                    hook.last = Some(inner.clock.now());
-                    hook.interval
-                }
-            }
-        });
-        // Re-acquire and sleep. Deadlines are recomputed under the
-        // fresh guard: a watch registered while the sweep ran is seen.
-        let state = lock(&inner.state);
-        if state.shutdown {
-            return;
-        }
-        let deadline_wait = state
-            .watches
-            .values()
-            .map(|w| w.deadline)
-            .min()
-            .map(|deadline| deadline.saturating_duration_since(inner.clock.now()));
-        match deadline_wait.into_iter().chain(sweep_wait).min() {
-            Some(nap) => {
-                let mut nap = nap.max(Duration::from_millis(1));
-                if inner.clock.is_virtual() {
-                    // Virtual time advances out of band; poll so an
-                    // `advance` past a deadline is noticed promptly.
-                    nap = nap.min(Duration::from_millis(1));
-                }
-                drop(wait_timeout(&inner.wake, state, nap));
-            }
-            // Nothing watched and no sweep installed: sleep until a
-            // registration (or shutdown) wakes us.
-            None => drop(wait(&inner.wake, state)),
+            in_flight: self.in_flight.get().max(0) as usize,
         }
     }
 }
@@ -375,7 +147,7 @@ const RETRY_BACKOFF_CAP: Duration = Duration::from_millis(200);
 /// Bounded re-render policy for transiently failed frames (render
 /// panics, corrupt renders). Retries are attempt-capped, exponentially
 /// backed off (10 ms, doubling, capped at 200 ms), and never scheduled
-/// past the frame's deadline — the watchdog owns the final word.
+/// past the frame's deadline — the deadline owns the final word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total render attempts per frame, including the first
@@ -430,27 +202,6 @@ impl Default for BreakerConfig {
             cooldown: Duration::from_secs(2),
             probe_quota: 2,
         }
-    }
-}
-
-impl BreakerConfig {
-    /// Sets the failure window and the minimum sample count.
-    pub fn with_window(mut self, window: usize, min_samples: usize) -> Self {
-        self.window = window;
-        self.min_samples = min_samples;
-        self
-    }
-
-    /// Sets the Open→HalfOpen cooldown.
-    pub fn with_cooldown(mut self, cooldown: Duration) -> Self {
-        self.cooldown = cooldown;
-        self
-    }
-
-    /// Sets the HalfOpen probe quota.
-    pub fn with_probe_quota(mut self, quota: u32) -> Self {
-        self.probe_quota = quota;
-        self
     }
 }
 
@@ -669,10 +420,12 @@ mod tests {
     #[test]
     fn breaker_trips_on_failure_rate_and_probes_back() {
         let base = Instant::now();
-        let cfg = BreakerConfig::default()
-            .with_window(4, 4)
-            .with_cooldown(Duration::from_millis(100))
-            .with_probe_quota(2);
+        let cfg = BreakerConfig {
+            window: 4,
+            min_samples: 4,
+            cooldown: Duration::from_millis(100),
+            probe_quota: 2,
+        };
         let b = CircuitBreaker::new(cfg);
         assert_eq!(b.state(), BreakerState::Closed);
         // Two failures in a window of four at threshold 0.5 → trip.
@@ -699,10 +452,12 @@ mod tests {
     #[test]
     fn failed_probe_reopens_and_restarts_cooldown() {
         let base = Instant::now();
-        let cfg = BreakerConfig::default()
-            .with_window(2, 2)
-            .with_cooldown(Duration::from_millis(100))
-            .with_probe_quota(1);
+        let cfg = BreakerConfig {
+            window: 2,
+            min_samples: 2,
+            cooldown: Duration::from_millis(100),
+            probe_quota: 1,
+        };
         let b = CircuitBreaker::new(cfg);
         b.admit(t(base, 0));
         b.record(false, false, t(base, 0));
@@ -721,10 +476,12 @@ mod tests {
     #[test]
     fn straggler_outcomes_do_not_corrupt_probe_accounting() {
         let base = Instant::now();
-        let cfg = BreakerConfig::default()
-            .with_window(2, 2)
-            .with_cooldown(Duration::from_millis(10))
-            .with_probe_quota(2);
+        let cfg = BreakerConfig {
+            window: 2,
+            min_samples: 2,
+            cooldown: Duration::from_millis(10),
+            probe_quota: 2,
+        };
         let b = CircuitBreaker::new(cfg);
         b.record(false, false, t(base, 0));
         b.record(false, false, t(base, 0));

@@ -78,11 +78,6 @@ impl Clock {
             }
         }
     }
-
-    /// Whether this is a virtual (test) clock.
-    pub fn is_virtual(&self) -> bool {
-        matches!(&*self.inner, Inner::Virtual { .. })
-    }
 }
 
 #[cfg(test)]
@@ -114,6 +109,5 @@ mod tests {
         let t0 = c.now();
         std::thread::sleep(Duration::from_millis(1));
         assert!(c.now() > t0);
-        assert!(!c.is_virtual());
     }
 }

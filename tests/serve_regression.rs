@@ -280,7 +280,7 @@ fn sharded_scenes_serve_bitwise_identical_to_direct_render() {
         .iter()
         .map(|s| server.create_session(Arc::clone(s), SessionConfig::new(intrinsics(), strategy)))
         .collect();
-    assert_eq!(server.shard_count(), 2);
+    assert_eq!(server.shard_health().len(), 2);
     assert_ne!(
         server.shard_of(sessions[0]),
         server.shard_of(sessions[1]),
@@ -471,8 +471,8 @@ fn overload_sheds_best_effort_first_and_degrades_interactive() {
 
 #[test]
 fn timed_out_frame_resolves_and_the_next_frame_is_bitwise_exact() {
-    // A stalled render must not wedge the shard: the watchdog resolves
-    // the handle at the class budget with `TimedOut`, cooperative
+    // A stalled render must not wedge the shard: the supervision pass
+    // resolves the handle at the class budget with `TimedOut`, cooperative
     // cancellation reclaims the stalled worker, and the very next
     // frame on the same scene renders bitwise-identical to a direct
     // render — supervised serving never trades exactness for
@@ -480,10 +480,13 @@ fn timed_out_frame_resolves_and_the_next_frame_is_bitwise_exact() {
     let scene = scene();
     let strategy = SamplingStrategy::coarse_then_focus(6, 6);
     let budget = Duration::from_millis(1500);
-    let server = RenderServer::new(
-        ServerConfig::default()
-            .with_supervision(SupervisorConfig::default().with_interactive_budget(budget)),
-    );
+    let server = RenderServer::new(ServerConfig {
+        supervision: SupervisorConfig {
+            interactive_budget: budget,
+            ..SupervisorConfig::default()
+        },
+        ..ServerConfig::default()
+    });
     let session = server.create_session(
         Arc::clone(&scene),
         SessionConfig::new(intrinsics(), strategy),
@@ -579,13 +582,13 @@ fn every_handle_resolves_under_a_mixed_fault_schedule() {
     let scene = scene();
     let strategy = SamplingStrategy::coarse_then_focus(6, 6);
     let budget = Duration::from_millis(1200);
-    let server = RenderServer::new(
-        ServerConfig::default().with_supervision(
-            SupervisorConfig::default()
-                .with_interactive_budget(budget)
-                .with_best_effort_budget(budget),
-        ),
-    );
+    let server = RenderServer::new(ServerConfig {
+        supervision: SupervisorConfig {
+            interactive_budget: budget,
+            best_effort_budget: budget,
+        },
+        ..ServerConfig::default()
+    });
     let sessions = [
         server.create_session(
             Arc::clone(&scene),
@@ -707,10 +710,13 @@ fn frames_after_a_shard_kill_render_bitwise_identical() {
     // detected as Dead via the finished worker thread, and a tight
     // budget would misread a legitimately slow render on a loaded test
     // host as Wedged).
-    let server = RenderServer::new(
-        ServerConfig::default()
-            .with_health(HealthConfig::default().with_restart_backoff(Duration::from_millis(10))),
-    );
+    let server = RenderServer::new(ServerConfig {
+        health: HealthConfig {
+            restart_backoff: Duration::from_millis(10),
+            ..HealthConfig::default()
+        },
+        ..ServerConfig::default()
+    });
     let session = server.create_session(
         Arc::clone(&scene),
         SessionConfig::new(intrinsics(), strategy),

@@ -285,10 +285,12 @@ mod breaker {
     const PROBE_QUOTA: u32 = 2;
 
     fn config() -> BreakerConfig {
-        BreakerConfig::default()
-            .with_window(WINDOW, MIN_SAMPLES)
-            .with_cooldown(Duration::from_millis(COOLDOWN_MS))
-            .with_probe_quota(PROBE_QUOTA)
+        BreakerConfig {
+            window: WINDOW,
+            min_samples: MIN_SAMPLES,
+            cooldown: Duration::from_millis(COOLDOWN_MS),
+            probe_quota: PROBE_QUOTA,
+        }
     }
 
     /// Reference model, written against the spec (not the

@@ -131,14 +131,15 @@ fn chaos_schedule_traces_are_complete_and_reconcile_with_ground_truth() {
     // One shard, tight queue: overload sheds and degrades occur
     // naturally alongside the injected faults.
     let server = RenderServer::new(
-        ServerConfig::default()
-            .with_max_shards(1)
-            .with_admission(AdmissionConfig::with_capacity(2))
-            .with_supervision(
-                SupervisorConfig::default()
-                    .with_interactive_budget(budget)
-                    .with_best_effort_budget(budget),
-            ),
+        ServerConfig {
+            supervision: SupervisorConfig {
+                interactive_budget: budget,
+                best_effort_budget: budget,
+            },
+            ..ServerConfig::default()
+        }
+        .with_max_shards(1)
+        .with_admission(AdmissionConfig::with_capacity(2)),
     );
     let sessions = [
         server.create_session(
@@ -202,7 +203,7 @@ fn chaos_schedule_traces_are_complete_and_reconcile_with_ground_truth() {
     // Every handle has resolved, so every counter, latency observation
     // and terminal event is already booked (bookkeeping precedes the
     // wake-up). What may still be in the shard's hands is late work of
-    // frames the watchdog answered for — a timed-out frame waiting in
+    // frames whose deadline answered for them — a timed-out frame waiting in
     // the queue to be popped and discarded, a cancelled attempt
     // unwinding. The queue-depth gauge and the Retry pairing below read
     // that, so rendezvous with the shard going idle — not with time.
@@ -383,9 +384,14 @@ fn traces_reconcile_across_a_shard_restart_boundary() {
     // and a tight budget would let a legitimately slow batch render on
     // a loaded test host be misread as Wedged.
     let server = RenderServer::new(
-        ServerConfig::default()
-            .with_max_shards(1)
-            .with_health(HealthConfig::default().with_restart_backoff(Duration::from_millis(10))),
+        ServerConfig {
+            health: HealthConfig {
+                restart_backoff: Duration::from_millis(10),
+                ..HealthConfig::default()
+            },
+            ..ServerConfig::default()
+        }
+        .with_max_shards(1),
     );
     let session = server.create_session(
         Arc::clone(&scene),
