@@ -17,7 +17,7 @@
 //! At the paper's configuration (252×189, 64 + 16 depths, 6 + 4 views)
 //! the search scores 91 shapes at each of a few hundred tile origins,
 //! each over the whole depth column and every source view: some 283 K
-//! frustum footprints per frame if each were computed on its own. Four
+//! frustum footprints per frame if each were computed on its own. Five
 //! things keep that cheap without moving a single bit of the result.
 //!
 //! **Vertices are projected once.** Candidates at one origin share
@@ -36,8 +36,9 @@
 //! along the epipolar line (`(A + t·B) / (C + t·D)` rounds
 //! differently). Planes are keyed by index only while the two clamps
 //! on a slice's depths (`t ≥ 1e-3`, thickness `≥ 1e-4`) leave them
-//! alone; a slice on which either binds is computed directly from its
-//! frustum.
+//! alone, which the plane values themselves tell (`depth_slice`
+//! evaluates the same expressions); a slice on which either binds is
+//! computed directly from its frustum.
 //!
 //! **The search is best-first and bounded.** The rule is the one a
 //! plain scan in list order implements — lowest bytes per point wins,
@@ -46,17 +47,83 @@
 //! among the clamped, deduplicated candidates. Under that rule the
 //! order of evaluation is free, so the previous origin's winner goes
 //! first and the rest follow by descending tile area, and a candidate
-//! is abandoned as soon as its running bytes-per-point is above the
-//! best score, or equal to it with a larger index: the running total
-//! only grows and the division is monotone, so it could not have won.
-//! (A candidate abandoned before the slice that would have overflowed
-//! the buffer loses either way.) The tie rule matters: where the frame
-//! sees none of the sources every shape scores zero and the first
-//! listed one, a `1×1×4` column, must still win.
+//! is abandoned as soon as `lost` holds of a lower bound on its
+//! bytes-per-point: the bound is above the best score, or equal to it
+//! with a larger index. `lost` is monotone — both conditions persist as
+//! the bytes grow, and `bytes as f64 / points as f64` never decreases
+//! when `bytes` grows — so a candidate it rejects on a lower bound of
+//! its total would be rejected on the total itself: it could not have
+//! won. (A candidate abandoned before the slice that would have
+//! overflowed the buffer loses either way.) The tie rule matters: where
+//! the frame sees none of the sources every shape scores zero and the
+//! first listed one, a `1×1×4` column, must still win.
 //!
-//! **Footprints are scored far first, and few are hulled.** Three
+//! **Losing shapes are dropped on a bound before they are hulled**
+//! (branch and bound, Land & Doig 1960). `score` takes two passes over
+//! a candidate's slices, both far to near:
+//!
+//! 1. It sums `VertexMemo::footprint_lb` over the slices and views,
+//!    and drops the candidate as soon as one slice's bound overflows
+//!    the buffer or `lost` holds of the running sum.
+//! 2. Otherwise it scores the slices exactly, as before, but what it
+//!    hands `lost` is the exact bytes so far plus the bounds of the
+//!    slices not yet scored.
+//!
+//! Each slice's bound is at most its bytes, so every rejection in
+//! either pass is one the exact total would also make (above), a slice
+//! whose bound overflows the buffer overflows it, and a survivor is
+//! scored to its exact total. So `score` returns what it returned
+//! without the bounds for every candidate, and the `(score, index)`
+//! winner and its tie rule cannot move. The first candidate at an
+//! origin has no score to beat, so it skips the first pass. On the
+//! paper's frame this cuts the footprints computed in full from 69,582
+//! to 10,371 (focused) and from 16,962 to 4,275 (coarse), for ≈ 122 K
+//! per-view bounds.
+//!
+//! The bound needs no hull. For a slice whose eight corners all
+//! project, with `w × h` the box of the projections, `f` the share of
+//! that box inside the image and `r` the largest coordinate magnitude,
+//! it is
+//!
+//! `(½·A + 2·√(w² + h²) + 4) · (f − 2⁻¹²) − 2⁻¹⁵·r² − 1` texels,
+//!
+//! where `A` is the largest |shoelace| over the near cap `(0, 1, 2, 3)`,
+//! the far cap `(4, 5, 6, 7)` and the two diagonal sweeps `(0, 2, 6,
+//! 4)` and `(1, 3, 7, 5)`, and 0 when a corner is behind the camera,
+//! the slice is clamped, the box is thinner than 2⁻¹⁰ texel or lies off
+//! the image. In exact arithmetic each term is at most its counterpart
+//! in `Footprint::from_corners`:
+//!
+//! * a closed path through four vertices winds at most once around any
+//!   point, and never outside their hull, so ½·|shoelace| is at most
+//!   the area of the hull of all eight;
+//! * the hull touches all four sides of its box, and a closed path that
+//!   touches all four sides of a `w × h` box is at least `2·√(w² + h²)`
+//!   long (reflect it across two sides and it joins opposite corners of
+//!   a `2w × 2h` box);
+//! * the hull's extreme vertices are the extreme projections, so its
+//!   box, and the visible share `from_corners` scales by, is `f`'s.
+//!
+//! The margin covers `from_corners`' f32 arithmetic. Its shoelace
+//! cancels terms as large as `r²`, so it, and the bound's own, can be
+//! off by some hundreds of ulps of `r²`, under 2⁻¹⁶·r²; the hull's
+//! collinear pops and 1e-9 dedup can shrink its box by a few ulps of its
+//! sides and by 1e-8, which moves `f` by far less than 2⁻¹², since the
+//! box is at least 2⁻¹⁰ wide; sums, square roots and quotients are off
+//! by a few ulps, far below 2⁻¹²; and the last texel covers the rest,
+//! which the ceiling only helps. `prop_footprint_bound_is_admissible`
+//! checks it on random and adversarial corner sets, and a bound
+//! inflated by 1.5× fails it and the oracle tests.
+//!
+//! The bound pass is now the larger cost, so it is evaluated for
+//! `LANES` views at once, branch-free, from a projection table laid
+//! out as separate `x`, `y` and in-front arrays with each row padded to
+//! whole lanes; no bound pass allocates.
+//!
+//! **Footprints are scored far first, and few are hulled.** Three more
 //! exact changes cut the focused stage of the paper's frame from
-//! 86,839 footprints to 69,582 and skip the hull of every empty one:
+//! 86,839 footprints to 69,582 before the bounds, and skip the hull of
+//! every empty one:
 //!
 //! * A candidate's slices are scored far to near, where its frusta are
 //!   widest and a loser crosses the bound soonest; `emit_column` still
@@ -64,9 +131,7 @@
 //!   which commutes; both ways to abandon a candidate — one slice over
 //!   the buffer, and `lost` on a running sum that only grows — reject
 //!   it in some order iff they reject it in every order; and the memo
-//!   holds the same values whichever slice asks first. (The coarse
-//!   stage scores a few more footprints this way, 16,962 for 15,760,
-//!   and still gains from the next two.)
+//!   holds the same values whichever slice asks first.
 //! * A footprint whose projections all lie on or beyond one border of
 //!   the source image — left, right, top or bottom — is `EMPTY` before
 //!   it is sorted or hulled. The hull's vertices are some of those
@@ -81,8 +146,8 @@
 //!   edge from vertex 0, which is the order `polygon_area` and a
 //!   per-edge sum add them in.
 //!
-//! **Nothing outlives the call.** The memo and the candidate lists are
-//! owned by one `partition` call and freed on return; a second call
+//! **Nothing outlives the call.** The memo, its bound scratch and the
+//! candidate lists are owned by one `partition` call and freed on return; a second call
 //! with the same arguments does all of the work again. Callers that
 //! repeat a frame (the benchmark's closed loop) measure the search,
 //! not a lookup.
@@ -200,6 +265,33 @@ impl Patch {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Footprints the calling thread has computed in full.
+    static FOOTPRINTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// Footprints the calling thread has computed in full so far — hulled,
+/// or found off the image first — which is what the pruning saves.
+#[cfg(test)]
+fn footprints() -> u64 {
+    FOOTPRINTS.with(|c| c.get())
+}
+
+/// Source views whose footprint bounds are taken at once, one a lane.
+const LANES: usize = 4;
+
+/// Below this extent on either axis the bound gives up (module docs).
+const BOUND_MIN_EXTENT: f32 = 1.0 / 1024.0;
+
+/// The bound's margin for the f32 rounding of the hull's estimate, as a
+/// share of its dilated area; one texel more is taken off (module docs).
+const BOUND_SLACK: f32 = 1.0 / 4096.0;
+
+/// The rest of that margin, as a share of the squared largest
+/// coordinate magnitude, on which the shoelace's rounding scales.
+const BOUND_SLACK_C2: f32 = 1.0 / 32768.0;
+
 /// Footprint estimate of one frustum on one source view.
 #[derive(Debug, Clone, Copy)]
 struct Footprint {
@@ -217,6 +309,8 @@ impl Footprint {
     /// corners project to `corners` (`None` for a corner behind the
     /// camera), given in [`Frustum::world_corners`] order.
     fn from_corners(corners: impl Iterator<Item = Option<Vec2>>, source: &Camera) -> Self {
+        #[cfg(test)]
+        FOOTPRINTS.with(|c| c.set(c.get() + 1));
         let (sw, sh) = (
             source.intrinsics.width as f32,
             source.intrinsics.height as f32,
@@ -280,6 +374,92 @@ impl Footprint {
             bbox: (cx0 as u32, cy0 as u32, cx1.ceil() as u32, cy1.ceil() as u32),
         }
     }
+
+    /// For each lane, a lower bound on the footprint's texels that
+    /// takes no hull: `from_corners` of the lane's eight corners on its
+    /// source view, 0 where the lane is not `seen` (module docs, "Cost
+    /// of the search", for the bound and its margin).
+    fn texels_lb(lanes: &CornerLanes) -> [u64; LANES] {
+        let CornerLanes {
+            x,
+            y,
+            seen,
+            width,
+            height,
+        } = lanes;
+        // Twice the signed areas of the near cap, the far cap, and the
+        // two planes through opposite side edges.
+        let shoelace = |[a, b, c, d]: [usize; 4]| {
+            lane_map(|v| {
+                let cross = |i: usize, j: usize| x[i][v] * y[j][v] - y[i][v] * x[j][v];
+                cross(a, b) + cross(b, c) + cross(c, d) + cross(d, a)
+            })
+        };
+        let (near, far) = (shoelace([0, 1, 2, 3]), shoelace([4, 5, 6, 7]));
+        let (sweep, other) = (shoelace([0, 2, 6, 4]), shoelace([1, 3, 7, 5]));
+        let (mut x0, mut x1, mut y0, mut y1) = (x[0], x[0], y[0], y[0]);
+        for i in 1..8 {
+            x0 = lane_map(|v| if x[i][v] < x0[v] { x[i][v] } else { x0[v] });
+            x1 = lane_map(|v| if x[i][v] > x1[v] { x[i][v] } else { x1[v] });
+            y0 = lane_map(|v| if y[i][v] < y0[v] { y[i][v] } else { y0[v] });
+            y1 = lane_map(|v| if y[i][v] > y1[v] { y[i][v] } else { y1[v] });
+        }
+        let bounds = lane_map(|v| {
+            let twice_area = near[v]
+                .abs()
+                .max(far[v].abs())
+                .max(sweep[v].abs())
+                .max(other[v].abs());
+            let (w, h) = (x1[v] - x0[v], y1[v] - y0[v]);
+            let clip_w = x1[v].min(width[v]) - x0[v].max(0.0);
+            let clip_h = y1[v].min(height[v]) - y0[v].max(0.0);
+            let visible = (clip_w * clip_h / (w * h)).min(1.0);
+            let reach = x0[v]
+                .abs()
+                .max(x1[v].abs())
+                .max(y0[v].abs())
+                .max(y1[v].abs());
+            let dilated = 0.5 * twice_area + 2.0 * (w * w + h * h).sqrt() + 4.0;
+            let lb = dilated * (visible - BOUND_SLACK) - BOUND_SLACK_C2 * reach * reach - 1.0;
+            // The caps hold every corner: a NaN or infinite one shows
+            // in their sum.
+            let bounded = (near[v] + far[v]).is_finite()
+                & (w >= BOUND_MIN_EXTENT)
+                & (h >= BOUND_MIN_EXTENT)
+                & (clip_w > 0.0)
+                & (clip_h > 0.0);
+            if bounded {
+                lb
+            } else {
+                0.0
+            }
+        });
+        // A negative bound saturates to 0.
+        std::array::from_fn(|v| if seen[v] { bounds[v] as u64 } else { 0 })
+    }
+}
+
+/// `[f(0), f(1), …]` over the lanes, in a loop simple enough for the
+/// compiler to run the lanes side by side.
+#[inline(always)]
+fn lane_map(f: impl Fn(usize) -> f32) -> [f32; LANES] {
+    let mut out = [0.0; LANES];
+    for (v, out) in out.iter_mut().enumerate() {
+        *out = f(v);
+    }
+    out
+}
+
+/// One slice's eight corners, in [`Frustum::world_corners`] order, on
+/// up to [`LANES`] source views: lane `v` holds view `v`'s projections
+/// and image size, and is `seen` only when all eight project.
+#[derive(Default)]
+struct CornerLanes {
+    x: [[f32; LANES]; 8],
+    y: [[f32; LANES]; 8],
+    seen: [bool; LANES],
+    width: [f32; LANES],
+    height: [f32; LANES],
 }
 
 /// A `du × dv` pixel tile at a [`VertexMemo`]'s origin.
@@ -305,14 +485,31 @@ struct VertexMemo<'a> {
     origin: (u32, u32),
     /// Corner rays traced at `origin`, keyed by pixel offset from it.
     rays: Vec<((u32, u32), Ray)>,
-    /// `[ray][plane][view]` projections; row `[ray][plane]` is valid
-    /// once `projected[ray][plane]`.
-    projections: Vec<Option<Vec2>>,
+    /// `[ray][plane][view]` projections, each row `[ray][plane]`
+    /// padded to `stride` views: where `seen`, the point projects to
+    /// `(xs, ys)`; the padding is never seen. A row is valid once
+    /// `projected[ray][plane]`.
+    xs: Vec<f32>,
+    ys: Vec<f32>,
+    seen: Vec<bool>,
     projected: Vec<bool>,
+    /// The source views rounded up to whole [`LANES`].
+    stride: usize,
+    /// Image sizes of the source views, padded as a row is.
+    widths: Vec<f32>,
+    heights: Vec<f32>,
+    /// The slice bounds of the candidate under score, far to near.
+    bounds: Vec<u64>,
 }
 
 impl<'a> VertexMemo<'a> {
     fn new(rig: &'a CameraRig, n_depth: u32) -> Self {
+        let stride = rig.sources.len().next_multiple_of(LANES);
+        let sizes = |size: fn(&Camera) -> u32| {
+            let mut sizes: Vec<f32> = rig.sources.iter().map(|s| size(s) as f32).collect();
+            sizes.resize(stride, 0.0);
+            sizes
+        };
         Self {
             rig,
             n_depth,
@@ -321,8 +518,14 @@ impl<'a> VertexMemo<'a> {
                 .collect(),
             origin: (0, 0),
             rays: Vec::new(),
-            projections: Vec::new(),
+            xs: Vec::new(),
+            ys: Vec::new(),
+            seen: Vec::new(),
             projected: Vec::new(),
+            stride,
+            widths: sizes(|s| s.intrinsics.width),
+            heights: sizes(|s| s.intrinsics.height),
+            bounds: Vec::new(),
         }
     }
 
@@ -348,7 +551,9 @@ impl<'a> VertexMemo<'a> {
         let rows = self.rays.len() * self.planes.len();
         if self.projected.len() < rows {
             self.projected.resize(rows, false);
-            self.projections.resize(rows * self.rig.sources.len(), None);
+            self.xs.resize(rows * self.stride, 0.0);
+            self.ys.resize(rows * self.stride, 0.0);
+            self.seen.resize(rows * self.stride, false);
         }
         self.rays.len() - 1
     }
@@ -367,12 +572,11 @@ impl<'a> VertexMemo<'a> {
         let row = ray * self.planes.len() + k as usize;
         if !self.projected[row] {
             let point = self.rays[ray].1.at(self.planes[k as usize]);
-            let views = self.rig.sources.len();
-            for (out, source) in self.projections[row * views..][..views]
-                .iter_mut()
-                .zip(&self.rig.sources)
-            {
-                *out = source.project(point);
+            for (view, source) in self.rig.sources.iter().enumerate() {
+                let at = row * self.stride + view;
+                let uv = source.project(point);
+                self.seen[at] = uv.is_some();
+                (self.xs[at], self.ys[at]) = uv.map_or((0.0, 0.0), |uv| (uv.x, uv.y));
             }
             self.projected[row] = true;
         }
@@ -387,19 +591,22 @@ impl<'a> VertexMemo<'a> {
     /// Panics as [`Frustum::new`] does when the slice's depth range is
     /// empty or negative.
     fn slice(&mut self, tile: &Tile, d0: u32, dd: u32) -> SliceCorners {
-        let (u0, v0) = self.origin;
-        let (t_lo, t_hi) = self.rig.depth_slice(d0, dd, self.n_depth);
-        let frustum = Frustum::new(
-            Vec2::new(u0 as f32, v0 as f32),
-            Vec2::new((u0 + tile.du) as f32, (v0 + tile.dv) as f32),
-            t_lo.max(1e-3),
-            t_hi,
-        );
-        let on_planes = frustum.t_near == self.planes[d0 as usize]
-            && frustum.t_far == self.planes[(d0 + dd) as usize];
+        // `depth_slice` evaluates the expressions the planes hold and
+        // returns `(near, far.max(near + 1e-4))`; the frustum takes the
+        // near depth `.max(1e-3)` and needs `far > near`.
+        let (near, far) = (self.planes[d0 as usize], self.planes[(d0 + dd) as usize]);
+        let on_planes = near.max(1e-3) == near && far.max(near + 1e-4) == far && far > near;
         if !on_planes {
             // A clamp moved one of the slice's depths off its plane:
             // this frustum's corners are its own.
+            let (u0, v0) = self.origin;
+            let (t_lo, t_hi) = self.rig.depth_slice(d0, dd, self.n_depth);
+            let frustum = Frustum::new(
+                Vec2::new(u0 as f32, v0 as f32),
+                Vec2::new((u0 + tile.du) as f32, (v0 + tile.dv) as f32),
+                t_lo.max(1e-3),
+                t_hi,
+            );
             return SliceCorners::World(frustum.world_corners(&self.rig.novel));
         }
         let mut rows = [0usize; 8];
@@ -416,14 +623,54 @@ impl<'a> VertexMemo<'a> {
         let source = &self.rig.sources[view];
         match corners {
             SliceCorners::Rows(rows) => {
-                let views = self.rig.sources.len();
-                let gathered = rows.iter().map(|&row| self.projections[row * views + view]);
+                let gathered = rows.iter().map(|&row| {
+                    let at = row * self.stride + view;
+                    self.seen[at].then(|| Vec2::new(self.xs[at], self.ys[at]))
+                });
                 Footprint::from_corners(gathered, source)
             }
             SliceCorners::World(world) => {
                 Footprint::from_corners(world.iter().map(|&p| source.project(p)), source)
             }
         }
+    }
+
+    /// Lower bounds on `footprint(corners, view).texels` for views
+    /// `first..first + LANES`, one a lane, that take no hull; 0 for a
+    /// clamped slice and past the last view.
+    fn footprint_lb(&self, corners: &SliceCorners, first: usize) -> [u64; LANES] {
+        let SliceCorners::Rows(rows) = corners else {
+            return [0; LANES];
+        };
+        let lane = |values: &[f32], at: usize| -> [f32; LANES] {
+            values[at..at + LANES].try_into().expect("a whole lane")
+        };
+        let mut lanes = CornerLanes {
+            seen: [true; LANES],
+            width: lane(&self.widths, first),
+            height: lane(&self.heights, first),
+            ..CornerLanes::default()
+        };
+        for (i, &row) in rows.iter().enumerate() {
+            let at = row * self.stride + first;
+            (lanes.x[i], lanes.y[i]) = (lane(&self.xs, at), lane(&self.ys, at));
+            for (seen, &projects) in lanes.seen.iter_mut().zip(&self.seen[at..at + LANES]) {
+                *seen &= projects;
+            }
+        }
+        Footprint::texels_lb(&lanes)
+    }
+
+    /// A lower bound on the bytes [`VertexMemo::slice_bytes`] finds
+    /// `tile` fetching over depth slice `[d0, d0 + dd)`.
+    fn slice_bytes_lb(&mut self, tile: &Tile, (d0, dd): (u32, u32), texel_bytes: u64) -> u64 {
+        let corners = self.slice(tile, d0, dd);
+        let views = self.rig.sources.len();
+        let texels: u64 = (0..views)
+            .step_by(LANES)
+            .map(|first| self.footprint_lb(&corners, first).iter().sum::<u64>())
+            .sum();
+        texels * texel_bytes
     }
 
     /// Bytes `tile` fetches over depth slice `[d0, d0 + dd)`, summed
@@ -542,9 +789,10 @@ impl Scheduler {
     /// the buffer — or as soon as `lost` says the running
     /// bytes-per-point, which only grows, can no longer win.
     ///
-    /// Slices are scored far to near: a far slice's frustum is the
-    /// wider, so a losing candidate is abandoned sooner, and the result
-    /// does not depend on the order (module docs).
+    /// Slices are bounded first and scored second, both far to near:
+    /// a far slice's frustum is the wider, so a losing candidate is
+    /// abandoned sooner, and the result does not depend on the order,
+    /// nor on the bounds (module docs).
     fn score(
         &self,
         memo: &mut VertexMemo,
@@ -556,16 +804,39 @@ impl Scheduler {
         let n_depth = memo.n_depth;
         let points = (tile.du as u64 * tile.dv as u64 * n_depth as u64).max(1);
         let per_point = |bytes: u64| bytes as f64 / points as f64;
-        let mut total_bytes = 0u64;
-        if lost(per_point(total_bytes)) {
+        if lost(per_point(0)) {
             return None;
         }
         // The column's slices start at multiples of `dd`; the last one
         // is cut short at `n_depth` (and an empty column has none).
         let dd = dd_shape.min(n_depth);
-        for d0 in (0..n_depth).step_by(dd.max(1) as usize).rev() {
-            let reject = |bytes| bytes > self.buffer_bytes || lost(per_point(total_bytes + bytes));
-            let slice = (d0, dd.min(n_depth - d0));
+        let slices = (0..n_depth)
+            .step_by(dd.max(1) as usize)
+            .rev()
+            .map(|d0| (d0, dd.min(n_depth - d0)));
+        // `unscored`: the bounds of the slices not yet scored. With no
+        // score to beat yet, a bound could find only an overflow, which
+        // the exact pass finds too.
+        let bounded = lost(f64::INFINITY);
+        let mut unscored = 0u64;
+        memo.bounds.clear();
+        for slice in slices.clone() {
+            let bound = if bounded {
+                memo.slice_bytes_lb(tile, slice, texel_bytes)
+            } else {
+                0
+            };
+            unscored += bound;
+            if bound > self.buffer_bytes || lost(per_point(unscored)) {
+                return None;
+            }
+            memo.bounds.push(bound);
+        }
+        let mut total_bytes = 0u64;
+        for (i, slice) in slices.enumerate() {
+            unscored -= memo.bounds[i];
+            let rest = total_bytes + unscored;
+            let reject = |bytes| bytes > self.buffer_bytes || lost(per_point(rest + bytes));
             total_bytes += memo.slice_bytes(tile, slice, texel_bytes, reject)?;
         }
         Some(per_point(total_bytes))
@@ -1367,6 +1638,162 @@ mod tests {
         }
     }
 
+    /// Eight corners as `kind` says, from `raw` unit draws, a log-scale
+    /// `size` in `[1e-9, 10]` and an image of `sw × sh` texels:
+    ///
+    /// 0. anywhere in and around the image;
+    /// 1. near-collinear: on a line, a ±`size`·1e-5 texel wobble off it;
+    /// 2. sub-texel: within `size` of one point;
+    /// 3. flung up to 1e5 image widths off it, one corner inside;
+    /// 4. as 0 with some corners behind the camera;
+    /// 5. coordinates snapped to ±0.0, the far border or just inside;
+    /// 6. a sliver `size` thin along one image border.
+    fn corner_set(
+        kind: usize,
+        raw: &[(f32, f32)],
+        size: f32,
+        sw: f32,
+        sh: f32,
+    ) -> [Option<Vec2>; 8] {
+        let (a, b) = raw[0];
+        let (c, d) = raw[1];
+        let anchor = Vec2::new(a * sw, b * sh);
+        let mut corners = [None; 8];
+        for (i, (out, &(x, y))) in corners.iter_mut().zip(&raw[2..]).enumerate() {
+            let around = Vec2::new((2.0 * x - 0.5) * sw, (2.0 * y - 0.5) * sh);
+            *out = Some(match kind {
+                0 | 4 => around,
+                1 => {
+                    let dir = Vec2::new((c * 6.3).cos(), (c * 6.3).sin());
+                    let off = Vec2::new(-dir.y, dir.x) * ((y - 0.5) * size * 1e-5);
+                    anchor + dir * (x * 300.0 * d) + off
+                }
+                2 => anchor + Vec2::new(x - 0.5, y - 0.5) * size,
+                3 if i == 0 => anchor,
+                3 => Vec2::new(2.0 * x - 1.0, 2.0 * y - 1.0) * (sw * 10f32.powf(5.0 * c)),
+                5 => {
+                    let snap = |t: f32, far: f32| match (t * 8.0) as u32 {
+                        0 => 0.0,
+                        1 => -0.0,
+                        2 => far,
+                        3 => 1e-7,
+                        4 => far - 1e-5,
+                        _ => t * far,
+                    };
+                    Vec2::new(snap(x, sw), snap(y, sh))
+                }
+                _ => {
+                    let along = (2.0 * x - 0.5) * sw;
+                    let across = (y - 0.5) * size;
+                    match (c * 4.0) as u32 {
+                        0 => Vec2::new(along, across),
+                        1 => Vec2::new(along, sh + across),
+                        2 => Vec2::new(across, along * sh / sw),
+                        _ => Vec2::new(sw + across, along * sh / sw),
+                    }
+                }
+            });
+            if kind == 4 && (i as f32) < d * 8.0 {
+                *out = None;
+            }
+        }
+        corners
+    }
+
+    /// The bound against the footprint for every slice and view of the
+    /// tile `(du, dv)` at `(u0, v0)`, sliced `dd` deep.
+    fn assert_bounds_hold(
+        rig: &CameraRig,
+        n_depth: u32,
+        (u0, v0, du, dv): (u32, u32, u32, u32),
+        dd: u32,
+    ) -> Result<(), TestCaseError> {
+        let mut memo = VertexMemo::new(rig, n_depth);
+        memo.move_to(u0, v0);
+        let tile = memo.tile(du, dv);
+        let views = rig.sources.len();
+        for d0 in (0..n_depth).step_by(dd as usize) {
+            let corners = memo.slice(&tile, d0, dd.min(n_depth - d0));
+            for first in (0..views).step_by(LANES) {
+                let bounds = memo.footprint_lb(&corners, first);
+                for (view, &bound) in (first..views).zip(&bounds) {
+                    let texels = memo.footprint(&corners, view).texels;
+                    prop_assert!(
+                        bound <= texels,
+                        "slice {d0} view {view}: bound {bound} > {texels} texels"
+                    );
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn prop_footprint_bound_is_admissible(
+            kinds in proptest::collection::vec(0usize..7, LANES),
+            raw in proptest::collection::vec((0f32..1.0, 0f32..1.0), 10 * LANES),
+            log_sizes in proptest::collection::vec(-9f32..1.0, LANES),
+            w in 1u32..300,
+            h in 1u32..300,
+        ) {
+            // A corner set of its own in every lane.
+            let source = CameraRig::orbit(w, h, 1).sources[0];
+            let (sw, sh) = (w as f32, h as f32);
+            let mut lanes = CornerLanes::default();
+            let mut sets = [[None; 8]; LANES];
+            for (v, set) in sets.iter_mut().enumerate() {
+                *set = corner_set(kinds[v], &raw[10 * v..][..10], 10f32.powf(log_sizes[v]), sw, sh);
+                lanes.seen[v] = set.iter().all(Option::is_some);
+                (lanes.width[v], lanes.height[v]) = (sw, sh);
+                for (i, uv) in set.iter().enumerate() {
+                    let uv = uv.unwrap_or(Vec2::ZERO);
+                    (lanes.x[i][v], lanes.y[i][v]) = (uv.x, uv.y);
+                }
+            }
+            for (set, bound) in sets.iter().zip(Footprint::texels_lb(&lanes)) {
+                let texels = Footprint::from_corners(set.iter().copied(), &source).texels;
+                prop_assert!(bound <= texels, "{set:?}: bound {bound} > {texels} texels");
+            }
+        }
+
+        #[test]
+        fn prop_footprint_bound_is_admissible_on_rigs(
+            w in 8u32..80,
+            h in 8u32..80,
+            views in 1usize..8,
+            n_depth in 1u32..80,
+            rig_kind in 0usize..4,
+            origin in (0f32..1.0, 0f32..1.0),
+            extent in (1u32..33, 1u32..33),
+            dd in 1u32..80,
+        ) {
+            // The orbit rig, the two clamped-depth rigs of
+            // `prop_partitions_match_oracle_where_the_depth_clamps_bind`,
+            // and sources pitched half a radian away from the scene.
+            let mut rig = CameraRig::orbit(w, h, views);
+            match rig_kind {
+                1 => rig.t_far = rig.t_near + 1e-3,
+                2 => rig.t_near = 5e-4,
+                3 => {
+                    for source in &mut rig.sources {
+                        let axes = source.pose.rotation;
+                        let eye = source.pose.origin;
+                        let away = axes.col(2) * 0.5f32.cos() + axes.col(1) * 0.5f32.sin();
+                        source.pose = Pose::look_at(eye, eye + away, Vec3::Y);
+                    }
+                }
+                _ => {}
+            }
+            let u0 = ((origin.0 * w as f32) as u32).min(w - 1);
+            let v0 = ((origin.1 * h as f32) as u32).min(h - 1);
+            let tile = (u0, v0, extent.0.min(w - u0), extent.1.min(h - v0));
+            assert_bounds_hold(&rig, n_depth, tile, dd.min(n_depth))?;
+        }
+    }
+
     #[test]
     fn tie_on_a_nonzero_score_goes_to_the_first_listed_shape() {
         // One source: the novel camera pulled straight back, so a tile
@@ -1438,9 +1865,33 @@ mod tests {
         }
         assert_eq!(tiles.len(), 13);
         assert_eq!(memo.rays.len(), 26);
-        let bytes = memo.projections.len() * std::mem::size_of::<Option<Vec2>>()
+        let bytes = (memo.xs.len() + memo.ys.len()) * std::mem::size_of::<f32>()
+            + memo.seen.len()
             + memo.projected.len()
             + memo.planes.len() * std::mem::size_of::<f32>();
         assert!(bytes <= 256 * 1024, "{bytes} bytes of scratch");
+    }
+
+    #[test]
+    fn the_paper_frame_hulls_few_footprints() {
+        // The benchmark's shape: a 252×189 frame, 4 coarse views of
+        // 3-byte texels over 16 depths, 6 focused views of 12-byte
+        // texels over 64, and a 256 KB prefetch buffer.
+        let sched = Scheduler::new(256 * 1024);
+        let rig = CameraRig::orbit(252, 189, 6);
+        let coarse_rig = CameraRig {
+            sources: rig.sources[..4].to_vec(),
+            ..rig.clone()
+        };
+        let hulled = |rig: &CameraRig, n_depth, texel_bytes| {
+            let before = footprints();
+            sched.partition(rig, 252, 189, n_depth, texel_bytes);
+            footprints() - before
+        };
+        // The counts repeat exactly: 10,371 and 4,275 with the bound,
+        // 69,582 and 16,962 without it (module docs).
+        let (coarse, focused) = (hulled(&coarse_rig, 16, 3), hulled(&rig, 64, 12));
+        assert!(focused <= 15_000, "{focused} focused footprints hulled");
+        assert!(coarse <= 6_000, "{coarse} coarse footprints hulled");
     }
 }

@@ -22,15 +22,16 @@
 //!
 //! # Where the host time goes
 //!
-//! Not into that loop. At the paper's configuration on a 252×189 frame
-//! (595 patches, 275,668 synthetic DRAM requests) one `simulate` call
-//! on one host thread of a 2-vCPU AVX2 host is ≈ 18.5 ms, of which the
-//! two [`Scheduler::partition`] calls — sequential, and the same for
-//! every worker count — are ≈ 14 ms (coarse ≈ 3.3, focused ≈ 11) and
-//! the patch loop ≈ 4.5 ms. Before the search scored slices far first,
-//! skipped off-image footprints and hulled more cheaply, the same host
-//! read ≈ 20.5 ms to ≈ 4.5 ms; before it memoised its vertex
-//! projections the split was ≈ 80 ms to ≈ 6 ms. Each worker of the
+//! Mostly not into that loop. At the paper's configuration on a 252×189
+//! frame (595 patches, 275,668 synthetic DRAM requests) one `simulate`
+//! call on one host thread of a 2-vCPU AVX2 host is ≈ 11 ms, of which
+//! the two [`Scheduler::partition`] calls — sequential, and the same for
+//! every worker count — are ≈ 6.5 ms (coarse ≈ 1.8, focused ≈ 4.7) and
+//! the patch loop ≈ 4.5 ms. Before the search dropped losing shapes on
+//! a hull-free bound the same host read ≈ 17 ms, ≈ 13 of them in the
+//! partition; before it scored slices far first, skipped off-image
+//! footprints and hulled more cheaply, ≈ 20.5 ms to ≈ 4.5 ms; before it
+//! memoised its vertex projections the split was ≈ 80 ms to ≈ 6 ms. Each worker of the
 //! patch loop clones one DRAM device on its first claim, resets it
 //! between patches, and keeps one request list. See the scheduler's
 //! module docs, "Cost of the search", for what the partition spends.

@@ -8,7 +8,7 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Div, DivAssign, Index, Mul, MulAssign, Neg, Sub, SubAssign};
 
 macro_rules! impl_vec_common {
-    ($name:ident, $n:expr, [$($field:ident),+]) => {
+    ($name:ident, $n:expr, [$($field:ident = $i:literal),+]) => {
         impl $name {
             /// The zero vector.
             pub const ZERO: Self = Self { $($field: 0.0),+ };
@@ -205,8 +205,10 @@ macro_rules! impl_vec_common {
             type Output = f32;
             #[inline]
             fn index(&self, i: usize) -> &f32 {
-                let arr: &[f32; $n] = unsafe { &*(self as *const Self as *const [f32; $n]) };
-                &arr[i]
+                match i {
+                    $($i => &self.$field,)+
+                    _ => panic!("index out of bounds: the len is {} but the index is {i}", $n),
+                }
             }
         }
 
@@ -261,8 +263,8 @@ pub struct Vec3 {
     pub z: f32,
 }
 
-impl_vec_common!(Vec2, 2, [x, y]);
-impl_vec_common!(Vec3, 3, [x, y, z]);
+impl_vec_common!(Vec2, 2, [x = 0, y = 1]);
+impl_vec_common!(Vec3, 3, [x = 0, y = 1, z = 2]);
 
 impl Vec2 {
     /// Unit vector along +X.
@@ -365,6 +367,12 @@ mod tests {
         assert_eq!(v[0], 9.0);
         assert_eq!(v[1], 8.0);
         assert_eq!(v[2], 7.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds: the len is 2 but the index is 2")]
+    fn index_past_the_last_field_panics() {
+        let _ = Vec2::new(1.0, 2.0)[2];
     }
 
     #[test]
