@@ -252,6 +252,13 @@ impl<T> FairQueue<T> {
         self.classes.iter().flat_map(|c| c.lanes.values().flatten())
     }
 
+    /// Every lane's head — the items a pop may take next — in no
+    /// particular order.
+    pub(crate) fn heads(&self) -> impl Iterator<Item = &T> {
+        let lanes = self.classes.iter().flat_map(|c| c.lanes.values());
+        lanes.filter_map(VecDeque::front)
+    }
+
     /// Whether nothing is pending.
     pub fn is_empty(&self) -> bool {
         self.classes.iter().all(|c| c.tenants.is_empty())

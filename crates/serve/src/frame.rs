@@ -3,13 +3,17 @@
 //! Every submitted frame is a [`Frame`] that walks the trace grammar
 //!
 //! ```text
-//! Submit → Admit → [Pop → Batch → Render (→ Retry → Render)*] → Resolve
+//! Submit → Admit → [Pop → Batch → Render (→ Retry → Pop → Render)*] → Resolve
 //!            └ shed / break verdicts close the trace at Admit
 //! ```
 //!
 //! and each arrow is a method here — the only code that emits the
-//! frame's trace events and moves its counters. What a frame holds on
-//! behalf of the rest of the tier is a function of its [`Stage`]:
+//! frame's trace events and moves its counters. A retry is a requeue:
+//! the frame goes back to the front of its lane, and the shard's one
+//! loop pops it again once its backoff is over, alone. A frame handed
+//! back by a condemned incarnation walks `Requeue → Pop` instead. What
+//! a frame holds on behalf of the rest of the tier is a function of its
+//! [`Stage`]:
 //!
 //! | stage | queue-depth claim | in flight + pending claim | on the running list |
 //! |---|---|---|---|
@@ -92,7 +96,8 @@ pub(crate) enum End {
     SessionGone,
     /// A render attempt produced the frame.
     Rendered(FrameResult),
-    /// The retry loop found the handle timed out: the budget is spent.
+    /// A failed attempt, or the pop of a retry, found the handle timed
+    /// out: the budget is spent.
     BudgetSpent,
     /// Attempts or wall-clock budget exhausted; the last error.
     RenderFailed(String),
@@ -299,6 +304,12 @@ pub(crate) struct Frame {
     pub degraded: bool,
     pub reuse: Option<Image>,
     pub fault: Option<Fault>,
+    /// Render attempts the frame failed so far: 0 for a first attempt.
+    /// Only [`Frame::requeued`] moves it.
+    pub attempts: u32,
+    /// While the frame waits out a retry backoff: the instant on the
+    /// shard's clock before which no pop takes it.
+    pub not_before: Option<Instant>,
     /// Queue depth admission saw (`Admit.b`).
     depth_seen: u64,
     /// Whether the scene's breaker admitted this frame as a HalfOpen
@@ -339,6 +350,8 @@ impl Frame {
             degraded: false,
             reuse: req.reuse,
             fault: req.fault,
+            attempts: 0,
+            not_before: None,
             depth_seen: m.depth.get().max(0) as u64,
             probe: false,
             pending: None,
@@ -422,31 +435,36 @@ impl Frame {
         depth.dec();
         self.stage = Stage::Running;
         let queued = depth.get().max(0) as u64;
-        let waited = Instant::now().saturating_duration_since(self.core.submitted);
+        let now = self.state.shard.clock.now();
+        let waited = now.saturating_duration_since(self.core.submitted);
         self.event(EventKind::Pop, waited.as_nanos() as u64, queued);
     }
 
-    /// The frame goes back on the queue, handed back by an incarnation
-    /// that could not render it: it re-claims the depth it gave up at
-    /// pop.
-    pub(crate) fn requeued(&mut self) {
+    /// The frame goes back on the queue, re-claiming the depth it gave
+    /// up at pop. **Retry** when `retry` holds its backoff and the
+    /// instant it ends, on the shard's clock: the last attempt failed,
+    /// and no pop starts the next before then. Otherwise **Requeue**:
+    /// an incarnation that could not render it handed it back.
+    pub(crate) fn requeued(&mut self, retry: Option<(Duration, Instant)>) {
         debug_assert_eq!(self.stage, Stage::Running);
-        let m = &self.state.shard.meters;
-        m.requeued.inc();
-        self.event(EventKind::Requeue, self.state.shard.index as u64, 0);
-        m.depth.inc();
+        let shard = &self.state.shard;
+        if let Some((backoff, not_before)) = retry {
+            self.attempts += 1;
+            self.not_before = Some(not_before);
+            shard.meters.retries.inc();
+            let ns = backoff.as_nanos() as u64;
+            self.event(EventKind::Retry, self.attempts as u64, ns);
+        } else {
+            shard.meters.requeued.inc();
+            self.event(EventKind::Requeue, shard.index as u64, 0);
+        }
+        shard.meters.depth.inc();
         self.stage = Stage::Queued;
     }
 
     /// **Batch.** Placed in a fused render job of `size` frames.
     pub(crate) fn batched(&self, size: usize) {
         self.event(EventKind::Batch, size as u64, (size - 1) as u64);
-    }
-
-    /// **Retry.** Attempt `attempt` is scheduled after `backoff`.
-    pub(crate) fn retrying(&self, attempt: u32, backoff: Duration) {
-        self.state.shard.meters.retries.inc();
-        self.event(EventKind::Retry, attempt as u64, backoff.as_nanos() as u64);
     }
 
     /// **Render.** One attempt finished after `ns` with outcome `code`
@@ -469,7 +487,7 @@ impl Frame {
     /// gauges, counters, events) moves before the wake-up.
     pub(crate) fn end(self, end: End) {
         let shard = &self.state.shard;
-        let now = Instant::now();
+        let now = shard.clock.now();
         if matches!(end, End::DrainForced) {
             shard.meters.drain_forced.inc();
         }
@@ -518,6 +536,11 @@ mod tests {
     }
 
     fn fixture() -> Fixture {
+        fixture_on(Clock::real())
+    }
+
+    /// [`fixture`] with its shard on `clock`.
+    fn fixture_on(clock: Clock) -> Fixture {
         let instance = gen_nerf_telemetry::next_instance_id();
         let cache = AnchorCache::new(&GovernorConfig::default(), 0, DEFAULT_CACHE_BUDGET_BYTES);
         let shard = ShardCtx::new(
@@ -526,7 +549,7 @@ mod tests {
             Arc::new(gen_nerf_parallel::Pool::new(1)),
             ServerConfig::default(),
             WatchMeters::new(instance),
-            Clock::real(),
+            clock,
             Arc::new(cache),
         );
         let scene = Arc::new(SceneState::prepare(
@@ -880,5 +903,21 @@ mod tests {
             assert_eq!(settled(&fx.state.breaker), row.settle, "{what}: breaker");
             assert_all_returned(&fx, &what);
         }
+    }
+
+    #[test]
+    fn a_frame_books_its_latency_on_the_shard_clock() {
+        // Submitted 50 ms into a virtual clock's life and ended 5 ms of
+        // virtual time later: every stamp is read off that one clock.
+        let clock = Clock::virtual_clock();
+        let fx = fixture_on(clock.clone());
+        clock.advance(Duration::from_millis(50));
+        let frame = frame_at(&fx, Stage::Running);
+        clock.advance(Duration::from_millis(5));
+        frame.end(End::Rendered(rendered()));
+        let events = terminal_events(&fx);
+        assert_eq!(events.len(), 1);
+        assert_eq!(events[0].kind, EventKind::Resolve);
+        assert_eq!(events[0].b, 5_000_000, "resolve latency in ns");
     }
 }

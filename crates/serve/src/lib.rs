@@ -38,8 +38,8 @@
 //!   ([`HealthConfig`]). The pass runs at least 40 times per shortest
 //!   budget and sleeps until the earliest pending deadline.
 //! * **One frame lifecycle**: every submitted frame is one state
-//!   value walking `Submit → Admit → Pop → Batch → Render/Retry →
-//!   Resolve`, and it ends through exactly one transition — taken by
+//!   value walking `Submit → Admit → Pop → Batch → Render (→ Retry →
+//!   Pop → Render)* → Resolve`, and it ends through exactly one transition — taken by
 //!   whoever owns the frame then (admission, the shard, the health
 //!   sweep, a drain) or by its deadline in the supervision pass
 //!   — which is the only code that resolves a
@@ -47,8 +47,11 @@
 //!   trace event and tells the scene's [`CircuitBreaker`] what
 //!   happened. The winner books *before* it wakes the handle: once a
 //!   handle resolves, its counter, latency observation and trace are
-//!   already visible. Transient failures re-render under a bounded
-//!   [`RetryPolicy`], bitwise identical to a clean render.
+//!   already visible. A retry is a requeue: a frame whose attempt
+//!   failed goes back to the front of its session's lane, waits out a
+//!   bounded [`RetryPolicy`] backoff there while the shard serves
+//!   everyone else, and is popped again by the same loop to render
+//!   alone, bitwise identical to a clean render.
 //! * **Admission control** ([`AdmissionConfig`]): every shard queue is
 //!   bounded. At the capacity watermark, [`DeadlineClass::BestEffort`]
 //!   submissions are **shed** (their [`FrameHandle`] resolves

@@ -21,9 +21,10 @@
 //! and a short job never waits for a long one: its own shard thread
 //! runs it.
 //!
-//! **Render attempts.** [`attempt`] is the one function that renders:
-//! the first, batched attempt and every solo retry. An attempt runs
-//! under a fresh [`CancelToken`] — each member's current attempt token,
+//! **Render attempts.** [`attempt`] is the one function that renders,
+//! and [`shard_loop`] the one loop that calls it: for the first, batched
+//! attempt and for every retry alike. An attempt runs under a fresh
+//! [`CancelToken`] — each member's current attempt token,
 //! so any member's timeout fires it, and published on the context so a
 //! condemnation or a drain deadline can fire it from outside — inside
 //! `catch_unwind`, through the
@@ -31,10 +32,16 @@
 //! cooperatively at the next chunk boundary and its output is
 //! discarded), corrupt (a GEMM checksum miscompare or a tripped stage
 //! sentinel failed it *before* any pixel was published) or panicked.
-//! Anything but ok sends each member through [`retry`]: solo
-//! re-renders under the [`RetryPolicy`](crate::RetryPolicy), bitwise
-//! identical to a clean render by the kernel batch-independence
-//! contract, never scheduled past the frame's deadline. Repeated GEMM
+//! Anything but ok requeues each member ([`ShardCtx::requeue_failed`]):
+//! back at the front of its lane with one more failed attempt and a
+//! `not_before` instant a [`RetryPolicy`](crate::RetryPolicy) backoff
+//! ahead, never at or past the frame's deadline and never past the
+//! attempt cap. No pop takes a lane head before its `not_before`, so a
+//! backing-off frame parks only its own session's lane and the shard
+//! thread serves the others meanwhile; when only backing-off heads are
+//! left, the pop waits until the earliest is due. A
+//! retry rides alone, and is bitwise identical to a clean render by the
+//! kernel batch-independence contract. Repeated GEMM
 //! miscompares while a SIMD kernel backend is active quarantine that
 //! backend process-wide ([`integrity::quarantine`]); a render fails
 //! only for faults found in its own tiles, so each miscompare is one
@@ -51,11 +58,12 @@
 //!
 //! **Self-healing.** The worker *incarnation* popping from the queue
 //! only counts beats — one per pop, per attempt start and per finished
-//! batch — and never reads the clock. The health sweep
-//! ([`Shard::sweep`]) reads that count together with the in-flight
-//! attempt's tile ticks, restarts its clock whenever the pair moved or
-//! the shard was idle, and condemns the shard Wedged when it has been
-//! busy with the pair standing still for the heartbeat budget (a slow
+//! batch. The health sweep ([`Shard::sweep`]) reads that count together
+//! with the in-flight attempt's tile ticks, restarts its clock whenever
+//! the pair moved or the shard was idle — nothing running and no lane
+//! head due, so a shard waiting out a retry backoff is idle — and
+//! condemns the shard Wedged when it has been busy with the pair
+//! standing still for the heartbeat budget (a slow
 //! batch keeps ticking; a wedged one does not), or Dead when its thread
 //! finished with the queue open. A condemned incarnation is
 //! invalidated (the incarnation counter in the queue state bumps, so
@@ -79,7 +87,7 @@ use crate::health::{CondemnReason, MAX_RESTARTS};
 use crate::server::{CacheOutcome, Fault, FrameResult, ServeStats, ServerConfig};
 use crate::session::DeadlineClass;
 use crate::supervisor::WatchMeters;
-use crate::{lock, wait, wait_until};
+use crate::{lock, wait, wait_timeout, wait_until};
 use gen_nerf::pipeline::{self, CoarseFrame, RenderError, RenderStats, Renderer};
 use gen_nerf_geometry::Camera;
 use gen_nerf_nn::kernels::{self, integrity, Backend};
@@ -118,6 +126,19 @@ impl QueueState {
         let at = self.running.iter().position(|c| Arc::ptr_eq(c, core));
         self.running
             .swap_remove(at.expect("a running frame is listed"));
+    }
+
+    /// Pops the next lane head `take` accepts, skipping heads that wait
+    /// out a backoff, onto the running list. The clock is read only
+    /// when some head carries a `not_before`.
+    fn pop_ready(&mut self, clock: &Clock, mut take: impl FnMut(&Frame) -> bool) -> Option<Frame> {
+        let mut now = None;
+        let frame = self.q.pop_next(|frame| {
+            let due = |at| at <= *now.get_or_insert_with(|| clock.now());
+            frame.not_before.is_none_or(due) && take(frame)
+        })?;
+        self.running.push(Arc::clone(frame.core()));
+        Some(frame)
     }
 }
 
@@ -207,10 +228,11 @@ impl ShardCtx {
         None
     }
 
-    /// Blocks for the next frame in policy order, and beats for the
-    /// pop. `None` once the queue is closed and empty, or the moment
-    /// the shared incarnation counter moved past `incarnation` (push,
-    /// close and condemn all notify).
+    /// Blocks for the next frame in policy order whose backoff is over,
+    /// and beats for the pop. While only backing-off heads are left it
+    /// waits until the earliest is due. `None` once the queue is closed
+    /// and empty, or the moment the shared incarnation counter moved
+    /// past `incarnation` (push, close and condemn all notify).
     fn pop_head(&self, incarnation: u64) -> Option<Frame> {
         let mut frame = {
             let mut qs = lock(&self.queue);
@@ -218,61 +240,107 @@ impl ShardCtx {
                 if qs.incarnation != incarnation {
                     return None;
                 }
-                if let Some(frame) = qs.q.pop() {
-                    qs.running.push(Arc::clone(frame.core()));
+                if let Some(frame) = qs.pop_ready(&self.clock, |_| true) {
                     self.meters.heartbeats.inc();
                     break frame;
                 }
-                if qs.closed {
-                    return None;
-                }
-                qs = wait(&self.ready, qs);
+                qs = match qs.q.heads().filter_map(|frame| frame.not_before).min() {
+                    Some(due) => {
+                        let left = due.saturating_duration_since(self.clock.now());
+                        wait_timeout(&self.ready, qs, left)
+                    }
+                    None if qs.closed => return None,
+                    None => wait(&self.ready, qs),
+                };
             }
         };
         frame.pop();
         Some(frame)
     }
 
-    /// Pops the next lane head `take` accepts, without blocking.
+    /// Pops the next lane head `take` accepts whose backoff is over,
+    /// without blocking.
     pub(crate) fn pop_mate(&self, take: impl FnMut(&Frame) -> bool) -> Option<Frame> {
-        let mut frame = {
-            let mut qs = lock(&self.queue);
-            let frame = qs.q.pop_next(take)?;
-            qs.running.push(Arc::clone(frame.core()));
-            frame
-        };
+        let mut frame = lock(&self.queue).pop_ready(&self.clock, take)?;
         frame.pop();
         Some(frame)
     }
 
-    /// Hands a popped-but-unexecuted head back at the **front** of its
-    /// lane (FIFO preserved) — what a dying or wedged incarnation does
-    /// so its frame is re-served, not lost.
-    fn requeue_front(&self, mut frame: Frame) {
-        frame.requeued();
+    /// Grows the largest batch around `head` that may share one fused
+    /// render: compatible lane heads, first attempts only. A retry
+    /// rides alone. Frames that cannot render are popped so they end
+    /// instead of parking their lane forever; frames carrying a
+    /// shard-level fault wait to become head so the fault fires against
+    /// a lone frame.
+    fn batch_around(&self, head: Frame) -> Vec<Frame> {
+        let mut group = vec![head];
+        while group[0].attempts == 0 && group.len() < MAX_BATCH {
+            let lead = &group[0].state;
+            let mate = self.pop_mate(|frame| {
+                if frame.attempts > 0
+                    || matches!(frame.fault, Some(Fault::KillShard | Fault::WedgeShard(_)))
+                {
+                    return false;
+                }
+                unrenderable(frame).is_some()
+                    || (Arc::ptr_eq(&frame.state.scene, &lead.scene)
+                        && frame.state.cfg.strategy == lead.cfg.strategy
+                        // At most one frame of a caching session per
+                        // job, so its cache updates land in order.
+                        && !(frame.state.cfg.caches()
+                            && group.iter().any(|g| g.session == frame.session)))
+            });
+            let Some(mate) = mate else { break };
+            match unrenderable(&mate) {
+                Some(end) => mate.end(end),
+                None => group.push(mate),
+            }
+        }
+        group
+    }
+
+    /// Puts running `frame` back at the **front** of its lane (FIFO
+    /// preserved), for a pop to take again: as a retry when `retry`
+    /// holds its backoff ([`Frame::requeued`]), else handed back — what a
+    /// dying, wedged or condemned incarnation does so its frame is
+    /// re-served, not lost.
+    fn requeue_front(&self, mut frame: Frame, retry: Option<(Duration, Instant)>) {
+        frame.requeued(retry);
         let mut qs = lock(&self.queue);
         qs.stop_running(frame.core());
         qs.q.push_front(frame.class(), frame.session, frame);
         drop(qs);
         self.ready.notify_one();
+        // A drain's grace wait may be waiting for the running list to
+        // empty.
+        self.idle.notify_all();
     }
 
-    /// Whether incarnation `incarnation` was condemned: the shared
-    /// counter moved past it.
-    fn condemned(&self, incarnation: u64) -> bool {
-        lock(&self.queue).incarnation != incarnation
-    }
-
-    /// What a condemned incarnation does with the frames it could not
-    /// render: the ones whose deadline already answered for end
-    /// [`End::BudgetSpent`], the rest go back to the front of their
-    /// lanes in their original order, for the replacement to serve.
-    fn hand_back(&self, frames: Vec<Frame>) {
-        for frame in frames.into_iter().rev() {
+    /// Ends or requeues the members of an attempt that incarnation
+    /// `incarnation` failed, keeping their order in their lanes. A
+    /// member whose deadline already answered for it ends
+    /// [`End::BudgetSpent`]; one out of attempts ends
+    /// [`End::RenderFailed`] with `error`. The rest go back to the front
+    /// of their lanes: handed back for the replacement to serve if the
+    /// incarnation was condemned meanwhile, never retried beside it;
+    /// else as a retry, not popped before its backoff is over — unless
+    /// that lands at or past its deadline, where the timeout would
+    /// discard the work: then it ends [`End::RenderFailed`] at once.
+    fn requeue_failed(&self, group: Vec<Frame>, error: &str, incarnation: u64) {
+        let policy = self.cfg.retry;
+        let now = self.clock.now();
+        let condemned = lock(&self.queue).incarnation != incarnation;
+        // Back to front, each at its lane's front: the order holds.
+        for frame in group.into_iter().rev() {
+            let backoff = policy.backoff(frame.attempts + 1);
+            let retry = (!condemned).then_some((backoff, now + backoff));
+            let in_time = |(_, at)| frame.core().deadline.is_none_or(|d| at < d);
             if frame.is_resolved() {
                 frame.end(End::BudgetSpent);
+            } else if frame.attempts + 1 < policy.max_attempts && retry.is_none_or(in_time) {
+                self.requeue_front(frame, retry);
             } else {
-                self.requeue_front(frame);
+                frame.end(End::RenderFailed(error.to_string()));
             }
         }
     }
@@ -324,11 +392,14 @@ impl ShardCtx {
         n
     }
 
-    /// Whether the shard has work (queued or running), and whether its
-    /// queue is closed.
-    fn busy_closed(&self) -> (bool, bool) {
+    /// Whether the shard has work at `now` — a frame running, or a lane
+    /// head whose backoff is over — and whether its queue is closed. A
+    /// shard whose queued frames all wait behind a backoff is idle.
+    fn busy_closed(&self, now: Instant) -> (bool, bool) {
         let qs = lock(&self.queue);
-        (!qs.q.is_empty() || !qs.running.is_empty(), qs.closed)
+        let ready = |frame: &Frame| frame.not_before.is_none_or(|at| at <= now);
+        let busy = !qs.running.is_empty() || qs.q.heads().any(ready);
+        (busy, qs.closed)
     }
 
     /// Fires the cancel token of the attempt in flight, if any.
@@ -349,9 +420,10 @@ impl ShardCtx {
     /// for as long as it takes), then
     /// force-fails what is still queued with
     /// [`ServeError::Draining`](crate::ServeError::Draining), cancels
-    /// the attempt in flight and gives the worker `grace` to unwind
-    /// (its frames end through the retry path). Returns whether the
-    /// shard went idle, and how many frames it force-failed.
+    /// the attempt in flight and gives the worker `grace` to unwind (its
+    /// frames go back to the queue, and are force-failed too). Returns
+    /// whether the shard went idle, and how many frames it
+    /// force-failed.
     pub(crate) fn drain(&self, hard_deadline: Option<Instant>, grace: Duration) -> (bool, u64) {
         let idle = |qs: &QueueState| qs.q.is_empty() && qs.running.is_empty();
         let mut drained = self.wait_idle(hard_deadline, idle);
@@ -361,8 +433,9 @@ impl ShardCtx {
             self.cancel_current();
             let until = Instant::now().checked_add(grace);
             drained = self.wait_idle(until, |qs| qs.running.is_empty());
-            // A condemned/wedged incarnation may have requeued its
-            // frame during the grace wait; sweep those stragglers too.
+            // The cancelled attempt requeued its frames, and a
+            // condemned/wedged incarnation may have handed its frame
+            // back, during the grace wait; sweep those stragglers too.
             forced += self.end_queued(|| End::DrainForced);
         }
         self.event(EventKind::Drain, forced);
@@ -582,7 +655,7 @@ impl Shard {
     /// clock. A closed shard is left alone: its incarnations are being
     /// joined, and a respawn then would never be.
     pub(crate) fn sweep(&mut self, now: Instant) {
-        let (busy, closed) = self.ctx.busy_closed();
+        let (busy, closed) = self.ctx.busy_closed(now);
         if closed {
             return;
         }
@@ -763,11 +836,16 @@ fn note_corrupt_render(err: &RenderError, meters: &Meters) {
 }
 
 /// Why a popped frame must end without a render, if it must: its
-/// deadline already answered for it (it timed out while queued), or
-/// its session was removed while it waited.
+/// deadline already answered for it (it timed out while queued — for a
+/// retry, its budget is spent), or its session was removed while it
+/// waited.
 fn unrenderable(frame: &Frame) -> Option<End> {
     if frame.is_resolved() {
-        Some(End::Stale)
+        Some(if frame.attempts > 0 {
+            End::BudgetSpent
+        } else {
+            End::Stale
+        })
     } else if frame.state.is_removed() {
         Some(End::SessionGone)
     } else {
@@ -776,9 +854,10 @@ fn unrenderable(frame: &Frame) -> Option<End> {
 }
 
 /// The shard event loop, one *incarnation* of it: block on the shared
-/// queue, dequeue the policy-ordered head, grow the largest compatible
-/// batch around it, render, repeat — beating at every pop and batch.
-/// Exits when the queue closes and empties, or the moment the
+/// queue, dequeue the policy-ordered head — a first attempt or a retry
+/// whose backoff is over — grow the largest compatible batch around it,
+/// render, repeat, beating at every pop and batch. The only loop that
+/// renders. Exits when the queue closes and empties, or the moment the
 /// shared incarnation counter moves past the one this loop was spawned
 /// at (a condemnation installed a replacement).
 fn shard_loop(ctx: &ShardCtx, incarnation: u64) {
@@ -791,7 +870,7 @@ fn shard_loop(ctx: &ShardCtx, incarnation: u64) {
         match head.fault {
             Some(Fault::KillShard) => {
                 head.fault = None;
-                ctx.requeue_front(head);
+                ctx.requeue_front(head, None);
                 // Clean exit with the queue open: the sweep finds the
                 // JoinHandle finished → Dead.
                 return;
@@ -802,7 +881,7 @@ fn shard_loop(ctx: &ShardCtx, incarnation: u64) {
                 // counts as running, which is exactly the Wedged
                 // signature.
                 std::thread::sleep(stall);
-                ctx.requeue_front(head);
+                ctx.requeue_front(head, None);
                 // If the sweep condemned us during the sleep, the
                 // incarnation check in `pop_head` exits.
                 continue;
@@ -813,53 +892,27 @@ fn shard_loop(ctx: &ShardCtx, incarnation: u64) {
             head.end(end);
             continue;
         }
-
-        // Grow the batch: only lane heads compatible with the batch
-        // head ride along (frames that cannot render are popped so
-        // they end instead of parking their lane forever; frames
-        // carrying a shard-level fault wait to become head so the
-        // fault fires against a lone frame).
-        let mut group = vec![head];
-        while group.len() < MAX_BATCH {
-            let lead = &group[0].state;
-            let mate = ctx.pop_mate(|frame| {
-                if matches!(frame.fault, Some(Fault::KillShard | Fault::WedgeShard(_))) {
-                    return false;
-                }
-                unrenderable(frame).is_some()
-                    || (Arc::ptr_eq(&frame.state.scene, &lead.scene)
-                        && frame.state.cfg.strategy == lead.cfg.strategy
-                        // At most one frame of a caching session per
-                        // job, so its cache updates land in order.
-                        && !(frame.state.cfg.caches()
-                            && group.iter().any(|g| g.session == frame.session)))
-            });
-            let Some(mate) = mate else { break };
-            match unrenderable(&mate) {
-                Some(end) => mate.end(end),
-                None => group.push(mate),
-            }
-        }
-        execute_group(ctx, group, incarnation);
+        execute_group(ctx, ctx.batch_around(head), incarnation);
         ctx.meters.heartbeats.inc();
     }
 }
 
-/// Renders one admission batch as a single fused multi-frame job and
-/// ends its frames. Anything but a clean attempt fails over to
-/// per-frame [`retry`] recovery instead of killing the shard — unless
-/// `incarnation` was condemned meanwhile: then the members still owed
-/// a render are handed back ([`ShardCtx::hand_back`]) for the
-/// replacement, never retried beside it.
+/// Renders one group — a fused batch of first attempts, or one retry —
+/// as a single job and ends its frames. A failed attempt requeues or
+/// ends each member ([`ShardCtx::requeue_failed`]) instead of killing
+/// the shard; if `incarnation` was condemned meanwhile, the members
+/// still owed a render are handed back for the replacement.
 fn execute_group(ctx: &ShardCtx, mut group: Vec<Frame>, incarnation: u64) {
-    ctx.meters.batches.inc();
-    for frame in &group {
-        frame.batched(group.len());
+    if group[0].attempts == 0 {
+        ctx.meters.batches.inc();
+        for frame in &group {
+            frame.batched(group.len());
+        }
     }
     // Take the recycled buffers out of the requests up front: they are
     // moved (not cloned) into the render and returned in the results.
     let buffers = group.iter_mut().map(|frame| frame.reuse.take()).collect();
-    let error = match attempt(ctx, &group, buffers, 0) {
+    let error = match attempt(ctx, &group, buffers) {
         Attempt::Rendered(results) => {
             for (frame, result) in group.into_iter().zip(results) {
                 frame.end(End::Rendered(result));
@@ -868,72 +921,10 @@ fn execute_group(ctx: &ShardCtx, mut group: Vec<Frame>, incarnation: u64) {
         }
         // A cancelled batch renders its remaining rays as background:
         // every member's output is suspect, so none may be delivered.
-        // Unresolved members re-render solo.
         Attempt::Cancelled => "render cancelled by a timed-out batch member".to_string(),
         Attempt::Failed(error) => error,
     };
-    let mut members = group.into_iter();
-    while let Some(frame) = members.next() {
-        if let Some(frame) = retry(ctx, frame, error.clone(), incarnation) {
-            ctx.hand_back(std::iter::once(frame).chain(members).collect());
-            return;
-        }
-    }
-}
-
-/// Re-renders one frame solo after a transient batch failure (panic,
-/// corruption, or a batch-mate's timeout): bounded
-/// attempts with exponential backoff, never scheduled past the frame's
-/// deadline. Returns the frame unended, for the caller to hand back,
-/// the moment `incarnation` is found condemned before an attempt.
-fn retry(ctx: &ShardCtx, frame: Frame, mut last_error: String, incarnation: u64) -> Option<Frame> {
-    let policy = ctx.cfg.retry;
-    for n in 1..policy.max_attempts.max(1) {
-        if frame.is_resolved() {
-            // The frame timed out: its budget is spent,
-            // which is a scene failure even without a fresh attempt.
-            frame.end(End::BudgetSpent);
-            return None;
-        }
-        if ctx.condemned(incarnation) {
-            return Some(frame);
-        }
-        let backoff = policy.backoff(n);
-        if frame
-            .core()
-            .deadline
-            .is_some_and(|d| Instant::now() + backoff >= d)
-        {
-            // A retry that lands past the deadline is wasted work: its
-            // timeout would discard it anyway.
-            break;
-        }
-        if !backoff.is_zero() {
-            std::thread::sleep(backoff);
-            if ctx.condemned(incarnation) {
-                return Some(frame);
-            }
-        }
-        frame.retrying(n, backoff);
-        match attempt(ctx, std::slice::from_ref(&frame), vec![None], n) {
-            Attempt::Rendered(mut results) => {
-                let result = results.pop().expect("one frame in, one result out");
-                frame.end(End::Rendered(result));
-                return None;
-            }
-            // Cancelled mid-retry: the top-of-loop check (or the
-            // exhausted path below) observes the resolved slot.
-            Attempt::Cancelled => {}
-            // The retry itself failed — keep retrying (quarantine may
-            // demote the backend between attempts, which is exactly
-            // the recovery path for a corrupt one).
-            Attempt::Failed(error) => last_error = error,
-        }
-    }
-    // Attempts or wall-clock budget exhausted (the verdict loses if
-    // a timeout already resolved the handle).
-    frame.end(End::RenderFailed(last_error));
-    None
+    ctx.requeue_failed(group, &error, incarnation);
 }
 
 /// How one render attempt ended (the `Render` trace event's outcome
@@ -945,13 +936,13 @@ enum Attempt {
     Failed(String),
 }
 
-/// Runs render attempt `n` of `group` — the one render path, for the
-/// first batched attempt (`n == 0`) and every solo retry — and
-/// classifies how it ended. Integrity verification failing is treated
+/// Runs one render attempt of `group` — the one render path, for the
+/// first batched attempt and every solo retry — and classifies how it
+/// ended. Integrity verification failing is treated
 /// exactly like a panic: the pixels were never published and every
 /// member is retryable — corruption is transient until quarantine
 /// says otherwise.
-fn attempt(ctx: &ShardCtx, group: &[Frame], buffers: Vec<Option<Image>>, n: u32) -> Attempt {
+fn attempt(ctx: &ShardCtx, group: &[Frame], buffers: Vec<Option<Image>>) -> Attempt {
     let cancel = CancelToken::new();
     *lock(&ctx.current_cancel) = Some(cancel.clone());
     // A fresh token starts at zero ticks; the beat keeps the sweep's
@@ -960,16 +951,16 @@ fn attempt(ctx: &ShardCtx, group: &[Frame], buffers: Vec<Option<Image>>, n: u32)
     for frame in group {
         frame.begin_attempt(&cancel);
     }
-    let started = Instant::now();
+    let started = ctx.clock.now();
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         // Injected faults fire inside the attempt's unwind boundary,
         // exactly where a real mid-frame failure would.
         for frame in group {
-            inject(ctx, frame, n, &cancel);
+            inject(ctx, frame, &cancel);
         }
         render_group(ctx, group, buffers, &cancel, started)
     }));
-    let render_ns = started.elapsed().as_nanos() as u64;
+    let render_ns = ctx.clock.now().duration_since(started).as_nanos() as u64;
     let (code, outcome) = match outcome {
         Ok(Ok(results)) if !cancel.is_cancelled() => (0, Attempt::Rendered(results)),
         Ok(Ok(_)) => (1, Attempt::Cancelled),
@@ -985,14 +976,14 @@ fn attempt(ctx: &ShardCtx, group: &[Frame], buffers: Vec<Option<Image>>, n: u32)
     outcome
 }
 
-/// Fires `frame`'s injected render fault, if it has one due on attempt
-/// `n` (transient faults fire on the first attempt only, so replaying
-/// a fault schedule is deterministic). The corruption family arms the
+/// Fires `frame`'s injected render fault, if it has one due on this
+/// attempt (transient faults fire on the first attempt only, so
+/// replaying a fault schedule is deterministic). The corruption family arms the
 /// pipeline's chaos hooks — a supra-tolerance GEMM perturbation, a
 /// poisoned pixel, poisoned cache anchors — which the integrity
 /// machinery must then catch.
-fn inject(ctx: &ShardCtx, frame: &Frame, n: u32, cancel: &CancelToken) {
-    let first = n == 0;
+fn inject(ctx: &ShardCtx, frame: &Frame, cancel: &CancelToken) {
+    let first = frame.attempts == 0;
     match frame.fault {
         Some(Fault::Stall(delay)) => cancellable_sleep(delay, cancel),
         Some(Fault::Panic) => panic!("injected render fault"),
@@ -1071,7 +1062,7 @@ fn render_group(
     // surfaces here as `RenderError::Corrupt` — nothing downstream
     // (the frame's end, cache anchoring) ever sees the poisoned output.
     let exports = renderer.render_frames(&cameras, &cached_refs, &mut images, &mut stats)?;
-    let finished = Instant::now();
+    let finished = ctx.clock.now();
 
     // Anchor fresh coarse passes, in admission order. A cancelled
     // render anchors nothing: its coarse exports are as suspect as its
@@ -1117,6 +1108,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 mod tests {
     use super::*;
     use crate::cache::{GovernorConfig, DEFAULT_CACHE_BUDGET_BYTES};
+    use crate::health::HealthConfig;
     use crate::server::{FrameRequest, ServeError};
     use crate::session::{SceneState, SessionConfig, SessionState};
     use crate::supervisor::{BreakerConfig, CircuitBreaker, SupervisorConfig};
@@ -1205,13 +1197,17 @@ mod tests {
         std::iter::from_fn(|| ctx.pop_mate(|_| true)).collect()
     }
 
-    /// Runs attempt `n` over a fresh group of `size` frames with
-    /// `fault` on the first; returns the outcome code every member's
-    /// `Render` event carried and the error of a failed attempt.
-    fn classify(size: usize, n: u32, fault: Option<Fault>) -> (u64, Option<String>) {
+    /// Runs an attempt over a fresh group of `size` frames, each with
+    /// `attempts` failed attempts behind it and `fault` on the first;
+    /// returns the outcome code every member's `Render` event carried
+    /// and the error of a failed attempt.
+    fn classify(size: usize, attempts: u32, fault: Option<Fault>) -> (u64, Option<String>) {
         let (ctx, states) = fixture(size, Clock::real());
-        let group = running_group(&ctx, &states, fault);
+        let mut group = running_group(&ctx, &states, fault);
         assert_eq!(group.len(), size);
+        for frame in &mut group {
+            frame.attempts = attempts;
+        }
         ctx.meters.ring.drain();
         let outcome = std::thread::scope(|scope| {
             if matches!(fault, Some(Fault::Stall(_))) {
@@ -1225,7 +1221,7 @@ mod tests {
                     ctx.cancel_current();
                 });
             }
-            attempt(&ctx, &group, vec![None; size], n)
+            attempt(&ctx, &group, vec![None; size])
         });
         let codes: Vec<u64> = ctx
             .meters
@@ -1407,5 +1403,160 @@ mod tests {
         stale.end(End::Stale);
         assert_eq!(ctx.meters.watch.timed_out[0].get(), 2);
         assert_eq!(ctx.drain(Some(Instant::now()), Duration::ZERO), (true, 0));
+    }
+
+    /// A fixture on a virtual clock whose session 0 submits one frame
+    /// carrying `fault`, which the test pops and fails once, as the
+    /// worker would: the frame is back in the queue, waiting out the
+    /// first backoff. Returns the shard, the sessions, the frame's core
+    /// and when it is due.
+    fn backing_off(
+        sessions: usize,
+        cfg: ServerConfig,
+        fault: Fault,
+    ) -> (
+        Arc<ShardCtx>,
+        Vec<Arc<SessionState>>,
+        Arc<FrameCore>,
+        Instant,
+    ) {
+        let (ctx, states) = fixture_with(sessions, Clock::virtual_clock(), cfg);
+        assert!(ctx.push(admitted(0, &states[0], Some(fault))).is_none());
+        let frame = ctx.pop_head(0).expect("just pushed");
+        let core = Arc::clone(frame.core());
+        execute_group(&ctx, ctx.batch_around(frame), 0);
+        let due = ctx.clock.now() + Duration::from_millis(10);
+        (ctx, states, core, due)
+    }
+
+    /// How many of `events` are of `kind`.
+    fn count(events: &[gen_nerf_telemetry::TraceEvent], kind: EventKind) -> usize {
+        events.iter().filter(|e| e.kind == kind).count()
+    }
+
+    #[test]
+    fn a_retry_waits_in_its_lane_while_other_sessions_pop_and_then_rides_alone() {
+        let (ctx, states, core, due) = backing_off(2, ServerConfig::default(), Fault::PanicOnce);
+        assert_eq!(ctx.meters.retries.get(), 1);
+        assert!(!core.is_resolved());
+        assert!(ctx.push(admitted(1, &states[1], None)).is_none());
+
+        // One nanosecond early the retry is skipped, and the other
+        // session's frame, queued behind it, pops and renders.
+        ctx.clock
+            .advance(due - ctx.clock.now() - Duration::from_nanos(1));
+        let other = ctx.pop_head(0).expect("the other session's frame is ready");
+        assert_eq!((other.session, other.attempts), (1, 0));
+        execute_group(&ctx, ctx.batch_around(other), 0);
+        assert_eq!(ctx.meters.rendered.get(), 1);
+        let mut qs = lock(&ctx.queue);
+        assert!(qs.pop_ready(&ctx.clock, |_| true).is_none(), "popped early");
+        let wakes = qs.q.heads().filter_map(|frame| frame.not_before).min();
+        assert_eq!(wakes, Some(due), "the pop waits for another instant");
+        drop(qs);
+
+        // At `due` it pops, and a compatible first attempt of the other
+        // session does not join it.
+        assert!(ctx.push(admitted(1, &states[1], None)).is_none());
+        ctx.clock.advance(Duration::from_nanos(1));
+        let retry = ctx.pop_head(0).expect("due");
+        assert!(Arc::ptr_eq(retry.core(), &core));
+        let group = ctx.batch_around(retry);
+        assert_eq!(group.len(), 1, "a retry rode in a batch");
+        ctx.meters.ring.drain();
+        execute_group(&ctx, group, 0);
+        match core.take() {
+            Some(Ok(result)) => assert_eq!(result.serve.batched_frames, 1),
+            other => panic!("the retry resolved to {other:?}"),
+        }
+        // A retry books no batch, and no second Batch event.
+        assert_eq!(ctx.meters.batches.get(), 2);
+        let events = ctx.meters.ring.drain();
+        assert_eq!(count(&events, EventKind::Batch), 0);
+        assert_eq!(count(&events, EventKind::Render), 1);
+        assert_eq!(ctx.end_queued(|| End::Shutdown), 1);
+    }
+
+    #[test]
+    fn a_retry_due_at_or_past_the_deadline_fails_at_once() {
+        for (budget_ms, retries) in [(10, 0), (15, 1)] {
+            let budget = Duration::from_millis(budget_ms);
+            let cfg = ServerConfig {
+                supervision: SupervisorConfig {
+                    interactive_budget: budget,
+                    best_effort_budget: budget,
+                },
+                ..ServerConfig::default()
+            };
+            // Due at 10 ms: exactly the 10 ms deadline fails at once;
+            // before the 15 ms one it retries, and that retry's 20 ms
+            // backoff would land at 30 ms.
+            let (ctx, _states, core, due) = backing_off(1, cfg, Fault::Panic);
+            if retries == 1 {
+                ctx.clock.advance(due - ctx.clock.now());
+                let retry = ctx.pop_head(0).expect("due");
+                execute_group(&ctx, ctx.batch_around(retry), 0);
+            }
+            match core.take() {
+                Some(Err(ServeError::Failed(msg))) => assert_eq!(msg, "injected render fault"),
+                other => panic!("{budget_ms} ms: resolved to {other:?}"),
+            }
+            assert!(ctx.clock.now() < core.deadline.expect("bounded"));
+            assert_eq!(ctx.meters.retries.get(), retries, "{budget_ms} ms");
+            assert!(lock(&ctx.queue).q.is_empty());
+        }
+    }
+
+    #[test]
+    fn the_attempt_cap_ends_a_retried_frame_failed() {
+        let (ctx, _states, core, due) = backing_off(1, ServerConfig::default(), Fault::Panic);
+        let events = ctx.meters.ring.drain();
+        // The second attempt fails too, and waits out twice the
+        // backoff; the third is the last.
+        ctx.clock.advance(due - ctx.clock.now());
+        let retry = ctx.pop_head(0).expect("due");
+        execute_group(&ctx, ctx.batch_around(retry), 0);
+        assert!(!core.is_resolved());
+        ctx.clock.advance(Duration::from_millis(20));
+        let retry = ctx.pop_head(0).expect("due");
+        assert_eq!(retry.attempts, 2);
+        execute_group(&ctx, ctx.batch_around(retry), 0);
+        match core.take() {
+            Some(Err(ServeError::Failed(msg))) => assert_eq!(msg, "injected render fault"),
+            other => panic!("resolved to {other:?}"),
+        }
+        let events = [events, ctx.meters.ring.drain()].concat();
+        assert_eq!(ctx.meters.retries.get(), 2);
+        assert_eq!(count(&events, EventKind::Retry), 2);
+        assert_eq!(count(&events, EventKind::Render), 3);
+        assert_eq!(count(&events, EventKind::Batch), 1);
+        assert_eq!(ctx.meters.batches.get(), 1);
+        assert!(lock(&ctx.queue).q.is_empty());
+    }
+
+    #[test]
+    fn a_shard_waiting_out_a_backoff_is_idle_not_wedged() {
+        // A heartbeat budget below the first backoff: a shard whose
+        // only queued frame backs off has nothing to do, so two budgets
+        // of sweeps condemn nothing.
+        let cfg = ServerConfig {
+            health: HealthConfig {
+                heartbeat_budget: Duration::from_millis(5),
+                ..HealthConfig::default()
+            },
+            ..ServerConfig::default()
+        };
+        let (ctx, _states, _core, _due) = backing_off(1, cfg, Fault::Panic);
+        let mut shard = workerless(&ctx);
+        for _ in 0..4 {
+            ctx.clock.advance(Duration::from_micros(2500));
+            shard.sweep(ctx.clock.now());
+        }
+        assert_eq!(
+            shard.backoff, None,
+            "condemned a shard waiting out a backoff"
+        );
+        assert_eq!(ctx.meters.condemned.map(|c| c.get()), [0, 0]);
+        assert_eq!(ctx.end_queued(|| End::Shutdown), 1);
     }
 }

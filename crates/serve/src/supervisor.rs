@@ -21,11 +21,14 @@
 //!   pipeline polls it at per-ray boundaries, so the shard worker and
 //!   the crew workers on its tiles drain within one ray's work instead
 //!   of sleeping out a stall.
-//! * **Retry.** Transient batch failures (an injected panic, a
-//!   corrupt render) re-render the surviving frames one at a time under
-//!   a bounded [`RetryPolicy`] — exponential backoff, attempt-capped,
-//!   never past the frame's deadline. All render RNG is pose/seed
-//!   derived, so a retried frame is bitwise identical to a clean one.
+//! * **Retry.** A transient batch failure (an injected panic, a
+//!   corrupt render) requeues each surviving frame at the front of its
+//!   session's lane under a bounded [`RetryPolicy`] — exponential
+//!   backoff, attempt-capped, never at or past the frame's deadline.
+//!   The backoff is waited out in the queue, not on the shard thread,
+//!   which serves other sessions meanwhile; the retry then renders
+//!   alone. All render RNG is pose/seed derived, so a retried frame is
+//!   bitwise identical to a clean one.
 //! * **Breaking.** A per-scene [`CircuitBreaker`] watches the
 //!   success/failure history. A scene failing persistently trips the
 //!   breaker Open: its submissions shed instantly with
@@ -145,9 +148,12 @@ const RETRY_BACKOFF_BASE: Duration = Duration::from_millis(10);
 const RETRY_BACKOFF_CAP: Duration = Duration::from_millis(200);
 
 /// Bounded re-render policy for transiently failed frames (render
-/// panics, corrupt renders). Retries are attempt-capped, exponentially
-/// backed off (10 ms, doubling, capped at 200 ms), and never scheduled
-/// past the frame's deadline — the deadline owns the final word.
+/// panics, corrupt renders). A failed frame goes back to the front of
+/// its session's lane, and no pop takes it before its backoff (10 ms,
+/// doubling, capped at 200 ms) is over; meanwhile its shard serves the
+/// other sessions. Retries are attempt-capped, render alone, and are
+/// never scheduled at or past the frame's deadline — the deadline owns
+/// the final word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total render attempts per frame, including the first
@@ -168,9 +174,9 @@ impl RetryPolicy {
         Self { max_attempts: 1 }
     }
 
-    /// The backoff before attempt `attempt` (attempts count from 0;
-    /// attempt 1 is the first retry): 10 ms · 2^(attempt−1), capped at
-    /// 200 ms.
+    /// How long a frame that failed `attempt` attempts waits in its lane
+    /// before the next (attempt 1 is the first retry): 10 ms ·
+    /// 2^(attempt−1), capped at 200 ms.
     pub(crate) fn backoff(&self, attempt: u32) -> Duration {
         doubling_backoff(RETRY_BACKOFF_BASE, RETRY_BACKOFF_CAP, attempt)
     }

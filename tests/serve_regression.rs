@@ -574,6 +574,46 @@ fn retried_transient_panic_renders_bitwise_identical_to_a_clean_frame() {
 }
 
 #[test]
+fn a_failing_frame_does_not_hold_up_another_session_on_its_shard() {
+    // A failed attempt sends its frame back to its own lane to wait out
+    // the retry backoff (10 ms first) there, so the shard serves a clean
+    // frame of another session meanwhile. The two sessions sample
+    // differently, so they never share a batch, which would fail both.
+    // The clean frame is submitted once the first attempt has failed:
+    // that attempt runs on the shard thread, and its panic report alone
+    // (a backtrace, when `RUST_BACKTRACE` asks for one) can take tens of
+    // milliseconds. What it must not wait for is the backoff.
+    let scene = scene();
+    let server = RenderServer::new(ServerConfig::default());
+    let [failing, clean] = [strategies()[0], strategies()[1]].map(|strategy| {
+        server.create_session(
+            Arc::clone(&scene),
+            SessionConfig::new(intrinsics(), strategy),
+        )
+    });
+    assert_eq!(server.shard_of(failing), server.shard_of(clean));
+    let faulted = server.submit(
+        failing,
+        FrameRequest::new(walk_pose(0, 0)).with_fault(Fault::Panic),
+    );
+    let shard = server.shard_of(failing).index();
+    let give_up = Instant::now() + Duration::from_secs(60);
+    while server.shard_health()[shard].retries == 0 {
+        assert!(Instant::now() < give_up, "the first attempt never failed");
+        std::thread::yield_now();
+    }
+    let frame = server
+        .submit(clean, FrameRequest::new(walk_pose(1, 0)))
+        .wait();
+    assert!(
+        frame.serve.queue_wait < Duration::from_millis(10),
+        "a clean frame queued {:?} behind another session's retries",
+        frame.serve.queue_wait
+    );
+    assert!(matches!(faulted.wait_result(), Err(ServeError::Failed(_))));
+}
+
+#[test]
 fn every_handle_resolves_under_a_mixed_fault_schedule() {
     // The liveness contract under chaos: whatever mix of transient
     // panics, persistent panics, long stalls and slow frames lands on
