@@ -5,12 +5,11 @@
 //! telemetry-overhead`. One name runs that gate in this process; no
 //! name (or several) runs each in a child process of its own, because
 //! a gate leaves process-global state behind — `integrity` can trip
-//! the sticky AVX2 quarantine and sets the integrity mode, `chaos`
-//! installs a panic hook, `telemetry-overhead` toggles the telemetry
-//! switch. The exit code is the verdict: non-zero if any check failed,
-//! 2 for an unknown name. Nothing is written to disk, and nothing here
-//! reports a speed — numbers are the repo benchmark's job
-//! (`benchmark/`).
+//! the sticky AVX2 quarantine and sets the integrity mode,
+//! `telemetry-overhead` toggles the telemetry switch. The exit code is
+//! the verdict: non-zero if any check failed, 2 for an unknown name.
+//! Nothing is written to disk, and nothing here reports a speed —
+//! numbers are the repo benchmark's job (`benchmark/`).
 //!
 //! Request schedules are drawn up front from a fixed seed
 //! (`GEN_NERF_SEED` overrides it) by [`gen_nerf_bench::loadgen`], so
@@ -537,19 +536,6 @@ fn breaker_drill(scene: &Arc<SceneState>, pose: Pose) -> bool {
 }
 
 fn chaos_gate() -> bool {
-    // Injected faults unwind through catch_unwind on the shard; the
-    // default hook would still spray a backtrace per injection. Keep
-    // the log readable — real panics pass through untouched.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let injected = info
-            .payload()
-            .downcast_ref::<&str>()
-            .is_some_and(|s| s.contains("injected render fault"));
-        if !injected {
-            default_hook(info);
-        }
-    }));
     // Modest open-loop pressure: the chaos run probes recovery, not
     // saturation — queue waits must stay far below the tight budgets
     // so every timeout is an *injected* one.
@@ -679,8 +665,6 @@ fn chaos_gate() -> bool {
         "all {} handles resolved within budget under chaos",
         plan.len()
     ));
-    // Back to the default hook: taking the filter unregisters it.
-    drop(std::panic::take_hook());
     chaos_ok && heal_ok
 }
 

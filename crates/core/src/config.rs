@@ -163,8 +163,10 @@ impl SamplingStrategy {
         }
     }
 
-    /// Average sampled points per ray (the Fig. 9 x-axis).
-    pub fn avg_points_per_ray(&self) -> usize {
+    /// Average sampled points per ray (the Fig. 9 x-axis): the per-ray
+    /// reference schedule's tile weight.
+    #[cfg(test)]
+    pub(crate) fn avg_points_per_ray(&self) -> usize {
         match *self {
             SamplingStrategy::Uniform { n } => n,
             SamplingStrategy::Hierarchical { n_coarse, n_fine } => n_coarse + n_fine,

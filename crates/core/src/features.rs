@@ -14,11 +14,11 @@
 //! Aggregates exist in two layouts with one arithmetic of record, the
 //! per-point routine `fill_point`:
 //!
-//! * [`PointAggregate`] — the standalone AoS value (five heap `Vec`s
-//!   per point), built by [`aggregate_point`], which *is* `fill_point`.
-//!   The input of the per-ray reference (`GenNerfModel::forward_ray`,
-//!   `coarse_densities`, `pipeline::reference`) and what every test
-//!   holds the arena against; nothing copies it into an arena.
+//! * `PointAggregate` — the standalone AoS value (five heap `Vec`s per
+//!   point), built by `aggregate_point`, which *is* `fill_point`. It
+//!   exists in this crate's test builds only: the input of the per-ray
+//!   reference schedule and what the unit tests hold the arena
+//!   against.
 //! * [`AggregateArena`] — the chunk-level SoA block the fused render
 //!   schedule uses: one flat stats matrix with **one row per point**
 //!   (laid out exactly as the point-MLP GEMM operand, so inference
@@ -76,8 +76,9 @@
 //! `+0.0`, which an accumulator that started at `+0.0` absorbs without
 //! a trace (the `avx2` module docs give the argument). So
 //! acquisition, unlike the GEMMs, is backend-independent — pinned per
-//! point, over both entry points, the open-tile path and both
-//! backends, by the property test below and by
+//! point against `aggregate_point`, over both entry points and the
+//! open-tile path, by the property test below on whichever backend is
+//! active, and backend against backend by
 //! `tests/kernel_backend_regression.rs`.
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
@@ -88,7 +89,6 @@ use gen_nerf_geometry::{Camera, Ray, Vec3};
 use gen_nerf_nn::kernels;
 use gen_nerf_nn::Tensor2;
 use gen_nerf_scene::{Image, View};
-use serde::{Deserialize, Serialize};
 use std::ops::Range;
 
 /// A source view prepared for rendering: camera, image (for color
@@ -117,26 +117,27 @@ pub fn prepare_sources(views: &[View]) -> Vec<SourceViewData> {
         .collect()
 }
 
-/// Aggregated observation of one sampled 3D point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PointAggregate {
+/// Aggregated observation of one sampled 3D point, standalone: the
+/// per-ray reference's input (test builds only).
+#[cfg(test)]
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct PointAggregate {
     /// Point-MLP input: `[mean(D), var(D), mean_dir_sim, valid_frac]`.
-    pub stats: Vec<f32>,
+    pub(crate) stats: Vec<f32>,
     /// Source colors at the projections (zero where invalid).
-    pub view_colors: Vec<Vec3>,
+    pub(crate) view_colors: Vec<Vec3>,
     /// Per-view blend-head inputs `[dir_sim, feature_deviation]`.
-    pub blend_inputs: Vec<[f32; 2]>,
+    pub(crate) blend_inputs: Vec<[f32; 2]>,
     /// Which views see the point.
-    pub valid: Vec<bool>,
+    pub(crate) valid: Vec<bool>,
     /// Number of valid views.
-    pub n_valid: usize,
+    pub(crate) n_valid: usize,
 }
 
-impl PointAggregate {
-    /// Stats width for `d` feature channels.
-    pub fn stats_dim(d: usize) -> usize {
-        2 * d + 2
-    }
+/// Stats width for `d` feature channels: `[mean(D), var(D),
+/// mean_dir_sim, valid_frac]`.
+fn stats_dim(d: usize) -> usize {
+    2 * d + 2
 }
 
 /// Validates that every source view's feature map carries at least
@@ -195,7 +196,7 @@ fn acquire_pair(
 /// The per-point aggregation routine — the arithmetic of record: exact
 /// seed arithmetic (per-view accumulation in view order, one division
 /// pass per statistic), written into caller-provided SoA rows.
-/// [`aggregate_point`] is this routine, and so is the arena on the
+/// `aggregate_point` is this routine, and so is the arena on the
 /// scalar backend; the AVX2 block kernel must reproduce its bits.
 ///
 /// `stats`/`view_colors`/`blend_inputs`/`valid` must arrive zeroed;
@@ -216,7 +217,7 @@ fn fill_point(
     dir_sims: &mut [f32],
 ) -> usize {
     let s = sources.len();
-    debug_assert_eq!(stats.len(), PointAggregate::stats_dim(d));
+    debug_assert_eq!(stats.len(), stats_dim(d));
     debug_assert!(feats.len() >= s * d && dir_sims.len() >= s);
     let kern = kernels::active();
     let mut n_valid = 0usize;
@@ -295,18 +296,20 @@ fn fill_point(
 /// the per-point sample asserts too). `ray_dir` is the novel ray's
 /// unit direction (for direction-similarity weighting).
 ///
-/// This is the reference (it allocates the per-point buffers): hot
-/// paths fill an [`AggregateArena`] via [`aggregate_ray_into`] /
-/// [`aggregate_points_into`] instead — the same bits, by this routine
-/// or by the block kernel.
-pub fn aggregate_point(
+/// The reference the arena is held against (it allocates the
+/// per-point buffers; test builds only): every fill goes into an
+/// [`AggregateArena`] via [`aggregate_ray_into`] /
+/// [`aggregate_points_into`] — the same bits, by this routine or by
+/// the block kernel.
+#[cfg(test)]
+pub(crate) fn aggregate_point(
     p: Vec3,
     ray_dir: Vec3,
     sources: &[SourceViewData],
     d_channels: usize,
 ) -> PointAggregate {
     let s = sources.len();
-    let mut stats = vec![0.0f32; PointAggregate::stats_dim(d_channels)];
+    let mut stats = vec![0.0f32; stats_dim(d_channels)];
     let mut view_colors = vec![Vec3::ZERO; s];
     let mut blend_inputs = vec![[0.0f32; 2]; s];
     let mut valid = vec![false; s];
@@ -427,7 +430,7 @@ impl AggregateArena {
     pub fn reset(&mut self, n_views: usize, d_channels: usize) {
         self.d = d_channels;
         self.n_views = n_views;
-        self.stats.reset_rows(PointAggregate::stats_dim(d_channels));
+        self.stats.reset_rows(stats_dim(d_channels));
         self.view_colors.clear();
         self.blend_inputs.clear();
         self.valid.clear();
@@ -583,7 +586,7 @@ impl AggregateArena {
     }
 
     /// Fills point `k`'s (zeroed) rows from `sources` through
-    /// [`fill_point`] (shared arithmetic with [`aggregate_point`]).
+    /// [`fill_point`] (shared arithmetic with `aggregate_point`).
     fn fill_row(&mut self, k: usize, p: Vec3, ray_dir: Vec3, sources: &[SourceViewData]) {
         let views = k * self.n_views..(k + 1) * self.n_views;
         let n_valid = fill_point(
@@ -724,8 +727,9 @@ impl AggregateArena {
     }
 
     /// Exports point `k` as a standalone [`PointAggregate`] (what tests
-    /// feed the per-ray reference; allocates).
-    pub fn export(&self, k: usize) -> PointAggregate {
+    /// hold against [`aggregate_point`]; allocates).
+    #[cfg(test)]
+    pub(crate) fn export(&self, k: usize) -> PointAggregate {
         let s = self.n_views;
         PointAggregate {
             stats: self.stats.row(k).to_vec(),
@@ -783,9 +787,9 @@ impl ArenaRayView<'_> {
 /// source view, and the ray is sealed at the end (an empty batch seals
 /// an empty ray — a background ray keeps its slot).
 ///
-/// Bitwise-identical to calling [`aggregate_point`] per point on
-/// every kernel backend (the module docs say why; the arena proptests
-/// pin it), with zero steady-state heap allocations.
+/// Bitwise-identical to the per-point routine on every kernel backend
+/// (the module docs say why; the arena property test pins it), with
+/// zero steady-state heap allocations.
 ///
 /// # Panics
 ///
@@ -976,36 +980,6 @@ mod tests {
         assert_eq!(stats.feature_fetches, 4 * valid_pairs);
     }
 
-    #[test]
-    fn arena_matches_aggregate_point_bitwise() {
-        use gen_nerf_geometry::Vec3;
-        let ds = tiny_dataset();
-        let sources = prepare_sources(&ds.source_views);
-        let pts = [
-            Vec3::ZERO,
-            Vec3::new(0.0, 0.0, 0.8),
-            Vec3::new(500.0, 0.0, 0.0), // invisible
-            Vec3::new(0.4, -0.3, 0.2),
-        ];
-        let dirs = [Vec3::Z, -Vec3::Z, Vec3::X, Vec3::new(0.0, 1.0, 0.0)];
-        for d in [3usize, 12] {
-            let mut arena = AggregateArena::default();
-            arena.reset(sources.len(), d);
-            aggregate_points_into(&pts, &dirs, &sources, d, &mut arena);
-            assert_eq!(arena.n_rays(), 1);
-            assert_eq!(arena.total_points(), pts.len());
-            assert_eq!(arena.stats().rows(), pts.len());
-            assert_eq!(arena.stats().cols(), PointAggregate::stats_dim(d));
-            for (k, (&p, &dir)) in pts.iter().zip(&dirs).enumerate() {
-                let reference = aggregate_point(p, dir, &sources, d);
-                assert_eq!(arena.export(k), reference, "point {k} d {d}");
-                let sb: Vec<u32> = arena.stats_row(k).iter().map(|v| v.to_bits()).collect();
-                let rb: Vec<u32> = reference.stats.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(sb, rb, "point {k} d {d} stats bits");
-            }
-        }
-    }
-
     /// Six sources for the kernel-against-reference cases. The last
     /// one's rotation is scaled ×4: the projection is unchanged (`u`
     /// and `v` are ratios), but a point within `EPSILON` of that
@@ -1107,11 +1081,12 @@ mod tests {
                 ));
             }
         }
-        assert_eq!(by_ray.n_rays(), rays.len());
-        assert_eq!(by_ray.total_points(), reference.len());
-        assert_eq!(by_points.total_points(), reference.len());
-        assert_eq!(open_tile.n_rays(), rays.len());
-        assert_eq!(open_tile.total_points(), reference.len());
+        for arena in [&by_ray, &by_points, &open_tile] {
+            assert_eq!(arena.n_rays(), rays.len());
+            assert_eq!(arena.total_points(), reference.len());
+            assert_eq!(arena.stats().rows(), reference.len());
+            assert_eq!(arena.stats().cols(), stats_dim(d));
+        }
         // A tile is packed: its blocks are full but for the last.
         let avx2 = kernels::active_backend() == kernels::Backend::Avx2;
         assert_eq!(blocks, if avx2 { reference.len().div_ceil(8) } else { 0 });
@@ -1146,8 +1121,29 @@ mod tests {
         }
     }
 
+    /// Fixed points through every fill route: inside the scene, on the
+    /// surface, one no view sees, and one off-axis, each along a
+    /// direction of its own, at the coarse and the full channel width.
+    #[test]
+    fn arena_matches_aggregate_point_bitwise() {
+        let ds = tiny_dataset();
+        let sources = prepare_sources(&ds.source_views);
+        let rays: Vec<(Ray, Vec<f32>)> = [
+            (Vec3::ZERO, Vec3::Z),
+            (Vec3::new(0.0, 0.0, 0.8), -Vec3::Z),
+            (Vec3::new(500.0, 0.0, 0.0), Vec3::X), // invisible
+            (Vec3::new(0.4, -0.3, 0.2), Vec3::new(0.0, 1.0, 0.0)),
+        ]
+        .into_iter()
+        .map(|(p, dir)| (Ray::new(p, dir), vec![0.0]))
+        .collect();
+        for d in [3usize, 12] {
+            assert_arena_matches_reference(&rays, &sources, d);
+        }
+    }
+
     proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
         /// Whatever backend fills the arena — per point on the scalar
         /// leg, eight points per source view under AVX2 — and whichever
@@ -1155,14 +1151,17 @@ mod tests {
         /// points, or a whole tile pushed and flushed once — it holds
         /// the bits of the per-point reference: tiles of several rays
         /// of 0…19 depths with an empty ray and a single-point ray
-        /// between the free ones, full / coarse / odd channel widths,
-        /// one to six views, and the rays of [`edge_rays`] against one
-        /// of them.
+        /// between the free ones, every `far_every`-th depth of a free
+        /// ray pushed far outside the capture rig (partial visibility
+        /// inside a block), a ray no view sees, every channel width from
+        /// one to the encoder's twelve, one to six views, and the rays
+        /// of [`edge_rays`] against one of them.
         #[test]
         fn prop_arena_matches_aggregate_point_on_either_backend(
-            d_pick in 0usize..3,
-            s_pick in 0usize..3,
+            d in 1usize..13,
+            n_views in 1usize..7,
             edge_view in 0usize..6,
+            far_every in 2usize..5,
             free in proptest::collection::vec(
                 (
                     (-3.5f32..3.5, -3.5f32..3.5, -3.5f32..3.5),
@@ -1173,15 +1172,16 @@ mod tests {
             ),
         ) {
             let all = kernel_case_sources();
-            let d = [3usize, 5, 12][d_pick];
-            let sources = &all[6 - [1usize, 4, 6][s_pick]..];
+            let sources = &all[6 - n_views..];
             let mut rays: Vec<(Ray, Vec<f32>)> = Vec::new();
-            for ((ox, oy, oz), (dx, dy, dz), depths) in free {
+            for ((ox, oy, oz), (dx, dy, dz), mut depths) in free {
                 let dir = Vec3::new(dx, dy, dz).try_normalized().unwrap_or(Vec3::Z);
                 let ray = Ray::new(Vec3::new(ox, oy, oz), dir);
                 let single = vec![depths.first().copied().unwrap_or(1.5)];
+                depths.iter_mut().step_by(far_every).for_each(|t| *t *= 400.0);
                 rays.extend([(ray, depths), (ray, Vec::new()), (ray, single)]);
             }
+            rays.push((Ray::new(Vec3::new(500.0, 0.0, 0.0), Vec3::X), vec![0.0, 1.0]));
             rays.extend(edge_rays(&all[edge_view]));
             assert_arena_matches_reference(&rays, sources, d);
         }

@@ -17,12 +17,14 @@
 //! full model's per-point epilogue — that decode, the blend softmax and
 //! the `0.1·tanh` RGB residual — runs on the one shared definition of
 //! `exp` / `0.1·tanh` in `gen_nerf_nn::kernels::special`, as vector passes
-//! in the fused forward and one value at a time in the per-ray
-//! reference and the trainer. All modules are trainable in-process
-//! ([`crate::trainer`]).
+//! in the fused forward and one value at a time in the trainer (and in
+//! the per-ray reference the unit tests hold the fused forward
+//! against). All modules are trainable in-process ([`crate::trainer`]).
 
 use crate::config::{ModelConfig, RayModuleChoice};
-use crate::features::{AggregateArena, PointAggregate};
+use crate::features::AggregateArena;
+#[cfg(test)]
+use crate::features::PointAggregate;
 use gen_nerf_geometry::Vec3;
 use gen_nerf_nn::attention::{AttnScratch, SelfAttention};
 use gen_nerf_nn::init::Rng;
@@ -42,7 +44,9 @@ pub(crate) fn density_from_logit(z: f32) -> f32 {
 
 /// [`density_from_logit`] through the shared [`special::exp`]: the
 /// decode of the full model (Step ③), which the fused forward runs as
-/// one vector pass per tile.
+/// one vector pass per tile — one value at a time for the per-ray
+/// reference.
+#[cfg(test)]
 fn focused_density(z: f32) -> f32 {
     sigma_from_exp(special::exp(clamp_logit(z)))
 }
@@ -130,8 +134,9 @@ impl Mlp {
         self.l3.forward(&h2)
     }
 
-    /// Forward pass without caching (inference only) — usable through
-    /// `&self` so render workers can share one model across threads.
+    /// Forward pass without caching, one whole layer at a time: the
+    /// per-ray reference's point and coarse MLP.
+    #[cfg(test)]
     pub(crate) fn forward_inference(&self, x: &Tensor2) -> Tensor2 {
         let h1 = self.a1.forward_inference(&self.l1.forward_inference(x));
         let h2 = self.a2.forward_inference(&self.l2.forward_inference(&h1));
@@ -292,6 +297,7 @@ impl RayModule {
     /// # Panics
     ///
     /// Panics when `n > N_max` for the mixer variant.
+    #[cfg(test)]
     pub(crate) fn forward_inference(&self, f_sigma: &Tensor2) -> Tensor2 {
         match self {
             RayModule::Transformer { attn, proj } => {
@@ -460,9 +466,9 @@ pub(crate) struct RayModuleScratch {
 
 /// Tile-level buffers of the fused cross-ray forward
 /// ([`GenNerfModel::forward_rays_arena`]). One instance per render
-/// worker replaces the per-ray/per-point tensor allocations of the
-/// per-ray path (notably `blend_color`'s three `Vec`s + `Tensor2` per
-/// point) and holds the tile's outputs — densities and colours, flat
+/// worker replaces the per-ray/per-point tensor allocations of a
+/// per-ray program (three `Vec`s + a `Tensor2` per point for the blend
+/// head alone) and holds the tile's outputs — densities and colours, flat
 /// and ray-major — so the render pipeline composites from slices of
 /// them instead of from two fresh `Vec`s per ray.
 #[derive(Debug, Clone, Default)]
@@ -585,55 +591,13 @@ impl GenNerfModel {
         }
     }
 
-    /// The stats rows of a reference ray, truncated to `dim` columns.
-    fn stats_tensor(aggs: &[PointAggregate], dim: usize) -> Tensor2 {
-        Tensor2::from_fn(aggs.len(), dim, |r, c| aggs[r].stats[c])
-    }
-
-    /// Full-model inference over the points of one ray.
-    ///
-    /// Points seen by no source view get zero density and color.
-    ///
-    /// Takes `&self` (no activation caching), so one model can be
-    /// shared by every render worker thread — `GenNerfModel` contains
-    /// no interior mutability and is therefore `Sync`. Training uses
-    /// the separate caching paths in `GenNerfModel::train_ray_arena`.
-    pub fn forward_ray(&self, aggs: &[PointAggregate]) -> RayOutput {
-        if aggs.is_empty() {
-            return RayOutput {
-                densities: Vec::new(),
-                colors: Vec::new(),
-            };
-        }
-        let n = aggs.len();
-        let d_sigma = self.config.d_sigma;
-        let x = Self::stats_tensor(aggs, self.config.point_input_dim());
-        let y = self.point_mlp.forward_inference(&x);
-        let f_sigma = Tensor2::from_fn(n, d_sigma, |r, c| y[(r, c)]);
-        let logits = self.ray_module.forward_inference(&f_sigma);
-
-        let mut densities = Vec::with_capacity(n);
-        let mut colors = Vec::with_capacity(n);
-        for (k, agg) in aggs.iter().enumerate() {
-            if agg.n_valid == 0 {
-                densities.push(0.0);
-                colors.push(Vec3::ZERO);
-                continue;
-            }
-            densities.push(focused_density(logits[(k, 0)]));
-            let resid = residual(&y.row(k)[d_sigma..]);
-            colors.push((self.blend_color(agg) + resid).clamp(0.0, 1.0));
-        }
-        RayOutput { densities, colors }
-    }
-
     /// Fused inference over every point of a tile of rays, straight off
     /// an [`AggregateArena`] — the software analog of the paper's PE
     /// pool amortizing the point-MLP GEMM across many rays' samples at
     /// once.
     ///
-    /// Where [`GenNerfModel::forward_ray`] issues one sub-16-row GEMM
-    /// chain per ray plus one tiny blend GEMM per *point*, this path
+    /// Where a per-ray program issues one sub-16-row GEMM chain per ray
+    /// plus one tiny blend GEMM per *point*, this path
     /// runs **one** layer-fused point-MLP chain over the arena's stats
     /// matrix (one row per point, ray-major — it **is** the GEMM
     /// operand, nothing is copied), the ray module over the stacked
@@ -643,11 +607,12 @@ impl GenNerfModel {
     ///
     /// # Bit-exactness contract
     ///
-    /// The output is **bit-for-bit identical** to calling
-    /// [`GenNerfModel::forward_ray`] on each ray's
-    /// [`aggregate_point`](crate::features::aggregate_point)s, for any
-    /// grouping of rays into arenas — two independent formulations: the
-    /// per-ray reference composes whole layers (`matmul`, then bias,
+    /// The output is **bit-for-bit identical** to the per-ray reference
+    /// — one whole-layer GEMM chain per ray over each point's
+    /// standalone aggregate, a program this crate keeps in its test
+    /// build only — for any grouping of rays into arenas. The two are
+    /// independent formulations: the per-ray reference composes whole
+    /// layers (`matmul`, then bias,
     /// then ReLU; explicit transposes in the mixer), the fused path
     /// runs `gen_nerf_nn::kernels::chain`. They agree because the dense
     /// kernels of `gen-nerf-nn` accumulate every output element over
@@ -658,10 +623,10 @@ impl GenNerfModel {
     /// batch; the blend head's lanes kernel repeats the GEMM's
     /// per-element op sequence; ray modules mix each ray's own points
     /// only; the epilogue's vector `exp` / `0.1·tanh` lanes are the
-    /// scalar functions `forward_ray` calls, bit for bit; and the fused
-    /// assembly replays `blend_color`'s softmax reduction in the same
-    /// order. `tests/fused_forward_regression.rs` and
-    /// `tests/arena_regression.rs` pin the contract.
+    /// scalar functions the reference calls, bit for bit; and the fused
+    /// assembly replays the reference's per-point softmax reduction in
+    /// the same order. This crate's unit tests pin the contract, and
+    /// `tests/arena_regression.rs` pins a frame of it as literals.
     ///
     /// This is a thin adaptor over the flat outputs of
     /// `forward_arena_flat`, which the render pipeline reads directly:
@@ -719,7 +684,7 @@ impl GenNerfModel {
     /// then Step ③'s epilogue — the density decode, the RGB residual
     /// and the blend softmaxes' exponentials — as three vector passes
     /// of the [`special`] functions over the tile's flat buffers, and
-    /// the per-point assembly in `blend_color`'s reduction order. With
+    /// the per-point assembly in [`blend_views`]' reduction order. With
     /// integrity checking on, each layer of each dispatch is verified
     /// panel by panel inside the chain (see
     /// `gen_nerf_nn::kernels::chain`; a blend call with a verified
@@ -830,44 +795,13 @@ impl GenNerfModel {
         }
     }
 
-    /// Blends source colors with softmax weights from the blend head.
-    fn blend_color(&self, agg: &PointAggregate) -> Vec3 {
-        let valid_idx: Vec<usize> = (0..agg.valid.len()).filter(|&i| agg.valid[i]).collect();
-        if valid_idx.is_empty() {
-            return Vec3::ZERO;
-        }
-        let input = Tensor2::from_fn(valid_idx.len(), 2, |r, c| agg.blend_inputs[valid_idx[r]][c]);
-        let logits = self.blend.forward_inference(&input);
-        let mut weights = softmax_numerators(logits.as_slice());
-        blend_views(&mut weights, valid_idx.iter().map(|&i| agg.view_colors[i]))
-    }
-
-    /// Coarse-pass density estimation (lightweight MLP, no ray module).
-    /// `&self` for the same reason as [`GenNerfModel::forward_ray`].
-    pub fn coarse_densities(&self, aggs: &[PointAggregate]) -> Vec<f32> {
-        if aggs.is_empty() {
-            return Vec::new();
-        }
-        let x = Self::stats_tensor(aggs, self.config.coarse_input_dim());
-        let z = self.coarse_mlp.forward_inference(&x);
-        aggs.iter()
-            .enumerate()
-            .map(|(k, agg)| {
-                if agg.n_valid == 0 {
-                    0.0
-                } else {
-                    density_from_logit(z[(k, 0)])
-                }
-            })
-            .collect()
-    }
-
     /// Coarse-pass density estimation straight off an
     /// [`AggregateArena`] (filled at `coarse_channels` against the
     /// coarse source subset): one layer-fused coarse-MLP chain over the
     /// arena's stats matrix **in place**, sliced back per ray. Bitwise
-    /// equal to per-ray [`GenNerfModel::coarse_densities`] for any
-    /// grouping of rays into arenas (the row-independence argument of
+    /// equal to the per-ray reference (one whole-layer coarse-MLP chain
+    /// per ray; test builds only) for any grouping of rays into arenas
+    /// (the row-independence argument of
     /// [`GenNerfModel::forward_rays_arena`]). A thin adaptor over
     /// `coarse_densities_flat`, which the render pipeline reads
     /// directly.
@@ -1010,7 +944,7 @@ impl GenNerfModel {
     ) -> (f32, [f32; 3]) {
         let valid_idx: Vec<usize> = (0..valid.len()).filter(|&i| valid[i]).collect();
         let input = Tensor2::from_fn(valid_idx.len(), 2, |r, c| blend_inputs[valid_idx[r]][c]);
-        // The forward the model is evaluated with: `blend_color`'s
+        // The forward the model is evaluated with: the fused forward's
         // softmax and the shared special functions.
         let logits = self.blend.forward(&input);
         let mut s = softmax_numerators(logits.as_slice());
@@ -1056,6 +990,81 @@ impl GenNerfModel {
         let (loss, g) = mse_loss(&z, &target);
         self.coarse_mlp.backward(&g);
         loss
+    }
+}
+
+/// The per-ray reference (test builds only): one whole-layer GEMM
+/// chain per ray over standalone [`PointAggregate`]s and one blend-head
+/// call per point — the program the fused forward replaced, kept as the
+/// yardstick the unit tests hold [`GenNerfModel::forward_rays_arena`]
+/// and [`GenNerfModel::coarse_densities_arena`] against, bit for bit.
+#[cfg(test)]
+impl GenNerfModel {
+    /// The stats rows of a reference ray, truncated to `dim` columns.
+    fn stats_tensor(aggs: &[PointAggregate], dim: usize) -> Tensor2 {
+        Tensor2::from_fn(aggs.len(), dim, |r, c| aggs[r].stats[c])
+    }
+
+    /// Full-model inference over the points of one ray. Points seen by
+    /// no source view get zero density and color.
+    pub(crate) fn forward_ray(&self, aggs: &[PointAggregate]) -> RayOutput {
+        if aggs.is_empty() {
+            return RayOutput {
+                densities: Vec::new(),
+                colors: Vec::new(),
+            };
+        }
+        let n = aggs.len();
+        let d_sigma = self.config.d_sigma;
+        let x = Self::stats_tensor(aggs, self.config.point_input_dim());
+        let y = self.point_mlp.forward_inference(&x);
+        let f_sigma = Tensor2::from_fn(n, d_sigma, |r, c| y[(r, c)]);
+        let logits = self.ray_module.forward_inference(&f_sigma);
+
+        let mut densities = Vec::with_capacity(n);
+        let mut colors = Vec::with_capacity(n);
+        for (k, agg) in aggs.iter().enumerate() {
+            if agg.n_valid == 0 {
+                densities.push(0.0);
+                colors.push(Vec3::ZERO);
+                continue;
+            }
+            densities.push(focused_density(logits[(k, 0)]));
+            let resid = residual(&y.row(k)[d_sigma..]);
+            colors.push((self.blend_color(agg) + resid).clamp(0.0, 1.0));
+        }
+        RayOutput { densities, colors }
+    }
+
+    /// Blends source colors with softmax weights from the blend head.
+    fn blend_color(&self, agg: &PointAggregate) -> Vec3 {
+        let valid_idx: Vec<usize> = (0..agg.valid.len()).filter(|&i| agg.valid[i]).collect();
+        if valid_idx.is_empty() {
+            return Vec3::ZERO;
+        }
+        let input = Tensor2::from_fn(valid_idx.len(), 2, |r, c| agg.blend_inputs[valid_idx[r]][c]);
+        let logits = self.blend.forward_inference(&input);
+        let mut weights = softmax_numerators(logits.as_slice());
+        blend_views(&mut weights, valid_idx.iter().map(|&i| agg.view_colors[i]))
+    }
+
+    /// Coarse-pass density estimation (lightweight MLP, no ray module).
+    pub(crate) fn coarse_densities(&self, aggs: &[PointAggregate]) -> Vec<f32> {
+        if aggs.is_empty() {
+            return Vec::new();
+        }
+        let x = Self::stats_tensor(aggs, self.config.coarse_input_dim());
+        let z = self.coarse_mlp.forward_inference(&x);
+        aggs.iter()
+            .enumerate()
+            .map(|(k, agg)| {
+                if agg.n_valid == 0 {
+                    0.0
+                } else {
+                    density_from_logit(z[(k, 0)])
+                }
+            })
+            .collect()
     }
 }
 
@@ -1137,40 +1146,75 @@ mod tests {
         }
     }
 
+    /// A test ray: its points and the direction they are observed
+    /// along.
+    type TestRay = (Vec<Vec3>, Vec3);
+
     /// One tile mixing every kind of ray the schedule produces — empty,
     /// a single point, lengths off and on the kernels' tile edges, a
-    /// full N_max ray — and, in every ray longer than one point, a
-    /// point no source view sees (`n_valid == 0`) in second place; with
-    /// the same rays acquired point by point for the per-ray reference.
-    fn mixed_tile(
-        ds: &Dataset,
+    /// full N_max ray, rays through other pixels, a ray no source view
+    /// sees at all — and, in every ray of the centre pixel longer than
+    /// one point, a point no source view sees (`n_valid == 0`) in
+    /// second place.
+    fn mixed_tile(ds: &Dataset) -> Vec<TestRay> {
+        let cam = &ds.eval_views[0].camera;
+        let sampled = |px: u32, py: u32, n: usize| -> TestRay {
+            let ray = cam.pixel_center_ray(px, py);
+            let (t0, t1) = ds.scene.bounds.intersect_ray(&ray).unwrap();
+            let depths = gen_nerf_geometry::Ray::uniform_depths(t0, t1, n.max(1));
+            (
+                depths[..n].iter().map(|&t| ray.at(t)).collect(),
+                ray.direction,
+            )
+        };
+        let (w, h) = (cam.intrinsics.width, cam.intrinsics.height);
+        let mut rays: Vec<TestRay> = [12usize, 0, 1, 5, 8, 13, 64]
+            .into_iter()
+            .map(|n| {
+                let (mut pts, dir) = sampled(w / 2, h / 2, n);
+                if n > 1 {
+                    pts[1] = Vec3::new(1000.0, 0.0, 0.0);
+                }
+                (pts, dir)
+            })
+            .collect();
+        for (px, py, n) in [(8, 10, 7), (10, 12, 9), (14, 11, 17), (12, 8, 1)] {
+            rays.push(sampled(px, py, n));
+        }
+        rays.push((vec![Vec3::new(900.0, 0.0, 0.0); 3], Vec3::X));
+        rays
+    }
+
+    /// `rays` through the arena at `d` channels, with the same points
+    /// acquired one by one for the per-ray reference.
+    fn tile_arena(
+        rays: &[TestRay],
         sources: &[crate::features::SourceViewData],
+        d: usize,
     ) -> (AggregateArena, Vec<Vec<PointAggregate>>) {
         use crate::features::aggregate_points_into;
-        let cam = &ds.eval_views[0].camera;
-        let ray = cam.pixel_center_ray(cam.intrinsics.width / 2, cam.intrinsics.height / 2);
-        let (t0, t1) = ds.scene.bounds.intersect_ray(&ray).unwrap();
         let mut arena = AggregateArena::default();
-        arena.reset(sources.len(), 12);
-        let mut reference: Vec<Vec<PointAggregate>> = Vec::new();
-        for n in [12usize, 0, 1, 5, 8, 13, 64] {
-            let mut pts: Vec<Vec3> = gen_nerf_geometry::Ray::uniform_depths(t0, t1, n.max(1))[..n]
-                .iter()
-                .map(|&t| ray.at(t))
-                .collect();
-            if n > 1 {
-                pts[1] = Vec3::new(1000.0, 0.0, 0.0);
-            }
-            let dirs = vec![ray.direction; n];
-            aggregate_points_into(&pts, &dirs, sources, 12, &mut arena);
+        arena.reset(sources.len(), d);
+        let mut reference = Vec::new();
+        for (pts, dir) in rays {
+            aggregate_points_into(pts, &vec![*dir; pts.len()], sources, d, &mut arena);
             reference.push(
                 pts.iter()
-                    .map(|&p| aggregate_point(p, ray.direction, sources, 12))
+                    .map(|&p| aggregate_point(p, *dir, sources, d))
                     .collect(),
             );
         }
-        assert!((0..arena.total_points()).any(|k| arena.n_valid(k) == 0));
         (arena, reference)
+    }
+
+    /// The arenas the tests cut `n` rays into, over three cuttings:
+    /// one arena, two unequal ones, and one per ray — the reference is
+    /// the same ray by ray, so the fused outputs must not notice.
+    fn groupings(n: usize) -> Vec<std::ops::Range<usize>> {
+        let cuts: [Vec<usize>; 3] = [vec![0, n], vec![0, n / 3, n], (0..=n).collect()];
+        cuts.iter()
+            .flat_map(|cut| cut.windows(2).map(|w| w[0]..w[1]))
+            .collect()
     }
 
     /// The fused forward of `arena` against the per-ray program over
@@ -1207,30 +1251,34 @@ mod tests {
     #[test]
     fn forward_rays_arena_matches_forward_ray_bitwise() {
         let (ds, sources) = tiny_setup();
-        let (arena, reference) = mixed_tile(&ds, &sources);
+        let rays = mixed_tile(&ds);
         for choice in [
             RayModuleChoice::Mixer,
             RayModuleChoice::Transformer,
             RayModuleChoice::None,
         ] {
             let model = GenNerfModel::new(ModelConfig::fast().with_ray_module(choice));
-            let what = format!("{choice:?}");
-            let fused = assert_fused_matches_per_ray(&model, &arena, &reference, &what);
-            // Finite throughout, so the NaN clause never applied.
-            let finite = |o: &RayOutput| {
-                o.densities.iter().all(|d| d.is_finite())
-                    && o.colors
-                        .iter()
-                        .all(|c| c.to_array().iter().all(|v| v.is_finite()))
-            };
-            assert!(fused.iter().all(finite), "{what}");
+            for group in groupings(rays.len()) {
+                let (arena, reference) = tile_arena(&rays[group.clone()], &sources, 12);
+                let what = format!("{choice:?}, rays {group:?}");
+                let fused = assert_fused_matches_per_ray(&model, &arena, &reference, &what);
+                // Finite throughout, so the NaN clause never applied.
+                let finite = |o: &RayOutput| {
+                    o.densities.iter().all(|d| d.is_finite())
+                        && o.colors
+                            .iter()
+                            .all(|c| c.to_array().iter().all(|v| v.is_finite()))
+                };
+                assert!(fused.iter().all(finite), "{what}");
+            }
         }
     }
 
     #[test]
     fn non_finite_logits_give_the_same_outputs_fused_and_per_ray() {
         let (ds, sources) = tiny_setup();
-        let (arena, reference) = mixed_tile(&ds, &sources);
+        let (arena, reference) = tile_arena(&mixed_tile(&ds), &sources, 12);
+        assert!((0..arena.total_points()).any(|k| arena.n_valid(k) == 0));
 
         // A NaN density logit decodes to 0.0 on both paths, as it did
         // when the decode was libm's.
@@ -1269,34 +1317,26 @@ mod tests {
 
     #[test]
     fn coarse_densities_arena_matches_batch_bitwise() {
-        use crate::features::{aggregate_points_into, AggregateArena};
+        // Step ①'s forward against the per-ray coarse MLP, over the
+        // coarse source subset and over every source, for every
+        // grouping of the mixed tile into arenas.
         let (ds, sources) = tiny_setup();
         let model = GenNerfModel::new(ModelConfig::fast());
-        let cam = &ds.eval_views[0].camera;
-        let ray = cam.pixel_center_ray(2, 2);
-        let coarse = &sources[..3];
-        let mut arena = AggregateArena::default();
-        arena.reset(coarse.len(), 3);
-        // Four points, an empty ray, a single point.
-        let rays: [&[f32]; 3] = [&[2.0, 2.5, 3.0, 3.5], &[], &[2.2]];
-        for depths in rays {
-            let pts: Vec<Vec3> = depths.iter().map(|&t| ray.at(t)).collect();
-            let dirs = vec![ray.direction; pts.len()];
-            aggregate_points_into(&pts, &dirs, coarse, 3, &mut arena);
-        }
-
+        let rays = mixed_tile(&ds);
         let mut scratch = MlpScratch::default();
-        let fused = model.coarse_densities_arena(&arena, &mut scratch);
-        assert_eq!(fused.len(), 3);
-        for (r, out) in fused.iter().enumerate() {
-            let reference: Vec<PointAggregate> = rays[r]
-                .iter()
-                .map(|&t| aggregate_point(ray.at(t), ray.direction, coarse, 3))
-                .collect();
-            let per_ray = model.coarse_densities(&reference);
-            let fb: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
-            let pb: Vec<u32> = per_ray.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(fb, pb, "ray {r}");
+        for views in [&sources[..3], &sources[..]] {
+            for group in groupings(rays.len()) {
+                let (arena, reference) = tile_arena(&rays[group.clone()], views, 3);
+                let fused = model.coarse_densities_arena(&arena, &mut scratch);
+                assert_eq!(fused.len(), reference.len());
+                for (r, out) in fused.iter().enumerate() {
+                    let per_ray = model.coarse_densities(&reference[r]);
+                    let fb: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();
+                    let pb: Vec<u32> = per_ray.iter().map(|v| v.to_bits()).collect();
+                    let what = format!("{} views, rays {group:?}, ray {r}", views.len());
+                    assert_eq!(fb, pb, "{what}");
+                }
+            }
         }
     }
 

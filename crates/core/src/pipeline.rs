@@ -85,9 +85,9 @@
 //! schedule is bit-for-bit
 //! identical to the per-ray path for any tiling — which is also what
 //! keeps the thread-count determinism above intact. The per-ray
-//! schedule it replaced survives in the `reference` submodule as the
-//! yardstick the pin suites compare against
-//! (`tests/fused_forward_regression.rs`); nothing else calls it.
+//! schedule it replaced survives only in this crate's test build, as
+//! the yardstick the unit tests hold every render against; the
+//! production build has no per-ray path.
 //!
 //! # Multi-frame rendering (the serving substrate)
 //!
@@ -168,6 +168,7 @@ use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
+#[cfg(test)]
 mod reference;
 
 /// Reusable buffers for the per-ray composite phase of the fused tile
@@ -1346,25 +1347,10 @@ impl<'a> Renderer<'a> {
         }
     }
 
-    /// FLOPs/fetch accounting for one ray's full-model evaluation,
-    /// from per-point valid-view counts — the per-ray reference
-    /// schedule's entry to the accounting the tiles do in sums, so both
-    /// report identical counts (the fused regression test asserts the
-    /// equality).
-    fn account_full_eval_counts(
-        &self,
-        n: usize,
-        valid_counts: impl Iterator<Item = usize>,
-        stats: &mut RenderStats,
-    ) {
-        let mut counts = EvalCounts::default();
-        self.count_full_eval(n, valid_counts.sum(), &mut counts);
-        self.book_full_eval(&counts, stats);
-    }
-
-    /// [`Renderer::composite_ray`] through per-worker scratch buffers —
-    /// identical arithmetic (the fused regression suite pins the
-    /// equality), zero allocations once the buffers have grown.
+    /// One ray's composite through per-worker scratch buffers — the
+    /// arithmetic of the allocating `composite` (the per-ray reference
+    /// tests pin the equality), with zero allocations once the buffers
+    /// have grown.
     fn composite_ray_scratch(
         &self,
         depths: &[f32],
@@ -2057,34 +2043,101 @@ mod tests {
         }
     }
 
+    /// Every counter of a [`RenderStats`]: the four counts, then every
+    /// FLOPs bucket by name.
+    fn stats_key(s: &RenderStats) -> (u64, u64, u64, u64, Vec<(String, u64)>) {
+        let buckets = s.flops.iter().map(|(k, v)| (k.to_string(), v)).collect();
+        (
+            s.rays,
+            s.points,
+            s.coarse_points,
+            s.feature_fetches,
+            buckets,
+        )
+    }
+
+    /// Holds the fused schedule against the per-ray reference on
+    /// `camera`: the reference on one worker, then the fused render on
+    /// one to four, every pixel bit for bit and every [`RenderStats`]
+    /// counter and FLOPs bucket equal.
+    fn assert_fused_matches_reference<'r>(
+        renderer: impl Fn(usize) -> Renderer<'r>,
+        camera: &Camera,
+        what: &str,
+    ) {
+        let bits =
+            |img: &Image| -> Vec<u32> { img.as_slice().iter().map(|v| v.to_bits()).collect() };
+        let (img_ref, stats_ref) = renderer(1).render_reference(camera);
+        for threads in 1..=4 {
+            let (img, stats) = renderer(threads).render(camera);
+            assert_eq!(
+                bits(&img),
+                bits(&img_ref),
+                "{what} at {threads} threads: pixels"
+            );
+            assert_eq!(
+                stats_key(&stats),
+                stats_key(&stats_ref),
+                "{what} at {threads} threads: stats"
+            );
+        }
+    }
+
     #[test]
     fn fused_schedule_matches_per_ray_reference() {
-        // The cross-crate regression test pins this at scale on a
-        // trained model; this is the fast in-crate guard.
-        let (ds, sources, model) = setup();
-        for strategy in [
-            SamplingStrategy::Uniform { n: 6 },
-            SamplingStrategy::Hierarchical {
-                n_coarse: 4,
-                n_fine: 4,
-            },
-            SamplingStrategy::coarse_then_focus(6, 6),
-        ] {
-            let r = Renderer::new(
-                &model,
-                &sources,
-                strategy,
-                ds.scene.bounds,
-                ds.scene.background,
-            )
-            .with_threads(2);
-            let (img_f, stats_f) = r.render(&ds.eval_views[0].camera);
-            let (img_p, stats_p) = r.render_reference(&ds.eval_views[0].camera);
-            let fb: Vec<u32> = img_f.as_slice().iter().map(|v| v.to_bits()).collect();
-            let pb: Vec<u32> = img_p.as_slice().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(fb, pb, "{strategy:?} fused image diverged");
-            assert_eq!(stats_f.points, stats_p.points, "{strategy:?}");
-            assert_eq!(stats_f.flops.total(), stats_p.flops.total(), "{strategy:?}");
+        // Every strategy, on a Ray-Mixer trained on the scene for the
+        // 20×20 eval view and for a 50×37 frame — its 1850 rays divide
+        // into neither the workers' ranges nor the tile budget, so every
+        // worker ends on a short tile, and coarse-then-focus cuts its
+        // focus tiles by the per-ray allocation, so they are ragged in
+        // ray count too — and on an untrained ray transformer, whose
+        // fused path batches the attention projections across a tile's
+        // rays and runs only the softmax core per ray.
+        use crate::config::RayModuleChoice;
+        use crate::trainer::{TrainConfig, Trainer};
+        use gen_nerf_geometry::Intrinsics;
+        let ds = Dataset::build(DatasetKind::DeepVoxels, "cube", 0.04, 6, 1, 24, 11);
+        let sources = prepare_sources(&ds.source_views);
+        let mut mixer = GenNerfModel::new(ModelConfig::fast());
+        let mut trainer = Trainer::new(TrainConfig {
+            steps: 80,
+            ..TrainConfig::fast()
+        });
+        trainer.pretrain(&mut mixer, &[&ds]);
+        let transformer =
+            GenNerfModel::new(ModelConfig::fast().with_ray_module(RayModuleChoice::Transformer));
+        let eval = ds.eval_views[0].camera;
+        let ragged = Camera::new(Intrinsics::from_fov(50, 37, 0.6), eval.pose);
+        let cases = [
+            (&mixer, "trained mixer", eval),
+            (&mixer, "trained mixer", ragged),
+            (&transformer, "transformer", eval),
+        ];
+        for (model, name, camera) in cases {
+            for strategy in [
+                SamplingStrategy::Uniform { n: 10 },
+                SamplingStrategy::Hierarchical {
+                    n_coarse: 6,
+                    n_fine: 6,
+                },
+                SamplingStrategy::coarse_then_focus(8, 8),
+            ] {
+                let (w, h) = (camera.intrinsics.width, camera.intrinsics.height);
+                assert_fused_matches_reference(
+                    |threads| {
+                        Renderer::new(
+                            model,
+                            &sources,
+                            strategy,
+                            ds.scene.bounds,
+                            ds.scene.background,
+                        )
+                        .with_threads(threads)
+                    },
+                    &camera,
+                    &format!("{name}, {strategy:?}, {w}×{h}"),
+                );
+            }
         }
     }
 
@@ -2288,11 +2341,12 @@ mod tests {
             },
             SamplingStrategy::coarse_then_focus(6, 6),
         ] {
-            let r = Renderer::new(&model, &sources, strategy, bounds, background);
-            let (img, _) = r.render(&cam);
+            let r = |threads| {
+                Renderer::new(&model, &sources, strategy, bounds, background).with_threads(threads)
+            };
+            let (img, _) = r(1).render(&cam);
             assert_eq!(img.get(1, 1), background, "{strategy:?}");
-            let (reference, _) = r.render_reference(&cam);
-            assert_eq!(img.as_slice(), reference.as_slice(), "{strategy:?}");
+            assert_fused_matches_reference(r, &cam, &format!("{strategy:?}"));
         }
     }
 

@@ -1,16 +1,13 @@
-//! The per-ray reference schedule.
+//! The per-ray reference schedule (test builds only).
 //!
 //! One GEMM chain per ray, no tiles, no arena: the schedule the fused
-//! tile path replaced, kept because the pin suites compare against it
-//! (`tests/fused_forward_regression.rs`,
-//! `tests/kernel_backend_regression.rs`,
-//! `tests/batch_parallel_regression.rs` and this crate's own
-//! `fused_schedule_matches_per_ray_reference`). Output and stats are
-//! bit-for-bit those of [`Renderer::render`] — the dense kernels make
+//! tile path replaced, kept as the yardstick the unit tests hold
+//! [`Renderer::render`] against (`pipeline::tests`). Output and stats
+//! are bit-for-bit those of the fused schedule — the dense kernels make
 //! output rows independent of their batch — so nothing but those
-//! comparisons calls it.
+//! comparisons calls it, and the production build does not contain it.
 
-use super::{RayBatch, RenderStats, Renderer};
+use super::{EvalCounts, RayBatch, RenderStats, Renderer};
 use crate::config::SamplingStrategy;
 use crate::features::{aggregate_point, PointAggregate};
 use crate::sampling;
@@ -23,8 +20,7 @@ impl Renderer<'_> {
     /// Renders `camera` on the per-ray reference schedule (see the
     /// module docs): the yardstick [`Renderer::render`] is pinned
     /// bit-for-bit against.
-    #[doc(hidden)]
-    pub fn render_reference(&self, camera: &Camera) -> (Image, RenderStats) {
+    pub(crate) fn render_reference(&self, camera: &Camera) -> (Image, RenderStats) {
         let mut image = Image::new(0, 0);
         let mut stats = RenderStats::default();
         let batch = RayBatch::from_camera(camera, &self.bounds);
@@ -88,10 +84,14 @@ impl Renderer<'_> {
             .collect()
     }
 
-    /// [`Renderer::account_full_eval_counts`] over an AoS aggregate
-    /// run (the per-ray reference schedule).
+    /// FLOPs/fetch accounting for one ray's full-model evaluation: the
+    /// tiles' count-then-book for a tile of one ray, so both schedules
+    /// report identical counts.
     fn account_full_eval(&self, aggs: &[PointAggregate], stats: &mut RenderStats) {
-        self.account_full_eval_counts(aggs.len(), aggs.iter().map(|a| a.n_valid), stats);
+        let mut counts = EvalCounts::default();
+        let valid = aggs.iter().map(|a| a.n_valid).sum();
+        self.count_full_eval(aggs.len(), valid, &mut counts);
+        self.book_full_eval(&counts, stats);
     }
 
     /// Aggregates + full-model forward + accounting for a ray's points

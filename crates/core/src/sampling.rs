@@ -1,10 +1,11 @@
 //! Point-sampling machinery (Sec. 3.2).
 //!
-//! * [`importance_sample`] — inverse-transform sampling from a
-//!   piecewise-constant PDF over depth bins (the preprocessing unit's
-//!   Monte-Carlo sampler, Fig. 7); `importance_sample_into` is the
-//!   same sampler over uniform bins without its three `Vec`s, which is
-//!   what the render tiles call,
+//! * `importance_sample_into` — inverse-transform sampling from a
+//!   piecewise-constant PDF over uniform depth bins (the preprocessing
+//!   unit's Monte-Carlo sampler, Fig. 7), appending into caller-owned
+//!   buffers; the render tiles call it. Its allocating form over
+//!   explicit bin edges, `importance_sample`, exists in test builds
+//!   only, as its bitwise reference,
 //! * [`allocate_focused`] — the cross-ray allocation
 //!   `P(j) ∝ N^cr_j` that distributes the image-wide focused budget
 //!   over rays (Step ② of the coarse-then-focus pipeline),
@@ -76,7 +77,13 @@ pub fn allocate_focused(critical: &[usize], budget: usize, n_cap: usize) -> Vec<
 ///
 /// Panics when `edges.len() != weights.len() + 1` or fewer than two
 /// edges are given.
-pub fn importance_sample(edges: &[f32], weights: &[f32], n: usize, rng: &mut Rng) -> Vec<f32> {
+#[cfg(test)]
+pub(crate) fn importance_sample(
+    edges: &[f32],
+    weights: &[f32],
+    n: usize,
+    rng: &mut Rng,
+) -> Vec<f32> {
     assert!(edges.len() >= 2, "need at least one bin");
     assert_eq!(edges.len(), weights.len() + 1, "edges/weights mismatch");
     if n == 0 {
@@ -123,8 +130,8 @@ pub fn importance_sample(edges: &[f32], weights: &[f32], n: usize, rng: &mut Rng
     out
 }
 
-/// [`importance_sample`] over the uniform bins of `[t0, t1]` — bin `k`
-/// of `weights.len()` runs from [`uniform_edges`]' edge `k` to edge
+/// `importance_sample` over the uniform bins of `[t0, t1]` — bin `k`
+/// of `weights.len()` runs from `uniform_edges`' edge `k` to edge
 /// `k + 1`, computed where it is needed by the same expression — with
 /// the samples **appended** to `out` (what it already holds stays in
 /// front) and the CDF kept in `cdf`, whose contents do not matter. The
@@ -190,7 +197,8 @@ pub(crate) fn importance_sample_into(
 }
 
 /// Uniform bin edges over `[t0, t1]`.
-pub fn uniform_edges(t0: f32, t1: f32, bins: usize) -> Vec<f32> {
+#[cfg(test)]
+pub(crate) fn uniform_edges(t0: f32, t1: f32, bins: usize) -> Vec<f32> {
     (0..=bins)
         .map(|k| t0 + (t1 - t0) * k as f32 / bins as f32)
         .collect()
@@ -332,6 +340,22 @@ mod tests {
                 rng.uniform(0.0, 1.0).to_bits(),
                 rng_into.uniform(0.0, 1.0).to_bits()
             );
+        }
+
+        /// Importance samples always fall inside the sampled support,
+        /// sorted.
+        #[test]
+        fn prop_importance_samples_in_support(
+            weights in proptest::collection::vec(0.0f32..5.0, 4..32),
+            n in 1usize..64,
+            seed in 0u64..500,
+        ) {
+            let mut rng = Rng::seed_from(seed);
+            let mut samples = Vec::new();
+            importance_sample_into(1.0, 9.0, &weights, n, &mut rng, &mut Vec::new(), &mut samples);
+            proptest::prop_assert_eq!(samples.len(), n);
+            proptest::prop_assert!(samples.iter().all(|&t| (1.0..=9.0).contains(&t)));
+            proptest::prop_assert!(samples.windows(2).all(|w| w[0] <= w[1]));
         }
     }
 

@@ -978,19 +978,21 @@ fn attempt(ctx: &ShardCtx, group: &[Frame], buffers: Vec<Option<Image>>) -> Atte
 
 /// Fires `frame`'s injected render fault, if it has one due on this
 /// attempt (transient faults fire on the first attempt only, so
-/// replaying a fault schedule is deterministic). The corruption family arms the
-/// pipeline's chaos hooks — a supra-tolerance GEMM perturbation, a
-/// poisoned pixel, poisoned cache anchors — which the integrity
-/// machinery must then catch.
+/// replaying a fault schedule is deterministic). A panic fault unwinds
+/// with `resume_unwind`, which skips the process's panic hook: an
+/// injected fault reports nothing and, with `RUST_BACKTRACE` set,
+/// captures no backtrace on the shard thread. The corruption family
+/// arms the pipeline's chaos hooks — a supra-tolerance GEMM
+/// perturbation, a poisoned pixel, poisoned cache anchors — which the
+/// integrity machinery must then catch.
 fn inject(ctx: &ShardCtx, frame: &Frame, cancel: &CancelToken) {
-    let first = frame.attempts == 0;
-    match frame.fault {
-        Some(Fault::Stall(delay)) => cancellable_sleep(delay, cancel),
-        Some(Fault::Panic) => panic!("injected render fault"),
-        Some(Fault::PanicOnce) if first => panic!("injected render fault"),
-        Some(Fault::CorruptGemm(seed)) if first => integrity::arm_corruption(seed),
-        Some(Fault::CorruptPixels(seed)) if first => pipeline::arm_pixel_corruption(seed),
-        Some(Fault::CorruptAnchor(seed)) if first => {
+    let injected_panic = || std::panic::resume_unwind(Box::new("injected render fault"));
+    match (frame.fault, frame.attempts == 0) {
+        (Some(Fault::Stall(delay)), _) => cancellable_sleep(delay, cancel),
+        (Some(Fault::Panic), _) | (Some(Fault::PanicOnce), true) => injected_panic(),
+        (Some(Fault::CorruptGemm(seed)), true) => integrity::arm_corruption(seed),
+        (Some(Fault::CorruptPixels(seed)), true) => pipeline::arm_pixel_corruption(seed),
+        (Some(Fault::CorruptAnchor(seed)), true) => {
             ctx.cache.corrupt_for_chaos(frame.session, seed)
         }
         // Spent transient faults; shard-level faults were intercepted
@@ -1265,6 +1267,44 @@ mod tests {
             assert_eq!(classify(3, 0, fault), want, "batch of three, {fault:?}");
             assert_eq!(classify(1, 1, fault), want, "solo retry, {fault:?}");
         }
+    }
+
+    #[test]
+    fn an_injected_panic_skips_the_panic_hook() {
+        // The process's panic hook reports on the panicking thread —
+        // with a backtrace when `RUST_BACKTRACE` asks for one — so an
+        // injected fault must not reach it on a shard thread. The hook
+        // below counts only the probe thread's panics and passes every
+        // other one on to the hook it replaced.
+        type Hook = Box<dyn Fn(&std::panic::PanicHookInfo<'_>) + Sync + Send>;
+        const PROBE: &str = "injected-panic-probe";
+        let previous: Arc<Hook> = Arc::new(std::panic::take_hook());
+        let hooked = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        std::panic::set_hook({
+            let (previous, hooked) = (Arc::clone(&previous), Arc::clone(&hooked));
+            Box::new(move |info| match std::thread::current().name() {
+                Some(PROBE) => drop(hooked.fetch_add(1, Ordering::SeqCst)),
+                _ => previous(info),
+            })
+        });
+        let (ctx, states) = fixture(1, Clock::real());
+        let probe = std::thread::Builder::new()
+            .name(PROBE.into())
+            .spawn(move || {
+                let frame = admitted(0, &states[0], Some(Fault::Panic));
+                let fired = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    inject(&ctx, &frame, &CancelToken::new())
+                }));
+                frame.end(End::Shutdown);
+                fired.map_err(|payload| panic_message(payload.as_ref()))
+            });
+        let fired = probe.expect("spawn the probe").join();
+        std::panic::set_hook(Box::new(move |info| previous(info)));
+        assert_eq!(
+            fired.expect("the probe thread returned"),
+            Err("injected render fault".to_string())
+        );
+        assert_eq!(hooked.load(Ordering::SeqCst), 0, "the panic hook ran");
     }
 
     #[test]

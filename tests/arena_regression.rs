@@ -1,18 +1,17 @@
 //! Regression suite for zero-allocation SoA feature acquisition.
 //!
-//! Four contracts pinned here:
+//! Four contracts pinned here (the arena's bitwise equivalence with
+//! the per-point reference fill, and the fused schedule's with the
+//! per-ray reference render, are pinned by `gen_nerf`'s own unit
+//! tests, where that reference lives):
 //!
-//! * **Bitwise layout equivalence** — [`aggregate_points_into`] (the
-//!   SoA arena fill the fused render schedule uses) must reproduce the
-//!   seed [`aggregate_point`] AoS path bit-for-bit, across view
-//!   counts, channel widths and partial visibility. Property-tested;
-//!   on the scalar backend both layouts run one per-point fill
-//!   routine, under AVX2 the arena runs the block kernel, which must
-//!   not diverge from it (an accumulation order, an FMA). The
-//!   render-level consequence — fused-arena renders ≡ per-ray
-//!   reference renders — is pinned at scale by
-//!   `tests/fused_forward_regression.rs`, whose fused path now runs
-//!   entirely off the arena.
+//! * **Batch independence of the fill** — [`aggregate_points_into`]
+//!   (the SoA arena fill the fused render schedule uses) must give each
+//!   point of a batch bit-for-bit what that point gets filled on its
+//!   own, across view counts, channel widths and partial visibility.
+//!   Property-tested; on the scalar backend both run one per-point fill
+//!   routine, under AVX2 a batch runs full eight-lane blocks and a lone
+//!   point a block of one lane, which must not diverge from it.
 //! * **Literals, not siblings** — one fixed frame's pixel digest and
 //!   its exported `CoarseFrame`'s seal and byte count, as the commit
 //!   before the block kernel and the flat `CoarseFrame` produced them.
@@ -28,10 +27,7 @@
 //!   tests cannot blur the count. CI runs this on both kernel legs.
 
 use gen_nerf::config::{ModelConfig, SamplingStrategy};
-use gen_nerf::features::{
-    aggregate_point, aggregate_points_into, prepare_sources, AggregateArena, PointAggregate,
-    SourceViewData,
-};
+use gen_nerf::features::{aggregate_points_into, prepare_sources, AggregateArena, SourceViewData};
 use gen_nerf::model::GenNerfModel;
 use gen_nerf::pipeline::{RenderStats, Renderer};
 use gen_nerf_geometry::Vec3;
@@ -89,17 +85,16 @@ fn stats_bits(stats: &[f32]) -> Vec<u32> {
     stats.iter().map(|v| v.to_bits()).collect()
 }
 
-// ---- bitwise layout equivalence --------------------------------------
+// ---- batch independence of the fill -----------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// The arena fill reproduces the seed per-point aggregation
-    /// bit-for-bit: every exported stats row, color/blend plane,
-    /// validity plane and valid count equals `aggregate_point`'s, for
-    /// any source-view count, channel width and visibility pattern
-    /// (`far_every` pushes a sub-lattice of the points outside every
-    /// frustum).
+    /// A batch's arena fill holds, bit for bit, what each of its points
+    /// gets filled on its own — the seed's per-point granularity: every
+    /// stats row and valid count, for any source-view count, channel
+    /// width and visibility pattern (`far_every` pushes a sub-lattice of
+    /// the points outside every frustum).
     #[test]
     fn prop_arena_fill_matches_seed_aggregate_point_bitwise(
         d in 1usize..13,
@@ -134,18 +129,20 @@ proptest! {
         aggregate_points_into(&pts, &dirs, views, d, &mut arena);
         prop_assert_eq!(arena.n_rays(), 1);
         prop_assert_eq!(arena.total_points(), pts.len());
-        prop_assert_eq!(arena.stats().cols(), PointAggregate::stats_dim(d));
+        // `[mean(D), var(D), mean_dir_sim, valid_frac]` per point.
+        prop_assert_eq!(arena.stats().cols(), 2 * d + 2);
 
+        let mut alone = AggregateArena::default();
         for (k, (&p, &dir)) in pts.iter().zip(&dirs).enumerate() {
-            let seed = aggregate_point(p, dir, views, d);
+            alone.reset(views.len(), d);
+            aggregate_points_into(&[p], &[dir], views, d, &mut alone);
             prop_assert_eq!(
                 stats_bits(arena.stats_row(k)),
-                stats_bits(&seed.stats),
+                stats_bits(alone.stats_row(0)),
                 "stats bits diverged at point {} (d={}, views={})",
                 k, d, views.len()
             );
-            prop_assert_eq!(&arena.export(k), &seed, "export diverged at point {}", k);
-            prop_assert_eq!(arena.n_valid(k), seed.n_valid);
+            prop_assert_eq!(arena.n_valid(k), alone.n_valid(0), "valid views at point {}", k);
         }
     }
 }

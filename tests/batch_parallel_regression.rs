@@ -126,17 +126,14 @@ fn bits(image: &Image) -> Vec<u32> {
 }
 
 #[test]
-fn ragged_tiles_match_the_per_ray_reference() {
-    // Tile geometry: 50×37 = 1850 rays divides into neither the
-    // workers' ranges nor the tile budget, so every worker ends on a
-    // short tile — and coarse-then-focus cuts its focus tiles by the
-    // per-ray allocation, so they are ragged in ray count too. All of
-    // it must be invisible: pixels and counters equal the per-ray
-    // reference schedule's.
+fn frames_of_different_shapes_in_one_job_match_solo_renders() {
+    // Ragged tiles within one frame (a 50×37 frame against the per-ray
+    // reference at every worker count) are pinned by `gen_nerf`'s own
+    // `fused_schedule_matches_per_ray_reference`; this pins them across
+    // the frames of one job.
     let (ds, model) = trained_scene();
     let sources = prepare_sources(&ds.source_views);
     let pose = ds.eval_views[0].camera.pose;
-    let camera = Camera::new(Intrinsics::from_fov(50, 37, 0.6), pose);
     for strategy in [
         SamplingStrategy::Uniform { n: 10 },
         SamplingStrategy::Hierarchical {
@@ -155,21 +152,6 @@ fn ragged_tiles_match_the_per_ray_reference() {
             )
             .with_threads(threads)
         };
-        let (ref_img, ref_stats) = renderer(1).render_reference(&camera);
-        for threads in [1usize, 2, 3] {
-            let (img, stats) = renderer(threads).render(&camera);
-            assert_eq!(
-                bits(&img),
-                bits(&ref_img),
-                "{strategy:?} at {threads} threads"
-            );
-            assert_eq!(
-                stats_key(&stats),
-                stats_key(&ref_stats),
-                "{strategy:?} at {threads} threads"
-            );
-        }
-
         // Three frames of different shapes in one fused job: the
         // concatenated ray domain is tiled as a whole, so tiles
         // straddle both frame boundaries.

@@ -12,7 +12,6 @@ use gen_nerf_accel::scheduler::{CameraRig, Scheduler};
 use gen_nerf_accel::simulator::Simulator;
 use gen_nerf_accel::workload::{Stage, WorkloadSpec};
 use gen_nerf_geometry::epipolar::EpipolarPair;
-use gen_nerf_nn::init::Rng;
 use proptest::prelude::*;
 
 proptest! {
@@ -36,21 +35,6 @@ proptest! {
             }
             prop_assert!(c <= 64);
         }
-    }
-
-    /// Importance samples always fall inside the sampled support.
-    #[test]
-    fn prop_importance_samples_in_support(
-        weights in proptest::collection::vec(0.0f32..5.0, 4..32),
-        n in 1usize..64,
-        seed in 0u64..500,
-    ) {
-        let edges = sampling::uniform_edges(1.0, 9.0, weights.len());
-        let mut rng = Rng::seed_from(seed);
-        let samples = sampling::importance_sample(&edges, &weights, n, &mut rng);
-        prop_assert_eq!(samples.len(), n);
-        prop_assert!(samples.iter().all(|&t| (1.0..=9.0).contains(&t)));
-        prop_assert!(samples.windows(2).all(|w| w[0] <= w[1]));
     }
 
     /// Workload MACs grow monotonically in every workload dimension.

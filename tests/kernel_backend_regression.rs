@@ -12,15 +12,23 @@
 //! * **SIMD is a perf knob, not a results knob** — switching backends
 //!   changes neither a pixel nor the FLOPs/fetch accounting, and the
 //!   AVX2 block kernel fills the arena with exactly the bits of the
-//!   per-point reference.
+//!   scalar backend's per-point fill.
+//!
+//! Each backend is compared with the other, and the fused frame with
+//! its rays rendered one at a time, here through the public API only.
+//! The per-ray reference that the fused schedule and the arena are
+//! held against lives in `gen_nerf`'s own unit tests, which run under
+//! whichever backend is active (CI runs them on both legs).
 //!
 //! The active backend is process-global, so every test here serializes
 //! on one mutex and restores the startup backend before returning.
 
+mod common;
+
+use common::render_per_ray;
 use gen_nerf::config::{ModelConfig, RayModuleChoice, SamplingStrategy};
 use gen_nerf::features::{
-    aggregate_point, aggregate_points_into, aggregate_ray_into, prepare_sources, AggregateArena,
-    PointAggregate,
+    aggregate_points_into, aggregate_ray_into, prepare_sources, AggregateArena,
 };
 use gen_nerf::model::GenNerfModel;
 use gen_nerf::pipeline::{RenderStats, Renderer};
@@ -108,7 +116,7 @@ fn render_frame(
 
 /// Switching backends must change no pixel bit and no instrumentation
 /// count — FLOPs accounting is a function of the schedule, never the
-/// kernel.
+/// kernel — for every ray module and every sampling strategy.
 #[test]
 fn backends_render_equivalent_frames_with_identical_accounting() {
     if !Backend::Avx2.available() {
@@ -116,62 +124,89 @@ fn backends_render_equivalent_frames_with_identical_accounting() {
     }
     with_backend_lock(|| {
         let ds = Dataset::build(DatasetKind::DeepVoxels, "cube", 0.05, 5, 1, 24, 3);
+        let bits =
+            |img: &Image| -> Vec<u32> { img.as_slice().iter().map(|v| v.to_bits()).collect() };
         for choice in [
             RayModuleChoice::Mixer,
             RayModuleChoice::Transformer,
             RayModuleChoice::None,
         ] {
             let model = GenNerfModel::new(ModelConfig::fast().with_ray_module(choice));
-            let strategy = SamplingStrategy::Uniform { n: 10 };
-            kernels::set_active(Backend::Scalar);
-            let (img_scalar, stats_scalar) = render_frame(&ds, &model, strategy);
-            kernels::set_active(Backend::Avx2);
-            let (img_simd, stats_simd) = render_frame(&ds, &model, strategy);
-
-            let bits =
-                |img: &Image| -> Vec<u32> { img.as_slice().iter().map(|v| v.to_bits()).collect() };
-            assert_eq!(
-                bits(&img_scalar),
-                bits(&img_simd),
-                "{choice:?}: scalar vs avx2 pixels"
-            );
-            assert_eq!(stats_scalar.rays, stats_simd.rays, "{choice:?}");
-            assert_eq!(stats_scalar.points, stats_simd.points, "{choice:?}");
-            assert_eq!(
-                stats_scalar.feature_fetches, stats_simd.feature_fetches,
-                "{choice:?}"
-            );
-            assert_eq!(
-                stats_scalar.flops.total(),
-                stats_simd.flops.total(),
-                "{choice:?}: FLOPs accounting must be backend-independent"
-            );
-            for bucket in ["acquire", "mlp", "ray_module", "others"] {
+            for strategy in [
+                SamplingStrategy::Uniform { n: 10 },
+                SamplingStrategy::Hierarchical {
+                    n_coarse: 6,
+                    n_fine: 6,
+                },
+                SamplingStrategy::coarse_then_focus(8, 8),
+            ] {
+                let what = format!("{choice:?}, {strategy:?}");
+                kernels::set_active(Backend::Scalar);
+                let (img_scalar, stats_scalar) = render_frame(&ds, &model, strategy);
+                kernels::set_active(Backend::Avx2);
+                let (img_simd, stats_simd) = render_frame(&ds, &model, strategy);
                 assert_eq!(
-                    stats_scalar.flops.get(bucket),
-                    stats_simd.flops.get(bucket),
-                    "{choice:?}: bucket {bucket}"
+                    bits(&img_scalar),
+                    bits(&img_simd),
+                    "{what}: scalar vs avx2 pixels"
                 );
+                assert_eq!(stats_scalar.rays, stats_simd.rays, "{what}");
+                assert_eq!(stats_scalar.points, stats_simd.points, "{what}");
+                assert_eq!(
+                    stats_scalar.coarse_points, stats_simd.coarse_points,
+                    "{what}"
+                );
+                assert_eq!(
+                    stats_scalar.feature_fetches, stats_simd.feature_fetches,
+                    "{what}"
+                );
+                assert_eq!(
+                    stats_scalar.flops.total(),
+                    stats_simd.flops.total(),
+                    "{what}: FLOPs accounting must be backend-independent"
+                );
+                for bucket in ["acquire", "mlp", "ray_module", "others"] {
+                    assert_eq!(
+                        stats_scalar.flops.get(bucket),
+                        stats_simd.flops.get(bucket),
+                        "{what}: bucket {bucket}"
+                    );
+                }
             }
         }
     });
 }
 
-/// Within any one backend, the fused schedule stays bit-identical to
-/// the per-ray reference (the positional-independence contract the
-/// SIMD kernels must uphold).
+/// Within any one backend, the fused frame is its rays rendered one at
+/// a time, each a one-pixel frame and so a tile of its own: every
+/// pixel bit for bit and every count equal (the positional-independence
+/// contract the SIMD kernels must uphold).
 #[test]
 fn fused_equals_per_ray_under_every_backend() {
     with_backend_lock(|| {
         let ds = Dataset::build(DatasetKind::DeepVoxels, "cube", 0.05, 5, 1, 24, 3);
         let model = GenNerfModel::new(ModelConfig::fast());
-        let sources = prepare_sources(&ds.source_views);
+        let camera = &ds.eval_views[0].camera;
+        let bits =
+            |img: &Image| -> Vec<u32> { img.as_slice().iter().map(|v| v.to_bits()).collect() };
+        let key = |s: &RenderStats| {
+            let buckets: Vec<(String, u64)> =
+                s.flops.iter().map(|(k, v)| (k.to_string(), v)).collect();
+            (
+                s.rays,
+                s.points,
+                s.coarse_points,
+                s.feature_fetches,
+                buckets,
+            )
+        };
         let mut backends = vec![Backend::Scalar];
         if Backend::Avx2.available() {
             backends.push(Backend::Avx2);
         }
         for backend in backends {
             kernels::set_active(backend);
+            let sources = prepare_sources(&ds.source_views);
             let renderer = Renderer::new(
                 &model,
                 &sources,
@@ -180,31 +215,30 @@ fn fused_equals_per_ray_under_every_backend() {
                 ds.scene.background,
             )
             .with_threads(2);
-            let (img_f, _) = renderer.render(&ds.eval_views[0].camera);
-            let (img_p, _) = renderer.render_reference(&ds.eval_views[0].camera);
-            let fb: Vec<u32> = img_f.as_slice().iter().map(|v| v.to_bits()).collect();
-            let pb: Vec<u32> = img_p.as_slice().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(fb, pb, "fused diverged from per-ray under {backend:?}");
+            let (img_f, stats_f) = renderer.render(camera);
+            let (img_p, stats_p) = render_per_ray(&renderer, camera);
+            assert_eq!(
+                bits(&img_f),
+                bits(&img_p),
+                "fused diverged from per-ray under {backend:?}"
+            );
+            assert_eq!(key(&stats_f), key(&stats_p), "accounting under {backend:?}");
         }
     });
 }
 
-/// One fixed-seed instance of `gen_nerf::features`'s
-/// `prop_arena_matches_aggregate_point_on_either_backend`, run under
-/// each backend in turn: both arena entry points reproduce
-/// `aggregate_point` bit for bit, and therefore each other across
-/// backends.
+/// One fixed-seed instance of the rays of `gen_nerf::features`'
+/// `prop_arena_matches_aggregate_point_on_either_backend`, filled under
+/// each backend in turn through both arena entry points: every backend
+/// holds the bits of the scalar reference backend — every stats row,
+/// `-0.0` and NaN payloads included, and every valid-view count.
 #[test]
 fn arena_acquisition_holds_the_reference_bits_under_every_backend() {
-    /// Every bit of an aggregate, so `-0.0` and NaN payloads count.
-    fn bits(a: &PointAggregate) -> Vec<u32> {
-        let colors = a.view_colors.iter().flat_map(|c| [c.x, c.y, c.z]);
-        let blend = a.blend_inputs.iter().flatten().copied();
-        (a.stats.iter().copied().chain(colors).chain(blend))
-            .map(f32::to_bits)
-            .chain(a.valid.iter().map(|&ok| ok as u32))
-            .chain([a.n_valid as u32])
-            .collect()
+    /// Every bit of an arena's stats matrix, then its valid-view counts.
+    fn bits(a: &AggregateArena) -> Vec<u32> {
+        let stats = a.stats().as_slice().iter().map(|v| v.to_bits());
+        let counts = (0..a.total_points()).map(|k| a.n_valid(k) as u32);
+        stats.chain(counts).collect()
     }
 
     with_backend_lock(|| {
@@ -263,7 +297,6 @@ fn arena_acquisition_holds_the_reference_bits_under_every_backend() {
                 let mut by_points = AggregateArena::default();
                 by_ray.reset(s, d);
                 by_points.reset(s, d);
-                let mut k = 0;
                 for (ray, depths) in &rays {
                     aggregate_ray_into(ray, depths, views, d, &mut by_ray);
                     let points: Vec<Vec3> = depths.iter().map(|&t| ray.at(t)).collect();
@@ -273,22 +306,25 @@ fn arena_acquisition_holds_the_reference_bits_under_every_backend() {
                         })
                         .collect();
                     aggregate_points_into(&points, &dirs, views, d, &mut by_points);
-                    for (&p, &dir) in points.iter().zip(&dirs) {
-                        let along_ray = bits(&aggregate_point(p, ray.direction, views, d));
-                        let own_dir = bits(&aggregate_point(p, dir, views, d));
-                        let what = format!("{}: point {k}, d {d}, {s} views", backend.name());
-                        assert_eq!(bits(&by_ray.export(k)), along_ray, "ray fill, {what}");
-                        assert_eq!(bits(&by_points.export(k)), own_dir, "point fill, {what}");
-                        all_bits.push(along_ray);
-                        all_bits.push(own_dir);
-                        k += 1;
-                    }
                 }
-                assert_eq!(by_ray.n_rays(), rays.len());
-                assert_eq!(by_ray.total_points(), k);
+                let points: usize = rays.iter().map(|(_, depths)| depths.len()).sum();
+                for arena in [&by_ray, &by_points] {
+                    assert_eq!(arena.n_rays(), rays.len());
+                    assert_eq!(arena.total_points(), points);
+                }
+                all_bits.push(bits(&by_ray));
+                all_bits.push(bits(&by_points));
             }
             filled.push(all_bits);
         }
-        assert!(filled.windows(2).all(|w| w[0] == w[1]), "backends disagree");
+        for (backend, bits) in backends.iter().zip(&filled).skip(1) {
+            for (fill, (got, want)) in bits.iter().zip(&filled[0]).enumerate() {
+                assert!(
+                    got == want,
+                    "{}: fill {fill} differs from scalar",
+                    backend.name()
+                );
+            }
+        }
     });
 }

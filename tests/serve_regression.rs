@@ -580,9 +580,8 @@ fn a_failing_frame_does_not_hold_up_another_session_on_its_shard() {
     // frame of another session meanwhile. The two sessions sample
     // differently, so they never share a batch, which would fail both.
     // The clean frame is submitted once the first attempt has failed:
-    // that attempt runs on the shard thread, and its panic report alone
-    // (a backtrace, when `RUST_BACKTRACE` asks for one) can take tens of
-    // milliseconds. What it must not wait for is the backoff.
+    // that attempt runs on the shard thread, so the clean frame never
+    // waits on it. What it must not wait for is the backoff.
     let scene = scene();
     let server = RenderServer::new(ServerConfig::default());
     let [failing, clean] = [strategies()[0], strategies()[1]].map(|strategy| {
