@@ -24,14 +24,21 @@
 //!
 //! Mostly not into that loop. At the paper's configuration on a 252×189
 //! frame (595 patches, 275,668 synthetic DRAM requests) one `simulate`
-//! call on one host thread of a 2-vCPU AVX2 host is ≈ 11 ms, of which
+//! call on one host thread of a 2-vCPU AVX2 host is ≈ 8.4 ms, of which
 //! the two [`Scheduler::partition`] calls — sequential, and the same for
-//! every worker count — are ≈ 6.5 ms (coarse ≈ 1.8, focused ≈ 4.7) and
-//! the patch loop ≈ 4.5 ms. Before the search dropped losing shapes on
-//! a hull-free bound the same host read ≈ 17 ms, ≈ 13 of them in the
-//! partition; before it scored slices far first, skipped off-image
-//! footprints and hulled more cheaply, ≈ 20.5 ms to ≈ 4.5 ms; before it
-//! memoised its vertex projections the split was ≈ 80 ms to ≈ 6 ms. Each worker of the
+//! every worker count — are ≈ 5.6 ms (coarse ≈ 1.45, focused ≈ 4.15)
+//! and the patch loop ≈ 2.8 ms, ≈ 10 ns a request. No request divides
+//! by a runtime value: the DRAM placement shifts and masks, since bank
+//! counts and row sizes are powers of two, and `walk_bursts` carries
+//! each burst's offset in the bounding box from the one before. With
+//! about eight divides a request, and with the partition checking
+//! every clamped rectangle against a pixel mask, the same host read
+//! ≈ 10.1 ms: ≈ 6.3 ms of partition and ≈ 3.8 ms of patch loop.
+//! Before the search dropped losing shapes on a hull-free bound the
+//! same host read ≈ 17 ms, ≈ 13 of them in the partition; before it
+//! scored slices far first, skipped off-image footprints and hulled
+//! more cheaply, ≈ 20.5 ms to ≈ 4.5 ms; before it memoised its vertex
+//! projections the split was ≈ 80 ms to ≈ 6 ms. Each worker of the
 //! patch loop clones one DRAM device on its first claim, resets it
 //! between patches, and keeps one request list. See the scheduler's
 //! module docs, "Cost of the search", for what the partition spends.
@@ -431,22 +438,14 @@ impl Simulator {
             let (x0, y0, x1, y1) = bbox;
             let bw = (x1.saturating_sub(x0)).max(1) as u64;
             let bh = (y1.saturating_sub(y0)).max(1) as u64;
-            let n_req = (bursts as usize).min(REQUEST_CAP);
-            // When capped, stride so the sampled bursts still cover the
-            // whole bbox in row-major order.
-            let stride = bursts.div_ceil(n_req as u64).max(1);
-            for t in 0..n_req {
-                let burst_idx = (t as u64 * stride).min(bursts - 1);
-                let texel_idx = burst_idx * texels_per_burst;
-                let fx = texel_idx % bw;
-                let fy = (texel_idx / bw) % bh;
+            walk_bursts((bw, bh), bursts, texels_per_burst, |fx, fy| {
                 requests.push(FeatureRequest {
                     view,
                     x: x0 + fx as u32,
                     y: y0 + fy as u32,
                     bytes: BURST_BYTES as u32,
-                });
-            }
+                })
+            });
         }
         if requests.is_empty() {
             return (0, 0, 0, 0.0);
@@ -461,6 +460,55 @@ impl Simulator {
         let stalls = (result.bank_conflict_stalls as f64 * scale).ceil() as u64;
         let energy = sampled_energy * scale;
         (cycles, bytes, stalls, energy)
+    }
+}
+
+/// Visits the bursts one view's prefetch issues, as `(x, y)` offsets
+/// into its `bw × bh` bounding box: burst `b` starts at texel
+/// `b · texels_per_burst` of the box walked row-major, wrapping past
+/// its last row. Of `bursts` bursts at most [`REQUEST_CAP`] are
+/// visited, `stride` apart so they still cover the whole box; a sample
+/// past the last burst is clamped to it.
+///
+/// The offset is carried from sample to sample rather than divided out
+/// of the texel index: one step of `stride · texels_per_burst` texels
+/// adds `step % bw` to the column, with one carry into the row, and
+/// `(step / bw) % bh` to the row, with one wrap. The clamped samples
+/// keep the closed form.
+#[inline]
+fn walk_bursts(
+    (bw, bh): (u64, u64),
+    bursts: u64,
+    texels_per_burst: u64,
+    mut visit: impl FnMut(u64, u64),
+) {
+    debug_assert!(bw > 0 && bh > 0 && bursts > 0 && texels_per_burst > 0);
+    let n_req = bursts.min(REQUEST_CAP as u64);
+    let stride = bursts.div_ceil(n_req);
+    // Samples `t` with `t · stride ≤ bursts − 1` are walked; the rest
+    // all clamp to the last burst.
+    let walked = ((bursts - 1) / stride + 1).min(n_req);
+    let step = stride * texels_per_burst;
+    let (dx, dy) = (step % bw, (step / bw) % bh);
+    let (mut fx, mut fy) = (0, 0);
+    for _ in 0..walked {
+        visit(fx, fy);
+        fx += dx;
+        fy += dy;
+        if fx >= bw {
+            fx -= bw;
+            fy += 1;
+        }
+        if fy >= bh {
+            fy -= bh;
+        }
+    }
+    if walked < n_req {
+        let last = (bursts - 1) * texels_per_burst;
+        let (lx, ly) = (last % bw, (last / bw) % bh);
+        for _ in walked..n_req {
+            visit(lx, ly);
+        }
     }
 }
 
@@ -619,6 +667,73 @@ mod tests {
             .with_threads(8)
             .simulate(&spec);
         assert_eq!(one, many);
+    }
+
+    /// The burst offsets in closed form, each divided out of its texel
+    /// index: what [`walk_bursts`] must visit, in the same order.
+    fn bursts_in_closed_form(
+        (bw, bh): (u64, u64),
+        bursts: u64,
+        texels_per_burst: u64,
+    ) -> Vec<(u64, u64)> {
+        let n_req = (bursts as usize).min(REQUEST_CAP);
+        let stride = bursts.div_ceil(n_req as u64).max(1);
+        (0..n_req)
+            .map(|t| {
+                let texel_idx = (t as u64 * stride).min(bursts - 1) * texels_per_burst;
+                (texel_idx % bw, (texel_idx / bw) % bh)
+            })
+            .collect()
+    }
+
+    fn walked((bw, bh): (u64, u64), bursts: u64, texels_per_burst: u64) -> Vec<(u64, u64)> {
+        let mut visited = Vec::new();
+        walk_bursts((bw, bh), bursts, texels_per_burst, |x, y| {
+            visited.push((x, y))
+        });
+        visited
+    }
+
+    const TEXELS_PER_BURST: [u64; 4] = [1, 5, 21, 64];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn prop_incremental_burst_walk_matches_the_closed_form(
+            bw in 1u64..400,
+            bh in 1u64..400,
+            few in 1u64..REQUEST_CAP as u64 + 1,
+            many in REQUEST_CAP as u64 + 1..200_000,
+            pick in 0usize..4,
+        ) {
+            let texels_per_burst = TEXELS_PER_BURST[pick];
+            for bursts in [few, many] {
+                proptest::prop_assert_eq!(
+                    walked((bw, bh), bursts, texels_per_burst),
+                    bursts_in_closed_form((bw, bh), bursts, texels_per_burst),
+                    "{}x{} box, {} bursts of {} texels", bw, bh, bursts, texels_per_burst
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn burst_walk_matches_the_closed_form_around_the_cap() {
+        // Where the stride steps up, and where the most samples clamp.
+        let cap = REQUEST_CAP as u64;
+        let around = |k| [k * cap - 1, k * cap, k * cap + 1];
+        for bursts in [1, 2].into_iter().chain((1..4).flat_map(around)) {
+            for texels_per_burst in TEXELS_PER_BURST {
+                for (bw, bh) in [(1, 1), (1, 7), (7, 1), (3, 5), (64, 64), (17, 300)] {
+                    assert_eq!(
+                        walked((bw, bh), bursts, texels_per_burst),
+                        bursts_in_closed_form((bw, bh), bursts, texels_per_burst),
+                        "{bw}x{bh} box, {bursts} bursts of {texels_per_burst} texels"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -102,6 +102,11 @@ pub struct Dram {
 impl Dram {
     /// Creates a simulator for `cfg` using `layout` for feature
     /// placement.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `cfg.banks` and `cfg.row_bytes` are powers of two:
+    /// placement divides by neither, it shifts and masks.
     pub fn new(cfg: DramConfig, layout: FeatureLayout) -> Self {
         Self {
             banks: vec![Bank::default(); cfg.banks],

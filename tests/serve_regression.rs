@@ -395,14 +395,18 @@ fn overload_sheds_best_effort_first_and_degrades_interactive() {
     );
     let shard = server.shard_of(session);
 
-    // Occupy the shard, wait for the stall to be scheduled, then fill
-    // the queue exactly to the watermark with Interactive frames.
+    // Occupy the shard, wait for the stall's batch to be sealed, then
+    // fill the queue exactly to the watermark with Interactive frames.
+    // An empty queue is not enough: the shard pops the stall frame
+    // first and gathers batch mates after, so frames submitted in
+    // between would ride in the stall's batch instead of queueing.
+    let batches = server.shard_health()[shard.index()].batches;
     let stall = server.submit(
         session,
         FrameRequest::new(walk_pose(0, 0)).with_fault(Fault::Stall(Duration::from_millis(700))),
     );
     let deadline = Instant::now() + Duration::from_secs(20);
-    while server.shard_health()[shard.index()].queued > 0 {
+    while server.shard_health()[shard.index()].batches == batches {
         assert!(Instant::now() < deadline, "stall frame never scheduled");
         std::thread::yield_now();
     }
