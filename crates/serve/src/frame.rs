@@ -15,15 +15,17 @@
 //! a frame holds on behalf of the rest of the tier is a function of its
 //! [`Stage`]:
 //!
-//! | stage | queue-depth claim | in flight + pending claim | on the running list |
+//! | stage | queue-depth claim | in flight | in the shard's queue / running list |
 //! |---|---|---|---|
 //! | `Submitted` | – | – | – |
 //! | `Claimed` | yes | – | – |
-//! | `Queued` | yes | yes | – |
-//! | `Running` | – | yes | yes |
+//! | `Queued` | yes | yes | queue |
+//! | `Running` | – | yes | running list |
+//! | `Ended` | – | – | – |
 //!
 //! A frame ends exactly once, through [`Frame::end`] with an [`End`]
-//! value; the policy that maps each `End` to an error, a counter, a
+//! value — or, dropped while running without one, through its drop
+//! with [`End::Dropped`]; the policy that maps each `End` to an error, a counter, a
 //! trace event and a breaker outcome is the one `match` in
 //! [`End::policy`]. Its deadline is the only other resolver: the
 //! supervision pass finds the shared [`FrameCore`] in its shard's
@@ -41,7 +43,7 @@
 
 use crate::admission::class_index;
 use crate::server::{Fault, FrameRequest, FrameResult, ServeError};
-use crate::session::{DeadlineClass, PendingGuard, ResolutionTier, SessionState};
+use crate::session::{DeadlineClass, ResolutionTier, SessionState};
 use crate::shard::Meters;
 use crate::supervisor::BreakerAdmit;
 use crate::{lock, wait_until};
@@ -107,6 +109,9 @@ pub(crate) enum End {
     DrainForced,
     /// Still queued when the server shut down.
     Shutdown,
+    /// Dropped while running without an end of its own: a shard loop
+    /// unwound past it.
+    Dropped,
 }
 
 /// What an [`End`] tells the scene's circuit breaker.
@@ -151,6 +156,7 @@ impl End {
             End::ShardDown => (Record(false), Some(Verdict::Failed(ServeError::ShardDown))),
             End::DrainForced => (AbortProbe, Some(Verdict::Failed(ServeError::Draining))),
             End::Shutdown => (AbortProbe, failed("server shut down with frames queued")),
+            End::Dropped => (AbortProbe, failed("frame dropped by its shard loop")),
         }
     }
 }
@@ -178,6 +184,8 @@ pub(crate) struct FrameCore {
     ready: Condvar,
     /// Frame-trace id ([`gen_nerf_telemetry::next_frame_id`]).
     id: u64,
+    /// The session the frame belongs to.
+    pub session: u64,
     class: DeadlineClass,
     submitted: Instant,
     /// Instant past which the supervision pass resolves the handle with
@@ -237,7 +245,7 @@ impl FrameCore {
                 (Ok(result), resolved(ResolveOutcome::Ok))
             }
             Verdict::TimedOut => {
-                m.watch.timed_out[class_index(class)].inc();
+                m.timed_out[class_index(class)].inc();
                 // Reclaims the worker: the render polls the token at
                 // per-ray boundaries and drains.
                 if let Some(attempt) = &slot.attempt {
@@ -266,7 +274,7 @@ impl FrameCore {
         };
         if kind == EventKind::Resolve {
             // Exactly the frames that were admitted.
-            m.watch.in_flight.dec();
+            m.in_flight.dec();
         }
         m.ring.record(self.id, kind, a, b);
         slot.resolved = true;
@@ -285,6 +293,8 @@ enum Stage {
     Claimed,
     Queued,
     Running,
+    /// Past [`Frame::end`]: it holds nothing.
+    Ended,
 }
 
 /// One frame, owned by whichever side is acting on it: `submit`, the
@@ -292,7 +302,6 @@ enum Stage {
 pub(crate) struct Frame {
     core: Arc<FrameCore>,
     stage: Stage,
-    pub session: u64,
     /// The session's state — scene, render configuration, breaker and
     /// shard — carried on the frame so rendering it and
     /// recording its outcome survive the session's removal.
@@ -315,10 +324,6 @@ pub(crate) struct Frame {
     /// Whether the scene's breaker admitted this frame as a HalfOpen
     /// probe (its outcome decides Closed vs back to Open).
     probe: bool,
-    /// Claim on the session's pending-frame count, held from admission
-    /// until the owner is done touching the session (cache inserts
-    /// included) so `remove_session` can wait for true quiescence.
-    pending: Option<PendingGuard>,
 }
 
 impl Frame {
@@ -332,6 +337,7 @@ impl Frame {
             slot: Mutex::default(),
             ready: Condvar::new(),
             id: gen_nerf_telemetry::next_frame_id(),
+            session,
             class: req.deadline,
             submitted: now,
             deadline: now.checked_add(shard.cfg.supervision.budget(req.deadline)),
@@ -344,7 +350,6 @@ impl Frame {
         Self {
             core,
             stage: Stage::Submitted,
-            session,
             pose: req.pose,
             tier: req.tier,
             degraded: false,
@@ -354,13 +359,16 @@ impl Frame {
             not_before: None,
             depth_seen: m.depth.get().max(0) as u64,
             probe: false,
-            pending: None,
             state,
         }
     }
 
     pub(crate) fn core(&self) -> &Arc<FrameCore> {
         &self.core
+    }
+
+    pub(crate) fn session(&self) -> u64 {
+        self.core.session
     }
 
     pub(crate) fn class(&self) -> DeadlineClass {
@@ -404,7 +412,7 @@ impl Frame {
 
     /// **Admit.** The policy let the frame in (at the degraded tier
     /// when `degrade`): from here its deadline guarantees the handle
-    /// resolves, and the session counts the frame pending.
+    /// resolves.
     pub(crate) fn admit(&mut self, degrade: bool) {
         let shard = &self.state.shard;
         let m = &shard.meters;
@@ -422,8 +430,7 @@ impl Frame {
         }
         self.event(EventKind::Admit, verdict as u64, self.depth_seen);
         m.admitted.inc();
-        m.watch.in_flight.inc();
-        self.pending = Some(self.state.pending.claim());
+        m.in_flight.inc();
         self.stage = Stage::Queued;
     }
 
@@ -482,10 +489,16 @@ impl Frame {
     /// **The terminal transition.** Settles the breaker, returns a
     /// still-held depth claim, offers the verdict to the slot, then —
     /// the handle may already be awake — takes the frame off its
-    /// shard's running list and releases the session's pending claim.
-    /// Everything a waiter may read once its handle resolves (breaker,
-    /// gauges, counters, events) moves before the wake-up.
-    pub(crate) fn end(self, end: End) {
+    /// shard's running list. Everything a waiter may read once its
+    /// handle resolves (breaker, gauges, counters, events) moves before
+    /// the wake-up.
+    pub(crate) fn end(mut self, end: End) {
+        self.finish(end);
+    }
+
+    /// The body of [`Frame::end`], which a frame dropped while running
+    /// takes too.
+    fn finish(&mut self, end: End) {
         let shard = &self.state.shard;
         let now = shard.clock.now();
         if matches!(end, End::DrainForced) {
@@ -504,9 +517,22 @@ impl Frame {
             self.core.resolve(verdict, now);
         }
         if self.stage == Stage::Running {
-            shard.settle(&self.core);
+            shard.settle(self);
         }
-        drop(self.pending);
+        self.stage = Stage::Ended;
+    }
+}
+
+impl Drop for Frame {
+    /// Ends a frame dropped while running without [`Frame::end`] — an
+    /// unwinding shard loop drops it so — with [`End::Dropped`]: its
+    /// handle resolves, and it leaves the running list, where no
+    /// deadline would find it again and which `drain` and
+    /// `remove_session` wait on.
+    fn drop(&mut self) {
+        if self.stage == Stage::Running {
+            self.finish(End::Dropped);
+        }
     }
 }
 
@@ -517,7 +543,7 @@ mod tests {
     use crate::server::{CacheOutcome, ServeStats, ServerConfig};
     use crate::session::{SceneState, SessionConfig};
     use crate::shard::ShardCtx;
-    use crate::supervisor::{BreakerConfig, BreakerState, CircuitBreaker, WatchMeters};
+    use crate::supervisor::{BreakerConfig, BreakerState, CircuitBreaker};
     use gen_nerf::config::{ModelConfig, SamplingStrategy};
     use gen_nerf::model::GenNerfModel;
     use gen_nerf::pipeline::RenderStats;
@@ -548,7 +574,6 @@ mod tests {
             0,
             Arc::new(gen_nerf_parallel::Pool::new(1)),
             ServerConfig::default(),
-            WatchMeters::new(instance),
             clock,
             Arc::new(cache),
         );
@@ -746,6 +771,13 @@ mod tests {
                 AbortProbe,
                 0,
             ),
+            fails(
+                || End::Dropped,
+                Stage::Running,
+                failed("frame dropped by its shard loop"),
+                AbortProbe,
+                0,
+            ),
             Row {
                 end: || End::Rendered(rendered()),
                 stage: Stage::Running,
@@ -789,7 +821,7 @@ mod tests {
             rendered: m.rendered.get(),
             latencies: m.latency[class_index(class)].snapshot().count,
             failed: m.failed.get(),
-            timed_out: m.watch.timed_out[class_index(class)].get(),
+            timed_out: m.timed_out[class_index(class)].get(),
             shed: m
                 .sheds
                 .iter()
@@ -811,16 +843,15 @@ mod tests {
     }
 
     /// Everything a frame held is back exactly once: the depth claim,
-    /// the in-flight count, the pending claim and the shard's running
-    /// list (which `drain`'s idle wait reads).
+    /// the in-flight count and its place in the shard's queue or on
+    /// its running list (which `remove_session`'s and `drain`'s waits
+    /// read).
     fn assert_all_returned(fx: &Fixture, what: &str) {
         let m = &fx.shard.meters;
         assert_eq!(m.depth.get(), 0, "{what}: depth claim");
-        assert_eq!(m.watch.in_flight.get(), 0, "{what}: in-flight gauge");
-        assert!(
-            fx.state.pending.wait_settled(Duration::ZERO),
-            "{what}: pending claim"
-        );
+        assert_eq!(m.in_flight.get(), 0, "{what}: in-flight gauge");
+        let gone = fx.shard.wait_session(1, Some(Instant::now()));
+        assert!(gone, "{what}: the session still has a frame");
         let idle = fx.shard.drain(Some(Instant::now()), Duration::ZERO);
         assert_eq!(idle, (true, 0), "{what}: shard still busy");
     }

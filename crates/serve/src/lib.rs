@@ -135,7 +135,6 @@ mod admission;
 mod cache;
 mod frame;
 mod health;
-mod registry;
 mod server;
 mod session;
 mod shard;
@@ -144,10 +143,9 @@ mod supervisor;
 pub use admission::{AdmissionConfig, AdmissionStats, FairQueue};
 pub use cache::{CacheStats, GovernorConfig, GovernorStats};
 pub use health::{DrainReport, HealthConfig};
-pub use registry::ShardId;
 pub use server::{
     CacheOutcome, Fault, FrameHandle, FrameRequest, FrameResult, RenderServer, ServeError,
-    ServeStats, ServerConfig,
+    ServeStats, ServerConfig, ShardId,
 };
 pub use session::{
     CoherenceConfig, DeadlineClass, ResolutionTier, SceneState, SessionConfig, SessionId,

@@ -15,13 +15,12 @@ use crate::cache::{
 };
 use crate::frame::{End, Frame, FrameCore, Shed};
 use crate::health::{DrainReport, HealthConfig};
-use crate::registry::{Assignment, SceneRegistry, ShardId};
 use crate::session::{
     DeadlineClass, ResolutionTier, SceneState, SessionConfig, SessionId, SessionState,
 };
 use crate::shard::{supervision_pass, Shard, ShardCtx, ShardStats};
 use crate::supervisor::{
-    BreakerConfig, CircuitBreaker, RetryPolicy, SupervisorConfig, SupervisorStats, WatchMeters,
+    BreakerConfig, CircuitBreaker, RetryPolicy, SupervisorConfig, SupervisorStats,
 };
 use crate::{lock, wait_timeout};
 use gen_nerf::pipeline::{RenderStats, WORKER_SCRATCH_BYTES};
@@ -31,7 +30,7 @@ use gen_nerf_scene::Image;
 use gen_nerf_telemetry::{Clock, TraceEvent};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -324,13 +323,67 @@ impl FrameHandle {
     }
 }
 
-/// Scene→shard assignment plus the spawned shards, guarded together
-/// so lazily spawning a shard and recording its scene is atomic, and
-/// the latch that stops the supervision thread.
+/// The spawned shards and the map routing scenes to them, guarded
+/// together so lazily spawning a shard and recording its scene is
+/// atomic, and the latch that stops the supervision thread.
+///
+/// Sharding is per scene: every session viewing one [`SceneState`]
+/// (by `Arc` identity) routes to one shard, so scheduling never
+/// serializes across scenes, and cross-scene frames were never
+/// batchable anyway. A scene's entry also holds its circuit breaker,
+/// shared by every session viewing it: scene health is a property of
+/// the scene, not of any one viewer.
+#[derive(Default)]
 struct Topology {
-    registry: SceneRegistry,
+    /// Scene pointer → (liveness witness, shard index, breaker). The
+    /// `Weak` witness keeps a recycled allocation address of a dropped
+    /// scene from inheriting its shard or its trip history.
+    scenes: HashMap<usize, (Weak<SceneState>, usize, Arc<CircuitBreaker>)>,
+    /// Next shard for scenes past `max_shards` (round-robin).
+    next_shared: usize,
     shards: Vec<Shard>,
     stopped: bool,
+}
+
+impl Topology {
+    /// Resolves the shard owning `scene` and its breaker, assigning
+    /// both if the scene is new: shard `shards.len()`, spawned on the
+    /// context `spawn` builds, while fewer than `max_shards` exist,
+    /// round-robin over the existing shards after that, and a closed
+    /// breaker.
+    fn assign(
+        &mut self,
+        scene: &Arc<SceneState>,
+        cfg: &ServerConfig,
+        spawn: impl FnOnce(usize) -> Arc<ShardCtx>,
+    ) -> (Arc<ShardCtx>, Arc<CircuitBreaker>) {
+        let key = Arc::as_ptr(scene) as usize;
+        // Only a live witness pinning the *same* allocation proves the
+        // entry is this scene's, not a dropped one's at that address.
+        let entry = self.scenes.get(&key).filter(|(witness, ..)| {
+            witness
+                .upgrade()
+                .is_some_and(|live| Arc::ptr_eq(&live, scene))
+        });
+        let (idx, breaker) = match entry {
+            Some((_, idx, breaker)) => (*idx, Arc::clone(breaker)),
+            None => {
+                let idx = if self.shards.len() < cfg.max_shards.max(1) {
+                    self.shards.push(Shard::spawn(spawn(self.shards.len())));
+                    self.shards.len() - 1
+                } else {
+                    let idx = self.next_shared;
+                    self.next_shared = (idx + 1) % self.shards.len();
+                    idx
+                };
+                let breaker = Arc::new(CircuitBreaker::new(cfg.breaker));
+                let entry = (Arc::downgrade(scene), idx, Arc::clone(&breaker));
+                self.scenes.insert(key, entry);
+                (idx, breaker)
+            }
+        };
+        (Arc::clone(&self.shards[idx].ctx), breaker)
+    }
 }
 
 /// The supervision thread: one [`supervision_pass`] over every shard,
@@ -344,6 +397,18 @@ fn supervise(topology: &Mutex<Topology>, wake: &Condvar, clock: &Clock, interval
         let next = supervision_pass(&mut topology.shards, clock.now(), interval);
         let nap = next.saturating_duration_since(clock.now());
         topology = wait_timeout(wake, topology, nap);
+    }
+}
+
+/// Identifies one shard of a [`RenderServer`] (dense indices, assigned
+/// in scene-registration order).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ShardId(pub(crate) usize);
+
+impl ShardId {
+    /// The raw shard index (stable for the lifetime of the server).
+    pub fn index(self) -> usize {
+        self.0
     }
 }
 
@@ -370,8 +435,6 @@ pub struct RenderServer {
     clock: Clock,
     sessions: Mutex<HashMap<u64, Arc<SessionState>>>,
     next_session: AtomicU64,
-    /// Server-wide in-flight and timeout meters.
-    watch: WatchMeters,
     /// Every session's coarse anchors, under the server's budget.
     cache: Arc<AnchorCache>,
     /// The render pool every shard claims its tile lists on.
@@ -391,11 +454,7 @@ impl RenderServer {
     pub fn new(cfg: ServerConfig) -> Self {
         let instance = gen_nerf_telemetry::next_instance_id();
         let clock = Clock::real();
-        let topology = Arc::new(Mutex::new(Topology {
-            registry: SceneRegistry::new(cfg.max_shards, cfg.breaker),
-            shards: Vec::new(),
-            stopped: false,
-        }));
+        let topology = Arc::new(Mutex::new(Topology::default()));
         let wake = Arc::new(Condvar::new());
         let supervision = {
             let (topology, wake, clock) = (Arc::clone(&topology), Arc::clone(&wake), clock.clone());
@@ -420,7 +479,6 @@ impl RenderServer {
             clock,
             sessions: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(1),
-            watch: WatchMeters::new(instance),
             cache: Arc::new(cache),
             crew,
             draining: AtomicBool::new(false),
@@ -444,25 +502,12 @@ impl RenderServer {
     /// Sessions sharing a scene (same `Arc`) and sampling strategy
     /// batch together on that shard, and share its circuit breaker.
     pub fn create_session(&self, scene: Arc<SceneState>, cfg: SessionConfig) -> SessionId {
-        let (shard, breaker) = {
-            let mut topology = lock(&self.topology);
-            let (assignment, breaker) = topology.registry.assign(&scene);
-            if let Assignment::SpawnNew(idx) = assignment {
-                debug_assert_eq!(idx, topology.shards.len());
-                self.cache.reserve(WORKER_SCRATCH_BYTES as u64);
-                topology.shards.push(Shard::spawn(ShardCtx::new(
-                    self.instance,
-                    idx,
-                    Arc::clone(&self.crew),
-                    self.cfg,
-                    self.watch,
-                    self.clock.clone(),
-                    Arc::clone(&self.cache),
-                )));
-            }
-            let shard = Arc::clone(&topology.shards[assignment.index()].ctx);
-            (shard, breaker)
-        };
+        let (shard, breaker) = lock(&self.topology).assign(&scene, &self.cfg, |idx| {
+            self.cache.reserve(WORKER_SCRATCH_BYTES as u64);
+            let (crew, cache) = (Arc::clone(&self.crew), Arc::clone(&self.cache));
+            let clock = self.clock.clone();
+            ShardCtx::new(self.instance, idx, crew, self.cfg, clock, cache)
+        });
         let id = self.next_session.fetch_add(1, Ordering::Relaxed);
         self.cache.open(id, cfg, shard.meters.cache);
         let state = Arc::new(SessionState::new(scene, cfg, shard, breaker));
@@ -541,12 +586,13 @@ impl RenderServer {
         // misusing thread instead of poisoning the table.
         let state = removed.expect("unknown session");
         state.mark_removed();
-        // Drain-then-drop: every admitted frame holds a pending claim
-        // until its handle resolves *and* the shard is done touching
-        // the session (cache inserts included). The bound is a safety
-        // net only — frames resolve at worst at their deadline, well
-        // inside it.
-        let settled = state.pending.wait_settled(Duration::from_secs(120));
+        // Drain-then-drop: an admitted frame stays in its shard's queue
+        // or on its running list until its handle resolved *and* the
+        // shard is done touching the session (cache inserts included).
+        // The bound is a safety net only — frames resolve at worst at
+        // their deadline, well inside it.
+        let until = Instant::now().checked_add(Duration::from_secs(120));
+        let settled = state.shard.wait_session(session.0, until);
         debug_assert!(settled, "session frames never settled");
         self.cache.close(session.0);
     }
@@ -668,10 +714,18 @@ impl RenderServer {
             .sum()
     }
 
-    /// Deadline counters: per-class timeouts, frames currently in
-    /// flight.
+    /// Deadline counters summed over every shard: per-class timeouts,
+    /// frames currently in flight.
     pub fn supervisor_stats(&self) -> SupervisorStats {
-        self.watch.stats()
+        let mut sum = SupervisorStats::default();
+        for shard in &lock(&self.topology).shards {
+            let m = &shard.ctx.meters;
+            let [interactive, best_effort] = m.timed_out;
+            sum.timed_out_interactive += interactive.get();
+            sum.timed_out_best_effort += best_effort.get();
+            sum.in_flight += m.in_flight.get().max(0) as usize;
+        }
+        sum
     }
 
     /// The circuit breaker guarding `session`'s scene — shared by
@@ -1153,8 +1207,8 @@ mod tests {
         server.remove_session(session);
         // The shard may still hold transient clones for a moment
         // after fulfilling the frame; once it quiesces, the test's Arc
-        // must be the last one standing (the registry only keeps a
-        // Weak witness).
+        // must be the last one standing (the topology's scene map only
+        // keeps a Weak witness).
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         while Arc::strong_count(&scene) > 1 {
             assert!(
@@ -1231,6 +1285,77 @@ mod tests {
         let snap = gen_nerf_telemetry::snapshot();
         assert_eq!(snap.counter_with("serve_frames_rendered_total", &shard), 1);
         assert_eq!(snap.counter_with("serve_frames_admitted_total", &shard), 1);
+    }
+
+    /// A scene with no source views: all [`Topology::assign`] needs.
+    fn bare_scene() -> Arc<SceneState> {
+        let bounds = gen_nerf_geometry::Aabb::new(Vec3::splat(-1.0), Vec3::splat(1.0));
+        let model = GenNerfModel::new(ModelConfig::fast());
+        Arc::new(SceneState::prepare(model, &[], bounds, Vec3::ZERO))
+    }
+
+    /// Assigns `scene` under `max_shards`: the shard index, whether a
+    /// shard was spawned for it, and the breaker.
+    fn assign(
+        topology: &mut Topology,
+        scene: &Arc<SceneState>,
+        max_shards: usize,
+    ) -> (usize, bool, Arc<CircuitBreaker>) {
+        let cfg = ServerConfig {
+            threads: 1,
+            ..ServerConfig::default().with_max_shards(max_shards)
+        };
+        let mut spawned = false;
+        let (shard, breaker) = topology.assign(scene, &cfg, |idx| {
+            spawned = true;
+            let cache = AnchorCache::new(&cfg.governor, 0, DEFAULT_CACHE_BUDGET_BYTES);
+            let crew = Arc::new(Pool::new(1));
+            let instance = gen_nerf_telemetry::next_instance_id();
+            ShardCtx::new(instance, idx, crew, cfg, Clock::real(), Arc::new(cache))
+        });
+        (shard.index, spawned, breaker)
+    }
+
+    #[test]
+    fn one_shard_per_scene_up_to_cap() {
+        let mut topology = Topology::default();
+        let (a, b, c) = (bare_scene(), bare_scene(), bare_scene());
+        let (first_a, spawned, breaker_a) = assign(&mut topology, &a, 2);
+        assert_eq!((first_a, spawned), (0, true));
+        let (first_b, spawned, _) = assign(&mut topology, &b, 2);
+        assert_eq!((first_b, spawned), (1, true));
+        // Registered scenes stick to their shard and their breaker.
+        let (again_a, spawned, same_breaker) = assign(&mut topology, &a, 2);
+        assert_eq!((again_a, spawned), (0, false));
+        assert!(Arc::ptr_eq(&breaker_a, &same_breaker));
+        // Past the cap: shared round-robin, no new spawn — but a
+        // breaker of its own.
+        let (first_c, spawned, breaker_c) = assign(&mut topology, &c, 2);
+        assert_eq!((first_c, spawned), (0, false));
+        assert!(!Arc::ptr_eq(&breaker_a, &breaker_c));
+        assert_eq!(topology.shards.len(), 2);
+        // Still sticky after sharing.
+        let (again_c, spawned, _) = assign(&mut topology, &c, 2);
+        assert_eq!((again_c, spawned), (0, false));
+    }
+
+    #[test]
+    fn recycled_scene_address_is_not_resurrected() {
+        let mut topology = Topology::default();
+        let a = bare_scene();
+        let key = Arc::as_ptr(&a) as usize;
+        let (first, spawned, dead_breaker) = assign(&mut topology, &a, 4);
+        assert_eq!((first, spawned), (0, true));
+        drop(a);
+        // Forge a scene at the same address (simulating allocator
+        // reuse): the dead witness must force a fresh assignment and a
+        // fresh breaker.
+        let b = bare_scene();
+        let dead = topology.scenes[&key].clone();
+        topology.scenes.insert(Arc::as_ptr(&b) as usize, dead);
+        let (fresh, spawned, breaker) = assign(&mut topology, &b, 4);
+        assert_eq!((fresh, spawned), (1, true));
+        assert!(!Arc::ptr_eq(&breaker, &dead_breaker));
     }
 
     #[test]

@@ -4,15 +4,13 @@
 
 use crate::shard::ShardCtx;
 use crate::supervisor::CircuitBreaker;
-use crate::{lock, wait_until};
 use gen_nerf::config::SamplingStrategy;
 use gen_nerf::features::{prepare_sources, SourceViewData};
 use gen_nerf::model::GenNerfModel;
 use gen_nerf_geometry::{Aabb, Intrinsics, Mat3, Pose, Vec3};
 use gen_nerf_scene::View;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 /// Everything about one captured scene that is pose-independent, built
 /// **once** and shared (via `Arc`) by every session viewing the scene
@@ -208,9 +206,10 @@ impl SessionConfig {
     }
 }
 
-/// One live session: scene handle, configuration, shard, breaker and
-/// pending frames. Its anchors and cache counters live in the server's
-/// [`AnchorCache`](crate::cache::AnchorCache).
+/// One live session: scene handle, configuration, shard and breaker.
+/// Its anchors and cache counters live in the server's
+/// [`AnchorCache`](crate::cache::AnchorCache), and its frames in its
+/// shard's queue and running list.
 pub(crate) struct SessionState {
     pub scene: Arc<SceneState>,
     pub cfg: SessionConfig,
@@ -223,54 +222,9 @@ pub(crate) struct SessionState {
     /// failures protect the fleet from the sick scene, not just that
     /// session.
     pub breaker: Arc<CircuitBreaker>,
-    /// Frames of this session currently owned by the serve tier.
-    pub pending: Arc<Pending>,
     /// Latched by `remove_session`: frames still queued end as
     /// "session removed" instead of rendering.
     removed: AtomicBool,
-}
-
-/// A session's count of frames the serve tier still owns: claimed at
-/// admission, released when the frame's owner is done with it —
-/// resolved *and* no longer touching the session. `remove_session`
-/// blocks on it before dropping the state, so teardown never races
-/// handle resolution.
-#[derive(Default)]
-pub(crate) struct Pending {
-    frames: Mutex<u64>,
-    settled: Condvar,
-}
-
-impl Pending {
-    /// Claims a pending-frame slot; the returned guard releases it on
-    /// drop.
-    pub(crate) fn claim(self: &Arc<Self>) -> PendingGuard {
-        *lock(&self.frames) += 1;
-        PendingGuard(Arc::clone(self))
-    }
-
-    /// Blocks until no frame is pending, at most `bound`; returns
-    /// whether the session settled.
-    pub(crate) fn wait_settled(&self, bound: Duration) -> bool {
-        let until = Instant::now().checked_add(bound);
-        wait_until(&self.settled, lock(&self.frames), until, |&n| n == 0).1
-    }
-}
-
-/// RAII claim on a session's [`Pending`] count: held by a frame for
-/// its whole life in the serve tier, released wherever the frame is
-/// dropped — including panics unwinding through the shard loop, which
-/// is exactly the case teardown must survive.
-pub(crate) struct PendingGuard(Arc<Pending>);
-
-impl Drop for PendingGuard {
-    fn drop(&mut self) {
-        let mut frames = lock(&self.0.frames);
-        *frames -= 1;
-        if *frames == 0 {
-            self.0.settled.notify_all();
-        }
-    }
 }
 
 impl SessionState {
@@ -285,7 +239,6 @@ impl SessionState {
             cfg,
             shard,
             breaker,
-            pending: Arc::default(),
             removed: AtomicBool::new(false),
         }
     }

@@ -3,7 +3,7 @@
 //! server's one render pool.
 //!
 //! The server routes every session of a scene to one shard (see
-//! [`registry`](crate::registry)). Everything the front end, the
+//! [`RenderServer`](crate::RenderServer)). Everything the front end, the
 //! health sweep and the worker coordinate through lives in one
 //! [`ShardCtx`] behind one `Arc` — configuration, metrics (the beat
 //! count among them), the queue — so a restart replaces the thread,
@@ -54,7 +54,9 @@
 //! out the shard's overdue frames, queued and running alike
 //! ([`ShardCtx::time_out_overdue`]): every frame the shard owns is in its
 //! queue or on its running list, so no other registry of frames
-//! exists. It then runs the shard's health sweep.
+//! exists — `remove_session` waits on the same two places for a
+//! session's frames ([`ShardCtx::wait_session`]). It then runs the
+//! shard's health sweep.
 //!
 //! **Self-healing.** The worker *incarnation* popping from the queue
 //! only counts beats — one per pop, per attempt start and per finished
@@ -86,7 +88,6 @@ use crate::frame::{End, Frame, FrameCore, Shed};
 use crate::health::{CondemnReason, MAX_RESTARTS};
 use crate::server::{CacheOutcome, Fault, FrameResult, ServeStats, ServerConfig};
 use crate::session::DeadlineClass;
-use crate::supervisor::WatchMeters;
 use crate::{lock, wait, wait_timeout, wait_until};
 use gen_nerf::pipeline::{self, CoarseFrame, RenderError, RenderStats, Renderer};
 use gen_nerf_geometry::Camera;
@@ -184,7 +185,6 @@ impl ShardCtx {
         index: usize,
         crew: Arc<Pool>,
         cfg: ServerConfig,
-        watch: WatchMeters,
         clock: Clock,
         cache: Arc<AnchorCache>,
     ) -> Arc<Self> {
@@ -193,7 +193,7 @@ impl ShardCtx {
             crew,
             cfg,
             clock,
-            meters: Arc::new(Meters::new(instance, index, watch)),
+            meters: Arc::new(Meters::new(instance, index)),
             queue: Mutex::new(QueueState {
                 q: FairQueue::new(),
                 closed: false,
@@ -222,7 +222,7 @@ impl ShardCtx {
         if qs.closed {
             return Some(frame);
         }
-        qs.q.push(frame.class(), frame.session, frame);
+        qs.q.push(frame.class(), frame.session(), frame);
         drop(qs);
         self.ready.notify_one();
         None
@@ -288,7 +288,7 @@ impl ShardCtx {
                         // At most one frame of a caching session per
                         // job, so its cache updates land in order.
                         && !(frame.state.cfg.caches()
-                            && group.iter().any(|g| g.session == frame.session)))
+                            && group.iter().any(|g| g.session() == frame.session())))
             });
             let Some(mate) = mate else { break };
             match unrenderable(&mate) {
@@ -308,7 +308,7 @@ impl ShardCtx {
         frame.requeued(retry);
         let mut qs = lock(&self.queue);
         qs.stop_running(frame.core());
-        qs.q.push_front(frame.class(), frame.session, frame);
+        qs.q.push_front(frame.class(), frame.session(), frame);
         drop(qs);
         self.ready.notify_one();
         // A drain's grace wait may be waiting for the running list to
@@ -345,11 +345,14 @@ impl ShardCtx {
         }
     }
 
-    /// Running frame `core` ended ([`Frame::end`] calls this).
-    pub(crate) fn settle(&self, core: &Arc<FrameCore>) {
+    /// Takes running `frame` off the running list ([`Frame::end`]
+    /// calls this). Wakes the `idle` waiters only when that empties the list
+    /// or the frame's session was removed: what `drain` and
+    /// [`ShardCtx::wait_session`] wait for.
+    pub(crate) fn settle(&self, frame: &Frame) {
         let mut qs = lock(&self.queue);
-        qs.stop_running(core);
-        if qs.running.is_empty() {
+        qs.stop_running(frame.core());
+        if qs.running.is_empty() || frame.state.is_removed() {
             self.idle.notify_all();
         }
     }
@@ -381,14 +384,17 @@ impl ShardCtx {
     }
 
     /// Empties the queue and ends every frame in it with `end()`;
-    /// returns how many there were.
+    /// returns how many there were. The frames end under the queue
+    /// lock, so no waiter sees one gone from the queue unresolved.
     fn end_queued(&self, end: impl Fn() -> End) -> u64 {
-        let drained = lock(&self.queue).q.drain();
-        self.idle.notify_all();
+        let mut qs = lock(&self.queue);
+        let drained = qs.q.drain();
         let n = drained.len() as u64;
         for (_, _, frame) in drained {
             frame.end(end());
         }
+        drop(qs);
+        self.idle.notify_all();
         n
     }
 
@@ -413,6 +419,15 @@ impl ShardCtx {
     /// (`None`: no bound); returns whether it held.
     fn wait_idle(&self, until: Option<Instant>, idle: impl Fn(&QueueState) -> bool) -> bool {
         wait_until(&self.idle, lock(&self.queue), until, idle).1
+    }
+
+    /// Blocks until no frame of `session` is queued or running, or
+    /// `until` passes (`None`: no bound); returns whether none is.
+    pub(crate) fn wait_session(&self, session: u64, until: Option<Instant>) -> bool {
+        self.wait_idle(until, |qs| {
+            let mut cores = qs.q.iter().map(Frame::core).chain(&qs.running);
+            !cores.any(|core| core.session == session)
+        })
     }
 
     /// This shard's half of [`RenderServer::drain`](crate::RenderServer::drain):
@@ -505,18 +520,22 @@ pub(crate) struct Meters {
     /// Coarse-cache events of this shard's sessions, moved by the
     /// [`AnchorCache`] alone.
     pub cache: CacheMeters,
-    /// The server-wide deadline meters (`{instance}` only).
-    pub watch: WatchMeters,
+    /// Frames admitted and not yet resolved (`serve_frames_in_flight`).
+    pub in_flight: Gauge,
+    /// Frames resolved by their deadline, per class
+    /// (`serve_frames_timed_out_total{class}`).
+    pub timed_out: [Counter; N_CLASSES],
     /// This shard's frame-lifecycle event ring.
     pub ring: TraceRing,
 }
 
 impl Meters {
     /// Registers this shard's metric set under `{instance, shard}`.
-    fn new(instance: u64, shard: usize, watch: WatchMeters) -> Self {
+    fn new(instance: u64, shard: usize) -> Self {
         let inst = instance.to_string();
         let idx = shard.to_string();
         let labels: [(&'static str, &str); 2] = [("instance", &inst), ("shard", &idx)];
+        let classes = ["interactive", "best_effort"];
         let counter = |name: &'static str| gen_nerf_telemetry::counter(name, &labels);
         let with = |name: &'static str, key: &'static str, value: &str| {
             gen_nerf_telemetry::counter(name, &[("instance", &inst), ("shard", &idx), (key, value)])
@@ -538,7 +557,7 @@ impl Meters {
                 ["draining"; N_CLASSES],
                 ["shard_down"; N_CLASSES],
                 ["memory"; N_CLASSES],
-                ["interactive", "best_effort"],
+                classes,
                 ["circuit"; N_CLASSES],
             ]
             .map(|row| row.map(shed)),
@@ -553,9 +572,10 @@ impl Meters {
             condemned: ["wedged", "dead"].map(condemned),
             requeued: counter("serve_requeued_frames_total"),
             drain_forced: counter("serve_drain_forced_total"),
-            latency: ["interactive", "best_effort"].map(latency),
+            latency: classes.map(latency),
             cache: CACHE_EVENTS.map(|event| with("serve_cache_events_total", "outcome", event)),
-            watch,
+            in_flight: gen_nerf_telemetry::gauge("serve_frames_in_flight", &labels),
+            timed_out: classes.map(|class| with("serve_frames_timed_out_total", "class", class)),
             ring: TraceRing::new(DEFAULT_RING_CAPACITY),
         }
     }
@@ -993,7 +1013,7 @@ fn inject(ctx: &ShardCtx, frame: &Frame, cancel: &CancelToken) {
         (Some(Fault::CorruptGemm(seed)), true) => integrity::arm_corruption(seed),
         (Some(Fault::CorruptPixels(seed)), true) => pipeline::arm_pixel_corruption(seed),
         (Some(Fault::CorruptAnchor(seed)), true) => {
-            ctx.cache.corrupt_for_chaos(frame.session, seed)
+            ctx.cache.corrupt_for_chaos(frame.session(), seed)
         }
         // Spent transient faults; shard-level faults were intercepted
         // (and cleared) at pop.
@@ -1041,7 +1061,7 @@ fn render_group(
     // time in admission order.
     let (outcomes, cached): (Vec<CacheOutcome>, Vec<Option<Arc<CoarseFrame>>>) = group
         .iter()
-        .map(|frame| ctx.cache.lookup(frame.session, frame.tier, &frame.pose))
+        .map(|frame| ctx.cache.lookup(frame.session(), frame.tier, &frame.pose))
         .unzip();
 
     let renderer = Renderer::new(
@@ -1074,7 +1094,7 @@ fn render_group(
         let Some(coarse) = export else { continue };
         if *outcome == CacheOutcome::Miss && !cancel.is_cancelled() {
             ctx.cache
-                .anchor(frame.session, frame.pose, frame.tier, coarse);
+                .anchor(frame.session(), frame.pose, frame.tier, coarse);
         }
     }
 
@@ -1140,7 +1160,6 @@ mod tests {
             0,
             Arc::new(Pool::new(1)),
             cfg,
-            WatchMeters::new(instance),
             clock,
             Arc::new(AnchorCache::new(
                 &GovernorConfig::default(),
@@ -1314,7 +1333,7 @@ mod tests {
         // every member goes back to the queue in its original order.
         let (ctx, states) = fixture(3, Clock::real());
         let group = running_group(&ctx, &states, Some(Fault::Stall(Duration::from_secs(60))));
-        let sessions: Vec<u64> = group.iter().map(|frame| frame.session).collect();
+        let sessions: Vec<u64> = group.iter().map(|frame| frame.session()).collect();
         ctx.meters.ring.drain();
         std::thread::scope(|scope| {
             scope.spawn(|| {
@@ -1328,7 +1347,7 @@ mod tests {
             execute_group(&ctx, group, 0);
         });
         let requeued: Vec<Frame> = std::iter::from_fn(|| ctx.pop_mate(|_| true)).collect();
-        let order: Vec<u64> = requeued.iter().map(|frame| frame.session).collect();
+        let order: Vec<u64> = requeued.iter().map(|frame| frame.session()).collect();
         assert_eq!(order, sessions, "handed back out of order");
         assert_eq!(ctx.meters.retries.get(), 0);
         let events = ctx.meters.ring.drain();
@@ -1356,7 +1375,9 @@ mod tests {
         // Queue the frame without waking the worker.
         let frame = admitted(0, &states[0], None);
         let core = Arc::clone(frame.core());
-        lock(&ctx.queue).q.push(frame.class(), frame.session, frame);
+        lock(&ctx.queue)
+            .q
+            .push(frame.class(), frame.session(), frame);
         clock.advance(ctx.cfg.health.sweep_interval());
         shard.sweep(clock.now());
         assert_eq!(shard.backoff, None, "condemned a shard that just woke");
@@ -1441,7 +1462,7 @@ mod tests {
         let stale = ctx.pop_mate(|_| true).expect("still queued");
         assert!(unrenderable(&stale).is_some());
         stale.end(End::Stale);
-        assert_eq!(ctx.meters.watch.timed_out[0].get(), 2);
+        assert_eq!(ctx.meters.timed_out[0].get(), 2);
         assert_eq!(ctx.drain(Some(Instant::now()), Duration::ZERO), (true, 0));
     }
 
@@ -1486,7 +1507,7 @@ mod tests {
         ctx.clock
             .advance(due - ctx.clock.now() - Duration::from_nanos(1));
         let other = ctx.pop_head(0).expect("the other session's frame is ready");
-        assert_eq!((other.session, other.attempts), (1, 0));
+        assert_eq!((other.session(), other.attempts), (1, 0));
         execute_group(&ctx, ctx.batch_around(other), 0);
         assert_eq!(ctx.meters.rendered.get(), 1);
         let mut qs = lock(&ctx.queue);
@@ -1598,5 +1619,61 @@ mod tests {
         );
         assert_eq!(ctx.meters.condemned.map(|c| c.get()), [0, 0]);
         assert_eq!(ctx.end_queued(|| End::Shutdown), 1);
+    }
+
+    #[test]
+    fn a_running_frame_dropped_by_an_unwinding_loop_leaves_the_running_list() {
+        let (ctx, states) = fixture(1, Clock::virtual_clock());
+        let frame = admitted(0, &states[0], None);
+        let core = Arc::clone(frame.core());
+        assert!(ctx.push(frame).is_none());
+        // A defect in the loop unwinds past a popped frame, which is
+        // dropped without `Frame::end` (`resume_unwind` skips the
+        // panic hook, as an injected fault does).
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _running = ctx.pop_head(0).expect("just pushed");
+            std::panic::resume_unwind(Box::new("shard loop defect"));
+        }));
+        assert!(unwound.is_err());
+        match core.take() {
+            Some(Err(ServeError::Failed(msg))) => {
+                assert_eq!(msg, "frame dropped by its shard loop")
+            }
+            other => panic!("the dropped frame's handle holds {other:?}"),
+        }
+        assert_eq!(ctx.meters.in_flight.get(), 0);
+        let now = Some(Instant::now());
+        assert_eq!(
+            ctx.drain(now, Duration::ZERO),
+            (true, 0),
+            "drain waits on it"
+        );
+        assert!(ctx.wait_session(0, now), "its session's wait waits on it");
+    }
+
+    #[test]
+    fn a_session_wait_counts_its_frames_backing_off_and_running_only() {
+        // Session 0's frame failed once and waits out its backoff at the
+        // front of its lane; a zero-length wait is a probe, no sleep.
+        let probe = |ctx: &ShardCtx, session| ctx.wait_session(session, Some(Instant::now()));
+        let (ctx, states, core, due) = backing_off(2, ServerConfig::default(), Fault::PanicOnce);
+        assert!(!probe(&ctx, 0), "a frame backing off in the queue counts");
+        // Session 1's frame, running meanwhile, counts for session 1
+        // alone.
+        assert!(ctx.push(admitted(1, &states[1], None)).is_none());
+        let other = ctx.pop_head(0).expect("the other session's frame is ready");
+        assert_eq!(other.session(), 1);
+        assert!(!probe(&ctx, 0) && !probe(&ctx, 1));
+        // Due, popped and ended: session 0 has nothing left in the tier.
+        ctx.clock.advance(due - ctx.clock.now());
+        let retry = ctx.pop_head(0).expect("due");
+        assert!(Arc::ptr_eq(retry.core(), &core));
+        assert!(!probe(&ctx, 0), "a running frame counts");
+        execute_group(&ctx, ctx.batch_around(retry), 0);
+        assert!(matches!(core.take(), Some(Ok(_))));
+        assert!(probe(&ctx, 0), "session 0 settled");
+        assert!(!probe(&ctx, 1), "session 1's frame still runs");
+        other.end(End::SessionGone);
+        assert!(probe(&ctx, 1));
     }
 }

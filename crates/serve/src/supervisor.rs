@@ -39,10 +39,8 @@
 //!   so `tests/shard_scheduling.rs` can property-test transitions
 //!   against a reference model on synthetic clocks.
 
-use crate::admission::N_CLASSES;
 use crate::session::DeadlineClass;
 use crate::{doubling_backoff, lock};
-use gen_nerf_telemetry::{Counter, Gauge};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -83,7 +81,9 @@ impl SupervisorConfig {
     }
 }
 
-/// Deadline counters (a point-in-time snapshot).
+/// Deadline counters summed over a server's shards (a point-in-time
+/// snapshot of their `serve_frames_timed_out_total{class}` and
+/// `serve_frames_in_flight` meters).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SupervisorStats {
     /// Interactive frames resolved with a timeout.
@@ -98,46 +98,6 @@ impl SupervisorStats {
     /// Timeouts across both classes.
     pub fn timed_out_total(&self) -> u64 {
         self.timed_out_interactive + self.timed_out_best_effort
-    }
-}
-
-/// The server-wide deadline meters, labelled `{instance}` only, read
-/// for [`SupervisorStats`]; moved only by the frame lifecycle
-/// ([`crate::frame`]), which reaches them through every shard's
-/// [`Meters`](crate::shard::Meters).
-#[derive(Clone, Copy)]
-pub(crate) struct WatchMeters {
-    /// Frames admitted and not yet resolved
-    /// (`serve_frames_in_flight`).
-    pub in_flight: Gauge,
-    /// `serve_frames_timed_out_total{class}`, indexed by
-    /// [`class_index`](crate::admission::class_index).
-    pub timed_out: [Counter; N_CLASSES],
-}
-
-impl WatchMeters {
-    /// Registers the meters of server `instance`.
-    pub(crate) fn new(instance: u64) -> Self {
-        let inst = instance.to_string();
-        let timed_out = |class: &str| {
-            gen_nerf_telemetry::counter(
-                "serve_frames_timed_out_total",
-                &[("instance", &inst), ("class", class)],
-            )
-        };
-        Self {
-            in_flight: gen_nerf_telemetry::gauge("serve_frames_in_flight", &[("instance", &inst)]),
-            timed_out: ["interactive", "best_effort"].map(timed_out),
-        }
-    }
-
-    pub(crate) fn stats(&self) -> SupervisorStats {
-        let [interactive, best_effort] = self.timed_out;
-        SupervisorStats {
-            timed_out_interactive: interactive.get(),
-            timed_out_best_effort: best_effort.get(),
-            in_flight: self.in_flight.get().max(0) as usize,
-        }
     }
 }
 
